@@ -1091,15 +1091,6 @@ impl EngineReviver for DirReviver {
                 .fetch_add(step, std::sync::atomic::Ordering::SeqCst);
             resilience.kill_at = Some(at);
         }
-        // Restore once just for the starting top-k: pipeline events only
-        // carry changes, so the sink must be seeded with the state the
-        // replayed engine resumes from.
-        let (checkpoint, _journal) = ctup_core::DurableState::load(&self.dir)
-            .map_err(|e| format!("loading {}: {e}", self.dir.display()))?;
-        let preview = OptCtup::restore(checkpoint, Arc::clone(&self.store))
-            .map_err(|e| format!("restoring {}: {e}", self.dir.display()))?;
-        let initial = preview.result();
-        drop(preview);
         let pipeline = SupervisedPipeline::recover_from_dir::<OptCtup>(
             &self.dir,
             Arc::clone(&self.store),
@@ -1107,7 +1098,10 @@ impl EngineReviver for DirReviver {
             self.capacity,
         )
         .map_err(|e| format!("recovering from {}: {e}", self.dir.display()))?;
-        Ok(Arc::new(PipelineSink::new(pipeline, initial)))
+        // Pipeline events only carry changes, so the sink is seeded with
+        // the state the replayed engine resumes from: the result after
+        // the journal tail, not the checkpoint's.
+        Ok(Arc::new(PipelineSink::from_pipeline(pipeline)))
     }
 }
 

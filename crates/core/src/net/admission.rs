@@ -17,6 +17,17 @@
 //! reports older than the ingest deadline (`DeadlineExceeded`) rather
 //! than feeding the engine positions so stale the next genuine report
 //! would immediately overwrite them.
+//!
+//! **Park and kick.** The pump sleeps in [`AdmissionQueue::pop`] when the
+//! queue is empty, and two things wake it: a report arriving, and
+//! [`AdmissionQueue::kick`] — the engine saying its durable mark moved, so
+//! the pump has acks to hand out although nothing arrived. Both the
+//! "is anyone parked" flag and the kick itself live under the queue
+//! mutex: `pop` re-checks "queue non-empty or kicked" under that mutex
+//! right before it parks, so a kick that lands first is not lost (it
+//! stays set until a `pop` consumes it), and a producer that finds nobody
+//! parked makes no wake-up call at all. One consumer (the pump) is
+//! assumed; a second one would only ever cost it a full `timeout`.
 
 use super::stats::{NetStats, ShedReason};
 use crate::ingest::StampedUpdate;
@@ -87,11 +98,29 @@ pub struct QueuedReport {
     pub enqueued_nanos: u64,
 }
 
+/// What the queue mutex guards.
+#[derive(Debug, Default)]
+struct QueueState {
+    items: VecDeque<QueuedReport>,
+    /// The consumer is waiting on `available` and nobody has woken it yet.
+    parked: bool,
+    /// A kick no `pop` has consumed yet.
+    kicked: bool,
+}
+
+impl QueueState {
+    /// Claims the wake-up of a parked consumer: `true` means the caller
+    /// must notify `available` once it has dropped the lock.
+    fn claim_wake(&mut self) -> bool {
+        std::mem::take(&mut self.parked)
+    }
+}
+
 /// The bounded, watermarked admission queue.
 #[derive(Debug)]
 pub struct AdmissionQueue {
     config: AdmissionConfig,
-    items: Mutex<VecDeque<QueuedReport>>,
+    state: Mutex<QueueState>,
     available: Condvar,
     shedding: AtomicBool,
     stats: Arc<NetStats>,
@@ -102,7 +131,7 @@ impl AdmissionQueue {
     pub fn new(config: AdmissionConfig, stats: Arc<NetStats>) -> Self {
         AdmissionQueue {
             config: config.normalized(),
-            items: Mutex::new(VecDeque::new()),
+            state: Mutex::default(),
             available: Condvar::new(),
             shedding: AtomicBool::new(false),
             stats,
@@ -114,8 +143,8 @@ impl AdmissionQueue {
         &self.config
     }
 
-    fn lock(&self) -> MutexGuard<'_, VecDeque<QueuedReport>> {
-        match self.items.lock() {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        match self.state.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -130,50 +159,72 @@ impl AdmissionQueue {
     /// Admits a report or sheds it with [`ShedReason::QueueFull`],
     /// applying the watermark hysteresis.
     pub fn try_enqueue(&self, item: QueuedReport) -> Result<(), ShedReason> {
-        let mut items = self.lock();
-        let depth = items.len();
+        let mut state = self.lock();
+        let depth = state.items.len();
         if depth >= self.config.queue_capacity {
-            // ctup-lint: allow(L008, shedding is only written under the items mutex; the unlock publishes it)
+            // ctup-lint: allow(L008, shedding is only written under the queue mutex; the unlock publishes it)
             self.shedding.store(true, Ordering::Relaxed);
             return Err(ShedReason::QueueFull);
         }
-        // ctup-lint: allow(L008, read under the items mutex, so this sees every write made by prior admits)
+        // ctup-lint: allow(L008, read under the queue mutex, so this sees every write made by prior admits)
         if self.shedding.load(Ordering::Relaxed) {
             if depth > self.config.low_watermark {
                 return Err(ShedReason::QueueFull);
             }
-            // ctup-lint: allow(L008, shedding is only written under the items mutex; the unlock publishes it)
+            // ctup-lint: allow(L008, shedding is only written under the queue mutex; the unlock publishes it)
             self.shedding.store(false, Ordering::Relaxed);
         } else if depth >= self.config.high_watermark {
-            // ctup-lint: allow(L008, shedding is only written under the items mutex; the unlock publishes it)
+            // ctup-lint: allow(L008, shedding is only written under the queue mutex; the unlock publishes it)
             self.shedding.store(true, Ordering::Relaxed);
             return Err(ShedReason::QueueFull);
         }
-        items.push_back(item);
-        self.publish_depth(items.len());
-        drop(items);
-        self.available.notify_one();
+        state.items.push_back(item);
+        self.publish_depth(state.items.len());
+        let wake = state.claim_wake();
+        drop(state);
+        if wake {
+            self.available.notify_one();
+        }
         Ok(())
     }
 
     /// Pops the oldest report, waiting up to `timeout` for one to arrive.
+    /// Comes back early, empty-handed, when [`kick`](Self::kick)ed — also
+    /// by a kick that landed before the call.
     pub fn pop(&self, timeout: Duration) -> Option<QueuedReport> {
-        let mut items = self.lock();
-        if items.is_empty() {
-            let (guard, _) = match self.available.wait_timeout(items, timeout) {
+        let mut state = self.lock();
+        if state.items.is_empty() && !state.kicked {
+            state.parked = true;
+            let (guard, _) = match self.available.wait_timeout(state, timeout) {
                 Ok(pair) => pair,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            items = guard;
+            state = guard;
+            // Woken by the timeout, the flag is still ours to clear.
+            state.parked = false;
         }
-        let item = items.pop_front();
-        self.publish_depth(items.len());
+        state.kicked = false;
+        let item = state.items.pop_front();
+        self.publish_depth(state.items.len());
         item
+    }
+
+    /// Sends the consumer back out of [`pop`](Self::pop) without a report:
+    /// there is work for it that did not come through the queue. Sticky
+    /// until a `pop` consumes it; wakes the consumer only if it is parked.
+    pub fn kick(&self) {
+        let mut state = self.lock();
+        state.kicked = true;
+        let wake = state.claim_wake();
+        drop(state);
+        if wake {
+            self.available.notify_one();
+        }
     }
 
     /// Reports currently queued.
     pub fn depth(&self) -> usize {
-        self.lock().len()
+        self.lock().items.len()
     }
 
     /// Whether the hysteresis is currently in the shed state.
@@ -278,6 +329,55 @@ mod tests {
         }
         let seqs = consumer.join().expect("consumer");
         assert_eq!(seqs, vec![10, 11, 12]);
+    }
+
+    #[test]
+    fn a_kick_that_lands_before_the_pop_is_not_lost() {
+        let q = queue(4, 3, 1);
+        q.kick();
+        let start = Instant::now();
+        assert!(q.pop(Duration::from_secs(10)).is_none());
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "the kick was lost"
+        );
+        // Consumed: the next pop waits its timeout out again.
+        let start = Instant::now();
+        assert!(q.pop(Duration::from_millis(20)).is_none());
+        assert!(start.elapsed() >= Duration::from_millis(15));
+    }
+
+    #[test]
+    fn kick_and_enqueue_wake_a_parked_pop_and_nobody_else() {
+        let q = Arc::new(queue(4, 3, 1));
+        let parked = |q: &AdmissionQueue| q.lock().parked;
+        // Nobody parked: neither call has anyone to wake, the kick stays.
+        q.try_enqueue(item(1)).expect("enqueue");
+        assert!(!parked(&q));
+        assert_eq!(q.pop(Duration::ZERO).map(|r| r.seq), Some(1));
+        for wake_by_kick in [true, false] {
+            let consumer = {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let start = Instant::now();
+                    (q.pop(Duration::from_secs(10)), start.elapsed())
+                })
+            };
+            while !parked(&q) {
+                std::thread::yield_now();
+            }
+            if wake_by_kick {
+                q.kick();
+            } else {
+                q.try_enqueue(item(2)).expect("enqueue");
+            }
+            // The waker claimed the wake-up: a second one would find
+            // nobody parked and make no call.
+            assert!(!parked(&q));
+            let (got, waited) = consumer.join().expect("consumer");
+            assert_eq!(got.map(|r| r.seq), (!wake_by_kick).then_some(2));
+            assert!(waited < Duration::from_secs(5), "never woken");
+        }
     }
 
     #[test]

@@ -32,6 +32,8 @@ pub mod standby;
 pub mod stats;
 pub mod wire;
 
+/// The hook type of [`EngineSink::set_durable_hook`].
+pub use crate::supervisor::DurableHook;
 pub use admission::{AdmissionConfig, AdmissionQueue, QueuedReport};
 pub use client::{
     BackoffConfig, ClientConfig, ClientError, ClientStats, Conn, Dialer, FailoverDialer,

@@ -26,7 +26,7 @@ use crate::config::CtupConfig;
 use crate::ingest::stamp_stream;
 use crate::supervisor::{ResilienceConfig, SupervisedPipeline};
 use crate::types::{LocationUpdate, UnitId};
-use crate::{DurableState, OptCtup};
+use crate::OptCtup;
 use ctup_obs::json::ObjectWriter;
 use ctup_spatial::{convert, Grid, Point};
 use ctup_storage::{CellLocalStore, PlaceId, PlaceRecord, PlaceStore};
@@ -280,12 +280,6 @@ struct TimedDirReviver {
 impl EngineReviver for TimedDirReviver {
     fn revive(&self) -> Result<Arc<dyn EngineSink>, String> {
         let started = Instant::now();
-        let (checkpoint, _journal) =
-            DurableState::load(&self.dir).map_err(|e| format!("load: {e:?}"))?;
-        let preview = OptCtup::restore(checkpoint, Arc::clone(&self.store))
-            .map_err(|e| format!("restore: {e:?}"))?;
-        let initial = preview.result();
-        drop(preview);
         let pipeline = SupervisedPipeline::recover_from_dir::<OptCtup>(
             &self.dir,
             Arc::clone(&self.store),
@@ -293,7 +287,7 @@ impl EngineReviver for TimedDirReviver {
             4096,
         )
         .map_err(|e| format!("recover: {e:?}"))?;
-        let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::new(pipeline, initial));
+        let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
         let mut samples = match self.samples.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),

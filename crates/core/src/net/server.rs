@@ -6,15 +6,22 @@
 //! * **accept** — takes TCP connections, enforces the connection cap, and
 //!   hands each to its own handler thread so one slow peer can never wedge
 //!   the door (the defect the old inline metrics loop had).
-//! * **handler** (one per connection) — speaks the wire protocol with
-//!   short read/write timeouts: handshake (`Hello`/`Ack`), per-report
+//! * **handler** (one per connection, two halves) — the **reader half**
+//!   does the handshake (`Hello`), then only reads: per-report
 //!   classification through the [`SessionRegistry`], admission through the
-//!   [`AdmissionQueue`], acks, shed notifications, snapshot pushes, and
-//!   slow-client eviction (a frame that trickles past the frame deadline,
-//!   or a write backlog that stops draining, ends the connection). A
-//!   connection whose *first* frame is a replication subscribe
-//!   (`CheckpointOffer`) or a fencing probe (`PromoteQuery`) is handed to
-//!   the replication path instead of opening a session.
+//!   [`AdmissionQueue`], door sheds, and slowloris eviction (a frame that
+//!   trickles past the frame deadline). Once the session is open it spawns
+//!   the **writer half** on a `try_clone` of the socket and joins it on the
+//!   way out. The writer owns the [`FrameWriter`]: it parks on the
+//!   session's outbound state ([`SessionRegistry::wait_outbound`] — shed
+//!   notes, snapshot, ack line past the last one written, hang-up), writes
+//!   one cumulative `Ack` per wake after the sheds it covers, and evicts a
+//!   peer whose write backlog stops draining. Nothing on the ack path
+//!   waits for a timer: `io_tick` is only how often a blocked read comes
+//!   up for the stop flag and the slowloris clock, and how often a stuck
+//!   write is retried. A connection whose *first* frame is a replication
+//!   subscribe (`CheckpointOffer`) or a fencing probe (`PromoteQuery`) is
+//!   handed to the replication path instead of opening a session.
 //! * **pump** — the only thread that feeds the engine: pops queued
 //!   reports, sheds the ones that outlived the ingest deadline, and
 //!   forwards the rest to the [`EngineSink`] exactly once. A forwarded
@@ -22,6 +29,11 @@
 //!   tail until the sink's [durable mark](EngineSink::durable_mark)
 //!   covers it, so an ack can never run ahead of the engine's journal —
 //!   the invariant level-1 recovery and standby promotion both lean on.
+//!   The pump reads the mark on every pass, so while reports keep coming
+//!   acks ride on arrivals; when the engine runs dry with the mark ahead of
+//!   its last announcement it fires the hook installed through
+//!   [`EngineSink::set_durable_hook`], which [kicks](AdmissionQueue::kick)
+//!   the pump out of its park to hand out the acks now covered.
 //!   Engine backpressure is absorbed here (bounded retry against the
 //!   deadline); engine death triggers circuit-broken in-process revival
 //!   through the [`RecoveryPlan`] when one was installed, and only a
@@ -51,7 +63,9 @@
 
 use super::admission::{AdmissionConfig, AdmissionQueue, QueuedReport};
 use super::recovery::{CircuitBreaker, RecoveryPlan};
-use super::session::{OpenError, OutboundNote, ReportClass, SessionConfig, SessionRegistry};
+use super::session::{
+    Link, OpenError, OutboundNote, ReportClass, SessionConfig, SessionOpen, SessionRegistry,
+};
 use super::stats::{NetStats, ShedReason};
 use super::wire::{ByeReason, DecodeError, FrameDecoder, FrameWriter, Message, MAX_CHUNK_DATA};
 use crate::durable::DurableState;
@@ -59,14 +73,14 @@ use crate::ingest::{StampedUpdate, TracedReport};
 use crate::pipeline::SendError;
 use crate::report::build_info;
 use crate::server::MonitorEvent;
-use crate::supervisor::SupervisedPipeline;
+use crate::supervisor::{DurableHook, SupervisedPipeline};
 use crate::types::{LocationUpdate, PlaceId, Safety, TopKEntry, UnitId};
 use ctup_obs::json::ObjectWriter;
 use ctup_obs::{mint_trace, now_nanos, sample_trace, SpanSink, Stage};
 use ctup_spatial::{convert, Point};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -108,6 +122,13 @@ pub trait EngineSink: Send + Sync {
     fn dead(&self) -> bool {
         false
     }
+    /// Installs the hook the engine calls when it runs dry with its
+    /// [durable mark](EngineSink::durable_mark) ahead of what the pump can
+    /// have seen on its way in — the front door's cue to ack without
+    /// waiting for the next arrival. Sinks whose mark covers a report the
+    /// moment it is handed over have nothing to announce and keep the
+    /// default.
+    fn set_durable_hook(&self, _hook: DurableHook) {}
 }
 
 /// [`EngineSink`] over the supervised pipeline: reports ride the existing
@@ -133,6 +154,15 @@ impl PipelineSink {
             pipeline,
             current: Mutex::new(initial.iter().map(|e| (e.place, e.safety)).collect()),
         }
+    }
+
+    /// Wraps a running pipeline, seeded with the result its worker
+    /// started from ([`SupervisedPipeline::initial_result`]) — for a
+    /// recovered pipeline that is the result *after* the journal replay,
+    /// which a checkpoint preview would miss.
+    pub fn from_pipeline(pipeline: SupervisedPipeline) -> Self {
+        let initial = pipeline.initial_result().to_vec();
+        PipelineSink::new(pipeline, initial)
     }
 
     /// Unwraps the pipeline (for shutdown and final accounting).
@@ -193,6 +223,10 @@ impl EngineSink for PipelineSink {
     fn dead(&self) -> bool {
         self.pipeline.worker_dead()
     }
+
+    fn set_durable_hook(&self, hook: DurableHook) {
+        self.pipeline.set_durable_hook(hook);
+    }
 }
 
 /// Full configuration of the front door.
@@ -205,7 +239,10 @@ pub struct NetServerConfig {
     /// Cap on concurrent connections; beyond it new ones get
     /// `Bye(ServerFull)` and are counted as rejected.
     pub max_connections: usize,
-    /// Granularity of blocking socket reads/writes (and of stop checks).
+    /// Socket read/write timeout: how often a blocked reader half comes
+    /// up for the stop flag and the slowloris clock, how often a stuck
+    /// write is retried, and the pump's idle stop-check cadence. No reply
+    /// waits for it.
     pub io_tick: Duration,
     /// A connection must complete its `Hello` within this.
     pub handshake_deadline: Duration,
@@ -333,7 +370,10 @@ struct Shared {
     config: NetServerConfig,
     stats: Arc<NetStats>,
     registry: SessionRegistry,
-    queue: AdmissionQueue,
+    /// Shared so the engine's run-dry hook can hold a `Weak` to the queue
+    /// alone: the sink outlives the server, and upgrading must never make
+    /// an engine thread the last owner of anything that owns the sink.
+    queue: Arc<AdmissionQueue>,
     /// The current engine; level-1 recovery swaps a revived sink in, so
     /// every use clones the `Arc` out rather than borrowing through the
     /// lock.
@@ -368,6 +408,16 @@ impl std::fmt::Debug for Shared {
 }
 
 impl Shared {
+    /// The hook a sink gets: kick the pump out of its park.
+    fn durable_hook(&self) -> DurableHook {
+        let queue = Arc::downgrade(&self.queue);
+        Arc::new(move || {
+            if let Some(queue) = queue.upgrade() {
+                queue.kick();
+            }
+        })
+    }
+
     /// Clones the current sink out from under the swap lock.
     fn sink(&self) -> Arc<dyn EngineSink> {
         match self.sink.lock() {
@@ -453,7 +503,10 @@ impl IngestServer {
         );
         let shared = Arc::new(Shared {
             registry: SessionRegistry::new(config.session.clone(), Arc::clone(&stats)),
-            queue: AdmissionQueue::new(config.admission.clone(), Arc::clone(&stats)),
+            queue: Arc::new(AdmissionQueue::new(
+                config.admission.clone(),
+                Arc::clone(&stats),
+            )),
             epoch: config.epoch,
             config,
             stats,
@@ -469,6 +522,7 @@ impl IngestServer {
             degraded_entered: Mutex::new(None),
             conn_count: AtomicUsize::new(0),
         });
+        shared.sink().set_durable_hook(shared.durable_hook());
         let accept = spawn_thread("ctup-net-accept", {
             let shared = Arc::clone(&shared);
             move || accept_loop(&listener, &shared)
@@ -577,13 +631,16 @@ impl IngestServer {
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
-        // Handlers poll the stop flag at io_tick granularity; wait for
+        // Reader halves poll the stop flag at io_tick granularity; wait for
         // them (bounded) so their final acks and Byes get written.
         let deadline =
             Instant::now() + self.shared.config.io_tick * 40 + Duration::from_millis(200);
         while self.shared.conn_count.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
+        // The pump may be parked with nothing to pop; send it round to
+        // see the stop flag.
+        self.shared.queue.kick();
         if let Some(handle) = self.pump.take() {
             let _ = handle.join();
         }
@@ -646,15 +703,9 @@ fn refuse(mut stream: TcpStream, reason: ByeReason) {
     let _ = stream.write_all(&bytes);
 }
 
-/// Per-connection protocol state.
-struct ConnState {
-    session: u64,
-    epoch: u64,
-    last_acked: u64,
-    frame_started: Option<Instant>,
-    write_stuck_since: Option<Instant>,
-}
-
+/// One connection: the handshake, then the reader half on this thread and
+/// the writer half on its own, joined before the connection slot is
+/// given back.
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let tick = shared.config.io_tick;
     if stream.set_read_timeout(Some(tick)).is_err() || stream.set_write_timeout(Some(tick)).is_err()
@@ -745,35 +796,51 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         }
     };
 
-    let mut conn = ConnState {
-        session: open.session,
-        epoch: open.epoch,
-        last_acked: open.handled_up_to,
-        frame_started: None,
-        write_stuck_since: None,
-    };
+    // The session is open: everything outbound is the writer half's from
+    // here, starting with the handshake ack.
     writer.push(&Message::Ack {
         session: open.session,
         handled_up_to: open.handled_up_to,
     });
+    let writer_half = stream.try_clone().and_then(|out| {
+        let shared = Arc::clone(shared);
+        spawn_thread("ctup-net-conn-w", move || {
+            write_half(out, writer, &shared, open);
+        })
+    });
+    let Ok(writer_half) = writer_half else {
+        shared.registry.hang_up(open.session, open.epoch, None);
+        return;
+    };
+    let bye = read_half(&mut stream, &mut decoder, shared, open);
+    shared.registry.hang_up(open.session, open.epoch, bye);
+    let _ = writer_half.join();
+}
 
+/// The reader half: reads frames until the connection is over and says
+/// how — `Some(reason)` is the goodbye the writer half still owes the
+/// peer, `None` means the peer is gone (or a reconnect took the session
+/// over) and there is nobody to say it to.
+fn read_half(
+    stream: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+    shared: &Arc<Shared>,
+    open: SessionOpen,
+) -> Option<ByeReason> {
+    // When the frame now trickling in was first seen incomplete.
+    let mut frame_started: Option<Instant> = None;
     loop {
         if shared.stop.load(Ordering::SeqCst) {
-            send_bye(&mut stream, &mut writer, ByeReason::Shutdown);
-            shared.registry.disconnected(conn.session, conn.epoch);
-            return;
+            return Some(ByeReason::Shutdown);
         }
-        if !shared.registry.epoch_current(conn.session, conn.epoch) {
+        if !shared.registry.epoch_current(open.session, open.epoch) {
             // A reconnect took the session over; retire quietly.
-            return;
+            return None;
         }
-
-        // Read at most one frame per iteration (the decoder returns as
-        // soon as one completes, so a busy peer is served per-frame).
-        match decoder.read_from(&mut stream) {
+        match decoder.read_from(stream) {
             Ok(msg) => {
                 shared.stats.frames_received.fetch_add(1, Ordering::Relaxed);
-                conn.frame_started = None;
+                frame_started = None;
                 match msg {
                     Message::Report {
                         seq,
@@ -783,23 +850,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                         x,
                         y,
                         trace,
-                    } => handle_report(
-                        shared,
-                        &mut conn,
-                        &mut writer,
-                        seq,
-                        unit_seq,
-                        ts,
-                        unit,
-                        x,
-                        y,
-                        trace,
-                    ),
-                    Message::Bye { .. } => {
-                        shared.registry.disconnected(conn.session, conn.epoch);
-                        let _ = writer.flush_into(&mut stream);
-                        return;
-                    }
+                    } => handle_report(shared, open.session, seq, unit_seq, ts, unit, x, y, trace),
+                    Message::Bye { .. } => return None,
                     // Hello mid-stream, a server-only frame from a
                     // client, or a replication frame on a feed session:
                     // protocol violation.
@@ -815,27 +867,23 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                             .stats
                             .sessions_evicted
                             .fetch_add(1, Ordering::Relaxed);
-                        send_bye(&mut stream, &mut writer, ByeReason::ProtocolError);
-                        shared.registry.disconnected(conn.session, conn.epoch);
-                        return;
+                        return Some(ByeReason::ProtocolError);
                     }
                 }
             }
             Err(e) if e.is_timeout() => {
                 // Slowloris: a frame that started but will not finish.
                 if decoder.mid_frame() {
-                    let started = *conn.frame_started.get_or_insert_with(Instant::now);
+                    let started = *frame_started.get_or_insert_with(Instant::now);
                     if started.elapsed() > shared.config.frame_deadline {
                         shared
                             .stats
                             .sessions_evicted
                             .fetch_add(1, Ordering::Relaxed);
-                        send_bye(&mut stream, &mut writer, ByeReason::Evicted);
-                        shared.registry.disconnected(conn.session, conn.epoch);
-                        return;
+                        return Some(ByeReason::Evicted);
                     }
                 } else {
-                    conn.frame_started = None;
+                    frame_started = None;
                 }
             }
             Err(DecodeError::Wire(_)) => {
@@ -843,9 +891,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                     .stats
                     .frames_malformed
                     .fetch_add(1, Ordering::Relaxed);
-                send_bye(&mut stream, &mut writer, ByeReason::ProtocolError);
-                shared.registry.disconnected(conn.session, conn.epoch);
-                return;
+                return Some(ByeReason::ProtocolError);
             }
             Err(DecodeError::Closed { mid_frame }) => {
                 if mid_frame {
@@ -854,17 +900,41 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                         .partial_disconnects
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                shared.registry.disconnected(conn.session, conn.epoch);
-                return;
+                return None;
             }
-            Err(DecodeError::Io(_)) => {
-                shared.registry.disconnected(conn.session, conn.epoch);
-                return;
-            }
+            Err(DecodeError::Io(_)) => return None,
         }
+    }
+}
 
-        // Outbound: pump sheds and snapshot pushes queued for this session.
-        for note in shared.registry.take_outbox(conn.session) {
+/// The writer half: owns the [`FrameWriter`] and this connection's end of
+/// the session's outbound state. Each pass flushes, then parks in
+/// [`SessionRegistry::wait_outbound`] until the session has something to
+/// say; what comes back is one consistent cut — shed notes first, then
+/// one cumulative `Ack` — so a `Shed` always precedes the ack covering
+/// its seq. A peer that stops reading is evicted here: the socket is shut
+/// down under the reader half, which then hangs up and joins us.
+fn write_half(
+    mut stream: TcpStream,
+    mut writer: FrameWriter,
+    shared: &Arc<Shared>,
+    open: SessionOpen,
+) {
+    let mut last_acked = open.handled_up_to;
+    let mut stuck_since: Option<Instant> = None;
+    loop {
+        if !flush_backlog(&mut writer, &mut stream, &mut stuck_since, shared) {
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
+        // With a backlog the peer would not take, come back within a
+        // tick to retry the write; with none, sleep until spoken to.
+        let patience = (writer.pending() > 0).then_some(shared.config.io_tick);
+        let outbound =
+            shared
+                .registry
+                .wait_outbound(open.session, open.epoch, last_acked, patience);
+        for note in outbound.notes {
             match note {
                 OutboundNote::Shed { seq, reason } => writer.push(&Message::Shed { seq, reason }),
                 OutboundNote::Snapshot { degraded, entries } => {
@@ -876,36 +946,26 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 }
             }
         }
-        // Ack when the session's terminal line advanced.
-        let handled = shared.registry.handled_up_to(conn.session);
-        if handled > conn.last_acked {
-            conn.last_acked = handled;
+        if outbound.handled_up_to > last_acked {
+            last_acked = outbound.handled_up_to;
             writer.push(&Message::Ack {
-                session: conn.session,
-                handled_up_to: handled,
+                session: open.session,
+                handled_up_to: last_acked,
             });
         }
-        // Flush; evict a peer whose backlog will not drain.
-        if writer.pending() > 0 {
-            match writer.flush_into(&mut stream) {
-                Ok(true) => conn.write_stuck_since = None,
-                Ok(false) => {
-                    let stuck = *conn.write_stuck_since.get_or_insert_with(Instant::now);
-                    if stuck.elapsed() > shared.config.write_deadline
-                        || writer.pending() > shared.config.max_write_backlog
-                    {
-                        shared
-                            .stats
-                            .sessions_evicted
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared.registry.disconnected(conn.session, conn.epoch);
-                        return;
-                    }
+        match outbound.link {
+            Link::Open => {}
+            Link::Closed(bye) => {
+                if let Some(reason) = bye {
+                    writer.push(&Message::Bye { reason });
                 }
-                Err(_) => {
-                    shared.registry.disconnected(conn.session, conn.epoch);
-                    return;
-                }
+                let _ = writer.flush_into(&mut stream);
+                return;
+            }
+            Link::Retired => {
+                // Unblocks a reader half still sitting in a read.
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
             }
         }
     }
@@ -996,23 +1056,8 @@ fn serve_replication(
         for msg in &batch {
             writer.push(msg);
         }
-        if writer.pending() > 0 {
-            match writer.flush_into(&mut stream) {
-                Ok(true) => write_stuck = None,
-                Ok(false) => {
-                    let stuck = *write_stuck.get_or_insert_with(Instant::now);
-                    if stuck.elapsed() > shared.config.write_deadline
-                        || writer.pending() > shared.config.max_write_backlog
-                    {
-                        shared
-                            .stats
-                            .sessions_evicted
-                            .fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                Err(_) => break,
-            }
+        if !flush_backlog(&mut writer, &mut stream, &mut write_stuck, shared) {
+            break;
         }
         match decoder.read_from(&mut stream) {
             Ok(Message::Bye { .. }) => break,
@@ -1039,8 +1084,7 @@ fn serve_replication(
 #[allow(clippy::too_many_arguments)]
 fn handle_report(
     shared: &Arc<Shared>,
-    conn: &mut ConnState,
-    writer: &mut FrameWriter,
+    session: u64,
     seq: u64,
     unit_seq: u64,
     ts: u64,
@@ -1051,7 +1095,7 @@ fn handle_report(
 ) {
     let spans = shared.config.spans.as_deref();
     let admit_start = now_nanos();
-    match shared.registry.classify(conn.session, seq) {
+    match shared.registry.classify(session, seq) {
         ReportClass::Replay => {
             // Replays never re-enter the pipeline, so they record no
             // spans either: a retransmit maps onto the spans its first
@@ -1064,8 +1108,7 @@ fn handle_report(
         ReportClass::QuotaExceeded => {
             shed_at_door(
                 shared,
-                conn,
-                writer,
+                session,
                 seq,
                 ShedReason::SessionQuota,
                 wire_trace,
@@ -1077,8 +1120,7 @@ fn handle_report(
             if shared.degraded.load(Ordering::Relaxed) {
                 shed_at_door(
                     shared,
-                    conn,
-                    writer,
+                    session,
                     seq,
                     ShedReason::EngineDegraded,
                     wire_trace,
@@ -1094,7 +1136,7 @@ fn handle_report(
             if trace == 0 {
                 if let Some(sink) = spans {
                     trace = sample_trace(
-                        shared.config.trace_seed ^ conn.session,
+                        shared.config.trace_seed ^ session,
                         seq,
                         shared.config.trace_sample_every,
                     );
@@ -1113,7 +1155,7 @@ fn handle_report(
             };
             let enqueued_nanos = if trace != 0 { now_nanos() } else { 0 };
             let queued = QueuedReport {
-                session: conn.session,
+                session,
                 seq,
                 report,
                 enqueued_at: Instant::now(),
@@ -1124,7 +1166,7 @@ fn handle_report(
             // queue can hand the item to the pump: a fast engine drains
             // the instant it lands, and `drained()` finding nothing to
             // remove would leave a ghost entry pinning the ack line.
-            shared.registry.note_enqueued(conn.session, seq);
+            shared.registry.note_enqueued(session, seq);
             match shared.queue.try_enqueue(queued) {
                 Ok(()) => {
                     if trace != 0 {
@@ -1142,10 +1184,10 @@ fn handle_report(
                         }
                     }
                 }
-                Err(reason) => {
-                    shared.registry.retract_pending(conn.session, seq);
-                    shed_at_door(shared, conn, writer, seq, reason, wire_trace, admit_start);
-                }
+                // Refused: the shed rolls the pending entry back and queues
+                // the note in one step, so the ack line never covers this
+                // seq before the writer half holds its `Shed`.
+                Err(reason) => shed_at_door(shared, session, seq, reason, wire_trace, admit_start),
             }
         }
     }
@@ -1153,14 +1195,13 @@ fn handle_report(
 
 fn shed_at_door(
     shared: &Arc<Shared>,
-    conn: &ConnState,
-    writer: &mut FrameWriter,
+    session: u64,
     seq: u64,
     reason: ShedReason,
     wire_trace: u64,
     admit_start: u64,
 ) {
-    shared.registry.note_shed_at_door(conn.session, seq);
+    shared.registry.shed(session, seq, reason);
     shared.stats.record_shed(reason);
     // Door sheds are always traced — overload episodes are exactly when
     // an operator needs exemplar traces — so an untraced report gets a
@@ -1171,7 +1212,7 @@ fn shed_at_door(
             wire_trace
         } else {
             sink.note_trace_sampled();
-            mint_trace(shared.config.trace_seed ^ conn.session, seq)
+            mint_trace(shared.config.trace_seed ^ session, seq)
         };
         let now = now_nanos();
         sink.record_stage(
@@ -1184,7 +1225,39 @@ fn shed_at_door(
         );
         sink.record_stage(trace, Stage::Shed, u32::from(reason.code()), now, now, true);
     }
-    writer.push(&Message::Shed { seq, reason });
+}
+
+/// Writes as much of `writer`'s backlog as the peer takes. `false` means
+/// the connection is over: a hard write error, or a peer that stopped
+/// reading — its backlog has not drained for `write_deadline` (clocked
+/// from `stuck_since`) or outgrew `max_write_backlog` — which is counted
+/// as an eviction.
+fn flush_backlog(
+    writer: &mut FrameWriter,
+    stream: &mut TcpStream,
+    stuck_since: &mut Option<Instant>,
+    shared: &Shared,
+) -> bool {
+    if writer.pending() == 0 {
+        return true;
+    }
+    match writer.flush_into(stream) {
+        Ok(true) => *stuck_since = None,
+        Ok(false) => {
+            let stuck = *stuck_since.get_or_insert_with(Instant::now);
+            if stuck.elapsed() > shared.config.write_deadline
+                || writer.pending() > shared.config.max_write_backlog
+            {
+                shared
+                    .stats
+                    .sessions_evicted
+                    .fetch_add(1, Ordering::Relaxed);
+                return false;
+            }
+        }
+        Err(_) => return false,
+    }
+    true
 }
 
 fn send_bye(stream: &mut TcpStream, writer: &mut FrameWriter, reason: ByeReason) {
@@ -1210,9 +1283,11 @@ fn pump_loop(shared: &Arc<Shared>) {
     let mut inflight: VecDeque<(u64, QueuedReport)> = VecDeque::new();
     loop {
         drain_acks(shared, &mut inflight);
-        let stopping = shared.stop.load(Ordering::SeqCst);
+        // Parks until a report arrives, the engine kicks (it ran dry with
+        // the durable mark ahead: the pass above has acks to hand out),
+        // or a tick passes (stop flag, liveness probe).
         let Some(item) = shared.queue.pop(tick) else {
-            if stopping {
+            if shared.stop.load(Ordering::SeqCst) {
                 finish_inflight(shared, &mut inflight);
                 return;
             }
@@ -1382,6 +1457,9 @@ fn try_recover(
         let Ok(new_sink) = plan.reviver.revive() else {
             continue;
         };
+        // Hooked before the re-feed: the kicks it causes stay set until
+        // the pump is back in `pop`.
+        new_sink.set_durable_hook(shared.durable_hook());
         if reingest(&new_sink, &pending, handed, inflight) {
             {
                 let mut sink = match shared.sink.lock() {
@@ -1470,9 +1548,7 @@ fn finish_inflight(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedRep
 
 fn pump_shed(shared: &Arc<Shared>, item: &QueuedReport, reason: ShedReason) {
     shared.stats.record_shed(reason);
-    shared
-        .registry
-        .shed_at_drain(item.session, item.seq, reason);
+    shared.registry.shed(item.session, item.seq, reason);
     // Drain sheds are always traced, like door sheds: an already-traced
     // item gets a shed leaf under its session-admit span (spanning its
     // fruitless queue wait); an untraced one gets a fresh root so the

@@ -574,7 +574,6 @@ where
     let mut checkpoint = alg.checkpoint();
     checkpoint.gate = Some(gate.state());
     let store = alg.store();
-    let topk = alg.result();
     drop(alg);
     let pipeline = match SupervisedPipeline::resume::<A>(
         checkpoint,
@@ -585,7 +584,7 @@ where
         Ok(p) => p,
         Err(e) => return FollowEnd::Failed(format!("promotion resume failed: {e:?}")),
     };
-    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::new(pipeline, topk));
+    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
     let mut net = config.net.clone();
     net.epoch = new_epoch;
     // Fence fresh session ids far above anything the old primary minted,

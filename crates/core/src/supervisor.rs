@@ -46,7 +46,7 @@ use crate::metrics::{Metrics, ResilienceStats};
 use crate::pipeline::{EventBatch, SendError};
 use crate::server::Server;
 use crate::types::{LocationUpdate, TopKEntry};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use ctup_obs::{
     now_nanos, LatencySnapshot, ObsHub, PhaseTimer, SpanSink, Stage, TraceEvent, TraceOutcome,
 };
@@ -56,7 +56,7 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Tuning of the resilience layer.
@@ -165,13 +165,47 @@ pub struct SupervisedReport {
     pub flight_recorder_path: Option<PathBuf>,
 }
 
+/// Called by the worker when it runs dry: its inbound channel is empty and
+/// the [durable mark](SupervisedPipeline::durable_mark) has advanced since
+/// the last call. See [`SupervisedPipeline::set_durable_hook`].
+pub type DurableHook = Arc<dyn Fn() + Send + Sync>;
+
+/// The durable mark and who to tell about it, shared between the pipeline
+/// handle and its worker.
+#[derive(Default)]
+struct DurableLine {
+    mark: AtomicU64,
+    hook: Mutex<Option<DurableHook>>,
+}
+
+impl DurableLine {
+    /// Fires the hook if the mark moved past `announced`. Without a hook
+    /// nothing is recorded as announced, so one installed later still
+    /// hears about everything the mark covers.
+    fn announce(&self, announced: &mut u64) {
+        let now = self.mark.load(Ordering::Acquire);
+        if now == *announced {
+            return;
+        }
+        let hook = match self.hook.lock() {
+            Ok(guard) => guard.clone(),
+            Err(poisoned) => poisoned.into_inner().clone(),
+        };
+        if let Some(hook) = hook {
+            *announced = now;
+            hook();
+        }
+    }
+}
+
 /// A monitoring server on a supervised worker thread: validated ingest,
 /// liveness leases, panic containment and checkpoint-restart.
 pub struct SupervisedPipeline {
     reports_tx: Option<Sender<TracedReport>>,
     events_rx: Receiver<EventBatch>,
     worker: Option<JoinHandle<SupervisedReport>>,
-    durable_mark: Arc<AtomicU64>,
+    durable: Arc<DurableLine>,
+    initial_result: Vec<TopKEntry>,
 }
 
 impl std::fmt::Debug for SupervisedPipeline {
@@ -314,8 +348,12 @@ impl SupervisedPipeline {
         assert!(capacity > 0, "capacity must be positive");
         let (reports_tx, reports_rx) = bounded::<TracedReport>(capacity);
         let (events_tx, events_rx) = bounded::<EventBatch>(capacity);
-        let durable_mark = Arc::new(AtomicU64::new(0));
-        let worker_mark = Arc::clone(&durable_mark);
+        let durable = Arc::new(DurableLine::default());
+        let worker_durable = Arc::clone(&durable);
+        // Events only carry changes, so whoever serves this pipeline's
+        // top-k needs the state the worker starts from — which, after a
+        // recovery, is the result *after* the journal replay.
+        let initial_result = algorithm.result();
         #[allow(clippy::expect_used)]
         let worker = std::thread::Builder::new()
             .name("ctup-supervisor".into())
@@ -327,7 +365,7 @@ impl SupervisedPipeline {
                     initial_stats,
                     reports_rx,
                     events_tx,
-                    worker_mark,
+                    &worker_durable,
                 )
             })
             // ctup-lint: allow(L001, thread spawn fails only on OS resource exhaustion at construction — there is no monitor to degrade to yet)
@@ -336,8 +374,34 @@ impl SupervisedPipeline {
             reports_tx: Some(reports_tx),
             events_rx,
             worker: Some(worker),
-            durable_mark,
+            durable,
+            initial_result,
         }
+    }
+
+    /// The monitored result the worker started from: the algorithm's
+    /// result at spawn, or — for [`recover_from_dir`](Self::recover_from_dir)
+    /// — the result after the journal tail was replayed (the replay emits
+    /// no events). [`events`](Self::events) carries every change from here.
+    pub fn initial_result(&self) -> &[TopKEntry] {
+        &self.initial_result
+    }
+
+    /// Installs the run-dry hook, replacing any earlier one. The worker
+    /// calls it whenever it finds its inbound channel empty and the
+    /// [durable mark](Self::durable_mark) ahead of what it last announced,
+    /// right before it blocks for the next report, and once more when it
+    /// exits. While reports are queued it is never called: whoever hands
+    /// reports over reads the mark on its way in, so a busy worker pays
+    /// nothing, and the moment it runs dry everything the mark covers is
+    /// announced at once. The hook runs on the worker thread; it must not
+    /// block and must not own this pipeline (hold a `Weak` at most).
+    pub fn set_durable_hook(&self, hook: DurableHook) {
+        let mut slot = match self.durable.hook.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        *slot = Some(hook);
     }
 
     /// Sends one stamped report, blocking while the queue is full. Returns
@@ -399,7 +463,7 @@ impl SupervisedPipeline {
     /// acks never run ahead of the journal. Without a `state_dir` the mark
     /// advances on receipt (there is no durability contract to wait for).
     pub fn durable_mark(&self) -> u64 {
-        self.durable_mark.load(Ordering::Acquire)
+        self.durable.mark.load(Ordering::Acquire)
     }
 
     /// Closes the report channel, drains the worker and returns its report.
@@ -446,7 +510,7 @@ fn supervise<A>(
     initial_stats: ResilienceStats,
     reports_rx: Receiver<TracedReport>,
     events_tx: Sender<EventBatch>,
-    durable_mark: Arc<AtomicU64>,
+    line: &DurableLine,
 ) -> SupervisedReport
 where
     A: Checkpointable,
@@ -511,7 +575,21 @@ where
         };
     }
 
-    'recv: for traced in reports_rx.iter() {
+    // The durable mark as of the last run-dry announcement.
+    let mut announced = 0u64;
+    'recv: loop {
+        let traced = match reports_rx.try_recv() {
+            Ok(traced) => traced,
+            Err(TryRecvError::Disconnected) => break 'recv,
+            Err(TryRecvError::Empty) => {
+                // Run dry: say how far the mark got, once, then sleep.
+                line.announce(&mut announced);
+                match reports_rx.recv() {
+                    Ok(traced) => traced,
+                    Err(_) => break 'recv,
+                }
+            }
+        };
         let TracedReport {
             report,
             trace,
@@ -550,7 +628,7 @@ where
                 });
                 // A gate rejection is terminal: the report needs no
                 // durability, so the ack watermark advances past it.
-                durable_mark.fetch_add(1, Ordering::Release);
+                line.mark.fetch_add(1, Ordering::Release);
                 continue;
             }
         };
@@ -570,7 +648,7 @@ where
         // The report is now recoverable (journaled, or in-memory-only by
         // configuration): the front door may ack it. This happens *before*
         // the apply below, so a kill mid-apply loses nothing acked.
-        durable_mark.fetch_add(1, Ordering::Release);
+        line.mark.fetch_add(1, Ordering::Release);
         // One accepted report can expand to several effective updates
         // (lease parks precede the accepted position). Spans attach to the
         // *last* — the accepted report itself — so one trace records one
@@ -751,6 +829,10 @@ where
             }
         }
     }
+
+    // Whatever the mark covered when the worker stopped is still owed an
+    // ack, whether it stopped for shutdown, a kill or a give-up.
+    line.announce(&mut announced);
 
     if gave_up {
         obs.record_update(TraceEvent {
@@ -1593,6 +1675,97 @@ mod tests {
         assert_eq!(report.reports_received, 2);
     }
 
+    /// The mark as a hook sees it (a hook holds a `Weak` at most).
+    fn mark_of(durable: &std::sync::Weak<DurableLine>) -> u64 {
+        durable
+            .upgrade()
+            .map_or(0, |d| d.mark.load(Ordering::Acquire))
+    }
+
+    /// The run-dry hook: silent while the worker has backlog, fired once
+    /// when it runs dry with the mark ahead, never without news, and once
+    /// more for what the mark covered when the worker exits.
+    #[test]
+    fn durable_hook_fires_on_run_dry_not_per_report() {
+        use std::sync::atomic::AtomicUsize;
+        let units = unit_points(4);
+        let pipeline =
+            SupervisedPipeline::spawn(monitor(&units), ResilienceConfig::default(), 1024);
+        // What the mark read each time the hook fired.
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let durable = Arc::downgrade(&pipeline.durable);
+        let calls = Arc::new(AtomicUsize::new(0));
+        pipeline.set_durable_hook({
+            let (fired, calls) = (Arc::clone(&fired), Arc::clone(&calls));
+            Arc::new(move || {
+                fired.lock().expect("hook log").push(mark_of(&durable));
+                calls.fetch_add(1, Ordering::SeqCst);
+            })
+        });
+        let wait_for_calls = |n: usize| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while calls.load(Ordering::SeqCst) < n {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "hook call {n} never came"
+                );
+                std::thread::yield_now();
+            }
+        };
+        let stamped = stamp_stream(updates(300, 4));
+        for &report in &stamped[..200] {
+            pipeline.send(report).expect("worker alive");
+        }
+        // However the burst interleaved with the worker, the last call of
+        // the episode announces all of it...
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while fired.lock().expect("hook log").last() != Some(&200) {
+            assert!(std::time::Instant::now() < deadline, "200 never announced");
+            std::thread::yield_now();
+        }
+        // ...in far fewer calls than reports (a worker that found the
+        // channel empty after every single report would make 200)...
+        let after_burst = calls.load(Ordering::SeqCst);
+        assert!(after_burst < 200, "{after_burst} calls for 200 reports");
+        // ...and an idle worker stays silent.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(calls.load(Ordering::SeqCst), after_burst);
+        // A lone report on the idle worker is announced by itself.
+        pipeline.send(stamped[200]).expect("worker alive");
+        wait_for_calls(after_burst + 1);
+        assert_eq!(fired.lock().expect("hook log").last(), Some(&201));
+        // Every announcement carried news.
+        let log = fired.lock().expect("hook log").clone();
+        assert!(log.windows(2).all(|w| w[0] < w[1]), "{log:?}");
+        assert!(!pipeline.shutdown().gave_up);
+    }
+
+    /// A worker that stops still announces what its mark covered: the
+    /// reports journaled before a kill are owed their acks.
+    #[test]
+    fn durable_hook_fires_once_more_when_the_worker_exits() {
+        let units = unit_points(4);
+        let config = ResilienceConfig {
+            kill_at: Some(30),
+            ..ResilienceConfig::default()
+        };
+        let stamped = stamp_stream(updates(31, 4));
+        let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 1024);
+        let last = Arc::new(AtomicU64::new(0));
+        let durable = Arc::downgrade(&pipeline.durable);
+        pipeline.set_durable_hook({
+            let last = Arc::clone(&last);
+            Arc::new(move || last.store(mark_of(&durable), Ordering::SeqCst))
+        });
+        for &report in &stamped {
+            pipeline.send(report).expect("queue has room");
+        }
+        let report = pipeline.shutdown();
+        assert!(report.killed);
+        // Report 31 was taken (marked) and then met the kill.
+        assert_eq!(last.load(Ordering::SeqCst), 31);
+    }
+
     /// With a state dir, the mark must not run ahead of the journal: after
     /// a kill, every report the mark covered is recoverable from disk.
     #[test]
@@ -1654,6 +1827,7 @@ mod tests {
         for &u in &stream {
             direct.ingest(u).expect("ingest");
         }
+        let direct_stream = stream.clone();
 
         let config = ResilienceConfig {
             checkpoint_every: 32,
@@ -1687,6 +1861,14 @@ mod tests {
             1024,
         )
         .expect("recover");
+        // The recovered pipeline starts from the replayed state — journal
+        // tail included — and says so: that is what a sink over it must
+        // be seeded with, since the replay published no events.
+        let mut replayed = Server::new(monitor(&units));
+        for &u in &direct_stream[..121] {
+            replayed.ingest(u).expect("ingest");
+        }
+        assert_eq!(recovered.initial_result(), replayed.result());
         // Re-deliver the whole feed: the restored gate rejects everything
         // already applied before the kill, then the remainder flows.
         for &report in &stamped {

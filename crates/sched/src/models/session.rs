@@ -1,13 +1,27 @@
 //! Model of the session pending/ack protocol (`core::net::session`).
 //!
-//! The real protocol: a connection handler *registers* each report's
-//! sequence number as pending, then *admits* it to the bounded queue; if
-//! admission sheds, `retract_pending` rolls the registration back. The
-//! engine pump drains the queue, applies the report to the engine, and
-//! only then marks it drained — which is what advances the cumulative
-//! ack line (`min(pending) - 1`, or everything issued when no report is
-//! pending). PR 6's fast-pump ghost-pending race lived exactly in the
-//! register/admit/drain interleavings this model explores.
+//! The real protocol: a connection's reader half *registers* each
+//! report's sequence number as pending, then *admits* it to the bounded
+//! queue; if admission sheds, `SessionRegistry::shed` rolls the
+//! registration back. The engine pump drains the queue, applies the
+//! report to the engine, and only then marks it drained — which is what
+//! advances the cumulative ack line (`min(pending) - 1`, or everything
+//! issued when no report is pending). PR 6's fast-pump ghost-pending race
+//! lived exactly in the register/admit/drain interleavings [`model`]
+//! explores.
+//!
+//! [`writer_model`] adds the connection's writer half, which since the
+//! reader/writer split runs *beside* the reader: each of its steps is one
+//! `wait_outbound` cut — take the queued `Shed` notes and read the ack
+//! line under one lock hold, put the sheds on the wire, then one
+//! cumulative `Ack`. A shed that turned its seq terminal in one lock hold
+//! and queued the note in another would let an `Ack` overtake its `Shed`
+//! (the client would book the report as accepted); the `ShedAfterAck`
+//! mutant is exactly that split. It is a model of its own, reduced to one
+//! drained and one shed report, because a third thread polling beside the
+//! full three-report protocol multiplies the schedule space past any
+//! exhaustive budget without adding an interleaving the property cares
+//! about.
 
 use crate::{Model, Step};
 
@@ -52,7 +66,8 @@ impl SessionWorld {
 pub enum SessionMutation {
     /// The protocol as implemented.
     Correct,
-    /// Shed path forgets `retract_pending` — the pre-PR-6 ghost-pending bug.
+    /// Shed path forgets to roll the registration back — the pre-PR-6
+    /// ghost-pending bug.
     ForgetRetract,
     /// Pump advances the ack line before the engine apply.
     AckBeforeApply,
@@ -213,10 +228,172 @@ pub fn model(m: SessionMutation) -> Model<SessionWorld> {
     })
 }
 
+/// A server-to-client frame, as far as [`writer_model`] cares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame {
+    /// `Shed` for one sequence number.
+    Shed(u64),
+    /// Cumulative `Ack` up to and including this sequence number.
+    Ack(i64),
+}
+
+/// Shared state of [`writer_model`]: the session's pending run and
+/// outbox, and what the writer half has put on the wire.
+#[derive(Debug, Default)]
+pub struct WriterWorld {
+    /// Registered-but-unresolved sequence numbers.
+    pub pending: Vec<u64>,
+    /// Highest seq registered so far (the dedup line).
+    pub issued_max: i64,
+    /// Sequence numbers that turned terminal as shed.
+    pub shed: Vec<u64>,
+    /// `Shed` notes queued for the writer half.
+    pub outbox: Vec<u64>,
+    /// Frames on the wire, in order.
+    pub wire: Vec<Frame>,
+    /// The reader half and the pump are both finished.
+    pub feeders_done: u8,
+}
+
+impl WriterWorld {
+    fn ack_line(&self) -> i64 {
+        match self.pending.iter().min() {
+            Some(&s) => s as i64 - 1,
+            None => self.issued_max,
+        }
+    }
+}
+
+/// Seeded bugs of [`writer_model`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriterMutation {
+    /// `SessionRegistry::shed`: terminal and note queued in one lock hold.
+    Correct,
+    /// The pre-split door shed: the seq turns terminal in one lock hold
+    /// and its note is queued in a later one (harmless while one thread
+    /// did both and also wrote the frames; an overtaking `Ack` now).
+    ShedAfterAck,
+}
+
+/// Builds the writer-half model under `m`: the reader half registers
+/// seq 0 and 1 and sheds seq 1 at the door, the pump drains seq 0, the
+/// writer half cuts whenever it is scheduled.
+pub fn writer_model(m: WriterMutation) -> Model<WriterWorld> {
+    // Reader half: register both, then shed seq 1 — one atomic section
+    // when correct, two under the mutant.
+    let mut pc = 0u8;
+    let door = move |w: &mut WriterWorld| -> Step {
+        match pc {
+            0 | 1 => {
+                w.pending.push(u64::from(pc));
+                w.issued_max = i64::from(pc);
+            }
+            2 => {
+                w.pending.retain(|&p| p != 1);
+                w.shed.push(1);
+                if m == WriterMutation::Correct {
+                    w.outbox.push(1);
+                    pc += 1;
+                }
+            }
+            _ => w.outbox.push(1),
+        }
+        pc += 1;
+        if pc >= 4 {
+            w.feeders_done += 1;
+            return Step::Done;
+        }
+        Step::Ran
+    };
+
+    // Pump: drains seq 0 once it is registered.
+    let pump = move |w: &mut WriterWorld| -> Step {
+        if !w.pending.contains(&0) {
+            return Step::Blocked;
+        }
+        w.pending.retain(|&p| p != 0);
+        w.feeders_done += 1;
+        Step::Done
+    };
+
+    // Writer half: one step is one `wait_outbound` cut. Parked (blocked)
+    // while there is nothing to say.
+    let mut last_acked = -1i64;
+    let writer = move |w: &mut WriterWorld| -> Step {
+        let line = w.ack_line();
+        if w.outbox.is_empty() && line <= last_acked {
+            return if w.feeders_done == 2 {
+                Step::Done
+            } else {
+                Step::Blocked
+            };
+        }
+        let notes = std::mem::take(&mut w.outbox);
+        w.wire.extend(notes.into_iter().map(Frame::Shed));
+        if line > last_acked {
+            last_acked = line;
+            w.wire.push(Frame::Ack(line));
+        }
+        Step::Ran
+    };
+
+    Model::new(WriterWorld {
+        issued_max: -1,
+        ..WriterWorld::default()
+    })
+    .thread("door", door)
+    .thread("pump", pump)
+    .thread("writer", writer)
+    .invariant("shed-precedes-covering-ack", |w: &WriterWorld| {
+        let mut told: Vec<u64> = Vec::new();
+        for frame in &w.wire {
+            match *frame {
+                Frame::Shed(seq) => told.push(seq),
+                Frame::Ack(line) => {
+                    let untold = w
+                        .shed
+                        .iter()
+                        .find(|&&s| (s as i64) <= line && !told.contains(&s));
+                    if let Some(seq) = untold {
+                        return Err(format!(
+                            "ack {line} is on the wire before the shed of seq {seq}"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    })
+    .final_check("client-told-everything", |w: &WriterWorld| {
+        if w.wire.contains(&Frame::Shed(1)) && w.wire.last() == Some(&Frame::Ack(1)) {
+            Ok(())
+        } else {
+            Err(format!("wire ends as {:?}", w.wire))
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::explore_exhaustive;
+
+    #[test]
+    fn writer_half_survives_exhaustive_exploration() {
+        let report = explore_exhaustive(|| writer_model(WriterMutation::Correct), 200_000)
+            .expect("one-lock-hold shed must be schedule-clean");
+        assert!(report.complete, "schedule space not exhausted: {report:?}");
+        assert!(report.schedules > 10, "suspiciously few schedules explored");
+    }
+
+    #[test]
+    fn shed_after_ack_is_caught() {
+        let cex = explore_exhaustive(|| writer_model(WriterMutation::ShedAfterAck), 200_000)
+            .expect_err("an ack overtaking its shed must be caught");
+        assert!(cex.failure.contains("shed-precedes-covering-ack"), "{cex}");
+        // It takes the writer cutting in between the two halves of the shed.
+        assert!(cex.schedule.contains(&"writer".to_string()), "{cex}");
+    }
 
     #[test]
     fn correct_protocol_survives_exhaustive_exploration() {

@@ -26,10 +26,10 @@ use ctup::core::net::{
     StandbyPhase, StandbyServer, TcpDialer,
 };
 use ctup::core::supervisor::{ResilienceConfig, SupervisedPipeline};
-use ctup::core::types::{LocationUpdate, TopKEntry, UnitId};
-use ctup::core::{DurableState, OptCtup, Oracle, QueryMode};
+use ctup::core::types::{LocationUpdate, Place, PlaceId, TopKEntry, UnitId};
+use ctup::core::{OptCtup, Oracle, QueryMode};
 use ctup::mogen::{PlaceGenConfig, Workload, WorkloadParams};
-use ctup::spatial::Grid;
+use ctup::spatial::{Grid, Point};
 use ctup::storage::{CellLocalStore, PlaceStore};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -208,8 +208,8 @@ fn durable_sink(
 }
 
 /// Level-1 reviver: rebuilds the engine from the durable directory and
-/// seeds the fresh sink with the restore-time top-k (pipeline events only
-/// carry changes).
+/// seeds the fresh sink with the post-replay top-k (pipeline events only
+/// carry changes, and the journal replay emits none).
 struct DirReviver {
     dir: PathBuf,
     store: Arc<dyn PlaceStore>,
@@ -218,12 +218,6 @@ struct DirReviver {
 
 impl EngineReviver for DirReviver {
     fn revive(&self) -> Result<Arc<dyn EngineSink>, String> {
-        let (checkpoint, _journal) =
-            DurableState::load(&self.dir).map_err(|e| format!("load: {e:?}"))?;
-        let preview = OptCtup::restore(checkpoint, Arc::clone(&self.store))
-            .map_err(|e| format!("restore: {e:?}"))?;
-        let initial = preview.result();
-        drop(preview);
         let pipeline = SupervisedPipeline::recover_from_dir::<OptCtup>(
             &self.dir,
             Arc::clone(&self.store),
@@ -231,7 +225,7 @@ impl EngineReviver for DirReviver {
             4096,
         )
         .map_err(|e| format!("recover: {e:?}"))?;
-        Ok(Arc::new(PipelineSink::new(pipeline, initial)))
+        Ok(Arc::new(PipelineSink::from_pipeline(pipeline)))
     }
 }
 
@@ -387,6 +381,138 @@ fn level_one_self_heal_revives_the_engine_and_stays_oracle_exact() {
     }
     let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
     oracle.assert_result_matches(&topk, &positions, RADIUS, QueryMode::TopK(10));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hand-built world whose journal tail is *known* to change the top-k,
+/// whatever the generator's stream: six places on a line with required
+/// protections 1, 2, 3, 5, 7, 9 and four units parked far from all of
+/// them, so the top-3 starts as p5(-9), p4(-7), p3(-5). Reports 0..=7 and
+/// 11..=14 only jiggle unit 3 in an empty corner; reports 8, 9, 10 move
+/// units 0, 1, 2 onto p5, lifting it to -6: p4(-7), p5(-6), p3(-5).
+fn tail_changes_topk_world() -> (Arc<dyn PlaceStore>, Vec<Point>, Vec<LocationUpdate>) {
+    let rps = [1u32, 2, 3, 5, 7, 9];
+    let places: Vec<Place> = (0u32..)
+        .zip(rps)
+        .map(|(i, rp)| {
+            let pos = Point::new(0.1 + 0.15 * f64::from(i), 0.5);
+            Place::point(PlaceId(i), pos, rp)
+        })
+        .collect();
+    let store: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(Grid::unit_square(4), places));
+    let units: Vec<Point> = (0u32..4)
+        .map(|i| Point::new(0.05 + 0.02 * f64::from(i), 0.05))
+        .collect();
+    let jiggle = |i: u32| LocationUpdate {
+        unit: UnitId(3),
+        new: Point::new(0.9, 0.05 + 0.002 * f64::from(i)),
+    };
+    let onto_p5 = |unit: u32| LocationUpdate {
+        unit: UnitId(unit),
+        new: Point::new(0.85, 0.5 + 0.01 * f64::from(unit)),
+    };
+    let mut stream: Vec<LocationUpdate> = (0..8).map(jiggle).collect();
+    stream.extend((0..3).map(onto_p5));
+    stream.extend((11..15).map(jiggle));
+    (store, units, stream)
+}
+
+/// Level 1, what the revived door *serves*: the worker checkpoints after
+/// report 7 and is killed at report 13, so the journal tail recovery
+/// replays (8..=13) holds exactly the three moves that change the top-k —
+/// and the replay emits no events. A sink seeded from the checkpoint
+/// would keep serving p5 at -9 until some later report happened to touch
+/// it; seeded from the replayed engine, `last_good_topk()` is
+/// oracle-exact with no further report sent. `io_tick` is two seconds, so
+/// the report sent *after* the revival can only be acked inside 500 ms if
+/// the revived sink got the run-dry hook as well.
+#[test]
+fn level_one_revival_serves_the_replayed_topk_and_acks_without_a_tick() {
+    let (store, units, stream) = tail_changes_topk_world();
+    let dir = temp_dir("revive-tail");
+    let resilience = ResilienceConfig {
+        checkpoint_every: 8,
+        state_dir: Some(dir.clone()),
+        kill_at: Some(13),
+        ..ResilienceConfig::default()
+    };
+    let monitor = OptCtup::new(CtupConfig::with_k(3), store.clone(), &units).expect("clean store");
+    let pipeline = SupervisedPipeline::spawn(monitor, resilience.clone(), 4096);
+    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
+    let recovery = RecoveryPlan {
+        reviver: Arc::new(DirReviver {
+            dir: dir.clone(),
+            store: store.clone(),
+            resilience: ResilienceConfig {
+                kill_at: None,
+                ..resilience
+            },
+        }),
+        config: RecoveryConfig {
+            backoff_base: Duration::from_millis(5),
+            backoff_max: Duration::from_millis(20),
+            ..RecoveryConfig::default()
+        },
+    };
+    let mut cfg = NetServerConfig {
+        io_tick: Duration::from_secs(2),
+        ..NetServerConfig::default()
+    };
+    cfg.admission.ingest_deadline = Duration::from_secs(30);
+    let server =
+        IngestServer::spawn_with_recovery("127.0.0.1:0", cfg, sink, Some(recovery)).unwrap();
+    let stats = server.stats();
+
+    let mut client = FeedClient::new(
+        Box::new(TcpDialer::new(server.local_addr())),
+        ClientConfig::default(),
+    );
+    let stamped = stamp_stream(stream.clone());
+    for &report in &stamped {
+        client.enqueue(report);
+    }
+    client.drive(Duration::from_secs(30)).expect("clean links");
+    wait_for("the revival", Duration::from_secs(15), || {
+        stats.snapshot().engine_restarts == 1 && !server.degraded()
+    });
+    // Only report 14 can have met the degraded door; the tail is acked.
+    let shed: Vec<u64> = client.stats().sheds.iter().map(|s| s.seq).collect();
+    assert!(shed.iter().all(|&seq| seq == 15), "tail shed: {shed:?}");
+
+    let mut positions = units.clone();
+    for update in &stream {
+        positions[update.unit.index()] = update.new;
+    }
+    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
+    let expected: Vec<(u32, i64)> = vec![(4, -7), (5, -6), (3, -5)];
+    let topk = settled_topk(|| server.last_good_topk());
+    assert_eq!(
+        topk.iter()
+            .map(|e| (e.place.0, e.safety))
+            .collect::<Vec<_>>(),
+        expected,
+        "served top-k is stale after revival"
+    );
+    oracle.assert_result_matches(&topk, &positions, RADIUS, QueryMode::TopK(3));
+
+    // The revived sink announces too: one more report on the now idle
+    // door is acked long before the two-second tick.
+    let acked_before = client.stats().acked;
+    let mut extra = stamp_stream(stream.iter().copied().chain([LocationUpdate {
+        unit: UnitId(3),
+        new: Point::new(0.9, 0.1),
+    }]));
+    client.enqueue(extra.pop().expect("one more report"));
+    let sent = Instant::now();
+    client.drive(Duration::from_secs(10)).expect("clean links");
+    let took = sent.elapsed();
+    assert_eq!(client.stats().acked, acked_before + 1);
+    assert!(
+        took < Duration::from_millis(500),
+        "ack after revival took {took:?}: the revived sink has no hook"
+    );
+    client.finish();
+    server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -21,7 +21,8 @@ use ctup::core::net::client::{ClientConfig, Conn, Dialer};
 use ctup::core::net::overload::CountingSink;
 use ctup::core::net::wire::{ByeReason, FrameDecoder, Message};
 use ctup::core::net::{
-    EngineSink, FeedClient, IngestServer, NetServerConfig, PipelineSink, SinkError, TcpDialer,
+    DurableHook, EngineSink, FeedClient, IngestServer, NetServerConfig, PipelineSink, SinkError,
+    TcpDialer,
 };
 use ctup::core::supervisor::{ResilienceConfig, SupervisedPipeline};
 use ctup::core::types::{LocationUpdate, TopKEntry, UnitId};
@@ -31,6 +32,7 @@ use ctup::spatial::Grid;
 use ctup::storage::{CellLocalStore, PlaceStore};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -646,6 +648,359 @@ fn kill_and_recover_over_the_wire_is_oracle_exact() {
         QueryMode::TopK(10),
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------
+// The tick is out of the ack path. `io_tick` is raised to two seconds, so
+// any reply that still waited for a tick would blow these bounds by a
+// factor of four or more, on any machine; the real supervised engine
+// sits behind the door.
+// ---------------------------------------------------------------------
+
+const SLOW_TICK: Duration = Duration::from_secs(2);
+const PROMPT: Duration = Duration::from_millis(500);
+
+/// A door with a two-second `io_tick` in front of a real pipeline.
+fn slow_tick_door(seed: u64) -> (Workload, Arc<PipelineSink>, IngestServer) {
+    let (workload, store) = setup(seed);
+    let units = workload.unit_positions();
+    let (sink, dyn_sink) = pipeline_sink(&store, &units, ResilienceConfig::default(), 4096);
+    let cfg = NetServerConfig {
+        io_tick: SLOW_TICK,
+        ..NetServerConfig::default()
+    };
+    let server = IngestServer::spawn("127.0.0.1:0", cfg, dyn_sink).unwrap();
+    (workload, sink, server)
+}
+
+/// Reads frames off a raw socket until `done` says stop or the peer
+/// closes; returns what arrived.
+fn read_frames(raw: &mut TcpStream, mut done: impl FnMut(&Message) -> bool) -> Vec<Message> {
+    raw.set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let mut decoder = FrameDecoder::new();
+    let mut frames = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        assert!(Instant::now() < deadline, "peer went quiet: {frames:?}");
+        match decoder.read_from(raw) {
+            Ok(msg) => {
+                let stop = done(&msg);
+                frames.push(msg);
+                if stop {
+                    return frames;
+                }
+            }
+            Err(e) if e.is_timeout() => continue,
+            Err(_) => return frames,
+        }
+    }
+}
+
+fn raw_hello(addr: SocketAddr) -> TcpStream {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_nodelay(true).unwrap();
+    let mut hello = Vec::new();
+    Message::Hello { resume_session: 0 }.encode(&mut hello);
+    raw.write_all(&hello).unwrap();
+    raw
+}
+
+fn report_frame(seq: u64, report: &StampedUpdate) -> Vec<u8> {
+    let mut frame = Vec::new();
+    Message::Report {
+        seq,
+        unit_seq: report.seq,
+        ts: report.ts,
+        unit: report.update.unit.0,
+        x: report.update.new.x,
+        y: report.update.new.y,
+        trace: 0,
+    }
+    .encode(&mut frame);
+    frame
+}
+
+/// The handshake `Ack` is the writer half's first frame, not something a
+/// handler gets to after its next read times out.
+#[test]
+fn handshake_does_not_wait_for_the_tick() {
+    let (_workload, sink, server) = slow_tick_door(41);
+    let started = Instant::now();
+    let mut raw = raw_hello(server.local_addr());
+    let frames = read_frames(&mut raw, |m| matches!(m, Message::Ack { .. }));
+    let took = started.elapsed();
+    assert!(matches!(frames.last(), Some(Message::Ack { .. })));
+    assert!(took < PROMPT, "handshake took {took:?}");
+    drop(raw);
+    server.shutdown();
+    unwrap_sink(sink).into_pipeline().shutdown();
+}
+
+/// One report on an idle door: everything is parked — reader in its
+/// read, pump in `pop`, supervisor in `recv`, writer on the session — and
+/// the ack still comes straight back, carried by the run-dry hook.
+#[test]
+fn a_lone_report_on_an_idle_door_is_acked_without_a_tick() {
+    let (mut workload, sink, server) = slow_tick_door(42);
+    let stamped = stamp_stream(clean_stream(&mut workload, 1));
+    let mut client = FeedClient::new(
+        Box::new(TcpDialer::new(server.local_addr())),
+        ClientConfig::default(),
+    );
+    client.step(Duration::from_secs(5)).expect("handshake");
+    std::thread::sleep(Duration::from_millis(100));
+    client.enqueue(stamped[0]);
+    let sent = Instant::now();
+    client.drive(Duration::from_secs(10)).expect("clean links");
+    let took = sent.elapsed();
+    assert_eq!(client.stats().acked, 1);
+    assert!(took < PROMPT, "the lone report's ack took {took:?}");
+    client.finish();
+    server.shutdown();
+    unwrap_sink(sink).into_pipeline().shutdown();
+}
+
+/// A closed loop at the default window of 128 used to move one window
+/// per tick: 1 000 reports took eight ticks. It now takes what the
+/// engine takes.
+#[test]
+fn a_closed_loop_is_not_paced_by_the_tick() {
+    let (mut workload, sink, server) = slow_tick_door(43);
+    let stamped = stamp_stream(clean_stream(&mut workload, 1_000));
+    let mut client = FeedClient::new(
+        Box::new(TcpDialer::new(server.local_addr())),
+        ClientConfig::default(),
+    );
+    client.step(Duration::from_secs(5)).expect("handshake");
+    for &report in &stamped {
+        client.enqueue(report);
+    }
+    let sent = Instant::now();
+    client.drive(Duration::from_secs(60)).expect("clean links");
+    let took = sent.elapsed();
+    let stats = client.finish();
+    assert_eq!(stats.acked, 1_000);
+    assert!(stats.sheds.is_empty());
+    assert!(took < SLOW_TICK, "1000 reports took {took:?}");
+    let net = server.shutdown();
+    assert_eq!(net.reports_accepted, 1_000);
+    let report = unwrap_sink(sink).into_pipeline().shutdown();
+    assert_eq!(report.updates_processed, 1_000);
+}
+
+/// An engine whose durable mark moves only when the test says so, and
+/// which announces it the way the supervisor does: through the hook.
+#[derive(Default)]
+struct GatedSink {
+    handed: AtomicU64,
+    mark: AtomicU64,
+    hook: Mutex<Option<DurableHook>>,
+}
+
+impl GatedSink {
+    fn release(&self, up_to: u64) {
+        self.mark.store(up_to, Ordering::SeqCst);
+        let hook = self.hook.lock().unwrap().clone();
+        hook.expect("the door installs a hook")();
+    }
+}
+
+impl EngineSink for GatedSink {
+    fn try_ingest(&self, _report: TracedReport) -> Result<(), SinkError> {
+        self.handed.fetch_add(1, Ordering::SeqCst);
+        Ok(())
+    }
+
+    fn topk(&self) -> Vec<TopKEntry> {
+        Vec::new()
+    }
+
+    fn durable_mark(&self) -> u64 {
+        self.mark.load(Ordering::SeqCst)
+    }
+
+    fn set_durable_hook(&self, hook: DurableHook) {
+        *self.hook.lock().unwrap() = Some(hook);
+    }
+}
+
+/// The ack discipline under the new wake-ups: an `Ack` never covers a
+/// hand-off index above the sink's durable mark, however long the door
+/// sits on the reports, and follows the mark as soon as the sink
+/// announces it — not a tick later.
+#[test]
+fn acks_stop_at_the_durable_mark_and_follow_its_announcement() {
+    let sink = Arc::new(GatedSink::default());
+    let cfg = NetServerConfig {
+        io_tick: SLOW_TICK,
+        ..NetServerConfig::default()
+    };
+    let server = IngestServer::spawn("127.0.0.1:0", cfg, sink.clone()).unwrap();
+    let mut client = FeedClient::new(
+        Box::new(TcpDialer::new(server.local_addr())),
+        ClientConfig::default(),
+    );
+    for seq in 1..=10u64 {
+        client.enqueue(StampedUpdate {
+            seq,
+            ts: seq,
+            update: LocationUpdate {
+                unit: UnitId(3),
+                new: ctup::spatial::Point::new(0.5, 0.5),
+            },
+        });
+    }
+    let step_until = |client: &mut FeedClient, what: &str, done: &dyn Fn(&FeedClient) -> bool| {
+        let started = Instant::now();
+        while !done(client) {
+            assert!(started.elapsed() < PROMPT, "{what} took over {PROMPT:?}");
+            client.step(Duration::from_secs(5)).expect("clean links");
+        }
+    };
+    step_until(&mut client, "the hand-off", &|_| {
+        sink.handed.load(Ordering::SeqCst) == 10
+    });
+    // All ten are with the engine, none is durable: nothing is acked.
+    for _ in 0..4 {
+        client.step(Duration::from_secs(5)).expect("clean links");
+    }
+    assert_eq!(client.stats().acked, 0);
+    sink.release(4);
+    step_until(&mut client, "the ack of 1..=4", &|c| c.stats().acked >= 4);
+    for _ in 0..4 {
+        client.step(Duration::from_secs(5)).expect("clean links");
+    }
+    assert_eq!(client.stats().acked, 4, "an ack ran ahead of the mark");
+    sink.release(10);
+    step_until(&mut client, "the ack of 5..=10", &|c| c.stats().acked == 10);
+    client.finish();
+    let net = server.shutdown();
+    assert_eq!(net.reports_accepted, 10);
+}
+
+/// Shutdown still ends every session in order: whatever acks are owed,
+/// then `Bye(Shutdown)` as the last frame — the reader half sees the stop
+/// flag, the writer half does the talking.
+#[test]
+fn shutdown_still_flushes_the_final_ack_and_the_goodbye() {
+    let (mut workload, store) = setup(44);
+    let units = workload.unit_positions();
+    let stamped = stamp_stream(clean_stream(&mut workload, 3));
+    let (sink, dyn_sink) = pipeline_sink(&store, &units, ResilienceConfig::default(), 4096);
+    let server = IngestServer::spawn("127.0.0.1:0", NetServerConfig::default(), dyn_sink).unwrap();
+    let mut raw = raw_hello(server.local_addr());
+    for (seq, report) in (1u64..).zip(&stamped) {
+        raw.write_all(&report_frame(seq, report)).unwrap();
+    }
+    // Nothing is read until the server is gone: the acks wait in the
+    // socket, the goodbye has to queue up behind them.
+    let stats = server.stats();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while stats.snapshot().reports_accepted < 3 {
+        assert!(Instant::now() < deadline, "reports never accepted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.shutdown();
+    let frames = read_frames(&mut raw, |_| false);
+    let last_ack = frames.iter().rev().find_map(|m| match m {
+        Message::Ack { handled_up_to, .. } => Some(*handled_up_to),
+        _ => None,
+    });
+    assert_eq!(last_ack, Some(3), "final ack missing: {frames:?}");
+    assert_eq!(
+        frames.last(),
+        Some(&Message::Bye {
+            reason: ByeReason::Shutdown
+        }),
+        "{frames:?}"
+    );
+    unwrap_sink(sink).into_pipeline().shutdown();
+}
+
+/// A trickling sender is the reader half's to catch; the goodbye it
+/// decides on is the writer half's to send.
+#[test]
+fn slowloris_gets_its_goodbye_from_the_writer_half() {
+    let (mut workload, store) = setup(45);
+    let units = workload.unit_positions();
+    let stamped = stamp_stream(clean_stream(&mut workload, 1));
+    let (sink, dyn_sink) = pipeline_sink(&store, &units, ResilienceConfig::default(), 4096);
+    let cfg = NetServerConfig {
+        frame_deadline: Duration::from_millis(100),
+        ..NetServerConfig::default()
+    };
+    let server = IngestServer::spawn("127.0.0.1:0", cfg, dyn_sink).unwrap();
+    let mut raw = raw_hello(server.local_addr());
+    let frame = report_frame(1, &stamped[0]);
+    raw.write_all(&frame[..frame.len() / 2]).unwrap();
+    let frames = read_frames(&mut raw, |_| false);
+    assert_eq!(
+        frames.last(),
+        Some(&Message::Bye {
+            reason: ByeReason::Evicted
+        }),
+        "{frames:?}"
+    );
+    let net = server.shutdown();
+    assert_eq!(net.sessions_evicted, 1);
+    assert_eq!(net.reports_accepted, 0);
+    unwrap_sink(sink).into_pipeline().shutdown();
+}
+
+/// A sink with a result wide enough that a few snapshot pushes fill any
+/// socket buffer.
+struct WideSink;
+
+impl EngineSink for WideSink {
+    fn try_ingest(&self, _report: TracedReport) -> Result<(), SinkError> {
+        Ok(())
+    }
+
+    fn topk(&self) -> Vec<TopKEntry> {
+        (0..4_000)
+            .map(|i| TopKEntry {
+                place: ctup::core::types::PlaceId(i),
+                safety: -1,
+            })
+            .collect()
+    }
+}
+
+/// A peer that stops reading is the writer half's to catch: its backlog
+/// stops draining, the deadline passes, and the writer takes the
+/// connection down under the reader half — which then lets go of the
+/// session (it stays resumable) and of the connection slot.
+#[test]
+fn a_peer_that_stops_reading_is_evicted_by_the_writer_half() {
+    let cfg = NetServerConfig {
+        snapshot_push_interval: Duration::from_millis(2),
+        watchdog_tick: Duration::from_millis(2),
+        write_deadline: Duration::from_millis(150),
+        max_write_backlog: 1 << 30,
+        ..NetServerConfig::default()
+    };
+    let server = IngestServer::spawn("127.0.0.1:0", cfg, Arc::new(WideSink)).unwrap();
+    let mut raw = raw_hello(server.local_addr());
+    let frames = read_frames(&mut raw, |m| matches!(m, Message::Ack { .. }));
+    assert!(matches!(frames.last(), Some(Message::Ack { .. })));
+    // From here on the peer reads nothing; 48 KB snapshots every 2 ms
+    // fill the socket buffers within a second.
+    let stats = server.stats();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while stats.snapshot().sessions_evicted == 0 {
+        assert!(Instant::now() < deadline, "slow reader never evicted");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // The server closed the socket: draining what was buffered ends in
+    // EOF (or a reset), never in a goodbye nobody could have flushed.
+    let frames = read_frames(&mut raw, |_| false);
+    assert!(
+        !frames.iter().any(|m| matches!(m, Message::Bye { .. })),
+        "an evicted slow reader cannot be told goodbye"
+    );
+    let net = server.shutdown();
+    assert_eq!(net.sessions_evicted, 1);
 }
 
 /// Trace-id survival across reconnect-and-replay: span ids are pure
