@@ -15,26 +15,22 @@
 //!
 //! `--sharded-out FILE` does the same for the sharded engine's scaling
 //! matrix (1/2/4/8 shards × cell cache off/on over a 20us/page simulated
-//! disk) — the machine-readable form of the `shard_scaling` experiment
-//! (BENCH_PR5.json in this repo).
+//! disk) — the machine-readable form of the `shard_scaling` experiment.
 //!
 //! `--overload-out FILE` runs the networked overload sweep — a paced
 //! feed client offering 0.5×/1×/2×/4× the calibrated engine capacity
 //! through the real TCP front door — and writes accepted/shed
-//! throughput and admission-wait quantiles per load point as JSON
-//! (BENCH_PR6.json in this repo).
+//! throughput and admission-wait quantiles per load point as JSON.
 //!
 //! `--failover-out FILE` runs the failover MTTR bench — engine kills
 //! healed in-process from the durable slot + WAL tail, and primary
 //! kills absorbed by warm-standby promotion — and writes per-trial
-//! outage durations for both recovery levels as JSON (BENCH_PR8.json
-//! in this repo).
+//! outage durations for both recovery levels as JSON.
 //!
 //! `--layout-out FILE` runs the cell-layout matrix — row-major vs
 //! Z-order layout × 1/2/4/8 shards × cell cache off/on over the
 //! 20us/page simulated disk — and writes one snapshot per config plus
-//! the cross-shard fan-out and merge-skip figures as JSON
-//! (BENCH_PR10.json in this repo).
+//! the cross-shard fan-out and merge-skip figures as JSON.
 
 use ctup_bench::experiments::{self, Effort, Table};
 use ctup_bench::harness::{

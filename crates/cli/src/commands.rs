@@ -2917,7 +2917,7 @@ mod tests {
     }
 
     #[test]
-    fn report_sharded_zorder_counts_prefetch_hits() {
+    fn report_sharded_zorder_counts_prefetch_hits_among_hits() {
         let mut args = REPORT_BASE.to_vec();
         args.extend([
             "--format",
@@ -2930,15 +2930,26 @@ mod tests {
             "64",
         ]);
         let out = run_cmd(report, &args).expect("report with prefetch");
-        let hits: u64 = out
-            .lines()
-            .find(|l| l.starts_with("storage_cache_prefetch_hits:"))
-            .and_then(|l| l.rsplit(' ').next())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("missing storage_cache_prefetch_hits in:\n{out}"));
-        // The coordinator hints every batch's touched cells before the
-        // shards run, so demand hits must land on hinted entries.
-        assert!(hits > 0, "{out}");
+        let field = |name: &str| -> u64 {
+            out.lines()
+                .find(|l| l.starts_with(name))
+                .and_then(|l| l.rsplit(' ').next())
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("missing {name:?} in:\n{out}"))
+        };
+        // How many demand hits a generated stream lands on hinted entries
+        // is the stream's business (core::parallel's hand-built
+        // `a_hinted_cell_read_in_the_same_batch_is_a_prefetch_hit` pins
+        // the mechanism); what holds for every stream is that the series
+        // is reported and counts a subset of the demand hits.
+        assert!(
+            field("storage_cache_hits:") + field("storage_cache_misses:") > 0,
+            "{out}"
+        );
+        assert!(
+            field("storage_cache_prefetch_hits:") <= field("storage_cache_hits:"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -6,11 +6,10 @@ use crate::types::{LocationUpdate, Safety, TopKEntry, UnitId};
 use ctup_obs::LatencySnapshot;
 use ctup_spatial::Point;
 use ctup_storage::{StorageError, StorageStatsSnapshot};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Costs of the one-time initialization.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct InitStats {
     /// Wall-clock time of initialization.
     pub wall: Duration,
@@ -21,7 +20,7 @@ pub struct InitStats {
 }
 
 /// Costs of one location update.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Nanoseconds spent maintaining in-memory information (maintained
     /// place safeties and cell lower bounds).

@@ -12,13 +12,12 @@ use crate::ingest::{GateState, GateUnitState};
 use crate::types::{Place, PlaceId, Safety, UnitId};
 use ctup_spatial::{CellId, CellLayout, Point, Rect};
 use ctup_storage::PlaceStore;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
-/// Serialized state of a running OptCTUP monitor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Encoded state of a running OptCTUP monitor.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// The configuration the monitor ran with.
     pub config: CtupConfig,

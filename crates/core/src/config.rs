@@ -1,11 +1,9 @@
 //! CTUP query configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::Safety;
 
 /// What the monitor reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryMode {
     /// The paper's CTUP query: the `k` places with the smallest safeties.
     TopK(usize),
@@ -19,7 +17,7 @@ pub enum QueryMode {
 /// The partition granularity is carried by the grid of the
 /// [`ctup_storage::PlaceStore`] the algorithm is constructed with, so it
 /// does not appear here.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CtupConfig {
     /// Query mode; the paper's experiments use `TopK(15)`.
     pub mode: QueryMode,

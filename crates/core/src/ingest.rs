@@ -23,7 +23,6 @@
 use crate::metrics::ResilienceStats;
 use crate::types::{LocationUpdate, UnitId};
 use ctup_spatial::{Point, Rect};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Coordinate units are parked at when their lease expires: far enough
@@ -39,7 +38,7 @@ pub fn parked_position() -> Point {
 /// A location update as received from the wire: the bare [`LocationUpdate`]
 /// plus the sender-side monotonic sequence number and report timestamp that
 /// let the server detect duplicated, reordered and stale deliveries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StampedUpdate {
     /// Per-unit monotonic sequence number assigned by the sender.
     pub seq: u64,
@@ -129,7 +128,7 @@ pub struct IngestConfig {
 }
 
 /// Per-unit gate state (serializable for checkpointing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateUnitState {
     /// Highest accepted sequence number, `None` before the first report.
     pub last_seq: Option<u64>,
@@ -141,7 +140,7 @@ pub struct GateUnitState {
 
 /// Snapshot of the whole gate, stored inside a checkpoint so a standby
 /// server resumes with the same dedup and lease decisions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateState {
     /// The feed clock (max timestamp seen).
     pub now: u64,

@@ -4,13 +4,11 @@
 //! algorithmic quantities the paper argues about — how often cells are
 //! accessed, how many lower bounds move, how much state is maintained.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters of the resilience layer: how much of the inbound feed was
 /// rejected or dropped at the ingest front-door, how the liveness leases
 /// moved, and what the supervised pipeline had to do to survive worker
 /// panics. All cumulative.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Reports rejected because a coordinate was NaN or infinite.
     pub rejected_non_finite: u64,
@@ -92,7 +90,7 @@ impl ResilienceStats {
 }
 
 /// Cumulative counters; cheap enough to update on every operation.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Location updates processed since construction.
     pub updates_processed: u64,

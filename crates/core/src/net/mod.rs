@@ -7,7 +7,7 @@
 //! exactly once ([`server`]), and degrades gracefully under overload —
 //! shedding with typed [`ShedReason`]s while the last-good top-k keeps
 //! being served. The matching client lives in [`client`]; the calibrated
-//! overload sweep behind BENCH_PR6.json in [`overload`].
+//! overload sweep (`reproduce --overload-out`) in [`overload`].
 //!
 //! The invariant every piece preserves, and the chaos suite checks:
 //! every accepted report is applied exactly once, and every report that
@@ -17,8 +17,8 @@
 //! in-process engine revival behind the pump) and [`standby`] (a warm
 //! standby that bootstraps from a shipped checkpoint over [`wire`]'s
 //! replication frames, tails the WAL stream, and promotes itself behind an
-//! epoch fence when the primary goes dark). The MTTR bench behind
-//! BENCH_PR8.json — outage duration for both recovery levels — lives in
+//! epoch fence when the primary goes dark). The MTTR bench (`reproduce
+//! --failover-out`) — outage duration for both recovery levels — lives in
 //! [`mttr`].
 
 pub mod admission;

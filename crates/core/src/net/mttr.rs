@@ -15,7 +15,7 @@
 //! includes the probe budget (`probe_failures × probe_interval`), the
 //! fencing probe, and the engine resume — the whole client-visible gap.
 //!
-//! Used by `reproduce --failover-out` to produce BENCH_PR8.json.
+//! Run by `reproduce --failover-out FILE`.
 
 use super::client::{ClientConfig, FeedClient, TcpDialer};
 use super::recovery::{EngineReviver, RecoveryConfig, RecoveryPlan};
@@ -190,7 +190,7 @@ impl MttrReport {
         self.promotion.iter().map(|t| t.promote_ms).collect()
     }
 
-    /// Renders the bench as the JSON object stored in BENCH_PR8.json.
+    /// Renders the bench as the JSON object `reproduce --failover-out` writes.
     pub fn render_json(&self) -> String {
         let heal = self.self_heal_ms();
         let promote = self.promotion_ms();

@@ -159,7 +159,7 @@ fn fmt_f64(v: f64) -> String {
 }
 
 impl SweepReport {
-    /// Renders the sweep as the JSON object stored in BENCH_PR6.json.
+    /// Renders the sweep as the JSON object `reproduce --overload-out` writes.
     pub fn render_json(&self) -> String {
         let mut points = String::from("[");
         for (i, p) in self.points.iter().enumerate() {

@@ -44,13 +44,10 @@
 use super::stats::ShedReason;
 use std::io::{Read, Write};
 
-/// Protocol version carried in every frame header. Version 2 added a
-/// trailing 64-bit causal trace id to [`Message::Report`] and
-/// [`Message::WalAppend`]; version-1 frames are still decoded (their
-/// trace id is 0, "untraced").
+/// Protocol version carried in every frame header; a frame at any other
+/// version is refused. Version 2 added a trailing 64-bit causal trace id
+/// to [`Message::Report`] and [`Message::WalAppend`].
 pub const PROTOCOL_VERSION: u8 = 2;
-/// Oldest protocol version this build still decodes.
-pub const MIN_PROTOCOL_VERSION: u8 = 1;
 /// Size of the fixed frame header: payload length, version, message type.
 pub const HEADER_LEN: usize = 6;
 /// Hard cap on a frame's payload length; larger headers are a protocol
@@ -159,7 +156,6 @@ pub enum Message {
         /// New y coordinate.
         y: f64,
         /// Causal trace id threaded through the pipeline (0 = untraced).
-        /// Absent on the wire before protocol version 2.
         trace: u64,
     },
     /// Cumulative progress: every wire seq `<= handled_up_to` is terminal
@@ -230,7 +226,6 @@ pub enum Message {
         /// New y coordinate.
         y: f64,
         /// Causal trace id of the originating report (0 = untraced).
-        /// Absent on the wire before protocol version 2.
         trace: u64,
     },
     /// Fencing probe: "which epoch is serving here?". Sent by a standby
@@ -281,8 +276,7 @@ impl std::fmt::Display for WireError {
             WireError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported protocol version {v} \
-                     (speak {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
+                    "unsupported protocol version {v} (speak {PROTOCOL_VERSION})"
                 )
             }
             WireError::UnknownType(t) => write!(f, "unknown message type {t}"),
@@ -476,12 +470,11 @@ impl Message {
         out.extend_from_slice(&payload);
     }
 
-    /// Decodes a payload given its validated header fields. Accepts any
-    /// version in `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION`: version-1
-    /// `Report`/`WalAppend` payloads lack the trailing trace id and
-    /// decode with `trace = 0` (untraced).
+    /// Decodes a payload given its validated header fields. A version
+    /// other than [`PROTOCOL_VERSION`] is refused before the payload is
+    /// looked at.
     pub fn decode(version: u8, msg_type: u8, payload: &[u8]) -> Result<Message, WireError> {
-        if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+        if version != PROTOCOL_VERSION {
             return Err(WireError::UnsupportedVersion(version));
         }
         let mut cur = Cursor::new(payload);
@@ -496,7 +489,7 @@ impl Message {
                 unit: cur.u32()?,
                 x: cur.f64()?,
                 y: cur.f64()?,
-                trace: if version >= 2 { cur.u64()? } else { 0 },
+                trace: cur.u64()?,
             },
             tag::ACK => Message::Ack {
                 session: cur.u64()?,
@@ -563,7 +556,7 @@ impl Message {
                 unit: cur.u32()?,
                 x: cur.f64()?,
                 y: cur.f64()?,
-                trace: if version >= 2 { cur.u64()? } else { 0 },
+                trace: cur.u64()?,
             },
             tag::PROMOTE_QUERY => Message::PromoteQuery { epoch: cur.u64()? },
             other => return Err(WireError::UnknownType(other)),
@@ -984,90 +977,24 @@ mod tests {
             decoder.read_from(&mut std::io::Cursor::new(bytes.clone())),
             Err(DecodeError::Wire(WireError::UnsupportedVersion(99)))
         ));
+        // Version 1 (reports without a trace id) is no longer spoken: the
+        // header is refused whatever follows it, payload unread.
+        bytes[4] = 1;
+        let mut decoder = FrameDecoder::new();
+        assert!(matches!(
+            decoder.read_from(&mut std::io::Cursor::new(bytes.clone())),
+            Err(DecodeError::Wire(WireError::UnsupportedVersion(1)))
+        ));
+        assert_eq!(
+            Message::decode(1, tag::REPORT, &[]),
+            Err(WireError::UnsupportedVersion(1))
+        );
         bytes[4] = PROTOCOL_VERSION;
         bytes[5] = 200; // tag
         let mut decoder = FrameDecoder::new();
         assert!(matches!(
             decoder.read_from(&mut std::io::Cursor::new(bytes)),
             Err(DecodeError::Wire(WireError::UnknownType(200)))
-        ));
-    }
-
-    #[test]
-    fn v1_report_and_wal_append_decode_untraced() {
-        // Hand-build version-1 frames (no trailing trace id): they must
-        // still decode, with trace = 0.
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 3); // seq
-        put_u64(&mut payload, 44); // unit_seq
-        put_u64(&mut payload, 9); // ts
-        put_u32(&mut payload, 6); // unit
-        put_u64(&mut payload, 0.25f64.to_bits());
-        put_u64(&mut payload, (-1.5f64).to_bits());
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, ctup_spatial::convert::id32(payload.len()));
-        bytes.push(MIN_PROTOCOL_VERSION);
-        bytes.push(tag::REPORT);
-        bytes.extend_from_slice(&payload);
-        let mut decoder = FrameDecoder::new();
-        let got = decoder
-            .read_from(&mut std::io::Cursor::new(bytes))
-            .expect("v1 report decodes");
-        assert_eq!(
-            got,
-            Message::Report {
-                seq: 3,
-                unit_seq: 44,
-                ts: 9,
-                unit: 6,
-                x: 0.25,
-                y: -1.5,
-                trace: 0,
-            }
-        );
-
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 2); // epoch
-        put_u64(&mut payload, 44); // unit_seq
-        put_u64(&mut payload, 9); // ts
-        put_u32(&mut payload, 6); // unit
-        put_u64(&mut payload, 0.25f64.to_bits());
-        put_u64(&mut payload, (-1.5f64).to_bits());
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, ctup_spatial::convert::id32(payload.len()));
-        bytes.push(MIN_PROTOCOL_VERSION);
-        bytes.push(tag::WAL_APPEND);
-        bytes.extend_from_slice(&payload);
-        let mut decoder = FrameDecoder::new();
-        match decoder
-            .read_from(&mut std::io::Cursor::new(bytes))
-            .expect("v1 wal append decodes")
-        {
-            Message::WalAppend { epoch, trace, .. } => {
-                assert_eq!(epoch, 2);
-                assert_eq!(trace, 0);
-            }
-            other => panic!("wrong message: {other:?}"),
-        }
-
-        // A v1 frame that *does* carry the trace id is over-long for v1.
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 3);
-        put_u64(&mut payload, 44);
-        put_u64(&mut payload, 9);
-        put_u32(&mut payload, 6);
-        put_u64(&mut payload, 0.25f64.to_bits());
-        put_u64(&mut payload, (-1.5f64).to_bits());
-        put_u64(&mut payload, 77); // trace, illegal in v1
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, ctup_spatial::convert::id32(payload.len()));
-        bytes.push(MIN_PROTOCOL_VERSION);
-        bytes.push(tag::REPORT);
-        bytes.extend_from_slice(&payload);
-        let mut decoder = FrameDecoder::new();
-        assert!(matches!(
-            decoder.read_from(&mut std::io::Cursor::new(bytes)),
-            Err(DecodeError::Wire(WireError::TrailingBytes))
         ));
     }
 

@@ -983,4 +983,50 @@ mod tests {
         assert_eq!(sharded.result(), before);
         assert_eq!(sharded.metrics().updates_processed, 0);
     }
+
+    /// The working-set hint end to end, on a hand-built input (so it holds
+    /// under any generator stream): one unit leaves the cell of the only
+    /// under-protected place and comes back. Its return batch touches that
+    /// cell, the coordinator hints it before the shards run, and the
+    /// demand read that follows is a hit on the hinted entry. The
+    /// row-major engine never hints, so the same read is a plain hit.
+    #[test]
+    fn a_hinted_cell_read_in_the_same_batch_is_a_prefetch_hit() {
+        let places: Vec<Place> = (0..16u32)
+            .map(|i| {
+                let centre = Point::new((i % 4) as f64 / 4.0 + 0.125, (i / 4) as f64 / 4.0 + 0.125);
+                Place::point(PlaceId(i), centre, u32::from(i == 0))
+            })
+            .collect();
+        let home = Point::new(0.125, 0.125);
+        let away = Point::new(0.875, 0.875);
+        for (layout, prefetch_hits) in [(CellLayout::ZOrder, 1), (CellLayout::RowMajor, 0)] {
+            let store: Arc<dyn PlaceStore> = Arc::new(ctup_storage::CachedStore::new(
+                Arc::new(CellLocalStore::build(Grid::unit_square(4), places.clone())),
+                16, // every cell fits: no eviction order for shard threads to race on
+            ));
+            let config = CtupConfig {
+                delta: 0,
+                ..CtupConfig::with_k(1)
+            };
+            let mut engine =
+                ShardedCtup::new_with_layout(config, Arc::clone(&store), &[home], 2, layout)
+                    .expect("init");
+            let at_init = store.stats().snapshot();
+            for (to, hits) in [(away, 0), (home, 1)] {
+                let update = LocationUpdate {
+                    unit: UnitId(0),
+                    new: to,
+                };
+                engine.handle_update(update).expect("update");
+                let snap = store.stats().snapshot().since(&at_init);
+                assert_eq!(snap.cache_hits, hits, "{layout}");
+                assert_eq!(
+                    snap.cache_prefetch_hits,
+                    hits.min(prefetch_hits),
+                    "{layout}"
+                );
+            }
+        }
+    }
 }

@@ -10,9 +10,10 @@ use crate::algorithm::CtupAlgorithm;
 use crate::metrics::Metrics;
 use crate::server::{MonitorEvent, Server};
 use crate::types::LocationUpdate;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use ctup_obs::LatencySnapshot;
 use ctup_storage::StorageError;
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender, TryRecvError, TrySendError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// The result changes caused by one ingested update.
@@ -22,6 +23,43 @@ pub struct EventBatch {
     pub seq: u64,
     /// The changes, in [`Server::ingest`] order.
     pub events: Vec<MonitorEvent>,
+}
+
+/// The consuming end of a pipeline's event channel.
+///
+/// `std::sync::mpsc::Receiver` is not `Sync`, and the front door reads
+/// events through a shared reference from two threads (the pump and the
+/// watchdog), so the receiver sits behind a mutex taken once per batch.
+/// Each batch goes to exactly one caller. [`recv`](Self::recv) keeps the
+/// mutex while it waits, so a concurrent call waits with it.
+#[derive(Debug)]
+pub struct EventReceiver(Mutex<Receiver<EventBatch>>);
+
+impl EventReceiver {
+    pub(crate) fn new(rx: Receiver<EventBatch>) -> Self {
+        EventReceiver(Mutex::new(rx))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Receiver<EventBatch>> {
+        // A receiver has no state a panicking holder could leave torn.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The next batch if one is queued; never blocks on the channel.
+    pub fn try_recv(&self) -> Result<EventBatch, TryRecvError> {
+        self.lock().try_recv()
+    }
+
+    /// Blocks for the next batch; `Err` once the worker is gone and the
+    /// channel is empty.
+    pub fn recv(&self) -> Result<EventBatch, RecvError> {
+        self.lock().recv()
+    }
+
+    /// Drains what is queued right now and ends on the first empty poll.
+    pub fn try_iter(&self) -> impl Iterator<Item = EventBatch> + '_ {
+        std::iter::from_fn(|| self.try_recv().ok())
+    }
 }
 
 /// Final accounting returned by [`Pipeline::shutdown`].
@@ -51,8 +89,8 @@ pub struct PipelineReport {
 
 /// A monitoring server running on its own worker thread.
 pub struct Pipeline {
-    updates_tx: Option<Sender<LocationUpdate>>,
-    events_rx: Receiver<EventBatch>,
+    updates_tx: Option<SyncSender<LocationUpdate>>,
+    events_rx: EventReceiver,
     worker: Option<JoinHandle<PipelineReport>>,
 }
 
@@ -97,8 +135,8 @@ impl Pipeline {
         A: CtupAlgorithm + Send + 'static,
     {
         assert!(capacity > 0, "capacity must be positive");
-        let (updates_tx, updates_rx) = bounded::<LocationUpdate>(capacity);
-        let (events_tx, events_rx) = bounded::<EventBatch>(capacity);
+        let (updates_tx, updates_rx) = sync_channel::<LocationUpdate>(capacity);
+        let (events_tx, events_rx) = sync_channel::<EventBatch>(capacity);
         #[allow(clippy::expect_used)]
         let worker = std::thread::Builder::new()
             .name("ctup-monitor".into())
@@ -142,7 +180,7 @@ impl Pipeline {
             .expect("spawn ctup-monitor thread");
         Pipeline {
             updates_tx: Some(updates_tx),
-            events_rx,
+            events_rx: EventReceiver::new(events_rx),
             worker: Some(worker),
         }
     }
@@ -174,13 +212,13 @@ impl Pipeline {
     }
 
     /// The event stream. Batches arrive in update order.
-    pub fn events(&self) -> &Receiver<EventBatch> {
+    pub fn events(&self) -> &EventReceiver {
         &self.events_rx
     }
 
     /// Closes the update channel, drains the worker and returns its report.
-    /// Pending events can still be read from [`Pipeline::events`] until the
-    /// receiver is empty. If the worker died of a panic, the report carries
+    /// Batches not yet read from [`Pipeline::events`] go with the pipeline.
+    /// If the worker died of a panic, the report carries
     /// `worker_panicked: true` (with zeroed counters) instead of
     /// propagating the panic to the caller.
     pub fn shutdown(mut self) -> PipelineReport {
@@ -278,16 +316,22 @@ mod tests {
             }
         }
 
-        // Pipelined run: keep a clone of the event receiver so batches
-        // survive shutdown, and use a queue large enough that the sender
-        // never blocks on the event side.
+        // Pipelined run: a scoped thread borrows the event receiver and
+        // takes the batches as they are published (shutdown consumes the
+        // pipeline, receiver included, so they are read first).
         let pipeline = Pipeline::spawn(monitor(&units), 256);
-        let events_rx = pipeline.events().clone();
-        for &u in &stream {
-            pipeline.send(u).expect("worker alive");
-        }
+        let piped_batches: Vec<EventBatch> = std::thread::scope(|s| {
+            let drain = s.spawn(|| {
+                (0..direct_batches.len())
+                    .map(|_| pipeline.events().recv().expect("worker alive"))
+                    .collect()
+            });
+            for &u in &stream {
+                pipeline.send(u).expect("worker alive");
+            }
+            drain.join().expect("drain thread")
+        });
         let report = pipeline.shutdown();
-        let piped_batches: Vec<EventBatch> = events_rx.try_iter().collect();
         assert_eq!(report.updates_processed, 200);
         assert_eq!(piped_batches, direct_batches);
         assert_eq!(report.events_emitted, direct.events_emitted());

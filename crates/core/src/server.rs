@@ -5,11 +5,10 @@
 use crate::algorithm::{CtupAlgorithm, UpdateStats};
 use crate::types::{LocationUpdate, PlaceId, Safety, TopKEntry};
 use ctup_storage::StorageError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A change to the monitored result caused by one location update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MonitorEvent {
     /// A place entered the result (became top-k unsafe / crossed the
     /// threshold).

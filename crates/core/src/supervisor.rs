@@ -43,10 +43,9 @@ use crate::checkpoint::{Checkpoint, Checkpointable};
 use crate::durable::DurableState;
 use crate::ingest::{IngestConfig, IngestGate, StampedUpdate, TracedReport};
 use crate::metrics::{Metrics, ResilienceStats};
-use crate::pipeline::{EventBatch, SendError};
+use crate::pipeline::{EventBatch, EventReceiver, SendError};
 use crate::server::Server;
 use crate::types::{LocationUpdate, TopKEntry};
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use ctup_obs::{
     now_nanos, LatencySnapshot, ObsHub, PhaseTimer, SpanSink, Stage, TraceEvent, TraceOutcome,
 };
@@ -56,6 +55,7 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -201,8 +201,8 @@ impl DurableLine {
 /// A monitoring server on a supervised worker thread: validated ingest,
 /// liveness leases, panic containment and checkpoint-restart.
 pub struct SupervisedPipeline {
-    reports_tx: Option<Sender<TracedReport>>,
-    events_rx: Receiver<EventBatch>,
+    reports_tx: Option<SyncSender<TracedReport>>,
+    events_rx: EventReceiver,
     worker: Option<JoinHandle<SupervisedReport>>,
     durable: Arc<DurableLine>,
     initial_result: Vec<TopKEntry>,
@@ -346,8 +346,8 @@ impl SupervisedPipeline {
         A: Checkpointable + Send + 'static,
     {
         assert!(capacity > 0, "capacity must be positive");
-        let (reports_tx, reports_rx) = bounded::<TracedReport>(capacity);
-        let (events_tx, events_rx) = bounded::<EventBatch>(capacity);
+        let (reports_tx, reports_rx) = sync_channel::<TracedReport>(capacity);
+        let (events_tx, events_rx) = sync_channel::<EventBatch>(capacity);
         let durable = Arc::new(DurableLine::default());
         let worker_durable = Arc::clone(&durable);
         // Events only carry changes, so whoever serves this pipeline's
@@ -372,7 +372,7 @@ impl SupervisedPipeline {
             .expect("spawn ctup-supervisor thread");
         SupervisedPipeline {
             reports_tx: Some(reports_tx),
-            events_rx,
+            events_rx: EventReceiver::new(events_rx),
             worker: Some(worker),
             durable,
             initial_result,
@@ -450,7 +450,7 @@ impl SupervisedPipeline {
 
     /// The event stream. Batch `seq` numbers are *effective* update
     /// sequence numbers; across a restart no batch is duplicated.
-    pub fn events(&self) -> &Receiver<EventBatch> {
+    pub fn events(&self) -> &EventReceiver {
         &self.events_rx
     }
 
@@ -509,7 +509,7 @@ fn supervise<A>(
     config: ResilienceConfig,
     initial_stats: ResilienceStats,
     reports_rx: Receiver<TracedReport>,
-    events_tx: Sender<EventBatch>,
+    events_tx: SyncSender<EventBatch>,
     line: &DurableLine,
 ) -> SupervisedReport
 where
@@ -1000,7 +1000,9 @@ mod tests {
     use crate::types::{LocationUpdate, Place, PlaceId, UnitId};
     use ctup_spatial::{Grid, Point};
     use ctup_storage::{CellLocalStore, PlaceStore};
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn places() -> Vec<Place> {
         (0..30)
@@ -1042,6 +1044,46 @@ mod tests {
             .collect()
     }
 
+    /// What an unsupervised server publishes for `stream`, batch by batch.
+    fn direct_run(
+        units: &[Point],
+        stream: &[LocationUpdate],
+    ) -> (Server<OptCtup>, Vec<EventBatch>) {
+        let mut direct = Server::new(monitor(units));
+        let mut batches = Vec::new();
+        for (seq, &u) in stream.iter().enumerate() {
+            let (events, _) = direct.ingest(u).expect("ingest");
+            if !events.is_empty() {
+                batches.push(EventBatch {
+                    seq: seq as u64,
+                    events,
+                });
+            }
+        }
+        (direct, batches)
+    }
+
+    /// Feeds `stream` while a scoped thread borrows the pipeline's event
+    /// receiver and takes the first `expect` batches off it (shutdown
+    /// consumes the pipeline, receiver included, so they are read first).
+    fn feed_and_drain(
+        pipeline: &SupervisedPipeline,
+        stream: Vec<LocationUpdate>,
+        expect: usize,
+    ) -> Vec<EventBatch> {
+        std::thread::scope(|s| {
+            let drain = s.spawn(|| {
+                (0..expect)
+                    .map(|_| pipeline.events().recv().expect("worker alive"))
+                    .collect()
+            });
+            for report in stamp_stream(stream) {
+                pipeline.send(report).expect("worker alive");
+            }
+            drain.join().expect("drain thread")
+        })
+    }
+
     /// Baseline: with a clean feed and no faults the supervised pipeline
     /// publishes exactly what a direct server run derives.
     #[test]
@@ -1049,31 +1091,18 @@ mod tests {
         let units = unit_points(4);
         let stream = updates(150, 4);
 
-        let mut direct = Server::new(monitor(&units));
-        let mut direct_batches = Vec::new();
-        for (seq, &u) in stream.iter().enumerate() {
-            let (events, _) = direct.ingest(u).expect("ingest");
-            if !events.is_empty() {
-                direct_batches.push(EventBatch {
-                    seq: seq as u64,
-                    events,
-                });
-            }
-        }
+        let (direct, direct_batches) = direct_run(&units, &stream);
 
         let pipeline =
             SupervisedPipeline::spawn(monitor(&units), ResilienceConfig::default(), 1024);
-        let events_rx = pipeline.events().clone();
-        for report in stamp_stream(stream) {
-            pipeline.send(report).expect("worker alive");
-        }
+        let piped = feed_and_drain(&pipeline, stream, direct_batches.len());
         let report = pipeline.shutdown();
-        let piped: Vec<EventBatch> = events_rx.try_iter().collect();
 
         assert!(!report.gave_up);
         assert_eq!(report.reports_received, 150);
         assert_eq!(report.updates_processed, 150);
         assert_eq!(piped, direct_batches);
+        assert_eq!(report.events_emitted, direct.events_emitted());
         assert_eq!(report.final_result, direct.result());
         assert_eq!(report.metrics.resilience.worker_panics, 0);
         // A healthy run fills the latency histograms but dumps nothing.
@@ -1089,17 +1118,7 @@ mod tests {
         let units = unit_points(4);
         let stream = updates(200, 4);
 
-        let mut direct = Server::new(monitor(&units));
-        let mut direct_batches = Vec::new();
-        for (seq, &u) in stream.iter().enumerate() {
-            let (events, _) = direct.ingest(u).expect("ingest");
-            if !events.is_empty() {
-                direct_batches.push(EventBatch {
-                    seq: seq as u64,
-                    events,
-                });
-            }
-        }
+        let (direct, direct_batches) = direct_run(&units, &stream);
 
         let config = ResilienceConfig {
             checkpoint_every: 64,
@@ -1107,12 +1126,8 @@ mod tests {
             ..ResilienceConfig::default()
         };
         let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 1024);
-        let events_rx = pipeline.events().clone();
-        for report in stamp_stream(stream) {
-            pipeline.send(report).expect("worker alive");
-        }
+        let piped = feed_and_drain(&pipeline, stream, direct_batches.len());
         let report = pipeline.shutdown();
-        let piped: Vec<EventBatch> = events_rx.try_iter().collect();
 
         assert!(!report.gave_up);
         assert_eq!(report.metrics.resilience.worker_panics, 1);
@@ -1123,7 +1138,52 @@ mod tests {
         assert!(report.metrics.resilience.checkpoints_taken >= 2);
         assert_eq!(report.updates_processed, 200);
         assert_eq!(piped, direct_batches, "no duplicated or missing batches");
+        assert_eq!(report.events_emitted, direct.events_emitted());
         assert_eq!(report.final_result, direct.result());
+    }
+
+    /// The receiver is shared by reference, the way the pump and the
+    /// watchdog share it: two threads draining `events()` see every batch
+    /// exactly once between them, and `try_iter()` on the drained (still
+    /// connected) channel ends instead of waiting for the worker.
+    #[test]
+    fn two_threads_drain_events_exactly_once() {
+        let units = unit_points(4);
+        let stream = updates(300, 4);
+        let (direct, direct_batches) = direct_run(&units, &stream);
+        let expected: Vec<u64> = direct_batches.iter().map(|b| b.seq).collect();
+
+        // Capacity far below the stream: the worker blocks publishing
+        // unless both consumers keep taking batches.
+        let pipeline = SupervisedPipeline::spawn(monitor(&units), ResilienceConfig::default(), 4);
+        let taken = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let consume = || {
+            let mut seen = Vec::new();
+            while taken.load(Ordering::SeqCst) < expected.len() && Instant::now() < deadline {
+                for batch in pipeline.events().try_iter() {
+                    taken.fetch_add(1, Ordering::SeqCst);
+                    seen.push(batch.seq);
+                }
+                std::thread::yield_now();
+            }
+            seen
+        };
+        let mut seen = std::thread::scope(|s| {
+            let a = s.spawn(consume);
+            let b = s.spawn(consume);
+            for report in stamp_stream(stream) {
+                pipeline.send(report).expect("worker alive");
+            }
+            let mut seen = a.join().expect("consumer a");
+            seen.extend(b.join().expect("consumer b"));
+            seen
+        });
+        seen.sort_unstable();
+        assert_eq!(seen, expected, "each batch to exactly one consumer");
+        assert_eq!(pipeline.events().try_iter().count(), 0);
+        let report = pipeline.shutdown();
+        assert_eq!(report.events_emitted, direct.events_emitted());
     }
 
     /// Every recovery consumes a restart budget slot; once exhausted the

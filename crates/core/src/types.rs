@@ -1,7 +1,6 @@
 //! Core domain types of the CTUP query.
 
 use ctup_spatial::{Circle, Point};
-use serde::{Deserialize, Serialize};
 
 pub use ctup_storage::{PlaceId, PlaceRecord as Place};
 
@@ -14,7 +13,7 @@ pub type Safety = i64;
 pub const LB_NONE: Safety = Safety::MAX;
 
 /// Identifier of a protecting unit, dense in `0..|U|`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UnitId(pub u32);
 
 impl UnitId {
@@ -26,7 +25,7 @@ impl UnitId {
 }
 
 /// A protecting unit: its identifier and last reported location.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Unit {
     /// Identifier.
     pub id: UnitId,
@@ -44,7 +43,7 @@ impl Unit {
 
 /// A location update received by the server: unit `unit` is now at `new`.
 /// The previous position is resolved by the server from its unit table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocationUpdate {
     /// The reporting unit.
     pub unit: UnitId,
@@ -53,7 +52,7 @@ pub struct LocationUpdate {
 }
 
 /// One entry of the continuously monitored result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopKEntry {
     /// The unsafe place.
     pub place: PlaceId,

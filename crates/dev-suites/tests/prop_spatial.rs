@@ -8,7 +8,7 @@
 //! do (clippy's test exemption does not reach integration-test helpers).
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
-use ctup_spatial::{morton, CellLayout, Circle, Grid, Lbvh, Point, RTree, Rect, Relation};
+use ctup_spatial::{morton, CellLayout, Circle, Grid, Point, RTree, Rect, Relation};
 use proptest::prelude::*;
 
 fn point() -> impl Strategy<Value = Point> {
@@ -219,39 +219,5 @@ proptest! {
         prop_assert_eq!(z.rank(&grid, grid.cell_at(col + 1, row)), base + 1);
         prop_assert_eq!(z.rank(&grid, grid.cell_at(col, row + 1)), base + 2);
         prop_assert_eq!(z.rank(&grid, grid.cell_at(col + 1, row + 1)), base + 3);
-    }
-
-    #[test]
-    fn lbvh_rect_query_matches_brute_force(
-        pts in prop::collection::vec(point(), 0..300),
-        q in rect(),
-    ) {
-        let items: Vec<(Rect, usize)> =
-            pts.iter().enumerate().map(|(i, &p)| (Rect::point(p), i)).collect();
-        let bvh = Lbvh::bulk_load(items);
-        bvh.check_invariants();
-        let mut got: Vec<usize> = bvh.query_rect(&q).into_iter().copied().collect();
-        got.sort_unstable();
-        let expect: Vec<usize> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| q.contains_point(**p))
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn lbvh_circle_count_matches_brute_force(
-        pts in prop::collection::vec(point(), 0..300),
-        center in point(),
-        radius in 0.001f64..0.6,
-    ) {
-        let items: Vec<(Rect, usize)> =
-            pts.iter().enumerate().map(|(i, &p)| (Rect::point(p), i)).collect();
-        let bvh = Lbvh::bulk_load(items);
-        let circle = Circle::new(center, radius);
-        let expect = pts.iter().filter(|&&p| circle.contains_point(p)).count();
-        prop_assert_eq!(bvh.count_in_circle(&circle), expect);
     }
 }

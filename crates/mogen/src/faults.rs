@@ -16,9 +16,8 @@
 //! therefore never move a message *earlier* than it was sent — exactly the
 //! asymmetry of a store-and-forward radio link.
 
+use crate::rng::SeededRng;
 use ctup_storage::DiskFaultPlan;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A seeded description of how a feed degrades. Probabilities are
 /// per-message and independent; `0.0` disables the fault.
@@ -101,9 +100,9 @@ impl FaultPlan {
     pub fn apply<T: Clone>(
         &self,
         input: Vec<T>,
-        mut corrupt: impl FnMut(&mut T, &mut StdRng),
+        mut corrupt: impl FnMut(&mut T, &mut SeededRng),
     ) -> (Vec<T>, FaultLog) {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SeededRng::seed_from_u64(self.seed);
         let mut log = FaultLog::default();
         // (slot, tiebreak) keys keep the sort stable and deterministic:
         // originals order before duplicates landing on the same slot.
@@ -120,15 +119,15 @@ impl FaultPlan {
             let mut slot = i;
             if self.reorder_window > 0 && self.reorder_prob > 0.0 && rng.gen_bool(self.reorder_prob)
             {
-                slot += rng.gen_range(1..=self.reorder_window);
+                slot += rng.gen_range(1..self.reorder_window + 1);
                 log.reordered += 1;
             }
             if self.max_delay > 0 && self.delay_prob > 0.0 && rng.gen_bool(self.delay_prob) {
-                slot += rng.gen_range(1..=self.max_delay);
+                slot += rng.gen_range(1..self.max_delay + 1);
                 log.delayed += 1;
             }
             if self.reorder_window > 0 && self.dup_prob > 0.0 && rng.gen_bool(self.dup_prob) {
-                let dup_slot = slot + rng.gen_range(1..=self.reorder_window);
+                let dup_slot = slot + rng.gen_range(1..self.reorder_window + 1);
                 emissions.push((dup_slot, i, 1, item.clone()));
                 log.duplicated += 1;
             }
@@ -176,7 +175,7 @@ mod tests {
             delay_prob: 0.05,
             ..FaultPlan::default()
         };
-        let corrupt = |item: &mut u32, _: &mut StdRng| *item = u32::MAX;
+        let corrupt = |item: &mut u32, _: &mut SeededRng| *item = u32::MAX;
         let (a, log_a) = plan.apply(stream(300), corrupt);
         let (b, log_b) = plan.apply(stream(300), corrupt);
         assert_eq!(a, b);

@@ -12,6 +12,7 @@
 //! * [`objects`] — objects that roam the network and report location
 //!   updates past a displacement threshold;
 //! * [`places`] — place sets with skewed required-protection distributions;
+//! * [`rng`] — the one seeded generator every stream is drawn from;
 //! * [`uniform`] — random-waypoint and teleport models for stress tests;
 //! * [`workload`] — bundles of all of the above, including the paper's
 //!   Table III defaults.
@@ -26,6 +27,7 @@ pub mod netfaults;
 pub mod network;
 pub mod objects;
 pub mod places;
+pub mod rng;
 pub mod route;
 pub mod uniform;
 pub mod workload;
@@ -35,6 +37,7 @@ pub use netfaults::{ChaosStream, LinkScript, NetFaultPlan};
 pub use network::{CityParams, Edge, NodeId, RoadNetwork};
 pub use objects::{MovingObjectSim, PositionUpdate};
 pub use places::{PlaceGenConfig, PlaceGenerator, Spread};
+pub use rng::SeededRng;
 pub use route::Router;
 pub use uniform::{RandomWaypointSim, TeleportSim};
 pub use workload::{Workload, WorkloadParams};

@@ -7,13 +7,11 @@
 //! fraction of streets removed, a few fast diagonal arterials, and a
 //! connectivity repair pass. All randomness is seeded.
 
+use crate::rng::SeededRng;
 use ctup_spatial::{Point, Rect};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a network node (an intersection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -25,7 +23,7 @@ impl NodeId {
 }
 
 /// An undirected road segment between two intersections.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// One endpoint.
     pub a: NodeId,
@@ -38,7 +36,7 @@ pub struct Edge {
 }
 
 /// An undirected road network embedded in the plane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoadNetwork {
     nodes: Vec<Point>,
     edges: Vec<Edge>,
@@ -47,7 +45,7 @@ pub struct RoadNetwork {
 }
 
 /// Parameters for [`RoadNetwork::synthetic_city`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CityParams {
     /// Intersections per side of the underlying lattice (≥ 2).
     pub blocks_per_side: u32,
@@ -147,7 +145,7 @@ impl RoadNetwork {
             "removal_rate out of range"
         );
         let n = params.blocks_per_side;
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SeededRng::seed_from_u64(seed);
         let spacing = 1.0 / (n - 1) as f64;
         let jitter = params.jitter * spacing * 0.5;
 
@@ -155,8 +153,8 @@ impl RoadNetwork {
         let mut nodes = Vec::with_capacity((n * n) as usize);
         for row in 0..n {
             for col in 0..n {
-                let x = (col as f64 * spacing + rng.gen_range(-jitter..=jitter)).clamp(0.0, 1.0);
-                let y = (row as f64 * spacing + rng.gen_range(-jitter..=jitter)).clamp(0.0, 1.0);
+                let x = (col as f64 * spacing + rng.gen_range_f64(-jitter..jitter)).clamp(0.0, 1.0);
+                let y = (row as f64 * spacing + rng.gen_range_f64(-jitter..jitter)).clamp(0.0, 1.0);
                 nodes.push(Point::new(x, y));
             }
         }

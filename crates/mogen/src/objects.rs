@@ -8,14 +8,12 @@
 //! reported previously" update policy.
 
 use crate::network::{NodeId, RoadNetwork};
+use crate::rng::SeededRng;
 use crate::route::Router;
 use ctup_spatial::Point;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A location update emitted by a moving object.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PositionUpdate {
     /// The reporting object (0-based, dense).
     pub object: u32,
@@ -42,7 +40,7 @@ struct ObjectState {
 pub struct MovingObjectSim {
     net: RoadNetwork,
     router: Router,
-    rng: StdRng,
+    rng: SeededRng,
     objects: Vec<ObjectState>,
     report_threshold: f64,
 }
@@ -55,10 +53,10 @@ impl MovingObjectSim {
     pub fn new(net: RoadNetwork, num_objects: u32, report_threshold: f64, seed: u64) -> Self {
         assert!(net.num_nodes() > 1, "network too small");
         assert!(report_threshold >= 0.0);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SeededRng::seed_from_u64(seed);
         let objects = (0..num_objects)
             .map(|_| {
-                let at = NodeId(rng.gen_range(0..net.num_nodes() as u32));
+                let at = NodeId(rng.gen_range(0..net.num_nodes()) as u32);
                 let pos = net.node_pos(at);
                 ObjectState {
                     at,
@@ -107,13 +105,13 @@ impl MovingObjectSim {
     fn pick_new_route(
         net: &RoadNetwork,
         router: &mut Router,
-        rng: &mut StdRng,
+        rng: &mut SeededRng,
         from: NodeId,
     ) -> Vec<NodeId> {
         // The synthetic city is connected, but guard against pathological
         // custom networks by retrying a few destinations.
         for _ in 0..16 {
-            let dest = NodeId(rng.gen_range(0..net.num_nodes() as u32));
+            let dest = NodeId(rng.gen_range(0..net.num_nodes()) as u32);
             if dest == from {
                 continue;
             }

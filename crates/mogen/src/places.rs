@@ -6,14 +6,12 @@
 //! `RP ∈ {rp_min .. =rp_max}` with Zipf-tilted weights `w_r ∝ 1/r^skew`, so
 //! most places need little protection and a few need a lot.
 
+use crate::rng::SeededRng;
 use ctup_spatial::{Point, Rect};
 use ctup_storage::{PlaceId, PlaceRecord};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How place locations are spread over the space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Spread {
     /// Uniformly at random over the space.
     Uniform,
@@ -30,7 +28,7 @@ pub enum Spread {
 }
 
 /// Configuration for [`PlaceGenerator`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlaceGenConfig {
     /// Number of places `|P|`.
     pub count: u32,
@@ -119,36 +117,35 @@ impl PlaceGenerator {
             .collect()
     }
 
-    fn sample_rp(&self, cdf: &[f64], rng: &mut StdRng) -> u32 {
-        let u: f64 = rng.gen();
+    fn sample_rp(&self, cdf: &[f64], rng: &mut SeededRng) -> u32 {
+        let u = rng.gen_f64();
         let idx = cdf.iter().position(|&c| u <= c).unwrap_or(cdf.len() - 1);
         self.config.rp_min + idx as u32
     }
 
-    /// Standard normal sample via Box–Muller (rand 0.8 core has no normal
-    /// distribution without the `rand_distr` crate).
-    fn sample_normal(rng: &mut StdRng) -> f64 {
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen();
+    /// Standard normal sample via Box–Muller.
+    fn sample_normal(rng: &mut SeededRng) -> f64 {
+        let u1 = rng.gen_range_f64(f64::EPSILON..1.0);
+        let u2 = rng.gen_f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    fn sample_pos(&self, centers: &[Point], rng: &mut StdRng) -> Point {
+    fn sample_pos(&self, centers: &[Point], rng: &mut SeededRng) -> Point {
         match &self.config.spread {
-            Spread::Uniform => Point::new(rng.gen(), rng.gen()),
+            Spread::Uniform => Point::new(rng.gen_f64(), rng.gen_f64()),
             Spread::Clustered {
                 std_dev,
                 fraction_clustered,
                 ..
             } => {
-                if rng.gen::<f64>() < *fraction_clustered {
+                if rng.gen_f64() < *fraction_clustered {
                     let c = centers[rng.gen_range(0..centers.len())];
                     Point::new(
                         (c.x + Self::sample_normal(rng) * std_dev).clamp(0.0, 1.0),
                         (c.y + Self::sample_normal(rng) * std_dev).clamp(0.0, 1.0),
                     )
                 } else {
-                    Point::new(rng.gen(), rng.gen())
+                    Point::new(rng.gen_f64(), rng.gen_f64())
                 }
             }
         }
@@ -156,12 +153,12 @@ impl PlaceGenerator {
 
     /// Generates the data set deterministically from `seed`.
     pub fn generate(&self, seed: u64) -> Vec<PlaceRecord> {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+        let mut rng = SeededRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
         let cdf = self.rp_cdf();
         let centers: Vec<Point> = match &self.config.spread {
             Spread::Uniform => Vec::new(),
             Spread::Clustered { clusters, .. } => (0..*clusters)
-                .map(|_| Point::new(rng.gen(), rng.gen()))
+                .map(|_| Point::new(rng.gen_f64(), rng.gen_f64()))
                 .collect(),
         };
         (0..self.config.count)
@@ -169,9 +166,9 @@ impl PlaceGenerator {
                 let pos = self.sample_pos(&centers, &mut rng);
                 let rp = self.sample_rp(&cdf, &mut rng);
                 let id = PlaceId(i);
-                if self.config.extent_prob > 0.0 && rng.gen::<f64>() < self.config.extent_prob {
-                    let half_w = rng.gen_range(0.0..self.config.extent_max_side) / 2.0;
-                    let half_h = rng.gen_range(0.0..self.config.extent_max_side) / 2.0;
+                if self.config.extent_prob > 0.0 && rng.gen_f64() < self.config.extent_prob {
+                    let half_w = rng.gen_range_f64(0.0..self.config.extent_max_side) / 2.0;
+                    let half_h = rng.gen_range_f64(0.0..self.config.extent_max_side) / 2.0;
                     // Clamp the extent to the unit square while keeping pos inside.
                     let lo = Point::new((pos.x - half_w).max(0.0), (pos.y - half_h).max(0.0));
                     let hi = Point::new((pos.x + half_w).min(1.0), (pos.y + half_h).min(1.0));

@@ -6,9 +6,8 @@
 //! position, maximally stressing lower-bound maintenance).
 
 use crate::objects::PositionUpdate;
+use crate::rng::SeededRng;
 use ctup_spatial::Point;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Random-waypoint movement in the unit square: each object walks straight
 /// towards a uniformly random target at a fixed speed and re-targets on
@@ -16,7 +15,7 @@ use rand::{Rng, SeedableRng};
 /// report threshold.
 #[derive(Debug)]
 pub struct RandomWaypointSim {
-    rng: StdRng,
+    rng: SeededRng,
     pos: Vec<Point>,
     reported: Vec<Point>,
     target: Vec<Point>,
@@ -28,12 +27,12 @@ impl RandomWaypointSim {
     /// Spawns `num_objects` objects uniformly at random.
     pub fn new(num_objects: u32, speed: f64, report_threshold: f64, seed: u64) -> Self {
         assert!(speed > 0.0);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SeededRng::seed_from_u64(seed);
         let pos: Vec<Point> = (0..num_objects)
-            .map(|_| Point::new(rng.gen(), rng.gen()))
+            .map(|_| Point::new(rng.gen_f64(), rng.gen_f64()))
             .collect();
         let target: Vec<Point> = (0..num_objects)
-            .map(|_| Point::new(rng.gen(), rng.gen()))
+            .map(|_| Point::new(rng.gen_f64(), rng.gen_f64()))
             .collect();
         RandomWaypointSim {
             rng,
@@ -60,7 +59,7 @@ impl RandomWaypointSim {
                 if dist <= remaining {
                     self.pos[i] = self.target[i];
                     remaining -= dist;
-                    self.target[i] = Point::new(self.rng.gen(), self.rng.gen());
+                    self.target[i] = Point::new(self.rng.gen_f64(), self.rng.gen_f64());
                 } else {
                     self.pos[i] = self.pos[i].lerp(self.target[i], remaining / dist);
                     remaining = 0.0;
@@ -94,7 +93,7 @@ impl RandomWaypointSim {
 /// any scheme exploiting small per-update displacement.
 #[derive(Debug)]
 pub struct TeleportSim {
-    rng: StdRng,
+    rng: SeededRng,
     pos: Vec<Point>,
     next: usize,
 }
@@ -102,9 +101,9 @@ pub struct TeleportSim {
 impl TeleportSim {
     /// Spawns `num_objects` objects uniformly at random.
     pub fn new(num_objects: u32, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SeededRng::seed_from_u64(seed);
         let pos = (0..num_objects)
-            .map(|_| Point::new(rng.gen(), rng.gen()))
+            .map(|_| Point::new(rng.gen_f64(), rng.gen_f64()))
             .collect();
         TeleportSim { rng, pos, next: 0 }
     }
@@ -119,7 +118,7 @@ impl TeleportSim {
         let i = self.next;
         self.next = (self.next + 1) % self.pos.len();
         let from = self.pos[i];
-        let to = Point::new(self.rng.gen(), self.rng.gen());
+        let to = Point::new(self.rng.gen_f64(), self.rng.gen_f64());
         self.pos[i] = to;
         PositionUpdate {
             object: i as u32,

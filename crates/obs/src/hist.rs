@@ -31,7 +31,6 @@
 //! `quantile(0.0)` / `quantile(1.0)` are exact and interior quantiles are
 //! clamped into `[min, max]`.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of exact low-value buckets, and sub-buckets per power of two.
@@ -71,9 +70,9 @@ pub fn bucket_high(idx: usize) -> u64 {
     bucket_low(idx + 1) - 1
 }
 
-/// A mergeable, serde-able log-bucketed histogram of `u64` samples
+/// A mergeable log-bucketed histogram of `u64` samples
 /// (nanoseconds, in this codebase).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     counts: Vec<u64>,
     count: u64,

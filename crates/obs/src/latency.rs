@@ -3,7 +3,6 @@
 
 use crate::hist::LogHistogram;
 use crate::trace::{FlightRecorder, TraceEvent, TraceOutcome};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Nanosecond phase timer: `lap()` returns the nanos since the previous
@@ -31,10 +30,10 @@ impl PhaseTimer {
     }
 }
 
-/// All latency histograms of one run, mergeable and serde-able. Field
+/// All latency histograms of one run, mergeable field by field. Field
 /// names are the exposition names (lint rule L004 checks each appears in
 /// the CLI report).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencySnapshot {
     /// End-to-end `handle_update` time (maintain + access) per update.
     pub update_total_nanos: LogHistogram,

@@ -1,11 +1,11 @@
 //! # ctup-obs — observability for the CTUP pipeline
 //!
-//! Zero-heavy-dependency building blocks threaded through core, storage
+//! Zero-dependency building blocks threaded through core, storage
 //! and the CLI:
 //!
 //! * [`hist`] — log-bucketed (HDR-style) latency histograms: mergeable,
-//!   serde-able, with an exact-round-trip text codec and a lock-free
-//!   atomic variant for shared-reference call sites.
+//!   with an exact-round-trip text codec and a lock-free atomic variant
+//!   for shared-reference call sites.
 //! * [`trace`] — per-update [`trace::TraceEvent`]s and the fixed-capacity
 //!   [`trace::FlightRecorder`] ring the supervisor dumps as JSON Lines on
 //!   worker death.
@@ -21,7 +21,7 @@
 //!   exposition text at `/metrics` during a run.
 //!
 //! The crate is panic-free library code (lint L001 applies) and depends
-//! only on `serde` for derives.
+//! on nothing outside `std`.
 
 pub mod hist;
 pub mod http;

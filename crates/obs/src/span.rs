@@ -6,7 +6,7 @@
 //!
 //! - **Zero dependencies.** Ids are minted with a splitmix-style mixer,
 //!   spans are dumped as hand-rolled JSONL and parsed back with a tiny
-//!   scanner — no serde on the hot path, no tracing crates.
+//!   scanner — no tracing crates.
 //! - **Deterministic span ids.** A span id is a pure function of
 //!   `(trace, stage, k)`, so the wire protocol only ever carries the
 //!   trace id: every process that observes the same trace derives the

@@ -2,12 +2,11 @@
 
 use crate::point::Point;
 use crate::rect::Rect;
-use serde::{Deserialize, Serialize};
 
 /// A closed disk: the protecting region of a unit. A place `p` is protected
 /// iff `dist(center, p) <= radius` (the paper's Definition 1, with closed
 /// boundary so that protection and the N/P/F cell classification agree).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Circle {
     /// Center of the disk (the unit's location).
     pub center: Point,

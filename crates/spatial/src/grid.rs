@@ -9,10 +9,9 @@ use crate::circle::Circle;
 use crate::convert;
 use crate::point::Point;
 use crate::rect::Rect;
-use serde::{Deserialize, Serialize};
 
 /// Dense identifier of a grid cell: `row * gx + col`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(pub u32);
 
 impl CellId {
@@ -24,7 +23,7 @@ impl CellId {
 }
 
 /// A uniform `gx × gy` partitioning of a rectangular space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     space: Rect,
     gx: u32,

@@ -10,14 +10,13 @@
 
 use crate::grid::{CellId, Grid};
 use crate::morton;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A total order over grid cells, selecting how cells map to shards and
 /// disk pages. The enum is carried in checkpoints (as its [`fmt::Display`]
 /// name) so recovery re-binds to the same physical layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CellLayout {
     /// Flat `row * gx + col` order — the layout every store used before
     /// Z-ordering landed, kept as the differential oracle.

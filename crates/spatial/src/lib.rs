@@ -22,7 +22,7 @@ pub mod unit_index;
 pub use circle::Circle;
 pub use grid::{CellId, Grid};
 pub use layout::CellLayout;
-pub use morton::{Lbvh, MortonCode};
+pub use morton::MortonCode;
 pub use point::Point;
 pub use rect::Rect;
 pub use relation::Relation;

@@ -1,16 +1,14 @@
-//! Morton (Z-order) encoding and a linear BVH bulk-built over it.
+//! Morton (Z-order) encoding.
 //!
 //! A Morton code interleaves the bits of a `(col, row)` pair so that sorting
 //! by the code walks the plane along a Z-shaped space-filling curve: points
 //! that are close in 2-D land close together in the 1-D order. The CTUP
-//! substrate uses this in three places — contiguous Z-range shard
-//! partitioning, Morton-ordered disk pages, and the [`Lbvh`] bulk-build
-//! alternative to the R-tree STR load.
+//! substrate uses this in two places — contiguous Z-range shard
+//! partitioning and Morton-ordered disk pages.
 //!
 //! Everything here is zero-dependency bit manipulation; the magic-mask
 //! spread/compact pair is the standard O(log bits) construction.
 
-use crate::circle::Circle;
 use crate::convert;
 use crate::point::Point;
 use crate::rect::Rect;
@@ -93,242 +91,9 @@ pub fn quantize(p: Point, bound: &Rect) -> MortonCode {
     encode(convert::grid_coord(cx, max), convert::grid_coord(cy, max))
 }
 
-/// Index of the last element of the left half when splitting the sorted
-/// code range `codes[first..=last]` at its highest differing bit — the
-/// classic top-down LBVH split (Karras). Equal-code ranges split in the
-/// middle so degenerate inputs still produce a balanced tree.
-#[must_use]
-pub fn find_split(codes: &[MortonCode], first: usize, last: usize) -> usize {
-    debug_assert!(first < last && last < codes.len());
-    let first_code = codes[first].0;
-    let last_code = codes[last].0;
-    if first_code == last_code {
-        return usize::midpoint(first, last);
-    }
-    let common_prefix = (first_code ^ last_code).leading_zeros();
-    // Binary search for the furthest element sharing `common_prefix` bits
-    // with the first one.
-    let mut split = first;
-    let mut step = last - first;
-    loop {
-        step = step.div_ceil(2);
-        let probe = split + step;
-        if probe < last && (first_code ^ codes[probe].0).leading_zeros() > common_prefix {
-            split = probe;
-        }
-        if step <= 1 {
-            break;
-        }
-    }
-    split
-}
-
-/// Leaves hold at most this many items; small enough that the per-leaf
-/// linear scan stays cheap, large enough to keep the node count down.
-const LEAF_SIZE: usize = 8;
-
-#[derive(Debug, Clone)]
-enum LbvhKind {
-    /// `items[lo..hi]` range of the sorted item vector.
-    Leaf { lo: usize, hi: usize },
-    /// Indices of the two children in the node vector.
-    Inner { left: usize, right: usize },
-}
-
-#[derive(Debug, Clone)]
-struct LbvhNode {
-    bbox: Rect,
-    kind: LbvhKind,
-}
-
-/// A linear bounding volume hierarchy over axis-aligned rectangles.
-///
-/// Built in one pass: items are sorted by the Morton code of their center
-/// point, then the hierarchy is carved top-down with [`find_split`] — no
-/// incremental insertion, no rebalancing. For the static place set this is
-/// a faster bulk-build path than the R-tree STR load, and queries mirror
-/// the [`crate::RTree`] API so the two stay differentially testable.
-#[derive(Debug, Clone)]
-pub struct Lbvh<T> {
-    nodes: Vec<LbvhNode>,
-    items: Vec<(Rect, T)>,
-    root: Option<usize>,
-}
-
-impl<T> Default for Lbvh<T> {
-    fn default() -> Self {
-        Lbvh {
-            nodes: Vec::new(),
-            items: Vec::new(),
-            root: None,
-        }
-    }
-}
-
-impl<T> Lbvh<T> {
-    /// Bulk-builds the hierarchy over `items`, consuming them.
-    #[must_use]
-    pub fn bulk_load(mut items: Vec<(Rect, T)>) -> Self {
-        if items.is_empty() {
-            return Lbvh::default();
-        }
-        let bound = items.iter().fold(Rect::empty(), |acc, (r, _)| acc.union(r));
-        let mut keyed: Vec<(MortonCode, usize)> = items
-            .iter()
-            .enumerate()
-            .map(|(i, (r, _))| (quantize(r.center(), &bound), i))
-            .collect();
-        keyed.sort_unstable_by_key(|&(code, i)| (code, i));
-        // Reorder the items into Morton order without cloning payloads.
-        let mut slots: Vec<Option<(Rect, T)>> = items.drain(..).map(Some).collect();
-        let sorted: Vec<(Rect, T)> = keyed.iter().filter_map(|&(_, i)| slots[i].take()).collect();
-        let codes: Vec<MortonCode> = keyed.iter().map(|&(code, _)| code).collect();
-
-        let mut tree = Lbvh {
-            nodes: Vec::with_capacity(2 * sorted.len() / LEAF_SIZE + 2),
-            items: sorted,
-            root: None,
-        };
-        let last = tree.items.len() - 1;
-        let root = tree.build_range(&codes, 0, last);
-        tree.root = Some(root);
-        tree
-    }
-
-    /// Builds the node covering `codes[first..=last]`, returning its index.
-    fn build_range(&mut self, codes: &[MortonCode], first: usize, last: usize) -> usize {
-        if last - first < LEAF_SIZE {
-            let bbox = self.items[first..=last]
-                .iter()
-                .fold(Rect::empty(), |acc, (r, _)| acc.union(r));
-            self.nodes.push(LbvhNode {
-                bbox,
-                kind: LbvhKind::Leaf {
-                    lo: first,
-                    hi: last + 1,
-                },
-            });
-            return self.nodes.len() - 1;
-        }
-        let split = find_split(codes, first, last);
-        let left = self.build_range(codes, first, split);
-        let right = self.build_range(codes, split + 1, last);
-        let bbox = self.nodes[left].bbox.union(&self.nodes[right].bbox);
-        self.nodes.push(LbvhNode {
-            bbox,
-            kind: LbvhKind::Inner { left, right },
-        });
-        self.nodes.len() - 1
-    }
-
-    /// Number of stored items.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the hierarchy is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Bounding box of everything stored, if any.
-    pub fn bbox(&self) -> Option<Rect> {
-        self.root.map(|r| self.nodes[r].bbox)
-    }
-
-    /// Calls `f` for every item whose rectangle intersects `rect`.
-    pub fn for_each_in_rect<'t, F: FnMut(&'t Rect, &'t T)>(&'t self, rect: &Rect, mut f: F) {
-        let Some(root) = self.root else { return };
-        let mut stack = vec![root];
-        while let Some(idx) = stack.pop() {
-            let node = &self.nodes[idx];
-            if !node.bbox.intersects(rect) {
-                continue;
-            }
-            match node.kind {
-                LbvhKind::Leaf { lo, hi } => {
-                    for (r, item) in &self.items[lo..hi] {
-                        if r.intersects(rect) {
-                            f(r, item);
-                        }
-                    }
-                }
-                LbvhKind::Inner { left, right } => {
-                    stack.push(left);
-                    stack.push(right);
-                }
-            }
-        }
-    }
-
-    /// Collects references to all items whose rectangle intersects `rect`.
-    pub fn query_rect(&self, rect: &Rect) -> Vec<&T> {
-        let mut out = Vec::new();
-        self.for_each_in_rect(rect, |_, item| out.push(item));
-        out
-    }
-
-    /// Calls `f` for every **point-keyed** item inside the closed disk
-    /// (for extended keys: "key center inside the disk"), mirroring
-    /// [`crate::RTree::for_each_in_circle`].
-    pub fn for_each_in_circle<'t, F: FnMut(Point, &'t T)>(&'t self, circle: &Circle, mut f: F) {
-        self.for_each_in_rect(&circle.bbox(), |r, item| {
-            let p = r.center();
-            if circle.contains_point(p) {
-                f(p, item);
-            }
-        });
-    }
-
-    /// Number of point-keyed items inside the closed disk.
-    pub fn count_in_circle(&self, circle: &Circle) -> usize {
-        let mut n = 0;
-        self.for_each_in_circle(circle, |_, _| n += 1);
-        n
-    }
-
-    /// Validates structural invariants (bbox containment, full coverage);
-    /// used by tests.
-    pub fn check_invariants(&self) {
-        let Some(root) = self.root else {
-            assert!(self.items.is_empty() && self.nodes.is_empty());
-            return;
-        };
-        let mut covered = vec![false; self.items.len()];
-        let mut stack = vec![root];
-        while let Some(idx) = stack.pop() {
-            let node = &self.nodes[idx];
-            match node.kind {
-                LbvhKind::Leaf { lo, hi } => {
-                    assert!(lo < hi && hi <= self.items.len(), "bad leaf range");
-                    for (i, (r, _)) in self.items[lo..hi].iter().enumerate() {
-                        assert!(node.bbox.contains_rect(r), "leaf bbox does not cover item");
-                        assert!(!covered[lo + i], "item covered twice");
-                        covered[lo + i] = true;
-                    }
-                }
-                LbvhKind::Inner { left, right } => {
-                    for child in [left, right] {
-                        assert!(
-                            node.bbox.contains_rect(&self.nodes[child].bbox),
-                            "inner bbox does not cover child"
-                        );
-                    }
-                    stack.push(left);
-                    stack.push(right);
-                }
-            }
-        }
-        assert!(covered.iter().all(|&c| c), "leaf ranges do not cover items");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rtree::RTree;
 
     #[test]
     fn spread_compact_roundtrip() {
@@ -360,22 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn find_split_splits_at_top_bit() {
-        let codes: Vec<MortonCode> = [0u64, 1, 2, 3, 8, 9, 10]
-            .iter()
-            .map(|&c| MortonCode(c))
-            .collect();
-        // Highest differing bit between 0 and 10 is bit 3: 0..=3 vs 8..=10.
-        assert_eq!(find_split(&codes, 0, codes.len() - 1), 3);
-    }
-
-    #[test]
-    fn find_split_equal_codes_bisect() {
-        let codes = vec![MortonCode(7); 9];
-        assert_eq!(find_split(&codes, 0, 8), 4);
-    }
-
-    #[test]
     fn quantize_clamps_and_orders() {
         let bound = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
         let inside = quantize(Point::new(0.5, 0.5), &bound);
@@ -383,72 +132,5 @@ mod tests {
         let corner = quantize(Point::new(1.0, 1.0), &bound);
         assert_eq!(outside, corner);
         assert!(inside < corner);
-    }
-
-    fn lattice(n: usize) -> Vec<(Rect, usize)> {
-        let mut out = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                let p = Point::new(i as f64 / n as f64, j as f64 / n as f64);
-                out.push((Rect::point(p), i * n + j));
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn lbvh_empty_and_single() {
-        let t: Lbvh<u32> = Lbvh::bulk_load(vec![]);
-        assert!(t.is_empty());
-        assert!(t.bbox().is_none());
-        t.check_invariants();
-
-        let t = Lbvh::bulk_load(vec![(Rect::point(Point::new(0.5, 0.5)), 7u32)]);
-        t.check_invariants();
-        assert_eq!(t.len(), 1);
-        assert_eq!(
-            t.query_rect(&Rect::from_coords(0.0, 0.0, 1.0, 1.0)),
-            vec![&7]
-        );
-    }
-
-    #[test]
-    fn lbvh_matches_rtree_rect_queries() {
-        let pts = lattice(25);
-        let lbvh = Lbvh::bulk_load(pts.clone());
-        lbvh.check_invariants();
-        let rtree = RTree::bulk_load(pts);
-        for rect in [
-            Rect::from_coords(0.0, 0.0, 0.25, 0.25),
-            Rect::from_coords(0.3, 0.1, 0.62, 0.44),
-            Rect::from_coords(0.9, 0.9, 2.0, 2.0),
-            Rect::from_coords(5.0, 5.0, 6.0, 6.0),
-        ] {
-            let mut a: Vec<usize> = lbvh.query_rect(&rect).into_iter().copied().collect();
-            let mut b: Vec<usize> = rtree.query_rect(&rect).into_iter().copied().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "rect {rect:?}");
-        }
-    }
-
-    #[test]
-    fn lbvh_matches_rtree_circle_counts() {
-        let pts = lattice(30);
-        let lbvh = Lbvh::bulk_load(pts.clone());
-        let rtree = RTree::bulk_load(pts);
-        for &(x, y, r) in &[(0.41, 0.57, 0.23), (0.0, 0.0, 0.5), (0.9, 0.1, 0.05)] {
-            let c = Circle::new(Point::new(x, y), r);
-            assert_eq!(lbvh.count_in_circle(&c), rtree.count_in_circle(&c));
-        }
-    }
-
-    #[test]
-    fn lbvh_handles_duplicate_positions() {
-        let p = Point::new(0.5, 0.5);
-        let items: Vec<(Rect, u32)> = (0..50).map(|v| (Rect::point(p), v)).collect();
-        let t = Lbvh::bulk_load(items);
-        t.check_invariants();
-        assert_eq!(t.query_rect(&Rect::point(p)).len(), 50);
     }
 }

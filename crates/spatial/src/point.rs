@@ -1,10 +1,8 @@
 //! 2-D points in the longitude/latitude plane.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the 2-D space the server partitions (the paper's
 /// longitude × latitude plane, normalized to arbitrary coordinates).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate (longitude).
     pub x: f64,

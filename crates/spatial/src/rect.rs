@@ -1,10 +1,9 @@
 //! Axis-aligned rectangles (grid cells, R-tree bounding boxes, place extents).
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// A closed axis-aligned rectangle `[lo.x, hi.x] × [lo.y, hi.y]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Lower-left corner.
     pub lo: Point,

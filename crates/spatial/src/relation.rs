@@ -11,10 +11,9 @@
 
 use crate::circle::Circle;
 use crate::rect::Rect;
-use serde::{Deserialize, Serialize};
 
 /// Relationship of a protecting region with a cell (paper §III.C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relation {
     /// The region does not intersect the cell: no place in the cell is
     /// protected by the unit.

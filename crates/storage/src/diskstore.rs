@@ -22,7 +22,6 @@ use crate::error::{CorruptKind, RecordError, StorageError};
 use crate::place::{PlaceId, PlaceRecord};
 use crate::stats::StorageStats;
 use crate::store::{partition_by_cell, PlaceStore};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ctup_spatial::{CellId, CellLayout, Grid, Point, Rect};
 use std::borrow::Cow;
 use std::time::Instant;
@@ -39,42 +38,47 @@ const TAG_EXTENDED: u8 = 1;
 /// Worst-case encoded record size (extended record).
 const MAX_RECORD: usize = 57;
 
-/// Encodes one record onto a buffer (25 or 57 bytes).
-fn encode_record(buf: &mut BytesMut, record: &PlaceRecord) {
-    buf.put_u32_le(record.id.0);
-    buf.put_f64_le(record.pos.x);
-    buf.put_f64_le(record.pos.y);
-    buf.put_u32_le(record.rp);
+/// Encodes one record onto a buffer (25 or 57 bytes), little-endian.
+fn encode_record(buf: &mut Vec<u8>, record: &PlaceRecord) {
+    buf.extend_from_slice(&record.id.0.to_le_bytes());
+    buf.extend_from_slice(&record.pos.x.to_le_bytes());
+    buf.extend_from_slice(&record.pos.y.to_le_bytes());
+    buf.extend_from_slice(&record.rp.to_le_bytes());
     match &record.extent {
-        None => buf.put_u8(TAG_POINT),
+        None => buf.push(TAG_POINT),
         Some(r) => {
-            buf.put_u8(TAG_EXTENDED);
-            buf.put_f64_le(r.lo.x);
-            buf.put_f64_le(r.lo.y);
-            buf.put_f64_le(r.hi.x);
-            buf.put_f64_le(r.hi.y);
+            buf.push(TAG_EXTENDED);
+            for v in [r.lo.x, r.lo.y, r.hi.x, r.hi.y] {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
         }
     }
 }
 
+/// Splits the next `N` bytes off the front of `buf`; a payload that ends
+/// before them is truncated.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], RecordError> {
+    let (head, rest) = buf.split_first_chunk::<N>().ok_or(RecordError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
+}
+
+fn take_f64(buf: &mut &[u8]) -> Result<f64, RecordError> {
+    take(buf).map(f64::from_le_bytes)
+}
+
 /// Decodes one record from a buffer. Never panics: truncated payloads and
 /// unknown tags come back as typed errors.
-fn decode_record(buf: &mut impl Buf) -> Result<PlaceRecord, RecordError> {
-    // Fixed prefix: id + pos + rp + tag = 25 bytes.
-    if buf.remaining() < 25 {
-        return Err(RecordError::Truncated);
-    }
-    let id = PlaceId(buf.get_u32_le());
-    let pos = Point::new(buf.get_f64_le(), buf.get_f64_le());
-    let rp = buf.get_u32_le();
-    let extent = match buf.get_u8() {
+fn decode_record(buf: &mut &[u8]) -> Result<PlaceRecord, RecordError> {
+    let id = PlaceId(u32::from_le_bytes(take(buf)?));
+    let pos = Point::new(take_f64(buf)?, take_f64(buf)?);
+    let rp = u32::from_le_bytes(take(buf)?);
+    let [tag] = take(buf)?;
+    let extent = match tag {
         TAG_POINT => None,
         TAG_EXTENDED => {
-            if buf.remaining() < 32 {
-                return Err(RecordError::Truncated);
-            }
-            let lo = Point::new(buf.get_f64_le(), buf.get_f64_le());
-            let hi = Point::new(buf.get_f64_le(), buf.get_f64_le());
+            let lo = Point::new(take_f64(buf)?, take_f64(buf)?);
+            let hi = Point::new(take_f64(buf)?, take_f64(buf)?);
             Some(Rect::new(lo, hi))
         }
         tag => return Err(RecordError::UnknownTag(tag)),
@@ -88,25 +92,25 @@ fn decode_record(buf: &mut impl Buf) -> Result<PlaceRecord, RecordError> {
 }
 
 /// Wraps a record payload into a checksummed page frame.
-fn encode_frame(payload: &[u8]) -> Bytes {
+fn encode_frame(payload: &[u8]) -> Vec<u8> {
     debug_assert!(payload.len() <= PAGE_SIZE - FRAME_HEADER);
-    let mut frame = BytesMut::with_capacity(FRAME_HEADER + payload.len());
-    frame.put_u16_le(payload.len() as u16);
-    frame.put_u32_le(crc32(payload));
-    frame.put_slice(payload);
-    frame.freeze()
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame.extend_from_slice(&(payload.len() as u16).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
 }
 
 /// Packs `records` into checksummed page frames exactly as
 /// [`PagedDiskStore::build`] does for one cell. Public so tests and tools
 /// can exercise the page codec without building a whole store.
-pub fn encode_pages(records: &[PlaceRecord]) -> Vec<Bytes> {
+pub fn encode_pages(records: &[PlaceRecord]) -> Vec<Vec<u8>> {
     let mut pages = Vec::new();
-    let mut buf = BytesMut::with_capacity(PAGE_SIZE);
+    let mut buf = Vec::with_capacity(PAGE_SIZE);
     for record in records {
         if FRAME_HEADER + buf.len() + MAX_RECORD > PAGE_SIZE {
-            pages.push(encode_frame(&buf.split()));
-            buf.reserve(PAGE_SIZE);
+            pages.push(encode_frame(&buf));
+            buf.clear();
         }
         encode_record(&mut buf, record);
     }
@@ -134,9 +138,8 @@ pub(crate) fn decode_frame(
     if frame.len() < FRAME_HEADER {
         return Err(corrupt(CorruptKind::TruncatedFrame));
     }
-    let mut header = &frame[..FRAME_HEADER];
-    let len = header.get_u16_le() as usize;
-    let crc = header.get_u32_le();
+    let len = u16::from_le_bytes([frame[0], frame[1]]) as usize;
+    let crc = u32::from_le_bytes([frame[2], frame[3], frame[4], frame[5]]);
     let payload = &frame[FRAME_HEADER..];
     if payload.len() != len {
         return Err(corrupt(CorruptKind::LengthMismatch));
@@ -145,7 +148,7 @@ pub(crate) fn decode_frame(
         return Err(corrupt(CorruptKind::ChecksumMismatch));
     }
     let mut buf = payload;
-    while buf.has_remaining() {
+    while !buf.is_empty() {
         out.push(decode_record(&mut buf).map_err(|e| corrupt(CorruptKind::BadRecord(e)))?);
     }
     Ok(())
@@ -164,7 +167,7 @@ pub(crate) struct CellLocation {
 pub struct PagedDiskStore {
     grid: Grid,
     layout: CellLayout,
-    pages: Vec<Bytes>,
+    pages: Vec<Vec<u8>>,
     directory: Vec<CellLocation>,
     margins: Vec<f64>,
     num_places: usize,
@@ -250,9 +253,7 @@ impl PagedDiskStore {
     /// Rewrites one page in place, bypassing the frame codec — the hook the
     /// fault-injecting wrapper uses to model torn writes and bit rot.
     pub(crate) fn mutate_page(&mut self, idx: usize, f: impl FnOnce(&mut Vec<u8>)) {
-        let mut bytes = self.pages[idx].to_vec();
-        f(&mut bytes);
-        self.pages[idx] = Bytes::from(bytes);
+        f(&mut self.pages[idx]);
     }
 
     pub(crate) fn simulate_latency(&self, pages: u64) -> u64 {
@@ -348,17 +349,17 @@ mod tests {
     #[test]
     fn codec_roundtrip() {
         for record in sample_places(10) {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_record(&mut buf, &record);
             let mut read = &buf[..];
             assert_eq!(decode_record(&mut read).expect("decode"), record);
-            assert!(!read.has_remaining());
+            assert!(read.is_empty());
         }
     }
 
     #[test]
     fn decode_rejects_truncation_and_bad_tags() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_record(&mut buf, &sample_places(1)[0]);
         for keep in 0..buf.len() {
             let mut read = &buf[..keep];
@@ -368,7 +369,7 @@ mod tests {
                 "prefix of {keep} bytes"
             );
         }
-        let mut bad = buf.to_vec();
+        let mut bad = buf.clone();
         bad[24] = 7; // the tag byte of a point record
         let mut read = &bad[..];
         assert_eq!(decode_record(&mut read), Err(RecordError::UnknownTag(7)));
@@ -376,7 +377,7 @@ mod tests {
 
     #[test]
     fn frame_roundtrip_and_detection() {
-        let mut payload = BytesMut::new();
+        let mut payload = Vec::new();
         for record in sample_places(20) {
             encode_record(&mut payload, &record);
         }
@@ -393,7 +394,7 @@ mod tests {
         }
 
         // Bit flip anywhere: detected.
-        let mut bytes = frame.to_vec();
+        let mut bytes = frame.clone();
         for byte in 0..bytes.len() {
             bytes[byte] ^= 0x10;
             let mut out = Vec::new();

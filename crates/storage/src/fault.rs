@@ -24,8 +24,8 @@ use crate::place::PlaceRecord;
 use crate::stats::StorageStats;
 use crate::store::PlaceStore;
 use ctup_spatial::{CellId, Grid};
-use parking_lot::Mutex;
 use std::borrow::Cow;
+use std::sync::Mutex;
 
 /// SplitMix64 — a tiny, high-quality seeded generator. Hand-rolled so the
 /// storage crate's fault layer needs no runtime dependency and behaves
@@ -262,7 +262,12 @@ impl FaultDisk {
         let loc = self.inner.location(cell);
         let mut spike_nanos = 0u64;
         {
-            let mut rng = self.rng.lock();
+            // The generator is one `u64`, valid after every step, so a
+            // poisoned lock is still usable.
+            let mut rng = match self.rng.lock() {
+                Ok(guard) => guard,
+                Err(poisoned) => poisoned.into_inner(),
+            };
             for page in loc.first_page..loc.first_page + loc.num_pages {
                 if rng.chance(self.plan.read_error_prob) {
                     return Err(StorageError::Io { page, attempts: 1 });

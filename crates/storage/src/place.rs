@@ -1,10 +1,9 @@
 //! Place records — the protected objects stored at the lower level.
 
 use ctup_spatial::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a place, dense in `0..|P|`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlaceId(pub u32);
 
 impl PlaceId {
@@ -20,7 +19,7 @@ impl PlaceId {
 /// The paper models places as points; the "places with extent" future-work
 /// extension is supported through the optional `extent` rectangle (which
 /// must contain `pos`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlaceRecord {
     /// Identifier, unique within a data set.
     pub id: PlaceId,

@@ -11,7 +11,6 @@
 //! suffices — no other memory is published through these cells.
 
 use ctup_obs::{AtomicHistogram, LogHistogram};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Live counters owned by a store. Reads are `&self`, hence atomics.
@@ -130,7 +129,7 @@ impl StorageStats {
 }
 
 /// A point-in-time copy of [`StorageStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStatsSnapshot {
     /// Number of lower-level cell accesses.
     pub cell_reads: u64,

@@ -20,7 +20,9 @@ use ctup::core::OptCtup;
 use ctup::mogen::{PlaceGenConfig, Workload, WorkloadParams};
 use ctup::spatial::Grid;
 use ctup::storage::{CellLocalStore, PlaceStore};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn main() {
     let mut workload = Workload::generate(WorkloadParams {
@@ -41,64 +43,77 @@ fn main() {
     println!("spawning the monitor worker …");
     let monitor = OptCtup::new(CtupConfig::with_k(8), store, &units).expect("clean store");
     let pipeline = Pipeline::spawn(monitor, 1024);
-    let events = pipeline.events().clone();
+    let streaming = AtomicBool::new(true);
 
-    // Consumer thread: the dispatcher console.
-    let console = std::thread::spawn(move || {
-        let mut shown = 0usize;
-        let mut total = 0usize;
-        for batch in events.iter() {
-            total += batch.events.len();
-            for event in &batch.events {
-                if shown < 15 {
-                    match *event {
-                        MonitorEvent::Entered { place, safety } => {
-                            println!(
-                                "  [upd {:>5}] ALERT place {:>5} (safety {safety})",
-                                batch.seq, place.0
-                            )
-                        }
-                        MonitorEvent::Left { place } => {
-                            println!("  [upd {:>5}] clear place {:>5}", batch.seq, place.0)
-                        }
-                        MonitorEvent::SafetyChanged { place, old, new } => {
-                            println!(
-                                "  [upd {:>5}] place {:>5} {old} -> {new}",
-                                batch.seq, place.0
-                            )
+    let (total_events, dropped) = std::thread::scope(|s| {
+        // Consumer thread: the dispatcher console. It borrows the
+        // pipeline's event receiver and sweeps it until the front-end
+        // below has stopped streaming, then once more.
+        let console = s.spawn(|| {
+            let mut shown = 0usize;
+            let mut total = 0usize;
+            loop {
+                let live = streaming.load(Ordering::Acquire);
+                for batch in pipeline.events().try_iter() {
+                    total += batch.events.len();
+                    for event in &batch.events {
+                        if shown < 15 {
+                            match *event {
+                                MonitorEvent::Entered { place, safety } => {
+                                    println!(
+                                        "  [upd {:>5}] ALERT place {:>5} (safety {safety})",
+                                        batch.seq, place.0
+                                    )
+                                }
+                                MonitorEvent::Left { place } => {
+                                    println!("  [upd {:>5}] clear place {:>5}", batch.seq, place.0)
+                                }
+                                MonitorEvent::SafetyChanged { place, old, new } => {
+                                    println!(
+                                        "  [upd {:>5}] place {:>5} {old} -> {new}",
+                                        batch.seq, place.0
+                                    )
+                                }
+                            }
+                            shown += 1;
                         }
                     }
-                    shown += 1;
                 }
+                if !live {
+                    return total;
+                }
+                std::thread::sleep(Duration::from_millis(1));
             }
-        }
-        total
-    });
+        });
 
-    // Producer: the wireless front-end streaming 5 000 reports.
-    let mut dropped = 0usize;
-    for update in workload.next_updates(5_000) {
-        let update = LocationUpdate {
-            unit: UnitId(update.object),
-            new: update.to,
-        };
-        match pipeline.try_send(update) {
-            Ok(()) => {}
-            Err(SendError::Full) => {
-                // Backpressure: a real front-end would coalesce; we block.
-                pipeline.send(update).expect("monitor worker alive");
-                dropped += 1;
+        // Producer: the wireless front-end streaming 5 000 reports.
+        let mut dropped = 0usize;
+        for update in workload.next_updates(5_000) {
+            let update = LocationUpdate {
+                unit: UnitId(update.object),
+                new: update.to,
+            };
+            match pipeline.try_send(update) {
+                Ok(()) => {}
+                Err(SendError::Full) => {
+                    // Backpressure: a real front-end would coalesce; we block.
+                    pipeline.send(update).expect("monitor worker alive");
+                    dropped += 1;
+                }
+                Err(SendError::WorkerDied) => break,
             }
-            Err(SendError::WorkerDied) => break,
         }
-    }
+        streaming.store(false, Ordering::Release);
+        (console.join().expect("console thread"), dropped)
+    });
+    // Shutdown takes the receiver with it: batches for updates still
+    // queued when the console made its last sweep are counted below only.
     let report = pipeline.shutdown();
-    let total_events = console.join().expect("console thread");
 
     println!("\nworker processed {} updates", report.updates_processed);
     println!("events consumed on the console thread: {total_events}");
     println!(
-        "events emitted by the monitor:         {}",
+        "events emitted by the monitor:         {} (the rest were still queued at shutdown)",
         report.events_emitted
     );
     println!("updates that hit backpressure: {dropped}");

@@ -18,13 +18,11 @@ use ctup::core::metrics::ResilienceStats;
 use ctup::core::supervisor::{ResilienceConfig, SupervisedPipeline};
 use ctup::core::types::{LocationUpdate, UnitId};
 use ctup::core::{OptCtup, Oracle};
-use ctup::mogen::{FaultPlan, PlaceGenConfig, Workload, WorkloadParams};
+use ctup::mogen::{FaultPlan, PlaceGenConfig, SeededRng, Workload, WorkloadParams};
 use ctup::spatial::{Grid, Point};
 use ctup::storage::{
     CellLocalStore, DiskFaultPlan, FaultDisk, PlaceStore, RetryPolicy, StorageError,
 };
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::sync::Arc;
 
 const NUM_UNITS: u32 = 25;
@@ -50,8 +48,8 @@ fn setup(seed: u64) -> (Workload, Arc<dyn PlaceStore>) {
 /// Randomly poisons a wire report: NaN coordinate, position far outside
 /// the monitored space, or an unknown unit id. All three must be caught by
 /// the ingest gate's validation.
-fn corrupt_report(report: &mut StampedUpdate, rng: &mut StdRng) {
-    match rng.gen_range(0..3u8) {
+fn corrupt_report(report: &mut StampedUpdate, rng: &mut SeededRng) {
+    match rng.gen_range(0..3) {
         0 => report.update.new = Point::new(f64::NAN, report.update.new.y),
         1 => report.update.new = Point::new(5.0, 5.0),
         _ => report.update.unit = UnitId(10_000),

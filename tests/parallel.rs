@@ -27,11 +27,9 @@ use ctup::core::ingest::{stamp_stream, IngestConfig, IngestGate, StampedUpdate};
 use ctup::core::metrics::ResilienceStats;
 use ctup::core::types::{LocationUpdate, TopKEntry, UnitId};
 use ctup::core::{OptCtup, Oracle, ShardedCtup};
-use ctup::mogen::{FaultPlan, PlaceGenConfig, Workload, WorkloadParams};
+use ctup::mogen::{FaultPlan, PlaceGenConfig, SeededRng, Workload, WorkloadParams};
 use ctup::spatial::{Grid, Point};
 use ctup::storage::{CachedStore, CellLocalStore, PlaceStore};
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::sync::Arc;
 
 const NUM_UNITS: u32 = 20;
@@ -161,8 +159,8 @@ fn sharded_matches_sequential_for_all_shard_counts_and_cache_sizes() {
 /// Randomly poisons a wire report, mirroring the chaos suite: NaN
 /// coordinate, position far outside the monitored space, or an unknown
 /// unit id. The ingest gate must reject all three.
-fn corrupt_report(report: &mut StampedUpdate, rng: &mut StdRng) {
-    match rng.gen_range(0..3u8) {
+fn corrupt_report(report: &mut StampedUpdate, rng: &mut SeededRng) {
+    match rng.gen_range(0..3) {
         0 => report.update.new = Point::new(f64::NAN, report.update.new.y),
         1 => report.update.new = Point::new(5.0, 5.0),
         _ => report.update.unit = UnitId(10_000),
