@@ -26,16 +26,10 @@
 //! healed in-process from the durable slot + WAL tail, and primary
 //! kills absorbed by warm-standby promotion — and writes per-trial
 //! outage durations for both recovery levels as JSON.
-//!
-//! `--layout-out FILE` runs the cell-layout matrix — row-major vs
-//! Z-order layout × 1/2/4/8 shards × cell cache off/on over the
-//! 20us/page simulated disk — and writes one snapshot per config plus
-//! the cross-shard fan-out and merge-skip figures as JSON.
 
 use ctup_bench::experiments::{self, Effort, Table};
 use ctup_bench::harness::{
-    layout_matrix, run_layout_matrix, shard_scaling_matrix, snapshot_algorithms, snapshot_sharded,
-    SetupParams,
+    shard_scaling_matrix, snapshot_algorithms, snapshot_sharded, SetupParams,
 };
 
 type Runner = Box<dyn Fn(Effort) -> Table>;
@@ -77,7 +71,6 @@ fn main() {
     let mut sharded_out_file: Option<String> = None;
     let mut overload_out_file: Option<String> = None;
     let mut failover_out_file: Option<String> = None;
-    let mut layout_out_file: Option<String> = None;
     let mut selected: Vec<&str> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -111,13 +104,6 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--layout-out" => match iter.next() {
-                Some(path) => layout_out_file = Some(path.clone()),
-                None => {
-                    eprintln!("--layout-out requires a file path");
-                    std::process::exit(2);
-                }
-            },
             name => selected.push(name),
         }
     }
@@ -137,7 +123,6 @@ fn main() {
         ),
         ("ablation_disk", Box::new(experiments::ablation_disk)),
         ("shard_scaling", Box::new(experiments::shard_scaling)),
-        ("layout_matrix", Box::new(experiments::layout_matrix)),
         ("ext_decay", Box::new(experiments::ext_decay)),
     ];
 
@@ -243,53 +228,5 @@ fn main() {
             println!("  trial {i}: self-heal {h:.1}ms, promotion {p:.1}ms");
         }
         println!("failover MTTR bench written to {path}");
-    }
-    if let Some(path) = layout_out_file {
-        let updates = effort.updates.min(3_000);
-        let runs = run_layout_matrix(
-            &SetupParams::default(),
-            updates,
-            20_000,
-            ctup_bench::SHARD_BATCH,
-            &layout_matrix(),
-        );
-        let mut json = String::with_capacity(32 * 1024);
-        json.push_str("{\"workload\":\"layout-matrix\",\"mode\":\"");
-        json.push_str(mode);
-        json.push_str("\",\"updates\":");
-        json.push_str(&updates.to_string());
-        json.push_str(",\"page_latency_nanos\":20000,\"runs\":[");
-        for (i, run) in runs.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!(
-                "{{\"label\":\"{}\",\"layout\":\"{}\",\"shards\":{},\"cache_pages\":{},\
-                 \"fanout_per_update\":{:.4},\"merge_skips\":{},\"snapshot\":{}}}",
-                run.config.label(),
-                run.config.layout,
-                run.config.shards,
-                run.config.cache_pages,
-                run.fanout_per_update,
-                run.merge_skips,
-                run.snapshot.render_json(),
-            ));
-        }
-        json.push_str("]}");
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        for run in &runs {
-            println!(
-                "  {}: fanout/upd {:.3} pages_read {} hit_ratio {:.3} p99 {:.1}us",
-                run.config.label(),
-                run.fanout_per_update,
-                run.snapshot.storage.pages_read,
-                run.snapshot.storage.cache_hit_ratio(),
-                run.snapshot.latency.update_total_nanos.quantile(0.99) as f64 / 1e3,
-            );
-        }
-        println!("layout matrix written to {path}");
     }
 }

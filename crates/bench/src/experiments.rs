@@ -612,57 +612,6 @@ pub fn shard_scaling(effort: Effort) -> Table {
     }
 }
 
-/// Perf experiment — the Z-order spatial re-layout: row-major vs Morton
-/// cell layout across shard counts and cache budgets over the 20us/page
-/// disk. The layout decides both the shard ranges (contiguous layout-rank
-/// ranges balanced by cell load vs modulo striping) and the physical page
-/// order of the disk, so the columns show the locality the Z-curve buys:
-/// cross-shard fan-out per update, pages read, and cache hit ratio.
-pub fn layout_matrix(effort: Effort) -> Table {
-    let n = effort.updates.min(3_000);
-    let runs = crate::harness::run_layout_matrix(
-        &SetupParams::default(),
-        n,
-        20_000,
-        crate::SHARD_BATCH,
-        &crate::harness::layout_matrix(),
-    );
-    let rows = runs
-        .iter()
-        .map(|run| {
-            vec![
-                run.config.label(),
-                us(run.snapshot.latency.update_total_nanos.mean() as f64),
-                us(run.snapshot.latency.update_total_nanos.quantile(0.99) as f64),
-                format!("{:.3}", run.fanout_per_update),
-                run.snapshot.storage.pages_read.to_string(),
-                format!("{:.3}", run.snapshot.storage.cache_hit_ratio()),
-                run.snapshot.storage.cache_prefetch_hits.to_string(),
-            ]
-        })
-        .collect();
-    Table {
-        id: "layout_matrix",
-        title: "Cell layout: rowmajor vs zorder × shards × cache on a 20us/page disk".into(),
-        columns: vec![
-            "variant".into(),
-            "avg_us".into(),
-            "p99_us".into(),
-            "fanout/upd".into(),
-            "pages_read".into(),
-            "hit_ratio".into(),
-            "prefetch_hits".into(),
-        ],
-        rows,
-        notes: vec![
-            "fanout/upd = distinct shards overlapped by each update's touched cells".into(),
-            "expected at 4 shards + cache: zorder below rowmajor on fanout, pages and misses"
-                .into(),
-            "both layouts return the exact same top-k — see the differential tests".into(),
-        ],
-    }
-}
-
 /// Extension experiment — decayed protection kernels (future work #2):
 /// update cost of the decayed monitor vs its brute-force oracle.
 pub fn ext_decay(effort: Effort) -> Table {

@@ -1,14 +1,13 @@
 //! Workload construction and measurement plumbing.
 
 use ctup_core::algorithm::CtupAlgorithm;
-use ctup_core::cells::touched_cells;
 use ctup_core::config::CtupConfig;
 use ctup_core::naive::{NaiveIncremental, NaiveRecompute};
 use ctup_core::types::{LocationUpdate, UnitId};
 use ctup_core::{BasicCtup, OptCtup, ShardedCtup};
 use ctup_mogen::{PlaceGenConfig, PositionUpdate, Workload, WorkloadParams};
 use ctup_obs::LatencySnapshot;
-use ctup_spatial::{CellLayout, Circle, Grid, Point};
+use ctup_spatial::{Grid, Point};
 use ctup_storage::{CachedStore, CellLocalStore, PagedDiskStore, PlaceStore};
 use std::sync::Arc;
 use std::time::Instant;
@@ -360,166 +359,6 @@ pub fn shard_scaling_matrix() -> Vec<ShardConfig> {
     configs
 }
 
-/// One cell of the layout matrix: physical cell layout × worker shards ×
-/// cell-read cache budget.
-#[derive(Debug, Clone, Copy)]
-pub struct LayoutConfig {
-    /// Physical cell layout (shard ranges + disk page order).
-    pub layout: CellLayout,
-    /// Worker shards.
-    pub shards: u32,
-    /// Cell-read cache budget in pages (0 disables the cache).
-    pub cache_pages: u64,
-}
-
-impl LayoutConfig {
-    /// Snapshot label, e.g. `zorder-4x-cache512` / `rowmajor-1x-nocache`.
-    pub fn label(&self) -> String {
-        if self.cache_pages == 0 {
-            format!("{}-{}x-nocache", self.layout, self.shards)
-        } else {
-            format!("{}-{}x-cache{}", self.layout, self.shards, self.cache_pages)
-        }
-    }
-}
-
-/// The layout matrix `reproduce --layout-out` runs: 1/2/4/8 shards × row-major
-/// vs Z-order × cache off/on, all over the same 20us/page simulated disk.
-/// Unlike the shard-scaling matrix's 512 pages (which holds the whole
-/// ~113-page default disk, making every cached run read each page exactly
-/// once), the cache budget here is 64 pages — real eviction pressure, so
-/// the Z-order engine's batched working-set hint has evictions to fight.
-pub fn layout_matrix() -> Vec<LayoutConfig> {
-    let mut configs = Vec::new();
-    for &layout in &CellLayout::ALL {
-        for shards in [1u32, 2, 4, 8] {
-            for cache_pages in [0u64, 64] {
-                configs.push(LayoutConfig {
-                    layout,
-                    shards,
-                    cache_pages,
-                });
-            }
-        }
-    }
-    configs
-}
-
-/// One measured layout-matrix run: the unified snapshot plus the
-/// layout-specific locality figures the snapshot cannot carry.
-#[derive(Debug)]
-pub struct LayoutRun {
-    /// The configuration that produced this run.
-    pub config: LayoutConfig,
-    /// Distinct shards whose cell ranges each update's touched-cell set
-    /// (old circle ∪ new circle) overlaps, averaged over the stream —
-    /// the cross-shard fan-out the Z-order ranges are meant to shrink.
-    pub fanout_per_update: f64,
-    /// Batches whose merge the coordinator skipped because no shard's
-    /// local top-k changed.
-    pub merge_skips: u64,
-    /// The unified observability snapshot (lower-level disk counters).
-    pub snapshot: ctup_core::Snapshot,
-}
-
-/// Runs the sharded engine over the Table III workload on a simulated
-/// paged disk for every layout-matrix config, returning one [`LayoutRun`]
-/// per config. Mirrors [`snapshot_sharded`], with three differences: the
-/// disk is packed in the config's layout, the shard map is carved from
-/// the same layout, and the deterministic cross-shard fan-out of the
-/// stream is measured against that shard map before the engine runs.
-///
-/// # Panics
-///
-/// Panics if the store reports a fault: the benchmark disk is clean, so a
-/// fault is a harness bug, not a measurable condition.
-pub fn run_layout_matrix(
-    params: &SetupParams,
-    updates: usize,
-    page_latency_nanos: u64,
-    batch_size: usize,
-    configs: &[LayoutConfig],
-) -> Vec<LayoutRun> {
-    configs
-        .iter()
-        .map(|cfg| {
-            let wl_params = WorkloadParams {
-                num_units: params.num_units,
-                places: PlaceGenConfig {
-                    count: params.num_places,
-                    ..PlaceGenConfig::default()
-                },
-                seed: params.seed,
-                tick_dt: params.tick_dt,
-                ..WorkloadParams::default()
-            };
-            let mut workload = Workload::generate(wl_params);
-            let grid = Grid::unit_square(params.granularity);
-            let base: Arc<dyn PlaceStore> = Arc::new(PagedDiskStore::build_with_layout(
-                grid.clone(),
-                workload.places_vec(),
-                page_latency_nanos,
-                cfg.layout,
-            ));
-            let store: Arc<dyn PlaceStore> = if cfg.cache_pages == 0 {
-                base.clone()
-            } else {
-                Arc::new(CachedStore::new(base.clone(), cfg.cache_pages))
-            };
-            let units = workload.unit_positions();
-            let mut alg = ShardedCtup::new_with_layout(
-                params.config.clone(),
-                store,
-                &units,
-                cfg.shards,
-                cfg.layout,
-            )
-            .unwrap_or_else(|e| panic!("benchmark store must be clean: {e}"));
-            let batch = stream(workload.next_updates(updates));
-
-            // The fan-out is a pure function of the stream and the shard
-            // map, so it is measured in its own pass over a position
-            // mirror — the engine run below is left untimed by it.
-            let radius = params.config.protection_radius;
-            let map = alg.shard_map().clone();
-            let mut positions = units.clone();
-            let mut shards_touched_total = 0u64;
-            let mut seen = vec![false; cfg.shards as usize];
-            for update in &batch {
-                let old = positions[update.unit.index()];
-                positions[update.unit.index()] = update.new;
-                seen.iter_mut().for_each(|s| *s = false);
-                for cell in touched_cells(
-                    &grid,
-                    &Circle::new(old, radius),
-                    &Circle::new(update.new, radius),
-                ) {
-                    let s = map.shard_of(cell) as usize;
-                    if !seen[s] {
-                        seen[s] = true;
-                        shards_touched_total += 1;
-                    }
-                }
-            }
-            let fanout_per_update = shards_touched_total as f64 / batch.len().max(1) as f64;
-
-            let (_, mut latency) = measure_batched_observed(&mut alg, &batch, batch_size);
-            latency.disk_read_nanos.merge(&base.stats().read_latency());
-            LayoutRun {
-                config: *cfg,
-                fanout_per_update,
-                merge_skips: alg.merge_skips(),
-                snapshot: ctup_core::Snapshot::new(
-                    cfg.label(),
-                    alg.metrics().clone(),
-                    base.stats().snapshot(),
-                    latency,
-                ),
-            }
-        })
-        .collect()
-}
-
 /// Runs the sharded engine over the Table III workload on a simulated
 /// paged disk (`page_latency_nanos` busy-waited per page) for every config,
 /// returning one unified snapshot per config.
@@ -685,50 +524,6 @@ mod tests {
         );
         assert!(snaps[1].storage.cache_hits + snaps[1].storage.cache_misses > 0);
         assert_eq!(snaps[1].storage.cell_reads, snaps[1].storage.cache_misses);
-    }
-
-    #[test]
-    fn layout_matrix_runs_and_measures_fanout() {
-        let params = SetupParams {
-            num_units: 8,
-            num_places: 150,
-            granularity: 5,
-            config: CtupConfig::with_k(3),
-            tick_dt: 1.0,
-            seed: 5,
-        };
-        let configs = [
-            LayoutConfig {
-                layout: CellLayout::RowMajor,
-                shards: 2,
-                cache_pages: 0,
-            },
-            // A budget well below the 25-cell store, so demand reads keep
-            // evicting and the batched working-set hint has real work.
-            LayoutConfig {
-                layout: CellLayout::ZOrder,
-                shards: 2,
-                cache_pages: 8,
-            },
-        ];
-        let runs = run_layout_matrix(&params, 120, 0, 8, &configs);
-        assert_eq!(runs[0].config.label(), "rowmajor-2x-nocache");
-        assert_eq!(runs[1].config.label(), "zorder-2x-cache8");
-        for run in &runs {
-            // Every update touches at least its own cell, so the fan-out
-            // is at least one shard per update.
-            assert!(run.fanout_per_update >= 1.0, "{}", run.fanout_per_update);
-            assert_eq!(run.snapshot.latency.update_total_nanos.count(), 120);
-        }
-        // The cached Z-order run funnels reads through the cache; how many
-        // of its hits land on hinted entries depends on the stream (the
-        // mechanism is pinned by core::parallel's hand-built test), but
-        // they are a subset of the hits, and the uncached row-major run
-        // has neither.
-        let cached = &runs[1].snapshot.storage;
-        assert!(cached.cache_hits + cached.cache_misses > 0);
-        assert!(cached.cache_prefetch_hits <= cached.cache_hits);
-        assert_eq!(runs[0].snapshot.storage.cache_prefetch_hits, 0);
     }
 
     #[test]

@@ -12,8 +12,7 @@ pub mod experiments;
 pub mod harness;
 
 pub use harness::{
-    build_setup, layout_matrix, measure_batched_observed, measure_updates,
-    measure_updates_observed, run_layout_matrix, shard_scaling_matrix, snapshot_algorithms,
-    snapshot_sharded, stream, AlgKind, LayoutConfig, LayoutRun, RunSummary, Setup, SetupParams,
-    ShardConfig, SHARD_BATCH,
+    build_setup, measure_batched_observed, measure_updates, measure_updates_observed,
+    shard_scaling_matrix, snapshot_algorithms, snapshot_sharded, stream, AlgKind, RunSummary,
+    Setup, SetupParams, ShardConfig, SHARD_BATCH,
 };

@@ -21,7 +21,7 @@ use ctup_mogen::{
     ChaosStream, FaultPlan, NetFaultPlan, PlaceGenConfig, PlaceGenerator, Workload, WorkloadParams,
 };
 use ctup_obs::{summarize, LatencySnapshot, MetricsServer, Span, SpanSink, Stage};
-use ctup_spatial::{CellLayout, Grid, Point};
+use ctup_spatial::{Grid, Point};
 use ctup_storage::{
     snapshot, CachedStore, CellLocalStore, DiskFaultPlan, FaultDisk, PlaceStore, RetryPolicy,
     StorageError,
@@ -127,9 +127,6 @@ struct EngineParams {
     shards: u32,
     /// Page budget of the cell-read cache; 0 disables it.
     cell_cache_pages: u64,
-    /// Cell layout: how cells map to shard ranges (and, for paged stores,
-    /// how pages are packed on disk). Row-major is the legacy oracle.
-    layout: CellLayout,
 }
 
 fn engine_params(flags: &Flags) -> Result<EngineParams, CliError> {
@@ -137,16 +134,9 @@ fn engine_params(flags: &Flags) -> Result<EngineParams, CliError> {
     if shards == 0 {
         return Err(CliError("--shards must be at least 1".into()));
     }
-    let layout = match flags.get_str("layout") {
-        None => CellLayout::RowMajor,
-        Some(name) => name
-            .parse()
-            .map_err(|e: String| CliError(format!("--layout: {e}")))?,
-    };
     Ok(EngineParams {
         shards,
         cell_cache_pages: flags.get("cell-cache-pages", 0)?,
-        layout,
     })
 }
 
@@ -166,7 +156,6 @@ fn build_algorithm(
     store: Arc<dyn PlaceStore>,
     units: &[ctup_spatial::Point],
     shards: u32,
-    layout: CellLayout,
 ) -> Result<Box<dyn CtupAlgorithm>, CliError> {
     if shards > 1 {
         if name != "opt" {
@@ -176,7 +165,7 @@ fn build_algorithm(
             )));
         }
         return Ok(Box::new(
-            ShardedCtup::new_with_layout(config, store, units, shards, layout).map_err(init_err)?,
+            ShardedCtup::new(config, store, units, shards).map_err(init_err)?,
         ));
     }
     Ok(match name {
@@ -302,7 +291,6 @@ pub fn run(args: Vec<String>, out: &mut dyn Write) -> Result<(), CliError> {
         "no-doo",
         "shards",
         "cell-cache-pages",
-        "layout",
     ])?;
     let params = common_params(&flags)?;
     let engine = engine_params(&flags)?;
@@ -341,7 +329,6 @@ pub fn run(args: Vec<String>, out: &mut dyn Write) -> Result<(), CliError> {
         Arc::clone(&store),
         &unit_positions,
         engine.shards,
-        engine.layout,
     )?;
     writeln!(
         out,
@@ -627,10 +614,8 @@ pub fn chaos(args: Vec<String>, out: &mut dyn Write) -> Result<(), CliError> {
         "self-heal",
         "kill-repeat",
         "max-revives",
-        "layout",
     ])?;
     let params = common_params(&flags)?;
-    let engine = engine_params(&flags)?;
     let updates: usize = flags.get("updates", 1_000)?;
     let panic_at: Vec<u64> = match flags.get_str("panic-at") {
         None => Vec::new(),
@@ -676,18 +661,16 @@ pub fn chaos(args: Vec<String>, out: &mut dyn Write) -> Result<(), CliError> {
     // A faulty disk only when asked for: the plain chaos path keeps the
     // in-memory store so the link faults are isolated from the disk faults.
     let store: Arc<dyn PlaceStore> = if plan.disk.is_active() {
-        let disk = FaultDisk::build_with_layout(
+        let disk = FaultDisk::build(
             grid,
             workload.places_vec(),
             0,
             plan.disk.clone(),
             RetryPolicy::default(),
-            engine.layout,
         );
         writeln!(
             out,
-            "faulty disk ({} layout): {} pages corrupted at build ({} cells unreadable), transient read error prob {}",
-            engine.layout,
+            "faulty disk: {} pages corrupted at build ({} cells unreadable), transient read error prob {}",
             disk.corrupted_pages().len(),
             disk.corrupted_cells().len(),
             plan.disk.read_error_prob,
@@ -971,7 +954,6 @@ fn run_workload_for_snapshot(flags: &Flags) -> Result<Snapshot, CliError> {
         Arc::clone(&store),
         &unit_positions,
         engine.shards,
-        engine.layout,
     )?;
     let records_internally = alg.internal_latency().is_some();
     let mut latency = LatencySnapshot::default();
@@ -1003,7 +985,6 @@ const SNAPSHOT_FLAGS: &[&str] = &[
     "no-doo",
     "shards",
     "cell-cache-pages",
-    "layout",
 ];
 
 /// `ctup report` — run a workload and emit the unified metrics snapshot
@@ -2000,7 +1981,7 @@ USAGE:
   ctup run      [--algorithm opt|basic|naive|naive-inc] [--updates N] [--units N]
                 [--places N | --places-file FILE] [--granularity G] [--seed S]
                 [--k K | --threshold T] [--delta D] [--radius R] [--no-doo] [--events]
-                [--shards N] [--cell-cache-pages M] [--layout rowmajor|zorder]
+                [--shards N] [--cell-cache-pages M]
   ctup run-opt  [same workload flags] [--checkpoint-out FILE]
   ctup resume   --checkpoint FILE [--skip N] [--updates N] [--places N] [--seed S]
   ctup chaos    [same workload flags] [--drop P] [--dup P] [--reorder P] [--reorder-window W]
@@ -2010,7 +1991,6 @@ USAGE:
                 [--state-dir DIR] [--kill-at N] [--tear-slot] [--recover]
                 [--flight-recorder N] [--flight-recorder-keep N]
                 [--self-heal] [--kill-repeat] [--max-revives N]
-                [--layout rowmajor|zorder]
   ctup report   [same workload flags] [--format text|json|prom] [--out FILE]
   ctup serve-metrics [same workload flags] [--addr HOST:PORT] [--serve-secs N]
   ctup serve    [same workload flags] [--addr HOST:PORT] [--metrics-addr HOST:PORT]
@@ -2033,15 +2013,12 @@ are merged into the exact global answer — same SK and safeties as the
 sequential run, differing at most in which equally-unsafe places tie at SK.
 `--cell-cache-pages M` puts a bounded LRU cell-read cache (M pages) in front of
 the store; hits, misses, evictions, prefetch hits and the derived
-cache_hit_ratio appear in every report format. `--layout zorder` switches the
-physical cell layout to Morton (Z-order): shard ranges follow the Z-curve
-(contiguous rank ranges balanced by cell load instead of modulo striping), the
-sharded coordinator hands each batch's touched cells to the cache as one
+cache_hit_ratio appear in every report format. Cells are ordered along the
+Morton (Z-order) curve: shards own contiguous Z-ranges balanced by cell load,
+the sharded coordinator hands each batch's touched cells to the cache as one
 working-set hint before the workers run — pinning resident cells and re-warming
-just-evicted ones — and faulty-disk pages (`chaos --disk-faults`) are
-packed in Morton order. The default `rowmajor` keeps the legacy striped layout
-as the differential oracle — both layouts produce the exact same top-k. These
-flags also apply to `report` and `serve-metrics`.
+just-evicted ones — and faulty-disk pages (`chaos --disk-faults`) are packed
+in Z-order. These flags also apply to `report` and `serve-metrics`.
 `chaos` degrades the feed with a seeded fault plan, runs the supervised
 pipeline over it (ingest validation, liveness leases, checkpoint-restart on
 injected panics), and prints the resilience counters. `--disk-faults P` adds
@@ -2175,69 +2152,75 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_sequential_result() {
-        let base = [
-            "--places",
-            "300",
-            "--units",
-            "10",
-            "--updates",
-            "80",
-            "--k",
-            "4",
-            "--seed",
-            "17",
-        ];
-        let sequential = run_cmd(run, &base).expect("sequential run");
-        let mut sharded_args = base.to_vec();
-        sharded_args.extend(["--shards", "4", "--cell-cache-pages", "64"]);
-        let sharded = run_cmd(run, &sharded_args).expect("sharded run");
-        assert!(sharded.contains("using sharded"), "{sharded}");
-        // Parse the `  place {id}  safety {s}` lines of the final result.
-        let entries = |s: &str| -> Vec<(u64, i64)> {
-            s.lines()
-                .skip_while(|l| !l.starts_with("final result:"))
-                .skip(1)
-                .take_while(|l| !l.starts_with("costs:"))
-                .map(|l| {
-                    let mut words = l.split_whitespace();
-                    assert_eq!(words.next(), Some("place"), "{l}");
-                    let place = words.next().expect("place id").parse().expect("place id");
-                    assert_eq!(words.next(), Some("safety"), "{l}");
-                    let safety = words.next().expect("safety").parse().expect("safety");
-                    (place, safety)
-                })
-                .collect()
-        };
-        let seq_entries = entries(&sequential);
-        let sharded_entries = entries(&sharded);
-        // The engines must agree on every safety and on every entry
-        // strictly below SK; the tie tail at SK is implementation-chosen
-        // (see DESIGN.md §13), so place ids there may differ.
-        let safeties = |r: &[(u64, i64)]| r.iter().map(|&(_, s)| s).collect::<Vec<_>>();
-        assert_eq!(
-            safeties(&seq_entries),
-            safeties(&sharded_entries),
-            "sequential:\n{sequential}\nsharded:\n{sharded}"
-        );
-        let sk = seq_entries.get(3).map(|&(_, s)| s);
-        let strictly_below = |r: &[(u64, i64)]| -> Vec<(u64, i64)> {
-            r.iter()
-                .filter(|&&(_, s)| sk.is_none_or(|sk| s < sk))
-                .copied()
-                .collect()
-        };
-        assert_eq!(
-            strictly_below(&seq_entries),
-            strictly_below(&sharded_entries),
-            "sequential:\n{sequential}\nsharded:\n{sharded}"
-        );
-        // The sharded engine's per-shard latency channels feed the report:
-        // 80 updates seen by 4 shards = 320 samples in the merged histogram.
-        let total_line = sharded
-            .lines()
-            .find(|l| l.starts_with("latency update-total"))
-            .expect("update-total latency line");
-        assert!(total_line.contains("n=320 "), "{total_line}");
+        // (seed, updates, shards, update-total samples = updates × shards)
+        for (seed, updates, shards, samples) in [("17", "80", "4", 320), ("29", "60", "3", 180)] {
+            let base = [
+                "--places",
+                "300",
+                "--units",
+                "10",
+                "--updates",
+                updates,
+                "--k",
+                "4",
+                "--seed",
+                seed,
+            ];
+            let sequential = run_cmd(run, &base).expect("sequential run");
+            let mut sharded_args = base.to_vec();
+            sharded_args.extend(["--shards", shards, "--cell-cache-pages", "64"]);
+            let sharded = run_cmd(run, &sharded_args).expect("sharded run");
+            assert!(sharded.contains("using sharded"), "{sharded}");
+            // Parse the `  place {id}  safety {s}` lines of the final result.
+            let entries = |s: &str| -> Vec<(u64, i64)> {
+                s.lines()
+                    .skip_while(|l| !l.starts_with("final result:"))
+                    .skip(1)
+                    .take_while(|l| !l.starts_with("costs:"))
+                    .map(|l| {
+                        let mut words = l.split_whitespace();
+                        assert_eq!(words.next(), Some("place"), "{l}");
+                        let place = words.next().expect("place id").parse().expect("place id");
+                        assert_eq!(words.next(), Some("safety"), "{l}");
+                        let safety = words.next().expect("safety").parse().expect("safety");
+                        (place, safety)
+                    })
+                    .collect()
+            };
+            let seq_entries = entries(&sequential);
+            let sharded_entries = entries(&sharded);
+            // The engines must agree on every safety and on every entry
+            // strictly below SK; the tie tail at SK is implementation-chosen
+            // (see DESIGN.md §13), so place ids there may differ.
+            let safeties = |r: &[(u64, i64)]| r.iter().map(|&(_, s)| s).collect::<Vec<_>>();
+            assert_eq!(
+                safeties(&seq_entries),
+                safeties(&sharded_entries),
+                "sequential:\n{sequential}\nsharded:\n{sharded}"
+            );
+            let sk = seq_entries.get(3).map(|&(_, s)| s);
+            let strictly_below = |r: &[(u64, i64)]| -> Vec<(u64, i64)> {
+                r.iter()
+                    .filter(|&&(_, s)| sk.is_none_or(|sk| s < sk))
+                    .copied()
+                    .collect()
+            };
+            assert_eq!(
+                strictly_below(&seq_entries),
+                strictly_below(&sharded_entries),
+                "sequential:\n{sequential}\nsharded:\n{sharded}"
+            );
+            // The sharded engine's per-shard latency channels feed the
+            // report: every update seen by every shard is one sample.
+            let total_line = sharded
+                .lines()
+                .find(|l| l.starts_with("latency update-total"))
+                .expect("update-total latency line");
+            assert!(
+                total_line.contains(&format!("n={samples} ")),
+                "{total_line}"
+            );
+        }
     }
 
     #[test]
@@ -2246,61 +2229,6 @@ mod tests {
         assert!(err.0.contains("requires the opt algorithm"), "{err}");
         let err = run_cmd(run, &["--shards", "0"]).expect_err("must fail");
         assert!(err.0.contains("--shards must be at least 1"), "{err}");
-    }
-
-    #[test]
-    fn zorder_run_matches_rowmajor_run() {
-        let base = [
-            "--places",
-            "300",
-            "--units",
-            "10",
-            "--updates",
-            "60",
-            "--k",
-            "4",
-            "--seed",
-            "29",
-        ];
-        let sequential = run_cmd(run, &base).expect("sequential run");
-        let mut zorder_args = base.to_vec();
-        zorder_args.extend([
-            "--shards",
-            "3",
-            "--layout",
-            "zorder",
-            "--cell-cache-pages",
-            "64",
-        ]);
-        let zorder = run_cmd(run, &zorder_args).expect("zorder run");
-        assert!(zorder.contains("using sharded"), "{zorder}");
-        // Same extraction as sharded_run_matches_sequential_result: safeties
-        // must agree exactly; the tie tail at SK is implementation-chosen.
-        let safeties = |s: &str| -> Vec<i64> {
-            s.lines()
-                .skip_while(|l| !l.starts_with("final result:"))
-                .skip(1)
-                .take_while(|l| !l.starts_with("costs:"))
-                .map(|l| {
-                    l.split_whitespace()
-                        .nth(3)
-                        .expect("safety value")
-                        .parse()
-                        .expect("safety value")
-                })
-                .collect()
-        };
-        assert_eq!(
-            safeties(&sequential),
-            safeties(&zorder),
-            "sequential:\n{sequential}\nzorder:\n{zorder}"
-        );
-    }
-
-    #[test]
-    fn unknown_layout_is_rejected() {
-        let err = run_cmd(run, &["--layout", "hilbert"]).expect_err("must fail");
-        assert!(err.0.contains("unknown cell layout"), "{err}");
     }
 
     #[test]
@@ -2495,7 +2423,7 @@ mod tests {
             ],
         )
         .expect("chaos --disk-faults");
-        assert!(out.contains("faulty disk (rowmajor layout):"), "{out}");
+        assert!(out.contains("faulty disk:"), "{out}");
         assert!(out.contains("storage counters:"));
         assert!(out.contains("cache prefetch hits"), "{out}");
         assert!(!out.contains("GAVE UP"), "{out}");
@@ -2506,12 +2434,13 @@ mod tests {
     }
 
     #[test]
-    fn chaos_zorder_disk_matches_rowmajor_under_faulty_feed_and_disk() {
-        // The same seeded fault plan (degraded feed + transient page
-        // errors) over both physical layouts: the engine reads the same
-        // cell sequence either way, so the retried reads line up and the
-        // final top-k must be identical — Morton packing moves bytes, not
-        // answers.
+    fn chaos_faulty_disk_matches_clean_store_under_faulty_feed() {
+        // The same seeded degraded feed over a disk with transient page
+        // errors and over the in-memory store: retried reads and contained
+        // storage errors change which reads happen, never the answer. The
+        // tie tail at SK may pick other places after a restart, so the
+        // final safeties are compared, as in
+        // `sharded_run_matches_sequential_result`.
         let base = [
             "--places",
             "300",
@@ -2523,156 +2452,101 @@ mod tests {
             "4",
             "--seed",
             "23",
-            "--disk-faults",
-            "0.05",
         ];
-        let mut rowmajor_args: Vec<&str> = base.to_vec();
-        rowmajor_args.extend(["--layout", "rowmajor"]);
-        let rowmajor = run_cmd(chaos, &rowmajor_args).expect("rowmajor chaos");
-        let mut zorder_args: Vec<&str> = base.to_vec();
-        zorder_args.extend(["--layout", "zorder"]);
-        let zorder = run_cmd(chaos, &zorder_args).expect("zorder chaos");
-        assert!(zorder.contains("faulty disk (zorder layout):"), "{zorder}");
-        let tail = |s: &str| {
+        let clean = run_cmd(chaos, &base).expect("chaos over the in-memory store");
+        let mut faulty_args: Vec<&str> = base.to_vec();
+        faulty_args.extend(["--disk-faults", "0.05"]);
+        let faulty = run_cmd(chaos, &faulty_args).expect("chaos over a faulty disk");
+        assert!(faulty.contains("faulty disk:"), "{faulty}");
+        let safeties = |s: &str| -> Vec<i64> {
             s.lines()
                 .skip_while(|l| !l.starts_with("final result:"))
-                .map(String::from)
-                .collect::<Vec<_>>()
+                .skip(1)
+                .map(|l| {
+                    l.split_whitespace()
+                        .nth(3)
+                        .expect("safety value")
+                        .parse()
+                        .expect("safety value")
+                })
+                .collect()
         };
-        let final_rowmajor = tail(&rowmajor);
-        assert!(!final_rowmajor.is_empty(), "{rowmajor}");
-        assert_eq!(final_rowmajor, tail(&zorder), "{rowmajor}\n---\n{zorder}");
-    }
-
-    #[test]
-    fn chaos_zorder_kill_then_recover_through_layout_tagged_checkpoint() {
-        let dir = std::env::temp_dir().join("ctup-cli-test-zorder-state");
-        std::fs::remove_dir_all(&dir).ok();
-        let dir_str = dir.to_str().unwrap().to_string();
-        // A Z-order faulty disk under the full degraded feed, checkpointing
-        // as it goes. The checkpoint carries the layout tag, so recovery
-        // over a rebuilt Z-order disk re-binds cleanly — and a restore over
-        // the wrong layout is refused instead of silently misreading pages.
-        let base = [
-            "--places",
-            "300",
-            "--units",
-            "10",
-            "--updates",
-            "200",
-            "--k",
-            "4",
-            "--seed",
-            "23",
-            "--disk-faults",
-            "0.05",
-            "--layout",
-            "zorder",
-            "--checkpoint-every",
-            "16",
-        ];
-        let uninterrupted = run_cmd(chaos, &base).expect("uninterrupted zorder chaos");
-        assert!(!uninterrupted.contains("KILLED"));
-
-        let mut kill_args: Vec<&str> = base.to_vec();
-        kill_args.extend(["--state-dir", &dir_str, "--kill-at", "60"]);
-        let killed = run_cmd(chaos, &kill_args).expect("killed zorder chaos");
-        assert!(killed.contains("KILLED"), "{killed}");
-
-        let mut wrong_layout_args: Vec<&str> = kill_args.clone();
-        let layout_pos = wrong_layout_args
-            .iter()
-            .position(|a| *a == "zorder")
-            .expect("layout flag");
-        wrong_layout_args[layout_pos] = "rowmajor";
-        wrong_layout_args.retain(|a| *a != "--kill-at" && *a != "60");
-        wrong_layout_args.push("--recover");
-        let err = run_cmd(chaos, &wrong_layout_args).expect_err("layout mismatch must fail");
-        assert!(
-            err.0.contains("taken over a zorder store") && err.0.contains("is rowmajor"),
-            "{err}"
-        );
-
-        let mut recover_args: Vec<&str> = base.to_vec();
-        recover_args.extend(["--state-dir", &dir_str, "--recover"]);
-        let recovered = run_cmd(chaos, &recover_args).expect("recovered zorder chaos");
-        assert!(recovered.contains("recovering from"), "{recovered}");
-        assert!(counter(&recovered, "updates replayed") > 0, "{recovered}");
-        let tail = |s: &str| {
-            s.lines()
-                .skip_while(|l| !l.starts_with("final result:"))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            tail(&uninterrupted),
-            tail(&recovered),
-            "uninterrupted:\n{uninterrupted}\nrecovered:\n{recovered}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        let final_clean = safeties(&clean);
+        assert!(!final_clean.is_empty(), "{clean}");
+        assert_eq!(final_clean, safeties(&faulty), "{clean}\n---\n{faulty}");
     }
 
     #[test]
     fn chaos_kill_then_recover_matches_uninterrupted_run() {
         let dir = std::env::temp_dir().join("ctup-cli-test-state");
-        std::fs::remove_dir_all(&dir).ok();
         let dir_str = dir.to_str().unwrap().to_string();
-        let base = [
-            "--places",
-            "300",
-            "--units",
-            "10",
-            "--updates",
-            "200",
-            "--k",
-            "4",
-            "--seed",
-            "21",
-            "--checkpoint-every",
-            "16",
+        // (extra run flags, extra kill flags): the in-memory store with the
+        // newest slot torn at the kill, and a disk with transient page
+        // errors under the whole run.
+        let inputs: [(&[&str], &[&str]); 2] = [
+            (&["--seed", "21"], &["--tear-slot"]),
+            (&["--seed", "23", "--disk-faults", "0.05"], &[]),
         ];
+        for (run_extra, kill_extra) in inputs {
+            std::fs::remove_dir_all(&dir).ok();
+            let mut base = vec![
+                "--places",
+                "300",
+                "--units",
+                "10",
+                "--updates",
+                "200",
+                "--k",
+                "4",
+                "--checkpoint-every",
+                "16",
+            ];
+            base.extend(run_extra);
 
-        let uninterrupted = run_cmd(chaos, &base).expect("uninterrupted chaos");
-        assert!(!uninterrupted.contains("KILLED"));
+            let uninterrupted = run_cmd(chaos, &base).expect("uninterrupted chaos");
+            assert!(!uninterrupted.contains("KILLED"));
 
-        let mut kill_args: Vec<&str> = base.to_vec();
-        kill_args.extend(["--state-dir", &dir_str, "--kill-at", "60", "--tear-slot"]);
-        let killed = run_cmd(chaos, &kill_args).expect("killed chaos run");
-        assert!(killed.contains("KILLED"), "{killed}");
-        assert!(!killed.contains("final result:\n  place"), "{killed}");
-        // The death left a parseable flight-recorder dump next to the slots.
-        assert!(killed.contains("flight recorder dumped to"), "{killed}");
-        let dump_path = dir.join("flight-recorder.jsonl");
-        let dump = std::fs::read_to_string(&dump_path).expect("dump exists");
-        assert!(dump.lines().count() > 0);
-        assert!(
-            dump.lines()
-                .last()
-                .expect("lines")
-                .contains("\"outcome\":\"killed\""),
-            "{dump}"
-        );
+            let mut kill_args = base.clone();
+            kill_args.extend(["--state-dir", &dir_str, "--kill-at", "60"]);
+            kill_args.extend(kill_extra);
+            let killed = run_cmd(chaos, &kill_args).expect("killed chaos run");
+            assert!(killed.contains("KILLED"), "{killed}");
+            assert!(!killed.contains("final result:\n  place"), "{killed}");
+            // The death left a parseable flight-recorder dump next to the
+            // slots.
+            assert!(killed.contains("flight recorder dumped to"), "{killed}");
+            let dump_path = dir.join("flight-recorder.jsonl");
+            let dump = std::fs::read_to_string(&dump_path).expect("dump exists");
+            assert!(dump.lines().count() > 0);
+            assert!(
+                dump.lines()
+                    .last()
+                    .expect("lines")
+                    .contains("\"outcome\":\"killed\""),
+                "{dump}"
+            );
 
-        let mut recover_args: Vec<&str> = base.to_vec();
-        recover_args.extend(["--state-dir", &dir_str, "--recover"]);
-        let recovered = run_cmd(chaos, &recover_args).expect("recovered chaos run");
-        assert!(recovered.contains("recovering from"), "{recovered}");
-        assert!(!recovered.contains("KILLED"), "{recovered}");
-        assert!(counter(&recovered, "updates replayed") > 0, "{recovered}");
+            let mut recover_args = base.clone();
+            recover_args.extend(["--state-dir", &dir_str, "--recover"]);
+            let recovered = run_cmd(chaos, &recover_args).expect("recovered chaos run");
+            assert!(recovered.contains("recovering from"), "{recovered}");
+            assert!(!recovered.contains("KILLED"), "{recovered}");
+            assert!(counter(&recovered, "updates replayed") > 0, "{recovered}");
 
-        // The recovered run converges to the same final top-k as the run
-        // that was never interrupted.
-        let tail = |s: &str| {
-            s.lines()
-                .skip_while(|l| !l.starts_with("final result:"))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            tail(&uninterrupted),
-            tail(&recovered),
-            "uninterrupted:\n{uninterrupted}\nrecovered:\n{recovered}"
-        );
+            // The recovered run converges to the same final top-k as the
+            // run that was never interrupted.
+            let tail = |s: &str| {
+                s.lines()
+                    .skip_while(|l| !l.starts_with("final result:"))
+                    .map(String::from)
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                tail(&uninterrupted),
+                tail(&recovered),
+                "uninterrupted:\n{uninterrupted}\nrecovered:\n{recovered}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2917,15 +2791,13 @@ mod tests {
     }
 
     #[test]
-    fn report_sharded_zorder_counts_prefetch_hits_among_hits() {
+    fn report_sharded_counts_prefetch_hits_among_hits() {
         let mut args = REPORT_BASE.to_vec();
         args.extend([
             "--format",
             "text",
             "--shards",
             "4",
-            "--layout",
-            "zorder",
             "--cell-cache-pages",
             "64",
         ]);

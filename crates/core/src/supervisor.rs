@@ -1,8 +1,7 @@
 //! Supervised ingestion: the degraded-feed hardening layer.
 //!
-//! [`SupervisedPipeline`] is the crash-tolerant sibling of
-//! [`crate::pipeline::Pipeline`]. The worker thread runs the full
-//! resilience stack:
+//! [`SupervisedPipeline`] runs the monitor on a worker thread behind a
+//! bounded report channel, and the worker runs the full resilience stack:
 //!
 //! 1. every inbound [`StampedUpdate`] passes the [`IngestGate`]
 //!    (validation, dedup, liveness leases — see [`crate::ingest`]);
@@ -1107,6 +1106,7 @@ mod tests {
         assert_eq!(report.metrics.resilience.worker_panics, 0);
         // A healthy run fills the latency histograms but dumps nothing.
         assert_eq!(report.latency.update_total_nanos.count(), 150);
+        assert_eq!(report.latency.update_maintain_nanos.count(), 150);
         assert!(report.flight_recorder_path.is_none());
     }
 
@@ -1145,17 +1145,34 @@ mod tests {
     /// The receiver is shared by reference, the way the pump and the
     /// watchdog share it: two threads draining `events()` see every batch
     /// exactly once between them, and `try_iter()` on the drained (still
-    /// connected) channel ends instead of waiting for the worker.
+    /// connected) channel ends instead of waiting for the worker. Before
+    /// anyone drains, `try_send` meets backpressure as `SendError::Full`,
+    /// and what it accepted is not lost.
     #[test]
     fn two_threads_drain_events_exactly_once() {
         let units = unit_points(4);
         let stream = updates(300, 4);
         let (direct, direct_batches) = direct_run(&units, &stream);
         let expected: Vec<u64> = direct_batches.iter().map(|b| b.seq).collect();
+        assert!(expected.len() > 8, "the stream must outgrow both queues");
 
         // Capacity far below the stream: the worker blocks publishing
         // unless both consumers keep taking batches.
         let pipeline = SupervisedPipeline::spawn(monitor(&units), ResilienceConfig::default(), 4);
+        // Nobody drains yet: the worker stalls on the full event queue, the
+        // update queue fills behind it, and `try_send` refuses instead of
+        // blocking.
+        let mut reports = stamp_stream(stream).into_iter().peekable();
+        while let Some(&report) = reports.peek() {
+            match pipeline.try_send(report) {
+                Ok(()) => {
+                    reports.next();
+                }
+                Err(SendError::Full) => break,
+                Err(SendError::WorkerDied) => panic!("worker died under backpressure"),
+            }
+        }
+        assert!(reports.peek().is_some(), "try_send never reported Full");
         let taken = AtomicUsize::new(0);
         let deadline = Instant::now() + Duration::from_secs(60);
         let consume = || {
@@ -1172,7 +1189,7 @@ mod tests {
         let mut seen = std::thread::scope(|s| {
             let a = s.spawn(consume);
             let b = s.spawn(consume);
-            for report in stamp_stream(stream) {
+            for report in reports {
                 pipeline.send(report).expect("worker alive");
             }
             let mut seen = a.join().expect("consumer a");
@@ -1187,7 +1204,8 @@ mod tests {
     }
 
     /// Every recovery consumes a restart budget slot; once exhausted the
-    /// worker reports `gave_up` instead of looping forever.
+    /// worker reports `gave_up` instead of looping forever, and both send
+    /// paths answer the dead worker with a typed error, never a panic.
     #[test]
     fn gives_up_after_max_restarts() {
         let units = unit_points(2);
@@ -1197,11 +1215,19 @@ mod tests {
             ..ResilienceConfig::default()
         };
         let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 64);
-        for report in stamp_stream(updates(40, 2)) {
+        let stream = stamp_stream(updates(40, 2));
+        for &report in &stream {
             if pipeline.send(report).is_err() {
                 break; // worker already gave up and hung up the channel
             }
         }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !pipeline.worker_dead() {
+            assert!(Instant::now() < deadline, "worker never gave up");
+            std::thread::yield_now();
+        }
+        assert_eq!(pipeline.send(stream[0]), Err(SendError::WorkerDied));
+        assert_eq!(pipeline.try_send(stream[0]), Err(SendError::WorkerDied));
         let report = pipeline.shutdown();
         assert!(report.gave_up);
         assert_eq!(report.metrics.resilience.worker_panics, 3);
@@ -1673,7 +1699,10 @@ mod tests {
             })
             .expect("worker alive");
         pipeline.send(stamped[1]).expect("worker alive"); // untraced
-        pipeline.shutdown();
+
+        // Dropping without `shutdown` still closes the channel and joins
+        // the worker, so every span below has been recorded.
+        drop(pipeline);
 
         let snap = sink.snapshot();
         let stages: Vec<Stage> = snap.spans.iter().map(|s| s.stage).collect();

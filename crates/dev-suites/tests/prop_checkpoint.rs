@@ -12,7 +12,7 @@ use ctup_core::checkpoint::Checkpoint;
 use ctup_core::config::{CtupConfig, QueryMode};
 use ctup_core::ingest::{GateState, GateUnitState};
 use ctup_core::types::{Place, PlaceId, UnitId, LB_NONE};
-use ctup_spatial::{CellId, CellLayout, Point, Rect};
+use ctup_spatial::{CellId, Point, Rect};
 use proptest::prelude::*;
 
 fn point01() -> impl Strategy<Value = Point> {
@@ -79,14 +79,9 @@ fn gate() -> impl Strategy<Value = Option<GateState>> {
     )
 }
 
-fn layout() -> impl Strategy<Value = CellLayout> {
-    prop_oneof![Just(CellLayout::RowMajor), Just(CellLayout::ZOrder)]
-}
-
 fn checkpoint() -> impl Strategy<Value = Checkpoint> {
     (
         config(),
-        layout(),
         prop::collection::vec(point01(), 0..12),
         prop::collection::vec(prop_oneof![Just(LB_NONE), -15i64..15], 0..20),
         prop::collection::vec((place(), -10i64..10, 0u32..64), 0..10),
@@ -94,22 +89,19 @@ fn checkpoint() -> impl Strategy<Value = Checkpoint> {
         gate(),
     )
         .prop_map(
-            |(config, layout, unit_positions, lower_bounds, maintained, dechash, gate)| {
-                Checkpoint {
-                    config,
-                    layout,
-                    unit_positions,
-                    lower_bounds,
-                    maintained: maintained
-                        .into_iter()
-                        .map(|(p, s, c)| (p, s, CellId(c)))
-                        .collect(),
-                    dechash: dechash
-                        .into_iter()
-                        .map(|(u, c)| (UnitId(u), CellId(c)))
-                        .collect(),
-                    gate,
-                }
+            |(config, unit_positions, lower_bounds, maintained, dechash, gate)| Checkpoint {
+                config,
+                unit_positions,
+                lower_bounds,
+                maintained: maintained
+                    .into_iter()
+                    .map(|(p, s, c)| (p, s, CellId(c)))
+                    .collect(),
+                dechash: dechash
+                    .into_iter()
+                    .map(|(u, c)| (UnitId(u), CellId(c)))
+                    .collect(),
+                gate,
             },
         )
 }

@@ -8,7 +8,7 @@
 //! do (clippy's test exemption does not reach integration-test helpers).
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
-use ctup_spatial::{morton, CellLayout, Circle, Grid, Point, RTree, Rect, Relation};
+use ctup_spatial::{layout, morton, Circle, Grid, Point, RTree, Rect, Relation};
 use proptest::prelude::*;
 
 fn point() -> impl Strategy<Value = Point> {
@@ -185,39 +185,35 @@ proptest! {
     #[test]
     fn layout_order_is_a_rank_sorted_permutation(g in 1u32..32) {
         let grid = Grid::unit_square(g);
-        for layout in CellLayout::ALL {
-            let order = layout.order(&grid);
-            prop_assert_eq!(order.len(), grid.num_cells());
-            let mut seen: Vec<bool> = vec![false; grid.num_cells()];
-            let mut prev_rank = None;
-            for cell in order {
-                prop_assert!(!seen[cell.index()], "{layout}: duplicate {cell:?}");
-                seen[cell.index()] = true;
-                let rank = layout.rank(&grid, cell);
-                if let Some(prev) = prev_rank {
-                    prop_assert!(prev < rank, "{layout}: rank not strictly increasing");
-                }
-                prev_rank = Some(rank);
+        let order = layout::order(&grid);
+        prop_assert_eq!(order.len(), grid.num_cells());
+        let mut seen: Vec<bool> = vec![false; grid.num_cells()];
+        let mut prev_rank = None;
+        for cell in order {
+            prop_assert!(!seen[cell.index()], "duplicate {cell:?}");
+            seen[cell.index()] = true;
+            let rank = layout::rank(&grid, cell);
+            if let Some(prev) = prev_rank {
+                prop_assert!(prev < rank, "rank not strictly increasing");
             }
+            prev_rank = Some(rank);
         }
     }
 
     #[test]
-    fn zorder_neighbor_ranks_are_closer_than_rowmajor_worst_case(
+    fn zorder_even_aligned_squares_occupy_consecutive_ranks(
         g in 2u32..32,
         col in 0u32..31,
         row in 0u32..31,
     ) {
-        // The whole point of the Z-order layout: the four-cell square at
-        // an even-aligned corner occupies four *consecutive* Morton ranks,
-        // while row-major spreads it across two rows (rank gap = g).
+        // The whole point of the Z-order: the four-cell square at an
+        // even-aligned corner occupies four *consecutive* Morton ranks.
         let col = (col % (g / 2)) * 2;
         let row = (row % (g / 2)) * 2;
         let grid = Grid::unit_square(g);
-        let z = CellLayout::ZOrder;
-        let base = z.rank(&grid, grid.cell_at(col, row));
-        prop_assert_eq!(z.rank(&grid, grid.cell_at(col + 1, row)), base + 1);
-        prop_assert_eq!(z.rank(&grid, grid.cell_at(col, row + 1)), base + 2);
-        prop_assert_eq!(z.rank(&grid, grid.cell_at(col + 1, row + 1)), base + 3);
+        let base = layout::rank(&grid, grid.cell_at(col, row));
+        prop_assert_eq!(layout::rank(&grid, grid.cell_at(col + 1, row)), base + 1);
+        prop_assert_eq!(layout::rank(&grid, grid.cell_at(col, row + 1)), base + 2);
+        prop_assert_eq!(layout::rank(&grid, grid.cell_at(col + 1, row + 1)), base + 3);
     }
 }

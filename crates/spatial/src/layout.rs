@@ -1,91 +1,40 @@
-//! Cell layout: the 1-D order in which grid cells are ranked.
+//! Cell order: the 1-D order in which grid cells are ranked.
 //!
 //! Shard partitioning, disk page packing, and prefetch batching all need a
-//! total order over cells. [`CellLayout::RowMajor`] is the historical flat
-//! order (`row * gx + col` — the [`crate::CellId`] value itself) and serves
-//! as the differential oracle; [`CellLayout::ZOrder`] ranks cells by the
-//! Morton code of their `(col, row)` so spatially adjacent cells are
-//! adjacent in rank, which keeps a protecting circle's illuminated cell set
-//! inside ~1 contiguous rank range.
+//! total order over cells. Cells are ranked by the Morton (Z-order) code of
+//! their `(col, row)`, so spatially adjacent cells are adjacent in rank,
+//! which keeps a protecting circle's illuminated cell set inside ~1
+//! contiguous rank range.
 
 use crate::grid::{CellId, Grid};
 use crate::morton;
-use std::fmt;
-use std::str::FromStr;
 
-/// A total order over grid cells, selecting how cells map to shards and
-/// disk pages. The enum is carried in checkpoints (as its [`fmt::Display`]
-/// name) so recovery re-binds to the same physical layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The cell order every store and shard map uses. It has one member; it
+/// survives only because the benchmark adapter (`ledger/src/sut.rs`) names
+/// it, and goes with that adapter's next revision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellLayout {
-    /// Flat `row * gx + col` order — the layout every store used before
-    /// Z-ordering landed, kept as the differential oracle.
-    #[default]
-    RowMajor,
-    /// Morton (Z-order) rank of `(col, row)`: spatially adjacent cells get
-    /// adjacent ranks.
+    /// Morton (Z-order) rank of `(col, row)`.
     ZOrder,
 }
 
-impl CellLayout {
-    /// All layouts, for sweeps and CLI error messages.
-    pub const ALL: [CellLayout; 2] = [CellLayout::RowMajor, CellLayout::ZOrder];
-
-    /// Rank of `cell` in this layout's total order. Ranks are unique per
-    /// cell but not dense for [`CellLayout::ZOrder`] on non-square or
-    /// non-power-of-two grids — use [`CellLayout::order`] for a dense
-    /// enumeration.
-    #[inline]
-    #[must_use]
-    pub fn rank(self, grid: &Grid, cell: CellId) -> u64 {
-        match self {
-            CellLayout::RowMajor => u64::from(cell.0),
-            CellLayout::ZOrder => {
-                let (col, row) = grid.col_row(cell);
-                morton::encode(col, row).0
-            }
-        }
-    }
-
-    /// Every cell of `grid`, sorted by this layout's rank: the order pages
-    /// are packed on disk and shard ranges are carved in.
-    #[must_use]
-    pub fn order(self, grid: &Grid) -> Vec<CellId> {
-        let mut cells: Vec<CellId> = grid.cells().collect();
-        if self != CellLayout::RowMajor {
-            cells.sort_by_key(|&c| self.rank(grid, c));
-        }
-        cells
-    }
-
-    /// Stable lower-case name, used by the CLI flag and the checkpoint tag.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            CellLayout::RowMajor => "rowmajor",
-            CellLayout::ZOrder => "zorder",
-        }
-    }
+/// Rank of `cell` in the Z-order. Ranks are unique per cell but not dense
+/// on non-square or non-power-of-two grids — use [`order`] for a dense
+/// enumeration.
+#[inline]
+#[must_use]
+pub fn rank(grid: &Grid, cell: CellId) -> u64 {
+    let (col, row) = grid.col_row(cell);
+    morton::encode(col, row).0
 }
 
-impl fmt::Display for CellLayout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for CellLayout {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "rowmajor" => Ok(CellLayout::RowMajor),
-            "zorder" => Ok(CellLayout::ZOrder),
-            other => Err(format!(
-                "unknown cell layout {other:?} (expected rowmajor or zorder)"
-            )),
-        }
-    }
+/// Every cell of `grid`, sorted by [`rank`]: the order pages are packed on
+/// disk and shard ranges are carved in.
+#[must_use]
+pub fn order(grid: &Grid) -> Vec<CellId> {
+    let mut cells: Vec<CellId> = grid.cells().collect();
+    cells.sort_by_key(|&c| rank(grid, c));
+    cells
 }
 
 #[cfg(test)]
@@ -93,21 +42,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rowmajor_rank_is_identity() {
-        let g = Grid::unit_square(7);
-        for cell in g.cells() {
-            assert_eq!(CellLayout::RowMajor.rank(&g, cell), u64::from(cell.0));
-        }
-        assert_eq!(
-            CellLayout::RowMajor.order(&g),
-            g.cells().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn zorder_order_is_a_permutation() {
         for g in [Grid::unit_square(8), Grid::unit_square(10)] {
-            let order = CellLayout::ZOrder.order(&g);
+            let order = order(&g);
             assert_eq!(order.len(), g.num_cells());
             let mut seen = vec![false; g.num_cells()];
             for cell in order {
@@ -121,11 +58,7 @@ mod tests {
     #[test]
     fn zorder_ranks_are_unique_and_sorted() {
         let g = Grid::unit_square(10);
-        let order = CellLayout::ZOrder.order(&g);
-        let ranks: Vec<u64> = order
-            .iter()
-            .map(|&c| CellLayout::ZOrder.rank(&g, c))
-            .collect();
+        let ranks: Vec<u64> = order(&g).iter().map(|&c| rank(&g, c)).collect();
         for w in ranks.windows(2) {
             assert!(w[0] < w[1], "ranks not strictly increasing");
         }
@@ -134,17 +67,7 @@ mod tests {
     #[test]
     fn zorder_first_cells_walk_the_z() {
         let g = Grid::unit_square(4);
-        let order = CellLayout::ZOrder.order(&g);
-        let coords: Vec<(u32, u32)> = order.iter().map(|&c| g.col_row(c)).collect();
+        let coords: Vec<(u32, u32)> = order(&g).iter().map(|&c| g.col_row(c)).collect();
         assert_eq!(&coords[..4], &[(0, 0), (1, 0), (0, 1), (1, 1)]);
-    }
-
-    #[test]
-    fn names_roundtrip() {
-        for layout in CellLayout::ALL {
-            assert_eq!(layout.name().parse::<CellLayout>(), Ok(layout));
-            assert_eq!(format!("{layout}").parse::<CellLayout>(), Ok(layout));
-        }
-        assert!("hilbert".parse::<CellLayout>().is_err());
     }
 }

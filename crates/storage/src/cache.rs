@@ -345,10 +345,6 @@ impl PlaceStore for CachedStore {
         self.inner.num_places()
     }
 
-    fn layout(&self) -> ctup_spatial::CellLayout {
-        self.inner.layout()
-    }
-
     fn prefetch(&self, cells: &[CellId]) {
         CachedStore::prefetch(self, cells);
     }

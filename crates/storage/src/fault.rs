@@ -157,8 +157,10 @@ pub struct FaultDisk {
 }
 
 impl FaultDisk {
-    /// Builds the underlying paged store with the row-major layout; see
-    /// [`FaultDisk::build_with_layout`].
+    /// Builds the underlying paged store (pages in Z-order, see
+    /// [`PagedDiskStore::build`]) and applies the plan's build-time damage
+    /// (torn writes first, then bit flips; a page may suffer both). The
+    /// damage is rolled over *physical* page indices.
     pub fn build(
         grid: Grid,
         places: Vec<PlaceRecord>,
@@ -166,30 +168,7 @@ impl FaultDisk {
         plan: DiskFaultPlan,
         retry: RetryPolicy,
     ) -> Self {
-        Self::build_with_layout(
-            grid,
-            places,
-            page_latency_nanos,
-            plan,
-            retry,
-            ctup_spatial::CellLayout::RowMajor,
-        )
-    }
-
-    /// Builds the underlying paged store in `layout` page order and applies
-    /// the plan's build-time damage (torn writes first, then bit flips; a
-    /// page may suffer both). The damage is rolled over *physical* page
-    /// indices, so the same plan corrupts different cells under different
-    /// layouts — chaos suites pin both when comparing runs.
-    pub fn build_with_layout(
-        grid: Grid,
-        places: Vec<PlaceRecord>,
-        page_latency_nanos: u64,
-        plan: DiskFaultPlan,
-        retry: RetryPolicy,
-        layout: ctup_spatial::CellLayout,
-    ) -> Self {
-        let mut inner = PagedDiskStore::build_with_layout(grid, places, page_latency_nanos, layout);
+        let mut inner = PagedDiskStore::build(grid, places, page_latency_nanos);
         let mut rng = SplitMix64::new(plan.seed);
         let mut corrupted_pages = Vec::new();
         let num_pages = inner.num_pages() as u64;
@@ -292,10 +271,6 @@ impl PlaceStore for FaultDisk {
 
     fn num_places(&self) -> usize {
         self.inner.num_places()
-    }
-
-    fn layout(&self) -> ctup_spatial::CellLayout {
-        self.inner.layout()
     }
 
     fn read_cell(&self, cell: CellId) -> Result<Cow<'_, [PlaceRecord]>, StorageError> {

@@ -42,12 +42,11 @@ pub trait PlaceStore: Send + Sync {
         1
     }
 
-    /// The physical cell layout of the lower level — the order adjacent
-    /// cells are packed on disk. Memory-resident stores are layout-agnostic
-    /// and report the row-major default; checkpoints carry this tag so
-    /// recovery re-binds to the same physical layout.
+    /// The cell order of the lower level; there is only one. Kept for the
+    /// benchmark adapter (`ledger/src/sut.rs`), which forwards it, and
+    /// goes with that adapter's next revision.
     fn layout(&self) -> CellLayout {
-        CellLayout::RowMajor
+        CellLayout::ZOrder
     }
 
     /// Hands the store a batch-scoped working-set hint — the cells the

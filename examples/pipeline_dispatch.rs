@@ -1,7 +1,7 @@
-//! Threaded dispatch center: location updates stream in on the main
-//! thread while the monitor runs on its own worker ([`ctup::core::Pipeline`]),
-//! the way a wireless front-end and a dispatcher console would share the
-//! server.
+//! Threaded dispatch center: location reports stream in on the main
+//! thread while the monitor runs on its own supervised worker
+//! ([`ctup::core::SupervisedPipeline`]), the way a wireless front-end and a
+//! dispatcher console would share the server.
 //!
 //! ```text
 //! cargo run --release --example pipeline_dispatch
@@ -13,8 +13,10 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use ctup::core::config::CtupConfig;
-use ctup::core::pipeline::{Pipeline, SendError};
+use ctup::core::ingest::stamp_stream;
+use ctup::core::pipeline::SendError;
 use ctup::core::server::MonitorEvent;
+use ctup::core::supervisor::{ResilienceConfig, SupervisedPipeline};
 use ctup::core::types::{LocationUpdate, UnitId};
 use ctup::core::OptCtup;
 use ctup::mogen::{PlaceGenConfig, Workload, WorkloadParams};
@@ -42,8 +44,18 @@ fn main() {
 
     println!("spawning the monitor worker …");
     let monitor = OptCtup::new(CtupConfig::with_k(8), store, &units).expect("clean store");
-    let pipeline = Pipeline::spawn(monitor, 1024);
+    let pipeline = SupervisedPipeline::spawn(monitor, ResilienceConfig::default(), 1024);
     let streaming = AtomicBool::new(true);
+    // The front-end stamps every report with a per-unit sequence number so
+    // the worker's ingest gate can drop duplicates and stale reorders.
+    let updates = workload
+        .next_updates(5_000)
+        .into_iter()
+        .map(|u| LocationUpdate {
+            unit: UnitId(u.object),
+            new: u.to,
+        });
+    let reports = stamp_stream(updates);
 
     let (total_events, dropped) = std::thread::scope(|s| {
         // Consumer thread: the dispatcher console. It borrows the
@@ -88,16 +100,12 @@ fn main() {
 
         // Producer: the wireless front-end streaming 5 000 reports.
         let mut dropped = 0usize;
-        for update in workload.next_updates(5_000) {
-            let update = LocationUpdate {
-                unit: UnitId(update.object),
-                new: update.to,
-            };
-            match pipeline.try_send(update) {
+        for report in reports {
+            match pipeline.try_send(report) {
                 Ok(()) => {}
                 Err(SendError::Full) => {
                     // Backpressure: a real front-end would coalesce; we block.
-                    pipeline.send(update).expect("monitor worker alive");
+                    pipeline.send(report).expect("monitor worker alive");
                     dropped += 1;
                 }
                 Err(SendError::WorkerDied) => break,
