@@ -14,9 +14,14 @@
 //! * **A journaled update tail** — every wire report the ingest gate
 //!   accepts is appended (with a per-line CRC32) to the current journal
 //!   segment *before* it is applied, so the updates between the newest
-//!   durable checkpoint and a crash can be replayed. Segments rotate with
+//!   durable checkpoint and a crash can be replayed. The supervisor
+//!   journals per *commit group* ([`DurableState::append_all`]): every
+//!   report that queued up while the previous group was being synced goes
+//!   out in one write and one `fdatasync`. Segments rotate with
 //!   checkpoints (`journal-<slot seq>.wal` starts when slot `<slot seq>` is
-//!   written) and segments older than the oldest valid slot are pruned.
+//!   written), which the supervisor takes only at group ends, so no
+//!   segment holds a report past the checkpoint that started the next one;
+//!   segments older than the oldest valid slot are pruned.
 //! * **Recovery** — [`DurableState::load`] picks the valid slot with the
 //!   highest sequence number and returns every journaled report from the
 //!   surviving segments, tolerating a torn final line. Replaying those
@@ -30,6 +35,7 @@ use crate::ingest::StampedUpdate;
 use crate::types::{LocationUpdate, UnitId};
 use ctup_spatial::Point;
 use ctup_storage::crc32;
+use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -119,10 +125,22 @@ impl DurableState {
         Ok(())
     }
 
-    /// Appends one accepted wire report to the current journal segment and
-    /// syncs it — called *before* the report is applied, so a crash between
-    /// append and apply replays it on recovery.
+    /// Appends one accepted wire report and syncs it: the one-record form
+    /// of [`append_all`](Self::append_all).
     pub fn append(&mut self, report: StampedUpdate) -> io::Result<()> {
+        self.append_all(&[report])
+    }
+
+    /// Appends a commit group of accepted wire reports to the current
+    /// journal segment with one write and one `fdatasync` — called *before*
+    /// any of them is applied, so a crash between append and apply replays
+    /// them on recovery. A crash between the write and the sync may leave a
+    /// torn last line, which [`load`](Self::load) drops with everything
+    /// after it. An empty group writes and syncs nothing.
+    pub fn append_all(&mut self, reports: &[StampedUpdate]) -> io::Result<()> {
+        if reports.is_empty() {
+            return Ok(());
+        }
         let Some(journal) = self.journal.as_mut() else {
             // No checkpoint has been written yet; the caller writes a base
             // checkpoint at startup, so this is a protocol violation.
@@ -130,11 +148,23 @@ impl DurableState {
                 "journal append before the first checkpoint",
             ));
         };
-        let payload = format!(
-            "{} {} {} {} {}",
-            report.seq, report.ts, report.update.unit.0, report.update.new.x, report.update.new.y
-        );
-        writeln!(journal, "{payload} {}", crc32(payload.as_bytes()))?;
+        let mut lines = String::with_capacity(reports.len() * 64);
+        for report in reports {
+            let start = lines.len();
+            // Formatting into a `String` cannot fail.
+            let _ = write!(
+                lines,
+                "{} {} {} {} {}",
+                report.seq,
+                report.ts,
+                report.update.unit.0,
+                report.update.new.x,
+                report.update.new.y
+            );
+            let crc = crc32(&lines.as_bytes()[start..]);
+            let _ = writeln!(lines, " {crc}");
+        }
+        journal.write_all(lines.as_bytes())?;
         journal.sync_data()
     }
 
@@ -349,6 +379,72 @@ mod tests {
         let (cp, tail) = DurableState::load(&dir).expect("load");
         assert_eq!(cp, sample_checkpoint(1));
         assert_eq!(tail, vec![report(1, 0.125), report(2, 0.375)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A commit group lands as one line per report, in order, readable
+    /// after single-record appends on either side of it.
+    #[test]
+    #[cfg_attr(miri, ignore)] // touches the real filesystem
+    fn append_all_roundtrip() {
+        let dir = temp_state_dir();
+        let mut state = DurableState::open(&dir).expect("open");
+        state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
+        state.append(report(1, 0.125)).expect("append");
+        let group: Vec<StampedUpdate> = (2..=6).map(|s| report(s, 0.1 * s as f64)).collect();
+        state.append_all(&group).expect("append group");
+        state.append(report(7, 0.875)).expect("append");
+
+        let (_, tail) = DurableState::load(&dir).expect("load");
+        let mut expected = vec![report(1, 0.125)];
+        expected.extend(group);
+        expected.push(report(7, 0.875));
+        assert_eq!(tail, expected);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A kill between a group's write and its sync can leave the group
+    /// torn mid-line: recovery keeps exactly the whole lines before the
+    /// tear, never the fragment and never a line after it.
+    #[test]
+    #[cfg_attr(miri, ignore)] // touches the real filesystem
+    fn group_torn_mid_line_keeps_the_whole_lines_before_it() {
+        let dir = temp_state_dir();
+        let mut state = DurableState::open(&dir).expect("open");
+        state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
+        let group: Vec<StampedUpdate> = (1..=5).map(|s| report(s, 0.1 * s as f64)).collect();
+        state.append_all(&group).expect("append group");
+        let segment = dir.join(format!("{JOURNAL_PREFIX}1{JOURNAL_SUFFIX}"));
+        let text = fs::read_to_string(&segment).expect("read journal");
+        let line_starts: Vec<usize> = std::iter::once(0)
+            .chain(text.match_indices('\n').map(|(i, _)| i + 1))
+            .collect();
+        assert_eq!(line_starts.len(), 6, "one line per report");
+        // Cut the third line in half.
+        let cut = (line_starts[2] + line_starts[3]) / 2;
+        fs::write(&segment, &text[..cut]).expect("tear journal");
+
+        let (_, tail) = DurableState::load(&dir).expect("load");
+        assert_eq!(tail, group[..2].to_vec());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An empty group is no append at all: no write — not even the
+    /// protocol-violation error a write before the first checkpoint gets —
+    /// and nothing added to an open segment.
+    #[test]
+    #[cfg_attr(miri, ignore)] // touches the real filesystem
+    fn append_all_of_nothing_writes_nothing() {
+        let dir = temp_state_dir();
+        let mut state = DurableState::open(&dir).expect("open");
+        state.append_all(&[]).expect("nothing to write");
+        assert!(state.append(report(1, 0.5)).is_err(), "no segment yet");
+        state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
+        let segment = dir.join(format!("{JOURNAL_PREFIX}1{JOURNAL_SUFFIX}"));
+        state.append_all(&[]).expect("nothing to write");
+        assert_eq!(fs::metadata(&segment).expect("segment").len(), 0);
+        let (_, tail) = DurableState::load(&dir).expect("load");
+        assert!(tail.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

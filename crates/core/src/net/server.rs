@@ -30,10 +30,10 @@
 //!   covers it, so an ack can never run ahead of the engine's journal —
 //!   the invariant level-1 recovery and standby promotion both lean on.
 //!   The pump reads the mark on every pass, so while reports keep coming
-//!   acks ride on arrivals; when the engine runs dry with the mark ahead of
-//!   its last announcement it fires the hook installed through
-//!   [`EngineSink::set_durable_hook`], which [kicks](AdmissionQueue::kick)
-//!   the pump out of its park to hand out the acks now covered.
+//!   acks ride on arrivals; each time the engine has synced a commit group
+//!   it fires the hook installed through [`EngineSink::set_durable_hook`]
+//!   once, which [kicks](AdmissionQueue::kick) the pump out of its park to
+//!   hand out the acks now covered.
 //!   Engine backpressure is absorbed here (bounded retry against the
 //!   deadline); engine death triggers circuit-broken in-process revival
 //!   through the [`RecoveryPlan`] when one was installed, and only a
@@ -122,9 +122,9 @@ pub trait EngineSink: Send + Sync {
     fn dead(&self) -> bool {
         false
     }
-    /// Installs the hook the engine calls when it runs dry with its
-    /// [durable mark](EngineSink::durable_mark) ahead of what the pump can
-    /// have seen on its way in — the front door's cue to ack without
+    /// Installs the hook the engine calls when its
+    /// [durable mark](EngineSink::durable_mark) moves — once per journaled
+    /// commit group, not per report — the front door's cue to ack without
     /// waiting for the next arrival. Sinks whose mark covers a report the
     /// moment it is handed over have nothing to announce and keep the
     /// default.
@@ -370,7 +370,7 @@ struct Shared {
     config: NetServerConfig,
     stats: Arc<NetStats>,
     registry: SessionRegistry,
-    /// Shared so the engine's run-dry hook can hold a `Weak` to the queue
+    /// Shared so the engine's durable hook can hold a `Weak` to the queue
     /// alone: the sink outlives the server, and upgrading must never make
     /// an engine thread the last owner of anything that owns the sink.
     queue: Arc<AdmissionQueue>,
@@ -1283,22 +1283,22 @@ fn pump_loop(shared: &Arc<Shared>) {
     let mut inflight: VecDeque<(u64, QueuedReport)> = VecDeque::new();
     loop {
         drain_acks(shared, &mut inflight);
-        // Parks until a report arrives, the engine kicks (it ran dry with
-        // the durable mark ahead: the pass above has acks to hand out),
-        // or a tick passes (stop flag, liveness probe).
+        // Parks until a report arrives, the engine kicks (it synced a
+        // commit group and moved the durable mark: the pass above has acks
+        // to hand out), or a tick passes (stop flag, liveness probe).
         let Some(item) = shared.queue.pop(tick) else {
             if shared.stop.load(Ordering::SeqCst) {
                 finish_inflight(shared, &mut inflight);
                 return;
             }
             // Idle liveness probe: with the queue drained, a dead engine
-            // would never be discovered through a failing hand-off, so the
-            // unacked tail would hang forever. Probe and recover in place.
+            // would never be discovered through a failing hand-off, so an
+            // unacked tail would hang forever — and with everything acked
+            // (a kill right after the last report's journal write), the
+            // served top-k would miss those reports until the next one
+            // arrived. Probe and recover in place either way.
             // ctup-lint: allow(L008, one-way latch; a stale false costs one extra probe pass)
-            if !shared.engine_dead.load(Ordering::Relaxed)
-                && !inflight.is_empty()
-                && shared.sink().dead()
-            {
+            if !shared.engine_dead.load(Ordering::Relaxed) && shared.sink().dead() {
                 let _ = try_recover(shared, &mut handed, &mut inflight);
             }
             continue;

@@ -1,21 +1,30 @@
 //! Supervised ingestion: the degraded-feed hardening layer.
 //!
 //! [`SupervisedPipeline`] runs the monitor on a worker thread behind a
-//! bounded report channel, and the worker runs the full resilience stack:
+//! bounded report channel, and the worker runs the full resilience stack
+//! over *commit groups* — a report plus every report queued behind it, cut
+//! at the next periodic checkpoint:
 //!
-//! 1. every inbound [`StampedUpdate`] passes the [`IngestGate`]
-//!    (validation, dedup, liveness leases — see [`crate::ingest`]);
-//! 2. each *effective* update is applied inside
+//! 1. every inbound [`StampedUpdate`] of the group passes the
+//!    [`IngestGate`] (validation, dedup, liveness leases — see
+//!    [`crate::ingest`]);
+//! 2. when [`ResilienceConfig::state_dir`] is set, the group's accepted
+//!    wire reports are journaled with one write and one `fdatasync`
+//!    before any of them is applied; then the
+//!    [durable mark](SupervisedPipeline::durable_mark) advances over the
+//!    whole group and is announced once;
+//! 3. each *effective* update is applied, in order, inside
 //!    [`std::panic::catch_unwind`], so a panicking query processor does not
 //!    kill the worker; a [`StorageError`] surfaced by the processor (a read
 //!    that exhausted its retries, a page whose checksum failed) is contained
 //!    the same way;
-//! 3. every `checkpoint_every` effective updates the worker snapshots a
-//!    [`Checkpoint`] (monitor state plus [`GateState`]) in memory — and,
-//!    when [`ResilienceConfig::state_dir`] is set, durably on disk via the
-//!    A/B slot protocol of [`crate::durable`], with every accepted wire
-//!    report journaled before it is applied;
-//! 4. after a caught panic or contained storage error the worker restores
+//! 4. at the end of a group that brought the tail to `checkpoint_every`
+//!    effective updates the worker snapshots a [`Checkpoint`] (monitor
+//!    state plus [`GateState`]) in memory — and, with a `state_dir`,
+//!    durably on disk via the A/B slot protocol of [`crate::durable`].
+//!    Never inside a group, so the gate state and the monitor state it
+//!    captures always cover the same reports;
+//! 5. after a caught panic or contained storage error the worker restores
 //!    the monitor from the latest checkpoint, replays the in-flight tail of
 //!    effective updates while *suppressing* the
 //!    [`MonitorEvent`](crate::server::MonitorEvent) batches the replay
@@ -26,7 +35,8 @@
 //! After a *process* death (not just a worker panic),
 //! [`SupervisedPipeline::recover_from_dir`] rebuilds the monitor from the
 //! newest valid durable slot and replays the journaled tail through the
-//! restored gate, whose dedup state makes the replay idempotent.
+//! restored gate, whose dedup state makes the replay idempotent. The tail
+//! may end in one journaled group that was never (or only partly) applied.
 //!
 //! Deterministic fault injection for tests and the `chaos` CLI command is
 //! built in: [`ResilienceConfig::panic_at`] crashes the processor at chosen
@@ -40,7 +50,7 @@
 
 use crate::checkpoint::{Checkpoint, Checkpointable};
 use crate::durable::DurableState;
-use crate::ingest::{IngestConfig, IngestGate, StampedUpdate, TracedReport};
+use crate::ingest::{IngestConfig, IngestGate, RejectReason, StampedUpdate, TracedReport};
 use crate::metrics::{Metrics, ResilienceStats};
 use crate::pipeline::{EventBatch, EventReceiver, SendError};
 use crate::server::Server;
@@ -164,9 +174,10 @@ pub struct SupervisedReport {
     pub flight_recorder_path: Option<PathBuf>,
 }
 
-/// Called by the worker when it runs dry: its inbound channel is empty and
-/// the [durable mark](SupervisedPipeline::durable_mark) has advanced since
-/// the last call. See [`SupervisedPipeline::set_durable_hook`].
+/// Called by the worker once per commit group, right after the group's
+/// journal sync has advanced the
+/// [durable mark](SupervisedPipeline::durable_mark). See
+/// [`SupervisedPipeline::set_durable_hook`].
 pub type DurableHook = Arc<dyn Fn() + Send + Sync>;
 
 /// The durable mark and who to tell about it, shared between the pipeline
@@ -386,15 +397,16 @@ impl SupervisedPipeline {
         &self.initial_result
     }
 
-    /// Installs the run-dry hook, replacing any earlier one. The worker
-    /// calls it whenever it finds its inbound channel empty and the
-    /// [durable mark](Self::durable_mark) ahead of what it last announced,
-    /// right before it blocks for the next report, and once more when it
-    /// exits. While reports are queued it is never called: whoever hands
-    /// reports over reads the mark on its way in, so a busy worker pays
-    /// nothing, and the moment it runs dry everything the mark covers is
-    /// announced at once. The hook runs on the worker thread; it must not
-    /// block and must not own this pipeline (hold a `Weak` at most).
+    /// Installs the durable hook, replacing any earlier one. The worker
+    /// calls it once per commit group — right after the group's journal
+    /// sync, when the [durable mark](Self::durable_mark) has just moved
+    /// over every report of the group — and once more when it exits; a
+    /// hook installed while the worker is idle hears about the mark the
+    /// next time the worker runs dry. Never per report: a group holds
+    /// everything that queued up while the previous one was being synced,
+    /// so the busier the worker, the more reports one call covers. The
+    /// hook runs on the worker thread; it must not block and must not own
+    /// this pipeline (hold a `Weak` at most).
     pub fn set_durable_hook(&self, hook: DurableHook) {
         let mut slot = match self.durable.hook.lock() {
             Ok(guard) => guard,
@@ -500,8 +512,53 @@ impl Drop for SupervisedPipeline {
     }
 }
 
+/// One report of a commit group, past the gate.
+struct Admitted {
+    report: StampedUpdate,
+    trace: u64,
+    /// Where the report's engine-apply span starts, when it is traced.
+    apply_start: Option<u64>,
+    /// The effective updates to apply, or why the gate refused the report.
+    effective: Result<Vec<LocationUpdate>, RejectReason>,
+}
+
+/// Runs one report through the gate. `spans` says whether a span sink is
+/// configured; a report is traced when it is and the report carries a
+/// trace id.
+fn admit(
+    gate: &mut IngestGate,
+    stats: &mut ResilienceStats,
+    traced: TracedReport,
+    spans: bool,
+) -> Admitted {
+    let TracedReport {
+        report,
+        trace,
+        handed_nanos,
+    } = traced;
+    let apply_start = (spans && trace != 0).then(|| {
+        if handed_nanos != 0 {
+            handed_nanos
+        } else {
+            now_nanos()
+        }
+    });
+    Admitted {
+        report,
+        trace,
+        apply_start,
+        effective: gate.admit(report, stats),
+    }
+}
+
 /// The worker loop. Runs on the supervisor thread until the report channel
-/// closes or recovery is exhausted.
+/// closes or recovery is exhausted. It works in commit groups: it takes
+/// the first report (blocking when the channel is empty) and every report
+/// queued behind it, up to the next periodic checkpoint; gate-admits them
+/// all; journals the accepted ones with one write and one sync; advances
+/// the durable mark over the whole group and announces it once; applies
+/// the group's effective updates in order; and only then takes the
+/// checkpoint if one is due.
 fn supervise<A>(
     mut algorithm: A,
     mut gate: IngestGate,
@@ -574,14 +631,19 @@ where
         };
     }
 
-    // The durable mark as of the last run-dry announcement.
+    // The durable mark as of the last announcement.
     let mut announced = 0u64;
+    // The commit group and the journal records of its accepted reports,
+    // both reused from group to group.
+    let mut group: Vec<Admitted> = Vec::new();
+    let mut records: Vec<StampedUpdate> = Vec::new();
     'recv: loop {
-        let traced = match reports_rx.try_recv() {
+        let first = match reports_rx.try_recv() {
             Ok(traced) => traced,
             Err(TryRecvError::Disconnected) => break 'recv,
             Err(TryRecvError::Empty) => {
-                // Run dry: say how far the mark got, once, then sleep.
+                // Run dry: announce whatever a hook installed since the
+                // last group has not heard yet, then sleep.
                 line.announce(&mut announced);
                 match reports_rx.recv() {
                     Ok(traced) => traced,
@@ -589,243 +651,283 @@ where
                 }
             }
         };
-        let TracedReport {
-            report,
-            trace,
-            handed_nanos,
-        } = traced;
-        // Span recording is armed per report: a sink must be configured
-        // and the report must carry a trace id. Gate-rejected replays fall
-        // through untraced below — a deduplicated redelivery must not
-        // re-record the engine-apply span its first delivery produced.
-        let sink = if trace != 0 {
-            config.spans.as_deref()
-        } else {
-            None
+        // The group is the first report plus whatever queued behind it,
+        // cut at the next periodic checkpoint: a checkpoint rotates the
+        // journal, and one taken inside a group would leave the rest of
+        // the group in a segment the checkpoint after it prunes.
+        let room = match config.checkpoint_every {
+            0 => u64::MAX,
+            every => every.saturating_sub(convert::count64(tail.len())).max(1),
         };
-        let apply_start = sink.map(|_| {
-            if handed_nanos != 0 {
-                handed_nanos
+        group.clear();
+        records.clear();
+        let mut next = Some(first);
+        while let Some(traced) = next {
+            let admitted = admit(&mut gate, &mut stats, traced, config.spans.is_some());
+            if admitted.effective.is_ok() {
+                records.push(admitted.report);
+            }
+            group.push(admitted);
+            next = if convert::count64(group.len()) < room {
+                reports_rx.try_recv().ok()
             } else {
-                now_nanos()
-            }
-        });
-        reports_received += 1;
-        let effective = match gate.admit(report, &mut stats) {
-            Ok(effective) => effective,
-            Err(reason) => {
-                // Counted under its RejectReason by the gate; traced so a
-                // post-mortem sees the rejected tail of a degraded feed.
-                obs.record_update(TraceEvent {
-                    seq: eff_seq,
-                    unit: report.update.unit.0,
-                    maintain_nanos: 0,
-                    access_nanos: 0,
-                    cells_accessed: 0,
-                    result_changed: false,
-                    outcome: TraceOutcome::Rejected(reason.label()),
-                });
-                // A gate rejection is terminal: the report needs no
-                // durability, so the ack watermark advances past it.
-                line.mark.fetch_add(1, Ordering::Release);
-                continue;
-            }
-        };
+                None
+            };
+        }
+        reports_received += convert::count64(group.len());
         if let Some(d) = durable.as_mut() {
-            // Write-ahead: the accepted wire report hits the journal before
-            // it touches the monitor, so a crash between the two replays it.
-            let wal_start = sink.map(|_| now_nanos());
-            let appended = d.append(report);
-            if let (Some(s), Some(w0)) = (sink, wal_start) {
-                s.record_stage(trace, Stage::WalAppend, 0, w0, now_nanos(), true);
+            // Write-ahead: the group's accepted reports hit the journal in
+            // one write and one sync before any of them touches the
+            // monitor, so a crash between the two replays them. Traced
+            // reports share the group's wal-append span.
+            let journaled_traced = |a: &Admitted| a.apply_start.is_some() && a.effective.is_ok();
+            let wal_start = group.iter().any(journaled_traced).then(now_nanos);
+            let appended = d.append_all(&records);
+            if let (Some(s), Some(w0)) = (config.spans.as_deref(), wal_start) {
+                let w1 = now_nanos();
+                for a in group.iter().filter(|a| journaled_traced(a)) {
+                    s.record_stage(a.trace, Stage::WalAppend, 0, w0, w1, true);
+                }
             }
             if appended.is_err() {
                 gave_up = true;
                 break 'recv;
             }
         }
-        // The report is now recoverable (journaled, or in-memory-only by
-        // configuration): the front door may ack it. This happens *before*
-        // the apply below, so a kill mid-apply loses nothing acked.
-        line.mark.fetch_add(1, Ordering::Release);
-        // One accepted report can expand to several effective updates
-        // (lease parks precede the accepted position). Spans attach to the
-        // *last* — the accepted report itself — so one trace records one
-        // engine-apply chain and deterministic span ids never collide.
-        let last_idx = effective.len().saturating_sub(1);
-        for (idx, update) in effective.into_iter().enumerate() {
-            let sink = sink.filter(|_| idx == last_idx);
-            // Simulated process death: stop mid-stream with no final
-            // checkpoint, optionally tearing the newest slot the way a
-            // death mid-checkpoint-write would.
-            if config.kill_at == Some(eff_seq) {
-                killed = true;
-                obs.record_update(TraceEvent {
-                    seq: eff_seq,
-                    unit: update.unit.0,
-                    maintain_nanos: 0,
-                    access_nanos: 0,
-                    cells_accessed: 0,
-                    result_changed: false,
-                    outcome: TraceOutcome::Killed,
-                });
-                if config.tear_slot_on_kill {
-                    if let Some(d) = durable.as_ref() {
-                        let _ = d.tear_newest_slot();
-                    }
+        // The whole group is now recoverable (journaled, in-memory-only by
+        // configuration, or terminally rejected by the gate): the front
+        // door may ack it, and is told so once. This happens *before* the
+        // applies below, so a kill mid-group loses nothing acked.
+        line.mark
+            .fetch_add(convert::count64(group.len()), Ordering::Release);
+        line.announce(&mut announced);
+        // The trace of the group's last accepted report, which carries the
+        // group-end checkpoint's span.
+        let mut last_trace = 0u64;
+        for admitted in group.drain(..) {
+            let Admitted {
+                report,
+                trace,
+                apply_start,
+                effective,
+            } = admitted;
+            let effective = match effective {
+                Ok(effective) => effective,
+                Err(reason) => {
+                    // Counted under its RejectReason by the gate; traced so
+                    // a post-mortem sees the rejected tail of a degraded
+                    // feed.
+                    obs.record_update(TraceEvent {
+                        seq: eff_seq,
+                        unit: report.update.unit.0,
+                        maintain_nanos: 0,
+                        access_nanos: 0,
+                        cells_accessed: 0,
+                        result_changed: false,
+                        outcome: TraceOutcome::Rejected(reason.label()),
+                    });
+                    continue;
                 }
-                break 'recv;
-            }
-            loop {
-                // One-shot injected fault: consumed even if recovery later
-                // fails, so a retry of the same seq proceeds normally.
-                let inject = panic_at.remove(&eff_seq);
-                if sink.is_some() {
-                    server.algorithm_mut().set_trace_context(trace);
-                }
-                let t0 = sink.map(|_| now_nanos());
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if inject {
-                        // ctup-lint: allow(L001, deliberate fault injection — this panic exists to exercise the catch_unwind/recovery path around it)
-                        panic!("injected fault at effective update {eff_seq}");
+            };
+            last_trace = trace;
+            // Span recording is armed per report: a sink must be configured
+            // and the report must carry a trace id. Gate-rejected replays
+            // were left untraced above — a deduplicated redelivery must not
+            // re-record the engine-apply span its first delivery produced.
+            let sink = apply_start.and(config.spans.as_deref());
+            // One accepted report can expand to several effective updates
+            // (lease parks precede the accepted position). Spans attach to
+            // the *last* — the accepted report itself — so one trace
+            // records one engine-apply chain and deterministic span ids
+            // never collide.
+            let last_idx = effective.len().saturating_sub(1);
+            for (idx, update) in effective.into_iter().enumerate() {
+                let sink = sink.filter(|_| idx == last_idx);
+                // Simulated process death: stop mid-stream with no final
+                // checkpoint, optionally tearing the newest slot the way a
+                // death mid-checkpoint-write would.
+                if config.kill_at == Some(eff_seq) {
+                    killed = true;
+                    obs.record_update(TraceEvent {
+                        seq: eff_seq,
+                        unit: update.unit.0,
+                        maintain_nanos: 0,
+                        access_nanos: 0,
+                        cells_accessed: 0,
+                        result_changed: false,
+                        outcome: TraceOutcome::Killed,
+                    });
+                    if config.tear_slot_on_kill {
+                        if let Some(d) = durable.as_ref() {
+                            let _ = d.tear_newest_slot();
+                        }
                     }
-                    server.ingest(update)
-                }));
-                match outcome {
-                    Ok(Ok((events, update_stats))) => {
-                        obs.record_update(TraceEvent {
-                            seq: eff_seq,
-                            unit: update.unit.0,
-                            maintain_nanos: update_stats.maintain_nanos,
-                            access_nanos: update_stats.access_nanos,
-                            cells_accessed: update_stats.cells_accessed,
-                            result_changed: update_stats.result_changed,
-                            outcome: TraceOutcome::Applied,
-                        });
-                        let publish_start = match (sink, t0, apply_start) {
-                            (Some(s), Some(t0), Some(a0)) => {
-                                let t1 = now_nanos();
-                                // Engine-apply covers hand-off (channel
-                                // wait, gate, journal) up to the successful
-                                // apply attempt; retries after a contained
-                                // crash fold into it.
-                                s.record_stage(trace, Stage::EngineApply, 0, a0, t0, true);
-                                if !server.algorithm().records_spans() {
-                                    // Aggregate phase split for engines
-                                    // without internal span recording: the
-                                    // measured maintain+access window is
-                                    // the illumination phase, the rest of
-                                    // the ingest (result diff, event
-                                    // derivation) the merge.
-                                    let phase = update_stats
-                                        .maintain_nanos
-                                        .saturating_add(update_stats.access_nanos);
-                                    let mid = t0.saturating_add(phase).min(t1);
-                                    s.record_stage(trace, Stage::ShardPhase, 0, t0, mid, true);
-                                    s.record_stage(trace, Stage::Merge, 0, mid, t1, true);
-                                }
-                                Some(t1)
-                            }
-                            _ => None,
-                        };
-                        if !events.is_empty() {
-                            events_emitted += convert::count64(events.len());
-                            // Consumers hanging up must not stop monitoring.
-                            let _ = events_tx.send(EventBatch {
+                    break 'recv;
+                }
+                loop {
+                    // One-shot injected fault: consumed even if recovery later
+                    // fails, so a retry of the same seq proceeds normally.
+                    let inject = panic_at.remove(&eff_seq);
+                    if sink.is_some() {
+                        server.algorithm_mut().set_trace_context(trace);
+                    }
+                    let t0 = sink.map(|_| now_nanos());
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        if inject {
+                            // ctup-lint: allow(L001, deliberate fault injection — this panic exists to exercise the catch_unwind/recovery path around it)
+                            panic!("injected fault at effective update {eff_seq}");
+                        }
+                        server.ingest(update)
+                    }));
+                    match outcome {
+                        Ok(Ok((events, update_stats))) => {
+                            obs.record_update(TraceEvent {
                                 seq: eff_seq,
-                                events,
+                                unit: update.unit.0,
+                                maintain_nanos: update_stats.maintain_nanos,
+                                access_nanos: update_stats.access_nanos,
+                                cells_accessed: update_stats.cells_accessed,
+                                result_changed: update_stats.result_changed,
+                                outcome: TraceOutcome::Applied,
                             });
+                            let publish_start = match (sink, t0, apply_start) {
+                                (Some(s), Some(t0), Some(a0)) => {
+                                    let t1 = now_nanos();
+                                    // Engine-apply covers hand-off (channel
+                                    // wait, gate, journal) up to the successful
+                                    // apply attempt; retries after a contained
+                                    // crash fold into it.
+                                    s.record_stage(trace, Stage::EngineApply, 0, a0, t0, true);
+                                    if !server.algorithm().records_spans() {
+                                        // Aggregate phase split for engines
+                                        // without internal span recording: the
+                                        // measured maintain+access window is
+                                        // the illumination phase, the rest of
+                                        // the ingest (result diff, event
+                                        // derivation) the merge.
+                                        let phase = update_stats
+                                            .maintain_nanos
+                                            .saturating_add(update_stats.access_nanos);
+                                        let mid = t0.saturating_add(phase).min(t1);
+                                        s.record_stage(trace, Stage::ShardPhase, 0, t0, mid, true);
+                                        s.record_stage(trace, Stage::Merge, 0, mid, t1, true);
+                                    }
+                                    Some(t1)
+                                }
+                                _ => None,
+                            };
+                            if !events.is_empty() {
+                                events_emitted += convert::count64(events.len());
+                                // Consumers hanging up must not stop monitoring.
+                                let _ = events_tx.send(EventBatch {
+                                    seq: eff_seq,
+                                    events,
+                                });
+                            }
+                            if let (Some(s), Some(p0)) = (sink, publish_start) {
+                                // Recorded even for an empty batch: the publish
+                                // span closes the causal chain whether or not
+                                // this update changed the top-k.
+                                s.record_stage(
+                                    trace,
+                                    Stage::SnapshotPublish,
+                                    0,
+                                    p0,
+                                    now_nanos(),
+                                    true,
+                                );
+                            }
+                            eff_seq += 1;
+                            tail.push(update);
+                            break; // next effective update
                         }
-                        if let (Some(s), Some(p0)) = (sink, publish_start) {
-                            // Recorded even for an empty batch: the publish
-                            // span closes the causal chain whether or not
-                            // this update changed the top-k.
-                            s.record_stage(trace, Stage::SnapshotPublish, 0, p0, now_nanos(), true);
-                        }
-                        eff_seq += 1;
-                        tail.push(update);
-                        if config.checkpoint_every > 0
-                            && convert::count64(tail.len()) >= config.checkpoint_every
-                        {
-                            let ckpt_start = sink.map(|_| now_nanos());
-                            let mut timer = PhaseTimer::start();
-                            let mut c = server.algorithm().checkpoint();
-                            c.gate = Some(gate.state());
-                            if let Some(d) = durable.as_mut() {
-                                if d.checkpoint(&c).is_err() {
+                        crashed => {
+                            // A panic (`Err`) and a surfaced storage error
+                            // (`Ok(Err)`) are contained identically: either way
+                            // the processor may be mid-update, so restore from
+                            // the latest checkpoint and replay.
+                            if crashed.is_err() {
+                                stats.worker_panics += 1;
+                            } else {
+                                stats.storage_errors += 1;
+                            }
+                            obs.record_update(TraceEvent {
+                                seq: eff_seq,
+                                unit: update.unit.0,
+                                maintain_nanos: 0,
+                                access_nanos: 0,
+                                cells_accessed: 0,
+                                result_changed: false,
+                                outcome: if crashed.is_err() {
+                                    TraceOutcome::Panicked
+                                } else {
+                                    TraceOutcome::StorageError
+                                },
+                            });
+                            if restarts_left == 0 {
+                                gave_up = true;
+                                break 'recv;
+                            }
+                            restarts_left -= 1;
+                            stats.worker_restarts += 1;
+                            // Restore from the latest checkpoint and replay the
+                            // tail, discarding (suppressing) the event batches
+                            // the replay re-derives — they were already
+                            // published before the crash. The live gate is kept:
+                            // its state is ahead of the checkpointed one and the
+                            // gate is outside the contained region.
+                            match recover::<A>(base.clone(), store.clone(), &tail) {
+                                Ok((recovered, suppressed)) => {
+                                    server = recovered;
+                                    if let Some(sink) = config.spans.as_ref() {
+                                        // The restored engine starts without a
+                                        // recorder; re-arm it.
+                                        server
+                                            .algorithm_mut()
+                                            .attach_span_recorder(Arc::clone(sink));
+                                    }
+                                    stats.updates_replayed += convert::count64(tail.len());
+                                    stats.events_suppressed += suppressed;
+                                    // ...then retry the crashing update.
+                                }
+                                Err(_) => {
                                     gave_up = true;
                                     break 'recv;
                                 }
                             }
-                            obs.record_checkpoint(eff_seq, timer.lap());
-                            if let (Some(s), Some(c0)) = (sink, ckpt_start) {
-                                // The update that tripped the periodic
-                                // checkpoint carries its cost as a span.
-                                s.record_stage(trace, Stage::Checkpoint, 0, c0, now_nanos(), true);
-                            }
-                            base = c;
-                            tail.clear();
-                            stats.checkpoints_taken += 1;
-                        }
-                        break; // next effective update
-                    }
-                    crashed => {
-                        // A panic (`Err`) and a surfaced storage error
-                        // (`Ok(Err)`) are contained identically: either way
-                        // the processor may be mid-update, so restore from
-                        // the latest checkpoint and replay.
-                        if crashed.is_err() {
-                            stats.worker_panics += 1;
-                        } else {
-                            stats.storage_errors += 1;
-                        }
-                        obs.record_update(TraceEvent {
-                            seq: eff_seq,
-                            unit: update.unit.0,
-                            maintain_nanos: 0,
-                            access_nanos: 0,
-                            cells_accessed: 0,
-                            result_changed: false,
-                            outcome: if crashed.is_err() {
-                                TraceOutcome::Panicked
-                            } else {
-                                TraceOutcome::StorageError
-                            },
-                        });
-                        if restarts_left == 0 {
-                            gave_up = true;
-                            break 'recv;
-                        }
-                        restarts_left -= 1;
-                        stats.worker_restarts += 1;
-                        // Restore from the latest checkpoint and replay the
-                        // tail, discarding (suppressing) the event batches
-                        // the replay re-derives — they were already
-                        // published before the crash. The live gate is kept:
-                        // its state is ahead of the checkpointed one and the
-                        // gate is outside the contained region.
-                        match recover::<A>(base.clone(), store.clone(), &tail) {
-                            Ok((recovered, suppressed)) => {
-                                server = recovered;
-                                if let Some(sink) = config.spans.as_ref() {
-                                    // The restored engine starts without a
-                                    // recorder; re-arm it.
-                                    server
-                                        .algorithm_mut()
-                                        .attach_span_recorder(Arc::clone(sink));
-                                }
-                                stats.updates_replayed += convert::count64(tail.len());
-                                stats.events_suppressed += suppressed;
-                                // ...then retry the crashing update.
-                            }
-                            Err(_) => {
-                                gave_up = true;
-                                break 'recv;
-                            }
                         }
                     }
                 }
             }
+        }
+        // The periodic checkpoint, at the group's end only: the gate state
+        // it captures then covers exactly the updates the monitor state
+        // does, parks and their accepted report included.
+        if config.checkpoint_every > 0 && convert::count64(tail.len()) >= config.checkpoint_every {
+            let ckpt_sink = if last_trace != 0 {
+                config.spans.as_deref()
+            } else {
+                None
+            };
+            let ckpt_start = ckpt_sink.map(|_| now_nanos());
+            let mut timer = PhaseTimer::start();
+            let mut c = server.algorithm().checkpoint();
+            c.gate = Some(gate.state());
+            if let Some(d) = durable.as_mut() {
+                if d.checkpoint(&c).is_err() {
+                    gave_up = true;
+                    break 'recv;
+                }
+            }
+            obs.record_checkpoint(eff_seq, timer.lap());
+            if let (Some(s), Some(c0)) = (ckpt_sink, ckpt_start) {
+                // The group's last accepted report carries the cost of the
+                // checkpoint its group tripped as a span.
+                s.record_stage(last_trace, Stage::Checkpoint, 0, c0, now_nanos(), true);
+            }
+            base = c;
+            tail.clear();
+            stats.checkpoints_taken += 1;
         }
     }
 
@@ -1771,11 +1873,11 @@ mod tests {
             .map_or(0, |d| d.mark.load(Ordering::Acquire))
     }
 
-    /// The run-dry hook: silent while the worker has backlog, fired once
-    /// when it runs dry with the mark ahead, never without news, and once
-    /// more for what the mark covered when the worker exits.
+    /// The durable hook: fired once per commit group, never without news,
+    /// and once more for what the mark covered when the worker exits — so
+    /// a burst costs far fewer calls than it has reports.
     #[test]
-    fn durable_hook_fires_on_run_dry_not_per_report() {
+    fn durable_hook_fires_per_group_not_per_report() {
         use std::sync::atomic::AtomicUsize;
         let units = unit_points(4);
         let pipeline =
@@ -1812,8 +1914,8 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "200 never announced");
             std::thread::yield_now();
         }
-        // ...in far fewer calls than reports (a worker that found the
-        // channel empty after every single report would make 200)...
+        // ...in far fewer calls than reports (a worker that took every
+        // report as a group of its own would make 200)...
         let after_burst = calls.load(Ordering::SeqCst);
         assert!(after_burst < 200, "{after_burst} calls for 200 reports");
         // ...and an idle worker stays silent.
@@ -1905,29 +2007,42 @@ mod tests {
     /// recovery falls back to the older slot, replays the journaled tail,
     /// and — after the full feed is re-delivered with the gate dropping
     /// what was already applied — lands on exactly the direct run's result.
+    /// Two inputs:
+    /// * exactly `kill_at + 1` reports reach the worker, as in the ledger's
+    ///   recovery cycles, so what the journal holds is known up front;
+    /// * the whole feed is sent at once, so the kill lands inside a commit
+    ///   group that runs past it: recovery must match a direct run over
+    ///   exactly what the journal holds.
     #[test]
     #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
     fn kill_and_recover_resumes_oracle_exact() {
+        for whole_feed in [false, true] {
+            kill_and_recover(whole_feed);
+        }
+    }
+
+    fn kill_and_recover(whole_feed: bool) {
+        const EVERY: u64 = 32;
         let dir = temp_state_dir();
         let units = unit_points(4);
         let stream = updates(200, 4);
-
-        let mut direct = Server::new(monitor(&units));
-        for &u in &stream {
-            direct.ingest(u).expect("ingest");
-        }
-        let direct_stream = stream.clone();
+        let (direct, _) = direct_run(&units, &stream);
 
         let config = ResilienceConfig {
-            checkpoint_every: 32,
+            checkpoint_every: EVERY,
             state_dir: Some(dir.clone()),
             kill_at: Some(120),
             tear_slot_on_kill: true,
             ..ResilienceConfig::default()
         };
         let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 1024);
-        let stamped = stamp_stream(stream);
-        for &report in &stamped {
+        let stamped = stamp_stream(stream.clone());
+        let sent = if whole_feed {
+            &stamped[..]
+        } else {
+            &stamped[..121]
+        };
+        for &report in sent {
             if pipeline.send(report).is_err() {
                 break; // the worker died at the kill point
             }
@@ -1938,13 +2053,56 @@ mod tests {
         assert_eq!(report.updates_processed, 120);
         assert!(report.final_result.is_empty());
 
+        // The torn newest slot (state as of effective update 96) forces
+        // fallback to the older one (64): the journal holds reports 65 up
+        // to the last one journaled. `stamp_stream` stamps report `n` with
+        // tick `n`.
+        let (_, journal) = DurableState::load(&dir).expect("load");
+        let ticks: Vec<u64> = journal.iter().map(|r| r.ts).collect();
+        let journaled = usize::try_from(*ticks.last().expect("a journal tail")).expect("fits");
+        assert_eq!(
+            ticks,
+            (65..=convert::count64(journaled)).collect::<Vec<_>>()
+        );
+        if whole_feed {
+            assert!(journaled >= 121, "report 121 was journaled before the kill");
+        } else {
+            assert_eq!(journaled, 121);
+        }
+        // Segment `journal-<s>.wal` starts with slot `s`, written after
+        // report `EVERY * (s - 1)`; the next slot follows report
+        // `EVERY * s`. No segment may hold a report past it — a torn
+        // fallback would lose one the next checkpoint pruned.
+        for entry in std::fs::read_dir(&dir).expect("state dir").flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            let Some(slot) = name
+                .strip_prefix("journal-")
+                .and_then(|rest| rest.strip_suffix(".wal"))
+                .and_then(|s| s.parse::<u64>().ok())
+            else {
+                continue;
+            };
+            let text = std::fs::read_to_string(entry.path()).expect("segment");
+            for line in text.lines() {
+                let tick: u64 = line
+                    .split(' ')
+                    .nth(1)
+                    .and_then(|t| t.parse().ok())
+                    .expect("journal line");
+                assert!(
+                    (EVERY * (slot - 1) + 1..=EVERY * slot).contains(&tick),
+                    "segment {slot} holds report {tick}"
+                );
+            }
+        }
+
         let store: Arc<dyn PlaceStore> =
             Arc::new(CellLocalStore::build(Grid::unit_square(6), places()));
         let recovered = SupervisedPipeline::recover_from_dir::<OptCtup>(
             &dir,
             store,
             ResilienceConfig {
-                checkpoint_every: 32,
+                checkpoint_every: EVERY,
                 ..ResilienceConfig::default()
             },
             1024,
@@ -1953,10 +2111,7 @@ mod tests {
         // The recovered pipeline starts from the replayed state — journal
         // tail included — and says so: that is what a sink over it must
         // be seeded with, since the replay published no events.
-        let mut replayed = Server::new(monitor(&units));
-        for &u in &direct_stream[..121] {
-            replayed.ingest(u).expect("ingest");
-        }
+        let (replayed, _) = direct_run(&units, &stream[..journaled]);
         assert_eq!(recovered.initial_result(), replayed.result());
         // Re-deliver the whole feed: the restored gate rejects everything
         // already applied before the kill, then the remainder flows.
@@ -1966,13 +2121,105 @@ mod tests {
         let out = recovered.shutdown();
         assert!(!out.gave_up);
         assert!(!out.killed);
-        // The torn newest slot forced fallback to the older one (state as
-        // of effective update 64), so the journal replay had real work to
-        // do: reports 65..=121 — report 121 was journaled (write-ahead)
-        // but never applied before the kill at effective update 120.
-        assert_eq!(out.metrics.resilience.updates_replayed, 57);
-        assert_eq!(out.updates_processed, 79);
+        // The journal replay had real work to do: reports 65..=121 (and on
+        // to the end of the group the kill landed in) — report 121 was
+        // journaled (write-ahead) but never applied before the kill at
+        // effective update 120. With exactly 121 reports sent that is 57
+        // replayed and 79 left for the re-delivery.
+        let replayed_count = convert::count64(journaled) - 64;
+        assert_eq!(out.metrics.resilience.updates_replayed, replayed_count);
+        assert_eq!(out.updates_processed, 200 - convert::count64(journaled));
+        if !whole_feed {
+            assert_eq!((replayed_count, out.updates_processed), (57, 79));
+        }
         assert_eq!(out.final_result, direct.result());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint never falls between a lease park and the accepted
+    /// update of the report whose tick expired the lease. Its gate state
+    /// would already cover that report while the monitor had not applied
+    /// it, so recovery would drop the journaled report as a duplicate and
+    /// lose its update. Here the checkpoint comes due on exactly such a
+    /// park, and the reporting unit does not report again before the kill.
+    #[test]
+    #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
+    fn a_checkpoint_never_separates_a_park_from_its_report() {
+        let dir = temp_state_dir();
+        let units = unit_points(2);
+        let lease_ttl = Some(3);
+        let stamped = |seq: u64, ts: u64, unit: u32, new: Point| StampedUpdate {
+            seq,
+            ts,
+            update: LocationUpdate {
+                unit: UnitId(unit),
+                new,
+            },
+        };
+        // Unit 0 covers place 2 (required protection 3) for three ticks
+        // while unit 1 stays silent. At tick 4 unit 0's report first parks
+        // unit 1 — effective update 3, the fourth, so a checkpoint is due —
+        // and then moves unit 0 away, uncovering place 2. Unit 1's report
+        // at tick 5 is the kill point.
+        let on_place_2 = Point::new(2.0 / 6.0 + 0.05, 0.05);
+        let mut feed: Vec<StampedUpdate> = (1..=3).map(|t| stamped(t, t, 0, on_place_2)).collect();
+        feed.push(stamped(4, 4, 0, Point::new(0.95, 0.95)));
+        feed.push(stamped(1, 5, 1, Point::new(0.9, 0.6)));
+
+        // What the monitor holds after a feed, leases applied as the gate
+        // applies them.
+        let gated_run = |reports: &[StampedUpdate]| {
+            let mut server = Server::new(monitor(&units));
+            let mut gate = IngestGate::new(IngestConfig {
+                space: *server.algorithm().store().grid().space(),
+                num_units: units.len(),
+                lease_ttl,
+            });
+            let mut scratch = ResilienceStats::default();
+            for &report in reports {
+                for update in gate.admit(report, &mut scratch).unwrap_or_default() {
+                    server.ingest(update).expect("ingest");
+                }
+            }
+            server.result()
+        };
+        // The feed is one whose loss would show: had unit 0 stayed on
+        // place 2, the top-k would differ.
+        let mut lossy = feed.clone();
+        lossy[3].update.new = on_place_2;
+        assert_ne!(gated_run(&feed), gated_run(&lossy));
+
+        let config = ResilienceConfig {
+            lease_ttl,
+            checkpoint_every: 4,
+            state_dir: Some(dir.clone()),
+            kill_at: Some(5),
+            ..ResilienceConfig::default()
+        };
+        let pipeline = SupervisedPipeline::spawn(monitor(&units), config.clone(), 64);
+        for &report in &feed {
+            pipeline.send(report).expect("queue has room");
+        }
+        let out = pipeline.shutdown();
+        assert!(out.killed);
+        assert_eq!(out.metrics.resilience.lease_expiries, 1);
+
+        let (_, journal) = DurableState::load(&dir).expect("load");
+        assert_eq!(journal, feed, "every report was journaled");
+        let store: Arc<dyn PlaceStore> =
+            Arc::new(CellLocalStore::build(Grid::unit_square(6), places()));
+        let recovered = SupervisedPipeline::recover_from_dir::<OptCtup>(
+            &dir,
+            store,
+            ResilienceConfig {
+                kill_at: None,
+                ..config
+            },
+            64,
+        )
+        .expect("recover");
+        assert_eq!(recovered.initial_result(), gated_run(&journal));
+        drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

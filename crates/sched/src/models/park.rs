@@ -1,8 +1,8 @@
 //! Model of the pump's park/kick protocol (`core::net::admission` `pop` /
-//! `kick`, driven by the supervisor's run-dry hook).
+//! `kick`, driven by the supervisor's durable hook).
 //!
-//! The real protocol: the supervisor bumps its durable mark, and when its
-//! inbound channel runs dry it *kicks* the admission queue — under the
+//! The real protocol: the supervisor bumps its durable mark once per
+//! journaled commit group, and then *kicks* the admission queue — under the
 //! queue mutex it sets a sticky `kicked` flag and, only if the pump is
 //! parked, claims the wake-up and notifies. The pump, between passes of
 //! `drain_acks` (which reads the mark), calls `pop`: under the same mutex
@@ -53,7 +53,7 @@ const ANNOUNCEMENTS: u64 = 2;
 
 /// Builds the park/kick model under `m`.
 pub fn model(m: ParkMutation) -> Model<ParkWorld> {
-    // Supervisor: bump the mark, then (run dry) kick — two atomic
+    // Supervisor: bump the mark, then (group synced) kick — two atomic
     // sections: an atomic store, then the queue mutex.
     let mut announced = 0u64;
     let mut bumped = false;

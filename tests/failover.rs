@@ -419,13 +419,14 @@ fn tail_changes_topk_world() -> (Arc<dyn PlaceStore>, Vec<Point>, Vec<LocationUp
 
 /// Level 1, what the revived door *serves*: the worker checkpoints after
 /// report 7 and is killed at report 13, so the journal tail recovery
-/// replays (8..=13) holds exactly the three moves that change the top-k —
-/// and the replay emits no events. A sink seeded from the checkpoint
-/// would keep serving p5 at -9 until some later report happened to touch
-/// it; seeded from the replayed engine, `last_good_topk()` is
-/// oracle-exact with no further report sent. `io_tick` is two seconds, so
-/// the report sent *after* the revival can only be acked inside 500 ms if
-/// the revived sink got the run-dry hook as well.
+/// replays (8..=13, and 14 if it was journaled in the kill's commit group)
+/// holds exactly the three moves that change the top-k — and the replay
+/// emits no events. A sink seeded from the checkpoint would keep serving
+/// p5 at -9 until some later report happened to touch it; seeded from the
+/// replayed engine, `last_good_topk()` is oracle-exact with no further
+/// report sent. `io_tick` is two seconds, so the report sent *after* the
+/// revival can only be acked inside 500 ms if the revived sink got the
+/// durable hook as well.
 #[test]
 fn level_one_revival_serves_the_replayed_topk_and_acks_without_a_tick() {
     let (store, units, stream) = tail_changes_topk_world();
@@ -513,6 +514,82 @@ fn level_one_revival_serves_the_replayed_topk_and_acks_without_a_tick() {
     );
     client.finish();
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Level 1 when the kill hits the *last* report of the feed: that report
+/// is journaled and acked before the apply it never gets, so nothing is
+/// left in flight and no further report comes along to fail a hand-off.
+/// Only the pump's idle probe can notice the dead engine, and it must —
+/// otherwise the door serves a top-k without an acked report for as long
+/// as it stays idle. The last report is the third move onto p5, so the
+/// stale top-k and the revived one differ.
+#[test]
+fn level_one_revival_after_a_kill_on_the_last_report() {
+    let (store, units, stream) = tail_changes_topk_world();
+    let stream = &stream[..11];
+    let dir = temp_dir("revive-last");
+    let resilience = ResilienceConfig {
+        checkpoint_every: 8,
+        state_dir: Some(dir.clone()),
+        kill_at: Some(10),
+        ..ResilienceConfig::default()
+    };
+    let monitor = OptCtup::new(CtupConfig::with_k(3), store.clone(), &units).expect("clean store");
+    let pipeline = SupervisedPipeline::spawn(monitor, resilience.clone(), 4096);
+    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
+    let recovery = RecoveryPlan {
+        reviver: Arc::new(DirReviver {
+            dir: dir.clone(),
+            store: store.clone(),
+            resilience: ResilienceConfig {
+                kill_at: None,
+                ..resilience
+            },
+        }),
+        config: RecoveryConfig {
+            backoff_base: Duration::from_millis(5),
+            backoff_max: Duration::from_millis(20),
+            ..RecoveryConfig::default()
+        },
+    };
+    let mut cfg = NetServerConfig::default();
+    cfg.admission.ingest_deadline = Duration::from_secs(30);
+    let server =
+        IngestServer::spawn_with_recovery("127.0.0.1:0", cfg, sink, Some(recovery)).unwrap();
+    let stats = server.stats();
+
+    let mut client = FeedClient::new(
+        Box::new(TcpDialer::new(server.local_addr())),
+        ClientConfig::default(),
+    );
+    for report in stamp_stream(stream.iter().copied()) {
+        client.enqueue(report);
+    }
+    client.drive(Duration::from_secs(30)).expect("clean links");
+    let fed = client.finish();
+    assert_eq!(fed.acked, 11, "every report is journaled: {fed:?}");
+    // No report follows: the revival can only come from the idle probe.
+    wait_for("the revival", Duration::from_secs(15), || {
+        stats.snapshot().engine_restarts == 1 && !server.degraded()
+    });
+
+    let mut positions = units.clone();
+    for update in stream {
+        positions[update.unit.index()] = update.new;
+    }
+    let topk = settled_topk(|| server.last_good_topk());
+    assert_eq!(
+        topk.iter()
+            .map(|e| (e.place.0, e.safety))
+            .collect::<Vec<_>>(),
+        vec![(4, -7), (5, -6), (3, -5)],
+        "served top-k misses the last acked report"
+    );
+    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
+    oracle.assert_result_matches(&topk, &positions, RADIUS, QueryMode::TopK(3));
+    let net = server.shutdown();
+    assert_eq!(net.engine_restarts, 1, "exactly one revival: {net:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

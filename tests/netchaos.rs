@@ -739,7 +739,8 @@ fn handshake_does_not_wait_for_the_tick() {
 
 /// One report on an idle door: everything is parked — reader in its
 /// read, pump in `pop`, supervisor in `recv`, writer on the session — and
-/// the ack still comes straight back, carried by the run-dry hook.
+/// the ack still comes straight back, carried by the durable hook the
+/// supervisor fires for its one-report group.
 #[test]
 fn a_lone_report_on_an_idle_door_is_acked_without_a_tick() {
     let (mut workload, sink, server) = slow_tick_door(42);
