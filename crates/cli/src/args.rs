@@ -1,118 +1,317 @@
-//! A small, dependency-free flag parser: `--key value` pairs plus boolean
-//! `--key` switches, with typed accessors and unknown-flag rejection.
+//! The `ctup` command surface as data: the five subcommands and one flag
+//! table. The same table drives parsing, per-command unknown-flag
+//! rejection and the usage text, so the three cannot drift apart.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Parsed command-line flags.
-#[derive(Debug, Default)]
-pub struct Flags {
-    values: BTreeMap<String, String>,
-    switches: Vec<String>,
+/// A `ctup` subcommand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Command {
+    Generate,
+    Run,
+    Serve,
+    Feed,
+    Trace,
 }
 
-/// Errors produced while parsing or reading flags.
-#[derive(Debug, PartialEq, Eq)]
-pub enum ArgError {
-    /// A positional argument appeared where a flag was expected.
-    UnexpectedPositional(String),
-    /// `--flag` requires a value but none followed.
-    MissingValue(String),
-    /// A flag the command does not know.
-    UnknownFlag(String),
-    /// A value failed to parse.
-    BadValue {
-        /// The flag name.
-        flag: String,
-        /// The offending value.
-        value: String,
-        /// Parser message.
-        message: String,
-    },
+impl Command {
+    /// Every subcommand, in usage order.
+    pub const ALL: [Command; 5] = [
+        Command::Generate,
+        Command::Run,
+        Command::Serve,
+        Command::Feed,
+        Command::Trace,
+    ];
+
+    /// The name typed after `ctup`.
+    pub fn name(self) -> &'static str {
+        ["generate", "run", "serve", "feed", "trace"][self as usize]
+    }
+
+    /// The subcommand called `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<Command> {
+        Command::ALL.into_iter().find(|c| c.name() == name)
+    }
+
+    fn bit(self) -> u8 {
+        1 << self as u8
+    }
+
+    fn about(self) -> &'static str {
+        [
+            "Generate a place set and save it as a snapshot.",
+            "Monitor the seeded stream offline; print the final top-k and the metrics\n\
+             snapshot. Any supervised flag runs unsharded opt behind the supervisor:\n\
+             --kill-at N dies before effective update N, --recover resumes from --state-dir.",
+            "Open the networked ingest front door with /metrics and /healthz. --updates N\n\
+             self-feeds over loopback, --state-dir arms self-heal, --standby follows a primary.",
+            "Feed the seeded stream to a running `serve` (same --units/--places/--seed),\n\
+             optionally through seeded link faults or a --failover address list.",
+            "Analyze a --span-dump file: per-stage latency and slowest critical paths.",
+        ][self as usize]
+    }
 }
 
-impl fmt::Display for ArgError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArgError::UnexpectedPositional(a) => write!(f, "unexpected argument {a:?}"),
-            ArgError::MissingValue(flag) => write!(f, "--{flag} requires a value"),
-            ArgError::UnknownFlag(flag) => write!(f, "unknown flag --{flag}"),
-            ArgError::BadValue {
-                flag,
-                value,
-                message,
-            } => {
-                write!(f, "bad value {value:?} for --{flag}: {message}")
-            }
+const GENERATE: u8 = 1 << Command::Generate as u8;
+const RUN: u8 = 1 << Command::Run as u8;
+const SERVE: u8 = 1 << Command::Serve as u8;
+const FEED: u8 = 1 << Command::Feed as u8;
+const TRACE: u8 = 1 << Command::Trace as u8;
+/// Marks a `run` flag that only the supervised path reads.
+const SUPERVISED: u8 = 1 << 5;
+
+/// One row of the flag table.
+#[derive(Debug)]
+struct Flag {
+    /// The name, without the leading `--`.
+    name: &'static str,
+    /// The value's placeholder in the usage text; empty for a switch.
+    value: &'static str,
+    /// The commands that accept it, plus [`SUPERVISED`].
+    commands: u8,
+}
+
+const fn flag(name: &'static str, value: &'static str, commands: u8) -> Flag {
+    Flag {
+        name,
+        value,
+        commands,
+    }
+}
+
+/// Every flag of every command, in usage order.
+const FLAGS: &[Flag] = &[
+    flag("algorithm", "opt|basic|naive|naive-inc", RUN),
+    flag("updates", "N", RUN | SERVE | FEED),
+    flag("units", "N", RUN | SERVE | FEED),
+    flag("places", "N", GENERATE | RUN | SERVE | FEED),
+    flag("places-file", "FILE", RUN),
+    flag("granularity", "G", RUN | SERVE),
+    flag("seed", "S", GENERATE | RUN | SERVE | FEED),
+    flag("rp-min", "N", GENERATE),
+    flag("rp-max", "N", GENERATE),
+    flag("rp-skew", "F", GENERATE),
+    flag("k", "K", RUN | SERVE),
+    flag("threshold", "T", RUN | SERVE),
+    flag("delta", "D", RUN | SERVE),
+    flag("radius", "R", RUN | SERVE),
+    flag("no-doo", "", RUN | SERVE),
+    flag("shards", "N", RUN),
+    flag("cell-cache-pages", "M", RUN),
+    flag("events", "", RUN),
+    flag("format", "text|json|prom", RUN),
+    flag("out", "FILE", GENERATE | RUN),
+    flag("drop", "P", RUN | SUPERVISED),
+    flag("dup", "P", RUN | SUPERVISED),
+    flag("reorder", "P", RUN | SUPERVISED),
+    flag("reorder-window", "W", RUN | SUPERVISED),
+    flag("corrupt", "P", RUN | SUPERVISED),
+    flag("delay", "P", RUN | SUPERVISED),
+    flag("max-delay", "W", RUN | SUPERVISED),
+    flag("fault-seed", "S", RUN | SUPERVISED),
+    flag("disk-faults", "P", RUN | SUPERVISED),
+    flag("disk-seed", "S", RUN | SUPERVISED),
+    flag("torn-writes", "N", RUN | SUPERVISED),
+    flag("bit-flips", "N", RUN | SUPERVISED),
+    flag("panic-at", "N,N,...", RUN | SUPERVISED),
+    flag("lease-ttl", "T", RUN | SUPERVISED),
+    flag("max-restarts", "N", RUN | SUPERVISED),
+    flag("checkpoint-every", "N", RUN | SUPERVISED | SERVE),
+    flag("state-dir", "DIR", RUN | SUPERVISED | SERVE),
+    flag("kill-at", "N", RUN | SUPERVISED | SERVE),
+    flag("tear-slot", "", RUN | SUPERVISED),
+    flag("recover", "", RUN | SUPERVISED),
+    flag("flight-recorder", "N", RUN | SUPERVISED),
+    flag("flight-recorder-keep", "N", RUN | SUPERVISED),
+    flag("addr", "HOST:PORT", SERVE | FEED),
+    flag("metrics-addr", "HOST:PORT", SERVE),
+    flag("serve-secs", "N", SERVE),
+    flag("queue-capacity", "N", SERVE),
+    flag("session-quota", "N", SERVE),
+    flag("ingest-deadline-ms", "N", SERVE),
+    flag("snapshot-push-ms", "N", SERVE),
+    flag("epoch", "N", SERVE),
+    flag("standby", "HOST:PORT", SERVE),
+    flag("rate-hz", "F", FEED),
+    flag("max-in-flight", "N", FEED),
+    flag("max-attempts", "N", FEED),
+    flag("refuse-per-mille", "N", FEED),
+    flag("die-per-mille", "N", FEED),
+    flag("slow-per-mille", "N", FEED),
+    flag("net-seed", "S", FEED),
+    flag("deadline-secs", "N", FEED),
+    flag("failover", "HOST:PORT,...", FEED),
+    flag("span-dump", "FILE", SERVE | FEED),
+    flag("trace-every", "N", SERVE | FEED),
+    flag("input", "FILE", TRACE),
+    flag("slowest", "N", TRACE),
+];
+
+impl Flag {
+    fn accepted_by(&self, command: Command) -> bool {
+        self.commands & command.bit() != 0
+    }
+
+    /// `[--name VALUE]`, as the usage text shows it.
+    fn synopsis(&self) -> String {
+        match self.value {
+            "" => format!("[--{}]", self.name),
+            value => format!("[--{} {value}]", self.name),
         }
     }
 }
 
-impl std::error::Error for ArgError {}
+/// The usage text of one command: its synopsis, wrapped, then its summary.
+fn command_usage(command: Command) -> String {
+    let mut text = String::new();
+    let head = format!("  ctup {:<9}", command.name());
+    // Only `run` has two paths, so only `run` lists its supervised
+    // flags as a group of their own.
+    let of = |supervised: bool| {
+        FLAGS
+            .iter()
+            .filter(move |f| {
+                let grouped = command == Command::Run && f.commands & SUPERVISED != 0;
+                f.accepted_by(command) && grouped == supervised
+            })
+            .map(Flag::synopsis)
+    };
+    wrap(&mut text, &head, of(false));
+    if command == Command::Run {
+        wrap(&mut text, "     supervised:", of(true));
+    }
+    for line in command.about().lines() {
+        text.push_str("      ");
+        text.push_str(line);
+        text.push('\n');
+    }
+    text
+}
+
+/// Writes `head` and then `items`, breaking lines before column 90 and
+/// indenting continuations to line up under the first item.
+fn wrap(text: &mut String, head: &str, items: impl Iterator<Item = String>) {
+    let indent = head.chars().count();
+    let mut line = head.to_string();
+    for item in items {
+        if line.chars().count() + 1 + item.len() > 90 && line.chars().count() > indent {
+            text.push_str(&line);
+            text.push('\n');
+            line = " ".repeat(indent);
+        }
+        line.push(' ');
+        line.push_str(&item);
+    }
+    text.push_str(&line);
+    text.push('\n');
+}
+
+/// The `ctup help` text, generated from [`Command::ALL`] and [`FLAGS`].
+pub fn usage() -> String {
+    let mut text = String::from("ctup — Continuous Top-k Unsafe Places monitoring\n\nUSAGE:\n");
+    for command in Command::ALL {
+        text.push_str(&command_usage(command));
+    }
+    text
+}
+
+/// A CLI failure with a user-facing message.
+#[derive(Debug)]
+pub struct CliError(pub String);
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for CliError {}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError(format!("writing output: {e}"))
+    }
+}
+
+/// The flags one command line gave, checked against the table.
+#[derive(Debug)]
+pub struct Flags {
+    /// Name → value; a switch maps to the empty string.
+    given: BTreeMap<&'static str, String>,
+}
 
 impl Flags {
-    /// Parses `args` (without the program/subcommand names). `switch_names`
-    /// lists the flags that take no value; everything else expects one.
+    /// Parses `args` (without the program and subcommand names) against
+    /// the table rows `command` accepts; any other flag is an error.
     pub fn parse<I: IntoIterator<Item = String>>(
+        command: Command,
         args: I,
-        switch_names: &[&str],
-    ) -> Result<Flags, ArgError> {
-        let mut flags = Flags::default();
+    ) -> Result<Flags, CliError> {
+        let mut given = BTreeMap::new();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             let Some(name) = arg.strip_prefix("--") else {
-                return Err(ArgError::UnexpectedPositional(arg));
+                return Err(CliError(format!("unexpected argument {arg:?}")));
             };
-            if switch_names.contains(&name) {
-                flags.switches.push(name.to_string());
-            } else {
-                let value = iter
+            let Some(flag) = FLAGS
+                .iter()
+                .find(|f| f.name == name && f.accepted_by(command))
+            else {
+                let command = command.name();
+                return Err(CliError(format!(
+                    "unknown flag --{name} for `ctup {command}`"
+                )));
+            };
+            let value = match flag.value {
+                "" => String::new(),
+                _ => iter
                     .next()
-                    .ok_or_else(|| ArgError::MissingValue(name.to_string()))?;
-                flags.values.insert(name.to_string(), value);
-            }
+                    .ok_or_else(|| CliError(format!("--{name} requires a value")))?,
+            };
+            given.insert(flag.name, value);
         }
-        Ok(flags)
+        Ok(Flags { given })
     }
 
-    /// Whether a boolean switch was given.
+    /// Whether a switch (or any flag) was given.
     pub fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
+        self.given.contains_key(name)
     }
 
-    /// Typed flag value with a default.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError>
+    /// The first given flag that only the supervised `run` path reads.
+    pub fn supervised(&self) -> Option<&'static str> {
+        FLAGS
+            .iter()
+            .find(|f| f.commands & SUPERVISED != 0 && self.switch(f.name))
+            .map(|f| f.name)
+    }
+
+    /// Typed flag value, if given.
+    pub fn opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError>
     where
         T::Err: fmt::Display,
     {
-        match self.values.get(name) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|e: T::Err| ArgError::BadValue {
-                flag: name.to_string(),
-                value: raw.clone(),
-                message: e.to_string(),
-            }),
-        }
+        let Some(raw) = self.given.get(name) else {
+            return Ok(None);
+        };
+        raw.parse()
+            .map(Some)
+            .map_err(|e| CliError(format!("bad value {raw:?} for --{name}: {e}")))
     }
 
-    /// String flag value, if present.
+    /// Typed flag value with a default.
+    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError>
+    where
+        T::Err: fmt::Display,
+    {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
+
+    /// String flag value, if given.
     pub fn get_str(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
-    }
-
-    /// Rejects any flag not in `known` (switches included).
-    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
-        for name in self.values.keys() {
-            if !known.contains(&name.as_str()) {
-                return Err(ArgError::UnknownFlag(name.clone()));
-            }
-        }
-        for name in &self.switches {
-            if !known.contains(&name.as_str()) {
-                return Err(ArgError::UnknownFlag(name.clone()));
-            }
-        }
-        Ok(())
+        self.given.get(name).map(String::as_str)
     }
 }
 
@@ -120,45 +319,68 @@ impl Flags {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str], switches: &[&str]) -> Result<Flags, ArgError> {
-        Flags::parse(args.iter().map(|s| s.to_string()), switches)
+    fn parse(command: Command, args: &str) -> Result<Flags, CliError> {
+        Flags::parse(command, args.split_whitespace().map(String::from))
     }
 
     #[test]
     fn parses_values_and_switches() {
-        let flags = parse(&["--places", "500", "--events", "--seed", "7"], &["events"]).unwrap();
+        let flags = parse(Command::Run, "--places 500 --events --seed 7").unwrap();
         assert_eq!(flags.get("places", 0u32).unwrap(), 500);
         assert_eq!(flags.get("seed", 0u64).unwrap(), 7);
         assert!(flags.switch("events"));
-        assert!(!flags.switch("quiet"));
-        assert_eq!(flags.get("missing", 42i64).unwrap(), 42);
+        assert!(!flags.switch("no-doo"));
+        assert_eq!(flags.get("k", 42i64).unwrap(), 42);
+        assert_eq!(flags.opt::<i64>("threshold").unwrap(), None);
+        assert_eq!(flags.supervised(), None);
+        let flags = parse(Command::Run, "--threshold -3 --tear-slot").unwrap();
+        assert_eq!(flags.opt::<i64>("threshold").unwrap(), Some(-3));
+        assert_eq!(flags.supervised(), Some("tear-slot"));
     }
 
     #[test]
-    fn rejects_positional_and_missing_values() {
-        assert_eq!(
-            parse(&["oops"], &[]).unwrap_err(),
-            ArgError::UnexpectedPositional("oops".into())
-        );
-        assert_eq!(
-            parse(&["--seed"], &[]).unwrap_err(),
-            ArgError::MissingValue("seed".into())
-        );
+    fn rejects_bad_command_lines() {
+        for case in [
+            "run oops => unexpected argument \"oops\"",
+            "run --seed => --seed requires a value",
+            "run --seed abc => bad value \"abc\" for --seed: invalid digit found in string",
+            // A flag of another command is as unknown as a made-up one.
+            "run --bogus 1 => unknown flag --bogus for `ctup run`",
+            "run --addr a => unknown flag --addr for `ctup run`",
+            "feed --state-dir d => unknown flag --state-dir for `ctup feed`",
+            "feed --granularity 9 => unknown flag --granularity for `ctup feed`",
+            "generate --updates 5 => unknown flag --updates for `ctup generate`",
+            "trace --seed 1 => unknown flag --seed for `ctup trace`",
+        ] {
+            let (line, message) = case.split_once(" => ").unwrap();
+            let (name, args) = line.split_once(' ').unwrap();
+            let command = Command::from_name(name).unwrap();
+            let read_seed = parse(command, args).and_then(|f| f.get("seed", 0u64));
+            assert_eq!(read_seed.unwrap_err().0, message, "{line}");
+        }
     }
 
     #[test]
-    fn rejects_bad_and_unknown() {
-        let flags = parse(&["--seed", "abc"], &[]).unwrap();
-        assert!(matches!(
-            flags.get("seed", 0u64),
-            Err(ArgError::BadValue { .. })
-        ));
-        let flags = parse(&["--bogus", "1"], &[]).unwrap();
-        assert_eq!(
-            flags.reject_unknown(&["seed"]).unwrap_err(),
-            ArgError::UnknownFlag("bogus".into())
-        );
-        let flags = parse(&["--seed", "1"], &[]).unwrap();
-        assert!(flags.reject_unknown(&["seed"]).is_ok());
+    fn usage_lists_the_five_commands_and_every_flag_they_take() {
+        let text = usage();
+        let listed: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("  ctup "))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(listed, ["generate", "run", "serve", "feed", "trace"]);
+        for command in Command::ALL {
+            let own = command_usage(command);
+            for flag in FLAGS {
+                assert_eq!(
+                    own.contains(&flag.synopsis()),
+                    flag.accepted_by(command),
+                    "--{} in `ctup {}` usage",
+                    flag.name,
+                    command.name()
+                );
+            }
+            assert!(own.lines().all(|l| l.chars().count() <= 90), "{own}");
+        }
     }
 }

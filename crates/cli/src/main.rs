@@ -1,40 +1,27 @@
 //! `ctup` — command-line front-end for Continuous Top-k Unsafe Places
-//! monitoring. See `ctup help` / [`commands::usage`].
+//! monitoring. See `ctup help` / [`args::usage`].
 
 mod args;
 mod commands;
+mod trace;
 
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
-    let Some(subcommand) = argv.next() else {
-        eprintln!("{}", commands::usage());
-        return ExitCode::from(2);
-    };
-    let rest: Vec<String> = argv.collect();
-    let mut stdout = std::io::stdout().lock();
-    let result = match subcommand.as_str() {
-        "generate" => commands::generate(rest, &mut stdout),
-        "run" => commands::run(rest, &mut stdout),
-        "run-opt" => commands::run_opt(rest, &mut stdout),
-        "resume" => commands::resume(rest, &mut stdout),
-        "chaos" => commands::chaos(rest, &mut stdout),
-        "report" => commands::report(rest, &mut stdout),
-        "serve-metrics" => commands::serve_metrics(rest, &mut stdout),
-        "serve" => commands::serve(rest, &mut stdout),
-        "feed" => commands::feed(rest, &mut stdout),
-        "trace" => commands::trace(rest, &mut stdout),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::usage());
+    let name = argv.next().unwrap_or_default();
+    let Some(command) = args::Command::from_name(&name) else {
+        if matches!(name.as_str(), "help" | "--help" | "-h") {
+            println!("{}", args::usage());
             return ExitCode::SUCCESS;
         }
-        other => {
-            eprintln!("unknown subcommand {other:?}\n\n{}", commands::usage());
-            return ExitCode::from(2);
+        if !name.is_empty() {
+            eprintln!("unknown subcommand {name:?}\n");
         }
+        eprintln!("{}", args::usage());
+        return ExitCode::from(2);
     };
-    match result {
+    match commands::dispatch(command, argv.collect(), &mut std::io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

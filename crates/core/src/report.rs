@@ -6,11 +6,12 @@
 //! three formats:
 //!
 //! * [`Snapshot::render_text`] — the human-readable report printed by the
-//!   CLI after every run;
+//!   CLI after every `ctup run` and at `ctup serve` shutdown, the only
+//!   way the CLI prints counters;
 //! * [`Snapshot::render_json`] — a machine-readable document for bench
-//!   artifacts and scripted comparisons;
+//!   artifacts and scripted comparisons (`ctup run --format json`);
 //! * [`Snapshot::render_prom`] — Prometheus text exposition (format 0.0.4)
-//!   served by `ctup serve-metrics` and scraped from `/metrics`.
+//!   from `ctup run --format prom` and scraped from `ctup serve`'s `/metrics`.
 //!
 //! Every counter and gauge is enumerated *explicitly* in
 //! [`Snapshot::counters`] / [`Snapshot::gauges`]; the `cargo xtask lint`

@@ -28,7 +28,7 @@ USAGE:
 The lint subcommand runs the CTUP domain-invariant checker (rules
 L000–L005, see DESIGN.md §10; concurrency rules L006–L010, see
 DESIGN.md §15). promcheck validates a Prometheus text
-exposition (from `ctup report --format prom` or a `/metrics` scrape;
+exposition (from `ctup run --format prom` or a `/metrics` scrape;
 reads stdin when FILE is omitted). flightcheck validates a
 flight-recorder JSONL dump and prints its event span. healthcheck
 validates a `/healthz` body from `ctup serve` (stdin when FILE is

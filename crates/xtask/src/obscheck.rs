@@ -1,7 +1,7 @@
 //! CI validators for the observability artifacts.
 //!
 //! `promcheck` validates a Prometheus text exposition (what
-//! `ctup report --format prom` and `ctup serve-metrics` emit):
+//! `ctup run --format prom` and `ctup serve`'s `/metrics` emit):
 //! every sample line parses, every series has a `# TYPE` declaration,
 //! histogram buckets are cumulative and end in `+Inf` with a matching
 //! `_count`. `flightcheck` validates a flight-recorder JSONL dump:

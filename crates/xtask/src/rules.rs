@@ -411,57 +411,39 @@ impl MetricsCoverage {
     /// The real repo's configuration.
     pub fn default_config() -> Vec<MetricsCoverage> {
         vec![
+            // One renderer: `core::report::Snapshot`, whose `counters()` /
+            // `gauges()` name every field, is what every CLI printout,
+            // exposition and `/metrics` scrape goes through, so a field
+            // missing there is missing everywhere.
             MetricsCoverage {
                 struct_file: "crates/core/src/metrics.rs".into(),
                 structs: vec!["Metrics".into(), "ResilienceStats".into()],
-                report_files: vec!["crates/cli/src/commands.rs".into()],
+                report_files: vec!["crates/core/src/report.rs".into()],
             },
-            MetricsCoverage {
-                struct_file: "crates/storage/src/stats.rs".into(),
-                structs: vec!["StorageStatsSnapshot".into()],
-                report_files: vec!["crates/cli/src/commands.rs".into()],
-            },
-            // The unified snapshot renderer must also expose every storage
-            // counter (cache hits/misses/evictions included), so a field
-            // added to the snapshot cannot silently drop out of `ctup
-            // report` even while the chaos printout still mentions it.
             MetricsCoverage {
                 struct_file: "crates/storage/src/stats.rs".into(),
                 structs: vec!["StorageStatsSnapshot".into()],
                 report_files: vec!["crates/core/src/report.rs".into()],
             },
+            // The snapshot renders histograms through `named()`, which
+            // lists every latency field next to its definition.
             MetricsCoverage {
                 struct_file: "crates/obs/src/latency.rs".into(),
                 structs: vec!["LatencySnapshot".into()],
-                report_files: vec!["crates/cli/src/commands.rs".into()],
+                report_files: vec!["crates/obs/src/latency.rs".into()],
             },
-            // The networked front door's counters must survive both exits:
-            // the Prometheus rendering (`Snapshot::with_net`) and the
-            // human-readable `ctup serve` shutdown report. Two entries so a
-            // field dropped from either surface is caught independently.
             MetricsCoverage {
                 struct_file: "crates/core/src/net/stats.rs".into(),
                 structs: vec!["NetStatsSnapshot".into()],
                 report_files: vec!["crates/core/src/report.rs".into()],
-            },
-            MetricsCoverage {
-                struct_file: "crates/core/src/net/stats.rs".into(),
-                structs: vec!["NetStatsSnapshot".into()],
-                report_files: vec!["crates/cli/src/commands.rs".into()],
             },
             // The span layer's own health counters (dropped spans, sampled
-            // traces, exemplars) must reach both renderers the same way —
-            // a tracing layer that can lose data invisibly is worse than
-            // none.
+            // traces, exemplars): a tracing layer that can lose data
+            // invisibly is worse than none.
             MetricsCoverage {
                 struct_file: "crates/obs/src/span.rs".into(),
                 structs: vec!["SpanCounters".into()],
                 report_files: vec!["crates/core/src/report.rs".into()],
-            },
-            MetricsCoverage {
-                struct_file: "crates/obs/src/span.rs".into(),
-                structs: vec!["SpanCounters".into()],
-                report_files: vec!["crates/cli/src/commands.rs".into()],
             },
         ]
     }

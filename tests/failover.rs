@@ -593,6 +593,105 @@ fn level_one_revival_after_a_kill_on_the_last_report() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Level 1 under a crash storm: every revived engine is re-armed to die
+/// again a fixed step past the previous kill, so revival never sticks.
+/// The circuit breaker must trip once `max_restarts` revivals are spent
+/// and leave the door in sticky degraded mode instead of restarting
+/// forever.
+#[test]
+fn level_one_crash_storm_trips_the_breaker_into_sticky_degraded() {
+    /// A [`DirReviver`] whose every revived engine dies `step` effective
+    /// updates past the previous kill (sequence numbers continue across
+    /// recoveries, so each kill point must lie further out).
+    struct StormReviver {
+        base: DirReviver,
+        step: u64,
+        next_kill: AtomicU64,
+    }
+    impl EngineReviver for StormReviver {
+        fn revive(&self) -> Result<Arc<dyn EngineSink>, String> {
+            let kill_at = self.next_kill.fetch_add(self.step, Ordering::SeqCst);
+            let rearmed = DirReviver {
+                dir: self.base.dir.clone(),
+                store: Arc::clone(&self.base.store),
+                resilience: ResilienceConfig {
+                    kill_at: Some(kill_at),
+                    ..self.base.resilience.clone()
+                },
+            };
+            rearmed.revive()
+        }
+    }
+
+    let (mut workload, store) = setup(21);
+    let units = workload.unit_positions();
+    let stamped = stamp_stream(clean_stream(&mut workload, 400));
+    let dir = temp_dir("crash-storm");
+    let resilience = ResilienceConfig {
+        checkpoint_every: 8,
+        state_dir: Some(dir.clone()),
+        kill_at: Some(20),
+        ..ResilienceConfig::default()
+    };
+    let sink = durable_sink(&store, &units, resilience.clone());
+    let recovery = RecoveryPlan {
+        reviver: Arc::new(StormReviver {
+            base: DirReviver {
+                dir: dir.clone(),
+                store: store.clone(),
+                resilience,
+            },
+            step: 20,
+            next_kill: AtomicU64::new(40),
+        }),
+        config: RecoveryConfig {
+            max_restarts: 2,
+            backoff_base: Duration::from_millis(10),
+            backoff_max: Duration::from_millis(100),
+            ..RecoveryConfig::default()
+        },
+    };
+    let server = IngestServer::spawn_with_recovery(
+        "127.0.0.1:0",
+        NetServerConfig::default(),
+        sink,
+        Some(recovery),
+    )
+    .unwrap();
+
+    let mut client = FeedClient::new(
+        Box::new(TcpDialer::new(server.local_addr())),
+        ClientConfig::default(),
+    );
+    for &report in &stamped {
+        client.enqueue(report);
+    }
+    client.drive(Duration::from_secs(60)).expect("clean links");
+    let stats = client.finish();
+    assert_eq!(
+        stats.acked + stats.shed_total(),
+        400,
+        "every report must become terminal: {stats:?}"
+    );
+    wait_for("the breaker to trip", Duration::from_secs(15), || {
+        server.breaker_tripped()
+    });
+    assert!(
+        server.degraded(),
+        "a tripped breaker must leave the door degraded"
+    );
+    let net = server.shutdown();
+    assert_eq!(
+        net.engine_restarts, 2,
+        "max_restarts revivals, then none: {net:?}"
+    );
+    assert!(
+        net.degraded,
+        "degraded mode is sticky once the breaker trips"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The engine can die *after* the admission queue has drained — with no
 /// further hand-off to fail, only the pump's idle liveness probe can
 /// notice. The unacked in-flight tail must be re-fed to the revived
