@@ -35,9 +35,14 @@ pub struct BasicCtup {
     lb: LbDirectory,
     /// Places of all illuminated cells with exact safeties.
     maintained: MaintainedSet,
+    /// The illuminated cells, so that step 4 visits only them.
+    lit: Vec<CellId>,
     last_result: Vec<TopKEntry>,
     metrics: Metrics,
     init_stats: InitStats,
+    /// Scratch reused by every cell read: the cell's safeties in record
+    /// order.
+    safeties: Vec<Safety>,
 }
 
 impl std::fmt::Debug for BasicCtup {
@@ -67,9 +72,11 @@ impl BasicCtup {
         let mut this = BasicCtup {
             lb: LbDirectory::new(grid.num_cells()),
             maintained: MaintainedSet::new(),
+            lit: Vec::new(),
             last_result: Vec::new(),
             metrics: Metrics::default(),
             init_stats: InitStats::default(),
+            safeties: Vec::new(),
             config,
             store,
             grid,
@@ -80,11 +87,9 @@ impl BasicCtup {
         let mut safeties_computed = 0u64;
         for cell in this.grid.cells() {
             let records = this.store.read_cell(cell)?;
-            let mut min = LB_NONE;
-            for record in records.iter() {
-                min = min.min(this.units.safety(record));
-                safeties_computed += 1;
-            }
+            this.units.cell_safeties(&records, &mut this.safeties);
+            let min = this.safeties.iter().copied().min().unwrap_or(LB_NONE);
+            safeties_computed += convert::count64(records.len());
             this.lb.set(cell, min);
         }
 
@@ -112,21 +117,22 @@ impl BasicCtup {
         let records = self.store.read_cell(cell)?;
         self.metrics.cells_accessed += 1;
         self.metrics.places_loaded += convert::count64(records.len());
+        self.units.cell_safeties(&records, &mut self.safeties);
+        let safeties = self.safeties.iter().copied();
         match records {
             Cow::Borrowed(slice) => {
-                for record in slice {
-                    let safety = self.units.safety(record);
+                for (record, safety) in slice.iter().zip(safeties) {
                     self.maintained.insert(record.clone(), safety, cell);
                 }
             }
             Cow::Owned(vec) => {
-                for record in vec {
-                    let safety = self.units.safety(&record);
+                for (record, safety) in vec.into_iter().zip(safeties) {
                     self.maintained.insert(record, safety, cell);
                 }
             }
         }
         self.lb.detach(cell);
+        self.lit.push(cell);
         Ok(())
     }
 
@@ -148,7 +154,8 @@ impl BasicCtup {
     }
 
     /// Discards an illuminated cell's places from memory, re-attaching it
-    /// dark with its exact minimum safety as the lower bound.
+    /// dark with its exact minimum safety as the lower bound. The caller
+    /// takes the cell off `lit`.
     fn darken(&mut self, cell: CellId) {
         let entries = self.maintained.remove_cell(cell);
         debug_assert!(!entries.is_empty(), "illuminated cells are never empty");
@@ -175,8 +182,17 @@ impl BasicCtup {
 
     /// Asserts the scheme's soundness invariant: for every dark cell, the
     /// lower bound is at most the true minimum safety of the places in it.
-    /// Reads the lower level without counting. Test/diagnostic use.
+    /// Also asserts that `lit` lists exactly the illuminated cells. Reads
+    /// the lower level without counting. Test/diagnostic use.
     pub fn check_lb_invariant(&self) {
+        let mut lit = self.lit.clone();
+        lit.sort_unstable();
+        let illuminated: Vec<CellId> = self
+            .grid
+            .cells()
+            .filter(|&cell| self.is_illuminated(cell))
+            .collect();
+        assert_eq!(lit, illuminated, "lit disagrees with the detached cells");
         for cell in self.grid.cells() {
             if !self.lb.is_attached(cell) {
                 continue;
@@ -254,11 +270,11 @@ impl CtupAlgorithm for BasicCtup {
             .iter()
             .filter_map(|e| self.maintained.get(e.place).map(|m| m.cell))
             .collect();
-        let all_cells: Vec<CellId> = self.maintained.cells().collect();
-        for cell in all_cells {
-            if !keep.contains(&cell) {
-                self.darken(cell);
-            }
+        let (kept, dark): (Vec<CellId>, Vec<CellId>) =
+            self.lit.drain(..).partition(|cell| keep.contains(cell));
+        self.lit = kept;
+        for cell in dark {
+            self.darken(cell);
         }
         let access_nanos = timer.lap();
 

@@ -2,14 +2,20 @@
 //! illuminated cells) and OptCTUP (selectively maintained unsafe places).
 //!
 //! Tracks, for each maintained place, its record, exact current safety and
-//! home cell; keeps a safety-ordered view for `SK`/top-k extraction and a
-//! per-cell index for illumination/darkening.
+//! home cell; keeps a safety-ordered view for `SK`/top-k extraction.
+//!
+//! Entries live with their cell: one `Vec` per cell, so that illuminating,
+//! darkening or re-accessing a cell and step 1's scan of the touched cells
+//! are linear walks over contiguous entries. A dense `PlaceId → (cell,
+//! slot)` index answers point lookups. Entries never leave a cell one at a
+//! time — only [`MaintainedSet::remove_cell`] removes, and it takes the whole
+//! `Vec` — so a slot stays valid for as long as its entry is maintained.
 
 use crate::config::QueryMode;
 use crate::topk::SafetyOrdered;
 use crate::types::{protects, Place, PlaceId, Safety, TopKEntry, LB_NONE};
-use ctup_spatial::{CellId, Point};
-use std::collections::HashMap;
+use ctup_spatial::{convert, CellId, Point};
+use std::mem;
 
 /// A place held in memory with its exact safety.
 #[derive(Debug, Clone)]
@@ -22,11 +28,28 @@ pub struct MaintainedPlace {
     pub cell: CellId,
 }
 
+/// Where a maintained place's entry lives: `by_cell[cell][slot]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    cell: u32,
+    slot: u32,
+}
+
+impl Slot {
+    /// The index value of a place that is not maintained.
+    const VACANT: Slot = Slot {
+        cell: u32::MAX,
+        slot: u32::MAX,
+    };
+}
+
 /// The set of places maintained at the higher level.
 #[derive(Debug, Default)]
 pub struct MaintainedSet {
-    map: HashMap<PlaceId, MaintainedPlace>,
-    by_cell: HashMap<CellId, Vec<PlaceId>>,
+    /// The entries of each cell, indexed by `CellId`; grown on demand.
+    by_cell: Vec<Vec<MaintainedPlace>>,
+    /// Indexed by `PlaceId`; [`Slot::VACANT`] for places not maintained.
+    index: Vec<Slot>,
     ordered: SafetyOrdered,
 }
 
@@ -38,22 +61,25 @@ impl MaintainedSet {
 
     /// Number of maintained places.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.ordered.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.ordered.is_empty()
     }
 
     /// Whether `place` is maintained.
     pub fn contains(&self, place: PlaceId) -> bool {
-        self.map.contains_key(&place)
+        self.get(place).is_some()
     }
 
     /// The maintained entry for `place`, if any.
     pub fn get(&self, place: PlaceId) -> Option<&MaintainedPlace> {
-        self.map.get(&place)
+        let at = self.index.get(place.index())?;
+        self.by_cell
+            .get(convert::index(at.cell))?
+            .get(convert::index(at.slot))
     }
 
     /// Starts maintaining `place` with the given exact safety.
@@ -62,44 +88,42 @@ impl MaintainedSet {
     /// Panics in debug builds if the place is already maintained.
     pub fn insert(&mut self, place: Place, safety: Safety, cell: CellId) {
         let id = place.id;
+        debug_assert!(!self.contains(id), "{id:?} maintained twice");
+        if self.by_cell.len() <= cell.index() {
+            self.by_cell.resize_with(cell.index() + 1, Vec::new);
+        }
+        if self.index.len() <= id.index() {
+            self.index.resize(id.index() + 1, Slot::VACANT);
+        }
+        let entries = &mut self.by_cell[cell.index()];
+        self.index[id.index()] = Slot {
+            cell: cell.0,
+            slot: convert::id32(entries.len()),
+        };
+        entries.push(MaintainedPlace {
+            place,
+            safety,
+            cell,
+        });
         self.ordered.insert(id, safety);
-        self.by_cell.entry(cell).or_default().push(id);
-        let prev = self.map.insert(
-            id,
-            MaintainedPlace {
-                place,
-                safety,
-                cell,
-            },
-        );
-        debug_assert!(prev.is_none(), "{id:?} maintained twice");
     }
 
     /// Stops maintaining every place of `cell` and returns the entries.
     pub fn remove_cell(&mut self, cell: CellId) -> Vec<MaintainedPlace> {
-        let Some(ids) = self.by_cell.remove(&cell) else {
+        let Some(entries) = self.by_cell.get_mut(cell.index()) else {
             return Vec::new();
         };
-        let mut entries = Vec::with_capacity(ids.len());
-        for id in ids {
-            let Some(entry) = self.map.remove(&id) else {
-                debug_assert!(false, "{id:?} in by_cell but not in map");
-                continue;
-            };
-            self.ordered.remove(id, entry.safety);
-            entries.push(entry);
+        let entries = mem::take(entries);
+        for entry in &entries {
+            self.index[entry.place.id.index()] = Slot::VACANT;
+            self.ordered.remove(entry.place.id, entry.safety);
         }
         entries
     }
 
-    /// The ids of the places maintained for `cell`.
-    pub fn cell_places(&self, cell: CellId) -> &[PlaceId] {
-        self.by_cell.get(&cell).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Iterates the cells that currently have maintained places.
-    pub fn cells(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.by_cell.keys().copied()
+    /// The entries maintained for `cell`, in insertion order.
+    pub fn cell_entries(&self, cell: CellId) -> &[MaintainedPlace] {
+        self.by_cell.get(cell.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Updates every maintained place's safety for a unit that moved from
@@ -121,20 +145,16 @@ impl MaintainedSet {
     ) -> usize {
         let mut changed = 0;
         for cell in touched {
-            let Some(ids) = self.by_cell.get(cell) else {
+            let Some(entries) = self.by_cell.get_mut(cell.index()) else {
                 continue;
             };
-            for &id in ids {
-                let Some(entry) = self.map.get_mut(&id) else {
-                    debug_assert!(false, "{id:?} in by_cell but not in map");
-                    continue;
-                };
+            for entry in entries {
                 let was = protects(old, radius, &entry.place);
                 let is = protects(new, radius, &entry.place);
                 if was != is {
                     let delta: Safety = if is { 1 } else { -1 };
                     let fresh = entry.safety + delta;
-                    self.ordered.update(id, entry.safety, fresh);
+                    self.ordered.update(entry.place.id, entry.safety, fresh);
                     entry.safety = fresh;
                     changed += 1;
                 }
@@ -156,10 +176,13 @@ impl MaintainedSet {
 
     /// The monitored result under `mode`, sorted by `(safety, id)`.
     pub fn result(&self, mode: QueryMode) -> Vec<TopKEntry> {
-        match mode {
-            QueryMode::TopK(k) => self.ordered.top_k(k),
-            QueryMode::Threshold(tau) => self.ordered.below(tau),
-        }
+        self.ordered.result(mode).collect()
+    }
+
+    /// Whether [`MaintainedSet::result`] would equal `last`, decided by
+    /// walking the ordered prefix in place, without building the result.
+    pub fn result_equals(&self, mode: QueryMode, last: &[TopKEntry]) -> bool {
+        self.ordered.result(mode).eq(last.iter().copied())
     }
 
     /// The ordered view (for invariant checks and diagnostics).
@@ -167,29 +190,61 @@ impl MaintainedSet {
         &self.ordered
     }
 
-    /// Iterates all maintained entries (arbitrary order).
+    /// Iterates all maintained entries, cell by cell.
     pub fn iter(&self) -> impl Iterator<Item = &MaintainedPlace> {
-        self.map.values()
+        self.by_cell.iter().flatten()
     }
 
-    /// Verifies the three internal views agree; used by tests.
+    /// Verifies the entries, the index and the ordered view agree; used by
+    /// tests.
     pub fn check_invariants(&self) {
-        assert_eq!(self.map.len(), self.ordered.len());
-        let mut by_cell_total = 0;
-        for (cell, ids) in &self.by_cell {
-            assert!(!ids.is_empty(), "empty by_cell bucket for {cell:?}");
-            by_cell_total += ids.len();
-            for id in ids {
-                #[allow(clippy::expect_used)]
-                // ctup-lint: allow(L001, check_invariants is a panicking diagnostic harness by contract — tests call it precisely to fail loudly)
-                let entry = self.map.get(id).expect("by_cell id not in map");
-                assert_eq!(entry.cell, *cell);
+        let mut stored = 0usize;
+        for (cell, entries) in self.by_cell.iter().enumerate() {
+            for (slot, entry) in entries.iter().enumerate() {
+                assert_eq!(
+                    entry.cell.index(),
+                    cell,
+                    "{:?} filed under the wrong cell",
+                    entry.place.id
+                );
+                let at = self.index.get(entry.place.id.index()).copied();
+                assert_eq!(
+                    at,
+                    Some(Slot {
+                        cell: convert::id32(cell),
+                        slot: convert::id32(slot),
+                    }),
+                    "index of {:?} does not point at its entry",
+                    entry.place.id
+                );
+                stored += 1;
             }
         }
-        assert_eq!(by_cell_total, self.map.len());
-        for (safety, id) in self.ordered.iter() {
+        assert_eq!(stored, self.len(), "ordered view and entries disagree");
+        // Every index entry points at an entry with that id, so none
+        // survives its entry's removal.
+        let mut indexed = 0;
+        for (id, &at) in self.index.iter().enumerate() {
+            if at == Slot::VACANT {
+                continue;
+            }
+            let target = self
+                .by_cell
+                .get(convert::index(at.cell))
+                .and_then(|entries| entries.get(convert::index(at.slot)));
             assert_eq!(
-                self.map[&id].safety, safety,
+                target.map(|entry| entry.place.id.index()),
+                Some(id),
+                "stale index entry for place {id}"
+            );
+            indexed += 1;
+        }
+        assert_eq!(indexed, stored, "index and entries disagree");
+        for (safety, id) in self.ordered.iter() {
+            let entry = self.get(id);
+            assert_eq!(
+                entry.map(|e| e.safety),
+                Some(safety),
                 "ordered view stale for {id:?}"
             );
         }
@@ -218,7 +273,10 @@ mod tests {
         let m = sample();
         assert_eq!(m.len(), 3);
         assert!(m.contains(PlaceId(1)));
-        assert_eq!(m.cell_places(CellId(55)).len(), 2);
+        assert!(!m.contains(PlaceId(3)));
+        assert_eq!(m.cell_entries(CellId(55)).len(), 2);
+        assert_eq!(m.cell_entries(CellId(99)).len(), 1);
+        assert!(m.cell_entries(CellId(12)).is_empty());
         assert_eq!(m.sk_eff(QueryMode::TopK(1)), -6);
         assert_eq!(m.sk_eff(QueryMode::TopK(2)), -3);
         assert_eq!(m.sk_eff(QueryMode::TopK(4)), LB_NONE);
@@ -278,9 +336,34 @@ mod tests {
         assert_eq!(removed.len(), 2);
         assert_eq!(m.len(), 1);
         assert!(!m.contains(PlaceId(0)));
-        assert_eq!(m.cell_places(CellId(55)).len(), 0);
+        assert!(m.get(PlaceId(1)).is_none());
+        assert_eq!(m.cell_entries(CellId(55)).len(), 0);
+        assert_eq!(m.cell_entries(CellId(99)).len(), 1);
         assert_eq!(m.remove_cell(CellId(55)).len(), 0);
+        // A cell never seen, past the end of the per-cell storage.
+        assert_eq!(m.remove_cell(CellId(400)).len(), 0);
         m.check_invariants();
+    }
+
+    #[test]
+    fn get_after_remove_and_reinsert_into_another_cell() {
+        let mut m = sample();
+        m.remove_cell(CellId(55));
+        // Place 1 comes back under a different cell; place 0 stays out.
+        m.insert(place(1, 0.52, 0.50, 1), -4, CellId(12));
+        m.check_invariants();
+        let entry = m.get(PlaceId(1)).expect("re-inserted");
+        assert_eq!((entry.cell, entry.safety), (CellId(12), -4));
+        assert!(m.get(PlaceId(0)).is_none());
+        assert_eq!(m.cell_entries(CellId(55)).len(), 0);
+        // Slots restart per cell: a second place in cell 12 gets slot 1,
+        // and both stay reachable after another cell is removed.
+        m.insert(place(0, 0.50, 0.50, 3), -3, CellId(12));
+        m.remove_cell(CellId(99));
+        m.check_invariants();
+        assert_eq!(m.get(PlaceId(0)).map(|e| e.safety), Some(-3));
+        assert_eq!(m.get(PlaceId(1)).map(|e| e.safety), Some(-4));
+        assert_eq!(m.len(), 2);
     }
 
     #[test]
@@ -292,5 +375,58 @@ mod tests {
         assert_eq!(top2[1].place, PlaceId(0));
         let below = m.result(QueryMode::Threshold(-1));
         assert_eq!(below.len(), 2);
+    }
+
+    fn entry(place: u32, safety: Safety) -> TopKEntry {
+        TopKEntry {
+            place: PlaceId(place),
+            safety,
+        }
+    }
+
+    #[test]
+    fn result_equals_agrees_with_result_in_top_k_mode() {
+        let mut m = sample();
+        // Fewer than k places maintained: the result is everything held.
+        let mode = QueryMode::TopK(5);
+        let all = m.result(mode);
+        assert_eq!(all.len(), 3);
+        assert!(m.result_equals(mode, &all));
+        assert!(!m.result_equals(mode, &all[..2]), "a missing tail entry");
+        let mut longer = all.clone();
+        longer.push(entry(7, 0));
+        assert!(!m.result_equals(mode, &longer), "an extra tail entry");
+        assert!(!m.result_equals(mode, &[]));
+
+        // Ties at SK are ordered by id: swapping two equal-safety entries
+        // is a different result.
+        m.insert(place(7, 0.3, 0.3, 3), -3, CellId(33));
+        let mode = QueryMode::TopK(3);
+        let top = m.result(mode);
+        assert_eq!(top, [entry(2, -6), entry(0, -3), entry(7, -3)]);
+        assert!(m.result_equals(mode, &top));
+        assert!(!m.result_equals(mode, &[entry(2, -6), entry(7, -3), entry(0, -3)]));
+        // Same places, a safety off by one.
+        assert!(!m.result_equals(mode, &[entry(2, -6), entry(0, -3), entry(7, -2)]));
+        m.check_invariants();
+    }
+
+    #[test]
+    fn result_equals_agrees_with_result_in_threshold_mode() {
+        let m = sample();
+        // The threshold is strict: safety -3 is not below -3.
+        let mode = QueryMode::Threshold(-3);
+        assert_eq!(m.result(mode), [entry(2, -6)]);
+        assert!(m.result_equals(mode, &[entry(2, -6)]));
+        assert!(!m.result_equals(mode, &[entry(2, -6), entry(0, -3)]));
+        // One above, the -3 place joins.
+        let mode = QueryMode::Threshold(-2);
+        assert!(m.result_equals(mode, &[entry(2, -6), entry(0, -3)]));
+        assert!(!m.result_equals(mode, &[entry(2, -6)]));
+        // Nothing below the lowest safety.
+        let mode = QueryMode::Threshold(-6);
+        assert!(m.result(mode).is_empty());
+        assert!(m.result_equals(mode, &[]));
+        assert!(!m.result_equals(mode, &[entry(2, -6)]));
     }
 }

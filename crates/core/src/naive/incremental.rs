@@ -96,10 +96,7 @@ impl NaiveIncremental {
     }
 
     fn current_result(&self) -> Vec<TopKEntry> {
-        match self.config.mode {
-            QueryMode::TopK(k) => self.ordered.top_k(k),
-            QueryMode::Threshold(tau) => self.ordered.below(tau),
-        }
+        self.ordered.result(self.config.mode).collect()
     }
 
     /// Applies the ±1 safety adjustments caused by a unit moving

@@ -48,6 +48,10 @@ pub struct OptCtup {
     /// maintains only the cells [`ShardMap::owns`] assigns to `shard`;
     /// `None` owns every cell and is the plain sequential scheme.
     owner: Option<(u32, Arc<ShardMap>)>,
+    /// Scratch reused by every cell access: the cell's safeties in record
+    /// order, and the same sorted for the `SK` merge.
+    safeties: Vec<Safety>,
+    sorted: Vec<Safety>,
 }
 
 impl std::fmt::Debug for OptCtup {
@@ -119,6 +123,8 @@ impl OptCtup {
             grid,
             units,
             owner,
+            safeties: Vec::new(),
+            sorted: Vec::new(),
         };
 
         // Step 1: exact lower bound per owned cell; non-owned cells keep
@@ -129,11 +135,9 @@ impl OptCtup {
                 continue;
             }
             let records = this.store.read_cell(cell)?;
-            let mut min = LB_NONE;
-            for record in records.iter() {
-                min = min.min(this.units.safety(record));
-                safeties_computed += 1;
-            }
+            this.units.cell_safeties(&records, &mut this.safeties);
+            let min = this.safeties.iter().copied().min().unwrap_or(LB_NONE);
+            safeties_computed += convert::count64(records.len());
             this.lb.set(cell, min);
         }
 
@@ -179,17 +183,14 @@ impl OptCtup {
         self.metrics.cells_accessed += 1;
         self.metrics.places_loaded += convert::count64(records.len());
 
-        let mut safeties: Vec<Safety> = records
-            .iter()
-            .map(|record| self.units.safety(record))
-            .collect();
+        self.units.cell_safeties(&records, &mut self.safeties);
 
         // SK as it would be with this cell's places included.
         let sk = match self.config.mode {
             crate::config::QueryMode::TopK(k) => {
-                let mut sorted = safeties.clone();
-                sorted.sort_unstable();
-                let mut cell_iter = sorted.into_iter().peekable();
+                self.sorted.clone_from(&self.safeties);
+                self.sorted.sort_unstable();
+                let mut cell_iter = self.sorted.iter().copied().peekable();
                 let mut global_iter = self.maintained.ordered().iter().peekable();
                 let mut kth = LB_NONE;
                 for _ in 0..k {
@@ -212,7 +213,7 @@ impl OptCtup {
                 }
                 if cell_iter.peek().is_none() && global_iter.peek().is_none() {
                     // Fewer than k places exist in total.
-                    let total = self.maintained.len() + safeties.len();
+                    let total = self.maintained.len() + self.safeties.len();
                     if total < k {
                         kth = LB_NONE;
                     }
@@ -228,7 +229,7 @@ impl OptCtup {
         let keep_below = sk.saturating_add(self.config.delta);
         let must_evict = |safety: Safety| safety >= keep_below && safety > sk;
         let mut lb = LB_NONE;
-        for (record, safety) in records.iter().zip(safeties.drain(..)) {
+        for (record, &safety) in records.iter().zip(&self.safeties) {
             if must_evict(safety) {
                 lb = lb.min(safety);
             } else {
@@ -348,6 +349,28 @@ impl OptCtup {
         for (cell, &bound) in grid.cells().zip(&checkpoint.lower_bounds) {
             lb.set(cell, bound);
         }
+        // Place ids are dense in the store's `0..|P|`, and the maintained
+        // set indexes them densely: refuse an id outside that range, or a
+        // place maintained twice, before it reaches the index.
+        let mut seen = vec![false; store.num_places()];
+        for (place, _, _) in &checkpoint.maintained {
+            match seen.get_mut(place.id.index()) {
+                Some(seen) if !*seen => *seen = true,
+                Some(_) => {
+                    return Err(crate::checkpoint::CheckpointError::Invalid(format!(
+                        "place {} is maintained twice",
+                        place.id.0
+                    )))
+                }
+                None => {
+                    return Err(crate::checkpoint::CheckpointError::Invalid(format!(
+                        "maintained place {} is not among the store's {} places",
+                        place.id.0,
+                        store.num_places()
+                    )))
+                }
+            }
+        }
         let mut maintained = MaintainedSet::new();
         for (place, safety, cell) in checkpoint.maintained {
             maintained.insert(place, safety, cell);
@@ -372,6 +395,8 @@ impl OptCtup {
             metrics,
             init_stats: InitStats::default(),
             owner: None,
+            safeties: Vec::new(),
+            sorted: Vec::new(),
         })
     }
 
@@ -489,9 +514,14 @@ impl CtupAlgorithm for OptCtup {
         let cells_accessed = self.access_loop()?;
         let access_nanos = timer.lap();
 
-        let result = self.maintained.result(self.config.mode);
-        let changed = result != self.last_result;
-        self.last_result = result;
+        // Most updates leave the result as it was: compare in place and
+        // build a new result only when it changed.
+        let changed = !self
+            .maintained
+            .result_equals(self.config.mode, &self.last_result);
+        if changed {
+            self.last_result = self.maintained.result(self.config.mode);
+        }
 
         self.metrics.updates_processed += 1;
         self.metrics.maintain_nanos += maintain_nanos;
@@ -580,15 +610,20 @@ mod tests {
         assert!(alg.dechash_len() == 0, "DecHash must start empty");
     }
 
-    fn run_updates(config: CtupConfig, steps: usize, seed: u64) {
-        let (mut alg, oracle, mut units) = setup(config.clone());
+    /// A seeded xorshift stream of uniform `f64`s in `[0, 1)`.
+    fn xorshift(seed: u64) -> impl FnMut() -> f64 {
         let mut state = seed | 1;
-        let mut next = move || {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        }
+    }
+
+    fn run_updates(config: CtupConfig, steps: usize, seed: u64) {
+        let (mut alg, oracle, mut units) = setup(config.clone());
+        let mut next = xorshift(seed);
         for step in 0..steps {
             let unit = (next() * 10.0) as usize % 10;
             let new = Point::new(next(), next());
@@ -601,14 +636,105 @@ mod tests {
             oracle.assert_result_matches(&alg.result(), &units, 0.1, config.mode);
             if step % 50 == 0 {
                 alg.check_lb_invariant();
+                alg.maintained.check_invariants();
             }
         }
         alg.check_lb_invariant();
+        alg.maintained.check_invariants();
     }
 
     #[test]
     fn tracks_oracle_with_doo() {
         run_updates(CtupConfig::with_k(5), 300, 0xA);
+    }
+
+    /// Pins the logical work of one fixed feed: cells read, places loaded,
+    /// bounds decremented and suppressed, result changes, and the state
+    /// held at the end. A change to how the engine does its work, rather
+    /// than to which work it does, must leave every value as it is.
+    #[test]
+    fn fixed_feed_pins_the_logical_work() {
+        use ctup_mogen::{PlaceGenConfig, PlaceGenerator};
+        let places = PlaceGenerator::new(PlaceGenConfig {
+            count: 3_000,
+            extent_prob: 0.1,
+            ..PlaceGenConfig::default()
+        })
+        .generate(31);
+        let oracle = Oracle::new(places.clone());
+        let store: Arc<dyn PlaceStore> =
+            Arc::new(CellLocalStore::build(Grid::unit_square(10), places));
+        let mut next = xorshift(0x31);
+        let mut units: Vec<Point> = (0..150).map(|_| Point::new(next(), next())).collect();
+        let config = CtupConfig::paper_default();
+        let mut alg = OptCtup::new(config.clone(), store, &units).expect("init");
+        for _ in 0..2_000 {
+            let unit = (next() * 150.0) as usize % 150;
+            // Short moves, as a unit on patrol makes them.
+            let (dx, dy) = ((next() - 0.5) * 0.1, (next() - 0.5) * 0.1);
+            let old = units[unit];
+            let new = Point::new((old.x + dx).clamp(0.0, 1.0), (old.y + dy).clamp(0.0, 1.0));
+            alg.handle_update(LocationUpdate {
+                unit: UnitId(unit as u32),
+                new,
+            })
+            .expect("update");
+            units[unit] = new;
+        }
+        oracle.assert_result_matches(&alg.result(), &units, 0.1, config.mode);
+        let m = alg.metrics();
+        let work = (
+            m.cells_accessed,
+            m.places_loaded,
+            m.lb_decrements,
+            m.lb_decrements_suppressed,
+            m.result_changes,
+            alg.maintained_places(),
+            alg.dechash_len(),
+        );
+        assert_eq!(work, (1363, 40622, 10093, 3942, 167, 614, 390));
+        let top: Vec<(u32, Safety)> = alg.result().iter().map(|e| (e.place.0, e.safety)).collect();
+        assert_eq!(
+            top,
+            [
+                (13, -8),
+                (650, -8),
+                (791, -8),
+                (837, -8),
+                (921, -8),
+                (1326, -8),
+                (2004, -8),
+                (2259, -8),
+                (2901, -8),
+                (164, -7),
+                (247, -7),
+                (317, -7),
+                (380, -7),
+                (643, -7),
+                (1355, -7),
+            ]
+        );
+    }
+
+    #[test]
+    fn restore_refuses_place_ids_the_dense_index_cannot_hold() {
+        use crate::checkpoint::CheckpointError;
+        let (alg, _, _) = setup(CtupConfig::with_k(5));
+        let store = alg.store();
+        let good = alg.checkpoint();
+        assert!(!good.maintained.is_empty());
+        assert!(OptCtup::restore(good.clone(), store.clone()).is_ok());
+        // An id past the store's 64 places.
+        let mut bad = good.clone();
+        bad.maintained[0].0.id = PlaceId(64);
+        let err = OptCtup::restore(bad, store.clone()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Invalid(_)), "{err}");
+        // The same place maintained twice.
+        let mut bad = good;
+        let twin = bad.maintained[0].clone();
+        bad.maintained.push(twin);
+        let err = OptCtup::restore(bad, store).unwrap_err();
+        assert!(matches!(err, CheckpointError::Invalid(_)), "{err}");
     }
 
     #[test]

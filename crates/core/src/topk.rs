@@ -5,6 +5,7 @@
 //! keyed by `(safety, place)` gives O(log n) updates and O(k) result
 //! extraction; `k` is small (15 by default) so walking the prefix is cheap.
 
+use crate::config::QueryMode;
 use crate::types::{PlaceId, Safety, TopKEntry};
 use std::collections::BTreeSet;
 
@@ -61,22 +62,19 @@ impl SafetyOrdered {
         self.set.iter().nth(k - 1).map(|&(s, _)| s)
     }
 
-    /// The `k` smallest entries in `(safety, id)` order.
-    pub fn top_k(&self, k: usize) -> Vec<TopKEntry> {
+    /// The result under `mode`, in `(safety, id)` order: the `k` smallest
+    /// entries in top-k mode, every entry with `safety < tau` in threshold
+    /// mode.
+    pub fn result(&self, mode: QueryMode) -> impl Iterator<Item = TopKEntry> + '_ {
+        let (limit, bound) = match mode {
+            QueryMode::TopK(k) => (k, None),
+            QueryMode::Threshold(tau) => (usize::MAX, Some(tau)),
+        };
         self.set
             .iter()
-            .take(k)
+            .take(limit)
+            .take_while(move |&&(safety, _)| bound.is_none_or(|tau| safety < tau))
             .map(|&(safety, place)| TopKEntry { place, safety })
-            .collect()
-    }
-
-    /// All entries with `safety < bound`, in `(safety, id)` order.
-    pub fn below(&self, bound: Safety) -> Vec<TopKEntry> {
-        self.set
-            .iter()
-            .take_while(|&&(s, _)| s < bound)
-            .map(|&(safety, place)| TopKEntry { place, safety })
-            .collect()
     }
 
     /// Iterates all `(safety, place)` pairs in order.
@@ -106,10 +104,18 @@ mod tests {
         assert_eq!(s.kth_safety(6), None);
     }
 
+    fn top_k(s: &SafetyOrdered, k: usize) -> Vec<TopKEntry> {
+        s.result(QueryMode::TopK(k)).collect()
+    }
+
+    fn below(s: &SafetyOrdered, tau: Safety) -> Vec<TopKEntry> {
+        s.result(QueryMode::Threshold(tau)).collect()
+    }
+
     #[test]
     fn top_k_orders_ties_by_id() {
         let s = filled();
-        let top = s.top_k(3);
+        let top = top_k(&s, 3);
         assert_eq!(
             top,
             vec![
@@ -128,7 +134,7 @@ mod tests {
             ]
         );
         // Asking for more than tracked returns everything.
-        assert_eq!(s.top_k(100).len(), 5);
+        assert_eq!(top_k(&s, 100).len(), 5);
     }
 
     #[test]
@@ -136,7 +142,7 @@ mod tests {
         let mut s = filled();
         s.update(PlaceId(1), 5, -10);
         assert_eq!(s.kth_safety(1), Some(-10));
-        assert_eq!(s.top_k(1)[0].place, PlaceId(1));
+        assert_eq!(top_k(&s, 1)[0].place, PlaceId(1));
         // No-op update.
         s.update(PlaceId(1), -10, -10);
         assert_eq!(s.len(), 5);
@@ -145,11 +151,13 @@ mod tests {
     #[test]
     fn below_respects_strict_bound() {
         let s = filled();
-        let entries = s.below(-3);
+        let entries = below(&s, -3);
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].place, PlaceId(4));
-        assert_eq!(s.below(1).len(), 4);
-        assert_eq!(s.below(Safety::MIN).len(), 0);
+        assert_eq!(below(&s, 1).len(), 4);
+        assert_eq!(below(&s, Safety::MIN).len(), 0);
+        // A threshold above every safety keeps every entry.
+        assert_eq!(below(&s, Safety::MAX).len(), 5);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! for counting protectors.
 
 use crate::types::{protects, LocationUpdate, Place, Safety, Unit, UnitId};
-use ctup_spatial::{convert, Circle, Grid, Point, UnitGridIndex};
+use ctup_spatial::{convert, Circle, Grid, Point, Rect, UnitGridIndex};
 
 /// Positions of all units with a grid index for `AP(p)` computation.
 #[derive(Debug)]
@@ -10,6 +10,9 @@ pub struct UnitTable {
     positions: Vec<Point>,
     index: UnitGridIndex<u32>,
     radius: f64,
+    /// Scratch for [`UnitTable::cell_safeties`]: the positions of the units
+    /// that can protect some place of the cell being computed.
+    near: Vec<Point>,
 }
 
 impl UnitTable {
@@ -24,6 +27,7 @@ impl UnitTable {
             positions: initial.to_vec(),
             index,
             radius,
+            near: Vec::new(),
         }
     }
 
@@ -84,6 +88,47 @@ impl UnitTable {
     /// Current safety of `place`: `AP(p) − RP(p)`.
     pub fn safety(&self, place: &Place) -> Safety {
         self.ap(place) as Safety - place.rp as Safety
+    }
+
+    /// The safeties of `records`, in order, written into `out` — the
+    /// whole-cell form of [`UnitTable::safety`], with equal results.
+    ///
+    /// The unit buckets are visited once per call, not once per place: the
+    /// units in every bucket overlapping the records' bounding box inflated
+    /// by the radius are gathered into a short list, and each place counts
+    /// its protectors against that list. The probe is a box rather than a
+    /// set of circles so that units outside the grid's space, which
+    /// `Grid::cell_of` clamps into boundary buckets, are gathered too.
+    pub fn cell_safeties(&mut self, records: &[Place], out: &mut Vec<Safety>) {
+        out.clear();
+        self.near.clear();
+        if records.is_empty() {
+            return;
+        }
+        let bbox = records
+            .iter()
+            .fold(Rect::empty(), |bbox, r| bbox.union(&Rect::point(r.pos)));
+        let grid = self.index.grid();
+        for cell in grid.cells_overlapping_rect(&bbox.inflate(self.radius)) {
+            self.index
+                .for_each_in_cell(cell, |_, pos| self.near.push(pos));
+        }
+        let (near, radius) = (&self.near, self.radius);
+        let r2 = radius * radius;
+        out.extend(records.iter().map(|place| {
+            // The same two tests `ap` makes: within the radius of `pos`,
+            // and for an extended place, containing the whole extent.
+            let within = |u: &&Point| place.pos.dist2(**u) <= r2;
+            let ap = match place.extent {
+                None => near.iter().filter(within).count(),
+                Some(_) => near
+                    .iter()
+                    .filter(within)
+                    .filter(|&&u| protects(u, radius, place))
+                    .count(),
+            };
+            ap as Safety - place.rp as Safety
+        }));
     }
 
     /// Iterates all units in id order.
@@ -153,6 +198,91 @@ mod tests {
             0.05,
         );
         assert_eq!(t2.ap(&p), 0);
+    }
+
+    /// `cell_safeties` is `safety` computed for a whole cell at once: for
+    /// every cell of seeded inputs it must agree place by place, including
+    /// extended places whose extent crosses the cell edge, places and units
+    /// exactly on cell boundaries, and units outside the unit square.
+    #[test]
+    fn cell_safeties_match_per_place_safety() {
+        use ctup_storage::{CellLocalStore, PlaceStore};
+        let (n_units, n_places) = if cfg!(miri) { (12, 40) } else { (80, 400) };
+        let mut state = 0x31u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut out = Vec::new();
+        for g in [1u32, 4, 10] {
+            let edge = |i: f64| i / f64::from(g);
+            for radius in [0.03, 0.1, 0.35] {
+                // Units anywhere in [-0.2, 1.2)², then some exactly on cell
+                // boundaries and corners.
+                let mut units: Vec<Point> = (0..n_units)
+                    .map(|_| Point::new(next() * 1.4 - 0.2, next() * 1.4 - 0.2))
+                    .collect();
+                for i in 0..=g {
+                    let b = edge(f64::from(i));
+                    units.push(Point::new(b, next()));
+                    units.push(Point::new(next(), b));
+                    units.push(Point::new(b, b));
+                }
+                let mut places = Vec::new();
+                let mut add = |pos: Point, rp: u32, extent: Option<Rect>| {
+                    let id = PlaceId(convert::id32(places.len()));
+                    places.push(match extent {
+                        None => Place::point(id, pos, rp),
+                        Some(extent) => Place::extended(id, pos, rp, extent),
+                    });
+                };
+                for _ in 0..n_places {
+                    let pos = Point::new(next(), next());
+                    let rp = (next() * 4.0) as u32;
+                    add(pos, rp, None);
+                }
+                // On boundaries and corners, including the space's own
+                // edges, where `cell_of` clamps.
+                for i in 0..=g {
+                    let b = edge(f64::from(i));
+                    add(Point::new(b, next()), 1, None);
+                    add(Point::new(next(), b), 1, None);
+                    add(Point::new(b, b), 2, None);
+                }
+                // Extended places centred on a vertical cell edge, so the
+                // extent reaches into the neighbouring cell.
+                for i in 0..=g {
+                    let pos = Point::new(edge(f64::from(i)), next());
+                    let (hw, hh) = (next() * radius, next() * radius);
+                    let extent = Rect::from_coords(
+                        (pos.x - hw).max(0.0),
+                        (pos.y - hh).max(0.0),
+                        (pos.x + hw).min(1.0),
+                        (pos.y + hh).min(1.0),
+                    );
+                    add(pos, 1, Some(extent));
+                }
+                let grid = Grid::unit_square(g);
+                let mut table = UnitTable::new(grid.clone(), &units, radius);
+                let store = CellLocalStore::build(grid.clone(), places);
+                for cell in grid.cells() {
+                    let records = store.read_cell(cell).expect("memory read");
+                    table.cell_safeties(&records, &mut out);
+                    let expected: Vec<Safety> = records.iter().map(|p| table.safety(p)).collect();
+                    assert_eq!(out, expected, "g {g}, R {radius}, {cell:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cell_safeties_of_an_empty_cell_is_empty() {
+        let mut t = table();
+        let mut out = vec![7];
+        t.cell_safeties(&[], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! do (clippy's test exemption does not reach integration-test helpers).
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
+use ctup_core::config::QueryMode;
 use ctup_core::lbdir::LbDirectory;
 use ctup_core::topk::SafetyOrdered;
 use ctup_core::types::{PlaceId, Safety, LB_NONE};
@@ -67,14 +68,14 @@ proptest! {
         // kth_safety.
         let expect_kth = sorted.get(k - 1).map(|&(s, _)| s);
         prop_assert_eq!(sut.kth_safety(k), expect_kth);
-        // top_k order.
+        // Top-k order.
         let got: Vec<(Safety, u32)> =
-            sut.top_k(k).into_iter().map(|e| (e.safety, e.place.0)).collect();
+            sut.result(QueryMode::TopK(k)).map(|e| (e.safety, e.place.0)).collect();
         let expect: Vec<(Safety, u32)> = sorted.iter().take(k).copied().collect();
         prop_assert_eq!(got, expect);
-        // below(bound).
+        // Threshold: strictly below the bound.
         let got_below: Vec<(Safety, u32)> =
-            sut.below(bound).into_iter().map(|e| (e.safety, e.place.0)).collect();
+            sut.result(QueryMode::Threshold(bound)).map(|e| (e.safety, e.place.0)).collect();
         let expect_below: Vec<(Safety, u32)> =
             sorted.iter().take_while(|&&(s, _)| s < bound).copied().collect();
         prop_assert_eq!(got_below, expect_below);
