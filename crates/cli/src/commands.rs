@@ -25,7 +25,7 @@ use ctup_obs::{LatencySnapshot, MetricsServer, SpanSink};
 use ctup_spatial::{Grid, Point};
 use ctup_storage::{
     snapshot, CachedStore, CellLocalStore, DiskFaultPlan, FaultDisk, PlaceStore, RetryPolicy,
-    StorageError,
+    StorageError, MAX_RP,
 };
 use std::fmt::Write as _;
 use std::io::Write;
@@ -120,6 +120,9 @@ fn generate(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     };
     if config.rp_min > config.rp_max {
         return Err(CliError("--rp-min must not exceed --rp-max".into()));
+    }
+    if config.rp_max > MAX_RP {
+        return Err(CliError(format!("--rp-max must not exceed {MAX_RP}")));
     }
     let places = PlaceGenerator::new(config).generate(seed);
     let path = flags.get_str("out").unwrap_or("places.txt");
@@ -1182,6 +1185,7 @@ mod tests {
             "run --recover => --recover requires --state-dir",
             "run --panic-at 40,x => bad --panic-at entry \"x\"",
             "generate --rp-min 9 --rp-max 2 => --rp-min must not exceed --rp-max",
+            "generate --rp-max 65537 => --rp-max must not exceed 65536",
             "feed --granularity 10 => unknown flag --granularity for `ctup feed`",
             "feed --addr not-an-addr => bad value \"not-an-addr\" for --addr",
             "feed --failover not-an-addr => bad --failover entry",

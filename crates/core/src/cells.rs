@@ -29,13 +29,19 @@ pub fn classify_with_margin(region: &Circle, cell_rect: &Rect, margin: f64) -> R
 /// deduplicated. Cells outside both regions keep relation `N -> N`, which
 /// never changes a lower bound in Table I or Table II.
 pub fn touched_cells(grid: &Grid, old: &Circle, new: &Circle) -> Vec<CellId> {
-    let mut cells: Vec<CellId> = grid
-        .cells_overlapping_circle(old)
-        .chain(grid.cells_overlapping_circle(new))
-        .collect();
+    let mut cells = Vec::new();
+    touched_cells_into(grid, old, new, &mut cells);
+    cells
+}
+
+/// [`touched_cells`] written into `cells`, which is cleared first, so that
+/// the update path reuses one buffer instead of allocating per update.
+pub fn touched_cells_into(grid: &Grid, old: &Circle, new: &Circle, cells: &mut Vec<CellId>) {
+    cells.clear();
+    cells.extend(grid.cells_overlapping_circle(old));
+    cells.extend(grid.cells_overlapping_circle(new));
     cells.sort_unstable();
     cells.dedup();
-    cells
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use crate::config::{CtupConfig, QueryMode};
 use crate::ingest::{GateState, GateUnitState};
 use crate::types::{Place, PlaceId, Safety, UnitId};
 use ctup_spatial::{CellId, Point, Rect};
-use ctup_storage::PlaceStore;
+use ctup_storage::{PlaceStore, MAX_RP};
 use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
@@ -166,11 +166,32 @@ impl Checkpoint {
                 return invalid("non-finite unit position".into());
             }
         }
-        for (place, _, cell) in &self.maintained {
+        // A safety is AP − RP with AP in 0..=|U|: the ordered view keeps one
+        // level per safety value, so a safety outside that range, or an RP
+        // above MAX_RP, would size it by the file instead of the workload.
+        let units = Safety::try_from(self.unit_positions.len()).unwrap_or(Safety::MAX);
+        for (place, safety, cell) in &self.maintained {
             if cell.index() >= num_cells {
                 return invalid(format!(
                     "maintained place {} references cell {} of {num_cells}",
                     place.id.0, cell.0
+                ));
+            }
+            if place.rp > MAX_RP {
+                return invalid(format!(
+                    "maintained place {} requires {} protection, above MAX_RP = {MAX_RP}",
+                    place.id.0, place.rp
+                ));
+            }
+            let rp = Safety::from(place.rp);
+            if !(-rp..=units - rp).contains(safety) {
+                return invalid(format!(
+                    "maintained place {} has safety {safety} outside {}..={} (RP {}, {} units)",
+                    place.id.0,
+                    -rp,
+                    units - rp,
+                    place.rp,
+                    self.unit_positions.len()
                 ));
             }
         }
@@ -643,6 +664,18 @@ mod tests {
         // Maintained place in an out-of-range cell.
         let mut bad = sample();
         bad.maintained[0].2 = CellId(99);
+        assert!(matches!(bad.validate(4), Err(CheckpointError::Invalid(_))));
+        // Maintained safeties at both edges of -RP..=|U| - RP (RP 3, two
+        // units) pass; one past either edge does not.
+        for (safety, ok) in [(-3, true), (-1, true), (-4, false), (0, false)] {
+            let mut cp = sample();
+            cp.maintained[0].1 = safety;
+            assert_eq!(cp.validate(4).is_ok(), ok, "safety {safety}");
+        }
+        // A requirement above MAX_RP.
+        let mut bad = sample();
+        bad.maintained[0].0.rp = MAX_RP + 1;
+        bad.maintained[0].1 = -Safety::from(MAX_RP);
         assert!(matches!(bad.validate(4), Err(CheckpointError::Invalid(_))));
         // Gate unit count disagreeing with the position table.
         let mut bad = sample();

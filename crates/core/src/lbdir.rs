@@ -1,17 +1,18 @@
-//! The lower-bound directory: per-cell lower bounds plus an ordering that
-//! yields dark cells in increasing lower-bound order.
+//! The lower-bound directory: per-cell lower bounds, and the attached cell
+//! with the smallest one.
 //!
 //! Both schemes repeatedly need "the dark cell with the smallest lower
 //! bound" (initialization illuminates in that order; updates access every
 //! cell with `lb < SK`, cheapest first so `SK` can tighten between
-//! accesses). Lower bounds change a handful of cells per update, so a
-//! `BTreeSet<(lb, cell)>` mirror of the flat array is the right trade.
+//! accesses). That is asked once per update plus once per access, while
+//! Table I/II move a few bounds on every update, so [`LbDirectory::first`]
+//! scans the flat array instead of keeping an ordered mirror that every
+//! bound change would have to re-file.
 
 use crate::types::{Safety, LB_NONE};
 use ctup_spatial::{convert, CellId};
-use std::collections::BTreeSet;
 
-/// Per-cell lower bounds with ordered iteration.
+/// Per-cell lower bounds with a cheapest-cell query.
 ///
 /// Cells may be *detached* (BasicCTUP removes illuminated cells from the
 /// directory); detached cells keep no lower bound.
@@ -19,21 +20,15 @@ use std::collections::BTreeSet;
 pub struct LbDirectory {
     lbs: Vec<Safety>,
     attached: Vec<bool>,
-    ordered: BTreeSet<(Safety, CellId)>,
 }
 
 impl LbDirectory {
     /// Creates a directory for `num_cells` cells, all attached with the
     /// empty-cell bound [`LB_NONE`].
     pub fn new(num_cells: usize) -> Self {
-        let mut ordered = BTreeSet::new();
-        for i in 0..num_cells {
-            ordered.insert((LB_NONE, CellId(convert::id32(i))));
-        }
         LbDirectory {
             lbs: vec![LB_NONE; num_cells],
             attached: vec![true; num_cells],
-            ordered,
         }
     }
 
@@ -59,13 +54,6 @@ impl LbDirectory {
     /// Sets the lower bound of an attached cell.
     pub fn set(&mut self, cell: CellId, lb: Safety) {
         debug_assert!(self.attached[cell.index()], "{cell:?} is detached");
-        let old = self.lbs[cell.index()];
-        if old == lb {
-            return;
-        }
-        let removed = self.ordered.remove(&(old, cell));
-        debug_assert!(removed);
-        self.ordered.insert((lb, cell));
         self.lbs[cell.index()] = lb;
     }
 
@@ -85,8 +73,6 @@ impl LbDirectory {
     /// Detaches `cell` (BasicCTUP: the cell becomes illuminated).
     pub fn detach(&mut self, cell: CellId) {
         debug_assert!(self.attached[cell.index()], "{cell:?} already detached");
-        let removed = self.ordered.remove(&(self.lbs[cell.index()], cell));
-        debug_assert!(removed);
         self.attached[cell.index()] = false;
     }
 
@@ -95,33 +81,18 @@ impl LbDirectory {
         debug_assert!(!self.attached[cell.index()], "{cell:?} already attached");
         self.attached[cell.index()] = true;
         self.lbs[cell.index()] = lb;
-        self.ordered.insert((lb, cell));
     }
 
-    /// The attached cell with the smallest lower bound.
+    /// The attached cell with the smallest lower bound, the lowest cell id
+    /// on a tie; `None` only when every cell is detached.
     pub fn first(&self) -> Option<(Safety, CellId)> {
-        self.ordered.first().copied()
-    }
-
-    /// Iterates attached cells in increasing lower-bound order.
-    pub fn iter_increasing(&self) -> impl Iterator<Item = (Safety, CellId)> + '_ {
-        self.ordered.iter().copied()
-    }
-
-    /// Checks internal consistency (mirror set matches the flat array);
-    /// used by tests.
-    pub fn check_invariants(&self) {
-        let mut count = 0;
-        for (i, (&lb, &attached)) in self.lbs.iter().zip(&self.attached).enumerate() {
-            if attached {
-                count += 1;
-                assert!(
-                    self.ordered.contains(&(lb, CellId(convert::id32(i)))),
-                    "cell {i} missing from ordered mirror"
-                );
+        let mut best: Option<(Safety, usize)> = None;
+        for (at, (&lb, &attached)) in self.lbs.iter().zip(&self.attached).enumerate() {
+            if attached && best.is_none_or(|(low, _)| lb < low) {
+                best = Some((lb, at));
             }
         }
-        assert_eq!(count, self.ordered.len(), "stale entries in ordered mirror");
+        best.map(|(lb, at)| (lb, CellId(convert::id32(at))))
     }
 }
 
@@ -136,19 +107,21 @@ mod tests {
             assert_eq!(d.get(CellId(i)), LB_NONE);
             assert!(d.is_attached(CellId(i)));
         }
-        d.check_invariants();
+        // Every cell ties at LB_NONE: the lowest id wins.
+        assert_eq!(d.first(), Some((LB_NONE, CellId(0))));
     }
 
     #[test]
-    fn ordering_follows_lower_bounds() {
+    fn first_follows_lower_bounds_and_breaks_ties_by_id() {
         let mut d = LbDirectory::new(4);
         d.set(CellId(0), -3);
         d.set(CellId(1), 5);
         d.set(CellId(2), -8);
-        let order: Vec<CellId> = d.iter_increasing().map(|(_, c)| c).collect();
-        assert_eq!(order, vec![CellId(2), CellId(0), CellId(1), CellId(3)]);
         assert_eq!(d.first(), Some((-8, CellId(2))));
-        d.check_invariants();
+        d.set(CellId(3), -8);
+        assert_eq!(d.first(), Some((-8, CellId(2))));
+        d.set(CellId(2), 0);
+        assert_eq!(d.first(), Some((-8, CellId(3))));
     }
 
     #[test]
@@ -158,7 +131,6 @@ mod tests {
         d.set(CellId(0), 2);
         assert_eq!(d.add(CellId(0), -3), -1);
         assert_eq!(d.add(CellId(0), 1), 0);
-        d.check_invariants();
     }
 
     #[test]
@@ -167,11 +139,17 @@ mod tests {
         d.set(CellId(1), -5);
         d.detach(CellId(1));
         assert!(!d.is_attached(CellId(1)));
-        assert_eq!(d.iter_increasing().count(), 2);
+        // A detached cell is never first, however low its old bound.
+        assert_eq!(d.first(), Some((LB_NONE, CellId(0))));
         d.attach(CellId(1), -2);
         assert_eq!(d.get(CellId(1)), -2);
         assert_eq!(d.first(), Some((-2, CellId(1))));
-        d.check_invariants();
+        for i in 0..3 {
+            d.detach(CellId(i));
+        }
+        assert_eq!(d.first(), None);
+        d.attach(CellId(2), LB_NONE);
+        assert_eq!(d.first(), Some((LB_NONE, CellId(2))));
     }
 
     #[test]
@@ -180,6 +158,80 @@ mod tests {
         d.set(CellId(0), 7);
         d.set(CellId(0), 7);
         assert_eq!(d.get(CellId(0)), 7);
-        d.check_invariants();
+        assert_eq!(d.first(), Some((7, CellId(0))));
+    }
+
+    /// A seeded xorshift stream.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// The directory against a plain model under seeded set / add /
+    /// detach / attach, with `LB_NONE` among the values, many ties, and
+    /// draining phases that detach every cell.
+    #[test]
+    fn matches_a_model() {
+        for seed in 1..=8 {
+            let mut next = xorshift(seed);
+            let mut sut = LbDirectory::new(12);
+            // `Some(lb)` for an attached cell, `None` for a detached one.
+            let mut model: Vec<Option<Safety>> = vec![Some(LB_NONE); 12];
+            let mut saw_all_detached = false;
+            for step in 0..2_000 {
+                let draining = (step / 200) % 2 == 1;
+                let at = (next() % 12) as usize;
+                let cell = CellId(at as u32);
+                let value = match next() % 8 {
+                    0 => LB_NONE,
+                    _ => (next() % 30) as Safety - 15,
+                };
+                match (model[at], next() % 4) {
+                    (None, _) if draining => {}
+                    (Some(_), _) if draining => {
+                        sut.detach(cell);
+                        model[at] = None;
+                    }
+                    (None, _) => {
+                        sut.attach(cell, value);
+                        model[at] = Some(value);
+                    }
+                    (Some(_), 0) => {
+                        sut.set(cell, value);
+                        model[at] = Some(value);
+                    }
+                    (Some(old), 1) => {
+                        let delta = (next() % 7) as Safety - 3;
+                        let fresh = if old == LB_NONE { LB_NONE } else { old + delta };
+                        assert_eq!(sut.add(cell, delta), fresh);
+                        model[at] = Some(fresh);
+                    }
+                    (Some(_), _) => {
+                        sut.detach(cell);
+                        model[at] = None;
+                    }
+                }
+                for (i, slot) in model.iter().enumerate() {
+                    let cell = CellId(i as u32);
+                    assert_eq!(sut.is_attached(cell), slot.is_some());
+                    if let Some(lb) = slot {
+                        assert_eq!(sut.get(cell), *lb);
+                    }
+                }
+                let expect = model
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, slot)| slot.map(|lb| (lb, CellId(i as u32))))
+                    .min();
+                assert_eq!(sut.first(), expect, "seed {seed} step {step}");
+                saw_all_detached |= expect.is_none();
+            }
+            assert!(saw_all_detached, "seed {seed} never detached every cell");
+        }
     }
 }

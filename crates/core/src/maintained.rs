@@ -7,9 +7,10 @@
 //! Entries live with their cell: one `Vec` per cell, so that illuminating,
 //! darkening or re-accessing a cell and step 1's scan of the touched cells
 //! are linear walks over contiguous entries. A dense `PlaceId → (cell,
-//! slot)` index answers point lookups. Entries never leave a cell one at a
-//! time — only [`MaintainedSet::remove_cell`] removes, and it takes the whole
-//! `Vec` — so a slot stays valid for as long as its entry is maintained.
+//! slot)` index answers point lookups. Entries leave only through
+//! [`MaintainedSet::remove_cell`], which takes the whole `Vec`, and
+//! [`MaintainedSet::refile_cell`], which compacts the cell's `Vec` and
+//! re-points the index of every entry it moves.
 
 use crate::config::QueryMode;
 use crate::topk::SafetyOrdered;
@@ -119,6 +120,88 @@ impl MaintainedSet {
             self.ordered.remove(entry.place.id, entry.safety);
         }
         entries
+    }
+
+    /// Re-files `cell` after its places were read again: of `records`,
+    /// whose fresh safeties are `safeties` in the same order, exactly those
+    /// whose safety `keep` accepts are maintained afterwards. Only places
+    /// that enter or leave touch the ordered view, and only entering places
+    /// are cloned. A place that stays with a safety other than its held one
+    /// is moved to the fresh safety; returns how many were.
+    pub fn refile_cell(
+        &mut self,
+        cell: CellId,
+        records: &[Place],
+        safeties: &[Safety],
+        keep: impl Fn(Safety) -> bool,
+    ) -> usize {
+        debug_assert_eq!(records.len(), safeties.len());
+        let mut moved = 0;
+        let mut left = false;
+        for (record, &safety) in records.iter().zip(safeties) {
+            let id = record.id;
+            match (self.slot_in(id, cell), keep(safety)) {
+                (Some(slot), true) => {
+                    let entry = &mut self.by_cell[cell.index()][slot];
+                    if entry.safety != safety {
+                        self.ordered.update(id, entry.safety, safety);
+                        entry.safety = safety;
+                        moved += 1;
+                    }
+                }
+                (Some(slot), false) => {
+                    self.ordered
+                        .remove(id, self.by_cell[cell.index()][slot].safety);
+                    self.index[id.index()] = Slot::VACANT;
+                    left = true;
+                }
+                (None, true) => self.insert(record.clone(), safety, cell),
+                (None, false) => {}
+            }
+        }
+        if left {
+            // Drop the entries whose index was just vacated, and re-point
+            // the index of every survivor at the slot it moves to.
+            let index = &mut self.index;
+            let mut slot = 0;
+            self.by_cell[cell.index()].retain(|entry| {
+                let at = &mut index[entry.place.id.index()];
+                if *at == Slot::VACANT {
+                    return false;
+                }
+                at.slot = convert::id32(slot);
+                slot += 1;
+                true
+            });
+        }
+        moved
+    }
+
+    /// The slot of `place` among `cell`'s entries, if it is held there.
+    fn slot_in(&self, place: PlaceId, cell: CellId) -> Option<usize> {
+        let at = self.index.get(place.index())?;
+        (at.cell == cell.0).then(|| convert::index(at.slot))
+    }
+
+    /// The k-th smallest safety (1-based `k`) as it would be if `cell`'s
+    /// held places were replaced by places with the safeties `fresh`, which
+    /// must be sorted and include the cell's `k` smallest; `None` when fewer
+    /// than `k` places would be held.
+    pub fn kth_safety_with(&self, k: usize, cell: CellId, fresh: &[Safety]) -> Option<Safety> {
+        debug_assert!(k > 0 && fresh.windows(2).all(|w| w[0] <= w[1]));
+        let mut others = self
+            .ordered
+            .iter()
+            .filter(|&(_, id)| self.slot_in(id, cell).is_none())
+            .map(|(safety, _)| safety)
+            .peekable();
+        let mut fresh = fresh.iter().copied().peekable();
+        std::iter::from_fn(|| match (fresh.peek(), others.peek()) {
+            (Some(&f), Some(&o)) if o < f => others.next(),
+            (Some(_), _) => fresh.next(),
+            (None, _) => others.next(),
+        })
+        .nth(k - 1)
     }
 
     /// The entries maintained for `cell`, in insertion order.
@@ -364,6 +447,69 @@ mod tests {
         assert_eq!(m.get(PlaceId(0)).map(|e| e.safety), Some(-3));
         assert_eq!(m.get(PlaceId(1)).map(|e| e.safety), Some(-4));
         assert_eq!(m.len(), 2);
+    }
+
+    /// Re-filing cell 55 against its records read again: place 0 leaves
+    /// from slot 0, place 1 stays with a different safety, place 3 enters
+    /// and place 4 stays as it was.
+    #[test]
+    fn refile_cell_touches_only_what_changed() {
+        let mut m = sample();
+        m.insert(place(4, 0.54, 0.50, 5), -5, CellId(55));
+        m.check_invariants();
+        let records = [
+            place(0, 0.50, 0.50, 3),
+            place(1, 0.52, 0.50, 1),
+            place(3, 0.55, 0.55, 4),
+            place(4, 0.54, 0.50, 5),
+        ];
+        let keep = |safety: Safety| safety < -1;
+        let moved = m.refile_cell(CellId(55), &records, &[0, -2, -4, -5], keep);
+        m.check_invariants();
+        assert_eq!(moved, 1, "only place 1 stayed at a new safety");
+        assert!(!m.contains(PlaceId(0)));
+        assert_eq!(m.get(PlaceId(1)).map(|e| e.safety), Some(-2));
+        assert_eq!(
+            m.get(PlaceId(3)).map(|e| (e.safety, e.cell)),
+            Some((-4, CellId(55)))
+        );
+        assert_eq!(m.get(PlaceId(4)).map(|e| e.safety), Some(-5));
+        // The survivors close the gap in order, the newcomer follows, and
+        // the index points at the new slots.
+        let ids: Vec<u32> = m
+            .cell_entries(CellId(55))
+            .iter()
+            .map(|e| e.place.id.0)
+            .collect();
+        assert_eq!(ids, [1, 4, 3]);
+        assert_eq!(m.index[1], Slot { cell: 55, slot: 0 });
+        assert_eq!(m.index[4], Slot { cell: 55, slot: 1 });
+        assert_eq!(m.index[3], Slot { cell: 55, slot: 2 });
+        let order: Vec<(Safety, u32)> = m.ordered().iter().map(|(s, id)| (s, id.0)).collect();
+        assert_eq!(order, [(-6, 2), (-5, 4), (-4, 3), (-2, 1)]);
+        assert_eq!(m.cell_entries(CellId(99)).len(), 1, "other cells untouched");
+
+        // A cell never seen before, then cell 55 re-filed empty.
+        m.refile_cell(CellId(300), &[place(5, 0.1, 0.1, 2)], &[-2], keep);
+        m.check_invariants();
+        m.refile_cell(CellId(55), &records, &[0, 0, 0, 0], keep);
+        m.check_invariants();
+        assert!(m.cell_entries(CellId(55)).is_empty());
+        assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn kth_safety_with_replaces_the_cells_held_places() {
+        // Held: cell 55 at -3 and -1, cell 99 at -6.
+        let m = sample();
+        // Cell 55 read again at -4 and 0: the merge is -6, -4, 0.
+        assert_eq!(m.kth_safety_with(1, CellId(55), &[-4, 0]), Some(-6));
+        assert_eq!(m.kth_safety_with(2, CellId(55), &[-4, 0]), Some(-4));
+        assert_eq!(m.kth_safety_with(3, CellId(55), &[-4, 0]), Some(0));
+        assert_eq!(m.kth_safety_with(4, CellId(55), &[-4, 0]), None);
+        // A cell holding nothing adds to every held place.
+        assert_eq!(m.kth_safety_with(2, CellId(12), &[-7]), Some(-6));
+        assert_eq!(m.kth_safety_with(4, CellId(12), &[-7]), Some(-1));
     }
 
     #[test]

@@ -447,7 +447,10 @@ impl FeedClient {
                 }
                 Ok(Message::Bye { .. }) => return Err(()),
                 Ok(_) => return Err(()),
-                Err(e) if e.is_timeout() => continue,
+                // A non-blocking socket reports `WouldBlock` at once; give
+                // the core to the server threads that owe the `Ack` rather
+                // than spinning on `read` until preempted.
+                Err(e) if e.is_timeout() => std::thread::yield_now(),
                 Err(_) => return Err(()),
             }
         }
@@ -607,5 +610,57 @@ impl FeedClient {
             let _ = connection.writer.flush_into(&mut connection.conn);
         }
         self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ingest::stamp_stream;
+    use crate::net::overload::CountingSink;
+    use crate::net::{IngestServer, NetServerConfig};
+    use crate::types::{LocationUpdate, UnitId};
+    use ctup_spatial::Point;
+
+    /// Dials the way a polling feeder does: the socket is non-blocking, so
+    /// every read that finds nothing returns `WouldBlock` at once.
+    struct NonBlockingDialer(SocketAddr);
+
+    impl Dialer for NonBlockingDialer {
+        fn dial(&mut self) -> std::io::Result<Box<dyn Conn>> {
+            let stream = TcpStream::connect_timeout(&self.0, Duration::from_secs(2))?;
+            stream.set_nodelay(true)?;
+            stream.set_nonblocking(true)?;
+            Ok(Box::new(stream))
+        }
+    }
+
+    #[test]
+    fn a_non_blocking_client_handshakes_and_is_acked() {
+        let sink = Arc::new(CountingSink::default());
+        let server = IngestServer::spawn("127.0.0.1:0", NetServerConfig::default(), sink.clone())
+            .expect("bind a loopback port");
+        let mut client = FeedClient::new(
+            Box::new(NonBlockingDialer(server.local_addr())),
+            ClientConfig::default(),
+        );
+        client.step(Duration::from_secs(10)).expect("handshake");
+        assert_ne!(client.session(), 0, "the handshake assigns a session");
+        let feed = stamp_stream((0..64u32).map(|i| LocationUpdate {
+            unit: UnitId(i % 4),
+            new: Point::new(f64::from(i) / 64.0, 0.5),
+        }));
+        for report in feed {
+            client.enqueue(report);
+        }
+        client
+            .drive(Duration::from_secs(30))
+            .expect("loopback feed");
+        let stats = client.finish();
+        assert_eq!(stats.acked, 64);
+        assert!(stats.sheds.is_empty());
+        let net = server.shutdown();
+        assert_eq!(net.reports_accepted, 64);
+        assert_eq!(sink.accepted(), 64);
     }
 }

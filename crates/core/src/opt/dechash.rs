@@ -1,18 +1,22 @@
-//! DecHash — the hash table behind the Decrease-Once Optimization.
+//! DecHash — the set behind the Decrease-Once Optimization.
 //!
 //! Holds `(unit, cell)` pairs recording that the movement of `unit` has
-//! already decreased the lower bound of `cell` once. Besides point lookups
-//! it supports purging every entry of a cell in one call, which the cell
-//! access path needs to re-establish the bound soundly (DESIGN.md §3.3).
+//! already decreased the lower bound of `cell` once. It is one `Vec` of
+//! units per cell: accessing a cell purges its entries (DESIGN.md §3.3),
+//! so a cell's list holds only the few units that lowered its bound since
+//! its last access, and scanning it is cheaper than hashing. Iteration goes
+//! cell by cell, so two monitors fed the same updates list the same pairs
+//! in the same order.
 
 use crate::types::UnitId;
-use ctup_spatial::CellId;
-use std::collections::{HashMap, HashSet};
+use ctup_spatial::{convert, CellId};
 
 /// The `(unit, cell)` pair set of the Decrease-Once Optimization.
 #[derive(Debug, Default)]
 pub struct DecHash {
-    by_cell: HashMap<CellId, HashSet<UnitId>>,
+    /// The units recorded against each cell, indexed by `CellId`; grown on
+    /// demand.
+    by_cell: Vec<Vec<UnitId>>,
     len: usize,
 }
 
@@ -35,58 +39,62 @@ impl DecHash {
     /// Whether `(unit, cell)` is recorded.
     pub fn contains(&self, unit: UnitId, cell: CellId) -> bool {
         self.by_cell
-            .get(&cell)
+            .get(cell.index())
             .is_some_and(|units| units.contains(&unit))
     }
 
     /// Records `(unit, cell)`; returns whether it was new.
     pub fn insert(&mut self, unit: UnitId, cell: CellId) -> bool {
-        let fresh = self.by_cell.entry(cell).or_default().insert(unit);
-        if fresh {
-            self.len += 1;
+        if self.by_cell.len() <= cell.index() {
+            self.by_cell.resize_with(cell.index() + 1, Vec::new);
         }
-        fresh
+        let units = &mut self.by_cell[cell.index()];
+        if units.contains(&unit) {
+            return false;
+        }
+        units.push(unit);
+        self.len += 1;
+        true
     }
 
     /// Removes `(unit, cell)` if present; returns whether it was there.
     pub fn remove(&mut self, unit: UnitId, cell: CellId) -> bool {
-        let Some(units) = self.by_cell.get_mut(&cell) else {
+        let Some(units) = self.by_cell.get_mut(cell.index()) else {
             return false;
         };
-        let removed = units.remove(&unit);
-        if removed {
-            self.len -= 1;
-            if units.is_empty() {
-                self.by_cell.remove(&cell);
-            }
-        }
-        removed
+        let Some(at) = units.iter().position(|&u| u == unit) else {
+            return false;
+        };
+        units.swap_remove(at);
+        self.len -= 1;
+        true
     }
 
     /// Removes every pair of `cell`, returning how many were purged.
     /// Called when the cell is accessed and its lower bound re-established
     /// exactly.
     pub fn purge_cell(&mut self, cell: CellId) -> usize {
-        match self.by_cell.remove(&cell) {
-            Some(units) => {
-                self.len -= units.len();
-                units.len()
-            }
-            None => 0,
-        }
+        let Some(units) = self.by_cell.get_mut(cell.index()) else {
+            return 0;
+        };
+        let purged = units.len();
+        units.clear();
+        self.len -= purged;
+        purged
     }
 
     /// Removes everything.
     pub fn clear(&mut self) {
-        self.by_cell.clear();
+        self.by_cell.iter_mut().for_each(Vec::clear);
         self.len = 0;
     }
 
-    /// Iterates all `(unit, cell)` pairs (arbitrary order).
+    /// Iterates all `(unit, cell)` pairs, cell by cell.
     pub fn iter(&self) -> impl Iterator<Item = (UnitId, CellId)> + '_ {
-        self.by_cell
-            .iter()
-            .flat_map(|(&cell, units)| units.iter().map(move |&unit| (unit, cell)))
+        self.by_cell.iter().enumerate().flat_map(|(cell, units)| {
+            let cell = CellId(convert::id32(cell));
+            units.iter().map(move |&unit| (unit, cell))
+        })
     }
 }
 
@@ -130,5 +138,26 @@ mod tests {
         h.clear();
         assert!(h.is_empty());
         assert!(!h.contains(UnitId(0), CellId(0)));
+    }
+
+    #[test]
+    fn iterates_cell_by_cell() {
+        let mut h = DecHash::new();
+        h.insert(UnitId(3), CellId(7));
+        h.insert(UnitId(1), CellId(2));
+        h.insert(UnitId(2), CellId(7));
+        assert_eq!(
+            h.iter().collect::<Vec<_>>(),
+            [
+                (UnitId(1), CellId(2)),
+                (UnitId(3), CellId(7)),
+                (UnitId(2), CellId(7))
+            ]
+        );
+        // A cell past every recorded one holds nothing.
+        assert!(!h.contains(UnitId(1), CellId(40)));
+        assert!(!h.remove(UnitId(1), CellId(40)));
+        assert_eq!(h.purge_cell(CellId(40)), 0);
+        assert_eq!(h.len(), 3);
     }
 }

@@ -12,7 +12,7 @@ pub mod dechash;
 pub mod lb;
 
 use crate::algorithm::{CtupAlgorithm, InitStats, UpdateStats};
-use crate::cells::{classify_with_margin, touched_cells};
+use crate::cells::{classify_with_margin, touched_cells_into};
 use crate::config::CtupConfig;
 use crate::lbdir::LbDirectory;
 use crate::maintained::MaintainedSet;
@@ -48,10 +48,12 @@ pub struct OptCtup {
     /// maintains only the cells [`ShardMap::owns`] assigns to `shard`;
     /// `None` owns every cell and is the plain sequential scheme.
     owner: Option<(u32, Arc<ShardMap>)>,
-    /// Scratch reused by every cell access: the cell's safeties in record
-    /// order, and the same sorted for the `SK` merge.
+    /// Scratch reused by every update and cell access: the touched cells,
+    /// a cell's safeties in record order, and its k smallest of them,
+    /// sorted, for the `SK` merge.
+    touched: Vec<CellId>,
     safeties: Vec<Safety>,
-    sorted: Vec<Safety>,
+    smallest: Vec<Safety>,
 }
 
 impl std::fmt::Debug for OptCtup {
@@ -123,8 +125,9 @@ impl OptCtup {
             grid,
             units,
             owner,
+            touched: Vec::new(),
             safeties: Vec::new(),
-            sorted: Vec::new(),
+            smallest: Vec::new(),
         };
 
         // Step 1: exact lower bound per owned cell; non-owned cells keep
@@ -167,58 +170,36 @@ impl OptCtup {
             .is_none_or(|(shard, map)| map.owns(*shard, cell))
     }
 
-    /// Loads a cell, refreshes the maintained subset of its places, purges
+    /// Loads a cell, re-files the maintained subset of its places, purges
     /// its DecHash entries and re-establishes its lower bound (§IV.E
     /// step 3).
     ///
     /// The paper adjusts `SK` "as the safety of each place is calculated"
     /// and then evicts at `SK + Δ`; inserting all places just to evict most
     /// of them again would dominate the access cost, so the post-inclusion
-    /// `SK` is computed by merging the cell's sorted safeties with the
-    /// global ordered view, and only the keepers ever enter the structures.
+    /// `SK` is computed by merging the cell's k smallest safeties with the
+    /// places held outside the cell, and re-filing touches only the places
+    /// that enter or leave the maintained set.
     fn access_cell(&mut self, cell: CellId) -> Result<(), StorageError> {
         // Read first: a failed access leaves the maintained set intact.
         let records = self.store.read_cell(cell)?;
-        self.maintained.remove_cell(cell);
         self.metrics.cells_accessed += 1;
         self.metrics.places_loaded += convert::count64(records.len());
 
         self.units.cell_safeties(&records, &mut self.safeties);
 
-        // SK as it would be with this cell's places included.
+        // SK as it would be with this cell's places re-filed.
         let sk = match self.config.mode {
             crate::config::QueryMode::TopK(k) => {
-                self.sorted.clone_from(&self.safeties);
-                self.sorted.sort_unstable();
-                let mut cell_iter = self.sorted.iter().copied().peekable();
-                let mut global_iter = self.maintained.ordered().iter().peekable();
-                let mut kth = LB_NONE;
-                for _ in 0..k {
-                    let take_cell = match (cell_iter.peek(), global_iter.peek()) {
-                        (Some(&c), Some(&(g, _))) => c <= g,
-                        (Some(_), None) => true,
-                        (None, Some(_)) => false,
-                        (None, None) => {
-                            kth = LB_NONE;
-                            break;
-                        }
-                    };
-                    // Both arms just peeked `Some`, so the fallbacks are
-                    // unreachable; LB_NONE degrades to "no k-th place".
-                    kth = if take_cell {
-                        cell_iter.next().unwrap_or(LB_NONE)
-                    } else {
-                        global_iter.next().map(|e| e.0).unwrap_or(LB_NONE)
-                    };
+                self.smallest.clone_from(&self.safeties);
+                if self.smallest.len() > k {
+                    self.smallest.select_nth_unstable(k - 1);
+                    self.smallest.truncate(k);
                 }
-                if cell_iter.peek().is_none() && global_iter.peek().is_none() {
-                    // Fewer than k places exist in total.
-                    let total = self.maintained.len() + self.safeties.len();
-                    if total < k {
-                        kth = LB_NONE;
-                    }
-                }
-                kth
+                self.smallest.sort_unstable();
+                self.maintained
+                    .kth_safety_with(k, cell, &self.smallest)
+                    .unwrap_or(LB_NONE)
             }
             crate::config::QueryMode::Threshold(tau) => tau,
         };
@@ -228,14 +209,19 @@ impl OptCtup {
         // dropping the maintained set below k and re-accessing forever).
         let keep_below = sk.saturating_add(self.config.delta);
         let must_evict = |safety: Safety| safety >= keep_below && safety > sk;
-        let mut lb = LB_NONE;
-        for (record, &safety) in records.iter().zip(&self.safeties) {
-            if must_evict(safety) {
-                lb = lb.min(safety);
-            } else {
-                self.maintained.insert(record.clone(), safety, cell);
-            }
-        }
+        let lb = self
+            .safeties
+            .iter()
+            .copied()
+            .filter(|&safety| must_evict(safety))
+            .min()
+            .unwrap_or(LB_NONE);
+        let moved = self
+            .maintained
+            .refile_cell(cell, &records, &self.safeties, |safety| !must_evict(safety));
+        // Step 1 keeps every held safety exact, so a place that stays never
+        // changes its safety here.
+        debug_assert_eq!(moved, 0, "{cell:?}: held safeties were stale");
         self.lb.set(cell, lb);
 
         // Soundness fix: the bound is exact again, so stale "already
@@ -395,8 +381,9 @@ impl OptCtup {
             metrics,
             init_stats: InitStats::default(),
             owner: None,
+            touched: Vec::new(),
             safeties: Vec::new(),
-            sorted: Vec::new(),
+            smallest: Vec::new(),
         })
     }
 
@@ -495,7 +482,8 @@ impl CtupAlgorithm for OptCtup {
         let old_region = Circle::new(old, radius);
         let new_region = Circle::new(update.new, radius);
 
-        let mut touched = touched_cells(&self.grid, &old_region, &new_region);
+        let mut touched = std::mem::take(&mut self.touched);
+        touched_cells_into(&self.grid, &old_region, &new_region, &mut touched);
         if let Some((shard, map)) = &self.owner {
             // Sharded: only owned cells carry state here; the other shards
             // handle the rest of the touched set from the same update.
@@ -508,6 +496,7 @@ impl CtupAlgorithm for OptCtup {
 
         // Step 2: Table II lower-bound maintenance.
         self.maintain_lower_bounds(update.unit, &old_region, &new_region, &touched);
+        self.touched = touched;
         let maintain_nanos = timer.lap();
 
         // Step 3: access every cell whose bound fell below SK.
@@ -716,6 +705,43 @@ mod tests {
         );
     }
 
+    /// Two monitors built from the same inputs and fed the same updates
+    /// write byte-identical checkpoints: nothing a checkpoint walks is in
+    /// a per-process random order.
+    #[test]
+    fn checkpoints_are_byte_deterministic() {
+        use ctup_mogen::{PlaceGenConfig, PlaceGenerator};
+        let places = PlaceGenerator::new(PlaceGenConfig {
+            count: 3_000,
+            ..PlaceGenConfig::default()
+        })
+        .generate(34);
+        let run = || {
+            let store: Arc<dyn PlaceStore> =
+                Arc::new(CellLocalStore::build(Grid::unit_square(10), places.clone()));
+            let mut next = xorshift(0x34);
+            let mut units: Vec<Point> = (0..150).map(|_| Point::new(next(), next())).collect();
+            let mut alg = OptCtup::new(CtupConfig::paper_default(), store, &units).expect("init");
+            for _ in 0..3_000 {
+                let unit = (next() * 150.0) as usize % 150;
+                let (dx, dy) = ((next() - 0.5) * 0.1, (next() - 0.5) * 0.1);
+                let old = units[unit];
+                let new = Point::new((old.x + dx).clamp(0.0, 1.0), (old.y + dy).clamp(0.0, 1.0));
+                alg.handle_update(LocationUpdate {
+                    unit: UnitId(unit as u32),
+                    new,
+                })
+                .expect("update");
+                units[unit] = new;
+            }
+            assert!(alg.dechash_len() > 1, "DecHash must hold several pairs");
+            let mut bytes = Vec::new();
+            alg.checkpoint().write(&mut bytes).expect("write");
+            bytes
+        };
+        assert!(run() == run(), "checkpoint bytes differ between runs");
+    }
+
     #[test]
     fn restore_refuses_place_ids_the_dense_index_cannot_hold() {
         use crate::checkpoint::CheckpointError;
@@ -733,6 +759,29 @@ mod tests {
         let mut bad = good;
         let twin = bad.maintained[0].clone();
         bad.maintained.push(twin);
+        let err = OptCtup::restore(bad, store).unwrap_err();
+        assert!(matches!(err, CheckpointError::Invalid(_)), "{err}");
+    }
+
+    /// The ordered view keeps one level per safety value, so a safety far
+    /// from `-RP..=|U| - RP` must be refused before it sizes the view.
+    #[test]
+    fn restore_refuses_safeties_no_unit_count_can_give() {
+        use crate::checkpoint::CheckpointError;
+        let (alg, _, _) = setup(CtupConfig::with_k(5));
+        let store = alg.store();
+        let good = alg.checkpoint();
+        let units = Safety::try_from(good.unit_positions.len()).unwrap();
+        for safety in [-1_000_000_000_000, Safety::MIN, Safety::MAX, units + 1] {
+            let mut bad = good.clone();
+            bad.maintained[0].1 = safety;
+            let err = OptCtup::restore(bad, store.clone()).unwrap_err();
+            assert!(matches!(err, CheckpointError::Invalid(_)), "{err}");
+        }
+        // An RP above the bound is refused even with a safety it allows.
+        let mut bad = good;
+        bad.maintained[0].0.rp = u32::MAX;
+        bad.maintained[0].1 = -Safety::from(u32::MAX);
         let err = OptCtup::restore(bad, store).unwrap_err();
         assert!(matches!(err, CheckpointError::Invalid(_)), "{err}");
     }

@@ -1,18 +1,73 @@
 //! An ordered multiset of `(safety, place)` pairs.
 //!
 //! All schemes need "the k smallest safeties among the places currently
-//! held in memory" (`SK`) and the corresponding top-k result. A `BTreeSet`
-//! keyed by `(safety, place)` gives O(log n) updates and O(k) result
-//! extraction; `k` is small (15 by default) so walking the prefix is cheap.
+//! held in memory" (`SK`) and the corresponding top-k result. A safety is a
+//! small integer (`AP − RP`), so the order is kept as one bitset over place
+//! ids per safety value, each with a count of its set bits. An insert,
+//! remove or update flips one bit; `SK` walks the counts from the lowest
+//! safety up; the result walks the set bits of the lowest levels, and bits
+//! in id order within a level are exactly `(safety, id)` order.
+//!
+//! The levels are dense from the lowest safety ever tracked to the highest,
+//! so the structure holds `max − min + 1` levels of at most `|P| / 64`
+//! words each. A safety lies in `−RP ..= |U|`, and every input path (store
+//! builders, the snapshot reader, checkpoint validation) refuses an RP
+//! above [`ctup_storage::MAX_RP`], so at most `|U| + MAX_RP + 1` levels
+//! exist.
 
 use crate::config::QueryMode;
 use crate::types::{PlaceId, Safety, TopKEntry};
-use std::collections::BTreeSet;
+use ctup_spatial::convert;
 
 /// Places ordered by `(safety, id)`.
 #[derive(Debug, Default, Clone)]
 pub struct SafetyOrdered {
-    set: BTreeSet<(Safety, PlaceId)>,
+    /// The safety of `levels[0]`; level `i` holds safety `base + i`.
+    base: Safety,
+    levels: Vec<Level>,
+    len: usize,
+}
+
+/// The places at one safety value.
+#[derive(Debug, Default, Clone)]
+struct Level {
+    /// Number of set bits in `words`.
+    count: usize,
+    /// Bit `id % 64` of word `id / 64` is set for each place held here;
+    /// grown on demand.
+    words: Vec<u64>,
+}
+
+impl Level {
+    /// The held places in id order.
+    fn ids(&self) -> impl Iterator<Item = PlaceId> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .filter(|&(_, &bits)| bits != 0)
+            .flat_map(|(word, &bits)| {
+                let first = convert::id32(word * 64);
+                let mut bits = bits;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let bit = bits.trailing_zeros();
+                        bits &= bits - 1;
+                        PlaceId(first + bit)
+                    })
+                })
+            })
+            .take(self.count)
+    }
+}
+
+/// The word index and bit mask of `place`.
+fn bit(place: PlaceId) -> (usize, u64) {
+    (place.index() / 64, 1 << (place.0 % 64))
+}
+
+/// The number of levels from `low` up to `high`, exclusive.
+fn span(low: Safety, high: Safety) -> usize {
+    usize::try_from(high.saturating_sub(low)).unwrap_or(0)
 }
 
 impl SafetyOrdered {
@@ -23,12 +78,30 @@ impl SafetyOrdered {
 
     /// Number of tracked places.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.len
     }
 
     /// Whether no places are tracked.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.len == 0
+    }
+
+    /// The level of `safety`, adding it and every level between it and the
+    /// current range when it lies outside that range.
+    fn level_mut(&mut self, safety: Safety) -> &mut Level {
+        if self.levels.is_empty() {
+            self.base = safety;
+        } else if safety < self.base {
+            let grow = span(safety, self.base);
+            self.levels
+                .splice(0..0, std::iter::repeat_with(Level::default).take(grow));
+            self.base = safety;
+        }
+        let at = span(self.base, safety);
+        if at >= self.levels.len() {
+            self.levels.resize_with(at + 1, Level::default);
+        }
+        &mut self.levels[at]
     }
 
     /// Tracks `place` with `safety`.
@@ -37,14 +110,43 @@ impl SafetyOrdered {
     /// Panics in debug builds if the place is already tracked with this
     /// safety (every place must be tracked at most once).
     pub fn insert(&mut self, place: PlaceId, safety: Safety) {
-        let fresh = self.set.insert((safety, place));
+        let (word, mask) = bit(place);
+        let level = self.level_mut(safety);
+        if level.words.len() <= word {
+            level.words.resize(word + 1, 0);
+        }
+        let fresh = level.words[word] & mask == 0;
         debug_assert!(fresh, "{place:?} already tracked at safety {safety}");
+        if fresh {
+            level.words[word] |= mask;
+            level.count += 1;
+            self.len += 1;
+        }
     }
 
     /// Stops tracking `place`, which must currently have `safety`.
     pub fn remove(&mut self, place: PlaceId, safety: Safety) {
-        let found = self.set.remove(&(safety, place));
+        let (word, mask) = bit(place);
+        let level = if safety < self.base {
+            None
+        } else {
+            self.levels.get_mut(span(self.base, safety))
+        };
+        let found = match level {
+            Some(level) => match level.words.get_mut(word) {
+                Some(bits) if *bits & mask != 0 => {
+                    *bits &= !mask;
+                    level.count -= 1;
+                    true
+                }
+                _ => false,
+            },
+            None => false,
+        };
         debug_assert!(found, "{place:?} not tracked at safety {safety}");
+        if found {
+            self.len -= 1;
+        }
     }
 
     /// Moves `place` from `old` to `new` safety.
@@ -59,7 +161,14 @@ impl SafetyOrdered {
     /// `SK`; `None` when fewer than `k` places are tracked.
     pub fn kth_safety(&self, k: usize) -> Option<Safety> {
         debug_assert!(k > 0);
-        self.set.iter().nth(k - 1).map(|&(s, _)| s)
+        let mut seen = 0;
+        for (level, safety) in self.levels.iter().zip(self.base..) {
+            seen += level.count;
+            if seen >= k {
+                return Some(safety);
+            }
+        }
+        None
     }
 
     /// The result under `mode`, in `(safety, id)` order: the `k` smallest
@@ -70,16 +179,19 @@ impl SafetyOrdered {
             QueryMode::TopK(k) => (k, None),
             QueryMode::Threshold(tau) => (usize::MAX, Some(tau)),
         };
-        self.set
-            .iter()
+        self.iter()
             .take(limit)
-            .take_while(move |&&(safety, _)| bound.is_none_or(|tau| safety < tau))
-            .map(|&(safety, place)| TopKEntry { place, safety })
+            .take_while(move |&(safety, _)| bound.is_none_or(|tau| safety < tau))
+            .map(|(safety, place)| TopKEntry { place, safety })
     }
 
     /// Iterates all `(safety, place)` pairs in order.
     pub fn iter(&self) -> impl Iterator<Item = (Safety, PlaceId)> + '_ {
-        self.set.iter().copied()
+        self.levels
+            .iter()
+            .zip(self.base..)
+            .filter(|(level, _)| level.count > 0)
+            .flat_map(|(level, safety)| level.ids().map(move |id| (safety, id)))
     }
 }
 
@@ -168,5 +280,80 @@ mod tests {
         }
         assert!(s.is_empty());
         assert_eq!(s.kth_safety(1), None);
+        assert_eq!(s.iter().count(), 0);
+        // The emptied levels take places again, and the range still grows
+        // downwards.
+        s.insert(PlaceId(7), -30);
+        assert_eq!(s.kth_safety(1), Some(-30));
+        assert_eq!(s.iter().collect::<Vec<_>>(), [(-30, PlaceId(7))]);
+    }
+
+    /// A seeded xorshift stream.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// The bitset order against a sorted `Vec` under interleaved inserts,
+    /// removes and updates. Ids span several bitset words, and safeties
+    /// reach below the first one inserted, so the base grows downwards.
+    #[test]
+    fn matches_a_sorted_vec_model() {
+        for seed in 1..=8 {
+            let mut next = xorshift(seed);
+            let mut sut = SafetyOrdered::new();
+            let mut held: Vec<Option<Safety>> = vec![None; 300];
+            for step in 0..2_000 {
+                let id = (next() % 300) as usize;
+                let place = PlaceId(id as u32);
+                let safety = (next() % 80) as Safety - 40;
+                match (held[id], next() % 3) {
+                    (None, _) => {
+                        sut.insert(place, safety);
+                        held[id] = Some(safety);
+                    }
+                    (Some(old), 0) => {
+                        sut.remove(place, old);
+                        held[id] = None;
+                    }
+                    (Some(old), _) => {
+                        sut.update(place, old, safety);
+                        held[id] = Some(safety);
+                    }
+                }
+                if step % 97 != 0 {
+                    continue;
+                }
+                let mut model: Vec<(Safety, PlaceId)> = held
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(id, s)| s.map(|s| (s, PlaceId(id as u32))))
+                    .collect();
+                model.sort_unstable();
+                assert_eq!(sut.len(), model.len(), "seed {seed} step {step}");
+                assert_eq!(sut.iter().collect::<Vec<_>>(), model, "seed {seed}");
+                for k in 1..=8 {
+                    assert_eq!(sut.kth_safety(k), model.get(k - 1).map(|e| e.0));
+                    let top: Vec<(Safety, PlaceId)> = sut
+                        .result(QueryMode::TopK(k))
+                        .map(|e| (e.safety, e.place))
+                        .collect();
+                    assert_eq!(top, model[..k.min(model.len())], "seed {seed} k {k}");
+                }
+                for tau in [-41, -20, 0, 17, 41] {
+                    let below: Vec<(Safety, PlaceId)> = sut
+                        .result(QueryMode::Threshold(tau))
+                        .map(|e| (e.safety, e.place))
+                        .collect();
+                    let expect: Vec<_> = model.iter().copied().filter(|e| e.0 < tau).collect();
+                    assert_eq!(below, expect, "seed {seed} tau {tau}");
+                }
+            }
+        }
     }
 }

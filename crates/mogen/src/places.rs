@@ -8,7 +8,7 @@
 
 use crate::rng::SeededRng;
 use ctup_spatial::{Point, Rect};
-use ctup_storage::{PlaceId, PlaceRecord};
+use ctup_storage::{PlaceId, PlaceRecord, MAX_RP};
 
 /// How place locations are spread over the space.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,10 +71,11 @@ impl PlaceGenerator {
     /// Creates a generator.
     ///
     /// # Panics
-    /// Panics on inconsistent configuration (empty RP range, probabilities
-    /// outside `[0, 1]`).
+    /// Panics on inconsistent configuration (empty RP range, an RP above
+    /// [`MAX_RP`], probabilities outside `[0, 1]`).
     pub fn new(config: PlaceGenConfig) -> Self {
         assert!(config.rp_min <= config.rp_max, "empty RP range");
+        assert!(config.rp_max <= MAX_RP, "rp_max above MAX_RP");
         assert!(
             (0.0..=1.0).contains(&config.extent_prob),
             "extent_prob out of range"
@@ -289,6 +290,15 @@ mod tests {
         PlaceGenerator::new(PlaceGenConfig {
             rp_min: 5,
             rp_max: 2,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rp_max above MAX_RP")]
+    fn rejects_rp_above_the_bound() {
+        PlaceGenerator::new(PlaceGenConfig {
+            rp_max: MAX_RP + 1,
             ..Default::default()
         });
     }

@@ -182,6 +182,9 @@ impl PagedDiskStore {
     /// pages and one protecting circle's reads cluster.
     /// `page_latency_nanos` is busy-waited per page on every read (0
     /// disables the simulated latency).
+    ///
+    /// # Panics
+    /// Panics if a place requires more than [`crate::MAX_RP`] protection.
     pub fn build(grid: Grid, places: Vec<PlaceRecord>, page_latency_nanos: u64) -> Self {
         let num_places = places.len();
         let (cells, margins) = partition_by_cell(&grid, places);

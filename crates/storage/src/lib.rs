@@ -41,6 +41,6 @@ pub use diskstore::{decode_page, encode_pages, PagedDiskStore, FRAME_HEADER, PAG
 pub use error::{CorruptKind, RecordError, StorageError};
 pub use fault::{DiskFaultPlan, FaultDisk, RetryPolicy};
 pub use memstore::CellLocalStore;
-pub use place::{PlaceId, PlaceRecord};
+pub use place::{PlaceId, PlaceRecord, MAX_RP};
 pub use stats::{StorageStats, StorageStatsSnapshot};
 pub use store::PlaceStore;

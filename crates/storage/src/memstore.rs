@@ -23,6 +23,9 @@ pub struct CellLocalStore {
 
 impl CellLocalStore {
     /// Builds the store by partitioning `places` over `grid`.
+    ///
+    /// # Panics
+    /// Panics if a place requires more than [`crate::MAX_RP`] protection.
     pub fn build(grid: Grid, places: Vec<PlaceRecord>) -> Self {
         let num_places = places.len();
         let (cells, margins) = partition_by_cell(&grid, places);

@@ -14,6 +14,15 @@ impl PlaceId {
     }
 }
 
+/// The largest required protection a place may carry.
+///
+/// A safety is `AP − RP` with `AP ∈ 0..=|U|`, and the monitors keep one
+/// level per safety value from the lowest to the highest, so an unbounded
+/// `RP` would let one place's requirement size their memory. Store
+/// builders, the snapshot reader and checkpoint validation all refuse a
+/// place above this bound.
+pub const MAX_RP: u32 = 1 << 16;
+
 /// A place that needs protection: a bank, residential building, mall, …
 ///
 /// The paper models places as points; the "places with extent" future-work

@@ -9,7 +9,7 @@
 //! <id> <x> <y> <rp> [<lo.x> <lo.y> <hi.x> <hi.y>]
 //! ```
 
-use crate::place::{PlaceId, PlaceRecord};
+use crate::place::{PlaceId, PlaceRecord, MAX_RP};
 use ctup_spatial::{Point, Rect};
 use std::fmt;
 use std::fs::File;
@@ -115,6 +115,12 @@ pub fn read_places<R: BufRead>(r: R) -> Result<Vec<PlaceRecord>, SnapshotError> 
         let rp: u32 = fields[3]
             .parse()
             .map_err(|e| parse_err(line_no, format!("rp must be a non-negative integer: {e}")))?;
+        if rp > MAX_RP {
+            return Err(parse_err(
+                line_no,
+                format!("rp {rp} is above MAX_RP = {MAX_RP}"),
+            ));
+        }
         let mut nums = [0.0f64; 7];
         for (i, field) in fields[1..].iter().enumerate() {
             if i == 2 {
@@ -211,6 +217,7 @@ mod tests {
             "1 0.5 zz 1",                  // bad number
             "1 0.5 0.5 -2",                // negative rp
             "1 0.5 0.5 1.5",               // fractional rp
+            "1 0.5 0.5 65537",             // rp above MAX_RP
             "1 0.5 0.5 1 0.9 0.9 0.1 0.1", // inverted extent
             "1 0.5 0.5 1 0.6 0.6 0.9 0.9", // extent misses pos
         ];

@@ -7,7 +7,7 @@
 //! accounted through [`StorageStats`].
 
 use crate::error::StorageError;
-use crate::place::PlaceRecord;
+use crate::place::{PlaceRecord, MAX_RP};
 use crate::stats::StorageStats;
 use ctup_spatial::{CellId, CellLayout, Grid};
 use std::borrow::Cow;
@@ -75,6 +75,9 @@ pub trait PlaceStore: Send + Sync {
 
 /// Helper shared by store builders: partitions places into per-cell vectors
 /// by the cell of their position.
+///
+/// # Panics
+/// Panics if a place requires more than [`MAX_RP`] protection.
 pub(crate) fn partition_by_cell(
     grid: &Grid,
     places: Vec<PlaceRecord>,
@@ -82,6 +85,12 @@ pub(crate) fn partition_by_cell(
     let mut cells: Vec<Vec<PlaceRecord>> = vec![Vec::new(); grid.num_cells()];
     let mut margins = vec![0.0f64; grid.num_cells()];
     for place in places {
+        assert!(
+            place.rp <= MAX_RP,
+            "{:?} requires {} protection, above MAX_RP = {MAX_RP}",
+            place.id,
+            place.rp
+        );
         let cell = grid.cell_of(place.pos);
         let m = place.extent_margin();
         if m > margins[cell.index()] {
@@ -120,5 +129,16 @@ mod tests {
         assert_eq!(margins[0], 0.0);
         let half_diag = (0.05f64 * 0.05 * 2.0).sqrt();
         assert!((margins[2] - half_diag).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "above MAX_RP")]
+    fn partition_refuses_a_requirement_above_max_rp() {
+        let grid = Grid::unit_square(2);
+        let places = vec![
+            PlaceRecord::point(PlaceId(0), Point::new(0.1, 0.1), MAX_RP),
+            PlaceRecord::point(PlaceId(1), Point::new(0.9, 0.1), MAX_RP + 1),
+        ];
+        partition_by_cell(&grid, places);
     }
 }
