@@ -2,8 +2,7 @@
 //!
 //! Each experiment (`fig3` … `fig9`, plus ablations) is a function that
 //! builds the workload, runs the algorithms, and returns rows the
-//! `reproduce` binary prints. The Criterion benches in `benches/` reuse
-//! the same setup code.
+//! `reproduce` binary prints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

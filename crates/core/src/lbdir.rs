@@ -99,6 +99,7 @@ impl LbDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctup_mogen::rng::SeededRng;
 
     #[test]
     fn new_directory_is_all_lb_none() {
@@ -161,37 +162,26 @@ mod tests {
         assert_eq!(d.first(), Some((7, CellId(0))));
     }
 
-    /// A seeded xorshift stream.
-    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-        let mut state = seed | 1;
-        move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        }
-    }
-
     /// The directory against a plain model under seeded set / add /
     /// detach / attach, with `LB_NONE` among the values, many ties, and
     /// draining phases that detach every cell.
     #[test]
     fn matches_a_model() {
         for seed in 1..=8 {
-            let mut next = xorshift(seed);
+            let mut rng = SeededRng::seed_from_u64(seed);
             let mut sut = LbDirectory::new(12);
             // `Some(lb)` for an attached cell, `None` for a detached one.
             let mut model: Vec<Option<Safety>> = vec![Some(LB_NONE); 12];
             let mut saw_all_detached = false;
             for step in 0..2_000 {
                 let draining = (step / 200) % 2 == 1;
-                let at = (next() % 12) as usize;
+                let at = rng.gen_range(0..12);
                 let cell = CellId(at as u32);
-                let value = match next() % 8 {
+                let value = match rng.gen_range(0..8) {
                     0 => LB_NONE,
-                    _ => (next() % 30) as Safety - 15,
+                    _ => rng.gen_range(0..30) as Safety - 15,
                 };
-                match (model[at], next() % 4) {
+                match (model[at], rng.gen_range(0..4)) {
                     (None, _) if draining => {}
                     (Some(_), _) if draining => {
                         sut.detach(cell);
@@ -206,7 +196,7 @@ mod tests {
                         model[at] = Some(value);
                     }
                     (Some(old), 1) => {
-                        let delta = (next() % 7) as Safety - 3;
+                        let delta = rng.gen_range(0..7) as Safety - 3;
                         let fresh = if old == LB_NONE { LB_NONE } else { old + delta };
                         assert_eq!(sut.add(cell, delta), fresh);
                         model[at] = Some(fresh);

@@ -319,7 +319,9 @@ impl OptCtup {
     /// (metrics start fresh). A checkpoint that is inconsistent with the
     /// store — or internally — yields a [`CheckpointError::Invalid`]
     /// instead of panicking, so a standby can refuse a bad file and keep
-    /// serving.
+    /// serving. To check the maintained places against the store, restore
+    /// reads the cells that hold them; a storage fault there is returned
+    /// as [`CheckpointError::Io`].
     pub fn restore(
         checkpoint: crate::checkpoint::Checkpoint,
         store: Arc<dyn PlaceStore>,
@@ -357,12 +359,22 @@ impl OptCtup {
                 }
             }
         }
+        check_maintained_against_store(&checkpoint.maintained, store.as_ref(), &units)?;
         let mut maintained = MaintainedSet::new();
         for (place, safety, cell) in checkpoint.maintained {
             maintained.insert(place, safety, cell);
         }
         let mut dechash = DecHash::new();
         for (unit, cell) in checkpoint.dechash {
+            // Table II never hashes a unit that fully contains the cell.
+            let margin = store.cell_extent_margin(cell);
+            let relation = classify_with_margin(&units.region(unit), &grid.cell_rect(cell), margin);
+            if relation == Relation::Full {
+                return Err(crate::checkpoint::CheckpointError::Invalid(format!(
+                    "dechash holds unit {} with {cell:?}, which it fully contains",
+                    unit.0
+                )));
+            }
             dechash.insert(unit, cell);
         }
         let mut metrics = Metrics::default();
@@ -447,6 +459,45 @@ impl OptCtup {
             }
         }
     }
+}
+
+/// Refuses a checkpoint's maintained set unless every entry is the store's
+/// record in its cell and holds the safety `units` give it. A place filed
+/// under the wrong cell or with a stale safety would otherwise be accepted
+/// and break the scheme's invariants on a later update. Checkpoints list
+/// the maintained places cell by cell, so each of their cells is read once.
+fn check_maintained_against_store(
+    maintained: &[(crate::types::Place, Safety, CellId)],
+    store: &dyn PlaceStore,
+    units: &UnitTable,
+) -> Result<(), crate::checkpoint::CheckpointError> {
+    use crate::checkpoint::CheckpointError;
+    let mut read = None;
+    let mut records = std::borrow::Cow::Borrowed(&[][..]);
+    for (place, held, cell) in maintained {
+        if read != Some(*cell) {
+            records = store.read_cell(*cell).map_err(|e| {
+                CheckpointError::Io(std::io::Error::other(format!(
+                    "reading {cell:?} to check the maintained places: {e}"
+                )))
+            })?;
+            read = Some(*cell);
+        }
+        if !records.contains(place) {
+            return Err(CheckpointError::Invalid(format!(
+                "maintained place {} is not the store's record in {cell:?}",
+                place.id.0
+            )));
+        }
+        let safety = units.safety(place);
+        if *held != safety {
+            return Err(CheckpointError::Invalid(format!(
+                "maintained place {} holds safety {held}, its units give {safety}",
+                place.id.0
+            )));
+        }
+    }
+    Ok(())
 }
 
 impl crate::checkpoint::Checkpointable for OptCtup {

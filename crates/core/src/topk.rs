@@ -198,6 +198,7 @@ impl SafetyOrdered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctup_mogen::rng::SeededRng;
 
     fn filled() -> SafetyOrdered {
         let mut s = SafetyOrdered::new();
@@ -288,31 +289,22 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), [(-30, PlaceId(7))]);
     }
 
-    /// A seeded xorshift stream.
-    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-        let mut state = seed | 1;
-        move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        }
-    }
-
     /// The bitset order against a sorted `Vec` under interleaved inserts,
-    /// removes and updates. Ids span several bitset words, and safeties
-    /// reach below the first one inserted, so the base grows downwards.
+    /// removes and updates. Ids span several bitset words in the even
+    /// seeds and crowd 30 ids in the odd ones, and safeties reach below the
+    /// first one inserted, so the base grows downwards.
     #[test]
     fn matches_a_sorted_vec_model() {
         for seed in 1..=8 {
-            let mut next = xorshift(seed);
+            let mut rng = SeededRng::seed_from_u64(seed);
+            let ids = if seed % 2 == 0 { 300 } else { 30 };
             let mut sut = SafetyOrdered::new();
-            let mut held: Vec<Option<Safety>> = vec![None; 300];
+            let mut held: Vec<Option<Safety>> = vec![None; ids];
             for step in 0..2_000 {
-                let id = (next() % 300) as usize;
+                let id = rng.gen_range(0..ids);
                 let place = PlaceId(id as u32);
-                let safety = (next() % 80) as Safety - 40;
-                match (held[id], next() % 3) {
+                let safety = rng.gen_range(0..80) as Safety - 40;
+                match (held[id], rng.gen_range(0..3)) {
                     (None, _) => {
                         sut.insert(place, safety);
                         held[id] = Some(safety);
@@ -345,7 +337,9 @@ mod tests {
                         .collect();
                     assert_eq!(top, model[..k.min(model.len())], "seed {seed} k {k}");
                 }
-                for tau in [-41, -20, 0, 17, 41] {
+                // The fixed edges and one seeded bound inside the range.
+                let drawn = rng.gen_range(0..82) as Safety - 41;
+                for tau in [-41, -20, 0, 17, 41, drawn] {
                     let below: Vec<(Safety, PlaceId)> = sut
                         .result(QueryMode::Threshold(tau))
                         .map(|e| (e.safety, e.place))

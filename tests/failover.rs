@@ -89,7 +89,8 @@ fn restored_monitor_is_indistinguishable_from_the_primary() {
     assert_eq!(standby.sk(), primary.sk());
     assert_eq!(standby.maintained_places(), primary.maintained_places());
     assert_eq!(standby.dechash_len(), primary.dechash_len());
-    // Restore never touches the lower level.
+    // Restore reads only the cells holding maintained places; the window
+    // below opens after it.
     let io_before = store.stats().snapshot();
 
     // Both servers process the same tail of the stream and must stay in
@@ -121,6 +122,33 @@ fn restored_monitor_is_indistinguishable_from_the_primary() {
     assert!(
         io.records_read < 2 * 500 * 40,
         "restore caused excessive lower-level traffic: {io:?}"
+    );
+}
+
+/// A checkpoint taken over one place set and restored over another of the
+/// same size and grid is refused: its maintained places are not the
+/// store's records, and accepting them would file a place twice.
+#[test]
+fn restore_refuses_a_checkpoint_of_another_place_set() {
+    let (mut workload, store) = setup(71);
+    let units = workload.unit_positions();
+    let mut primary =
+        OptCtup::new(CtupConfig::paper_default(), store.clone(), &units).expect("clean store");
+    for update in workload.next_updates(300) {
+        primary
+            .handle_update(LocationUpdate {
+                unit: UnitId(update.object),
+                new: update.to,
+            })
+            .expect("clean store");
+    }
+    let checkpoint = primary.checkpoint();
+    assert!(OptCtup::restore(checkpoint.clone(), store).is_ok());
+    let (_, other) = setup(72);
+    let err = OptCtup::restore(checkpoint, other).unwrap_err();
+    assert!(
+        matches!(err, ctup::core::checkpoint::CheckpointError::Invalid(_)),
+        "{err}"
     );
 }
 
