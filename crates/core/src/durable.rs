@@ -17,11 +17,22 @@
 //!   durable checkpoint and a crash can be replayed. The supervisor
 //!   journals per *commit group* ([`DurableState::append_all`]): every
 //!   report that queued up while the previous group was being synced goes
-//!   out in one write and one `fdatasync`. Segments rotate with
-//!   checkpoints (`journal-<slot seq>.wal` starts when slot `<slot seq>` is
-//!   written), which the supervisor takes only at group ends, so no
-//!   segment holds a report past the checkpoint that started the next one;
-//!   segments older than the oldest valid slot are pruned.
+//!   out in one write and one `fdatasync`.
+//! * **Rotation, then the slot** — a checkpoint is two halves.
+//!   [`DurableState::rotate`] durably opens `journal-<N>.wal` for the
+//!   updates after checkpoint `N`; [`DurableState::write_slot`] then lands
+//!   slot `N` — on the supervisor's writer thread, while the worker keeps
+//!   appending to segment `N`. The supervisor rotates only at group ends,
+//!   so no segment holds a report past the checkpoint that started the
+//!   next one. Once slot `N` has landed the two valid slots are `N` and
+//!   `N − 1`, so segments below `N − 1` are pruned by name alone.
+//! * **The crash invariant** — segment `N` exists durably before slot `N`
+//!   lands. A death in between recovers from slot `N − 1` over segments
+//!   `N − 1` and `N`; a death after it from slot `N` (or, if that one is
+//!   torn, from `N − 1` over the same segments). A restart resumes the slot
+//!   sequence at the newest valid slot, so it may reopen segment `N`: the
+//!   reopen first cuts the segment back to the lines recovery accepts, so
+//!   a torn tail never hides the appends after it.
 //! * **Recovery** — [`DurableState::load`] picks the valid slot with the
 //!   highest sequence number and returns every journaled report from the
 //!   surviving segments, tolerating a torn final line. Replaying those
@@ -33,7 +44,7 @@
 use crate::checkpoint::{Checkpoint, CheckpointError, FORMAT_VERSION};
 use crate::ingest::StampedUpdate;
 use crate::types::{LocationUpdate, UnitId};
-use ctup_spatial::Point;
+use ctup_spatial::{convert, Point};
 use ctup_storage::crc32;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
@@ -63,11 +74,7 @@ impl DurableState {
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let newest = SLOT_FILES
-            .iter()
-            .filter_map(|name| read_slot(&dir.join(name)).map(|(seq, _)| seq))
-            .max()
-            .unwrap_or(0);
+        let newest = newest_slot(&dir).map_or(0, |slot| slot.seq);
         Ok(DurableState {
             dir,
             next_slot_seq: newest + 1,
@@ -80,16 +87,51 @@ impl DurableState {
         &self.dir
     }
 
-    /// Durably writes `checkpoint` into the older slot (write temp, fsync,
-    /// rename, fsync directory), starts a fresh journal segment for the
-    /// updates that will follow it, and prunes segments no surviving slot
-    /// needs.
+    /// Durably writes `checkpoint` as the next slot: [`rotate`](Self::rotate)
+    /// then [`write_slot`](Self::write_slot), on the calling thread.
     pub fn checkpoint(&mut self, checkpoint: &Checkpoint) -> io::Result<()> {
+        let seq = self.rotate()?;
+        Self::write_slot(&self.dir, seq, checkpoint)
+    }
+
+    /// Starts the journal segment of the next checkpoint and returns that
+    /// checkpoint's slot sequence number `seq`: appends from now on go to
+    /// `journal-<seq>.wal`, made durable here (create, fsync, fsync
+    /// directory) before slot `seq` can land. Until it does, recovery reads
+    /// slot `seq − 1` over segments `seq − 1` and `seq`. A segment left by
+    /// an earlier process is first cut back to the lines recovery accepts.
+    pub fn rotate(&mut self) -> io::Result<u64> {
         let seq = self.next_slot_seq;
+        let segment = self
+            .dir
+            .join(format!("{JOURNAL_PREFIX}{seq}{JOURNAL_SUFFIX}"));
+        let mut f = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(segment)?;
+        // A torn tail would hide every append after it from `load`.
+        let mut bytes = Vec::new();
+        f.read_to_end(&mut bytes)?;
+        let valid = read_journal(&bytes).1;
+        if valid < bytes.len() {
+            f.set_len(convert::count64(valid))?;
+        }
+        f.sync_all()?;
+        sync_dir(&self.dir)?;
+        self.journal = Some(f);
+        self.next_slot_seq = seq + 1;
+        Ok(seq)
+    }
+
+    /// Durably writes `checkpoint` as slot `seq` of `dir`: into the slot
+    /// file of `seq`'s parity (write temp, fsync, rename, fsync directory),
+    /// then prunes the segments below `seq − 1`. Needs no [`DurableState`],
+    /// so it runs on whichever thread lands the slot.
+    pub fn write_slot(dir: &Path, seq: u64, checkpoint: &Checkpoint) -> io::Result<()> {
         let mut body = Vec::new();
         checkpoint.write(&mut body)?;
-
-        let tmp = self.dir.join(SLOT_TMP);
+        let tmp = dir.join(SLOT_TMP);
         {
             let mut f = File::create(&tmp)?;
             writeln!(
@@ -103,25 +145,10 @@ impl DurableState {
         }
         // Alternate slots by sequence parity so consecutive checkpoints
         // never overwrite each other.
-        let slot = if seq % 2 == 1 {
-            SLOT_FILES[0]
-        } else {
-            SLOT_FILES[1]
-        };
-        fs::rename(&tmp, self.dir.join(slot))?;
-        sync_dir(&self.dir)?;
-
-        // Rotate the journal: updates after this checkpoint land in the new
-        // segment, tagged with the slot they extend.
-        let segment = self
-            .dir
-            .join(format!("{JOURNAL_PREFIX}{seq}{JOURNAL_SUFFIX}"));
-        let f = OpenOptions::new().create(true).append(true).open(segment)?;
-        f.sync_all()?;
-        sync_dir(&self.dir)?;
-        self.journal = Some(f);
-        self.next_slot_seq = seq + 1;
-        self.prune_segments();
+        let slot = SLOT_FILES[usize::from(seq.is_multiple_of(2))];
+        fs::rename(&tmp, dir.join(slot))?;
+        sync_dir(dir)?;
+        prune_segments(dir, seq.saturating_sub(1));
         Ok(())
     }
 
@@ -168,42 +195,17 @@ impl DurableState {
         journal.sync_data()
     }
 
-    /// Deletes journal segments older than the oldest valid slot: no
-    /// recovery path can need them. Best-effort; a leftover segment is
-    /// harmless (replay through the gate is idempotent).
-    fn prune_segments(&self) {
-        let valid: Vec<u64> = SLOT_FILES
-            .iter()
-            .filter_map(|name| read_slot(&self.dir.join(name)).map(|(seq, _)| seq))
-            .collect();
-        let Some(&keep_from) = valid.iter().min() else {
-            return;
-        };
-        for (seq, path) in journal_segments(&self.dir) {
-            if seq < keep_from {
-                let _ = fs::remove_file(path);
-            }
-        }
-    }
-
     /// Simulates a torn slot write (for crash testing): truncates the file
     /// of the newest valid slot to half its length, leaving the older slot
     /// as the only recovery point.
     pub fn tear_newest_slot(&self) -> io::Result<()> {
-        let newest = SLOT_FILES
-            .iter()
-            .filter_map(|name| {
-                let path = self.dir.join(name);
-                read_slot(&path).map(|(seq, _)| (seq, path))
-            })
-            .max_by_key(|(seq, _)| *seq);
-        let Some((_, path)) = newest else {
+        let Some(newest) = newest_slot(&self.dir) else {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 "no valid slot to tear",
             ));
         };
-        let f = OpenOptions::new().write(true).open(&path)?;
+        let f = OpenOptions::new().write(true).open(&newest.path)?;
         let len = f.metadata()?.len();
         f.set_len(len / 2)?;
         f.sync_all()
@@ -217,11 +219,7 @@ impl DurableState {
         dir: impl AsRef<Path>,
     ) -> Result<(Checkpoint, Vec<StampedUpdate>), CheckpointError> {
         let dir = dir.as_ref();
-        let newest = SLOT_FILES
-            .iter()
-            .filter_map(|name| read_slot(&dir.join(name)))
-            .max_by_key(|(seq, _)| *seq);
-        let Some((_, checkpoint)) = newest else {
+        let Some(newest) = newest_slot(dir) else {
             return Err(CheckpointError::Invalid(format!(
                 "no valid checkpoint slot in {}",
                 dir.display()
@@ -229,19 +227,11 @@ impl DurableState {
         };
         let mut reports = Vec::new();
         for (_, path) in journal_segments(dir) {
-            let Ok(text) = fs::read_to_string(&path) else {
-                continue;
-            };
-            for line in text.lines() {
-                match parse_journal_line(line) {
-                    Some(report) => reports.push(report),
-                    // A bad line means the tail of this segment was torn
-                    // mid-append: everything after it was never applied.
-                    None => break,
-                }
+            if let Ok(bytes) = fs::read(&path) {
+                reports.extend(read_journal(&bytes).0);
             }
         }
-        Ok((checkpoint, reports))
+        Ok((newest.checkpoint, reports))
     }
 }
 
@@ -256,12 +246,42 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     }
 }
 
-/// Reads and validates one slot file: header, version, CRC, body. Any
-/// failure (missing file, torn write, corruption, parse error) makes the
-/// slot invalid — `None` — and recovery falls back to the other slot.
-fn read_slot(path: &Path) -> Option<(u64, Checkpoint)> {
-    let mut bytes = Vec::new();
-    File::open(path).ok()?.read_to_end(&mut bytes).ok()?;
+/// A slot file that passed its checks, decoded.
+struct Slot {
+    seq: u64,
+    path: PathBuf,
+    checkpoint: Checkpoint,
+}
+
+/// The newest valid slot of `dir`. Both slot files are ranked by header
+/// `seq` after their version, length and CRC checks; only the winner is
+/// decoded, and its sibling only if the winner fails to parse.
+fn newest_slot(dir: &Path) -> Option<Slot> {
+    let mut checked: Vec<(u64, PathBuf, Vec<u8>)> = SLOT_FILES
+        .iter()
+        .filter_map(|name| {
+            let path = dir.join(name);
+            let (seq, body) = check_slot(&path)?;
+            Some((seq, path, body))
+        })
+        .collect();
+    checked.sort_unstable_by_key(|(seq, _, _)| std::cmp::Reverse(*seq));
+    checked.into_iter().find_map(|(seq, path, body)| {
+        let checkpoint = Checkpoint::read(&body[..]).ok()?;
+        Some(Slot {
+            seq,
+            path,
+            checkpoint,
+        })
+    })
+}
+
+/// Reads one slot file and checks its header, version, length and CRC,
+/// returning its `seq` and body undecoded. Any failure (missing file, torn
+/// write, corruption) makes the slot invalid — `None` — and recovery falls
+/// back to the other slot.
+fn check_slot(path: &Path) -> Option<(u64, Vec<u8>)> {
+    let mut bytes = fs::read(path).ok()?;
     let newline = bytes.iter().position(|&b| b == b'\n')?;
     let header = std::str::from_utf8(&bytes[..newline]).ok()?;
     let fields: Vec<&str> = header.split_ascii_whitespace().collect();
@@ -274,12 +294,22 @@ fn read_slot(path: &Path) -> Option<(u64, Checkpoint)> {
     let seq: u64 = seq.parse().ok()?;
     let crc: u32 = crc.parse().ok()?;
     let len: usize = len.parse().ok()?;
-    let body = &bytes[newline + 1..];
-    if body.len() != len || crc32(body) != crc {
+    let body = bytes.split_off(newline + 1);
+    if body.len() != len || crc32(&body) != crc {
         return None;
     }
-    let checkpoint = Checkpoint::read(body).ok()?;
-    Some((seq, checkpoint))
+    Some((seq, body))
+}
+
+/// Deletes the journal segments of `dir` below `keep_from`, by name alone.
+/// Best-effort; a leftover segment is harmless (replay through the gate is
+/// idempotent).
+fn prune_segments(dir: &Path, keep_from: u64) {
+    for (seq, path) in journal_segments(dir) {
+        if seq < keep_from {
+            let _ = fs::remove_file(path);
+        }
+    }
 }
 
 /// The journal segments of `dir`, sorted by slot sequence (append order).
@@ -301,6 +331,27 @@ fn journal_segments(dir: &Path) -> Vec<(u64, PathBuf)> {
         .collect();
     segments.sort_unstable_by_key(|(seq, _)| *seq);
     segments
+}
+
+/// The reports of one journal segment, in append order, and the length of
+/// the prefix they span. Reading stops at the first line that is
+/// unterminated, not UTF-8 or fails its CRC: the tail a death tore
+/// mid-append, never synced and so never acked.
+fn read_journal(bytes: &[u8]) -> (Vec<StampedUpdate>, usize) {
+    let mut reports = Vec::new();
+    let mut valid = 0;
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        let Some(report) = line
+            .strip_suffix(b"\n")
+            .and_then(|l| std::str::from_utf8(l).ok())
+            .and_then(parse_journal_line)
+        else {
+            break;
+        };
+        reports.push(report);
+        valid += line.len();
+    }
+    (reports, valid)
 }
 
 /// Decodes one journal line, `None` on any structural or CRC mismatch.
@@ -464,6 +515,41 @@ mod tests {
         // Both segments survive: the tail re-covers the updates the torn
         // slot had absorbed, and gate replay dedups them.
         assert_eq!(tail, vec![report(2, 0.25), report(3, 0.75)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A death between a rotation and its slot: segment `N` is open and
+    /// holds a group, slot `N` never landed. Recovery reads slot `N − 1`
+    /// over segments `N − 1` and `N`; a restart resumes at `N`, cutting the
+    /// torn tail off the segment it reopens so its appends stay readable.
+    #[test]
+    #[cfg_attr(miri, ignore)] // touches the real filesystem
+    fn slot_that_never_lands_recovers_from_the_one_before() {
+        let dir = temp_state_dir();
+        let mut state = DurableState::open(&dir).expect("open");
+        state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
+        state.append(report(1, 0.125)).expect("append");
+        assert_eq!(state.rotate().expect("rotate"), 2);
+        let group: Vec<StampedUpdate> = (2..=4).map(|s| report(s, 0.1 * s as f64)).collect();
+        state.append_all(&group).expect("append group");
+        drop(state);
+
+        let (cp, tail) = DurableState::load(&dir).expect("load");
+        assert_eq!(cp, sample_checkpoint(1));
+        let mut expected = vec![report(1, 0.125)];
+        expected.extend(group);
+        assert_eq!(tail, expected);
+
+        let segment = dir.join(format!("{JOURNAL_PREFIX}2{JOURNAL_SUFFIX}"));
+        let text = fs::read_to_string(&segment).expect("read journal");
+        fs::write(&segment, &text[..text.len() - 7]).expect("tear journal");
+        let mut reopened = DurableState::open(&dir).expect("reopen");
+        assert_eq!(reopened.rotate().expect("rotate"), 2, "resumes at N");
+        reopened.append(report(5, 0.5)).expect("append");
+        let (_, tail) = DurableState::load(&dir).expect("load");
+        expected.truncate(3);
+        expected.push(report(5, 0.5));
+        assert_eq!(tail, expected);
         let _ = fs::remove_dir_all(&dir);
     }
 

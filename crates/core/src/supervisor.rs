@@ -21,9 +21,14 @@
 //! 4. at the end of a group that brought the tail to `checkpoint_every`
 //!    effective updates the worker snapshots a [`Checkpoint`] (monitor
 //!    state plus [`GateState`]) in memory — and, with a `state_dir`,
-//!    durably on disk via the A/B slot protocol of [`crate::durable`].
-//!    Never inside a group, so the gate state and the monitor state it
-//!    captures always cover the same reports;
+//!    persists it via the A/B slot protocol of [`crate::durable`]: the
+//!    worker rotates the journal to the checkpoint's segment and hands the
+//!    snapshot to one slot-writer thread, which lands the slot while the
+//!    worker keeps applying. The hand-off waits for the previous slot, so
+//!    at most one is in flight; a slot that fails to land stops the worker
+//!    at the next group start, and every exit (a simulated kill included)
+//!    joins the writer first. Never inside a group, so the gate state and
+//!    the monitor state it captures always cover the same reports;
 //! 5. after a caught panic or contained storage error the worker restores
 //!    the monitor from the latest checkpoint, replays the in-flight tail of
 //!    effective updates while *suppressing* the
@@ -64,7 +69,7 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -581,7 +586,7 @@ where
     let mut base = {
         let mut c = algorithm.checkpoint();
         c.gate = Some(gate.state());
-        c
+        Arc::new(c)
     };
     let mut server = Server::new(algorithm);
     let mut stats = initial_stats;
@@ -594,6 +599,8 @@ where
     let mut gave_up = false;
     let mut killed = false;
     let mut obs = ObsHub::new(config.flight_recorder_capacity);
+    // Lands the periodic checkpoints' slots; started at the first one.
+    let mut writer: Option<SlotWriter> = None;
 
     // Durable persistence: open (or create) the state directory and write
     // the spawn-time base as the first slot, so there is always a valid
@@ -651,6 +658,14 @@ where
                 }
             }
         };
+        // A slot that failed to land broke the durability contract: take
+        // no group past the first group start that learns of it.
+        if let Some(w) = writer.as_ref() {
+            if !record_landed(w.done.try_iter(), &mut obs) {
+                gave_up = true;
+                break 'recv;
+            }
+        }
         // The group is the first report plus whatever queued behind it,
         // cut at the next periodic checkpoint: a checkpoint rotates the
         // journal, and one taken inside a group would leave the rest of
@@ -745,9 +760,11 @@ where
                 let sink = sink.filter(|_| idx == last_idx);
                 // Simulated process death: stop mid-stream with no final
                 // checkpoint, optionally tearing the newest slot the way a
-                // death mid-checkpoint-write would.
+                // death mid-checkpoint-write would. The writer is joined
+                // first, so the torn slot is the latest checkpoint's.
                 if config.kill_at == Some(eff_seq) {
                     killed = true;
+                    gave_up |= !join_writer(&mut writer, &mut obs);
                     obs.record_update(TraceEvent {
                         seq: eff_seq,
                         unit: update.unit.0,
@@ -876,7 +893,7 @@ where
                             // published before the crash. The live gate is kept:
                             // its state is ahead of the checkpointed one and the
                             // gate is outside the contained region.
-                            match recover::<A>(base.clone(), store.clone(), &tail) {
+                            match recover::<A>(Checkpoint::clone(&base), store.clone(), &tail) {
                                 Ok((recovered, suppressed)) => {
                                     server = recovered;
                                     if let Some(sink) = config.spans.as_ref() {
@@ -913,16 +930,28 @@ where
             let mut timer = PhaseTimer::start();
             let mut c = server.algorithm().checkpoint();
             c.gate = Some(gate.state());
+            let c = Arc::new(c);
             if let Some(d) = durable.as_mut() {
-                if d.checkpoint(&c).is_err() {
+                // Segment now, slot later: the writer lands the slot while
+                // the next groups journal into the segment rotated here.
+                // Its `checkpoint_write_nanos` sample comes back with it.
+                if writer.is_none() {
+                    writer = SlotWriter::spawn(d.dir().to_path_buf()).ok();
+                }
+                let handed = match (writer.as_ref(), d.rotate()) {
+                    (Some(w), Ok(seq)) => w.jobs.send((seq, eff_seq, Arc::clone(&c))).is_ok(),
+                    _ => false,
+                };
+                if !handed {
                     gave_up = true;
                     break 'recv;
                 }
+            } else {
+                obs.record_checkpoint(eff_seq, timer.lap());
             }
-            obs.record_checkpoint(eff_seq, timer.lap());
             if let (Some(s), Some(c0)) = (ckpt_sink, ckpt_start) {
-                // The group's last accepted report carries the cost of the
-                // checkpoint its group tripped as a span.
+                // The group's last accepted report carries the apply-path
+                // stall of the checkpoint its group tripped as a span.
                 s.record_stage(last_trace, Stage::Checkpoint, 0, c0, now_nanos(), true);
             }
             base = c;
@@ -934,6 +963,7 @@ where
     // Whatever the mark covered when the worker stopped is still owed an
     // ack, whether it stopped for shutdown, a kill or a give-up.
     line.announce(&mut announced);
+    gave_up |= !join_writer(&mut writer, &mut obs);
 
     if gave_up {
         obs.record_update(TraceEvent {
@@ -1061,6 +1091,69 @@ fn reserve_rotation_slot(dir: &Path, start: u64) -> Option<(u64, PathBuf)> {
             Err(_) => return None,
         }
     }
+}
+
+/// The depth-one slot writer: one thread that lands each periodic
+/// checkpoint's slot ([`DurableState::write_slot`]) while the worker keeps
+/// applying. The hand-off is a rendezvous, so a slot is handed over only
+/// once the one before it has landed, and slot `seq + 1` can never
+/// overwrite `seq − 1` before `seq` is in place. The thread stops at its
+/// first failed write.
+struct SlotWriter {
+    /// Slot `seq`, the effective update it was taken at, the checkpoint.
+    jobs: SyncSender<(u64, u64, Arc<Checkpoint>)>,
+    /// Per handed slot, in order: its effective update, the write's
+    /// outcome and its wall time in nanoseconds.
+    done: Receiver<(u64, std::io::Result<()>, u64)>,
+    thread: JoinHandle<()>,
+}
+
+impl SlotWriter {
+    fn spawn(dir: PathBuf) -> std::io::Result<Self> {
+        let (jobs, handed) = sync_channel::<(u64, u64, Arc<Checkpoint>)>(0);
+        let (landed, done) = channel();
+        let thread = std::thread::Builder::new()
+            .name("ctup-slot-writer".into())
+            .spawn(move || {
+                for (seq, at, checkpoint) in handed {
+                    let t0 = now_nanos();
+                    let written = DurableState::write_slot(&dir, seq, &checkpoint);
+                    let failed = written.is_err();
+                    let nanos = now_nanos().saturating_sub(t0);
+                    if landed.send((at, written, nanos)).is_err() || failed {
+                        break;
+                    }
+                }
+            })?;
+        Ok(SlotWriter { jobs, done, thread })
+    }
+}
+
+/// Closes the writer's hand-off and joins it, so no slot is left in
+/// flight, then records what it landed since the last drain. False if a
+/// slot failed to land.
+fn join_writer(writer: &mut Option<SlotWriter>, obs: &mut ObsHub) -> bool {
+    let Some(SlotWriter { jobs, done, thread }) = writer.take() else {
+        return true;
+    };
+    drop(jobs);
+    let joined = thread.join().is_ok();
+    record_landed(done.try_iter(), obs) && joined
+}
+
+/// Records each landed slot's write into `checkpoint_write_nanos`; false
+/// at the first slot that failed to land.
+fn record_landed(
+    outcomes: impl Iterator<Item = (u64, std::io::Result<()>, u64)>,
+    obs: &mut ObsHub,
+) -> bool {
+    for (at, written, nanos) in outcomes {
+        if written.is_err() {
+            return false;
+        }
+        obs.record_checkpoint(at, nanos);
+    }
+    true
 }
 
 /// Restores a monitor from `base` and replays `tail` on it, all inside
@@ -2132,6 +2225,149 @@ mod tests {
         if !whole_feed {
             assert_eq!((replayed_count, out.updates_processed), (57, 79));
         }
+        assert_eq!(out.final_result, direct.result());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A death between a rotation and its slot: slot 3 never landed, and
+    /// segment 3 holds the reports after it. Recovery from slot 2 over
+    /// segments 1 to 3 resumes at exactly the journaled state and finishes
+    /// the feed on the direct run's result.
+    #[test]
+    #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
+    fn recovery_over_a_slot_that_never_landed_is_oracle_exact() {
+        const EVERY: usize = 32;
+        let dir = temp_state_dir();
+        let units = unit_points(4);
+        let stream = updates(200, 4);
+        let (direct, _) = direct_run(&units, &stream);
+        let stamped = stamp_stream(stream.clone());
+
+        // What a worker leaves when it dies with slot 3 in flight.
+        let mut server = Server::new(monitor(&units));
+        let mut gate = IngestGate::new(IngestConfig {
+            space: *server.algorithm().store().grid().space(),
+            num_units: units.len(),
+            lease_ttl: None,
+        });
+        let mut state = DurableState::open(&dir).expect("open");
+        let mut scratch = ResilienceStats::default();
+        for (i, group) in stamped[..80].chunks(EVERY).enumerate() {
+            if i < 2 {
+                let mut c = server.algorithm().checkpoint();
+                c.gate = Some(gate.state());
+                state.checkpoint(&c).expect("checkpoint");
+            } else {
+                assert_eq!(state.rotate().expect("rotate"), 3);
+            }
+            state.append_all(group).expect("append");
+            for &report in group {
+                for update in gate.admit(report, &mut scratch).expect("admit") {
+                    server.ingest(update).expect("ingest");
+                }
+            }
+        }
+        drop(state);
+
+        let store: Arc<dyn PlaceStore> =
+            Arc::new(CellLocalStore::build(Grid::unit_square(6), places()));
+        let config = ResilienceConfig {
+            checkpoint_every: 32,
+            ..ResilienceConfig::default()
+        };
+        let recovered = SupervisedPipeline::recover_from_dir::<OptCtup>(&dir, store, config, 1024)
+            .expect("recover");
+        assert_eq!(recovered.initial_result(), server.result());
+        for &report in &stamped {
+            recovered.send(report).expect("worker alive");
+        }
+        let out = recovered.shutdown();
+        assert!(!out.gave_up);
+        assert_eq!(out.metrics.resilience.updates_replayed, 80 - 32);
+        assert_eq!(out.updates_processed, 200 - 80);
+        assert_eq!(out.final_result, direct.result());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A slot write that fails stops the worker: slot 2 lands in
+    /// `slot-b.ckpt`, here a non-empty directory the rename cannot
+    /// replace. The worker stops on its own at the first group start that
+    /// learns of the failure, without taking that group — fed one report
+    /// at a time, short of a second checkpoint, it dies on the report that
+    /// wakes it. Everything its mark covered is recoverable from slot 1
+    /// over the surviving segments, `load` skipping the directory.
+    #[test]
+    #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
+    fn a_slot_that_fails_to_land_stops_the_worker() {
+        const EVERY: usize = 16;
+        let dir = temp_state_dir();
+        let obstacle = dir.join("slot-b.ckpt");
+        std::fs::create_dir_all(obstacle.join("occupied")).expect("obstacle");
+        let units = unit_points(4);
+        let stream = updates(200, 4);
+        let (direct, _) = direct_run(&units, &stream);
+        let stamped = stamp_stream(stream.clone());
+        let config = ResilienceConfig {
+            checkpoint_every: convert::count64(EVERY),
+            state_dir: Some(dir.clone()),
+            ..ResilienceConfig::default()
+        };
+
+        let pipeline = SupervisedPipeline::spawn(monitor(&units), config.clone(), 1024);
+        let taken_or_dead = |sent: usize| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while pipeline.durable_mark() < convert::count64(sent) && !pipeline.worker_dead() {
+                assert!(Instant::now() < deadline, "report {sent} never taken");
+                std::thread::yield_now();
+            }
+        };
+        // One checkpoint's worth: its group end hands slot 2 over.
+        for &report in &stamped[..EVERY] {
+            pipeline.send(report).expect("worker alive");
+        }
+        taken_or_dead(EVERY);
+        let mut sent = EVERY;
+        while !pipeline.worker_dead() {
+            assert!(
+                sent < 2 * EVERY - 1,
+                "the worker kept taking groups past a failed slot"
+            );
+            std::thread::sleep(Duration::from_millis(50));
+            if pipeline.send(stamped[sent]).is_ok() {
+                sent += 1;
+                taken_or_dead(sent);
+            }
+        }
+        let report = pipeline.shutdown();
+        assert!(report.gave_up);
+        let taken = usize::try_from(report.reports_received).expect("fits");
+        assert_eq!(taken + 1, sent, "the report that woke it was not taken");
+
+        let (checkpoint, journal) = DurableState::load(&dir).expect("load");
+        assert_eq!(checkpoint.gate.expect("gate").now, 0, "slot 1, the base");
+        assert_eq!(journal, stamped[..taken].to_vec());
+        let (replayed, _) = direct_run(&units, &stream[..taken]);
+        let store = || -> Arc<dyn PlaceStore> {
+            Arc::new(CellLocalStore::build(Grid::unit_square(6), places()))
+        };
+        // Recovery replays all of it, though its own base slot cannot land
+        // either while the directory is there.
+        let recovered =
+            SupervisedPipeline::recover_from_dir::<OptCtup>(&dir, store(), config.clone(), 1024)
+                .expect("recover");
+        assert_eq!(recovered.initial_result(), replayed.result());
+        assert!(recovered.shutdown().gave_up);
+
+        std::fs::remove_dir_all(&obstacle).expect("clear the obstacle");
+        let recovered =
+            SupervisedPipeline::recover_from_dir::<OptCtup>(&dir, store(), config, 1024)
+                .expect("recover");
+        assert_eq!(recovered.initial_result(), replayed.result());
+        for &report in &stamped {
+            recovered.send(report).expect("worker alive");
+        }
+        let out = recovered.shutdown();
+        assert!(!out.gave_up);
         assert_eq!(out.final_result, direct.result());
         let _ = std::fs::remove_dir_all(&dir);
     }
