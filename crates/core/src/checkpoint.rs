@@ -1,17 +1,20 @@
 //! Checkpointing the OptCTUP monitor state.
 //!
-//! A dispatch center cannot afford to re-initialize from the full place set
-//! after a failover. A [`Checkpoint`] captures everything the higher level
-//! holds — unit positions, per-cell lower bounds, the maintained places
-//! with their exact safeties, and the DecHash — so a standby server can
-//! resume monitoring exactly where the primary stopped. A line-oriented
-//! text codec keeps the format inspectable and dependency-free.
+//! A [`Checkpoint`] keeps only what cannot be re-derived from the place
+//! set: the configuration, the last reported position of every unit and
+//! the ingest gate's state. Everything else the higher level holds — the
+//! per-cell lower bounds, the maintained places and the DecHash — is a
+//! deterministic function of those positions and the store, and restore
+//! rebuilds it with the paper's initialization (§IV.D). A dispatch center
+//! can afford that: over Table III a fresh initialization in memory costs
+//! about 0.25 ms, while decoding a checkpoint that carried the derived
+//! state cost about 0.93 ms on its own. A line-oriented text codec keeps
+//! the format inspectable and dependency-free.
 
 use crate::config::{CtupConfig, QueryMode};
 use crate::ingest::{GateState, GateUnitState};
-use crate::types::{Place, PlaceId, Safety, UnitId};
-use ctup_spatial::{CellId, Point, Rect};
-use ctup_storage::{PlaceStore, MAX_RP};
+use ctup_spatial::Point;
+use ctup_storage::PlaceStore;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
@@ -23,13 +26,6 @@ pub struct Checkpoint {
     pub config: CtupConfig,
     /// Last reported position of every unit, in unit-id order.
     pub unit_positions: Vec<Point>,
-    /// Per-cell lower bounds, in cell-id order ([`crate::types::LB_NONE`]
-    /// for cells without non-maintained places).
-    pub lower_bounds: Vec<Safety>,
-    /// Maintained places with their exact safety and home cell.
-    pub maintained: Vec<(Place, Safety, CellId)>,
-    /// The DecHash contents.
-    pub dechash: Vec<(UnitId, CellId)>,
     /// Ingest-gate state (dedup sequence numbers and liveness leases) when
     /// the monitor ran behind a [`crate::ingest::IngestGate`]; `None` for a
     /// bare monitor.
@@ -48,8 +44,8 @@ pub enum CheckpointError {
         /// Description.
         message: String,
     },
-    /// The checkpoint parsed but its contents are unusable (wrong grid,
-    /// inconsistent unit counts, invalid configuration …).
+    /// The checkpoint parsed but its contents are unusable (inconsistent
+    /// unit counts, invalid configuration …).
     Invalid(String),
 }
 
@@ -83,7 +79,7 @@ pub trait Checkpointable: crate::algorithm::CtupAlgorithm + Sized {
     /// [`GateState`] if the monitor runs behind an ingest gate).
     fn checkpoint(&self) -> Checkpoint;
 
-    /// Rebuilds a monitor from a checkpoint over the same lower level.
+    /// Rebuilds a monitor from a checkpoint over a lower level.
     fn restore(checkpoint: Checkpoint, store: Arc<dyn PlaceStore>)
         -> Result<Self, CheckpointError>;
 
@@ -101,18 +97,28 @@ pub trait Checkpointable: crate::algorithm::CtupAlgorithm + Sized {
 /// durable A/B slot header of [`crate::durable`] embeds the same version:
 /// v3 introduced the slot/journal protocol around the v2 body format; v4
 /// added a physical cell-layout tag; v5 dropped it again when Z-order
-/// became the only cell order. A v4 file is refused at its version line,
-/// so a checkpoint from a row-major store cannot be restored silently.
-pub const FORMAT_VERSION: u32 = 5;
+/// became the only cell order; v6 dropped the derived sections (lower
+/// bounds, maintained places, DecHash), which restore now re-derives. v4
+/// and v5 files are refused at their version line.
+pub const FORMAT_VERSION: u32 = 6;
 
-const HEADER: &str = "#ctup-checkpoint v5";
+const HEADER: &str = "#ctup-checkpoint v6";
 const VERSION_PREFIX: &str = "#ctup-checkpoint ";
 
-/// The tag a v4 writer over a row-major store put before the `units`
-/// line, for the tests that pin the v5 refusal. Spelled in two pieces so
-/// no source outside the ledger names the retired layout.
+/// Rewrites a current body the way a v4 or v5 writer would have framed the
+/// same state, for the tests that pin their refusal: both carried the
+/// derived sections v6 dropped, and a v4 writer over a row-major store also
+/// put a layout tag before the `units` line (spelled in two pieces so no
+/// source outside the ledger names the retired layout).
 #[cfg(test)]
-pub(crate) const V4_ROWMAJOR_TAG: &str = concat!("\nlayout row", "major\nunits ");
+pub(crate) fn previous_version_body(body: &str, version: u32) -> String {
+    let derived = body.replacen("\ngate ", "\nlbs 1\n0\nmaintained 0\ndechash 0\ngate ", 1);
+    let old = derived.replacen(HEADER, &format!("{VERSION_PREFIX}v{version}"), 1);
+    match version {
+        4 => old.replacen("\nunits ", concat!("\nlayout row", "major\nunits "), 1),
+        _ => old,
+    }
+}
 
 /// Upper bound on pre-allocation from counts read out of the file: a
 /// corrupted count must produce a parse error, not a giant allocation.
@@ -146,65 +152,18 @@ impl<R: BufRead> Lines<R> {
 }
 
 impl Checkpoint {
-    /// Structural validation against the grid the checkpoint will be
-    /// restored over: counts and id ranges must be consistent before
-    /// restore builds any structure. A corrupted-but-parseable file fails
-    /// here with a [`CheckpointError::Invalid`] instead of panicking later.
-    pub fn validate(&self, num_cells: usize) -> Result<(), CheckpointError> {
+    /// Structural validation before restore builds any structure: a
+    /// corrupted-but-parseable file fails here with a
+    /// [`CheckpointError::Invalid`] instead of panicking later. Nothing in
+    /// the file depends on the store's grid.
+    pub fn validate(&self) -> Result<(), CheckpointError> {
         let invalid = |m: String| Err(CheckpointError::Invalid(m));
         if let Err(message) = self.config.check() {
             return invalid(format!("bad config: {message}"));
         }
-        if self.lower_bounds.len() != num_cells {
-            return invalid(format!(
-                "checkpoint was taken over a different grid ({} cells, store has {num_cells})",
-                self.lower_bounds.len()
-            ));
-        }
         for p in &self.unit_positions {
             if !(p.x.is_finite() && p.y.is_finite()) {
                 return invalid("non-finite unit position".into());
-            }
-        }
-        // A safety is AP − RP with AP in 0..=|U|: the ordered view keeps one
-        // level per safety value, so a safety outside that range, or an RP
-        // above MAX_RP, would size it by the file instead of the workload.
-        let units = Safety::try_from(self.unit_positions.len()).unwrap_or(Safety::MAX);
-        for (place, safety, cell) in &self.maintained {
-            if cell.index() >= num_cells {
-                return invalid(format!(
-                    "maintained place {} references cell {} of {num_cells}",
-                    place.id.0, cell.0
-                ));
-            }
-            if place.rp > MAX_RP {
-                return invalid(format!(
-                    "maintained place {} requires {} protection, above MAX_RP = {MAX_RP}",
-                    place.id.0, place.rp
-                ));
-            }
-            let rp = Safety::from(place.rp);
-            if !(-rp..=units - rp).contains(safety) {
-                return invalid(format!(
-                    "maintained place {} has safety {safety} outside {}..={} (RP {}, {} units)",
-                    place.id.0,
-                    -rp,
-                    units - rp,
-                    place.rp,
-                    self.unit_positions.len()
-                ));
-            }
-        }
-        for (unit, cell) in &self.dechash {
-            if unit.index() >= self.unit_positions.len() {
-                return invalid(format!(
-                    "dechash references unit {} of {}",
-                    unit.0,
-                    self.unit_positions.len()
-                ));
-            }
-            if cell.index() >= num_cells {
-                return invalid(format!("dechash references cell {} of {num_cells}", cell.0));
             }
         }
         if let Some(gate) = &self.gate {
@@ -237,38 +196,6 @@ impl Checkpoint {
         writeln!(w, "units {}", self.unit_positions.len())?;
         for p in &self.unit_positions {
             writeln!(w, "{} {}", p.x, p.y)?;
-        }
-        writeln!(w, "lbs {}", self.lower_bounds.len())?;
-        for lb in &self.lower_bounds {
-            writeln!(w, "{lb}")?;
-        }
-        writeln!(w, "maintained {}", self.maintained.len())?;
-        for (place, safety, cell) in &self.maintained {
-            match &place.extent {
-                None => writeln!(
-                    w,
-                    "{} {} {} {} {} {}",
-                    place.id.0, place.pos.x, place.pos.y, place.rp, safety, cell.0
-                )?,
-                Some(r) => writeln!(
-                    w,
-                    "{} {} {} {} {} {} {} {} {} {}",
-                    place.id.0,
-                    place.pos.x,
-                    place.pos.y,
-                    place.rp,
-                    safety,
-                    cell.0,
-                    r.lo.x,
-                    r.lo.y,
-                    r.hi.x,
-                    r.hi.y
-                )?,
-            }
-        }
-        writeln!(w, "dechash {}", self.dechash.len())?;
-        for (unit, cell) in &self.dechash {
-            writeln!(w, "{} {}", unit.0, cell.0)?;
         }
         match &self.gate {
             None => writeln!(w, "gate none")?,
@@ -380,83 +307,6 @@ impl Checkpoint {
             unit_positions.push(Point::new(x, y));
         }
 
-        let n_lbs = parse_count(&mut lines, "lbs")?;
-        let mut lower_bounds = Vec::with_capacity(n_lbs.min(CAP_HINT));
-        for _ in 0..n_lbs {
-            let line_no = lines.line_no + 1;
-            let lb = lines
-                .next()?
-                .parse()
-                .map_err(|e| err(line_no, format!("bad lower bound: {e}")))?;
-            lower_bounds.push(lb);
-        }
-
-        let n_maintained = parse_count(&mut lines, "maintained")?;
-        let mut maintained = Vec::with_capacity(n_maintained.min(CAP_HINT));
-        for _ in 0..n_maintained {
-            let line_no = lines.line_no + 1;
-            let line = lines.next()?.to_string();
-            let fields: Vec<&str> = line.split_ascii_whitespace().collect();
-            if fields.len() != 6 && fields.len() != 10 {
-                return Err(err(
-                    line_no,
-                    "expected 6 or 10 fields for a maintained place",
-                ));
-            }
-            let parse_f = |s: &str| -> Result<f64, CheckpointError> {
-                s.parse()
-                    .map_err(|e| err(line_no, format!("bad number {s:?}: {e}")))
-            };
-            let id: u32 = fields[0]
-                .parse()
-                .map_err(|e| err(line_no, format!("bad id: {e}")))?;
-            let pos = Point::new(parse_f(fields[1])?, parse_f(fields[2])?);
-            let rp: u32 = fields[3]
-                .parse()
-                .map_err(|e| err(line_no, format!("bad rp: {e}")))?;
-            let safety: Safety = fields[4]
-                .parse()
-                .map_err(|e| err(line_no, format!("bad safety: {e}")))?;
-            let cell: u32 = fields[5]
-                .parse()
-                .map_err(|e| err(line_no, format!("bad cell: {e}")))?;
-            let place = if fields.len() == 10 {
-                let lo = Point::new(parse_f(fields[6])?, parse_f(fields[7])?);
-                let hi = Point::new(parse_f(fields[8])?, parse_f(fields[9])?);
-                if lo.x > hi.x || lo.y > hi.y {
-                    return Err(err(line_no, "extent corners out of order"));
-                }
-                let extent = Rect::new(lo, hi);
-                // `Place::extended` asserts containment; corrupt bytes must
-                // surface as a parse error, not a panic.
-                if !extent.contains_point(pos) {
-                    return Err(err(line_no, "extent does not contain the place position"));
-                }
-                Place::extended(PlaceId(id), pos, rp, extent)
-            } else {
-                Place::point(PlaceId(id), pos, rp)
-            };
-            maintained.push((place, safety, CellId(cell)));
-        }
-
-        let n_dechash = parse_count(&mut lines, "dechash")?;
-        let mut dechash = Vec::with_capacity(n_dechash.min(CAP_HINT));
-        for _ in 0..n_dechash {
-            let line_no = lines.line_no + 1;
-            let line = lines.next()?.to_string();
-            let fields: Vec<&str> = line.split_ascii_whitespace().collect();
-            if fields.len() != 2 {
-                return Err(err(line_no, "expected `<unit> <cell>`"));
-            }
-            let unit: u32 = fields[0]
-                .parse()
-                .map_err(|e| err(line_no, format!("bad unit: {e}")))?;
-            let cell: u32 = fields[1]
-                .parse()
-                .map_err(|e| err(line_no, format!("bad cell: {e}")))?;
-            dechash.push((UnitId(unit), CellId(cell)));
-        }
-
         // gate section: `gate none` or `gate <now> <count>` + per-unit lines.
         let line_no = lines.line_no + 1;
         let gate_line = lines.next()?.to_string();
@@ -510,9 +360,6 @@ impl Checkpoint {
         Ok(Checkpoint {
             config,
             unit_positions,
-            lower_bounds,
-            maintained,
-            dechash,
             gate,
         })
     }
@@ -531,25 +378,6 @@ mod tests {
         Checkpoint {
             config: CtupConfig::with_k(7),
             unit_positions: vec![Point::new(0.25, 0.5), Point::new(0.75, 0.125)],
-            lower_bounds: vec![-3, crate::types::LB_NONE, 0, 5],
-            maintained: vec![
-                (
-                    Place::point(PlaceId(4), Point::new(0.1, 0.2), 3),
-                    -2,
-                    CellId(0),
-                ),
-                (
-                    Place::extended(
-                        PlaceId(9),
-                        Point::new(0.6, 0.6),
-                        1,
-                        Rect::from_coords(0.55, 0.55, 0.65, 0.65),
-                    ),
-                    1,
-                    CellId(3),
-                ),
-            ],
-            dechash: vec![(UnitId(0), CellId(2)), (UnitId(1), CellId(0))],
             gate: Some(GateState {
                 now: 42,
                 units: vec![
@@ -623,13 +451,14 @@ mod tests {
         let mut buf = Vec::new();
         cp.write(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let v3 = text.replacen("v5", "v3", 1);
-        // A v4 body carries the layout tag v5 dropped; it is refused at the
-        // version line, before any field is read.
-        let v4 = text
-            .replacen("v5", "v4", 1)
-            .replacen("\nunits ", V4_ROWMAJOR_TAG, 1);
-        for old in [v3, v4] {
+        let v3 = text.replacen("v6", "v3", 1);
+        // v4 and v5 bodies carry the derived sections v6 dropped (and v4 a
+        // layout tag); they are refused at the version line, before any
+        // field is read.
+        let v4 = previous_version_body(&text, 4);
+        let v5 = previous_version_body(&text, 5);
+        assert!(v5.contains("\nmaintained 0\n") && v4.contains("\nlayout "));
+        for old in [v3, v4, v5] {
             let error = Checkpoint::read(old.as_bytes()).unwrap_err();
             assert!(
                 error.to_string().contains("unsupported checkpoint version"),
@@ -651,39 +480,18 @@ mod tests {
 
     #[test]
     fn validate_catches_inconsistencies() {
-        let cp = sample();
-        assert!(cp.validate(4).is_ok());
-        // Wrong grid size.
-        assert!(matches!(cp.validate(3), Err(CheckpointError::Invalid(_))));
-        // DecHash pointing at a unit that does not exist.
-        let bad = Checkpoint {
-            dechash: vec![(UnitId(9), CellId(0))],
-            ..sample()
-        };
-        assert!(matches!(bad.validate(4), Err(CheckpointError::Invalid(_))));
-        // Maintained place in an out-of-range cell.
-        let mut bad = sample();
-        bad.maintained[0].2 = CellId(99);
-        assert!(matches!(bad.validate(4), Err(CheckpointError::Invalid(_))));
-        // Maintained safeties at both edges of -RP..=|U| - RP (RP 3, two
-        // units) pass; one past either edge does not.
-        for (safety, ok) in [(-3, true), (-1, true), (-4, false), (0, false)] {
-            let mut cp = sample();
-            cp.maintained[0].1 = safety;
-            assert_eq!(cp.validate(4).is_ok(), ok, "safety {safety}");
-        }
-        // A requirement above MAX_RP.
-        let mut bad = sample();
-        bad.maintained[0].0.rp = MAX_RP + 1;
-        bad.maintained[0].1 = -Safety::from(MAX_RP);
-        assert!(matches!(bad.validate(4), Err(CheckpointError::Invalid(_))));
+        assert!(sample().validate().is_ok());
         // Gate unit count disagreeing with the position table.
         let mut bad = sample();
         bad.gate.as_mut().unwrap().units.pop();
-        assert!(matches!(bad.validate(4), Err(CheckpointError::Invalid(_))));
+        assert!(matches!(bad.validate(), Err(CheckpointError::Invalid(_))));
         // Non-finite unit position.
         let mut bad = sample();
         bad.unit_positions[0] = Point::new(f64::NAN, 0.0);
-        assert!(matches!(bad.validate(4), Err(CheckpointError::Invalid(_))));
+        assert!(matches!(bad.validate(), Err(CheckpointError::Invalid(_))));
+        // A configuration `CtupConfig::check` refuses.
+        let mut bad = sample();
+        bad.config.mode = QueryMode::TopK(0);
+        assert!(matches!(bad.validate(), Err(CheckpointError::Invalid(_))));
     }
 }

@@ -378,7 +378,7 @@ fn parse_journal_line(line: &str) -> Option<StampedUpdate> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::V4_ROWMAJOR_TAG;
+    use crate::checkpoint::previous_version_body;
     use crate::config::CtupConfig;
     use crate::ingest::{GateState, GateUnitState};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -393,9 +393,6 @@ mod tests {
         Checkpoint {
             config: CtupConfig::with_k(3),
             unit_positions: vec![Point::new(0.25, 0.5)],
-            lower_bounds: vec![0, crate::types::LB_NONE],
-            maintained: Vec::new(),
-            dechash: Vec::new(),
             gate: Some(GateState {
                 now: tag,
                 units: vec![GateUnitState {
@@ -590,32 +587,33 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A slot written by a v4 build — well-formed, CRC-correct, carrying
-    /// the `layout` line v5 dropped — is refused at its version rather than
-    /// read as a checkpoint.
+    /// Slots written by v4 and v5 builds — well-formed, CRC-correct,
+    /// carrying the derived sections v6 dropped (and, for v4, the `layout`
+    /// line) — are refused at their version rather than read as a
+    /// checkpoint.
     #[test]
     #[cfg_attr(miri, ignore)] // touches the real filesystem
     fn previous_version_slot_is_refused() {
-        let dir = temp_state_dir();
-        fs::create_dir_all(&dir).expect("create dir");
-        let mut body = Vec::new();
-        sample_checkpoint(1).write(&mut body).expect("encode");
-        let body = String::from_utf8(body)
-            .expect("text codec")
-            .replacen(&format!("v{FORMAT_VERSION}"), "v4", 1)
-            .replacen("\nunits ", V4_ROWMAJOR_TAG, 1);
-        let slot = format!(
-            "{SLOT_MAGIC} v4 1 {} {}\n{body}",
-            crc32(body.as_bytes()),
-            body.len()
-        );
-        fs::write(dir.join(SLOT_FILES[0]), slot).expect("write slot");
+        for version in [4, 5] {
+            let dir = temp_state_dir();
+            fs::create_dir_all(&dir).expect("create dir");
+            let mut body = Vec::new();
+            sample_checkpoint(1).write(&mut body).expect("encode");
+            let body =
+                previous_version_body(&String::from_utf8(body).expect("text codec"), version);
+            let slot = format!(
+                "{SLOT_MAGIC} v{version} 1 {} {}\n{body}",
+                crc32(body.as_bytes()),
+                body.len()
+            );
+            fs::write(dir.join(SLOT_FILES[0]), slot).expect("write slot");
 
-        match DurableState::load(&dir) {
-            Err(CheckpointError::Invalid(_)) => {}
-            other => panic!("a v4 slot must be refused, got {other:?}"),
+            match DurableState::load(&dir) {
+                Err(CheckpointError::Invalid(_)) => {}
+                other => panic!("a v{version} slot must be refused, got {other:?}"),
+            }
+            let _ = fs::remove_dir_all(&dir);
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

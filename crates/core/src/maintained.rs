@@ -273,11 +273,6 @@ impl MaintainedSet {
         &self.ordered
     }
 
-    /// Iterates all maintained entries, cell by cell.
-    pub fn iter(&self) -> impl Iterator<Item = &MaintainedPlace> {
-        self.by_cell.iter().flatten()
-    }
-
     /// Verifies the entries, the index and the ordered view agree; used by
     /// tests.
     pub fn check_invariants(&self) {

@@ -30,7 +30,8 @@ pub struct ResilienceStats {
     pub lease_reinstates: u64,
     /// Worker panics caught by the supervisor.
     pub worker_panics: u64,
-    /// Successful worker restarts from the latest checkpoint.
+    /// Worker restarts from the latest checkpoint, one per recovery
+    /// attempt (a restore that fails and is retried counts twice).
     pub worker_restarts: u64,
     /// Updates replayed from the in-flight tail after a restart.
     pub updates_replayed: u64,

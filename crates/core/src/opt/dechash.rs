@@ -9,7 +9,7 @@
 //! in the same order.
 
 use crate::types::UnitId;
-use ctup_spatial::{convert, CellId};
+use ctup_spatial::CellId;
 
 /// The `(unit, cell)` pair set of the Decrease-Once Optimization.
 #[derive(Debug, Default)]
@@ -88,14 +88,6 @@ impl DecHash {
         self.by_cell.iter_mut().for_each(Vec::clear);
         self.len = 0;
     }
-
-    /// Iterates all `(unit, cell)` pairs, cell by cell.
-    pub fn iter(&self) -> impl Iterator<Item = (UnitId, CellId)> + '_ {
-        self.by_cell.iter().enumerate().flat_map(|(cell, units)| {
-            let cell = CellId(convert::id32(cell));
-            units.iter().map(move |&unit| (unit, cell))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -141,20 +133,11 @@ mod tests {
     }
 
     #[test]
-    fn iterates_cell_by_cell() {
+    fn a_cell_past_every_recorded_one_holds_nothing() {
         let mut h = DecHash::new();
         h.insert(UnitId(3), CellId(7));
         h.insert(UnitId(1), CellId(2));
         h.insert(UnitId(2), CellId(7));
-        assert_eq!(
-            h.iter().collect::<Vec<_>>(),
-            [
-                (UnitId(1), CellId(2)),
-                (UnitId(3), CellId(7)),
-                (UnitId(2), CellId(7))
-            ]
-        );
-        // A cell past every recorded one holds nothing.
         assert!(!h.contains(UnitId(1), CellId(40)));
         assert!(!h.remove(UnitId(1), CellId(40)));
         assert_eq!(h.purge_cell(CellId(40)), 0);

@@ -296,106 +296,35 @@ impl OptCtup {
         self.metrics.dechash_len = convert::count64(self.dechash.len());
     }
 
-    /// Captures the complete higher-level state for failover
-    /// (see [`crate::checkpoint::Checkpoint`]).
+    /// Captures what failover cannot re-derive: the configuration and the
+    /// unit positions (see [`crate::checkpoint::Checkpoint`]).
     pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
         crate::checkpoint::Checkpoint {
             config: self.config.clone(),
             unit_positions: self.units.iter().map(|u| u.pos).collect(),
-            lower_bounds: self.grid.cells().map(|c| self.lb.get(c)).collect(),
-            maintained: self
-                .maintained
-                .iter()
-                .map(|m| (m.place.clone(), m.safety, m.cell))
-                .collect(),
-            dechash: self.dechash.iter().collect(),
             gate: None,
         }
     }
 
-    /// Resumes monitoring from a checkpoint over the same lower level. The
-    /// store's grid must match the checkpointed cell count; the restored
-    /// monitor continues exactly where [`OptCtup::checkpoint`] stopped
-    /// (metrics start fresh). A checkpoint that is inconsistent with the
-    /// store — or internally — yields a [`CheckpointError::Invalid`]
-    /// instead of panicking, so a standby can refuse a bad file and keep
-    /// serving. To check the maintained places against the store, restore
-    /// reads the cells that hold them; a storage fault there is returned
-    /// as [`CheckpointError::Io`].
+    /// Resumes monitoring from a checkpoint: validates it, then runs the
+    /// paper's initialization over `store` from the checkpointed unit
+    /// positions. Restore *is* init, so the restored monitor depends only
+    /// on the store and the positions, not on the state the checkpointed
+    /// monitor held: it answers the same query (up to ties at `SK`) but may
+    /// maintain different places. A malformed checkpoint yields a
+    /// [`CheckpointError::Invalid`](crate::checkpoint::CheckpointError)
+    /// instead of a panic, so a standby can refuse a bad file and keep
+    /// serving; a storage fault during the initialization comes back as
+    /// [`CheckpointError::Io`](crate::checkpoint::CheckpointError).
     pub fn restore(
         checkpoint: crate::checkpoint::Checkpoint,
         store: Arc<dyn PlaceStore>,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        let grid = store.grid().clone();
-        checkpoint.validate(grid.num_cells())?;
-        let units = UnitTable::new(
-            grid.clone(),
-            &checkpoint.unit_positions,
-            checkpoint.config.protection_radius,
-        );
-        let mut lb = LbDirectory::new(grid.num_cells());
-        for (cell, &bound) in grid.cells().zip(&checkpoint.lower_bounds) {
-            lb.set(cell, bound);
-        }
-        // Place ids are dense in the store's `0..|P|`, and the maintained
-        // set indexes them densely: refuse an id outside that range, or a
-        // place maintained twice, before it reaches the index.
-        let mut seen = vec![false; store.num_places()];
-        for (place, _, _) in &checkpoint.maintained {
-            match seen.get_mut(place.id.index()) {
-                Some(seen) if !*seen => *seen = true,
-                Some(_) => {
-                    return Err(crate::checkpoint::CheckpointError::Invalid(format!(
-                        "place {} is maintained twice",
-                        place.id.0
-                    )))
-                }
-                None => {
-                    return Err(crate::checkpoint::CheckpointError::Invalid(format!(
-                        "maintained place {} is not among the store's {} places",
-                        place.id.0,
-                        store.num_places()
-                    )))
-                }
-            }
-        }
-        check_maintained_against_store(&checkpoint.maintained, store.as_ref(), &units)?;
-        let mut maintained = MaintainedSet::new();
-        for (place, safety, cell) in checkpoint.maintained {
-            maintained.insert(place, safety, cell);
-        }
-        let mut dechash = DecHash::new();
-        for (unit, cell) in checkpoint.dechash {
-            // Table II never hashes a unit that fully contains the cell.
-            let margin = store.cell_extent_margin(cell);
-            let relation = classify_with_margin(&units.region(unit), &grid.cell_rect(cell), margin);
-            if relation == Relation::Full {
-                return Err(crate::checkpoint::CheckpointError::Invalid(format!(
-                    "dechash holds unit {} with {cell:?}, which it fully contains",
-                    unit.0
-                )));
-            }
-            dechash.insert(unit, cell);
-        }
-        let mut metrics = Metrics::default();
-        metrics.set_maintained(convert::count64(maintained.len()));
-        metrics.dechash_len = convert::count64(dechash.len());
-        let last_result = maintained.result(checkpoint.config.mode);
-        Ok(OptCtup {
-            config: checkpoint.config,
-            store,
-            grid,
-            units,
-            lb,
-            maintained,
-            dechash,
-            last_result,
-            metrics,
-            init_stats: InitStats::default(),
-            owner: None,
-            touched: Vec::new(),
-            safeties: Vec::new(),
-            smallest: Vec::new(),
+        checkpoint.validate()?;
+        Self::new(checkpoint.config, store, &checkpoint.unit_positions).map_err(|e| {
+            crate::checkpoint::CheckpointError::Io(std::io::Error::other(format!(
+                "storage fault while re-initializing: {e}"
+            )))
         })
     }
 
@@ -459,45 +388,6 @@ impl OptCtup {
             }
         }
     }
-}
-
-/// Refuses a checkpoint's maintained set unless every entry is the store's
-/// record in its cell and holds the safety `units` give it. A place filed
-/// under the wrong cell or with a stale safety would otherwise be accepted
-/// and break the scheme's invariants on a later update. Checkpoints list
-/// the maintained places cell by cell, so each of their cells is read once.
-fn check_maintained_against_store(
-    maintained: &[(crate::types::Place, Safety, CellId)],
-    store: &dyn PlaceStore,
-    units: &UnitTable,
-) -> Result<(), crate::checkpoint::CheckpointError> {
-    use crate::checkpoint::CheckpointError;
-    let mut read = None;
-    let mut records = std::borrow::Cow::Borrowed(&[][..]);
-    for (place, held, cell) in maintained {
-        if read != Some(*cell) {
-            records = store.read_cell(*cell).map_err(|e| {
-                CheckpointError::Io(std::io::Error::other(format!(
-                    "reading {cell:?} to check the maintained places: {e}"
-                )))
-            })?;
-            read = Some(*cell);
-        }
-        if !records.contains(place) {
-            return Err(CheckpointError::Invalid(format!(
-                "maintained place {} is not the store's record in {cell:?}",
-                place.id.0
-            )));
-        }
-        let safety = units.safety(place);
-        if *held != safety {
-            return Err(CheckpointError::Invalid(format!(
-                "maintained place {} holds safety {held}, its units give {safety}",
-                place.id.0
-            )));
-        }
-    }
-    Ok(())
 }
 
 impl crate::checkpoint::Checkpointable for OptCtup {
@@ -791,50 +681,6 @@ mod tests {
             bytes
         };
         assert!(run() == run(), "checkpoint bytes differ between runs");
-    }
-
-    #[test]
-    fn restore_refuses_place_ids_the_dense_index_cannot_hold() {
-        use crate::checkpoint::CheckpointError;
-        let (alg, _, _) = setup(CtupConfig::with_k(5));
-        let store = alg.store();
-        let good = alg.checkpoint();
-        assert!(!good.maintained.is_empty());
-        assert!(OptCtup::restore(good.clone(), store.clone()).is_ok());
-        // An id past the store's 64 places.
-        let mut bad = good.clone();
-        bad.maintained[0].0.id = PlaceId(64);
-        let err = OptCtup::restore(bad, store.clone()).unwrap_err();
-        assert!(matches!(err, CheckpointError::Invalid(_)), "{err}");
-        // The same place maintained twice.
-        let mut bad = good;
-        let twin = bad.maintained[0].clone();
-        bad.maintained.push(twin);
-        let err = OptCtup::restore(bad, store).unwrap_err();
-        assert!(matches!(err, CheckpointError::Invalid(_)), "{err}");
-    }
-
-    /// The ordered view keeps one level per safety value, so a safety far
-    /// from `-RP..=|U| - RP` must be refused before it sizes the view.
-    #[test]
-    fn restore_refuses_safeties_no_unit_count_can_give() {
-        use crate::checkpoint::CheckpointError;
-        let (alg, _, _) = setup(CtupConfig::with_k(5));
-        let store = alg.store();
-        let good = alg.checkpoint();
-        let units = Safety::try_from(good.unit_positions.len()).unwrap();
-        for safety in [-1_000_000_000_000, Safety::MIN, Safety::MAX, units + 1] {
-            let mut bad = good.clone();
-            bad.maintained[0].1 = safety;
-            let err = OptCtup::restore(bad, store.clone()).unwrap_err();
-            assert!(matches!(err, CheckpointError::Invalid(_)), "{err}");
-        }
-        // An RP above the bound is refused even with a safety it allows.
-        let mut bad = good;
-        bad.maintained[0].0.rp = u32::MAX;
-        bad.maintained[0].1 = -Safety::from(u32::MAX);
-        let err = OptCtup::restore(bad, store).unwrap_err();
-        assert!(matches!(err, CheckpointError::Invalid(_)), "{err}");
     }
 
     #[test]

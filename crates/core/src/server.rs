@@ -37,7 +37,12 @@ pub enum MonitorEvent {
 /// A CTUP monitoring server over an arbitrary algorithm.
 pub struct Server<A: CtupAlgorithm> {
     algorithm: A,
+    /// The published result: what a subscriber folding every emitted
+    /// event holds.
     current: HashMap<PlaceId, Safety>,
+    /// Whether `current` was taken over from another server and may differ
+    /// from the algorithm's result; the next ingest diffs regardless.
+    adopted: bool,
     events_emitted: u64,
 }
 
@@ -61,8 +66,20 @@ impl<A: CtupAlgorithm> Server<A> {
         Server {
             algorithm,
             current,
+            adopted: false,
             events_emitted: 0,
         }
+    }
+
+    /// Takes over the published result of `crashed` — what its subscribers
+    /// hold — so the next [`Server::ingest`] diffs against that map,
+    /// whether or not the algorithm reports a change. A monitor re-derived
+    /// after a crash can break a tie at `SK` differently from the one that
+    /// crashed; the diff then publishes the swap instead of leaving the
+    /// subscribers' map out of step.
+    pub fn take_over_published(&mut self, crashed: Server<A>) {
+        self.current = crashed.current;
+        self.adopted = true;
     }
 
     /// The wrapped algorithm.
@@ -102,7 +119,7 @@ impl<A: CtupAlgorithm> Server<A> {
     ) -> Result<(Vec<MonitorEvent>, UpdateStats), StorageError> {
         let stats = self.algorithm.handle_update(update)?;
         let mut events = Vec::new();
-        if stats.result_changed {
+        if stats.result_changed || std::mem::take(&mut self.adopted) {
             let fresh: HashMap<PlaceId, Safety> = self
                 .algorithm
                 .result()

@@ -30,12 +30,18 @@
 //!    joins the writer first. Never inside a group, so the gate state and
 //!    the monitor state it captures always cover the same reports;
 //! 5. after a caught panic or contained storage error the worker restores
-//!    the monitor from the latest checkpoint, replays the in-flight tail of
-//!    effective updates while *suppressing* the
+//!    the monitor from the latest checkpoint — a fresh initialization from
+//!    its unit positions — and replays the in-flight tail of effective
+//!    updates while *suppressing* the
 //!    [`MonitorEvent`](crate::server::MonitorEvent) batches the replay
-//!    re-derives (they were already published), then retries the update
-//!    that crashed. After `max_restarts` failed recoveries it gives up and
-//!    reports so.
+//!    re-derives (they were already published). The re-derived monitor may
+//!    break a tie at `SK` differently from the one that crashed, so its
+//!    server takes over the crashed server's published map
+//!    ([`Server::take_over_published`]) and the retry of the update that
+//!    crashed diffs against what subscribers hold. Every recovery attempt
+//!    spends one of `max_restarts`, and a restore or replay that fails is
+//!    retried like a crash in apply; once the budget is spent the worker
+//!    gives up and reports so.
 //!
 //! After a *process* death (not just a worker panic),
 //! [`SupervisedPipeline::recover_from_dir`] rebuilds the monitor from the
@@ -157,8 +163,8 @@ pub struct SupervisedReport {
     pub updates_processed: u64,
     /// Total events published (suppressed replay events not included).
     pub events_emitted: u64,
-    /// Whether the worker exhausted `max_restarts` (or failed to restore)
-    /// and stopped monitoring early. The counters above still describe
+    /// Whether the worker exhausted `max_restarts` (or could not persist
+    /// a checkpoint) and stopped monitoring early. The counters above still describe
     /// everything processed up to that point.
     pub gave_up: bool,
     /// Whether the worker was halted by [`ResilienceConfig::kill_at`]
@@ -881,36 +887,42 @@ where
                                     TraceOutcome::StorageError
                                 },
                             });
-                            if restarts_left == 0 {
-                                gave_up = true;
-                                break 'recv;
-                            }
-                            restarts_left -= 1;
-                            stats.worker_restarts += 1;
                             // Restore from the latest checkpoint and replay the
                             // tail, discarding (suppressing) the event batches
                             // the replay re-derives — they were already
                             // published before the crash. The live gate is kept:
                             // its state is ahead of the checkpointed one and the
-                            // gate is outside the contained region.
-                            match recover::<A>(Checkpoint::clone(&base), store.clone(), &tail) {
-                                Ok((recovered, suppressed)) => {
-                                    server = recovered;
-                                    if let Some(sink) = config.spans.as_ref() {
-                                        // The restored engine starts without a
-                                        // recorder; re-arm it.
-                                        server
-                                            .algorithm_mut()
-                                            .attach_span_recorder(Arc::clone(sink));
-                                    }
-                                    stats.updates_replayed += convert::count64(tail.len());
-                                    stats.events_suppressed += suppressed;
-                                    // ...then retry the crashing update.
-                                }
-                                Err(_) => {
+                            // gate is outside the contained region. Each attempt
+                            // spends one restart: restore reads every cell, so a
+                            // storage fault there is retried like one in apply.
+                            loop {
+                                if restarts_left == 0 {
                                     gave_up = true;
                                     break 'recv;
                                 }
+                                restarts_left -= 1;
+                                stats.worker_restarts += 1;
+                                let Ok((recovered, suppressed)) =
+                                    recover::<A>(Checkpoint::clone(&base), store.clone(), &tail)
+                                else {
+                                    continue;
+                                };
+                                // The re-derived engine may hold a different
+                                // place tied at SK than the one that crashed:
+                                // it takes over what subscribers hold, and the
+                                // next ingest diffs against that.
+                                let crashed = std::mem::replace(&mut server, recovered);
+                                server.take_over_published(crashed);
+                                if let Some(sink) = config.spans.as_ref() {
+                                    // The restored engine starts without a
+                                    // recorder; re-arm it.
+                                    server
+                                        .algorithm_mut()
+                                        .attach_span_recorder(Arc::clone(sink));
+                                }
+                                stats.updates_replayed += convert::count64(tail.len());
+                                stats.events_suppressed += suppressed;
+                                break; // ...then retry the crashing update.
                             }
                         }
                     }
@@ -1159,7 +1171,9 @@ fn record_landed(
 /// Restores a monitor from `base` and replays `tail` on it, all inside
 /// `catch_unwind` (a deterministic defect would otherwise crash recovery
 /// itself). Returns the recovered server and the number of suppressed
-/// replay events.
+/// replay events. A storage fault in the restore or the replay fails this
+/// attempt as a whole — never a state that silently skipped part of the
+/// tail — and the caller spends another restart on the next one.
 fn recover<A>(
     base: Checkpoint,
     store: Arc<dyn PlaceStore>,
@@ -1173,9 +1187,6 @@ where
         let mut server = Server::new(algorithm);
         let mut suppressed = 0u64;
         for &update in tail {
-            // A storage fault during replay fails the whole recovery: the
-            // supervisor then gives up rather than resume from a state that
-            // silently skipped part of the tail.
             let (events, _) = server.ingest(update).map_err(|_| ())?;
             suppressed += convert::count64(events.len());
         }
@@ -2457,5 +2468,156 @@ mod tests {
         assert_eq!(recovered.initial_result(), gated_run(&journal));
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// More than k places tie at SK in this feed, and the engine re-derived
+    /// at the crash (initialized at the checkpoint of effective update 16,
+    /// then replayed to 23) holds a different tied place than the one that
+    /// crashed at 23. What subscribers fold from the event stream must
+    /// still be a true top-k after every batch and the final result at
+    /// shutdown: the recovered server diffs against the published map it
+    /// took over, not against its own.
+    #[test]
+    fn a_tie_divergent_self_heal_keeps_the_sink_exact() {
+        use crate::algorithm::CtupAlgorithm;
+        use crate::oracle::Oracle;
+        use crate::server::MonitorEvent;
+        use crate::types::Safety;
+        use std::collections::HashMap;
+        const EVERY: usize = 16;
+        const CRASH: usize = 23;
+        let units = unit_points(4);
+        let stream = updates(200, 4);
+        let config = CtupConfig::with_k(5);
+
+        // The scenario: at the crash the re-derived engine answers the same
+        // safeties with a different place set.
+        let mut crashed = monitor(&units);
+        let mut at_checkpoint = units.clone();
+        for (i, &u) in stream[..CRASH].iter().enumerate() {
+            crashed.handle_update(u).expect("clean store");
+            if i < EVERY {
+                at_checkpoint[u.unit.index()] = u.new;
+            }
+        }
+        let mut rederived = monitor(&at_checkpoint);
+        for &u in &stream[EVERY..CRASH] {
+            rederived.handle_update(u).expect("clean store");
+        }
+        let safeties = |r: &[TopKEntry]| r.iter().map(|e| e.safety).collect::<Vec<_>>();
+        assert_ne!(rederived.result(), crashed.result(), "no tie divergence");
+        assert_eq!(safeties(&rederived.result()), safeties(&crashed.result()));
+
+        let mut pipeline = SupervisedPipeline::spawn(
+            monitor(&units),
+            ResilienceConfig {
+                checkpoint_every: EVERY as u64,
+                panic_at: vec![CRASH as u64],
+                ..ResilienceConfig::default()
+            },
+            1024,
+        );
+        for report in stamp_stream(stream.clone()) {
+            pipeline.send(report).expect("worker alive");
+        }
+        // Close the feed: the worker drains it, then hangs up the events.
+        pipeline.reports_tx.take();
+        let oracle = Oracle::new(places());
+        let mut published: HashMap<PlaceId, Safety> = pipeline
+            .initial_result()
+            .iter()
+            .map(|e| (e.place, e.safety))
+            .collect();
+        let mut positions = units.clone();
+        let mut applied = 0;
+        while let Ok(batch) = pipeline.events().recv() {
+            let seq = usize::try_from(batch.seq).expect("fits");
+            for u in &stream[applied..=seq] {
+                positions[u.unit.index()] = u.new;
+            }
+            applied = seq + 1;
+            for event in batch.events {
+                match event {
+                    MonitorEvent::Entered { place, safety } => {
+                        published.insert(place, safety);
+                    }
+                    MonitorEvent::SafetyChanged { place, new, .. } => {
+                        published.insert(place, new);
+                    }
+                    MonitorEvent::Left { place } => {
+                        published.remove(&place);
+                    }
+                }
+            }
+            assert_eq!(published.len(), 5, "batch {seq}: {published:?}");
+            let mut held: Vec<Safety> = published.values().copied().collect();
+            held.sort_unstable();
+            let truth = oracle.result(&positions, config.protection_radius, config.mode);
+            assert_eq!(held, safeties(&truth), "batch {seq}");
+        }
+        let report = pipeline.shutdown();
+        assert!(!report.gave_up);
+        assert_eq!(report.metrics.resilience.worker_restarts, 1);
+        let final_result: HashMap<PlaceId, Safety> = report
+            .final_result
+            .iter()
+            .map(|e| (e.place, e.safety))
+            .collect();
+        assert_eq!(published, final_result);
+    }
+
+    /// Restore re-reads every cell, so a storage fault there is contained
+    /// like one in apply: the failed attempt spends a restart and the next
+    /// one succeeds, instead of the worker giving up at once.
+    #[test]
+    fn a_fault_during_restore_spends_a_restart() {
+        use crate::algorithm::CtupAlgorithm;
+        use std::sync::atomic::AtomicU64;
+        const CRASH: usize = 100;
+        let units = unit_points(4);
+        let stream = updates(150, 4);
+        let store = || {
+            Arc::new(FailingStore {
+                inner: CellLocalStore::build(Grid::unit_square(6), places()),
+                fail_on: AtomicU64::new(0),
+                calls: AtomicU64::new(0),
+            })
+        };
+        // The engine is deterministic: the pipeline reads exactly what a
+        // direct run reads up to the crash, so restore's first read is the
+        // next call.
+        let probe = store();
+        let mut direct = OptCtup::new(CtupConfig::with_k(5), probe.clone(), &units).expect("init");
+        for &u in &stream[..CRASH] {
+            direct.handle_update(u).expect("clean store");
+        }
+        let restore_starts = probe.calls.load(Ordering::Relaxed) + 1;
+        for &u in &stream[CRASH..] {
+            direct.handle_update(u).expect("clean store");
+        }
+
+        let failing = store();
+        let alg = OptCtup::new(CtupConfig::with_k(5), failing.clone(), &units).expect("init");
+        failing.fail_on.store(restore_starts, Ordering::Relaxed);
+        let config = ResilienceConfig {
+            checkpoint_every: 64,
+            panic_at: vec![CRASH as u64],
+            ..ResilienceConfig::default()
+        };
+        let pipeline = SupervisedPipeline::spawn(alg, config, 1024);
+        for report in stamp_stream(stream) {
+            pipeline.send(report).expect("worker alive");
+        }
+        let report = pipeline.shutdown();
+        assert!(failing.calls.load(Ordering::Relaxed) >= restore_starts);
+        assert!(!report.gave_up);
+        assert_eq!(report.metrics.resilience.worker_panics, 1);
+        // One attempt failed inside restore, the second recovered.
+        assert_eq!(report.metrics.resilience.worker_restarts, 2);
+        // The tail since the checkpoint at 64 was replayed once.
+        assert_eq!(report.metrics.resilience.updates_replayed, 36);
+        assert_eq!(report.updates_processed, 150);
+        let safeties = |r: &[TopKEntry]| r.iter().map(|e| e.safety).collect::<Vec<_>>();
+        assert_eq!(safeties(&report.final_result), safeties(&direct.result()));
     }
 }

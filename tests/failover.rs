@@ -1,7 +1,8 @@
-//! Failover: a standby restored from a checkpoint must behave exactly
-//! like the primary from that point on — identical results and identical
-//! logical costs, with no re-initialization scan — and the two-level
-//! recovery subsystem must survive a kill matrix:
+//! Failover: a standby restored from a checkpoint is a fresh
+//! initialization from the checkpointed unit positions — it must answer
+//! exactly what the primary answers from that point on (up to ties at
+//! `SK`) — and the two-level recovery subsystem must survive a kill
+//! matrix:
 //!
 //! * **Level 1** — the front door revives its own engine from the
 //!   durable slot + journal tail and exits degraded mode on its own.
@@ -26,7 +27,7 @@ use ctup::core::net::{
     StandbyPhase, StandbyServer, TcpDialer,
 };
 use ctup::core::supervisor::{ResilienceConfig, SupervisedPipeline};
-use ctup::core::types::{LocationUpdate, Place, PlaceId, TopKEntry, UnitId};
+use ctup::core::types::{LocationUpdate, Place, PlaceId, Safety, TopKEntry, UnitId};
 use ctup::core::{OptCtup, Oracle, QueryMode};
 use ctup::mogen::{PlaceGenConfig, Workload, WorkloadParams};
 use ctup::spatial::{Grid, Point};
@@ -55,12 +56,23 @@ fn setup(seed: u64) -> (Workload, Arc<dyn PlaceStore>) {
     (workload, store)
 }
 
+/// The safeties of a result, in result order: equal for two results that
+/// differ only in which places tie at `SK`.
+fn safeties(result: &[TopKEntry]) -> Vec<Safety> {
+    result.iter().map(|e| e.safety).collect()
+}
+
+/// Restore is init: the standby is re-derived from the checkpointed unit
+/// positions, so it may hold other places tied at `SK` than the primary
+/// and maintain a different set. It must answer the same query — the same
+/// `SK` and result safeties, oracle-exact after every update — and it must
+/// be exactly what a fresh initialization from the same positions builds.
 #[test]
 fn restored_monitor_is_indistinguishable_from_the_primary() {
     let (mut workload, store) = setup(71);
-    let units = workload.unit_positions();
-    let mut primary =
-        OptCtup::new(CtupConfig::paper_default(), store.clone(), &units).expect("clean store");
+    let mut units = workload.unit_positions();
+    let config = CtupConfig::paper_default();
+    let mut primary = OptCtup::new(config.clone(), store.clone(), &units).expect("clean store");
 
     // Warm phase on the primary.
     for update in workload.next_updates(500) {
@@ -70,6 +82,7 @@ fn restored_monitor_is_indistinguishable_from_the_primary() {
                 new: update.to,
             })
             .expect("clean store");
+        units[update.object as usize] = update.to;
     }
 
     // Checkpoint, serialize through the text codec, restore on a "standby".
@@ -79,61 +92,79 @@ fn restored_monitor_is_indistinguishable_from_the_primary() {
         .write(&mut buf)
         .expect("write checkpoint");
     let restored_cp = Checkpoint::read(buf.as_slice()).expect("read checkpoint");
+    assert_eq!(restored_cp.unit_positions, units);
     let mut standby = OptCtup::restore(restored_cp, store.clone()).expect("restore checkpoint");
 
+    assert_eq!(standby.sk(), primary.sk(), "SK differs right after restore");
     assert_eq!(
-        standby.result(),
-        primary.result(),
-        "results differ right after restore"
+        safeties(&standby.result()),
+        safeties(&primary.result()),
+        "result safeties differ right after restore"
     );
-    assert_eq!(standby.sk(), primary.sk());
-    assert_eq!(standby.maintained_places(), primary.maintained_places());
-    assert_eq!(standby.dechash_len(), primary.dechash_len());
-    // Restore reads only the cells holding maintained places; the window
-    // below opens after it.
+    // A fresh initialization from the same positions, over its own copy of
+    // the place set so the I/O window below counts only the two servers.
+    let own_store: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(
+        Grid::unit_square(8),
+        workload.places_vec(),
+    ));
+    let mut fresh = OptCtup::new(config.clone(), own_store, &units).expect("clean store");
+    assert_eq!(standby.result(), fresh.result());
+    let oracle = Oracle::new(workload.places_vec());
     let io_before = store.stats().snapshot();
 
-    // Both servers process the same tail of the stream and must stay in
-    // lockstep, including their logical costs.
-    let p_before = primary.metrics().clone();
+    // Both servers process the same tail of the stream: the standby stays
+    // oracle-exact with the primary's SK, and in lockstep with the fresh
+    // monitor, logical costs included.
     let s_before = standby.metrics().clone();
+    let f_before = fresh.metrics().clone();
     for update in workload.next_updates(500) {
         let location_update = LocationUpdate {
             unit: UnitId(update.object),
             new: update.to,
         };
+        units[update.object as usize] = update.to;
         primary.handle_update(location_update).expect("clean store");
         standby.handle_update(location_update).expect("clean store");
-        assert_eq!(standby.result(), primary.result());
+        fresh.handle_update(location_update).expect("clean store");
+        oracle.assert_result_matches(
+            &standby.result(),
+            &units,
+            config.protection_radius,
+            config.mode,
+        );
+        assert_eq!(standby.sk(), primary.sk());
+        assert_eq!(standby.result(), fresh.result());
     }
-    let p_delta = primary.metrics().since(&p_before);
     let s_delta = standby.metrics().since(&s_before);
-    assert_eq!(p_delta.cells_accessed, s_delta.cells_accessed);
-    assert_eq!(p_delta.lb_decrements, s_delta.lb_decrements);
+    let f_delta = fresh.metrics().since(&f_before);
+    assert_eq!(s_delta.cells_accessed, f_delta.cells_accessed);
+    assert_eq!(s_delta.places_loaded, f_delta.places_loaded);
+    assert_eq!(s_delta.lb_decrements, f_delta.lb_decrements);
     assert_eq!(
-        p_delta.lb_decrements_suppressed,
-        s_delta.lb_decrements_suppressed
+        s_delta.lb_decrements_suppressed,
+        f_delta.lb_decrements_suppressed
     );
+    assert_eq!(s_delta.result_changes, f_delta.result_changes);
     standby.check_lb_invariant();
 
     let io = store.stats().snapshot().since(&io_before);
-    // Only the continued monitoring reads cells, and both monitors read the
-    // same amount; crucially there is no |P|-sized re-initialization scan.
+    // The window opens after restore, so only the continued monitoring of
+    // the two servers reads cells.
     assert!(
         io.records_read < 2 * 500 * 40,
-        "restore caused excessive lower-level traffic: {io:?}"
+        "continued monitoring caused excessive lower-level traffic: {io:?}"
     );
 }
 
-/// A checkpoint taken over one place set and restored over another of the
-/// same size and grid is refused: its maintained places are not the
-/// store's records, and accepting them would file a place twice.
+/// Restore depends only on the store it runs over: a checkpoint restored
+/// over another place set, or over the same places on a 20×20 grid, is
+/// oracle-exact for that store over the tail that follows.
 #[test]
-fn restore_refuses_a_checkpoint_of_another_place_set() {
+fn restore_rederives_over_any_store() {
     let (mut workload, store) = setup(71);
-    let units = workload.unit_positions();
-    let mut primary =
-        OptCtup::new(CtupConfig::paper_default(), store.clone(), &units).expect("clean store");
+    let mut units = workload.unit_positions();
+    let config = CtupConfig::paper_default();
+    let mut primary = OptCtup::new(config.clone(), store, &units).expect("clean store");
     for update in workload.next_updates(300) {
         primary
             .handle_update(LocationUpdate {
@@ -141,15 +172,47 @@ fn restore_refuses_a_checkpoint_of_another_place_set() {
                 new: update.to,
             })
             .expect("clean store");
+        units[update.object as usize] = update.to;
     }
     let checkpoint = primary.checkpoint();
-    assert!(OptCtup::restore(checkpoint.clone(), store).is_ok());
-    let (_, other) = setup(72);
-    let err = OptCtup::restore(checkpoint, other).unwrap_err();
-    assert!(
-        matches!(err, ctup::core::checkpoint::CheckpointError::Invalid(_)),
-        "{err}"
-    );
+    let (other_workload, other) = setup(72);
+    let fine: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(
+        Grid::unit_square(20),
+        workload.places_vec(),
+    ));
+    let tail: Vec<LocationUpdate> = workload
+        .next_updates(300)
+        .into_iter()
+        .map(|u| LocationUpdate {
+            unit: UnitId(u.object),
+            new: u.to,
+        })
+        .collect();
+    for (store, places) in [
+        (other, other_workload.places_vec()),
+        (fine, workload.places_vec()),
+    ] {
+        let oracle = Oracle::new(places);
+        let mut units = units.clone();
+        let mut standby = OptCtup::restore(checkpoint.clone(), store).expect("restore");
+        oracle.assert_result_matches(
+            &standby.result(),
+            &units,
+            config.protection_radius,
+            config.mode,
+        );
+        for &update in &tail {
+            standby.handle_update(update).expect("clean store");
+            units[update.unit.0 as usize] = update.new;
+            oracle.assert_result_matches(
+                &standby.result(),
+                &units,
+                config.protection_radius,
+                config.mode,
+            );
+        }
+        standby.check_lb_invariant();
+    }
 }
 
 #[test]

@@ -17,10 +17,10 @@ use ctup::core::algorithm::CtupAlgorithm;
 use ctup::core::checkpoint::Checkpoint;
 use ctup::core::config::{CtupConfig, QueryMode};
 use ctup::core::ingest::{GateState, GateUnitState};
-use ctup::core::types::{LocationUpdate, Place, PlaceId, UnitId, LB_NONE};
+use ctup::core::types::{LocationUpdate, UnitId};
 use ctup::core::OptCtup;
 use ctup::mogen::{PlaceGenConfig, PlaceGenerator, SeededRng};
-use ctup::spatial::{CellId, Grid, Point, Rect};
+use ctup::spatial::{Grid, Point};
 use ctup::storage::{CellLocalStore, PlaceStore};
 use prop::{check, Gen};
 use std::sync::Arc;
@@ -43,21 +43,6 @@ fn config(g: &mut Gen) -> CtupConfig {
     }
 }
 
-fn place(g: &mut Gen) -> Place {
-    let id = PlaceId(g.gen_range(0..5_000) as u32);
-    let pos = point(g);
-    let rp = g.gen_range(0..6) as u32;
-    if g.gen_bool(0.5) {
-        // The extent is grown outward from `pos` so it always contains it
-        // — `Place::extended` debug-asserts exactly that.
-        let [l, r, d, u] = [(); 4].map(|_| g.gen_range_f64(0.0..0.2));
-        let extent = Rect::from_coords(pos.x - l, pos.y - d, pos.x + r, pos.y + u);
-        Place::extended(id, pos, rp, extent)
-    } else {
-        Place::point(id, pos, rp)
-    }
-}
-
 fn gate(g: &mut Gen) -> Option<GateState> {
     g.gen_bool(0.5).then(|| GateState {
         now: g.next_u64(),
@@ -73,21 +58,6 @@ fn checkpoint(g: &mut Gen) -> Checkpoint {
     Checkpoint {
         config: config(g),
         unit_positions: g.vec(0..=11, point),
-        lower_bounds: g.vec(0..=19, |g| {
-            if g.gen_bool(0.5) {
-                LB_NONE
-            } else {
-                g.int(-15..=14)
-            }
-        }),
-        maintained: g.vec(0..=9, |g| {
-            let p = place(g);
-            (p, g.int(-10..=9), CellId(g.gen_range(0..64) as u32))
-        }),
-        dechash: g.vec(0..=9, |g| {
-            let unit = UnitId(g.gen_range(0..40) as u32);
-            (unit, CellId(g.gen_range(0..64) as u32))
-        }),
         gate: gate(g),
     }
 }
@@ -136,7 +106,8 @@ struct RealCheckpoint {
 /// 300 places (points only, or 30 % extended) on a 6×6 grid, watched by
 /// 12 units with a 0.2 range through 200 seeded teleports; the checkpoint
 /// is taken there and 40 more teleports follow. Teleports touch and access
-/// many cells, so a bad maintained entry is met within the 40.
+/// many cells, so a corrupted position or configuration that restore
+/// accepted is exercised within the 40.
 fn real_checkpoint(extent_prob: f64) -> RealCheckpoint {
     let places = PlaceGenerator::new(PlaceGenConfig {
         count: 300,
