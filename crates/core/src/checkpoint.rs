@@ -71,9 +71,12 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-/// A monitor whose complete higher-level state can be captured and
-/// restored — what the supervised pipeline needs to checkpoint-restart a
-/// crashed worker and what a standby server needs to take over.
+/// A monitor that can be rebuilt from its unit positions. Every restart is
+/// one [`Checkpointable::restore`]: the supervised pipeline's self-heal
+/// (from the positions its worker holds), recovery after a process death
+/// (from a durable slot with the journal folded in) and a standby's
+/// bootstrap (from a shipped checkpoint). [`Checkpointable::checkpoint`]
+/// feeds the durable slots and the shipped checkpoints.
 pub trait Checkpointable: crate::algorithm::CtupAlgorithm + Sized {
     /// Captures the monitor's state (gate-less; the caller attaches a
     /// [`GateState`] if the monitor runs behind an ingest gate).

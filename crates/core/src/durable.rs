@@ -1,8 +1,8 @@
 //! Crash-consistent on-disk persistence for the supervised pipeline.
 //!
-//! The in-memory checkpoint of [`crate::supervisor::SupervisedPipeline`]
-//! survives a worker panic but not a process death. This module makes the
-//! restart point durable:
+//! A worker panic in [`crate::supervisor::SupervisedPipeline`] heals from
+//! the unit positions the worker holds in memory, which die with the
+//! process. This module makes a restart point durable:
 //!
 //! * **A/B checkpoint slots** — every periodic checkpoint is written to a
 //!   temp file, fsynced, renamed over the *older* of two slot files
@@ -14,7 +14,7 @@
 //! * **A journaled update tail** — every wire report the ingest gate
 //!   accepts is appended (with a per-line CRC32) to the current journal
 //!   segment *before* it is applied, so the updates between the newest
-//!   durable checkpoint and a crash can be replayed. The supervisor
+//!   durable checkpoint and a crash can be recovered. The supervisor
 //!   journals per *commit group* ([`DurableState::append_all`]): every
 //!   report that queued up while the previous group was being synced goes
 //!   out in one write and one `fdatasync`.
@@ -35,11 +35,12 @@
 //!   a torn tail never hides the appends after it.
 //! * **Recovery** — [`DurableState::load`] picks the valid slot with the
 //!   highest sequence number and returns every journaled report from the
-//!   surviving segments, tolerating a torn final line. Replaying those
-//!   reports through the gate restored from the slot is idempotent: the
-//!   gate's per-unit sequence numbers reject everything the slot already
-//!   covers, so over-replay (e.g. after falling back to the older slot)
-//!   converges to the exact pre-crash state.
+//!   surviving segments, tolerating a torn final line. Folding those
+//!   reports through the gate restored from the slot into the slot's unit
+//!   positions is idempotent: the gate's per-unit sequence numbers reject
+//!   everything the slot already covers, so over-replay (e.g. after
+//!   falling back to the older slot) converges to the exact pre-crash
+//!   positions, and one initialization from them is the recovered monitor.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, FORMAT_VERSION};
 use crate::ingest::StampedUpdate;

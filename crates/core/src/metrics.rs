@@ -30,16 +30,17 @@ pub struct ResilienceStats {
     pub lease_reinstates: u64,
     /// Worker panics caught by the supervisor.
     pub worker_panics: u64,
-    /// Worker restarts from the latest checkpoint, one per recovery
-    /// attempt (a restore that fails and is retried counts twice).
+    /// Worker restarts, each a fresh initialization from the current unit
+    /// positions, one per recovery attempt (a restore that fails and is
+    /// retried counts twice).
     pub worker_restarts: u64,
-    /// Updates replayed from the in-flight tail after a restart.
+    /// Journal updates recovered after a process death, folded into the
+    /// slot's unit positions before the one initialization. A self-heal
+    /// replays none.
     pub updates_replayed: u64,
-    /// Periodic checkpoints taken by the supervisor.
+    /// Durable slots landed by the supervisor (every `checkpoint_every`
+    /// effective updates when it runs with a state directory).
     pub checkpoints_taken: u64,
-    /// Monitor events recomputed during replay but suppressed because they
-    /// had already been delivered before the crash.
-    pub events_suppressed: u64,
     /// Storage errors (exhausted retries, detected corruption) surfaced by
     /// the worker and contained by the supervisor like a panic.
     pub storage_errors: u64,
@@ -82,9 +83,6 @@ impl ResilienceStats {
             checkpoints_taken: self
                 .checkpoints_taken
                 .saturating_sub(earlier.checkpoints_taken),
-            events_suppressed: self
-                .events_suppressed
-                .saturating_sub(earlier.events_suppressed),
             storage_errors: self.storage_errors.saturating_sub(earlier.storage_errors),
         }
     }
@@ -162,6 +160,33 @@ impl Metrics {
             resilience: self.resilience.since(&earlier.resilience),
         }
     }
+
+    /// The inverse of [`Metrics::since`]: this monitor's counters added to
+    /// those of `earlier`, a monitor it replaced. Gauge fields keep their
+    /// current values, the peak is the larger, and the resilience block is
+    /// this one's.
+    pub fn after(&self, earlier: &Metrics) -> Metrics {
+        let add = |now: u64, then: u64| now.saturating_add(then);
+        Metrics {
+            updates_processed: add(self.updates_processed, earlier.updates_processed),
+            cells_accessed: add(self.cells_accessed, earlier.cells_accessed),
+            places_loaded: add(self.places_loaded, earlier.places_loaded),
+            lb_increments: add(self.lb_increments, earlier.lb_increments),
+            lb_decrements: add(self.lb_decrements, earlier.lb_decrements),
+            lb_decrements_suppressed: add(
+                self.lb_decrements_suppressed,
+                earlier.lb_decrements_suppressed,
+            ),
+            cells_darkened: add(self.cells_darkened, earlier.cells_darkened),
+            maintained_now: self.maintained_now,
+            maintained_peak: self.maintained_peak.max(earlier.maintained_peak),
+            dechash_len: self.dechash_len,
+            maintain_nanos: add(self.maintain_nanos, earlier.maintain_nanos),
+            access_nanos: add(self.access_nanos, earlier.access_nanos),
+            result_changes: add(self.result_changes, earlier.result_changes),
+            resilience: self.resilience.clone(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -230,6 +255,31 @@ mod tests {
             ..ResilienceStats::default()
         });
         assert_eq!(r.lease_expiries, 0);
+    }
+
+    #[test]
+    fn after_adds_counters_and_undoes_since() {
+        let earlier = Metrics {
+            updates_processed: 10,
+            cells_accessed: 4,
+            maintained_now: 5,
+            maintained_peak: 12,
+            ..Metrics::default()
+        };
+        let mut now = Metrics {
+            updates_processed: 7,
+            cells_accessed: 3,
+            ..Metrics::default()
+        };
+        now.set_maintained(9);
+        let total = now.after(&earlier);
+        assert_eq!(total.updates_processed, 17);
+        assert_eq!(total.cells_accessed, 7);
+        assert_eq!(total.maintained_now, 9);
+        assert_eq!(total.maintained_peak, 12);
+        let back = total.since(&earlier);
+        assert_eq!(back.updates_processed, now.updates_processed);
+        assert_eq!(back.cells_accessed, now.cells_accessed);
     }
 
     #[test]

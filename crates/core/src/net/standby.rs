@@ -14,7 +14,7 @@
 //! a sidecar). After [`StandbyConfig::probe_failures`] consecutive silent
 //! probes it runs one final *fencing* probe; only silence there lets it
 //! promote. Promotion bumps the fencing epoch to `primary_epoch + 1`,
-//! resumes a supervised pipeline from the live monitor state, and spawns
+//! hands the live monitor and its gate to a supervised pipeline, and spawns
 //! a full [`IngestServer`] on [`StandbyConfig::serve_addr`] — serving at
 //! the new epoch, with session ids minted from an epoch-fenced base so
 //! they can never collide with ids the old primary handed out. A
@@ -551,8 +551,8 @@ where
     Ok(())
 }
 
-/// The promotion ladder: one final fencing probe, then epoch bump, engine
-/// resume, and front-door spawn. The fencing probe is what makes
+/// The promotion ladder: one final fencing probe, then epoch bump, the
+/// followed engine handed to a supervised pipeline, and front-door spawn. The fencing probe is what makes
 /// promotion single-writer: a primary that answers it is alive, so the
 /// standby aborts and resyncs instead of forking the world.
 fn promote<A>(
@@ -571,19 +571,15 @@ where
         return FollowEnd::Retry;
     }
     let new_epoch = primary_epoch.saturating_add(1);
-    let mut checkpoint = alg.checkpoint();
-    checkpoint.gate = Some(gate.state());
-    let store = alg.store();
-    drop(alg);
-    let pipeline = match SupervisedPipeline::resume::<A>(
-        checkpoint,
-        store,
+    // The followed engine is live and correct, and the gate carries the
+    // dedup and lease decisions: both are handed over as they are.
+    let pipeline = SupervisedPipeline::spawn_with_gate(
+        alg,
+        gate,
         config.resilience.clone(),
         config.capacity,
-    ) {
-        Ok(p) => p,
-        Err(e) => return FollowEnd::Failed(format!("promotion resume failed: {e:?}")),
-    };
+        ResilienceStats::default(),
+    );
     let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
     let mut net = config.net.clone();
     net.epoch = new_epoch;

@@ -116,7 +116,6 @@ impl Snapshot {
             ("resilience_worker_restarts", r.worker_restarts),
             ("resilience_updates_replayed", r.updates_replayed),
             ("resilience_checkpoints_taken", r.checkpoints_taken),
-            ("resilience_events_suppressed", r.events_suppressed),
             ("resilience_storage_errors", r.storage_errors),
             ("storage_cell_reads", s.cell_reads),
             ("storage_records_read", s.records_read),
@@ -441,9 +440,9 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), total, "duplicate series name");
-        // 10 Metrics counters + 13 resilience + 11 storage + 21 net
+        // 10 Metrics counters + 12 resilience + 11 storage + 21 net
         // + 3 algorithm gauges + 6 net gauges.
-        assert_eq!(total, 64);
+        assert_eq!(total, 63);
     }
 
     #[test]

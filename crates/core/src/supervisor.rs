@@ -3,7 +3,7 @@
 //! [`SupervisedPipeline`] runs the monitor on a worker thread behind a
 //! bounded report channel, and the worker runs the full resilience stack
 //! over *commit groups* — a report plus every report queued behind it, cut
-//! at the next periodic checkpoint:
+//! at the next durable slot:
 //!
 //! 1. every inbound [`StampedUpdate`] of the group passes the
 //!    [`IngestGate`] (validation, dedup, liveness leases — see
@@ -12,42 +12,45 @@
 //!    wire reports are journaled with one write and one `fdatasync`
 //!    before any of them is applied; then the
 //!    [durable mark](SupervisedPipeline::durable_mark) advances over the
-//!    whole group and is announced once;
+//!    whole group and is announced once. Without a `state_dir` nothing is
+//!    persisted and the mark advances on receipt;
 //! 3. each *effective* update is applied, in order, inside
 //!    [`std::panic::catch_unwind`], so a panicking query processor does not
 //!    kill the worker; a [`StorageError`] surfaced by the processor (a read
 //!    that exhausted its retries, a page whose checksum failed) is contained
-//!    the same way;
-//! 4. at the end of a group that brought the tail to `checkpoint_every`
-//!    effective updates the worker snapshots a [`Checkpoint`] (monitor
-//!    state plus [`GateState`]) in memory — and, with a `state_dir`,
-//!    persists it via the A/B slot protocol of [`crate::durable`]: the
-//!    worker rotates the journal to the checkpoint's segment and hands the
-//!    snapshot to one slot-writer thread, which lands the slot while the
-//!    worker keeps applying. The hand-off waits for the previous slot, so
-//!    at most one is in flight; a slot that fails to land stops the worker
-//!    at the next group start, and every exit (a simulated kill included)
-//!    joins the writer first. Never inside a group, so the gate state and
-//!    the monitor state it captures always cover the same reports;
+//!    the same way. After each successful apply the worker records the
+//!    unit's new position, so it always holds the positions the engine was
+//!    last correct at;
+//! 4. with a `state_dir`, at the end of a group that brought the count
+//!    since the last slot to `checkpoint_every` effective updates, the
+//!    worker persists a [`Checkpoint`] (unit positions plus [`GateState`])
+//!    via the A/B slot protocol of [`crate::durable`]: it rotates the
+//!    journal to the checkpoint's segment and hands the snapshot to one
+//!    slot-writer thread, which lands the slot while the worker keeps
+//!    applying. The hand-off waits for the previous slot, so at most one is
+//!    in flight; a slot that fails to land stops the worker at the next
+//!    group start, and every exit (a simulated kill included) joins the
+//!    writer first. Never inside a group, so the gate state and the
+//!    positions it captures always cover the same reports. Without a
+//!    `state_dir` no checkpoint is taken at all;
 //! 5. after a caught panic or contained storage error the worker restores
-//!    the monitor from the latest checkpoint — a fresh initialization from
-//!    its unit positions — and replays the in-flight tail of effective
-//!    updates while *suppressing* the
-//!    [`MonitorEvent`](crate::server::MonitorEvent) batches the replay
-//!    re-derives (they were already published). The re-derived monitor may
-//!    break a tie at `SK` differently from the one that crashed, so its
-//!    server takes over the crashed server's published map
-//!    ([`Server::take_over_published`]) and the retry of the update that
-//!    crashed diffs against what subscribers hold. Every recovery attempt
-//!    spends one of `max_restarts`, and a restore or replay that fails is
-//!    retried like a crash in apply; once the budget is spent the worker
-//!    gives up and reports so.
+//!    the monitor by one fresh initialization from the positions it holds
+//!    — restore *is* init — and retries the update that crashed. Nothing
+//!    is replayed through an engine, so no event needs suppressing. The
+//!    new engine may break a tie at `SK` differently from the one that
+//!    crashed, so its server takes over the crashed server's published map
+//!    ([`Server::take_over_published`]) and the retry diffs against what
+//!    subscribers hold. Every recovery attempt spends one of
+//!    `max_restarts`, and a restore that fails is retried like a crash in
+//!    apply; once the budget is spent the worker gives up and reports so.
 //!
 //! After a *process* death (not just a worker panic),
-//! [`SupervisedPipeline::recover_from_dir`] rebuilds the monitor from the
-//! newest valid durable slot and replays the journaled tail through the
-//! restored gate, whose dedup state makes the replay idempotent. The tail
-//! may end in one journaled group that was never (or only partly) applied.
+//! [`SupervisedPipeline::recover_from_dir`] loads the newest valid durable
+//! slot, folds the journaled tail through the restored gate into the
+//! slot's unit positions — the gate's dedup state makes the fold
+//! idempotent — and initializes the monitor once from the result. The
+//! tail may end in one journaled group that was never (or only partly)
+//! applied.
 //!
 //! Deterministic fault injection for tests and the `chaos` CLI command is
 //! built in: [`ResilienceConfig::panic_at`] crashes the processor at chosen
@@ -66,9 +69,7 @@ use crate::metrics::{Metrics, ResilienceStats};
 use crate::pipeline::{EventBatch, EventReceiver, SendError};
 use crate::server::Server;
 use crate::types::{LocationUpdate, TopKEntry};
-use ctup_obs::{
-    now_nanos, LatencySnapshot, ObsHub, PhaseTimer, SpanSink, Stage, TraceEvent, TraceOutcome,
-};
+use ctup_obs::{now_nanos, LatencySnapshot, ObsHub, SpanSink, Stage, TraceEvent, TraceOutcome};
 use ctup_spatial::convert;
 use ctup_storage::PlaceStore;
 use std::collections::HashSet;
@@ -85,9 +86,9 @@ pub struct ResilienceConfig {
     /// Liveness lease TTL in feed ticks; `None` disables leases (units
     /// never expire). See [`IngestConfig::lease_ttl`].
     pub lease_ttl: Option<u64>,
-    /// Take an in-memory checkpoint every this many effective updates.
-    /// `0` disables periodic checkpoints (the spawn-time snapshot remains
-    /// the restart point).
+    /// With a [`state_dir`](Self::state_dir), land a durable slot every
+    /// this many effective updates; `0` keeps only the spawn-time slot.
+    /// Inert without a `state_dir`: a self-heal needs no checkpoint.
     pub checkpoint_every: u64,
     /// How many restarts the supervisor attempts before giving up.
     pub max_restarts: u32,
@@ -96,8 +97,8 @@ pub struct ResilienceConfig {
     /// once per entry.
     pub panic_at: Vec<u64>,
     /// Directory for the durable A/B checkpoint slots and the wire-report
-    /// journal (see [`crate::durable`]); `None` keeps checkpoints in memory
-    /// only, where they survive worker panics but not a process death.
+    /// journal (see [`crate::durable`]); `None` persists nothing, so the
+    /// monitor survives worker panics but not a process death.
     pub state_dir: Option<PathBuf>,
     /// Simulated process death: the worker halts abruptly — no final
     /// checkpoint, no cleanup — right before applying the effective update
@@ -159,9 +160,11 @@ pub const FLIGHT_RECORDER_ROTATED_PREFIX: &str = "flight-recorder-";
 pub struct SupervisedReport {
     /// Raw reports received from the feed (before the gate).
     pub reports_received: u64,
-    /// Effective updates applied to the monitor (excluding replays).
+    /// Effective updates applied to the monitor (excluding a journal tail
+    /// that recovery folded in).
     pub updates_processed: u64,
-    /// Total events published (suppressed replay events not included).
+    /// Total events published. A restart re-publishes nothing, so each
+    /// change to the top-k is counted once.
     pub events_emitted: u64,
     /// Whether the worker exhausted `max_restarts` (or could not persist
     /// a checkpoint) and stopped monitoring early. The counters above still describe
@@ -173,8 +176,9 @@ pub struct SupervisedReport {
     pub killed: bool,
     /// The monitored result at shutdown (empty if the worker gave up).
     pub final_result: Vec<TopKEntry>,
-    /// The monitor's cumulative metrics with
-    /// [`Metrics::resilience`] filled in by the supervisor.
+    /// The monitor's cumulative metrics, those of the monitors a
+    /// self-heal replaced included, with [`Metrics::resilience`] filled
+    /// in by the supervisor.
     pub metrics: Metrics,
     /// Latency distributions observed by the worker (update phases,
     /// checkpoint writes) joined with the storage layer's disk-read
@@ -251,47 +255,23 @@ impl SupervisedPipeline {
             num_units: algorithm.num_units(),
             lease_ttl: config.lease_ttl,
         });
-        Self::spawn_with_gate(algorithm, gate, config, capacity)
-    }
-
-    /// Resumes monitoring from a checkpoint (cross-process failover): the
-    /// monitor is restored from the checkpoint and the gate from its
-    /// [`GateState`](crate::ingest::GateState) (fresh if the checkpoint
-    /// predates the resilience layer), so dedup and lease decisions carry
-    /// over to the standby.
-    pub fn resume<A>(
-        checkpoint: Checkpoint,
-        store: Arc<dyn PlaceStore>,
-        config: ResilienceConfig,
-        capacity: usize,
-    ) -> Result<Self, crate::checkpoint::CheckpointError>
-    where
-        A: Checkpointable + Send + 'static,
-    {
-        let ingest_config = IngestConfig {
-            space: *store.grid().space(),
-            num_units: checkpoint.unit_positions.len(),
-            lease_ttl: config.lease_ttl,
-        };
-        let gate_state = checkpoint.gate.clone();
-        // Restore (and validate) first: a checkpoint whose gate disagrees
-        // with its unit table must surface as a typed error, not a panic in
-        // the gate constructor below.
-        let algorithm = A::restore(checkpoint, store)?;
-        let gate = match gate_state {
-            Some(state) => IngestGate::from_state(ingest_config, state),
-            None => IngestGate::new(ingest_config),
-        };
-        Ok(Self::spawn_with_gate(algorithm, gate, config, capacity))
+        Self::spawn_with_gate(
+            algorithm,
+            gate,
+            config,
+            capacity,
+            ResilienceStats::default(),
+        )
     }
 
     /// Recovers after a process death: loads the newest valid durable slot
-    /// from `dir` (see [`crate::durable`]), restores the monitor and the
-    /// ingest gate from it, replays the journaled wire reports through the
-    /// restored gate — its dedup state silently drops everything the slot
-    /// already covers, so the replay is idempotent even when recovery fell
-    /// back to the older slot — and resumes supervised monitoring with
-    /// durable checkpointing re-enabled in the same directory.
+    /// from `dir` (see [`crate::durable`]), restores the ingest gate from
+    /// it, folds the journaled wire reports through the restored gate into
+    /// the slot's unit positions — its dedup state silently drops
+    /// everything the slot already covers, so the fold is idempotent even
+    /// when recovery fell back to the older slot — initializes the monitor
+    /// once from the folded positions, and resumes supervised monitoring
+    /// with durable checkpointing re-enabled in the same directory.
     pub fn recover_from_dir<A>(
         dir: impl AsRef<Path>,
         store: Arc<dyn PlaceStore>,
@@ -301,21 +281,22 @@ impl SupervisedPipeline {
     where
         A: Checkpointable + Send + 'static,
     {
-        let (checkpoint, journal) = DurableState::load(&dir)?;
+        let (mut checkpoint, journal) = DurableState::load(&dir)?;
+        // Before the gate is built: a gate state that disagrees with the
+        // unit table is a typed error here, a panic in `from_state`.
+        checkpoint.validate()?;
         let ingest_config = IngestConfig {
             space: *store.grid().space(),
             num_units: checkpoint.unit_positions.len(),
             lease_ttl: config.lease_ttl,
         };
-        let gate_state = checkpoint.gate.clone();
-        let mut algorithm = A::restore(checkpoint, store)?;
-        let mut gate = match gate_state {
+        let mut gate = match checkpoint.gate.take() {
             Some(state) => IngestGate::from_state(ingest_config, state),
             None => IngestGate::new(ingest_config),
         };
-        // Replay rejections are recovery bookkeeping (the slot already
+        // Fold rejections are recovery bookkeeping (the slot already
         // covered those reports), not feed defects: they go to a scratch
-        // counter and only the replayed-update count is carried forward.
+        // counter and only the recovered-update count is carried forward.
         let mut scratch = ResilienceStats::default();
         let mut seed = ResilienceStats::default();
         for report in journal {
@@ -323,40 +304,26 @@ impl SupervisedPipeline {
                 continue;
             };
             for update in effective {
-                algorithm.handle_update(update).map_err(|e| {
-                    crate::checkpoint::CheckpointError::Invalid(format!(
-                        "storage fault while replaying the journal: {e}"
-                    ))
-                })?;
+                if let Some(p) = checkpoint.unit_positions.get_mut(update.unit.index()) {
+                    *p = update.new;
+                }
                 seed.updates_replayed += 1;
             }
         }
+        let algorithm = A::restore(checkpoint, store)?;
         let config = ResilienceConfig {
             state_dir: Some(dir.as_ref().to_path_buf()),
             ..config
         };
-        Ok(Self::spawn_seeded(algorithm, gate, config, capacity, seed))
+        Ok(Self::spawn_with_gate(
+            algorithm, gate, config, capacity, seed,
+        ))
     }
 
-    fn spawn_with_gate<A>(
-        algorithm: A,
-        gate: IngestGate,
-        config: ResilienceConfig,
-        capacity: usize,
-    ) -> Self
-    where
-        A: Checkpointable + Send + 'static,
-    {
-        Self::spawn_seeded(
-            algorithm,
-            gate,
-            config,
-            capacity,
-            ResilienceStats::default(),
-        )
-    }
-
-    fn spawn_seeded<A>(
+    /// Spawns the supervised worker around a live monitor and the gate it
+    /// ran behind, so dedup and lease decisions carry over (standby
+    /// promotion, recovery); `initial_stats` seeds the resilience counters.
+    pub(crate) fn spawn_with_gate<A>(
         algorithm: A,
         gate: IngestGate,
         config: ResilienceConfig,
@@ -373,7 +340,7 @@ impl SupervisedPipeline {
         let worker_durable = Arc::clone(&durable);
         // Events only carry changes, so whoever serves this pipeline's
         // top-k needs the state the worker starts from — which, after a
-        // recovery, is the result *after* the journal replay.
+        // recovery, is the result over the folded journal.
         let initial_result = algorithm.result();
         #[allow(clippy::expect_used)]
         let worker = std::thread::Builder::new()
@@ -402,8 +369,8 @@ impl SupervisedPipeline {
 
     /// The monitored result the worker started from: the algorithm's
     /// result at spawn, or — for [`recover_from_dir`](Self::recover_from_dir)
-    /// — the result after the journal tail was replayed (the replay emits
-    /// no events). [`events`](Self::events) carries every change from here.
+    /// — the result over the folded journal tail (the fold emits no
+    /// events). [`events`](Self::events) carries every change from here.
     pub fn initial_result(&self) -> &[TopKEntry] {
         &self.initial_result
     }
@@ -480,8 +447,8 @@ impl SupervisedPipeline {
     /// spawn) the worker has taken *durable ownership* of: journaled to the
     /// write-ahead log when a `state_dir` is configured, or terminally
     /// rejected by the gate. A report covered by this mark survives a
-    /// process death — [`recover_from_dir`](Self::recover_from_dir) replays
-    /// it — so the front door acks a report only once the mark covers it:
+    /// process death — [`recover_from_dir`](Self::recover_from_dir) folds
+    /// it in — so the front door acks a report only once the mark covers it:
     /// acks never run ahead of the journal. Without a `state_dir` the mark
     /// advances on receipt (there is no durability contract to wait for).
     pub fn durable_mark(&self) -> u64 {
@@ -565,11 +532,11 @@ fn admit(
 /// The worker loop. Runs on the supervisor thread until the report channel
 /// closes or recovery is exhausted. It works in commit groups: it takes
 /// the first report (blocking when the channel is empty) and every report
-/// queued behind it, up to the next periodic checkpoint; gate-admits them
-/// all; journals the accepted ones with one write and one sync; advances
-/// the durable mark over the whole group and announces it once; applies
-/// the group's effective updates in order; and only then takes the
-/// checkpoint if one is due.
+/// queued behind it, up to the next durable slot; gate-admits them all;
+/// journals the accepted ones with one write and one sync; advances the
+/// durable mark over the whole group and announces it once; applies the
+/// group's effective updates in order; and only then lands the slot if
+/// one is due.
 fn supervise<A>(
     mut algorithm: A,
     mut gate: IngestGate,
@@ -589,14 +556,15 @@ where
         algorithm.attach_span_recorder(Arc::clone(sink));
     }
     let store = algorithm.store();
-    let mut base = {
-        let mut c = algorithm.checkpoint();
-        c.gate = Some(gate.state());
-        Arc::new(c)
-    };
+    let mut spawned = algorithm.checkpoint();
+    spawned.gate = Some(gate.state());
     let mut server = Server::new(algorithm);
+    // The engine counters of the monitors a self-heal replaced, so the
+    // report covers the whole run and not only the last monitor.
+    let mut replaced = Metrics::default();
     let mut stats = initial_stats;
-    let mut tail: Vec<LocationUpdate> = Vec::new();
+    // Effective updates since the last durable slot.
+    let mut since_slot = 0u64;
     let mut panic_at: HashSet<u64> = config.panic_at.iter().copied().collect();
     let mut eff_seq = 0u64;
     let mut reports_received = 0u64;
@@ -609,13 +577,13 @@ where
     let mut writer: Option<SlotWriter> = None;
 
     // Durable persistence: open (or create) the state directory and write
-    // the spawn-time base as the first slot, so there is always a valid
+    // the spawn-time state as the first slot, so there is always a valid
     // recovery point on disk. A failure to persist is a broken durability
     // contract — the worker stops instead of running with silent
     // non-durability.
     let mut durable = match config.state_dir.as_deref().map(DurableState::open) {
         None => None,
-        Some(Ok(mut d)) => match d.checkpoint(&base) {
+        Some(Ok(mut d)) => match d.checkpoint(&spawned) {
             Ok(()) => Some(d),
             Err(_) => {
                 gave_up = true;
@@ -643,6 +611,18 @@ where
             flight_recorder_path: None,
         };
     }
+    // The restart point: a self-heal initializes from these positions,
+    // kept current after every successful apply.
+    let Checkpoint {
+        config: engine_config,
+        unit_positions: mut positions,
+        ..
+    } = spawned;
+    // The durable-slot cadence; never without a state directory.
+    let every = match config.checkpoint_every {
+        every if every > 0 && durable.is_some() => every,
+        _ => u64::MAX,
+    };
 
     // The durable mark as of the last announcement.
     let mut announced = 0u64;
@@ -673,13 +653,10 @@ where
             }
         }
         // The group is the first report plus whatever queued behind it,
-        // cut at the next periodic checkpoint: a checkpoint rotates the
-        // journal, and one taken inside a group would leave the rest of
-        // the group in a segment the checkpoint after it prunes.
-        let room = match config.checkpoint_every {
-            0 => u64::MAX,
-            every => every.saturating_sub(convert::count64(tail.len())).max(1),
-        };
+        // cut at the next durable slot: a slot rotates the journal, and one
+        // taken inside a group would leave the rest of the group in a
+        // segment the slot after it prunes.
+        let room = every.saturating_sub(since_slot).max(1);
         group.clear();
         records.clear();
         let mut next = Some(first);
@@ -699,7 +676,7 @@ where
         if let Some(d) = durable.as_mut() {
             // Write-ahead: the group's accepted reports hit the journal in
             // one write and one sync before any of them touches the
-            // monitor, so a crash between the two replays them. Traced
+            // monitor, so a crash between the two recovers them. Traced
             // reports share the group's wal-append span.
             let journaled_traced = |a: &Admitted| a.apply_start.is_some() && a.effective.is_ok();
             let wal_start = group.iter().any(journaled_traced).then(now_nanos);
@@ -715,7 +692,7 @@ where
                 break 'recv;
             }
         }
-        // The whole group is now recoverable (journaled, in-memory-only by
+        // The whole group is now recoverable (journaled, unpersisted by
         // configuration, or terminally rejected by the gate): the front
         // door may ack it, and is told so once. This happens *before* the
         // applies below, so a kill mid-group loses nothing acked.
@@ -861,14 +838,17 @@ where
                                 );
                             }
                             eff_seq += 1;
-                            tail.push(update);
+                            since_slot += 1;
+                            if let Some(p) = positions.get_mut(update.unit.index()) {
+                                *p = update.new;
+                            }
                             break; // next effective update
                         }
                         crashed => {
                             // A panic (`Err`) and a surfaced storage error
                             // (`Ok(Err)`) are contained identically: either way
-                            // the processor may be mid-update, so restore from
-                            // the latest checkpoint and replay.
+                            // the processor may be mid-update, so re-initialize
+                            // it from the positions it was last correct at.
                             if crashed.is_err() {
                                 stats.worker_panics += 1;
                             } else {
@@ -887,14 +867,12 @@ where
                                     TraceOutcome::StorageError
                                 },
                             });
-                            // Restore from the latest checkpoint and replay the
-                            // tail, discarding (suppressing) the event batches
-                            // the replay re-derives — they were already
-                            // published before the crash. The live gate is kept:
-                            // its state is ahead of the checkpointed one and the
-                            // gate is outside the contained region. Each attempt
-                            // spends one restart: restore reads every cell, so a
-                            // storage fault there is retried like one in apply.
+                            // Restore is init from the current positions, so
+                            // nothing is replayed. The live gate is kept: it
+                            // is outside the contained region. Each attempt
+                            // spends one restart: restore reads every cell, so
+                            // a storage fault there is retried like one in
+                            // apply.
                             loop {
                                 if restarts_left == 0 {
                                     gave_up = true;
@@ -902,16 +880,20 @@ where
                                 }
                                 restarts_left -= 1;
                                 stats.worker_restarts += 1;
-                                let Ok((recovered, suppressed)) =
-                                    recover::<A>(Checkpoint::clone(&base), store.clone(), &tail)
-                                else {
+                                let restart = Checkpoint {
+                                    config: engine_config.clone(),
+                                    unit_positions: positions.clone(),
+                                    gate: None,
+                                };
+                                let Ok(recovered) = recover::<A>(restart, store.clone()) else {
                                     continue;
                                 };
-                                // The re-derived engine may hold a different
-                                // place tied at SK than the one that crashed:
-                                // it takes over what subscribers hold, and the
-                                // next ingest diffs against that.
+                                // The new engine may hold a different place
+                                // tied at SK than the one that crashed: it
+                                // takes over what subscribers hold, and the
+                                // retry diffs against that.
                                 let crashed = std::mem::replace(&mut server, recovered);
+                                replaced = crashed.algorithm().metrics().after(&replaced);
                                 server.take_over_published(crashed);
                                 if let Some(sink) = config.spans.as_ref() {
                                     // The restored engine starts without a
@@ -920,8 +902,6 @@ where
                                         .algorithm_mut()
                                         .attach_span_recorder(Arc::clone(sink));
                                 }
-                                stats.updates_replayed += convert::count64(tail.len());
-                                stats.events_suppressed += suppressed;
                                 break; // ...then retry the crashing update.
                             }
                         }
@@ -929,45 +909,41 @@ where
                 }
             }
         }
-        // The periodic checkpoint, at the group's end only: the gate state
-        // it captures then covers exactly the updates the monitor state
-        // does, parks and their accepted report included.
-        if config.checkpoint_every > 0 && convert::count64(tail.len()) >= config.checkpoint_every {
+        // The durable slot, at the group's end only: the gate state it
+        // captures then covers exactly the updates the positions do, parks
+        // and their accepted report included.
+        if let Some(d) = durable.as_mut().filter(|_| since_slot >= every) {
             let ckpt_sink = if last_trace != 0 {
                 config.spans.as_deref()
             } else {
                 None
             };
             let ckpt_start = ckpt_sink.map(|_| now_nanos());
-            let mut timer = PhaseTimer::start();
-            let mut c = server.algorithm().checkpoint();
-            c.gate = Some(gate.state());
-            let c = Arc::new(c);
-            if let Some(d) = durable.as_mut() {
-                // Segment now, slot later: the writer lands the slot while
-                // the next groups journal into the segment rotated here.
-                // Its `checkpoint_write_nanos` sample comes back with it.
-                if writer.is_none() {
-                    writer = SlotWriter::spawn(d.dir().to_path_buf()).ok();
-                }
-                let handed = match (writer.as_ref(), d.rotate()) {
-                    (Some(w), Ok(seq)) => w.jobs.send((seq, eff_seq, Arc::clone(&c))).is_ok(),
-                    _ => false,
-                };
-                if !handed {
-                    gave_up = true;
-                    break 'recv;
-                }
-            } else {
-                obs.record_checkpoint(eff_seq, timer.lap());
+            let slot = Checkpoint {
+                config: engine_config.clone(),
+                unit_positions: positions.clone(),
+                gate: Some(gate.state()),
+            };
+            // Segment now, slot later: the writer lands the slot while the
+            // next groups journal into the segment rotated here. Its
+            // `checkpoint_write_nanos` sample comes back with it.
+            if writer.is_none() {
+                writer = SlotWriter::spawn(d.dir().to_path_buf()).ok();
+            }
+            let handed = match (writer.as_ref(), d.rotate()) {
+                (Some(w), Ok(seq)) => w.jobs.send((seq, eff_seq, slot)).is_ok(),
+                _ => false,
+            };
+            if !handed {
+                gave_up = true;
+                break 'recv;
             }
             if let (Some(s), Some(c0)) = (ckpt_sink, ckpt_start) {
                 // The group's last accepted report carries the apply-path
                 // stall of the checkpoint its group tripped as a span.
                 s.record_stage(last_trace, Stage::Checkpoint, 0, c0, now_nanos(), true);
             }
-            base = c;
-            tail.clear();
+            since_slot = 0;
             stats.checkpoints_taken += 1;
         }
     }
@@ -1014,7 +990,7 @@ where
             },
         )
     } else {
-        let mut metrics = server.algorithm().metrics().clone();
+        let mut metrics = server.algorithm().metrics().after(&replaced);
         metrics.resilience = stats;
         (server.result(), metrics)
     };
@@ -1113,7 +1089,7 @@ fn reserve_rotation_slot(dir: &Path, start: u64) -> Option<(u64, PathBuf)> {
 /// first failed write.
 struct SlotWriter {
     /// Slot `seq`, the effective update it was taken at, the checkpoint.
-    jobs: SyncSender<(u64, u64, Arc<Checkpoint>)>,
+    jobs: SyncSender<(u64, u64, Checkpoint)>,
     /// Per handed slot, in order: its effective update, the write's
     /// outcome and its wall time in nanoseconds.
     done: Receiver<(u64, std::io::Result<()>, u64)>,
@@ -1122,7 +1098,7 @@ struct SlotWriter {
 
 impl SlotWriter {
     fn spawn(dir: PathBuf) -> std::io::Result<Self> {
-        let (jobs, handed) = sync_channel::<(u64, u64, Arc<Checkpoint>)>(0);
+        let (jobs, handed) = sync_channel::<(u64, u64, Checkpoint)>(0);
         let (landed, done) = channel();
         let thread = std::thread::Builder::new()
             .name("ctup-slot-writer".into())
@@ -1168,31 +1144,18 @@ fn record_landed(
     true
 }
 
-/// Restores a monitor from `base` and replays `tail` on it, all inside
-/// `catch_unwind` (a deterministic defect would otherwise crash recovery
-/// itself). Returns the recovered server and the number of suppressed
-/// replay events. A storage fault in the restore or the replay fails this
-/// attempt as a whole — never a state that silently skipped part of the
-/// tail — and the caller spends another restart on the next one.
-fn recover<A>(
-    base: Checkpoint,
-    store: Arc<dyn PlaceStore>,
-    tail: &[LocationUpdate],
-) -> Result<(Server<A>, u64), ()>
+/// Restores a monitor from `restart` — one fresh initialization — inside
+/// `catch_unwind`, so a deterministic defect cannot crash recovery itself.
+/// A storage fault or panic fails this attempt, and the caller spends
+/// another restart on the next one.
+fn recover<A>(restart: Checkpoint, store: Arc<dyn PlaceStore>) -> Result<Server<A>, ()>
 where
     A: Checkpointable,
 {
     catch_unwind(AssertUnwindSafe(|| {
-        let algorithm = A::restore(base, store).map_err(|_| ())?;
-        let mut server = Server::new(algorithm);
-        let mut suppressed = 0u64;
-        for &update in tail {
-            let (events, _) = server.ingest(update).map_err(|_| ())?;
-            suppressed += convert::count64(events.len());
-        }
-        Ok((server, suppressed))
+        A::restore(restart, store).map(Server::new)
     }))
-    .unwrap_or(Err(()))
+    .map_or(Err(()), |restored| restored.map_err(|_| ()))
 }
 
 #[cfg(test)]
@@ -1338,10 +1301,11 @@ mod tests {
         assert!(!report.gave_up);
         assert_eq!(report.metrics.resilience.worker_panics, 1);
         assert_eq!(report.metrics.resilience.worker_restarts, 1);
-        // Checkpoints at eff 64 and 128; the panic at eff 100 replays the
-        // 36-update tail 64..100.
-        assert_eq!(report.metrics.resilience.updates_replayed, 36);
-        assert!(report.metrics.resilience.checkpoints_taken >= 2);
+        // The panic at eff 100 re-initializes from the positions after
+        // update 99: nothing is replayed, and without a state directory
+        // `checkpoint_every` takes no checkpoint.
+        assert_eq!(report.metrics.resilience.updates_replayed, 0);
+        assert_eq!(report.metrics.resilience.checkpoints_taken, 0);
         assert_eq!(report.updates_processed, 200);
         assert_eq!(piped, direct_batches, "no duplicated or missing batches");
         assert_eq!(report.events_emitted, direct.events_emitted());
@@ -1563,46 +1527,42 @@ mod tests {
         assert_eq!(direct.unit_position(UnitId(1)), parked_position());
     }
 
-    /// Cross-process failover: resume from a checkpoint whose gate state
-    /// carries dedup decisions — the standby rejects replayed reports.
+    /// Promotion hands the followed engine and its gate to
+    /// `spawn_with_gate`: a report the gate already admitted is dropped
+    /// as a duplicate, and the next one is applied.
     #[test]
-    fn resume_carries_gate_decisions() {
+    fn spawn_with_gate_carries_gate_decisions() {
         let units = unit_points(2);
-        let first = SupervisedPipeline::spawn(monitor(&units), ResilienceConfig::default(), 64);
-        let report = StampedUpdate {
-            seq: 7,
-            ts: 3,
-            update: LocationUpdate {
-                unit: UnitId(0),
-                new: Point::new(0.3, 0.3),
-            },
-        };
-        first.send(report).expect("worker alive");
-        first.shutdown();
-
-        // Simulate the primary's periodic checkpoint.
         let alg = monitor(&units);
-        let mut checkpoint = Checkpointable::checkpoint(&alg);
         let mut gate = IngestGate::new(IngestConfig {
             space: *alg.store().grid().space(),
             num_units: 2,
             lease_ttl: None,
         });
+        let report = |seq: u64, x: f64| StampedUpdate {
+            seq,
+            ts: seq,
+            update: LocationUpdate {
+                unit: UnitId(0),
+                new: Point::new(x, x),
+            },
+        };
         let mut stats = ResilienceStats::default();
-        gate.admit(report, &mut stats).expect("accepted");
-        checkpoint.gate = Some(gate.state());
+        gate.admit(report(7, 0.3), &mut stats).expect("accepted");
 
-        let standby = SupervisedPipeline::resume::<OptCtup>(
-            checkpoint,
-            alg.store(),
+        let promoted = SupervisedPipeline::spawn_with_gate(
+            alg,
+            gate,
             ResilienceConfig::default(),
             64,
-        )
-        .expect("resume");
-        standby.send(report).expect("worker alive"); // replayed delivery
-        let out = standby.shutdown();
+            ResilienceStats::default(),
+        );
+        promoted.send(report(7, 0.3)).expect("worker alive"); // redelivery
+        promoted.send(report(8, 0.4)).expect("worker alive");
+        let out = promoted.shutdown();
         assert_eq!(out.metrics.resilience.duplicates_dropped, 1);
-        assert_eq!(out.updates_processed, 0);
+        assert_eq!(out.updates_processed, 1);
+        assert_eq!(out.metrics.updates_processed, 1);
     }
 
     /// A store whose `read_cell` fails exactly once, on a chosen call
@@ -2470,13 +2430,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// More than k places tie at SK in this feed, and the engine re-derived
-    /// at the crash (initialized at the checkpoint of effective update 16,
-    /// then replayed to 23) holds a different tied place than the one that
-    /// crashed at 23. What subscribers fold from the event stream must
-    /// still be a true top-k after every batch and the final result at
-    /// shutdown: the recovered server diffs against the published map it
-    /// took over, not against its own.
+    /// More than k places tie at SK in this feed, and the engine
+    /// initialized at the crash (from the positions after effective update
+    /// 7) holds a different tied place than the one that crashed at 8.
+    /// What subscribers fold from the event stream must still be a true
+    /// top-k after every batch and the final result at shutdown: the
+    /// recovered server diffs against the published map it took over, not
+    /// against its own.
     #[test]
     fn a_tie_divergent_self_heal_keeps_the_sink_exact() {
         use crate::algorithm::CtupAlgorithm;
@@ -2484,26 +2444,20 @@ mod tests {
         use crate::server::MonitorEvent;
         use crate::types::Safety;
         use std::collections::HashMap;
-        const EVERY: usize = 16;
-        const CRASH: usize = 23;
+        const CRASH: usize = 8;
         let units = unit_points(4);
         let stream = updates(200, 4);
         let config = CtupConfig::with_k(5);
 
-        // The scenario: at the crash the re-derived engine answers the same
-        // safeties with a different place set.
+        // The scenario: at the crash the engine initialized from the live
+        // positions answers the same safeties with a different place set.
         let mut crashed = monitor(&units);
-        let mut at_checkpoint = units.clone();
-        for (i, &u) in stream[..CRASH].iter().enumerate() {
+        let mut at_crash = units.clone();
+        for &u in &stream[..CRASH] {
             crashed.handle_update(u).expect("clean store");
-            if i < EVERY {
-                at_checkpoint[u.unit.index()] = u.new;
-            }
+            at_crash[u.unit.index()] = u.new;
         }
-        let mut rederived = monitor(&at_checkpoint);
-        for &u in &stream[EVERY..CRASH] {
-            rederived.handle_update(u).expect("clean store");
-        }
+        let rederived = monitor(&at_crash);
         let safeties = |r: &[TopKEntry]| r.iter().map(|e| e.safety).collect::<Vec<_>>();
         assert_ne!(rederived.result(), crashed.result(), "no tie divergence");
         assert_eq!(safeties(&rederived.result()), safeties(&crashed.result()));
@@ -2511,7 +2465,6 @@ mod tests {
         let mut pipeline = SupervisedPipeline::spawn(
             monitor(&units),
             ResilienceConfig {
-                checkpoint_every: EVERY as u64,
                 panic_at: vec![CRASH as u64],
                 ..ResilienceConfig::default()
             },
@@ -2614,10 +2567,124 @@ mod tests {
         assert_eq!(report.metrics.resilience.worker_panics, 1);
         // One attempt failed inside restore, the second recovered.
         assert_eq!(report.metrics.resilience.worker_restarts, 2);
-        // The tail since the checkpoint at 64 was replayed once.
-        assert_eq!(report.metrics.resilience.updates_replayed, 36);
+        // Restore is init from the current positions: nothing replayed.
+        assert_eq!(report.metrics.resilience.updates_replayed, 0);
         assert_eq!(report.updates_processed, 150);
         let safeties = |r: &[TopKEntry]| r.iter().map(|e| e.safety).collect::<Vec<_>>();
         assert_eq!(safeties(&report.final_result), safeties(&direct.result()));
+    }
+
+    /// A self-heal is one fresh initialization: after a panic at effective
+    /// update `CRASH`, the pipeline ends exactly where `OptCtup::new` over
+    /// the positions before `CRASH`, fed the rest of the stream, ends —
+    /// byte-equal result — and its logical counters are the crashed
+    /// engine's plus that engine's. Nothing from before the crash is
+    /// replayed into the new engine.
+    #[test]
+    fn self_heal_is_a_fresh_initialization() {
+        use crate::algorithm::CtupAlgorithm;
+        const CRASH: usize = 100;
+        let units = unit_points(4);
+        let stream = updates(200, 4);
+
+        let mut at_crash = units.clone();
+        for u in &stream[..CRASH] {
+            at_crash[u.unit.index()] = u.new;
+        }
+        let mut crashed = monitor(&units);
+        for &u in &stream[..CRASH] {
+            crashed.handle_update(u).expect("clean store");
+        }
+        let mut fresh = monitor(&at_crash);
+        for &u in &stream[CRASH..] {
+            fresh.handle_update(u).expect("clean store");
+        }
+
+        let config = ResilienceConfig {
+            panic_at: vec![CRASH as u64],
+            ..ResilienceConfig::default()
+        };
+        let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 1024);
+        for report in stamp_stream(stream) {
+            pipeline.send(report).expect("worker alive");
+        }
+        let report = pipeline.shutdown();
+        assert!(!report.gave_up);
+        assert_eq!(report.metrics.resilience.worker_restarts, 1);
+        assert_eq!(report.final_result, fresh.result());
+        // Wall-clock phases and the supervisor's own counters aside, the
+        // metrics are the crashed engine's up to the crash plus the fresh
+        // engine's after it: every update is counted once.
+        let logical = |m: &Metrics| Metrics {
+            maintain_nanos: 0,
+            access_nanos: 0,
+            resilience: ResilienceStats::default(),
+            ..m.clone()
+        };
+        assert_eq!(
+            logical(&report.metrics),
+            logical(&fresh.metrics().after(crashed.metrics()))
+        );
+        assert_eq!(report.metrics.updates_processed, report.updates_processed);
+    }
+
+    /// Recovery after a process death folds the journal into the slot's
+    /// positions and initializes once: over a fresh store it reads exactly
+    /// what a single `OptCtup::new` over the folded positions reads, and
+    /// starts from that engine's result.
+    #[test]
+    #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
+    fn recovery_folds_the_journal_into_one_initialization() {
+        use crate::algorithm::CtupAlgorithm;
+        const KILL: u64 = 60;
+        let dir = temp_state_dir();
+        let units = unit_points(4);
+        let stream = updates(200, 4);
+        let config = ResilienceConfig {
+            checkpoint_every: 0,
+            state_dir: Some(dir.clone()),
+            kill_at: Some(KILL),
+            ..ResilienceConfig::default()
+        };
+        let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 1024);
+        for &report in &stamp_stream(stream.clone())[..=KILL as usize] {
+            pipeline.send(report).expect("queue has room");
+        }
+        assert!(pipeline.shutdown().killed);
+        let (_, journal) = DurableState::load(&dir).expect("load");
+        let tail = journal.len();
+        assert!(tail >= 50, "a {tail}-report tail");
+
+        let mut folded = units.clone();
+        for u in &stream[..tail] {
+            folded[u.unit.index()] = u.new;
+        }
+        let store = || -> Arc<dyn PlaceStore> {
+            Arc::new(CellLocalStore::build(Grid::unit_square(6), places()))
+        };
+        let reads = |s: &Arc<dyn PlaceStore>| {
+            let snap = s.stats().snapshot();
+            (snap.cell_reads, snap.records_read)
+        };
+        let single = store();
+        let fresh =
+            OptCtup::new(CtupConfig::with_k(5), Arc::clone(&single), &folded).expect("init");
+
+        let over = store();
+        let recovered = SupervisedPipeline::recover_from_dir::<OptCtup>(
+            &dir,
+            Arc::clone(&over),
+            ResilienceConfig::default(),
+            1024,
+        )
+        .expect("recover");
+        assert_eq!(reads(&over), reads(&single));
+        assert_eq!(recovered.initial_result(), fresh.result());
+        let out = recovered.shutdown();
+        assert_eq!(
+            out.metrics.resilience.updates_replayed,
+            convert::count64(tail)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -85,26 +85,6 @@ fn run_chaos(seed: u64) {
     let (degraded, log) = plan.apply(stamp_stream(clean), corrupt_report);
     assert!(log.dropped > 0 && log.duplicated > 0 && log.reordered > 0 && log.corrupted > 0);
 
-    // The supervised pipeline rides the degraded feed and is crashed once.
-    let resilience = ResilienceConfig {
-        lease_ttl: Some(150),
-        checkpoint_every: 64,
-        max_restarts: 8,
-        panic_at: plan.panic_at.clone(),
-        ..ResilienceConfig::default()
-    };
-    let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), &units).expect("clean store");
-    let pipeline = SupervisedPipeline::spawn(monitor, resilience, 4096);
-    for &report in &degraded {
-        pipeline.send(report).expect("worker alive");
-    }
-    let report = pipeline.shutdown();
-    assert!(!report.gave_up, "seed {seed}: supervisor gave up");
-    assert_eq!(report.reports_received, degraded.len() as u64);
-    assert_eq!(report.metrics.resilience.worker_panics, 1);
-    assert_eq!(report.metrics.resilience.worker_restarts, 1);
-    assert!(report.metrics.resilience.checkpoints_taken > 0);
-
     // Mirror gate: reproduce the effective update sequence independently
     // and track where every unit ends up (parked units included).
     let mut mirror = IngestGate::new(IngestConfig {
@@ -123,62 +103,97 @@ fn run_chaos(seed: u64) {
             }
         }
     }
-    assert_eq!(
-        report.updates_processed, effective_count,
-        "seed {seed}: pipeline and mirror disagree on the effective sequence"
-    );
-    // The gate-level counters must match the mirror exactly.
-    let r = &report.metrics.resilience;
-    for (name, got, want) in [
-        (
-            "rejected_non_finite",
-            r.rejected_non_finite,
-            mirror_stats.rejected_non_finite,
-        ),
-        (
-            "rejected_out_of_space",
-            r.rejected_out_of_space,
-            mirror_stats.rejected_out_of_space,
-        ),
-        (
-            "rejected_unknown_unit",
-            r.rejected_unknown_unit,
-            mirror_stats.rejected_unknown_unit,
-        ),
-        ("stale_dropped", r.stale_dropped, mirror_stats.stale_dropped),
-        (
-            "duplicates_dropped",
-            r.duplicates_dropped,
-            mirror_stats.duplicates_dropped,
-        ),
-        (
-            "lease_expiries",
-            r.lease_expiries,
-            mirror_stats.lease_expiries,
-        ),
-        (
-            "lease_reinstates",
-            r.lease_reinstates,
-            mirror_stats.lease_reinstates,
-        ),
-    ] {
-        assert_eq!(got, want, "seed {seed}: {name} mismatch");
-    }
-    // Dedup must have caught at least the duplicates the plan injected that
-    // were not preceded by a drop of their original.
-    assert!(
-        r.duplicates_dropped + r.stale_dropped > 0,
-        "seed {seed}: no dedup exercised"
-    );
-
-    // Ground truth: the oracle on the final effective unit positions.
     let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    oracle.assert_result_matches(
-        &report.final_result,
-        &positions,
-        RADIUS,
-        QueryMode::TopK(10),
-    );
+
+    // The supervised pipeline rides the degraded feed and is crashed once,
+    // without a state directory and with one, where `checkpoint_every`
+    // lands durable slots.
+    for durable in [false, true] {
+        let dir =
+            std::env::temp_dir().join(format!("ctup-chaos-feed-{}-{seed}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let resilience = ResilienceConfig {
+            lease_ttl: Some(150),
+            checkpoint_every: 64,
+            max_restarts: 8,
+            panic_at: plan.panic_at.clone(),
+            state_dir: durable.then(|| dir.clone()),
+            ..ResilienceConfig::default()
+        };
+        let monitor =
+            OptCtup::new(CtupConfig::with_k(10), store.clone(), &units).expect("clean store");
+        let pipeline = SupervisedPipeline::spawn(monitor, resilience, 4096);
+        for &report in &degraded {
+            pipeline.send(report).expect("worker alive");
+        }
+        let report = pipeline.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = format!("seed {seed}, durable {durable}");
+        assert!(!report.gave_up, "{run}: supervisor gave up");
+        assert_eq!(report.reports_received, degraded.len() as u64);
+        assert_eq!(report.metrics.resilience.worker_panics, 1);
+        assert_eq!(report.metrics.resilience.worker_restarts, 1);
+        assert_eq!(
+            report.metrics.resilience.checkpoints_taken > 0,
+            durable,
+            "{run}: slots only with a state directory"
+        );
+        assert_eq!(
+            report.updates_processed, effective_count,
+            "{run}: pipeline and mirror disagree on the effective sequence"
+        );
+        // The gate-level counters must match the mirror exactly.
+        let r = &report.metrics.resilience;
+        for (name, got, want) in [
+            (
+                "rejected_non_finite",
+                r.rejected_non_finite,
+                mirror_stats.rejected_non_finite,
+            ),
+            (
+                "rejected_out_of_space",
+                r.rejected_out_of_space,
+                mirror_stats.rejected_out_of_space,
+            ),
+            (
+                "rejected_unknown_unit",
+                r.rejected_unknown_unit,
+                mirror_stats.rejected_unknown_unit,
+            ),
+            ("stale_dropped", r.stale_dropped, mirror_stats.stale_dropped),
+            (
+                "duplicates_dropped",
+                r.duplicates_dropped,
+                mirror_stats.duplicates_dropped,
+            ),
+            (
+                "lease_expiries",
+                r.lease_expiries,
+                mirror_stats.lease_expiries,
+            ),
+            (
+                "lease_reinstates",
+                r.lease_reinstates,
+                mirror_stats.lease_reinstates,
+            ),
+        ] {
+            assert_eq!(got, want, "{run}: {name} mismatch");
+        }
+        // Dedup must have caught at least the duplicates the plan injected
+        // that were not preceded by a drop of their original.
+        assert!(
+            r.duplicates_dropped + r.stale_dropped > 0,
+            "{run}: no dedup exercised"
+        );
+
+        // Ground truth: the oracle on the final effective unit positions.
+        oracle.assert_result_matches(
+            &report.final_result,
+            &positions,
+            RADIUS,
+            QueryMode::TopK(10),
+        );
+    }
 }
 
 #[test]
