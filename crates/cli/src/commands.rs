@@ -170,6 +170,9 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     } else if flags.switch("checkpoint-every") && !flags.switch("state-dir") {
         // Checkpoints are durable slots only; a self-heal needs none.
         Some("--checkpoint-every requires --state-dir <dir>".to_string())
+    } else if flags.switch("tear-slot") && !(flags.switch("kill-at") && flags.switch("state-dir")) {
+        // The tear fires only when a kill fires over durable state.
+        Some("--tear-slot requires --kill-at <n> and --state-dir <dir>".to_string())
     } else {
         None
     };
@@ -1142,20 +1145,31 @@ mod tests {
     #[test]
     fn run_kill_then_recover_matches_uninterrupted_run() {
         let dir = temp("state");
-        // (uninterrupted run flags, extra kill flags): a degraded feed over
-        // the in-memory store with the newest slot torn at the kill, one
-        // over a disk with transient page errors, and a clean feed whose
-        // uninterrupted run is the bare engine.
+        // (uninterrupted run flags, slot cadence, extra kill flags): a
+        // degraded feed over the in-memory store and one over a disk with
+        // transient page errors, both with the newest slot torn at the
+        // kill, and a clean feed whose uninterrupted run is the bare engine,
+        // with the spawn slot as the only one. The commit stage may land
+        // slots up to two groups past the kill, so an untorn periodic slot
+        // can cover everything journaled; a torn one, or none after the
+        // spawn slot, always leaves a journal tail to replay.
         let inputs = [
-            (format!("--seed 21 {FEED_FAULTS}"), "--tear-slot"),
-            (format!("--seed 23 {FEED_FAULTS} --disk-faults 0.05"), ""),
-            ("--seed 33".to_string(), ""),
+            (format!("--seed 21 {FEED_FAULTS}"), 16, "--tear-slot"),
+            (
+                format!("--seed 23 {FEED_FAULTS} --disk-faults 0.05"),
+                16,
+                "--tear-slot",
+            ),
+            ("--seed 33".to_string(), 0, ""),
         ];
-        for (extra, kill_extra) in inputs {
+        for (extra, every, kill_extra) in inputs {
             std::fs::remove_dir_all(&dir).ok();
             let base = format!("run --places 300 --units 10 --updates 200 --k 4 {extra}");
             let uninterrupted = ctup(&base).expect("uninterrupted run");
-            let durable = format!("{base} --checkpoint-every 16 --state-dir {}", dir.display());
+            let durable = format!(
+                "{base} --checkpoint-every {every} --state-dir {}",
+                dir.display()
+            );
             let killed = ctup(&format!("{durable} --kill-at 60 {kill_extra}")).expect("killed");
             assert!(killed.contains("KILLED"), "{killed}");
             assert!(final_result(&killed).is_empty(), "{killed}");
@@ -1166,10 +1180,14 @@ mod tests {
             let last = dump.lines().last().expect("a dumped event");
             assert!(last.contains("\"outcome\":\"killed\""), "{dump}");
 
+            // Recovery replays exactly the journal after the slot it reads.
+            let (_, tail) = ctup_core::DurableState::load(&dir).expect("load");
             let recovered = ctup(&format!("{durable} --recover")).expect("recovered");
             assert!(recovered.contains("recovering from"), "{recovered}");
             assert!(!recovered.contains("KILLED"), "{recovered}");
-            assert!(counter(&recovered, "resilience_updates_replayed") > 0);
+            let replayed = counter(&recovered, "resilience_updates_replayed");
+            assert!(replayed > 0, "{recovered}");
+            assert_eq!(replayed, tail.len() as u64);
             // The recovered run converges to the same final top-k as the
             // run that was never interrupted. Recovery is one
             // initialization from the folded positions, so the tie tail at
@@ -1202,6 +1220,8 @@ mod tests {
             "run --recover => --recover requires --state-dir",
             "run --checkpoint-every 8 => --checkpoint-every requires --state-dir",
             "serve --checkpoint-every 8 => --checkpoint-every requires --state-dir",
+            "run --tear-slot --state-dir s => --tear-slot requires --kill-at <n> and --state-dir",
+            "run --tear-slot --kill-at 5 => --tear-slot requires --kill-at <n> and --state-dir",
             "run --panic-at 40,x => bad --panic-at entry \"x\"",
             "generate --rp-min 9 --rp-max 2 => --rp-min must not exceed --rp-max",
             "generate --rp-max 65537 => --rp-max must not exceed 65536",

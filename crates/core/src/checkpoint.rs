@@ -101,25 +101,31 @@ pub trait Checkpointable: crate::algorithm::CtupAlgorithm + Sized {
 /// v3 introduced the slot/journal protocol around the v2 body format; v4
 /// added a physical cell-layout tag; v5 dropped it again when Z-order
 /// became the only cell order; v6 dropped the derived sections (lower
-/// bounds, maintained places, DecHash), which restore now re-derives. v4
-/// and v5 files are refused at their version line.
-pub const FORMAT_VERSION: u32 = 6;
+/// bounds, maintained places, DecHash), which restore now re-derives; v7
+/// moved the durable state to four fixed files overwritten in place, with
+/// a binary, CRC-chained journal. Files of earlier versions are refused at
+/// their version line.
+pub const FORMAT_VERSION: u32 = 7;
 
-const HEADER: &str = "#ctup-checkpoint v6";
+const HEADER: &str = "#ctup-checkpoint v7";
 const VERSION_PREFIX: &str = "#ctup-checkpoint ";
 
-/// Rewrites a current body the way a v4 or v5 writer would have framed the
-/// same state, for the tests that pin their refusal: both carried the
-/// derived sections v6 dropped, and a v4 writer over a row-major store also
-/// put a layout tag before the `units` line (spelled in two pieces so no
-/// source outside the ledger names the retired layout).
+/// Rewrites a current body the way a v4, v5 or v6 writer would have framed
+/// the same state, for the tests that pin their refusal: v6 differs only
+/// in its version line, v4 and v5 also carried the derived sections v6
+/// dropped, and a v4 writer over a row-major store also put a layout tag
+/// before the `units` line (spelled in two pieces so no source outside the
+/// ledger names the retired layout).
 #[cfg(test)]
 pub(crate) fn previous_version_body(body: &str, version: u32) -> String {
-    let derived = body.replacen("\ngate ", "\nlbs 1\n0\nmaintained 0\ndechash 0\ngate ", 1);
-    let old = derived.replacen(HEADER, &format!("{VERSION_PREFIX}v{version}"), 1);
+    let old = body.replacen(HEADER, &format!("{VERSION_PREFIX}v{version}"), 1);
+    if version >= 6 {
+        return old;
+    }
+    let derived = old.replacen("\ngate ", "\nlbs 1\n0\nmaintained 0\ndechash 0\ngate ", 1);
     match version {
-        4 => old.replacen("\nunits ", concat!("\nlayout row", "major\nunits "), 1),
-        _ => old,
+        4 => derived.replacen("\nunits ", concat!("\nlayout row", "major\nunits "), 1),
+        _ => derived,
     }
 }
 
@@ -454,7 +460,7 @@ mod tests {
         let mut buf = Vec::new();
         cp.write(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let v3 = text.replacen("v6", "v3", 1);
+        let v3 = text.replacen("v7", "v3", 1);
         // v4 and v5 bodies carry the derived sections v6 dropped (and v4 a
         // layout tag); they are refused at the version line, before any
         // field is read.

@@ -2,154 +2,209 @@
 //!
 //! A worker panic in [`crate::supervisor::SupervisedPipeline`] heals from
 //! the unit positions the worker holds in memory, which die with the
-//! process. This module makes a restart point durable:
+//! process. This module makes a restart point durable in four fixed files
+//! — `slot-a.ckpt`, `slot-b.ckpt`, `journal-a.wal` and `journal-b.wal` —
+//! which [`DurableState::open`] creates and preallocates once. After that
+//! they are only overwritten in place, never created, renamed, truncated
+//! or unlinked, so a steady-state write changes no file-system metadata
+//! and one `fdatasync` makes it durable.
 //!
-//! * **A/B checkpoint slots** — every periodic checkpoint is written to a
-//!   temp file, fsynced, renamed over the *older* of two slot files
-//!   (`slot-a.ckpt` / `slot-b.ckpt`), and the directory is fsynced. Each
-//!   slot carries an outer header with the format version, a monotonic slot
-//!   sequence number, and a CRC32 over the checkpoint body. A crash at any
-//!   byte of a slot write therefore leaves the *other* slot untouched and
-//!   valid; a torn or bit-flipped slot fails its CRC and is ignored.
-//! * **A journaled update tail** — every wire report the ingest gate
-//!   accepts is appended (with a per-line CRC32) to the current journal
-//!   segment *before* it is applied, so the updates between the newest
-//!   durable checkpoint and a crash can be recovered. The supervisor
-//!   journals per *commit group* ([`DurableState::append_all`]): every
-//!   report that queued up while the previous group was being synced goes
-//!   out in one write and one `fdatasync`.
-//! * **Rotation, then the slot** — a checkpoint is two halves.
-//!   [`DurableState::rotate`] durably opens `journal-<N>.wal` for the
-//!   updates after checkpoint `N`; [`DurableState::write_slot`] then lands
-//!   slot `N` — on the supervisor's writer thread, while the worker keeps
-//!   appending to segment `N`. The supervisor rotates only at group ends,
-//!   so no segment holds a report past the checkpoint that started the
-//!   next one. Once slot `N` has landed the two valid slots are `N` and
-//!   `N − 1`, so segments below `N − 1` are pruned by name alone.
-//! * **The crash invariant** — segment `N` exists durably before slot `N`
-//!   lands. A death in between recovers from slot `N − 1` over segments
-//!   `N − 1` and `N`; a death after it from slot `N` (or, if that one is
-//!   torn, from `N − 1` over the same segments). A restart resumes the slot
-//!   sequence at the newest valid slot, so it may reopen segment `N`: the
-//!   reopen first cuts the segment back to the lines recovery accepts, so
-//!   a torn tail never hides the appends after it.
-//! * **Recovery** — [`DurableState::load`] picks the valid slot with the
-//!   highest sequence number and returns every journaled report from the
-//!   surviving segments, tolerating a torn final line. Folding those
-//!   reports through the gate restored from the slot into the slot's unit
-//!   positions is idempotent: the gate's per-unit sequence numbers reject
-//!   everything the slot already covers, so over-replay (e.g. after
-//!   falling back to the older slot) converges to the exact pre-crash
-//!   positions, and one initialization from them is the recovered monitor.
+//! * **A/B checkpoint slots** — checkpoint `N` overwrites, from offset 0,
+//!   the slot file of `N`'s parity, then syncs it; the other file holds
+//!   slot `N − 1` and is not touched. A slot starts with a header line
+//!   carrying the format version, the slot sequence number `N`, and the
+//!   CRC32 and length of the body; the bytes past the body are ignored. A
+//!   crash at any byte of a slot write leaves a slot that fails its CRC,
+//!   and recovery uses its sibling.
+//! * **Journal epochs** — every wire report the ingest gate accepts is
+//!   journaled before it is applied. Epoch `N` holds the reports accepted
+//!   after checkpoint `N`: it writes from offset 0 of the journal file of
+//!   `N`'s parity, over the bytes epoch `N − 2` left there. The supervisor
+//!   journals per *commit group* ([`DurableState::append_all`]): one write
+//!   and one `fdatasync` for every report that queued up while the
+//!   previous group was being synced. A record is 40 bytes and ends in a
+//!   CRC32 that also covers the previous record's CRC — the first record's
+//!   covers its epoch number — so bytes past the write offset, whether an
+//!   older epoch or a dead process left them, never read as part of the
+//!   epoch. A journal file is preallocated with 64 KiB and grows only for
+//!   an epoch longer than that (`checkpoint_every` 0, or an oversized
+//!   group): by a zeroed 64 KiB chunk at a time, with a full `fsync`.
+//! * **The crash invariant** — slot `N` has landed before epoch `N` writes
+//!   a byte, and epoch `N` reuses the file of epoch `N − 2`, which no
+//!   recovery reads once slot `N − 1` has landed. A death while slot `N`
+//!   is written recovers from slot `N − 1` over epochs `N − 1` and `N`; a
+//!   death after it from slot `N`, or, if that one is torn later, from
+//!   `N − 1` over the same epochs. A reopened directory numbers its first
+//!   slot after the newest *valid* one, so after a fallback past a torn
+//!   slot it reuses that number; its epoch then goes on after the records
+//!   the dead process journaled under it, which the slot before still
+//!   needs if the new one is torn in turn.
+//! * **Recovery** — [`DurableState::load`] picks the valid slot `S` with
+//!   the highest sequence number and returns the journaled reports of
+//!   epochs `S` and `S + 1`, in append order, tolerating a torn last
+//!   record. Folding those reports through the gate restored from the slot
+//!   into the slot's unit positions is idempotent: the gate's per-unit
+//!   sequence numbers reject everything the slot already covers, so
+//!   over-replay (e.g. after falling back to the older slot) converges to
+//!   the exact pre-crash positions, and one initialization from them is
+//!   the recovered monitor. `load` may run while a live primary writes the
+//!   directory: it re-reads the newest slot after the journals and starts
+//!   over if it moved.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, FORMAT_VERSION};
 use crate::ingest::StampedUpdate;
 use crate::types::{LocationUpdate, UnitId};
 use ctup_spatial::{convert, Point};
 use ctup_storage::crc32;
-use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 const SLOT_FILES: [&str; 2] = ["slot-a.ckpt", "slot-b.ckpt"];
-const SLOT_TMP: &str = "slot.tmp";
+const JOURNAL_FILES: [&str; 2] = ["journal-a.wal", "journal-b.wal"];
 const SLOT_MAGIC: &str = "#ctup-slot";
-const JOURNAL_PREFIX: &str = "journal-";
-const JOURNAL_SUFFIX: &str = ".wal";
+/// Bytes of one journal record: unit sequence number, tick, unit, x, y
+/// (little-endian) and the chained CRC32.
+const RECORD_LEN: usize = 40;
+/// Bytes of a record the CRC covers besides the link: all but the CRC.
+const PAYLOAD_LEN: usize = RECORD_LEN - 4;
+/// What a journal file is preallocated with, and grows by: 1 638 records,
+/// six epochs' worth at the default `checkpoint_every` of 256.
+const JOURNAL_CHUNK: u64 = 64 * 1024;
+/// Slot files are sized in multiples of this, at twice the slot that
+/// first needs the room.
+const SLOT_BLOCK: u64 = 4096;
 
 /// Handle to a state directory: writes checkpoints into alternating A/B
-/// slots and appends accepted wire reports to the current journal segment.
+/// slots and appends accepted wire reports to the current journal epoch.
 #[derive(Debug)]
 pub struct DurableState {
     dir: PathBuf,
     /// Sequence number the *next* checkpoint will be written under.
     next_slot_seq: u64,
-    /// Open journal segment; `None` until the first checkpoint creates one.
-    journal: Option<File>,
+    /// The two journal files, by parity, held open.
+    journals: [File; 2],
+    /// Their lengths: preallocated, and grown only past an epoch's end.
+    journal_lens: [u64; 2],
+    /// The length of the shorter slot file, which every slot must fit.
+    slot_len: u64,
+    /// The epoch appends go to; `None` until the first checkpoint.
+    epoch: Option<Epoch>,
+}
+
+/// Where the current journal epoch writes next.
+#[derive(Debug, Clone, Copy)]
+struct Epoch {
+    /// The epoch number: the slot it follows.
+    seq: u64,
+    /// Write offset into the epoch's file.
+    offset: u64,
+    /// What the next record's CRC covers first: the previous record's CRC,
+    /// or the epoch number before the first record.
+    link: u64,
+}
+
+/// The file of sequence number `seq`'s parity, for slots and journals
+/// alike: odd numbers use the A file, even ones the B file.
+fn parity(seq: u64) -> usize {
+    usize::from(seq.is_multiple_of(2))
 }
 
 impl DurableState {
-    /// Opens (creating if necessary) a state directory. The next checkpoint
-    /// continues the slot sequence found on disk.
+    /// Opens a state directory, creating it and its four files if
+    /// necessary and preallocating the journal files. The preallocation is
+    /// not synced here: the first `fdatasync` of each file makes it durable
+    /// with that file's first write, and every later one flushes data
+    /// alone. The next checkpoint continues the slot sequence found on
+    /// disk.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
+        let open = |name: &str| {
+            OpenOptions::new()
+                .create(true)
+                .truncate(false)
+                .read(true)
+                .write(true)
+                .open(dir.join(name))
+        };
+        let mut journals = [open(JOURNAL_FILES[0])?, open(JOURNAL_FILES[1])?];
+        let mut journal_lens = [0; 2];
+        for (file, len) in journals.iter_mut().zip(&mut journal_lens) {
+            *len = file.metadata()?.len();
+            if *len < JOURNAL_CHUNK {
+                zero_fill(file, *len, JOURNAL_CHUNK)?;
+                *len = JOURNAL_CHUNK;
+            }
+        }
+        let mut slot_len = u64::MAX;
+        for name in SLOT_FILES {
+            slot_len = slot_len.min(open(name)?.metadata()?.len());
+        }
+        sync_dir(&dir)?;
         let newest = newest_slot(&dir).map_or(0, |slot| slot.seq);
         Ok(DurableState {
             dir,
             next_slot_seq: newest + 1,
-            journal: None,
+            journals,
+            journal_lens,
+            slot_len,
+            epoch: None,
         })
     }
 
-    /// The directory this state lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Durably writes `checkpoint` as the next slot: [`rotate`](Self::rotate)
-    /// then [`write_slot`](Self::write_slot), on the calling thread.
+    /// Durably writes `checkpoint` as the next slot — in place over the
+    /// slot file of its parity, then one `fdatasync` — and starts its
+    /// journal epoch: appends from now on go to that epoch (at the first
+    /// checkpoint of a reopened directory, after whatever a dead process
+    /// journaled under the same number). Both slot files are first grown
+    /// and zeroed when the slot does not fit them, which happens at the
+    /// first checkpoint of a directory; each file's next `fdatasync` makes
+    /// its new length durable.
     pub fn checkpoint(&mut self, checkpoint: &Checkpoint) -> io::Result<()> {
-        let seq = self.rotate()?;
-        Self::write_slot(&self.dir, seq, checkpoint)
-    }
-
-    /// Starts the journal segment of the next checkpoint and returns that
-    /// checkpoint's slot sequence number `seq`: appends from now on go to
-    /// `journal-<seq>.wal`, made durable here (create, fsync, fsync
-    /// directory) before slot `seq` can land. Until it does, recovery reads
-    /// slot `seq − 1` over segments `seq − 1` and `seq`. A segment left by
-    /// an earlier process is first cut back to the lines recovery accepts.
-    pub fn rotate(&mut self) -> io::Result<u64> {
         let seq = self.next_slot_seq;
-        let segment = self
-            .dir
-            .join(format!("{JOURNAL_PREFIX}{seq}{JOURNAL_SUFFIX}"));
-        let mut f = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(segment)?;
-        // A torn tail would hide every append after it from `load`.
-        let mut bytes = Vec::new();
-        f.read_to_end(&mut bytes)?;
-        let valid = read_journal(&bytes).1;
-        if valid < bytes.len() {
-            f.set_len(convert::count64(valid))?;
-        }
-        f.sync_all()?;
-        sync_dir(&self.dir)?;
-        self.journal = Some(f);
-        self.next_slot_seq = seq + 1;
-        Ok(seq)
-    }
-
-    /// Durably writes `checkpoint` as slot `seq` of `dir`: into the slot
-    /// file of `seq`'s parity (write temp, fsync, rename, fsync directory),
-    /// then prunes the segments below `seq − 1`. Needs no [`DurableState`],
-    /// so it runs on whichever thread lands the slot.
-    pub fn write_slot(dir: &Path, seq: u64, checkpoint: &Checkpoint) -> io::Result<()> {
         let mut body = Vec::new();
         checkpoint.write(&mut body)?;
-        let tmp = dir.join(SLOT_TMP);
-        {
-            let mut f = File::create(&tmp)?;
-            writeln!(
-                f,
-                "{SLOT_MAGIC} v{FORMAT_VERSION} {seq} {} {}",
-                crc32(&body),
-                body.len()
-            )?;
-            f.write_all(&body)?;
-            f.sync_all()?;
+        let mut slot = format!(
+            "{SLOT_MAGIC} v{FORMAT_VERSION} {seq} {} {}\n",
+            crc32(&body),
+            body.len()
+        )
+        .into_bytes();
+        slot.extend_from_slice(&body);
+        let needed = convert::count64(slot.len());
+        if needed > self.slot_len {
+            let len = (2 * needed).next_multiple_of(SLOT_BLOCK);
+            for name in SLOT_FILES {
+                let mut f = OpenOptions::new().write(true).open(self.dir.join(name))?;
+                let from = f.metadata()?.len();
+                zero_fill(&mut f, from, len)?;
+            }
+            self.slot_len = len;
         }
-        // Alternate slots by sequence parity so consecutive checkpoints
-        // never overwrite each other.
-        let slot = SLOT_FILES[usize::from(seq.is_multiple_of(2))];
-        fs::rename(&tmp, dir.join(slot))?;
-        sync_dir(dir)?;
-        prune_segments(dir, seq.saturating_sub(1));
+        let mut f = OpenOptions::new()
+            .write(true)
+            .open(self.dir.join(SLOT_FILES[parity(seq)]))?;
+        f.write_all(&slot)?;
+        f.sync_data()?;
+        self.next_slot_seq = seq + 1;
+        let mut epoch = Epoch {
+            seq,
+            offset: 0,
+            link: seq,
+        };
+        if self.epoch.is_none() && seq > 1 {
+            // The first slot after `open` takes the number of a torn slot
+            // when recovery fell back past one, and a dead process may have
+            // journaled under that number: those records are the only copy
+            // of what slot `seq − 1` does not cover, so the epoch goes on
+            // after them instead of overwriting them. (A directory without
+            // a valid slot has nothing to recover from.)
+            let records = chain(&self.dir, seq);
+            epoch.offset = convert::count64(records.len() * RECORD_LEN);
+            epoch.link = records.last().map_or(seq, |&(_, crc)| u64::from(crc));
+        }
+        self.epoch = Some(epoch);
         Ok(())
     }
 
@@ -160,86 +215,113 @@ impl DurableState {
     }
 
     /// Appends a commit group of accepted wire reports to the current
-    /// journal segment with one write and one `fdatasync` — called *before*
+    /// journal epoch with one write and one `fdatasync` — called *before*
     /// any of them is applied, so a crash between append and apply replays
     /// them on recovery. A crash between the write and the sync may leave a
-    /// torn last line, which [`load`](Self::load) drops with everything
-    /// after it. An empty group writes and syncs nothing.
+    /// torn record, which [`load`](Self::load) drops with everything after
+    /// it. An empty group writes and syncs nothing.
     pub fn append_all(&mut self, reports: &[StampedUpdate]) -> io::Result<()> {
         if reports.is_empty() {
             return Ok(());
         }
-        let Some(journal) = self.journal.as_mut() else {
+        let Some(mut epoch) = self.epoch else {
             // No checkpoint has been written yet; the caller writes a base
             // checkpoint at startup, so this is a protocol violation.
             return Err(io::Error::other(
                 "journal append before the first checkpoint",
             ));
         };
-        let mut lines = String::with_capacity(reports.len() * 64);
+        let mut bytes = Vec::with_capacity(reports.len() * RECORD_LEN);
         for report in reports {
-            let start = lines.len();
-            // Formatting into a `String` cannot fail.
-            let _ = write!(
-                lines,
-                "{} {} {} {} {}",
-                report.seq,
-                report.ts,
-                report.update.unit.0,
-                report.update.new.x,
-                report.update.new.y
-            );
-            let crc = crc32(&lines.as_bytes()[start..]);
-            let _ = writeln!(lines, " {crc}");
+            epoch.link = u64::from(encode_record(report, epoch.link, &mut bytes));
         }
-        journal.write_all(lines.as_bytes())?;
-        journal.sync_data()
+        let p = parity(epoch.seq);
+        let file = &mut self.journals[p];
+        let end = epoch.offset + convert::count64(bytes.len());
+        file.seek(SeekFrom::Start(epoch.offset))?;
+        file.write_all(&bytes)?;
+        if end > self.journal_lens[p] {
+            // Past the preallocation: zero the rest of a whole chunk, so
+            // the epochs after this one overwrite allocated bytes again,
+            // and sync the new length with the data.
+            let len = end.next_multiple_of(JOURNAL_CHUNK);
+            zero_fill(file, end, len)?;
+            file.sync_all()?;
+            self.journal_lens[p] = len;
+        } else {
+            file.sync_data()?;
+        }
+        epoch.offset = end;
+        self.epoch = Some(epoch);
+        Ok(())
     }
 
-    /// Simulates a torn slot write (for crash testing): truncates the file
-    /// of the newest valid slot to half its length, leaving the older slot
-    /// as the only recovery point.
-    pub fn tear_newest_slot(&self) -> io::Result<()> {
-        let Some(newest) = newest_slot(&self.dir) else {
+    /// Simulates a torn slot write (for crash testing): zeroes the second
+    /// half of the newest valid slot in place, leaving the older slot as
+    /// the only recovery point.
+    pub fn tear_newest_slot(dir: &Path) -> io::Result<()> {
+        let Some(newest) = newest_slot(dir) else {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 "no valid slot to tear",
             ));
         };
-        let f = OpenOptions::new().write(true).open(&newest.path)?;
-        let len = f.metadata()?.len();
-        f.set_len(len / 2)?;
-        f.sync_all()
+        let mut f = OpenOptions::new()
+            .write(true)
+            .open(dir.join(SLOT_FILES[parity(newest.seq)]))?;
+        let half = newest.len / 2;
+        f.seek(SeekFrom::Start(convert::count64(half)))?;
+        f.write_all(&vec![0; newest.len - half])?;
+        f.sync_data()
     }
 
-    /// Loads the newest valid checkpoint slot and the journaled wire
-    /// reports from every surviving segment, in append order. Fails only if
-    /// *no* slot is valid; torn journal tails are tolerated (the journal is
-    /// truncated at the first undecodable line of each segment).
+    /// Loads the newest valid checkpoint slot `S` and the journaled wire
+    /// reports of epochs `S` and `S + 1`, in append order. Fails only if
+    /// *no* slot is valid; a torn journal tail is tolerated (an epoch ends
+    /// at its first record that fails its checks). Safe while another
+    /// process writes the directory: if the newest slot moved while the
+    /// journals were read, it reads again.
     pub fn load(
         dir: impl AsRef<Path>,
     ) -> Result<(Checkpoint, Vec<StampedUpdate>), CheckpointError> {
         let dir = dir.as_ref();
-        let Some(newest) = newest_slot(dir) else {
-            return Err(CheckpointError::Invalid(format!(
-                "no valid checkpoint slot in {}",
-                dir.display()
-            )));
-        };
-        let mut reports = Vec::new();
-        for (_, path) in journal_segments(dir) {
-            if let Ok(bytes) = fs::read(&path) {
-                reports.extend(read_journal(&bytes).0);
+        loop {
+            let Some(newest) = newest_slot(dir) else {
+                return Err(CheckpointError::Invalid(format!(
+                    "no valid checkpoint slot in {}",
+                    dir.display()
+                )));
+            };
+            let mut reports = read_epoch(dir, newest.seq);
+            reports.extend(read_epoch(dir, newest.seq + 1));
+            // Epoch `S` is overwritten only after slot `S + 2` has
+            // replaced slot `S`: an unchanged newest slot means both
+            // epochs were read whole.
+            if newest_slot(dir).is_some_and(|again| again.seq == newest.seq) {
+                return Ok((newest.checkpoint, reports));
             }
         }
-        Ok((newest.checkpoint, reports))
     }
 }
 
-/// Fsyncs a directory so a completed rename survives power loss. Directory
+/// Writes zeros over `[from, to)` of `file`, allocating the bytes so later
+/// overwrites change no file-system metadata (a hole, as `set_len` leaves
+/// one, would be allocated by the first `fdatasync` over it).
+fn zero_fill(file: &mut File, from: u64, to: u64) -> io::Result<()> {
+    const ZEROS: [u8; 8192] = [0; 8192];
+    file.seek(SeekFrom::Start(from))?;
+    let mut left = to.saturating_sub(from);
+    while left > 0 {
+        let n = usize::try_from(left).map_or(ZEROS.len(), |l| l.min(ZEROS.len()));
+        file.write_all(&ZEROS[..n])?;
+        left -= convert::count64(n);
+    }
+    Ok(())
+}
+
+/// Fsyncs a directory so newly created files survive power loss. Directory
 /// handles cannot be opened for syncing on every platform; failures there
-/// degrade to rename-without-dir-sync, which every tier-1 platform already
-/// orders correctly.
+/// degrade to no directory sync.
 fn sync_dir(dir: &Path) -> io::Result<()> {
     match File::open(dir) {
         Ok(d) => d.sync_all().or(Ok(())),
@@ -250,7 +332,8 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
 /// A slot file that passed its checks, decoded.
 struct Slot {
     seq: u64,
-    path: PathBuf,
+    /// Bytes of header and body: where the slot ends in its file.
+    len: usize,
     checkpoint: Checkpoint,
 }
 
@@ -258,30 +341,26 @@ struct Slot {
 /// `seq` after their version, length and CRC checks; only the winner is
 /// decoded, and its sibling only if the winner fails to parse.
 fn newest_slot(dir: &Path) -> Option<Slot> {
-    let mut checked: Vec<(u64, PathBuf, Vec<u8>)> = SLOT_FILES
+    let mut checked: Vec<(u64, usize, Vec<u8>)> = SLOT_FILES
         .iter()
-        .filter_map(|name| {
-            let path = dir.join(name);
-            let (seq, body) = check_slot(&path)?;
-            Some((seq, path, body))
-        })
+        .filter_map(|name| check_slot(&dir.join(name)))
         .collect();
     checked.sort_unstable_by_key(|(seq, _, _)| std::cmp::Reverse(*seq));
-    checked.into_iter().find_map(|(seq, path, body)| {
+    checked.into_iter().find_map(|(seq, len, body)| {
         let checkpoint = Checkpoint::read(&body[..]).ok()?;
         Some(Slot {
             seq,
-            path,
+            len,
             checkpoint,
         })
     })
 }
 
 /// Reads one slot file and checks its header, version, length and CRC,
-/// returning its `seq` and body undecoded. Any failure (missing file, torn
-/// write, corruption) makes the slot invalid — `None` — and recovery falls
-/// back to the other slot.
-fn check_slot(path: &Path) -> Option<(u64, Vec<u8>)> {
+/// returning its `seq`, its length and its body undecoded. Any failure
+/// (missing file, torn write, corruption, another format version) makes
+/// the slot invalid — `None` — and recovery falls back to the other slot.
+fn check_slot(path: &Path) -> Option<(u64, usize, Vec<u8>)> {
     let mut bytes = fs::read(path).ok()?;
     let newline = bytes.iter().position(|&b| b == b'\n')?;
     let header = std::str::from_utf8(&bytes[..newline]).ok()?;
@@ -295,85 +374,86 @@ fn check_slot(path: &Path) -> Option<(u64, Vec<u8>)> {
     let seq: u64 = seq.parse().ok()?;
     let crc: u32 = crc.parse().ok()?;
     let len: usize = len.parse().ok()?;
-    let body = bytes.split_off(newline + 1);
-    if body.len() != len || crc32(&body) != crc {
+    let mut body = bytes.split_off(newline + 1);
+    if body.len() < len {
         return None;
     }
-    Some((seq, body))
-}
-
-/// Deletes the journal segments of `dir` below `keep_from`, by name alone.
-/// Best-effort; a leftover segment is harmless (replay through the gate is
-/// idempotent).
-fn prune_segments(dir: &Path, keep_from: u64) {
-    for (seq, path) in journal_segments(dir) {
-        if seq < keep_from {
-            let _ = fs::remove_file(path);
-        }
+    body.truncate(len);
+    if crc32(&body) != crc {
+        return None;
     }
+    Some((seq, newline + 1 + len, body))
 }
 
-/// The journal segments of `dir`, sorted by slot sequence (append order).
-fn journal_segments(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let mut segments: Vec<(u64, PathBuf)> = fs::read_dir(dir)
+/// Appends `report`'s record, chained to `link`, to `out`; returns its CRC,
+/// the next record's link.
+fn encode_record(report: &StampedUpdate, link: u64, out: &mut Vec<u8>) -> u32 {
+    let start = out.len();
+    out.extend_from_slice(&report.seq.to_le_bytes());
+    out.extend_from_slice(&report.ts.to_le_bytes());
+    out.extend_from_slice(&report.update.unit.0.to_le_bytes());
+    out.extend_from_slice(&report.update.new.x.to_le_bytes());
+    out.extend_from_slice(&report.update.new.y.to_le_bytes());
+    let crc = record_crc(link, &out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    crc
+}
+
+/// The CRC32 of a record: over its link, then its payload.
+fn record_crc(link: u64, payload: &[u8]) -> u32 {
+    let mut covered = [0u8; 8 + PAYLOAD_LEN];
+    covered[..8].copy_from_slice(&link.to_le_bytes());
+    covered[8..].copy_from_slice(payload);
+    crc32(&covered)
+}
+
+/// The reports of journal epoch `epoch`, in append order: read from offset
+/// 0 of its file up to the first record whose CRC does not chain — the end
+/// of the epoch, a record torn mid-append (never synced, so never acked),
+/// or the stale bytes of an older epoch.
+pub(crate) fn read_epoch(dir: &Path, epoch: u64) -> Vec<StampedUpdate> {
+    chain(dir, epoch)
         .into_iter()
-        .flatten()
-        .flatten()
-        .filter_map(|entry| {
-            let name = entry.file_name();
-            let name = name.to_str()?;
-            let seq: u64 = name
-                .strip_prefix(JOURNAL_PREFIX)?
-                .strip_suffix(JOURNAL_SUFFIX)?
-                .parse()
-                .ok()?;
-            Some((seq, entry.path()))
+        .map(|(report, _)| report)
+        .collect()
+}
+
+/// The records of journal epoch `epoch` with their CRCs, in append order.
+fn chain(dir: &Path, epoch: u64) -> Vec<(StampedUpdate, u32)> {
+    let bytes = fs::read(dir.join(JOURNAL_FILES[parity(epoch)])).unwrap_or_default();
+    let mut link = epoch;
+    bytes
+        .chunks_exact(RECORD_LEN)
+        .map_while(|record| {
+            let (report, crc) = decode_record(record, link)?;
+            link = u64::from(crc);
+            Some((report, crc))
         })
-        .collect();
-    segments.sort_unstable_by_key(|(seq, _)| *seq);
-    segments
+        .collect()
 }
 
-/// The reports of one journal segment, in append order, and the length of
-/// the prefix they span. Reading stops at the first line that is
-/// unterminated, not UTF-8 or fails its CRC: the tail a death tore
-/// mid-append, never synced and so never acked.
-fn read_journal(bytes: &[u8]) -> (Vec<StampedUpdate>, usize) {
-    let mut reports = Vec::new();
-    let mut valid = 0;
-    for line in bytes.split_inclusive(|&b| b == b'\n') {
-        let Some(report) = line
-            .strip_suffix(b"\n")
-            .and_then(|l| std::str::from_utf8(l).ok())
-            .and_then(parse_journal_line)
-        else {
-            break;
-        };
-        reports.push(report);
-        valid += line.len();
-    }
-    (reports, valid)
-}
-
-/// Decodes one journal line, `None` on any structural or CRC mismatch.
-fn parse_journal_line(line: &str) -> Option<StampedUpdate> {
-    let (payload, crc) = line.rsplit_once(' ')?;
-    let crc: u32 = crc.parse().ok()?;
-    if crc32(payload.as_bytes()) != crc {
+/// Decodes one record chained to `link`; `None` if its CRC disagrees.
+fn decode_record(record: &[u8], link: u64) -> Option<(StampedUpdate, u32)> {
+    let (payload, crc) = record.split_at(PAYLOAD_LEN);
+    let crc = u32::from_le_bytes(crc.try_into().ok()?);
+    if record_crc(link, payload) != crc {
         return None;
     }
-    let fields: Vec<&str> = payload.split_ascii_whitespace().collect();
-    let [seq, ts, unit, x, y] = fields.as_slice() else {
-        return None;
+    let u64_at = |at: usize| -> Option<u64> {
+        Some(u64::from_le_bytes(
+            payload.get(at..at + 8)?.try_into().ok()?,
+        ))
     };
-    Some(StampedUpdate {
-        seq: seq.parse().ok()?,
-        ts: ts.parse().ok()?,
+    let unit = u32::from_le_bytes(payload.get(16..20)?.try_into().ok()?);
+    let report = StampedUpdate {
+        seq: u64_at(0)?,
+        ts: u64_at(8)?,
         update: LocationUpdate {
-            unit: UnitId(unit.parse().ok()?),
-            new: Point::new(x.parse().ok()?, y.parse().ok()?),
+            unit: UnitId(unit),
+            new: Point::new(f64::from_bits(u64_at(20)?), f64::from_bits(u64_at(28)?)),
         },
-    })
+    };
+    Some((report, crc))
 }
 
 #[cfg(test)]
@@ -416,6 +496,24 @@ mod tests {
         }
     }
 
+    fn reports(seqs: std::ops::RangeInclusive<u64>) -> Vec<StampedUpdate> {
+        seqs.map(|s| report(s, 0.01 * s as f64)).collect()
+    }
+
+    /// Every file of the directory with its length, by name.
+    fn lengths(dir: &Path) -> Vec<(String, u64)> {
+        let mut files: Vec<(String, u64)> = fs::read_dir(dir)
+            .expect("state dir")
+            .flatten()
+            .map(|e| {
+                let len = e.metadata().expect("metadata").len();
+                (e.file_name().to_string_lossy().into_owned(), len)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     #[cfg_attr(miri, ignore)] // touches the real filesystem
     fn slot_and_journal_roundtrip() {
@@ -431,7 +529,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A commit group lands as one line per report, in order, readable
+    /// A commit group lands as one record per report, in order, readable
     /// after single-record appends on either side of it.
     #[test]
     #[cfg_attr(miri, ignore)] // touches the real filesystem
@@ -440,7 +538,7 @@ mod tests {
         let mut state = DurableState::open(&dir).expect("open");
         state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
         state.append(report(1, 0.125)).expect("append");
-        let group: Vec<StampedUpdate> = (2..=6).map(|s| report(s, 0.1 * s as f64)).collect();
+        let group = reports(2..=6);
         state.append_all(&group).expect("append group");
         state.append(report(7, 0.875)).expect("append");
 
@@ -452,26 +550,55 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A kill between a group's write and its sync can leave the group
-    /// torn mid-line: recovery keeps exactly the whole lines before the
-    /// tear, never the fragment and never a line after it.
+    /// The state directory is four fixed files. Their lengths are set by
+    /// `open` and the first checkpoint, and checkpoints and appends after
+    /// that only overwrite them.
     #[test]
     #[cfg_attr(miri, ignore)] // touches the real filesystem
-    fn group_torn_mid_line_keeps_the_whole_lines_before_it() {
+    fn four_fixed_files_keep_their_lengths() {
         let dir = temp_state_dir();
         let mut state = DurableState::open(&dir).expect("open");
         state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
-        let group: Vec<StampedUpdate> = (1..=5).map(|s| report(s, 0.1 * s as f64)).collect();
+        let sized = lengths(&dir);
+        let names: Vec<&str> = sized.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "journal-a.wal",
+                "journal-b.wal",
+                "slot-a.ckpt",
+                "slot-b.ckpt"
+            ]
+        );
+        assert!(sized.iter().all(|&(_, len)| len > 0), "{sized:?}");
+        for tag in 2..=12 {
+            state.append_all(&reports(1..=20)).expect("append");
+            state
+                .checkpoint(&sample_checkpoint(tag))
+                .expect("checkpoint");
+        }
+        assert_eq!(lengths(&dir), sized);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A kill between a group's write and its sync can leave the group
+    /// torn mid-record: recovery keeps exactly the whole records before
+    /// the tear, never the fragment and never a record after it.
+    #[test]
+    #[cfg_attr(miri, ignore)] // touches the real filesystem
+    fn group_torn_mid_record_keeps_the_whole_records_before_it() {
+        let dir = temp_state_dir();
+        let mut state = DurableState::open(&dir).expect("open");
+        state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
+        let group = reports(1..=5);
         state.append_all(&group).expect("append group");
-        let segment = dir.join(format!("{JOURNAL_PREFIX}1{JOURNAL_SUFFIX}"));
-        let text = fs::read_to_string(&segment).expect("read journal");
-        let line_starts: Vec<usize> = std::iter::once(0)
-            .chain(text.match_indices('\n').map(|(i, _)| i + 1))
-            .collect();
-        assert_eq!(line_starts.len(), 6, "one line per report");
-        // Cut the third line in half.
-        let cut = (line_starts[2] + line_starts[3]) / 2;
-        fs::write(&segment, &text[..cut]).expect("tear journal");
+        // Only half of the third record reached the disk: the rest of it,
+        // and the records after it, still hold the preallocated zeros.
+        let journal = dir.join(JOURNAL_FILES[0]);
+        let mut bytes = fs::read(&journal).expect("read journal");
+        let torn = 2 * RECORD_LEN + RECORD_LEN / 2;
+        bytes[torn..5 * RECORD_LEN].fill(0);
+        fs::write(&journal, bytes).expect("tear journal");
 
         let (_, tail) = DurableState::load(&dir).expect("load");
         assert_eq!(tail, group[..2].to_vec());
@@ -480,92 +607,159 @@ mod tests {
 
     /// An empty group is no append at all: no write — not even the
     /// protocol-violation error a write before the first checkpoint gets —
-    /// and nothing added to an open segment.
+    /// and no byte of the journal changes.
     #[test]
     #[cfg_attr(miri, ignore)] // touches the real filesystem
     fn append_all_of_nothing_writes_nothing() {
         let dir = temp_state_dir();
         let mut state = DurableState::open(&dir).expect("open");
         state.append_all(&[]).expect("nothing to write");
-        assert!(state.append(report(1, 0.5)).is_err(), "no segment yet");
+        assert!(state.append(report(1, 0.5)).is_err(), "no epoch yet");
         state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
-        let segment = dir.join(format!("{JOURNAL_PREFIX}1{JOURNAL_SUFFIX}"));
+        let journal = dir.join(JOURNAL_FILES[0]);
+        let before = fs::read(&journal).expect("journal");
         state.append_all(&[]).expect("nothing to write");
-        assert_eq!(fs::metadata(&segment).expect("segment").len(), 0);
+        assert_eq!(fs::read(&journal).expect("journal"), before);
         let (_, tail) = DurableState::load(&dir).expect("load");
         assert!(tail.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A slot torn in place falls back to its sibling, and recovery reads
+    /// both journal epochs: the one after the sibling and the one after
+    /// the torn slot.
     #[test]
     #[cfg_attr(miri, ignore)] // touches the real filesystem
-    fn torn_newest_slot_falls_back_to_older() {
+    fn torn_slot_falls_back_to_its_sibling_over_both_epochs() {
         let dir = temp_state_dir();
         let mut state = DurableState::open(&dir).expect("open");
         state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
         state.append(report(2, 0.25)).expect("append");
         state.checkpoint(&sample_checkpoint(2)).expect("checkpoint");
         state.append(report(3, 0.75)).expect("append");
-        state.tear_newest_slot().expect("tear");
+        let sized = lengths(&dir);
+        DurableState::tear_newest_slot(&dir).expect("tear");
+        assert_eq!(lengths(&dir), sized, "the tear is in place");
 
         let (cp, tail) = DurableState::load(&dir).expect("load");
         assert_eq!(cp, sample_checkpoint(1), "older slot survives the tear");
-        // Both segments survive: the tail re-covers the updates the torn
-        // slot had absorbed, and gate replay dedups them.
+        // The tail re-covers the updates the torn slot had absorbed, and
+        // gate replay dedups them.
         assert_eq!(tail, vec![report(2, 0.25), report(3, 0.75)]);
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A death between a rotation and its slot: segment `N` is open and
-    /// holds a group, slot `N` never landed. Recovery reads slot `N − 1`
-    /// over segments `N − 1` and `N`; a restart resumes at `N`, cutting the
-    /// torn tail off the segment it reopens so its appends stay readable.
+    /// A death between the switch to epoch `N` and a whole slot `N`: slot 3
+    /// is torn, and the journal file it shares with epoch 1 still holds
+    /// that epoch's longer content past epoch 3's records. Recovery reads
+    /// slot 2 over epochs 2 and 3 and nothing of epoch 1.
     #[test]
     #[cfg_attr(miri, ignore)] // touches the real filesystem
-    fn slot_that_never_lands_recovers_from_the_one_before() {
+    fn a_death_before_slot_n_is_whole_recovers_from_n_minus_1() {
         let dir = temp_state_dir();
         let mut state = DurableState::open(&dir).expect("open");
         state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
-        state.append(report(1, 0.125)).expect("append");
-        assert_eq!(state.rotate().expect("rotate"), 2);
-        let group: Vec<StampedUpdate> = (2..=4).map(|s| report(s, 0.1 * s as f64)).collect();
-        state.append_all(&group).expect("append group");
+        state.append_all(&reports(1..=6)).expect("epoch 1");
+        state.checkpoint(&sample_checkpoint(6)).expect("checkpoint");
+        state.append_all(&reports(7..=8)).expect("epoch 2");
+        state.checkpoint(&sample_checkpoint(8)).expect("checkpoint");
+        state.append_all(&reports(9..=10)).expect("epoch 3");
+        DurableState::tear_newest_slot(&dir).expect("tear slot 3");
         drop(state);
 
         let (cp, tail) = DurableState::load(&dir).expect("load");
-        assert_eq!(cp, sample_checkpoint(1));
-        let mut expected = vec![report(1, 0.125)];
-        expected.extend(group);
-        assert_eq!(tail, expected);
-
-        let segment = dir.join(format!("{JOURNAL_PREFIX}2{JOURNAL_SUFFIX}"));
-        let text = fs::read_to_string(&segment).expect("read journal");
-        fs::write(&segment, &text[..text.len() - 7]).expect("tear journal");
-        let mut reopened = DurableState::open(&dir).expect("reopen");
-        assert_eq!(reopened.rotate().expect("rotate"), 2, "resumes at N");
-        reopened.append(report(5, 0.5)).expect("append");
-        let (_, tail) = DurableState::load(&dir).expect("load");
-        expected.truncate(3);
-        expected.push(report(5, 0.5));
-        assert_eq!(tail, expected);
+        assert_eq!(cp, sample_checkpoint(6));
+        assert_eq!(tail, reports(7..=10));
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Bytes past an epoch's write offset are never replayed: an older
+    /// epoch's longer content in the same file is not read as part of the
+    /// epoch.
     #[test]
     #[cfg_attr(miri, ignore)] // touches the real filesystem
-    fn torn_journal_tail_is_truncated_not_fatal() {
+    fn stale_records_past_the_write_offset_are_never_replayed() {
         let dir = temp_state_dir();
         let mut state = DurableState::open(&dir).expect("open");
         state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
-        state.append(report(1, 0.125)).expect("append");
-        state.append(report(2, 0.375)).expect("append");
-        // Tear the last line mid-append.
-        let segment = dir.join(format!("{JOURNAL_PREFIX}1{JOURNAL_SUFFIX}"));
-        let text = fs::read_to_string(&segment).expect("read journal");
-        fs::write(&segment, &text[..text.len() - 7]).expect("tear journal");
+        state.append_all(&reports(1..=8)).expect("epoch 1");
+        state.checkpoint(&sample_checkpoint(8)).expect("checkpoint");
+        state.checkpoint(&sample_checkpoint(8)).expect("checkpoint");
+        state.append_all(&reports(9..=10)).expect("epoch 3");
+        let (cp, tail) = DurableState::load(&dir).expect("load");
+        assert_eq!(cp, sample_checkpoint(8));
+        assert_eq!(tail, reports(9..=10), "epoch 1 is gone");
+        let _ = fs::remove_dir_all(&dir);
+    }
 
+    /// A process dies with slot 4 torn after epoch 4 took records, and
+    /// recovery falls back to slot 3. The reopened directory writes its
+    /// first slot as 4 again, and epoch 4 goes on after the dead process's
+    /// records instead of overwriting them: when the new slot 4 is torn
+    /// too, slot 3 still finds every record after it.
+    #[test]
+    #[cfg_attr(miri, ignore)] // touches the real filesystem
+    fn a_reopened_epoch_keeps_the_dead_process_records() {
+        let dir = temp_state_dir();
+        let mut state = DurableState::open(&dir).expect("open");
+        state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
+        state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
+        state.append_all(&reports(1..=8)).expect("epoch 2");
+        state.checkpoint(&sample_checkpoint(8)).expect("checkpoint");
+        state.append_all(&reports(9..=10)).expect("epoch 3");
+        state
+            .checkpoint(&sample_checkpoint(10))
+            .expect("checkpoint");
+        state.append_all(&reports(11..=16)).expect("epoch 4");
+        drop(state);
+        DurableState::tear_newest_slot(&dir).expect("tear slot 4");
+        let (cp, tail) = DurableState::load(&dir).expect("load");
+        assert_eq!(cp, sample_checkpoint(8));
+        assert_eq!(tail, reports(9..=16));
+
+        let mut reopened = DurableState::open(&dir).expect("reopen");
+        reopened
+            .checkpoint(&sample_checkpoint(16))
+            .expect("checkpoint");
+        reopened.append(report(17, 0.5)).expect("append");
+        let (cp, tail) = DurableState::load(&dir).expect("load");
+        assert_eq!(cp, sample_checkpoint(16));
+        // The dead records come back too; the gate restored from the slot
+        // drops them as already covered.
+        let mut after_slot_4 = reports(11..=16);
+        after_slot_4.push(report(17, 0.5));
+        assert_eq!(tail, after_slot_4);
+
+        DurableState::tear_newest_slot(&dir).expect("tear the new slot 4");
+        let (cp, tail) = DurableState::load(&dir).expect("load");
+        assert_eq!(cp, sample_checkpoint(8));
+        let mut after_slot_3 = reports(9..=16);
+        after_slot_3.push(report(17, 0.5));
+        assert_eq!(tail, after_slot_3, "no acked report is lost");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// With no checkpoint after the first (`checkpoint_every` 0) one epoch
+    /// outgrows the preallocation: the file grows by whole chunks, and
+    /// every record stays readable across the groups.
+    #[test]
+    #[cfg_attr(miri, ignore)] // touches the real filesystem
+    fn the_journal_stays_readable_past_its_preallocation() {
+        let dir = temp_state_dir();
+        let mut state = DurableState::open(&dir).expect("open");
+        state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
+        let per_chunk = JOURNAL_CHUNK / convert::count64(RECORD_LEN);
+        let total = per_chunk * 2 + 100;
+        let all = reports(1..=total);
+        for group in all.chunks(700) {
+            state.append_all(group).expect("append group");
+        }
+        let len = fs::metadata(dir.join(JOURNAL_FILES[0]))
+            .expect("journal")
+            .len();
+        assert_eq!(len, 3 * JOURNAL_CHUNK);
         let (_, tail) = DurableState::load(&dir).expect("load");
-        assert_eq!(tail, vec![report(1, 0.125)]);
+        assert_eq!(tail, all);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -577,8 +771,8 @@ mod tests {
         state.checkpoint(&sample_checkpoint(1)).expect("checkpoint");
         let slot = dir.join(SLOT_FILES[0]);
         let mut bytes = fs::read(&slot).expect("read slot");
-        let last = bytes.len() - 2;
-        bytes[last] ^= 0x40;
+        let end = check_slot(&slot).expect("a valid slot").1;
+        bytes[end - 2] ^= 0x40;
         fs::write(&slot, bytes).expect("corrupt slot");
 
         assert!(
@@ -588,14 +782,15 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Slots written by v4 and v5 builds — well-formed, CRC-correct,
-    /// carrying the derived sections v6 dropped (and, for v4, the `layout`
-    /// line) — are refused at their version rather than read as a
-    /// checkpoint.
+    /// Directories written by earlier builds are refused at their version,
+    /// never half-read. v4 and v5 slots carry the derived sections v6
+    /// dropped (and, for v4, the `layout` line). A v6 directory is the
+    /// layout before the four fixed files: slots replaced by rename beside
+    /// `journal-<N>.wal` text segments.
     #[test]
     #[cfg_attr(miri, ignore)] // touches the real filesystem
-    fn previous_version_slot_is_refused() {
-        for version in [4, 5] {
+    fn previous_version_directories_are_refused() {
+        for version in [4, 5, 6] {
             let dir = temp_state_dir();
             fs::create_dir_all(&dir).expect("create dir");
             let mut body = Vec::new();
@@ -608,10 +803,16 @@ mod tests {
                 body.len()
             );
             fs::write(dir.join(SLOT_FILES[0]), slot).expect("write slot");
+            let line = "1 1 0 0.125 0.5";
+            fs::write(
+                dir.join("journal-1.wal"),
+                format!("{line} {}\n", crc32(line.as_bytes())),
+            )
+            .expect("write segment");
 
             match DurableState::load(&dir) {
                 Err(CheckpointError::Invalid(_)) => {}
-                other => panic!("a v{version} slot must be refused, got {other:?}"),
+                other => panic!("a v{version} directory must be refused, got {other:?}"),
             }
             let _ = fs::remove_dir_all(&dir);
         }
@@ -619,7 +820,7 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore)] // touches the real filesystem
-    fn reopen_continues_slot_sequence_and_prunes() {
+    fn reopen_continues_the_slot_sequence() {
         let dir = temp_state_dir();
         let mut state = DurableState::open(&dir).expect("open");
         for tag in 1..=3u64 {
@@ -627,21 +828,21 @@ mod tests {
                 .checkpoint(&sample_checkpoint(tag))
                 .expect("checkpoint");
         }
-        // Slots now hold seq 2 and 3; segment 1 is pruned.
-        assert!(!dir
-            .join(format!("{JOURNAL_PREFIX}1{JOURNAL_SUFFIX}"))
-            .exists());
         let (cp, _) = DurableState::load(&dir).expect("load");
         assert_eq!(cp, sample_checkpoint(3));
 
         // A restarted process continues the sequence instead of recycling
-        // numbers the old slots still carry.
+        // numbers the old slots still carry: slot 4 replaces slot 2, and
+        // slot 3 stays the fallback.
         let mut reopened = DurableState::open(&dir).expect("reopen");
         reopened
             .checkpoint(&sample_checkpoint(4))
             .expect("checkpoint");
         let (cp, _) = DurableState::load(&dir).expect("load");
         assert_eq!(cp, sample_checkpoint(4));
+        DurableState::tear_newest_slot(&dir).expect("tear");
+        let (cp, _) = DurableState::load(&dir).expect("load");
+        assert_eq!(cp, sample_checkpoint(3));
         let _ = fs::remove_dir_all(&dir);
     }
 }

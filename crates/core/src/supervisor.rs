@@ -1,40 +1,42 @@
 //! Supervised ingestion: the degraded-feed hardening layer.
 //!
-//! [`SupervisedPipeline`] runs the monitor on a worker thread behind a
-//! bounded report channel, and the worker runs the full resilience stack
-//! over *commit groups* — a report plus every report queued behind it, cut
-//! at the next durable slot:
+//! [`SupervisedPipeline`] runs the monitor behind a bounded report channel
+//! on two threads, and runs the full resilience stack over *commit groups*
+//! — a report plus every report queued behind it, cut at the next durable
+//! slot. The *commit stage* (`ctup-supervisor`) takes steps 1, 2 and 4, the
+//! *apply stage* (`ctup-apply`) steps 3 and 5, and while the apply stage
+//! runs one group the commit stage syncs the next:
 //!
 //! 1. every inbound [`StampedUpdate`] of the group passes the
 //!    [`IngestGate`] (validation, dedup, liveness leases — see
 //!    [`crate::ingest`]);
 //! 2. when [`ResilienceConfig::state_dir`] is set, the group's accepted
-//!    wire reports are journaled with one write and one `fdatasync`
-//!    before any of them is applied; then the
-//!    [durable mark](SupervisedPipeline::durable_mark) advances over the
-//!    whole group and is announced once. Without a `state_dir` nothing is
-//!    persisted and the mark advances on receipt;
+//!    wire reports are journaled with one write and one `fdatasync`; then
+//!    the [durable mark](SupervisedPipeline::durable_mark) advances over
+//!    the whole group and is announced once, and the group — rejections
+//!    included, for the flight recorder — is handed to the apply stage
+//!    over a queue that holds one group. No report reaches the engine
+//!    before its group's sync, and every ack precedes its apply. Without a
+//!    `state_dir` nothing is persisted and the mark advances on receipt;
 //! 3. each *effective* update is applied, in order, inside
 //!    [`std::panic::catch_unwind`], so a panicking query processor does not
-//!    kill the worker; a [`StorageError`] surfaced by the processor (a read
-//!    that exhausted its retries, a page whose checksum failed) is contained
-//!    the same way. After each successful apply the worker records the
-//!    unit's new position, so it always holds the positions the engine was
-//!    last correct at;
+//!    kill the apply stage; a [`StorageError`] surfaced by the processor (a
+//!    read that exhausted its retries, a page whose checksum failed) is
+//!    contained the same way. After each successful apply the stage
+//!    records the unit's new position, so it always holds the positions
+//!    the engine was last correct at;
 //! 4. with a `state_dir`, at the end of a group that brought the count
 //!    since the last slot to `checkpoint_every` effective updates, the
-//!    worker persists a [`Checkpoint`] (unit positions plus [`GateState`])
-//!    via the A/B slot protocol of [`crate::durable`]: it rotates the
-//!    journal to the checkpoint's segment and hands the snapshot to one
-//!    slot-writer thread, which lands the slot while the worker keeps
-//!    applying. The hand-off waits for the previous slot, so at most one is
-//!    in flight; a slot that fails to land stops the worker at the next
-//!    group start, and every exit (a simulated kill included) joins the
-//!    writer first. Never inside a group, so the gate state and the
-//!    positions it captures always cover the same reports. Without a
-//!    `state_dir` no checkpoint is taken at all;
-//! 5. after a caught panic or contained storage error the worker restores
-//!    the monitor by one fresh initialization from the positions it holds
+//!    commit stage writes a [`Checkpoint`] inline, before it hands the
+//!    group over: its own copy of the unit positions, folded from the
+//!    gate's effective updates (parks included), plus the [`GateState`],
+//!    in place over the older A/B slot of [`crate::durable`]. A slot is a
+//!    function of the journal, never of the engine, and is never taken
+//!    inside a group, so the gate state and the positions it captures
+//!    always cover the same reports. A journal or slot write that fails
+//!    stops both stages. Without a `state_dir` no checkpoint is taken;
+//! 5. after a caught panic or contained storage error the apply stage
+//!    restores the monitor by one fresh initialization from the positions it holds
 //!    — restore *is* init — and retries the update that crashed. Nothing
 //!    is replayed through an engine, so no event needs suppressing. The
 //!    new engine may break a tie at `SK` differently from the one that
@@ -42,22 +44,31 @@
 //!    ([`Server::take_over_published`]) and the retry diffs against what
 //!    subscribers hold. Every recovery attempt spends one of
 //!    `max_restarts`, and a restore that fails is retried like a crash in
-//!    apply; once the budget is spent the worker gives up and reports so.
+//!    apply; once the budget is spent the pipeline gives up and reports so.
+//!
+//! The state directory has one writer at a time. The commit stage writes
+//! it only under the pipeline's directory lock, and not at all once the
+//! apply stage has stopped; the apply stage, when it stops, tears the slot
+//! ([`ResilienceConfig::tear_slot_on_kill`]) and dumps the flight recorder
+//! under the same lock and only then marks the pipeline stopped. So once
+//! [`SupervisedPipeline::worker_dead`] is true, no thread writes the
+//! directory, and recovery may open it.
 //!
 //! After a *process* death (not just a worker panic),
 //! [`SupervisedPipeline::recover_from_dir`] loads the newest valid durable
 //! slot, folds the journaled tail through the restored gate into the
 //! slot's unit positions — the gate's dedup state makes the fold
 //! idempotent — and initializes the monitor once from the result. The
-//! tail may end in one journaled group that was never (or only partly)
-//! applied.
+//! tail may end in journaled groups that were never (or only partly)
+//! applied: up to the one being applied, the one queued and the one the
+//! commit stage waited to hand over.
 //!
 //! Deterministic fault injection for tests and the `chaos` CLI command is
 //! built in: [`ResilienceConfig::panic_at`] crashes the processor at chosen
 //! effective sequence numbers, exactly once each, and
-//! [`ResilienceConfig::kill_at`] halts the worker abruptly mid-stream the
-//! way `kill -9` would, optionally tearing the newest durable slot to
-//! exercise the A/B fallback.
+//! [`ResilienceConfig::kill_at`] halts the apply stage abruptly mid-stream
+//! the way `kill -9` would, and the commit stage with it, optionally
+//! tearing the newest durable slot to exercise the A/B fallback.
 //!
 //! All decisions are counted in [`ResilienceStats`], folded into the final
 //! [`Metrics`] of the [`SupervisedReport`].
@@ -75,9 +86,9 @@ use ctup_storage::PlaceStore;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Tuning of the resilience layer.
@@ -100,14 +111,16 @@ pub struct ResilienceConfig {
     /// journal (see [`crate::durable`]); `None` persists nothing, so the
     /// monitor survives worker panics but not a process death.
     pub state_dir: Option<PathBuf>,
-    /// Simulated process death: the worker halts abruptly — no final
+    /// Simulated process death: the apply stage halts abruptly — no final
     /// checkpoint, no cleanup — right before applying the effective update
-    /// with this sequence number. Recovery is then exercised with
+    /// with this sequence number, and the commit stage journals nothing
+    /// after that. Recovery is then exercised with
     /// [`SupervisedPipeline::recover_from_dir`].
     pub kill_at: Option<u64>,
-    /// When the kill fires, additionally truncate the newest durable slot,
-    /// simulating a death *mid-checkpoint-write*: recovery must fall back
-    /// to the older slot and a longer journal tail.
+    /// When the kill fires, additionally tear the newest durable slot in
+    /// place, after the commit stage's last write, simulating a death
+    /// *mid-checkpoint-write*: recovery must fall back to the older slot
+    /// and a longer journal tail.
     pub tear_slot_on_kill: bool,
     /// How many recent per-update trace events the flight recorder keeps
     /// in its ring; dumped as JSON Lines into `state_dir` (as
@@ -189,18 +202,25 @@ pub struct SupervisedReport {
     pub flight_recorder_path: Option<PathBuf>,
 }
 
-/// Called by the worker once per commit group, right after the group's
-/// journal sync has advanced the
+/// Called by the commit stage once per commit group, right after the
+/// group's journal sync has advanced the
 /// [durable mark](SupervisedPipeline::durable_mark). See
 /// [`SupervisedPipeline::set_durable_hook`].
 pub type DurableHook = Arc<dyn Fn() + Send + Sync>;
 
-/// The durable mark and who to tell about it, shared between the pipeline
-/// handle and its worker.
+/// The durable mark, who to tell about it, and who may still write the
+/// state directory, shared between the pipeline handle and its two stages.
 #[derive(Default)]
 struct DurableLine {
     mark: AtomicU64,
     hook: Mutex<Option<DurableHook>>,
+    /// Held around every write to the state directory.
+    writes: Mutex<()>,
+    /// Set under `writes` when the apply stage stops: from then on no
+    /// thread writes the state directory, and the pipeline is dead.
+    stopped: AtomicBool,
+    /// Set by the commit stage when a journal or slot write failed.
+    failed: AtomicBool,
 }
 
 impl DurableLine {
@@ -221,10 +241,39 @@ impl DurableLine {
             hook();
         }
     }
+
+    fn lock(&self) -> MutexGuard<'_, ()> {
+        match self.writes.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// The right to write the state directory until the guard drops;
+    /// `None` once the apply stage has stopped.
+    fn write_access(&self) -> Option<MutexGuard<'_, ()>> {
+        let guard = self.lock();
+        (!self.stopped()).then_some(guard)
+    }
+
+    /// Stops the pipeline: runs the apply stage's `last_writes` while no
+    /// commit-stage write is in flight, then marks the pipeline stopped, so
+    /// nothing writes the state directory once anyone can see it dead.
+    fn stop<T>(&self, last_writes: impl FnOnce() -> T) -> T {
+        let _guard = self.lock();
+        let out = last_writes();
+        self.stopped.store(true, Ordering::Release);
+        out
+    }
+
+    fn stopped(&self) -> bool {
+        self.stopped.load(Ordering::Acquire)
+    }
 }
 
-/// A monitoring server on a supervised worker thread: validated ingest,
-/// liveness leases, panic containment and checkpoint-restart.
+/// A monitoring server on two supervised threads, a commit stage and an
+/// apply stage: validated ingest, liveness leases, panic containment and
+/// checkpoint-restart.
 pub struct SupervisedPipeline {
     reports_tx: Option<SyncSender<TracedReport>>,
     events_rx: EventReceiver,
@@ -320,7 +369,7 @@ impl SupervisedPipeline {
         ))
     }
 
-    /// Spawns the supervised worker around a live monitor and the gate it
+    /// Spawns the supervised stages around a live monitor and the gate it
     /// ran behind, so dedup and lease decisions carry over (standby
     /// promotion, recovery); `initial_stats` seeds the resilience counters.
     pub(crate) fn spawn_with_gate<A>(
@@ -336,25 +385,66 @@ impl SupervisedPipeline {
         assert!(capacity > 0, "capacity must be positive");
         let (reports_tx, reports_rx) = sync_channel::<TracedReport>(capacity);
         let (events_tx, events_rx) = sync_channel::<EventBatch>(capacity);
+        // One group applying, one queued: the commit stage syncs the next
+        // group meanwhile and waits here for the apply stage to catch up.
+        let (groups_tx, groups_rx) = sync_channel::<Group>(1);
         let durable = Arc::new(DurableLine::default());
-        let worker_durable = Arc::clone(&durable);
         // Events only carry changes, so whoever serves this pipeline's
         // top-k needs the state the worker starts from — which, after a
         // recovery, is the result over the folded journal.
         let initial_result = algorithm.result();
+        // The spawn-time slot; both stages keep their own copy of the
+        // positions it holds from here on.
+        let mut spawned = algorithm.checkpoint();
+        spawned.gate = Some(gate.state());
+        let restart = Checkpoint {
+            gate: None,
+            ..spawned.clone()
+        };
+        let apply_line = Arc::clone(&durable);
+        let apply_config = config.clone();
+        #[allow(clippy::expect_used)]
+        let applier = std::thread::Builder::new()
+            .name("ctup-apply".into())
+            .spawn(move || {
+                apply(
+                    algorithm,
+                    restart,
+                    &apply_config,
+                    groups_rx,
+                    events_tx,
+                    &apply_line,
+                )
+            })
+            // ctup-lint: allow(L001, thread spawn fails only on OS resource exhaustion at construction — there is no monitor to degrade to yet)
+            .expect("spawn ctup-apply thread");
+        let commit_line = Arc::clone(&durable);
         #[allow(clippy::expect_used)]
         let worker = std::thread::Builder::new()
             .name("ctup-supervisor".into())
             .spawn(move || {
-                supervise(
-                    algorithm,
+                let committed = commit(
                     gate,
-                    config,
                     initial_stats,
+                    spawned,
+                    &config,
                     reports_rx,
-                    events_tx,
-                    &worker_durable,
-                )
+                    groups_tx,
+                    &commit_line,
+                );
+                // The apply stage drains what was handed over and stops.
+                let mut report = applier.join().unwrap_or_else(|_| gave_up_report());
+                // The apply stage counts the self-heals, the commit stage
+                // the rest.
+                let (healed, seeded) = (report.metrics.resilience, committed.stats);
+                report.metrics.resilience = ResilienceStats {
+                    worker_panics: seeded.worker_panics + healed.worker_panics,
+                    worker_restarts: seeded.worker_restarts + healed.worker_restarts,
+                    storage_errors: seeded.storage_errors + healed.storage_errors,
+                    ..seeded
+                };
+                report.reports_received = committed.reports_received;
+                report
             })
             // ctup-lint: allow(L001, thread spawn fails only on OS resource exhaustion at construction — there is no monitor to degrade to yet)
             .expect("spawn ctup-supervisor thread");
@@ -375,16 +465,17 @@ impl SupervisedPipeline {
         &self.initial_result
     }
 
-    /// Installs the durable hook, replacing any earlier one. The worker
-    /// calls it once per commit group — right after the group's journal
-    /// sync, when the [durable mark](Self::durable_mark) has just moved
-    /// over every report of the group — and once more when it exits; a
-    /// hook installed while the worker is idle hears about the mark the
-    /// next time the worker runs dry. Never per report: a group holds
-    /// everything that queued up while the previous one was being synced,
-    /// so the busier the worker, the more reports one call covers. The
-    /// hook runs on the worker thread; it must not block and must not own
-    /// this pipeline (hold a `Weak` at most).
+    /// Installs the durable hook, replacing any earlier one. The commit
+    /// stage calls it once per commit group — right after the group's
+    /// journal sync, when the [durable mark](Self::durable_mark) has just
+    /// moved over every report of the group, before the group is applied —
+    /// and once more when it exits; a hook installed while the pipeline is
+    /// idle hears about the mark the next time the commit stage runs dry.
+    /// Never per report: a group holds everything that queued up while the
+    /// previous one was being synced, so the busier the pipeline, the more
+    /// reports one call covers. The hook runs on the commit stage's thread;
+    /// it must not block and must not own this pipeline (hold a `Weak` at
+    /// most).
     pub fn set_durable_hook(&self, hook: DurableHook) {
         let mut slot = match self.durable.hook.lock() {
             Ok(guard) => guard,
@@ -404,8 +495,10 @@ impl SupervisedPipeline {
     /// queue is full. The worker records per-stage spans for it when
     /// [`ResilienceConfig::spans`] is set and the trace id is non-zero.
     pub fn send_traced(&self, report: TracedReport) -> Result<(), SendError> {
-        let Some(tx) = self.reports_tx.as_ref() else {
-            return Err(SendError::WorkerDied); // only after shutdown() took the sender
+        let Some(tx) = self.reports_tx.as_ref().filter(|_| !self.durable.stopped()) else {
+            // After shutdown() took the sender, or once the apply stage
+            // stopped while the commit stage sat idle.
+            return Err(SendError::WorkerDied);
         };
         tx.send(report).map_err(|_| SendError::WorkerDied)
     }
@@ -418,8 +511,8 @@ impl SupervisedPipeline {
 
     /// Non-blocking variant of [`SupervisedPipeline::send_traced`].
     pub fn try_send_traced(&self, report: TracedReport) -> Result<(), SendError> {
-        let Some(tx) = self.reports_tx.as_ref() else {
-            return Err(SendError::WorkerDied); // only after shutdown() took the sender
+        let Some(tx) = self.reports_tx.as_ref().filter(|_| !self.durable.stopped()) else {
+            return Err(SendError::WorkerDied);
         };
         match tx.try_send(report) {
             Ok(()) => Ok(()),
@@ -428,13 +521,16 @@ impl SupervisedPipeline {
         }
     }
 
-    /// Whether the worker thread has stopped (killed, gave up, or was shut
-    /// down). Unlike [`SupervisedPipeline::try_send`] this is a pure probe:
-    /// callers with nothing to send can still detect a silent death — an
-    /// engine that died after the last report was handed off would
-    /// otherwise be noticed only when the next report arrives.
+    /// Whether the pipeline has stopped (killed, gave up, or was shut
+    /// down): true as soon as the apply stage stops, even while the commit
+    /// stage still waits for a report, and from then on no thread writes
+    /// the state directory, so recovery may open it. Unlike
+    /// [`SupervisedPipeline::try_send`] this is a pure probe: callers with
+    /// nothing to send can still detect a silent death — an engine that
+    /// died after the last report was handed off would otherwise be
+    /// noticed only when the next report arrives.
     pub fn worker_dead(&self) -> bool {
-        self.worker.as_ref().is_none_or(JoinHandle::is_finished)
+        self.durable.stopped() || self.worker.as_ref().is_none_or(JoinHandle::is_finished)
     }
 
     /// The event stream. Batch `seq` numbers are *effective* update
@@ -444,18 +540,22 @@ impl SupervisedPipeline {
     }
 
     /// How many reports (in channel order, counted from this pipeline's
-    /// spawn) the worker has taken *durable ownership* of: journaled to the
-    /// write-ahead log when a `state_dir` is configured, or terminally
-    /// rejected by the gate. A report covered by this mark survives a
-    /// process death — [`recover_from_dir`](Self::recover_from_dir) folds
-    /// it in — so the front door acks a report only once the mark covers it:
-    /// acks never run ahead of the journal. Without a `state_dir` the mark
-    /// advances on receipt (there is no durability contract to wait for).
+    /// spawn) the commit stage has taken *durable ownership* of: journaled
+    /// to the write-ahead log when a `state_dir` is configured, or
+    /// terminally rejected by the gate. A report covered by this mark
+    /// survives a process death — [`recover_from_dir`](Self::recover_from_dir)
+    /// folds it in — so the front door acks a report only once the mark
+    /// covers it: acks never run ahead of the journal. They may run ahead
+    /// of the engine by the group being applied, the one queued behind it
+    /// and the one the commit stage waits to hand over. Without a
+    /// `state_dir` the mark advances on receipt (there is no durability
+    /// contract to wait for).
     pub fn durable_mark(&self) -> u64 {
         self.durable.mark.load(Ordering::Acquire)
     }
 
-    /// Closes the report channel, drains the worker and returns its report.
+    /// Closes the report channel, drains both stages and returns their
+    /// report.
     pub fn shutdown(mut self) -> SupervisedReport {
         self.reports_tx.take();
         // `worker` is `Some` until this method consumes `self`, so the
@@ -466,17 +566,7 @@ impl SupervisedPipeline {
             // The supervisor contains processor panics; reaching this arm
             // means the supervision loop itself is defective. Degrade to a
             // gave-up report rather than propagating.
-            _ => SupervisedReport {
-                reports_received: 0,
-                updates_processed: 0,
-                events_emitted: 0,
-                gave_up: true,
-                killed: false,
-                final_result: Vec::new(),
-                metrics: Metrics::default(),
-                latency: LatencySnapshot::default(),
-                flight_recorder_path: None,
-            },
+            _ => gave_up_report(),
         }
     }
 }
@@ -487,6 +577,22 @@ impl Drop for SupervisedPipeline {
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
+    }
+}
+
+/// The report of a pipeline whose supervision itself failed: it gave up,
+/// and nothing else is known.
+fn gave_up_report() -> SupervisedReport {
+    SupervisedReport {
+        reports_received: 0,
+        updates_processed: 0,
+        events_emitted: 0,
+        gave_up: true,
+        killed: false,
+        final_result: Vec::new(),
+        metrics: Metrics::default(),
+        latency: LatencySnapshot::default(),
+        flight_recorder_path: None,
     }
 }
 
@@ -529,90 +635,62 @@ fn admit(
     }
 }
 
-/// The worker loop. Runs on the supervisor thread until the report channel
-/// closes or recovery is exhausted. It works in commit groups: it takes
-/// the first report (blocking when the channel is empty) and every report
-/// queued behind it, up to the next durable slot; gate-admits them all;
-/// journals the accepted ones with one write and one sync; advances the
-/// durable mark over the whole group and announces it once; applies the
-/// group's effective updates in order; and only then lands the slot if
-/// one is due.
-fn supervise<A>(
-    mut algorithm: A,
-    mut gate: IngestGate,
-    config: ResilienceConfig,
-    initial_stats: ResilienceStats,
-    reports_rx: Receiver<TracedReport>,
-    events_tx: SyncSender<EventBatch>,
-    line: &DurableLine,
-) -> SupervisedReport
-where
-    A: Checkpointable,
-{
-    if let Some(sink) = config.spans.as_ref() {
-        // Engines with internal phase structure (the sharded engine)
-        // record their own per-shard illumination/merge spans; the
-        // supervisor then skips its aggregate shard-phase/merge spans.
-        algorithm.attach_span_recorder(Arc::clone(sink));
-    }
-    let store = algorithm.store();
-    let mut spawned = algorithm.checkpoint();
-    spawned.gate = Some(gate.state());
-    let mut server = Server::new(algorithm);
-    // The engine counters of the monitors a self-heal replaced, so the
-    // report covers the whole run and not only the last monitor.
-    let mut replaced = Metrics::default();
-    let mut stats = initial_stats;
-    // Effective updates since the last durable slot.
-    let mut since_slot = 0u64;
-    let mut panic_at: HashSet<u64> = config.panic_at.iter().copied().collect();
-    let mut eff_seq = 0u64;
-    let mut reports_received = 0u64;
-    let mut events_emitted = 0u64;
-    let mut restarts_left = config.max_restarts;
-    let mut gave_up = false;
-    let mut killed = false;
-    let mut obs = ObsHub::new(config.flight_recorder_capacity);
-    // Lands the periodic checkpoints' slots; started at the first one.
-    let mut writer: Option<SlotWriter> = None;
+/// A commit group on its way from the commit stage to the apply stage:
+/// gated, journaled and covered by the durable mark.
+struct Group {
+    admitted: Vec<Admitted>,
+    /// When the group's end landed a slot: the effective updates it covers
+    /// and its write time in nanoseconds.
+    checkpoint: Option<(u64, u64)>,
+}
 
+/// The commit stage's share of the [`SupervisedReport`].
+struct Committed {
+    reports_received: u64,
+    /// The seed, the gate's counters and `checkpoints_taken`.
+    stats: ResilienceStats,
+}
+
+/// The commit stage, on the `ctup-supervisor` thread, until the report
+/// channel closes, the apply stage stops or a durable write fails. It works
+/// in commit groups: it takes the first report (blocking when the channel
+/// is empty) and every report queued behind it, up to the next durable
+/// slot; gate-admits them all; journals the accepted ones with one write
+/// and one sync; advances the durable mark over the whole group and
+/// announces it once; lands the slot if one is due; and hands the group to
+/// the apply stage, waiting while one group is already queued there.
+fn commit(
+    mut gate: IngestGate,
+    mut stats: ResilienceStats,
+    spawned: Checkpoint,
+    config: &ResilienceConfig,
+    reports_rx: Receiver<TracedReport>,
+    groups: SyncSender<Group>,
+    line: &DurableLine,
+) -> Committed {
+    let spans = config.spans.as_deref();
+    let mut reports_received = 0u64;
+    // A journal or slot write that failed broke the durability contract:
+    // both stages stop instead of running with silent non-durability.
+    let mut failed = false;
     // Durable persistence: open (or create) the state directory and write
     // the spawn-time state as the first slot, so there is always a valid
-    // recovery point on disk. A failure to persist is a broken durability
-    // contract — the worker stops instead of running with silent
-    // non-durability.
-    let mut durable = match config.state_dir.as_deref().map(DurableState::open) {
-        None => None,
-        Some(Ok(mut d)) => match d.checkpoint(&spawned) {
-            Ok(()) => Some(d),
-            Err(_) => {
-                gave_up = true;
-                None
-            }
-        },
-        Some(Err(_)) => {
-            gave_up = true;
-            None
+    // recovery point on disk.
+    let mut durable = None;
+    if let Some(dir) = config.state_dir.as_deref() {
+        let opened = line.write_access().map(|_writes| {
+            // ctup-lint: allow(L007, the lock orders these writes before the apply stage's last ones; that stage takes it only to stop)
+            let mut d = DurableState::open(dir)?;
+            d.checkpoint(&spawned).map(|()| d)
+        });
+        match opened {
+            Some(Ok(d)) => durable = Some(d),
+            _ => failed = true,
         }
-    };
-    if gave_up {
-        return SupervisedReport {
-            reports_received: 0,
-            updates_processed: 0,
-            events_emitted: 0,
-            gave_up: true,
-            killed: false,
-            final_result: Vec::new(),
-            metrics: Metrics {
-                resilience: stats,
-                ..Metrics::default()
-            },
-            latency: obs.snapshot(store.stats().read_latency()),
-            flight_recorder_path: None,
-        };
     }
-    // The restart point: a self-heal initializes from these positions,
-    // kept current after every successful apply.
+    // The slot's copy of the unit positions, folded from the gate's
+    // effective updates: a slot is a function of the journal, never of the
+    // engine.
     let Checkpoint {
         config: engine_config,
         unit_positions: mut positions,
@@ -623,14 +701,14 @@ where
         every if every > 0 && durable.is_some() => every,
         _ => u64::MAX,
     };
-
+    // Effective updates admitted, in all and since the last durable slot.
+    let mut admitted_total = 0u64;
+    let mut since_slot = 0u64;
     // The durable mark as of the last announcement.
     let mut announced = 0u64;
-    // The commit group and the journal records of its accepted reports,
-    // both reused from group to group.
-    let mut group: Vec<Admitted> = Vec::new();
+    // The journal records of a group's accepted reports, reused.
     let mut records: Vec<StampedUpdate> = Vec::new();
-    'recv: loop {
+    'recv: while !failed {
         let first = match reports_rx.try_recv() {
             Ok(traced) => traced,
             Err(TryRecvError::Disconnected) => break 'recv,
@@ -644,65 +722,165 @@ where
                 }
             }
         };
-        // A slot that failed to land broke the durability contract: take
-        // no group past the first group start that learns of it.
-        if let Some(w) = writer.as_ref() {
-            if !record_landed(w.done.try_iter(), &mut obs) {
-                gave_up = true;
+        let handed = {
+            // Nothing is taken, written or acked once the apply stage
+            // stopped. The directory stays locked until the group is marked
+            // and its slot, if one is due, has landed.
+            let Some(_writes) = line.write_access() else {
                 break 'recv;
-            }
-        }
-        // The group is the first report plus whatever queued behind it,
-        // cut at the next durable slot: a slot rotates the journal, and one
-        // taken inside a group would leave the rest of the group in a
-        // segment the slot after it prunes.
-        let room = every.saturating_sub(since_slot).max(1);
-        group.clear();
-        records.clear();
-        let mut next = Some(first);
-        while let Some(traced) = next {
-            let admitted = admit(&mut gate, &mut stats, traced, config.spans.is_some());
-            if admitted.effective.is_ok() {
-                records.push(admitted.report);
-            }
-            group.push(admitted);
-            next = if convert::count64(group.len()) < room {
-                reports_rx.try_recv().ok()
-            } else {
-                None
             };
-        }
-        reports_received += convert::count64(group.len());
-        if let Some(d) = durable.as_mut() {
-            // Write-ahead: the group's accepted reports hit the journal in
-            // one write and one sync before any of them touches the
-            // monitor, so a crash between the two recovers them. Traced
-            // reports share the group's wal-append span.
-            let journaled_traced = |a: &Admitted| a.apply_start.is_some() && a.effective.is_ok();
-            let wal_start = group.iter().any(journaled_traced).then(now_nanos);
-            let appended = d.append_all(&records);
-            if let (Some(s), Some(w0)) = (config.spans.as_deref(), wal_start) {
-                let w1 = now_nanos();
-                for a in group.iter().filter(|a| journaled_traced(a)) {
-                    s.record_stage(a.trace, Stage::WalAppend, 0, w0, w1, true);
+            // The group is the first report plus whatever queued behind it,
+            // cut at the next durable slot, so the gate state and the positions
+            // a slot captures always cover the same reports.
+            let room = every.saturating_sub(since_slot).max(1);
+            let mut group = Vec::new();
+            records.clear();
+            // The trace of the group's last accepted report, which carries the
+            // group-end checkpoint's span.
+            let mut last_trace = 0u64;
+            let mut next = Some(first);
+            while let Some(traced) = next {
+                let admitted = admit(&mut gate, &mut stats, traced, spans.is_some());
+                if let Ok(effective) = &admitted.effective {
+                    records.push(admitted.report);
+                    last_trace = admitted.trace;
+                    for update in effective {
+                        if let Some(p) = positions.get_mut(update.unit.index()) {
+                            *p = update.new;
+                        }
+                    }
+                    admitted_total += convert::count64(effective.len());
+                    since_slot += convert::count64(effective.len());
+                }
+                group.push(admitted);
+                next = if convert::count64(group.len()) < room {
+                    reports_rx.try_recv().ok()
+                } else {
+                    None
+                };
+            }
+            reports_received += convert::count64(group.len());
+            if let Some(d) = durable.as_mut() {
+                // Write-ahead: the group's accepted reports hit the journal in
+                // one write and one sync before any of them is handed to the
+                // apply stage. Traced reports share the group's wal-append span.
+                let journaled_traced =
+                    |a: &Admitted| a.apply_start.is_some() && a.effective.is_ok();
+                let wal_start = group.iter().any(journaled_traced).then(now_nanos);
+                // ctup-lint: allow(L007, the lock orders this write before the apply stage's last ones; that stage takes it only to stop)
+                let appended = d.append_all(&records);
+                if let (Some(s), Some(w0)) = (spans, wal_start) {
+                    let w1 = now_nanos();
+                    for a in group.iter().filter(|a| journaled_traced(a)) {
+                        s.record_stage(a.trace, Stage::WalAppend, 0, w0, w1, true);
+                    }
+                }
+                if appended.is_err() {
+                    failed = true;
+                    break 'recv;
                 }
             }
-            if appended.is_err() {
-                gave_up = true;
-                break 'recv;
+            // The whole group is now recoverable (journaled, unpersisted by
+            // configuration, or terminally rejected by the gate): the front
+            // door may ack it, and is told so once. This happens *before* the
+            // group is applied, so a kill mid-group loses nothing acked.
+            line.mark
+                .fetch_add(convert::count64(group.len()), Ordering::Release);
+            line.announce(&mut announced);
+            // The durable slot, at the group's end only: the gate state it
+            // captures then covers exactly the updates the positions do, parks
+            // and their accepted report included.
+            let mut checkpoint = None;
+            if let Some(d) = durable.as_mut().filter(|_| since_slot >= every) {
+                let c0 = now_nanos();
+                let slot = Checkpoint {
+                    config: engine_config.clone(),
+                    unit_positions: positions.clone(),
+                    gate: Some(gate.state()),
+                };
+                if d.checkpoint(&slot).is_err() {
+                    failed = true;
+                    break 'recv;
+                }
+                let c1 = now_nanos();
+                if let Some(s) = spans.filter(|_| last_trace != 0) {
+                    s.record_stage(last_trace, Stage::Checkpoint, 0, c0, c1, true);
+                }
+                since_slot = 0;
+                stats.checkpoints_taken += 1;
+                checkpoint = Some((admitted_total, c1.saturating_sub(c0)));
             }
+            Group {
+                admitted: group,
+                checkpoint,
+            }
+        };
+        if groups.send(handed).is_err() {
+            break 'recv; // the apply stage stopped
         }
-        // The whole group is now recoverable (journaled, unpersisted by
-        // configuration, or terminally rejected by the gate): the front
-        // door may ack it, and is told so once. This happens *before* the
-        // applies below, so a kill mid-group loses nothing acked.
-        line.mark
-            .fetch_add(convert::count64(group.len()), Ordering::Release);
-        line.announce(&mut announced);
-        // The trace of the group's last accepted report, which carries the
-        // group-end checkpoint's span.
-        let mut last_trace = 0u64;
-        for admitted in group.drain(..) {
+    }
+    if failed {
+        line.failed.store(true, Ordering::Release);
+    }
+    // Whatever the mark covered when the commit stage stopped is still
+    // owed an ack, whether it stopped for shutdown, a kill or a give-up.
+    line.announce(&mut announced);
+    Committed {
+        reports_received,
+        stats,
+    }
+}
+
+/// The apply stage, on the `ctup-apply` thread: applies every group the
+/// commit stage hands over, in order, until the hand-off closes, a kill
+/// fires or recovery is exhausted. It owns the engine and its self-heal,
+/// the event stream, the flight recorder and the apply-side spans.
+/// `restart` holds the engine configuration and the unit positions at
+/// spawn.
+fn apply<A>(
+    mut algorithm: A,
+    restart: Checkpoint,
+    config: &ResilienceConfig,
+    groups: Receiver<Group>,
+    events_tx: SyncSender<EventBatch>,
+    line: &DurableLine,
+) -> SupervisedReport
+where
+    A: Checkpointable,
+{
+    if let Some(sink) = config.spans.as_ref() {
+        // Engines with internal phase structure (the sharded engine)
+        // record their own per-shard illumination/merge spans; the
+        // supervisor then skips its aggregate shard-phase/merge spans.
+        algorithm.attach_span_recorder(Arc::clone(sink));
+    }
+    let store = algorithm.store();
+    let mut server = Server::new(algorithm);
+    // The restart point: a self-heal initializes from these positions,
+    // kept current after every successful apply.
+    let Checkpoint {
+        config: engine_config,
+        unit_positions: mut positions,
+        ..
+    } = restart;
+    // The engine counters of the monitors a self-heal replaced, so the
+    // report covers the whole run and not only the last monitor.
+    let mut replaced = Metrics::default();
+    let mut stats = ResilienceStats::default();
+    let mut panic_at: HashSet<u64> = config.panic_at.iter().copied().collect();
+    let mut eff_seq = 0u64;
+    let mut events_emitted = 0u64;
+    let mut restarts_left = config.max_restarts;
+    let mut gave_up = false;
+    let mut killed = false;
+    let mut obs = ObsHub::new(config.flight_recorder_capacity);
+
+    'groups: for Group {
+        admitted,
+        checkpoint,
+    } in groups.iter()
+    {
+        for admitted in admitted {
             let Admitted {
                 report,
                 trace,
@@ -727,7 +905,6 @@ where
                     continue;
                 }
             };
-            last_trace = trace;
             // Span recording is armed per report: a sink must be configured
             // and the report must carry a trace id. Gate-rejected replays
             // were left untraced above — a deduplicated redelivery must not
@@ -742,12 +919,9 @@ where
             for (idx, update) in effective.into_iter().enumerate() {
                 let sink = sink.filter(|_| idx == last_idx);
                 // Simulated process death: stop mid-stream with no final
-                // checkpoint, optionally tearing the newest slot the way a
-                // death mid-checkpoint-write would. The writer is joined
-                // first, so the torn slot is the latest checkpoint's.
+                // checkpoint (the newest slot is torn below, if asked).
                 if config.kill_at == Some(eff_seq) {
                     killed = true;
-                    gave_up |= !join_writer(&mut writer, &mut obs);
                     obs.record_update(TraceEvent {
                         seq: eff_seq,
                         unit: update.unit.0,
@@ -757,12 +931,7 @@ where
                         result_changed: false,
                         outcome: TraceOutcome::Killed,
                     });
-                    if config.tear_slot_on_kill {
-                        if let Some(d) = durable.as_ref() {
-                            let _ = d.tear_newest_slot();
-                        }
-                    }
-                    break 'recv;
+                    break 'groups;
                 }
                 loop {
                     // One-shot injected fault: consumed even if recovery later
@@ -794,8 +963,9 @@ where
                                 (Some(s), Some(t0), Some(a0)) => {
                                     let t1 = now_nanos();
                                     // Engine-apply covers hand-off (channel
-                                    // wait, gate, journal) up to the successful
-                                    // apply attempt; retries after a contained
+                                    // wait, gate, journal, the queue between
+                                    // the stages) up to the successful apply
+                                    // attempt; retries after a contained
                                     // crash fold into it.
                                     s.record_stage(trace, Stage::EngineApply, 0, a0, t0, true);
                                     if !server.algorithm().records_spans() {
@@ -838,7 +1008,6 @@ where
                                 );
                             }
                             eff_seq += 1;
-                            since_slot += 1;
                             if let Some(p) = positions.get_mut(update.unit.index()) {
                                 *p = update.new;
                             }
@@ -876,7 +1045,7 @@ where
                             loop {
                                 if restarts_left == 0 {
                                     gave_up = true;
-                                    break 'recv;
+                                    break 'groups;
                                 }
                                 restarts_left -= 1;
                                 stats.worker_restarts += 1;
@@ -909,50 +1078,14 @@ where
                 }
             }
         }
-        // The durable slot, at the group's end only: the gate state it
-        // captures then covers exactly the updates the positions do, parks
-        // and their accepted report included.
-        if let Some(d) = durable.as_mut().filter(|_| since_slot >= every) {
-            let ckpt_sink = if last_trace != 0 {
-                config.spans.as_deref()
-            } else {
-                None
-            };
-            let ckpt_start = ckpt_sink.map(|_| now_nanos());
-            let slot = Checkpoint {
-                config: engine_config.clone(),
-                unit_positions: positions.clone(),
-                gate: Some(gate.state()),
-            };
-            // Segment now, slot later: the writer lands the slot while the
-            // next groups journal into the segment rotated here. Its
-            // `checkpoint_write_nanos` sample comes back with it.
-            if writer.is_none() {
-                writer = SlotWriter::spawn(d.dir().to_path_buf()).ok();
-            }
-            let handed = match (writer.as_ref(), d.rotate()) {
-                (Some(w), Ok(seq)) => w.jobs.send((seq, eff_seq, slot)).is_ok(),
-                _ => false,
-            };
-            if !handed {
-                gave_up = true;
-                break 'recv;
-            }
-            if let (Some(s), Some(c0)) = (ckpt_sink, ckpt_start) {
-                // The group's last accepted report carries the apply-path
-                // stall of the checkpoint its group tripped as a span.
-                s.record_stage(last_trace, Stage::Checkpoint, 0, c0, now_nanos(), true);
-            }
-            since_slot = 0;
-            stats.checkpoints_taken += 1;
+        if let Some((at, nanos)) = checkpoint {
+            obs.record_checkpoint(at, nanos);
         }
     }
 
-    // Whatever the mark covered when the worker stopped is still owed an
-    // ack, whether it stopped for shutdown, a kill or a give-up.
-    line.announce(&mut announced);
-    gave_up |= !join_writer(&mut writer, &mut obs);
-
+    // The hand-off closed on a failed durable write, or the stage stopped
+    // on its own.
+    gave_up |= line.failed.load(Ordering::Acquire);
     if gave_up {
         obs.record_update(TraceEvent {
             seq: eff_seq,
@@ -964,19 +1097,21 @@ where
             outcome: TraceOutcome::GaveUp,
         });
     }
-    // Post-mortem dump: the worker is dying (killed or gave up), so write
-    // the ring next to the checkpoint slots. Best-effort — a dump failure
-    // must not mask the report of the death itself. An existing dump from
-    // an earlier crash is rotated aside first, never clobbered.
-    let flight_recorder_path = if gave_up || killed {
-        config.state_dir.as_deref().and_then(|dir| {
-            rotate_flight_dumps(dir, config.flight_recorder_keep);
-            let path = dir.join(FLIGHT_RECORDER_FILE);
-            obs.recorder.dump_to(&path).ok().map(|()| path)
-        })
-    } else {
-        None
-    };
+    // The last writes to the state directory, after the commit stage's
+    // last one and before anyone can see the pipeline dead: the torn slot
+    // of a death mid-checkpoint-write, and the post-mortem dump of the
+    // flight recorder next to the slots. Best-effort — a dump failure must
+    // not mask the report of the death itself. An existing dump from an
+    // earlier crash is rotated aside first, never clobbered.
+    let flight_recorder_path = line.stop(|| {
+        let dir = config.state_dir.as_deref().filter(|_| gave_up || killed)?;
+        if killed && config.tear_slot_on_kill {
+            let _ = DurableState::tear_newest_slot(dir);
+        }
+        rotate_flight_dumps(dir, config.flight_recorder_keep);
+        let path = dir.join(FLIGHT_RECORDER_FILE);
+        obs.recorder.dump_to(&path).ok().map(|()| path)
+    });
 
     let (final_result, metrics) = if gave_up || killed {
         // The monitor state is suspect after an unrecovered crash — and
@@ -995,7 +1130,7 @@ where
         (server.result(), metrics)
     };
     SupervisedReport {
-        reports_received,
+        reports_received: 0,
         updates_processed: eff_seq,
         events_emitted,
         gave_up,
@@ -1079,69 +1214,6 @@ fn reserve_rotation_slot(dir: &Path, start: u64) -> Option<(u64, PathBuf)> {
             Err(_) => return None,
         }
     }
-}
-
-/// The depth-one slot writer: one thread that lands each periodic
-/// checkpoint's slot ([`DurableState::write_slot`]) while the worker keeps
-/// applying. The hand-off is a rendezvous, so a slot is handed over only
-/// once the one before it has landed, and slot `seq + 1` can never
-/// overwrite `seq − 1` before `seq` is in place. The thread stops at its
-/// first failed write.
-struct SlotWriter {
-    /// Slot `seq`, the effective update it was taken at, the checkpoint.
-    jobs: SyncSender<(u64, u64, Checkpoint)>,
-    /// Per handed slot, in order: its effective update, the write's
-    /// outcome and its wall time in nanoseconds.
-    done: Receiver<(u64, std::io::Result<()>, u64)>,
-    thread: JoinHandle<()>,
-}
-
-impl SlotWriter {
-    fn spawn(dir: PathBuf) -> std::io::Result<Self> {
-        let (jobs, handed) = sync_channel::<(u64, u64, Checkpoint)>(0);
-        let (landed, done) = channel();
-        let thread = std::thread::Builder::new()
-            .name("ctup-slot-writer".into())
-            .spawn(move || {
-                for (seq, at, checkpoint) in handed {
-                    let t0 = now_nanos();
-                    let written = DurableState::write_slot(&dir, seq, &checkpoint);
-                    let failed = written.is_err();
-                    let nanos = now_nanos().saturating_sub(t0);
-                    if landed.send((at, written, nanos)).is_err() || failed {
-                        break;
-                    }
-                }
-            })?;
-        Ok(SlotWriter { jobs, done, thread })
-    }
-}
-
-/// Closes the writer's hand-off and joins it, so no slot is left in
-/// flight, then records what it landed since the last drain. False if a
-/// slot failed to land.
-fn join_writer(writer: &mut Option<SlotWriter>, obs: &mut ObsHub) -> bool {
-    let Some(SlotWriter { jobs, done, thread }) = writer.take() else {
-        return true;
-    };
-    drop(jobs);
-    let joined = thread.join().is_ok();
-    record_landed(done.try_iter(), obs) && joined
-}
-
-/// Records each landed slot's write into `checkpoint_write_nanos`; false
-/// at the first slot that failed to land.
-fn record_landed(
-    outcomes: impl Iterator<Item = (u64, std::io::Result<()>, u64)>,
-    obs: &mut ObsHub,
-) -> bool {
-    for (at, written, nanos) in outcomes {
-        if written.is_err() {
-            return false;
-        }
-        obs.record_checkpoint(at, nanos);
-    }
-    true
 }
 
 /// Restores a monitor from `restart` — one fresh initialization — inside
@@ -2074,9 +2146,11 @@ mod tests {
     /// Two inputs:
     /// * exactly `kill_at + 1` reports reach the worker, as in the ledger's
     ///   recovery cycles, so what the journal holds is known up front;
-    /// * the whole feed is sent at once, so the kill lands inside a commit
-    ///   group that runs past it: recovery must match a direct run over
-    ///   exactly what the journal holds.
+    /// * the feed runs on to the end of the commit group the kill lands in,
+    ///   and the rest is sent once the pipeline is dead, which refuses all
+    ///   of it: the kill lands inside a group that runs past it, and the
+    ///   slot at that group's end may land before the kill fires. Recovery
+    ///   must match a direct run over exactly what the journal holds.
     #[test]
     #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
     fn kill_and_recover_resumes_oracle_exact() {
@@ -2101,14 +2175,22 @@ mod tests {
         };
         let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 1024);
         let stamped = stamp_stream(stream.clone());
-        let sent = if whole_feed {
-            &stamped[..]
-        } else {
-            &stamped[..121]
-        };
+        // The group the kill lands in ends at the next slot, after report
+        // 128.
+        let (sent, after_death) = stamped.split_at(if whole_feed { 128 } else { 121 });
         for &report in sent {
             if pipeline.send(report).is_err() {
                 break; // the worker died at the kill point
+            }
+        }
+        if whole_feed {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !pipeline.worker_dead() {
+                assert!(Instant::now() < deadline, "the kill never fired");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            for &report in after_death {
+                assert!(matches!(pipeline.send(report), Err(SendError::WorkerDied)));
             }
         }
         let report = pipeline.shutdown();
@@ -2117,45 +2199,42 @@ mod tests {
         assert_eq!(report.updates_processed, 120);
         assert!(report.final_result.is_empty());
 
-        // The torn newest slot (state as of effective update 96) forces
-        // fallback to the older one (64): the journal holds reports 65 up
-        // to the last one journaled. `stamp_stream` stamps report `n` with
-        // tick `n`.
-        let (_, journal) = DurableState::load(&dir).expect("load");
+        // The torn newest slot forces fallback to the one before it, slot
+        // `s`, taken after report `base = EVERY * (s - 1)`; `stamp_stream`
+        // stamps report `n` with tick `n`. The journal holds reports
+        // `base + 1` up to the last one journaled.
+        let (checkpoint, journal) = DurableState::load(&dir).expect("load");
+        let base = checkpoint.gate.expect("gate").now;
         let ticks: Vec<u64> = journal.iter().map(|r| r.ts).collect();
         let journaled = usize::try_from(*ticks.last().expect("a journal tail")).expect("fits");
         assert_eq!(
             ticks,
-            (65..=convert::count64(journaled)).collect::<Vec<_>>()
+            (base + 1..=convert::count64(journaled)).collect::<Vec<_>>()
         );
         if whole_feed {
-            assert!(journaled >= 121, "report 121 was journaled before the kill");
+            // Report 121 was journaled before the kill, and nothing past the
+            // group it closes. The commit stage lands slot 5 (report 128)
+            // before it hands that group's last reports over, unless the
+            // apply stage stopped first: the fallback is slot 4 (report 96)
+            // exactly when the journal reaches report 128, and slot 3
+            // (report 64) otherwise.
+            assert!((121..=128).contains(&journaled), "journaled {journaled}");
+            assert_eq!(base, if journaled == 128 { 96 } else { 64 });
         } else {
-            assert_eq!(journaled, 121);
+            // The commit stage never got past slot 4 (report 96).
+            assert_eq!((base, journaled), (64, 121));
         }
-        // Segment `journal-<s>.wal` starts with slot `s`, written after
-        // report `EVERY * (s - 1)`; the next slot follows report
-        // `EVERY * s`. No segment may hold a report past it — a torn
-        // fallback would lose one the next checkpoint pruned.
-        for entry in std::fs::read_dir(&dir).expect("state dir").flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(slot) = name
-                .strip_prefix("journal-")
-                .and_then(|rest| rest.strip_suffix(".wal"))
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            let text = std::fs::read_to_string(entry.path()).expect("segment");
-            for line in text.lines() {
-                let tick: u64 = line
-                    .split(' ')
-                    .nth(1)
-                    .and_then(|t| t.parse().ok())
-                    .expect("journal line");
+        // Epoch `e` starts with slot `e`, written after report
+        // `EVERY * (e - 1)`; the next slot follows report `EVERY * e`. No
+        // epoch of either journal file may hold a report past it — a torn
+        // fallback would lose one the next epoch in its file overwrote.
+        let fallback = base / EVERY + 1;
+        for epoch in [fallback, fallback + 1] {
+            for report in crate::durable::read_epoch(&dir, epoch) {
                 assert!(
-                    (EVERY * (slot - 1) + 1..=EVERY * slot).contains(&tick),
-                    "segment {slot} holds report {tick}"
+                    (EVERY * (epoch - 1) + 1..=EVERY * epoch).contains(&report.ts),
+                    "epoch {epoch} holds report {}",
+                    report.ts
                 );
             }
         }
@@ -2185,12 +2264,12 @@ mod tests {
         let out = recovered.shutdown();
         assert!(!out.gave_up);
         assert!(!out.killed);
-        // The journal replay had real work to do: reports 65..=121 (and on
-        // to the end of the group the kill landed in) — report 121 was
-        // journaled (write-ahead) but never applied before the kill at
-        // effective update 120. With exactly 121 reports sent that is 57
-        // replayed and 79 left for the re-delivery.
-        let replayed_count = convert::count64(journaled) - 64;
+        // The journal replay had real work to do: reports `base + 1` to
+        // the last one journaled — report 121 was journaled (write-ahead)
+        // but never applied before the kill at effective update 120. With
+        // exactly 121 reports sent that is 57 replayed and 79 left for the
+        // re-delivery.
+        let replayed_count = convert::count64(journaled) - base;
         assert_eq!(out.metrics.resilience.updates_replayed, replayed_count);
         assert_eq!(out.updates_processed, 200 - convert::count64(journaled));
         if !whole_feed {
@@ -2200,10 +2279,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A death between a rotation and its slot: slot 3 never landed, and
-    /// segment 3 holds the reports after it. Recovery from slot 2 over
-    /// segments 1 to 3 resumes at exactly the journaled state and finishes
-    /// the feed on the direct run's result.
+    /// A death while slot 3 is written: slot 3 is torn, and epoch 3 holds
+    /// the reports journaled after it. Recovery from slot 2 over epochs 2
+    /// and 3 resumes at exactly the journaled state and finishes the feed
+    /// on the direct run's result.
     #[test]
     #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
     fn recovery_over_a_slot_that_never_landed_is_oracle_exact() {
@@ -2214,7 +2293,7 @@ mod tests {
         let (direct, _) = direct_run(&units, &stream);
         let stamped = stamp_stream(stream.clone());
 
-        // What a worker leaves when it dies with slot 3 in flight.
+        // What a process leaves when it dies with slot 3 half written.
         let mut server = Server::new(monitor(&units));
         let mut gate = IngestGate::new(IngestConfig {
             space: *server.algorithm().store().grid().space(),
@@ -2223,14 +2302,10 @@ mod tests {
         });
         let mut state = DurableState::open(&dir).expect("open");
         let mut scratch = ResilienceStats::default();
-        for (i, group) in stamped[..80].chunks(EVERY).enumerate() {
-            if i < 2 {
-                let mut c = server.algorithm().checkpoint();
-                c.gate = Some(gate.state());
-                state.checkpoint(&c).expect("checkpoint");
-            } else {
-                assert_eq!(state.rotate().expect("rotate"), 3);
-            }
+        for group in stamped[..80].chunks(EVERY) {
+            let mut c = server.algorithm().checkpoint();
+            c.gate = Some(gate.state());
+            state.checkpoint(&c).expect("checkpoint");
             state.append_all(group).expect("append");
             for &report in group {
                 for update in gate.admit(report, &mut scratch).expect("admit") {
@@ -2239,6 +2314,7 @@ mod tests {
             }
         }
         drop(state);
+        DurableState::tear_newest_slot(&dir).expect("tear slot 3");
 
         let store: Arc<dyn PlaceStore> =
             Arc::new(CellLocalStore::build(Grid::unit_square(6), places()));
@@ -2260,20 +2336,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A slot write that fails stops the worker: slot 2 lands in
-    /// `slot-b.ckpt`, here a non-empty directory the rename cannot
-    /// replace. The worker stops on its own at the first group start that
-    /// learns of the failure, without taking that group — fed one report
-    /// at a time, short of a second checkpoint, it dies on the report that
-    /// wakes it. Everything its mark covered is recoverable from slot 1
-    /// over the surviving segments, `load` skipping the directory.
+    /// A slot write that fails stops both stages at the failing
+    /// checkpoint. Here slot 2 cannot land: once the spawn slot is down,
+    /// `slot-b.ckpt` is replaced by a non-empty directory. The group whose
+    /// end is due for slot 2 is journaled and marked, then the pipeline
+    /// stops on its own — dead with no further report sent — without
+    /// handing that group to the apply stage. Everything its mark covered
+    /// is recoverable from slot 1 over epoch 1, `load` skipping the
+    /// directory.
     #[test]
     #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
     fn a_slot_that_fails_to_land_stops_the_worker() {
         const EVERY: usize = 16;
         let dir = temp_state_dir();
         let obstacle = dir.join("slot-b.ckpt");
-        std::fs::create_dir_all(obstacle.join("occupied")).expect("obstacle");
         let units = unit_points(4);
         let stream = updates(200, 4);
         let (direct, _) = direct_run(&units, &stream);
@@ -2285,34 +2361,33 @@ mod tests {
         };
 
         let pipeline = SupervisedPipeline::spawn(monitor(&units), config.clone(), 1024);
-        let taken_or_dead = |sent: usize| {
+        let until = |what: &str, done: &dyn Fn() -> bool| {
             let deadline = Instant::now() + Duration::from_secs(5);
-            while pipeline.durable_mark() < convert::count64(sent) && !pipeline.worker_dead() {
-                assert!(Instant::now() < deadline, "report {sent} never taken");
+            while !done() {
+                assert!(Instant::now() < deadline, "{what}");
                 std::thread::yield_now();
             }
         };
-        // One checkpoint's worth: its group end hands slot 2 over.
-        for &report in &stamped[..EVERY] {
+        // The first group's mark comes after the spawn slot.
+        pipeline.send(stamped[0]).expect("worker alive");
+        until("report 1 never taken", &|| pipeline.durable_mark() == 1);
+        std::fs::remove_file(&obstacle).expect("slot-b.ckpt");
+        std::fs::create_dir_all(obstacle.join("occupied")).expect("obstacle");
+        for &report in &stamped[1..EVERY] {
             pipeline.send(report).expect("worker alive");
         }
-        taken_or_dead(EVERY);
-        let mut sent = EVERY;
-        while !pipeline.worker_dead() {
-            assert!(
-                sent < 2 * EVERY - 1,
-                "the worker kept taking groups past a failed slot"
-            );
-            std::thread::sleep(Duration::from_millis(50));
-            if pipeline.send(stamped[sent]).is_ok() {
-                sent += 1;
-                taken_or_dead(sent);
-            }
-        }
+        until("the pipeline never stopped", &|| pipeline.worker_dead());
+        assert_eq!(pipeline.durable_mark(), convert::count64(EVERY));
+        assert_eq!(pipeline.send(stamped[EVERY]), Err(SendError::WorkerDied));
         let report = pipeline.shutdown();
         assert!(report.gave_up);
-        let taken = usize::try_from(report.reports_received).expect("fits");
-        assert_eq!(taken + 1, sent, "the report that woke it was not taken");
+        assert_eq!(report.reports_received, convert::count64(EVERY));
+        assert_eq!(report.metrics.resilience.checkpoints_taken, 0);
+        assert!(
+            report.updates_processed < convert::count64(EVERY),
+            "the group due for the slot was applied"
+        );
+        let taken = EVERY;
 
         let (checkpoint, journal) = DurableState::load(&dir).expect("load");
         assert_eq!(checkpoint.gate.expect("gate").now, 0, "slot 1, the base");
@@ -2411,8 +2486,11 @@ mod tests {
         assert!(out.killed);
         assert_eq!(out.metrics.resilience.lease_expiries, 1);
 
-        let (_, journal) = DurableState::load(&dir).expect("load");
-        assert_eq!(journal, feed, "every report was journaled");
+        // The slot at the park's group end covers reports 1 to 4, and the
+        // journal epoch after it holds the killed report 5.
+        let (checkpoint, journal) = DurableState::load(&dir).expect("load");
+        assert_eq!(checkpoint.gate.expect("gate").now, 4);
+        assert_eq!(journal, feed[4..], "every report was journaled");
         let store: Arc<dyn PlaceStore> =
             Arc::new(CellLocalStore::build(Grid::unit_square(6), places()));
         let recovered = SupervisedPipeline::recover_from_dir::<OptCtup>(
@@ -2425,7 +2503,7 @@ mod tests {
             64,
         )
         .expect("recover");
-        assert_eq!(recovered.initial_result(), gated_run(&journal));
+        assert_eq!(recovered.initial_result(), gated_run(&feed));
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2685,6 +2763,175 @@ mod tests {
             out.metrics.resilience.updates_replayed,
             convert::count64(tail)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every file of a state directory with its bytes, by name.
+    fn dir_bytes(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("state dir")
+            .flatten()
+            .map(|e| (e.file_name(), std::fs::read(e.path()).expect("read")))
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Once the apply stage stops — at a kill or a give-up — the pipeline
+    /// is dead with no further report sent, and no byte of the state
+    /// directory changes after that: not by the commit stage, which may
+    /// still wait for a report, and not at shutdown.
+    #[test]
+    #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
+    fn a_stopped_pipeline_is_dead_and_leaves_its_directory_alone() {
+        let units = unit_points(4);
+        let stamped = stamp_stream(updates(100, 4));
+        let kill = ResilienceConfig {
+            kill_at: Some(40),
+            tear_slot_on_kill: true,
+            ..ResilienceConfig::default()
+        };
+        let give_up = ResilienceConfig {
+            max_restarts: 0,
+            panic_at: vec![40],
+            ..ResilienceConfig::default()
+        };
+        for config in [kill, give_up] {
+            let dir = temp_state_dir();
+            let config = ResilienceConfig {
+                checkpoint_every: 16,
+                state_dir: Some(dir.clone()),
+                ..config
+            };
+            let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 1024);
+            // Exactly the reports up to the fault: none arrives after it.
+            for &report in &stamped[..41] {
+                pipeline.send(report).expect("worker alive");
+            }
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !pipeline.worker_dead() {
+                assert!(Instant::now() < deadline, "the pipeline never died");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let dead = dir_bytes(&dir);
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(dir_bytes(&dir) == dead, "the directory changed after death");
+            let report = pipeline.shutdown();
+            assert!(report.killed != report.gave_up);
+            assert!(report.flight_recorder_path.is_some());
+            assert!(dir_bytes(&dir) == dead, "shutdown wrote the directory");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// `DurableState::load`, run from another thread while a pipeline
+    /// journals and checkpoints, never misses a report the durable mark
+    /// covered before the load began: the slot it reads and the epochs
+    /// after it hold every one of them.
+    #[test]
+    #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
+    fn a_concurrent_load_never_misses_a_marked_report() {
+        const REPORTS: usize = 3000;
+        let dir = temp_state_dir();
+        let units = unit_points(4);
+        let stamped = stamp_stream(updates(REPORTS, 4));
+        let config = ResilienceConfig {
+            checkpoint_every: 16,
+            state_dir: Some(dir.clone()),
+            ..ResilienceConfig::default()
+        };
+        // Room for every event batch: nobody drains them here.
+        let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 4096);
+        let fed = AtomicBool::new(false);
+        let loads = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut loads = 0u64;
+                while !fed.load(Ordering::SeqCst) {
+                    let marked = pipeline.durable_mark();
+                    let Ok((checkpoint, journal)) = DurableState::load(&dir) else {
+                        assert_eq!(marked, 0, "no slot under a moved mark");
+                        continue;
+                    };
+                    // Report `n` carries tick `n`: the slot covers the
+                    // reports up to its gate clock, the journal the ones
+                    // after it, without a gap.
+                    let base = checkpoint.gate.expect("gate").now;
+                    let ticks: Vec<u64> = journal.iter().map(|r| r.ts).collect();
+                    let end = base + convert::count64(ticks.len());
+                    assert!(
+                        ticks.iter().copied().eq(base + 1..=end),
+                        "{base}: {ticks:?}"
+                    );
+                    assert!(end >= marked, "mark {marked}, covered {end}");
+                    loads += 1;
+                }
+                loads
+            });
+            for &report in &stamped {
+                pipeline.send(report).expect("worker alive");
+            }
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while pipeline.durable_mark() < convert::count64(REPORTS) {
+                assert!(Instant::now() < deadline, "the feed was never journaled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            fed.store(true, Ordering::SeqCst);
+            reader.join().expect("reader")
+        });
+        let report = pipeline.shutdown();
+        assert!(!report.gave_up);
+        assert!(report.metrics.resilience.checkpoints_taken >= 100);
+        assert!(loads > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// After the spawn slot the state directory is a fixed set of files
+    /// of fixed lengths: more than ten checkpoints at `checkpoint_every` 16
+    /// create, grow, truncate and remove nothing.
+    #[test]
+    #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
+    fn checkpoints_change_no_file_length_after_the_spawn_slot() {
+        let dir = temp_state_dir();
+        let units = unit_points(4);
+        let stamped = stamp_stream(updates(200, 4));
+        let config = ResilienceConfig {
+            checkpoint_every: 16,
+            state_dir: Some(dir.clone()),
+            ..ResilienceConfig::default()
+        };
+        let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 1024);
+        let lengths = || {
+            dir_bytes(&dir)
+                .into_iter()
+                .map(|(name, bytes)| (name, bytes.len()))
+                .collect::<Vec<_>>()
+        };
+        pipeline.send(stamped[0]).expect("worker alive");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pipeline.durable_mark() == 0 {
+            assert!(Instant::now() < deadline, "report 1 never taken");
+            std::thread::yield_now();
+        }
+        let spawned = lengths();
+        let names: Vec<_> = spawned
+            .iter()
+            .map(|(name, _)| name.to_string_lossy())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "journal-a.wal",
+                "journal-b.wal",
+                "slot-a.ckpt",
+                "slot-b.ckpt"
+            ]
+        );
+        for &report in &stamped[1..] {
+            pipeline.send(report).expect("worker alive");
+        }
+        let report = pipeline.shutdown();
+        assert!(report.metrics.resilience.checkpoints_taken >= 12);
+        assert_eq!(lengths(), spawned);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
