@@ -10,10 +10,10 @@
 //! slot)` index answers point lookups. Entries leave only through
 //! [`MaintainedSet::remove_cell`], which takes the whole `Vec`, and
 //! [`MaintainedSet::refile_cell`], which compacts the cell's `Vec` and
-//! re-points the index of every entry it moves.
+//! re-points the index of every entry it keeps.
 
 use crate::config::QueryMode;
-use crate::topk::SafetyOrdered;
+use crate::topk::{span, SafetyOrdered};
 use crate::types::{protects, Place, PlaceId, Safety, TopKEntry, LB_NONE};
 use ctup_spatial::{convert, CellId, Point};
 use std::mem;
@@ -44,6 +44,12 @@ impl Slot {
     };
 }
 
+/// The number of safeties from `low` up to `safety`, exclusive; `None`
+/// when `safety` is below `low`.
+fn offset(low: Safety, safety: Safety) -> Option<usize> {
+    usize::try_from(safety - low).ok()
+}
+
 /// The set of places maintained at the higher level.
 #[derive(Debug, Default)]
 pub struct MaintainedSet {
@@ -52,6 +58,9 @@ pub struct MaintainedSet {
     /// Indexed by `PlaceId`; [`Slot::VACANT`] for places not maintained.
     index: Vec<Slot>,
     ordered: SafetyOrdered,
+    /// Scratch for [`MaintainedSet::kth_safety_with`]: per safety from the
+    /// lowest fresh one up, how many places a re-filed cell adds.
+    added: Vec<usize>,
 }
 
 impl MaintainedSet {
@@ -124,49 +133,43 @@ impl MaintainedSet {
 
     /// Re-files `cell` after its places were read again: of `records`,
     /// whose fresh safeties are `safeties` in the same order, exactly those
-    /// whose safety `keep` accepts are maintained afterwards. Only places
-    /// that enter or leave touch the ordered view, and only entering places
-    /// are cloned. A place that stays with a safety other than its held one
-    /// is moved to the fresh safety; returns how many were.
+    /// whose safety `keep` accepts are maintained afterwards.
+    ///
+    /// Every held safety must be exact, that is equal to its record's fresh
+    /// safety (step 1 keeps it so; debug builds check it). A held entry is
+    /// therefore decided on its held safety in one pass over the cell's
+    /// entries, and only records whose fresh safety is kept are looked up
+    /// in the index, to add those not yet held. Only places that enter or
+    /// leave touch the ordered view, and only entering places are cloned.
     pub fn refile_cell(
         &mut self,
         cell: CellId,
         records: &[Place],
         safeties: &[Safety],
         keep: impl Fn(Safety) -> bool,
-    ) -> usize {
+    ) {
         debug_assert_eq!(records.len(), safeties.len());
-        let mut moved = 0;
-        let mut left = false;
+        #[cfg(debug_assertions)]
         for (record, &safety) in records.iter().zip(safeties) {
-            let id = record.id;
-            match (self.slot_in(id, cell), keep(safety)) {
-                (Some(slot), true) => {
-                    let entry = &mut self.by_cell[cell.index()][slot];
-                    if entry.safety != safety {
-                        self.ordered.update(id, entry.safety, safety);
-                        entry.safety = safety;
-                        moved += 1;
-                    }
-                }
-                (Some(slot), false) => {
-                    self.ordered
-                        .remove(id, self.by_cell[cell.index()][slot].safety);
-                    self.index[id.index()] = Slot::VACANT;
-                    left = true;
-                }
-                (None, true) => self.insert(record.clone(), safety, cell),
-                (None, false) => {}
+            if let Some(slot) = self.slot_in(record.id, cell) {
+                let held = self.by_cell[cell.index()][slot].safety;
+                assert_eq!(
+                    held, safety,
+                    "{cell:?}: held safety of {:?} is stale",
+                    record.id
+                );
             }
         }
-        if left {
-            // Drop the entries whose index was just vacated, and re-point
-            // the index of every survivor at the slot it moves to.
-            let index = &mut self.index;
+        if let Some(entries) = self.by_cell.get_mut(cell.index()) {
+            // Drop the leavers, and re-point the index of every survivor at
+            // the slot it moves to.
+            let (index, ordered) = (&mut self.index, &mut self.ordered);
             let mut slot = 0;
-            self.by_cell[cell.index()].retain(|entry| {
+            entries.retain(|entry| {
                 let at = &mut index[entry.place.id.index()];
-                if *at == Slot::VACANT {
+                if !keep(entry.safety) {
+                    ordered.remove(entry.place.id, entry.safety);
+                    *at = Slot::VACANT;
                     return false;
                 }
                 at.slot = convert::id32(slot);
@@ -174,7 +177,11 @@ impl MaintainedSet {
                 true
             });
         }
-        moved
+        for (record, &safety) in records.iter().zip(safeties) {
+            if keep(safety) && self.slot_in(record.id, cell).is_none() {
+                self.insert(record.clone(), safety, cell);
+            }
+        }
     }
 
     /// The slot of `place` among `cell`'s entries, if it is held there.
@@ -184,24 +191,55 @@ impl MaintainedSet {
     }
 
     /// The k-th smallest safety (1-based `k`) as it would be if `cell`'s
-    /// held places were replaced by places with the safeties `fresh`, which
-    /// must be sorted and include the cell's `k` smallest; `None` when fewer
-    /// than `k` places would be held.
-    pub fn kth_safety_with(&self, k: usize, cell: CellId, fresh: &[Safety]) -> Option<Safety> {
-        debug_assert!(k > 0 && fresh.windows(2).all(|w| w[0] <= w[1]));
-        let mut others = self
-            .ordered
-            .iter()
-            .filter(|&(_, id)| self.slot_in(id, cell).is_none())
-            .map(|(safety, _)| safety)
-            .peekable();
-        let mut fresh = fresh.iter().copied().peekable();
-        std::iter::from_fn(|| match (fresh.peek(), others.peek()) {
-            (Some(&f), Some(&o)) if o < f => others.next(),
-            (Some(_), _) => fresh.next(),
-            (None, _) => others.next(),
-        })
-        .nth(k - 1)
+    /// held places were replaced by places with the safeties `fresh`, in
+    /// any order; `None` when fewer than `k` places would be held.
+    ///
+    /// `fresh` must be the safeties of all the cell's places, and every
+    /// held safety exact (see [`MaintainedSet::refile_cell`]), so each held
+    /// entry of the cell is one of `fresh`. The walk then counts, per
+    /// safety from the lowest level up, the held places plus the fresh ones
+    /// minus the cell's held ones, until the total reaches `k`. The per-safety
+    /// difference is sized from the fresh safeties' own range.
+    pub fn kth_safety_with(&mut self, k: usize, cell: CellId, fresh: &[Safety]) -> Option<Safety> {
+        debug_assert!(k > 0);
+        let (Some(&low), Some(&high)) = (fresh.iter().min(), fresh.iter().max()) else {
+            // A cell without places holds none.
+            return self.ordered.kth_safety(k);
+        };
+        let added = &mut self.added;
+        added.clear();
+        added.resize(span(low, high) + 1, 0);
+        for &safety in fresh {
+            added[span(low, safety)] += 1;
+        }
+        for entry in self
+            .by_cell
+            .get(cell.index())
+            .map_or(&[][..], Vec::as_slice)
+        {
+            let count = offset(low, entry.safety).and_then(|at| added.get_mut(at));
+            debug_assert!(count.is_some(), "{cell:?}: held safety is not a fresh one");
+            if let Some(count) = count {
+                *count = count.saturating_sub(1);
+            }
+        }
+        let levels = self.ordered.level_range();
+        let (from, to) = if levels.is_empty() {
+            (low, high)
+        } else {
+            (low.min(levels.start), high.max(levels.end - 1))
+        };
+        let mut seen = 0;
+        for safety in from..=to {
+            seen += self.ordered.count_at(safety);
+            seen += offset(low, safety)
+                .and_then(|at| added.get(at))
+                .map_or(0, |&n| n);
+            if seen >= k {
+                return Some(safety);
+            }
+        }
+        None
     }
 
     /// The entries maintained for `cell`, in insertion order.
@@ -266,6 +304,12 @@ impl MaintainedSet {
     /// walking the ordered prefix in place, without building the result.
     pub fn result_equals(&self, mode: QueryMode, last: &[TopKEntry]) -> bool {
         self.ordered.result(mode).eq(last.iter().copied())
+    }
+
+    /// The lowest safety any change to the ordered view touched since the
+    /// last call, or `None`; see [`SafetyOrdered::take_low_water`].
+    pub fn take_low_water(&mut self) -> Option<Safety> {
+        self.ordered.take_low_water()
     }
 
     /// The ordered view (for invariant checks and diagnostics).
@@ -444,9 +488,10 @@ mod tests {
         assert_eq!(m.len(), 2);
     }
 
-    /// Re-filing cell 55 against its records read again: place 0 leaves
-    /// from slot 0, place 1 stays with a different safety, place 3 enters
-    /// and place 4 stays as it was.
+    /// Re-filing cell 55 against its records read again, with every held
+    /// safety exact: place 0 (held at -3) leaves, place 1 (held at -1) and
+    /// place 4 (held at -5) stay, place 3 enters at -4 and place 6 stays
+    /// out at 0.
     #[test]
     fn refile_cell_touches_only_what_changed() {
         let mut m = sample();
@@ -457,13 +502,16 @@ mod tests {
             place(1, 0.52, 0.50, 1),
             place(3, 0.55, 0.55, 4),
             place(4, 0.54, 0.50, 5),
+            place(6, 0.56, 0.50, 0),
         ];
-        let keep = |safety: Safety| safety < -1;
-        let moved = m.refile_cell(CellId(55), &records, &[0, -2, -4, -5], keep);
+        let safeties = [-3, -1, -4, -5, 0];
+        m.refile_cell(CellId(55), &records, &safeties, |safety| {
+            safety != -3 && safety < 0
+        });
         m.check_invariants();
-        assert_eq!(moved, 1, "only place 1 stayed at a new safety");
         assert!(!m.contains(PlaceId(0)));
-        assert_eq!(m.get(PlaceId(1)).map(|e| e.safety), Some(-2));
+        assert!(!m.contains(PlaceId(6)));
+        assert_eq!(m.get(PlaceId(1)).map(|e| e.safety), Some(-1));
         assert_eq!(
             m.get(PlaceId(3)).map(|e| (e.safety, e.cell)),
             Some((-4, CellId(55)))
@@ -481,30 +529,102 @@ mod tests {
         assert_eq!(m.index[4], Slot { cell: 55, slot: 1 });
         assert_eq!(m.index[3], Slot { cell: 55, slot: 2 });
         let order: Vec<(Safety, u32)> = m.ordered().iter().map(|(s, id)| (s, id.0)).collect();
-        assert_eq!(order, [(-6, 2), (-5, 4), (-4, 3), (-2, 1)]);
+        assert_eq!(order, [(-6, 2), (-5, 4), (-4, 3), (-1, 1)]);
         assert_eq!(m.cell_entries(CellId(99)).len(), 1, "other cells untouched");
 
         // A cell never seen before, then cell 55 re-filed empty.
+        let keep = |safety: Safety| safety < -1;
         m.refile_cell(CellId(300), &[place(5, 0.1, 0.1, 2)], &[-2], keep);
         m.check_invariants();
-        m.refile_cell(CellId(55), &records, &[0, 0, 0, 0], keep);
+        let safeties = [0, -1, -4, -5, 0];
+        m.refile_cell(CellId(55), &records, &safeties, |_| false);
         m.check_invariants();
         assert!(m.cell_entries(CellId(55)).is_empty());
         assert_eq!(m.len(), 2);
     }
 
+    /// A held safety that differs from its record's fresh one breaks the
+    /// contract `refile_cell` relies on, and debug builds catch it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "held safety of PlaceId(1) is stale")]
+    fn refile_cell_catches_a_stale_held_safety() {
+        let mut m = sample();
+        let records = [place(0, 0.50, 0.50, 3), place(1, 0.52, 0.50, 1)];
+        // Place 1 is held at -1 but reads -2.
+        m.refile_cell(CellId(55), &records, &[-3, -2], |safety| safety < 0);
+    }
+
     #[test]
     fn kth_safety_with_replaces_the_cells_held_places() {
         // Held: cell 55 at -3 and -1, cell 99 at -6.
-        let m = sample();
-        // Cell 55 read again at -4 and 0: the merge is -6, -4, 0.
-        assert_eq!(m.kth_safety_with(1, CellId(55), &[-4, 0]), Some(-6));
-        assert_eq!(m.kth_safety_with(2, CellId(55), &[-4, 0]), Some(-4));
-        assert_eq!(m.kth_safety_with(3, CellId(55), &[-4, 0]), Some(0));
-        assert_eq!(m.kth_safety_with(4, CellId(55), &[-4, 0]), None);
+        let mut m = sample();
+        // Cell 55 read again: its held places at -3 and -1, two more at -4
+        // and 0. The merge is -6, -4, -3, -1, 0.
+        let fresh = [0, -3, -4, -1];
+        assert_eq!(m.kth_safety_with(1, CellId(55), &fresh), Some(-6));
+        assert_eq!(m.kth_safety_with(2, CellId(55), &fresh), Some(-4));
+        assert_eq!(m.kth_safety_with(3, CellId(55), &fresh), Some(-3));
+        assert_eq!(m.kth_safety_with(5, CellId(55), &fresh), Some(0));
+        assert_eq!(m.kth_safety_with(6, CellId(55), &fresh), None);
         // A cell holding nothing adds to every held place.
         assert_eq!(m.kth_safety_with(2, CellId(12), &[-7]), Some(-6));
         assert_eq!(m.kth_safety_with(4, CellId(12), &[-7]), Some(-1));
+        // A cell without places leaves the held ones as they are.
+        assert_eq!(m.kth_safety_with(3, CellId(12), &[]), Some(-1));
+        assert_eq!(m.kth_safety_with(4, CellId(12), &[]), None);
+    }
+
+    /// `kth_safety_with` against its definition: the k-th element of the
+    /// sorted multiset of the safeties held outside the cell and the cell's
+    /// fresh ones. Seeded cells hold none, some or all of their places;
+    /// totals fall short of k; and fresh safeties reach below the ordered
+    /// view's lowest level.
+    #[test]
+    fn kth_safety_with_matches_its_definition() {
+        use ctup_mogen::rng::SeededRng;
+        let rounds = if cfg!(miri) { 30 } else { 400 };
+        let mut rng = SeededRng::seed_from_u64(0x42);
+        for round in 0..rounds {
+            let mut m = MaintainedSet::new();
+            let cells = 1 + rng.gen_range(0..4);
+            let mut id = 0u32;
+            let mut fresh_of: Vec<Vec<Safety>> = Vec::new();
+            for cell in 0..cells {
+                let mut fresh = Vec::new();
+                for _ in 0..rng.gen_range(0..12) {
+                    let safety = rng.gen_range(0..30) as Safety - 10;
+                    if rng.gen_range(0..2) == 0 {
+                        m.insert(place(id, 0.5, 0.5, 0), safety, CellId(cell as u32));
+                    }
+                    fresh.push(safety);
+                    id += 1;
+                }
+                fresh_of.push(fresh);
+            }
+            // The accessed cell's fresh places also include some far below
+            // every held safety.
+            let cell = rng.gen_range(0..cells);
+            let mut fresh = fresh_of[cell].clone();
+            for _ in 0..rng.gen_range(0..3) {
+                fresh.push(rng.gen_range(0..20) as Safety - 40);
+            }
+            let mut model: Vec<Safety> = m
+                .ordered()
+                .iter()
+                .filter(|&(_, id)| m.get(id).is_some_and(|e| e.cell.index() != cell))
+                .map(|(safety, _)| safety)
+                .chain(fresh.iter().copied())
+                .collect();
+            model.sort_unstable();
+            for k in 1..=model.len() + 2 {
+                assert_eq!(
+                    m.kth_safety_with(k, CellId(cell as u32), &fresh),
+                    model.get(k - 1).copied(),
+                    "round {round} cell {cell} k {k}"
+                );
+            }
+        }
     }
 
     #[test]

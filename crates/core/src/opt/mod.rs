@@ -48,12 +48,10 @@ pub struct OptCtup {
     /// maintains only the cells [`ShardMap::owns`] assigns to `shard`;
     /// `None` owns every cell and is the plain sequential scheme.
     owner: Option<(u32, Arc<ShardMap>)>,
-    /// Scratch reused by every update and cell access: the touched cells,
-    /// a cell's safeties in record order, and its k smallest of them,
-    /// sorted, for the `SK` merge.
+    /// Scratch reused by every update and cell access: the touched cells
+    /// and a cell's safeties in record order.
     touched: Vec<CellId>,
     safeties: Vec<Safety>,
-    smallest: Vec<Safety>,
 }
 
 impl std::fmt::Debug for OptCtup {
@@ -127,7 +125,6 @@ impl OptCtup {
             owner,
             touched: Vec::new(),
             safeties: Vec::new(),
-            smallest: Vec::new(),
         };
 
         // Step 1: exact lower bound per owned cell; non-owned cells keep
@@ -155,6 +152,9 @@ impl OptCtup {
         this.metrics
             .set_maintained(convert::count64(this.maintained.len()));
         this.last_result = this.maintained.result(this.config.mode);
+        // The first update compares against this result, so only changes
+        // from here on count towards the low-water mark.
+        this.maintained.take_low_water();
         this.init_stats = InitStats {
             wall: start.elapsed(),
             storage: this.store.stats().snapshot().since(&io_before),
@@ -177,9 +177,9 @@ impl OptCtup {
     /// The paper adjusts `SK` "as the safety of each place is calculated"
     /// and then evicts at `SK + Δ`; inserting all places just to evict most
     /// of them again would dominate the access cost, so the post-inclusion
-    /// `SK` is computed by merging the cell's k smallest safeties with the
-    /// places held outside the cell, and re-filing touches only the places
-    /// that enter or leave the maintained set.
+    /// `SK` is counted from the ordered view's level counts with the cell's
+    /// fresh safeties in place of its held ones, and re-filing touches only
+    /// the places that enter or leave the maintained set.
     fn access_cell(&mut self, cell: CellId) -> Result<(), StorageError> {
         // Read first: a failed access leaves the maintained set intact.
         let records = self.store.read_cell(cell)?;
@@ -190,17 +190,10 @@ impl OptCtup {
 
         // SK as it would be with this cell's places re-filed.
         let sk = match self.config.mode {
-            crate::config::QueryMode::TopK(k) => {
-                self.smallest.clone_from(&self.safeties);
-                if self.smallest.len() > k {
-                    self.smallest.select_nth_unstable(k - 1);
-                    self.smallest.truncate(k);
-                }
-                self.smallest.sort_unstable();
-                self.maintained
-                    .kth_safety_with(k, cell, &self.smallest)
-                    .unwrap_or(LB_NONE)
-            }
+            crate::config::QueryMode::TopK(k) => self
+                .maintained
+                .kth_safety_with(k, cell, &self.safeties)
+                .unwrap_or(LB_NONE),
             crate::config::QueryMode::Threshold(tau) => tau,
         };
 
@@ -208,20 +201,18 @@ impl OptCtup {
         // (with Δ = 0 the paper's literal rule would evict the k-th place,
         // dropping the maintained set below k and re-accessing forever).
         let keep_below = sk.saturating_add(self.config.delta);
-        let must_evict = |safety: Safety| safety >= keep_below && safety > sk;
+        let must_evict = |safety: Safety| (safety >= keep_below) & (safety > sk);
+        // Branch-free: a kept place bounds nothing.
         let lb = self
             .safeties
             .iter()
-            .copied()
-            .filter(|&safety| must_evict(safety))
+            .map(|&safety| if must_evict(safety) { safety } else { LB_NONE })
             .min()
             .unwrap_or(LB_NONE);
-        let moved = self
-            .maintained
+        // Step 1 keeps every held safety exact, which `refile_cell` relies on
+        // (and checks in debug builds).
+        self.maintained
             .refile_cell(cell, &records, &self.safeties, |safety| !must_evict(safety));
-        // Step 1 keeps every held safety exact, so a place that stays never
-        // changes its safety here.
-        debug_assert_eq!(moved, 0, "{cell:?}: held safeties were stale");
         self.lb.set(cell, lb);
 
         // Soundness fix: the bound is exact again, so stale "already
@@ -444,11 +435,21 @@ impl CtupAlgorithm for OptCtup {
         let cells_accessed = self.access_loop()?;
         let access_nanos = timer.lap();
 
-        // Most updates leave the result as it was: compare in place and
-        // build a new result only when it changed.
-        let changed = !self
-            .maintained
-            .result_equals(self.config.mode, &self.last_result);
+        // Most updates leave the result as it was. A change strictly above
+        // the last result's boundary (its k-th safety, or τ) cannot alter
+        // it, so the result is compared in place only when the low-water
+        // mark reached the boundary, and rebuilt only when it changed.
+        let mark = self.maintained.take_low_water();
+        let reached = mark.is_some_and(|mark| match self.config.mode {
+            crate::config::QueryMode::TopK(k) => {
+                self.last_result.get(k - 1).is_none_or(|e| mark <= e.safety)
+            }
+            crate::config::QueryMode::Threshold(tau) => mark < tau,
+        });
+        let changed = reached
+            && !self
+                .maintained
+                .result_equals(self.config.mode, &self.last_result);
         if changed {
             self.last_result = self.maintained.result(self.config.mode);
         }
@@ -564,6 +565,12 @@ mod tests {
             .expect("update");
             units[unit] = new;
             oracle.assert_result_matches(&alg.result(), &units, 0.1, config.mode);
+            // The low-water skip must never hide a change to the result.
+            assert_eq!(
+                alg.result(),
+                alg.maintained.result(config.mode),
+                "step {step}"
+            );
             if step % 50 == 0 {
                 alg.check_lb_invariant();
                 alg.maintained.check_invariants();
@@ -576,6 +583,25 @@ mod tests {
     #[test]
     fn tracks_oracle_with_doo() {
         run_updates(CtupConfig::with_k(5), 300, 0xA);
+    }
+
+    /// The result is compared only when the low-water mark reaches its
+    /// boundary; over several feeds in both query modes, the reported
+    /// result equals the ordered view's after every update (checked in
+    /// `run_updates`).
+    #[test]
+    fn skipped_result_walks_never_hide_a_change() {
+        for seed in [0x10, 0x11, 0x12] {
+            run_updates(CtupConfig::with_k(1), 200, seed);
+            run_updates(CtupConfig::with_k(8), 200, seed);
+            for tau in [-3, 0] {
+                let config = CtupConfig {
+                    mode: QueryMode::Threshold(tau),
+                    ..CtupConfig::paper_default()
+                };
+                run_updates(config, 200, seed);
+            }
+        }
     }
 
     /// Pins the logical work of one fixed feed: cells read, places loaded,

@@ -8,6 +8,11 @@
 //! safety up; the result walks the set bits of the lowest levels, and bits
 //! in id order within a level are exactly `(safety, id)` order.
 //!
+//! The set also keeps a low-water mark: the lowest safety any insert or
+//! remove touched since the mark was last taken. A change strictly above
+//! the k-th entry leaves the first k entries as they were, so a caller
+//! holding the last result can skip comparing it when the mark is higher.
+//!
 //! The levels are dense from the lowest safety ever tracked to the highest,
 //! so the structure holds `max − min + 1` levels of at most `|P| / 64`
 //! words each. A safety lies in `−RP ..= |U|`, and every input path (store
@@ -18,6 +23,7 @@
 use crate::config::QueryMode;
 use crate::types::{PlaceId, Safety, TopKEntry};
 use ctup_spatial::convert;
+use std::ops::Range;
 
 /// Places ordered by `(safety, id)`.
 #[derive(Debug, Default, Clone)]
@@ -26,6 +32,9 @@ pub struct SafetyOrdered {
     base: Safety,
     levels: Vec<Level>,
     len: usize,
+    /// The lowest safety an insert or remove touched since
+    /// [`SafetyOrdered::take_low_water`] last ran; `None` when none did.
+    low_water: Option<Safety>,
 }
 
 /// The places at one safety value.
@@ -66,7 +75,7 @@ fn bit(place: PlaceId) -> (usize, u64) {
 }
 
 /// The number of levels from `low` up to `high`, exclusive.
-fn span(low: Safety, high: Safety) -> usize {
+pub(crate) fn span(low: Safety, high: Safety) -> usize {
     usize::try_from(high.saturating_sub(low)).unwrap_or(0)
 }
 
@@ -104,12 +113,24 @@ impl SafetyOrdered {
         &mut self.levels[at]
     }
 
+    /// Lowers the low-water mark to `safety`.
+    fn touch(&mut self, safety: Safety) {
+        self.low_water = Some(self.low_water.map_or(safety, |low| low.min(safety)));
+    }
+
+    /// The lowest safety any insert or remove touched since the last call,
+    /// or `None` when none did; resets the mark.
+    pub fn take_low_water(&mut self) -> Option<Safety> {
+        self.low_water.take()
+    }
+
     /// Tracks `place` with `safety`.
     ///
     /// # Panics
     /// Panics in debug builds if the place is already tracked with this
     /// safety (every place must be tracked at most once).
     pub fn insert(&mut self, place: PlaceId, safety: Safety) {
+        self.touch(safety);
         let (word, mask) = bit(place);
         let level = self.level_mut(safety);
         if level.words.len() <= word {
@@ -126,6 +147,7 @@ impl SafetyOrdered {
 
     /// Stops tracking `place`, which must currently have `safety`.
     pub fn remove(&mut self, place: PlaceId, safety: Safety) {
+        self.touch(safety);
         let (word, mask) = bit(place);
         let level = if safety < self.base {
             None
@@ -155,6 +177,23 @@ impl SafetyOrdered {
             self.remove(place, old);
             self.insert(place, new);
         }
+    }
+
+    /// Number of places tracked at `safety`.
+    pub fn count_at(&self, safety: Safety) -> usize {
+        if safety < self.base {
+            return 0;
+        }
+        self.levels
+            .get(span(self.base, safety))
+            .map_or(0, |level| level.count)
+    }
+
+    /// The safeties the levels span; [`SafetyOrdered::count_at`] is zero
+    /// outside it. Empty when nothing was ever tracked.
+    pub fn level_range(&self) -> Range<Safety> {
+        let levels = Safety::try_from(self.levels.len()).unwrap_or(Safety::MAX);
+        self.base..self.base.saturating_add(levels)
     }
 
     /// Safety of the k-th smallest entry (1-based `k`), i.e. the paper's
@@ -292,34 +331,64 @@ mod tests {
     /// The bitset order against a sorted `Vec` under interleaved inserts,
     /// removes and updates. Ids span several bitset words in the even
     /// seeds and crowd 30 ids in the odd ones, and safeties reach below the
-    /// first one inserted, so the base grows downwards.
+    /// first one inserted, so the base grows downwards. After every step the
+    /// level counts at the touched safeties match the model, and the
+    /// low-water mark, taken at seeded intervals so that it spans several
+    /// steps, is the lowest safety touched since it was last taken.
     #[test]
     fn matches_a_sorted_vec_model() {
+        let steps = if cfg!(miri) { 300 } else { 2_000 };
         for seed in 1..=8 {
             let mut rng = SeededRng::seed_from_u64(seed);
             let ids = if seed % 2 == 0 { 300 } else { 30 };
             let mut sut = SafetyOrdered::new();
             let mut held: Vec<Option<Safety>> = vec![None; ids];
-            for step in 0..2_000 {
+            let mut mark: Option<Safety> = None;
+            let touch = |mark: &mut Option<Safety>, safety: Safety| {
+                *mark = Some(mark.map_or(safety, |low: Safety| low.min(safety)));
+            };
+            for step in 0..steps {
                 let id = rng.gen_range(0..ids);
                 let place = PlaceId(id as u32);
                 let safety = rng.gen_range(0..80) as Safety - 40;
-                match (held[id], rng.gen_range(0..3)) {
+                let old = held[id];
+                match (old, rng.gen_range(0..3)) {
                     (None, _) => {
                         sut.insert(place, safety);
                         held[id] = Some(safety);
+                        touch(&mut mark, safety);
                     }
                     (Some(old), 0) => {
                         sut.remove(place, old);
                         held[id] = None;
+                        touch(&mut mark, old);
                     }
                     (Some(old), _) => {
                         sut.update(place, old, safety);
                         held[id] = Some(safety);
+                        if old != safety {
+                            touch(&mut mark, old);
+                            touch(&mut mark, safety);
+                        }
                     }
+                }
+                let count = |s: Safety| held.iter().filter(|&&h| h == Some(s)).count();
+                for s in [Some(safety), old].into_iter().flatten() {
+                    assert_eq!(sut.count_at(s), count(s), "seed {seed} step {step}");
+                }
+                if rng.gen_range(0..4) == 0 {
+                    assert_eq!(sut.take_low_water(), mark.take(), "seed {seed} step {step}");
+                    assert_eq!(sut.take_low_water(), None, "the mark resets");
                 }
                 if step % 97 != 0 {
                     continue;
+                }
+                let range = sut.level_range();
+                for s in -45..45 {
+                    assert_eq!(sut.count_at(s), count(s), "seed {seed} safety {s}");
+                    if !range.contains(&s) {
+                        assert_eq!(sut.count_at(s), 0, "seed {seed} safety {s}");
+                    }
                 }
                 let mut model: Vec<(Safety, PlaceId)> = held
                     .iter()

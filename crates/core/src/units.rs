@@ -11,8 +11,13 @@ pub struct UnitTable {
     index: UnitGridIndex<u32>,
     radius: f64,
     /// Scratch for [`UnitTable::cell_safeties`]: the positions of the units
-    /// that can protect some place of the cell being computed.
+    /// that can protect some place of the cell being computed, the records'
+    /// coordinates as two columns, and each record's protector count (as
+    /// wide as a coordinate, so the counting loop needs no lane narrowing).
     near: Vec<Point>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    counts: Vec<u64>,
 }
 
 impl UnitTable {
@@ -28,6 +33,9 @@ impl UnitTable {
             index,
             radius,
             near: Vec::new(),
+            xs: Vec::new(),
+            ys: Vec::new(),
+            counts: Vec::new(),
         }
     }
 
@@ -99,35 +107,64 @@ impl UnitTable {
     /// its protectors against that list. The probe is a box rather than a
     /// set of circles so that units outside the grid's space, which
     /// `Grid::cell_of` clamps into boundary buckets, are gathered too.
+    ///
+    /// A gathered unit farther than the radius from the box is skipped: no
+    /// place inside the box is closer to it than the box is, and rounding
+    /// is monotone, so the skip drops no protector. The rest are counted
+    /// unit by unit in one branch-free pass over the records' coordinate
+    /// columns, with the same `dx·dx + dy·dy <= R²` that `Point::dist2`
+    /// evaluates. An extended place then recounts with the exact test
+    /// `ap` makes.
     pub fn cell_safeties(&mut self, records: &[Place], out: &mut Vec<Safety>) {
         out.clear();
         self.near.clear();
+        self.xs.clear();
+        self.ys.clear();
         if records.is_empty() {
             return;
         }
-        let bbox = records
-            .iter()
-            .fold(Rect::empty(), |bbox, r| bbox.union(&Rect::point(r.pos)));
-        let grid = self.index.grid();
-        for cell in grid.cells_overlapping_rect(&bbox.inflate(self.radius)) {
-            self.index
-                .for_each_in_cell(cell, |_, pos| self.near.push(pos));
+        self.xs.extend(records.iter().map(|r| r.pos.x));
+        self.ys.extend(records.iter().map(|r| r.pos.y));
+        // Plain comparisons: `f64::min`/`max` would add NaN handling to
+        // every step of the running bounds.
+        let mut bbox = Rect::empty();
+        for (&x, &y) in self.xs.iter().zip(&self.ys) {
+            bbox.lo.x = if x < bbox.lo.x { x } else { bbox.lo.x };
+            bbox.lo.y = if y < bbox.lo.y { y } else { bbox.lo.y };
+            bbox.hi.x = if x > bbox.hi.x { x } else { bbox.hi.x };
+            bbox.hi.y = if y > bbox.hi.y { y } else { bbox.hi.y };
         }
-        let (near, radius) = (&self.near, self.radius);
-        let r2 = radius * radius;
-        out.extend(records.iter().map(|place| {
-            // The same two tests `ap` makes: within the radius of `pos`,
-            // and for an extended place, containing the whole extent.
-            let within = |u: &&Point| place.pos.dist2(**u) <= r2;
+        let (radius, r2) = (self.radius, self.radius * self.radius);
+        let grid = self.index.grid();
+        for cell in grid.cells_overlapping_rect(&bbox.inflate(radius)) {
+            self.index.for_each_in_cell(cell, |_, pos| {
+                if bbox.min_dist2(pos) <= r2 {
+                    self.near.push(pos);
+                }
+            });
+        }
+        self.counts.clear();
+        self.counts.resize(records.len(), 0);
+        let (xs, ys, counts) = (&self.xs, &self.ys, &mut self.counts);
+        for u in &self.near {
+            for ((count, &x), &y) in counts.iter_mut().zip(xs).zip(ys) {
+                let (dx, dy) = (x - u.x, y - u.y);
+                *count += u64::from(dx * dx + dy * dy <= r2);
+            }
+        }
+        let near = &self.near;
+        out.extend(records.iter().zip(counts.iter()).map(|(place, &count)| {
             let ap = match place.extent {
-                None => near.iter().filter(within).count(),
+                None => count as Safety,
+                // The same two tests `ap` makes: within the radius of `pos`,
+                // and containing the whole extent.
                 Some(_) => near
                     .iter()
-                    .filter(within)
+                    .filter(|u| place.pos.dist2(**u) <= r2)
                     .filter(|&&u| protects(u, radius, place))
-                    .count(),
+                    .count() as Safety,
             };
-            ap as Safety - place.rp as Safety
+            ap - Safety::from(place.rp)
         }));
     }
 
@@ -272,6 +309,52 @@ mod tests {
                     table.cell_safeties(&records, &mut out);
                     let expected: Vec<Safety> = records.iter().map(|p| table.safety(p)).collect();
                     assert_eq!(out, expected, "g {g}, R {radius}, {cell:?}");
+                    // Units exactly R from the records' box: off each edge
+                    // level with the record that spans it, and off each
+                    // corner along both axes and along a 3-4-5 diagonal,
+                    // each also one step of rounding farther out.
+                    let Some(first) = records.first() else {
+                        continue;
+                    };
+                    let extreme = |key: fn(&Place) -> f64| {
+                        let by = |a: &&Place, b: &&Place| key(a).total_cmp(&key(b));
+                        let lo = records.iter().min_by(by).unwrap_or(first);
+                        let hi = records.iter().max_by(by).unwrap_or(first);
+                        (lo.pos, hi.pos)
+                    };
+                    let ((left, right), (bottom, top)) =
+                        (extreme(|p| p.pos.x), extreme(|p| p.pos.y));
+                    let (lo, hi) = (Point::new(left.x, bottom.y), Point::new(right.x, top.y));
+                    let mut edge_units = Vec::new();
+                    let mut off = |anchor: Point, dx: f64, dy: f64| {
+                        let out = |v: f64, d: f64| match d {
+                            d if d < 0.0 => v.next_down(),
+                            d if d > 0.0 => v.next_up(),
+                            _ => v,
+                        };
+                        let (x, y) = (anchor.x + dx, anchor.y + dy);
+                        edge_units.push(Point::new(x, y));
+                        edge_units.push(Point::new(out(x, dx), out(y, dy)));
+                    };
+                    off(left, -radius, 0.0);
+                    off(right, radius, 0.0);
+                    off(bottom, 0.0, -radius);
+                    off(top, 0.0, radius);
+                    for (corner, sx, sy) in [
+                        (lo, -1.0, -1.0),
+                        (Point::new(hi.x, lo.y), 1.0, -1.0),
+                        (hi, 1.0, 1.0),
+                        (Point::new(lo.x, hi.y), -1.0, 1.0),
+                    ] {
+                        off(corner, sx * radius, 0.0);
+                        off(corner, 0.0, sy * radius);
+                        off(corner, sx * 0.6 * radius, sy * 0.8 * radius);
+                    }
+                    let mut edge_table = UnitTable::new(grid.clone(), &edge_units, radius);
+                    edge_table.cell_safeties(&records, &mut out);
+                    let expected: Vec<Safety> =
+                        records.iter().map(|p| edge_table.safety(p)).collect();
+                    assert_eq!(out, expected, "box edges: g {g}, R {radius}, {cell:?}");
                 }
             }
         }
