@@ -9,11 +9,7 @@
 //! O(1) per update to maintain — but all per-cell work (bound maintenance,
 //! cell accesses, safety recomputation) is done only by the owning shard,
 //! so the expensive part of the update runs `N`-wide in parallel and
-//! simulated-disk latency is paid on `N` spindles at once. When the store
-//! has a warmable cache, the coordinator additionally computes the batch's
-//! touched-cell union up front and hands it to the store as one coalesced
-//! working-set hint before the shards start
-//! ([`ctup_storage::PlaceStore::prefetch`]).
+//! simulated-disk latency is paid on `N` spindles at once.
 //!
 //! **Exactness.** A shard is a sequential `OptCtup` over the sub-universe
 //! of places in its cells, so its local result is the exact local top-k
@@ -43,13 +39,12 @@ mod shardmap;
 pub use shardmap::ShardMap;
 
 use crate::algorithm::{CtupAlgorithm, InitStats, UpdateStats};
-use crate::cells::touched_cells;
 use crate::config::{CtupConfig, QueryMode};
 use crate::metrics::Metrics;
 use crate::opt::OptCtup;
 use crate::types::{LocationUpdate, Safety, TopKEntry, UnitId};
 use ctup_obs::{now_nanos, AtomicHistogram, LatencySnapshot, SpanSink, Stage};
-use ctup_spatial::{convert, CellId, CellLayout, Circle, Point};
+use ctup_spatial::{convert, CellLayout, Point};
 use ctup_storage::{PlaceStore, StorageError};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -111,10 +106,6 @@ pub struct ShardedCtup {
     /// Engine-side mirror of unit positions (each shard holds the same
     /// global unit table; this avoids a round-trip for `unit_position`).
     unit_positions: Vec<Point>,
-    /// Whether this engine runs the per-batch touched-cell computation
-    /// feeding [`PlaceStore::prefetch`] — [`PlaceStore::wants_prefetch`]
-    /// of the store, read once at build.
-    prefetch: bool,
     shard_metrics: Vec<Metrics>,
     /// Latest local result of every shard; replies carry `None` when a
     /// shard's result is unchanged, so the merge always reads from here.
@@ -164,7 +155,6 @@ impl ShardedCtup {
         let shards = Arc::new(ShardMap::layout_ranges(store.grid(), num_shards, |c| {
             store.cell_pages(c)
         }));
-        let prefetch = store.wants_prefetch();
         let start = Instant::now();
         let io_before = store.stats().snapshot();
         // ctup-lint: allow(L010, replies are barrier-paced: at most one FromShard per shard is in flight per batch)
@@ -209,7 +199,6 @@ impl ShardedCtup {
 
         let mut this = ShardedCtup {
             unit_positions: initial_units.to_vec(),
-            prefetch,
             shard_metrics: vec![Metrics::default(); convert::index(num_shards)],
             shard_results: vec![Vec::new(); convert::index(num_shards)],
             merge_skips: 0,
@@ -320,30 +309,10 @@ impl ShardedCtup {
         let sink = if trace != 0 { self.spans.clone() } else { None };
         let fanout_start = sink.as_ref().map(|_| now_nanos());
         let count = convert::count64(updates.len());
-        // Mirror maintenance doubles as the prefetch scan: walking the
-        // batch against the *pre-update* mirror yields exactly the cells
-        // the shards are about to touch, so one coalesced prefetch warms
-        // the store's cache before any worker pays a demand read.
-        let radius = self.config.protection_radius;
-        let mut prefetch_cells: Vec<CellId> = Vec::new();
         for update in &updates {
-            let idx = update.unit.index();
-            if idx < self.unit_positions.len() {
-                if self.prefetch {
-                    let old = self.unit_positions[idx];
-                    prefetch_cells.extend(touched_cells(
-                        self.store.grid(),
-                        &Circle::new(old, radius),
-                        &Circle::new(update.new, radius),
-                    ));
-                }
-                self.unit_positions[idx] = update.new;
+            if let Some(pos) = self.unit_positions.get_mut(update.unit.index()) {
+                *pos = update.new;
             }
-        }
-        if !prefetch_cells.is_empty() {
-            prefetch_cells.sort_unstable();
-            prefetch_cells.dedup();
-            self.store.prefetch(&prefetch_cells);
         }
         let batch = Arc::new(updates);
         for worker in &self.workers {
@@ -922,42 +891,5 @@ mod tests {
         assert_eq!(stats, UpdateStats::default());
         assert_eq!(sharded.result(), before);
         assert_eq!(sharded.metrics().updates_processed, 0);
-    }
-
-    /// The working-set hint end to end, on a hand-built input (so it holds
-    /// under any generator stream): one unit leaves the cell of the only
-    /// under-protected place and comes back. Its return batch touches that
-    /// cell, the coordinator hints it before the shards run, and the
-    /// demand read that follows is a hit on the hinted entry.
-    #[test]
-    fn a_hinted_cell_read_in_the_same_batch_is_a_prefetch_hit() {
-        let places: Vec<Place> = (0..16u32)
-            .map(|i| {
-                let centre = Point::new((i % 4) as f64 / 4.0 + 0.125, (i / 4) as f64 / 4.0 + 0.125);
-                Place::point(PlaceId(i), centre, u32::from(i == 0))
-            })
-            .collect();
-        let home = Point::new(0.125, 0.125);
-        let away = Point::new(0.875, 0.875);
-        let store: Arc<dyn PlaceStore> = Arc::new(ctup_storage::CachedStore::new(
-            Arc::new(CellLocalStore::build(Grid::unit_square(4), places)),
-            16, // every cell fits: no eviction order for shard threads to race on
-        ));
-        let config = CtupConfig {
-            delta: 0,
-            ..CtupConfig::with_k(1)
-        };
-        let mut engine = ShardedCtup::new(config, Arc::clone(&store), &[home], 2).expect("init");
-        let at_init = store.stats().snapshot();
-        for (to, hits) in [(away, 0), (home, 1)] {
-            let update = LocationUpdate {
-                unit: UnitId(0),
-                new: to,
-            };
-            engine.handle_update(update).expect("update");
-            let snap = store.stats().snapshot().since(&at_init);
-            assert_eq!(snap.cache_hits, hits);
-            assert_eq!(snap.cache_prefetch_hits, hits);
-        }
     }
 }

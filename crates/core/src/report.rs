@@ -127,6 +127,8 @@ impl Snapshot {
             ("storage_cache_hits", s.cache_hits),
             ("storage_cache_misses", s.cache_misses),
             ("storage_cache_evictions", s.cache_evictions),
+            // Always 0 (the cache takes no hint); the field stays only
+            // because the benchmark's layer report reads it.
             ("storage_cache_prefetch_hits", s.cache_prefetch_hits),
             ("net_connections_accepted", n.connections_accepted),
             ("net_connections_rejected", n.connections_rejected),

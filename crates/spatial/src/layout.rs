@@ -1,7 +1,7 @@
 //! Cell order: the 1-D order in which grid cells are ranked.
 //!
-//! Shard partitioning, disk page packing, and prefetch batching all need a
-//! total order over cells. Cells are ranked by the Morton (Z-order) code of
+//! Shard partitioning and disk page packing need a total order over
+//! cells. Cells are ranked by the Morton (Z-order) code of
 //! their `(col, row)`, so spatially adjacent cells are adjacent in rank,
 //! which keeps a protecting circle's illuminated cell set inside ~1
 //! contiguous rank range.

@@ -13,8 +13,8 @@
 //! * [`FaultDisk`] — a seeded fault injector over the paged store
 //!   (transient read errors, torn writes, bit flips, latency spikes) with
 //!   a retry-with-backoff [`RetryPolicy`];
-//! * [`CachedStore`] — a bounded LRU cell-read cache over any store, with
-//!   hit/miss/eviction accounting and write-invalidation hooks;
+//! * [`CachedStore`] — a bounded, frequency-gated cell-read cache over any
+//!   store, with hit/miss/eviction accounting and write-invalidation hooks;
 //! * [`snapshot`] — a tiny text format to persist generated data sets.
 //!
 //! Reads are fallible: page frames carry a CRC32, so torn writes and bit

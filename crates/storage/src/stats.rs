@@ -26,7 +26,6 @@ pub struct StorageStats {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_evictions: AtomicU64,
-    cache_prefetch_hits: AtomicU64,
     read_latency: AtomicHistogram,
 }
 
@@ -87,13 +86,6 @@ impl StorageStats {
         self.cache_evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one cache hit served by an entry a prefetch pass admitted
-    /// (counted once per prefetched entry — the first demand read that
-    /// would otherwise have paid the lower-level cost).
-    pub fn record_cache_prefetch_hit(&self) {
-        self.cache_prefetch_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Current values as a plain snapshot.
     pub fn snapshot(&self) -> StorageStatsSnapshot {
         StorageStatsSnapshot {
@@ -107,7 +99,7 @@ impl StorageStats {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            cache_prefetch_hits: self.cache_prefetch_hits.load(Ordering::Relaxed),
+            cache_prefetch_hits: 0,
         }
     }
 
@@ -123,7 +115,6 @@ impl StorageStats {
         self.cache_hits.store(0, Ordering::Relaxed);
         self.cache_misses.store(0, Ordering::Relaxed);
         self.cache_evictions.store(0, Ordering::Relaxed);
-        self.cache_prefetch_hits.store(0, Ordering::Relaxed);
         self.read_latency.reset();
     }
 }
@@ -151,8 +142,9 @@ pub struct StorageStatsSnapshot {
     pub cache_misses: u64,
     /// Cached cells evicted to stay within the cache's page budget.
     pub cache_evictions: u64,
-    /// Cache hits served by entries a prefetch pass admitted (first demand
-    /// read per prefetched entry).
+    /// Always 0: the cache no longer takes a working-set hint. Kept only
+    /// because the benchmark's layer report (`ledger/src/layers.rs`)
+    /// reads it.
     pub cache_prefetch_hits: u64,
 }
 
@@ -204,7 +196,6 @@ mod tests {
         s.record_cache_miss();
         s.record_cache_miss();
         s.record_cache_eviction();
-        s.record_cache_prefetch_hit();
         let snap = s.snapshot();
         assert_eq!(snap.cell_reads, 2);
         assert_eq!(snap.records_read, 15);
@@ -216,7 +207,6 @@ mod tests {
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 2);
         assert_eq!(snap.cache_evictions, 1);
-        assert_eq!(snap.cache_prefetch_hits, 1);
         s.reset();
         assert_eq!(s.snapshot(), StorageStatsSnapshot::default());
     }
@@ -245,7 +235,6 @@ mod tests {
         s.record_giveup();
         s.record_cache_hit();
         s.record_cache_eviction();
-        s.record_cache_prefetch_hit();
         let b = s.snapshot();
         let d = b.since(&a);
         assert_eq!(d.cell_reads, 1);
@@ -254,7 +243,6 @@ mod tests {
         assert_eq!(d.read_giveups, 1);
         assert_eq!(d.cache_hits, 1);
         assert_eq!(d.cache_evictions, 1);
-        assert_eq!(d.cache_prefetch_hits, 1);
         // Saturation instead of wrap on inverted order.
         assert_eq!(a.since(&b).cell_reads, 0);
     }

@@ -49,17 +49,12 @@ pub trait PlaceStore: Send + Sync {
         CellLayout::ZOrder
     }
 
-    /// Hands the store a batch-scoped working-set hint — the cells the
-    /// next batch of demand reads may touch — so it can steer whatever
-    /// read acceleration it has (e.g. pin them in a cell-read cache and
-    /// re-warm just-evicted ones). Best effort: failures are swallowed
-    /// here and surface on the demand read. The default is a no-op;
-    /// callers should gate the (possibly expensive) cell-set computation
-    /// on [`PlaceStore::wants_prefetch`].
+    /// A no-op: no store takes a working-set hint any more. Kept only
+    /// because the benchmark adapter (`ledger/src/sut.rs`) forwards it.
     fn prefetch(&self, _cells: &[CellId]) {}
 
-    /// Whether [`PlaceStore::prefetch`] does anything useful for this
-    /// store. `false` for stores without a warmable cache.
+    /// Always `false`, with [`PlaceStore::prefetch`]. Kept only because
+    /// the benchmark adapter (`ledger/src/sut.rs`) forwards it.
     fn wants_prefetch(&self) -> bool {
         false
     }

@@ -13,7 +13,7 @@ use ctup::core::types::{LocationUpdate, UnitId};
 use ctup::core::OptCtup;
 use ctup::mogen::{PlaceGenConfig, PlaceGenerator, Spread, Workload, WorkloadParams};
 use ctup::spatial::Grid;
-use ctup::storage::{snapshot, CellLocalStore, PagedDiskStore, PlaceStore};
+use ctup::storage::{snapshot, CachedStore, CellLocalStore, PagedDiskStore, PlaceStore};
 use std::sync::Arc;
 
 #[test]
@@ -143,4 +143,59 @@ fn stores_agree_cell_by_cell_on_generated_data() {
         );
         assert_eq!(mem.cell_extent_margin(cell), disk.cell_extent_margin(cell));
     }
+}
+
+/// The cache traffic of a fixed feed, pinned: sequential `OptCtup` over a
+/// 64-page `CachedStore` over the Table III disk (latency 0), as the
+/// benchmark's `engine-disk` stack has it. Same seed, same counts, on any
+/// machine; a change to the cache policy moves `pages_read`,
+/// `cell_reads` and `cache_hits`, and must leave the top-k alone.
+#[test]
+fn fixed_feed_pins_the_cache_traffic() {
+    let mut workload = Workload::generate(WorkloadParams {
+        seed: 199,
+        ..WorkloadParams::default()
+    });
+    let grid = Grid::unit_square(10);
+    let disk: Arc<dyn PlaceStore> = Arc::new(PagedDiskStore::build(grid, workload.places_vec(), 0));
+    let cached: Arc<dyn PlaceStore> = Arc::new(CachedStore::new(disk, 64));
+    let units = workload.unit_positions();
+    let mut alg = OptCtup::new(CtupConfig::paper_default(), cached.clone(), &units).expect("init");
+    let at_init = cached.stats().snapshot();
+    for update in workload.next_updates(3_000) {
+        alg.handle_update(LocationUpdate {
+            unit: UnitId(update.object),
+            new: update.to,
+        })
+        .expect("clean store");
+    }
+    let io = cached.stats().snapshot().since(&at_init);
+    // Under plain LRU this feed read 1 799 pages in 1 623 cell reads, with
+    // 1 123 hits; the demand stream (hits + misses, 2 746) is the same.
+    assert_eq!(
+        (io.pages_read, io.cell_reads, io.cache_hits),
+        (678, 587, 2_159)
+    );
+    assert_eq!(io.cache_misses, io.cell_reads);
+    let top: Vec<(u32, i64)> = alg.result().iter().map(|e| (e.place.0, e.safety)).collect();
+    assert_eq!(
+        top,
+        [
+            (400, -8),
+            (568, -8),
+            (647, -8),
+            (895, -8),
+            (1070, -8),
+            (1425, -8),
+            (1569, -8),
+            (1813, -8),
+            (2990, -8),
+            (3062, -8),
+            (3201, -8),
+            (3305, -8),
+            (3534, -8),
+            (3714, -8),
+            (4418, -8),
+        ]
+    );
 }
