@@ -6,7 +6,7 @@
 //!
 //! With no experiment arguments, runs everything. Experiment names:
 //! `table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation_purge ablation_disk
-//! shard_scaling ext_decay`.
+//! shard_scaling`.
 //!
 //! `--out FILE` additionally runs every algorithm over the Table III
 //! default workload and writes one unified observability snapshot per
@@ -123,7 +123,6 @@ fn main() {
         ),
         ("ablation_disk", Box::new(experiments::ablation_disk)),
         ("shard_scaling", Box::new(experiments::shard_scaling)),
-        ("ext_decay", Box::new(experiments::ext_decay)),
     ];
 
     let known: Vec<&str> = all.iter().map(|(name, _)| *name).collect();

@@ -4,7 +4,6 @@
 
 use crate::harness::{build_setup, measure_updates, AlgKind, SetupParams};
 use ctup_core::config::CtupConfig;
-use ctup_core::ext::decay::{DecayConfig, DecayCtup, DecayKernel, DecayMode};
 use ctup_core::oracle::Oracle;
 use ctup_mogen::{PlaceGenConfig, Workload, WorkloadParams};
 use ctup_spatial::Grid;
@@ -609,75 +608,5 @@ pub fn shard_scaling(effort: Effort) -> Table {
             "one shard, no cache is the sequential OptCTUP cost model on this disk".into(),
             "expected: avg_us shrinks with shards; pages_read shrinks with the cache".into(),
         ],
-    }
-}
-
-/// Extension experiment — decayed protection kernels (future work #2):
-/// update cost of the decayed monitor vs its brute-force oracle.
-pub fn ext_decay(effort: Effort) -> Table {
-    let kernels = [
-        ("step", DecayKernel::Step { radius: 0.1 }),
-        ("cone", DecayKernel::Cone { radius: 0.15 }),
-        (
-            "gauss",
-            DecayKernel::Gaussian {
-                sigma: 0.05,
-                cutoff: 0.15,
-            },
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (label, kernel) in kernels {
-        let wl_params = WorkloadParams {
-            num_units: 150,
-            places: PlaceGenConfig {
-                count: 15_000,
-                ..PlaceGenConfig::default()
-            },
-            seed: 0xC7,
-            ..WorkloadParams::default()
-        };
-        let mut workload = Workload::generate(wl_params);
-        let store: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(
-            Grid::unit_square(10),
-            workload.places_vec(),
-        ));
-        let config = DecayConfig {
-            kernel,
-            mode: DecayMode::TopK(15),
-            delta: 1.0,
-        };
-        let units = workload.unit_positions();
-        let mut monitor = DecayCtup::new(config, store, &units)
-            .unwrap_or_else(|e| panic!("benchmark store must be clean: {e}"));
-        let updates = workload.next_updates(effort.updates.min(3_000));
-        let start = std::time::Instant::now();
-        for u in &updates {
-            if let Err(e) = monitor.handle_update(u.object, u.to) {
-                panic!("benchmark store must be clean: {e}");
-            }
-        }
-        let avg = start.elapsed().as_nanos() as f64 / updates.len().max(1) as f64;
-        rows.push(vec![
-            label.into(),
-            us(avg),
-            format!(
-                "{:.3}",
-                monitor.cells_accessed as f64 / updates.len().max(1) as f64
-            ),
-            monitor.maintained_places().to_string(),
-        ]);
-    }
-    Table {
-        id: "ext_decay",
-        title: "Extension: decayed protection kernels (future work #2)".into(),
-        columns: vec![
-            "kernel".into(),
-            "avg_us".into(),
-            "cells/upd".into(),
-            "maintained".into(),
-        ],
-        rows,
-        notes: vec!["step kernel reduces to the paper's 0/1 model".into()],
     }
 }

@@ -18,9 +18,10 @@
 //!   places, Table II with the Decrease-Once Optimization and the Δ
 //!   anti-flashing slack.
 //!
-//! The paper's future-work extensions live in [`ext`]: places with extent
-//! (built into the protection predicate), threshold monitoring, decaying
-//! protection, and predictive snapshots.
+//! Two of the paper's future-work variants (§VII) are served by these same
+//! processors: places with extent, built into the protection predicate
+//! [`types::protects`], and threshold monitoring, selected by
+//! [`config::QueryMode::Threshold`].
 //!
 //! ```
 //! use ctup_core::algorithm::CtupAlgorithm;
@@ -59,7 +60,6 @@ pub mod cells;
 pub mod checkpoint;
 pub mod config;
 pub mod durable;
-pub mod ext;
 pub mod ingest;
 pub mod lbdir;
 pub mod maintained;

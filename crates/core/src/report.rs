@@ -127,8 +127,9 @@ impl Snapshot {
             ("storage_cache_hits", s.cache_hits),
             ("storage_cache_misses", s.cache_misses),
             ("storage_cache_evictions", s.cache_evictions),
-            // Always 0 (the cache takes no hint); the field stays only
-            // because the benchmark's layer report reads it.
+            // Always 0 (the cache takes no hint). The field stays because
+            // the benchmark's layer report reads it, and this line stays
+            // because L004 wants every snapshot field reported.
             ("storage_cache_prefetch_hits", s.cache_prefetch_hits),
             ("net_connections_accepted", n.connections_accepted),
             ("net_connections_rejected", n.connections_rejected),

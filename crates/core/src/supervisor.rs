@@ -72,6 +72,9 @@
 //!
 //! All decisions are counted in [`ResilienceStats`], folded into the final
 //! [`Metrics`] of the [`SupervisedReport`].
+//!
+//! [`StorageError`]: ctup_storage::StorageError
+//! [`GateState`]: crate::ingest::GateState
 
 use crate::checkpoint::{Checkpoint, Checkpointable};
 use crate::durable::DurableState;

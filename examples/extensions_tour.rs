@@ -1,5 +1,6 @@
-//! A tour of the paper's future-work extensions: places with extent,
-//! decaying protection kernels, and predictive queries.
+//! A tour of the paper's future-work extension that changes the protection
+//! predicate: places with extent. (Threshold monitoring, the other variant
+//! served, has its own example, `threshold_alerts`.)
 //!
 //! ```text
 //! cargo run --release --example extensions_tour
@@ -11,16 +12,14 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use ctup::core::algorithm::CtupAlgorithm;
-use ctup::core::config::{CtupConfig, QueryMode};
-use ctup::core::ext::decay::{DecayConfig, DecayCtup, DecayKernel, DecayMode, DecayOracle};
-use ctup::core::ext::predict::PredictiveCtup;
+use ctup::core::config::CtupConfig;
 use ctup::core::opt::OptCtup;
 use ctup::core::types::{LocationUpdate, Place, PlaceId, UnitId};
 use ctup::spatial::{Grid, Point, Rect};
 use ctup::storage::{CellLocalStore, PlaceStore};
 use std::sync::Arc;
 
-fn extent_demo() {
+fn main() {
     println!("— places with extent —");
     // A shopping mall occupies a whole block; a kiosk is a point. A patrol
     // protects the mall only when its entire footprint is in range.
@@ -61,80 +60,4 @@ fn extent_demo() {
     for entry in monitor.result() {
         println!("   place {} safety {:>2}", entry.place.0, entry.safety);
     }
-    println!();
-}
-
-fn decay_demo() {
-    println!("— decaying protection —");
-    let places: Vec<Place> = (0..40)
-        .map(|i| {
-            Place::point(
-                PlaceId(i),
-                Point::new((i % 8) as f64 / 8.0 + 0.06, (i / 8) as f64 / 5.0 + 0.1),
-                1 + i % 3,
-            )
-        })
-        .collect();
-    let units: Vec<Point> = vec![Point::new(0.3, 0.3), Point::new(0.7, 0.5)];
-    for kernel in [
-        DecayKernel::Step { radius: 0.15 },
-        DecayKernel::Cone { radius: 0.25 },
-        DecayKernel::Gaussian {
-            sigma: 0.08,
-            cutoff: 0.25,
-        },
-    ] {
-        let oracle = DecayOracle::new(places.clone(), kernel);
-        let store: Arc<dyn PlaceStore> =
-            Arc::new(CellLocalStore::build(Grid::unit_square(8), places.clone()));
-        let monitor = DecayCtup::new(
-            DecayConfig {
-                kernel,
-                mode: DecayMode::TopK(3),
-                delta: 0.5,
-            },
-            store,
-            &units,
-        )
-        .expect("clean store");
-        let top = monitor.result();
-        let check = oracle.result(&units, DecayMode::TopK(3));
-        assert_eq!(top.len(), check.len());
-        print!("   {kernel:?}: top-3 = ");
-        for e in &top {
-            print!("(p{} {:.2}) ", e.place.0, e.safety);
-        }
-        println!();
-    }
-    println!();
-}
-
-fn predict_demo() {
-    println!("— predictive queries —");
-    let places = vec![
-        Place::point(PlaceId(0), Point::new(0.2, 0.5), 1),
-        Place::point(PlaceId(1), Point::new(0.8, 0.5), 1),
-    ];
-    let store = CellLocalStore::build(Grid::unit_square(10), places);
-    // The single patrol starts near place 0 and reports a move towards
-    // place 1; dead reckoning sees where coverage will be lost.
-    let mut predictor =
-        PredictiveCtup::new(&store, &[Point::new(0.2, 0.5)], 0.12).expect("clean store");
-    predictor.observe(LocationUpdate {
-        unit: UnitId(0),
-        new: Point::new(0.32, 0.5),
-    });
-    for horizon in [0.0, 2.0, 4.0] {
-        let result = predictor.predict(horizon, QueryMode::TopK(1));
-        println!(
-            "   in {horizon:>3} report-intervals the least safe place is {} (safety {})",
-            result[0].place.0, result[0].safety
-        );
-    }
-}
-
-fn main() {
-    extent_demo();
-    decay_demo();
-    predict_demo();
 }

@@ -1,6 +1,7 @@
 //! Threshold alerts: "page the dispatcher whenever ANY place falls below a
-//! safety threshold" — the paper's future-work variant #3, plus dataset
-//! persistence through the snapshot format.
+//! safety threshold" — the paper's future-work variant #3, served by
+//! `OptCtup` in `QueryMode::Threshold` — plus dataset persistence through
+//! the snapshot format.
 //!
 //! ```text
 //! cargo run --release --example threshold_alerts
@@ -12,8 +13,8 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use ctup::core::algorithm::CtupAlgorithm;
-use ctup::core::config::CtupConfig;
-use ctup::core::ext::threshold::ThresholdMonitor;
+use ctup::core::config::{CtupConfig, QueryMode};
+use ctup::core::opt::OptCtup;
 use ctup::core::types::{LocationUpdate, UnitId};
 use ctup::mogen::{PlaceGenConfig, PlaceGenerator, Spread, Workload, WorkloadParams};
 use ctup::spatial::Grid;
@@ -56,30 +57,33 @@ fn main() {
 
     // Alarm whenever a place is short by 3 or more protectors.
     let tau = -5;
-    let mut monitor = ThresholdMonitor::new(tau, CtupConfig::paper_default(), store, &units)
-        .expect("clean store");
+    let config = CtupConfig {
+        mode: QueryMode::Threshold(tau),
+        ..CtupConfig::paper_default()
+    };
+    let mut monitor = OptCtup::new(config, store, &units).expect("clean store");
     println!(
         "monitoring safety < {tau}: initially {} places in alarm\n",
-        monitor.alarm_count()
+        monitor.result().len()
     );
 
     let mut worst_alarms = 0usize;
     let mut total_alarm_updates = 0u64;
     for update in workload.next_updates(2_000) {
-        let before = monitor.alarm_count();
+        let before = monitor.result().len();
         monitor
             .handle_update(LocationUpdate {
                 unit: UnitId(update.object),
                 new: update.to,
             })
             .expect("clean store");
-        let after = monitor.alarm_count();
+        let after = monitor.result().len();
         if after != before {
             total_alarm_updates += 1;
         }
         if after > worst_alarms {
             worst_alarms = after;
-            let worst = monitor.unsafe_places();
+            let worst = monitor.result();
             println!(
                 "new peak: {} places below {tau} (worst: place {} at {})",
                 after, worst[0].place.0, worst[0].safety
@@ -88,11 +92,11 @@ fn main() {
     }
     println!(
         "\nfinal: {} alarms, peak {}, {} updates changed the alarm set",
-        monitor.alarm_count(),
+        monitor.result().len(),
         worst_alarms,
         total_alarm_updates
     );
-    let m = monitor.inner().metrics();
+    let m = monitor.metrics();
     println!(
         "costs: {:.3} cells accessed/update, {} places maintained",
         m.cells_accessed as f64 / m.updates_processed.max(1) as f64,

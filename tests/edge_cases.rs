@@ -190,6 +190,42 @@ fn threshold_never_matched() {
 }
 
 #[test]
+fn threshold_above_every_safety_reports_every_place() {
+    let places: Vec<Place> = (0..36u32)
+        .map(|i| {
+            Place::point(
+                PlaceId(i),
+                Point::new((i / 6) as f64 / 6.0 + 0.08, (i % 6) as f64 / 6.0 + 0.08),
+                1 + (i / 6 + i % 6) % 4,
+            )
+        })
+        .collect();
+    let oracle = Oracle::new(places.clone());
+    let store: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(Grid::unit_square(6), places));
+    let mode = QueryMode::Threshold(100);
+    let config = CtupConfig {
+        mode,
+        ..CtupConfig::paper_default()
+    };
+    let radius = config.protection_radius;
+    let mut units = vec![Point::new(0.5, 0.5)];
+    let mut opt = OptCtup::new(config, store, &units).expect("clean store");
+    assert_eq!(opt.result().len(), 36);
+    oracle.assert_result_matches(&opt.result(), &units, radius, mode);
+    for (unit, new) in jagged_moves() {
+        opt.handle_update(LocationUpdate {
+            unit: UnitId(unit),
+            new,
+        })
+        .expect("clean store");
+        units[unit as usize] = new;
+        // No safety can reach 100, so every place stays reported.
+        assert_eq!(opt.result().len(), 36);
+        oracle.assert_result_matches(&opt.result(), &units, radius, mode);
+    }
+}
+
+#[test]
 fn zero_required_protection_everywhere() {
     // All safeties are >= 0; the top-k is still well-defined.
     let places: Vec<Place> = (0..25)
