@@ -23,8 +23,8 @@
 //! throughput and admission-wait quantiles per load point as JSON.
 //!
 //! `--failover-out FILE` runs the failover MTTR bench — engine kills
-//! healed in-process from the durable slot + WAL tail, and primary
-//! kills absorbed by warm-standby promotion — and writes per-trial
+//! restarted from the durable slot + WAL tail behind a fresh door, and
+//! primary kills absorbed by warm-standby promotion — and writes per-trial
 //! outage durations for both recovery levels as JSON.
 
 use ctup_bench::experiments::{self, Effort, Table};
@@ -224,7 +224,7 @@ fn main() {
         let heal = report.self_heal_ms();
         let promote = report.promotion_ms();
         for (i, (h, p)) in heal.iter().zip(&promote).enumerate() {
-            println!("  trial {i}: self-heal {h:.1}ms, promotion {p:.1}ms");
+            println!("  trial {i}: restart from dir {h:.1}ms, promotion {p:.1}ms");
         }
         println!("failover MTTR bench written to {path}");
     }

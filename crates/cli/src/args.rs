@@ -46,7 +46,8 @@ impl Command {
              snapshot. Any supervised flag runs unsharded opt behind the supervisor:\n\
              --kill-at N dies before effective update N, --recover resumes from --state-dir.",
             "Open the networked ingest front door with /metrics and /healthz. --updates N\n\
-             self-feeds over loopback, --state-dir arms self-heal, --standby follows a primary.",
+             self-feeds over loopback, --state-dir journals for standbys and for\n\
+             --recover, which restarts from it after a death; --standby follows a primary.",
             "Feed the seeded stream to a running `serve` (same --units/--places/--seed),\n\
              optionally through seeded link faults or a --failover address list.",
             "Analyze a --span-dump file: per-stage latency and slowest critical paths.",
@@ -122,7 +123,7 @@ const FLAGS: &[Flag] = &[
     flag("state-dir", "DIR", RUN | SUPERVISED | SERVE),
     flag("kill-at", "N", RUN | SUPERVISED | SERVE),
     flag("tear-slot", "", RUN | SUPERVISED),
-    flag("recover", "", RUN | SUPERVISED),
+    flag("recover", "", RUN | SUPERVISED | SERVE),
     flag("flight-recorder", "N", RUN | SUPERVISED),
     flag("flight-recorder-keep", "N", RUN | SUPERVISED),
     flag("addr", "HOST:PORT", SERVE | FEED),

@@ -9,9 +9,9 @@ use ctup_core::config::{CtupConfig, QueryMode};
 use ctup_core::ingest::{stamp_stream, StampedUpdate};
 use ctup_core::naive::{NaiveIncremental, NaiveRecompute};
 use ctup_core::net::{
-    ClientConfig, Conn, Dialer, EngineReviver, EngineSink, FailoverDialer, FeedClient,
-    IngestServer, NetServerConfig, NetStatsSnapshot, PipelineSink, RecoveryConfig, RecoveryPlan,
-    StandbyConfig, StandbyPhase, StandbyServer, TcpDialer,
+    ClientConfig, Conn, Dialer, EngineSink, FailoverDialer, FeedClient, IngestServer,
+    NetServerConfig, NetStatsSnapshot, PipelineSink, StandbyConfig, StandbyPhase, StandbyServer,
+    TcpDialer,
 };
 use ctup_core::report::Snapshot;
 use ctup_core::server::{MonitorEvent, Server};
@@ -415,8 +415,7 @@ impl Offline {
         let pipeline = match state_dir.filter(|_| flags.switch("recover")) {
             Some(dir) => {
                 let _ = writeln!(self.text, "recovering from {}", dir.display());
-                SupervisedPipeline::recover_from_dir::<OptCtup>(&dir, store, resilience, capacity)
-                    .map_err(|e| CliError(format!("recovering from {}: {e}", dir.display())))?
+                recover_from_dir(&dir, store, resilience, capacity)?
             }
             None => {
                 let monitor = OptCtup::new(config, store, &self.units).map_err(init_err)?;
@@ -450,29 +449,15 @@ impl Offline {
     }
 }
 
-/// The level-1 self-heal reviver behind `serve --state-dir`: rebuilds the
-/// engine sink from the durable A/B slot and journal tail in `dir` when
-/// the front door's pump finds the engine dead.
-struct DirReviver {
-    dir: PathBuf,
+/// Resumes the engine a dead process left in `dir` (`--recover`).
+fn recover_from_dir(
+    dir: &Path,
     store: Arc<dyn PlaceStore>,
     resilience: ResilienceConfig,
-}
-
-impl EngineReviver for DirReviver {
-    fn revive(&self) -> Result<Arc<dyn EngineSink>, String> {
-        let pipeline = SupervisedPipeline::recover_from_dir::<OptCtup>(
-            &self.dir,
-            Arc::clone(&self.store),
-            self.resilience.clone(),
-            4096,
-        )
-        .map_err(|e| format!("recovering from {}: {e}", self.dir.display()))?;
-        // Pipeline events only carry changes, so the sink is seeded with
-        // the state the recovered engine resumes from: the result over
-        // the folded journal tail, not the checkpoint's.
-        Ok(Arc::new(PipelineSink::from_pipeline(pipeline)))
-    }
+    capacity: usize,
+) -> Result<SupervisedPipeline, CliError> {
+    SupervisedPipeline::recover_from_dir::<OptCtup>(dir, store, resilience, capacity)
+        .map_err(|e| CliError(format!("recovering from {}: {e}", dir.display())))
 }
 
 /// Dials through a [`ChaosStream`] so `ctup feed` can rehearse faulty
@@ -500,16 +485,25 @@ impl Dialer for ChaosDialer {
 /// metrics endpoint (`/metrics` + `/healthz`) alongside. `--updates N`
 /// first drives N workload updates through a loopback feed client, so the
 /// served numbers (and the accounting printed at shutdown) are
-/// non-trivial; `--serve-secs 0` exits right after.
+/// non-trivial; `--serve-secs 0` exits right after. `--recover` restarts
+/// the engine from `--state-dir` instead of from the generated workload.
 fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let config = query_config(flags)?;
     let seed: u64 = flags.get("seed", SEED)?;
     let standby: Option<std::net::SocketAddr> = flags.opt("standby")?;
     let state_dir = flags.get_str("state-dir").map(PathBuf::from);
-    if flags.switch("checkpoint-every") && state_dir.is_none() {
-        return Err(CliError(
-            "--checkpoint-every requires --state-dir <dir>".to_string(),
-        ));
+    let recover = flags.switch("recover");
+    let problem = if flags.switch("checkpoint-every") && state_dir.is_none() {
+        Some("--checkpoint-every requires --state-dir <dir>")
+    } else if recover && state_dir.is_none() {
+        Some("--recover requires --state-dir <dir>")
+    } else if recover && standby.is_some() {
+        Some("--recover restarts a primary; a --standby bootstraps from its primary")
+    } else {
+        None
+    };
+    if let Some(problem) = problem {
+        return Err(CliError(problem.to_string()));
     }
     // `--span-dump FILE` arms end-to-end causal tracing: one shared sink
     // for the door, the engine worker and the loopback feed, so a report's
@@ -543,8 +537,6 @@ fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         return serve_standby(flags, primary, net_config, store, span_dump, out);
     }
 
-    let units = workload.unit_positions();
-    let monitor = OptCtup::new(config, Arc::clone(&store), &units).map_err(init_err)?;
     let kill_at: u64 = flags.get("kill-at", 0)?;
     let resilience = ResilienceConfig {
         kill_at: (kill_at > 0).then_some(kill_at),
@@ -553,24 +545,25 @@ fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         spans: spans.clone(),
         ..ResilienceConfig::default()
     };
-    let pipeline = SupervisedPipeline::spawn(monitor, resilience.clone(), 4096);
+    // `--recover` is the way back after the engine or the process died:
+    // the engine resumes from what the dead one left in --state-dir, and
+    // a feed re-delivers its unacked reports (the gate drops what the
+    // journal already holds).
+    let pipeline = match state_dir.filter(|_| recover) {
+        Some(dir) => {
+            writeln!(out, "recovering from {}", dir.display())?;
+            recover_from_dir(&dir, Arc::clone(&store), resilience, 4096)?
+        }
+        None => {
+            let units = workload.unit_positions();
+            let monitor = OptCtup::new(config, Arc::clone(&store), &units).map_err(init_err)?;
+            SupervisedPipeline::spawn(monitor, resilience, 4096)
+        }
+    };
     let sink = Arc::new(PipelineSink::from_pipeline(pipeline));
-    // With durable state the door revives a dead engine in-process
-    // (level-1 self-heal) instead of parking in degraded mode.
-    let recovery = state_dir.as_ref().map(|dir| RecoveryPlan {
-        reviver: Arc::new(DirReviver {
-            dir: dir.clone(),
-            store: Arc::clone(&store),
-            resilience: ResilienceConfig {
-                kill_at: None,
-                ..resilience
-            },
-        }),
-        config: RecoveryConfig::default(),
-    });
     let addr = flags.get_str("addr").unwrap_or("127.0.0.1:9710");
     let engine = Arc::clone(&sink) as Arc<dyn EngineSink>;
-    let server = IngestServer::spawn_with_recovery(addr, net_config, engine, recovery)
+    let server = IngestServer::spawn(addr, net_config, engine)
         .map_err(|e| io_err(&format!("binding ingest address {addr}"), e))?;
     let metrics = bind_metrics(flags)?;
     let (door, scrape) = (server.local_addr(), metrics.local_addr());
@@ -638,11 +631,10 @@ fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let duplicates = report.metrics.resilience.duplicates_dropped;
     writeln!(out, "exactly-once: {accepted} accepted at the door, {applied} applied by the engine, {duplicates} duplicates dropped at the gate")?;
     if report.killed {
-        writeln!(out, "engine killed (--kill-at); the door degraded")?;
-    }
-    if let (Some(dir), restarts @ 1..) = (&state_dir, net.engine_restarts) {
-        let dir = dir.display();
-        writeln!(out, "engine self-healed {restarts} time(s) from {dir}; the engine counters below cover the first engine only")?;
+        writeln!(
+            out,
+            "engine killed (--kill-at); the door degraded (restart with --recover)"
+        )?;
     }
     let mut text = String::new();
     write_result(&mut text, &report.final_result);
@@ -1217,6 +1209,8 @@ mod tests {
             "run --recover => --recover requires --state-dir",
             "run --checkpoint-every 8 => --checkpoint-every requires --state-dir",
             "serve --checkpoint-every 8 => --checkpoint-every requires --state-dir",
+            "serve --recover => --recover requires --state-dir",
+            "serve --recover --state-dir s --standby 127.0.0.1:1 => --recover restarts a primary",
             "run --tear-slot --state-dir s => --tear-slot requires --kill-at <n> and --state-dir",
             "run --tear-slot --kill-at 5 => --tear-slot requires --kill-at <n> and --state-dir",
             "run --panic-at 40,x => bad --panic-at entry \"x\"",
@@ -1255,6 +1249,59 @@ mod tests {
         // The shutdown snapshot carries the engine's counters too.
         assert_eq!(counter(&out, "updates_processed"), 200, "{out}");
         assert_eq!(final_result(&out).len(), 15, "{out}");
+    }
+
+    #[test]
+    fn serve_recover_restarts_a_killed_door_from_its_state_dir() {
+        let dir = temp("serve-state");
+        let world = "--units 25 --places 1500 --k 4 --seed 41";
+        let door = "--serve-secs 0 --addr 127.0.0.1:0 --metrics-addr 127.0.0.1:0";
+        let durable = format!("--checkpoint-every 0 --state-dir {}", dir.display());
+        let serve = |extra: &str| ctup(&format!("serve {world} {door} {durable} {extra}"));
+        let killed = serve("--updates 3000 --kill-at 100").expect("killed");
+        assert!(killed.contains("engine killed"), "{killed}");
+        let acked: usize = killed
+            .split("loopback feed: 3000 offered, ")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no loopback accounting in\n{killed}"));
+
+        // The dead engine shed a tail. The new process serves the
+        // journaled prefix, which holds every acked report, before a
+        // report is sent: its top-k is the one an uninterrupted run over
+        // that prefix ends with.
+        let (_, tail) = ctup_core::DurableState::load(&dir).expect("load");
+        assert!(
+            acked <= tail.len() && tail.len() < 3000,
+            "{acked} acked\n{killed}"
+        );
+        let recovered = serve("--recover --updates 0").expect("recovered");
+        assert!(recovered.contains("recovering from"), "{recovered}");
+        let replayed = counter(&recovered, "resilience_updates_replayed");
+        assert_eq!(replayed, tail.len() as u64, "{recovered}");
+        let prefix = ctup(&format!("run {world} --updates {}", tail.len())).expect("prefix");
+        let (want, got) = (final_result(&prefix), final_result(&recovered));
+        let why = format!("prefix run:\n{prefix}\nrecovered:\n{recovered}");
+        assert_eq!(want.len(), 4, "{why}");
+        assert_eq!(safeties(&prefix), safeties(&recovered), "{why}");
+        assert_eq!(above_sk(&want), above_sk(&got), "{why}");
+
+        // Re-delivering the whole stream to a restarted door is
+        // exactly-once: it ends where an uninterrupted run ends.
+        let refed = serve("--recover --updates 3000").expect("re-fed");
+        assert!(
+            refed.contains("loopback feed: 3000 offered, 3000 acked, 0 shed"),
+            "{refed}"
+        );
+        let whole = ctup(&format!("run {world} --updates 3000")).expect("uninterrupted");
+        let why = format!("uninterrupted:\n{whole}\nre-fed:\n{refed}");
+        assert_eq!(safeties(&whole), safeties(&refed), "{why}");
+        assert_eq!(
+            above_sk(&final_result(&whole)),
+            above_sk(&final_result(&refed)),
+            "{why}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

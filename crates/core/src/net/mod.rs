@@ -13,19 +13,19 @@
 //! every accepted report is applied exactly once, and every report that
 //! is not applied is accounted for as a replay or a typed shed.
 //!
-//! PR8 adds the two-level recovery subsystem: [`recovery`] (circuit-broken
-//! in-process engine revival behind the pump) and [`standby`] (a warm
-//! standby that bootstraps from a shipped checkpoint over [`wire`]'s
-//! replication frames, tails the WAL stream, and promotes itself behind an
-//! epoch fence when the primary goes dark). The MTTR bench (`reproduce
-//! --failover-out`) — outage duration for both recovery levels — lives in
+//! A dead engine is not revived behind the door: the door degrades for
+//! good, and the monitor comes back as a new process that restarts from
+//! its state directory, or through [`standby`] (a warm standby that
+//! bootstraps from a shipped checkpoint over [`wire`]'s replication
+//! frames, tails the WAL stream, and promotes itself behind an epoch fence
+//! when the primary goes dark). The MTTR bench (`reproduce
+//! --failover-out`) — outage duration for both ways back — lives in
 //! [`mttr`].
 
 pub mod admission;
 pub mod client;
 pub mod mttr;
 pub mod overload;
-pub mod recovery;
 pub mod server;
 pub mod session;
 pub mod standby;
@@ -43,7 +43,6 @@ pub use mttr::{run_mttr_bench, MttrConfig, MttrReport, PromotionTrial, SelfHealT
 pub use overload::{
     run_sweep, CalibratedSink, CountingSink, LoadPoint, OverloadConfig, SweepReport,
 };
-pub use recovery::{CircuitBreaker, EngineReviver, RecoveryConfig, RecoveryPlan};
 pub use server::{EngineSink, IngestServer, NetServerConfig, PipelineSink, SinkError};
 pub use session::{SessionConfig, SessionRegistry};
 pub use standby::{StandbyConfig, StandbyPhase, StandbyServer, StandbyStatus};

@@ -28,17 +28,21 @@
 //!   report is *not* acked at hand-off: it stays in the pump's in-flight
 //!   tail until the sink's [durable mark](EngineSink::durable_mark)
 //!   covers it, so an ack can never run ahead of the engine's journal —
-//!   the invariant level-1 recovery and standby promotion both lean on.
+//!   the invariant restart-from-directory and standby promotion both lean
+//!   on.
 //!   The pump reads the mark on every pass, so while reports keep coming
 //!   acks ride on arrivals; each time the engine has synced a commit group
 //!   it fires the hook installed through [`EngineSink::set_durable_hook`]
 //!   once, which [kicks](AdmissionQueue::kick) the pump out of its park to
 //!   hand out the acks now covered.
 //!   Engine backpressure is absorbed here (bounded retry against the
-//!   deadline); engine death triggers circuit-broken in-process revival
-//!   through the [`RecoveryPlan`] when one was installed, and only a
-//!   tripped breaker (or no plan) parks the server in sticky degraded
-//!   mode.
+//!   deadline). Engine death, seen by a failing hand-off or by the idle
+//!   [`EngineSink::dead`] probe, sheds the unacked tail with
+//!   `EngineDegraded` and parks the server in sticky degraded mode: the
+//!   supervisor's restart budget is the only in-process restart, and a
+//!   dead engine comes back as a new process
+//!   ([`SupervisedPipeline::recover_from_dir`] behind a fresh door) or
+//!   through standby promotion.
 //! * **watchdog** — refreshes the last-good top-k from the engine, trips
 //!   degraded mode when the queue is backlogged and the pump makes no
 //!   progress (or the engine died), clears it when the backlog drains,
@@ -62,7 +66,6 @@
 //! crowns itself while the primary is still answering.
 
 use super::admission::{AdmissionConfig, AdmissionQueue, QueuedReport};
-use super::recovery::{CircuitBreaker, RecoveryPlan};
 use super::session::{
     Link, OpenError, OutboundNote, ReportClass, SessionConfig, SessionOpen, SessionRegistry,
 };
@@ -108,9 +111,10 @@ pub trait EngineSink: Send + Sync {
     /// How many reports (counted in hand-off order from this sink's
     /// creation) the engine has taken durable ownership of — journaled or
     /// terminally rejected. The pump acks a report only once this mark
-    /// covers its hand-off index. Sinks with no durability story (test
-    /// counters, the calibrated overload sink) keep the default, which
-    /// acks at hand-off exactly as the pre-recovery front door did.
+    /// covers its hand-off index, so every acked report survives an engine
+    /// death in the journal that a restart from the directory replays.
+    /// Sinks with no durability story (test counters, the calibrated
+    /// overload sink) keep the default, which acks at hand-off.
     fn durable_mark(&self) -> u64 {
         u64::MAX
     }
@@ -374,15 +378,8 @@ struct Shared {
     /// alone: the sink outlives the server, and upgrading must never make
     /// an engine thread the last owner of anything that owns the sink.
     queue: Arc<AdmissionQueue>,
-    /// The current engine; level-1 recovery swaps a revived sink in, so
-    /// every use clones the `Arc` out rather than borrowing through the
-    /// lock.
-    sink: Mutex<Arc<dyn EngineSink>>,
-    /// In-process revival plan; `None` keeps the pre-recovery behavior
-    /// (engine death is sticky degraded mode).
-    recovery: Option<RecoveryPlan>,
-    /// Revival budget; meaningful only when `recovery` is `Some`.
-    breaker: Mutex<CircuitBreaker>,
+    /// The engine, fixed for this server's lifetime.
+    sink: Arc<dyn EngineSink>,
     replication: ReplicationHub,
     /// The fencing epoch, fixed for this server's lifetime.
     epoch: u64,
@@ -416,14 +413,6 @@ impl Shared {
                 queue.kick();
             }
         })
-    }
-
-    /// Clones the current sink out from under the swap lock.
-    fn sink(&self) -> Arc<dyn EngineSink> {
-        match self.sink.lock() {
-            Ok(guard) => Arc::clone(&guard),
-            Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-        }
     }
 
     fn set_degraded(&self, on: bool) {
@@ -471,36 +460,18 @@ pub struct IngestServer {
 }
 
 impl IngestServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0`) and starts serving `sink`, with
-    /// no in-process revival (engine death is sticky degraded mode).
+    /// Binds `addr` (e.g. `127.0.0.1:0`) and starts serving `sink`. Engine
+    /// death is sticky degraded mode.
     pub fn spawn(
         addr: &str,
         config: NetServerConfig,
         sink: Arc<dyn EngineSink>,
-    ) -> std::io::Result<IngestServer> {
-        Self::spawn_with_recovery(addr, config, sink, None)
-    }
-
-    /// Binds `addr` and starts serving `sink`; when `recovery` is given,
-    /// engine death triggers circuit-broken in-process revival instead of
-    /// sticky degraded mode.
-    pub fn spawn_with_recovery(
-        addr: &str,
-        config: NetServerConfig,
-        sink: Arc<dyn EngineSink>,
-        recovery: Option<RecoveryPlan>,
     ) -> std::io::Result<IngestServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stats = Arc::new(NetStats::default());
         stats.epoch.store(config.epoch, Ordering::Relaxed);
         let initial_topk = sink.topk();
-        let breaker = CircuitBreaker::new(
-            recovery
-                .as_ref()
-                .map(|plan| plan.config.clone())
-                .unwrap_or_default(),
-        );
         let shared = Arc::new(Shared {
             registry: SessionRegistry::new(config.session.clone(), Arc::clone(&stats)),
             queue: Arc::new(AdmissionQueue::new(
@@ -510,9 +481,7 @@ impl IngestServer {
             epoch: config.epoch,
             config,
             stats,
-            sink: Mutex::new(sink),
-            recovery,
-            breaker: Mutex::new(breaker),
+            sink,
             replication: ReplicationHub::default(),
             stop: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
@@ -522,7 +491,7 @@ impl IngestServer {
             degraded_entered: Mutex::new(None),
             conn_count: AtomicUsize::new(0),
         });
-        shared.sink().set_durable_hook(shared.durable_hook());
+        shared.sink.set_durable_hook(shared.durable_hook());
         let accept = spawn_thread("ctup-net-accept", {
             let shared = Arc::clone(&shared);
             move || accept_loop(&listener, &shared)
@@ -565,16 +534,6 @@ impl IngestServer {
         self.shared.epoch
     }
 
-    /// Whether the crash-storm circuit breaker has tripped: the revival
-    /// budget is spent and degraded mode is sticky until an operator
-    /// intervenes.
-    pub fn breaker_tripped(&self) -> bool {
-        match self.shared.breaker.lock() {
-            Ok(guard) => guard.tripped(),
-            Err(poisoned) => poisoned.into_inner().tripped(),
-        }
-    }
-
     /// The last-good top-k (served even while degraded).
     pub fn last_good_topk(&self) -> Vec<TopKEntry> {
         match self.shared.last_good.lock() {
@@ -593,10 +552,6 @@ impl IngestServer {
         obj.field_bool("degraded", degraded);
         obj.field_u64("sessions", convert::count64(self.shared.registry.active()));
         obj.field_u64("queue_depth", convert::count64(self.shared.queue.depth()));
-        obj.field_u64(
-            "engine_restarts",
-            stats.engine_restarts.load(Ordering::Relaxed),
-        );
         obj.field_u64("failovers", stats.failovers.load(Ordering::Relaxed));
         obj.field_u64("degraded_since_ms", self.shared.degraded_for_ms());
         obj.field_u64("epoch", self.shared.epoch);
@@ -1271,14 +1226,12 @@ fn send_bye(stream: &mut TcpStream, writer: &mut FrameWriter, reason: ByeReason)
 /// and is acked (drained in the registry, counted accepted) only once the
 /// sink's durable mark covers its hand-off index. On engine death the
 /// tail is exactly the set of reports that may not have reached the
-/// journal — [`try_recover`] re-feeds it to the revived engine, whose
-/// replayed gate state drops whatever the journal already covered, so
-/// every report is applied exactly once and no ack is ever retracted.
+/// journal — [`engine_died`] sheds it, so no ack is ever retracted, and a
+/// restart from the directory replays whatever the journal did cover.
 fn pump_loop(shared: &Arc<Shared>) {
     let tick = shared.config.io_tick;
     let deadline = shared.config.admission.ingest_deadline;
-    // Reports handed to the *current* sink, in order; index 1 is the
-    // first hand-off after the sink was installed.
+    // Reports handed to the sink, in order; index 1 is the first.
     let mut handed: u64 = 0;
     let mut inflight: VecDeque<(u64, QueuedReport)> = VecDeque::new();
     loop {
@@ -1295,11 +1248,11 @@ fn pump_loop(shared: &Arc<Shared>) {
             // would never be discovered through a failing hand-off, so an
             // unacked tail would hang forever — and with everything acked
             // (a kill right after the last report's journal write), the
-            // served top-k would miss those reports until the next one
-            // arrived. Probe and recover in place either way.
+            // door would keep claiming health over a top-k that misses
+            // those reports.
             // ctup-lint: allow(L008, one-way latch; a stale false costs one extra probe pass)
-            if !shared.engine_dead.load(Ordering::Relaxed) && shared.sink().dead() {
-                let _ = try_recover(shared, &mut handed, &mut inflight);
+            if !shared.engine_dead.load(Ordering::Relaxed) && shared.sink.dead() {
+                engine_died(shared, &mut inflight);
             }
             continue;
         };
@@ -1317,9 +1270,8 @@ fn pump_loop(shared: &Arc<Shared>) {
         // is the elastic buffer, so all we do here is wait out short
         // bursts — the ingest deadline still bounds the total wait.
         loop {
-            let sink = shared.sink();
             let handed_nanos = if item.trace != 0 { now_nanos() } else { 0 };
-            match sink.try_ingest(TracedReport {
+            match shared.sink.try_ingest(TracedReport {
                 report: item.report,
                 trace: item.trace,
                 handed_nanos,
@@ -1370,10 +1322,7 @@ fn pump_loop(shared: &Arc<Shared>) {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 Err(SinkError::Dead) => {
-                    if try_recover(shared, &mut handed, &mut inflight) {
-                        // Revived: retry this item on the fresh sink.
-                        continue;
-                    }
+                    engine_died(shared, &mut inflight);
                     pump_shed(shared, &item, ShedReason::EngineDegraded);
                     break;
                 }
@@ -1387,7 +1336,7 @@ fn drain_acks(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>
     if inflight.is_empty() {
         return;
     }
-    let mark = shared.sink().durable_mark();
+    let mark = shared.sink.durable_mark();
     while inflight.front().is_some_and(|&(idx, _)| idx <= mark) {
         if let Some((_, item)) = inflight.pop_front() {
             shared
@@ -1404,120 +1353,14 @@ fn drain_acks(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>
     }
 }
 
-/// Level-1 self-healing. Called with the engine dead: rebuilds it via the
-/// recovery plan (bounded by the circuit breaker), re-feeds the unacked
-/// in-flight tail to the revived sink, swaps it in, and exits degraded
-/// mode. Returns `false` once the breaker trips, revival is impossible
-/// (no plan), or we are shutting down — the sticky-degraded legacy path.
-fn try_recover(
-    shared: &Arc<Shared>,
-    handed: &mut u64,
-    inflight: &mut VecDeque<(u64, QueuedReport)>,
-) -> bool {
+/// Called with the engine dead: latches it, degrades the door for good
+/// and sheds the unacked tail with `EngineDegraded`.
+fn engine_died(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>) {
     // ctup-lint: allow(L008, one-way latch; readers act on it eventually, nothing is gated on order)
     shared.engine_dead.store(true, Ordering::Relaxed);
     shared.set_degraded(true);
-    let Some(plan) = shared.recovery.as_ref() else {
-        let dropped: Vec<QueuedReport> = inflight.drain(..).map(|(_, item)| item).collect();
-        shed_items(shared, dropped);
-        return false;
-    };
-    // The unacked tail: reports handed to the dead sink whose journal
-    // coverage is unknown. Safe to re-feed — the revived gate's replayed
-    // dedup state drops whatever the journal already covered. (They were
-    // already shipped to standbys at first hand-off, so no re-ship here.)
-    let pending: Vec<QueuedReport> = inflight.drain(..).map(|(_, item)| item).collect();
-    *handed = 0;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            shed_items(shared, pending);
-            return false;
-        }
-        let delay = {
-            let mut breaker = match shared.breaker.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            breaker.before_attempt(Instant::now())
-        };
-        let Some(delay) = delay else {
-            // Budget exhausted: the breaker is now tripped for good.
-            shed_items(shared, pending);
-            return false;
-        };
-        // The breaker guard is dropped before this sleep.
-        std::thread::sleep(delay);
-        {
-            let mut breaker = match shared.breaker.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            breaker.record_attempt(Instant::now());
-        }
-        let Ok(new_sink) = plan.reviver.revive() else {
-            continue;
-        };
-        // Hooked before the re-feed: the kicks it causes stay set until
-        // the pump is back in `pop`.
-        new_sink.set_durable_hook(shared.durable_hook());
-        if reingest(&new_sink, &pending, handed, inflight) {
-            {
-                let mut sink = match shared.sink.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                *sink = new_sink;
-            }
-            shared.stats.engine_restarts.fetch_add(1, Ordering::Relaxed);
-            // ctup-lint: allow(L008, one-way latch cleared by its only writer; the watchdog re-reads every tick)
-            shared.engine_dead.store(false, Ordering::Relaxed);
-            shared.set_degraded(false);
-            return true;
-        }
-        // The fresh sink died during the re-feed; the next budgeted
-        // attempt replays from its journal, so nothing was lost.
-        inflight.clear();
-        *handed = 0;
-    }
-}
-
-/// Feeds the unacked tail into a freshly revived sink, rebuilding the
-/// in-flight numbering. `false` if the sink died underneath us.
-fn reingest(
-    sink: &Arc<dyn EngineSink>,
-    pending: &[QueuedReport],
-    handed: &mut u64,
-    inflight: &mut VecDeque<(u64, QueuedReport)>,
-) -> bool {
-    *handed = 0;
-    inflight.clear();
-    let give_up = Instant::now() + Duration::from_secs(5);
-    for item in pending {
-        loop {
-            // The trace rides along so the revived engine's apply spans
-            // land on the same tree; `handed_nanos` 0 lets the supervisor
-            // stamp the re-apply at receive time.
-            match sink.try_ingest(TracedReport {
-                report: item.report,
-                trace: item.trace,
-                handed_nanos: 0,
-            }) {
-                Ok(()) => {
-                    *handed += 1;
-                    inflight.push_back((*handed, item.clone()));
-                    break;
-                }
-                Err(SinkError::Backpressure) => {
-                    if Instant::now() > give_up {
-                        return false;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(SinkError::Dead) => return false,
-            }
-        }
-    }
-    true
+    let dropped: Vec<QueuedReport> = inflight.drain(..).map(|(_, item)| item).collect();
+    shed_items(shared, dropped);
 }
 
 /// Sheds a batch of queued reports with `EngineDegraded`.
@@ -1611,7 +1454,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
         // ctup-lint: allow(L008, one-way latch; the watchdog re-reads it every tick)
         let engine_dead = shared.engine_dead.load(Ordering::Relaxed);
         let depth = shared.queue.depth();
-        // ctup-lint: allow(L008, degraded transitions are decided between the watchdog and the recovering pump, both of which re-read every pass)
+        // ctup-lint: allow(L008, degraded transitions are decided between the watchdog and the pump, both of which re-read every pass)
         let degraded = shared.degraded.load(Ordering::Relaxed);
         if engine_dead {
             shared.set_degraded(true);
@@ -1649,7 +1492,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
 
         // Refresh the last-good top-k while the engine is alive.
         if !engine_dead {
-            let fresh = shared.sink().topk();
+            let fresh = shared.sink.topk();
             let mut guard = match shared.last_good.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),

@@ -198,9 +198,6 @@ pub struct NetStats {
     pub degraded_entries: AtomicU64,
     /// `SnapshotPush` frames sent to subscribed sessions.
     pub snapshots_pushed: AtomicU64,
-    /// Times the level-1 recovery path rebuilt a dead engine in process
-    /// (durable slot + WAL replay) and resumed draining.
-    pub engine_restarts: AtomicU64,
     /// Times this server took over as primary (a standby promotion
     /// crowned it; the epoch gauge records the fencing epoch it serves).
     pub failovers: AtomicU64,
@@ -265,7 +262,6 @@ impl NetStats {
             shed_engine_degraded: load(&self.shed_engine_degraded),
             degraded_entries: load(&self.degraded_entries),
             snapshots_pushed: load(&self.snapshots_pushed),
-            engine_restarts: load(&self.engine_restarts),
             failovers: load(&self.failovers),
             queue_depth: load(&self.queue_depth),
             sessions_active: load(&self.sessions_active),
@@ -328,8 +324,6 @@ pub struct NetStatsSnapshot {
     pub degraded_entries: u64,
     /// `SnapshotPush` frames sent.
     pub snapshots_pushed: u64,
-    /// Times the level-1 recovery path rebuilt a dead engine in process.
-    pub engine_restarts: u64,
     /// Times this server took over as primary via standby promotion.
     pub failovers: u64,
     /// Gauge: reports waiting in the admission queue at snapshot time.

@@ -148,7 +148,6 @@ impl Snapshot {
             ("net_shed_total", n.shed_total()),
             ("net_degraded_entries", n.degraded_entries),
             ("net_snapshots_pushed", n.snapshots_pushed),
-            ("net_engine_restarts", n.engine_restarts),
             ("net_failovers", n.failovers),
             ("net_spans_dropped", n.spans_dropped),
             ("net_traces_sampled", n.traces_sampled),
@@ -443,9 +442,9 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), total, "duplicate series name");
-        // 10 Metrics counters + 12 resilience + 11 storage + 21 net
+        // 10 Metrics counters + 12 resilience + 11 storage + 20 net
         // + 3 algorithm gauges + 6 net gauges.
-        assert_eq!(total, 63);
+        assert_eq!(total, 62);
     }
 
     #[test]
@@ -455,7 +454,6 @@ mod tests {
         snap.net.shed_queue_full = 2;
         snap.net.shed_engine_degraded = 1;
         snap.net.degraded = true;
-        snap.net.engine_restarts = 4;
         snap.net.failovers = 1;
         snap.net.degraded_since_ms = 250;
         snap.net.epoch = 3;
@@ -473,7 +471,6 @@ mod tests {
         assert!(text.contains("net_shed_queue_full: 2\n"));
         assert!(text.contains("net_shed_total: 3\n"));
         assert!(text.contains("net_degraded: 1\n"));
-        assert!(text.contains("net_engine_restarts: 4\n"));
         assert!(text.contains("net_failovers: 1\n"));
         assert!(text.contains("net_degraded_since_ms: 250\n"));
         assert!(text.contains("net_epoch: 3\n"));
@@ -486,7 +483,6 @@ mod tests {
         assert!(json.contains("\"net_shed_deadline_exceeded\":0"));
         assert!(json.contains("\"net_shed_session_quota\":0"));
         assert!(json.contains("\"net_degraded\":1"));
-        assert!(json.contains("\"net_engine_restarts\":4"));
         assert!(json.contains("\"net_failovers\":1"));
         assert!(json.contains("\"net_degraded_since_ms\":250"));
         assert!(json.contains("\"net_epoch\":3"));
@@ -502,7 +498,6 @@ mod tests {
         assert!(prom.contains("# TYPE ctup_net_shed_queue_full counter\n"));
         assert!(prom.contains("ctup_net_shed_queue_full{algorithm=\"opt\"} 2\n"));
         assert!(prom.contains("# TYPE ctup_net_degraded gauge\n"));
-        assert!(prom.contains("# TYPE ctup_net_engine_restarts counter\n"));
         assert!(prom.contains("# TYPE ctup_net_failovers counter\n"));
         assert!(prom.contains("ctup_net_epoch{algorithm=\"opt\"} 3\n"));
         assert!(prom.contains("# TYPE ctup_net_spans_dropped counter\n"));

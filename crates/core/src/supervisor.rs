@@ -43,8 +43,11 @@
 //!    crashed, so its server takes over the crashed server's published map
 //!    ([`Server::take_over_published`]) and the retry diffs against what
 //!    subscribers hold. Every recovery attempt spends one of
-//!    `max_restarts`, and a restore that fails is retried like a crash in
-//!    apply; once the budget is spent the pipeline gives up and reports so.
+//!    `max_restarts` inside a sliding [`RESTART_WINDOW`], and a restore
+//!    that fails is retried like a crash in apply; once the window holds
+//!    the whole budget the pipeline gives up and reports so. This is the
+//!    only in-process restart: the front door does not revive an engine
+//!    that gave up.
 //!
 //! The state directory has one writer at a time. The commit stage writes
 //! it only under the pipeline's directory lock, and not at all once the
@@ -86,13 +89,14 @@ use crate::types::{LocationUpdate, TopKEntry};
 use ctup_obs::{now_nanos, LatencySnapshot, ObsHub, SpanSink, Stage, TraceEvent, TraceOutcome};
 use ctup_spatial::convert;
 use ctup_storage::PlaceStore;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Tuning of the resilience layer.
 #[derive(Debug, Clone)]
@@ -104,7 +108,9 @@ pub struct ResilienceConfig {
     /// this many effective updates; `0` keeps only the spawn-time slot.
     /// Inert without a `state_dir`: a self-heal needs no checkpoint.
     pub checkpoint_every: u64,
-    /// How many restarts the supervisor attempts before giving up.
+    /// How many restarts the supervisor attempts inside any sliding
+    /// [`RESTART_WINDOW`] before giving up: sparse faults over a long run
+    /// are survived, a storm is not.
     pub max_restarts: u32,
     /// Deterministic fault injection: the processor panics when it is
     /// handed the effective update with each of these sequence numbers,
@@ -873,7 +879,7 @@ where
     let mut panic_at: HashSet<u64> = config.panic_at.iter().copied().collect();
     let mut eff_seq = 0u64;
     let mut events_emitted = 0u64;
-    let mut restarts_left = config.max_restarts;
+    let mut restarts = RestartBudget::new(config.max_restarts);
     let mut gave_up = false;
     let mut killed = false;
     let mut obs = ObsHub::new(config.flight_recorder_capacity);
@@ -1046,11 +1052,10 @@ where
                             // a storage fault there is retried like one in
                             // apply.
                             loop {
-                                if restarts_left == 0 {
+                                if !restarts.spend(Instant::now()) {
                                     gave_up = true;
                                     break 'groups;
                                 }
-                                restarts_left -= 1;
                                 stats.worker_restarts += 1;
                                 let restart = Checkpoint {
                                     config: engine_config.clone(),
@@ -1216,6 +1221,41 @@ fn reserve_rotation_slot(dir: &Path, start: u64) -> Option<(u64, PathBuf)> {
             }
             Err(_) => return None,
         }
+    }
+}
+
+/// The sliding window [`ResilienceConfig::max_restarts`] counts restarts in.
+pub const RESTART_WINDOW: Duration = Duration::from_secs(60);
+
+/// The restarts spent inside the last [`RESTART_WINDOW`].
+struct RestartBudget {
+    max: usize,
+    spent: VecDeque<Instant>,
+}
+
+impl RestartBudget {
+    fn new(max_restarts: u32) -> Self {
+        RestartBudget {
+            max: usize::try_from(max_restarts).unwrap_or(usize::MAX),
+            spent: VecDeque::new(),
+        }
+    }
+
+    /// Spends one restart at `now`, after refunding those that left the
+    /// window; `false` when the window already holds `max_restarts`.
+    fn spend(&mut self, now: Instant) -> bool {
+        while self
+            .spent
+            .front()
+            .is_some_and(|&at| now.saturating_duration_since(at) >= RESTART_WINDOW)
+        {
+            self.spent.pop_front();
+        }
+        if self.spent.len() >= self.max {
+            return false;
+        }
+        self.spent.push_back(now);
+        true
     }
 }
 
@@ -1478,6 +1518,22 @@ mod tests {
         assert_eq!(report.metrics.resilience.worker_panics, 3);
         assert_eq!(report.metrics.resilience.worker_restarts, 2);
         assert!(report.final_result.is_empty());
+    }
+
+    /// The budget counts restarts inside a sliding window: one that left
+    /// the window is refunded, and inside it the budget is refused.
+    #[test]
+    fn the_restart_budget_refunds_restarts_that_left_the_window() {
+        let t0 = Instant::now();
+        let mut budget = RestartBudget::new(2);
+        assert!(budget.spend(t0));
+        assert!(budget.spend(t0 + Duration::from_secs(30)));
+        assert!(!budget.spend(t0 + RESTART_WINDOW - Duration::from_millis(1)));
+        // The restart at t0 has left the window; the one at 30 s has not.
+        assert!(budget.spend(t0 + RESTART_WINDOW));
+        assert!(!budget.spend(t0 + RESTART_WINDOW + Duration::from_secs(29)));
+        assert!(budget.spend(t0 + RESTART_WINDOW + Duration::from_secs(30)));
+        assert!(!RestartBudget::new(0).spend(t0));
     }
 
     /// Malformed and replayed wire reports are filtered by the gate and

@@ -6,7 +6,9 @@
 //! `flightcheck`, CI validators for the Prometheus exposition and the
 //! flight-recorder dump (see [`obscheck`]). The engine is a library so
 //! the rules can be exercised against fixture trees in integration tests.
+//! The lint also holds the tree to its line budget ([`budget`]).
 
+pub mod budget;
 pub mod concurrency;
 pub mod fingerprint;
 pub mod flatjson;
@@ -148,6 +150,7 @@ pub fn run_lint(
     if let Some(cfg) = &config.fingerprints {
         fingerprint::check(cfg, root, &lookup, update_fingerprints, &mut sink);
     }
+    budget::check(root, &files, &mut sink);
 
     // L000: malformed directives, plus suppressions that never fired.
     for file in files.values() {

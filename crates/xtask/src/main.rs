@@ -27,7 +27,7 @@ USAGE:
 
 The lint subcommand runs the CTUP domain-invariant checker (rules
 L000–L005, see DESIGN.md §10; concurrency rules L006–L010, see
-DESIGN.md §15). promcheck validates a Prometheus text
+DESIGN.md §15; the line budget L011 over lint/budget.toml). promcheck validates a Prometheus text
 exposition (from `ctup run --format prom` or a `/metrics` scrape;
 reads stdin when FILE is omitted). flightcheck validates a
 flight-recorder JSONL dump and prints its event span. healthcheck
@@ -94,12 +94,11 @@ fn healthcheck(file: Option<&String>) -> ExitCode {
         Ok(summary) => {
             println!(
                 "healthcheck: status {:?}, degraded {}, {} session(s), queue depth {}, \
-                 {} restart(s), {} failover(s), epoch {}, build {}",
+                 {} failover(s), epoch {}, build {}",
                 summary.status,
                 summary.degraded,
                 summary.sessions,
                 summary.queue_depth,
-                summary.engine_restarts,
                 summary.failovers,
                 summary.epoch,
                 summary.build

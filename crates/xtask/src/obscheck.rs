@@ -268,8 +268,6 @@ pub struct HealthSummary {
     pub sessions: u64,
     /// Admission-queue depth at publish time.
     pub queue_depth: u64,
-    /// Level-1 self-heal revivals since spawn.
-    pub engine_restarts: u64,
     /// Level-2 promotions this process has performed.
     pub failovers: u64,
     /// How long the front door has been degraded (0 when healthy).
@@ -281,10 +279,9 @@ pub struct HealthSummary {
 }
 
 /// The required non-negative integer gauges, in `HealthSummary` order.
-const HEALTH_GAUGES: [&str; 6] = [
+const HEALTH_GAUGES: [&str; 5] = [
     "sessions",
     "queue_depth",
-    "engine_restarts",
     "failovers",
     "degraded_since_ms",
     "epoch",
@@ -393,14 +390,14 @@ pub fn check_health(text: &str) -> Result<HealthSummary, Vec<Problem>> {
         }
     }
     if degraded == Some(false) {
-        if let [_, _, _, _, Some(since_ms @ 1..), _] = gauges {
+        if let [_, _, _, Some(since_ms @ 1..), _] = gauges {
             problems.push(Problem {
                 line: 1,
                 message: format!("`degraded_since_ms` is {since_ms} but `degraded` = false"),
             });
         }
     }
-    if let [_, _, _, _, _, Some(0)] = gauges {
+    if let [_, _, _, _, Some(0)] = gauges {
         problems.push(Problem {
             line: 1,
             message: "`epoch` must be at least 1".into(),
@@ -411,14 +408,13 @@ pub fn check_health(text: &str) -> Result<HealthSummary, Vec<Problem>> {
     }
     // The field loop above guarantees every slot is present here;
     // unwrap_or keeps the path panic-free anyway.
-    let [sessions, queue_depth, engine_restarts, failovers, degraded_since_ms, epoch] =
+    let [sessions, queue_depth, failovers, degraded_since_ms, epoch] =
         gauges.map(Option::unwrap_or_default);
     Ok(HealthSummary {
         status: status.unwrap_or_default(),
         degraded: degraded.unwrap_or_default(),
         sessions,
         queue_depth,
-        engine_restarts,
         failovers,
         degraded_since_ms,
         epoch,
@@ -610,7 +606,7 @@ h_count 5
     fn health_body(status: &str, degraded: bool, sessions: i64, queue_depth: i64) -> String {
         format!(
             "{{\"status\":\"{status}\",\"degraded\":{degraded},\"sessions\":{sessions},\
-             \"queue_depth\":{queue_depth},\"engine_restarts\":0,\"failovers\":0,\
+             \"queue_depth\":{queue_depth},\"failovers\":0,\
              \"degraded_since_ms\":0,\"epoch\":1,\"build\":\"0.1.0+abcdef0\"}}"
         )
     }
@@ -622,7 +618,6 @@ h_count 5
         assert!(!summary.degraded);
         assert_eq!(summary.sessions, 3);
         assert_eq!(summary.queue_depth, 17);
-        assert_eq!(summary.engine_restarts, 0);
         assert_eq!(summary.failovers, 0);
         assert_eq!(summary.degraded_since_ms, 0);
         assert_eq!(summary.epoch, 1);
@@ -631,11 +626,10 @@ h_count 5
     #[test]
     fn degraded_body_parses() {
         let body = "{\"status\":\"degraded\",\"degraded\":true,\"sessions\":0,\"queue_depth\":0,\
-                    \"engine_restarts\":2,\"failovers\":1,\"degraded_since_ms\":450,\"epoch\":3,\
+                    \"failovers\":1,\"degraded_since_ms\":450,\"epoch\":3,\
                     \"build\":\"0.1.0+unknown\"}";
         let summary = check_health(body).expect("clean body");
         assert!(summary.degraded);
-        assert_eq!(summary.engine_restarts, 2);
         assert_eq!(summary.failovers, 1);
         assert_eq!(summary.degraded_since_ms, 450);
         assert_eq!(summary.epoch, 3);
@@ -651,7 +645,7 @@ h_count 5
     fn health_missing_gauge_is_flagged() {
         let body = "{\"status\":\"ok\",\"degraded\":false,\"sessions\":1}";
         let problems = check_health(body).expect_err("must fail");
-        for gauge in ["queue_depth", "engine_restarts", "failovers", "epoch"] {
+        for gauge in ["queue_depth", "failovers", "epoch"] {
             assert!(
                 problems
                     .iter()
@@ -692,7 +686,7 @@ h_count 5
     #[test]
     fn health_missing_build_is_flagged() {
         let body = "{\"status\":\"ok\",\"degraded\":false,\"sessions\":0,\"queue_depth\":0,\
-                    \"engine_restarts\":0,\"failovers\":0,\"degraded_since_ms\":0,\"epoch\":1}";
+                    \"failovers\":0,\"degraded_since_ms\":0,\"epoch\":1}";
         let problems = check_health(body).expect_err("must fail");
         assert!(problems
             .iter()
@@ -709,7 +703,7 @@ h_count 5
     #[test]
     fn health_degraded_since_on_healthy_body_is_flagged() {
         let body = "{\"status\":\"ok\",\"degraded\":false,\"sessions\":0,\"queue_depth\":0,\
-                    \"engine_restarts\":0,\"failovers\":0,\"degraded_since_ms\":900,\"epoch\":1}";
+                    \"failovers\":0,\"degraded_since_ms\":900,\"epoch\":1}";
         let problems = check_health(body).expect_err("must fail");
         assert!(problems
             .iter()
@@ -719,7 +713,7 @@ h_count 5
     #[test]
     fn health_zero_epoch_is_flagged() {
         let body = "{\"status\":\"ok\",\"degraded\":false,\"sessions\":0,\"queue_depth\":0,\
-                    \"engine_restarts\":0,\"failovers\":0,\"degraded_since_ms\":0,\"epoch\":0}";
+                    \"failovers\":0,\"degraded_since_ms\":0,\"epoch\":0}";
         let problems = check_health(body).expect_err("must fail");
         assert!(problems
             .iter()

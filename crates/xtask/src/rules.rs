@@ -99,6 +99,11 @@ pub const RULES: &[RuleInfo] = &[
         summary: "channels must be bounded (sync_channel/bounded); unbounded channels \
                   need a capacity rationale",
     },
+    RuleInfo {
+        id: "L011",
+        summary: "non-test lines under each path in lint/budget.toml stay within its cap, \
+                  and every crate has one",
+    },
 ];
 
 /// Whether `id` names a rule (used when validating suppressions).

@@ -300,3 +300,40 @@ fn files_in_test_directories_are_exempt_by_path() {
     let report = fx.lint(&base_config(), false);
     assert!(report.clean(), "{:?}", report.violations);
 }
+
+#[test]
+fn l011_budget_fails_growth_and_crates_without_an_entry() {
+    let fx = Fixture::new("budget");
+    // Two non-test lines: the comment, the blank line and the test module
+    // do not count.
+    fx.write(
+        "crates/core/src/lib.rs",
+        "pub fn a() {\n}\n// note\n\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n",
+    );
+    fx.write("crates/cli/src/main.rs", "fn main() {\n    let x = 1;\n}\n");
+    fx.write(
+        "lint/budget.toml",
+        "[budget]\n\"crates/cli/src\" = 2\n\"crates/core/src\" = 5\n",
+    );
+
+    // The cli crate has three lines against a cap of two.
+    let report = fx.lint(&base_config(), false);
+    assert_eq!(rules_at(&report, "lint/budget.toml"), vec![("L011", 2)]);
+    assert!(report.violations[0]
+        .message
+        .contains("has 3 non-test lines"));
+    // Core's two lines fit its cap of five.
+    assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+
+    // A crate with no entry fails too.
+    fx.write("crates/obs/src/lib.rs", "pub fn b() {}\n");
+    fx.write(
+        "lint/budget.toml",
+        "[budget]\n\"crates/cli/src\" = 3\n\"crates/core/src\" = 2\n",
+    );
+    let report = fx.lint(&base_config(), false);
+    assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+    assert!(report.violations[0]
+        .message
+        .contains("`crates/obs/src` has no budget entry"));
+}

@@ -1,11 +1,12 @@
 //! Failover: a standby restored from a checkpoint is a fresh
 //! initialization from the checkpointed unit positions — it must answer
 //! exactly what the primary answers from that point on (up to ties at
-//! `SK`) — and the two-level recovery subsystem must survive a kill
-//! matrix:
+//! `SK`) — and the two ways back from an engine death must survive a
+//! kill matrix:
 //!
-//! * **Level 1** — the front door revives its own engine from the
-//!   durable slot + journal tail and exits degraded mode on its own.
+//! * **Level 1** — the door notices the death even when idle and
+//!   degrades; a restart from the durable slot + journal tail behind a
+//!   fresh door serves the replayed top-k at once.
 //! * **Level 2** — a warm standby follows the replication stream,
 //!   promotes behind a fencing probe when the primary goes dark, fences
 //!   stale-epoch frames, and serves the oracle-exact top-k. A primary
@@ -22,9 +23,8 @@ use ctup::core::config::CtupConfig;
 use ctup::core::ingest::{stamp_stream, TracedReport};
 use ctup::core::net::wire::{FrameDecoder, FrameWriter, Message, MAX_CHUNK_DATA};
 use ctup::core::net::{
-    ClientConfig, EngineReviver, EngineSink, FailoverDialer, FeedClient, IngestServer,
-    NetServerConfig, PipelineSink, RecoveryConfig, RecoveryPlan, SinkError, StandbyConfig,
-    StandbyPhase, StandbyServer, TcpDialer,
+    ClientConfig, EngineSink, FailoverDialer, FeedClient, IngestServer, NetServerConfig,
+    PipelineSink, ShedReason, SinkError, StandbyConfig, StandbyPhase, StandbyServer, TcpDialer,
 };
 use ctup::core::supervisor::{ResilienceConfig, SupervisedPipeline};
 use ctup::core::types::{LocationUpdate, Place, PlaceId, Safety, TopKEntry, UnitId};
@@ -298,28 +298,6 @@ fn durable_sink(
     Arc::new(PipelineSink::new(pipeline, initial))
 }
 
-/// Level-1 reviver: rebuilds the engine from the durable directory and
-/// seeds the fresh sink with the post-replay top-k (pipeline events only
-/// carry changes, and the journal replay emits none).
-struct DirReviver {
-    dir: PathBuf,
-    store: Arc<dyn PlaceStore>,
-    resilience: ResilienceConfig,
-}
-
-impl EngineReviver for DirReviver {
-    fn revive(&self) -> Result<Arc<dyn EngineSink>, String> {
-        let pipeline = SupervisedPipeline::recover_from_dir::<OptCtup>(
-            &self.dir,
-            Arc::clone(&self.store),
-            self.resilience.clone(),
-            4096,
-        )
-        .map_err(|e| format!("recover: {e:?}"))?;
-        Ok(Arc::new(PipelineSink::from_pipeline(pipeline)))
-    }
-}
-
 /// Reserves a loopback address by binding and immediately dropping a
 /// listener; the port is then free for the promoted server to claim.
 fn reserve_addr() -> SocketAddr {
@@ -380,101 +358,6 @@ fn wait_for(what: &str, deadline: Duration, mut probe: impl FnMut() -> bool) {
     }
 }
 
-/// Level 1: the engine is killed mid-stream and the front door revives it
-/// from the durable slot + journal tail on its own — every offered report
-/// is acked, degraded mode clears without an operator, and the final
-/// top-k is oracle-exact.
-#[test]
-fn level_one_self_heal_revives_the_engine_and_stays_oracle_exact() {
-    let (mut workload, store) = setup(81);
-    let units = workload.unit_positions();
-    let clean = clean_stream(&mut workload, 600);
-    let stamped = stamp_stream(clean.clone());
-    let dir = temp_dir("selfheal");
-
-    let resilience = ResilienceConfig {
-        checkpoint_every: 48,
-        state_dir: Some(dir.clone()),
-        kill_at: Some(300),
-        tear_slot_on_kill: true,
-        ..ResilienceConfig::default()
-    };
-    let sink = durable_sink(&store, &units, resilience.clone());
-    let recovery = RecoveryPlan {
-        reviver: Arc::new(DirReviver {
-            dir: dir.clone(),
-            store: store.clone(),
-            resilience: ResilienceConfig {
-                kill_at: None,
-                tear_slot_on_kill: false,
-                ..resilience
-            },
-        }),
-        config: RecoveryConfig {
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(100),
-            ..RecoveryConfig::default()
-        },
-    };
-    let mut cfg = NetServerConfig::default();
-    cfg.admission.ingest_deadline = Duration::from_secs(10);
-    let server =
-        IngestServer::spawn_with_recovery("127.0.0.1:0", cfg, sink, Some(recovery)).unwrap();
-
-    let mut client = FeedClient::new(
-        Box::new(TcpDialer::new(server.local_addr())),
-        ClientConfig::default(),
-    );
-    for &report in &stamped {
-        client.enqueue(report);
-    }
-    client.drive(Duration::from_secs(60)).expect("clean links");
-    let stats = client.finish();
-    // Reports that arrive while the reviver is rebuilding the engine are
-    // shed at the door with `EngineDegraded` — that is degraded mode
-    // working as designed, and the client is told. What self-heal must
-    // guarantee: every other report is acked, nothing hangs, and nothing
-    // acked is lost.
-    assert_eq!(
-        stats.acked + stats.shed_total(),
-        600,
-        "every report must become terminal: {stats:?}"
-    );
-    assert!(
-        stats
-            .sheds
-            .iter()
-            .all(|s| s.reason == ctup::core::net::ShedReason::EngineDegraded),
-        "only revival-window sheds are acceptable: {stats:?}"
-    );
-
-    wait_for("degraded mode to clear", Duration::from_secs(15), || {
-        !server.degraded()
-    });
-    assert!(
-        !server.breaker_tripped(),
-        "one kill must not trip the breaker"
-    );
-    let topk = settled_topk(|| server.last_good_topk());
-    let net = server.shutdown();
-    assert_eq!(net.engine_restarts, 1, "exactly one revival: {net:?}");
-    assert_eq!(net.reports_accepted, stats.acked);
-    assert!(!net.degraded, "degraded mode must have cleared");
-
-    // Oracle truth over exactly the applied (acked) updates: the client's
-    // wire seq is assigned at enqueue, so seq i maps to `clean[i - 1]`.
-    let shed_seqs: std::collections::HashSet<u64> = stats.sheds.iter().map(|s| s.seq).collect();
-    let mut positions = units.clone();
-    for (i, update) in clean.iter().enumerate() {
-        if !shed_seqs.contains(&(u64::try_from(i).expect("fits") + 1)) {
-            positions[update.unit.index()] = update.new;
-        }
-    }
-    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    oracle.assert_result_matches(&topk, &positions, RADIUS, QueryMode::TopK(10));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// A hand-built world whose journal tail is *known* to change the top-k,
 /// whatever the generator's stream: six places on a line with required
 /// protections 1, 2, 3, 5, 7, 9 and four units parked far from all of
@@ -508,20 +391,20 @@ fn tail_changes_topk_world() -> (Arc<dyn PlaceStore>, Vec<Point>, Vec<LocationUp
     (store, units, stream)
 }
 
-/// Level 1, what the revived door *serves*: the worker checkpoints after
-/// report 7 and is killed at report 13, so the journal tail recovery
-/// replays (8..=13, and 14 if it was journaled in the kill's commit group)
-/// holds exactly the three moves that change the top-k — and the replay
-/// emits no events. A sink seeded from the checkpoint would keep serving
-/// p5 at -9 until some later report happened to touch it; seeded from the
-/// replayed engine, `last_good_topk()` is oracle-exact with no further
-/// report sent. `io_tick` is two seconds, so the report sent *after* the
-/// revival can only be acked inside 500 ms if the revived sink got the
-/// durable hook as well.
+/// Level 1, what the restarted engine *serves*: the worker checkpoints
+/// after report 7 and is killed at report 13 behind a door, so the journal
+/// tail a restart replays (8..=13, and 14 if it was journaled in the
+/// kill's commit group) holds exactly the three moves that change the
+/// top-k — and the replay emits no events. A sink seeded from the
+/// checkpoint would keep serving p5 at -9 until some later report happened
+/// to touch it; seeded from the replayed engine, `last_good_topk()` of the
+/// fresh door is oracle-exact before any report is sent. `io_tick` is two
+/// seconds, so the report sent after the restart can only be acked inside
+/// 500 ms if the restarted sink got the durable hook.
 #[test]
-fn level_one_revival_serves_the_replayed_topk_and_acks_without_a_tick() {
+fn engine_death_then_restart_from_dir_serves_the_replayed_topk_and_acks_without_a_tick() {
     let (store, units, stream) = tail_changes_topk_world();
-    let dir = temp_dir("revive-tail");
+    let dir = temp_dir("restart-tail");
     let resilience = ResilienceConfig {
         checkpoint_every: 8,
         state_dir: Some(dir.clone()),
@@ -531,65 +414,60 @@ fn level_one_revival_serves_the_replayed_topk_and_acks_without_a_tick() {
     let monitor = OptCtup::new(CtupConfig::with_k(3), store.clone(), &units).expect("clean store");
     let pipeline = SupervisedPipeline::spawn(monitor, resilience.clone(), 4096);
     let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
-    let recovery = RecoveryPlan {
-        reviver: Arc::new(DirReviver {
-            dir: dir.clone(),
-            store: store.clone(),
-            resilience: ResilienceConfig {
-                kill_at: None,
-                ..resilience
-            },
-        }),
-        config: RecoveryConfig {
-            backoff_base: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(20),
-            ..RecoveryConfig::default()
-        },
-    };
     let mut cfg = NetServerConfig {
         io_tick: Duration::from_secs(2),
         ..NetServerConfig::default()
     };
     cfg.admission.ingest_deadline = Duration::from_secs(30);
-    let server =
-        IngestServer::spawn_with_recovery("127.0.0.1:0", cfg, sink, Some(recovery)).unwrap();
-    let stats = server.stats();
-
+    let server = IngestServer::spawn("127.0.0.1:0", cfg.clone(), sink).unwrap();
     let mut client = FeedClient::new(
         Box::new(TcpDialer::new(server.local_addr())),
         ClientConfig::default(),
     );
-    let stamped = stamp_stream(stream.clone());
-    for &report in &stamped {
+    for report in stamp_stream(stream.iter().copied()) {
         client.enqueue(report);
     }
     client.drive(Duration::from_secs(30)).expect("clean links");
-    wait_for("the revival", Duration::from_secs(15), || {
-        stats.snapshot().engine_restarts == 1 && !server.degraded()
+    client.finish();
+    wait_for("the engine death", Duration::from_secs(15), || {
+        server.degraded()
     });
-    // Only report 14 can have met the degraded door; the tail is acked.
-    let shed: Vec<u64> = client.stats().sheds.iter().map(|s| s.seq).collect();
-    assert!(shed.iter().all(|&seq| seq == 15), "tail shed: {shed:?}");
+    server.shutdown();
+
+    let pipeline = SupervisedPipeline::recover_from_dir::<OptCtup>(
+        &dir,
+        store.clone(),
+        ResilienceConfig {
+            kill_at: None,
+            ..resilience
+        },
+        4096,
+    )
+    .expect("recover from the directory");
+    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
+    let server = IngestServer::spawn("127.0.0.1:0", cfg, sink).unwrap();
 
     let mut positions = units.clone();
     for update in &stream {
         positions[update.unit.index()] = update.new;
     }
-    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    let expected: Vec<(u32, i64)> = vec![(4, -7), (5, -6), (3, -5)];
-    let topk = settled_topk(|| server.last_good_topk());
+    let topk = server.last_good_topk();
     assert_eq!(
         topk.iter()
             .map(|e| (e.place.0, e.safety))
             .collect::<Vec<_>>(),
-        expected,
-        "served top-k is stale after revival"
+        vec![(4, -7), (5, -6), (3, -5)],
+        "served top-k is stale after the restart"
     );
+    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
     oracle.assert_result_matches(&topk, &positions, RADIUS, QueryMode::TopK(3));
 
-    // The revived sink announces too: one more report on the now idle
-    // door is acked long before the two-second tick.
-    let acked_before = client.stats().acked;
+    // The restarted sink announces too: one report on the idle door is
+    // acked long before the two-second tick.
+    let mut client = FeedClient::new(
+        Box::new(TcpDialer::new(server.local_addr())),
+        ClientConfig::default(),
+    );
     let mut extra = stamp_stream(stream.iter().copied().chain([LocationUpdate {
         unit: UnitId(3),
         new: Point::new(0.9, 0.1),
@@ -598,12 +476,11 @@ fn level_one_revival_serves_the_replayed_topk_and_acks_without_a_tick() {
     let sent = Instant::now();
     client.drive(Duration::from_secs(10)).expect("clean links");
     let took = sent.elapsed();
-    assert_eq!(client.stats().acked, acked_before + 1);
+    assert_eq!(client.finish().acked, 1);
     assert!(
         took < Duration::from_millis(500),
-        "ack after revival took {took:?}: the revived sink has no hook"
+        "ack after the restart took {took:?}: the restarted sink has no hook"
     );
-    client.finish();
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -611,10 +488,12 @@ fn level_one_revival_serves_the_replayed_topk_and_acks_without_a_tick() {
 /// Level 1 when the kill hits the *last* report of the feed: that report
 /// is journaled and acked before the apply it never gets, so nothing is
 /// left in flight and no further report comes along to fail a hand-off.
-/// Only the pump's idle probe can notice the dead engine, and it must —
-/// otherwise the door serves a top-k without an acked report for as long
-/// as it stays idle. The last report is the third move onto p5, so the
-/// stale top-k and the revived one differ.
+/// Only the pump's idle `EngineSink::dead()` probe can notice the dead
+/// engine, and it must degrade the door — otherwise the door claims
+/// health over a top-k without an acked report for as long as it stays
+/// idle. The way back is a restart from the directory behind a fresh
+/// door; the last report is the third move onto p5, so the stale top-k
+/// and the revived one differ.
 #[test]
 fn level_one_revival_after_a_kill_on_the_last_report() {
     let (store, units, stream) = tail_changes_topk_world();
@@ -629,27 +508,9 @@ fn level_one_revival_after_a_kill_on_the_last_report() {
     let monitor = OptCtup::new(CtupConfig::with_k(3), store.clone(), &units).expect("clean store");
     let pipeline = SupervisedPipeline::spawn(monitor, resilience.clone(), 4096);
     let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
-    let recovery = RecoveryPlan {
-        reviver: Arc::new(DirReviver {
-            dir: dir.clone(),
-            store: store.clone(),
-            resilience: ResilienceConfig {
-                kill_at: None,
-                ..resilience
-            },
-        }),
-        config: RecoveryConfig {
-            backoff_base: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(20),
-            ..RecoveryConfig::default()
-        },
-    };
     let mut cfg = NetServerConfig::default();
     cfg.admission.ingest_deadline = Duration::from_secs(30);
-    let server =
-        IngestServer::spawn_with_recovery("127.0.0.1:0", cfg, sink, Some(recovery)).unwrap();
-    let stats = server.stats();
-
+    let server = IngestServer::spawn("127.0.0.1:0", cfg.clone(), sink).unwrap();
     let mut client = FeedClient::new(
         Box::new(TcpDialer::new(server.local_addr())),
         ClientConfig::default(),
@@ -660,16 +521,34 @@ fn level_one_revival_after_a_kill_on_the_last_report() {
     client.drive(Duration::from_secs(30)).expect("clean links");
     let fed = client.finish();
     assert_eq!(fed.acked, 11, "every report is journaled: {fed:?}");
-    // No report follows: the revival can only come from the idle probe.
-    wait_for("the revival", Duration::from_secs(15), || {
-        stats.snapshot().engine_restarts == 1 && !server.degraded()
+    assert!(fed.sheds.is_empty(), "nothing is shed: {fed:?}");
+    // No report follows: only the idle probe can notice the death.
+    wait_for("the engine death", Duration::from_secs(15), || {
+        server.degraded()
     });
+    let net = server.shutdown();
+    assert!(net.degraded, "engine death is sticky: {net:?}");
+    assert_eq!(net.reports_accepted, 11, "{net:?}");
+
+    let pipeline = SupervisedPipeline::recover_from_dir::<OptCtup>(
+        &dir,
+        store.clone(),
+        ResilienceConfig {
+            kill_at: None,
+            ..resilience
+        },
+        4096,
+    )
+    .expect("recover from the directory");
+    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
+    let server = IngestServer::spawn("127.0.0.1:0", cfg, sink).unwrap();
+    assert!(!server.degraded(), "the revived door starts healthy");
 
     let mut positions = units.clone();
     for update in stream {
         positions[update.unit.index()] = update.new;
     }
-    let topk = settled_topk(|| server.last_good_topk());
+    let topk = server.last_good_topk();
     assert_eq!(
         topk.iter()
             .map(|e| (e.place.0, e.safety))
@@ -679,177 +558,65 @@ fn level_one_revival_after_a_kill_on_the_last_report() {
     );
     let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
     oracle.assert_result_matches(&topk, &positions, RADIUS, QueryMode::TopK(3));
-    let net = server.shutdown();
-    assert_eq!(net.engine_restarts, 1, "exactly one revival: {net:?}");
+    server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Level 1 under a crash storm: every revived engine is re-armed to die
-/// again a fixed step past the previous kill, so revival never sticks.
-/// The circuit breaker must trip once `max_restarts` revivals are spent
-/// and leave the door in sticky degraded mode instead of restarting
-/// forever.
-#[test]
-fn level_one_crash_storm_trips_the_breaker_into_sticky_degraded() {
-    /// A [`DirReviver`] whose every revived engine dies `step` effective
-    /// updates past the previous kill (sequence numbers continue across
-    /// recoveries, so each kill point must lie further out).
-    struct StormReviver {
-        base: DirReviver,
-        step: u64,
-        next_kill: AtomicU64,
-    }
-    impl EngineReviver for StormReviver {
-        fn revive(&self) -> Result<Arc<dyn EngineSink>, String> {
-            let kill_at = self.next_kill.fetch_add(self.step, Ordering::SeqCst);
-            let rearmed = DirReviver {
-                dir: self.base.dir.clone(),
-                store: Arc::clone(&self.base.store),
-                resilience: ResilienceConfig {
-                    kill_at: Some(kill_at),
-                    ..self.base.resilience.clone()
-                },
-            };
-            rearmed.revive()
-        }
-    }
+/// Accepts every hand-off but takes durable ownership of only the first
+/// 100; once 200 were handed it reports itself dead — so the death is
+/// observable only through the probe, never through a failing
+/// `try_ingest`.
+struct SilentlyDyingSink {
+    handed: AtomicU64,
+}
 
-    let (mut workload, store) = setup(21);
-    let units = workload.unit_positions();
-    let stamped = stamp_stream(clean_stream(&mut workload, 400));
-    let dir = temp_dir("crash-storm");
-    let resilience = ResilienceConfig {
-        checkpoint_every: 8,
-        state_dir: Some(dir.clone()),
-        kill_at: Some(20),
-        ..ResilienceConfig::default()
-    };
-    let sink = durable_sink(&store, &units, resilience.clone());
-    let recovery = RecoveryPlan {
-        reviver: Arc::new(StormReviver {
-            base: DirReviver {
-                dir: dir.clone(),
-                store: store.clone(),
-                resilience,
-            },
-            step: 20,
-            next_kill: AtomicU64::new(40),
-        }),
-        config: RecoveryConfig {
-            max_restarts: 2,
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(100),
-            ..RecoveryConfig::default()
-        },
-    };
-    let server = IngestServer::spawn_with_recovery(
-        "127.0.0.1:0",
-        NetServerConfig::default(),
-        sink,
-        Some(recovery),
-    )
-    .unwrap();
-
-    let mut client = FeedClient::new(
-        Box::new(TcpDialer::new(server.local_addr())),
-        ClientConfig::default(),
-    );
-    for &report in &stamped {
-        client.enqueue(report);
+impl EngineSink for SilentlyDyingSink {
+    fn try_ingest(&self, _report: TracedReport) -> Result<(), SinkError> {
+        self.handed.fetch_add(1, Ordering::SeqCst);
+        Ok(())
     }
-    client.drive(Duration::from_secs(60)).expect("clean links");
-    let stats = client.finish();
-    assert_eq!(
-        stats.acked + stats.shed_total(),
-        400,
-        "every report must become terminal: {stats:?}"
-    );
-    wait_for("the breaker to trip", Duration::from_secs(15), || {
-        server.breaker_tripped()
-    });
-    assert!(
-        server.degraded(),
-        "a tripped breaker must leave the door degraded"
-    );
-    let net = server.shutdown();
-    assert_eq!(
-        net.engine_restarts, 2,
-        "max_restarts revivals, then none: {net:?}"
-    );
-    assert!(
-        net.degraded,
-        "degraded mode is sticky once the breaker trips"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    fn topk(&self) -> Vec<TopKEntry> {
+        Vec::new()
+    }
+    fn durable_mark(&self) -> u64 {
+        self.handed.load(Ordering::SeqCst).min(100)
+    }
+    fn dead(&self) -> bool {
+        self.handed.load(Ordering::SeqCst) >= 200
+    }
+}
+
+/// The restarted engine: durable at once, never dies.
+struct HealthySink {
+    handed: AtomicU64,
+}
+
+impl EngineSink for HealthySink {
+    fn try_ingest(&self, _report: TracedReport) -> Result<(), SinkError> {
+        self.handed.fetch_add(1, Ordering::SeqCst);
+        Ok(())
+    }
+    fn topk(&self) -> Vec<TopKEntry> {
+        Vec::new()
+    }
+    fn durable_mark(&self) -> u64 {
+        self.handed.load(Ordering::SeqCst)
+    }
 }
 
 /// The engine can die *after* the admission queue has drained — with no
-/// further hand-off to fail, only the pump's idle liveness probe can
-/// notice. The unacked in-flight tail must be re-fed to the revived
-/// engine and acked, not hang until the client gives up.
+/// further hand-off to fail, only the pump's idle probe can notice. It
+/// must degrade the door and shed the unacked tail with `EngineDegraded`,
+/// so nothing hangs until the client gives up; re-sent to a restarted
+/// door, that tail is acked and no report is lost.
 #[test]
 fn silent_engine_death_after_queue_drain_is_probed_and_healed() {
-    /// Accepts every hand-off but only takes durable ownership of the
-    /// first 100; once everything was handed it reports itself dead —
-    /// so death is only observable through the probe, never through a
-    /// failing `try_ingest`.
-    struct SilentlyDyingSink {
-        handed: AtomicU64,
-    }
-    impl EngineSink for SilentlyDyingSink {
-        fn try_ingest(&self, _report: TracedReport) -> Result<(), SinkError> {
-            self.handed.fetch_add(1, Ordering::SeqCst);
-            Ok(())
-        }
-        fn topk(&self) -> Vec<TopKEntry> {
-            Vec::new()
-        }
-        fn durable_mark(&self) -> u64 {
-            self.handed.load(Ordering::SeqCst).min(100)
-        }
-        fn dead(&self) -> bool {
-            self.handed.load(Ordering::SeqCst) >= 200
-        }
-    }
-    /// The revived engine: durable immediately, never dies.
-    struct HealthySink {
-        handed: AtomicU64,
-    }
-    impl EngineSink for HealthySink {
-        fn try_ingest(&self, _report: TracedReport) -> Result<(), SinkError> {
-            self.handed.fetch_add(1, Ordering::SeqCst);
-            Ok(())
-        }
-        fn topk(&self) -> Vec<TopKEntry> {
-            Vec::new()
-        }
-        fn durable_mark(&self) -> u64 {
-            self.handed.load(Ordering::SeqCst)
-        }
-    }
-    struct FreshReviver;
-    impl EngineReviver for FreshReviver {
-        fn revive(&self) -> Result<Arc<dyn EngineSink>, String> {
-            Ok(Arc::new(HealthySink {
-                handed: AtomicU64::new(0),
-            }))
-        }
-    }
-
-    let plan = RecoveryPlan {
-        reviver: Arc::new(FreshReviver),
-        config: RecoveryConfig {
-            backoff_base: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(50),
-            ..RecoveryConfig::default()
-        },
-    };
     let sink: Arc<dyn EngineSink> = Arc::new(SilentlyDyingSink {
         handed: AtomicU64::new(0),
     });
     let mut cfg = NetServerConfig::default();
-    cfg.admission.ingest_deadline = Duration::from_secs(10);
-    let server = IngestServer::spawn_with_recovery("127.0.0.1:0", cfg, sink, Some(plan)).unwrap();
+    cfg.admission.ingest_deadline = Duration::from_secs(30);
+    let server = IngestServer::spawn("127.0.0.1:0", cfg.clone(), sink).unwrap();
 
     let (mut workload, _store) = setup(80);
     let stamped = stamp_stream(clean_stream(&mut workload, 200));
@@ -861,21 +628,56 @@ fn silent_engine_death_after_queue_drain_is_probed_and_healed() {
         client.enqueue(report);
     }
     client.drive(Duration::from_secs(30)).expect("clean links");
-    let stats = client.finish();
+    let fed = client.finish();
     assert_eq!(
-        stats.acked, 200,
-        "the probed recovery must ack the hanging tail: {stats:?}"
+        fed.acked + fed.shed_total(),
+        200,
+        "every report must become terminal: {fed:?}"
     );
-    assert!(stats.sheds.is_empty(), "no report may be shed: {stats:?}");
-    wait_for("degraded mode to clear", Duration::from_secs(10), || {
-        !server.degraded()
+    assert!(
+        fed.sheds
+            .iter()
+            .all(|s| s.reason == ShedReason::EngineDegraded),
+        "only the dead engine's tail may be shed: {fed:?}"
+    );
+    assert!(
+        fed.shed_total() > 0,
+        "the never-durable tail is shed: {fed:?}"
+    );
+    // No report follows: only the idle probe can notice the death.
+    wait_for("the engine death", Duration::from_secs(15), || {
+        server.degraded()
     });
     let net = server.shutdown();
-    assert_eq!(
-        net.engine_restarts, 1,
-        "exactly one probed revival: {net:?}"
+    assert!(net.degraded, "engine death is sticky: {net:?}");
+    assert_eq!(net.reports_accepted, fed.acked, "{net:?}");
+
+    let server = IngestServer::spawn(
+        "127.0.0.1:0",
+        cfg,
+        Arc::new(HealthySink {
+            handed: AtomicU64::new(0),
+        }),
+    )
+    .unwrap();
+    let mut client = FeedClient::new(
+        Box::new(TcpDialer::new(server.local_addr())),
+        ClientConfig::default(),
     );
-    assert_eq!(net.shed_total(), 0);
+    for shed in &fed.sheds {
+        let index = usize::try_from(shed.seq - 1).expect("fits");
+        client.enqueue(stamped[index]);
+    }
+    client.drive(Duration::from_secs(30)).expect("clean links");
+    let healed = client.finish();
+    assert_eq!(
+        fed.acked + healed.acked,
+        200,
+        "the restarted door must ack the shed tail: {healed:?}"
+    );
+    assert!(healed.sheds.is_empty(), "no report may be shed: {healed:?}");
+    let net = server.shutdown();
+    assert!(!net.degraded, "the restarted door stays healthy: {net:?}");
 }
 
 /// Level 2, mid-batch kill: the primary dies with the client's feed still
