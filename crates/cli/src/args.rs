@@ -124,8 +124,6 @@ const FLAGS: &[Flag] = &[
     flag("kill-at", "N", RUN | SUPERVISED | SERVE),
     flag("tear-slot", "", RUN | SUPERVISED),
     flag("recover", "", RUN | SUPERVISED | SERVE),
-    flag("flight-recorder", "N", RUN | SUPERVISED),
-    flag("flight-recorder-keep", "N", RUN | SUPERVISED),
     flag("addr", "HOST:PORT", SERVE | FEED),
     flag("metrics-addr", "HOST:PORT", SERVE),
     flag("serve-secs", "N", SERVE),

@@ -17,7 +17,7 @@ use ctup_core::report::Snapshot;
 use ctup_core::server::{MonitorEvent, Server};
 use ctup_core::supervisor::{ResilienceConfig, SupervisedPipeline};
 use ctup_core::types::{LocationUpdate, TopKEntry, UnitId};
-use ctup_core::{BasicCtup, OptCtup, ShardedCtup};
+use ctup_core::{BasicCtup, DurableState, OptCtup, ShardedCtup};
 use ctup_mogen::{
     ChaosStream, FaultPlan, NetFaultPlan, PlaceGenConfig, PlaceGenerator, Workload, WorkloadParams,
 };
@@ -179,6 +179,7 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(problem) = problem {
         return Err(CliError(problem));
     }
+    refuse_reused_state_dir(flags)?;
     let plan = fault_plan(flags)?;
 
     let mut workload = workload(flags)?;
@@ -406,8 +407,6 @@ impl Offline {
             state_dir: state_dir.clone(),
             kill_at: (kill_at > 0).then_some(kill_at),
             tear_slot_on_kill: flags.switch("tear-slot"),
-            flight_recorder_capacity: flags.get("flight-recorder", 256)?,
-            flight_recorder_keep: flags.get("flight-recorder-keep", 4)?,
             spans: None,
         };
         let capacity = feed.len().max(1);
@@ -446,6 +445,20 @@ impl Offline {
         let storage = self.store.stats().snapshot();
         let snapshot = Snapshot::new("opt", report.metrics, storage, report.latency);
         Ok((report.final_result, snapshot))
+    }
+}
+
+/// Refuses a primary start without `--recover` over a `--state-dir` that
+/// holds a slot: the start would overwrite the acked state a dead process
+/// left there.
+fn refuse_reused_state_dir(flags: &Flags) -> Result<(), CliError> {
+    match flags.get_str("state-dir") {
+        Some(dir) if !flags.switch("recover") && DurableState::holds_slot(Path::new(dir)) => {
+            Err(CliError(format!(
+                "--state-dir {dir} holds the state of an earlier run: resume it with --recover, or remove {dir} to start fresh"
+            )))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -504,6 +517,9 @@ fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     };
     if let Some(problem) = problem {
         return Err(CliError(problem.to_string()));
+    }
+    if standby.is_none() {
+        refuse_reused_state_dir(flags)?;
     }
     // `--span-dump FILE` arms end-to-end causal tracing: one shared sink
     // for the door, the engine worker and the loopback feed, so a report's
@@ -1131,6 +1147,20 @@ mod tests {
         );
     }
 
+    /// Every file of `dir` with its bytes, sorted by path.
+    fn dir_bytes(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn run_kill_then_recover_matches_uninterrupted_run() {
         let dir = temp("state");
@@ -1162,12 +1192,30 @@ mod tests {
             let killed = ctup(&format!("{durable} --kill-at 60 {kill_extra}")).expect("killed");
             assert!(killed.contains("KILLED"), "{killed}");
             assert!(final_result(&killed).is_empty(), "{killed}");
-            // The death left a parseable flight-recorder dump next to the
-            // slots.
+            // The death left its crash dump next to the slots: without a
+            // span sink, the terminal line alone.
             assert!(killed.contains("flight recorder dumped to"), "{killed}");
             let dump = std::fs::read_to_string(dir.join("flight-recorder.jsonl")).expect("dump");
-            let last = dump.lines().last().expect("a dumped event");
-            assert!(last.contains("\"outcome\":\"killed\""), "{dump}");
+            assert_eq!(dump.lines().count(), 1, "{dump}");
+            assert!(
+                dump.starts_with("{\"outcome\":\"killed\",\"seq\":60,"),
+                "{dump}"
+            );
+
+            // A primary start without `--recover` over the dead run's
+            // directory is refused before it touches the directory, by
+            // `run` and by `serve` alike.
+            let dead = dir_bytes(&dir);
+            let serve = format!(
+                "serve --updates 0 --serve-secs 0 --state-dir {}",
+                dir.display()
+            );
+            for line in [durable.clone(), serve] {
+                let err = ctup(&line).expect_err(&line);
+                assert!(err.0.contains("resume it with --recover"), "{line}: {err}");
+                assert!(err.0.contains("remove"), "{line}: {err}");
+                assert!(dir_bytes(&dir) == dead, "{line} wrote the directory");
+            }
 
             // Recovery replays exactly the journal after the slot it reads.
             let (_, tail) = ctup_core::DurableState::load(&dir).expect("load");
@@ -1199,6 +1247,7 @@ mod tests {
             "run --algorithm magic => unknown algorithm \"magic\"",
             "run --bogus 1 => unknown flag --bogus for `ctup run`",
             "run --addr 127.0.0.1:1 => unknown flag --addr for `ctup run`",
+            "run --flight-recorder 8 => unknown flag --flight-recorder for `ctup run`",
             "run --format xml => unknown --format \"xml\"",
             "run --k 3 --threshold -2 => give --k or --threshold, not both",
             "run --shards 0 => --shards must be at least 1",

@@ -275,6 +275,12 @@ impl DurableState {
         f.sync_data()
     }
 
+    /// Whether `dir` holds a slot file: the state of an earlier process,
+    /// which a fresh start over `dir` would overwrite.
+    pub fn holds_slot(dir: &Path) -> bool {
+        SLOT_FILES.iter().any(|name| dir.join(name).exists())
+    }
+
     /// Loads the newest valid checkpoint slot `S` and the journaled wire
     /// reports of epochs `S` and `S + 1`, in append order. Fails only if
     /// *no* slot is valid; a torn journal tail is tolerated (an epoch ends

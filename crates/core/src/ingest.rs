@@ -89,19 +89,6 @@ pub enum RejectReason {
     Duplicate,
 }
 
-impl RejectReason {
-    /// Stable snake_case label used by the flight recorder and metrics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RejectReason::NonFinite => "non_finite",
-            RejectReason::OutOfSpace => "out_of_space",
-            RejectReason::UnknownUnit => "unknown_unit",
-            RejectReason::Stale => "stale",
-            RejectReason::Duplicate => "duplicate",
-        }
-    }
-}
-
 impl fmt::Display for RejectReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let text = match self {

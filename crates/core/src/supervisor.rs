@@ -13,11 +13,11 @@
 //! 2. when [`ResilienceConfig::state_dir`] is set, the group's accepted
 //!    wire reports are journaled with one write and one `fdatasync`; then
 //!    the [durable mark](SupervisedPipeline::durable_mark) advances over
-//!    the whole group and is announced once, and the group — rejections
-//!    included, for the flight recorder — is handed to the apply stage
-//!    over a queue that holds one group. No report reaches the engine
-//!    before its group's sync, and every ack precedes its apply. Without a
-//!    `state_dir` nothing is persisted and the mark advances on receipt;
+//!    the whole group and is announced once, and the group's accepted
+//!    reports are handed to the apply stage over a queue that holds one
+//!    group. No report reaches the engine before its group's sync, and
+//!    every ack precedes its apply. Without a `state_dir` nothing is
+//!    persisted and the mark advances on receipt;
 //! 3. each *effective* update is applied, in order, inside
 //!    [`std::panic::catch_unwind`], so a panicking query processor does not
 //!    kill the apply stage; a [`StorageError`] surfaced by the processor (a
@@ -52,10 +52,10 @@
 //! The state directory has one writer at a time. The commit stage writes
 //! it only under the pipeline's directory lock, and not at all once the
 //! apply stage has stopped; the apply stage, when it stops, tears the slot
-//! ([`ResilienceConfig::tear_slot_on_kill`]) and dumps the flight recorder
-//! under the same lock and only then marks the pipeline stopped. So once
-//! [`SupervisedPipeline::worker_dead`] is true, no thread writes the
-//! directory, and recovery may open it.
+//! ([`ResilienceConfig::tear_slot_on_kill`]) and writes the crash dump
+//! ([`FLIGHT_RECORDER_FILE`]) under the same lock and only then marks the
+//! pipeline stopped. So once [`SupervisedPipeline::worker_dead`] is true,
+//! no thread writes the directory, and recovery may open it.
 //!
 //! After a *process* death (not just a worker panic),
 //! [`SupervisedPipeline::recover_from_dir`] loads the newest valid durable
@@ -66,9 +66,9 @@
 //! applied: up to the one being applied, the one queued and the one the
 //! commit stage waited to hand over.
 //!
-//! Deterministic fault injection for tests and the `chaos` CLI command is
-//! built in: [`ResilienceConfig::panic_at`] crashes the processor at chosen
-//! effective sequence numbers, exactly once each, and
+//! Deterministic fault injection for tests and `ctup run`'s fault flags
+//! is built in: [`ResilienceConfig::panic_at`] crashes the processor at
+//! chosen effective sequence numbers, exactly once each, and
 //! [`ResilienceConfig::kill_at`] halts the apply stage abruptly mid-stream
 //! the way `kill -9` would, and the commit stage with it, optionally
 //! tearing the newest durable slot to exercise the A/B fallback.
@@ -81,12 +81,13 @@
 
 use crate::checkpoint::{Checkpoint, Checkpointable};
 use crate::durable::DurableState;
-use crate::ingest::{IngestConfig, IngestGate, RejectReason, StampedUpdate, TracedReport};
+use crate::ingest::{IngestConfig, IngestGate, StampedUpdate, TracedReport};
 use crate::metrics::{Metrics, ResilienceStats};
 use crate::pipeline::{EventBatch, EventReceiver, SendError};
 use crate::server::Server;
 use crate::types::{LocationUpdate, TopKEntry};
-use ctup_obs::{now_nanos, LatencySnapshot, ObsHub, SpanSink, Stage, TraceEvent, TraceOutcome};
+use ctup_obs::json::ObjectWriter;
+use ctup_obs::{now_nanos, LatencySnapshot, ObsHub, SpanSink, Stage};
 use ctup_spatial::convert;
 use ctup_storage::PlaceStore;
 use std::collections::{HashSet, VecDeque};
@@ -131,23 +132,12 @@ pub struct ResilienceConfig {
     /// *mid-checkpoint-write*: recovery must fall back to the older slot
     /// and a longer journal tail.
     pub tear_slot_on_kill: bool,
-    /// How many recent per-update trace events the flight recorder keeps
-    /// in its ring; dumped as JSON Lines into `state_dir` (as
-    /// [`FLIGHT_RECORDER_FILE`]) when the worker is killed or gives up.
-    pub flight_recorder_capacity: usize,
-    /// How many *rotated* flight-recorder dumps to keep next to the
-    /// canonical [`FLIGHT_RECORDER_FILE`]. Before a new dump is written,
-    /// an existing canonical file is renamed to `flight-recorder-<n>.jsonl`
-    /// and the numbered set is pruned to this many files, always retaining
-    /// the lowest index — so the *first* crash of a storm is never lost to
-    /// later dumps overwriting it. `0` disables rotation (the canonical
-    /// file is overwritten in place).
-    pub flight_recorder_keep: usize,
     /// Causal span sink the worker records per-report pipeline spans into
     /// (engine-apply, shard-phase, merge, snapshot-publish, wal-append,
     /// checkpoint — see [`ctup_obs::span`]). Only reports handed over with
     /// a non-zero trace id via [`SupervisedPipeline::send_traced`] record
-    /// spans; `None` disables recording entirely.
+    /// spans; `None` disables recording entirely. A crash dump carries
+    /// the last [`CRASH_DUMP_SPANS`] spans of those stages to end.
     pub spans: Option<Arc<SpanSink>>,
 }
 
@@ -161,21 +151,23 @@ impl Default for ResilienceConfig {
             state_dir: None,
             kill_at: None,
             tear_slot_on_kill: false,
-            flight_recorder_capacity: 256,
-            flight_recorder_keep: 4,
             spans: None,
         }
     }
 }
 
-/// File name of the newest flight-recorder dump inside
-/// [`ResilienceConfig::state_dir`], next to the durable checkpoint slots.
-/// Earlier dumps of a crash storm survive as `flight-recorder-<n>.jsonl`,
-/// bounded by [`ResilienceConfig::flight_recorder_keep`].
+/// File name of the crash dump the apply stage writes into
+/// [`ResilienceConfig::state_dir`], next to the durable checkpoint slots,
+/// when it is killed or gives up. Its first line is the terminal record
+/// (`outcome`, the effective `seq` the stage stopped at, and the `unit`
+/// when known); with a [span sink](ResilienceConfig::spans) the
+/// [`CRASH_DUMP_SPANS`] apply-stage spans (engine-apply down to
+/// checkpoint) that ended last follow, in end order.
 pub const FLIGHT_RECORDER_FILE: &str = "flight-recorder.jsonl";
 
-/// File-name prefix of rotated flight-recorder dumps (`<prefix><n>.jsonl`).
-pub const FLIGHT_RECORDER_ROTATED_PREFIX: &str = "flight-recorder-";
+/// How many of the span sink's last-ended apply-stage spans a crash dump
+/// carries.
+pub const CRASH_DUMP_SPANS: usize = 256;
 
 /// Final accounting returned by [`SupervisedPipeline::shutdown`].
 #[derive(Debug, Clone)]
@@ -206,8 +198,8 @@ pub struct SupervisedReport {
     /// checkpoint writes) joined with the storage layer's disk-read
     /// histogram.
     pub latency: LatencySnapshot,
-    /// Where the flight recorder was dumped, when the worker died with a
-    /// `state_dir` configured (killed or gave up).
+    /// Where the crash dump ([`FLIGHT_RECORDER_FILE`]) was written, when
+    /// the worker died with a `state_dir` configured (killed or gave up).
     pub flight_recorder_path: Option<PathBuf>,
 }
 
@@ -605,52 +597,22 @@ fn gave_up_report() -> SupervisedReport {
     }
 }
 
-/// One report of a commit group, past the gate.
+/// One accepted report of a commit group, past the gate.
 struct Admitted {
-    report: StampedUpdate,
     trace: u64,
     /// Where the report's engine-apply span starts, when it is traced.
     apply_start: Option<u64>,
-    /// The effective updates to apply, or why the gate refused the report.
-    effective: Result<Vec<LocationUpdate>, RejectReason>,
-}
-
-/// Runs one report through the gate. `spans` says whether a span sink is
-/// configured; a report is traced when it is and the report carries a
-/// trace id.
-fn admit(
-    gate: &mut IngestGate,
-    stats: &mut ResilienceStats,
-    traced: TracedReport,
-    spans: bool,
-) -> Admitted {
-    let TracedReport {
-        report,
-        trace,
-        handed_nanos,
-    } = traced;
-    let apply_start = (spans && trace != 0).then(|| {
-        if handed_nanos != 0 {
-            handed_nanos
-        } else {
-            now_nanos()
-        }
-    });
-    Admitted {
-        report,
-        trace,
-        apply_start,
-        effective: gate.admit(report, stats),
-    }
+    /// The effective updates the gate expanded the report into.
+    effective: Vec<LocationUpdate>,
 }
 
 /// A commit group on its way from the commit stage to the apply stage:
 /// gated, journaled and covered by the durable mark.
 struct Group {
+    /// The group's accepted reports; the gate's rejections stay behind.
     admitted: Vec<Admitted>,
-    /// When the group's end landed a slot: the effective updates it covers
-    /// and its write time in nanoseconds.
-    checkpoint: Option<(u64, u64)>,
+    /// When the group's end landed a slot: its write time in nanoseconds.
+    checkpoint: Option<u64>,
 }
 
 /// The commit stage's share of the [`SupervisedReport`].
@@ -710,8 +672,7 @@ fn commit(
         every if every > 0 && durable.is_some() => every,
         _ => u64::MAX,
     };
-    // Effective updates admitted, in all and since the last durable slot.
-    let mut admitted_total = 0u64;
+    // Effective updates admitted since the last durable slot.
     let mut since_slot = 0u64;
     // The durable mark as of the last announcement.
     let mut announced = 0u64;
@@ -743,44 +704,61 @@ fn commit(
             // a slot captures always cover the same reports.
             let room = every.saturating_sub(since_slot).max(1);
             let mut group = Vec::new();
+            let mut taken = 0u64;
             records.clear();
             // The trace of the group's last accepted report, which carries the
             // group-end checkpoint's span.
             let mut last_trace = 0u64;
             let mut next = Some(first);
-            while let Some(traced) = next {
-                let admitted = admit(&mut gate, &mut stats, traced, spans.is_some());
-                if let Ok(effective) = &admitted.effective {
-                    records.push(admitted.report);
-                    last_trace = admitted.trace;
-                    for update in effective {
+            while let Some(TracedReport {
+                report,
+                trace,
+                handed_nanos,
+            }) = next
+            {
+                taken += 1;
+                // A report is traced when a sink is configured and the
+                // report carries a trace id.
+                let apply_start = (spans.is_some() && trace != 0).then(|| {
+                    if handed_nanos != 0 {
+                        handed_nanos
+                    } else {
+                        now_nanos()
+                    }
+                });
+                if let Ok(effective) = gate.admit(report, &mut stats) {
+                    records.push(report);
+                    last_trace = trace;
+                    for update in &effective {
                         if let Some(p) = positions.get_mut(update.unit.index()) {
                             *p = update.new;
                         }
                     }
-                    admitted_total += convert::count64(effective.len());
                     since_slot += convert::count64(effective.len());
+                    group.push(Admitted {
+                        trace,
+                        apply_start,
+                        effective,
+                    });
                 }
-                group.push(admitted);
-                next = if convert::count64(group.len()) < room {
+                next = if taken < room {
                     reports_rx.try_recv().ok()
                 } else {
                     None
                 };
             }
-            reports_received += convert::count64(group.len());
+            reports_received += taken;
             if let Some(d) = durable.as_mut() {
                 // Write-ahead: the group's accepted reports hit the journal in
                 // one write and one sync before any of them is handed to the
                 // apply stage. Traced reports share the group's wal-append span.
-                let journaled_traced =
-                    |a: &Admitted| a.apply_start.is_some() && a.effective.is_ok();
-                let wal_start = group.iter().any(journaled_traced).then(now_nanos);
+                let traced = |a: &&Admitted| a.apply_start.is_some();
+                let wal_start = group.iter().any(|a| traced(&a)).then(now_nanos);
                 // ctup-lint: allow(L007, the lock orders this write before the apply stage's last ones; that stage takes it only to stop)
                 let appended = d.append_all(&records);
                 if let (Some(s), Some(w0)) = (spans, wal_start) {
                     let w1 = now_nanos();
-                    for a in group.iter().filter(|a| journaled_traced(a)) {
+                    for a in group.iter().filter(traced) {
                         s.record_stage(a.trace, Stage::WalAppend, 0, w0, w1, true);
                     }
                 }
@@ -793,8 +771,7 @@ fn commit(
             // configuration, or terminally rejected by the gate): the front
             // door may ack it, and is told so once. This happens *before* the
             // group is applied, so a kill mid-group loses nothing acked.
-            line.mark
-                .fetch_add(convert::count64(group.len()), Ordering::Release);
+            line.mark.fetch_add(taken, Ordering::Release);
             line.announce(&mut announced);
             // The durable slot, at the group's end only: the gate state it
             // captures then covers exactly the updates the positions do, parks
@@ -817,7 +794,7 @@ fn commit(
                 }
                 since_slot = 0;
                 stats.checkpoints_taken += 1;
-                checkpoint = Some((admitted_total, c1.saturating_sub(c0)));
+                checkpoint = Some(c1.saturating_sub(c0));
             }
             Group {
                 admitted: group,
@@ -843,7 +820,8 @@ fn commit(
 /// The apply stage, on the `ctup-apply` thread: applies every group the
 /// commit stage hands over, in order, until the hand-off closes, a kill
 /// fires or recovery is exhausted. It owns the engine and its self-heal,
-/// the event stream, the flight recorder and the apply-side spans.
+/// the event stream, the latency histograms, the apply-side spans and the
+/// crash dump.
 /// `restart` holds the engine configuration and the unit positions at
 /// spawn.
 fn apply<A>(
@@ -882,41 +860,24 @@ where
     let mut restarts = RestartBudget::new(config.max_restarts);
     let mut gave_up = false;
     let mut killed = false;
-    let mut obs = ObsHub::new(config.flight_recorder_capacity);
+    // The unit of the update the stage stopped at, when it stopped at one.
+    let mut stopped_unit = None;
+    let mut obs = ObsHub::default();
 
     'groups: for Group {
         admitted,
         checkpoint,
     } in groups.iter()
     {
-        for admitted in admitted {
-            let Admitted {
-                report,
-                trace,
-                apply_start,
-                effective,
-            } = admitted;
-            let effective = match effective {
-                Ok(effective) => effective,
-                Err(reason) => {
-                    // Counted under its RejectReason by the gate; traced so
-                    // a post-mortem sees the rejected tail of a degraded
-                    // feed.
-                    obs.record_update(TraceEvent {
-                        seq: eff_seq,
-                        unit: report.update.unit.0,
-                        maintain_nanos: 0,
-                        access_nanos: 0,
-                        cells_accessed: 0,
-                        result_changed: false,
-                        outcome: TraceOutcome::Rejected(reason.label()),
-                    });
-                    continue;
-                }
-            };
+        for Admitted {
+            trace,
+            apply_start,
+            effective,
+        } in admitted
+        {
             // Span recording is armed per report: a sink must be configured
             // and the report must carry a trace id. Gate-rejected replays
-            // were left untraced above — a deduplicated redelivery must not
+            // never reach this stage — a deduplicated redelivery must not
             // re-record the engine-apply span its first delivery produced.
             let sink = apply_start.and(config.spans.as_deref());
             // One accepted report can expand to several effective updates
@@ -931,15 +892,7 @@ where
                 // checkpoint (the newest slot is torn below, if asked).
                 if config.kill_at == Some(eff_seq) {
                     killed = true;
-                    obs.record_update(TraceEvent {
-                        seq: eff_seq,
-                        unit: update.unit.0,
-                        maintain_nanos: 0,
-                        access_nanos: 0,
-                        cells_accessed: 0,
-                        result_changed: false,
-                        outcome: TraceOutcome::Killed,
-                    });
+                    stopped_unit = Some(update.unit.0);
                     break 'groups;
                 }
                 loop {
@@ -959,15 +912,10 @@ where
                     }));
                     match outcome {
                         Ok(Ok((events, update_stats))) => {
-                            obs.record_update(TraceEvent {
-                                seq: eff_seq,
-                                unit: update.unit.0,
-                                maintain_nanos: update_stats.maintain_nanos,
-                                access_nanos: update_stats.access_nanos,
-                                cells_accessed: update_stats.cells_accessed,
-                                result_changed: update_stats.result_changed,
-                                outcome: TraceOutcome::Applied,
-                            });
+                            obs.record_update(
+                                update_stats.maintain_nanos,
+                                update_stats.access_nanos,
+                            );
                             let publish_start = match (sink, t0, apply_start) {
                                 (Some(s), Some(t0), Some(a0)) => {
                                     let t1 = now_nanos();
@@ -1032,19 +980,6 @@ where
                             } else {
                                 stats.storage_errors += 1;
                             }
-                            obs.record_update(TraceEvent {
-                                seq: eff_seq,
-                                unit: update.unit.0,
-                                maintain_nanos: 0,
-                                access_nanos: 0,
-                                cells_accessed: 0,
-                                result_changed: false,
-                                outcome: if crashed.is_err() {
-                                    TraceOutcome::Panicked
-                                } else {
-                                    TraceOutcome::StorageError
-                                },
-                            });
                             // Restore is init from the current positions, so
                             // nothing is replayed. The live gate is kept: it
                             // is outside the contained region. Each attempt
@@ -1054,6 +989,7 @@ where
                             loop {
                                 if !restarts.spend(Instant::now()) {
                                     gave_up = true;
+                                    stopped_unit = Some(update.unit.0);
                                     break 'groups;
                                 }
                                 stats.worker_restarts += 1;
@@ -1086,39 +1022,30 @@ where
                 }
             }
         }
-        if let Some((at, nanos)) = checkpoint {
-            obs.record_checkpoint(at, nanos);
+        if let Some(nanos) = checkpoint {
+            obs.record_checkpoint(nanos);
         }
     }
 
     // The hand-off closed on a failed durable write, or the stage stopped
     // on its own.
     gave_up |= line.failed.load(Ordering::Acquire);
-    if gave_up {
-        obs.record_update(TraceEvent {
-            seq: eff_seq,
-            unit: 0,
-            maintain_nanos: 0,
-            access_nanos: 0,
-            cells_accessed: 0,
-            result_changed: false,
-            outcome: TraceOutcome::GaveUp,
-        });
-    }
     // The last writes to the state directory, after the commit stage's
     // last one and before anyone can see the pipeline dead: the torn slot
-    // of a death mid-checkpoint-write, and the post-mortem dump of the
-    // flight recorder next to the slots. Best-effort — a dump failure must
-    // not mask the report of the death itself. An existing dump from an
-    // earlier crash is rotated aside first, never clobbered.
+    // of a death mid-checkpoint-write, and the crash dump next to the
+    // slots. Best-effort — a dump failure must not mask the report of the
+    // death itself.
     let flight_recorder_path = line.stop(|| {
         let dir = config.state_dir.as_deref().filter(|_| gave_up || killed)?;
         if killed && config.tear_slot_on_kill {
             let _ = DurableState::tear_newest_slot(dir);
         }
-        rotate_flight_dumps(dir, config.flight_recorder_keep);
+        let outcome = if killed { "killed" } else { "gave_up" };
         let path = dir.join(FLIGHT_RECORDER_FILE);
-        obs.recorder.dump_to(&path).ok().map(|()| path)
+        let spans = config.spans.as_deref();
+        dump_crash(&path, outcome, eff_seq, stopped_unit, spans)
+            .ok()
+            .map(|()| path)
     });
 
     let (final_result, metrics) = if gave_up || killed {
@@ -1150,78 +1077,47 @@ where
     }
 }
 
-/// Rotates an existing canonical flight-recorder dump aside before a new
-/// one is written: the previous [`FLIGHT_RECORDER_FILE`] becomes
-/// `flight-recorder-<n>.jsonl` with `n` one past the highest existing
-/// index, and the numbered set is pruned to `keep` files. The lowest index
-/// — the first crash of a storm — is always among the survivors; beyond
-/// that the most recent rotations win. Best-effort: any filesystem error
-/// degrades to the pre-rotation overwrite behavior.
-fn rotate_flight_dumps(dir: &Path, keep: usize) {
-    let canonical = dir.join(FLIGHT_RECORDER_FILE);
-    if keep == 0 || !canonical.exists() {
-        return;
-    }
-    let mut indices: Vec<u64> = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(n) = name
-                .strip_prefix(FLIGHT_RECORDER_ROTATED_PREFIX)
-                .and_then(|rest| rest.strip_suffix(".jsonl"))
-                .and_then(|digits| digits.parse::<u64>().ok())
-            {
-                indices.push(n);
-            }
-        }
-    }
-    indices.sort_unstable();
-    let start = indices.last().map_or(1, |n| n.saturating_add(1));
-    let Some((next, rotated)) = reserve_rotation_slot(dir, start) else {
-        return;
-    };
-    if std::fs::rename(&canonical, &rotated).is_err() {
-        // The dump never moved; release the claimed (empty) slot.
-        let _ = std::fs::remove_file(&rotated);
-        return;
-    }
-    indices.push(next);
-    while indices.len() > keep {
-        // Position 0 holds the oldest dump — the storm's first crash —
-        // which is sacred; evict the oldest of the remainder.
-        let victim = indices.remove(1);
-        let _ = std::fs::remove_file(
-            dir.join(format!("{FLIGHT_RECORDER_ROTATED_PREFIX}{victim}.jsonl")),
-        );
-    }
-}
+/// The stages this supervisor records, which a crash dump keeps. A shared
+/// sink also holds the door's spans, and the door goes on recording them
+/// for the reports it sheds after the engine died.
+const APPLY_STAGES: [Stage; 6] = [
+    Stage::EngineApply,
+    Stage::ShardPhase,
+    Stage::Merge,
+    Stage::SnapshotPublish,
+    Stage::WalAppend,
+    Stage::Checkpoint,
+];
 
-/// Claims the first free rotation index at or above `start` by creating
-/// `flight-recorder-<n>.jsonl` exclusively, returning the claimed index
-/// and path. Two rotations racing in the same directory — a self-heal
-/// respawn dumping while its dying sibling still is, within the same
-/// second — both scan the same highest index; the directory scan alone
-/// would send both to the same path and the later `rename` would clobber
-/// the earlier dump. `create_new` is atomic, so the loser observes
-/// `AlreadyExists` and advances to the next index: the sequence suffix is
-/// monotonic per directory even under concurrent rotations.
-fn reserve_rotation_slot(dir: &Path, start: u64) -> Option<(u64, PathBuf)> {
-    let mut next = start.max(1);
-    loop {
-        let candidate = dir.join(format!("{FLIGHT_RECORDER_ROTATED_PREFIX}{next}.jsonl"));
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&candidate)
-        {
-            Ok(_) => return Some((next, candidate)),
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                next = next.checked_add(1)?;
-            }
-            Err(_) => return None,
-        }
+/// Writes the crash dump to `path`: the terminal line, then the
+/// [`CRASH_DUMP_SPANS`] spans of `spans` from the [`APPLY_STAGES`] that
+/// ended last, in end order, in [`ctup_obs::Span::to_jsonl`] form. By end,
+/// because an engine-apply span starts at the hand-off, long before the
+/// apply when the queue is deep. Synced, since the process is dying.
+fn dump_crash(
+    path: &Path,
+    outcome: &str,
+    seq: u64,
+    unit: Option<u32>,
+    spans: Option<&SpanSink>,
+) -> std::io::Result<()> {
+    let mut terminal = ObjectWriter::new();
+    terminal.field_str("outcome", outcome).field_u64("seq", seq);
+    if let Some(unit) = unit {
+        terminal.field_u64("unit", u64::from(unit));
     }
+    let mut text = terminal.finish();
+    text.push('\n');
+    let mut spans = spans.map(|sink| sink.snapshot().spans).unwrap_or_default();
+    spans.retain(|span| APPLY_STAGES.contains(&span.stage));
+    spans.sort_by_key(|span| span.end);
+    for span in &spans[spans.len().saturating_sub(CRASH_DUMP_SPANS)..] {
+        text.push_str(&span.to_jsonl());
+        text.push('\n');
+    }
+    let mut file = std::fs::File::create(path)?;
+    std::io::Write::write_all(&mut file, text.as_bytes())?;
+    file.sync_all()
 }
 
 /// The sliding window [`ResilienceConfig::max_restarts`] counts restarts in.
@@ -1785,24 +1681,47 @@ mod tests {
         std::env::temp_dir().join(format!("ctup-supervisor-{}-{n}", std::process::id()))
     }
 
-    /// A killed worker leaves a parseable flight-recorder dump next to the
-    /// checkpoint slots: JSON Lines, one object per recent event, closing
-    /// with the `killed` event at the kill sequence number.
+    /// A killed worker leaves its crash dump next to the checkpoint slots:
+    /// the `killed` terminal line at the kill's sequence number, then the
+    /// apply-stage spans that ended last, the engine-apply spans of the
+    /// last reports applied before the kill among them. Door spans
+    /// stamped later than every apply, as a door shedding after the kill
+    /// records them, do not crowd those out, and neither do hand-off
+    /// stamps from long before the apply.
     #[test]
     #[cfg_attr(miri, ignore)] // the dump lives on the real filesystem
     fn kill_dumps_flight_recorder_jsonl() {
+        use ctup_obs::Span;
+
         let dir = temp_state_dir();
+        let sink = Arc::new(SpanSink::new(1 << 16));
+        let later = u64::MAX / 2;
+        for trace in 1..=2 * CRASH_DUMP_SPANS as u64 {
+            sink.record_stage(
+                trace,
+                Stage::ClientSend,
+                0,
+                later + trace,
+                later + trace,
+                true,
+            );
+        }
         let units = unit_points(4);
         let config = ResilienceConfig {
             checkpoint_every: 16,
             state_dir: Some(dir.clone()),
-            kill_at: Some(50),
-            flight_recorder_capacity: 32,
+            kill_at: Some(200),
+            spans: Some(Arc::clone(&sink)),
             ..ResilienceConfig::default()
         };
         let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 1024);
-        for report in stamp_stream(updates(80, 4)) {
-            if pipeline.send(report).is_err() {
+        for (i, report) in stamp_stream(updates(300, 4)).into_iter().enumerate() {
+            let traced = TracedReport {
+                report,
+                trace: 1 + i as u64,
+                handed_nanos: 1 + i as u64,
+            };
+            if pipeline.send_traced(traced).is_err() {
                 break; // the worker died at the kill point
             }
         }
@@ -1811,23 +1730,28 @@ mod tests {
         let path = report.flight_recorder_path.expect("dump written");
         assert_eq!(path, dir.join(FLIGHT_RECORDER_FILE));
         let dump = std::fs::read_to_string(&path).expect("read dump");
-        let lines: Vec<&str> = dump.lines().collect();
-        assert!(!lines.is_empty() && lines.len() <= 32);
-        for line in &lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-            assert!(line.contains("\"seq\":"));
-            assert!(line.contains("\"outcome\":"));
-        }
-        let last = lines.last().expect("non-empty dump");
-        assert!(last.contains("\"outcome\":\"killed\""));
-        assert!(last.contains("\"seq\":50,"));
-        // Latency still describes the 50 updates applied before the kill.
-        assert_eq!(report.latency.update_total_nanos.count(), 50);
+        let mut lines = dump.lines();
+        let terminal = lines.next().expect("a terminal line");
+        assert!(
+            terminal.starts_with("{\"outcome\":\"killed\",\"seq\":200,\"unit\":"),
+            "{terminal}"
+        );
+        let spans: Vec<Span> = lines
+            .map(|l| Span::parse_jsonl(l).expect("a span line"))
+            .collect();
+        assert_eq!(spans.len(), CRASH_DUMP_SPANS, "{dump}");
+        assert!(spans.windows(2).all(|w| w[0].end <= w[1].end));
+        assert!(spans.iter().all(|s| APPLY_STAGES.contains(&s.stage)));
+        assert!(spans
+            .iter()
+            .any(|s| s.stage == Stage::EngineApply && (191..=200).contains(&s.trace)));
+        // Latency still describes the 200 updates applied before the kill.
+        assert_eq!(report.latency.update_total_nanos.count(), 200);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A worker that exhausts its restart budget also dumps, with the
-    /// trace recording the panics and the terminal `gave_up` event.
+    /// A worker that exhausts its restart budget without a span sink dumps
+    /// exactly one line: `gave_up` at the update that kept crashing.
     #[test]
     #[cfg_attr(miri, ignore)] // the dump lives on the real filesystem
     fn give_up_dumps_flight_recorder_jsonl() {
@@ -1840,7 +1764,9 @@ mod tests {
             ..ResilienceConfig::default()
         };
         let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 64);
-        for report in stamp_stream(updates(20, 2)) {
+        let stamped = stamp_stream(updates(20, 2));
+        let unit = stamped[1].update.unit.0;
+        for report in stamped {
             if pipeline.send(report).is_err() {
                 break;
             }
@@ -1849,122 +1775,10 @@ mod tests {
         assert!(report.gave_up);
         let path = report.flight_recorder_path.expect("dump written");
         let dump = std::fs::read_to_string(&path).expect("read dump");
-        assert!(dump.contains("\"outcome\":\"panicked\""));
-        assert!(dump
-            .lines()
-            .last()
-            .expect("lines")
-            .contains("\"outcome\":\"gave_up\""));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A crash storm must not clobber its own evidence: each dump rotates
-    /// the previous one aside, the numbered set stays bounded, and the
-    /// *first* crash's dump survives the whole storm.
-    #[test]
-    #[cfg_attr(miri, ignore)] // the dumps live on the real filesystem
-    fn crash_storm_rotates_dumps_and_keeps_the_first() {
-        let dir = temp_state_dir();
-        let units = unit_points(4);
-        let keep = 3usize;
-        for round in 0..6u64 {
-            let config = ResilienceConfig {
-                checkpoint_every: 16,
-                state_dir: Some(dir.clone()),
-                // Kill at a round-dependent point so each dump's last line
-                // is distinguishable.
-                kill_at: Some(10 + round),
-                flight_recorder_capacity: 32,
-                flight_recorder_keep: keep,
-                ..ResilienceConfig::default()
-            };
-            let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 1024);
-            for report in stamp_stream(updates(40, 4)) {
-                if pipeline.send(report).is_err() {
-                    break;
-                }
-            }
-            let report = pipeline.shutdown();
-            assert!(report.killed, "round {round} must die at its kill point");
-            assert_eq!(
-                report.flight_recorder_path,
-                Some(dir.join(FLIGHT_RECORDER_FILE)),
-                "the newest dump always lands at the canonical path"
-            );
-        }
-        // The canonical file holds the newest crash (kill at seq 15).
-        let newest = std::fs::read_to_string(dir.join(FLIGHT_RECORDER_FILE)).expect("newest");
-        assert!(newest
-            .lines()
-            .last()
-            .expect("lines")
-            .contains("\"seq\":15,"));
-        // Exactly `keep` rotated dumps survive, and index 1 — the first
-        // crash of the storm, kill at seq 10 — is among them.
-        let mut rotated: Vec<u64> = std::fs::read_dir(&dir)
-            .expect("read dir")
-            .flatten()
-            .filter_map(|e| {
-                e.file_name()
-                    .to_str()?
-                    .strip_prefix(FLIGHT_RECORDER_ROTATED_PREFIX)?
-                    .strip_suffix(".jsonl")?
-                    .parse::<u64>()
-                    .ok()
-            })
-            .collect();
-        rotated.sort_unstable();
-        assert_eq!(rotated.len(), keep, "numbered dumps are bounded");
-        assert_eq!(rotated[0], 1, "the first crash's dump is never lost");
-        let first =
-            std::fs::read_to_string(dir.join(format!("{FLIGHT_RECORDER_ROTATED_PREFIX}1.jsonl")))
-                .expect("first dump");
-        assert!(first.lines().last().expect("lines").contains("\"seq\":10,"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Two rotations that scanned the directory at the same instant (a
-    /// self-heal respawn dumping while its dying sibling still is, within
-    /// the same second) must claim distinct sequence suffixes — before the
-    /// atomic reservation both computed the same index and the later
-    /// rename clobbered the earlier dump.
-    #[test]
-    #[cfg_attr(miri, ignore)] // the reservation files live on the real filesystem
-    fn same_second_rotations_claim_distinct_paths() {
-        let dir = temp_state_dir();
-        std::fs::create_dir_all(&dir).expect("create dir");
-        // Both racers scanned an empty directory and start at index 1.
-        let (a, path_a) = reserve_rotation_slot(&dir, 1).expect("first slot");
-        let (b, path_b) = reserve_rotation_slot(&dir, 1).expect("second slot");
-        assert_eq!((a, b), (1, 2), "the loser advances past the claimed index");
-        assert_ne!(path_a, path_b);
-        // Each racer's rename lands on its own slot: both dumps survive.
-        std::fs::write(&path_a, "first\n").expect("write a");
-        std::fs::write(&path_b, "second\n").expect("write b");
-        assert_eq!(std::fs::read_to_string(&path_a).expect("a"), "first\n");
-        assert_eq!(std::fs::read_to_string(&path_b).expect("b"), "second\n");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The reservation is race-free under real concurrency: N threads all
-    /// starting from the same stale scan claim N distinct indices.
-    #[test]
-    #[cfg_attr(miri, ignore)] // the reservation files live on the real filesystem
-    fn rotation_reservation_is_race_free_across_threads() {
-        let dir = temp_state_dir();
-        std::fs::create_dir_all(&dir).expect("create dir");
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let dir = dir.clone();
-                std::thread::spawn(move || reserve_rotation_slot(&dir, 1).expect("slot").0)
-            })
-            .collect();
-        let mut got: Vec<u64> = handles
-            .into_iter()
-            .map(|h| h.join().expect("join"))
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, (1..=8).collect::<Vec<u64>>());
+        assert_eq!(
+            dump,
+            format!("{{\"outcome\":\"gave_up\",\"seq\":1,\"unit\":{unit}}}\n")
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,6 @@
 //! Minimal hand-rolled JSON writer. The workspace deliberately carries no
 //! JSON dependency; the observability surface only ever *emits* JSON
-//! (flight-recorder dumps, report output, bench snapshots), so a writer
+//! (span and crash dumps, report output, bench snapshots), so a writer
 //! with escaping is all that is needed.
 
 /// Appends `s` to `out` as a JSON string literal (with quotes), escaping

@@ -1,8 +1,7 @@
 //! Per-run latency capture: phase timing, histograms keyed by phase, and
-//! the [`ObsHub`] that owns both the histograms and the flight recorder.
+//! the [`ObsHub`] that owns a run's histograms.
 
 use crate::hist::LogHistogram;
-use crate::trace::{FlightRecorder, TraceEvent, TraceOutcome};
 use std::time::Instant;
 
 /// Nanosecond phase timer: `lap()` returns the nanos since the previous
@@ -85,14 +84,11 @@ pub fn summarize(h: &LogHistogram) -> String {
     )
 }
 
-/// The per-run observability hub: owns the flight recorder and the
-/// run-local latency histograms. Lives inside the supervised worker (or
-/// the plain pipeline / CLI run loop) and is cheap enough to feed on
-/// every update.
-#[derive(Debug)]
+/// The per-run observability hub: the run-local latency histograms.
+/// Lives inside the supervised apply stage and is cheap enough to feed
+/// on every update.
+#[derive(Debug, Default)]
 pub struct ObsHub {
-    /// Ring of recent per-update events, dumped on death.
-    pub recorder: FlightRecorder,
     update_total: LogHistogram,
     update_maintain: LogHistogram,
     update_access: LogHistogram,
@@ -100,42 +96,17 @@ pub struct ObsHub {
 }
 
 impl ObsHub {
-    /// A hub whose flight recorder keeps `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        ObsHub {
-            recorder: FlightRecorder::new(capacity),
-            update_total: LogHistogram::new(),
-            update_maintain: LogHistogram::new(),
-            update_access: LogHistogram::new(),
-            checkpoint_write: LogHistogram::new(),
-        }
+    /// Records the phase timings of one applied update.
+    pub fn record_update(&mut self, maintain_nanos: u64, access_nanos: u64) {
+        self.update_maintain.record(maintain_nanos);
+        self.update_access.record(access_nanos);
+        self.update_total
+            .record(maintain_nanos.saturating_add(access_nanos));
     }
 
-    /// Records one per-update event: always traced; latency histograms are
-    /// fed only for applied updates (rejections carry no phase timings).
-    pub fn record_update(&mut self, event: TraceEvent) {
-        if event.outcome == TraceOutcome::Applied {
-            self.update_maintain.record(event.maintain_nanos);
-            self.update_access.record(event.access_nanos);
-            self.update_total
-                .record(event.maintain_nanos.saturating_add(event.access_nanos));
-        }
-        self.recorder.push(event);
-    }
-
-    /// Records a checkpoint write: traced (with the write time in
-    /// `maintain_nanos`) and fed into the checkpoint histogram.
-    pub fn record_checkpoint(&mut self, seq: u64, nanos: u64) {
+    /// Records one checkpoint write time.
+    pub fn record_checkpoint(&mut self, nanos: u64) {
         self.checkpoint_write.record(nanos);
-        self.recorder.push(TraceEvent {
-            seq,
-            unit: 0,
-            maintain_nanos: nanos,
-            access_nanos: 0,
-            cells_accessed: 0,
-            result_changed: false,
-            outcome: TraceOutcome::Checkpoint,
-        });
     }
 
     /// Materializes the run's latency view, joining the run-local update
@@ -155,41 +126,16 @@ impl ObsHub {
 mod tests {
     use super::*;
 
-    fn applied(seq: u64, maintain: u64, access: u64) -> TraceEvent {
-        TraceEvent {
-            seq,
-            unit: 1,
-            maintain_nanos: maintain,
-            access_nanos: access,
-            cells_accessed: 1,
-            result_changed: false,
-            outcome: TraceOutcome::Applied,
-        }
-    }
-
     #[test]
-    fn hub_feeds_histograms_only_for_applied() {
-        let mut hub = ObsHub::new(8);
-        hub.record_update(applied(1, 100, 200));
-        hub.record_update(TraceEvent {
-            outcome: TraceOutcome::Rejected("stale"),
-            ..applied(2, 999, 999)
-        });
+    fn hub_feeds_update_and_checkpoint_histograms() {
+        let mut hub = ObsHub::default();
+        hub.record_update(100, 200);
+        hub.record_checkpoint(1234);
         let snap = hub.snapshot(LogHistogram::new());
         assert_eq!(snap.update_total_nanos.count(), 1);
         assert_eq!(snap.update_total_nanos.max(), 300);
-        assert_eq!(hub.recorder.len(), 2);
-    }
-
-    #[test]
-    fn checkpoint_records_event_and_histogram() {
-        let mut hub = ObsHub::new(8);
-        hub.record_checkpoint(5, 1234);
-        let snap = hub.snapshot(LogHistogram::new());
+        assert_eq!(snap.update_maintain_nanos.max(), 100);
         assert_eq!(snap.checkpoint_write_nanos.count(), 1);
-        let last = hub.recorder.events().last().expect("one event");
-        assert_eq!(last.outcome, TraceOutcome::Checkpoint);
-        assert_eq!(last.seq, 5);
     }
 
     #[test]

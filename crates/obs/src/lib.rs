@@ -6,14 +6,13 @@
 //! * [`hist`] — log-bucketed (HDR-style) latency histograms: mergeable,
 //!   with an exact-round-trip text codec and a lock-free atomic variant
 //!   for shared-reference call sites.
-//! * [`trace`] — per-update [`trace::TraceEvent`]s and the fixed-capacity
-//!   [`trace::FlightRecorder`] ring the supervisor dumps as JSON Lines on
-//!   worker death.
 //! * [`span`] — the causal span layer: 64-bit trace ids threaded from the
 //!   client socket to the top-k publish, deterministic per-stage span ids,
 //!   and the lock-free bounded [`span::SpanSink`] rings merged on snapshot.
+//!   The rings are also the crash record: when the supervised engine is
+//!   killed or gives up, its dump is a terminal line plus its newest spans.
 //! * [`latency`] — [`latency::PhaseTimer`] for maintain/access phase
-//!   timing, the [`latency::ObsHub`] owning a run's recorder + histograms,
+//!   timing, the [`latency::ObsHub`] owning a run's histograms,
 //!   and the [`latency::LatencySnapshot`] view reports are built from.
 //! * [`json`] — the minimal JSON writer the dump and report formats share
 //!   (the workspace carries no JSON dependency).
@@ -28,7 +27,6 @@ pub mod http;
 pub mod json;
 pub mod latency;
 pub mod span;
-pub mod trace;
 
 pub use hist::{AtomicHistogram, HistDecodeError, LogHistogram};
 pub use http::{MetricsPublisher, MetricsServer};
@@ -37,4 +35,3 @@ pub use span::{
     mint_trace, now_nanos, parent_span_id, sample_trace, span_id, Span, SpanCounters, SpanSink,
     SpanSnapshot, Stage,
 };
-pub use trace::{FlightRecorder, TraceEvent, TraceOutcome};

@@ -431,14 +431,14 @@ struct Ring {
     slots: Vec<Slot>,
 }
 
-/// Lock-free bounded span store: [`RINGS`] seqlock rings, each with
+/// Lock-free bounded span store: `RINGS` (32) seqlock rings, each with
 /// `capacity / RINGS` slots (at least 1). Threads record into a
 /// thread-assigned ring with one `fetch_add` plus two version flips;
 /// when a ring wraps, the oldest spans are overwritten and counted in
 /// `spans_dropped`. Readers ([`SpanSink::snapshot`]) never block
 /// writers: torn slots are retried a few times, then skipped.
 ///
-/// With more than [`RINGS`] recording threads two threads can share a
+/// With more than `RINGS` recording threads two threads can share a
 /// ring; the seqlock version check still protects readers from torn
 /// reads, and a doubly-claimed slot (only possible when the ring is
 /// already wrapping, i.e. already dropping) at worst loses one span.

@@ -1,6 +1,6 @@
 //! A tiny flat-JSON object walker shared by the observability validators.
 //!
-//! Both `cargo xtask flightcheck` (JSONL flight-recorder dumps) and
+//! Both `cargo xtask flightcheck` (the crash dump's terminal line) and
 //! `cargo xtask healthcheck` (`/healthz` bodies) consume the same
 //! restricted grammar: one brace-delimited object of `"key":value`
 //! pairs whose values are strings, numbers, booleans or null — never
@@ -64,7 +64,7 @@ fn parse_string(bytes: &[u8], mut i: usize) -> Result<(String, usize), String> {
 /// structural validator, not a full JSON parser: it checks the brace
 /// framing, walks `"key":value` pairs left to right, and understands
 /// strings (with escapes), numbers, booleans and null — exactly the
-/// grammar the flight recorder and the `/healthz` endpoint emit.
+/// grammar the crash dump, the span dumps and the `/healthz` endpoint emit.
 pub fn parse_flat_object(line: &str) -> Result<Vec<(String, FlatValue)>, String> {
     let inner = line
         .trim()

@@ -4,7 +4,7 @@
 //! the domain invariants generic tooling cannot (see [`rules`] for the
 //! registry, DESIGN.md §10 for the rationale); `promcheck` and
 //! `flightcheck`, CI validators for the Prometheus exposition and the
-//! flight-recorder dump (see [`obscheck`]). The engine is a library so
+//! crash dump (see [`obscheck`]). The engine is a library so
 //! the rules can be exercised against fixture trees in integration tests.
 //! The lint also holds the tree to its line budget ([`budget`]).
 

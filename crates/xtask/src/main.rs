@@ -6,7 +6,7 @@
 //! cargo xtask lint --update-fingerprints   # re-record lint/fingerprints.toml
 //! cargo xtask lint --root <dir>            # lint a different tree (tests, CI)
 //! cargo xtask promcheck [FILE]             # validate a Prometheus exposition (stdin default)
-//! cargo xtask flightcheck FILE             # validate a flight-recorder JSONL dump
+//! cargo xtask flightcheck FILE             # validate a crash dump (flight-recorder.jsonl)
 //! cargo xtask healthcheck [FILE]           # validate a /healthz body (stdin default)
 //! cargo xtask spancheck FILE               # validate a causal span JSONL dump
 //! ```
@@ -29,8 +29,9 @@ The lint subcommand runs the CTUP domain-invariant checker (rules
 L000–L005, see DESIGN.md §10; concurrency rules L006–L010, see
 DESIGN.md §15; the line budget L011 over lint/budget.toml). promcheck validates a Prometheus text
 exposition (from `ctup run --format prom` or a `/metrics` scrape;
-reads stdin when FILE is omitted). flightcheck validates a
-flight-recorder JSONL dump and prints its event span. healthcheck
+reads stdin when FILE is omitted). flightcheck validates a crash
+dump (`flight-recorder.jsonl`): a terminal outcome line, then span
+lines only. healthcheck
 validates a `/healthz` body from `ctup serve` (stdin when FILE is
 omitted): status/degraded must agree, the load gauges must be
 integers, and a `build` stamp must be present. spancheck validates a
@@ -152,8 +153,8 @@ fn flightcheck(file: &str) -> ExitCode {
     match xtask::obscheck::check_flight(&text) {
         Ok(summary) => {
             println!(
-                "flightcheck: {} events, seq {}..{}, last outcome {:?}",
-                summary.events, summary.first_seq, summary.last_seq, summary.last_outcome
+                "flightcheck: {} at seq {}, {} span(s)",
+                summary.outcome, summary.seq, summary.spans
             );
             ExitCode::SUCCESS
         }

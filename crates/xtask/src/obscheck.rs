@@ -4,9 +4,10 @@
 //! `ctup run --format prom` and `ctup serve`'s `/metrics` emit):
 //! every sample line parses, every series has a `# TYPE` declaration,
 //! histogram buckets are cumulative and end in `+Inf` with a matching
-//! `_count`. `flightcheck` validates a flight-recorder JSONL dump:
-//! every line is a flat JSON object carrying `seq` and `outcome`, and
-//! sequence numbers are strictly increasing. `healthcheck` validates a
+//! `_count`. `flightcheck` validates a crash dump (`flight-recorder.jsonl`):
+//! the first line is the terminal record — a flat JSON object carrying
+//! `outcome` (`killed` or `gave_up`) and a numeric `seq` — and every
+//! other line is a span line as `spancheck` parses it. `healthcheck` validates a
 //! `/healthz` body from `ctup serve`: a flat JSON object whose `status`
 //! string and `degraded` boolean agree, with numeric load gauges.
 //!
@@ -17,6 +18,7 @@
 //! [`crate::flatjson`].
 
 use crate::flatjson::{parse_flat_object, FlatValue};
+use crate::spancheck::parse_span_line;
 use std::collections::{BTreeMap, HashMap};
 
 /// One problem found in an artifact.
@@ -230,33 +232,6 @@ pub fn check_prom(text: &str) -> Vec<Problem> {
     problems
 }
 
-/// A parsed flight-recorder line: the fields the checker cares about.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightLine {
-    /// Update sequence number.
-    pub seq: u64,
-    /// Terminal outcome string.
-    pub outcome: String,
-}
-
-/// Parses one flight-recorder line, extracting `seq` and `outcome`.
-fn parse_flight_line(line: &str) -> Result<FlightLine, String> {
-    let mut seq: Option<u64> = None;
-    let mut outcome: Option<String> = None;
-    for (key, value) in parse_flat_object(line)? {
-        match (key.as_str(), value) {
-            ("seq", FlatValue::Raw(raw)) => seq = raw.parse::<u64>().ok(),
-            ("outcome", FlatValue::Str(text)) => outcome = Some(text),
-            _ => {}
-        }
-    }
-    match (seq, outcome) {
-        (Some(seq), Some(outcome)) => Ok(FlightLine { seq, outcome }),
-        (None, _) => Err("missing numeric `seq` field".into()),
-        (_, None) => Err("missing string `outcome` field".into()),
-    }
-}
-
 /// Result of a successful `/healthz` validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthSummary {
@@ -422,67 +397,75 @@ pub fn check_health(text: &str) -> Result<HealthSummary, Vec<Problem>> {
     })
 }
 
-/// Result of a successful flight-recorder validation.
-#[derive(Debug, Clone, PartialEq)]
+/// Result of a successful crash-dump validation.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightSummary {
-    /// Number of events in the dump.
-    pub events: usize,
-    /// Sequence number of the first event.
-    pub first_seq: u64,
-    /// Sequence number of the last event.
-    pub last_seq: u64,
-    /// Outcome of the last event (e.g. `killed`, `gave_up`).
-    pub last_outcome: String,
+    /// The terminal outcome (`killed` or `gave_up`).
+    pub outcome: String,
+    /// The effective sequence number the apply stage stopped at.
+    pub seq: u64,
+    /// Span lines after the terminal line.
+    pub spans: usize,
 }
 
-/// Validates a flight-recorder JSONL dump. Every line must parse, carry
-/// `seq` and `outcome`, and sequence numbers must never decrease (a
-/// rejected update does not consume a sequence number, so consecutive
-/// events may share one).
+/// Parses the terminal line, extracting `outcome` and `seq`.
+fn parse_terminal_line(line: &str) -> Result<(String, u64), String> {
+    let mut seq: Option<u64> = None;
+    let mut outcome: Option<String> = None;
+    for (key, value) in parse_flat_object(line)? {
+        match (key.as_str(), value) {
+            ("seq", FlatValue::Raw(raw)) => seq = raw.parse::<u64>().ok(),
+            ("outcome", FlatValue::Str(text)) => outcome = Some(text),
+            _ => {}
+        }
+    }
+    match (outcome, seq) {
+        (Some(outcome), Some(seq)) if ["killed", "gave_up"].contains(&outcome.as_str()) => {
+            Ok((outcome, seq))
+        }
+        (Some(outcome), Some(_)) => Err(format!("unknown terminal outcome {outcome:?}")),
+        (None, _) => Err("terminal line: missing string `outcome` field".into()),
+        (_, None) => Err("terminal line: missing numeric `seq` field".into()),
+    }
+}
+
+/// Validates a crash dump: the terminal line first, then span lines only
+/// (the canonical-coverage rule of `spancheck` does not apply — a dump
+/// holds the newest spans, not whole traces).
 pub fn check_flight(text: &str) -> Result<FlightSummary, Vec<Problem>> {
     let mut problems = Vec::new();
-    let mut lines = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        if raw.trim().is_empty() {
-            continue;
+    let mut lines = text.lines().enumerate();
+    let terminal = match lines.next() {
+        Some((_, first)) => {
+            parse_terminal_line(first).map_err(|message| Problem { line: 1, message })
         }
-        match parse_flight_line(raw) {
-            Ok(line) => lines.push((idx + 1, line)),
+        None => Err(Problem {
+            line: 1,
+            message: "dump is empty".into(),
+        }),
+    };
+    let mut spans = 0;
+    for (idx, raw) in lines {
+        match parse_span_line(raw) {
+            Ok(_) => spans += 1,
             Err(message) => problems.push(Problem {
                 line: idx + 1,
-                message,
+                message: format!("not a span line: {message}"),
             }),
         }
     }
-    for pair in lines.windows(2) {
-        let ((_, a), (lineno, b)) = (&pair[0], &pair[1]);
-        if b.seq < a.seq {
-            problems.push(Problem {
-                line: *lineno,
-                message: format!(
-                    "seq {} decreases from the previous event ({})",
-                    b.seq, a.seq
-                ),
-            });
+    match terminal {
+        Ok((outcome, seq)) if problems.is_empty() => Ok(FlightSummary {
+            outcome,
+            seq,
+            spans,
+        }),
+        Ok(_) => Err(problems),
+        Err(problem) => {
+            problems.insert(0, problem);
+            Err(problems)
         }
     }
-    if lines.is_empty() {
-        problems.push(Problem {
-            line: 1,
-            message: "dump contains no events".into(),
-        });
-    }
-    if !problems.is_empty() {
-        return Err(problems);
-    }
-    let (_, first) = &lines[0];
-    let (_, last) = &lines[lines.len() - 1];
-    Ok(FlightSummary {
-        events: lines.len(),
-        first_seq: first.seq,
-        last_seq: last.seq,
-        last_outcome: last.outcome.clone(),
-    })
 }
 
 #[cfg(test)]
@@ -553,52 +536,72 @@ h_count 5
         assert!(problems.iter().any(|p| p.message.contains("no samples")));
     }
 
+    const TERMINAL: &str = "{\"outcome\":\"killed\",\"seq\":9,\"unit\":3}";
+    const SPAN: &str = "{\"trace\":7,\"span\":11,\"parent\":5,\"stage\":\"engine-apply\",\"start\":10,\"end\":20,\"aux\":0}";
+
     #[test]
-    fn good_flight_dump_parses() {
-        let text = "\
-{\"seq\":3,\"unit\":1,\"maintain_nanos\":10,\"access_nanos\":5,\"cells_accessed\":2,\"result_changed\":true,\"outcome\":\"applied\"}
-{\"seq\":4,\"unit\":2,\"maintain_nanos\":0,\"access_nanos\":0,\"cells_accessed\":0,\"result_changed\":false,\"outcome\":\"rejected\",\"detail\":\"stale\"}
-{\"seq\":9,\"unit\":0,\"maintain_nanos\":0,\"access_nanos\":0,\"cells_accessed\":0,\"result_changed\":false,\"outcome\":\"killed\"}
-";
-        let summary = check_flight(text).expect("clean dump");
-        assert_eq!(summary.events, 3);
-        assert_eq!(summary.first_seq, 3);
-        assert_eq!(summary.last_seq, 9);
-        assert_eq!(summary.last_outcome, "killed");
+    fn good_flight_dump_parses_with_and_without_spans() {
+        let bare = check_flight(&format!("{TERMINAL}\n")).expect("terminal line alone");
+        assert_eq!(
+            (bare.outcome.as_str(), bare.seq, bare.spans),
+            ("killed", 9, 0)
+        );
+        let text = format!("{{\"outcome\":\"gave_up\",\"seq\":4}}\n{SPAN}\n{SPAN}\n");
+        let traced = check_flight(&text).expect("terminal line and spans");
+        assert_eq!((traced.outcome.as_str(), traced.spans), ("gave_up", 2));
     }
 
     #[test]
-    fn decreasing_seq_is_flagged() {
-        let text = "{\"seq\":5,\"outcome\":\"applied\"}\n{\"seq\":4,\"outcome\":\"applied\"}\n";
-        let problems = check_flight(text).expect_err("must fail");
-        assert!(problems.iter().any(|p| p.message.contains("decreases")));
-    }
-
-    #[test]
-    fn repeated_seq_is_allowed() {
-        // A rejected update does not consume a sequence number.
-        let text = "{\"seq\":5,\"outcome\":\"rejected\",\"detail\":\"stale\"}\n\
-                    {\"seq\":5,\"outcome\":\"applied\"}\n";
-        let summary = check_flight(text).expect("clean dump");
-        assert_eq!(summary.events, 2);
+    fn terminal_line_without_outcome_is_flagged() {
+        let problems = check_flight(&format!("{{\"seq\":9}}\n{SPAN}\n")).expect_err("must fail");
+        assert!(problems
+            .iter()
+            .any(|p| p.line == 1 && p.message.contains("outcome")));
     }
 
     #[test]
     fn missing_fields_are_flagged() {
-        let problems = check_flight("{\"unit\":1}\n").expect_err("must fail");
-        assert!(problems.iter().any(|p| p.message.contains("seq")));
+        for terminal in [
+            "{\"outcome\":\"killed\"}",
+            "{\"outcome\":\"killed\",\"seq\":\"9\"}",
+        ] {
+            let problems = check_flight(&format!("{terminal}\n")).expect_err("must fail");
+            assert!(
+                problems
+                    .iter()
+                    .any(|p| p.line == 1 && p.message.contains("seq")),
+                "{terminal}: {problems:?}"
+            );
+        }
     }
 
     #[test]
-    fn escaped_strings_parse() {
-        let text = "{\"seq\":1,\"outcome\":\"rejected\",\"detail\":\"a \\\"quoted\\\" reason\"}\n";
-        assert!(check_flight(text).is_ok());
+    fn terminal_line_must_come_first() {
+        let problems = check_flight(&format!("{SPAN}\n{TERMINAL}\n")).expect_err("must fail");
+        assert!(problems.iter().any(|p| p.line == 1));
+        assert!(problems.iter().any(|p| p.line == 2));
+    }
+
+    #[test]
+    fn unknown_outcome_is_flagged() {
+        let problems =
+            check_flight("{\"outcome\":\"applied\",\"seq\":1}\n").expect_err("must fail");
+        assert!(problems.iter().any(|p| p.message.contains("applied")));
+    }
+
+    #[test]
+    fn later_line_that_is_not_a_span_is_flagged() {
+        let text = format!("{TERMINAL}\n{SPAN}\n{{\"seq\":5,\"outcome\":\"applied\"}}\n");
+        let problems = check_flight(&text).expect_err("must fail");
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert_eq!(problems[0].line, 3);
+        assert!(problems[0].message.contains("not a span line"));
     }
 
     #[test]
     fn empty_dump_is_flagged() {
-        let problems = check_flight("\n").expect_err("must fail");
-        assert!(problems.iter().any(|p| p.message.contains("no events")));
+        let problems = check_flight("").expect_err("must fail");
+        assert!(problems.iter().any(|p| p.message.contains("empty")));
     }
 
     /// A well-formed body with the given leading fields appended with

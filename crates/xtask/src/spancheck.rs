@@ -71,7 +71,7 @@ fn expected_parent_stage(stage: &str) -> Option<&'static str> {
 
 /// One parsed span line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct SpanLine {
+pub(crate) struct SpanLine {
     trace: u64,
     span: u64,
     parent: u64,
@@ -80,7 +80,9 @@ struct SpanLine {
     end: u64,
 }
 
-fn parse_span_line(line: &str) -> Result<SpanLine, String> {
+/// Parses one span line: a flat object with a known `stage` label and
+/// numeric `trace`, `span`, `parent`, `start` and `end` fields.
+pub(crate) fn parse_span_line(line: &str) -> Result<SpanLine, String> {
     let pairs = parse_flat_object(line)?;
     let mut nums: HashMap<&str, u64> = HashMap::new();
     let mut stage: Option<String> = None;
@@ -210,10 +212,7 @@ pub fn check_spans(text: &str) -> Result<SpanSummary, Vec<Problem>> {
                 // A missing parent is only an orphan when the trace left
                 // other evidence in this dump: a lone half of a
                 // cross-process trace (e.g. a standby's spans) is fine.
-                let siblings = trace_spans
-                    .get(&span.trace)
-                    .map(|v| v.len())
-                    .unwrap_or(0);
+                let siblings = trace_spans.get(&span.trace).map(|v| v.len()).unwrap_or(0);
                 if siblings > 1 {
                     problems.push(Problem {
                         line: *lineno,
@@ -233,10 +232,7 @@ pub fn check_spans(text: &str) -> Result<SpanSummary, Vec<Problem>> {
     }
 
     // Stage coverage: the dump as a whole must exercise the full chain.
-    let seen: BTreeSet<&str> = by_id
-        .values()
-        .map(|(_, s)| s.stage.as_str())
-        .collect();
+    let seen: BTreeSet<&str> = by_id.values().map(|(_, s)| s.stage.as_str()).collect();
     for stage in CANONICAL_CHAIN {
         if !seen.contains(stage) {
             problems.push(Problem {
@@ -374,15 +370,15 @@ mod tests {
 
     #[test]
     fn inverted_interval_is_flagged() {
-        let problems =
-            check_spans(&line(7, 100, 0, "client-send", 60, 50)).expect_err("must fail");
-        assert!(problems.iter().any(|p| p.message.contains("before it starts")));
+        let problems = check_spans(&line(7, 100, 0, "client-send", 60, 50)).expect_err("must fail");
+        assert!(problems
+            .iter()
+            .any(|p| p.message.contains("before it starts")));
     }
 
     #[test]
     fn zero_trace_is_flagged() {
-        let problems =
-            check_spans(&line(0, 100, 0, "client-send", 0, 1)).expect_err("must fail");
+        let problems = check_spans(&line(0, 100, 0, "client-send", 0, 1)).expect_err("must fail");
         assert!(problems
             .iter()
             .any(|p| p.message.contains("`trace` must be non-zero")));
@@ -398,8 +394,7 @@ mod tests {
 
     #[test]
     fn missing_coverage_is_flagged() {
-        let problems =
-            check_spans(&line(7, 100, 0, "client-send", 0, 1)).expect_err("must fail");
+        let problems = check_spans(&line(7, 100, 0, "client-send", 0, 1)).expect_err("must fail");
         assert!(problems
             .iter()
             .any(|p| p.message.contains("\"merge\" span anywhere")));

@@ -88,11 +88,21 @@ fn spancheck_requires_a_file_and_rejects_garbage() {
 }
 
 #[test]
-fn flightcheck_requires_a_file_and_rejects_garbage() {
+fn flightcheck_requires_a_file_and_checks_the_dump_shape() {
     assert_eq!(run(&["flightcheck"], ""), 2);
-    let path = std::env::temp_dir().join(format!("xtask-flight-{}.jsonl", std::process::id()));
-    std::fs::write(&path, "not json\n").expect("write fixture");
-    let code = run(&["flightcheck", path.to_str().expect("utf-8 path")], "");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(code, 1);
+    let terminal = "{\"outcome\":\"killed\",\"seq\":40,\"unit\":2}\n";
+    let span = "{\"trace\":7,\"span\":11,\"parent\":5,\"stage\":\"merge\",\"start\":1,\"end\":2,\"aux\":0}\n";
+    for (dump, want) in [
+        (terminal.to_string(), 0),
+        (format!("{terminal}{span}{span}"), 0),
+        (format!("{{\"seq\":40}}\n{span}"), 1),
+        (format!("{terminal}{span}{terminal}"), 1),
+        ("not json\n".to_string(), 1),
+    ] {
+        let path = std::env::temp_dir().join(format!("xtask-flight-{}.jsonl", std::process::id()));
+        std::fs::write(&path, &dump).expect("write fixture");
+        let code = run(&["flightcheck", path.to_str().expect("utf-8 path")], "");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(code, want, "{dump}");
+    }
 }
