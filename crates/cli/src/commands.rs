@@ -11,7 +11,7 @@ use ctup_core::naive::{NaiveIncremental, NaiveRecompute};
 use ctup_core::net::{
     ClientConfig, Conn, Dialer, EngineSink, FailoverDialer, FeedClient, IngestServer,
     NetServerConfig, NetStatsSnapshot, PipelineSink, StandbyConfig, StandbyPhase, StandbyServer,
-    TcpDialer,
+    TcpDialer, PIPELINE_CAPACITY,
 };
 use ctup_core::report::Snapshot;
 use ctup_core::server::{MonitorEvent, Server};
@@ -568,12 +568,12 @@ fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let pipeline = match state_dir.filter(|_| recover) {
         Some(dir) => {
             writeln!(out, "recovering from {}", dir.display())?;
-            recover_from_dir(&dir, Arc::clone(&store), resilience, 4096)?
+            recover_from_dir(&dir, Arc::clone(&store), resilience, PIPELINE_CAPACITY)?
         }
         None => {
             let units = workload.unit_positions();
             let monitor = OptCtup::new(config, Arc::clone(&store), &units).map_err(init_err)?;
-            SupervisedPipeline::spawn(monitor, resilience, 4096)
+            SupervisedPipeline::spawn(monitor, resilience, PIPELINE_CAPACITY)
         }
     };
     let sink = Arc::new(PipelineSink::from_pipeline(pipeline));
@@ -732,7 +732,7 @@ fn serve_standby(
         net: net_config,
         ..StandbyConfig::default()
     };
-    let standby = StandbyServer::spawn::<OptCtup>(standby_config, Arc::clone(&store));
+    let standby = StandbyServer::spawn(standby_config, Arc::clone(&store));
     let metrics = bind_metrics(flags)?;
     let health = metrics.local_addr();
     writeln!(

@@ -12,8 +12,12 @@
 //! the format inspectable and dependency-free.
 
 use crate::config::{CtupConfig, QueryMode};
-use crate::ingest::{GateState, GateUnitState};
-use ctup_spatial::Point;
+use crate::ingest::{
+    GateState, GateUnitState, IngestConfig, IngestGate, RejectReason, StampedUpdate,
+};
+use crate::metrics::ResilienceStats;
+use crate::types::LocationUpdate;
+use ctup_spatial::{Point, Rect};
 use ctup_storage::PlaceStore;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -75,8 +79,8 @@ impl From<io::Error> for CheckpointError {
 /// one [`Checkpointable::restore`]: the supervised pipeline's self-heal
 /// (from the positions its worker holds), recovery after a process death
 /// (from a durable slot with the journal folded in) and a standby's
-/// bootstrap (from a shipped checkpoint). [`Checkpointable::checkpoint`]
-/// feeds the durable slots and the shipped checkpoints.
+/// promotion (from the shipped checkpoint with the stream folded in).
+/// [`Checkpointable::checkpoint`] gives the spawn-time slot.
 pub trait Checkpointable: crate::algorithm::CtupAlgorithm + Sized {
     /// Captures the monitor's state (gate-less; the caller attaches a
     /// [`GateState`] if the monitor runs behind an ingest gate).
@@ -89,6 +93,91 @@ pub trait Checkpointable: crate::algorithm::CtupAlgorithm + Sized {
     /// The lower-level store the monitor runs over (handed back to
     /// [`Checkpointable::restore`] on restart).
     fn store(&self) -> Arc<dyn PlaceStore>;
+}
+
+/// The durable image of a gated feed: the engine configuration, and the
+/// unit positions folded from the effective updates (lease parks
+/// included) of every report its [`IngestGate`] admitted — a function of
+/// the reports, never of an engine. The commit stage lands its slots,
+/// recovery folds a journal into one, a standby follows the replication
+/// stream with one, and each restarts through [`DurableImage::restore`].
+#[derive(Debug, Clone)]
+pub struct DurableImage {
+    config: CtupConfig,
+    positions: Vec<Point>,
+    gate: IngestGate,
+}
+
+impl DurableImage {
+    /// The image a validated checkpoint holds, behind its gate state (or a
+    /// fresh gate) over `space` with `lease_ttl`.
+    pub fn from_checkpoint(
+        mut checkpoint: Checkpoint,
+        space: Rect,
+        lease_ttl: Option<u64>,
+    ) -> Result<Self, CheckpointError> {
+        // A gate state that disagrees with the unit table is a typed error
+        // here, a panic in `from_state`.
+        checkpoint.validate()?;
+        let config = IngestConfig {
+            space,
+            num_units: checkpoint.unit_positions.len(),
+            lease_ttl,
+        };
+        let gate = match checkpoint.gate.take() {
+            Some(state) => IngestGate::from_state(config, state),
+            None => IngestGate::new(config),
+        };
+        Ok(Self::with_gate(checkpoint, gate))
+    }
+
+    /// A live engine's `checkpoint` behind the `gate` it runs behind.
+    pub(crate) fn with_gate(checkpoint: Checkpoint, gate: IngestGate) -> Self {
+        DurableImage {
+            config: checkpoint.config,
+            positions: checkpoint.unit_positions,
+            gate,
+        }
+    }
+
+    /// Admits one report and folds its effective updates into the
+    /// positions; returns them, in order, for an engine to apply.
+    pub fn admit(
+        &mut self,
+        report: StampedUpdate,
+        stats: &mut ResilienceStats,
+    ) -> Result<Vec<LocationUpdate>, RejectReason> {
+        let effective = self.gate.admit(report, stats)?;
+        for update in &effective {
+            if let Some(p) = self.positions.get_mut(update.unit.index()) {
+                *p = update.new;
+            }
+        }
+        Ok(effective)
+    }
+
+    /// The image as a durable slot, gate state included.
+    pub fn slot(&self) -> Checkpoint {
+        Checkpoint {
+            config: self.config.clone(),
+            unit_positions: self.positions.clone(),
+            gate: Some(self.gate.state()),
+        }
+    }
+
+    /// Initializes an engine once from the positions over `store`, and
+    /// hands it back with the gate and its dedup and lease decisions.
+    pub fn restore<A: Checkpointable>(
+        self,
+        store: Arc<dyn PlaceStore>,
+    ) -> Result<(A, IngestGate), CheckpointError> {
+        let checkpoint = Checkpoint {
+            config: self.config,
+            unit_positions: self.positions,
+            gate: None,
+        };
+        A::restore(checkpoint, store).map(|engine| (engine, self.gate))
+    }
 }
 
 /// Version of the on-disk checkpoint format.

@@ -43,7 +43,9 @@ pub use mttr::{run_mttr_bench, MttrConfig, MttrReport, PromotionTrial, SelfHealT
 pub use overload::{
     run_sweep, CalibratedSink, CountingSink, LoadPoint, OverloadConfig, SweepReport,
 };
-pub use server::{EngineSink, IngestServer, NetServerConfig, PipelineSink, SinkError};
+pub use server::{
+    EngineSink, IngestServer, NetServerConfig, PipelineSink, SinkError, PIPELINE_CAPACITY,
+};
 pub use session::{SessionConfig, SessionRegistry};
 pub use standby::{StandbyConfig, StandbyPhase, StandbyServer, StandbyStatus};
 pub use stats::{NetStats, NetStatsSnapshot, ShedReason};

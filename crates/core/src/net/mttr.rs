@@ -20,7 +20,7 @@
 //! Run by `reproduce --failover-out FILE`.
 
 use super::client::{ClientConfig, FeedClient, TcpDialer};
-use super::server::{EngineSink, IngestServer, NetServerConfig, PipelineSink};
+use super::server::{EngineSink, IngestServer, NetServerConfig, PipelineSink, PIPELINE_CAPACITY};
 use super::standby::{StandbyConfig, StandbyPhase, StandbyServer};
 use crate::algorithm::CtupAlgorithm;
 use crate::config::CtupConfig;
@@ -289,7 +289,7 @@ fn self_heal_trial(config: &MttrConfig, trial: usize) -> std::io::Result<SelfHea
     let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), &units)
         .map_err(|e| bench_err("engine init", format!("{e:?}")))?;
     let initial = monitor.result();
-    let pipeline = SupervisedPipeline::spawn(monitor, resilience.clone(), 4096);
+    let pipeline = SupervisedPipeline::spawn(monitor, resilience.clone(), PIPELINE_CAPACITY);
     let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::new(pipeline, initial));
     let mut net_config = NetServerConfig::default();
     net_config.admission.ingest_deadline = Duration::from_secs(10);
@@ -313,7 +313,7 @@ fn self_heal_trial(config: &MttrConfig, trial: usize) -> std::io::Result<SelfHea
             tear_slot_on_kill: false,
             ..resilience
         },
-        4096,
+        PIPELINE_CAPACITY,
     )
     .map_err(|e| bench_err("recover", format!("{e:?}")))?;
     let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
@@ -356,7 +356,7 @@ fn promotion_trial(config: &MttrConfig, trial: usize) -> std::io::Result<Promoti
     let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), &units)
         .map_err(|e| bench_err("engine init", format!("{e:?}")))?;
     let initial = monitor.result();
-    let pipeline = SupervisedPipeline::spawn(monitor, resilience, 4096);
+    let pipeline = SupervisedPipeline::spawn(monitor, resilience, PIPELINE_CAPACITY);
     let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::new(pipeline, initial));
     let net_config = NetServerConfig {
         state_dir: Some(dir_primary.clone()),
@@ -366,7 +366,7 @@ fn promotion_trial(config: &MttrConfig, trial: usize) -> std::io::Result<Promoti
     let primary = IngestServer::spawn("127.0.0.1:0", net_config, sink)?;
     let primary_addr = primary.local_addr();
 
-    let standby = StandbyServer::spawn::<OptCtup>(
+    let standby = StandbyServer::spawn(
         StandbyConfig {
             primary_ingest: primary_addr,
             serve_addr: "127.0.0.1:0".to_string(),

@@ -59,11 +59,14 @@
 //! between the journal it ships and the live tail it streams — overlap is
 //! deduplicated by the standby's gate, a gap would be data loss), then
 //! ships its newest checkpoint in [`MAX_CHUNK_DATA`]-sized chunks, the
-//! journal tail, and finally every report the pump hands the engine, each
-//! stamped with this server's fencing **epoch**. A `PromoteQuery` first
-//! frame is answered with the current epoch and the connection closed —
-//! the liveness probe a promoting standby uses to guarantee it never
-//! crowns itself while the primary is still answering.
+//! journal tail, and finally every report the engine's durable mark
+//! covers (journaled, or refused by its gate), each shipped before it is
+//! acked and stamped with this server's fencing **epoch**. A report the
+//! door sheds after the engine died never ships, so the stream is a
+//! prefix of the journal that holds every acked report. A `PromoteQuery`
+//! first frame is answered with the current epoch and the connection
+//! closed — the liveness probe a promoting standby uses to guarantee it
+//! never crowns itself while the primary is still answering.
 
 use super::admission::{AdmissionConfig, AdmissionQueue, QueuedReport};
 use super::session::{
@@ -233,6 +236,10 @@ impl EngineSink for PipelineSink {
     }
 }
 
+/// Channel capacity of the supervised pipeline behind a served front
+/// door: `ctup serve`'s primary and a promoted standby both run with it.
+pub const PIPELINE_CAPACITY: usize = 4096;
+
 /// Full configuration of the front door.
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
@@ -319,8 +326,9 @@ struct SubOutbox {
 }
 
 /// Fan-out of live WAL appends to subscribed standbys. The pump ships
-/// every report it hands the engine; the handler thread serving each
-/// replication connection drains its subscriber's outbox onto the wire.
+/// every report the engine's durable mark covers, right before its ack;
+/// the handler thread serving each replication connection drains its
+/// subscriber's outbox onto the wire.
 #[derive(Debug, Default)]
 struct ReplicationHub {
     subs: Mutex<Vec<Arc<SubOutbox>>>,
@@ -1298,18 +1306,6 @@ fn pump_loop(shared: &Arc<Shared>) {
                             );
                         }
                     }
-                    // Ship to standbys at hand-off: the ack waits on the
-                    // durable mark, so no acked report can be missing
-                    // from the stream, and a shed report never ships.
-                    shared.replication.ship(&Message::WalAppend {
-                        epoch: shared.epoch,
-                        unit_seq: item.report.seq,
-                        ts: item.report.ts,
-                        unit: item.report.update.unit.0,
-                        x: item.report.update.new.x,
-                        y: item.report.update.new.y,
-                        trace: item.trace,
-                    });
                     inflight.push_back((handed, item));
                     break;
                 }
@@ -1331,7 +1327,8 @@ fn pump_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Acks every in-flight report the sink's durable mark now covers.
+/// Ships to the standbys, then acks, every in-flight report the sink's
+/// durable mark now covers.
 fn drain_acks(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>) {
     if inflight.is_empty() {
         return;
@@ -1339,6 +1336,18 @@ fn drain_acks(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>
     let mark = shared.sink.durable_mark();
     while inflight.front().is_some_and(|&(idx, _)| idx <= mark) {
         if let Some((_, item)) = inflight.pop_front() {
+            // Journal, ship, ack: the report ships once the mark covers
+            // it and before its ack, so a standby's stream is a prefix of
+            // the journal holding every acked report and no shed one.
+            shared.replication.ship(&Message::WalAppend {
+                epoch: shared.epoch,
+                unit_seq: item.report.seq,
+                ts: item.report.ts,
+                unit: item.report.update.unit.0,
+                x: item.report.update.new.x,
+                y: item.report.update.new.y,
+                trace: item.trace,
+            });
             shared
                 .stats
                 .reports_accepted
@@ -1353,12 +1362,15 @@ fn drain_acks(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>
     }
 }
 
-/// Called with the engine dead: latches it, degrades the door for good
-/// and sheds the unacked tail with `EngineDegraded`.
+/// Called with the engine dead: latches it, degrades the door for good,
+/// ships and acks what the final durable mark covers, and sheds the rest
+/// of the tail with `EngineDegraded`. A dead engine's mark has stopped, so
+/// acked is then exactly what the journal holds.
 fn engine_died(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>) {
     // ctup-lint: allow(L008, one-way latch; readers act on it eventually, nothing is gated on order)
     shared.engine_dead.store(true, Ordering::Relaxed);
     shared.set_degraded(true);
+    drain_acks(shared, inflight);
     let dropped: Vec<QueuedReport> = inflight.drain(..).map(|(_, item)| item).collect();
     shed_items(shared, dropped);
 }

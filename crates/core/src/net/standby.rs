@@ -2,32 +2,38 @@
 //!
 //! A [`StandbyServer`] is a second process kept hot behind a primary
 //! `ctup serve`. It bootstraps by subscribing to the primary's
-//! replication stream (an all-zero `CheckpointOffer` as its first frame),
-//! restores the shipped checkpoint into a live monitor, then **follows**:
-//! every `WalAppend` the primary's pump hands its engine is applied
-//! through the standby's own ingest gate (whose replayed dedup state
-//! makes the journal-tail/live-stream overlap exactly-once), so the
-//! standby's top-k trails the primary by one network hop.
+//! replication stream (an all-zero `CheckpointOffer` as its first frame)
+//! and validates the shipped checkpoint into a [`DurableImage`] — the
+//! unit positions behind an ingest gate, the same image the primary's
+//! commit stage lands its slots from. It then **follows**: every
+//! `WalAppend` the primary ships, once journaled and before it acks it,
+//! is folded into the image through the image's gate (whose replayed
+//! dedup state makes the journal-tail/live-stream overlap exactly-once).
+//! The standby runs no engine while following; its image is always a
+//! prefix of the primary's journal, and the live stream never carries a
+//! report the primary shed.
 //!
 //! **Promotion.** The standby probes the primary's liveness on a timer
 //! (a `PromoteQuery` dial — the probe exercises the real serve loop, not
 //! a sidecar). After [`StandbyConfig::probe_failures`] consecutive silent
 //! probes it runs one final *fencing* probe; only silence there lets it
 //! promote. Promotion bumps the fencing epoch to `primary_epoch + 1`,
-//! hands the live monitor and its gate to a supervised pipeline, and spawns
-//! a full [`IngestServer`] on [`StandbyConfig::serve_addr`] — serving at
-//! the new epoch, with session ids minted from an epoch-fenced base so
-//! they can never collide with ids the old primary handed out. A
-//! partitioned old primary that comes back finds its stale (lower-epoch)
-//! WAL appends rejected and counted in
+//! initializes the monitor once from the image and spawns a supervised
+//! pipeline around it and the image's gate — the restore `--recover` runs
+//! over a state directory — then a full [`IngestServer`] on
+//! [`StandbyConfig::serve_addr`], serving at the new epoch, with session
+//! ids minted from an epoch-fenced base so they can never collide with
+//! ids the old primary handed out. A partitioned old primary that comes
+//! back finds its stale (lower-epoch) WAL appends rejected and counted in
 //! [`StandbyStatus::stale_rejected`] — there is never a moment with two
 //! primaries at the same epoch.
 
-use super::server::{EngineSink, IngestServer, NetServerConfig, PipelineSink};
+use super::server::{EngineSink, IngestServer, NetServerConfig, PipelineSink, PIPELINE_CAPACITY};
 use super::wire::{ByeReason, FrameDecoder, FrameWriter, Message};
-use crate::checkpoint::{Checkpoint, Checkpointable};
-use crate::ingest::{IngestConfig, IngestGate, StampedUpdate};
+use crate::checkpoint::{Checkpoint, DurableImage};
+use crate::ingest::StampedUpdate;
 use crate::metrics::ResilienceStats;
+use crate::opt::OptCtup;
 use crate::supervisor::{ResilienceConfig, SupervisedPipeline};
 use crate::types::{LocationUpdate, TopKEntry, UnitId};
 use ctup_obs::{now_nanos, SpanSink, Stage};
@@ -39,6 +45,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Socket connect timeout for every dial.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// How long a full checkpoint sync may take before it is retried.
+const SYNC_DEADLINE: Duration = Duration::from_secs(10);
+/// Pause between failed sync attempts.
+const RESYNC_DELAY: Duration = Duration::from_millis(100);
+
 /// Everything a standby needs to follow one primary and take over.
 #[derive(Debug, Clone)]
 pub struct StandbyConfig {
@@ -48,25 +61,16 @@ pub struct StandbyConfig {
     pub serve_addr: String,
     /// Front-door configuration of the promoted server; its `epoch`,
     /// `session.first_session_id` and `state_dir` are overwritten at
-    /// promotion time.
+    /// promotion time. Its `io_tick` also paces the replication
+    /// connection.
     pub net: NetServerConfig,
     /// Supervision of the promoted engine; point its `state_dir` at the
     /// standby's own durable directory.
     pub resilience: ResilienceConfig,
-    /// Channel capacity of the promoted pipeline.
-    pub capacity: usize,
-    /// Socket connect timeout for every dial.
-    pub connect_timeout: Duration,
-    /// Read/write tick on the replication connection.
-    pub io_tick: Duration,
-    /// How long a full checkpoint sync may take before it is retried.
-    pub sync_deadline: Duration,
     /// Cadence of primary liveness probes while following.
     pub probe_interval: Duration,
     /// Consecutive silent probes before promotion is attempted.
     pub probe_failures: u32,
-    /// Pause between failed sync attempts.
-    pub resync_delay: Duration,
 }
 
 impl Default for StandbyConfig {
@@ -76,13 +80,8 @@ impl Default for StandbyConfig {
             serve_addr: "127.0.0.1:0".to_string(),
             net: NetServerConfig::default(),
             resilience: ResilienceConfig::default(),
-            capacity: 1024,
-            connect_timeout: Duration::from_millis(500),
-            io_tick: Duration::from_millis(25),
-            sync_deadline: Duration::from_secs(10),
             probe_interval: Duration::from_millis(250),
             probe_failures: 3,
-            resync_delay: Duration::from_millis(100),
         }
     }
 }
@@ -92,13 +91,15 @@ impl Default for StandbyConfig {
 pub enum StandbyPhase {
     /// Dialing the primary / receiving the checkpoint.
     Syncing,
-    /// Checkpoint restored; applying the live WAL stream.
+    /// Checkpoint validated into the image; folding the live WAL stream
+    /// into it.
     Following,
     /// Probes went dark; running the fencing protocol.
     Promoting,
     /// This standby is now the primary (serving at a bumped epoch).
     Promoted,
-    /// Unrecoverable local failure (restore error, storage error).
+    /// Unrecoverable local failure (a refused checkpoint, a restore or
+    /// bind error at promotion).
     Failed(String),
 }
 
@@ -110,7 +111,7 @@ pub struct StandbyStatus {
     /// The fencing epoch: the primary's while following, the bumped one
     /// once promoted.
     pub epoch: u64,
-    /// WAL appends applied through the standby's gate.
+    /// WAL appends the image's gate admitted and folded in.
     pub wal_applied: u64,
     /// Replication frames rejected for carrying a stale epoch.
     pub stale_rejected: u64,
@@ -119,7 +120,6 @@ pub struct StandbyStatus {
 struct StandbyShared {
     stop: AtomicBool,
     status: Mutex<StandbyStatus>,
-    topk: Mutex<Vec<TopKEntry>>,
     promoted: Mutex<Option<IngestServer>>,
 }
 
@@ -135,12 +135,15 @@ impl StandbyShared {
         self.lock_status().phase = phase;
     }
 
-    fn set_topk(&self, entries: Vec<TopKEntry>) {
-        let mut guard = match self.topk.lock() {
+    fn lock_promoted(&self) -> std::sync::MutexGuard<'_, Option<IngestServer>> {
+        match self.promoted.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
-        };
-        *guard = entries;
+        }
+    }
+
+    fn with_promoted<T>(&self, read: impl FnOnce(&IngestServer) -> T) -> Option<T> {
+        self.lock_promoted().as_ref().map(read)
     }
 }
 
@@ -160,12 +163,8 @@ impl std::fmt::Debug for StandbyServer {
 
 impl StandbyServer {
     /// Starts following the primary in `config`. `store` is the local
-    /// lower level the restored monitor (and, after promotion, the
-    /// promoted engine) runs over.
-    pub fn spawn<A>(config: StandbyConfig, store: Arc<dyn PlaceStore>) -> StandbyServer
-    where
-        A: Checkpointable + Send + 'static,
-    {
+    /// lower level the promoted [`OptCtup`] runs over.
+    pub fn spawn(config: StandbyConfig, store: Arc<dyn PlaceStore>) -> StandbyServer {
         let shared = Arc::new(StandbyShared {
             stop: AtomicBool::new(false),
             status: Mutex::new(StandbyStatus {
@@ -174,14 +173,13 @@ impl StandbyServer {
                 wal_applied: 0,
                 stale_rejected: 0,
             }),
-            topk: Mutex::new(Vec::new()),
             promoted: Mutex::new(None),
         });
         let for_thread = Arc::clone(&shared);
         // The handle is joined in `stop_thread` (shutdown / Drop).
         let thread = std::thread::Builder::new()
             .name("ctup-standby".to_string())
-            .spawn(move || standby_loop::<A>(&config, &store, &for_thread))
+            .spawn(move || standby_loop(&config, &store, &for_thread))
             .ok();
         StandbyServer { shared, thread }
     }
@@ -191,51 +189,26 @@ impl StandbyServer {
         self.shared.lock_status().clone()
     }
 
-    /// The read-only top-k the standby is tracking (or, once promoted,
-    /// last published before promotion; query the promoted server after).
-    pub fn topk(&self) -> Vec<TopKEntry> {
-        match self.shared.topk.lock() {
-            Ok(guard) => guard.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
-    }
-
     /// The promoted front door's address, once promotion happened.
     pub fn promoted_addr(&self) -> Option<SocketAddr> {
-        let guard = match self.shared.promoted.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.as_ref().map(|s| s.local_addr())
+        self.shared.with_promoted(IngestServer::local_addr)
     }
 
     /// The promoted front door's `/healthz` body, once promoted.
     pub fn promoted_health(&self) -> Option<String> {
-        let guard = match self.shared.promoted.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.as_ref().map(|s| s.health_body())
+        self.shared.with_promoted(IngestServer::health_body)
     }
 
     /// A snapshot of the promoted front door's counters, once promoted
     /// (for publishing the promoted server's metrics from the standby
     /// process).
     pub fn promoted_net_snapshot(&self) -> Option<super::stats::NetStatsSnapshot> {
-        let guard = match self.shared.promoted.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.as_ref().map(|s| s.stats().snapshot())
+        self.shared.with_promoted(|s| s.stats().snapshot())
     }
 
     /// The promoted front door's last-good top-k, once promoted.
     pub fn promoted_topk(&self) -> Option<Vec<TopKEntry>> {
-        let guard = match self.shared.promoted.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.as_ref().map(|s| s.last_good_topk())
+        self.shared.with_promoted(IngestServer::last_good_topk)
     }
 
     /// Stops the follower thread and the promoted server (if any).
@@ -248,13 +221,7 @@ impl StandbyServer {
         if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
-        let promoted = {
-            let mut guard = match self.shared.promoted.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            guard.take()
-        };
+        let promoted = self.shared.lock_promoted().take();
         drop(promoted); // IngestServer::drop joins its threads
     }
 }
@@ -277,37 +244,31 @@ enum FollowEnd {
     Failed(String),
 }
 
-fn standby_loop<A>(config: &StandbyConfig, store: &Arc<dyn PlaceStore>, shared: &StandbyShared)
-where
-    A: Checkpointable + Send + 'static,
-{
+fn standby_loop(config: &StandbyConfig, store: &Arc<dyn PlaceStore>, shared: &StandbyShared) {
     while !shared.stop.load(Ordering::SeqCst) {
         shared.set_phase(StandbyPhase::Syncing);
-        match sync_and_follow::<A>(config, store, shared) {
+        match sync_and_follow(config, store, shared) {
             FollowEnd::Stopping | FollowEnd::Promoted => return,
             FollowEnd::Failed(why) => {
                 shared.set_phase(StandbyPhase::Failed(why));
                 return;
             }
             FollowEnd::Retry => {
-                std::thread::sleep(config.resync_delay);
+                std::thread::sleep(RESYNC_DELAY);
             }
         }
     }
 }
 
-fn sync_and_follow<A>(
+fn sync_and_follow(
     config: &StandbyConfig,
     store: &Arc<dyn PlaceStore>,
     shared: &StandbyShared,
-) -> FollowEnd
-where
-    A: Checkpointable + Send + 'static,
-{
-    // --- Sync: subscribe, receive the checkpoint, restore. ---
+) -> FollowEnd {
+    // --- Sync: subscribe, receive the checkpoint, validate it. ---
     let Ok(mut stream) = dial(config.primary_ingest, config) else {
-        // Could not even dial for sync; without a restored monitor there
-        // is nothing to promote, so all we can do is retry.
+        // Could not even dial for sync; without a synced image there is
+        // nothing to promote, so all we can do is retry.
         return FollowEnd::Retry;
     };
     let mut decoder = FrameDecoder::new();
@@ -317,10 +278,10 @@ where
         slot_seq: 0,
         total_len: 0,
     });
-    if !flush_all(&mut writer, &mut stream, config.sync_deadline) {
+    if !flush_all(&mut writer, &mut stream, SYNC_DEADLINE) {
         return FollowEnd::Retry;
     }
-    let sync_deadline = Instant::now() + config.sync_deadline;
+    let sync_deadline = Instant::now() + SYNC_DEADLINE;
     let mut primary_epoch: u64 = 0;
     let mut total_len: Option<u64> = None;
     let mut body: Vec<u8> = Vec::new();
@@ -356,46 +317,31 @@ where
                     break Checkpoint::read(body.as_slice());
                 }
             }
-            Ok(Message::WalAppend { .. }) => {
-                // Journal tail before the checkpoint finished: impossible
-                // in a well-formed stream (the server ships the chunks
-                // first), treat as a resync condition.
-                return FollowEnd::Retry;
-            }
-            Ok(Message::Bye { .. }) => return FollowEnd::Retry,
+            // A journal tail before the checkpoint finished is impossible
+            // in a well-formed stream (the server ships the chunks first);
+            // that, a goodbye or anything else means resync.
             Ok(_) => return FollowEnd::Retry,
             Err(e) if e.is_timeout() => continue,
             Err(_) => return FollowEnd::Retry,
         }
     };
-    let checkpoint = match checkpoint {
-        Ok(cp) => cp,
-        Err(e) => return FollowEnd::Failed(format!("shipped checkpoint unreadable: {e:?}")),
-    };
-    let gate_config = IngestConfig {
-        space: *store.grid().space(),
-        num_units: checkpoint.unit_positions.len(),
-        lease_ttl: config.resilience.lease_ttl,
-    };
-    let mut gate = match checkpoint.gate.clone() {
-        Some(state) if state.units.len() == gate_config.num_units => {
-            IngestGate::from_state(gate_config, state)
-        }
-        _ => IngestGate::new(gate_config),
-    };
-    let mut alg = match A::restore(checkpoint, Arc::clone(store)) {
-        Ok(alg) => alg,
-        Err(e) => return FollowEnd::Failed(format!("checkpoint restore failed: {e:?}")),
+    // The same validation and gate rule as a restart from a directory.
+    let space = *store.grid().space();
+    let lease_ttl = config.resilience.lease_ttl;
+    let mut image = match checkpoint
+        .and_then(|checkpoint| DurableImage::from_checkpoint(checkpoint, space, lease_ttl))
+    {
+        Ok(image) => image,
+        Err(e) => return FollowEnd::Failed(format!("shipped checkpoint refused: {e}")),
     };
     {
         let mut status = shared.lock_status();
         status.phase = StandbyPhase::Following;
         status.epoch = primary_epoch;
     }
-    shared.set_topk(alg.result());
     let mut rstats = ResilienceStats::default();
 
-    // --- Follow: apply the WAL stream, probe the primary on a timer. ---
+    // --- Follow: fold the WAL stream, probe the primary on a timer. ---
     let mut last_probe = Instant::now();
     let mut silent_probes: u32 = 0;
     loop {
@@ -404,24 +350,35 @@ where
             return FollowEnd::Stopping;
         }
         match decoder.read_from(&mut stream) {
-            Ok(msg @ Message::WalAppend { .. }) => {
-                if let Err(why) = apply_wal(
-                    &msg,
-                    primary_epoch,
-                    &mut gate,
-                    &mut alg,
-                    &mut rstats,
-                    shared,
-                    config.resilience.spans.as_deref(),
-                ) {
-                    return FollowEnd::Failed(why);
-                }
-                shared.set_topk(alg.result());
+            // Frames of an older epoch come from a fenced-off primary.
+            Ok(Message::WalAppend { epoch, .. }) if epoch != primary_epoch => {
+                shared.lock_status().stale_rejected += 1;
+            }
+            Ok(Message::WalAppend {
+                unit_seq,
+                ts,
+                unit,
+                x,
+                y,
+                trace,
+                ..
+            }) => {
+                let update = LocationUpdate {
+                    unit: UnitId(unit),
+                    new: Point::new(x, y),
+                };
+                let report = StampedUpdate {
+                    seq: unit_seq,
+                    ts,
+                    update,
+                };
+                let spans = config.resilience.spans.as_deref();
+                fold_wal(report, trace, &mut image, &mut rstats, shared, spans);
             }
             Ok(Message::Bye { .. }) => {
                 // The primary said goodbye (shutdown or eviction): decide
                 // between resync and promotion by probing.
-                return follow_lost::<A>(config, shared, primary_epoch, gate, alg);
+                return follow_lost(config, store, shared, primary_epoch, image);
             }
             Ok(_) => {
                 // Nothing else belongs on a replication stream.
@@ -429,7 +386,7 @@ where
             }
             Err(e) if e.is_timeout() => {}
             Err(_) => {
-                return follow_lost::<A>(config, shared, primary_epoch, gate, alg);
+                return follow_lost(config, store, shared, primary_epoch, image);
             }
         }
         if last_probe.elapsed() >= config.probe_interval {
@@ -439,7 +396,7 @@ where
             } else {
                 silent_probes += 1;
                 if silent_probes >= config.probe_failures.max(1) {
-                    return promote::<A>(config, shared, primary_epoch, gate, alg);
+                    return promote(config, store, shared, primary_epoch, image);
                 }
             }
         }
@@ -449,17 +406,13 @@ where
 /// The replication connection died. One probe decides: a live primary
 /// means resync, a silent one starts the promotion ladder immediately
 /// (connection loss already counts as evidence).
-fn follow_lost<A>(
+fn follow_lost(
     config: &StandbyConfig,
+    store: &Arc<dyn PlaceStore>,
     shared: &StandbyShared,
     primary_epoch: u64,
-    gate: IngestGate,
-    alg: A,
-) -> FollowEnd
-where
-    A: Checkpointable + Send + 'static,
-{
-    let mut silent = 0;
+    image: DurableImage,
+) -> FollowEnd {
     for _ in 0..config.probe_failures.max(1) {
         if shared.stop.load(Ordering::SeqCst) {
             return FollowEnd::Stopping;
@@ -467,119 +420,66 @@ where
         if probe_primary(config) {
             return FollowEnd::Retry;
         }
-        silent += 1;
         std::thread::sleep(config.probe_interval);
     }
-    if silent >= config.probe_failures.max(1) {
-        return promote::<A>(config, shared, primary_epoch, gate, alg);
-    }
-    FollowEnd::Retry
+    promote(config, store, shared, primary_epoch, image)
 }
 
-/// Applies one WAL frame through the standby's gate. Stale-epoch frames
-/// are rejected and counted; gate rejections (duplicates from the
-/// journal-tail overlap) are silently dropped — that is the dedup
-/// working.
-fn apply_wal<A>(
-    msg: &Message,
-    expected_epoch: u64,
-    gate: &mut IngestGate,
-    alg: &mut A,
+/// Folds one current-epoch WAL report into the image through its gate. A
+/// duplicate or stale report per the gate is the journal-tail overlap or
+/// a primary retransmit: dropping it keeps the fold exactly-once.
+fn fold_wal(
+    report: StampedUpdate,
+    trace: u64,
+    image: &mut DurableImage,
     rstats: &mut ResilienceStats,
     shared: &StandbyShared,
     spans: Option<&SpanSink>,
-) -> Result<(), String>
-where
-    A: Checkpointable,
-{
-    let Message::WalAppend {
-        epoch,
-        unit_seq,
-        ts,
-        unit,
-        x,
-        y,
-        trace,
-    } = msg
-    else {
-        return Ok(());
-    };
-    if *epoch != expected_epoch {
-        let mut status = shared.lock_status();
-        status.stale_rejected += 1;
-        return Ok(());
-    }
-    let stamped = StampedUpdate {
-        seq: *unit_seq,
-        ts: *ts,
-        update: LocationUpdate {
-            unit: UnitId(*unit),
-            new: Point::new(*x, *y),
-        },
-    };
-    let apply_start = if *trace != 0 { now_nanos() } else { 0 };
-    match gate.admit(stamped, rstats) {
-        Ok(effective) => {
-            for update in effective {
-                if let Err(e) = alg.handle_update(update) {
-                    return Err(format!("storage error while following: {e:?}"));
-                }
-            }
-            let mut status = shared.lock_status();
-            status.wal_applied += 1;
-            drop(status);
-            // The standby-apply span parents onto the wal-append span the
-            // primary recorded for this report — in a single dump that
-            // stitches the replication hop into the causal chain; across
-            // two processes each dump holds its half of the trace.
-            if let Some(sink) = spans {
-                sink.record_stage(
-                    *trace,
-                    Stage::StandbyApply,
-                    0,
-                    apply_start,
-                    now_nanos(),
-                    true,
-                );
-            }
-        }
-        Err(_) => {
-            // Duplicate/stale per the gate: the journal-tail overlap or a
-            // primary retransmit. Exactly-once is preserved by dropping.
+) {
+    let start = now_nanos();
+    if image.admit(report, rstats).is_ok() {
+        shared.lock_status().wal_applied += 1;
+        // The standby-apply span (gate and fold) parents onto the
+        // wal-append span the primary recorded for this report — in a
+        // single dump that stitches the replication hop into the causal
+        // chain; across two processes each dump holds its half of the
+        // trace.
+        if let Some(sink) = spans.filter(|_| trace != 0) {
+            sink.record_stage(trace, Stage::StandbyApply, 0, start, now_nanos(), true);
         }
     }
-    Ok(())
 }
 
-/// The promotion ladder: one final fencing probe, then epoch bump, the
-/// followed engine handed to a supervised pipeline, and front-door spawn. The fencing probe is what makes
+/// The promotion ladder: one final fencing probe, then the epoch bump,
+/// one initialization from the followed image behind a supervised
+/// pipeline, and the front-door spawn. The fencing probe is what makes
 /// promotion single-writer: a primary that answers it is alive, so the
 /// standby aborts and resyncs instead of forking the world.
-fn promote<A>(
+fn promote(
     config: &StandbyConfig,
+    store: &Arc<dyn PlaceStore>,
     shared: &StandbyShared,
     primary_epoch: u64,
-    gate: IngestGate,
-    alg: A,
-) -> FollowEnd
-where
-    A: Checkpointable + Send + 'static,
-{
+    image: DurableImage,
+) -> FollowEnd {
     shared.set_phase(StandbyPhase::Promoting);
     if probe_primary(config) {
         // Fencing probe answered: the primary lives. Never promote.
         return FollowEnd::Retry;
     }
     let new_epoch = primary_epoch.saturating_add(1);
-    // The followed engine is live and correct, and the gate carries the
-    // dedup and lease decisions: both are handed over as they are.
-    let pipeline = SupervisedPipeline::spawn_with_gate(
-        alg,
-        gate,
+    // The same restore a restart from a state directory ends in; the gate
+    // carries the dedup and lease decisions over.
+    let pipeline = match SupervisedPipeline::restore_image::<OptCtup>(
+        image,
+        Arc::clone(store),
         config.resilience.clone(),
-        config.capacity,
+        PIPELINE_CAPACITY,
         ResilienceStats::default(),
-    );
+    ) {
+        Ok(pipeline) => pipeline,
+        Err(e) => return FollowEnd::Failed(format!("promoted restore failed: {e}")),
+    };
     let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
     let mut net = config.net.clone();
     net.epoch = new_epoch;
@@ -598,13 +498,7 @@ where
         Err(e) => return FollowEnd::Failed(format!("promoted bind failed: {e}")),
     };
     server.stats().failovers.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut guard = match shared.promoted.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        *guard = Some(server);
-    }
+    *shared.lock_promoted() = Some(server);
     {
         let mut status = shared.lock_status();
         status.phase = StandbyPhase::Promoted;
@@ -614,9 +508,9 @@ where
 }
 
 fn dial(addr: SocketAddr, config: &StandbyConfig) -> std::io::Result<TcpStream> {
-    let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-    stream.set_read_timeout(Some(config.io_tick))?;
-    stream.set_write_timeout(Some(config.io_tick))?;
+    let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+    stream.set_read_timeout(Some(config.net.io_tick))?;
+    stream.set_write_timeout(Some(config.net.io_tick))?;
     let _ = stream.set_nodelay(true);
     Ok(stream)
 }

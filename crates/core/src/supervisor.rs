@@ -28,9 +28,10 @@
 //! 4. with a `state_dir`, at the end of a group that brought the count
 //!    since the last slot to `checkpoint_every` effective updates, the
 //!    commit stage writes a [`Checkpoint`] inline, before it hands the
-//!    group over: its own copy of the unit positions, folded from the
-//!    gate's effective updates (parks included), plus the [`GateState`],
-//!    in place over the older A/B slot of [`crate::durable`]. A slot is a
+//!    group over: the slot of its [`DurableImage`] — the unit positions
+//!    folded from the gate's effective updates (parks included), plus the
+//!    [`GateState`] — in place over the older A/B slot of
+//!    [`crate::durable`]. A slot is a
 //!    function of the journal, never of the engine, and is never taken
 //!    inside a group, so the gate state and the positions it captures
 //!    always cover the same reports. A journal or slot write that fails
@@ -59,9 +60,10 @@
 //!
 //! After a *process* death (not just a worker panic),
 //! [`SupervisedPipeline::recover_from_dir`] loads the newest valid durable
-//! slot, folds the journaled tail through the restored gate into the
-//! slot's unit positions — the gate's dedup state makes the fold
-//! idempotent — and initializes the monitor once from the result. The
+//! slot into a [`DurableImage`], folds the journaled tail into it — the
+//! gate's dedup state makes the fold idempotent — and initializes the
+//! monitor once from the result; a standby's promotion is the same
+//! restore over the image it folded from the replication stream. The
 //! tail may end in journaled groups that were never (or only partly)
 //! applied: up to the one being applied, the one queued and the one the
 //! commit stage waited to hand over.
@@ -79,7 +81,7 @@
 //! [`StorageError`]: ctup_storage::StorageError
 //! [`GateState`]: crate::ingest::GateState
 
-use crate::checkpoint::{Checkpoint, Checkpointable};
+use crate::checkpoint::{Checkpoint, Checkpointable, DurableImage};
 use crate::durable::DurableState;
 use crate::ingest::{IngestConfig, IngestGate, StampedUpdate, TracedReport};
 use crate::metrics::{Metrics, ResilienceStats};
@@ -136,8 +138,7 @@ pub struct ResilienceConfig {
     /// (engine-apply, shard-phase, merge, snapshot-publish, wal-append,
     /// checkpoint — see [`ctup_obs::span`]). Only reports handed over with
     /// a non-zero trace id via [`SupervisedPipeline::send_traced`] record
-    /// spans; `None` disables recording entirely. A crash dump carries
-    /// the last [`CRASH_DUMP_SPANS`] spans of those stages to end.
+    /// spans; `None` disables recording entirely.
     pub spans: Option<Arc<SpanSink>>,
 }
 
@@ -158,16 +159,11 @@ impl Default for ResilienceConfig {
 
 /// File name of the crash dump the apply stage writes into
 /// [`ResilienceConfig::state_dir`], next to the durable checkpoint slots,
-/// when it is killed or gives up. Its first line is the terminal record
-/// (`outcome`, the effective `seq` the stage stopped at, and the `unit`
-/// when known); with a [span sink](ResilienceConfig::spans) the
-/// [`CRASH_DUMP_SPANS`] apply-stage spans (engine-apply down to
-/// checkpoint) that ended last follow, in end order.
+/// when it is killed or gives up. It is one line, the terminal record:
+/// `outcome`, the effective `seq` the stage stopped at, and the `unit`
+/// when known. The spans before the death are the
+/// [span sink](ResilienceConfig::spans)'s to keep.
 pub const FLIGHT_RECORDER_FILE: &str = "flight-recorder.jsonl";
-
-/// How many of the span sink's last-ended apply-stage spans a crash dump
-/// carries.
-pub const CRASH_DUMP_SPANS: usize = 256;
 
 /// Final accounting returned by [`SupervisedPipeline::shutdown`].
 #[derive(Debug, Clone)]
@@ -315,13 +311,11 @@ impl SupervisedPipeline {
     }
 
     /// Recovers after a process death: loads the newest valid durable slot
-    /// from `dir` (see [`crate::durable`]), restores the ingest gate from
-    /// it, folds the journaled wire reports through the restored gate into
-    /// the slot's unit positions — its dedup state silently drops
+    /// from `dir` (see [`crate::durable`]) into a [`DurableImage`], folds
+    /// the journaled wire reports into it — the gate's dedup state drops
     /// everything the slot already covers, so the fold is idempotent even
     /// when recovery fell back to the older slot — initializes the monitor
-    /// once from the folded positions, and resumes supervised monitoring
-    /// with durable checkpointing re-enabled in the same directory.
+    /// once from the image, and resumes in the same directory.
     pub fn recover_from_dir<A>(
         dir: impl AsRef<Path>,
         store: Arc<dyn PlaceStore>,
@@ -331,42 +325,47 @@ impl SupervisedPipeline {
     where
         A: Checkpointable + Send + 'static,
     {
-        let (mut checkpoint, journal) = DurableState::load(&dir)?;
-        // Before the gate is built: a gate state that disagrees with the
-        // unit table is a typed error here, a panic in `from_state`.
-        checkpoint.validate()?;
-        let ingest_config = IngestConfig {
-            space: *store.grid().space(),
-            num_units: checkpoint.unit_positions.len(),
-            lease_ttl: config.lease_ttl,
-        };
-        let mut gate = match checkpoint.gate.take() {
-            Some(state) => IngestGate::from_state(ingest_config, state),
-            None => IngestGate::new(ingest_config),
-        };
+        let (checkpoint, journal) = DurableState::load(&dir)?;
+        let mut image =
+            DurableImage::from_checkpoint(checkpoint, *store.grid().space(), config.lease_ttl)?;
         // Fold rejections are recovery bookkeeping (the slot already
         // covered those reports), not feed defects: they go to a scratch
         // counter and only the recovered-update count is carried forward.
         let mut scratch = ResilienceStats::default();
         let mut seed = ResilienceStats::default();
         for report in journal {
-            let Ok(effective) = gate.admit(report, &mut scratch) else {
-                continue;
-            };
-            for update in effective {
-                if let Some(p) = checkpoint.unit_positions.get_mut(update.unit.index()) {
-                    *p = update.new;
-                }
-                seed.updates_replayed += 1;
+            if let Ok(effective) = image.admit(report, &mut scratch) {
+                seed.updates_replayed += convert::count64(effective.len());
             }
         }
-        let algorithm = A::restore(checkpoint, store)?;
         let config = ResilienceConfig {
             state_dir: Some(dir.as_ref().to_path_buf()),
             ..config
         };
+        Self::restore_image::<A>(image, store, config, capacity, seed)
+    }
+
+    /// Initializes the monitor once from `image` and spawns the stages
+    /// around it and the image's gate: the one way back from a process
+    /// death, for an image folded from a state directory or from a
+    /// replication stream (a standby's promotion).
+    pub(crate) fn restore_image<A>(
+        image: DurableImage,
+        store: Arc<dyn PlaceStore>,
+        config: ResilienceConfig,
+        capacity: usize,
+        initial_stats: ResilienceStats,
+    ) -> Result<Self, crate::checkpoint::CheckpointError>
+    where
+        A: Checkpointable + Send + 'static,
+    {
+        let (algorithm, gate) = image.restore::<A>(store)?;
         Ok(Self::spawn_with_gate(
-            algorithm, gate, config, capacity, seed,
+            algorithm,
+            gate,
+            config,
+            capacity,
+            initial_stats,
         ))
     }
 
@@ -394,14 +393,10 @@ impl SupervisedPipeline {
         // top-k needs the state the worker starts from — which, after a
         // recovery, is the result over the folded journal.
         let initial_result = algorithm.result();
-        // The spawn-time slot; both stages keep their own copy of the
-        // positions it holds from here on.
-        let mut spawned = algorithm.checkpoint();
-        spawned.gate = Some(gate.state());
-        let restart = Checkpoint {
-            gate: None,
-            ..spawned.clone()
-        };
+        // The spawn-time positions; both stages keep their own copy of them
+        // from here on, the commit stage's behind the gate.
+        let restart = algorithm.checkpoint();
+        let image = DurableImage::with_gate(restart.clone(), gate);
         let apply_line = Arc::clone(&durable);
         let apply_config = config.clone();
         #[allow(clippy::expect_used)]
@@ -425,9 +420,8 @@ impl SupervisedPipeline {
             .name("ctup-supervisor".into())
             .spawn(move || {
                 let committed = commit(
-                    gate,
+                    image,
                     initial_stats,
-                    spawned,
                     &config,
                     reports_rx,
                     groups_tx,
@@ -631,9 +625,8 @@ struct Committed {
 /// announces it once; lands the slot if one is due; and hands the group to
 /// the apply stage, waiting while one group is already queued there.
 fn commit(
-    mut gate: IngestGate,
+    mut image: DurableImage,
     mut stats: ResilienceStats,
-    spawned: Checkpoint,
     config: &ResilienceConfig,
     reports_rx: Receiver<TracedReport>,
     groups: SyncSender<Group>,
@@ -652,21 +645,13 @@ fn commit(
         let opened = line.write_access().map(|_writes| {
             // ctup-lint: allow(L007, the lock orders these writes before the apply stage's last ones; that stage takes it only to stop)
             let mut d = DurableState::open(dir)?;
-            d.checkpoint(&spawned).map(|()| d)
+            d.checkpoint(&image.slot()).map(|()| d)
         });
         match opened {
             Some(Ok(d)) => durable = Some(d),
             _ => failed = true,
         }
     }
-    // The slot's copy of the unit positions, folded from the gate's
-    // effective updates: a slot is a function of the journal, never of the
-    // engine.
-    let Checkpoint {
-        config: engine_config,
-        unit_positions: mut positions,
-        ..
-    } = spawned;
     // The durable-slot cadence; never without a state directory.
     let every = match config.checkpoint_every {
         every if every > 0 && durable.is_some() => every,
@@ -726,14 +711,11 @@ fn commit(
                         now_nanos()
                     }
                 });
-                if let Ok(effective) = gate.admit(report, &mut stats) {
+                // The slot's image folds the report in: a slot is a
+                // function of the journal, never of the engine.
+                if let Ok(effective) = image.admit(report, &mut stats) {
                     records.push(report);
                     last_trace = trace;
-                    for update in &effective {
-                        if let Some(p) = positions.get_mut(update.unit.index()) {
-                            *p = update.new;
-                        }
-                    }
                     since_slot += convert::count64(effective.len());
                     group.push(Admitted {
                         trace,
@@ -779,12 +761,7 @@ fn commit(
             let mut checkpoint = None;
             if let Some(d) = durable.as_mut().filter(|_| since_slot >= every) {
                 let c0 = now_nanos();
-                let slot = Checkpoint {
-                    config: engine_config.clone(),
-                    unit_positions: positions.clone(),
-                    gate: Some(gate.state()),
-                };
-                if d.checkpoint(&slot).is_err() {
+                if d.checkpoint(&image.slot()).is_err() {
                     failed = true;
                     break 'recv;
                 }
@@ -1042,8 +1019,7 @@ where
         }
         let outcome = if killed { "killed" } else { "gave_up" };
         let path = dir.join(FLIGHT_RECORDER_FILE);
-        let spans = config.spans.as_deref();
-        dump_crash(&path, outcome, eff_seq, stopped_unit, spans)
+        dump_crash(&path, outcome, eff_seq, stopped_unit)
             .ok()
             .map(|()| path)
     });
@@ -1077,30 +1053,9 @@ where
     }
 }
 
-/// The stages this supervisor records, which a crash dump keeps. A shared
-/// sink also holds the door's spans, and the door goes on recording them
-/// for the reports it sheds after the engine died.
-const APPLY_STAGES: [Stage; 6] = [
-    Stage::EngineApply,
-    Stage::ShardPhase,
-    Stage::Merge,
-    Stage::SnapshotPublish,
-    Stage::WalAppend,
-    Stage::Checkpoint,
-];
-
-/// Writes the crash dump to `path`: the terminal line, then the
-/// [`CRASH_DUMP_SPANS`] spans of `spans` from the [`APPLY_STAGES`] that
-/// ended last, in end order, in [`ctup_obs::Span::to_jsonl`] form. By end,
-/// because an engine-apply span starts at the hand-off, long before the
-/// apply when the queue is deep. Synced, since the process is dying.
-fn dump_crash(
-    path: &Path,
-    outcome: &str,
-    seq: u64,
-    unit: Option<u32>,
-    spans: Option<&SpanSink>,
-) -> std::io::Result<()> {
+/// Writes the crash dump, its terminal line, to `path`. Synced, since the
+/// process is dying.
+fn dump_crash(path: &Path, outcome: &str, seq: u64, unit: Option<u32>) -> std::io::Result<()> {
     let mut terminal = ObjectWriter::new();
     terminal.field_str("outcome", outcome).field_u64("seq", seq);
     if let Some(unit) = unit {
@@ -1108,13 +1063,6 @@ fn dump_crash(
     }
     let mut text = terminal.finish();
     text.push('\n');
-    let mut spans = spans.map(|sink| sink.snapshot().spans).unwrap_or_default();
-    spans.retain(|span| APPLY_STAGES.contains(&span.stage));
-    spans.sort_by_key(|span| span.end);
-    for span in &spans[spans.len().saturating_sub(CRASH_DUMP_SPANS)..] {
-        text.push_str(&span.to_jsonl());
-        text.push('\n');
-    }
     let mut file = std::fs::File::create(path)?;
     std::io::Write::write_all(&mut file, text.as_bytes())?;
     file.sync_all()
@@ -1554,44 +1502,6 @@ mod tests {
         assert_eq!(direct.unit_position(UnitId(1)), parked_position());
     }
 
-    /// Promotion hands the followed engine and its gate to
-    /// `spawn_with_gate`: a report the gate already admitted is dropped
-    /// as a duplicate, and the next one is applied.
-    #[test]
-    fn spawn_with_gate_carries_gate_decisions() {
-        let units = unit_points(2);
-        let alg = monitor(&units);
-        let mut gate = IngestGate::new(IngestConfig {
-            space: *alg.store().grid().space(),
-            num_units: 2,
-            lease_ttl: None,
-        });
-        let report = |seq: u64, x: f64| StampedUpdate {
-            seq,
-            ts: seq,
-            update: LocationUpdate {
-                unit: UnitId(0),
-                new: Point::new(x, x),
-            },
-        };
-        let mut stats = ResilienceStats::default();
-        gate.admit(report(7, 0.3), &mut stats).expect("accepted");
-
-        let promoted = SupervisedPipeline::spawn_with_gate(
-            alg,
-            gate,
-            ResilienceConfig::default(),
-            64,
-            ResilienceStats::default(),
-        );
-        promoted.send(report(7, 0.3)).expect("worker alive"); // redelivery
-        promoted.send(report(8, 0.4)).expect("worker alive");
-        let out = promoted.shutdown();
-        assert_eq!(out.metrics.resilience.duplicates_dropped, 1);
-        assert_eq!(out.updates_processed, 1);
-        assert_eq!(out.metrics.updates_processed, 1);
-    }
-
     /// A store whose `read_cell` fails exactly once, on a chosen call
     /// number — the deterministic stand-in for a disk read that exhausted
     /// its retry budget.
@@ -1682,30 +1592,15 @@ mod tests {
     }
 
     /// A killed worker leaves its crash dump next to the checkpoint slots:
-    /// the `killed` terminal line at the kill's sequence number, then the
-    /// apply-stage spans that ended last, the engine-apply spans of the
-    /// last reports applied before the kill among them. Door spans
-    /// stamped later than every apply, as a door shedding after the kill
-    /// records them, do not crowd those out, and neither do hand-off
-    /// stamps from long before the apply.
+    /// exactly one line, `killed` at the kill's sequence number, even with
+    /// a span sink armed. The engine-apply spans of the last reports
+    /// applied before the kill stay in the sink, which `serve --span-dump`
+    /// writes out at exit.
     #[test]
     #[cfg_attr(miri, ignore)] // the dump lives on the real filesystem
     fn kill_dumps_flight_recorder_jsonl() {
-        use ctup_obs::Span;
-
         let dir = temp_state_dir();
         let sink = Arc::new(SpanSink::new(1 << 16));
-        let later = u64::MAX / 2;
-        for trace in 1..=2 * CRASH_DUMP_SPANS as u64 {
-            sink.record_stage(
-                trace,
-                Stage::ClientSend,
-                0,
-                later + trace,
-                later + trace,
-                true,
-            );
-        }
         let units = unit_points(4);
         let config = ResilienceConfig {
             checkpoint_every: 16,
@@ -1730,19 +1625,14 @@ mod tests {
         let path = report.flight_recorder_path.expect("dump written");
         assert_eq!(path, dir.join(FLIGHT_RECORDER_FILE));
         let dump = std::fs::read_to_string(&path).expect("read dump");
-        let mut lines = dump.lines();
-        let terminal = lines.next().expect("a terminal line");
+        assert_eq!(dump.lines().count(), 1, "{dump}");
         assert!(
-            terminal.starts_with("{\"outcome\":\"killed\",\"seq\":200,\"unit\":"),
-            "{terminal}"
+            dump.starts_with("{\"outcome\":\"killed\",\"seq\":200,\"unit\":"),
+            "{dump}"
         );
-        let spans: Vec<Span> = lines
-            .map(|l| Span::parse_jsonl(l).expect("a span line"))
-            .collect();
-        assert_eq!(spans.len(), CRASH_DUMP_SPANS, "{dump}");
-        assert!(spans.windows(2).all(|w| w[0].end <= w[1].end));
-        assert!(spans.iter().all(|s| APPLY_STAGES.contains(&s.stage)));
-        assert!(spans
+        assert!(sink
+            .snapshot()
+            .spans
             .iter()
             .any(|s| s.stage == Stage::EngineApply && (191..=200).contains(&s.trace)));
         // Latency still describes the 200 updates applied before the kill.
@@ -1750,8 +1640,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A worker that exhausts its restart budget without a span sink dumps
-    /// exactly one line: `gave_up` at the update that kept crashing.
+    /// A worker that exhausts its restart budget dumps its one line:
+    /// `gave_up` at the update that kept crashing.
     #[test]
     #[cfg_attr(miri, ignore)] // the dump lives on the real filesystem
     fn give_up_dumps_flight_recorder_jsonl() {
@@ -2636,6 +2526,70 @@ mod tests {
             out.metrics.resilience.updates_replayed,
             convert::count64(tail)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The durable image is the commit stage's fold: a stream folded into
+    /// the spawn-time image lands the slot the commit stage lands for the
+    /// same reports, lease parks included, and folding the stream a second
+    /// time changes nothing, since the gate drops every report again. A
+    /// restore hands the image's gate over with the engine: a redelivered
+    /// report is dropped as a duplicate, and a fresh one is applied.
+    #[test]
+    #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
+    fn an_image_folds_a_journal_once_into_the_commit_stages_slot() {
+        use crate::checkpoint::DurableImage;
+        let dir = temp_state_dir();
+        let engine = monitor(&unit_points(4));
+        let store = engine.store();
+        let space = *store.grid().space();
+        let lease_ttl = Some(3);
+        let mut image =
+            DurableImage::from_checkpoint(engine.checkpoint(), space, lease_ttl).expect("valid");
+        // Every group is one report and lands a slot, so the newest slot
+        // covers the whole stream.
+        let config = ResilienceConfig {
+            lease_ttl,
+            checkpoint_every: 1,
+            state_dir: Some(dir.clone()),
+            ..ResilienceConfig::default()
+        };
+        let pipeline = SupervisedPipeline::spawn(engine, config, 64);
+        let stamped = stamp_stream(updates(40, 4));
+        let mut stats = ResilienceStats::default();
+        for &report in &stamped {
+            pipeline.send(report).expect("worker alive");
+            image.admit(report, &mut stats).expect("a fresh report");
+        }
+        assert!(!pipeline.shutdown().killed);
+        assert!(stats.lease_expiries > 0, "the stream parks units");
+        let (landed, journal) = DurableState::load(&dir).expect("load");
+        assert!(
+            journal.is_empty(),
+            "{} reports past the slot",
+            journal.len()
+        );
+        let folded = image.slot();
+        assert_eq!(landed, folded);
+        for &report in &stamped {
+            assert!(image.admit(report, &mut stats).is_err());
+        }
+        assert_eq!(image.slot(), folded);
+
+        let last = stamped[stamped.len() - 1];
+        let (config, seed) = (ResilienceConfig::default(), ResilienceStats::default());
+        let restored = SupervisedPipeline::restore_image::<OptCtup>(image, store, config, 64, seed)
+            .expect("restore");
+        restored.send(last).expect("worker alive"); // redelivery
+        let fresh = StampedUpdate {
+            seq: last.seq + 1,
+            ..last
+        };
+        restored.send(fresh).expect("worker alive");
+        let out = restored.shutdown();
+        assert_eq!(out.metrics.resilience.duplicates_dropped, 1);
+        assert_eq!(out.updates_processed, 1);
+        assert_eq!(out.metrics.updates_processed, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -106,7 +106,8 @@ pub enum Stage {
     Checkpoint,
     /// Report shed at the door or drain (always sampled).
     Shed,
-    /// Standby replaying this report from a replicated WAL frame.
+    /// Standby folding this report from a replicated WAL frame into its
+    /// durable image (gate and fold).
     StandbyApply,
 }
 

@@ -2,11 +2,13 @@
 //!
 //! Mirrors `ctup-core`'s `net::standby` + `net::server` replication
 //! protocol: the primary journals a report, ships it to the standby as a
-//! `WalAppend` at its epoch, and only then acks the client; the standby
-//! applies appends in order, probes the primary, and — after a run of
-//! dark probes — promotes itself at `epoch + 1` behind one final fencing
-//! probe, draining the established replication connection first. Frames
-//! stamped with an epoch below the standby's own are rejected as stale.
+//! `WalAppend` at its epoch once the journal covers it, and only then
+//! acks the client (the pump ships in `drain_acks`, right before the
+//! ack); the standby folds appends into its durable image in order,
+//! probes the primary, and — after a run of dark probes — promotes
+//! itself at `epoch + 1` behind one final fencing probe, draining the
+//! established replication connection first. Frames stamped with an
+//! epoch below the standby's own are rejected as stale.
 //!
 //! The model runs the protocol against two chaos scripts:
 //!

@@ -30,8 +30,7 @@ L000–L005, see DESIGN.md §10; concurrency rules L006–L010, see
 DESIGN.md §15; the line budget L011 over lint/budget.toml). promcheck validates a Prometheus text
 exposition (from `ctup run --format prom` or a `/metrics` scrape;
 reads stdin when FILE is omitted). flightcheck validates a crash
-dump (`flight-recorder.jsonl`): a terminal outcome line, then span
-lines only. healthcheck
+dump (`flight-recorder.jsonl`): one terminal outcome line. healthcheck
 validates a `/healthz` body from `ctup serve` (stdin when FILE is
 omitted): status/degraded must agree, the load gauges must be
 integers, and a `build` stamp must be present. spancheck validates a
@@ -152,10 +151,7 @@ fn flightcheck(file: &str) -> ExitCode {
     };
     match xtask::obscheck::check_flight(&text) {
         Ok(summary) => {
-            println!(
-                "flightcheck: {} at seq {}, {} span(s)",
-                summary.outcome, summary.seq, summary.spans
-            );
+            println!("flightcheck: {} at seq {}", summary.outcome, summary.seq);
             ExitCode::SUCCESS
         }
         Err(problems) => {

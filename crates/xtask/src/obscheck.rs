@@ -5,9 +5,8 @@
 //! every sample line parses, every series has a `# TYPE` declaration,
 //! histogram buckets are cumulative and end in `+Inf` with a matching
 //! `_count`. `flightcheck` validates a crash dump (`flight-recorder.jsonl`):
-//! the first line is the terminal record — a flat JSON object carrying
-//! `outcome` (`killed` or `gave_up`) and a numeric `seq` — and every
-//! other line is a span line as `spancheck` parses it. `healthcheck` validates a
+//! one line, the terminal record — a flat JSON object carrying `outcome`
+//! (`killed` or `gave_up`) and a numeric `seq`. `healthcheck` validates a
 //! `/healthz` body from `ctup serve`: a flat JSON object whose `status`
 //! string and `degraded` boolean agree, with numeric load gauges.
 //!
@@ -18,7 +17,6 @@
 //! [`crate::flatjson`].
 
 use crate::flatjson::{parse_flat_object, FlatValue};
-use crate::spancheck::parse_span_line;
 use std::collections::{BTreeMap, HashMap};
 
 /// One problem found in an artifact.
@@ -404,8 +402,6 @@ pub struct FlightSummary {
     pub outcome: String,
     /// The effective sequence number the apply stage stopped at.
     pub seq: u64,
-    /// Span lines after the terminal line.
-    pub spans: usize,
 }
 
 /// Parses the terminal line, extracting `outcome` and `seq`.
@@ -429,9 +425,8 @@ fn parse_terminal_line(line: &str) -> Result<(String, u64), String> {
     }
 }
 
-/// Validates a crash dump: the terminal line first, then span lines only
-/// (the canonical-coverage rule of `spancheck` does not apply — a dump
-/// holds the newest spans, not whole traces).
+/// Validates a crash dump: the terminal line, and nothing after it (the
+/// spans before a death are the span dump's to keep).
 pub fn check_flight(text: &str) -> Result<FlightSummary, Vec<Problem>> {
     let mut problems = Vec::new();
     let mut lines = text.lines().enumerate();
@@ -444,22 +439,14 @@ pub fn check_flight(text: &str) -> Result<FlightSummary, Vec<Problem>> {
             message: "dump is empty".into(),
         }),
     };
-    let mut spans = 0;
-    for (idx, raw) in lines {
-        match parse_span_line(raw) {
-            Ok(_) => spans += 1,
-            Err(message) => problems.push(Problem {
-                line: idx + 1,
-                message: format!("not a span line: {message}"),
-            }),
-        }
+    for (idx, _) in lines {
+        problems.push(Problem {
+            line: idx + 1,
+            message: "a crash dump is its terminal line only".into(),
+        });
     }
     match terminal {
-        Ok((outcome, seq)) if problems.is_empty() => Ok(FlightSummary {
-            outcome,
-            seq,
-            spans,
-        }),
+        Ok((outcome, seq)) if problems.is_empty() => Ok(FlightSummary { outcome, seq }),
         Ok(_) => Err(problems),
         Err(problem) => {
             problems.insert(0, problem);
@@ -540,15 +527,11 @@ h_count 5
     const SPAN: &str = "{\"trace\":7,\"span\":11,\"parent\":5,\"stage\":\"engine-apply\",\"start\":10,\"end\":20,\"aux\":0}";
 
     #[test]
-    fn good_flight_dump_parses_with_and_without_spans() {
-        let bare = check_flight(&format!("{TERMINAL}\n")).expect("terminal line alone");
-        assert_eq!(
-            (bare.outcome.as_str(), bare.seq, bare.spans),
-            ("killed", 9, 0)
-        );
-        let text = format!("{{\"outcome\":\"gave_up\",\"seq\":4}}\n{SPAN}\n{SPAN}\n");
-        let traced = check_flight(&text).expect("terminal line and spans");
-        assert_eq!((traced.outcome.as_str(), traced.spans), ("gave_up", 2));
+    fn good_flight_dump_is_its_terminal_line() {
+        let killed = check_flight(&format!("{TERMINAL}\n")).expect("terminal line alone");
+        assert_eq!((killed.outcome.as_str(), killed.seq), ("killed", 9));
+        let gave_up = check_flight("{\"outcome\":\"gave_up\",\"seq\":4}\n").expect("gave_up");
+        assert_eq!((gave_up.outcome.as_str(), gave_up.seq), ("gave_up", 4));
     }
 
     #[test]
@@ -590,12 +573,12 @@ h_count 5
     }
 
     #[test]
-    fn later_line_that_is_not_a_span_is_flagged() {
+    fn every_line_after_the_terminal_line_is_flagged() {
         let text = format!("{TERMINAL}\n{SPAN}\n{{\"seq\":5,\"outcome\":\"applied\"}}\n");
         let problems = check_flight(&text).expect_err("must fail");
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert_eq!(problems[0].line, 3);
-        assert!(problems[0].message.contains("not a span line"));
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert_eq!((problems[0].line, problems[1].line), (2, 3));
+        assert!(problems[0].message.contains("terminal line only"));
     }
 
     #[test]

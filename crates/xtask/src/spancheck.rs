@@ -71,7 +71,7 @@ fn expected_parent_stage(stage: &str) -> Option<&'static str> {
 
 /// One parsed span line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SpanLine {
+struct SpanLine {
     trace: u64,
     span: u64,
     parent: u64,
@@ -82,7 +82,7 @@ pub(crate) struct SpanLine {
 
 /// Parses one span line: a flat object with a known `stage` label and
 /// numeric `trace`, `span`, `parent`, `start` and `end` fields.
-pub(crate) fn parse_span_line(line: &str) -> Result<SpanLine, String> {
+fn parse_span_line(line: &str) -> Result<SpanLine, String> {
     let pairs = parse_flat_object(line)?;
     let mut nums: HashMap<&str, u64> = HashMap::new();
     let mut stage: Option<String> = None;

@@ -94,7 +94,7 @@ fn flightcheck_requires_a_file_and_checks_the_dump_shape() {
     let span = "{\"trace\":7,\"span\":11,\"parent\":5,\"stage\":\"merge\",\"start\":1,\"end\":2,\"aux\":0}\n";
     for (dump, want) in [
         (terminal.to_string(), 0),
-        (format!("{terminal}{span}{span}"), 0),
+        (format!("{terminal}{span}"), 1),
         (format!("{{\"seq\":40}}\n{span}"), 1),
         (format!("{terminal}{span}{terminal}"), 1),
         ("not json\n".to_string(), 1),

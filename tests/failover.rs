@@ -20,16 +20,18 @@
 use ctup::core::algorithm::CtupAlgorithm;
 use ctup::core::checkpoint::Checkpoint;
 use ctup::core::config::CtupConfig;
-use ctup::core::ingest::{stamp_stream, TracedReport};
+use ctup::core::ingest::{stamp_stream, GateState, GateUnitState, StampedUpdate, TracedReport};
 use ctup::core::net::wire::{FrameDecoder, FrameWriter, Message, MAX_CHUNK_DATA};
 use ctup::core::net::{
-    ClientConfig, EngineSink, FailoverDialer, FeedClient, IngestServer, NetServerConfig,
-    PipelineSink, ShedReason, SinkError, StandbyConfig, StandbyPhase, StandbyServer, TcpDialer,
+    ClientConfig, ClientStats, Dialer, EngineSink, FailoverDialer, FeedClient, IngestServer,
+    NetServerConfig, NetStatsSnapshot, PipelineSink, ShedReason, SinkError, StandbyConfig,
+    StandbyPhase, StandbyServer, TcpDialer,
 };
 use ctup::core::supervisor::{ResilienceConfig, SupervisedPipeline};
 use ctup::core::types::{LocationUpdate, Place, PlaceId, Safety, TopKEntry, UnitId};
-use ctup::core::{OptCtup, Oracle, QueryMode};
+use ctup::core::{DurableState, OptCtup, Oracle, QueryMode};
 use ctup::mogen::{PlaceGenConfig, Workload, WorkloadParams};
+use ctup::obs::SpanSink;
 use ctup::spatial::{Grid, Point};
 use ctup::storage::{CellLocalStore, PlaceStore};
 use std::net::{SocketAddr, TcpListener};
@@ -286,18 +288,6 @@ fn clean_stream(workload: &mut Workload, n: usize) -> Vec<LocationUpdate> {
         .collect()
 }
 
-/// A durable pipeline sink pair for the primary front door.
-fn durable_sink(
-    store: &Arc<dyn PlaceStore>,
-    units: &[ctup::spatial::Point],
-    resilience: ResilienceConfig,
-) -> Arc<dyn EngineSink> {
-    let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), units).expect("clean store");
-    let initial = monitor.result();
-    let pipeline = SupervisedPipeline::spawn(monitor, resilience, 4096);
-    Arc::new(PipelineSink::new(pipeline, initial))
-}
-
 /// Reserves a loopback address by binding and immediately dropping a
 /// listener; the port is then free for the promoted server to claim.
 fn reserve_addr() -> SocketAddr {
@@ -305,34 +295,12 @@ fn reserve_addr() -> SocketAddr {
     listener.local_addr().expect("reserved addr")
 }
 
-/// Waits for the standby's `wal_applied` counter to stop moving (no feed
-/// is active, so in-flight replication frames drain within milliseconds)
-/// and returns its settled value.
-fn settled_wal_applied(standby: &StandbyServer) -> u64 {
-    let mut last = standby.status().wal_applied;
-    let mut stable_since = Instant::now();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        std::thread::sleep(Duration::from_millis(20));
-        let now = standby.status().wal_applied;
-        if now != last {
-            last = now;
-            stable_since = Instant::now();
-        } else if stable_since.elapsed() >= Duration::from_millis(250) {
-            return last;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "wal_applied never settled (last {last})"
-        );
-    }
-}
-
-/// Acks are durable-gated: a report is acked once journaled, which can be
-/// *before* the engine applied it and before the watchdog's periodic
-/// last-good refresh observed the result. Polls a top-k reader until its
-/// value holds still, returning the settled result.
-fn settled_topk(read: impl Fn() -> Vec<TopKEntry>) -> Vec<TopKEntry> {
+/// Polls `read` until its value has held still for 300 ms, and returns
+/// it. Replication frames in flight drain within milliseconds once no
+/// feed is active; acks are durable-gated, so a report can be acked
+/// before the engine applied it and before the watchdog's periodic
+/// last-good refresh observed the result.
+fn settled<T: PartialEq + std::fmt::Debug>(read: impl Fn() -> T) -> T {
     let mut last = read();
     let mut stable_since = Instant::now();
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -345,8 +313,23 @@ fn settled_topk(read: impl Fn() -> Vec<TopKEntry>) -> Vec<TopKEntry> {
         } else if stable_since.elapsed() >= Duration::from_millis(300) {
             return last;
         }
-        assert!(Instant::now() < deadline, "top-k never settled");
+        assert!(Instant::now() < deadline, "never settled (last {last:?})");
     }
+}
+
+/// Feeds `reports` through a fresh client over `dialer` until each one is
+/// terminal, and returns the client's tally.
+fn feed(
+    dialer: impl Dialer + 'static,
+    config: ClientConfig,
+    reports: &[StampedUpdate],
+) -> ClientStats {
+    let mut client = FeedClient::new(Box::new(dialer), config);
+    for &report in reports {
+        client.enqueue(report);
+    }
+    client.drive(Duration::from_secs(30)).expect("clean links");
+    client.finish()
 }
 
 /// Polls `probe` until it returns true or the deadline passes.
@@ -403,67 +386,15 @@ fn tail_changes_topk_world() -> (Arc<dyn PlaceStore>, Vec<Point>, Vec<LocationUp
 /// 500 ms if the restarted sink got the durable hook.
 #[test]
 fn engine_death_then_restart_from_dir_serves_the_replayed_topk_and_acks_without_a_tick() {
-    let (store, units, stream) = tail_changes_topk_world();
-    let dir = temp_dir("restart-tail");
-    let resilience = ResilienceConfig {
-        checkpoint_every: 8,
-        state_dir: Some(dir.clone()),
-        kill_at: Some(13),
-        ..ResilienceConfig::default()
-    };
-    let monitor = OptCtup::new(CtupConfig::with_k(3), store.clone(), &units).expect("clean store");
-    let pipeline = SupervisedPipeline::spawn(monitor, resilience.clone(), 4096);
-    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
-    let mut cfg = NetServerConfig {
+    let cfg = NetServerConfig {
         io_tick: Duration::from_secs(2),
         ..NetServerConfig::default()
     };
-    cfg.admission.ingest_deadline = Duration::from_secs(30);
-    let server = IngestServer::spawn("127.0.0.1:0", cfg.clone(), sink).unwrap();
-    let mut client = FeedClient::new(
-        Box::new(TcpDialer::new(server.local_addr())),
-        ClientConfig::default(),
-    );
-    for report in stamp_stream(stream.iter().copied()) {
-        client.enqueue(report);
-    }
-    client.drive(Duration::from_secs(30)).expect("clean links");
-    client.finish();
-    wait_for("the engine death", Duration::from_secs(15), || {
-        server.degraded()
-    });
-    server.shutdown();
-
-    let pipeline = SupervisedPipeline::recover_from_dir::<OptCtup>(
-        &dir,
-        store.clone(),
-        ResilienceConfig {
-            kill_at: None,
-            ..resilience
-        },
-        4096,
-    )
-    .expect("recover from the directory");
-    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
-    let server = IngestServer::spawn("127.0.0.1:0", cfg, sink).unwrap();
-
-    let mut positions = units.clone();
-    for update in &stream {
-        positions[update.unit.index()] = update.new;
-    }
-    let topk = server.last_good_topk();
-    assert_eq!(
-        topk.iter()
-            .map(|e| (e.place.0, e.safety))
-            .collect::<Vec<_>>(),
-        vec![(4, -7), (5, -6), (3, -5)],
-        "served top-k is stale after the restart"
-    );
-    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    oracle.assert_result_matches(&topk, &positions, RADIUS, QueryMode::TopK(3));
+    let (_, _, server, dir) = kill_then_restart("restart-tail", 15, 13, cfg);
 
     // The restarted sink announces too: one report on the idle door is
     // acked long before the two-second tick.
+    let (_, _, stream) = tail_changes_topk_world();
     let mut client = FeedClient::new(
         Box::new(TcpDialer::new(server.local_addr())),
         ClientConfig::default(),
@@ -485,6 +416,70 @@ fn engine_death_then_restart_from_dir_serves_the_replayed_topk_and_acks_without_
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Level 1 over the first `reports` reports of `tail_changes_topk_world`:
+/// a door whose engine `kill_at` stops, fed until it degrades, then a
+/// restart from the directory behind a fresh door with `cfg`. The
+/// restarted door must serve p4(-7), p5(-6), p3(-5), oracle-exact over
+/// every fed report, before any further report. Returns the client's
+/// tally, the dead door's last counters, the restarted door and the
+/// state directory.
+fn kill_then_restart(
+    tag: &str,
+    reports: usize,
+    kill_at: u64,
+    mut cfg: NetServerConfig,
+) -> (ClientStats, NetStatsSnapshot, IngestServer, PathBuf) {
+    let (store, units, stream) = tail_changes_topk_world();
+    let stream = &stream[..reports];
+    let dir = temp_dir(tag);
+    let resilience = ResilienceConfig {
+        checkpoint_every: 8,
+        state_dir: Some(dir.clone()),
+        kill_at: Some(kill_at),
+        ..ResilienceConfig::default()
+    };
+    let monitor = OptCtup::new(CtupConfig::with_k(3), store.clone(), &units).expect("clean store");
+    let pipeline = SupervisedPipeline::spawn(monitor, resilience.clone(), 4096);
+    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
+    cfg.admission.ingest_deadline = Duration::from_secs(30);
+    let server = IngestServer::spawn("127.0.0.1:0", cfg.clone(), sink).unwrap();
+    let stamped = stamp_stream(stream.iter().copied());
+    let fed = feed(
+        TcpDialer::new(server.local_addr()),
+        ClientConfig::default(),
+        &stamped,
+    );
+    wait_for("the engine death", Duration::from_secs(15), || {
+        server.degraded()
+    });
+    let net = server.shutdown();
+
+    let restart = ResilienceConfig {
+        kill_at: None,
+        ..resilience
+    };
+    let pipeline =
+        SupervisedPipeline::recover_from_dir::<OptCtup>(&dir, store.clone(), restart, 4096)
+            .expect("recover from the directory");
+    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
+    let server = IngestServer::spawn("127.0.0.1:0", cfg, sink).unwrap();
+    let mut positions = units;
+    for update in stream {
+        positions[update.unit.index()] = update.new;
+    }
+    let topk = server.last_good_topk();
+    assert_eq!(
+        topk.iter()
+            .map(|e| (e.place.0, e.safety))
+            .collect::<Vec<_>>(),
+        vec![(4, -7), (5, -6), (3, -5)],
+        "served top-k is stale after the restart"
+    );
+    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
+    oracle.assert_result_matches(&topk, &positions, RADIUS, QueryMode::TopK(3));
+    (fed, net, server, dir)
+}
+
 /// Level 1 when the kill hits the *last* report of the feed: that report
 /// is journaled and acked before the apply it never gets, so nothing is
 /// left in flight and no further report comes along to fail a hand-off.
@@ -496,68 +491,14 @@ fn engine_death_then_restart_from_dir_serves_the_replayed_topk_and_acks_without_
 /// and the revived one differ.
 #[test]
 fn level_one_revival_after_a_kill_on_the_last_report() {
-    let (store, units, stream) = tail_changes_topk_world();
-    let stream = &stream[..11];
-    let dir = temp_dir("revive-last");
-    let resilience = ResilienceConfig {
-        checkpoint_every: 8,
-        state_dir: Some(dir.clone()),
-        kill_at: Some(10),
-        ..ResilienceConfig::default()
-    };
-    let monitor = OptCtup::new(CtupConfig::with_k(3), store.clone(), &units).expect("clean store");
-    let pipeline = SupervisedPipeline::spawn(monitor, resilience.clone(), 4096);
-    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
-    let mut cfg = NetServerConfig::default();
-    cfg.admission.ingest_deadline = Duration::from_secs(30);
-    let server = IngestServer::spawn("127.0.0.1:0", cfg.clone(), sink).unwrap();
-    let mut client = FeedClient::new(
-        Box::new(TcpDialer::new(server.local_addr())),
-        ClientConfig::default(),
-    );
-    for report in stamp_stream(stream.iter().copied()) {
-        client.enqueue(report);
-    }
-    client.drive(Duration::from_secs(30)).expect("clean links");
-    let fed = client.finish();
+    let (fed, net, server, dir) =
+        kill_then_restart("revive-last", 11, 10, NetServerConfig::default());
     assert_eq!(fed.acked, 11, "every report is journaled: {fed:?}");
     assert!(fed.sheds.is_empty(), "nothing is shed: {fed:?}");
-    // No report follows: only the idle probe can notice the death.
-    wait_for("the engine death", Duration::from_secs(15), || {
-        server.degraded()
-    });
-    let net = server.shutdown();
+    // No report followed: only the idle probe could notice the death.
     assert!(net.degraded, "engine death is sticky: {net:?}");
     assert_eq!(net.reports_accepted, 11, "{net:?}");
-
-    let pipeline = SupervisedPipeline::recover_from_dir::<OptCtup>(
-        &dir,
-        store.clone(),
-        ResilienceConfig {
-            kill_at: None,
-            ..resilience
-        },
-        4096,
-    )
-    .expect("recover from the directory");
-    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::from_pipeline(pipeline));
-    let server = IngestServer::spawn("127.0.0.1:0", cfg, sink).unwrap();
     assert!(!server.degraded(), "the revived door starts healthy");
-
-    let mut positions = units.clone();
-    for update in stream {
-        positions[update.unit.index()] = update.new;
-    }
-    let topk = server.last_good_topk();
-    assert_eq!(
-        topk.iter()
-            .map(|e| (e.place.0, e.safety))
-            .collect::<Vec<_>>(),
-        vec![(4, -7), (5, -6), (3, -5)],
-        "served top-k misses the last acked report"
-    );
-    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    oracle.assert_result_matches(&topk, &positions, RADIUS, QueryMode::TopK(3));
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -620,15 +561,11 @@ fn silent_engine_death_after_queue_drain_is_probed_and_healed() {
 
     let (mut workload, _store) = setup(80);
     let stamped = stamp_stream(clean_stream(&mut workload, 200));
-    let mut client = FeedClient::new(
-        Box::new(TcpDialer::new(server.local_addr())),
+    let fed = feed(
+        TcpDialer::new(server.local_addr()),
         ClientConfig::default(),
+        &stamped,
     );
-    for &report in &stamped {
-        client.enqueue(report);
-    }
-    client.drive(Duration::from_secs(30)).expect("clean links");
-    let fed = client.finish();
     assert_eq!(
         fed.acked + fed.shed_total(),
         200,
@@ -660,16 +597,16 @@ fn silent_engine_death_after_queue_drain_is_probed_and_healed() {
         }),
     )
     .unwrap();
-    let mut client = FeedClient::new(
-        Box::new(TcpDialer::new(server.local_addr())),
+    let tail: Vec<StampedUpdate> = fed
+        .sheds
+        .iter()
+        .map(|shed| stamped[usize::try_from(shed.seq - 1).expect("fits")])
+        .collect();
+    let healed = feed(
+        TcpDialer::new(server.local_addr()),
         ClientConfig::default(),
+        &tail,
     );
-    for shed in &fed.sheds {
-        let index = usize::try_from(shed.seq - 1).expect("fits");
-        client.enqueue(stamped[index]);
-    }
-    client.drive(Duration::from_secs(30)).expect("clean links");
-    let healed = client.finish();
     assert_eq!(
         fed.acked + healed.acked,
         200,
@@ -678,6 +615,129 @@ fn silent_engine_death_after_queue_drain_is_probed_and_healed() {
     assert!(healed.sheds.is_empty(), "no report may be shed: {healed:?}");
     let net = server.shutdown();
     assert!(!net.degraded, "the restarted door stays healthy: {net:?}");
+}
+
+/// Probes every 50 ms, promotion after two silent ones.
+const FAST_PROBES: (Duration, u32) = (Duration::from_millis(50), 2);
+
+/// A durable primary (epoch 1, a slot every 32 reports, `kill_at` for its
+/// engine) with a warm standby following it, after a priming batch that
+/// makes the primary's durable state real so the checkpoint sync can
+/// complete. `spans`, when set, is the standby's sink, both while it
+/// follows and once it is promoted.
+struct Replicated {
+    primary: Option<IngestServer>,
+    primary_addr: SocketAddr,
+    standby: StandbyServer,
+    standby_addr: SocketAddr,
+    /// The standby's `wal_applied` once it settled after the priming: the
+    /// sync may land mid-priming, with part of the batch arriving as
+    /// journal or live frames.
+    base: u64,
+    dir_primary: PathBuf,
+    dir_standby: PathBuf,
+}
+
+impl Replicated {
+    fn start(
+        tag: &str,
+        store: &Arc<dyn PlaceStore>,
+        units: &[Point],
+        prime: &[StampedUpdate],
+        kill_at: Option<u64>,
+        spans: Option<Arc<SpanSink>>,
+        (probe_interval, probe_failures): (Duration, u32),
+    ) -> Replicated {
+        let dir_primary = temp_dir(&format!("{tag}-primary"));
+        let dir_standby = temp_dir(&format!("{tag}-standby"));
+        let resilience = ResilienceConfig {
+            checkpoint_every: 32,
+            state_dir: Some(dir_primary.clone()),
+            kill_at,
+            ..ResilienceConfig::default()
+        };
+        let cfg = NetServerConfig {
+            state_dir: Some(dir_primary.clone()),
+            epoch: 1,
+            ..NetServerConfig::default()
+        };
+        let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), units).expect("clean");
+        let pipeline = SupervisedPipeline::spawn(monitor, resilience, 4096);
+        let sink = Arc::new(PipelineSink::from_pipeline(pipeline));
+        let primary = IngestServer::spawn("127.0.0.1:0", cfg, sink).unwrap();
+        let primary_addr = primary.local_addr();
+        let standby_addr = reserve_addr();
+        let standby = StandbyServer::spawn(
+            StandbyConfig {
+                primary_ingest: primary_addr,
+                serve_addr: standby_addr.to_string(),
+                // `trace_sample_every` stays 0: promotion must force
+                // always-sample.
+                net: NetServerConfig {
+                    spans: spans.clone(),
+                    ..NetServerConfig::default()
+                },
+                resilience: ResilienceConfig {
+                    state_dir: Some(dir_standby.clone()),
+                    spans,
+                    ..ResilienceConfig::default()
+                },
+                probe_interval,
+                probe_failures,
+            },
+            store.clone(),
+        );
+        let primed = feed(TcpDialer::new(primary_addr), ClientConfig::default(), prime);
+        assert_eq!(primed.acked, prime.len() as u64);
+        wait_for("checkpoint sync", Duration::from_secs(10), || {
+            standby.status().phase == StandbyPhase::Following
+        });
+        assert_eq!(standby.status().epoch, 1);
+        let base = settled(|| standby.status().wal_applied);
+        Replicated {
+            primary: Some(primary),
+            primary_addr,
+            standby,
+            standby_addr,
+            base,
+            dir_primary,
+            dir_standby,
+        }
+    }
+
+    /// Feeds `reports` to the primary with a `config` client.
+    fn feed(&self, config: ClientConfig, reports: &[StampedUpdate]) -> ClientStats {
+        feed(TcpDialer::new(self.primary_addr), config, reports)
+    }
+
+    /// Feeds `reports` down the failover list: the primary, then the
+    /// standby's door.
+    fn walk_over(&self, reports: &[StampedUpdate]) -> ClientStats {
+        let doors = FailoverDialer::new(vec![self.primary_addr, self.standby_addr]);
+        feed(doors, ClientConfig::default(), reports)
+    }
+
+    /// Shuts the primary's door; the standby's probes go dark and it
+    /// promotes at epoch 2. Returns the primary's last counters.
+    fn kill_primary(&mut self) -> NetStatsSnapshot {
+        let net = self.primary.take().expect("a primary").shutdown();
+        wait_for("promotion", Duration::from_secs(10), || {
+            self.standby.status().phase == StandbyPhase::Promoted
+        });
+        assert_eq!(
+            self.standby.status().epoch,
+            2,
+            "promotion must bump the epoch"
+        );
+        net
+    }
+
+    fn finish(self) {
+        self.standby.shutdown();
+        drop(self.primary);
+        std::fs::remove_dir_all(&self.dir_primary).ok();
+        std::fs::remove_dir_all(&self.dir_standby).ok();
+    }
 }
 
 /// Level 2, mid-batch kill: the primary dies with the client's feed still
@@ -690,119 +750,149 @@ fn standby_promotes_after_primary_death_and_serves_the_oracle_topk() {
     let units = workload.unit_positions();
     let clean = clean_stream(&mut workload, 600);
     let stamped = stamp_stream(clean.clone());
-    let dir_primary = temp_dir("promote-primary");
-    let dir_standby = temp_dir("promote-standby");
-
-    let resilience = ResilienceConfig {
-        checkpoint_every: 32,
-        state_dir: Some(dir_primary.clone()),
-        ..ResilienceConfig::default()
-    };
-    let sink = durable_sink(&store, &units, resilience);
-    let cfg = NetServerConfig {
-        state_dir: Some(dir_primary.clone()),
-        epoch: 1,
-        ..NetServerConfig::default()
-    };
-    let primary = IngestServer::spawn("127.0.0.1:0", cfg, sink).unwrap();
-    let primary_addr = primary.local_addr();
-
-    let standby_addr = reserve_addr();
-    let standby = StandbyServer::spawn::<OptCtup>(
-        StandbyConfig {
-            primary_ingest: primary_addr,
-            serve_addr: standby_addr.to_string(),
-            resilience: ResilienceConfig {
-                state_dir: Some(dir_standby.clone()),
-                ..ResilienceConfig::default()
-            },
-            probe_interval: Duration::from_millis(50),
-            probe_failures: 2,
-            ..StandbyConfig::default()
-        },
-        store.clone(),
+    let mut replicated = Replicated::start(
+        "promote",
+        &store,
+        &units,
+        &stamped[..64],
+        None,
+        None,
+        FAST_PROBES,
     );
+    let standby = &replicated.standby;
 
-    // Phase 1a: a priming batch makes the primary's durable state real so
-    // the standby's checkpoint sync can complete. Every report is acked
-    // (= durable) before the standby bootstraps, so the checkpoint plus
-    // journal covers the batch exactly.
-    let mut client = FeedClient::new(
-        Box::new(TcpDialer::new(primary_addr)),
-        ClientConfig::default(),
-    );
-    for &report in &stamped[..64] {
-        client.enqueue(report);
-    }
-    client.drive(Duration::from_secs(30)).expect("clean links");
-    assert_eq!(client.finish().acked, 64);
-    wait_for("checkpoint sync", Duration::from_secs(10), || {
-        standby.status().phase == StandbyPhase::Following
-    });
-    assert_eq!(standby.status().epoch, 1);
-    // The sync may have landed mid-priming, in which case part of the
-    // priming batch arrives as journal or live frames and counts toward
-    // `wal_applied`. Let the counter settle before taking the baseline.
-    let base = settled_wal_applied(&standby);
-
-    // Phase 1b: the rest of the pre-kill feed arrives over the live WAL
-    // tail; each frame is fresh (not in the shipped checkpoint), so
-    // `wal_applied` counts it on top of the baseline.
-    let mut client = FeedClient::new(
-        Box::new(TcpDialer::new(primary_addr)),
-        ClientConfig::default(),
-    );
-    for &report in &stamped[64..300] {
-        client.enqueue(report);
-    }
-    client.drive(Duration::from_secs(30)).expect("clean links");
-    assert_eq!(client.finish().acked, 236);
+    // The rest of the pre-kill feed arrives over the live WAL tail; each
+    // frame is fresh (not in the shipped checkpoint), so `wal_applied`
+    // counts it on top of the baseline.
+    let live = replicated.feed(ClientConfig::default(), &stamped[64..300]);
+    assert_eq!(live.acked, 236);
     wait_for("live WAL tail", Duration::from_secs(10), || {
-        standby.status().wal_applied >= base + 236
+        standby.status().wal_applied >= replicated.base + 236
     });
 
-    // Kill the primary. The standby's probes go dark and it promotes.
-    let net = primary.shutdown();
+    let net = replicated.kill_primary();
     assert_eq!(net.reports_accepted, 300);
-    wait_for("promotion", Duration::from_secs(10), || {
-        standby.status().phase == StandbyPhase::Promoted
-    });
-    let status = standby.status();
-    assert_eq!(status.epoch, 2, "promotion must bump the fencing epoch");
+    let standby = &replicated.standby;
     let promoted = standby.promoted_addr().expect("promoted front door");
-    assert_eq!(promoted, standby_addr);
+    assert_eq!(promoted, replicated.standby_addr);
     let health = standby.promoted_health().expect("promoted health");
     assert!(
         health.contains("\"failovers\":1") && health.contains("\"epoch\":2"),
         "promoted health must report the failover: {health}"
     );
 
-    // Phase 2: the rest of the feed walks over to the promoted server.
-    let mut client = FeedClient::new(
-        Box::new(FailoverDialer::new(vec![primary_addr, standby_addr])),
-        ClientConfig::default(),
-    );
-    for &report in &stamped[300..] {
-        client.enqueue(report);
-    }
-    client.drive(Duration::from_secs(30)).expect("walk-over");
-    let stats = client.finish();
+    // The rest of the feed walks over to the promoted server.
+    let stats = replicated.walk_over(&stamped[300..]);
     assert_eq!(
         stats.acked, 300,
         "the promoted server must accept the tail: {stats:?}"
     );
 
-    let topk = settled_topk(|| standby.promoted_topk().expect("promoted top-k"));
+    let topk = settled(|| standby.promoted_topk().expect("promoted top-k"));
     let mut positions = units.clone();
     for update in &clean {
         positions[update.unit.index()] = update.new;
     }
     let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
     oracle.assert_result_matches(&topk, &positions, RADIUS, QueryMode::TopK(10));
+    replicated.finish();
+}
 
-    standby.shutdown();
-    std::fs::remove_dir_all(&dir_primary).ok();
-    std::fs::remove_dir_all(&dir_standby).ok();
+/// A primary whose engine a `kill_at` stops at report 200, behind a
+/// following standby: 64 priming reports, then the rest of a 600-report
+/// feed, until the door has degraded. The primary's door is still up, so
+/// the standby keeps following; replication is asynchronous, so the
+/// helper waits for the standby's `wal_applied` to settle. The standby
+/// probes every 250 ms: a 50 ms probe can go unanswered on a loaded host,
+/// and the resync that follows would fold the batch from a slot instead
+/// of frame by frame. Returns the replicated pair, the feed and the
+/// client's tally of the live batch `feed[64..]`.
+fn kill_mid_feed(
+    workload: &mut Workload,
+    store: &Arc<dyn PlaceStore>,
+    tag: &str,
+) -> (Replicated, Vec<StampedUpdate>, ClientStats) {
+    let units = workload.unit_positions();
+    let stamped = stamp_stream(clean_stream(workload, 600));
+    let probes = (Duration::from_millis(250), 3);
+    let replicated = Replicated::start(tag, store, &units, &stamped[..64], Some(200), None, probes);
+    let live = replicated.feed(ClientConfig::default(), &stamped[64..]);
+    assert!(live.shed_total() > 0, "the kill fired mid-feed: {live:?}");
+    wait_for("the engine death", Duration::from_secs(15), || {
+        replicated
+            .primary
+            .as_ref()
+            .is_some_and(IngestServer::degraded)
+    });
+    settled(|| replicated.standby.status().wal_applied);
+    (replicated, stamped, live)
+}
+
+/// The primary ships a report once its journal covers it and before its
+/// ack, and a report the door sheds after the engine died never ships:
+/// the standby folds exactly the reports the client was told were
+/// accepted, none of those it was told were refused.
+#[test]
+fn a_standby_folds_exactly_the_reports_the_primary_acked() {
+    let (mut workload, store) = setup(91);
+    let (replicated, _, live) = kill_mid_feed(&mut workload, &store, "acked");
+    let folded = settled(|| replicated.standby.status().wal_applied) - replicated.base;
+    assert_eq!(
+        folded,
+        live.acked,
+        "the standby folded {folded} reports of a batch the client saw {} acked, {} shed",
+        live.acked,
+        live.shed_total()
+    );
+    replicated.finish();
+}
+
+/// Promotion and a restart from the primary's state directory are one
+/// restore over one image: after a kill mid-feed, the promoted standby
+/// and `recover_from_dir` over the dead primary's directory serve the
+/// same query — equal safeties, equal entries above `SK` — and both are
+/// oracle-exact over the reports the client saw acked.
+#[test]
+fn promotion_and_restart_from_the_directory_serve_the_same_topk() {
+    let (mut workload, store) = setup(92);
+    let units = workload.unit_positions();
+    let (mut replicated, stamped, live) = kill_mid_feed(&mut workload, &store, "one-restore");
+    replicated.kill_primary();
+    let promoted = replicated.standby.promoted_topk().expect("promoted top-k");
+    let recovered = SupervisedPipeline::recover_from_dir::<OptCtup>(
+        &replicated.dir_primary,
+        store.clone(),
+        ResilienceConfig::default(),
+        64,
+    )
+    .expect("recover from the primary's directory");
+    let restarted = recovered.initial_result().to_vec();
+    recovered.shutdown();
+
+    // The acked prefix: the priming batch and every live report not shed.
+    let shed: Vec<u64> = live.sheds.iter().map(|s| s.seq).collect();
+    let acked_live = (1u64..)
+        .zip(&stamped[64..])
+        .filter(|(seq, _)| !shed.contains(seq))
+        .map(|(_, report)| report);
+    let mut positions = units.clone();
+    for report in stamped[..64].iter().chain(acked_live) {
+        positions[report.update.unit.index()] = report.update.new;
+    }
+    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
+    for topk in [&promoted, &restarted] {
+        oracle.assert_result_matches(topk, &positions, RADIUS, QueryMode::TopK(10));
+    }
+    assert_eq!(safeties(&promoted), safeties(&restarted));
+    let above_sk = |topk: &[TopKEntry]| -> Vec<TopKEntry> {
+        let sk = topk.last().map(|e| e.safety);
+        topk.iter()
+            .copied()
+            .filter(|e| Some(e.safety) != sk)
+            .collect()
+    };
+    assert_eq!(above_sk(&promoted), above_sk(&restarted));
+    replicated.finish();
 }
 
 /// Kill before/during checkpoint ship: a standby that never completed a
@@ -812,14 +902,12 @@ fn standby_promotes_after_primary_death_and_serves_the_oracle_topk() {
 fn standby_never_promotes_without_a_synced_checkpoint() {
     let (_workload, store) = setup(83);
     let dead = reserve_addr();
-    let standby = StandbyServer::spawn::<OptCtup>(
+    let standby = StandbyServer::spawn(
         StandbyConfig {
             primary_ingest: dead,
             serve_addr: "127.0.0.1:0".to_string(),
             probe_interval: Duration::from_millis(25),
             probe_failures: 1,
-            resync_delay: Duration::from_millis(20),
-            connect_timeout: Duration::from_millis(100),
             ..StandbyConfig::default()
         },
         store,
@@ -843,53 +931,18 @@ fn standby_never_promotes_without_a_synced_checkpoint() {
 fn revived_primary_aborts_promotion_via_the_fencing_probe() {
     let (mut workload, store) = setup(84);
     let units = workload.unit_positions();
-    let clean = clean_stream(&mut workload, 200);
-    let stamped = stamp_stream(clean);
-    let dir = temp_dir("fence");
-
-    let resilience = ResilienceConfig {
-        checkpoint_every: 32,
-        state_dir: Some(dir.clone()),
-        ..ResilienceConfig::default()
-    };
-    let sink = durable_sink(&store, &units, resilience.clone());
+    let stamped = stamp_stream(clean_stream(&mut workload, 200));
+    let probes = (Duration::from_millis(300), 3);
+    let mut replicated = Replicated::start("fence", &store, &units, &stamped, None, None, probes);
+    let (primary_addr, dir) = (replicated.primary_addr, replicated.dir_primary.clone());
     let cfg = NetServerConfig {
         state_dir: Some(dir.clone()),
         ..NetServerConfig::default()
     };
-    let primary = IngestServer::spawn("127.0.0.1:0", cfg.clone(), sink).unwrap();
-    let primary_addr = primary.local_addr();
-
-    // The whole feed is durable before the standby bootstraps, so its
-    // first checkpoint sync carries everything and it settles into
-    // Following with nothing left to tail.
-    let mut client = FeedClient::new(
-        Box::new(TcpDialer::new(primary_addr)),
-        ClientConfig::default(),
-    );
-    for &report in &stamped {
-        client.enqueue(report);
-    }
-    client.drive(Duration::from_secs(30)).expect("clean links");
-    assert_eq!(client.finish().acked, 200);
-
-    let standby = StandbyServer::spawn::<OptCtup>(
-        StandbyConfig {
-            primary_ingest: primary_addr,
-            serve_addr: "127.0.0.1:0".to_string(),
-            probe_interval: Duration::from_millis(300),
-            probe_failures: 3,
-            ..StandbyConfig::default()
-        },
-        store.clone(),
-    );
-    wait_for("checkpoint sync", Duration::from_secs(10), || {
-        standby.status().phase == StandbyPhase::Following
-    });
 
     // Bounce the primary: down just long enough to lose the replication
     // connection, back up before three 300 ms probes all go dark.
-    primary.shutdown();
+    replicated.primary.take().expect("a primary").shutdown();
     let replacement = {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -919,35 +972,31 @@ fn revived_primary_aborts_promotion_via_the_fencing_probe() {
     // Give the standby a full probe cycle plus slack: it must observe the
     // loss, probe, find the primary alive, and go back to following.
     std::thread::sleep(Duration::from_millis(1_500));
-    let status = standby.status();
+    let status = replicated.standby.status();
     assert_ne!(
         status.phase,
         StandbyPhase::Promoted,
         "a live primary must fence the promotion: {status:?}"
     );
     assert_eq!(status.epoch, 1, "no epoch bump without promotion");
-    assert!(standby.promoted_addr().is_none());
-
-    standby.shutdown();
-    replacement.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(replicated.standby.promoted_addr().is_none());
+    replicated.primary = Some(replacement);
+    replicated.finish();
 }
 
-/// Epoch fencing on the replication stream itself: frames stamped with a
-/// stale epoch are rejected and counted; only current-epoch frames are
-/// applied. Driven by a hand-rolled fake primary speaking the wire
-/// protocol.
-#[test]
-fn stale_epoch_wal_frames_are_rejected_by_the_standby() {
-    let (workload, store) = setup(85);
-    let units = workload.unit_positions();
-    let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), &units).expect("clean store");
+/// A hand-rolled primary speaking the replication protocol on a loopback
+/// port: it accepts one standby, waits for its subscribe frame, ships
+/// `checkpoint` at `epoch` and then `frames`, and holds the connection open
+/// until the standby hangs up.
+fn fake_primary(
+    checkpoint: &Checkpoint,
+    epoch: u64,
+    frames: Vec<Message>,
+) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let mut body = Vec::new();
-    monitor.checkpoint().write(&mut body).expect("checkpoint");
-
+    checkpoint.write(&mut body).expect("checkpoint");
     let listener = TcpListener::bind("127.0.0.1:0").expect("fake primary");
     let addr = listener.local_addr().expect("addr");
-    const EPOCH: u64 = 5;
     let fake = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("standby dials");
         stream
@@ -968,7 +1017,7 @@ fn stale_epoch_wal_frames_are_rejected_by_the_standby() {
         }
         let mut writer = FrameWriter::new();
         writer.push(&Message::CheckpointOffer {
-            epoch: EPOCH,
+            epoch,
             slot_seq: 0,
             total_len: u64::try_from(body.len()).expect("length fits"),
         });
@@ -976,29 +1025,14 @@ fn stale_epoch_wal_frames_are_rejected_by_the_standby() {
         while offset < body.len() {
             let end = (offset + MAX_CHUNK_DATA).min(body.len());
             writer.push(&Message::CheckpointChunk {
-                epoch: EPOCH,
+                epoch,
                 offset: u64::try_from(offset).expect("offset fits"),
                 data: body[offset..end].to_vec(),
             });
             offset = end;
         }
-        // Three stale frames from "the previous epoch", two current ones.
-        for (epoch, unit, unit_seq) in [
-            (EPOCH - 1, 0u32, 7u64),
-            (EPOCH - 1, 1, 7),
-            (EPOCH - 1, 2, 7),
-            (EPOCH, 0, 1),
-            (EPOCH, 1, 1),
-        ] {
-            writer.push(&Message::WalAppend {
-                epoch,
-                unit_seq,
-                ts: unit_seq,
-                unit,
-                x: 0.5,
-                y: 0.5,
-                trace: 0,
-            });
+        for frame in &frames {
+            writer.push(frame);
         }
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -1017,18 +1051,55 @@ fn stale_epoch_wal_frames_are_rejected_by_the_standby() {
             }
         }
     });
+    (addr, fake)
+}
 
-    let standby = StandbyServer::spawn::<OptCtup>(
+/// A standby that follows `addr` with no probes during a scripted
+/// exchange.
+fn scripted_standby(addr: SocketAddr, store: Arc<dyn PlaceStore>) -> StandbyServer {
+    StandbyServer::spawn(
         StandbyConfig {
             primary_ingest: addr,
             serve_addr: "127.0.0.1:0".to_string(),
-            // No probes during the scripted exchange.
             probe_interval: Duration::from_secs(30),
             probe_failures: 100,
             ..StandbyConfig::default()
         },
         store,
-    );
+    )
+}
+
+/// Epoch fencing on the replication stream itself: frames stamped with a
+/// stale epoch are rejected and counted; only current-epoch frames are
+/// applied. Driven by a fake primary speaking the wire protocol.
+#[test]
+fn stale_epoch_wal_frames_are_rejected_by_the_standby() {
+    let (workload, store) = setup(85);
+    let units = workload.unit_positions();
+    let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), &units).expect("clean store");
+    const EPOCH: u64 = 5;
+    // Three stale frames from "the previous epoch", two current ones.
+    let frames = [
+        (EPOCH - 1, 0u32, 7u64),
+        (EPOCH - 1, 1, 7),
+        (EPOCH - 1, 2, 7),
+        (EPOCH, 0, 1),
+        (EPOCH, 1, 1),
+    ]
+    .into_iter()
+    .map(|(epoch, unit, unit_seq)| Message::WalAppend {
+        epoch,
+        unit_seq,
+        ts: unit_seq,
+        unit,
+        x: 0.5,
+        y: 0.5,
+        trace: 0,
+    })
+    .collect();
+    let (addr, fake) = fake_primary(&monitor.checkpoint(), EPOCH, frames);
+
+    let standby = scripted_standby(addr, store);
     wait_for("the scripted frames", Duration::from_secs(10), || {
         let status = standby.status();
         status.wal_applied >= 2 && status.stale_rejected >= 3
@@ -1042,6 +1113,55 @@ fn stale_epoch_wal_frames_are_rejected_by_the_standby() {
     fake.join().expect("fake primary exits cleanly");
 }
 
+/// A standby refuses a shipped checkpoint that a restart from a directory
+/// refuses, with the same error: here one whose gate state covers fewer
+/// units than its position table. It fails instead of following behind a
+/// gate of its own making.
+#[test]
+fn a_standby_refuses_a_checkpoint_that_recovery_refuses() {
+    let (workload, store) = setup(87);
+    let units = workload.unit_positions();
+    let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), &units).expect("clean store");
+    let mut checkpoint = monitor.checkpoint();
+    let unit = GateUnitState {
+        last_seq: None,
+        last_seen: 0,
+        alive: true,
+    };
+    checkpoint.gate = Some(GateState {
+        now: 0,
+        units: vec![unit; units.len() - 1],
+    });
+
+    let dir = temp_dir("refused-checkpoint");
+    DurableState::open(&dir)
+        .and_then(|mut durable| durable.checkpoint(&checkpoint))
+        .expect("a slot on disk");
+    let refused = SupervisedPipeline::recover_from_dir::<OptCtup>(
+        &dir,
+        store.clone(),
+        ResilienceConfig::default(),
+        64,
+    )
+    .expect_err("recovery refuses the slot")
+    .to_string();
+    assert!(refused.contains("gate state covers"), "{refused}");
+
+    let (addr, fake) = fake_primary(&checkpoint, 1, Vec::new());
+    let standby = scripted_standby(addr, store);
+    wait_for("the refusal", Duration::from_secs(10), || {
+        matches!(standby.status().phase, StandbyPhase::Failed(_))
+    });
+    match standby.status().phase {
+        StandbyPhase::Failed(why) => assert!(why.contains(&refused), "{why}"),
+        phase => panic!("{phase:?}"),
+    }
+    assert!(standby.promoted_addr().is_none());
+    standby.shutdown();
+    fake.join().expect("fake primary exits cleanly");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Trace ids survive standby replication and the promotion epoch bump:
 /// every live WAL frame carries its report's trace id, the standby's
 /// standby-apply spans adopt those ids unchanged, and a promoted server
@@ -1049,92 +1169,41 @@ fn stale_epoch_wal_frames_are_rejected_by_the_standby() {
 /// even for clients that never stamped an id.
 #[test]
 fn trace_ids_survive_standby_promotion_across_the_epoch_bump() {
-    use ctup::obs::{sample_trace, SpanSink, Stage};
+    use ctup::obs::{sample_trace, Stage};
     use std::collections::BTreeSet;
 
     let (mut workload, store) = setup(86);
     let units = workload.unit_positions();
-    let clean = clean_stream(&mut workload, 300);
-    let stamped = stamp_stream(clean);
-    let dir_primary = temp_dir("trace-primary");
-    let dir_standby = temp_dir("trace-standby");
-
-    let resilience = ResilienceConfig {
-        checkpoint_every: 32,
-        state_dir: Some(dir_primary.clone()),
-        ..ResilienceConfig::default()
-    };
-    let sink = durable_sink(&store, &units, resilience);
-    let cfg = NetServerConfig {
-        state_dir: Some(dir_primary.clone()),
-        epoch: 1,
-        ..NetServerConfig::default()
-    };
-    let primary = IngestServer::spawn("127.0.0.1:0", cfg, sink).unwrap();
-    let primary_addr = primary.local_addr();
-
+    let stamped = stamp_stream(clean_stream(&mut workload, 300));
     // The standby's halves of the traces — standby-apply while following,
-    // the full pipeline once promoted — land in this one sink.
+    // the full pipeline once promoted — land in this one sink. The priming
+    // batch is deliberately untraced.
     let standby_spans = Arc::new(SpanSink::new(65_536));
-    let standby_addr = reserve_addr();
-    let standby = StandbyServer::spawn::<OptCtup>(
-        StandbyConfig {
-            primary_ingest: primary_addr,
-            serve_addr: standby_addr.to_string(),
-            net: NetServerConfig {
-                spans: Some(standby_spans.clone()),
-                // Deliberately 0: promotion must force always-sample.
-                trace_sample_every: 0,
-                ..NetServerConfig::default()
-            },
-            resilience: ResilienceConfig {
-                state_dir: Some(dir_standby.clone()),
-                spans: Some(standby_spans.clone()),
-                ..ResilienceConfig::default()
-            },
-            probe_interval: Duration::from_millis(50),
-            probe_failures: 2,
-            ..StandbyConfig::default()
-        },
-        store.clone(),
+    let spans = Some(standby_spans.clone());
+    let mut replicated = Replicated::start(
+        "trace",
+        &store,
+        &units,
+        &stamped[..64],
+        None,
+        spans,
+        FAST_PROBES,
     );
-
-    // Priming batch, deliberately untraced: it only makes the primary's
-    // durable state real so the standby's checkpoint sync completes.
-    let mut client = FeedClient::new(
-        Box::new(TcpDialer::new(primary_addr)),
-        ClientConfig::default(),
-    );
-    for &report in &stamped[..64] {
-        client.enqueue(report);
-    }
-    client.drive(Duration::from_secs(30)).expect("clean links");
-    assert_eq!(client.finish().acked, 64);
-    wait_for("checkpoint sync", Duration::from_secs(10), || {
-        standby.status().phase == StandbyPhase::Following
-    });
-    let base = settled_wal_applied(&standby);
+    let base = replicated.base;
 
     // Traced live tail: these ship to the standby as WalAppend frames
     // carrying the client-minted trace ids.
     let trace_seed = 0xBB;
     let client_spans = Arc::new(SpanSink::new(4_096));
-    let mut client = FeedClient::new(
-        Box::new(TcpDialer::new(primary_addr)),
-        ClientConfig {
-            spans: Some(client_spans.clone()),
-            trace_sample_every: 1,
-            trace_seed,
-            ..ClientConfig::default()
-        },
-    );
-    for &report in &stamped[64..164] {
-        client.enqueue(report);
-    }
-    client.drive(Duration::from_secs(30)).expect("clean links");
-    assert_eq!(client.finish().acked, 100);
+    let traced = ClientConfig {
+        spans: Some(client_spans.clone()),
+        trace_sample_every: 1,
+        trace_seed,
+        ..ClientConfig::default()
+    };
+    assert_eq!(replicated.feed(traced, &stamped[64..164]).acked, 100);
     wait_for("live WAL tail", Duration::from_secs(10), || {
-        standby.status().wal_applied >= base + 100
+        replicated.standby.status().wal_applied >= base + 100
     });
 
     // While still on epoch 1, the standby recorded one standby-apply span
@@ -1156,12 +1225,8 @@ fn trace_ids_survive_standby_promotion_across_the_epoch_bump() {
 
     // Kill the primary: the promotion bumps the fencing epoch but the
     // sink — and every pre-promotion span in it — survives untouched.
-    let net = primary.shutdown();
+    let net = replicated.kill_primary();
     assert_eq!(net.reports_accepted, 164);
-    wait_for("promotion", Duration::from_secs(10), || {
-        standby.status().phase == StandbyPhase::Promoted
-    });
-    assert_eq!(standby.status().epoch, 2, "promotion must bump the epoch");
     let snap = standby_spans.snapshot();
     assert!(
         snap.spans
@@ -1177,22 +1242,11 @@ fn trace_ids_survive_standby_promotion_across_the_epoch_bump() {
     // An *untraced* client feeding the promoted server still gets traced
     // end to end: promotion forces 1-in-1 head sampling, because a
     // failover window is exactly when operators need exemplar traces.
-    let mut client = FeedClient::new(
-        Box::new(FailoverDialer::new(vec![primary_addr, standby_addr])),
-        ClientConfig::default(),
-    );
-    for &report in &stamped[164..300] {
-        client.enqueue(report);
-    }
-    client.drive(Duration::from_secs(30)).expect("walk-over");
-    assert_eq!(client.finish().acked, 136);
+    assert_eq!(replicated.walk_over(&stamped[164..300]).acked, 136);
     let snap = standby_spans.snapshot();
     assert!(
         snap.spans.iter().any(|s| s.stage == Stage::SessionAdmit),
         "promotion must force head sampling of untraced reports"
     );
-
-    standby.shutdown();
-    std::fs::remove_dir_all(&dir_primary).ok();
-    std::fs::remove_dir_all(&dir_standby).ok();
+    replicated.finish();
 }
