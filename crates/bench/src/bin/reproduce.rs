@@ -1,10 +1,13 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! reproduce [--quick] [--out FILE] [--sharded-out FILE] [--overload-out FILE] [experiment ...]
+//! reproduce [--quick] [--out FILE] [--sharded-out FILE] [--overload-out FILE]
+//!           [--failover-out FILE] [experiment ...]
 //! ```
 //!
-//! With no experiment arguments, runs everything. Experiment names:
+//! Runs the named experiments, then the bench of each output flag given.
+//! With no experiment named, an output flag runs only its own bench, and
+//! with neither names nor output flags every experiment runs. Experiment names:
 //! `table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation_purge ablation_disk
 //! shard_scaling`.
 //!
@@ -67,46 +70,26 @@ fn main() {
     } else {
         Effort::full()
     };
-    let mut out_file: Option<String> = None;
-    let mut sharded_out_file: Option<String> = None;
-    let mut overload_out_file: Option<String> = None;
-    let mut failover_out_file: Option<String> = None;
+    // The output flags, in the order their benches run.
+    const OUT_FLAGS: [&str; 4] = ["--out", "--sharded-out", "--overload-out", "--failover-out"];
+    let mut outs: [Option<String>; 4] = Default::default();
     let mut selected: Vec<&str> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => {}
-            "--out" => match iter.next() {
-                Some(path) => out_file = Some(path.clone()),
+        if let Some(slot) = OUT_FLAGS.iter().position(|flag| flag == arg) {
+            match iter.next() {
+                Some(path) => outs[slot] = Some(path.clone()),
                 None => {
-                    eprintln!("--out requires a file path");
+                    eprintln!("{arg} requires a file path");
                     std::process::exit(2);
                 }
-            },
-            "--sharded-out" => match iter.next() {
-                Some(path) => sharded_out_file = Some(path.clone()),
-                None => {
-                    eprintln!("--sharded-out requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--overload-out" => match iter.next() {
-                Some(path) => overload_out_file = Some(path.clone()),
-                None => {
-                    eprintln!("--overload-out requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--failover-out" => match iter.next() {
-                Some(path) => failover_out_file = Some(path.clone()),
-                None => {
-                    eprintln!("--failover-out requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            name => selected.push(name),
+            }
+        } else if arg != "--quick" {
+            selected.push(arg);
         }
     }
+    let any_out = outs.iter().any(Option::is_some);
+    let [out_file, sharded_out_file, overload_out_file, failover_out_file] = outs;
 
     let all: Vec<(&str, Runner)> = vec![
         ("table3", Box::new(|_| experiments::table3())),
@@ -139,7 +122,12 @@ fn main() {
         effort.updates
     );
     for (name, run) in &all {
-        if !selected.is_empty() && !selected.contains(name) {
+        let wanted = if selected.is_empty() {
+            !any_out
+        } else {
+            selected.contains(name)
+        };
+        if !wanted {
             continue;
         }
         let start = std::time::Instant::now();

@@ -326,7 +326,7 @@ pub fn snapshot_algorithms(params: &SetupParams, updates: usize) -> Vec<ctup_cor
 /// One sharded-engine configuration of the scaling experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
-    /// Worker shards.
+    /// Shards, the calling thread running one.
     pub shards: u32,
     /// Cell-read cache budget in pages (0 disables the cache).
     pub cache_pages: u64,

@@ -1,6 +1,6 @@
 //! Sharded parallel CTUP execution engine.
 //!
-//! Grid cells are partitioned across `N` worker shards by a [`ShardMap`]:
+//! Grid cells are partitioned across `N` shards by a [`ShardMap`]:
 //! contiguous Z-order rank ranges balanced by cell load, which keeps each
 //! update's touched cells on few shards. Each shard runs a full
 //! [`OptCtup`] restricted to its own cells via
@@ -29,6 +29,15 @@
 //! keeps timestamps aligned: the engine reports only after every shard
 //! has finished the batch.
 //!
+//! **Threads.** The thread that calls the engine runs shard 0 itself, and
+//! `N − 1` worker threads (`ctup-shard-1` … `ctup-shard-{N−1}`) run the
+//! rest: a batch goes to the workers, the caller applies it to shard 0,
+//! then takes the workers' replies — fork-join with the parent doing one
+//! share of the work instead of parking while the workers do all of it.
+//! A 1-shard engine runs no thread. Every shard applies a batch through
+//! the same function, and every reply, shard 0's included, goes through
+//! the same barrier step.
+//!
 //! Threading is `std::thread` + `std::sync::mpsc` only, in keeping with
 //! the workspace's zero-dependency discipline. Each shard owns an
 //! [`AtomicHistogram`] latency channel; [`ShardedCtup::latency_snapshot`]
@@ -51,7 +60,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Per-shard latency histograms, shared with the worker thread. Recorded
+/// Per-shard latency histograms, shared with the shard's thread. Recorded
 /// per update, merged into the unified snapshot on demand.
 #[derive(Debug, Default)]
 struct ShardLatency {
@@ -60,7 +69,7 @@ struct ShardLatency {
     update_access: AtomicHistogram,
 }
 
-/// Engine → shard messages.
+/// Engine → worker messages.
 enum ToShard {
     /// Process every update of the batch in order, then reply.
     Batch(Arc<Vec<LocationUpdate>>),
@@ -68,8 +77,10 @@ enum ToShard {
     Shutdown,
 }
 
-/// Shard → engine reply, sent once after construction (with
-/// `safeties_computed` set) and once per processed batch.
+/// A shard's reply, built once after construction (with
+/// `safeties_computed` set) and once per processed batch. Workers send it
+/// over the reply channel; shard 0's is handed over on the calling thread.
+#[derive(Default)]
 struct FromShard {
     shard: u32,
     /// First storage error hit, if any; the shard stops mid-batch on it.
@@ -87,9 +98,89 @@ struct FromShard {
     safeties_computed: u64,
 }
 
+/// One shard's engine: the calling thread holds shard 0's, each worker
+/// thread holds its own.
+struct Shard {
+    id: u32,
+    alg: OptCtup,
+    latency: Arc<ShardLatency>,
+}
+
+impl Shard {
+    /// The reply that announces a freshly built shard.
+    fn init_reply(&self) -> FromShard {
+        FromShard {
+            shard: self.id,
+            error: None,
+            result: Some(self.alg.result()),
+            metrics: self.alg.metrics().clone(),
+            stats: UpdateStats::default(),
+            safeties_computed: self.alg.init_stats().safeties_computed,
+        }
+    }
+
+    /// Applies a batch to this shard, in order, stopping at the first
+    /// storage error — the one way a batch is applied, on every thread.
+    fn apply(&mut self, updates: &[LocationUpdate]) -> FromShard {
+        let mut stats = UpdateStats::default();
+        let mut error = None;
+        let mut changed = false;
+        for &update in updates {
+            match self.alg.handle_update(update) {
+                Ok(s) => {
+                    self.latency.update_total.record(s.total_nanos());
+                    self.latency.update_maintain.record(s.maintain_nanos);
+                    self.latency.update_access.record(s.access_nanos);
+                    stats.maintain_nanos += s.maintain_nanos;
+                    stats.access_nanos += s.access_nanos;
+                    stats.cells_accessed += s.cells_accessed;
+                    changed |= s.result_changed;
+                }
+                Err(e) => {
+                    error = Some(e);
+                    break;
+                }
+            }
+        }
+        FromShard {
+            shard: self.id,
+            error,
+            // Unchanged local result ⇒ the coordinator's cached copy is
+            // still exact: skip the clone and signal that the merge may be
+            // skippable.
+            result: changed.then(|| self.alg.result()),
+            metrics: self.alg.metrics().clone(),
+            stats,
+            safeties_computed: 0,
+        }
+    }
+}
+
+/// A worker thread; dropping the handle shuts the worker down and joins it,
+/// which lets the batch it is running finish first.
 struct ShardHandle {
     tx: Sender<ToShard>,
     join: Option<JoinHandle<()>>,
+}
+
+impl Drop for ShardHandle {
+    fn drop(&mut self) {
+        let _ = self.tx.send(ToShard::Shutdown);
+        if let Some(join) = self.join.take() {
+            let _ = join.join();
+        }
+    }
+}
+
+/// What one barrier collected: the batch's costs (summed cells, slowest
+/// shard's phase nanos), the init safeties, whether any local result
+/// changed, and the first storage error.
+#[derive(Default)]
+struct Barrier {
+    stats: UpdateStats,
+    safeties_computed: u64,
+    changed: bool,
+    error: Option<StorageError>,
 }
 
 /// The sharded parallel CTUP engine. Implements [`CtupAlgorithm`] (one
@@ -98,8 +189,11 @@ struct ShardHandle {
 pub struct ShardedCtup {
     config: CtupConfig,
     store: Arc<dyn PlaceStore>,
-    /// The cell → shard assignment every worker filters by.
+    /// The cell → shard assignment every shard filters by.
     shards: Arc<ShardMap>,
+    /// Shard 0, run on the calling thread.
+    local: Shard,
+    /// Shards 1..N, one thread each.
     workers: Vec<ShardHandle>,
     reply_rx: Receiver<FromShard>,
     latencies: Vec<Arc<ShardLatency>>,
@@ -129,18 +223,19 @@ impl std::fmt::Debug for ShardedCtup {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCtup")
             .field("config", &self.config)
-            .field("num_shards", &self.workers.len())
+            .field("num_shards", &self.num_shards())
             .finish_non_exhaustive()
     }
 }
 
 impl ShardedCtup {
-    /// Builds the engine with `num_shards` workers over `store`, cells
+    /// Builds the engine with `num_shards` shards over `store`, cells
     /// partitioned into contiguous Z-order ranges balanced by per-cell page
-    /// load at build time ([`ShardMap::layout_ranges`]). Each worker
-    /// constructs its shard-restricted [`OptCtup`] concurrently; a storage
-    /// fault during any shard's initialization fails the whole construction
-    /// (the other workers are shut down first).
+    /// load at build time ([`ShardMap::layout_ranges`]). The calling thread
+    /// builds and later runs shard 0; `num_shards − 1` worker threads build
+    /// and run the rest, concurrently with it. A storage fault during any
+    /// shard's initialization fails the whole construction (the workers are
+    /// shut down and joined first).
     ///
     /// # Panics
     /// Panics if `num_shards` is zero, or if a worker thread cannot be
@@ -160,33 +255,30 @@ impl ShardedCtup {
         // ctup-lint: allow(L010, replies are barrier-paced: at most one FromShard per shard is in flight per batch)
         let (reply_tx, reply_rx) = std::sync::mpsc::channel::<FromShard>();
         let units: Arc<Vec<Point>> = Arc::new(initial_units.to_vec());
+        let latencies: Vec<Arc<ShardLatency>> = (0..num_shards).map(|_| Arc::default()).collect();
 
-        let mut workers = Vec::with_capacity(convert::index(num_shards));
-        let mut latencies = Vec::with_capacity(convert::index(num_shards));
-        for shard in 0..num_shards {
+        let mut workers = Vec::with_capacity(latencies.len().saturating_sub(1));
+        for shard in 1..num_shards {
             // ctup-lint: allow(L010, the coordinator sends one ToShard then blocks on the reply barrier, so depth <= 1)
             let (tx, rx) = std::sync::mpsc::channel::<ToShard>();
-            let latency = Arc::new(ShardLatency::default());
             let worker_cfg = config.clone();
             let worker_store = store.clone();
             let worker_units = units.clone();
-            let worker_latency = latency.clone();
+            let worker_latency = latencies[convert::index(shard)].clone();
             let worker_reply = reply_tx.clone();
             let worker_shards = shards.clone();
             #[allow(clippy::expect_used)]
             let join = std::thread::Builder::new()
                 .name(format!("ctup-shard-{shard}"))
                 .spawn(move || {
-                    shard_worker(
-                        shard,
-                        worker_shards,
+                    let built = OptCtup::new_with_shard_map(
                         worker_cfg,
                         worker_store,
                         &worker_units,
-                        rx,
-                        worker_reply,
-                        &worker_latency,
+                        shard,
+                        worker_shards,
                     );
+                    shard_worker(shard, built, worker_latency, &rx, &worker_reply);
                 })
                 // ctup-lint: allow(L001, thread spawn fails only on OS resource exhaustion at construction — mirrors the supervisor's spawn)
                 .expect("spawn ctup-shard worker thread");
@@ -194,13 +286,25 @@ impl ShardedCtup {
                 tx,
                 join: Some(join),
             });
-            latencies.push(latency);
         }
+        drop(reply_tx);
 
+        // A failed shard 0 returns here; dropping `workers` joins them.
+        let local = Shard {
+            id: 0,
+            alg: OptCtup::new_with_shard_map(
+                config.clone(),
+                store.clone(),
+                initial_units,
+                0,
+                shards.clone(),
+            )?,
+            latency: latencies[0].clone(),
+        };
         let mut this = ShardedCtup {
             unit_positions: initial_units.to_vec(),
-            shard_metrics: vec![Metrics::default(); convert::index(num_shards)],
-            shard_results: vec![Vec::new(); convert::index(num_shards)],
+            shard_metrics: vec![Metrics::default(); latencies.len()],
+            shard_results: vec![Vec::new(); latencies.len()],
             merge_skips: 0,
             last_result: Vec::new(),
             last_sk: None,
@@ -211,39 +315,25 @@ impl ShardedCtup {
             config,
             store,
             shards,
+            local,
             workers,
             reply_rx,
             latencies,
         };
 
         // Init barrier: one reply per shard, carrying its initial local
-        // result. A failed shard fails construction; Drop shuts the rest
-        // down.
-        let mut safeties_computed = 0u64;
-        let mut first_err = None;
-        for _ in 0..this.workers.len() {
-            let reply = this.recv_reply();
-            safeties_computed += reply.safeties_computed;
-            if let Some(e) = reply.error {
-                first_err.get_or_insert(e);
-            }
-            this.shard_metrics[convert::index(reply.shard)] = reply.metrics;
-            if let Some(result) = reply.result {
-                this.shard_results[convert::index(reply.shard)] = result;
-            }
-        }
-        if let Some(e) = first_err {
+        // result. A failed worker fails construction; dropping `this`
+        // shuts the rest down.
+        let init = this.barrier(this.local.init_reply(), None);
+        if let Some(e) = init.error {
             return Err(e);
         }
-        let merged: Vec<TopKEntry> = this.shard_results.iter().flatten().copied().collect();
-        let (result, sk) = merge_results(merged, this.config.mode);
-        this.last_result = result;
-        this.last_sk = sk;
+        this.merge();
         this.rebuild_merged_metrics();
         this.init_stats = InitStats {
             wall: start.elapsed(),
             storage: this.store.stats().snapshot().since(&io_before),
-            safeties_computed,
+            safeties_computed: init.safeties_computed,
         };
         Ok(this)
     }
@@ -264,9 +354,9 @@ impl ShardedCtup {
         Self::new(config, store, initial_units, num_shards)
     }
 
-    /// Number of worker shards.
+    /// Number of shards (the calling thread's shard 0 plus one per worker).
     pub fn num_shards(&self) -> usize {
-        self.workers.len()
+        self.workers.len() + 1
     }
 
     /// The cell → shard assignment the engine runs under (for fan-out
@@ -287,15 +377,17 @@ impl ShardedCtup {
         self.store.clone()
     }
 
-    /// Processes a batch of updates: broadcast to every shard, one barrier,
-    /// then an exact global merge. The returned [`UpdateStats`] aggregates
-    /// the batch: `cells_accessed` sums over shards, the phase nanos are
-    /// the slowest shard's (the critical path — the batch is not done
-    /// before its slowest shard is), `result_changed` compares against the
-    /// result of the previous batch.
+    /// Processes a batch of updates: send it to every worker, apply it to
+    /// shard 0 on the calling thread, one barrier, then an exact global
+    /// merge. The returned [`UpdateStats`] aggregates the batch:
+    /// `cells_accessed` sums over shards, the phase nanos are the slowest
+    /// shard's (the critical path — the batch is not done before its
+    /// slowest shard is), `result_changed` compares against the result of
+    /// the previous batch.
     ///
-    /// On a storage error the engine, like the sequential schemes, is left
-    /// mid-batch and must be discarded.
+    /// On a storage error in any shard every reply is still taken before
+    /// the error is returned; the engine, like the sequential schemes, is
+    /// left mid-batch and must be discarded.
     pub fn handle_batch(
         &mut self,
         updates: Vec<LocationUpdate>,
@@ -307,7 +399,7 @@ impl ShardedCtup {
         // id never leaks onto later untraced batches.
         let trace = std::mem::take(&mut self.trace);
         let sink = if trace != 0 { self.spans.clone() } else { None };
-        let fanout_start = sink.as_ref().map(|_| now_nanos());
+        let span = sink.as_deref().map(|s| (s, trace, now_nanos()));
         let count = convert::count64(updates.len());
         for update in &updates {
             if let Some(pos) = self.unit_positions.get_mut(update.unit.index()) {
@@ -321,44 +413,9 @@ impl ShardedCtup {
                 panic!("ctup shard worker died before the batch was sent");
             }
         }
-
-        let mut any_changed = false;
-        let mut batch_stats = UpdateStats::default();
-        let mut first_err = None;
-        for _ in 0..self.workers.len() {
-            let reply = self.recv_reply();
-            if let Some(e) = reply.error {
-                first_err.get_or_insert(e);
-            }
-            batch_stats.cells_accessed += reply.stats.cells_accessed;
-            batch_stats.maintain_nanos = batch_stats.maintain_nanos.max(reply.stats.maintain_nanos);
-            batch_stats.access_nanos = batch_stats.access_nanos.max(reply.stats.access_nanos);
-            if let (Some(s), Some(t0)) = (sink.as_deref(), fanout_start) {
-                // Per-shard illumination span: the shard's measured
-                // maintain+access window, reconstructed on the coordinator
-                // from the reply (the worker threads stay span-free). The
-                // shard index keys the span id, so the N spans of one
-                // trace stay distinct.
-                let phase = reply
-                    .stats
-                    .maintain_nanos
-                    .saturating_add(reply.stats.access_nanos);
-                s.record_stage(
-                    trace,
-                    Stage::ShardPhase,
-                    reply.shard,
-                    t0,
-                    t0.saturating_add(phase),
-                    true,
-                );
-            }
-            self.shard_metrics[convert::index(reply.shard)] = reply.metrics;
-            if let Some(result) = reply.result {
-                any_changed = true;
-                self.shard_results[convert::index(reply.shard)] = result;
-            }
-        }
-        if let Some(e) = first_err {
+        let own = self.local.apply(&batch);
+        let done = self.barrier(own, span);
+        if let Some(e) = done.error {
             return Err(e);
         }
 
@@ -366,14 +423,9 @@ impl ShardedCtup {
         // local results, so when every shard reported "unchanged" (no local
         // safety change at or below its SK view) the previous merged top-k
         // and SK are still exact — no sort, no truncate, no comparison.
-        let merge_start = sink.as_ref().map(|_| now_nanos());
-        let changed = if any_changed {
-            let merged: Vec<TopKEntry> = self.shard_results.iter().flatten().copied().collect();
-            let (result, sk) = merge_results(merged, self.config.mode);
-            let changed = result != self.last_result;
-            self.last_result = result;
-            self.last_sk = sk;
-            changed
+        let merge_start = span.map(|_| now_nanos());
+        let changed = if done.changed {
+            self.merge()
         } else {
             self.merge_skips += 1;
             false
@@ -384,11 +436,58 @@ impl ShardedCtup {
             self.metrics.result_changes += 1;
         }
         self.rebuild_merged_metrics();
+        let mut batch_stats = done.stats;
         batch_stats.result_changed = changed;
-        if let (Some(s), Some(m0)) = (sink.as_deref(), merge_start) {
+        if let (Some((s, _, _)), Some(m0)) = (span, merge_start) {
             s.record_stage(trace, Stage::Merge, 0, m0, now_nanos(), true);
         }
         Ok(batch_stats)
+    }
+
+    /// The barrier: takes shard 0's reply `own`, then one reply from every
+    /// worker, folding each into the per-shard views. With `span` set
+    /// (sink, trace, fan-out stamp) each reply also records its shard's
+    /// illumination span: the shard's measured maintain+access window,
+    /// reconstructed here from the reply (the shards stay span-free). The
+    /// shard index keys the span id, so the N spans of one trace stay
+    /// distinct.
+    fn barrier(&mut self, own: FromShard, span: Option<(&SpanSink, u64, u64)>) -> Barrier {
+        let mut done = Barrier::default();
+        let mut next = Some(own);
+        for _ in 0..self.num_shards() {
+            let reply = match next.take() {
+                Some(reply) => reply,
+                None => self.recv_reply(),
+            };
+            if let Some(e) = reply.error {
+                done.error.get_or_insert(e);
+            }
+            done.safeties_computed += reply.safeties_computed;
+            done.stats.cells_accessed += reply.stats.cells_accessed;
+            done.stats.maintain_nanos = done.stats.maintain_nanos.max(reply.stats.maintain_nanos);
+            done.stats.access_nanos = done.stats.access_nanos.max(reply.stats.access_nanos);
+            if let Some((sink, trace, t0)) = span {
+                let end = t0.saturating_add(reply.stats.total_nanos());
+                sink.record_stage(trace, Stage::ShardPhase, reply.shard, t0, end, true);
+            }
+            self.shard_metrics[convert::index(reply.shard)] = reply.metrics;
+            if let Some(result) = reply.result {
+                done.changed = true;
+                self.shard_results[convert::index(reply.shard)] = result;
+            }
+        }
+        done
+    }
+
+    /// Re-merges the per-shard results into the global result and `SK`;
+    /// returns whether the result changed.
+    fn merge(&mut self) -> bool {
+        let merged: Vec<TopKEntry> = self.shard_results.iter().flatten().copied().collect();
+        let (result, sk) = merge_results(merged, self.config.mode);
+        let changed = result != self.last_result;
+        self.last_result = result;
+        self.last_sk = sk;
+        changed
     }
 
     /// The per-shard latency histograms merged into one view, with the
@@ -416,7 +515,7 @@ impl ShardedCtup {
         snap
     }
 
-    /// Receives one shard reply; a closed channel means every worker died
+    /// Receives one worker reply; a closed channel means every worker died
     /// without replying, which only a worker panic can cause.
     fn recv_reply(&self) -> FromShard {
         match self.reply_rx.recv() {
@@ -449,19 +548,6 @@ impl ShardedCtup {
         self.metrics.access_nanos = sum(|m| m.access_nanos);
         self.metrics.dechash_len = sum(|m| m.dechash_len);
         self.metrics.set_maintained(sum(|m| m.maintained_now));
-    }
-}
-
-impl Drop for ShardedCtup {
-    fn drop(&mut self) {
-        for worker in &self.workers {
-            let _ = worker.tx.send(ToShard::Shutdown);
-        }
-        for worker in &mut self.workers {
-            if let Some(join) = worker.join.take() {
-                let _ = join.join();
-            }
-        }
     }
 }
 
@@ -548,86 +634,32 @@ fn merge_results(mut merged: Vec<TopKEntry>, mode: QueryMode) -> (Vec<TopKEntry>
     }
 }
 
-/// The worker loop: builds the shard-restricted `OptCtup`, replies with
-/// the initial local state, then serves batches until shutdown.
-#[allow(clippy::too_many_arguments)]
+/// A worker's loop: replies with its built shard's initial state (or its
+/// init error), then serves batches until shutdown.
 fn shard_worker(
-    shard: u32,
-    shards: Arc<ShardMap>,
-    config: CtupConfig,
-    store: Arc<dyn PlaceStore>,
-    units: &[Point],
-    rx: Receiver<ToShard>,
-    tx: Sender<FromShard>,
-    latency: &ShardLatency,
+    id: u32,
+    built: Result<OptCtup, StorageError>,
+    latency: Arc<ShardLatency>,
+    rx: &Receiver<ToShard>,
+    tx: &Sender<FromShard>,
 ) {
-    let mut alg = match OptCtup::new_with_shard_map(config, store, units, shard, shards) {
-        Ok(alg) => {
-            let init = FromShard {
-                shard,
-                error: None,
-                result: Some(alg.result()),
-                metrics: alg.metrics().clone(),
-                stats: UpdateStats::default(),
-                safeties_computed: alg.init_stats().safeties_computed,
-            };
-            if tx.send(init).is_err() {
-                return; // engine dropped mid-construction
-            }
-            alg
-        }
+    let mut shard = match built {
+        Ok(alg) => Shard { id, alg, latency },
         Err(e) => {
             let _ = tx.send(FromShard {
-                shard,
+                shard: id,
                 error: Some(e),
-                result: None,
-                metrics: Metrics::default(),
-                stats: UpdateStats::default(),
-                safeties_computed: 0,
+                ..FromShard::default()
             });
             return;
         }
     };
-
-    loop {
-        match rx.recv() {
-            Ok(ToShard::Batch(updates)) => {
-                let mut stats = UpdateStats::default();
-                let mut error = None;
-                let mut changed = false;
-                for &update in updates.iter() {
-                    match alg.handle_update(update) {
-                        Ok(s) => {
-                            latency.update_total.record(s.total_nanos());
-                            latency.update_maintain.record(s.maintain_nanos);
-                            latency.update_access.record(s.access_nanos);
-                            stats.maintain_nanos += s.maintain_nanos;
-                            stats.access_nanos += s.access_nanos;
-                            stats.cells_accessed += s.cells_accessed;
-                            changed |= s.result_changed;
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
-                    }
-                }
-                let reply = FromShard {
-                    shard,
-                    error,
-                    // Unchanged local result ⇒ the coordinator's cached
-                    // copy is still exact: skip the clone and signal that
-                    // the merge may be skippable.
-                    result: if changed { Some(alg.result()) } else { None },
-                    metrics: alg.metrics().clone(),
-                    stats,
-                    safeties_computed: 0,
-                };
-                if tx.send(reply).is_err() {
-                    return; // engine dropped mid-batch
-                }
-            }
-            Ok(ToShard::Shutdown) | Err(_) => return,
+    if tx.send(shard.init_reply()).is_err() {
+        return; // engine dropped mid-construction
+    }
+    while let Ok(ToShard::Batch(updates)) = rx.recv() {
+        if tx.send(shard.apply(&updates)).is_err() {
+            return; // engine dropped mid-batch
         }
     }
 }
@@ -734,6 +766,8 @@ mod tests {
             let mut seq = OptCtup::new(config.clone(), fresh_store(), &positions).expect("init");
             let mut sharded =
                 ShardedCtup::new(config, fresh_store(), &positions, num_shards).expect("init");
+            // The calling thread runs shard 0: N shards spawn N − 1 workers.
+            assert_eq!(sharded.workers.len(), convert::index(num_shards) - 1);
             assert_equivalent(&seq, &sharded, num_shards, "init");
             for update in updates(STEPS, seed + u64::from(num_shards)) {
                 seq.handle_update(update).expect("seq update");

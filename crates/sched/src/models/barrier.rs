@@ -1,12 +1,13 @@
 //! Model of the shard batch barrier (`core::parallel::ShardedCtup`).
 //!
-//! The real engine broadcasts a batch to every shard worker, then the
-//! coordinator blocks on one reply per shard before merging the
-//! per-shard top-k candidates — the barrier is what makes the sharded
-//! result equal the sequential one. The `MergeEarly` mutant merges as
-//! soon as the *first* shard replies, which is only wrong in schedules
-//! where the other shard is still mid-batch — exactly the kind of bug
-//! one lucky real-thread run never sees.
+//! The real engine sends a batch to its worker shards, applies it to
+//! shard 0 on the calling thread, then blocks on one reply per worker
+//! before merging the per-shard top-k candidates — the barrier is what
+//! makes the sharded result equal the sequential one. Here the `caller`
+//! thread processes shard 0's items and `shard-1` is the one worker. The
+//! `MergeEarly` mutant merges as soon as the caller's own shard is done,
+//! which is only wrong in schedules where the worker is still mid-batch —
+//! exactly the kind of bug one lucky real-thread run never sees.
 
 use crate::{Model, Step};
 
@@ -16,7 +17,7 @@ pub struct BarrierWorld {
     /// Per-shard accumulated result (sum stands in for the top-k fold).
     pub shard_sum: [u64; 2],
     pub shard_done: [bool; 2],
-    /// The coordinator's merged result, once merged.
+    /// The caller's merged result, once merged.
     pub merged: Option<u64>,
 }
 
@@ -25,17 +26,13 @@ pub struct BarrierWorld {
 pub enum BarrierMutation {
     /// The shipped barrier: merge only after every shard replied.
     Correct,
-    /// Merge as soon as any one shard has replied.
+    /// Merge as soon as the caller's own shard is done.
     MergeEarly,
 }
 
 /// The batch: items pre-partitioned to the two shards (index % 2, as in
 /// the real cell partitioning).
 const SHARD_ITEMS: [[u64; 2]; 2] = [[1, 3], [5, 7]];
-
-fn sequential_expected() -> u64 {
-    SHARD_ITEMS.iter().flatten().sum()
-}
 
 /// Builds the barrier model under `m`.
 pub fn model(m: BarrierMutation) -> Model<BarrierWorld> {
@@ -53,22 +50,25 @@ pub fn model(m: BarrierMutation) -> Model<BarrierWorld> {
         }
     };
 
-    let coordinator = move |w: &mut BarrierWorld| -> Step {
-        let ready = match m {
-            BarrierMutation::Correct => w.shard_done.iter().all(|&d| d),
-            BarrierMutation::MergeEarly => w.shard_done.iter().any(|&d| d),
-        };
-        if !ready {
-            return Step::Blocked;
+    let caller = {
+        let mut own = shard(0);
+        move |w: &mut BarrierWorld| -> Step {
+            // Shard 0's items first; each of those calls mutates the world.
+            if !w.shard_done[0] {
+                own(w);
+                return Step::Ran;
+            }
+            if m == BarrierMutation::Correct && !w.shard_done[1] {
+                return Step::Blocked;
+            }
+            w.merged = Some(w.shard_sum.iter().sum());
+            Step::Done
         }
-        w.merged = Some(w.shard_sum.iter().sum());
-        Step::Done
     };
 
     Model::new(BarrierWorld::default())
-        .thread("shard-0", shard(0))
+        .thread("caller", caller)
         .thread("shard-1", shard(1))
-        .thread("coordinator", coordinator)
         .invariant("merge-only-after-barrier", |w: &BarrierWorld| {
             if w.merged.is_some() && !w.shard_done.iter().all(|&d| d) {
                 Err("merged while a shard was still processing its batch".into())
@@ -77,7 +77,7 @@ pub fn model(m: BarrierMutation) -> Model<BarrierWorld> {
             }
         })
         .final_check("merged-equals-sequential", |w: &BarrierWorld| {
-            let expect = sequential_expected();
+            let expect: u64 = SHARD_ITEMS.iter().flatten().sum();
             match w.merged {
                 Some(got) if got == expect => Ok(()),
                 Some(got) => Err(format!("merged {got} != sequential {expect}")),

@@ -28,9 +28,13 @@ use ctup::core::metrics::ResilienceStats;
 use ctup::core::types::{LocationUpdate, TopKEntry, UnitId};
 use ctup::core::{OptCtup, Oracle, ShardedCtup};
 use ctup::mogen::{FaultPlan, PlaceGenConfig, SeededRng, Workload, WorkloadParams};
-use ctup::spatial::{Grid, Point};
-use ctup::storage::{CachedStore, CellLocalStore, PlaceStore};
-use std::sync::Arc;
+use ctup::spatial::{CellId, Grid, Point};
+use ctup::storage::{
+    CachedStore, CellLocalStore, PlaceRecord, PlaceStore, StorageError, StorageStats,
+};
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const NUM_UNITS: u32 = 20;
 const RADIUS: f64 = 0.1;
@@ -334,4 +338,85 @@ fn cache_consults_equal_uncached_lower_level_reads() {
     // Only misses reach the lower level.
     assert_eq!(cached.cell_reads, cached.cache_misses);
     assert!(cached.pages_read <= uncached.pages_read);
+}
+
+/// The fault [`FaultyCells`] serves; its page number marks it as this test's.
+const FAULT: StorageError = StorageError::Io {
+    page: 0xFA17,
+    attempts: 1,
+};
+
+/// Fails every read of the cells in `faulty`. The set starts empty, so the
+/// engine initializes over clean reads, and is filled in once it is built.
+struct FaultyCells {
+    inner: Arc<dyn PlaceStore>,
+    faulty: Mutex<Vec<CellId>>,
+}
+
+impl PlaceStore for FaultyCells {
+    fn grid(&self) -> &Grid {
+        self.inner.grid()
+    }
+    fn num_places(&self) -> usize {
+        self.inner.num_places()
+    }
+    fn read_cell(&self, cell: CellId) -> Result<Cow<'_, [PlaceRecord]>, StorageError> {
+        if self.faulty.lock().expect("fault lock").contains(&cell) {
+            return Err(FAULT);
+        }
+        self.inner.read_cell(cell)
+    }
+    fn cell_extent_margin(&self, cell: CellId) -> f64 {
+        self.inner.cell_extent_margin(cell)
+    }
+    fn cell_pages(&self, cell: CellId) -> u64 {
+        self.inner.cell_pages(cell)
+    }
+    fn stats(&self) -> &StorageStats {
+        self.inner.stats()
+    }
+    fn for_each_place(&self, f: &mut dyn FnMut(&PlaceRecord)) -> Result<(), StorageError> {
+        self.inner.for_each_place(f)
+    }
+}
+
+/// A storage fault in either shard — shard 0 on the calling thread or
+/// shard 1 on its worker — fails the batch with that fault, and the
+/// engine can still be dropped: every worker is shut down and joined.
+#[test]
+fn a_storage_fault_on_either_shard_fails_the_batch_and_drop_returns() {
+    for shard in [0u32, 1] {
+        let (mut workload, base) = setup(0xFA17 + u64::from(shard));
+        let units = workload.unit_positions();
+        let store = Arc::new(FaultyCells {
+            inner: base,
+            faulty: Mutex::new(Vec::new()),
+        });
+        let mut sharded =
+            ShardedCtup::new(CtupConfig::with_k(K), store.clone(), &units, 2).expect("clean store");
+        let map = sharded.shard_map();
+        *store.faulty.lock().expect("fault lock") = store
+            .grid()
+            .cells()
+            .filter(|&c| map.owns(shard, c))
+            .collect();
+        let error = updates_from(&mut workload, STEPS)
+            .chunks(8)
+            .find_map(|batch| sharded.handle_batch(batch.to_vec()).err());
+        assert_eq!(
+            error,
+            Some(FAULT),
+            "shard {shard}: the fault must fail a batch"
+        );
+
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(sharded);
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
+            "shard {shard}: dropping the failed engine did not return"
+        );
+    }
 }
