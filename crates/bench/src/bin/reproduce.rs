@@ -30,6 +30,11 @@
 //! primary kills absorbed by warm-standby promotion — and writes per-trial
 //! outage durations for both recovery levels as JSON.
 
+// Library lint policy, DESIGN.md §10: every suppression is a reasoned
+// `#[expect]`; the `deny` list below holds outside test code.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use ctup_bench::experiments::{self, Effort, Table};
 use ctup_bench::harness::{
     shard_scaling_matrix, snapshot_algorithms, snapshot_sharded, SetupParams,

@@ -4,6 +4,10 @@
 //! builds the workload, runs the algorithms, and returns rows the
 //! `reproduce` binary prints.
 
+// Library lint policy, DESIGN.md §10: every suppression is a reasoned
+// `#[expect]`; the `deny` list below holds outside test code.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,6 +1,11 @@
 //! `ctup` — command-line front-end for Continuous Top-k Unsafe Places
 //! monitoring. See `ctup help` / [`args::usage`].
 
+// Library lint policy, DESIGN.md §10: every suppression is a reasoned
+// `#[expect]`; the `deny` list below holds outside test code.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 mod args;
 mod commands;
 mod trace;

@@ -198,10 +198,13 @@ impl BasicCtup {
                 continue;
             }
             let lb = self.lb.get(cell);
+            #[expect(
+                clippy::panic,
+                reason = "the invariant checker is an assertion harness — an unreadable cell must fail the calling test"
+            )]
             let records = self
                 .store
                 .read_cell(cell)
-                // ctup-lint: allow(L001, the invariant checker is an assertion harness — an unreadable cell must fail the calling test)
                 .unwrap_or_else(|e| panic!("invariant check could not read {cell:?}: {e}"));
             for record in records.iter() {
                 let truth = self.units.safety(record);

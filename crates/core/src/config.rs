@@ -88,8 +88,11 @@ impl CtupConfig {
     /// # Panics
     /// Panics on non-positive radius, `TopK(0)`, or negative `Δ`.
     pub fn validate(&self) {
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` wrapper over the fallible check() — construction-time misconfiguration is a programming error"
+        )]
         if let Err(message) = self.check() {
-            // ctup-lint: allow(L001, documented `# Panics` wrapper over the fallible check() — construction-time misconfiguration is a programming error)
             panic!("{message}");
         }
     }

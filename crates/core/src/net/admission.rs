@@ -162,19 +162,19 @@ impl AdmissionQueue {
         let mut state = self.lock();
         let depth = state.items.len();
         if depth >= self.config.queue_capacity {
-            // ctup-lint: allow(L008, shedding is only written under the queue mutex; the unlock publishes it)
+            // Relaxed: shedding is only written under the queue mutex; the unlock publishes it
             self.shedding.store(true, Ordering::Relaxed);
             return Err(ShedReason::QueueFull);
         }
-        // ctup-lint: allow(L008, read under the queue mutex, so this sees every write made by prior admits)
+        // Relaxed: read under the queue mutex, so this sees every write made by prior admits
         if self.shedding.load(Ordering::Relaxed) {
             if depth > self.config.low_watermark {
                 return Err(ShedReason::QueueFull);
             }
-            // ctup-lint: allow(L008, shedding is only written under the queue mutex; the unlock publishes it)
+            // Relaxed: shedding is only written under the queue mutex; the unlock publishes it
             self.shedding.store(false, Ordering::Relaxed);
         } else if depth >= self.config.high_watermark {
-            // ctup-lint: allow(L008, shedding is only written under the queue mutex; the unlock publishes it)
+            // Relaxed: shedding is only written under the queue mutex; the unlock publishes it
             self.shedding.store(true, Ordering::Relaxed);
             return Err(ShedReason::QueueFull);
         }
@@ -229,7 +229,7 @@ impl AdmissionQueue {
 
     /// Whether the hysteresis is currently in the shed state.
     pub fn is_shedding(&self) -> bool {
-        // ctup-lint: allow(L008, advisory lock-free peek for metrics; admits re-check under the mutex)
+        // Relaxed: advisory lock-free peek for metrics; admits re-check under the mutex
         self.shedding.load(Ordering::Relaxed)
     }
 }

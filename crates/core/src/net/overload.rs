@@ -32,14 +32,14 @@ pub struct CountingSink {
 impl CountingSink {
     /// Reports accepted so far.
     pub fn accepted(&self) -> u64 {
-        // ctup-lint: allow(L008, monotone test-support counter; readers only compare totals after joins)
+        // Relaxed: monotone test-support counter; readers only compare totals after joins
         self.accepted.load(Ordering::Relaxed)
     }
 }
 
 impl EngineSink for CountingSink {
     fn try_ingest(&self, _report: TracedReport) -> Result<(), SinkError> {
-        // ctup-lint: allow(L008, monotone test-support counter; no other state is published through it)
+        // Relaxed: monotone test-support counter; no other state is published through it
         self.accepted.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

@@ -358,7 +358,7 @@ impl ReplicationHub {
     fn ship(&self, msg: &Message) {
         let subs = self.lock_subs();
         for sub in subs.iter() {
-            // ctup-lint: allow(L008, one-way overflow latch; the serving thread re-reads it every tick)
+            // Relaxed: one-way overflow latch; the serving thread re-reads it every tick
             if sub.overflowed.load(Ordering::Relaxed) {
                 continue;
             }
@@ -367,7 +367,7 @@ impl ReplicationHub {
                 Err(poisoned) => poisoned.into_inner(),
             };
             if queue.len() >= REPLICATION_OUTBOX_CAP {
-                // ctup-lint: allow(L008, one-way overflow latch; ordering against the clear is irrelevant, the sub is cut off either way)
+                // Relaxed: one-way overflow latch; ordering against the clear is irrelevant, the sub is cut off either way
                 sub.overflowed.store(true, Ordering::Relaxed);
                 queue.clear();
             } else {
@@ -406,7 +406,7 @@ struct Shared {
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
-            // ctup-lint: allow(L008, diagnostic snapshot; a stale value only mislabels a debug dump)
+            // Relaxed: diagnostic snapshot; a stale value only mislabels a debug dump
             .field("degraded", &self.degraded.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -424,7 +424,7 @@ impl Shared {
     }
 
     fn set_degraded(&self, on: bool) {
-        // ctup-lint: allow(L008, degraded gates best-effort shedding only; no data is published through it)
+        // Relaxed: degraded gates best-effort shedding only; no data is published through it
         let was = self.degraded.swap(on, Ordering::Relaxed);
         self.stats.degraded.store(on, Ordering::Relaxed);
         if on && !was {
@@ -533,7 +533,7 @@ impl IngestServer {
 
     /// Whether the watchdog currently has the server degraded.
     pub fn degraded(&self) -> bool {
-        // ctup-lint: allow(L008, observer peek at a best-effort flag; callers tolerate one-tick staleness)
+        // Relaxed: observer peek at a best-effort flag; callers tolerate one-tick staleness
         self.shared.degraded.load(Ordering::Relaxed)
     }
 
@@ -998,7 +998,7 @@ fn serve_replication(
             send_bye(&mut stream, &mut writer, ByeReason::Shutdown);
             break;
         }
-        // ctup-lint: allow(L008, one-way overflow latch; a stale false costs one extra drain pass)
+        // Relaxed: one-way overflow latch; a stale false costs one extra drain pass
         if sub.overflowed.load(Ordering::Relaxed) {
             shared
                 .stats
@@ -1044,7 +1044,10 @@ fn serve_replication(
 /// trace id the client stamped on the frame (0 for v1 clients and
 /// unsampled reports); an untraced fresh report may still be head-sampled
 /// here at the server's own rate.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the per-report context of one connection, passed by reference on the hot path"
+)]
 fn handle_report(
     shared: &Arc<Shared>,
     session: u64,
@@ -1079,7 +1082,7 @@ fn handle_report(
             );
         }
         ReportClass::Fresh => {
-            // ctup-lint: allow(L008, best-effort shed gate; a stale read admits or sheds one extra report)
+            // Relaxed: best-effort shed gate; a stale read admits or sheds one extra report
             if shared.degraded.load(Ordering::Relaxed) {
                 shed_at_door(
                     shared,
@@ -1258,7 +1261,7 @@ fn pump_loop(shared: &Arc<Shared>) {
             // (a kill right after the last report's journal write), the
             // door would keep claiming health over a top-k that misses
             // those reports.
-            // ctup-lint: allow(L008, one-way latch; a stale false costs one extra probe pass)
+            // Relaxed: one-way latch; a stale false costs one extra probe pass
             if !shared.engine_dead.load(Ordering::Relaxed) && shared.sink.dead() {
                 engine_died(shared, &mut inflight);
             }
@@ -1269,7 +1272,7 @@ fn pump_loop(shared: &Arc<Shared>) {
             pump_shed(shared, &item, ShedReason::DeadlineExceeded);
             continue;
         }
-        // ctup-lint: allow(L008, one-way latch; a stale false costs one extra try_ingest which re-reports Dead)
+        // Relaxed: one-way latch; a stale false costs one extra try_ingest which re-reports Dead
         if shared.engine_dead.load(Ordering::Relaxed) {
             pump_shed(shared, &item, ShedReason::EngineDegraded);
             continue;
@@ -1356,7 +1359,7 @@ fn drain_acks(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>
             shared.stats.ingest_wait_nanos.record(wait);
             shared.stats.record_exemplar(wait, item.trace);
             shared.registry.drained(item.session, item.seq);
-            // ctup-lint: allow(L008, monotone liveness counter; the watchdog only compares snapshots)
+            // Relaxed: monotone liveness counter; the watchdog only compares snapshots
             shared.progress.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1367,7 +1370,7 @@ fn drain_acks(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>
 /// of the tail with `EngineDegraded`. A dead engine's mark has stopped, so
 /// acked is then exactly what the journal holds.
 fn engine_died(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>) {
-    // ctup-lint: allow(L008, one-way latch; readers act on it eventually, nothing is gated on order)
+    // Relaxed: one-way latch; readers act on it eventually, nothing is gated on order
     shared.engine_dead.store(true, Ordering::Relaxed);
     shared.set_degraded(true);
     drain_acks(shared, inflight);
@@ -1386,7 +1389,7 @@ fn shed_items(shared: &Arc<Shared>, items: Vec<QueuedReport>) {
 /// in-flight tail at shutdown, then sheds whatever is left.
 fn finish_inflight(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>) {
     let deadline = Instant::now() + Duration::from_secs(5);
-    // ctup-lint: allow(L008, one-way latch; a stale read costs one extra wait tick)
+    // Relaxed: one-way latch; a stale read costs one extra wait tick
     while !shared.engine_dead.load(Ordering::Relaxed)
         && !inflight.is_empty()
         && Instant::now() < deadline
@@ -1437,7 +1440,7 @@ fn pump_shed(shared: &Arc<Shared>, item: &QueuedReport, reason: ShedReason) {
             );
         }
     }
-    // ctup-lint: allow(L008, monotone liveness counter; the watchdog only compares snapshots)
+    // Relaxed: monotone liveness counter; the watchdog only compares snapshots
     shared.progress.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -1445,7 +1448,7 @@ fn pump_shed(shared: &Arc<Shared>, item: &QueuedReport, reason: ShedReason) {
 fn watchdog_loop(shared: &Arc<Shared>) {
     let tick = shared.config.watchdog_tick.max(Duration::from_millis(1));
     let push_every = shared.config.snapshot_push_interval;
-    // ctup-lint: allow(L008, monotone liveness counter; the watchdog only compares snapshots)
+    // Relaxed: monotone liveness counter; the watchdog only compares snapshots
     let mut last_progress = shared.progress.load(Ordering::Relaxed);
     let mut progress_moved_at = Instant::now();
     let mut last_push = Instant::now();
@@ -1456,17 +1459,17 @@ fn watchdog_loop(shared: &Arc<Shared>) {
         std::thread::sleep(tick);
 
         // Track pump progress.
-        // ctup-lint: allow(L008, monotone liveness counter; a missed tick just delays the stall verdict)
+        // Relaxed: monotone liveness counter; a missed tick just delays the stall verdict
         let progress = shared.progress.load(Ordering::Relaxed);
         if progress != last_progress {
             last_progress = progress;
             progress_moved_at = Instant::now();
         }
 
-        // ctup-lint: allow(L008, one-way latch; the watchdog re-reads it every tick)
+        // Relaxed: one-way latch; the watchdog re-reads it every tick
         let engine_dead = shared.engine_dead.load(Ordering::Relaxed);
         let depth = shared.queue.depth();
-        // ctup-lint: allow(L008, degraded transitions are decided between the watchdog and the pump, both of which re-read every pass)
+        // Relaxed: degraded transitions are decided between the watchdog and the pump, both of which re-read every pass
         let degraded = shared.degraded.load(Ordering::Relaxed);
         if engine_dead {
             shared.set_degraded(true);
@@ -1523,7 +1526,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 };
                 guard.iter().map(|e| (e.place.0, e.safety)).collect()
             };
-            // ctup-lint: allow(L008, the degraded label on a snapshot is advisory)
+            // Relaxed: the degraded label on a snapshot is advisory
             let now_degraded = shared.degraded.load(Ordering::Relaxed);
             shared.registry.push_snapshot_all(now_degraded, &entries);
         }

@@ -9,8 +9,7 @@
 //! reports_accepted + replays_suppressed + shed_total() == reports received
 //! ```
 //!
-//! This module is on the lint L008 counters allowlist: the counters are
-//! monotone (`fetch_add`) and the gauges (`queue_depth`,
+//! The counters are monotone (`fetch_add`) and the gauges (`queue_depth`,
 //! `sessions_active`, `degraded_since_ms`, `epoch`, `degraded`) are
 //! advisory snapshots, so `Relaxed` is sufficient — nothing reads a
 //! counter to decide control flow, and no other memory is published

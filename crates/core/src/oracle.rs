@@ -36,6 +36,10 @@ impl Oracle {
     }
 
     /// Exact safety of one place given all unit positions.
+    #[expect(
+        clippy::cast_possible_wrap,
+        reason = "a unit count is far below i64::MAX"
+    )]
     pub fn safety_of(&self, place: &Place, units: &[Point], radius: f64) -> Safety {
         let ap = units
             .iter()
@@ -109,11 +113,14 @@ impl Oracle {
         );
         // Each reported entry must carry the true safety of that place.
         for entry in got {
+            #[expect(
+                clippy::panic,
+                reason = "the oracle is an assertion harness — a reported place missing from the data set must fail the calling test"
+            )]
             let place = self
                 .places
                 .iter()
                 .find(|p| p.id == entry.place)
-                // ctup-lint: allow(L001, the oracle is an assertion harness — a reported place missing from the data set must fail the calling test)
                 .unwrap_or_else(|| panic!("{:?} reported but not in data set", entry.place));
             let truth = self.safety_of(place, units, radius);
             assert_eq!(

@@ -252,14 +252,14 @@ impl ShardedCtup {
         }));
         let start = Instant::now();
         let io_before = store.stats().snapshot();
-        // ctup-lint: allow(L010, replies are barrier-paced: at most one FromShard per shard is in flight per batch)
+        // Unbounded: replies are barrier-paced, at most one FromShard per shard is in flight per batch
         let (reply_tx, reply_rx) = std::sync::mpsc::channel::<FromShard>();
         let units: Arc<Vec<Point>> = Arc::new(initial_units.to_vec());
         let latencies: Vec<Arc<ShardLatency>> = (0..num_shards).map(|_| Arc::default()).collect();
 
         let mut workers = Vec::with_capacity(latencies.len().saturating_sub(1));
         for shard in 1..num_shards {
-            // ctup-lint: allow(L010, the coordinator sends one ToShard then blocks on the reply barrier, so depth <= 1)
+            // Unbounded: the coordinator sends one ToShard then blocks on the reply barrier, so depth <= 1
             let (tx, rx) = std::sync::mpsc::channel::<ToShard>();
             let worker_cfg = config.clone();
             let worker_store = store.clone();
@@ -267,7 +267,10 @@ impl ShardedCtup {
             let worker_latency = latencies[convert::index(shard)].clone();
             let worker_reply = reply_tx.clone();
             let worker_shards = shards.clone();
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "thread spawn fails only on OS resource exhaustion at construction — mirrors the supervisor's spawn"
+            )]
             let join = std::thread::Builder::new()
                 .name(format!("ctup-shard-{shard}"))
                 .spawn(move || {
@@ -280,7 +283,6 @@ impl ShardedCtup {
                     );
                     shard_worker(shard, built, worker_latency, &rx, &worker_reply);
                 })
-                // ctup-lint: allow(L001, thread spawn fails only on OS resource exhaustion at construction — mirrors the supervisor's spawn)
                 .expect("spawn ctup-shard worker thread");
             workers.push(ShardHandle {
                 tx,
@@ -408,8 +410,11 @@ impl ShardedCtup {
         }
         let batch = Arc::new(updates);
         for worker in &self.workers {
+            #[expect(
+                clippy::panic,
+                reason = "a shard death is a worker panic — propagating it trips the supervisor boundary exactly like a sequential worker panic"
+            )]
             if worker.tx.send(ToShard::Batch(batch.clone())).is_err() {
-                // ctup-lint: allow(L001, a shard death is a worker panic — propagating it trips the supervisor boundary exactly like a sequential worker panic)
                 panic!("ctup shard worker died before the batch was sent");
             }
         }
@@ -520,7 +525,10 @@ impl ShardedCtup {
     fn recv_reply(&self) -> FromShard {
         match self.reply_rx.recv() {
             Ok(reply) => reply,
-            // ctup-lint: allow(L001, a closed reply channel is a shard panic — propagate it like any worker panic, to the supervisor boundary)
+            #[expect(
+                clippy::panic,
+                reason = "a closed reply channel is a shard panic — propagate it like any worker panic, to the supervisor boundary"
+            )]
             Err(_) => panic!("ctup shard worker died without replying"),
         }
     }

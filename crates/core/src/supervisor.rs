@@ -399,7 +399,10 @@ impl SupervisedPipeline {
         let image = DurableImage::with_gate(restart.clone(), gate);
         let apply_line = Arc::clone(&durable);
         let apply_config = config.clone();
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawn fails only on OS resource exhaustion at construction — there is no monitor to degrade to yet"
+        )]
         let applier = std::thread::Builder::new()
             .name("ctup-apply".into())
             .spawn(move || {
@@ -412,10 +415,12 @@ impl SupervisedPipeline {
                     &apply_line,
                 )
             })
-            // ctup-lint: allow(L001, thread spawn fails only on OS resource exhaustion at construction — there is no monitor to degrade to yet)
             .expect("spawn ctup-apply thread");
         let commit_line = Arc::clone(&durable);
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawn fails only on OS resource exhaustion at construction — there is no monitor to degrade to yet"
+        )]
         let worker = std::thread::Builder::new()
             .name("ctup-supervisor".into())
             .spawn(move || {
@@ -441,7 +446,6 @@ impl SupervisedPipeline {
                 report.reports_received = committed.reports_received;
                 report
             })
-            // ctup-lint: allow(L001, thread spawn fails only on OS resource exhaustion at construction — there is no monitor to degrade to yet)
             .expect("spawn ctup-supervisor thread");
         SupervisedPipeline {
             reports_tx: Some(reports_tx),
@@ -643,7 +647,7 @@ fn commit(
     let mut durable = None;
     if let Some(dir) = config.state_dir.as_deref() {
         let opened = line.write_access().map(|_writes| {
-            // ctup-lint: allow(L007, the lock orders these writes before the apply stage's last ones; that stage takes it only to stop)
+            // Disk writes under the lock: it orders them before the apply stage's last ones; that stage takes it only to stop
             let mut d = DurableState::open(dir)?;
             d.checkpoint(&image.slot()).map(|()| d)
         });
@@ -736,7 +740,7 @@ fn commit(
                 // apply stage. Traced reports share the group's wal-append span.
                 let traced = |a: &&Admitted| a.apply_start.is_some();
                 let wal_start = group.iter().any(|a| traced(&a)).then(now_nanos);
-                // ctup-lint: allow(L007, the lock orders this write before the apply stage's last ones; that stage takes it only to stop)
+                // A disk write under the lock: it orders it before the apply stage's last ones; that stage takes it only to stop
                 let appended = d.append_all(&records);
                 if let (Some(s), Some(w0)) = (spans, wal_start) {
                     let w1 = now_nanos();
@@ -881,8 +885,11 @@ where
                     }
                     let t0 = sink.map(|_| now_nanos());
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        #[expect(
+                            clippy::panic,
+                            reason = "deliberate fault injection — this panic exists to exercise the catch_unwind/recovery path around it"
+                        )]
                         if inject {
-                            // ctup-lint: allow(L001, deliberate fault injection — this panic exists to exercise the catch_unwind/recovery path around it)
                             panic!("injected fault at effective update {eff_seq}");
                         }
                         server.ingest(update)

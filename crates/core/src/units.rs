@@ -154,6 +154,10 @@ impl UnitTable {
         }
         let near = &self.near;
         out.extend(records.iter().zip(counts.iter()).map(|(place, &count)| {
+            #[expect(
+                clippy::cast_possible_wrap,
+                reason = "a unit count is far below i64::MAX"
+            )]
             let ap = match place.extent {
                 None => count as Safety,
                 // The same two tests `ap` makes: within the radius of `pos`,

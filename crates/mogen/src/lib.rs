@@ -19,6 +19,10 @@
 //!
 //! Everything is deterministic given a seed.
 
+// Library lint policy, DESIGN.md §10: every suppression is a reasoned
+// `#[expect]`; the `deny` list below holds outside test code.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

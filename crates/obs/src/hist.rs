@@ -19,13 +19,13 @@
 //!
 //! # Memory ordering
 //!
-//! This module is on the lint L008 counters allowlist: every atomic here
-//! is a monotone count (`fetch_add`) or a monotone bound (`fetch_min` /
-//! `fetch_max`), read only to render advisory snapshots. `Relaxed` is
-//! sufficient because no other memory is published through these cells —
-//! a reader that misses the latest increment renders a slightly stale
-//! histogram, never a torn or inconsistent one — and per-cell
-//! modification order still guarantees each counter is non-decreasing.
+//! Every atomic here is a monotone count (`fetch_add`) or a monotone
+//! bound (`fetch_min` / `fetch_max`), read only to render advisory
+//! snapshots. `Relaxed` is sufficient because no other memory is
+//! published through these cells — a reader that misses the latest
+//! increment renders a slightly stale histogram, never a torn or
+//! inconsistent one — and per-cell modification order still guarantees
+//! each counter is non-decreasing.
 //!
 //! The exact minimum and maximum are tracked alongside the buckets, so
 //! `quantile(0.0)` / `quantile(1.0)` are exact and interior quantiles are

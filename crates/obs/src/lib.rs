@@ -19,8 +19,22 @@
 //! * [`http`] — a tiny std-`TcpListener` responder serving the Prometheus
 //!   exposition text at `/metrics` during a run.
 //!
-//! The crate is panic-free library code (lint L001 applies) and depends
+//! The crate is panic-free library code (the crate root denies clippy's panic lints) and depends
 //! on nothing outside `std`.
+
+// Library lint policy, DESIGN.md §10: every suppression is a reasoned
+// `#[expect]`; the `deny` list below holds outside test code.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
 
 pub mod hist;
 pub mod http;

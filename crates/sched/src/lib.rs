@@ -48,6 +48,11 @@
 //! Executable models of the real protocols live in [`models`], each with
 //! a seeded-mutant variant proving its checker is not vacuous.
 
+// Library lint policy, DESIGN.md §10: every suppression is a reasoned
+// `#[expect]`; the `deny` list below holds outside test code.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod models;
 
 /// What one virtual-thread step did. See the crate docs for the contract

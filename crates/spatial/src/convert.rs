@@ -5,10 +5,11 @@
 //! between those spaces wraps silently on overflow and corrupts an id into
 //! a *different valid id* — the worst possible failure mode for a spatial
 //! index. Every narrowing or widening conversion therefore goes through
-//! one of these helpers (enforced by `cargo xtask lint` rule L003): they
-//! are loss-free in every reachable configuration, saturate instead of
-//! wrapping if an unreachable one is ever reached, and flag it loudly in
-//! debug builds.
+//! one of these helpers (the crate root denies clippy's lossy-cast lints;
+//! a lossless widening `as` passes them, so the widening half is a
+//! convention): they are loss-free in every reachable configuration,
+//! saturate instead of wrapping if an unreachable one is ever reached,
+//! and flag it loudly in debug builds.
 
 /// Widens a `u32` id into a `usize` vector index.
 ///
@@ -55,6 +56,11 @@ pub fn nanos64(nanos: u128) -> u64 {
 /// point maps to a boundary cell.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the single blessed float→id truncation site, range-guarded below"
+)]
 pub fn grid_coord(coord: f64, max_index: u32) -> u32 {
     if !matches!(coord.partial_cmp(&0.0), Some(std::cmp::Ordering::Greater)) {
         return 0; // NaN or non-positive
@@ -64,7 +70,7 @@ pub fn grid_coord(coord: f64, max_index: u32) -> u32 {
     }
     // In (0, max_index) by the guards above, so the truncation is exact for
     // floored inputs and in-range for all others.
-    coord as u32 // ctup-lint: allow(L003, the single blessed float→id truncation site, range-guarded above)
+    coord as u32
 }
 
 #[cfg(test)]

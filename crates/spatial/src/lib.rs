@@ -5,6 +5,22 @@
 //! Everything here is independent of the CTUP algorithms and reusable for
 //! other continuous spatial queries.
 
+// Library lint policy, DESIGN.md §10: every suppression is a reasoned
+// `#[expect]`; the `deny` list below holds outside test code.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

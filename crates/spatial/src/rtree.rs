@@ -166,6 +166,10 @@ impl<T> Node<T> {
         for (i, c) in children.iter().enumerate() {
             let area = c.bbox.area();
             let enl = c.bbox.union(rect).area() - area;
+            #[expect(
+                clippy::float_cmp,
+                reason = "an exact tie in enlargement falls through to the area test; a near-tie picking either child is equally valid"
+            )]
             if enl < best_enl || (enl == best_enl && area < best_area) {
                 best = i;
                 best_enl = enl;
@@ -277,7 +281,8 @@ impl<T> RTree<T> {
         // Tile into vertical slabs of ~sqrt(n / MAX) columns.
         let leaf_count = len.div_ceil(MAX_ENTRIES);
         // Ceiling integer square root: the float round-trip would be a
-        // truncating cast (lint L003) and is inexact above 2^53 anyway.
+        // truncating cast (`clippy::cast_possible_truncation`) and is
+        // inexact above 2^53 anyway.
         let mut slabs = leaf_count.isqrt();
         if slabs * slabs < leaf_count {
             slabs += 1;

@@ -76,11 +76,13 @@ impl<U: Copy + PartialEq> UnitGridIndex<U> {
         let to = self.grid.cell_of(new);
         if from == to {
             let bucket = &mut self.buckets[from.index()];
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "documented `# Panics` contract — the caller promises the unit is indexed at `old`, same as the assert! on the cross-cell path below"
+            )]
             let slot = bucket
                 .iter_mut()
                 .find(|(u, _)| *u == id)
-                // ctup-lint: allow(L001, documented `# Panics` contract — the caller promises the unit is indexed at `old`, same as the assert! on the cross-cell path below)
                 .expect("relocate: unit not found in old cell");
             slot.1 = new;
         } else {

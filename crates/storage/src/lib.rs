@@ -21,6 +21,19 @@
 //! rot surface as typed [`StorageError`]s instead of silently wrong
 //! records.
 
+// Library lint policy, DESIGN.md §10: every suppression is a reasoned
+// `#[expect]`; the `deny` list below holds outside test code.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -5,10 +5,9 @@
 //! often reads had to be retried, abandoned, or rejected as corrupt.
 //! Counters use atomics because reads go through `&self`.
 //!
-//! This module is on the lint L008 counters allowlist: every atomic is a
-//! monotone `fetch_add` counter whose value is only ever rendered in
-//! reports or compared across a whole run at quiescence, so `Relaxed`
-//! suffices — no other memory is published through these cells.
+//! Every atomic is a monotone `fetch_add` counter whose value is only
+//! ever rendered in reports or compared across a whole run at
+//! quiescence, so `Relaxed` suffices — no other memory is published through these cells.
 
 use ctup_obs::{AtomicHistogram, LogHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -9,7 +9,7 @@
 //! are edited by hand both ways. A crate with no entry fails too. A tree
 //! without the file (the fixture trees) has no budget.
 
-use crate::rules::{RuleSink, Violation};
+use crate::rules::Violation;
 use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -57,9 +57,9 @@ fn crate_root(rel: &str) -> String {
 }
 
 /// Runs L011 over the scanned `files`.
-pub fn check(root: &Path, files: &BTreeMap<String, Rc<SourceFile>>, sink: &mut RuleSink) {
-    let fail = |sink: &mut RuleSink, line: usize, message: String| {
-        sink.violations.push(Violation {
+pub fn check(root: &Path, files: &BTreeMap<String, Rc<SourceFile>>, sink: &mut Vec<Violation>) {
+    let fail = |sink: &mut Vec<Violation>, line: usize, message: String| {
+        sink.push(Violation {
             rule: "L011",
             file: BUDGET_FILE.to_string(),
             line,

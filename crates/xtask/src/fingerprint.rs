@@ -10,7 +10,7 @@
 //! the lint.
 
 use crate::lexer::TokenKind;
-use crate::rules::{RuleSink, Violation};
+use crate::rules::Violation;
 use crate::source::SourceFile;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -253,10 +253,10 @@ pub fn check(
     root: &Path,
     lookup: &dyn Fn(&str) -> Option<Rc<SourceFile>>,
     update: bool,
-    sink: &mut RuleSink,
+    sink: &mut Vec<Violation>,
 ) {
-    let fail = |sink: &mut RuleSink, file: &str, line: usize, message: String| {
-        sink.violations.push(Violation {
+    let fail = |sink: &mut Vec<Violation>, file: &str, line: usize, message: String| {
+        sink.push(Violation {
             rule: "L005",
             file: file.to_string(),
             line,

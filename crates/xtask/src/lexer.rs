@@ -3,8 +3,7 @@
 //! The workspace bans external dependencies in the linter (it must build
 //! standalone, offline), so instead of `syn` we tokenize by hand. The rules
 //! only need token kinds, token text and line numbers; they never need a
-//! full syntax tree. Comments are captured separately so suppression
-//! directives (`// ctup-lint: allow(...)`) can be recovered.
+//! full syntax tree, and comments are skipped.
 
 /// Kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,25 +34,6 @@ pub struct Token {
     pub text: String,
     /// 1-based line the token starts on.
     pub line: usize,
-}
-
-/// A `//` comment with its 1-based line (block comments are discarded —
-/// suppressions are line comments by definition).
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// Comment text including the leading `//`.
-    pub text: String,
-    /// 1-based line of the comment.
-    pub line: usize,
-}
-
-/// Output of [`lex`]: the token stream plus all line comments.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// All non-comment tokens in source order.
-    pub tokens: Vec<Token>,
-    /// All line comments in source order.
-    pub comments: Vec<Comment>,
 }
 
 /// Multi-character operators, longest first so greedy matching works.
@@ -113,14 +93,14 @@ impl<'a> Cursor<'a> {
 /// Tokenizes `src`. Unterminated constructs (strings, block comments) are
 /// tolerated: lexing always reaches the end of input — a linter must not
 /// give up on a file humans are still editing.
-pub fn lex(src: &str) -> Lexed {
+pub fn lex(src: &str) -> Vec<Token> {
     let mut cur = Cursor {
         src,
         bytes: src.as_bytes(),
         pos: 0,
         line: 1,
     };
-    let mut out = Lexed::default();
+    let mut tokens = Vec::new();
 
     'outer: while let Some(c) = cur.peek() {
         // Whitespace.
@@ -131,18 +111,9 @@ pub fn lex(src: &str) -> Lexed {
 
         // Line comments (covers `///` and `//!` doc comments too).
         if cur.starts_with("//") {
-            let line = cur.line;
-            let start = cur.pos;
-            while let Some(c) = cur.peek() {
-                if c == '\n' {
-                    break;
-                }
+            while cur.peek().is_some_and(|c| c != '\n') {
                 cur.bump();
             }
-            out.comments.push(Comment {
-                text: src[start..cur.pos].to_string(),
-                line,
-            });
             continue;
         }
 
@@ -185,7 +156,7 @@ pub fn lex(src: &str) -> Lexed {
                 && matches!(after, Some('"') | Some('#'));
             let is_byte_char = ident == "b" && after == Some('\'');
             if is_string_prefix && consume_maybe_raw_string(&mut cur, end) {
-                out.tokens.push(Token {
+                tokens.push(Token {
                     kind: TokenKind::Str,
                     text: src[start..cur.pos].to_string(),
                     line,
@@ -195,7 +166,7 @@ pub fn lex(src: &str) -> Lexed {
             if is_byte_char {
                 cur.advance(end - cur.pos); // the `b`; cursor now at `'`
                 consume_char_literal(&mut cur);
-                out.tokens.push(Token {
+                tokens.push(Token {
                     kind: TokenKind::Char,
                     text: src[start..cur.pos].to_string(),
                     line,
@@ -204,7 +175,7 @@ pub fn lex(src: &str) -> Lexed {
             }
             // Plain identifier / keyword.
             cur.advance(end - cur.pos);
-            out.tokens.push(Token {
+            tokens.push(Token {
                 kind: TokenKind::Ident,
                 text: ident.to_string(),
                 line,
@@ -216,7 +187,7 @@ pub fn lex(src: &str) -> Lexed {
         if c == '"' {
             cur.bump();
             consume_until_quote(&mut cur, '"');
-            out.tokens.push(Token {
+            tokens.push(Token {
                 kind: TokenKind::Str,
                 text: src[start..cur.pos].to_string(),
                 line,
@@ -236,7 +207,7 @@ pub fn lex(src: &str) -> Lexed {
             };
             if is_char {
                 consume_char_literal(&mut cur);
-                out.tokens.push(Token {
+                tokens.push(Token {
                     kind: TokenKind::Char,
                     text: src[start..cur.pos].to_string(),
                     line,
@@ -250,7 +221,7 @@ pub fn lex(src: &str) -> Lexed {
                         break;
                     }
                 }
-                out.tokens.push(Token {
+                tokens.push(Token {
                     kind: TokenKind::Lifetime,
                     text: src[start..cur.pos].to_string(),
                     line,
@@ -262,7 +233,7 @@ pub fn lex(src: &str) -> Lexed {
         // Numbers.
         if c.is_ascii_digit() {
             let kind = consume_number(&mut cur);
-            out.tokens.push(Token {
+            tokens.push(Token {
                 kind,
                 text: src[start..cur.pos].to_string(),
                 line,
@@ -274,7 +245,7 @@ pub fn lex(src: &str) -> Lexed {
         for op in OPERATORS {
             if cur.starts_with(op) {
                 cur.advance(op.len());
-                out.tokens.push(Token {
+                tokens.push(Token {
                     kind: TokenKind::Punct,
                     text: (*op).to_string(),
                     line,
@@ -285,14 +256,14 @@ pub fn lex(src: &str) -> Lexed {
 
         // Single punctuation character.
         cur.bump();
-        out.tokens.push(Token {
+        tokens.push(Token {
             kind: TokenKind::Punct,
             text: c.to_string(),
             line,
         });
     }
 
-    out
+    tokens
 }
 
 /// Consumes a (raw) string starting at the prefix end `ident_end`; returns
@@ -420,11 +391,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokenKind, String)> {
-        lex(src)
-            .tokens
-            .into_iter()
-            .map(|t| (t.kind, t.text))
-            .collect()
+        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
@@ -464,38 +431,36 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_captured_not_tokenized() {
-        let lexed = lex("a // ctup-lint: allow(L001, test)\nb /* x == y */ c");
-        let texts: Vec<&str> = lexed.tokens.iter().map(|t| t.text.as_str()).collect();
+    fn comments_are_not_tokenized() {
+        let tokens = lex("a // x == y\nb /* x == y */ c");
+        let texts: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts, ["a", "b", "c"]);
-        assert_eq!(lexed.comments.len(), 1);
-        assert_eq!(lexed.comments[0].line, 1);
-        assert!(lexed.comments[0].text.contains("ctup-lint"));
+        assert_eq!(tokens[1].line, 2);
     }
 
     #[test]
     fn nested_block_comments() {
-        let lexed = lex("a /* outer /* inner */ still comment */ b");
-        let texts: Vec<&str> = lexed.tokens.iter().map(|t| t.text.as_str()).collect();
+        let tokens = lex("a /* outer /* inner */ still comment */ b");
+        let texts: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts, ["a", "b"]);
     }
 
     #[test]
     fn line_numbers() {
-        let lexed = lex("a\nb\n\nc");
-        let lines: Vec<usize> = lexed.tokens.iter().map(|t| t.line).collect();
+        let tokens = lex("a\nb\n\nc");
+        let lines: Vec<usize> = tokens.iter().map(|t| t.line).collect();
         assert_eq!(lines, [1, 2, 4]);
     }
 
     #[test]
     fn operator_inside_string_is_not_a_token() {
-        let lexed = lex(r#"let s = "x == y"; s"#);
-        assert!(!lexed.tokens.iter().any(|t| t.text == "=="));
+        let tokens = lex(r#"let s = "x == y"; s"#);
+        assert!(!tokens.iter().any(|t| t.text == "=="));
     }
 
     #[test]
     fn unterminated_string_reaches_eof() {
-        let lexed = lex("let s = \"never closed\nmore");
-        assert!(!lexed.tokens.is_empty());
+        let tokens = lex("let s = \"never closed\nmore");
+        assert!(!tokens.is_empty());
     }
 }

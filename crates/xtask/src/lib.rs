@@ -1,18 +1,23 @@
 //! `cargo xtask` — workspace automation for the CTUP monitor.
 //!
-//! Subcommands: `lint`, a dependency-free static-analysis pass enforcing
-//! the domain invariants generic tooling cannot (see [`rules`] for the
-//! registry, DESIGN.md §10 for the rationale); `promcheck` and
-//! `flightcheck`, CI validators for the Prometheus exposition and the
-//! crash dump (see [`obscheck`]). The engine is a library so
-//! the rules can be exercised against fixture trees in integration tests.
-//! The lint also holds the tree to its line budget ([`budget`]).
+//! Subcommands: `lint`, a dependency-free pass over the tree that checks
+//! what rustc and clippy cannot (see [`rules`] for the registry, DESIGN.md
+//! §10 for the rationale): report coverage of every metrics field (L004),
+//! checkpoint-format fingerprints (L005, [`fingerprint`]) and the line
+//! budget (L011, [`budget`]); `promcheck`, `flightcheck` and `healthcheck`,
+//! CI validators for the Prometheus exposition, the crash dump and the
+//! `/healthz` body (see [`obscheck`]); `spancheck` for span dumps
+//! ([`spancheck`]). The engine is a library so the rules can be exercised
+//! against fixture trees in integration tests.
+
+// Library lint policy, DESIGN.md §10: every suppression is a reasoned
+// `#[expect]`; the `deny` list below holds outside test code.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod budget;
-pub mod concurrency;
 pub mod fingerprint;
 pub mod flatjson;
-pub mod json;
 pub mod lexer;
 pub mod obscheck;
 pub mod rules;
@@ -20,7 +25,7 @@ pub mod source;
 pub mod spancheck;
 
 use fingerprint::FingerprintConfig;
-use rules::{MetricsCoverage, RuleSink, Violation};
+use rules::{MetricsCoverage, Violation};
 use source::SourceFile;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -62,7 +67,7 @@ impl LintReport {
 
 /// Collects the relative paths of every `.rs` file under the workspace
 /// source roots: `src/` and `crates/*/src/`. Integration-test, bench and
-/// example trees are intentionally not scanned — the rules govern library
+/// example trees are intentionally not scanned — the budget counts library
 /// code, and test files are classified by path anyway.
 fn collect_sources(root: &Path) -> std::io::Result<Vec<String>> {
     let mut files = Vec::new();
@@ -135,54 +140,15 @@ pub fn run_lint(
             .or_else(|| source::load(root, rel).ok().map(Rc::new))
     };
 
-    let mut sink = RuleSink::default();
-    for file in files.values() {
-        rules::check_panics(file, &mut sink);
-        rules::check_float_eq(file, &mut sink);
-        rules::check_casts(file, &mut sink);
-    }
-    // L006–L010 are whole-program (the lock-order graph spans crates), so
-    // they run over the full tree at once rather than per file.
-    concurrency::check_all(&files, &mut sink);
+    let mut violations = Vec::new();
     for cfg in &config.metrics {
-        rules::check_metrics_coverage(cfg, &lookup, &mut sink);
+        rules::check_metrics_coverage(cfg, &lookup, &mut violations);
     }
     if let Some(cfg) = &config.fingerprints {
-        fingerprint::check(cfg, root, &lookup, update_fingerprints, &mut sink);
+        fingerprint::check(cfg, root, &lookup, update_fingerprints, &mut violations);
     }
-    budget::check(root, &files, &mut sink);
+    budget::check(root, &files, &mut violations);
 
-    // L000: malformed directives, plus suppressions that never fired.
-    for file in files.values() {
-        for bad in &file.bad_directives {
-            sink.violations.push(Violation {
-                rule: "L000",
-                file: file.rel_path.clone(),
-                line: bad.line,
-                message: bad.message.clone(),
-            });
-        }
-        for sup in &file.suppressions {
-            let fired = sink
-                .fired
-                .iter()
-                .any(|f| f.file == file.rel_path && f.line == sup.line);
-            if !fired {
-                sink.violations.push(Violation {
-                    rule: "L000",
-                    file: file.rel_path.clone(),
-                    line: sup.line,
-                    message: format!(
-                        "suppression `allow({}, …)` never fired — remove it or move it next \
-                         to the code it excuses",
-                        sup.rule
-                    ),
-                });
-            }
-        }
-    }
-
-    let mut violations = sink.violations;
     violations
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(LintReport {

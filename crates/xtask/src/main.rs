@@ -1,8 +1,7 @@
 //! `cargo xtask` entry point.
 //!
 //! ```text
-//! cargo xtask lint                         # human-readable report, exit 1 on violations
-//! cargo xtask lint --json                  # machine-readable report on stdout
+//! cargo xtask lint                         # report, exit 1 on violations
 //! cargo xtask lint --update-fingerprints   # re-record lint/fingerprints.toml
 //! cargo xtask lint --root <dir>            # lint a different tree (tests, CI)
 //! cargo xtask promcheck [FILE]             # validate a Prometheus exposition (stdin default)
@@ -11,23 +10,30 @@
 //! cargo xtask spancheck FILE               # validate a causal span JSONL dump
 //! ```
 
+// Library lint policy, DESIGN.md §10: every suppression is a reasoned
+// `#[expect]`; the `deny` list below holds outside test code.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use std::io::Read;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use xtask::obscheck::{self, Problem};
 
 fn usage() -> &'static str {
     "xtask — workspace automation
 
 USAGE:
-    cargo xtask lint [--json] [--update-fingerprints] [--root <dir>]
+    cargo xtask lint [--update-fingerprints] [--root <dir>]
     cargo xtask promcheck [FILE]
     cargo xtask flightcheck FILE
     cargo xtask healthcheck [FILE]
     cargo xtask spancheck FILE
 
-The lint subcommand runs the CTUP domain-invariant checker (rules
-L000–L005, see DESIGN.md §10; concurrency rules L006–L010, see
-DESIGN.md §15; the line budget L011 over lint/budget.toml). promcheck validates a Prometheus text
+The lint subcommand checks what rustc and clippy cannot (DESIGN.md §10):
+every metrics field reported (L004), checkpoint-format fingerprints
+against lint/fingerprints.toml (L005) and the line budget in
+lint/budget.toml (L011). promcheck validates a Prometheus text
 exposition (from `ctup run --format prom` or a `/metrics` scrape;
 reads stdin when FILE is omitted). flightcheck validates a crash
 dump (`flight-recorder.jsonl`): one terminal outcome line. healthcheck
@@ -40,123 +46,48 @@ stages all covered. Exit codes: 0 clean, 1 violations, 2 usage or
 I/O error."
 }
 
-/// `promcheck [FILE]` — stdin when no file is given.
-fn promcheck(file: Option<&String>) -> ExitCode {
-    let text = match file {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("promcheck: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        },
+/// Reads `file`, or stdin when it is `None`.
+fn read_input(file: Option<&String>) -> Result<String, String> {
+    match file {
+        Some(path) => std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}")),
         None => {
-            let mut buf = String::new();
-            if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
-                eprintln!("promcheck: stdin: {e}");
-                return ExitCode::from(2);
-            }
-            buf
-        }
-    };
-    let problems = xtask::obscheck::check_prom(&text);
-    if problems.is_empty() {
-        println!("promcheck: well-formed exposition");
-        ExitCode::SUCCESS
-    } else {
-        for p in &problems {
-            eprintln!("promcheck: {p}");
-        }
-        ExitCode::from(1)
-    }
-}
-
-/// `healthcheck [FILE]` — stdin when no file is given.
-fn healthcheck(file: Option<&String>) -> ExitCode {
-    let text = match file {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("healthcheck: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => {
-            let mut buf = String::new();
-            if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
-                eprintln!("healthcheck: stdin: {e}");
-                return ExitCode::from(2);
-            }
-            buf
-        }
-    };
-    match xtask::obscheck::check_health(&text) {
-        Ok(summary) => {
-            println!(
-                "healthcheck: status {:?}, degraded {}, {} session(s), queue depth {}, \
-                 {} failover(s), epoch {}, build {}",
-                summary.status,
-                summary.degraded,
-                summary.sessions,
-                summary.queue_depth,
-                summary.failovers,
-                summary.epoch,
-                summary.build
-            );
-            ExitCode::SUCCESS
-        }
-        Err(problems) => {
-            for p in &problems {
-                eprintln!("healthcheck: {p}");
-            }
-            ExitCode::from(1)
+            let mut text = String::new();
+            std::io::stdin()
+                .read_to_string(&mut text)
+                .map_err(|e| format!("stdin: {e}"))?;
+            Ok(text)
         }
     }
 }
 
-/// `spancheck FILE`.
-fn spancheck(file: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
+/// Runs one validator subcommand: reads FILE (stdin unless
+/// `needs_file`), then prints the summary and exits 0, or prints each
+/// problem and exits 1. A missing FILE or an unreadable input exits 2.
+fn validate(
+    cmd: &str,
+    file: Option<&String>,
+    needs_file: bool,
+    check: impl Fn(&str) -> Result<String, Vec<Problem>>,
+) -> ExitCode {
+    if needs_file && file.is_none() {
+        eprintln!("{cmd} requires a file\n\n{}", usage());
+        return ExitCode::from(2);
+    }
+    let text = match read_input(file) {
+        Ok(text) => text,
         Err(e) => {
-            eprintln!("spancheck: {file}: {e}");
+            eprintln!("{cmd}: {e}");
             return ExitCode::from(2);
         }
     };
-    match xtask::spancheck::check_spans(&text) {
+    match check(&text) {
         Ok(summary) => {
-            println!(
-                "spancheck: {} span(s) across {} trace(s), {} complete chain(s)",
-                summary.spans, summary.traces, summary.complete_chains
-            );
+            println!("{cmd}: {summary}");
             ExitCode::SUCCESS
         }
         Err(problems) => {
             for p in &problems {
-                eprintln!("spancheck: {p}");
-            }
-            ExitCode::from(1)
-        }
-    }
-}
-
-/// `flightcheck FILE`.
-fn flightcheck(file: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("flightcheck: {file}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match xtask::obscheck::check_flight(&text) {
-        Ok(summary) => {
-            println!("flightcheck: {} at seq {}", summary.outcome, summary.seq);
-            ExitCode::SUCCESS
-        }
-        Err(problems) => {
-            for p in &problems {
-                eprintln!("flightcheck: {p}");
+                eprintln!("{cmd}: {p}");
             }
             ExitCode::from(1)
         }
@@ -171,41 +102,54 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     match cmd.as_str() {
-        "lint" => {}
-        "promcheck" => return promcheck(iter.next()),
-        "healthcheck" => return healthcheck(iter.next()),
-        "flightcheck" => match iter.next() {
-            Some(file) => return flightcheck(file),
-            None => {
-                eprintln!("flightcheck requires a file\n\n{}", usage());
-                return ExitCode::from(2);
+        "lint" => lint(iter),
+        "promcheck" => validate(cmd, iter.next(), false, |text| {
+            let problems = obscheck::check_prom(text);
+            if problems.is_empty() {
+                Ok("well-formed exposition".into())
+            } else {
+                Err(problems)
             }
-        },
-        "spancheck" => match iter.next() {
-            Some(file) => return spancheck(file),
-            None => {
-                eprintln!("spancheck requires a file\n\n{}", usage());
-                return ExitCode::from(2);
-            }
-        },
+        }),
+        "healthcheck" => validate(cmd, iter.next(), false, |text| {
+            obscheck::check_health(text).map(|s| {
+                format!(
+                    "status {:?}, degraded {}, {} session(s), queue depth {}, \
+                     {} failover(s), epoch {}, build {}",
+                    s.status, s.degraded, s.sessions, s.queue_depth, s.failovers, s.epoch, s.build
+                )
+            })
+        }),
+        "flightcheck" => validate(cmd, iter.next(), true, |text| {
+            obscheck::check_flight(text).map(|s| format!("{} at seq {}", s.outcome, s.seq))
+        }),
+        "spancheck" => validate(cmd, iter.next(), true, |text| {
+            xtask::spancheck::check_spans(text).map(|s| {
+                format!(
+                    "{} span(s) across {} trace(s), {} complete chain(s)",
+                    s.spans, s.traces, s.complete_chains
+                )
+            })
+        }),
         other => {
             eprintln!("unknown subcommand {other:?}\n\n{}", usage());
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
     }
+}
 
-    let mut json = false;
+/// `lint [--update-fingerprints] [--root <dir>]`.
+fn lint<'a>(mut args: impl Iterator<Item = &'a String>) -> ExitCode {
     let mut update = false;
     // Default root: the workspace containing this crate; the alias in
     // .cargo/config.toml may invoke us from any subdirectory.
     let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     root.pop();
     root.pop();
-    while let Some(arg) = iter.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--update-fingerprints" => update = true,
-            "--root" => match iter.next() {
+            "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => {
                     eprintln!("--root requires a directory\n\n{}", usage());
@@ -227,33 +171,25 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if json {
-        print!("{}", xtask::json::render(&report));
-    } else {
-        for v in &report.violations {
-            println!("{} {}:{} {}", v.rule, v.file, v.line, v.message);
-        }
-        if update {
-            println!("fingerprints re-recorded in lint/fingerprints.toml");
-        }
-        if report.clean() {
-            println!(
-                "xtask lint: clean ({} files, {} rules)",
-                report.files_checked,
-                xtask::rules::RULES.len()
-            );
-        } else {
-            println!(
-                "xtask lint: {} violation(s) in {} files",
-                report.violations.len(),
-                report.files_checked
-            );
-        }
+    for v in &report.violations {
+        println!("{} {}:{} {}", v.rule, v.file, v.line, v.message);
+    }
+    if update {
+        println!("fingerprints re-recorded in lint/fingerprints.toml");
     }
     if report.clean() {
+        println!(
+            "xtask lint: clean ({} files, {} rules)",
+            report.files_checked,
+            xtask::rules::RULES.len()
+        );
         ExitCode::SUCCESS
     } else {
+        println!(
+            "xtask lint: {} violation(s) in {} files",
+            report.violations.len(),
+            report.files_checked
+        );
         ExitCode::from(1)
     }
 }

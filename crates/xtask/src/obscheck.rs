@@ -94,8 +94,10 @@ fn base_name<'a>(name: &'a str, types: &HashMap<String, String>) -> &'a str {
 pub fn check_prom(text: &str) -> Vec<Problem> {
     let mut problems = Vec::new();
     let mut types: HashMap<String, String> = HashMap::new();
-    // (base, labels-without-le) -> ordered (le, cumulative count, line)
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "(base, labels-without-le) -> ordered (le, cumulative count, line)"
+    )]
     let mut buckets: BTreeMap<(String, String), Vec<(String, f64, usize)>> = BTreeMap::new();
     let mut counts: HashMap<(String, String), f64> = HashMap::new();
     let mut samples = 0usize;

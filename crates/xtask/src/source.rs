@@ -1,39 +1,13 @@
-//! Per-file analysis context: tokens, test regions and suppressions.
+//! Per-file analysis context: tokens and test regions.
 //!
-//! Rules see a [`SourceFile`] and ask two questions per token: "is this
-//! inside test code?" and, for a candidate violation, "is it suppressed?".
-//! Test code is anything under a `#[test]` / `#[cfg(test)]`-style attribute
-//! (plus whole files in `tests/`, `benches/` or `examples/` directories).
-//! Suppressions are line comments of the form
-//! `// ctup-lint: allow(L001, reason for the exception)`.
+//! Rules see a [`SourceFile`] and ask one question per token: "is this
+//! inside test code?" Test code is anything under a `#[test]` /
+//! `#[cfg(test)]`-style attribute (plus whole files in `tests/`,
+//! `benches/` or `examples/` directories).
 
-use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
+use crate::lexer::{lex, Token, TokenKind};
 use std::ops::Range;
 use std::path::Path;
-
-/// A parsed suppression directive.
-#[derive(Debug, Clone)]
-pub struct Suppression {
-    /// Rule id being allowed, e.g. `L001`.
-    pub rule: String,
-    /// The mandatory justification text.
-    pub reason: String,
-    /// Line of the comment itself.
-    pub line: usize,
-    /// Lines the suppression covers: the comment's own line plus the next
-    /// line carrying any token (so a directive can sit above its target).
-    pub covered: Vec<usize>,
-}
-
-/// A malformed `ctup-lint` directive — reported instead of silently ignored,
-/// so a typo cannot accidentally disable a real suppression.
-#[derive(Debug, Clone)]
-pub struct BadDirective {
-    /// What is wrong with it.
-    pub message: String,
-    /// Line of the comment.
-    pub line: usize,
-}
 
 /// One workspace source file, lexed and annotated.
 #[derive(Debug)]
@@ -42,53 +16,33 @@ pub struct SourceFile {
     pub rel_path: String,
     /// Token stream.
     pub tokens: Vec<Token>,
-    /// Line comments.
-    pub comments: Vec<Comment>,
-    /// True when the entire file is test/bench/example code.
-    pub all_test: bool,
     /// Token-index ranges (into `tokens`) that belong to test items.
     pub test_regions: Vec<Range<usize>>,
-    /// Parsed suppression directives.
-    pub suppressions: Vec<Suppression>,
-    /// Malformed directives.
-    pub bad_directives: Vec<BadDirective>,
 }
 
 impl SourceFile {
     /// Lexes and annotates `src` for the file at `rel_path`.
     pub fn parse(rel_path: &str, src: &str) -> SourceFile {
-        let Lexed { tokens, comments } = lex(src);
-        let all_test = path_is_test(rel_path);
-        // A single region spanning the whole file: every token is test code.
-        #[allow(clippy::single_range_in_vec_init)]
-        let test_regions = if all_test {
+        let tokens = lex(src);
+        #[expect(
+            clippy::single_range_in_vec_init,
+            reason = "a single region spanning the whole file: every token is test code"
+        )]
+        let test_regions = if path_is_test(rel_path) {
             vec![0..tokens.len()]
         } else {
             find_test_regions(&tokens)
         };
-        let (suppressions, bad_directives) = parse_directives(&comments, &tokens);
         SourceFile {
             rel_path: rel_path.to_string(),
             tokens,
-            comments,
-            all_test,
             test_regions,
-            suppressions,
-            bad_directives,
         }
     }
 
     /// Whether the token at `idx` lies inside test code.
     pub fn in_test(&self, idx: usize) -> bool {
         self.test_regions.iter().any(|r| r.contains(&idx))
-    }
-
-    /// Whether a violation of `rule` on `line` is covered by a suppression.
-    /// Returns the suppression's reason when it is.
-    pub fn suppressed(&self, rule: &str, line: usize) -> Option<&Suppression> {
-        self.suppressions
-            .iter()
-            .find(|s| s.rule == rule && s.covered.contains(&line))
     }
 }
 
@@ -192,72 +146,6 @@ fn find_test_regions(tokens: &[Token]) -> Vec<Range<usize>> {
     regions
 }
 
-/// Parses `// ctup-lint: …` directives out of the comment stream.
-fn parse_directives(
-    comments: &[Comment],
-    tokens: &[Token],
-) -> (Vec<Suppression>, Vec<BadDirective>) {
-    let mut sups = Vec::new();
-    let mut bad = Vec::new();
-    for c in comments {
-        let text = c.text.trim_start_matches('/').trim();
-        let Some(rest) = text.strip_prefix("ctup-lint:") else {
-            continue;
-        };
-        let rest = rest.trim();
-        let Some(inner) = rest
-            .strip_prefix("allow(")
-            .and_then(|r| r.strip_suffix(')'))
-        else {
-            bad.push(BadDirective {
-                message: format!(
-                    "malformed directive {:?}: expected `ctup-lint: allow(RULE, reason)`",
-                    rest
-                ),
-                line: c.line,
-            });
-            continue;
-        };
-        let (rule, reason) = match inner.split_once(',') {
-            Some((r, why)) => (r.trim(), why.trim()),
-            None => (inner.trim(), ""),
-        };
-        if !crate::rules::known_rule(rule) {
-            bad.push(BadDirective {
-                message: format!("unknown rule {rule:?} in suppression"),
-                line: c.line,
-            });
-            continue;
-        }
-        if reason.is_empty() {
-            bad.push(BadDirective {
-                message: format!(
-                    "suppression for {rule} has no reason: write `ctup-lint: allow({rule}, why)`"
-                ),
-                line: c.line,
-            });
-            continue;
-        }
-        // A trailing directive covers its own line only; a directive on a
-        // line of its own covers the next line carrying a token (comment-only
-        // lines in between are skipped, so directives stack).
-        let mut covered = vec![c.line];
-        let trailing = tokens.iter().any(|t| t.line == c.line);
-        if !trailing {
-            if let Some(next) = tokens.iter().map(|t| t.line).filter(|&l| l > c.line).min() {
-                covered.push(next);
-            }
-        }
-        sups.push(Suppression {
-            rule: rule.to_string(),
-            reason: reason.to_string(),
-            line: c.line,
-            covered,
-        });
-    }
-    (sups, bad)
-}
-
 /// Reads and parses a file from disk; `rel_path` is used for reporting.
 pub fn load(root: &Path, rel_path: &str) -> std::io::Result<SourceFile> {
     let src = std::fs::read_to_string(root.join(rel_path))?;
@@ -306,8 +194,7 @@ mod tests {
     #[test]
     fn integration_test_file_is_all_test() {
         let f = SourceFile::parse("tests/chaos.rs", "fn f() { x.unwrap(); }");
-        assert!(f.all_test);
-        assert!(f.in_test(0));
+        assert!((0..f.tokens.len()).all(|i| f.in_test(i)));
     }
 
     #[test]
@@ -317,28 +204,5 @@ mod tests {
             "#[cfg_attr(miri, ignore)]\nfn live() { x.unwrap(); }\n",
         );
         assert!(!f.in_test(5));
-    }
-
-    #[test]
-    fn suppression_covers_same_and_next_line() {
-        let f = SourceFile::parse(
-            "crates/core/src/x.rs",
-            "// ctup-lint: allow(L001, lock poisoning is fatal by design)\nx.unwrap();\n",
-        );
-        assert_eq!(f.suppressions.len(), 1);
-        assert!(f.suppressed("L001", 1).is_some());
-        assert!(f.suppressed("L001", 2).is_some());
-        assert!(f.suppressed("L001", 3).is_none());
-        assert!(f.suppressed("L002", 2).is_none());
-    }
-
-    #[test]
-    fn reasonless_or_unknown_directives_are_flagged() {
-        let f = SourceFile::parse(
-            "crates/core/src/x.rs",
-            "// ctup-lint: allow(L001)\n// ctup-lint: allow(L999, whatever)\n// ctup-lint: deny(L001)\nfn f() {}\n",
-        );
-        assert_eq!(f.suppressions.len(), 0);
-        assert_eq!(f.bad_directives.len(), 3);
     }
 }

@@ -47,13 +47,13 @@ fn missing_flag_argument_is_usage_error() {
 #[test]
 fn lint_on_a_dirty_fixture_tree_is_findings() {
     let dir = std::env::temp_dir().join(format!("xtask-exit-{}", std::process::id()));
-    let src = dir.join("src");
-    std::fs::create_dir_all(&src).expect("create fixture tree");
-    std::fs::write(
-        src.join("lib.rs"),
-        "pub fn same(a: f64, b: f64) -> bool { a == b }\n",
-    )
-    .expect("write fixture");
+    for sub in ["src", "lint"] {
+        std::fs::create_dir_all(dir.join(sub)).expect("create fixture tree");
+    }
+    std::fs::write(dir.join("src/lib.rs"), "pub fn one() -> u32 {\n    1\n}\n")
+        .expect("write fixture");
+    // Three non-test lines against a cap of two.
+    std::fs::write(dir.join("lint/budget.toml"), "[budget]\n\"src\" = 2\n").expect("write budget");
     let code = run(&["lint", "--root", dir.to_str().expect("utf-8 path")], "");
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(code, 1);

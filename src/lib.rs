@@ -12,6 +12,10 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+// Library lint policy, DESIGN.md §10: every suppression is a reasoned
+// `#[expect]`; the `deny` list below holds outside test code.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![forbid(unsafe_code)]
 
 pub use ctup_core as core;
