@@ -1,8 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! reproduce [--quick] [--out FILE] [--sharded-out FILE] [--overload-out FILE]
-//!           [--failover-out FILE] [experiment ...]
+//! reproduce [--quick] [--overload-out FILE] [--failover-out FILE] [experiment ...]
 //! ```
 //!
 //! Runs the named experiments, then the bench of each output flag given.
@@ -10,15 +9,6 @@
 //! with neither names nor output flags every experiment runs. Experiment names:
 //! `table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation_purge ablation_disk
 //! shard_scaling`.
-//!
-//! `--out FILE` additionally runs every algorithm over the Table III
-//! default workload and writes one unified observability snapshot per
-//! algorithm — every counter plus the latency histograms with their
-//! p50/p90/p99/p999 quantiles — as a JSON document.
-//!
-//! `--sharded-out FILE` does the same for the sharded engine's scaling
-//! matrix (1/2/4/8 shards × cell cache off/on over a 20us/page simulated
-//! disk) — the machine-readable form of the `shard_scaling` experiment.
 //!
 //! `--overload-out FILE` runs the networked overload sweep — a paced
 //! feed client offering 0.5×/1×/2×/4× the calibrated engine capacity
@@ -36,36 +26,8 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use ctup_bench::experiments::{self, Effort, Table};
-use ctup_bench::harness::{
-    shard_scaling_matrix, snapshot_algorithms, snapshot_sharded, SetupParams,
-};
 
 type Runner = Box<dyn Fn(Effort) -> Table>;
-
-/// Renders the per-algorithm snapshots as one JSON document.
-fn render_snapshots(
-    workload: &str,
-    mode: &str,
-    updates: usize,
-    snapshots: &[ctup_core::Snapshot],
-) -> String {
-    let mut out = String::with_capacity(16 * 1024);
-    out.push_str("{\"workload\":\"");
-    out.push_str(workload);
-    out.push_str("\",\"mode\":\"");
-    out.push_str(mode);
-    out.push_str("\",\"updates\":");
-    out.push_str(&updates.to_string());
-    out.push_str(",\"algorithms\":[");
-    for (i, snap) in snapshots.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&snap.render_json());
-    }
-    out.push_str("]}");
-    out
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -76,8 +38,8 @@ fn main() {
         Effort::full()
     };
     // The output flags, in the order their benches run.
-    const OUT_FLAGS: [&str; 4] = ["--out", "--sharded-out", "--overload-out", "--failover-out"];
-    let mut outs: [Option<String>; 4] = Default::default();
+    const OUT_FLAGS: [&str; 2] = ["--overload-out", "--failover-out"];
+    let mut outs: [Option<String>; 2] = Default::default();
     let mut selected: Vec<&str> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -94,7 +56,7 @@ fn main() {
         }
     }
     let any_out = outs.iter().any(Option::is_some);
-    let [out_file, sharded_out_file, overload_out_file, failover_out_file] = outs;
+    let [overload_out_file, failover_out_file] = outs;
 
     let all: Vec<(&str, Runner)> = vec![
         ("table3", Box::new(|_| experiments::table3())),
@@ -141,33 +103,6 @@ fn main() {
         println!("  [{name} took {:.1}s]\n", start.elapsed().as_secs_f64());
     }
 
-    let mode = if quick { "quick" } else { "full" };
-    if let Some(path) = out_file {
-        let updates = effort.updates;
-        let snapshots = snapshot_algorithms(&SetupParams::default(), updates);
-        let json = render_snapshots("table3-default", mode, updates, &snapshots);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("observability snapshots written to {path}");
-    }
-    if let Some(path) = sharded_out_file {
-        let updates = effort.updates.min(3_000);
-        let snapshots = snapshot_sharded(
-            &SetupParams::default(),
-            updates,
-            20_000,
-            ctup_bench::SHARD_BATCH,
-            &shard_scaling_matrix(),
-        );
-        let json = render_snapshots("shard-scaling", mode, updates, &snapshots);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("sharded scaling snapshots written to {path}");
-    }
     if let Some(path) = overload_out_file {
         let mut config = ctup_core::net::overload::OverloadConfig::default();
         if quick {

@@ -8,7 +8,7 @@ use ctup_core::{BasicCtup, OptCtup, ShardedCtup};
 use ctup_mogen::{PlaceGenConfig, PositionUpdate, Workload, WorkloadParams};
 use ctup_obs::LatencySnapshot;
 use ctup_spatial::{Grid, Point};
-use ctup_storage::{CachedStore, CellLocalStore, PagedDiskStore, PlaceStore};
+use ctup_storage::{CellLocalStore, PlaceStore};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -290,39 +290,6 @@ pub fn measure_batched_observed(
     (summary, latency)
 }
 
-/// Runs every algorithm over the same fresh workload and returns one
-/// unified observability snapshot per algorithm.
-///
-/// Each algorithm gets its own [`build_setup`] (same `params`, same seed)
-/// so the storage counters and disk-read histogram it reports are its own
-/// rather than an accumulation across competitors.
-pub fn snapshot_algorithms(params: &SetupParams, updates: usize) -> Vec<ctup_core::Snapshot> {
-    let kinds = [
-        AlgKind::Naive,
-        AlgKind::NaiveIncremental,
-        AlgKind::Basic,
-        AlgKind::Opt,
-    ];
-    kinds
-        .iter()
-        .map(|kind| {
-            let mut setup = build_setup(params.clone());
-            let stream = setup.next_updates(updates);
-            let mut alg = kind.build(&setup);
-            let (_, mut latency) = measure_updates_observed(alg.as_mut(), &stream);
-            latency
-                .disk_read_nanos
-                .merge(&setup.store.stats().read_latency());
-            ctup_core::Snapshot::new(
-                kind.label(),
-                alg.metrics().clone(),
-                setup.store.stats().snapshot(),
-                latency,
-            )
-        })
-        .collect()
-}
-
 /// One sharded-engine configuration of the scaling experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
@@ -333,7 +300,7 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// Snapshot label, e.g. `Sharded-4x-cache512` / `Sharded-1x-nocache`.
+    /// Row label, e.g. `Sharded-4x-cache512` / `Sharded-1x-nocache`.
     pub fn label(&self) -> String {
         if self.cache_pages == 0 {
             format!("Sharded-{}x-nocache", self.shards)
@@ -343,7 +310,7 @@ impl ShardConfig {
     }
 }
 
-/// The shard-scaling matrix `reproduce --sharded-out` runs: 1/2/4/8 shards, each
+/// The shard-scaling experiment's matrix: 1/2/4/8 shards, each
 /// with the cell-read cache off and on (512 pages holds the whole default
 /// 10×10 grid with room to spare).
 pub fn shard_scaling_matrix() -> Vec<ShardConfig> {
@@ -357,70 +324,6 @@ pub fn shard_scaling_matrix() -> Vec<ShardConfig> {
         }
     }
     configs
-}
-
-/// Runs the sharded engine over the Table III workload on a simulated
-/// paged disk (`page_latency_nanos` busy-waited per page) for every config,
-/// returning one unified snapshot per config.
-///
-/// Each config gets a fresh workload and store (same seed) so its storage
-/// counters — including the cache hit/miss/eviction counters — are its
-/// own. Updates are fed through batched ingest in chunks of `batch_size`
-/// ([`measure_batched_observed`]), so latency is each batch's critical
-/// path (the slowest shard) amortized per update and the histograms
-/// shrink as shards absorb the disk latency in parallel; the disk-read
-/// histogram is merged in once from the store.
-///
-/// # Panics
-///
-/// Panics if the store reports a fault: the benchmark disk is clean, so a
-/// fault is a harness bug, not a measurable condition.
-pub fn snapshot_sharded(
-    params: &SetupParams,
-    updates: usize,
-    page_latency_nanos: u64,
-    batch_size: usize,
-    configs: &[ShardConfig],
-) -> Vec<ctup_core::Snapshot> {
-    configs
-        .iter()
-        .map(|cfg| {
-            let wl_params = WorkloadParams {
-                num_units: params.num_units,
-                places: PlaceGenConfig {
-                    count: params.num_places,
-                    ..PlaceGenConfig::default()
-                },
-                seed: params.seed,
-                tick_dt: params.tick_dt,
-                ..WorkloadParams::default()
-            };
-            let mut workload = Workload::generate(wl_params);
-            let grid = Grid::unit_square(params.granularity);
-            let base: Arc<dyn PlaceStore> = Arc::new(PagedDiskStore::build(
-                grid,
-                workload.places_vec(),
-                page_latency_nanos,
-            ));
-            let store: Arc<dyn PlaceStore> = if cfg.cache_pages == 0 {
-                base.clone()
-            } else {
-                Arc::new(CachedStore::new(base.clone(), cfg.cache_pages))
-            };
-            let units = workload.unit_positions();
-            let mut alg = ShardedCtup::new(params.config.clone(), store, &units, cfg.shards)
-                .unwrap_or_else(|e| panic!("benchmark store must be clean: {e}"));
-            let batch = stream(workload.next_updates(updates));
-            let (_, mut latency) = measure_batched_observed(&mut alg, &batch, batch_size);
-            latency.disk_read_nanos.merge(&base.stats().read_latency());
-            ctup_core::Snapshot::new(
-                cfg.label(),
-                alg.metrics().clone(),
-                base.stats().snapshot(),
-                latency,
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -466,64 +369,6 @@ mod tests {
         assert_eq!(latency.update_total_nanos.count(), 40);
         assert_eq!(latency.update_maintain_nanos.count(), 40);
         assert_eq!(latency.update_access_nanos.count(), 40);
-    }
-
-    #[test]
-    fn snapshot_algorithms_covers_every_kind() {
-        let params = SetupParams {
-            num_units: 8,
-            num_places: 150,
-            granularity: 5,
-            config: CtupConfig::with_k(3),
-            tick_dt: 1.0,
-            seed: 3,
-        };
-        let snaps = snapshot_algorithms(&params, 30);
-        let names: Vec<&str> = snaps.iter().map(|s| s.algorithm.as_str()).collect();
-        assert_eq!(names, ["Naive", "NaiveInc", "BasicCTUP", "OptCTUP"]);
-        for snap in &snaps {
-            assert_eq!(snap.latency.update_total_nanos.count(), 30);
-            assert!(snap.metrics.updates_processed >= 30);
-            let json = snap.render_json();
-            assert!(json.contains("\"p99\""), "{json}");
-        }
-    }
-
-    #[test]
-    fn snapshot_sharded_covers_the_matrix() {
-        let params = SetupParams {
-            num_units: 8,
-            num_places: 150,
-            granularity: 5,
-            config: CtupConfig::with_k(3),
-            tick_dt: 1.0,
-            seed: 5,
-        };
-        let configs = [
-            ShardConfig {
-                shards: 1,
-                cache_pages: 0,
-            },
-            ShardConfig {
-                shards: 2,
-                cache_pages: 64,
-            },
-        ];
-        let snaps = snapshot_sharded(&params, 25, 0, 8, &configs);
-        let names: Vec<&str> = snaps.iter().map(|s| s.algorithm.as_str()).collect();
-        assert_eq!(names, ["Sharded-1x-nocache", "Sharded-2x-cache64"]);
-        for snap in &snaps {
-            assert_eq!(snap.latency.update_total_nanos.count(), 25);
-            assert!(snap.metrics.updates_processed >= 25);
-        }
-        // The uncached config never consults the cache; the cached one
-        // funnels every lower-level read through it.
-        assert_eq!(
-            snaps[0].storage.cache_hits + snaps[0].storage.cache_misses,
-            0
-        );
-        assert!(snaps[1].storage.cache_hits + snaps[1].storage.cache_misses > 0);
-        assert_eq!(snaps[1].storage.cell_reads, snaps[1].storage.cache_misses);
     }
 
     #[test]

@@ -16,6 +16,6 @@ pub mod harness;
 
 pub use harness::{
     build_setup, measure_batched_observed, measure_updates, measure_updates_observed,
-    shard_scaling_matrix, snapshot_algorithms, snapshot_sharded, stream, AlgKind, RunSummary,
-    Setup, SetupParams, ShardConfig, SHARD_BATCH,
+    shard_scaling_matrix, stream, AlgKind, RunSummary, Setup, SetupParams, ShardConfig,
+    SHARD_BATCH,
 };

@@ -42,14 +42,14 @@ impl Command {
     fn about(self) -> &'static str {
         [
             "Generate a place set and save it as a snapshot.",
-            "Monitor the seeded stream offline; print the final top-k and the metrics\n\
-             snapshot. Any supervised flag runs unsharded opt behind the supervisor:\n\
-             --kill-at N dies before effective update N, --recover resumes from --state-dir.",
+            "Monitor the seeded stream offline with the bare engine; print the final\n\
+             top-k and the metrics snapshot.",
             "Open the networked ingest front door with /metrics and /healthz. --updates N\n\
              self-feeds over loopback, --state-dir journals for standbys and for\n\
-             --recover, which restarts from it after a death; --standby follows a primary.",
+             --recover, which restarts from it after a death (--kill-at N dies before\n\
+             effective update N); --standby follows a primary.",
             "Feed the seeded stream to a running `serve` (same --units/--places/--seed),\n\
-             optionally through seeded link faults or a --failover address list.",
+             optionally walking a --failover address list on reconnect.",
             "Analyze a --span-dump file: per-stage latency and slowest critical paths.",
         ][self as usize]
     }
@@ -60,8 +60,6 @@ const RUN: u8 = 1 << Command::Run as u8;
 const SERVE: u8 = 1 << Command::Serve as u8;
 const FEED: u8 = 1 << Command::Feed as u8;
 const TRACE: u8 = 1 << Command::Trace as u8;
-/// Marks a `run` flag that only the supervised path reads.
-const SUPERVISED: u8 = 1 << 5;
 
 /// One row of the flag table.
 #[derive(Debug)]
@@ -70,7 +68,7 @@ struct Flag {
     name: &'static str,
     /// The value's placeholder in the usage text; empty for a switch.
     value: &'static str,
-    /// The commands that accept it, plus [`SUPERVISED`].
+    /// The commands that accept it.
     commands: u8,
 }
 
@@ -104,26 +102,10 @@ const FLAGS: &[Flag] = &[
     flag("events", "", RUN),
     flag("format", "text|json|prom", RUN),
     flag("out", "FILE", GENERATE | RUN),
-    flag("drop", "P", RUN | SUPERVISED),
-    flag("dup", "P", RUN | SUPERVISED),
-    flag("reorder", "P", RUN | SUPERVISED),
-    flag("reorder-window", "W", RUN | SUPERVISED),
-    flag("corrupt", "P", RUN | SUPERVISED),
-    flag("delay", "P", RUN | SUPERVISED),
-    flag("max-delay", "W", RUN | SUPERVISED),
-    flag("fault-seed", "S", RUN | SUPERVISED),
-    flag("disk-faults", "P", RUN | SUPERVISED),
-    flag("disk-seed", "S", RUN | SUPERVISED),
-    flag("torn-writes", "N", RUN | SUPERVISED),
-    flag("bit-flips", "N", RUN | SUPERVISED),
-    flag("panic-at", "N,N,...", RUN | SUPERVISED),
-    flag("lease-ttl", "T", RUN | SUPERVISED),
-    flag("max-restarts", "N", RUN | SUPERVISED),
-    flag("checkpoint-every", "N", RUN | SUPERVISED | SERVE),
-    flag("state-dir", "DIR", RUN | SUPERVISED | SERVE),
-    flag("kill-at", "N", RUN | SUPERVISED | SERVE),
-    flag("tear-slot", "", RUN | SUPERVISED),
-    flag("recover", "", RUN | SUPERVISED | SERVE),
+    flag("checkpoint-every", "N", SERVE),
+    flag("state-dir", "DIR", SERVE),
+    flag("kill-at", "N", SERVE),
+    flag("recover", "", SERVE),
     flag("addr", "HOST:PORT", SERVE | FEED),
     flag("metrics-addr", "HOST:PORT", SERVE),
     flag("serve-secs", "N", SERVE),
@@ -136,10 +118,6 @@ const FLAGS: &[Flag] = &[
     flag("rate-hz", "F", FEED),
     flag("max-in-flight", "N", FEED),
     flag("max-attempts", "N", FEED),
-    flag("refuse-per-mille", "N", FEED),
-    flag("die-per-mille", "N", FEED),
-    flag("slow-per-mille", "N", FEED),
-    flag("net-seed", "S", FEED),
     flag("deadline-secs", "N", FEED),
     flag("failover", "HOST:PORT,...", FEED),
     flag("span-dump", "FILE", SERVE | FEED),
@@ -166,21 +144,8 @@ impl Flag {
 fn command_usage(command: Command) -> String {
     let mut text = String::new();
     let head = format!("  ctup {:<9}", command.name());
-    // Only `run` has two paths, so only `run` lists its supervised
-    // flags as a group of their own.
-    let of = |supervised: bool| {
-        FLAGS
-            .iter()
-            .filter(move |f| {
-                let grouped = command == Command::Run && f.commands & SUPERVISED != 0;
-                f.accepted_by(command) && grouped == supervised
-            })
-            .map(Flag::synopsis)
-    };
-    wrap(&mut text, &head, of(false));
-    if command == Command::Run {
-        wrap(&mut text, "     supervised:", of(true));
-    }
+    let flags = FLAGS.iter().filter(|f| f.accepted_by(command));
+    wrap(&mut text, &head, flags.map(Flag::synopsis));
     for line in command.about().lines() {
         text.push_str("      ");
         text.push_str(line);
@@ -279,14 +244,6 @@ impl Flags {
         self.given.contains_key(name)
     }
 
-    /// The first given flag that only the supervised `run` path reads.
-    pub fn supervised(&self) -> Option<&'static str> {
-        FLAGS
-            .iter()
-            .find(|f| f.commands & SUPERVISED != 0 && self.switch(f.name))
-            .map(|f| f.name)
-    }
-
     /// Typed flag value, if given.
     pub fn opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError>
     where
@@ -331,10 +288,8 @@ mod tests {
         assert!(!flags.switch("no-doo"));
         assert_eq!(flags.get("k", 42i64).unwrap(), 42);
         assert_eq!(flags.opt::<i64>("threshold").unwrap(), None);
-        assert_eq!(flags.supervised(), None);
-        let flags = parse(Command::Run, "--threshold -3 --tear-slot").unwrap();
+        let flags = parse(Command::Run, "--threshold -3").unwrap();
         assert_eq!(flags.opt::<i64>("threshold").unwrap(), Some(-3));
-        assert_eq!(flags.supervised(), Some("tear-slot"));
     }
 
     #[test]

@@ -9,24 +9,18 @@ use ctup_core::config::{CtupConfig, QueryMode};
 use ctup_core::ingest::{stamp_stream, StampedUpdate};
 use ctup_core::naive::{NaiveIncremental, NaiveRecompute};
 use ctup_core::net::{
-    ClientConfig, Conn, Dialer, EngineSink, FailoverDialer, FeedClient, IngestServer,
-    NetServerConfig, NetStatsSnapshot, PipelineSink, StandbyConfig, StandbyPhase, StandbyServer,
-    TcpDialer, PIPELINE_CAPACITY,
+    ClientConfig, EngineSink, FeedClient, IngestServer, NetServerConfig, NetStatsSnapshot,
+    PipelineSink, StandbyConfig, StandbyPhase, StandbyServer, TcpDialer, PIPELINE_CAPACITY,
 };
 use ctup_core::report::Snapshot;
 use ctup_core::server::{MonitorEvent, Server};
 use ctup_core::supervisor::{ResilienceConfig, SupervisedPipeline};
 use ctup_core::types::{LocationUpdate, TopKEntry, UnitId};
 use ctup_core::{BasicCtup, DurableState, OptCtup, ShardedCtup};
-use ctup_mogen::{
-    ChaosStream, FaultPlan, NetFaultPlan, PlaceGenConfig, PlaceGenerator, Workload, WorkloadParams,
-};
+use ctup_mogen::{PlaceGenConfig, PlaceGenerator, Workload, WorkloadParams};
 use ctup_obs::{LatencySnapshot, MetricsServer, SpanSink};
-use ctup_spatial::{Grid, Point};
-use ctup_storage::{
-    snapshot, CachedStore, CellLocalStore, DiskFaultPlan, FaultDisk, PlaceStore, RetryPolicy,
-    StorageError, MAX_RP,
-};
+use ctup_spatial::Grid;
+use ctup_storage::{snapshot, CachedStore, CellLocalStore, PlaceStore, StorageError, MAX_RP};
 use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -132,21 +126,15 @@ fn generate(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `ctup run` — the one offline driver. It monitors the seeded stream
-/// (over the places of `--places-file` when given) and prints the final
-/// top-k above the unified snapshot, or only the snapshot as JSON or
-/// Prometheus text. Without a supervised flag the engine runs bare; with
-/// one, unsharded OptCTUP runs behind [`SupervisedPipeline`] over a
-/// degraded feed and an optionally faulty disk, and `--state-dir` makes
-/// its checkpoints durable so `--kill-at` and `--recover` rehearse a
-/// process death.
+/// `ctup run` — the offline driver. It monitors the seeded stream (over
+/// the places of `--places-file` when given) with the chosen engine, bare
+/// on this thread, and prints the final top-k above the unified snapshot,
+/// or only the snapshot as JSON or Prometheus text.
 fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let config = query_config(flags)?;
     let algorithm = flags.get_str("algorithm").unwrap_or("opt");
     let shards: u32 = flags.get("shards", 1)?;
     let format = flags.get_str("format").unwrap_or("text");
-    let supervised = flags.supervised();
-    let engine_fits = algorithm == "opt" && shards == 1 && !flags.switch("events");
     let problem = if shards == 0 {
         Some("--shards must be at least 1".to_string())
     } else if !["text", "json", "prom"].contains(&format) {
@@ -161,26 +149,12 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         Some(format!(
             "--shards {shards} requires the opt algorithm, got {algorithm:?}"
         ))
-    } else if let (Some(flag), false) = (supervised, engine_fits) {
-        Some(format!(
-            "--{flag} runs the engine supervised: unsharded opt only, and no --events"
-        ))
-    } else if flags.switch("recover") && !flags.switch("state-dir") {
-        Some("--recover requires --state-dir <dir>".to_string())
-    } else if flags.switch("checkpoint-every") && !flags.switch("state-dir") {
-        // Checkpoints are durable slots only; a self-heal needs none.
-        Some("--checkpoint-every requires --state-dir <dir>".to_string())
-    } else if flags.switch("tear-slot") && !(flags.switch("kill-at") && flags.switch("state-dir")) {
-        // The tear fires only when a kill fires over durable state.
-        Some("--tear-slot requires --kill-at <n> and --state-dir <dir>".to_string())
     } else {
         None
     };
     if let Some(problem) = problem {
         return Err(CliError(problem));
     }
-    refuse_reused_state_dir(flags)?;
-    let plan = fault_plan(flags)?;
 
     let mut workload = workload(flags)?;
     let places = match flags.get_str("places-file") {
@@ -188,47 +162,37 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             .map_err(|e| io_err(&format!("loading {path}"), e))?,
         None => workload.places_vec(),
     };
-    let num_places = places.len();
     let grid = Grid::unit_square(flags.get("granularity", 10)?);
-    let mut text = String::new();
-    // A faulty disk only when asked for, so link faults stay isolated
-    // from disk faults.
-    let store: Arc<dyn PlaceStore> = if plan.disk.is_active() {
-        let disk = FaultDisk::build(grid, places, 0, plan.disk.clone(), RetryPolicy::default());
-        let _ = writeln!(
-            text,
-            "faulty disk: {} pages corrupted at build ({} cells unreadable), transient read error prob {}",
-            disk.corrupted_pages().len(),
-            disk.corrupted_cells().len(),
-            plan.disk.read_error_prob,
-        );
-        Arc::new(disk)
-    } else {
-        Arc::new(CellLocalStore::build(grid, places))
-    };
+    let store: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(grid, places));
     let store: Arc<dyn PlaceStore> = match flags.get("cell-cache-pages", 0)? {
         0 => store,
         pages => Arc::new(CachedStore::new(store, pages)),
     };
     let units = workload.unit_positions();
     let stream = next_updates(&mut workload, flags.get("updates", 1_000)?);
-    let mut offline = Offline {
-        store,
-        units,
-        num_places,
-        text,
-    };
-    let (result, snapshot) = match supervised {
-        None => offline.bare(algorithm, config, shards, stream, flags.switch("events"))?,
-        Some(_) => offline.supervised(flags, config, stream, plan)?,
+    let events = flags.switch("events");
+    let mut text = String::new();
+    let engine = Arc::clone(&store);
+    macro_rules! drive {
+        ($engine:expr) => {{
+            let alg = $engine.map_err(init_err)?;
+            drive(alg, store.as_ref(), stream, events, &mut text)?
+        }};
+    }
+    let (result, snapshot) = match algorithm {
+        "opt" if shards > 1 => drive!(ShardedCtup::new(config, engine, &units, shards)),
+        "opt" => drive!(OptCtup::new(config, engine, &units)),
+        "basic" => drive!(BasicCtup::new(config, engine, &units)),
+        "naive" => drive!(NaiveRecompute::new(config, engine, &units)),
+        _ => drive!(NaiveIncremental::new(config, engine, &units)),
     };
 
-    write_result(&mut offline.text, &result);
+    write_result(&mut text, &result);
     let rendered = match format {
         "json" => snapshot.render_json() + "\n",
         "prom" => snapshot.render_prom(),
         _ => {
-            out.write_all(offline.text.as_bytes())?;
+            out.write_all(text.as_bytes())?;
             snapshot.render_text()
         }
     };
@@ -242,210 +206,57 @@ fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The feed and disk faults `run` injects; every rate defaults to zero.
-fn fault_plan(flags: &Flags) -> Result<FaultPlan, CliError> {
-    let seed: u64 = flags.get("seed", SEED)?;
-    let panic_at = flags
-        .get_str("panic-at")
-        .unwrap_or_default()
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse()
-                .map_err(|e| CliError(format!("bad --panic-at entry {s:?}: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(FaultPlan {
-        seed: flags.get("fault-seed", seed ^ 0xFA17)?,
-        drop_prob: flags.get("drop", 0.0)?,
-        dup_prob: flags.get("dup", 0.0)?,
-        reorder_prob: flags.get("reorder", 0.0)?,
-        reorder_window: flags.get("reorder-window", 4)?,
-        corrupt_prob: flags.get("corrupt", 0.0)?,
-        delay_prob: flags.get("delay", 0.0)?,
-        max_delay: flags.get("max-delay", 16)?,
-        panic_at,
-        disk: DiskFaultPlan {
-            seed: flags.get("disk-seed", seed ^ 0xD15C)?,
-            read_error_prob: flags.get("disk-faults", 0.0)?,
-            torn_writes: flags.get("torn-writes", 0)?,
-            bit_flips: flags.get("bit-flips", 0)?,
-            ..DiskFaultPlan::default()
-        },
-    })
-}
-
-/// What both arms of `run` share: the store, the initial unit positions,
-/// and the narrative printed above the snapshot in text format.
-struct Offline {
-    store: Arc<dyn PlaceStore>,
-    units: Vec<Point>,
-    num_places: usize,
-    text: String,
-}
-
-impl Offline {
-    fn announce(&mut self, alg: &dyn CtupAlgorithm) {
-        let (places, units) = (self.num_places, self.units.len());
-        let (name, init_ms) = (alg.name(), alg.init_stats().wall.as_secs_f64() * 1e3);
-        let _ = writeln!(
-            self.text,
-            "monitoring {places} places with {units} units using {name} (init {init_ms:.1} ms)"
-        );
-    }
-
-    /// The bare arm: the chosen engine (validated by `run`) on this thread.
-    fn bare(
-        &mut self,
-        algorithm: &str,
-        config: CtupConfig,
-        shards: u32,
-        stream: Vec<LocationUpdate>,
-        events: bool,
-    ) -> Result<(Vec<TopKEntry>, Snapshot), CliError> {
-        let (store, units) = (Arc::clone(&self.store), &self.units);
-        macro_rules! drive {
-            ($engine:expr) => {{
-                let alg = $engine.map_err(init_err)?;
-                self.drive(alg, stream, events)
-            }};
+/// Drives `alg` over `stream` on this thread: its announcement, and with
+/// `events` every monitor event, go to `text`.
+fn drive<A: CtupAlgorithm>(
+    alg: A,
+    store: &dyn PlaceStore,
+    stream: Vec<LocationUpdate>,
+    events: bool,
+    text: &mut String,
+) -> Result<(Vec<TopKEntry>, Snapshot), CliError> {
+    let (places, units) = (store.num_places(), alg.num_units());
+    let (name, init_ms) = (alg.name(), alg.init_stats().wall.as_secs_f64() * 1e3);
+    let _ = writeln!(
+        text,
+        "monitoring {places} places with {units} units using {name} (init {init_ms:.1} ms)"
+    );
+    // The sharded engine records per-shard latency itself; recording
+    // the loop's view as well would double-count every update.
+    let records_internally = alg.internal_latency().is_some();
+    let mut latency = LatencySnapshot::default();
+    let mut server = Server::new(alg);
+    for update in stream {
+        let (changes, stats) = server
+            .ingest(update)
+            .map_err(|e| CliError(format!("storage fault while applying an update: {e}")))?;
+        if !records_internally {
+            latency.update_maintain_nanos.record(stats.maintain_nanos);
+            latency.update_access_nanos.record(stats.access_nanos);
+            latency
+                .update_total_nanos
+                .record(stats.maintain_nanos.saturating_add(stats.access_nanos));
         }
-        match algorithm {
-            "opt" if shards > 1 => drive!(ShardedCtup::new(config, store, units, shards)),
-            "opt" => drive!(OptCtup::new(config, store, units)),
-            "basic" => drive!(BasicCtup::new(config, store, units)),
-            "naive" => drive!(NaiveRecompute::new(config, store, units)),
-            _ => drive!(NaiveIncremental::new(config, store, units)),
+        for change in changes.into_iter().filter(|_| events) {
+            let _ = match change {
+                MonitorEvent::Entered { place, safety } => {
+                    writeln!(text, "  ALERT place {} (safety {safety})", place.0)
+                }
+                MonitorEvent::Left { place } => writeln!(text, "  clear place {}", place.0),
+                MonitorEvent::SafetyChanged { place, old, new } => {
+                    writeln!(text, "  place {} safety {old} -> {new}", place.0)
+                }
+            };
         }
     }
-
-    fn drive<A: CtupAlgorithm>(
-        &mut self,
-        alg: A,
-        stream: Vec<LocationUpdate>,
-        events: bool,
-    ) -> Result<(Vec<TopKEntry>, Snapshot), CliError> {
-        self.announce(&alg);
-        // The sharded engine records per-shard latency itself; recording
-        // the loop's view as well would double-count every update.
-        let records_internally = alg.internal_latency().is_some();
-        let mut latency = LatencySnapshot::default();
-        let mut server = Server::new(alg);
-        for update in stream {
-            let (changes, stats) = server
-                .ingest(update)
-                .map_err(|e| CliError(format!("storage fault while applying an update: {e}")))?;
-            if !records_internally {
-                latency.update_maintain_nanos.record(stats.maintain_nanos);
-                latency.update_access_nanos.record(stats.access_nanos);
-                latency
-                    .update_total_nanos
-                    .record(stats.maintain_nanos.saturating_add(stats.access_nanos));
-            }
-            for change in changes.into_iter().filter(|_| events) {
-                let _ = match change {
-                    MonitorEvent::Entered { place, safety } => {
-                        writeln!(self.text, "  ALERT place {} (safety {safety})", place.0)
-                    }
-                    MonitorEvent::Left { place } => {
-                        writeln!(self.text, "  clear place {}", place.0)
-                    }
-                    MonitorEvent::SafetyChanged { place, old, new } => {
-                        writeln!(self.text, "  place {} safety {old} -> {new}", place.0)
-                    }
-                };
-            }
-        }
-        let alg = server.into_algorithm();
-        if let Some(internal) = alg.internal_latency() {
-            latency.merge(&internal);
-        }
-        latency
-            .disk_read_nanos
-            .merge(&self.store.stats().read_latency());
-        let storage = self.store.stats().snapshot();
-        let snapshot = Snapshot::new(alg.name(), alg.metrics().clone(), storage, latency);
-        Ok((alg.result(), snapshot))
+    let alg = server.into_algorithm();
+    if let Some(internal) = alg.internal_latency() {
+        latency.merge(&internal);
     }
-
-    /// The supervised arm: OptCTUP behind the supervisor, fed the stream
-    /// degraded by `plan`.
-    fn supervised(
-        &mut self,
-        flags: &Flags,
-        config: CtupConfig,
-        stream: Vec<LocationUpdate>,
-        plan: FaultPlan,
-    ) -> Result<(Vec<TopKEntry>, Snapshot), CliError> {
-        let sent = stream.len();
-        // Corruption kinds cycle deterministically: NaN coordinate,
-        // position far outside the space, unknown unit. All three must die
-        // at the ingest gate.
-        let mut kind: u8 = 0;
-        let (feed, log) = plan.apply(stamp_stream(stream), move |report, _| {
-            kind = kind.wrapping_add(1);
-            match kind % 3 {
-                0 => report.update.new = Point::new(f64::NAN, report.update.new.y),
-                1 => report.update.new = Point::new(1e3, 1e3),
-                _ => report.update.unit = UnitId(u32::MAX),
-            }
-        });
-        let _ = writeln!(
-            self.text,
-            "degraded feed: {} of {sent} messages delivered ({} dropped, {} duplicated, {} reordered, {} delayed, {} corrupted)",
-            log.emitted, log.dropped, log.duplicated, log.reordered, log.delayed, log.corrupted,
-        );
-        let lease_ttl: u64 = flags.get("lease-ttl", 0)?;
-        let kill_at: u64 = flags.get("kill-at", 0)?;
-        let state_dir = flags.get_str("state-dir").map(PathBuf::from);
-        let resilience = ResilienceConfig {
-            lease_ttl: (lease_ttl > 0).then_some(lease_ttl),
-            checkpoint_every: flags.get("checkpoint-every", 256)?,
-            max_restarts: flags.get("max-restarts", 8)?,
-            panic_at: plan.panic_at,
-            state_dir: state_dir.clone(),
-            kill_at: (kill_at > 0).then_some(kill_at),
-            tear_slot_on_kill: flags.switch("tear-slot"),
-            spans: None,
-        };
-        let capacity = feed.len().max(1);
-        let store = Arc::clone(&self.store);
-        let pipeline = match state_dir.filter(|_| flags.switch("recover")) {
-            Some(dir) => {
-                let _ = writeln!(self.text, "recovering from {}", dir.display());
-                recover_from_dir(&dir, store, resilience, capacity)?
-            }
-            None => {
-                let monitor = OptCtup::new(config, store, &self.units).map_err(init_err)?;
-                self.announce(&monitor);
-                SupervisedPipeline::spawn(monitor, resilience, capacity)
-            }
-        };
-        for &report in &feed {
-            if pipeline.send(report).is_err() {
-                break; // supervisor gave up; its final report still drains below
-            }
-        }
-        let report = pipeline.shutdown();
-        let status = match (report.gave_up, report.killed) {
-            (true, _) => " — GAVE UP (restart budget exhausted)",
-            (_, true) => " — KILLED (simulated process death; rerun with --recover)",
-            _ => "",
-        };
-        let (received, applied) = (report.reports_received, report.updates_processed);
-        let events = report.events_emitted;
-        let _ = writeln!(
-            self.text,
-            "supervised run: {received} reports in, {applied} effective updates, {events} events out{status}"
-        );
-        if let Some(path) = &report.flight_recorder_path {
-            let _ = writeln!(self.text, "flight recorder dumped to {}", path.display());
-        }
-        let storage = self.store.stats().snapshot();
-        let snapshot = Snapshot::new("opt", report.metrics, storage, report.latency);
-        Ok((report.final_result, snapshot))
-    }
+    latency.disk_read_nanos.merge(&store.stats().read_latency());
+    let storage = store.stats().snapshot();
+    let snapshot = Snapshot::new(alg.name(), alg.metrics().clone(), storage, latency);
+    Ok((alg.result(), snapshot))
 }
 
 /// Refuses a primary start without `--recover` over a `--state-dir` that
@@ -459,37 +270,6 @@ fn refuse_reused_state_dir(flags: &Flags) -> Result<(), CliError> {
             )))
         }
         _ => Ok(()),
-    }
-}
-
-/// Resumes the engine a dead process left in `dir` (`--recover`).
-fn recover_from_dir(
-    dir: &Path,
-    store: Arc<dyn PlaceStore>,
-    resilience: ResilienceConfig,
-    capacity: usize,
-) -> Result<SupervisedPipeline, CliError> {
-    SupervisedPipeline::recover_from_dir::<OptCtup>(dir, store, resilience, capacity)
-        .map_err(|e| CliError(format!("recovering from {}: {e}", dir.display())))
-}
-
-/// Dials through a [`ChaosStream`] so `ctup feed` can rehearse faulty
-/// links: each attempt's behaviour comes off the seeded plan.
-struct ChaosDialer {
-    addr: std::net::SocketAddr,
-    plan: NetFaultPlan,
-    attempt: u64,
-}
-
-impl Dialer for ChaosDialer {
-    fn dial(&mut self) -> std::io::Result<Box<dyn Conn>> {
-        let script = self.plan.script(self.attempt);
-        self.attempt += 1;
-        let stream = std::net::TcpStream::connect_timeout(&self.addr, Duration::from_secs(2))?;
-        stream.set_read_timeout(Some(Duration::from_millis(25)))?;
-        stream.set_write_timeout(Some(Duration::from_millis(25)))?;
-        let _ = stream.set_nodelay(true);
-        Ok(Box::new(ChaosStream::new(stream, script)))
     }
 }
 
@@ -568,7 +348,13 @@ fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let pipeline = match state_dir.filter(|_| recover) {
         Some(dir) => {
             writeln!(out, "recovering from {}", dir.display())?;
-            recover_from_dir(&dir, Arc::clone(&store), resilience, PIPELINE_CAPACITY)?
+            SupervisedPipeline::recover_from_dir::<OptCtup>(
+                &dir,
+                Arc::clone(&store),
+                resilience,
+                PIPELINE_CAPACITY,
+            )
+            .map_err(|e| CliError(format!("recovering from {}: {e}", dir.display())))?
         }
         None => {
             let units = workload.unit_positions();
@@ -793,9 +579,8 @@ fn serve_standby(
 }
 
 /// `ctup feed` — drive the seeded workload into a running `ctup serve`
-/// instance over the wire protocol, optionally through scripted link
-/// faults (refused dials, mid-frame deaths, slowloris trickles) to
-/// rehearse reconnect-and-replay against a live server.
+/// instance over the wire protocol, reconnecting and replaying through
+/// `--addr` and then the `--failover` list.
 fn feed(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let addr = flags.get("addr", std::net::SocketAddr::from(([127, 0, 0, 1], 9710)))?;
     let rate_hz: f64 = flags.get("rate-hz", 0.0)?;
@@ -815,43 +600,25 @@ fn feed(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         ..ClientConfig::default()
     };
     client_config.backoff.max_attempts = flags.get("max-attempts", 8)?;
-    let plan = NetFaultPlan {
-        seed: flags.get("net-seed", 0xc4a0_5badu64)?,
-        refuse_per_mille: flags.get("refuse-per-mille", 0)?,
-        die_per_mille: flags.get("die-per-mille", 0)?,
-        slow_per_mille: flags.get("slow-per-mille", 0)?,
-        ..NetFaultPlan::default()
-    };
-    // `--failover` walks a primary-then-standbys address list on every
-    // reconnect; the link-fault flags script per-attempt behaviour on one
-    // address, so the two are mutually exclusive.
-    let dialer: Box<dyn Dialer> = match flags.get_str("failover") {
-        Some(list) => {
-            if plan.refuse_per_mille > 0 || plan.die_per_mille > 0 || plan.slow_per_mille > 0 {
-                return Err(CliError(
-                    "--failover cannot be combined with the link-fault flags".into(),
-                ));
-            }
-            let mut addrs = vec![addr];
-            for part in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                addrs.push(
-                    part.parse()
-                        .map_err(|e| CliError(format!("bad --failover entry {part:?}: {e}")))?,
-                );
-            }
-            Box::new(FailoverDialer::new(addrs))
-        }
-        None => Box::new(ChaosDialer {
-            addr,
-            plan,
-            attempt: 0,
-        }),
-    };
+    // Every reconnect dials the next address: `--addr`, then the
+    // `--failover` standbys, round-robin.
+    let standbys = flags
+        .get_str("failover")
+        .unwrap_or_default()
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(|part| {
+            part.parse()
+                .map_err(|e| CliError(format!("bad --failover entry {part:?}: {e}")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let stamped = stamp_stream(next_updates(
         &mut workload(flags)?,
         flags.get("updates", 1_000)?,
     ));
-    let client = FeedClient::new(dialer, client_config);
+    let dialer = TcpDialer::failover(addr, standbys);
+    let client = FeedClient::new(Box::new(dialer), client_config);
     let deadline_secs = flags.get("deadline-secs", 120)?;
     drive_feed(client, &stamped, gap, deadline_secs, "feed", out)?;
     dump_spans(span_dump, spans.as_deref(), out)
@@ -955,10 +722,6 @@ mod tests {
         result.iter().copied().filter(|&(_, s)| s < sk).collect()
     }
 
-    /// A degraded feed: drops, duplicates, reordering, corruption and
-    /// delays at the rates the CI walkthroughs use.
-    const FEED_FAULTS: &str = "--drop 0.05 --dup 0.02 --reorder 0.2 --corrupt 0.02 --delay 0.02";
-
     #[test]
     fn generate_and_run_with_snapshot() {
         let path = temp("generate").join("places.txt");
@@ -1052,14 +815,9 @@ mod tests {
                 "# TYPE ctup_updates_processed counter\n|\
                  ctup_updates_processed{algorithm=\"opt\"} 60\n|\
                  # TYPE ctup_update_total_nanos histogram\n|le=\"+Inf\"}|\
-                 ctup_update_total_nanos_count{algorithm=\"opt\"} 60\n",
-            ),
-            // The supervised arm renders through the same snapshot.
-            (
-                "--format prom --dup 0",
-                "ctup_updates_processed{algorithm=\"opt\"} 60\n|\
-                 ctup_resilience_checkpoints_taken{algorithm=\"opt\"} |\
-                 ctup_checkpoint_write_nanos_count{algorithm=\"opt\"} ",
+                 ctup_update_total_nanos_count{algorithm=\"opt\"} 60\n|\
+                 ctup_resilience_checkpoints_taken{algorithm=\"opt\"} 0\n|\
+                 ctup_checkpoint_write_nanos_count{algorithm=\"opt\"} 0\n",
             ),
         ];
         for (format, expected) in cases {
@@ -1108,45 +866,6 @@ mod tests {
         assert!(out.contains("cache_hit_ratio: 0.000000\n"), "{out}");
     }
 
-    #[test]
-    fn run_supervised_survives_a_degraded_feed_and_a_panic() {
-        // A worker panic at effective update 40: one restart, no give-up.
-        let out = ctup(
-            "run --places 300 --units 10 --k 4 --updates 200 --seed 7 --drop 0.1 --dup 0.05 \
-             --corrupt 0.05 --panic-at 40",
-        )
-        .expect("degraded feed");
-        assert!(out.contains("degraded feed:"), "{out}");
-        assert!(!out.contains("GAVE UP"), "{out}");
-        assert_eq!(final_result(&out).len(), 4, "{out}");
-        assert_eq!(counter(&out, "resilience_worker_restarts"), 1, "{out}");
-    }
-
-    #[test]
-    fn run_faulty_disk_matches_clean_store_under_faulty_feed() {
-        // The same seeded degraded feed over a disk with transient page
-        // errors and over the in-memory store: retried reads and contained
-        // storage errors change which reads happen, never the answer. The
-        // tie tail at SK may pick other places after a restart, so the
-        // final safeties are compared, as in
-        // `sharded_run_matches_sequential_result`.
-        let base =
-            format!("run --places 300 --units 10 --updates 200 --k 4 --seed 23 {FEED_FAULTS}");
-        let clean = ctup(&base).expect("in-memory store");
-        let faulty = ctup(&format!("{base} --disk-faults 0.05")).expect("faulty disk");
-        assert!(faulty.contains("faulty disk:"), "{faulty}");
-        // At a 5% per-page transient fault rate some reads must have
-        // retried; with the default 3-retry budget none gives up.
-        assert!(counter(&faulty, "storage_read_retries") > 0, "{faulty}");
-        assert!(!faulty.contains("GAVE UP"), "{faulty}");
-        assert!(!safeties(&clean).is_empty(), "{clean}");
-        assert_eq!(
-            safeties(&clean),
-            safeties(&faulty),
-            "{clean}\n---\n{faulty}"
-        );
-    }
-
     /// Every file of `dir` with its bytes, sorted by path.
     fn dir_bytes(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
         let mut files: Vec<_> = std::fs::read_dir(dir)
@@ -1162,84 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn run_kill_then_recover_matches_uninterrupted_run() {
-        let dir = temp("state");
-        // (uninterrupted run flags, slot cadence, extra kill flags): a
-        // degraded feed over the in-memory store and one over a disk with
-        // transient page errors, both with the newest slot torn at the
-        // kill, and a clean feed whose uninterrupted run is the bare engine,
-        // with the spawn slot as the only one. The commit stage may land
-        // slots up to two groups past the kill, so an untorn periodic slot
-        // can cover everything journaled; a torn one, or none after the
-        // spawn slot, always leaves a journal tail to replay.
-        let inputs = [
-            (format!("--seed 21 {FEED_FAULTS}"), 16, "--tear-slot"),
-            (
-                format!("--seed 23 {FEED_FAULTS} --disk-faults 0.05"),
-                16,
-                "--tear-slot",
-            ),
-            ("--seed 33".to_string(), 0, ""),
-        ];
-        for (extra, every, kill_extra) in inputs {
-            std::fs::remove_dir_all(&dir).ok();
-            let base = format!("run --places 300 --units 10 --updates 200 --k 4 {extra}");
-            let uninterrupted = ctup(&base).expect("uninterrupted run");
-            let durable = format!(
-                "{base} --checkpoint-every {every} --state-dir {}",
-                dir.display()
-            );
-            let killed = ctup(&format!("{durable} --kill-at 60 {kill_extra}")).expect("killed");
-            assert!(killed.contains("KILLED"), "{killed}");
-            assert!(final_result(&killed).is_empty(), "{killed}");
-            // The death left its crash dump next to the slots: without a
-            // span sink, the terminal line alone.
-            assert!(killed.contains("flight recorder dumped to"), "{killed}");
-            let dump = std::fs::read_to_string(dir.join("flight-recorder.jsonl")).expect("dump");
-            assert_eq!(dump.lines().count(), 1, "{dump}");
-            assert!(
-                dump.starts_with("{\"outcome\":\"killed\",\"seq\":60,"),
-                "{dump}"
-            );
-
-            // A primary start without `--recover` over the dead run's
-            // directory is refused before it touches the directory, by
-            // `run` and by `serve` alike.
-            let dead = dir_bytes(&dir);
-            let serve = format!(
-                "serve --updates 0 --serve-secs 0 --state-dir {}",
-                dir.display()
-            );
-            for line in [durable.clone(), serve] {
-                let err = ctup(&line).expect_err(&line);
-                assert!(err.0.contains("resume it with --recover"), "{line}: {err}");
-                assert!(err.0.contains("remove"), "{line}: {err}");
-                assert!(dir_bytes(&dir) == dead, "{line} wrote the directory");
-            }
-
-            // Recovery replays exactly the journal after the slot it reads.
-            let (_, tail) = ctup_core::DurableState::load(&dir).expect("load");
-            let recovered = ctup(&format!("{durable} --recover")).expect("recovered");
-            assert!(recovered.contains("recovering from"), "{recovered}");
-            assert!(!recovered.contains("KILLED"), "{recovered}");
-            let replayed = counter(&recovered, "resilience_updates_replayed");
-            assert!(replayed > 0, "{recovered}");
-            assert_eq!(replayed, tail.len() as u64);
-            // The recovered run converges to the same final top-k as the
-            // run that was never interrupted. Recovery is one
-            // initialization from the folded positions, so the tie tail at
-            // SK may hold other places than the uninterrupted history did:
-            // the safeties are equal, and so is every entry above SK.
-            let (want, got) = (final_result(&uninterrupted), final_result(&recovered));
-            assert_eq!(want.len(), 4, "{uninterrupted}");
-            let why = format!("uninterrupted:\n{uninterrupted}\nrecovered:\n{recovered}");
-            assert_eq!(safeties(&uninterrupted), safeties(&recovered), "{why}");
-            assert_eq!(above_sk(&want), above_sk(&got), "{why}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn bad_invocations_are_rejected() {
         // `command line => error`; all fail before any workload is built
         // except `serve --standby`, hence its small one.
@@ -1252,23 +893,19 @@ mod tests {
             "run --k 3 --threshold -2 => give --k or --threshold, not both",
             "run --shards 0 => --shards must be at least 1",
             "run --algorithm basic --shards 2 => requires the opt algorithm",
-            "run --algorithm basic --drop 0.1 => --drop runs the engine supervised: unsharded opt",
-            "run --shards 2 --kill-at 5 => --kill-at runs the engine supervised",
-            "run --events --checkpoint-every 8 => and no --events",
-            "run --recover => --recover requires --state-dir",
-            "run --checkpoint-every 8 => --checkpoint-every requires --state-dir",
+            // `run` has one path, the bare engine: the durable flags are
+            // `serve`'s, and no command takes a fault flag.
+            "run --drop 0.1 => unknown flag --drop for `ctup run`",
+            "run --state-dir d => unknown flag --state-dir for `ctup run`",
             "serve --checkpoint-every 8 => --checkpoint-every requires --state-dir",
             "serve --recover => --recover requires --state-dir",
             "serve --recover --state-dir s --standby 127.0.0.1:1 => --recover restarts a primary",
-            "run --tear-slot --state-dir s => --tear-slot requires --kill-at <n> and --state-dir",
-            "run --tear-slot --kill-at 5 => --tear-slot requires --kill-at <n> and --state-dir",
-            "run --panic-at 40,x => bad --panic-at entry \"x\"",
             "generate --rp-min 9 --rp-max 2 => --rp-min must not exceed --rp-max",
             "generate --rp-max 65537 => --rp-max must not exceed 65536",
             "feed --granularity 10 => unknown flag --granularity for `ctup feed`",
             "feed --addr not-an-addr => bad value \"not-an-addr\" for --addr",
             "feed --failover not-an-addr => bad --failover entry",
-            "feed --failover 127.0.0.1:9711 --die-per-mille 5 => --failover cannot be combined",
+            "feed --die-per-mille 5 => unknown flag --die-per-mille for `ctup feed`",
             "serve --standby nowhere => bad value \"nowhere\" for --standby",
         ] {
             let (line, error) = case.split_once(" => ").unwrap();
@@ -1309,6 +946,24 @@ mod tests {
         let serve = |extra: &str| ctup(&format!("serve {world} {door} {durable} {extra}"));
         let killed = serve("--updates 3000 --kill-at 100").expect("killed");
         assert!(killed.contains("engine killed"), "{killed}");
+        // The death left its crash dump next to the slots: without a span
+        // sink, the terminal line alone.
+        let dump = std::fs::read_to_string(dir.join("flight-recorder.jsonl")).expect("dump");
+        assert_eq!(dump.lines().count(), 1, "{dump}");
+        assert!(
+            dump.starts_with("{\"outcome\":\"killed\",\"seq\":"),
+            "{dump}"
+        );
+        // A plain start over the dead door's directory is refused before
+        // it touches the directory.
+        let dead = dir_bytes(&dir);
+        let err = serve("--updates 0").expect_err("a plain start over a dead directory");
+        assert!(err.0.contains("resume it with --recover"), "{err}");
+        assert!(err.0.contains("remove"), "{err}");
+        assert!(
+            dir_bytes(&dir) == dead,
+            "the refused start wrote the directory"
+        );
         let acked: usize = killed
             .split("loopback feed: 3000 offered, ")
             .nth(1)

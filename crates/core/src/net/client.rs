@@ -46,11 +46,22 @@ pub trait Dialer: Send {
     fn dial(&mut self) -> std::io::Result<Box<dyn Conn>>;
 }
 
-/// Dials a TCP address with a connect timeout and short I/O timeouts.
+/// Dials a TCP address list with a connect timeout and short I/O
+/// timeouts, one address per attempt in round-robin order, primary first.
+///
+/// The feed client redials through its [`Dialer`] with seeded-jitter
+/// backoff on every reconnect; with a failover list
+/// ([`TcpDialer::failover`]) each attempt targets the next address, so
+/// when the primary dies and a standby promotes itself, the client walks
+/// onto the promoted server within one backoff cycle — the session resume
+/// in its `Hello` opens a fresh session there (the promoted registry mints
+/// epoch-fenced ids) and the unacked tail is replayed, deduplicated by the
+/// standby's gate.
 #[derive(Debug, Clone)]
 pub struct TcpDialer {
-    /// Server address.
-    pub addr: SocketAddr,
+    /// Never empty: the constructors take the primary separately.
+    addrs: Vec<SocketAddr>,
+    next: usize,
     /// Bound on each connect attempt.
     pub connect_timeout: Duration,
     /// Read/write timeout installed on the socket.
@@ -58,10 +69,16 @@ pub struct TcpDialer {
 }
 
 impl TcpDialer {
-    /// A dialer for `addr` with library-default timeouts.
+    /// A dialer for `addr` alone with library-default timeouts.
     pub fn new(addr: SocketAddr) -> Self {
+        TcpDialer::failover(addr, [])
+    }
+
+    /// A dialer rotating over `primary` and then `standbys`.
+    pub fn failover(primary: SocketAddr, standbys: impl IntoIterator<Item = SocketAddr>) -> Self {
         TcpDialer {
-            addr,
+            addrs: std::iter::once(primary).chain(standbys).collect(),
+            next: 0,
             connect_timeout: Duration::from_secs(2),
             io_tick: Duration::from_millis(25),
         }
@@ -70,55 +87,7 @@ impl TcpDialer {
 
 impl Dialer for TcpDialer {
     fn dial(&mut self) -> std::io::Result<Box<dyn Conn>> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout)?;
-        stream.set_read_timeout(Some(self.io_tick))?;
-        stream.set_write_timeout(Some(self.io_tick))?;
-        let _ = stream.set_nodelay(true);
-        Ok(Box::new(stream))
-    }
-}
-
-/// Rotates through a failover address list, one address per dial attempt.
-///
-/// The feed client redials through its [`Dialer`] with seeded-jitter
-/// backoff on every reconnect; handing it this dialer makes each attempt
-/// target the next address in the list, so when the primary dies and a
-/// standby promotes itself, the client walks onto the promoted server
-/// within one backoff cycle — the session resume in its `Hello` opens a
-/// fresh session there (the promoted registry mints epoch-fenced ids) and
-/// the unacked tail is replayed, deduplicated by the standby's gate.
-#[derive(Debug, Clone)]
-pub struct FailoverDialer {
-    /// Addresses tried in round-robin order (primary first).
-    pub addrs: Vec<SocketAddr>,
-    /// Bound on each connect attempt.
-    pub connect_timeout: Duration,
-    /// Read/write timeout installed on the socket.
-    pub io_tick: Duration,
-    next: usize,
-}
-
-impl FailoverDialer {
-    /// A dialer rotating over `addrs` with library-default timeouts.
-    pub fn new(addrs: Vec<SocketAddr>) -> Self {
-        FailoverDialer {
-            addrs,
-            connect_timeout: Duration::from_millis(500),
-            io_tick: Duration::from_millis(25),
-            next: 0,
-        }
-    }
-}
-
-impl Dialer for FailoverDialer {
-    fn dial(&mut self) -> std::io::Result<Box<dyn Conn>> {
-        if self.addrs.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "failover dialer has no addresses",
-            ));
-        }
-        let addr = self.addrs[self.next % self.addrs.len()];
+        let addr = self.addrs[self.next];
         self.next = (self.next + 1) % self.addrs.len();
         let stream = TcpStream::connect_timeout(&addr, self.connect_timeout)?;
         stream.set_read_timeout(Some(self.io_tick))?;

@@ -36,8 +36,8 @@ pub mod wire;
 pub use crate::supervisor::DurableHook;
 pub use admission::{AdmissionConfig, AdmissionQueue, QueuedReport};
 pub use client::{
-    BackoffConfig, ClientConfig, ClientError, ClientStats, Conn, Dialer, FailoverDialer,
-    FeedClient, ShedRecord, TcpDialer,
+    BackoffConfig, ClientConfig, ClientError, ClientStats, Conn, Dialer, FeedClient, ShedRecord,
+    TcpDialer,
 };
 pub use mttr::{run_mttr_bench, MttrConfig, MttrReport, PromotionTrial, SelfHealTrial};
 pub use overload::{

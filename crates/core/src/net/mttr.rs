@@ -2,8 +2,9 @@
 //! kill, for both ways back, measured end to end through the real front
 //! door.
 //!
-//! Level 1 (crash-only restart): the supervised engine is killed mid-feed
-//! with a torn slot, and the door goes degraded. A new engine is then
+//! Level 1 (crash-only restart): the supervised engine is killed mid-feed,
+//! the door goes degraded, and the newest slot is torn (a death
+//! mid-checkpoint-write), outside the timed window. A new engine is then
 //! recovered from the durable slot + WAL tail and put behind a fresh door,
 //! and the whole stream is re-delivered to it; every report must be acked.
 //! The recovery time is the wall time of that restart
@@ -24,6 +25,7 @@ use super::server::{EngineSink, IngestServer, NetServerConfig, PipelineSink, PIP
 use super::standby::{StandbyConfig, StandbyPhase, StandbyServer};
 use crate::algorithm::CtupAlgorithm;
 use crate::config::CtupConfig;
+use crate::durable::DurableState;
 use crate::ingest::stamp_stream;
 use crate::supervisor::{ResilienceConfig, SupervisedPipeline};
 use crate::types::{LocationUpdate, UnitId};
@@ -283,7 +285,6 @@ fn self_heal_trial(config: &MttrConfig, trial: usize) -> std::io::Result<SelfHea
         checkpoint_every: config.checkpoint_every,
         state_dir: Some(dir.clone()),
         kill_at: Some(config.kill_at),
-        tear_slot_on_kill: true,
         ..ResilienceConfig::default()
     };
     let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), &units)
@@ -302,6 +303,8 @@ fn self_heal_trial(config: &MttrConfig, trial: usize) -> std::io::Result<SelfHea
         || server.degraded(),
     )?;
     server.shutdown();
+    // Nothing writes the directory once the engine is dead.
+    DurableState::tear_newest_slot(&dir)?;
 
     // The restart: recover from the directory, behind a fresh door.
     let started = Instant::now();
@@ -310,7 +313,6 @@ fn self_heal_trial(config: &MttrConfig, trial: usize) -> std::io::Result<SelfHea
         store,
         ResilienceConfig {
             kill_at: None,
-            tear_slot_on_kill: false,
             ..resilience
         },
         PIPELINE_CAPACITY,

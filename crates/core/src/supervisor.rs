@@ -52,10 +52,9 @@
 //!
 //! The state directory has one writer at a time. The commit stage writes
 //! it only under the pipeline's directory lock, and not at all once the
-//! apply stage has stopped; the apply stage, when it stops, tears the slot
-//! ([`ResilienceConfig::tear_slot_on_kill`]) and writes the crash dump
-//! ([`FLIGHT_RECORDER_FILE`]) under the same lock and only then marks the
-//! pipeline stopped. So once [`SupervisedPipeline::worker_dead`] is true,
+//! apply stage has stopped; the apply stage, when it stops, writes the
+//! crash dump ([`FLIGHT_RECORDER_FILE`]) under the same lock and only then
+//! marks the pipeline stopped. So once [`SupervisedPipeline::worker_dead`] is true,
 //! no thread writes the directory, and recovery may open it.
 //!
 //! After a *process* death (not just a worker panic),
@@ -68,12 +67,13 @@
 //! applied: up to the one being applied, the one queued and the one the
 //! commit stage waited to hand over.
 //!
-//! Deterministic fault injection for tests and `ctup run`'s fault flags
-//! is built in: [`ResilienceConfig::panic_at`] crashes the processor at
+//! Deterministic fault injection for tests and `ctup serve --kill-at` is
+//! built in: [`ResilienceConfig::panic_at`] crashes the processor at
 //! chosen effective sequence numbers, exactly once each, and
 //! [`ResilienceConfig::kill_at`] halts the apply stage abruptly mid-stream
-//! the way `kill -9` would, and the commit stage with it, optionally
-//! tearing the newest durable slot to exercise the A/B fallback.
+//! the way `kill -9` would, and the commit stage with it. A test that
+//! wants a death mid-checkpoint-write tears the newest slot itself once
+//! the pipeline is dead ([`DurableState::tear_newest_slot`]).
 //!
 //! All decisions are counted in [`ResilienceStats`], folded into the final
 //! [`Metrics`] of the [`SupervisedReport`].
@@ -129,11 +129,6 @@ pub struct ResilienceConfig {
     /// after that. Recovery is then exercised with
     /// [`SupervisedPipeline::recover_from_dir`].
     pub kill_at: Option<u64>,
-    /// When the kill fires, additionally tear the newest durable slot in
-    /// place, after the commit stage's last write, simulating a death
-    /// *mid-checkpoint-write*: recovery must fall back to the older slot
-    /// and a longer journal tail.
-    pub tear_slot_on_kill: bool,
     /// Causal span sink the worker records per-report pipeline spans into
     /// (engine-apply, shard-phase, merge, snapshot-publish, wal-append,
     /// checkpoint — see [`ctup_obs::span`]). Only reports handed over with
@@ -151,7 +146,6 @@ impl Default for ResilienceConfig {
             panic_at: Vec::new(),
             state_dir: None,
             kill_at: None,
-            tear_slot_on_kill: false,
             spans: None,
         }
     }
@@ -194,9 +188,6 @@ pub struct SupervisedReport {
     /// checkpoint writes) joined with the storage layer's disk-read
     /// histogram.
     pub latency: LatencySnapshot,
-    /// Where the crash dump ([`FLIGHT_RECORDER_FILE`]) was written, when
-    /// the worker died with a `state_dir` configured (killed or gave up).
-    pub flight_recorder_path: Option<PathBuf>,
 }
 
 /// Called by the commit stage once per commit group, right after the
@@ -256,11 +247,10 @@ impl DurableLine {
     /// Stops the pipeline: runs the apply stage's `last_writes` while no
     /// commit-stage write is in flight, then marks the pipeline stopped, so
     /// nothing writes the state directory once anyone can see it dead.
-    fn stop<T>(&self, last_writes: impl FnOnce() -> T) -> T {
+    fn stop(&self, last_writes: impl FnOnce()) {
         let _guard = self.lock();
-        let out = last_writes();
+        last_writes();
         self.stopped.store(true, Ordering::Release);
-        out
     }
 
     fn stopped(&self) -> bool {
@@ -591,7 +581,6 @@ fn gave_up_report() -> SupervisedReport {
         final_result: Vec::new(),
         metrics: Metrics::default(),
         latency: LatencySnapshot::default(),
-        flight_recorder_path: None,
     }
 }
 
@@ -870,7 +859,7 @@ where
             for (idx, update) in effective.into_iter().enumerate() {
                 let sink = sink.filter(|_| idx == last_idx);
                 // Simulated process death: stop mid-stream with no final
-                // checkpoint (the newest slot is torn below, if asked).
+                // checkpoint.
                 if config.kill_at == Some(eff_seq) {
                     killed = true;
                     stopped_unit = Some(update.unit.0);
@@ -1014,21 +1003,16 @@ where
     // The hand-off closed on a failed durable write, or the stage stopped
     // on its own.
     gave_up |= line.failed.load(Ordering::Acquire);
-    // The last writes to the state directory, after the commit stage's
-    // last one and before anyone can see the pipeline dead: the torn slot
-    // of a death mid-checkpoint-write, and the crash dump next to the
-    // slots. Best-effort — a dump failure must not mask the report of the
-    // death itself.
-    let flight_recorder_path = line.stop(|| {
-        let dir = config.state_dir.as_deref().filter(|_| gave_up || killed)?;
-        if killed && config.tear_slot_on_kill {
-            let _ = DurableState::tear_newest_slot(dir);
+    // The last write to the state directory, after the commit stage's
+    // last one and before anyone can see the pipeline dead: the crash dump
+    // next to the slots. Best-effort — a dump failure must not mask the
+    // report of the death itself.
+    line.stop(|| {
+        if let Some(dir) = config.state_dir.as_deref().filter(|_| gave_up || killed) {
+            let outcome = if killed { "killed" } else { "gave_up" };
+            let path = dir.join(FLIGHT_RECORDER_FILE);
+            let _ = dump_crash(&path, outcome, eff_seq, stopped_unit);
         }
-        let outcome = if killed { "killed" } else { "gave_up" };
-        let path = dir.join(FLIGHT_RECORDER_FILE);
-        dump_crash(&path, outcome, eff_seq, stopped_unit)
-            .ok()
-            .map(|()| path)
     });
 
     let (final_result, metrics) = if gave_up || killed {
@@ -1056,7 +1040,6 @@ where
         final_result,
         metrics,
         latency: obs.snapshot(store.stats().read_latency()),
-        flight_recorder_path,
     }
 }
 
@@ -1239,10 +1222,9 @@ mod tests {
         assert_eq!(report.events_emitted, direct.events_emitted());
         assert_eq!(report.final_result, direct.result());
         assert_eq!(report.metrics.resilience.worker_panics, 0);
-        // A healthy run fills the latency histograms but dumps nothing.
+        // A healthy run fills the latency histograms.
         assert_eq!(report.latency.update_total_nanos.count(), 150);
         assert_eq!(report.latency.update_maintain_nanos.count(), 150);
-        assert!(report.flight_recorder_path.is_none());
     }
 
     /// The dedicated restart test: one injected panic mid-run forces
@@ -1629,9 +1611,7 @@ mod tests {
         }
         let report = pipeline.shutdown();
         assert!(report.killed);
-        let path = report.flight_recorder_path.expect("dump written");
-        assert_eq!(path, dir.join(FLIGHT_RECORDER_FILE));
-        let dump = std::fs::read_to_string(&path).expect("read dump");
+        let dump = std::fs::read_to_string(dir.join(FLIGHT_RECORDER_FILE)).expect("read dump");
         assert_eq!(dump.lines().count(), 1, "{dump}");
         assert!(
             dump.starts_with("{\"outcome\":\"killed\",\"seq\":200,\"unit\":"),
@@ -1670,8 +1650,7 @@ mod tests {
         }
         let report = pipeline.shutdown();
         assert!(report.gave_up);
-        let path = report.flight_recorder_path.expect("dump written");
-        let dump = std::fs::read_to_string(&path).expect("read dump");
+        let dump = std::fs::read_to_string(dir.join(FLIGHT_RECORDER_FILE)).expect("read dump");
         assert_eq!(
             dump,
             format!("{{\"outcome\":\"gave_up\",\"seq\":1,\"unit\":{unit}}}\n")
@@ -1909,8 +1888,8 @@ mod tests {
     }
 
     /// The full kill-and-restart drill: the worker dies abruptly mid-stream
-    /// *while tearing the newest slot* (death mid-checkpoint-write);
-    /// recovery falls back to the older slot, replays the journaled tail,
+    /// and the test then tears the newest slot (a death
+    /// mid-checkpoint-write); recovery falls back to the older slot, replays the journaled tail,
     /// and — after the full feed is re-delivered with the gate dropping
     /// what was already applied — lands on exactly the direct run's result.
     /// Two inputs:
@@ -1940,7 +1919,6 @@ mod tests {
             checkpoint_every: EVERY,
             state_dir: Some(dir.clone()),
             kill_at: Some(120),
-            tear_slot_on_kill: true,
             ..ResilienceConfig::default()
         };
         let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 1024);
@@ -1968,6 +1946,9 @@ mod tests {
         assert!(!report.gave_up);
         assert_eq!(report.updates_processed, 120);
         assert!(report.final_result.is_empty());
+        // Nothing writes the directory once the pipeline is dead: tearing
+        // the newest slot now is a death mid-checkpoint-write.
+        DurableState::tear_newest_slot(&dir).expect("tear the newest slot");
 
         // The torn newest slot forces fallback to the one before it, slot
         // `s`, taken after report `base = EVERY * (s - 1)`; `stamp_stream`
@@ -2622,7 +2603,6 @@ mod tests {
         let stamped = stamp_stream(updates(100, 4));
         let kill = ResilienceConfig {
             kill_at: Some(40),
-            tear_slot_on_kill: true,
             ..ResilienceConfig::default()
         };
         let give_up = ResilienceConfig {
@@ -2652,7 +2632,7 @@ mod tests {
             assert!(dir_bytes(&dir) == dead, "the directory changed after death");
             let report = pipeline.shutdown();
             assert!(report.killed != report.gave_up);
-            assert!(report.flight_recorder_path.is_some());
+            assert!(dir.join(FLIGHT_RECORDER_FILE).exists());
             assert!(dir_bytes(&dir) == dead, "shutdown wrote the directory");
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -17,7 +17,6 @@
 //! asymmetry of a store-and-forward radio link.
 
 use crate::rng::SeededRng;
-use ctup_storage::DiskFaultPlan;
 
 /// A seeded description of how a feed degrades. Probabilities are
 /// per-message and independent; `0.0` disables the fault.
@@ -45,17 +44,6 @@ pub struct FaultPlan {
     pub delay_prob: f64,
     /// Maximum delay (in slots); `0` disables delays.
     pub max_delay: usize,
-    /// Effective-update sequence numbers at which the *processor* (not the
-    /// link) should be crashed, forwarded by the harness to the supervised
-    /// pipeline's fault injection. Carried here so one plan value describes
-    /// the whole chaos scenario.
-    pub panic_at: Vec<u64>,
-    /// Faults of the *storage medium* (transient read errors, torn page
-    /// writes, bit flips, latency spikes), forwarded by the harness to the
-    /// lower level's [`FaultDisk`](ctup_storage::FaultDisk). The link
-    /// faults above and the disk faults here together describe one chaos
-    /// scenario end to end.
-    pub disk: DiskFaultPlan,
 }
 
 impl Default for FaultPlan {
@@ -69,8 +57,6 @@ impl Default for FaultPlan {
             corrupt_prob: 0.0,
             delay_prob: 0.0,
             max_delay: 16,
-            panic_at: Vec::new(),
-            disk: DiskFaultPlan::default(),
         }
     }
 }

@@ -69,15 +69,11 @@ pub fn mint_trace(seed: u64, seq: u64) -> u64 {
 /// report `seq` is sampled, 0 otherwise. `every == 0` disables
 /// sampling; `every == 1` traces everything. The decision is a pure
 /// function of `seq`, so a replayed report makes the same choice.
-#[expect(
-    clippy::manual_is_multiple_of,
-    reason = "`u64::is_multiple_of` needs Rust 1.87; the workspace MSRV is 1.81"
-)]
 pub fn sample_trace(seed: u64, seq: u64, every: u64) -> u64 {
     if every == 0 {
         return 0;
     }
-    if every == 1 || seq % every == 0 {
+    if every == 1 || seq.is_multiple_of(every) {
         mint_trace(seed, seq)
     } else {
         0

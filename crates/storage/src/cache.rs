@@ -13,7 +13,7 @@
 //! **Policy.** Every grid cell has one slot holding its records while
 //! resident, its page weight, the tick of its latest demand read and an
 //! aged count of its demand reads. Every demand read, hit or miss, bumps
-//! the count and the tick; every [`AGING_PERIOD_PER_CELL`] × cells reads,
+//! the count and the tick; every `AGING_PERIOD_PER_CELL` × cells reads,
 //! all counts are halved, so demand that moved away fades within a few
 //! periods. A missed cell that fits the spare budget is admitted. Else its
 //! victims are the residents in ascending `(count, tick)` order — least

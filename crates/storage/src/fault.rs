@@ -98,16 +98,6 @@ impl Default for DiskFaultPlan {
     }
 }
 
-impl DiskFaultPlan {
-    /// Whether the plan injects any fault at all.
-    pub fn is_active(&self) -> bool {
-        self.read_error_prob > 0.0
-            || self.torn_writes > 0
-            || self.bit_flips > 0
-            || self.latency_spike_prob > 0.0
-    }
-}
-
 /// Retry-with-exponential-backoff policy for transient read failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -223,11 +213,6 @@ impl FaultDisk {
         cells.sort_unstable_by_key(|c| c.0);
         cells.dedup();
         cells
-    }
-
-    /// The fault plan this disk was built with.
-    pub fn plan(&self) -> &DiskFaultPlan {
-        &self.plan
     }
 
     /// The retry policy applied to transient failures.
@@ -352,7 +337,6 @@ mod tests {
     #[test]
     fn no_faults_behaves_like_the_paged_store() {
         let disk = quiet_disk(DiskFaultPlan::default(), RetryPolicy::default());
-        assert!(!disk.plan().is_active());
         assert!(disk.corrupted_pages().is_empty());
         let mem = crate::memstore::CellLocalStore::build(Grid::unit_square(4), sample_places(400));
         for cell in disk.grid().cells().collect::<Vec<_>>() {

@@ -23,9 +23,9 @@ use ctup::core::config::CtupConfig;
 use ctup::core::ingest::{stamp_stream, GateState, GateUnitState, StampedUpdate, TracedReport};
 use ctup::core::net::wire::{FrameDecoder, FrameWriter, Message, MAX_CHUNK_DATA};
 use ctup::core::net::{
-    ClientConfig, ClientStats, Dialer, EngineSink, FailoverDialer, FeedClient, IngestServer,
-    NetServerConfig, NetStatsSnapshot, PipelineSink, ShedReason, SinkError, StandbyConfig,
-    StandbyPhase, StandbyServer, TcpDialer,
+    ClientConfig, ClientStats, Dialer, EngineSink, FeedClient, IngestServer, NetServerConfig,
+    NetStatsSnapshot, PipelineSink, ShedReason, SinkError, StandbyConfig, StandbyPhase,
+    StandbyServer, TcpDialer,
 };
 use ctup::core::supervisor::{ResilienceConfig, SupervisedPipeline};
 use ctup::core::types::{LocationUpdate, Place, PlaceId, Safety, TopKEntry, UnitId};
@@ -713,7 +713,7 @@ impl Replicated {
     /// Feeds `reports` down the failover list: the primary, then the
     /// standby's door.
     fn walk_over(&self, reports: &[StampedUpdate]) -> ClientStats {
-        let doors = FailoverDialer::new(vec![self.primary_addr, self.standby_addr]);
+        let doors = TcpDialer::failover(self.primary_addr, [self.standby_addr]);
         feed(doors, ClientConfig::default(), reports)
     }
 

@@ -26,7 +26,7 @@ use ctup::core::net::{
 };
 use ctup::core::supervisor::{ResilienceConfig, SupervisedPipeline};
 use ctup::core::types::{LocationUpdate, TopKEntry, UnitId};
-use ctup::core::{OptCtup, Oracle};
+use ctup::core::{DurableState, OptCtup, Oracle};
 use ctup::mogen::{ChaosStream, NetFaultPlan, PlaceGenConfig, Workload, WorkloadParams};
 use ctup::spatial::Grid;
 use ctup::storage::{CellLocalStore, PlaceStore};
@@ -102,13 +102,13 @@ fn unwrap_sink(mut sink: Arc<PipelineSink>) -> PipelineSink {
 }
 
 /// Dials through a [`ChaosStream`], scripting each attempt off the plan.
-struct ChaosDialer {
+struct FaultyLinkDialer {
     addr: SocketAddr,
     plan: NetFaultPlan,
     attempt: u64,
 }
 
-impl Dialer for ChaosDialer {
+impl Dialer for FaultyLinkDialer {
     fn dial(&mut self) -> std::io::Result<Box<dyn Conn>> {
         let script = self.plan.script(self.attempt);
         self.attempt += 1;
@@ -188,7 +188,7 @@ fn reconnect_replay_is_duplicate_suppressed_and_oracle_exact() {
         ..NetFaultPlan::default()
     };
     let mut client = FeedClient::new(
-        Box::new(ChaosDialer {
+        Box::new(FaultyLinkDialer {
             addr: server.local_addr(),
             plan,
             attempt: 0,
@@ -348,7 +348,7 @@ fn slowloris_is_evicted_while_healthy_client_proceeds() {
         let mut cfg = ClientConfig::default();
         cfg.backoff.max_attempts = 2;
         let mut client = FeedClient::new(
-            Box::new(ChaosDialer {
+            Box::new(FaultyLinkDialer {
                 addr,
                 plan,
                 attempt: 0,
@@ -571,7 +571,6 @@ fn kill_and_recover_over_the_wire_is_oracle_exact() {
         checkpoint_every: 48,
         state_dir: Some(dir.clone()),
         kill_at: Some(300),
-        tear_slot_on_kill: true,
         ..ResilienceConfig::default()
     };
     let (sink, dyn_sink) = pipeline_sink(&store, &units, resilience, 8);
@@ -596,6 +595,9 @@ fn kill_and_recover_over_the_wire_is_oracle_exact() {
     assert_eq!(net.reports_accepted + net.shed_total(), 600);
     let report = unwrap_sink(sink).into_pipeline().shutdown();
     assert!(report.killed);
+    // Nothing writes the directory once the engine is dead: tearing the
+    // newest slot now is a death mid-checkpoint-write.
+    DurableState::tear_newest_slot(&dir).expect("tear the newest slot");
 
     // Phase B: "new process" — recover from the surviving slot, stand up
     // a fresh front door, re-deliver everything.
@@ -1047,7 +1049,7 @@ fn trace_ids_survive_reconnect_replay_without_forking() {
     };
     let trace_seed = 0xA1;
     let mut client = FeedClient::new(
-        Box::new(ChaosDialer {
+        Box::new(FaultyLinkDialer {
             addr: server.local_addr(),
             plan,
             attempt: 0,

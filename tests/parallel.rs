@@ -177,7 +177,7 @@ fn corrupt_report(report: &mut StampedUpdate, rng: &mut SeededRng) {
 /// engine and the sequential `OptCtup` to equivalent results at every
 /// timestamp — ending oracle-true.
 #[test]
-fn chaos_fault_plan_feed_is_exact_across_shards() {
+fn chaos_feed_is_exact_across_shards() {
     let (mut workload, base) = setup(0xC4A5);
     let units = workload.unit_positions();
     let clean = updates_from(&mut workload, if cfg!(miri) { 40 } else { 600 });
@@ -190,7 +190,6 @@ fn chaos_fault_plan_feed_is_exact_across_shards() {
         corrupt_prob: 0.02,
         delay_prob: 0.02,
         max_delay: 12,
-        ..FaultPlan::default()
     };
     let (degraded, log) = plan.apply(stamp_stream(clean), corrupt_report);
     assert!(log.dropped > 0 && log.duplicated > 0 && log.reordered > 0 && log.corrupted > 0);
