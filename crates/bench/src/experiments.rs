@@ -405,7 +405,13 @@ pub fn fig9(effort: Effort) -> Table {
 
 /// Ablation — the DecHash purge-on-access soundness fix: cost and result
 /// divergence with the purge disabled (the paper's literal Table II).
+///
+/// The query is a top-100: its `SK` sits among the places the jiggling
+/// units flip, so a stale bound left at or above `SK` hides a place that
+/// belongs in the result. (At the paper's k = 15 this stream reaches no
+/// such place and both variants agree.)
 pub fn ablation_dechash_purge(effort: Effort) -> Table {
+    const K: usize = 100;
     let mut rows = Vec::new();
     for purge in [true, false] {
         let params = SetupParams {
@@ -414,8 +420,7 @@ pub fn ablation_dechash_purge(effort: Effort) -> Table {
             config: CtupConfig {
                 purge_dechash_on_access: purge,
                 delta: 0,
-                mode: ctup_core::QueryMode::Threshold(0),
-                ..CtupConfig::paper_default()
+                ..CtupConfig::with_k(K)
             },
             ..SetupParams::default()
         };
@@ -449,11 +454,9 @@ pub fn ablation_dechash_purge(effort: Effort) -> Table {
             }
             positions[update.unit.index()] = update.new;
             let got: Vec<i64> = alg.result().iter().map(|e| e.safety).collect();
-            let want: Vec<i64> = oracle
-                .result(&positions, 0.1, ctup_core::QueryMode::Threshold(0))
-                .iter()
-                .map(|e| e.safety)
-                .collect();
+            let mut want = oracle.safeties(&positions, 0.1);
+            want.sort_unstable();
+            want.truncate(K);
             if got != want {
                 divergences += 1;
             }

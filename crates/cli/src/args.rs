@@ -35,10 +35,6 @@ impl Command {
         Command::ALL.into_iter().find(|c| c.name() == name)
     }
 
-    fn bit(self) -> u8 {
-        1 << self as u8
-    }
-
     fn about(self) -> &'static str {
         [
             "Generate a place set and save it as a snapshot.",
@@ -93,7 +89,6 @@ const FLAGS: &[Flag] = &[
     flag("rp-max", "N", GENERATE),
     flag("rp-skew", "F", GENERATE),
     flag("k", "K", RUN | SERVE),
-    flag("threshold", "T", RUN | SERVE),
     flag("delta", "D", RUN | SERVE),
     flag("radius", "R", RUN | SERVE),
     flag("no-doo", "", RUN | SERVE),
@@ -128,7 +123,7 @@ const FLAGS: &[Flag] = &[
 
 impl Flag {
     fn accepted_by(&self, command: Command) -> bool {
-        self.commands & command.bit() != 0
+        self.commands & (1 << command as u8) != 0
     }
 
     /// `[--name VALUE]`, as the usage text shows it.
@@ -287,9 +282,9 @@ mod tests {
         assert!(flags.switch("events"));
         assert!(!flags.switch("no-doo"));
         assert_eq!(flags.get("k", 42i64).unwrap(), 42);
-        assert_eq!(flags.opt::<i64>("threshold").unwrap(), None);
-        let flags = parse(Command::Run, "--threshold -3").unwrap();
-        assert_eq!(flags.opt::<i64>("threshold").unwrap(), Some(-3));
+        assert_eq!(flags.opt::<i64>("delta").unwrap(), None);
+        let flags = parse(Command::Run, "--delta -3").unwrap();
+        assert_eq!(flags.opt::<i64>("delta").unwrap(), Some(-3));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::args::{CliError, Command, Flags};
 use ctup_core::algorithm::CtupAlgorithm;
-use ctup_core::config::{CtupConfig, QueryMode};
+use ctup_core::config::CtupConfig;
 use ctup_core::ingest::{stamp_stream, StampedUpdate};
 use ctup_core::naive::{NaiveIncremental, NaiveRecompute};
 use ctup_core::net::{
@@ -22,7 +22,7 @@ use ctup_obs::{LatencySnapshot, MetricsServer, SpanSink};
 use ctup_spatial::Grid;
 use ctup_storage::{snapshot, CachedStore, CellLocalStore, PlaceStore, StorageError, MAX_RP};
 use std::fmt::Write as _;
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,12 +38,36 @@ fn init_err(e: StorageError) -> CliError {
 /// Parses `args` for `command` and runs it.
 pub fn dispatch(command: Command, args: Vec<String>, out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(command, args)?;
+    let out = &mut Output(out);
     match command {
         Command::Generate => generate(&flags, out),
         Command::Run => run(&flags, out),
         Command::Serve => serve(&flags, out),
         Command::Feed => feed(&flags, out),
         Command::Trace => crate::trace::trace(&flags, out),
+    }
+}
+
+/// A command's standard output. Once its reader has gone (`BrokenPipe`,
+/// as after `ctup serve … | grep -q`), the rest of the output is dropped
+/// and the command still finishes its work and succeeds. Sockets are not
+/// written through here, so a broken connection still fails the command.
+struct Output<'a>(&'a mut dyn Write);
+
+fn unless_closed<T>(result: io::Result<T>, dropped: T) -> io::Result<T> {
+    match result {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(dropped),
+        other => other,
+    }
+}
+
+impl Write for Output<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        unless_closed(self.0.write(buf), buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        unless_closed(self.0.flush(), ())
     }
 }
 
@@ -75,30 +99,21 @@ fn next_updates(workload: &mut Workload, n: usize) -> Vec<LocationUpdate> {
         .collect()
 }
 
-/// The query of `run` and `serve`: top-`--k` (15) or `--threshold`.
+/// The query of `run` and `serve`: top-`--k` (15).
 fn query_config(flags: &Flags) -> Result<CtupConfig, CliError> {
-    let mode = match (flags.opt("k")?, flags.opt("threshold")?) {
-        (Some(_), Some(_)) => return Err(CliError("give --k or --threshold, not both".into())),
-        (_, Some(threshold)) => QueryMode::Threshold(threshold),
-        (k, None) => QueryMode::TopK(k.unwrap_or(15)),
-    };
     Ok(CtupConfig {
-        mode,
         protection_radius: flags.get("radius", 0.1)?,
         delta: flags.get("delta", 6)?,
         doo_enabled: !flags.switch("no-doo"),
-        purge_dechash_on_access: true,
+        ..CtupConfig::with_k(flags.get("k", 15)?)
     })
 }
 
 fn write_result(text: &mut String, result: &[TopKEntry]) {
     text.push_str("final result:\n");
     for entry in result {
-        let _ = writeln!(
-            text,
-            "  place {:>6}  safety {:>4}",
-            entry.place.0, entry.safety
-        );
+        let (place, safety) = (entry.place.0, entry.safety);
+        let _ = writeln!(text, "  place {place:>6}  safety {safety:>4}");
     }
 }
 
@@ -440,12 +455,8 @@ fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     }
     let mut text = String::new();
     write_result(&mut text, &report.final_result);
-    let snapshot = Snapshot::new(
-        "opt",
-        report.metrics,
-        store.stats().snapshot(),
-        report.latency,
-    );
+    let storage = store.stats().snapshot();
+    let snapshot = Snapshot::new("opt", report.metrics, storage, report.latency);
     text.push_str(&snapshot.with_net(net).render_text());
     out.write_all(text.as_bytes())?;
     // Dump spans last: the engine worker keeps recording until
@@ -739,12 +750,12 @@ mod tests {
 
     #[test]
     fn run_all_algorithms_small() {
-        // Threshold mode and `--events` ride along on two of the engines.
+        // `--events` rides along on two of the engines.
         for (algorithm, query) in [
             ("opt", "--k 3"),
-            ("basic", "--threshold -3 --events"),
+            ("basic", "--k 3 --events"),
             ("naive", "--k 3"),
-            ("naive-inc", "--threshold -3 --events"),
+            ("naive-inc", "--k 3 --events"),
         ] {
             let out = ctup(&format!(
                 "run --algorithm {algorithm} {query} --places 200 --units 8 --updates 20"
@@ -890,7 +901,7 @@ mod tests {
             "run --addr 127.0.0.1:1 => unknown flag --addr for `ctup run`",
             "run --flight-recorder 8 => unknown flag --flight-recorder for `ctup run`",
             "run --format xml => unknown --format \"xml\"",
-            "run --k 3 --threshold -2 => give --k or --threshold, not both",
+            "run --threshold -2 => unknown flag --threshold for `ctup run`",
             "run --shards 0 => --shards must be at least 1",
             "run --algorithm basic --shards 2 => requires the opt algorithm",
             // `run` has one path, the bare engine: the durable flags are
@@ -935,6 +946,36 @@ mod tests {
         // The shutdown snapshot carries the engine's counters too.
         assert_eq!(counter(&out, "updates_processed"), 200, "{out}");
         assert_eq!(final_result(&out).len(), 15, "{out}");
+    }
+
+    /// A reader that closes early (`serve … | grep -q`) does not fail a
+    /// complete run; a feed to a dead door still fails, through the same
+    /// closed output.
+    #[test]
+    fn serve_into_a_closed_reader_succeeds() {
+        struct ClosedReader;
+        impl Write for ClosedReader {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+        }
+        let args = |line: &str| line.split_whitespace().map(String::from).collect();
+        let serve = "--units 25 --places 1500 --updates 100 --serve-secs 0 \
+                     --addr 127.0.0.1:0 --metrics-addr 127.0.0.1:0";
+        dispatch(Command::Serve, args(serve), &mut ClosedReader)
+            .expect("serve into a closed reader");
+        let dead = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("reserve a port");
+        let feed = format!(
+            "--addr {dead} --units 25 --places 1500 --updates 5 --max-attempts 1 --deadline-secs 2"
+        );
+        let error = dispatch(Command::Feed, args(&feed), &mut ClosedReader)
+            .expect_err("a feed to a dead door");
+        assert!(error.0.starts_with("feed: "), "{error}");
     }
 
     #[test]

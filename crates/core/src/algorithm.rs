@@ -60,13 +60,11 @@ pub trait CtupAlgorithm {
     /// the supervised pipeline does the latter.
     fn handle_update(&mut self, update: LocationUpdate) -> Result<UpdateStats, StorageError>;
 
-    /// The current monitored result, sorted by `(safety, place id)`: the
-    /// top-k unsafe places in top-k mode, every place below the threshold
-    /// in threshold mode.
+    /// The current top-k unsafe places, sorted by `(safety, place id)`.
     fn result(&self) -> Vec<TopKEntry>;
 
     /// The safety of the k-th unsafe place (`SK`); `None` when fewer than
-    /// `k` places exist or in threshold mode.
+    /// `k` places exist.
     fn sk(&self) -> Option<Safety>;
 
     /// Cumulative logical cost counters.

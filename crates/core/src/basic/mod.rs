@@ -9,7 +9,7 @@
 pub mod lb;
 
 use crate::algorithm::{CtupAlgorithm, InitStats, UpdateStats};
-use crate::cells::{classify_with_margin, touched_cells};
+use crate::cells::touched_cells;
 use crate::config::CtupConfig;
 use crate::lbdir::LbDirectory;
 use crate::maintained::MaintainedSet;
@@ -17,7 +17,7 @@ use crate::metrics::Metrics;
 use crate::types::{LocationUpdate, Safety, TopKEntry, UnitId, LB_NONE};
 use crate::units::UnitTable;
 use ctup_obs::PhaseTimer;
-use ctup_spatial::{convert, CellId, Circle, Grid, Point};
+use ctup_spatial::{convert, CellId, Circle, Grid, Point, Relation};
 use ctup_storage::{PlaceStore, StorageError};
 use lb::basic_lb_delta;
 use std::borrow::Cow;
@@ -101,7 +101,7 @@ impl BasicCtup {
         this.metrics = Metrics::default();
         this.metrics
             .set_maintained(convert::count64(this.maintained.len()));
-        this.last_result = this.maintained.result(this.config.mode);
+        this.last_result = this.maintained.result(this.config.k());
         this.init_stats = InitStats {
             wall: start.elapsed(),
             storage: this.store.stats().snapshot().since(&io_before),
@@ -141,7 +141,7 @@ impl BasicCtup {
     fn illumination_loop(&mut self) -> Result<u64, StorageError> {
         let mut count = 0;
         loop {
-            let sk = self.maintained.sk_eff(self.config.mode);
+            let sk = self.maintained.sk_eff(self.config.k());
             match self.lb.first() {
                 Some((lb0, cell)) if lb0 < sk => {
                     self.illuminate(cell)?;
@@ -246,9 +246,8 @@ impl CtupAlgorithm for BasicCtup {
                 continue; // illuminated: exact safeties already updated
             }
             let rect = self.grid.cell_rect(cell);
-            let margin = self.store.cell_extent_margin(cell);
-            let rel_old = classify_with_margin(&old_region, &rect, margin);
-            let rel_new = classify_with_margin(&new_region, &rect, margin);
+            let rel_old = Relation::classify(&old_region, &rect);
+            let rel_new = Relation::classify(&new_region, &rect);
             let delta = basic_lb_delta(rel_old, rel_new);
             if delta != 0 {
                 self.lb.add(cell, delta);
@@ -265,7 +264,7 @@ impl CtupAlgorithm for BasicCtup {
         let cells_accessed = self.illumination_loop()?;
 
         // Step 4: darken illuminated cells that hold no result place.
-        let result = self.maintained.result(self.config.mode);
+        let result = self.maintained.result(self.config.k());
         // Every result place is maintained by construction; filter_map keeps
         // the keep-set sound (a dropped cell only darkens conservatively)
         // instead of panicking mid-update if that invariant ever broke.
@@ -305,10 +304,7 @@ impl CtupAlgorithm for BasicCtup {
     }
 
     fn sk(&self) -> Option<Safety> {
-        match self.config.mode {
-            crate::config::QueryMode::TopK(k) => self.maintained.ordered().kth_safety(k),
-            crate::config::QueryMode::Threshold(_) => None,
-        }
+        self.maintained.ordered().kth_safety(self.config.k())
     }
 
     fn metrics(&self) -> &Metrics {
@@ -331,7 +327,6 @@ impl CtupAlgorithm for BasicCtup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::QueryMode;
     use crate::oracle::Oracle;
     use crate::types::{Place, PlaceId};
     use ctup_storage::CellLocalStore;
@@ -367,7 +362,7 @@ mod tests {
     #[test]
     fn initialization_matches_oracle() {
         let (alg, oracle, units) = setup(5);
-        oracle.assert_result_matches(&alg.result(), &units, 0.1, QueryMode::TopK(5));
+        oracle.assert_result_matches(&alg.result(), &units, 0.1, 5);
         alg.check_lb_invariant();
         // Result cells are illuminated.
         assert!(alg.maintained_places() >= 5);
@@ -393,7 +388,7 @@ mod tests {
             })
             .expect("update");
             units[unit] = new;
-            oracle.assert_result_matches(&alg.result(), &units, 0.1, QueryMode::TopK(5));
+            oracle.assert_result_matches(&alg.result(), &units, 0.1, 5);
             if step % 50 == 0 {
                 alg.check_lb_invariant();
             }
@@ -468,28 +463,6 @@ mod tests {
             opt_accesses <= 12,
             "opt accessed {opt_accesses} cells under pure jiggling"
         );
-    }
-
-    #[test]
-    fn threshold_mode_matches_oracle() {
-        let places = grid_place_set();
-        let oracle = Oracle::new(places.clone());
-        let store: Arc<dyn PlaceStore> =
-            Arc::new(CellLocalStore::build(Grid::unit_square(8), places));
-        let units = vec![Point::new(0.5, 0.5), Point::new(0.2, 0.8)];
-        let config = CtupConfig {
-            mode: QueryMode::Threshold(-2),
-            ..CtupConfig::paper_default()
-        };
-        let mut alg = BasicCtup::new(config, store, &units).expect("init");
-        oracle.assert_result_matches(&alg.result(), &units, 0.1, QueryMode::Threshold(-2));
-        alg.handle_update(LocationUpdate {
-            unit: UnitId(0),
-            new: Point::new(0.21, 0.79),
-        })
-        .expect("update");
-        let moved = vec![Point::new(0.21, 0.79), Point::new(0.2, 0.8)];
-        oracle.assert_result_matches(&alg.result(), &moved, 0.1, QueryMode::Threshold(-2));
     }
 
     #[test]

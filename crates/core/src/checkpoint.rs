@@ -192,16 +192,17 @@ impl DurableImage {
 /// became the only cell order; v6 dropped the derived sections (lower
 /// bounds, maintained places, DecHash), which restore now re-derives; v7
 /// moved the durable state to four fixed files overwritten in place, with
-/// a binary, CRC-chained journal. Files of earlier versions are refused at
-/// their version line.
-pub const FORMAT_VERSION: u32 = 7;
+/// a binary, CRC-chained journal; v8 dropped threshold mode (a `mode
+/// threshold <t>` line) and the rectangle a place could carry. Files of
+/// earlier versions are refused at their version line.
+pub const FORMAT_VERSION: u32 = 8;
 
-const HEADER: &str = "#ctup-checkpoint v7";
+const HEADER: &str = "#ctup-checkpoint v8";
 const VERSION_PREFIX: &str = "#ctup-checkpoint ";
 
-/// Rewrites a current body the way a v4, v5 or v6 writer would have framed
-/// the same state, for the tests that pin their refusal: v6 differs only
-/// in its version line, v4 and v5 also carried the derived sections v6
+/// Rewrites a current body the way a v4 to v7 writer would have framed the
+/// same state, for the tests that pin their refusal: v6 and v7 differ only
+/// in their version line, v4 and v5 also carried the derived sections v6
 /// dropped, and a v4 writer over a row-major store also put a layout tag
 /// before the `units` line (spelled in two pieces so no source outside the
 /// ledger names the retired layout).
@@ -279,10 +280,7 @@ impl Checkpoint {
     /// Writes the checkpoint to `w`.
     pub fn write<W: Write>(&self, mut w: W) -> io::Result<()> {
         writeln!(w, "{HEADER}")?;
-        match self.config.mode {
-            QueryMode::TopK(k) => writeln!(w, "mode topk {k}")?,
-            QueryMode::Threshold(tau) => writeln!(w, "mode threshold {tau}")?,
-        }
+        writeln!(w, "mode topk {}", self.config.k())?;
         writeln!(
             w,
             "config {} {} {} {}",
@@ -339,16 +337,7 @@ impl Checkpoint {
             ["mode", "topk", k] => {
                 QueryMode::TopK(k.parse().map_err(|e| err(line_no, format!("bad k: {e}")))?)
             }
-            ["mode", "threshold", tau] => QueryMode::Threshold(
-                tau.parse()
-                    .map_err(|e| err(line_no, format!("bad threshold: {e}")))?,
-            ),
-            _ => {
-                return Err(err(
-                    line_no,
-                    "expected `mode topk <k>` or `mode threshold <t>`",
-                ))
-            }
+            _ => return Err(err(line_no, "expected `mode topk <k>`")),
         };
 
         // config
@@ -504,10 +493,10 @@ mod tests {
     }
 
     #[test]
-    fn threshold_mode_roundtrip() {
+    fn non_default_config_roundtrips() {
         let cp = Checkpoint {
             config: CtupConfig {
-                mode: QueryMode::Threshold(-4),
+                purge_dechash_on_access: false,
                 doo_enabled: false,
                 ..CtupConfig::paper_default()
             },
@@ -549,14 +538,18 @@ mod tests {
         let mut buf = Vec::new();
         cp.write(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let v3 = text.replacen("v7", "v3", 1);
+        let v3 = text.replacen("v8", "v3", 1);
         // v4 and v5 bodies carry the derived sections v6 dropped (and v4 a
-        // layout tag); they are refused at the version line, before any
-        // field is read.
+        // layout tag), and a v7 body may be in the threshold mode v8
+        // dropped; they are refused at the version line, before any field
+        // is read.
         let v4 = previous_version_body(&text, 4);
         let v5 = previous_version_body(&text, 5);
         assert!(v5.contains("\nmaintained 0\n") && v4.contains("\nlayout "));
-        for old in [v3, v4, v5] {
+        let v7 = previous_version_body(&text, 7);
+        let v7_threshold = v7.replacen("mode topk 7", "mode threshold -4", 1);
+        assert!(v7_threshold.contains("\nmode threshold -4\n"));
+        for old in [v3, v4, v5, v7, v7_threshold] {
             let error = Checkpoint::read(old.as_bytes()).unwrap_err();
             assert!(
                 error.to_string().contains("unsupported checkpoint version"),

@@ -2,14 +2,12 @@
 
 use crate::types::Safety;
 
-/// What the monitor reports.
+/// What the monitor reports. Kept only because `ledger/src/sut.rs` names
+/// it; ROADMAP item 1(b) replaces it with a plain `k`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryMode {
     /// The paper's CTUP query: the `k` places with the smallest safeties.
     TopK(usize),
-    /// The future-work threshold variant: every place with
-    /// `safety < threshold`.
-    Threshold(Safety),
 }
 
 /// Configuration shared by all CTUP algorithms.
@@ -19,7 +17,9 @@ pub enum QueryMode {
 /// does not appear here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CtupConfig {
-    /// Query mode; the paper's experiments use `TopK(15)`.
+    /// The `k` of the query; the paper's experiments use `TopK(15)`. Kept
+    /// as a field only because `ledger/src/sut.rs` names it; ROADMAP item
+    /// 1(b) removes it.
     pub mode: QueryMode,
     /// Protection range `R` of every unit (Table III default: 0.1).
     pub protection_radius: f64,
@@ -59,12 +59,10 @@ impl CtupConfig {
         }
     }
 
-    /// The `k` of a top-k query; `None` in threshold mode.
-    pub fn k(&self) -> Option<usize> {
-        match self.mode {
-            QueryMode::TopK(k) => Some(k),
-            QueryMode::Threshold(_) => None,
-        }
+    /// The `k` of the top-k query.
+    pub fn k(&self) -> usize {
+        let QueryMode::TopK(k) = self.mode;
+        k
     }
 
     /// Checks parameter ranges, returning a description of the first
@@ -77,7 +75,7 @@ impl CtupConfig {
         if self.delta < 0 {
             return Err("delta must be non-negative");
         }
-        if self.mode == QueryMode::TopK(0) {
+        if self.k() == 0 {
             return Err("k must be at least 1");
         }
         Ok(())
@@ -121,18 +119,8 @@ mod tests {
     #[test]
     fn with_k_overrides_only_k() {
         let c = CtupConfig::with_k(5);
-        assert_eq!(c.k(), Some(5));
+        assert_eq!(c.k(), 5);
         assert_eq!(c.delta, 6);
-    }
-
-    #[test]
-    fn threshold_mode_has_no_k() {
-        let c = CtupConfig {
-            mode: QueryMode::Threshold(-2),
-            ..CtupConfig::paper_default()
-        };
-        assert_eq!(c.k(), None);
-        c.validate();
     }
 
     #[test]

@@ -792,29 +792,36 @@ mod tests {
     /// never half-read. v4 and v5 slots carry the derived sections v6
     /// dropped (and, for v4, the `layout` line). A v6 directory is the
     /// layout before the four fixed files: slots replaced by rename beside
-    /// `journal-<N>.wal` text segments.
+    /// `journal-<N>.wal` text segments. A v7 directory has the current
+    /// files, and its body may be in the threshold mode v8 dropped.
     #[test]
     #[cfg_attr(miri, ignore)] // touches the real filesystem
     fn previous_version_directories_are_refused() {
-        for version in [4, 5, 6] {
+        for version in [4, 5, 6, 7] {
             let dir = temp_state_dir();
             fs::create_dir_all(&dir).expect("create dir");
             let mut body = Vec::new();
             sample_checkpoint(1).write(&mut body).expect("encode");
-            let body =
+            let mut body =
                 previous_version_body(&String::from_utf8(body).expect("text codec"), version);
+            if version == 7 {
+                body = body.replacen("mode topk ", "mode threshold -", 1);
+                assert!(body.contains("\nmode threshold -"), "{body}");
+            }
             let slot = format!(
                 "{SLOT_MAGIC} v{version} 1 {} {}\n{body}",
                 crc32(body.as_bytes()),
                 body.len()
             );
             fs::write(dir.join(SLOT_FILES[0]), slot).expect("write slot");
-            let line = "1 1 0 0.125 0.5";
-            fs::write(
-                dir.join("journal-1.wal"),
-                format!("{line} {}\n", crc32(line.as_bytes())),
-            )
-            .expect("write segment");
+            if version < 7 {
+                let line = "1 1 0 0.125 0.5";
+                fs::write(
+                    dir.join("journal-1.wal"),
+                    format!("{line} {}\n", crc32(line.as_bytes())),
+                )
+                .expect("write segment");
+            }
 
             match DurableState::load(&dir) {
                 Err(CheckpointError::Invalid(_)) => {}

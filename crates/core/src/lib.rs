@@ -18,11 +18,6 @@
 //!   places, Table II with the Decrease-Once Optimization and the Δ
 //!   anti-flashing slack.
 //!
-//! Two of the paper's future-work variants (§VII) are served by these same
-//! processors: places with extent, built into the protection predicate
-//! [`types::protects`], and threshold monitoring, selected by
-//! [`config::QueryMode::Threshold`].
-//!
 //! ```
 //! use ctup_core::algorithm::CtupAlgorithm;
 //! use ctup_core::config::CtupConfig;

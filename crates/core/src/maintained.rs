@@ -12,7 +12,6 @@
 //! [`MaintainedSet::refile_cell`], which compacts the cell's `Vec` and
 //! re-points the index of every entry it keeps.
 
-use crate::config::QueryMode;
 use crate::topk::{span, SafetyOrdered};
 use crate::types::{protects, Place, PlaceId, Safety, TopKEntry, LB_NONE};
 use ctup_spatial::{convert, CellId, Point};
@@ -284,26 +283,22 @@ impl MaintainedSet {
         changed
     }
 
-    /// The effective `SK` for a query mode: the k-th smallest maintained
-    /// safety in top-k mode (or [`LB_NONE`] while fewer than `k` places are
-    /// maintained, which forces cell accesses), and the fixed threshold in
-    /// threshold mode.
-    pub fn sk_eff(&self, mode: QueryMode) -> Safety {
-        match mode {
-            QueryMode::TopK(k) => self.ordered.kth_safety(k).unwrap_or(LB_NONE),
-            QueryMode::Threshold(tau) => tau,
-        }
+    /// The effective `SK`: the k-th smallest maintained safety, or
+    /// [`LB_NONE`] while fewer than `k` places are maintained, which forces
+    /// cell accesses.
+    pub fn sk_eff(&self, k: usize) -> Safety {
+        self.ordered.kth_safety(k).unwrap_or(LB_NONE)
     }
 
-    /// The monitored result under `mode`, sorted by `(safety, id)`.
-    pub fn result(&self, mode: QueryMode) -> Vec<TopKEntry> {
-        self.ordered.result(mode).collect()
+    /// The monitored top-`k`, sorted by `(safety, id)`.
+    pub fn result(&self, k: usize) -> Vec<TopKEntry> {
+        self.ordered.result(k).collect()
     }
 
     /// Whether [`MaintainedSet::result`] would equal `last`, decided by
     /// walking the ordered prefix in place, without building the result.
-    pub fn result_equals(&self, mode: QueryMode, last: &[TopKEntry]) -> bool {
-        self.ordered.result(mode).eq(last.iter().copied())
+    pub fn result_equals(&self, k: usize, last: &[TopKEntry]) -> bool {
+        self.ordered.result(k).eq(last.iter().copied())
     }
 
     /// The lowest safety any change to the ordered view touched since the
@@ -399,10 +394,9 @@ mod tests {
         assert_eq!(m.cell_entries(CellId(55)).len(), 2);
         assert_eq!(m.cell_entries(CellId(99)).len(), 1);
         assert!(m.cell_entries(CellId(12)).is_empty());
-        assert_eq!(m.sk_eff(QueryMode::TopK(1)), -6);
-        assert_eq!(m.sk_eff(QueryMode::TopK(2)), -3);
-        assert_eq!(m.sk_eff(QueryMode::TopK(4)), LB_NONE);
-        assert_eq!(m.sk_eff(QueryMode::Threshold(-2)), -2);
+        assert_eq!(m.sk_eff(1), -6);
+        assert_eq!(m.sk_eff(2), -3);
+        assert_eq!(m.sk_eff(4), LB_NONE);
     }
 
     #[test]
@@ -630,12 +624,10 @@ mod tests {
     #[test]
     fn result_modes() {
         let m = sample();
-        let top2 = m.result(QueryMode::TopK(2));
+        let top2 = m.result(2);
         assert_eq!(top2.len(), 2);
         assert_eq!(top2[0].place, PlaceId(2));
         assert_eq!(top2[1].place, PlaceId(0));
-        let below = m.result(QueryMode::Threshold(-1));
-        assert_eq!(below.len(), 2);
     }
 
     fn entry(place: u32, safety: Safety) -> TopKEntry {
@@ -649,45 +641,26 @@ mod tests {
     fn result_equals_agrees_with_result_in_top_k_mode() {
         let mut m = sample();
         // Fewer than k places maintained: the result is everything held.
-        let mode = QueryMode::TopK(5);
-        let all = m.result(mode);
+        let k = 5;
+        let all = m.result(k);
         assert_eq!(all.len(), 3);
-        assert!(m.result_equals(mode, &all));
-        assert!(!m.result_equals(mode, &all[..2]), "a missing tail entry");
+        assert!(m.result_equals(k, &all));
+        assert!(!m.result_equals(k, &all[..2]), "a missing tail entry");
         let mut longer = all.clone();
         longer.push(entry(7, 0));
-        assert!(!m.result_equals(mode, &longer), "an extra tail entry");
-        assert!(!m.result_equals(mode, &[]));
+        assert!(!m.result_equals(k, &longer), "an extra tail entry");
+        assert!(!m.result_equals(k, &[]));
 
         // Ties at SK are ordered by id: swapping two equal-safety entries
         // is a different result.
         m.insert(place(7, 0.3, 0.3, 3), -3, CellId(33));
-        let mode = QueryMode::TopK(3);
-        let top = m.result(mode);
+        let k = 3;
+        let top = m.result(k);
         assert_eq!(top, [entry(2, -6), entry(0, -3), entry(7, -3)]);
-        assert!(m.result_equals(mode, &top));
-        assert!(!m.result_equals(mode, &[entry(2, -6), entry(7, -3), entry(0, -3)]));
+        assert!(m.result_equals(k, &top));
+        assert!(!m.result_equals(k, &[entry(2, -6), entry(7, -3), entry(0, -3)]));
         // Same places, a safety off by one.
-        assert!(!m.result_equals(mode, &[entry(2, -6), entry(0, -3), entry(7, -2)]));
+        assert!(!m.result_equals(k, &[entry(2, -6), entry(0, -3), entry(7, -2)]));
         m.check_invariants();
-    }
-
-    #[test]
-    fn result_equals_agrees_with_result_in_threshold_mode() {
-        let m = sample();
-        // The threshold is strict: safety -3 is not below -3.
-        let mode = QueryMode::Threshold(-3);
-        assert_eq!(m.result(mode), [entry(2, -6)]);
-        assert!(m.result_equals(mode, &[entry(2, -6)]));
-        assert!(!m.result_equals(mode, &[entry(2, -6), entry(0, -3)]));
-        // One above, the -3 place joins.
-        let mode = QueryMode::Threshold(-2);
-        assert!(m.result_equals(mode, &[entry(2, -6), entry(0, -3)]));
-        assert!(!m.result_equals(mode, &[entry(2, -6)]));
-        // Nothing below the lowest safety.
-        let mode = QueryMode::Threshold(-6);
-        assert!(m.result(mode).is_empty());
-        assert!(m.result_equals(mode, &[]));
-        assert!(!m.result_equals(mode, &[entry(2, -6)]));
     }
 }

@@ -1,7 +1,7 @@
 //! The maintain-everything baseline.
 
 use crate::algorithm::{CtupAlgorithm, InitStats, UpdateStats};
-use crate::config::{CtupConfig, QueryMode};
+use crate::config::CtupConfig;
 use crate::metrics::Metrics;
 use crate::topk::SafetyOrdered;
 use crate::types::{protects, LocationUpdate, Place, Safety, TopKEntry, UnitId};
@@ -96,7 +96,7 @@ impl NaiveIncremental {
     }
 
     fn current_result(&self) -> Vec<TopKEntry> {
-        self.ordered.result(self.config.mode).collect()
+        self.ordered.result(self.config.k()).collect()
     }
 
     /// Applies the ±1 safety adjustments caused by a unit moving
@@ -165,10 +165,7 @@ impl CtupAlgorithm for NaiveIncremental {
     }
 
     fn sk(&self) -> Option<Safety> {
-        match self.config.mode {
-            QueryMode::TopK(k) => self.ordered.kth_safety(k),
-            QueryMode::Threshold(_) => None,
-        }
+        self.ordered.kth_safety(self.config.k())
     }
 
     fn metrics(&self) -> &Metrics {
@@ -215,7 +212,7 @@ mod tests {
     fn matches_oracle_through_update_sequence() {
         let (mut alg, store, mut units) = setup(3);
         let oracle = Oracle::from_store(store.as_ref()).expect("oracle");
-        oracle.assert_result_matches(&alg.result(), &units, 0.1, QueryMode::TopK(3));
+        oracle.assert_result_matches(&alg.result(), &units, 0.1, 3);
         let moves = [
             (0u32, Point::new(0.84, 0.86)),
             (1u32, Point::new(0.52, 0.5)),
@@ -230,7 +227,7 @@ mod tests {
             })
             .expect("update");
             units[unit as usize] = new;
-            oracle.assert_result_matches(&alg.result(), &units, 0.1, QueryMode::TopK(3));
+            oracle.assert_result_matches(&alg.result(), &units, 0.1, 3);
         }
     }
 

@@ -1,7 +1,7 @@
 //! The recompute-everything baseline.
 
 use crate::algorithm::{CtupAlgorithm, InitStats, UpdateStats};
-use crate::config::{CtupConfig, QueryMode};
+use crate::config::CtupConfig;
 use crate::metrics::Metrics;
 use crate::types::{LocationUpdate, Place, Safety, TopKEntry, UnitId};
 use crate::units::UnitTable;
@@ -72,45 +72,27 @@ impl NaiveRecompute {
 
     /// Recomputes every place's safety and the result set.
     fn recompute(&mut self) {
-        self.result = match self.config.mode {
-            QueryMode::TopK(k) => {
-                // Bounded max-heap of the k smallest (safety, id) pairs.
-                let mut heap: BinaryHeap<(Safety, crate::types::PlaceId)> =
-                    BinaryHeap::with_capacity(k + 1);
-                for place in &self.places {
-                    let key = (self.units.safety(place), place.id);
-                    if heap.len() < k {
-                        heap.push(key);
-                    } else if let Some(&worst) = heap.peek() {
-                        if key < worst {
-                            heap.pop();
-                            heap.push(key);
-                        }
-                    }
+        let k = self.config.k();
+        // Bounded max-heap of the k smallest (safety, id) pairs.
+        let mut heap: BinaryHeap<(Safety, crate::types::PlaceId)> =
+            BinaryHeap::with_capacity(k + 1);
+        for place in &self.places {
+            let key = (self.units.safety(place), place.id);
+            if heap.len() < k {
+                heap.push(key);
+            } else if let Some(&worst) = heap.peek() {
+                if key < worst {
+                    heap.pop();
+                    heap.push(key);
                 }
-                let mut entries: Vec<TopKEntry> = heap
-                    .into_iter()
-                    .map(|(safety, place)| TopKEntry { place, safety })
-                    .collect();
-                entries.sort_by_key(|e| (e.safety, e.place));
-                entries
             }
-            QueryMode::Threshold(tau) => {
-                let mut entries: Vec<TopKEntry> = self
-                    .places
-                    .iter()
-                    .filter_map(|place| {
-                        let safety = self.units.safety(place);
-                        (safety < tau).then_some(TopKEntry {
-                            place: place.id,
-                            safety,
-                        })
-                    })
-                    .collect();
-                entries.sort_by_key(|e| (e.safety, e.place));
-                entries
-            }
-        };
+        }
+        let mut entries: Vec<TopKEntry> = heap
+            .into_iter()
+            .map(|(safety, place)| TopKEntry { place, safety })
+            .collect();
+        entries.sort_by_key(|e| (e.safety, e.place));
+        self.result = entries;
     }
 }
 
@@ -149,10 +131,8 @@ impl CtupAlgorithm for NaiveRecompute {
     }
 
     fn sk(&self) -> Option<Safety> {
-        match self.config.mode {
-            QueryMode::TopK(k) if self.result.len() == k => self.result.last().map(|e| e.safety),
-            _ => None,
-        }
+        // The result holds at most k entries; the k-th exists only when full.
+        self.result.get(self.config.k() - 1).map(|e| e.safety)
     }
 
     fn metrics(&self) -> &Metrics {
@@ -197,7 +177,7 @@ mod tests {
         let (store, units) = small_setup();
         let alg = NaiveRecompute::new(CtupConfig::with_k(2), store.clone(), &units).expect("init");
         let oracle = Oracle::from_store(store.as_ref()).expect("oracle");
-        oracle.assert_result_matches(&alg.result(), &units, 0.1, QueryMode::TopK(2));
+        oracle.assert_result_matches(&alg.result(), &units, 0.1, 2);
         assert_eq!(alg.init_stats().storage.cell_reads, 16);
         assert_eq!(alg.init_stats().safeties_computed, 4);
     }
@@ -221,23 +201,10 @@ mod tests {
                 })
                 .expect("update");
             units[unit as usize] = new;
-            oracle.assert_result_matches(&alg.result(), &units, 0.1, QueryMode::TopK(2));
+            oracle.assert_result_matches(&alg.result(), &units, 0.1, 2);
             assert_eq!(stats.cells_accessed, 0);
         }
         assert_eq!(alg.metrics().updates_processed, 3);
-    }
-
-    #[test]
-    fn threshold_mode_reports_all_below() {
-        let (store, units) = small_setup();
-        let config = CtupConfig {
-            mode: QueryMode::Threshold(0),
-            ..CtupConfig::paper_default()
-        };
-        let alg = NaiveRecompute::new(config, store.clone(), &units).expect("init");
-        let oracle = Oracle::from_store(store.as_ref()).expect("oracle");
-        oracle.assert_result_matches(&alg.result(), &units, 0.1, QueryMode::Threshold(0));
-        assert!(alg.sk().is_none());
     }
 
     #[test]

@@ -62,14 +62,16 @@ pub struct TcpDialer {
     /// Never empty: the constructors take the primary separately.
     addrs: Vec<SocketAddr>,
     next: usize,
-    /// Bound on each connect attempt.
-    pub connect_timeout: Duration,
-    /// Read/write timeout installed on the socket.
-    pub io_tick: Duration,
 }
 
+/// Bound on each connect attempt of a feed client.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Read/write timeout installed on a feed client's socket.
+const IO_TICK: Duration = Duration::from_millis(25);
+
 impl TcpDialer {
-    /// A dialer for `addr` alone with library-default timeouts.
+    /// A dialer for `addr` alone.
     pub fn new(addr: SocketAddr) -> Self {
         TcpDialer::failover(addr, [])
     }
@@ -79,8 +81,6 @@ impl TcpDialer {
         TcpDialer {
             addrs: std::iter::once(primary).chain(standbys).collect(),
             next: 0,
-            connect_timeout: Duration::from_secs(2),
-            io_tick: Duration::from_millis(25),
         }
     }
 }
@@ -89,9 +89,9 @@ impl Dialer for TcpDialer {
     fn dial(&mut self) -> std::io::Result<Box<dyn Conn>> {
         let addr = self.addrs[self.next];
         self.next = (self.next + 1) % self.addrs.len();
-        let stream = TcpStream::connect_timeout(&addr, self.connect_timeout)?;
-        stream.set_read_timeout(Some(self.io_tick))?;
-        stream.set_write_timeout(Some(self.io_tick))?;
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+        stream.set_read_timeout(Some(IO_TICK))?;
+        stream.set_write_timeout(Some(IO_TICK))?;
         let _ = stream.set_nodelay(true);
         Ok(Box::new(stream))
     }
@@ -597,7 +597,7 @@ mod tests {
 
     impl Dialer for NonBlockingDialer {
         fn dial(&mut self) -> std::io::Result<Box<dyn Conn>> {
-            let stream = TcpStream::connect_timeout(&self.0, Duration::from_secs(2))?;
+            let stream = TcpStream::connect_timeout(&self.0, CONNECT_TIMEOUT)?;
             stream.set_nodelay(true)?;
             stream.set_nonblocking(true)?;
             Ok(Box::new(stream))

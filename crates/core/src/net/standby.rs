@@ -45,7 +45,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Socket connect timeout for every dial.
+/// Socket connect timeout for every dial. Shorter than a feed client's
+/// 2 s: the liveness probe dials with it, so it bounds how long a
+/// black-holed primary goes undetected.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 /// How long a full checkpoint sync may take before it is retried.
 const SYNC_DEADLINE: Duration = Duration::from_secs(10);

@@ -12,7 +12,7 @@ pub mod dechash;
 pub mod lb;
 
 use crate::algorithm::{CtupAlgorithm, InitStats, UpdateStats};
-use crate::cells::{classify_with_margin, touched_cells_into};
+use crate::cells::touched_cells_into;
 use crate::config::CtupConfig;
 use crate::lbdir::LbDirectory;
 use crate::maintained::MaintainedSet;
@@ -151,7 +151,7 @@ impl OptCtup {
         this.metrics = Metrics::default();
         this.metrics
             .set_maintained(convert::count64(this.maintained.len()));
-        this.last_result = this.maintained.result(this.config.mode);
+        this.last_result = this.maintained.result(this.config.k());
         // The first update compares against this result, so only changes
         // from here on count towards the low-water mark.
         this.maintained.take_low_water();
@@ -189,13 +189,10 @@ impl OptCtup {
         self.units.cell_safeties(&records, &mut self.safeties);
 
         // SK as it would be with this cell's places re-filed.
-        let sk = match self.config.mode {
-            crate::config::QueryMode::TopK(k) => self
-                .maintained
-                .kth_safety_with(k, cell, &self.safeties)
-                .unwrap_or(LB_NONE),
-            crate::config::QueryMode::Threshold(tau) => tau,
-        };
+        let sk = self
+            .maintained
+            .kth_safety_with(self.config.k(), cell, &self.safeties)
+            .unwrap_or(LB_NONE);
 
         // Keep everything below SK + Δ; never evict at or below SK itself
         // (with Δ = 0 the paper's literal rule would evict the k-th place,
@@ -227,7 +224,7 @@ impl OptCtup {
     fn access_loop(&mut self) -> Result<u64, StorageError> {
         let mut count = 0;
         loop {
-            let sk = self.maintained.sk_eff(self.config.mode);
+            let sk = self.maintained.sk_eff(self.config.k());
             match self.lb.first() {
                 Some((lb0, cell)) if lb0 < sk => {
                     self.access_cell(cell)?;
@@ -249,9 +246,8 @@ impl OptCtup {
     ) {
         for &cell in touched {
             let rect = self.grid.cell_rect(cell);
-            let margin = self.store.cell_extent_margin(cell);
-            let rel_old = classify_with_margin(old_region, &rect, margin);
-            let rel_new = classify_with_margin(new_region, &rect, margin);
+            let rel_old = Relation::classify(old_region, &rect);
+            let rel_new = Relation::classify(new_region, &rect);
             let (delta, op) = if self.config.doo_enabled {
                 let in_hash = self.dechash.contains(unit, cell);
                 debug_assert!(
@@ -439,22 +435,16 @@ impl CtupAlgorithm for OptCtup {
         let access_nanos = timer.lap();
 
         // Most updates leave the result as it was. A change strictly above
-        // the last result's boundary (its k-th safety, or τ) cannot alter
+        // the last result's boundary (its k-th safety) cannot alter
         // it, so the result is compared in place only when the low-water
         // mark reached the boundary, and rebuilt only when it changed.
         let mark = self.maintained.take_low_water();
-        let reached = mark.is_some_and(|mark| match self.config.mode {
-            crate::config::QueryMode::TopK(k) => {
-                self.last_result.get(k - 1).is_none_or(|e| mark <= e.safety)
-            }
-            crate::config::QueryMode::Threshold(tau) => mark < tau,
-        });
-        let changed = reached
-            && !self
-                .maintained
-                .result_equals(self.config.mode, &self.last_result);
+        let k = self.config.k();
+        let reached =
+            mark.is_some_and(|mark| self.last_result.get(k - 1).is_none_or(|e| mark <= e.safety));
+        let changed = reached && !self.maintained.result_equals(k, &self.last_result);
         if changed {
-            self.last_result = self.maintained.result(self.config.mode);
+            self.last_result = self.maintained.result(k);
         }
 
         self.metrics.updates_processed += 1;
@@ -478,10 +468,7 @@ impl CtupAlgorithm for OptCtup {
     }
 
     fn sk(&self) -> Option<Safety> {
-        match self.config.mode {
-            crate::config::QueryMode::TopK(k) => self.maintained.ordered().kth_safety(k),
-            crate::config::QueryMode::Threshold(_) => None,
-        }
+        self.maintained.ordered().kth_safety(self.config.k())
     }
 
     fn metrics(&self) -> &Metrics {
@@ -504,7 +491,6 @@ impl CtupAlgorithm for OptCtup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::QueryMode;
     use crate::oracle::Oracle;
     use crate::types::{Place, PlaceId};
     use ctup_storage::CellLocalStore;
@@ -539,7 +525,7 @@ mod tests {
     #[test]
     fn initialization_matches_oracle() {
         let (alg, oracle, units) = setup(CtupConfig::with_k(5));
-        oracle.assert_result_matches(&alg.result(), &units, 0.1, QueryMode::TopK(5));
+        oracle.assert_result_matches(&alg.result(), &units, 0.1, 5);
         alg.check_lb_invariant();
         assert!(alg.dechash_len() == 0, "DecHash must start empty");
     }
@@ -567,11 +553,11 @@ mod tests {
             })
             .expect("update");
             units[unit] = new;
-            oracle.assert_result_matches(&alg.result(), &units, 0.1, config.mode);
+            oracle.assert_result_matches(&alg.result(), &units, 0.1, config.k());
             // The low-water skip must never hide a change to the result.
             assert_eq!(
                 alg.result(),
-                alg.maintained.result(config.mode),
+                alg.maintained.result(config.k()),
                 "step {step}"
             );
             if step % 50 == 0 {
@@ -589,7 +575,7 @@ mod tests {
     }
 
     /// The result is compared only when the low-water mark reaches its
-    /// boundary; over several feeds in both query modes, the reported
+    /// boundary; over several feeds and values of `k`, the reported
     /// result equals the ordered view's after every update (checked in
     /// `run_updates`).
     #[test]
@@ -597,13 +583,6 @@ mod tests {
         for seed in [0x10, 0x11, 0x12] {
             run_updates(CtupConfig::with_k(1), 200, seed);
             run_updates(CtupConfig::with_k(8), 200, seed);
-            for tau in [-3, 0] {
-                let config = CtupConfig {
-                    mode: QueryMode::Threshold(tau),
-                    ..CtupConfig::paper_default()
-                };
-                run_updates(config, 200, seed);
-            }
         }
     }
 
@@ -616,7 +595,6 @@ mod tests {
         use ctup_mogen::{PlaceGenConfig, PlaceGenerator};
         let places = PlaceGenerator::new(PlaceGenConfig {
             count: 3_000,
-            extent_prob: 0.1,
             ..PlaceGenConfig::default()
         })
         .generate(31);
@@ -640,7 +618,7 @@ mod tests {
             .expect("update");
             units[unit] = new;
         }
-        oracle.assert_result_matches(&alg.result(), &units, 0.1, config.mode);
+        oracle.assert_result_matches(&alg.result(), &units, 0.1, config.k());
         let m = alg.metrics();
         let work = (
             m.cells_accessed,
@@ -651,26 +629,26 @@ mod tests {
             alg.maintained_places(),
             alg.dechash_len(),
         );
-        assert_eq!(work, (1363, 40622, 10093, 3942, 167, 614, 390));
+        assert_eq!(work, (1335, 40007, 9906, 3928, 179, 542, 388));
         let top: Vec<(u32, Safety)> = alg.result().iter().map(|e| (e.place.0, e.safety)).collect();
         assert_eq!(
             top,
             [
-                (13, -8),
-                (650, -8),
-                (791, -8),
-                (837, -8),
-                (921, -8),
-                (1326, -8),
-                (2004, -8),
-                (2259, -8),
-                (2901, -8),
-                (164, -7),
-                (247, -7),
-                (317, -7),
-                (380, -7),
-                (643, -7),
-                (1355, -7),
+                (18, -8),
+                (470, -8),
+                (1288, -8),
+                (57, -7),
+                (228, -7),
+                (348, -7),
+                (532, -7),
+                (556, -7),
+                (725, -7),
+                (1095, -7),
+                (1773, -7),
+                (1789, -7),
+                (2224, -7),
+                (2499, -7),
+                (2609, -7),
             ]
         );
     }
@@ -749,18 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_mode_tracks_oracle() {
-        run_updates(
-            CtupConfig {
-                mode: QueryMode::Threshold(-2),
-                ..CtupConfig::paper_default()
-            },
-            200,
-            0xE,
-        );
-    }
-
-    #[test]
     fn doo_suppresses_repeated_decrements() {
         // A unit jiggling on a cell boundary: with DOO the second and later
         // partial-partial transitions must not decrement again.
@@ -795,25 +761,25 @@ mod tests {
         let run = |purge: bool| -> bool {
             let places = vec![
                 Place::point(PlaceId(0), Point::new(0.25, 0.25), 5), // p, cell C0
-                Place::point(PlaceId(1), Point::new(0.75, 0.75), 5), // q, always alarmed
+                Place::point(PlaceId(1), Point::new(0.75, 0.75), 5), // q, safety -5
+                Place::point(PlaceId(2), Point::new(0.8, 0.8), 4),   // r, safety -4
             ];
             let store: Arc<dyn PlaceStore> =
                 Arc::new(CellLocalStore::build(Grid::unit_square(2), places));
             let config = CtupConfig {
-                mode: QueryMode::Threshold(-4),
-                protection_radius: 0.1,
                 delta: 0,
-                doo_enabled: true,
                 purge_dechash_on_access: purge,
+                ..CtupConfig::with_k(2)
             };
-            // Two units protect p: safety -3, strictly above the threshold.
+            // Two units protect p: safety -3, strictly above SK = -4.
             let mut alg = OptCtup::new(
                 config,
                 store,
                 &[Point::new(0.25, 0.33), Point::new(0.33, 0.25)],
             )
             .expect("init");
-            assert_eq!(alg.result().len(), 1, "only q alarmed initially");
+            let top: Vec<PlaceId> = alg.result().iter().map(|e| e.place).collect();
+            assert_eq!(top, [PlaceId(1), PlaceId(2)], "q and r initially");
             // Two P->P moves that keep protecting p: each decrements C0's
             // bound once (hash entries recorded); the second forces an
             // access that re-establishes the bound exactly (-3).
@@ -828,9 +794,10 @@ mod tests {
             })
             .expect("update");
             // Both units leave p (still P->P with C0): safety(p) drops to
-            // -5 < -4, so p must be alarmed. Without the purge, both stale
-            // hash entries suppress the decrements: the bound stays at -3
-            // and the access never happens.
+            // -5 < SK = -4, so p must enter the top-2. Without the purge,
+            // both stale hash entries suppress the decrements: the bound
+            // stays at -3, which is not below SK, and the access never
+            // happens.
             alg.handle_update(LocationUpdate {
                 unit: UnitId(0),
                 new: Point::new(0.25, 0.45),

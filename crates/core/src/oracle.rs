@@ -56,7 +56,9 @@ impl Oracle {
             .collect()
     }
 
-    /// The exact monitored result under `mode`, sorted by `(safety, id)`.
+    /// The exact top-k, sorted by `(safety, id)`. Takes a [`QueryMode`]
+    /// only because `ledger/src/sut.rs` calls it so; ROADMAP item 1(b)
+    /// makes it a plain `k`.
     pub fn result(&self, units: &[Point], radius: f64, mode: QueryMode) -> Vec<TopKEntry> {
         let mut entries: Vec<TopKEntry> = self
             .places
@@ -67,16 +69,9 @@ impl Oracle {
             })
             .collect();
         entries.sort_by_key(|e| (e.safety, e.place));
-        match mode {
-            QueryMode::TopK(k) => {
-                entries.truncate(k);
-                entries
-            }
-            QueryMode::Threshold(tau) => {
-                entries.retain(|e| e.safety < tau);
-                entries
-            }
-        }
+        let QueryMode::TopK(k) = mode;
+        entries.truncate(k);
+        entries
     }
 
     /// The exact `SK` (safety of the k-th unsafe place), `None` when fewer
@@ -90,21 +85,15 @@ impl Oracle {
         Some(safeties[k - 1])
     }
 
-    /// Asserts that `got` is a correct answer for `mode`: the safety
+    /// Asserts that `got` is a correct top-`k`: the safety
     /// multiset must match the exact result (place ids may differ among
     /// equal-safety entries at the `SK` boundary — ties are unordered by
     /// definition) and every reported safety must be the place's true one.
     ///
     /// # Panics
     /// Panics with a diagnostic when the result is wrong.
-    pub fn assert_result_matches(
-        &self,
-        got: &[TopKEntry],
-        units: &[Point],
-        radius: f64,
-        mode: QueryMode,
-    ) {
-        let expect = self.result(units, radius, mode);
+    pub fn assert_result_matches(&self, got: &[TopKEntry], units: &[Point], radius: f64, k: usize) {
+        let expect = self.result(units, radius, QueryMode::TopK(k));
         let got_safeties: Vec<Safety> = got.iter().map(|e| e.safety).collect();
         let expect_safeties: Vec<Safety> = expect.iter().map(|e| e.safety).collect();
         assert_eq!(
@@ -157,7 +146,7 @@ mod tests {
     }
 
     #[test]
-    fn result_topk_and_threshold() {
+    fn result_is_the_top_k() {
         let oracle = Oracle::new(places());
         let units = vec![Point::new(0.51, 0.5)];
         let top2 = oracle.result(&units, 0.1, QueryMode::TopK(2));
@@ -175,8 +164,6 @@ mod tests {
                 safety: -1
             }
         );
-        let below = oracle.result(&units, 0.1, QueryMode::Threshold(0));
-        assert_eq!(below.len(), 2);
     }
 
     #[test]
@@ -197,7 +184,7 @@ mod tests {
                 safety: -4,
             },
         ];
-        oracle.assert_result_matches(&got, &units, 0.1, QueryMode::TopK(2));
+        oracle.assert_result_matches(&got, &units, 0.1, 2);
     }
 
     #[test]
@@ -208,7 +195,7 @@ mod tests {
             place: PlaceId(2),
             safety: -3,
         }];
-        oracle.assert_result_matches(&got, &[], 0.1, QueryMode::TopK(1));
+        oracle.assert_result_matches(&got, &[], 0.1, 1);
     }
 
     #[test]
@@ -227,6 +214,6 @@ mod tests {
                 safety: -2,
             },
         ];
-        oracle.assert_result_matches(&got, &units, 0.1, QueryMode::TopK(2));
+        oracle.assert_result_matches(&got, &units, 0.1, 2);
     }
 }

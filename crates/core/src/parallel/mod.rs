@@ -12,8 +12,8 @@
 //! simulated-disk latency is paid on `N` spindles at once.
 //!
 //! **Exactness.** A shard is a sequential `OptCtup` over the sub-universe
-//! of places in its cells, so its local result is the exact local top-k
-//! (or threshold set). Every global top-k entry has at most `k − 1`
+//! of places in its cells, so its local result is the exact local top-k.
+//! Every global top-k entry has at most `k − 1`
 //! entries below it globally, hence at most `k − 1` below it in its own
 //! shard — so it appears in that shard's local top-k, and the global
 //! result is exactly the k smallest `(safety, place id)` pairs of the
@@ -23,9 +23,9 @@
 //! identical entries strictly below `SK`; the tail tied *at* `SK` may be
 //! a different (equally true) selection, because the sequential scheme
 //! only maintains a place once its cell's bound falls strictly below
-//! `SK` and so picks among `SK`-tied places by access history. Threshold
-//! mode has no tie boundary and agrees exactly, as does any single-shard
-//! run (DESIGN.md §13 gives the argument in full). One barrier per batch
+//! `SK` and so picks among `SK`-tied places by access history. A
+//! single-shard run agrees exactly (DESIGN.md §13 gives the argument in
+//! full). One barrier per batch
 //! keeps timestamps aligned: the engine reports only after every shard
 //! has finished the batch.
 //!
@@ -48,7 +48,7 @@ mod shardmap;
 pub use shardmap::ShardMap;
 
 use crate::algorithm::{CtupAlgorithm, InitStats, UpdateStats};
-use crate::config::{CtupConfig, QueryMode};
+use crate::config::CtupConfig;
 use crate::metrics::Metrics;
 use crate::opt::OptCtup;
 use crate::types::{LocationUpdate, Safety, TopKEntry, UnitId};
@@ -488,7 +488,7 @@ impl ShardedCtup {
     /// returns whether the result changed.
     fn merge(&mut self) -> bool {
         let merged: Vec<TopKEntry> = self.shard_results.iter().flatten().copied().collect();
-        let (result, sk) = merge_results(merged, self.config.mode);
+        let (result, sk) = merge_results(merged, self.config.k());
         let changed = result != self.last_result;
         self.last_result = result;
         self.last_sk = sk;
@@ -614,32 +614,21 @@ impl CtupAlgorithm for ShardedCtup {
 }
 
 /// Sorts the concatenated local results into the global `(safety, place)`
-/// order and cuts them down to the query mode's result; returns the result
-/// and the global `SK`.
+/// order and cuts them down to the top-k; returns the result and the
+/// global `SK`.
 ///
-/// Top-k: every global top-k entry appears in its shard's local top-k
+/// Every global top-k entry appears in its shard's local top-k
 /// (at most `k − 1` entries precede it anywhere, so at most `k − 1` in its
 /// shard), hence the k smallest merged pairs are the canonical top-k —
 /// the sequential result up to the choice of entries tied at `SK` (see
 /// the module docs). The union holds at least `min(k, Σ nₛ)` entries, so
 /// fewer than `k` merged entries means fewer than `k` places exist and
-/// `SK` is `None`, also matching the sequential scheme. Threshold: local
-/// threshold sets are disjoint and exact, so their sorted union is the
-/// global set.
-fn merge_results(mut merged: Vec<TopKEntry>, mode: QueryMode) -> (Vec<TopKEntry>, Option<Safety>) {
+/// `SK` is `None`, also matching the sequential scheme.
+fn merge_results(mut merged: Vec<TopKEntry>, k: usize) -> (Vec<TopKEntry>, Option<Safety>) {
     merged.sort_unstable_by_key(|e| (e.safety, e.place));
-    match mode {
-        QueryMode::TopK(k) => {
-            let sk = if merged.len() >= k {
-                merged.get(k - 1).map(|e| e.safety)
-            } else {
-                None
-            };
-            merged.truncate(k);
-            (merged, sk)
-        }
-        QueryMode::Threshold(_) => (merged, None),
-    }
+    let sk = merged.get(k - 1).map(|e| e.safety);
+    merged.truncate(k);
+    (merged, sk)
 }
 
 /// A worker's loop: replies with its built shard's initial state (or its
@@ -784,7 +773,7 @@ mod tests {
                 let label = format!("{num_shards} shards, seed {seed:#x}");
                 assert_equivalent(&seq, &sharded, num_shards, &label);
             }
-            oracle.assert_result_matches(&sharded.result(), &positions, 0.1, QueryMode::TopK(5));
+            oracle.assert_result_matches(&sharded.result(), &positions, 0.1, 5);
         }
     }
 
@@ -832,7 +821,7 @@ mod tests {
         assert_eq!(sharded.sk(), sk_before, "reused SK drifted");
         assert_equivalent(&seq, &sharded, 3, "after skipped merges");
         let oracle = Oracle::new(grid_place_set());
-        oracle.assert_result_matches(&sharded.result(), &positions, 0.1, QueryMode::TopK(5));
+        oracle.assert_result_matches(&sharded.result(), &positions, 0.1, 5);
     }
 
     #[test]
@@ -862,27 +851,12 @@ mod tests {
         for update in updates(STEPS, 0x0AC1) {
             sharded.handle_update(update).expect("update");
             positions[update.unit.index()] = update.new;
-            oracle.assert_result_matches(&sharded.result(), &positions, 0.1, QueryMode::TopK(5));
+            oracle.assert_result_matches(&sharded.result(), &positions, 0.1, 5);
             assert_eq!(sharded.unit_position(update.unit), update.new);
         }
         assert_eq!(sharded.metrics().updates_processed, STEPS as u64);
         let lat = sharded.latency_snapshot();
         assert_eq!(lat.update_total_nanos.count(), STEPS as u64 * 4);
-    }
-
-    #[test]
-    fn threshold_mode_matches_sequential() {
-        let config = CtupConfig {
-            mode: QueryMode::Threshold(-2),
-            ..CtupConfig::paper_default()
-        };
-        let mut seq = OptCtup::new(config.clone(), fresh_store(), &units()).expect("init");
-        let mut sharded = ShardedCtup::new(config, fresh_store(), &units(), 2).expect("init");
-        for update in updates(STEPS, 0x7A0) {
-            seq.handle_update(update).expect("seq update");
-            sharded.handle_update(update).expect("sharded update");
-            assert_eq!(seq.result(), sharded.result());
-        }
     }
 
     /// With a recorder attached and a trace armed, one batch records one

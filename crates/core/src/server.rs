@@ -10,8 +10,7 @@ use std::collections::HashMap;
 /// A change to the monitored result caused by one location update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MonitorEvent {
-    /// A place entered the result (became top-k unsafe / crossed the
-    /// threshold).
+    /// A place entered the result (became top-k unsafe).
     Entered {
         /// The place.
         place: PlaceId,

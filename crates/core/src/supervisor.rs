@@ -1521,9 +1521,6 @@ mod tests {
             }
             self.inner.read_cell(cell)
         }
-        fn cell_extent_margin(&self, cell: ctup_spatial::CellId) -> f64 {
-            self.inner.cell_extent_margin(cell)
-        }
         fn stats(&self) -> &ctup_storage::StorageStats {
             self.inner.stats()
         }

@@ -20,7 +20,6 @@
 //! above [`ctup_storage::MAX_RP`], so at most `|U| + MAX_RP + 1` levels
 //! exist.
 
-use crate::config::QueryMode;
 use crate::types::{PlaceId, Safety, TopKEntry};
 use ctup_spatial::convert;
 use std::ops::Range;
@@ -210,17 +209,10 @@ impl SafetyOrdered {
         None
     }
 
-    /// The result under `mode`, in `(safety, id)` order: the `k` smallest
-    /// entries in top-k mode, every entry with `safety < tau` in threshold
-    /// mode.
-    pub fn result(&self, mode: QueryMode) -> impl Iterator<Item = TopKEntry> + '_ {
-        let (limit, bound) = match mode {
-            QueryMode::TopK(k) => (k, None),
-            QueryMode::Threshold(tau) => (usize::MAX, Some(tau)),
-        };
+    /// The `k` smallest entries, in `(safety, id)` order.
+    pub fn result(&self, k: usize) -> impl Iterator<Item = TopKEntry> + '_ {
         self.iter()
-            .take(limit)
-            .take_while(move |&(safety, _)| bound.is_none_or(|tau| safety < tau))
+            .take(k)
             .map(|(safety, place)| TopKEntry { place, safety })
     }
 
@@ -257,11 +249,7 @@ mod tests {
     }
 
     fn top_k(s: &SafetyOrdered, k: usize) -> Vec<TopKEntry> {
-        s.result(QueryMode::TopK(k)).collect()
-    }
-
-    fn below(s: &SafetyOrdered, tau: Safety) -> Vec<TopKEntry> {
-        s.result(QueryMode::Threshold(tau)).collect()
+        s.result(k).collect()
     }
 
     #[test]
@@ -298,18 +286,6 @@ mod tests {
         // No-op update.
         s.update(PlaceId(1), -10, -10);
         assert_eq!(s.len(), 5);
-    }
-
-    #[test]
-    fn below_respects_strict_bound() {
-        let s = filled();
-        let entries = below(&s, -3);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].place, PlaceId(4));
-        assert_eq!(below(&s, 1).len(), 4);
-        assert_eq!(below(&s, Safety::MIN).len(), 0);
-        // A threshold above every safety keeps every entry.
-        assert_eq!(below(&s, Safety::MAX).len(), 5);
     }
 
     #[test]
@@ -400,21 +376,9 @@ mod tests {
                 assert_eq!(sut.iter().collect::<Vec<_>>(), model, "seed {seed}");
                 for k in 1..=8 {
                     assert_eq!(sut.kth_safety(k), model.get(k - 1).map(|e| e.0));
-                    let top: Vec<(Safety, PlaceId)> = sut
-                        .result(QueryMode::TopK(k))
-                        .map(|e| (e.safety, e.place))
-                        .collect();
+                    let top: Vec<(Safety, PlaceId)> =
+                        sut.result(k).map(|e| (e.safety, e.place)).collect();
                     assert_eq!(top, model[..k.min(model.len())], "seed {seed} k {k}");
-                }
-                // The fixed edges and one seeded bound inside the range.
-                let drawn = rng.gen_range(0..82) as Safety - 41;
-                for tau in [-41, -20, 0, 17, 41, drawn] {
-                    let below: Vec<(Safety, PlaceId)> = sut
-                        .result(QueryMode::Threshold(tau))
-                        .map(|e| (e.safety, e.place))
-                        .collect();
-                    let expect: Vec<_> = model.iter().copied().filter(|e| e.0 < tau).collect();
-                    assert_eq!(below, expect, "seed {seed} tau {tau}");
                 }
             }
         }

@@ -61,21 +61,15 @@ pub struct TopKEntry {
 }
 
 /// Whether a unit at `unit_pos` with protection range `radius` protects
-/// `place` (paper Definition 1; for extended places, the whole extent must
-/// lie inside the protecting region — the conservative reading of the
-/// future-work extension).
+/// `place` (paper Definition 1).
 #[inline]
 pub fn protects(unit_pos: Point, radius: f64, place: &Place) -> bool {
-    match &place.extent {
-        None => unit_pos.dist2(place.pos) <= radius * radius,
-        Some(extent) => Circle::new(unit_pos, radius).contains_rect(extent),
-    }
+    unit_pos.dist2(place.pos) <= radius * radius
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctup_spatial::Rect;
 
     #[test]
     fn point_place_protection_is_distance_based() {
@@ -83,16 +77,6 @@ mod tests {
         assert!(protects(Point::new(0.5, 0.58), 0.1, &place));
         assert!(protects(Point::new(0.5, 0.6), 0.1, &place)); // boundary
         assert!(!protects(Point::new(0.5, 0.61), 0.1, &place));
-    }
-
-    #[test]
-    fn extended_place_needs_full_containment() {
-        let extent = Rect::from_coords(0.45, 0.45, 0.55, 0.55);
-        let place = Place::extended(PlaceId(0), Point::new(0.5, 0.5), 1, extent);
-        // Center within range but a corner sticks out.
-        assert!(!protects(Point::new(0.5, 0.52), 0.07, &place));
-        // Whole extent within range.
-        assert!(protects(Point::new(0.5, 0.5), 0.1, &place));
     }
 
     #[test]

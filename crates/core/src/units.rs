@@ -1,7 +1,7 @@
 //! The server-side unit table: last reported positions plus a grid index
 //! for counting protectors.
 
-use crate::types::{protects, LocationUpdate, Place, Safety, Unit, UnitId};
+use crate::types::{LocationUpdate, Place, Safety, Unit, UnitId};
 use ctup_spatial::{convert, Circle, Grid, Point, Rect, UnitGridIndex};
 
 /// Positions of all units with a grid index for `AP(p)` computation.
@@ -74,23 +74,8 @@ impl UnitTable {
 
     /// Actual protection `AP(p)`: the number of units protecting `place`.
     pub fn ap(&self, place: &Place) -> u32 {
-        match &place.extent {
-            None => self
-                .index
-                .count_within(&Circle::new(place.pos, self.radius)),
-            Some(_) => {
-                // A unit containing the whole extent is in particular within
-                // `radius` of `pos`, so the probe circle is a superset.
-                let mut n = 0;
-                self.index
-                    .for_each_within(&Circle::new(place.pos, self.radius), |_, unit_pos| {
-                        if protects(unit_pos, self.radius, place) {
-                            n += 1;
-                        }
-                    });
-                n
-            }
-        }
+        self.index
+            .count_within(&Circle::new(place.pos, self.radius))
     }
 
     /// Current safety of `place`: `AP(p) − RP(p)`.
@@ -113,8 +98,7 @@ impl UnitTable {
     /// is monotone, so the skip drops no protector. The rest are counted
     /// unit by unit in one branch-free pass over the records' coordinate
     /// columns, with the same `dx·dx + dy·dy <= R²` that `Point::dist2`
-    /// evaluates. An extended place then recounts with the exact test
-    /// `ap` makes.
+    /// evaluates.
     pub fn cell_safeties(&mut self, records: &[Place], out: &mut Vec<Safety>) {
         out.clear();
         self.near.clear();
@@ -152,22 +136,12 @@ impl UnitTable {
                 *count += u64::from(dx * dx + dy * dy <= r2);
             }
         }
-        let near = &self.near;
         out.extend(records.iter().zip(counts.iter()).map(|(place, &count)| {
             #[expect(
                 clippy::cast_possible_wrap,
                 reason = "a unit count is far below i64::MAX"
             )]
-            let ap = match place.extent {
-                None => count as Safety,
-                // The same two tests `ap` makes: within the radius of `pos`,
-                // and containing the whole extent.
-                Some(_) => near
-                    .iter()
-                    .filter(|u| place.pos.dist2(**u) <= r2)
-                    .filter(|&&u| protects(u, radius, place))
-                    .count() as Safety,
-            };
+            let ap = count as Safety;
             ap - Safety::from(place.rp)
         }));
     }
@@ -185,7 +159,6 @@ impl UnitTable {
 mod tests {
     use super::*;
     use crate::types::PlaceId;
-    use ctup_spatial::Rect;
 
     fn table() -> UnitTable {
         let grid = Grid::unit_square(10);
@@ -221,30 +194,10 @@ mod tests {
         assert_eq!(t.ap(&p), 3);
     }
 
-    #[test]
-    fn extended_place_requires_containment() {
-        let t = table();
-        // Extent around (0.52, 0.50): unit 0 at dist 0.02, unit 1 at 0.03.
-        let extent = Rect::from_coords(0.47, 0.45, 0.57, 0.55);
-        let p = Place::extended(PlaceId(0), Point::new(0.52, 0.50), 1, extent);
-        // Far corner of the extent is ~0.073 from unit 0 and ~0.054 from
-        // unit 1; both contain it within 0.1? corner (0.57,0.55) from
-        // (0.5,0.5): 0.086; from (0.55,0.5): 0.054; corner (0.47,0.45) from
-        // (0.55,0.5): 0.094. All corners within 0.1 of both units.
-        assert_eq!(t.ap(&p), 2);
-        // Shrink the radius: containment fails though centers are close.
-        let t2 = UnitTable::new(
-            Grid::unit_square(10),
-            &[Point::new(0.50, 0.50), Point::new(0.55, 0.50)],
-            0.05,
-        );
-        assert_eq!(t2.ap(&p), 0);
-    }
-
     /// `cell_safeties` is `safety` computed for a whole cell at once: for
     /// every cell of seeded inputs it must agree place by place, including
-    /// extended places whose extent crosses the cell edge, places and units
-    /// exactly on cell boundaries, and units outside the unit square.
+    /// places and units exactly on cell boundaries, and units outside the
+    /// unit square.
     #[test]
     fn cell_safeties_match_per_place_safety() {
         use ctup_storage::{CellLocalStore, PlaceStore};
@@ -272,38 +225,21 @@ mod tests {
                     units.push(Point::new(b, b));
                 }
                 let mut places = Vec::new();
-                let mut add = |pos: Point, rp: u32, extent: Option<Rect>| {
-                    let id = PlaceId(convert::id32(places.len()));
-                    places.push(match extent {
-                        None => Place::point(id, pos, rp),
-                        Some(extent) => Place::extended(id, pos, rp, extent),
-                    });
+                let mut add = |pos: Point, rp: u32| {
+                    places.push(Place::point(PlaceId(convert::id32(places.len())), pos, rp));
                 };
                 for _ in 0..n_places {
                     let pos = Point::new(next(), next());
                     let rp = (next() * 4.0) as u32;
-                    add(pos, rp, None);
+                    add(pos, rp);
                 }
                 // On boundaries and corners, including the space's own
                 // edges, where `cell_of` clamps.
                 for i in 0..=g {
                     let b = edge(f64::from(i));
-                    add(Point::new(b, next()), 1, None);
-                    add(Point::new(next(), b), 1, None);
-                    add(Point::new(b, b), 2, None);
-                }
-                // Extended places centred on a vertical cell edge, so the
-                // extent reaches into the neighbouring cell.
-                for i in 0..=g {
-                    let pos = Point::new(edge(f64::from(i)), next());
-                    let (hw, hh) = (next() * radius, next() * radius);
-                    let extent = Rect::from_coords(
-                        (pos.x - hw).max(0.0),
-                        (pos.y - hh).max(0.0),
-                        (pos.x + hw).min(1.0),
-                        (pos.y + hh).min(1.0),
-                    );
-                    add(pos, 1, Some(extent));
+                    add(Point::new(b, next()), 1);
+                    add(Point::new(next(), b), 1);
+                    add(Point::new(b, b), 2);
                 }
                 let grid = Grid::unit_square(g);
                 let mut table = UnitTable::new(grid.clone(), &units, radius);

@@ -7,7 +7,7 @@
 //! most places need little protection and a few need a lot.
 
 use crate::rng::SeededRng;
-use ctup_spatial::{Point, Rect};
+use ctup_spatial::Point;
 use ctup_storage::{PlaceId, PlaceRecord, MAX_RP};
 
 /// How place locations are spread over the space.
@@ -39,10 +39,6 @@ pub struct PlaceGenConfig {
     /// Zipf exponent of the requirement distribution; 0 = uniform over
     /// `rp_min..=rp_max`, larger = more skew towards `rp_min`.
     pub rp_skew: f64,
-    /// Probability that a place is extended rather than a point.
-    pub extent_prob: f64,
-    /// Maximum side length of an extended place.
-    pub extent_max_side: f64,
     /// Location distribution.
     pub spread: Spread,
 }
@@ -54,8 +50,6 @@ impl Default for PlaceGenConfig {
             rp_min: 1,
             rp_max: 8,
             rp_skew: 1.0,
-            extent_prob: 0.0,
-            extent_max_side: 0.01,
             spread: Spread::Uniform,
         }
     }
@@ -76,10 +70,6 @@ impl PlaceGenerator {
     pub fn new(config: PlaceGenConfig) -> Self {
         assert!(config.rp_min <= config.rp_max, "empty RP range");
         assert!(config.rp_max <= MAX_RP, "rp_max above MAX_RP");
-        assert!(
-            (0.0..=1.0).contains(&config.extent_prob),
-            "extent_prob out of range"
-        );
         assert!(config.rp_skew >= 0.0, "negative skew");
         if let Spread::Clustered {
             clusters,
@@ -166,17 +156,7 @@ impl PlaceGenerator {
             .map(|i| {
                 let pos = self.sample_pos(&centers, &mut rng);
                 let rp = self.sample_rp(&cdf, &mut rng);
-                let id = PlaceId(i);
-                if self.config.extent_prob > 0.0 && rng.gen_f64() < self.config.extent_prob {
-                    let half_w = rng.gen_range_f64(0.0..self.config.extent_max_side) / 2.0;
-                    let half_h = rng.gen_range_f64(0.0..self.config.extent_max_side) / 2.0;
-                    // Clamp the extent to the unit square while keeping pos inside.
-                    let lo = Point::new((pos.x - half_w).max(0.0), (pos.y - half_h).max(0.0));
-                    let hi = Point::new((pos.x + half_w).min(1.0), (pos.y + half_h).min(1.0));
-                    PlaceRecord::extended(id, pos, rp, Rect::new(lo, hi))
-                } else {
-                    PlaceRecord::point(id, pos, rp)
-                }
+                PlaceRecord::point(PlaceId(i), pos, rp)
             })
             .collect()
     }
@@ -198,7 +178,6 @@ mod tests {
             assert_eq!(p.id.0 as usize, i);
             assert!((0.0..=1.0).contains(&p.pos.x) && (0.0..=1.0).contains(&p.pos.y));
             assert!((1..=8).contains(&p.rp));
-            assert!(p.extent.is_none());
         }
     }
 
@@ -262,26 +241,6 @@ mod tests {
         }
         let max = *histogram.iter().max().unwrap();
         assert!(max > 500, "max cell load {max}");
-    }
-
-    #[test]
-    fn extents_are_valid_and_bounded() {
-        let g = PlaceGenerator::new(PlaceGenConfig {
-            count: 2000,
-            extent_prob: 0.5,
-            extent_max_side: 0.02,
-            ..Default::default()
-        });
-        let places = g.generate(5);
-        let extended = places.iter().filter(|p| p.extent.is_some()).count();
-        assert!((700..1300).contains(&extended), "extended={extended}");
-        for p in &places {
-            if let Some(r) = &p.extent {
-                assert!(r.contains_point(p.pos));
-                assert!(r.width() <= 0.02 && r.height() <= 0.02);
-                assert!(r.lo.x >= 0.0 && r.hi.x <= 1.0 && r.lo.y >= 0.0 && r.hi.y <= 1.0);
-            }
-        }
     }
 
     #[test]

@@ -153,7 +153,6 @@ mod tests {
                 (0.5293140903089844, 0.8334347295189678, 2),
             ]
         );
-        assert!(w.places()[..8].iter().all(|p| p.extent.is_none()));
         let updates: Vec<(u32, [f64; 4])> = w
             .next_updates(8)
             .iter()

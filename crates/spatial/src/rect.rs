@@ -1,4 +1,4 @@
-//! Axis-aligned rectangles (grid cells, R-tree bounding boxes, place extents).
+//! Axis-aligned rectangles (grid cells, R-tree bounding boxes).
 
 use crate::point::Point;
 

@@ -304,10 +304,6 @@ impl PlaceStore for CachedStore {
         Ok(Cow::Owned(Arc::unwrap_or_clone(records)))
     }
 
-    fn cell_extent_margin(&self, cell: CellId) -> f64 {
-        self.inner.cell_extent_margin(cell)
-    }
-
     fn cell_pages(&self, cell: CellId) -> u64 {
         self.inner.cell_pages(cell)
     }
@@ -367,9 +363,6 @@ mod tests {
         }
         fn read_cell(&self, cell: CellId) -> Result<Cow<'_, [PlaceRecord]>, StorageError> {
             self.inner.read_cell(cell)
-        }
-        fn cell_extent_margin(&self, cell: CellId) -> f64 {
-            self.inner.cell_extent_margin(cell)
         }
         fn cell_pages(&self, cell: CellId) -> u64 {
             self.pages[cell.index()]
@@ -719,9 +712,6 @@ mod tests {
                     cached.invalidate_cell(cell);
                 }
                 self.inner.read_cell(cell)
-            }
-            fn cell_extent_margin(&self, cell: CellId) -> f64 {
-                self.inner.cell_extent_margin(cell)
             }
             fn cell_pages(&self, cell: CellId) -> u64 {
                 self.inner.cell_pages(cell)

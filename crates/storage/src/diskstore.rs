@@ -14,6 +14,7 @@
 //! [payload_len: u16 LE][crc32(payload): u32 LE][payload bytes]
 //! ```
 //!
+//! The payload is a whole number of fixed 24-byte records.
 //! A torn (partial) write shows up as a length mismatch, a flipped bit as
 //! a checksum mismatch; both surface as typed [`StorageError`]s instead of
 //! silently wrong records.
@@ -23,7 +24,7 @@ use crate::error::{CorruptKind, RecordError, StorageError};
 use crate::place::{PlaceId, PlaceRecord};
 use crate::stats::StorageStats;
 use crate::store::{partition_by_cell, PlaceStore};
-use ctup_spatial::{layout, CellId, CellLayout, Grid, Point, Rect};
+use ctup_spatial::{layout, CellId, CellLayout, Grid, Point};
 use std::borrow::Cow;
 use std::time::Instant;
 
@@ -33,27 +34,15 @@ pub const PAGE_SIZE: usize = 4096;
 /// Bytes of the page frame header: payload length (u16) + CRC32 (u32).
 pub const FRAME_HEADER: usize = 6;
 
-const TAG_POINT: u8 = 0;
-const TAG_EXTENDED: u8 = 1;
+/// Bytes of one encoded record: id (u32), x and y (f64), rp (u32).
+const RECORD_SIZE: usize = 24;
 
-/// Worst-case encoded record size (extended record).
-const MAX_RECORD: usize = 57;
-
-/// Encodes one record onto a buffer (25 or 57 bytes), little-endian.
+/// Encodes one record onto a buffer, little-endian.
 fn encode_record(buf: &mut Vec<u8>, record: &PlaceRecord) {
     buf.extend_from_slice(&record.id.0.to_le_bytes());
     buf.extend_from_slice(&record.pos.x.to_le_bytes());
     buf.extend_from_slice(&record.pos.y.to_le_bytes());
     buf.extend_from_slice(&record.rp.to_le_bytes());
-    match &record.extent {
-        None => buf.push(TAG_POINT),
-        Some(r) => {
-            buf.push(TAG_EXTENDED);
-            for v in [r.lo.x, r.lo.y, r.hi.x, r.hi.y] {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-    }
 }
 
 /// Splits the next `N` bytes off the front of `buf`; a payload that ends
@@ -68,28 +57,13 @@ fn take_f64(buf: &mut &[u8]) -> Result<f64, RecordError> {
     take(buf).map(f64::from_le_bytes)
 }
 
-/// Decodes one record from a buffer. Never panics: truncated payloads and
-/// unknown tags come back as typed errors.
+/// Decodes one record from a buffer. Never panics: a truncated payload
+/// comes back as a typed error.
 fn decode_record(buf: &mut &[u8]) -> Result<PlaceRecord, RecordError> {
     let id = PlaceId(u32::from_le_bytes(take(buf)?));
     let pos = Point::new(take_f64(buf)?, take_f64(buf)?);
     let rp = u32::from_le_bytes(take(buf)?);
-    let [tag] = take(buf)?;
-    let extent = match tag {
-        TAG_POINT => None,
-        TAG_EXTENDED => {
-            let lo = Point::new(take_f64(buf)?, take_f64(buf)?);
-            let hi = Point::new(take_f64(buf)?, take_f64(buf)?);
-            Some(Rect::new(lo, hi))
-        }
-        tag => return Err(RecordError::UnknownTag(tag)),
-    };
-    Ok(PlaceRecord {
-        id,
-        pos,
-        rp,
-        extent,
-    })
+    Ok(PlaceRecord { id, pos, rp })
 }
 
 /// Wraps a record payload into a checksummed page frame.
@@ -109,7 +83,7 @@ pub fn encode_pages(records: &[PlaceRecord]) -> Vec<Vec<u8>> {
     let mut pages = Vec::new();
     let mut buf = Vec::with_capacity(PAGE_SIZE);
     for record in records {
-        if FRAME_HEADER + buf.len() + MAX_RECORD > PAGE_SIZE {
+        if FRAME_HEADER + buf.len() + RECORD_SIZE > PAGE_SIZE {
             pages.push(encode_frame(&buf));
             buf.clear();
         }
@@ -169,7 +143,6 @@ pub struct PagedDiskStore {
     grid: Grid,
     pages: Vec<Vec<u8>>,
     directory: Vec<CellLocation>,
-    margins: Vec<f64>,
     num_places: usize,
     page_latency_nanos: u64,
     stats: StorageStats,
@@ -187,7 +160,7 @@ impl PagedDiskStore {
     /// Panics if a place requires more than [`crate::MAX_RP`] protection.
     pub fn build(grid: Grid, places: Vec<PlaceRecord>, page_latency_nanos: u64) -> Self {
         let num_places = places.len();
-        let (cells, margins) = partition_by_cell(&grid, places);
+        let cells = partition_by_cell(&grid, places);
         let mut pages = Vec::new();
         let mut directory = vec![
             CellLocation {
@@ -201,7 +174,7 @@ impl PagedDiskStore {
             let records = &cells[cell.index()];
             let first_page = pages.len() as u32;
             // Records never span pages: a new page starts when the next
-            // record (worst case 57 bytes) may not fit in the frame.
+            // record does not fit in the frame.
             pages.extend(encode_pages(records));
             directory[cell.index()] = CellLocation {
                 first_page,
@@ -213,7 +186,6 @@ impl PagedDiskStore {
             grid,
             pages,
             directory,
-            margins,
             num_places,
             page_latency_nanos,
             stats: StorageStats::new(),
@@ -297,10 +269,6 @@ impl PlaceStore for PagedDiskStore {
         Ok(Cow::Owned(records))
     }
 
-    fn cell_extent_margin(&self, cell: CellId) -> f64 {
-        self.margins[cell.index()]
-    }
-
     fn cell_pages(&self, cell: CellId) -> u64 {
         u64::from(self.directory[cell.index()].num_pages).max(1)
     }
@@ -331,16 +299,7 @@ mod tests {
             .map(|i| {
                 let x = (i % 37) as f64 / 37.0;
                 let y = (i % 23) as f64 / 23.0;
-                if i % 5 == 0 {
-                    PlaceRecord::extended(
-                        PlaceId(i),
-                        Point::new(x, y),
-                        i % 7,
-                        Rect::point(Point::new(x, y)).inflate(0.001),
-                    )
-                } else {
-                    PlaceRecord::point(PlaceId(i), Point::new(x, y), i % 7)
-                }
+                PlaceRecord::point(PlaceId(i), Point::new(x, y), i % 7)
             })
             .collect()
     }
@@ -350,6 +309,7 @@ mod tests {
         for record in sample_places(10) {
             let mut buf = Vec::new();
             encode_record(&mut buf, &record);
+            assert_eq!(buf.len(), RECORD_SIZE);
             let mut read = &buf[..];
             assert_eq!(decode_record(&mut read).expect("decode"), record);
             assert!(read.is_empty());
@@ -357,7 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_truncation_and_bad_tags() {
+    fn decode_rejects_truncation() {
         let mut buf = Vec::new();
         encode_record(&mut buf, &sample_places(1)[0]);
         for keep in 0..buf.len() {
@@ -368,10 +328,6 @@ mod tests {
                 "prefix of {keep} bytes"
             );
         }
-        let mut bad = buf.clone();
-        bad[24] = 7; // the tag byte of a point record
-        let mut read = &bad[..];
-        assert_eq!(decode_record(&mut read), Err(RecordError::UnknownTag(7)));
     }
 
     #[test]
@@ -384,6 +340,16 @@ mod tests {
         let mut out = Vec::new();
         decode_frame(&frame, 0, &mut out).expect("clean frame");
         assert_eq!(out.len(), 20);
+
+        // A checksummed payload that is not a whole number of records.
+        let ragged = encode_frame(&payload[..payload.len() - 5]);
+        assert_eq!(
+            decode_frame(&ragged, 4, &mut Vec::new()),
+            Err(StorageError::CorruptPage {
+                page: 4,
+                kind: CorruptKind::BadRecord(RecordError::Truncated),
+            })
+        );
 
         // Torn write: any strict prefix is a typed corruption, never a panic.
         for keep in 0..frame.len() {
@@ -415,11 +381,6 @@ mod tests {
             let a = mem.read_cell(cell).expect("mem read").into_owned();
             let b = disk.read_cell(cell).expect("disk read").into_owned();
             assert_eq!(a, b, "cell {cell:?}");
-            assert_eq!(
-                mem.cell_extent_margin(cell),
-                disk.cell_extent_margin(cell),
-                "margin of {cell:?}"
-            );
         }
         assert_eq!(disk.num_places(), 500);
     }

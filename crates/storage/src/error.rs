@@ -13,15 +13,12 @@ use std::fmt;
 pub enum RecordError {
     /// The payload ended in the middle of a record.
     Truncated,
-    /// The record tag byte is neither the point nor the extended tag.
-    UnknownTag(u8),
 }
 
 impl fmt::Display for RecordError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RecordError::Truncated => write!(f, "payload truncated mid-record"),
-            RecordError::UnknownTag(tag) => write!(f, "unknown record tag {tag}"),
         }
     }
 }
@@ -117,8 +114,8 @@ mod tests {
         assert!(!e.is_transient());
         let e = StorageError::CorruptPage {
             page: 3,
-            kind: CorruptKind::BadRecord(RecordError::UnknownTag(9)),
+            kind: CorruptKind::BadRecord(RecordError::Truncated),
         };
-        assert!(e.to_string().contains("tag 9"));
+        assert!(e.to_string().contains("mid-record"));
     }
 }

@@ -215,11 +215,6 @@ impl FaultDisk {
         cells
     }
 
-    /// The retry policy applied to transient failures.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// One read attempt over the cell's pages: rolls the transient faults,
     /// then validates and decodes every frame.
     fn try_read_cell(&self, cell: CellId) -> Result<(Vec<PlaceRecord>, u64), StorageError> {
@@ -291,10 +286,6 @@ impl PlaceStore for FaultDisk {
                 }
             }
         }
-    }
-
-    fn cell_extent_margin(&self, cell: CellId) -> f64 {
-        self.inner.cell_extent_margin(cell)
     }
 
     fn cell_pages(&self, cell: CellId) -> u64 {

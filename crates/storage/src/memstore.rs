@@ -16,7 +16,6 @@ use std::borrow::Cow;
 pub struct CellLocalStore {
     grid: Grid,
     cells: Vec<Vec<PlaceRecord>>,
-    margins: Vec<f64>,
     num_places: usize,
     stats: StorageStats,
 }
@@ -28,11 +27,10 @@ impl CellLocalStore {
     /// Panics if a place requires more than [`crate::MAX_RP`] protection.
     pub fn build(grid: Grid, places: Vec<PlaceRecord>) -> Self {
         let num_places = places.len();
-        let (cells, margins) = partition_by_cell(&grid, places);
+        let cells = partition_by_cell(&grid, places);
         CellLocalStore {
             grid,
             cells,
-            margins,
             num_places,
             stats: StorageStats::new(),
         }
@@ -57,10 +55,6 @@ impl PlaceStore for CellLocalStore {
         let records = &self.cells[cell.index()];
         self.stats.record_cell_read(records.len() as u64, 1, 0);
         Ok(Cow::Borrowed(records.as_slice()))
-    }
-
-    fn cell_extent_margin(&self, cell: CellId) -> f64 {
-        self.margins[cell.index()]
     }
 
     fn stats(&self) -> &StorageStats {

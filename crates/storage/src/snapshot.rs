@@ -6,11 +6,11 @@
 //!
 //! ```text
 //! #ctup-places v1
-//! <id> <x> <y> <rp> [<lo.x> <lo.y> <hi.x> <hi.y>]
+//! <id> <x> <y> <rp>
 //! ```
 
 use crate::place::{PlaceId, PlaceRecord, MAX_RP};
-use ctup_spatial::{Point, Rect};
+use ctup_spatial::Point;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -63,14 +63,7 @@ impl From<io::Error> for SnapshotError {
 pub fn write_places<W: Write>(mut w: W, places: &[PlaceRecord]) -> io::Result<()> {
     writeln!(w, "{HEADER}")?;
     for p in places {
-        match &p.extent {
-            None => writeln!(w, "{} {} {} {}", p.id.0, p.pos.x, p.pos.y, p.rp)?,
-            Some(r) => writeln!(
-                w,
-                "{} {} {} {} {} {} {} {}",
-                p.id.0, p.pos.x, p.pos.y, p.rp, r.lo.x, r.lo.y, r.hi.x, r.hi.y
-            )?,
-        }
+        writeln!(w, "{} {} {} {}", p.id.0, p.pos.x, p.pos.y, p.rp)?;
     }
     Ok(())
 }
@@ -101,18 +94,18 @@ pub fn read_places<R: BufRead>(r: R) -> Result<Vec<PlaceRecord>, SnapshotError> 
             continue;
         }
         let fields: Vec<&str> = trimmed.split_ascii_whitespace().collect();
-        if fields.len() != 4 && fields.len() != 8 {
+        let [id, x, y, rp] = fields.as_slice() else {
             return Err(parse_err(
                 line_no,
-                format!("expected 4 or 8 fields, got {}", fields.len()),
+                format!("expected 4 fields, got {}", fields.len()),
             ));
-        }
-        let id: u32 = fields[0]
+        };
+        let id: u32 = id
             .parse()
             .map_err(|e| parse_err(line_no, format!("bad id: {e}")))?;
         // rp is parsed as the integer it is — going through f64 would need a
         // float-exactness check to reject fractional values.
-        let rp: u32 = fields[3]
+        let rp: u32 = rp
             .parse()
             .map_err(|e| parse_err(line_no, format!("rp must be a non-negative integer: {e}")))?;
         if rp > MAX_RP {
@@ -121,36 +114,13 @@ pub fn read_places<R: BufRead>(r: R) -> Result<Vec<PlaceRecord>, SnapshotError> 
                 format!("rp {rp} is above MAX_RP = {MAX_RP}"),
             ));
         }
-        let mut nums = [0.0f64; 7];
-        for (i, field) in fields[1..].iter().enumerate() {
-            if i == 2 {
-                continue; // rp, parsed above
-            }
-            nums[i] = field
-                .parse()
-                .map_err(|e| parse_err(line_no, format!("bad number {field:?}: {e}")))?;
-        }
-        let pos = Point::new(nums[0], nums[1]);
-        let extent = if fields.len() == 8 {
-            let lo = Point::new(nums[3], nums[4]);
-            let hi = Point::new(nums[5], nums[6]);
-            if lo.x > hi.x || lo.y > hi.y {
-                return Err(parse_err(line_no, "extent corners out of order"));
-            }
-            let rect = Rect::new(lo, hi);
-            if !rect.contains_point(pos) {
-                return Err(parse_err(line_no, "extent does not contain position"));
-            }
-            Some(rect)
-        } else {
-            None
+        let coord = |field: &str| {
+            field
+                .parse::<f64>()
+                .map_err(|e| parse_err(line_no, format!("bad number {field:?}: {e}")))
         };
-        places.push(PlaceRecord {
-            id: PlaceId(id),
-            pos,
-            rp,
-            extent,
-        });
+        let pos = Point::new(coord(x)?, coord(y)?);
+        places.push(PlaceRecord::point(PlaceId(id), pos, rp));
     }
     Ok(places)
 }
@@ -174,12 +144,7 @@ mod tests {
     fn sample() -> Vec<PlaceRecord> {
         vec![
             PlaceRecord::point(PlaceId(0), Point::new(0.25, 0.75), 3),
-            PlaceRecord::extended(
-                PlaceId(1),
-                Point::new(0.5, 0.5),
-                6,
-                Rect::from_coords(0.45, 0.45, 0.55, 0.55),
-            ),
+            PlaceRecord::point(PlaceId(1), Point::new(0.5, 0.5), 6),
             PlaceRecord::point(PlaceId(2), Point::new(0.0, 1.0), 0),
         ]
     }
@@ -218,8 +183,7 @@ mod tests {
             "1 0.5 0.5 -2",                // negative rp
             "1 0.5 0.5 1.5",               // fractional rp
             "1 0.5 0.5 65537",             // rp above MAX_RP
-            "1 0.5 0.5 1 0.9 0.9 0.1 0.1", // inverted extent
-            "1 0.5 0.5 1 0.6 0.6 0.9 0.9", // extent misses pos
+            "1 0.5 0.5 1 0.4 0.4 0.6 0.6", // 8 fields: a place rectangle
         ];
         for case in cases {
             let text = format!("{HEADER}\n{case}\n");

@@ -31,9 +31,12 @@ pub trait PlaceStore: Send + Sync {
     /// memory-resident stores never fail.
     fn read_cell(&self, cell: CellId) -> Result<Cow<'_, [PlaceRecord]>, StorageError>;
 
-    /// Largest extent margin among the places of `cell`
-    /// (see [`PlaceRecord::extent_margin`]); zero for point data sets.
-    fn cell_extent_margin(&self, cell: CellId) -> f64;
+    /// Always `0.0`: places are points. Kept only because the benchmark
+    /// adapter (`ledger/src/sut.rs`) forwards it; ROADMAP item 1(b)
+    /// removes it.
+    fn cell_extent_margin(&self, _cell: CellId) -> f64 {
+        0.0
+    }
 
     /// Lower-level footprint of `cell` in pages — the weight a cell-read
     /// cache charges for keeping it resident. Unpaged stores count every
@@ -73,12 +76,8 @@ pub trait PlaceStore: Send + Sync {
 ///
 /// # Panics
 /// Panics if a place requires more than [`MAX_RP`] protection.
-pub(crate) fn partition_by_cell(
-    grid: &Grid,
-    places: Vec<PlaceRecord>,
-) -> (Vec<Vec<PlaceRecord>>, Vec<f64>) {
+pub(crate) fn partition_by_cell(grid: &Grid, places: Vec<PlaceRecord>) -> Vec<Vec<PlaceRecord>> {
     let mut cells: Vec<Vec<PlaceRecord>> = vec![Vec::new(); grid.num_cells()];
-    let mut margins = vec![0.0f64; grid.num_cells()];
     for place in places {
         assert!(
             place.rp <= MAX_RP,
@@ -86,21 +85,16 @@ pub(crate) fn partition_by_cell(
             place.id,
             place.rp
         );
-        let cell = grid.cell_of(place.pos);
-        let m = place.extent_margin();
-        if m > margins[cell.index()] {
-            margins[cell.index()] = m;
-        }
-        cells[cell.index()].push(place);
+        cells[grid.cell_of(place.pos).index()].push(place);
     }
-    (cells, margins)
+    cells
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::place::PlaceId;
-    use ctup_spatial::{Point, Rect};
+    use ctup_spatial::Point;
 
     #[test]
     fn partition_assigns_by_position() {
@@ -109,21 +103,13 @@ mod tests {
             PlaceRecord::point(PlaceId(0), Point::new(0.1, 0.1), 1),
             PlaceRecord::point(PlaceId(1), Point::new(0.9, 0.1), 1),
             PlaceRecord::point(PlaceId(2), Point::new(0.9, 0.9), 1),
-            PlaceRecord::extended(
-                PlaceId(3),
-                Point::new(0.25, 0.75),
-                2,
-                Rect::from_coords(0.2, 0.7, 0.3, 0.8),
-            ),
+            PlaceRecord::point(PlaceId(3), Point::new(0.25, 0.75), 2),
         ];
-        let (cells, margins) = partition_by_cell(&grid, places);
+        let cells = partition_by_cell(&grid, places);
         assert_eq!(cells[0].len(), 1);
         assert_eq!(cells[1].len(), 1);
-        assert_eq!(cells[2].len(), 1); // cell (0,1) holds the extended place
+        assert_eq!(cells[2].len(), 1); // cell (0,1) holds place 3
         assert_eq!(cells[3].len(), 1);
-        assert_eq!(margins[0], 0.0);
-        let half_diag = (0.05f64 * 0.05 * 2.0).sqrt();
-        assert!((margins[2] - half_diag).abs() < 1e-12);
     }
 
     #[test]

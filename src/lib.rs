@@ -6,7 +6,7 @@
 //! * [`storage`] — the paper's two-level (memory/disk) place store;
 //! * [`mogen`] — Brinkhoff-style network-based moving-object workloads;
 //! * [`core`] — the CTUP algorithms (Naive, BasicCTUP, OptCTUP) and the
-//!   monitoring server, plus the paper's future-work extensions;
+//!   monitoring server;
 //! * [`obs`] — zero-dependency observability: metrics, latency
 //!   histograms, and the causal span layer (DESIGN.md §17).
 //!

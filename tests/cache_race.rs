@@ -19,7 +19,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use ctup::core::algorithm::CtupAlgorithm;
-use ctup::core::config::{CtupConfig, QueryMode};
+use ctup::core::config::CtupConfig;
 use ctup::core::types::{LocationUpdate, UnitId};
 use ctup::core::{OptCtup, Oracle, ShardedCtup};
 use ctup::mogen::{PlaceGenConfig, Workload, WorkloadParams};
@@ -113,7 +113,7 @@ fn invalidation_storm_between_batches_is_transparent() {
         }
     }
     let oracle = Oracle::from_store(base.as_ref()).expect("clean store");
-    oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, QueryMode::TopK(K));
+    oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, K);
 }
 
 /// A lower level that invalidates the wrapping cache in the middle of
@@ -138,9 +138,6 @@ impl PlaceStore for InvalidatingStore {
             cache.invalidate_cell(cell);
         }
         self.inner.read_cell(cell)
-    }
-    fn cell_extent_margin(&self, cell: CellId) -> f64 {
-        self.inner.cell_extent_margin(cell)
     }
     fn cell_pages(&self, cell: CellId) -> u64 {
         self.inner.cell_pages(cell)
@@ -195,7 +192,7 @@ fn every_miss_raced_by_invalidation_still_serves_true_data() {
         "the engine never consulted the cache"
     );
     let oracle = Oracle::from_store(base.as_ref()).expect("clean store");
-    oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, QueryMode::TopK(K));
+    oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, K);
 }
 
 /// Real threads: an invalidator loops over every cell (plus periodic full
@@ -261,5 +258,5 @@ fn concurrent_invalidator_thread_never_perturbs_results() {
     let laps = invalidator.join().expect("invalidator thread panicked");
     assert!(laps > 0, "the invalidator never ran a full lap");
     let oracle = Oracle::from_store(base.as_ref()).expect("clean store");
-    oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, QueryMode::TopK(K));
+    oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, K);
 }

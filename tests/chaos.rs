@@ -12,7 +12,7 @@
 //! do (clippy's test exemption does not reach integration-test helpers).
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
-use ctup::core::config::{CtupConfig, QueryMode};
+use ctup::core::config::CtupConfig;
 use ctup::core::ingest::{stamp_stream, IngestConfig, IngestGate, StampedUpdate};
 use ctup::core::metrics::ResilienceStats;
 use ctup::core::supervisor::{ResilienceConfig, SupervisedPipeline};
@@ -188,12 +188,7 @@ fn run_chaos(seed: u64) {
         );
 
         // Ground truth: the oracle on the final effective unit positions.
-        oracle.assert_result_matches(
-            &report.final_result,
-            &positions,
-            RADIUS,
-            QueryMode::TopK(10),
-        );
+        oracle.assert_result_matches(&report.final_result, &positions, RADIUS, 10);
     }
 }
 
@@ -276,12 +271,7 @@ fn silent_unit_is_parked_and_result_stays_truthful() {
         "unit 0 should have lost its lease"
     );
     let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    oracle.assert_result_matches(
-        &report.final_result,
-        &positions,
-        RADIUS,
-        QueryMode::TopK(10),
-    );
+    oracle.assert_result_matches(&report.final_result, &positions, RADIUS, 10);
 }
 
 /// Storage-fault matrix, transient case: the disk fails 5% of page reads
@@ -348,12 +338,7 @@ fn transient_read_errors_are_retried_and_contained() {
         positions[update.unit.index()] = update.new;
     }
     let oracle = Oracle::from_store(store.as_ref()).expect("bulk scan skips transient faults");
-    oracle.assert_result_matches(
-        &report.final_result,
-        &positions,
-        RADIUS,
-        QueryMode::TopK(10),
-    );
+    oracle.assert_result_matches(&report.final_result, &positions, RADIUS, 10);
 }
 
 /// Storage-fault matrix, persistent case: torn page writes and bit flips
@@ -537,12 +522,7 @@ fn kill_mid_checkpoint_write_recovers_from_surviving_slot() {
             positions[update.unit.index()] = update.new;
         }
         let oracle = Oracle::from_store(store.as_ref()).expect("bulk scan skips transient faults");
-        oracle.assert_result_matches(
-            &report.final_result,
-            &positions,
-            RADIUS,
-            QueryMode::TopK(10),
-        );
+        oracle.assert_result_matches(&report.final_result, &positions, RADIUS, 10);
         let retries = store.stats().snapshot().read_retries;
         assert_eq!(
             retries > 0,

@@ -8,7 +8,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use ctup::core::algorithm::CtupAlgorithm;
-use ctup::core::config::{CtupConfig, QueryMode};
+use ctup::core::config::CtupConfig;
 use ctup::core::naive::{NaiveIncremental, NaiveRecompute};
 use ctup::core::oracle::Oracle;
 use ctup::core::types::{LocationUpdate, Place, PlaceId, UnitId};
@@ -40,7 +40,7 @@ fn drive_and_check(
     let mut algs = all_algorithms(&config, &store, &units);
     let radius = config.protection_radius;
     for alg in &algs {
-        oracle.assert_result_matches(&alg.result(), &units, radius, config.mode);
+        oracle.assert_result_matches(&alg.result(), &units, radius, config.k());
     }
     for &(unit, new) in moves {
         units[unit as usize] = new;
@@ -50,7 +50,7 @@ fn drive_and_check(
                 new,
             })
             .expect("clean store");
-            oracle.assert_result_matches(&alg.result(), &units, radius, config.mode);
+            oracle.assert_result_matches(&alg.result(), &units, radius, config.k());
         }
     }
 }
@@ -77,6 +77,8 @@ fn empty_place_set() {
     );
 }
 
+/// With `k` at least `|P|` every place is reported, on a grid with one
+/// place per cell as well as on a sparse one.
 #[test]
 fn k_larger_than_place_count() {
     let places = vec![
@@ -86,6 +88,22 @@ fn k_larger_than_place_count() {
     let store: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(Grid::unit_square(4), places));
     drive_and_check(
         CtupConfig::with_k(10),
+        store,
+        vec![Point::new(0.5, 0.5)],
+        &jagged_moves(),
+    );
+    let places: Vec<Place> = (0..36u32)
+        .map(|i| {
+            Place::point(
+                PlaceId(i),
+                Point::new((i / 6) as f64 / 6.0 + 0.08, (i % 6) as f64 / 6.0 + 0.08),
+                1 + (i / 6 + i % 6) % 4,
+            )
+        })
+        .collect();
+    let store: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(Grid::unit_square(6), places));
+    drive_and_check(
+        CtupConfig::with_k(36),
         store,
         vec![Point::new(0.5, 0.5)],
         &jagged_moves(),
@@ -159,69 +177,8 @@ fn stacked_places_and_units() {
                 new,
             })
             .expect("clean store");
-            oracle.assert_result_matches(&alg.result(), &positions, 0.1, QueryMode::TopK(4));
+            oracle.assert_result_matches(&alg.result(), &positions, 0.1, 4);
         }
-    }
-}
-
-#[test]
-fn threshold_never_matched() {
-    let places: Vec<Place> = (0..15)
-        .map(|i| Place::point(PlaceId(i), Point::new(i as f64 / 15.0, 0.5), 0))
-        .collect();
-    let store: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(Grid::unit_square(4), places));
-    let config = CtupConfig {
-        mode: QueryMode::Threshold(-100),
-        ..CtupConfig::paper_default()
-    };
-    let mut opt =
-        OptCtup::new(config, store.clone(), &[Point::new(0.5, 0.5)]).expect("clean store");
-    assert!(opt.result().is_empty());
-    for (unit, new) in jagged_moves() {
-        opt.handle_update(LocationUpdate {
-            unit: UnitId(unit),
-            new,
-        })
-        .expect("clean store");
-        assert!(opt.result().is_empty());
-    }
-    // Nothing can ever cross the threshold, so no cell is ever accessed.
-    assert_eq!(opt.metrics().cells_accessed, 0);
-}
-
-#[test]
-fn threshold_above_every_safety_reports_every_place() {
-    let places: Vec<Place> = (0..36u32)
-        .map(|i| {
-            Place::point(
-                PlaceId(i),
-                Point::new((i / 6) as f64 / 6.0 + 0.08, (i % 6) as f64 / 6.0 + 0.08),
-                1 + (i / 6 + i % 6) % 4,
-            )
-        })
-        .collect();
-    let oracle = Oracle::new(places.clone());
-    let store: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(Grid::unit_square(6), places));
-    let mode = QueryMode::Threshold(100);
-    let config = CtupConfig {
-        mode,
-        ..CtupConfig::paper_default()
-    };
-    let radius = config.protection_radius;
-    let mut units = vec![Point::new(0.5, 0.5)];
-    let mut opt = OptCtup::new(config, store, &units).expect("clean store");
-    assert_eq!(opt.result().len(), 36);
-    oracle.assert_result_matches(&opt.result(), &units, radius, mode);
-    for (unit, new) in jagged_moves() {
-        opt.handle_update(LocationUpdate {
-            unit: UnitId(unit),
-            new,
-        })
-        .expect("clean store");
-        units[unit as usize] = new;
-        // No safety can reach 100, so every place stays reported.
-        assert_eq!(opt.result().len(), 36);
-        oracle.assert_result_matches(&opt.result(), &units, radius, mode);
     }
 }
 

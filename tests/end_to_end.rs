@@ -8,7 +8,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use ctup::core::algorithm::CtupAlgorithm;
-use ctup::core::config::{CtupConfig, QueryMode};
+use ctup::core::config::CtupConfig;
 use ctup::core::naive::{NaiveIncremental, NaiveRecompute};
 use ctup::core::oracle::Oracle;
 use ctup::core::types::{LocationUpdate, Safety, UnitId};
@@ -52,7 +52,7 @@ fn all_algorithms_track_the_oracle_on_a_road_workload() {
         Box::new(OptCtup::new(config.clone(), store.clone(), &units).expect("clean store")),
     ];
     for alg in &algs {
-        oracle.assert_result_matches(&alg.result(), &units, 0.1, QueryMode::TopK(10));
+        oracle.assert_result_matches(&alg.result(), &units, 0.1, 10);
     }
 
     for (step, update) in workload.next_updates(400).into_iter().enumerate() {
@@ -72,12 +72,12 @@ fn all_algorithms_track_the_oracle_on_a_road_workload() {
         }
         if step % 50 == 0 {
             for alg in &algs {
-                oracle.assert_result_matches(&alg.result(), &units, 0.1, QueryMode::TopK(10));
+                oracle.assert_result_matches(&alg.result(), &units, 0.1, 10);
             }
         }
     }
     for alg in &algs {
-        oracle.assert_result_matches(&alg.result(), &units, 0.1, QueryMode::TopK(10));
+        oracle.assert_result_matches(&alg.result(), &units, 0.1, 10);
         assert_eq!(alg.metrics().updates_processed, 400);
     }
 }
@@ -149,8 +149,8 @@ fn adversarial_teleport_stream_stays_correct() {
         units[update.object as usize] = update.to;
         basic.handle_update(location_update).expect("clean store");
         opt.handle_update(location_update).expect("clean store");
-        oracle.assert_result_matches(&basic.result(), &units, 0.1, QueryMode::TopK(10));
-        oracle.assert_result_matches(&opt.result(), &units, 0.1, QueryMode::TopK(10));
+        oracle.assert_result_matches(&basic.result(), &units, 0.1, 10);
+        oracle.assert_result_matches(&opt.result(), &units, 0.1, 10);
         if step % 100 == 0 {
             basic.check_lb_invariant();
             opt.check_lb_invariant();
@@ -158,45 +158,4 @@ fn adversarial_teleport_stream_stays_correct() {
     }
     basic.check_lb_invariant();
     opt.check_lb_invariant();
-}
-
-#[test]
-fn extent_workload_is_monitored_correctly() {
-    let params = WorkloadParams {
-        num_units: 15,
-        places: PlaceGenConfig {
-            count: 600,
-            extent_prob: 0.4,
-            extent_max_side: 0.03,
-            ..PlaceGenConfig::default()
-        },
-        seed: 13,
-        ..WorkloadParams::default()
-    };
-    let mut workload = Workload::generate(params);
-    let store: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(
-        Grid::unit_square(8),
-        workload.places_vec(),
-    ));
-    let mut units = workload.unit_positions();
-    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    let config = CtupConfig::with_k(8);
-    let mut basic = BasicCtup::new(config.clone(), store.clone(), &units).expect("clean store");
-    let mut opt = OptCtup::new(config, store, &units).expect("clean store");
-    oracle.assert_result_matches(&opt.result(), &units, 0.1, QueryMode::TopK(8));
-    for (step, update) in workload.next_updates(250).into_iter().enumerate() {
-        let location_update = LocationUpdate {
-            unit: UnitId(update.object),
-            new: update.to,
-        };
-        units[update.object as usize] = update.to;
-        basic.handle_update(location_update).expect("clean store");
-        opt.handle_update(location_update).expect("clean store");
-        oracle.assert_result_matches(&basic.result(), &units, 0.1, QueryMode::TopK(8));
-        oracle.assert_result_matches(&opt.result(), &units, 0.1, QueryMode::TopK(8));
-        if step % 100 == 0 {
-            basic.check_lb_invariant();
-            opt.check_lb_invariant();
-        }
-    }
 }

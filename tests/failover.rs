@@ -29,7 +29,7 @@ use ctup::core::net::{
 };
 use ctup::core::supervisor::{ResilienceConfig, SupervisedPipeline};
 use ctup::core::types::{LocationUpdate, Place, PlaceId, Safety, TopKEntry, UnitId};
-use ctup::core::{DurableState, OptCtup, Oracle, QueryMode};
+use ctup::core::{DurableState, OptCtup, Oracle};
 use ctup::mogen::{PlaceGenConfig, Workload, WorkloadParams};
 use ctup::obs::SpanSink;
 use ctup::spatial::{Grid, Point};
@@ -132,7 +132,7 @@ fn restored_monitor_is_indistinguishable_from_the_primary() {
             &standby.result(),
             &units,
             config.protection_radius,
-            config.mode,
+            config.k(),
         );
         assert_eq!(standby.sk(), primary.sk());
         assert_eq!(standby.result(), fresh.result());
@@ -159,8 +159,8 @@ fn restored_monitor_is_indistinguishable_from_the_primary() {
 }
 
 /// Restore depends only on the store it runs over: a checkpoint restored
-/// over another place set, or over the same places on a 20×20 grid, is
-/// oracle-exact for that store over the tail that follows.
+/// over another place set, or over the same places on a 20×20 or a 6×6
+/// grid, is oracle-exact for that store over the tail that follows.
 #[test]
 fn restore_rederives_over_any_store() {
     let (mut workload, store) = setup(71);
@@ -182,6 +182,10 @@ fn restore_rederives_over_any_store() {
         Grid::unit_square(20),
         workload.places_vec(),
     ));
+    let coarse: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(
+        Grid::unit_square(6),
+        workload.places_vec(),
+    ));
     let tail: Vec<LocationUpdate> = workload
         .next_updates(300)
         .into_iter()
@@ -193,6 +197,7 @@ fn restore_rederives_over_any_store() {
     for (store, places) in [
         (other, other_workload.places_vec()),
         (fine, workload.places_vec()),
+        (coarse, workload.places_vec()),
     ] {
         let oracle = Oracle::new(places);
         let mut units = units.clone();
@@ -201,7 +206,7 @@ fn restore_rederives_over_any_store() {
             &standby.result(),
             &units,
             config.protection_radius,
-            config.mode,
+            config.k(),
         );
         for &update in &tail {
             standby.handle_update(update).expect("clean store");
@@ -210,58 +215,10 @@ fn restore_rederives_over_any_store() {
                 &standby.result(),
                 &units,
                 config.protection_radius,
-                config.mode,
+                config.k(),
             );
         }
         standby.check_lb_invariant();
-    }
-}
-
-#[test]
-fn checkpoint_roundtrips_with_extents_and_threshold_mode() {
-    let params = WorkloadParams {
-        num_units: 10,
-        places: PlaceGenConfig {
-            count: 500,
-            extent_prob: 0.3,
-            extent_max_side: 0.03,
-            ..PlaceGenConfig::default()
-        },
-        seed: 72,
-        ..WorkloadParams::default()
-    };
-    let mut workload = Workload::generate(params);
-    let store: Arc<dyn PlaceStore> = Arc::new(CellLocalStore::build(
-        Grid::unit_square(6),
-        workload.places_vec(),
-    ));
-    let units = workload.unit_positions();
-    let config = CtupConfig {
-        mode: ctup::core::QueryMode::Threshold(-2),
-        ..CtupConfig::paper_default()
-    };
-    let mut primary = OptCtup::new(config, store.clone(), &units).expect("clean store");
-    for update in workload.next_updates(200) {
-        primary
-            .handle_update(LocationUpdate {
-                unit: UnitId(update.object),
-                new: update.to,
-            })
-            .expect("clean store");
-    }
-    let mut buf = Vec::new();
-    primary.checkpoint().write(&mut buf).unwrap();
-    let mut standby = OptCtup::restore(Checkpoint::read(buf.as_slice()).unwrap(), store)
-        .expect("restore checkpoint");
-    assert_eq!(standby.result(), primary.result());
-    for update in workload.next_updates(200) {
-        let location_update = LocationUpdate {
-            unit: UnitId(update.object),
-            new: update.to,
-        };
-        primary.handle_update(location_update).expect("clean store");
-        standby.handle_update(location_update).expect("clean store");
-        assert_eq!(standby.result(), primary.result());
     }
 }
 
@@ -476,7 +433,7 @@ fn kill_then_restart(
         "served top-k is stale after the restart"
     );
     let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    oracle.assert_result_matches(&topk, &positions, RADIUS, QueryMode::TopK(3));
+    oracle.assert_result_matches(&topk, &positions, RADIUS, 3);
     (fed, net, server, dir)
 }
 
@@ -794,7 +751,7 @@ fn standby_promotes_after_primary_death_and_serves_the_oracle_topk() {
         positions[update.unit.index()] = update.new;
     }
     let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    oracle.assert_result_matches(&topk, &positions, RADIUS, QueryMode::TopK(10));
+    oracle.assert_result_matches(&topk, &positions, RADIUS, 10);
     replicated.finish();
 }
 
@@ -881,7 +838,7 @@ fn promotion_and_restart_from_the_directory_serve_the_same_topk() {
     }
     let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
     for topk in [&promoted, &restarted] {
-        oracle.assert_result_matches(topk, &positions, RADIUS, QueryMode::TopK(10));
+        oracle.assert_result_matches(topk, &positions, RADIUS, 10);
     }
     assert_eq!(safeties(&promoted), safeties(&restarted));
     let above_sk = |topk: &[TopKEntry]| -> Vec<TopKEntry> {

@@ -15,7 +15,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use ctup::core::algorithm::CtupAlgorithm;
-use ctup::core::config::{CtupConfig, QueryMode};
+use ctup::core::config::CtupConfig;
 use ctup::core::ingest::{stamp_stream, StampedUpdate, TracedReport};
 use ctup::core::net::client::{ClientConfig, Conn, Dialer};
 use ctup::core::net::overload::CountingSink;
@@ -157,12 +157,7 @@ fn clean_networked_feed_is_oracle_exact() {
         positions[update.unit.index()] = update.new;
     }
     let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    oracle.assert_result_matches(
-        &report.final_result,
-        &positions,
-        RADIUS,
-        QueryMode::TopK(10),
-    );
+    oracle.assert_result_matches(&report.final_result, &positions, RADIUS, 10);
 }
 
 /// Links that die mid-frame force reconnects; the client replays its
@@ -230,12 +225,7 @@ fn reconnect_replay_is_duplicate_suppressed_and_oracle_exact() {
         positions[update.unit.index()] = update.new;
     }
     let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    oracle.assert_result_matches(
-        &report.final_result,
-        &positions,
-        RADIUS,
-        QueryMode::TopK(10),
-    );
+    oracle.assert_result_matches(&report.final_result, &positions, RADIUS, 10);
 }
 
 /// A sink that records what the engine saw, with a configurable service
@@ -643,12 +633,7 @@ fn kill_and_recover_over_the_wire_is_oracle_exact() {
         positions[update.unit.index()] = update.new;
     }
     let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    oracle.assert_result_matches(
-        &report.final_result,
-        &positions,
-        RADIUS,
-        QueryMode::TopK(10),
-    );
+    oracle.assert_result_matches(&report.final_result, &positions, RADIUS, 10);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -22,7 +22,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use ctup::core::algorithm::CtupAlgorithm;
-use ctup::core::config::{CtupConfig, QueryMode};
+use ctup::core::config::CtupConfig;
 use ctup::core::ingest::{stamp_stream, IngestConfig, IngestGate, StampedUpdate};
 use ctup::core::metrics::ResilienceStats;
 use ctup::core::types::{LocationUpdate, TopKEntry, UnitId};
@@ -137,7 +137,7 @@ fn sharded_matches_sequential_for_all_shard_counts_and_cache_sizes() {
             let label = format!("{num_shards} shards, {cache_pages} cache pages");
             assert_equivalent(&seq, &sharded, num_shards, &format!("{label}: init"));
             let oracle = Oracle::from_store(base.as_ref()).expect("clean store");
-            oracle.assert_result_matches(&sharded.result(), &units, RADIUS, QueryMode::TopK(K));
+            oracle.assert_result_matches(&sharded.result(), &units, RADIUS, K);
 
             let mut positions = units.clone();
             for (step, update) in updates_from(&mut workload, STEPS).into_iter().enumerate() {
@@ -147,15 +147,10 @@ fn sharded_matches_sequential_for_all_shard_counts_and_cache_sizes() {
                 assert_equivalent(&seq, &sharded, num_shards, &format!("{label}: step {step}"));
                 // The oracle pass is brute force over every place; sample it.
                 if step % 50 == 49 {
-                    oracle.assert_result_matches(
-                        &sharded.result(),
-                        &positions,
-                        RADIUS,
-                        QueryMode::TopK(K),
-                    );
+                    oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, K);
                 }
             }
-            oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, QueryMode::TopK(K));
+            oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, K);
         }
     }
 }
@@ -222,10 +217,10 @@ fn chaos_feed_is_exact_across_shards() {
         positions[update.unit.index()] = update.new;
         assert_equivalent(&seq, &sharded, 3, &format!("chaos step {step}"));
         if step % 100 == 99 {
-            oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, QueryMode::TopK(K));
+            oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, K);
         }
     }
-    oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, QueryMode::TopK(K));
+    oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, K);
 }
 
 /// Batched ingest with ragged batch sizes: the engine sees the stream as
@@ -261,7 +256,7 @@ fn batched_ingest_matches_sequential_at_boundaries_with_cache() {
     }
     assert_eq!(sharded.metrics().updates_processed, stream.len() as u64);
     let oracle = Oracle::from_store(base.as_ref()).expect("clean store");
-    oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, QueryMode::TopK(K));
+    oracle.assert_result_matches(&sharded.result(), &positions, RADIUS, K);
 }
 
 /// Degenerate population: fewer places than `k`, and more shards than
@@ -364,9 +359,6 @@ impl PlaceStore for FaultyCells {
             return Err(FAULT);
         }
         self.inner.read_cell(cell)
-    }
-    fn cell_extent_margin(&self, cell: CellId) -> f64 {
-        self.inner.cell_extent_margin(cell)
     }
     fn cell_pages(&self, cell: CellId) -> u64 {
         self.inner.cell_pages(cell)

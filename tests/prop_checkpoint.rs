@@ -15,7 +15,7 @@ mod prop;
 
 use ctup::core::algorithm::CtupAlgorithm;
 use ctup::core::checkpoint::Checkpoint;
-use ctup::core::config::{CtupConfig, QueryMode};
+use ctup::core::config::CtupConfig;
 use ctup::core::ingest::{GateState, GateUnitState};
 use ctup::core::types::{LocationUpdate, UnitId};
 use ctup::core::OptCtup;
@@ -31,15 +31,11 @@ fn point(g: &mut Gen) -> Point {
 
 fn config(g: &mut Gen) -> CtupConfig {
     CtupConfig {
-        mode: if g.gen_bool(0.5) {
-            QueryMode::TopK(g.gen_range(1..30))
-        } else {
-            QueryMode::Threshold(g.int(-10..=9))
-        },
         protection_radius: g.gen_range_f64(0.01..0.5),
         delta: g.int(0..=9),
         doo_enabled: g.gen_bool(0.5),
         purge_dechash_on_access: g.gen_bool(0.5),
+        ..CtupConfig::with_k(g.gen_range(1..30))
     }
 }
 
@@ -103,16 +99,14 @@ struct RealCheckpoint {
     tail: Vec<LocationUpdate>,
 }
 
-/// 300 places (points only, or 30 % extended) on a 6×6 grid, watched by
+/// 300 places on a 6×6 grid, watched by
 /// 12 units with a 0.2 range through 200 seeded teleports; the checkpoint
 /// is taken there and 40 more teleports follow. Teleports touch and access
 /// many cells, so a corrupted position or configuration that restore
 /// accepted is exercised within the 40.
-fn real_checkpoint(extent_prob: f64) -> RealCheckpoint {
+fn real_checkpoint() -> RealCheckpoint {
     let places = PlaceGenerator::new(PlaceGenConfig {
         count: 300,
-        extent_prob,
-        extent_max_side: 0.1,
         ..PlaceGenConfig::default()
     })
     .generate(35);
@@ -146,14 +140,14 @@ enum Corrupted {
         pos_frac: f64,
         byte: u8,
     },
-    /// A real checkpoint (`set` indexes the two) with 1–3 bytes replaced
-    /// by characters its text format is made of.
-    Real { set: usize, edits: Vec<(usize, u8)> },
+    /// The real checkpoint with 1–3 bytes replaced by characters its text
+    /// format is made of.
+    Real { edits: Vec<(usize, u8)> },
 }
 
 #[test]
 fn byte_corruption_never_panics() {
-    let sets = [real_checkpoint(0.0), real_checkpoint(0.3)];
+    let real = real_checkpoint();
     check(
         "byte_corruption_never_panics",
         4_256,
@@ -163,16 +157,15 @@ fn byte_corruption_never_panics() {
                 pos_frac: g.gen_f64(),
                 byte: g.next_u64() as u8,
             },
-            pick => {
-                let set = pick % 2;
-                let len = sets[set].bytes.len();
+            _ => {
+                let len = real.bytes.len();
                 let edits = (0..g.gen_range(1..4))
                     .map(|_| {
                         let byte = b"0123456789-.e \nx"[g.gen_range(0..16)];
                         (g.gen_range(0..len), byte)
                     })
                     .collect();
-                Corrupted::Real { set, edits }
+                Corrupted::Real { edits }
             }
         },
         |input| match input {
@@ -185,8 +178,7 @@ fn byte_corruption_never_panics() {
                 // or hang.
                 let _ = Checkpoint::read(buf.as_slice());
             }
-            Corrupted::Real { set, edits } => {
-                let real = &sets[*set];
+            Corrupted::Real { edits } => {
                 let mut buf = real.bytes.clone();
                 for &(pos, byte) in edits {
                     buf[pos] = byte;

@@ -12,29 +12,19 @@
 #[path = "support/prop.rs"]
 mod prop;
 
-use ctup::spatial::{Grid, Point, Rect};
+use ctup::spatial::{Grid, Point};
 use ctup::storage::{
     decode_page, encode_pages, snapshot, CellLocalStore, PagedDiskStore, PlaceId, PlaceRecord,
     PlaceStore,
 };
 use prop::{check, Gen};
 
-/// Records with dense ids `0..n`, half of them with an extent clipped to
-/// the unit square.
+/// Records with dense ids `0..n`.
 fn records(g: &mut Gen) -> Vec<PlaceRecord> {
     let mut id = 0;
     g.vec(0..=149, |g| {
-        let (x, y) = (g.gen_f64(), g.gen_f64());
-        let pos = Point::new(x, y);
-        let rp = g.gen_range(0..10) as u32;
-        let record = if g.gen_bool(0.5) {
-            let (hw, hh) = (g.gen_range_f64(0.0..0.05), g.gen_range_f64(0.0..0.05));
-            let lo = Point::new((x - hw).max(0.0), (y - hh).max(0.0));
-            let hi = Point::new((x + hw).min(1.0), (y + hh).min(1.0));
-            PlaceRecord::extended(PlaceId(id), pos, rp, Rect::new(lo, hi))
-        } else {
-            PlaceRecord::point(PlaceId(id), pos, rp)
-        };
+        let pos = Point::new(g.gen_f64(), g.gen_f64());
+        let record = PlaceRecord::point(PlaceId(id), pos, g.gen_range(0..10) as u32);
         id += 1;
         record
     })
@@ -60,7 +50,6 @@ fn paged_store_roundtrips_arbitrary_records() {
                     .into_owned();
                 let b = disk.read_cell(cell).expect("clean disk read").into_owned();
                 assert_eq!(&a, &b);
-                assert_eq!(mem.cell_extent_margin(cell), disk.cell_extent_margin(cell));
                 seen += a.len();
             }
             assert_eq!(seen, places.len());

@@ -96,8 +96,9 @@ fn generated_datasets_roundtrip_through_snapshots() {
             2,
             PlaceGenConfig {
                 count: 400,
-                extent_prob: 0.5,
-                extent_max_side: 0.02,
+                rp_min: 0,
+                rp_max: 20,
+                rp_skew: 0.0,
                 ..Default::default()
             },
         ),
@@ -126,8 +127,6 @@ fn generated_datasets_roundtrip_through_snapshots() {
 fn stores_agree_cell_by_cell_on_generated_data() {
     let places = PlaceGenerator::new(PlaceGenConfig {
         count: 1_000,
-        extent_prob: 0.3,
-        extent_max_side: 0.05,
         ..Default::default()
     })
     .generate(17);
@@ -141,7 +140,6 @@ fn stores_agree_cell_by_cell_on_generated_data() {
             disk.read_cell(cell).expect("clean store").into_owned(),
             "cell {cell:?}"
         );
-        assert_eq!(mem.cell_extent_margin(cell), disk.cell_extent_margin(cell));
     }
 }
 
@@ -170,11 +168,12 @@ fn fixed_feed_pins_the_cache_traffic() {
         .expect("clean store");
     }
     let io = cached.stats().snapshot().since(&at_init);
-    // Under plain LRU this feed read 1 799 pages in 1 623 cell reads, with
-    // 1 123 hits; the demand stream (hits + misses, 2 746) is the same.
+    // The demand stream (hits + misses, 2 746) is the engine's and fixed;
+    // how it splits, and the pages a miss reads, are the cache's and the
+    // page format's.
     assert_eq!(
         (io.pages_read, io.cell_reads, io.cache_hits),
-        (678, 587, 2_159)
+        (524, 506, 2_240)
     );
     assert_eq!(io.cache_misses, io.cell_reads);
     let top: Vec<(u32, i64)> = alg.result().iter().map(|e| (e.place.0, e.safety)).collect();
