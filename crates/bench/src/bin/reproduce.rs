@@ -16,9 +16,8 @@
 //! throughput and admission-wait quantiles per load point as JSON.
 //!
 //! `--failover-out FILE` runs the failover MTTR bench — engine kills
-//! restarted from the durable slot + WAL tail behind a fresh door, and
-//! primary kills absorbed by warm-standby promotion — and writes per-trial
-//! outage durations for both recovery levels as JSON.
+//! restarted from the durable slot + WAL tail behind a fresh door — and
+//! writes the per-trial restart times as JSON.
 
 // Library lint policy, DESIGN.md §10: every suppression is a reasoned
 // `#[expect]`; the `deny` list below holds outside test code.
@@ -149,10 +148,8 @@ fn main() {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         }
-        let heal = report.self_heal_ms();
-        let promote = report.promotion_ms();
-        for (i, (h, p)) in heal.iter().zip(&promote).enumerate() {
-            println!("  trial {i}: restart from dir {h:.1}ms, promotion {p:.1}ms");
+        for (i, h) in report.self_heal_ms().iter().enumerate() {
+            println!("  trial {i}: restart from dir {h:.1}ms");
         }
         println!("failover MTTR bench written to {path}");
     }

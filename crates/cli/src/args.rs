@@ -41,11 +41,11 @@ impl Command {
             "Monitor the seeded stream offline with the bare engine; print the final\n\
              top-k and the metrics snapshot.",
             "Open the networked ingest front door with /metrics and /healthz. --updates N\n\
-             self-feeds over loopback, --state-dir journals for standbys and for\n\
-             --recover, which restarts from it after a death (--kill-at N dies before\n\
-             effective update N); --standby follows a primary.",
+             self-feeds over loopback, --state-dir journals for --recover, which\n\
+             restarts from it after a death (--kill-at N dies before effective\n\
+             update N).",
             "Feed the seeded stream to a running `serve` (same --units/--places/--seed),\n\
-             optionally walking a --failover address list on reconnect.",
+             redialing --addr on reconnect.",
             "Analyze a --span-dump file: per-stage latency and slowest critical paths.",
         ][self as usize]
     }
@@ -108,13 +108,10 @@ const FLAGS: &[Flag] = &[
     flag("session-quota", "N", SERVE),
     flag("ingest-deadline-ms", "N", SERVE),
     flag("snapshot-push-ms", "N", SERVE),
-    flag("epoch", "N", SERVE),
-    flag("standby", "HOST:PORT", SERVE),
     flag("rate-hz", "F", FEED),
     flag("max-in-flight", "N", FEED),
     flag("max-attempts", "N", FEED),
     flag("deadline-secs", "N", FEED),
-    flag("failover", "HOST:PORT,...", FEED),
     flag("span-dump", "FILE", SERVE | FEED),
     flag("trace-every", "N", SERVE | FEED),
     flag("input", "FILE", TRACE),

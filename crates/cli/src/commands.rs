@@ -10,7 +10,7 @@ use ctup_core::ingest::{stamp_stream, StampedUpdate};
 use ctup_core::naive::{NaiveIncremental, NaiveRecompute};
 use ctup_core::net::{
     ClientConfig, EngineSink, FeedClient, IngestServer, NetServerConfig, NetStatsSnapshot,
-    PipelineSink, StandbyConfig, StandbyPhase, StandbyServer, TcpDialer, PIPELINE_CAPACITY,
+    PipelineSink, TcpDialer, PIPELINE_CAPACITY,
 };
 use ctup_core::report::Snapshot;
 use ctup_core::server::{MonitorEvent, Server};
@@ -99,14 +99,17 @@ fn next_updates(workload: &mut Workload, n: usize) -> Vec<LocationUpdate> {
         .collect()
 }
 
-/// The query of `run` and `serve`: top-`--k` (15).
+/// The query of `run` and `serve`: top-`--k` (15). An out-of-range
+/// value is refused with [`CtupConfig::check`]'s message.
 fn query_config(flags: &Flags) -> Result<CtupConfig, CliError> {
-    Ok(CtupConfig {
+    let config = CtupConfig {
         protection_radius: flags.get("radius", 0.1)?,
         delta: flags.get("delta", 6)?,
         doo_enabled: !flags.switch("no-doo"),
         ..CtupConfig::with_k(flags.get("k", 15)?)
-    })
+    };
+    config.check().map_err(|message| CliError(message.into()))?;
+    Ok(config)
 }
 
 fn write_result(text: &mut String, result: &[TopKEntry]) {
@@ -298,24 +301,19 @@ fn refuse_reused_state_dir(flags: &Flags) -> Result<(), CliError> {
 fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let config = query_config(flags)?;
     let seed: u64 = flags.get("seed", SEED)?;
-    let standby: Option<std::net::SocketAddr> = flags.opt("standby")?;
     let state_dir = flags.get_str("state-dir").map(PathBuf::from);
     let recover = flags.switch("recover");
     let problem = if flags.switch("checkpoint-every") && state_dir.is_none() {
         Some("--checkpoint-every requires --state-dir <dir>")
     } else if recover && state_dir.is_none() {
         Some("--recover requires --state-dir <dir>")
-    } else if recover && standby.is_some() {
-        Some("--recover restarts a primary; a --standby bootstraps from its primary")
     } else {
         None
     };
     if let Some(problem) = problem {
         return Err(CliError(problem.to_string()));
     }
-    if standby.is_none() {
-        refuse_reused_state_dir(flags)?;
-    }
+    refuse_reused_state_dir(flags)?;
     // `--span-dump FILE` arms end-to-end causal tracing: one shared sink
     // for the door, the engine worker and the loopback feed, so a report's
     // client-send → … → snapshot-publish chain lands in one JSONL dump.
@@ -323,8 +321,6 @@ fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let spans = span_dump.map(|_| Arc::new(SpanSink::new(65_536)));
     let mut net_config = NetServerConfig {
         snapshot_push_interval: Duration::from_millis(flags.get("snapshot-push-ms", 250)?),
-        epoch: flags.get("epoch", 1)?,
-        state_dir: state_dir.clone(),
         spans: spans.clone(),
         trace_sample_every: flags.get("trace-every", 1)?,
         trace_seed: seed,
@@ -341,13 +337,6 @@ fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         Grid::unit_square(flags.get("granularity", 10)?),
         workload.places_vec(),
     ));
-    // `--standby <primary>`: no local engine of our own yet — bootstrap
-    // from the primary's shipped checkpoint, tail its WAL, and take over
-    // (behind the epoch fence) if it goes dark.
-    if let Some(primary) = standby {
-        return serve_standby(flags, primary, net_config, store, span_dump, out);
-    }
-
     let kill_at: u64 = flags.get("kill-at", 0)?;
     let resilience = ResilienceConfig {
         kill_at: (kill_at > 0).then_some(kill_at),
@@ -503,95 +492,9 @@ fn dump_spans(
     Ok(())
 }
 
-/// The `--standby` arm of `serve`: follow the primary over the
-/// replication stream, publish the follower's health (and, once promoted,
-/// the promoted front door's health and metrics), and exit after
-/// `--serve-secs`.
-fn serve_standby(
-    flags: &Flags,
-    primary: std::net::SocketAddr,
-    net_config: NetServerConfig,
-    store: Arc<dyn PlaceStore>,
-    span_dump: Option<&Path>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let spans = net_config.spans.clone();
-    let standby_config = StandbyConfig {
-        primary_ingest: primary,
-        serve_addr: flags.get_str("addr").unwrap_or("127.0.0.1:0").to_string(),
-        // The standby's halves of replicated traces (standby-apply, and
-        // the full pipeline once promoted) share the same sink.
-        resilience: ResilienceConfig {
-            state_dir: net_config.state_dir.clone(),
-            spans: spans.clone(),
-            ..ResilienceConfig::default()
-        },
-        net: net_config,
-        ..StandbyConfig::default()
-    };
-    let standby = StandbyServer::spawn(standby_config, Arc::clone(&store));
-    let metrics = bind_metrics(flags)?;
-    let health = metrics.local_addr();
-    writeln!(
-        out,
-        "warm standby following {primary} | health at http://{health}/healthz"
-    )?;
-    out.flush()?;
-
-    let serve_for = Duration::from_secs(flags.get("serve-secs", 300)?);
-    let started = Instant::now();
-    let mut announced = false;
-    loop {
-        let status = standby.status();
-        if let StandbyPhase::Failed(why) = &status.phase {
-            return Err(CliError(format!("standby failed: {why}")));
-        }
-        match standby.promoted_health() {
-            Some(body) => {
-                metrics.publisher().publish_health(body);
-                if let Some(net) = standby.promoted_net_snapshot() {
-                    metrics.publisher().publish(live_prom(store.as_ref(), net));
-                }
-                if let (false, Some(promoted)) = (announced, standby.promoted_addr()) {
-                    let epoch = status.epoch;
-                    writeln!(
-                        out,
-                        "promoted: ingest front door at {promoted} (epoch {epoch})"
-                    )?;
-                    out.flush()?;
-                    announced = true;
-                }
-            }
-            None => {
-                let phase = match &status.phase {
-                    StandbyPhase::Syncing => "syncing",
-                    StandbyPhase::Following => "following",
-                    StandbyPhase::Promoting => "promoting",
-                    StandbyPhase::Promoted => "promoted",
-                    StandbyPhase::Failed(_) => "failed",
-                };
-                metrics.publisher().publish_health(format!(
-                    "{{\"status\":\"standby\",\"phase\":\"{phase}\",\"epoch\":{},\"wal_applied\":{},\"stale_rejected\":{}}}",
-                    status.epoch, status.wal_applied, status.stale_rejected
-                ));
-            }
-        }
-        if started.elapsed() >= serve_for {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(250));
-    }
-    let status = standby.status();
-    let (epoch, applied, stale) = (status.epoch, status.wal_applied, status.stale_rejected);
-    writeln!(out, "standby exiting: epoch {epoch}, {applied} wal appends applied, {stale} stale frames rejected")?;
-    standby.shutdown();
-    metrics.shutdown();
-    dump_spans(span_dump, spans.as_deref(), out)
-}
-
 /// `ctup feed` — drive the seeded workload into a running `ctup serve`
-/// instance over the wire protocol, reconnecting and replaying through
-/// `--addr` and then the `--failover` list.
+/// instance over the wire protocol, reconnecting to `--addr` and
+/// replaying the unacked tail.
 fn feed(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let addr = flags.get("addr", std::net::SocketAddr::from(([127, 0, 0, 1], 9710)))?;
     let rate_hz: f64 = flags.get("rate-hz", 0.0)?;
@@ -611,25 +514,11 @@ fn feed(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         ..ClientConfig::default()
     };
     client_config.backoff.max_attempts = flags.get("max-attempts", 8)?;
-    // Every reconnect dials the next address: `--addr`, then the
-    // `--failover` standbys, round-robin.
-    let standbys = flags
-        .get_str("failover")
-        .unwrap_or_default()
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|part| {
-            part.parse()
-                .map_err(|e| CliError(format!("bad --failover entry {part:?}: {e}")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
     let stamped = stamp_stream(next_updates(
         &mut workload(flags)?,
         flags.get("updates", 1_000)?,
     ));
-    let dialer = TcpDialer::failover(addr, standbys);
-    let client = FeedClient::new(Box::new(dialer), client_config);
+    let client = FeedClient::new(Box::new(TcpDialer::new(addr)), client_config);
     let deadline_secs = flags.get("deadline-secs", 120)?;
     drive_feed(client, &stamped, gap, deadline_secs, "feed", out)?;
     dump_spans(span_dump, spans.as_deref(), out)
@@ -893,8 +782,7 @@ mod tests {
 
     #[test]
     fn bad_invocations_are_rejected() {
-        // `command line => error`; all fail before any workload is built
-        // except `serve --standby`, hence its small one.
+        // `command line => error`; all fail before any workload is built.
         for case in [
             "run --algorithm magic => unknown algorithm \"magic\"",
             "run --bogus 1 => unknown flag --bogus for `ctup run`",
@@ -910,14 +798,19 @@ mod tests {
             "run --state-dir d => unknown flag --state-dir for `ctup run`",
             "serve --checkpoint-every 8 => --checkpoint-every requires --state-dir",
             "serve --recover => --recover requires --state-dir",
-            "serve --recover --state-dir s --standby 127.0.0.1:1 => --recover restarts a primary",
+            "serve --recover --state-dir s --standby 127.0.0.1:1 => unknown flag --standby for `ctup serve`",
+            "serve --epoch 2 => unknown flag --epoch for `ctup serve`",
+            "run --k 0 => k must be at least 1",
+            "run --radius 0 => protection radius must be positive and finite",
+            "run --radius NaN => protection radius must be positive and finite",
+            "serve --delta -1 => delta must be non-negative",
             "generate --rp-min 9 --rp-max 2 => --rp-min must not exceed --rp-max",
             "generate --rp-max 65537 => --rp-max must not exceed 65536",
             "feed --granularity 10 => unknown flag --granularity for `ctup feed`",
             "feed --addr not-an-addr => bad value \"not-an-addr\" for --addr",
-            "feed --failover not-an-addr => bad --failover entry",
+            "feed --failover not-an-addr => unknown flag --failover for `ctup feed`",
             "feed --die-per-mille 5 => unknown flag --die-per-mille for `ctup feed`",
-            "serve --standby nowhere => bad value \"nowhere\" for --standby",
+            "serve --standby nowhere => unknown flag --standby for `ctup serve`",
         ] {
             let (line, error) = case.split_once(" => ").unwrap();
             let err = ctup(line).expect_err(line);
@@ -1114,27 +1007,5 @@ mod tests {
         let net = server.shutdown();
         assert_eq!(net.reports_accepted, 150);
         assert_eq!(net.shed_total(), 0);
-    }
-
-    #[test]
-    fn feed_walks_over_to_a_failover_address() {
-        // Primary address points at nothing; the failover list's second
-        // entry is a live server — the dialer must walk over to it.
-        let (sink, server) = counting_door();
-        let live = server.local_addr();
-        // A bound-then-dropped listener yields an address that refuses.
-        let dead = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-            listener.local_addr().expect("addr")
-        };
-        let out = ctup(&format!(
-            "feed --addr {dead} --failover {live} --updates 50 --units 25 --places 1500 \
-             --max-attempts 8"
-        ))
-        .expect("feed with failover");
-        assert!(out.contains("feed: 50 offered, 50 acked, 0 shed"), "{out}");
-        assert_eq!(sink.accepted(), 50);
-        let net = server.shutdown();
-        assert_eq!(net.reports_accepted, 50);
     }
 }

@@ -77,9 +77,8 @@ impl From<io::Error> for CheckpointError {
 
 /// A monitor that can be rebuilt from its unit positions. Every restart is
 /// one [`Checkpointable::restore`]: the supervised pipeline's self-heal
-/// (from the positions its worker holds), recovery after a process death
-/// (from a durable slot with the journal folded in) and a standby's
-/// promotion (from the shipped checkpoint with the stream folded in).
+/// (from the positions its worker holds) and recovery after a process
+/// death (from a durable slot with the journal folded in).
 /// [`Checkpointable::checkpoint`] gives the spawn-time slot.
 pub trait Checkpointable: crate::algorithm::CtupAlgorithm + Sized {
     /// Captures the monitor's state (gate-less; the caller attaches a
@@ -99,8 +98,8 @@ pub trait Checkpointable: crate::algorithm::CtupAlgorithm + Sized {
 /// unit positions folded from the effective updates (lease parks
 /// included) of every report its [`IngestGate`] admitted — a function of
 /// the reports, never of an engine. The commit stage lands its slots,
-/// recovery folds a journal into one, a standby follows the replication
-/// stream with one, and each restarts through [`DurableImage::restore`].
+/// recovery folds a journal into one and restarts through
+/// [`DurableImage::restore`].
 #[derive(Debug, Clone)]
 pub struct DurableImage {
     config: CtupConfig,
@@ -185,7 +184,7 @@ impl DurableImage {
 /// Any change to the serialized shape of [`Checkpoint`] or the types it
 /// embeds must bump this constant — `cargo xtask lint` (rule L005)
 /// fingerprints those type definitions and fails when they drift without a
-/// version bump, so a standby never misreads a primary's checkpoint. The
+/// version bump, so a restart never misreads an older process's slot. The
 /// durable A/B slot header of [`crate::durable`] embeds the same version:
 /// v3 introduced the slot/journal protocol around the v2 body format; v4
 /// added a physical cell-layout tag; v5 dropped it again when Z-order

@@ -125,7 +125,7 @@ pub struct GateUnitState {
     pub alive: bool,
 }
 
-/// Snapshot of the whole gate, stored inside a checkpoint so a standby
+/// Snapshot of the whole gate, stored inside a checkpoint so a restarted
 /// server resumes with the same dedup and lease decisions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateState {

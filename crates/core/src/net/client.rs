@@ -46,22 +46,12 @@ pub trait Dialer: Send {
     fn dial(&mut self) -> std::io::Result<Box<dyn Conn>>;
 }
 
-/// Dials a TCP address list with a connect timeout and short I/O
-/// timeouts, one address per attempt in round-robin order, primary first.
-///
-/// The feed client redials through its [`Dialer`] with seeded-jitter
-/// backoff on every reconnect; with a failover list
-/// ([`TcpDialer::failover`]) each attempt targets the next address, so
-/// when the primary dies and a standby promotes itself, the client walks
-/// onto the promoted server within one backoff cycle — the session resume
-/// in its `Hello` opens a fresh session there (the promoted registry mints
-/// epoch-fenced ids) and the unacked tail is replayed, deduplicated by the
-/// standby's gate.
+/// Dials one TCP address with a connect timeout and short I/O timeouts.
+/// The feed client redials through it with seeded-jitter backoff on every
+/// reconnect.
 #[derive(Debug, Clone)]
 pub struct TcpDialer {
-    /// Never empty: the constructors take the primary separately.
-    addrs: Vec<SocketAddr>,
-    next: usize,
+    addr: SocketAddr,
 }
 
 /// Bound on each connect attempt of a feed client.
@@ -71,25 +61,15 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 const IO_TICK: Duration = Duration::from_millis(25);
 
 impl TcpDialer {
-    /// A dialer for `addr` alone.
+    /// A dialer for `addr`.
     pub fn new(addr: SocketAddr) -> Self {
-        TcpDialer::failover(addr, [])
-    }
-
-    /// A dialer rotating over `primary` and then `standbys`.
-    pub fn failover(primary: SocketAddr, standbys: impl IntoIterator<Item = SocketAddr>) -> Self {
-        TcpDialer {
-            addrs: std::iter::once(primary).chain(standbys).collect(),
-            next: 0,
-        }
+        TcpDialer { addr }
     }
 }
 
 impl Dialer for TcpDialer {
     fn dial(&mut self) -> std::io::Result<Box<dyn Conn>> {
-        let addr = self.addrs[self.next];
-        self.next = (self.next + 1) % self.addrs.len();
-        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
         stream.set_read_timeout(Some(IO_TICK))?;
         stream.set_write_timeout(Some(IO_TICK))?;
         let _ = stream.set_nodelay(true);

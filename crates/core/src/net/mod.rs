@@ -15,11 +15,8 @@
 //!
 //! A dead engine is not revived behind the door: the door degrades for
 //! good, and the monitor comes back as a new process that restarts from
-//! its state directory, or through [`standby`] (a warm standby that
-//! bootstraps from a shipped checkpoint over [`wire`]'s replication
-//! frames, tails the WAL stream, and promotes itself behind an epoch fence
-//! when the primary goes dark). The MTTR bench (`reproduce
-//! --failover-out`) — outage duration for both ways back — lives in
+//! its state directory — recovery is crash-only. The MTTR bench
+//! (`reproduce --failover-out`) — the outage of that restart — lives in
 //! [`mttr`].
 
 pub mod admission;
@@ -28,7 +25,6 @@ pub mod mttr;
 pub mod overload;
 pub mod server;
 pub mod session;
-pub mod standby;
 pub mod stats;
 pub mod wire;
 
@@ -39,7 +35,7 @@ pub use client::{
     BackoffConfig, ClientConfig, ClientError, ClientStats, Conn, Dialer, FeedClient, ShedRecord,
     TcpDialer,
 };
-pub use mttr::{run_mttr_bench, MttrConfig, MttrReport, PromotionTrial, SelfHealTrial};
+pub use mttr::{run_mttr_bench, MttrConfig, MttrReport, SelfHealTrial};
 pub use overload::{
     run_sweep, CalibratedSink, CountingSink, LoadPoint, OverloadConfig, SweepReport,
 };
@@ -47,8 +43,5 @@ pub use server::{
     EngineSink, IngestServer, NetServerConfig, PipelineSink, SinkError, PIPELINE_CAPACITY,
 };
 pub use session::{SessionConfig, SessionRegistry};
-pub use standby::{StandbyConfig, StandbyPhase, StandbyServer, StandbyStatus};
 pub use stats::{NetStats, NetStatsSnapshot, ShedReason};
-pub use wire::{
-    ByeReason, FrameDecoder, FrameWriter, Message, WireError, MAX_CHUNK_DATA, MAX_FRAME_LEN,
-};
+pub use wire::{ByeReason, FrameDecoder, FrameWriter, Message, WireError, MAX_FRAME_LEN};

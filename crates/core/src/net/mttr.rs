@@ -1,9 +1,8 @@
 //! The failover MTTR bench: how long the monitor is dark after an engine
-//! kill, for both ways back, measured end to end through the real front
-//! door.
+//! kill, measured end to end through the real front door.
 //!
-//! Level 1 (crash-only restart): the supervised engine is killed mid-feed,
-//! the door goes degraded, and the newest slot is torn (a death
+//! Recovery is crash-only restart: the supervised engine is killed
+//! mid-feed, the door goes degraded, and the newest slot is torn (a death
 //! mid-checkpoint-write), outside the timed window. A new engine is then
 //! recovered from the durable slot + WAL tail and put behind a fresh door,
 //! and the whole stream is re-delivered to it; every report must be acked.
@@ -12,17 +11,10 @@
 //! a supervising process manager adds on top (noticing the death, exec)
 //! is outside the bench.
 //!
-//! Level 2 (warm standby promotion): a standby follows the primary over
-//! the replication stream; the primary is shut down and the clock runs
-//! from that instant until the standby serves at the bumped epoch. This
-//! includes the probe budget (`probe_failures × probe_interval`), the
-//! fencing probe, and the engine resume — the whole client-visible gap.
-//!
 //! Run by `reproduce --failover-out FILE`.
 
 use super::client::{ClientConfig, FeedClient, TcpDialer};
 use super::server::{EngineSink, IngestServer, NetServerConfig, PipelineSink, PIPELINE_CAPACITY};
-use super::standby::{StandbyConfig, StandbyPhase, StandbyServer};
 use crate::algorithm::CtupAlgorithm;
 use crate::config::CtupConfig;
 use crate::durable::DurableState;
@@ -94,18 +86,14 @@ fn synth_stream(seed: u64, units: usize, n: u64) -> Vec<LocationUpdate> {
 /// Configuration of the MTTR bench.
 #[derive(Debug, Clone)]
 pub struct MttrConfig {
-    /// Trials per recovery level; the report keeps every sample.
+    /// Restart trials; the report keeps every sample.
     pub trials: usize,
     /// Reports fed per trial.
     pub reports: u64,
-    /// Engine kill point for the level-1 trials (report ordinal).
+    /// Engine kill point (report ordinal).
     pub kill_at: u64,
     /// Durable checkpoint cadence, in applied updates.
     pub checkpoint_every: u64,
-    /// Standby probe cadence for the level-2 trials.
-    pub probe_interval: Duration,
-    /// Dark probes before the standby promotes.
-    pub probe_failures: u32,
     /// Synthetic world size.
     pub places: usize,
     /// Synthetic fleet size.
@@ -121,8 +109,6 @@ impl Default for MttrConfig {
             reports: 600,
             kill_at: 300,
             checkpoint_every: 48,
-            probe_interval: Duration::from_millis(50),
-            probe_failures: 2,
             places: 1_000,
             units: 32,
             seed: 42,
@@ -130,7 +116,7 @@ impl Default for MttrConfig {
     }
 }
 
-/// One level-1 trial.
+/// One restart trial.
 #[derive(Debug, Clone)]
 pub struct SelfHealTrial {
     /// Wall time of the restart (load + restore + resume + fresh door), ms.
@@ -141,26 +127,13 @@ pub struct SelfHealTrial {
     pub acked: u64,
 }
 
-/// One level-2 trial.
-#[derive(Debug, Clone)]
-pub struct PromotionTrial {
-    /// Primary-shutdown to Promoted, ms (includes the probe budget).
-    pub promote_ms: f64,
-    /// Live WAL frames the standby applied before the kill.
-    pub wal_applied: u64,
-    /// Epoch the standby promoted into (primary epoch + 1).
-    pub epoch: u64,
-}
-
 /// The whole bench.
 #[derive(Debug, Clone)]
 pub struct MttrReport {
     /// The configuration the samples were taken under.
     pub config: MttrConfig,
-    /// Level-1 samples.
+    /// Restart samples.
     pub self_heal: Vec<SelfHealTrial>,
-    /// Level-2 samples.
-    pub promotion: Vec<PromotionTrial>,
 }
 
 fn median(samples: &[f64]) -> f64 {
@@ -181,20 +154,14 @@ fn fmt_ms(v: f64) -> String {
 }
 
 impl MttrReport {
-    /// Per-trial level-1 restart times, ms.
+    /// Per-trial restart times, ms.
     pub fn self_heal_ms(&self) -> Vec<f64> {
         self.self_heal.iter().map(|t| t.revive_ms).collect()
-    }
-
-    /// Per-trial level-2 promotion times, ms.
-    pub fn promotion_ms(&self) -> Vec<f64> {
-        self.promotion.iter().map(|t| t.promote_ms).collect()
     }
 
     /// Renders the bench as the JSON object `reproduce --failover-out` writes.
     pub fn render_json(&self) -> String {
         let heal = self.self_heal_ms();
-        let promote = self.promotion_ms();
         let mut heal_obj = ObjectWriter::new();
         heal_obj.field_raw(
             "revive_ms",
@@ -209,25 +176,6 @@ impl MttrReport {
         heal_obj.field_raw("median_ms", &fmt_ms(median(&heal)));
         heal_obj.field_raw("max_ms", &fmt_ms(maximum(&heal)));
         heal_obj.field_u64("acked_total", self.self_heal.iter().map(|t| t.acked).sum());
-        let mut promote_obj = ObjectWriter::new();
-        promote_obj.field_raw(
-            "promote_ms",
-            &format!(
-                "[{}]",
-                promote
-                    .iter()
-                    .map(|v| fmt_ms(*v))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-        );
-        promote_obj.field_raw("median_ms", &fmt_ms(median(&promote)));
-        promote_obj.field_raw("max_ms", &fmt_ms(maximum(&promote)));
-        promote_obj.field_u64(
-            "probe_interval_ms",
-            u64::try_from(self.config.probe_interval.as_millis()).unwrap_or(u64::MAX),
-        );
-        promote_obj.field_u64("probe_failures", u64::from(self.config.probe_failures));
         let mut root = ObjectWriter::new();
         root.field_str("experiment", "failover_mttr");
         root.field_u64("trials", convert::count64(self.config.trials));
@@ -235,7 +183,6 @@ impl MttrReport {
         root.field_u64("kill_at", self.config.kill_at);
         root.field_u64("checkpoint_every", self.config.checkpoint_every);
         root.field_raw("self_heal", &heal_obj.finish());
-        root.field_raw("promotion", &promote_obj.finish());
         root.finish()
     }
 }
@@ -248,22 +195,6 @@ fn temp_dir(tag: &str, trial: usize) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ctup-mttr-{tag}-{trial}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     dir
-}
-
-fn wait_until(
-    what: &str,
-    deadline: Duration,
-    tick: Duration,
-    mut probe: impl FnMut() -> bool,
-) -> std::io::Result<()> {
-    let end = Instant::now() + deadline;
-    while !probe() {
-        if Instant::now() >= end {
-            return Err(bench_err("timed out waiting", what));
-        }
-        std::thread::sleep(tick);
-    }
-    Ok(())
 }
 
 fn feed_all(addr: std::net::SocketAddr, stream: &[crate::ingest::StampedUpdate]) -> u64 {
@@ -296,12 +227,16 @@ fn self_heal_trial(config: &MttrConfig, trial: usize) -> std::io::Result<SelfHea
     net_config.admission.ingest_deadline = Duration::from_secs(10);
     let server = IngestServer::spawn("127.0.0.1:0", net_config.clone(), sink)?;
     feed_all(server.local_addr(), &stream);
-    wait_until(
-        "the engine death to degrade the door",
-        Duration::from_secs(10),
-        Duration::from_millis(2),
-        || server.degraded(),
-    )?;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !server.degraded() {
+        if Instant::now() >= deadline {
+            return Err(bench_err(
+                "timed out waiting",
+                "the engine death to degrade the door",
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
     server.shutdown();
     // Nothing writes the directory once the engine is dead.
     DurableState::tear_newest_slot(&dir)?;
@@ -340,126 +275,14 @@ fn self_heal_trial(config: &MttrConfig, trial: usize) -> std::io::Result<SelfHea
     })
 }
 
-fn promotion_trial(config: &MttrConfig, trial: usize) -> std::io::Result<PromotionTrial> {
-    let seed = config
-        .seed
-        .wrapping_add(1_000)
-        .wrapping_add(convert::count64(trial));
-    let (units, store) = synth_world(seed, config.places, config.units);
-    let stream = stamp_stream(synth_stream(seed, config.units, config.reports));
-    let dir_primary = temp_dir("promote-p", trial);
-    let dir_standby = temp_dir("promote-s", trial);
-
-    let resilience = ResilienceConfig {
-        checkpoint_every: config.checkpoint_every,
-        state_dir: Some(dir_primary.clone()),
-        ..ResilienceConfig::default()
-    };
-    let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), &units)
-        .map_err(|e| bench_err("engine init", format!("{e:?}")))?;
-    let initial = monitor.result();
-    let pipeline = SupervisedPipeline::spawn(monitor, resilience, PIPELINE_CAPACITY);
-    let sink: Arc<dyn EngineSink> = Arc::new(PipelineSink::new(pipeline, initial));
-    let net_config = NetServerConfig {
-        state_dir: Some(dir_primary.clone()),
-        epoch: 1,
-        ..NetServerConfig::default()
-    };
-    let primary = IngestServer::spawn("127.0.0.1:0", net_config, sink)?;
-    let primary_addr = primary.local_addr();
-
-    let standby = StandbyServer::spawn(
-        StandbyConfig {
-            primary_ingest: primary_addr,
-            serve_addr: "127.0.0.1:0".to_string(),
-            resilience: ResilienceConfig {
-                state_dir: Some(dir_standby.clone()),
-                ..ResilienceConfig::default()
-            },
-            probe_interval: config.probe_interval,
-            probe_failures: config.probe_failures,
-            ..StandbyConfig::default()
-        },
-        store,
-    );
-
-    // Prime: the first durable batch lets the checkpoint sync complete.
-    let prime = usize::try_from(config.checkpoint_every.max(32)).unwrap_or(64) * 2;
-    let prime = prime.min(stream.len());
-    let acked = feed_all(primary_addr, &stream[..prime]);
-    if acked != convert::count64(prime) {
-        return Err(bench_err("priming feed", format!("{acked}/{prime} acked")));
-    }
-    wait_until(
-        "checkpoint sync",
-        Duration::from_secs(10),
-        Duration::from_millis(2),
-        || standby.status().phase == StandbyPhase::Following,
-    )?;
-    // The sync may land mid-priming, counting part of the priming batch
-    // toward `wal_applied`; let the counter settle before baselining it.
-    let mut base = standby.status().wal_applied;
-    let mut stable_since = Instant::now();
-    let settle_deadline = Instant::now() + Duration::from_secs(10);
-    while stable_since.elapsed() < Duration::from_millis(250) {
-        if Instant::now() >= settle_deadline {
-            return Err(bench_err("baseline", "wal_applied never settled"));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-        let now = standby.status().wal_applied;
-        if now != base {
-            base = now;
-            stable_since = Instant::now();
-        }
-    }
-    // Live tail: the rest arrives over the replication stream.
-    let rest = stream.len() - prime;
-    let acked = feed_all(primary_addr, &stream[prime..]);
-    if acked != convert::count64(rest) {
-        return Err(bench_err("live feed", format!("{acked}/{rest} acked")));
-    }
-    wait_until(
-        "live WAL tail",
-        Duration::from_secs(10),
-        Duration::from_millis(2),
-        || standby.status().wal_applied >= base + convert::count64(rest),
-    )?;
-
-    // The outage clock runs from the shutdown call to Promoted.
-    let killed = Instant::now();
-    primary.shutdown();
-    wait_until(
-        "promotion",
-        Duration::from_secs(30),
-        Duration::from_millis(1),
-        || standby.status().phase == StandbyPhase::Promoted,
-    )?;
-    let promote_ms = killed.elapsed().as_secs_f64() * 1e3;
-    let status = standby.status();
-    standby.shutdown();
-    std::fs::remove_dir_all(&dir_primary).ok();
-    std::fs::remove_dir_all(&dir_standby).ok();
-    Ok(PromotionTrial {
-        promote_ms,
-        wal_applied: status.wal_applied,
-        epoch: status.epoch,
-    })
-}
-
-/// Runs both levels, `config.trials` trials each.
+/// Runs `config.trials` restart trials.
 pub fn run_mttr_bench(config: &MttrConfig) -> std::io::Result<MttrReport> {
-    let mut self_heal = Vec::with_capacity(config.trials);
-    let mut promotion = Vec::with_capacity(config.trials);
-    for trial in 0..config.trials {
-        self_heal.push(self_heal_trial(config, trial)?);
-    }
-    for trial in 0..config.trials {
-        promotion.push(promotion_trial(config, trial)?);
-    }
+    let self_heal = (0..config.trials)
+        .map(|trial| self_heal_trial(config, trial))
+        .collect::<std::io::Result<_>>()?;
     Ok(MttrReport {
         config: config.clone(),
         self_heal,
-        promotion,
     })
 }
 
@@ -468,7 +291,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn one_trial_of_each_level_produces_sane_samples() {
+    fn one_restart_trial_produces_sane_samples() {
         let config = MttrConfig {
             trials: 1,
             reports: 200,
@@ -478,19 +301,15 @@ mod tests {
         };
         let report = run_mttr_bench(&config).expect("bench runs");
         assert_eq!(report.self_heal.len(), 1);
-        assert_eq!(report.promotion.len(), 1);
         let heal = &report.self_heal[0];
         assert_eq!(
             heal.acked, 200,
             "the restarted engine must ack the whole feed"
         );
         assert!(heal.revive_ms > 0.0);
-        let promo = &report.promotion[0];
-        assert!(promo.promote_ms > 0.0);
-        assert_eq!(promo.epoch, 2, "promotion bumps the epoch");
         let json = report.render_json();
         assert!(json.contains("\"experiment\":\"failover_mttr\""));
         assert!(json.contains("\"self_heal\":{"));
-        assert!(json.contains("\"promotion\":{"));
+        assert!(!json.contains("promotion"));
     }
 }

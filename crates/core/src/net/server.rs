@@ -19,17 +19,14 @@
 //!   peer whose write backlog stops draining. Nothing on the ack path
 //!   waits for a timer: `io_tick` is only how often a blocked read comes
 //!   up for the stop flag and the slowloris clock, and how often a stuck
-//!   write is retried. A connection whose *first* frame is a replication
-//!   subscribe (`CheckpointOffer`) or a fencing probe (`PromoteQuery`) is
-//!   handed to the replication path instead of opening a session.
+//!   write is retried.
 //! * **pump** — the only thread that feeds the engine: pops queued
 //!   reports, sheds the ones that outlived the ingest deadline, and
 //!   forwards the rest to the [`EngineSink`] exactly once. A forwarded
 //!   report is *not* acked at hand-off: it stays in the pump's in-flight
 //!   tail until the sink's [durable mark](EngineSink::durable_mark)
 //!   covers it, so an ack can never run ahead of the engine's journal —
-//!   the invariant restart-from-directory and standby promotion both lean
-//!   on.
+//!   the invariant restart from the directory leans on.
 //!   The pump reads the mark on every pass, so while reports keep coming
 //!   acks ride on arrivals; each time the engine has synced a commit group
 //!   it fires the hook installed through [`EngineSink::set_durable_hook`]
@@ -41,8 +38,7 @@
 //!   `EngineDegraded` and parks the server in sticky degraded mode: the
 //!   supervisor's restart budget is the only in-process restart, and a
 //!   dead engine comes back as a new process
-//!   ([`SupervisedPipeline::recover_from_dir`] behind a fresh door) or
-//!   through standby promotion.
+//!   ([`SupervisedPipeline::recover_from_dir`] behind a fresh door).
 //! * **watchdog** — refreshes the last-good top-k from the engine, trips
 //!   degraded mode when the queue is backlogged and the pump makes no
 //!   progress (or the engine died), clears it when the backlog drains,
@@ -52,29 +48,13 @@
 //! Degraded mode is the graceful half of the overload story: ingest sheds
 //! with [`ShedReason::EngineDegraded`] while the last-good snapshot keeps
 //! being served to subscribers and `/healthz` reports `degraded: true`.
-//!
-//! **Replication.** A standby subscribes by sending an all-zero
-//! `CheckpointOffer` as its first frame. The server registers the
-//! subscription *before* reading the durable state (so no append can fall
-//! between the journal it ships and the live tail it streams — overlap is
-//! deduplicated by the standby's gate, a gap would be data loss), then
-//! ships its newest checkpoint in [`MAX_CHUNK_DATA`]-sized chunks, the
-//! journal tail, and finally every report the engine's durable mark
-//! covers (journaled, or refused by its gate), each shipped before it is
-//! acked and stamped with this server's fencing **epoch**. A report the
-//! door sheds after the engine died never ships, so the stream is a
-//! prefix of the journal that holds every acked report. A `PromoteQuery`
-//! first frame is answered with the current epoch and the connection
-//! closed — the liveness probe a promoting standby uses to guarantee it
-//! never crowns itself while the primary is still answering.
 
 use super::admission::{AdmissionConfig, AdmissionQueue, QueuedReport};
 use super::session::{
     Link, OpenError, OutboundNote, ReportClass, SessionConfig, SessionOpen, SessionRegistry,
 };
 use super::stats::{NetStats, ShedReason};
-use super::wire::{ByeReason, DecodeError, FrameDecoder, FrameWriter, Message, MAX_CHUNK_DATA};
-use crate::durable::DurableState;
+use super::wire::{ByeReason, DecodeError, FrameDecoder, FrameWriter, Message};
 use crate::ingest::{StampedUpdate, TracedReport};
 use crate::pipeline::SendError;
 use crate::report::build_info;
@@ -237,7 +217,7 @@ impl EngineSink for PipelineSink {
 }
 
 /// Channel capacity of the supervised pipeline behind a served front
-/// door: `ctup serve`'s primary and a promoted standby both run with it.
+/// door: `ctup serve` and the MTTR bench run with it.
 pub const PIPELINE_CAPACITY: usize = 4096;
 
 /// Full configuration of the front door.
@@ -267,14 +247,8 @@ pub struct NetServerConfig {
     pub snapshot_push_interval: Duration,
     /// Watchdog cadence (degraded-mode checks, session GC).
     pub watchdog_tick: Duration,
-    /// The fencing epoch this server serves at. Every replication frame
-    /// carries it; a promoted standby serves at its old primary's epoch
-    /// plus one, which is what lets everyone reject the stale side of a
-    /// partition. Fresh primaries start at 1.
-    pub epoch: u64,
-    /// Durable state directory (A/B slots + journal) this server ships
-    /// checkpoints from; `None` refuses replication subscribes. Must be
-    /// the directory the engine's supervisor checkpoints into.
+    /// Unused: the server no longer reads it. Kept only because
+    /// `ledger/src/sut.rs` sets it; ROADMAP item 1(b) removes it.
     pub state_dir: Option<PathBuf>,
     /// Causal span sink the front door records into (session-admit,
     /// queue-wait and shed spans, plus server-side trace minting). Share
@@ -304,75 +278,10 @@ impl Default for NetServerConfig {
             max_write_backlog: 256 * 1024,
             snapshot_push_interval: Duration::from_millis(250),
             watchdog_tick: Duration::from_millis(25),
-            epoch: 1,
             state_dir: None,
             spans: None,
             trace_sample_every: 0,
             trace_seed: 0,
-        }
-    }
-}
-
-/// Cap on WAL frames queued for one replication subscriber; a standby
-/// that falls further behind than this is cut off (`Bye(Evicted)`) and
-/// must re-sync from a fresh checkpoint by reconnecting.
-const REPLICATION_OUTBOX_CAP: usize = 8192;
-
-/// One replication subscriber's bounded outbox.
-#[derive(Debug)]
-struct SubOutbox {
-    queue: Mutex<VecDeque<Message>>,
-    overflowed: AtomicBool,
-}
-
-/// Fan-out of live WAL appends to subscribed standbys. The pump ships
-/// every report the engine's durable mark covers, right before its ack;
-/// the handler thread serving each replication connection drains its
-/// subscriber's outbox onto the wire.
-#[derive(Debug, Default)]
-struct ReplicationHub {
-    subs: Mutex<Vec<Arc<SubOutbox>>>,
-}
-
-impl ReplicationHub {
-    fn lock_subs(&self) -> std::sync::MutexGuard<'_, Vec<Arc<SubOutbox>>> {
-        match self.subs.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn subscribe(&self) -> Arc<SubOutbox> {
-        let sub = Arc::new(SubOutbox {
-            queue: Mutex::new(VecDeque::new()),
-            overflowed: AtomicBool::new(false),
-        });
-        self.lock_subs().push(Arc::clone(&sub));
-        sub
-    }
-
-    fn unsubscribe(&self, sub: &Arc<SubOutbox>) {
-        self.lock_subs().retain(|s| !Arc::ptr_eq(s, sub));
-    }
-
-    fn ship(&self, msg: &Message) {
-        let subs = self.lock_subs();
-        for sub in subs.iter() {
-            // Relaxed: one-way overflow latch; the serving thread re-reads it every tick
-            if sub.overflowed.load(Ordering::Relaxed) {
-                continue;
-            }
-            let mut queue = match sub.queue.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if queue.len() >= REPLICATION_OUTBOX_CAP {
-                // Relaxed: one-way overflow latch; ordering against the clear is irrelevant, the sub is cut off either way
-                sub.overflowed.store(true, Ordering::Relaxed);
-                queue.clear();
-            } else {
-                queue.push_back(msg.clone());
-            }
         }
     }
 }
@@ -388,9 +297,6 @@ struct Shared {
     queue: Arc<AdmissionQueue>,
     /// The engine, fixed for this server's lifetime.
     sink: Arc<dyn EngineSink>,
-    replication: ReplicationHub,
-    /// The fencing epoch, fixed for this server's lifetime.
-    epoch: u64,
     stop: AtomicBool,
     degraded: AtomicBool,
     engine_dead: AtomicBool,
@@ -478,7 +384,6 @@ impl IngestServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stats = Arc::new(NetStats::default());
-        stats.epoch.store(config.epoch, Ordering::Relaxed);
         let initial_topk = sink.topk();
         let shared = Arc::new(Shared {
             registry: SessionRegistry::new(config.session.clone(), Arc::clone(&stats)),
@@ -486,11 +391,9 @@ impl IngestServer {
                 config.admission.clone(),
                 Arc::clone(&stats),
             )),
-            epoch: config.epoch,
             config,
             stats,
             sink,
-            replication: ReplicationHub::default(),
             stop: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
             engine_dead: AtomicBool::new(false),
@@ -537,11 +440,6 @@ impl IngestServer {
         self.shared.degraded.load(Ordering::Relaxed)
     }
 
-    /// The fencing epoch this server serves at.
-    pub fn epoch(&self) -> u64 {
-        self.shared.epoch
-    }
-
     /// The last-good top-k (served even while degraded).
     pub fn last_good_topk(&self) -> Vec<TopKEntry> {
         match self.shared.last_good.lock() {
@@ -551,18 +449,16 @@ impl IngestServer {
     }
 
     /// The `/healthz` body: liveness plus the degraded flag, the load
-    /// gauges and the recovery counters, as one flat JSON object.
+    /// gauges, the degraded episode's length and the build stamp, as one
+    /// flat JSON object.
     pub fn health_body(&self) -> String {
         let degraded = self.degraded();
-        let stats = &self.shared.stats;
         let mut obj = ObjectWriter::new();
         obj.field_str("status", if degraded { "degraded" } else { "ok" });
         obj.field_bool("degraded", degraded);
         obj.field_u64("sessions", convert::count64(self.shared.registry.active()));
         obj.field_u64("queue_depth", convert::count64(self.shared.queue.depth()));
-        obj.field_u64("failovers", stats.failovers.load(Ordering::Relaxed));
         obj.field_u64("degraded_since_ms", self.shared.degraded_for_ms());
-        obj.field_u64("epoch", self.shared.epoch);
         obj.field_str("build", &build_info());
         obj.finish()
     }
@@ -679,10 +575,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let mut decoder = FrameDecoder::new();
     let mut writer = FrameWriter::new();
 
-    // Handshake: the first frame picks the connection's role — a Hello
-    // opens a feed session, an all-zero CheckpointOffer subscribes a
-    // standby, a PromoteQuery probes the fencing epoch. Anything else
-    // within the deadline is a violation.
+    // Handshake: the first frame must be a Hello, which opens a feed
+    // session. Anything else within the deadline is a violation.
     let handshake_deadline = Instant::now() + shared.config.handshake_deadline;
     let open = loop {
         if shared.stop.load(Ordering::SeqCst) {
@@ -711,22 +605,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                         return;
                     }
                 }
-            }
-            Ok(Message::CheckpointOffer { .. }) => {
-                shared.stats.frames_received.fetch_add(1, Ordering::Relaxed);
-                serve_replication(stream, decoder, writer, shared);
-                return;
-            }
-            Ok(Message::PromoteQuery { .. }) => {
-                shared.stats.frames_received.fetch_add(1, Ordering::Relaxed);
-                // Fencing probe: answer with our epoch and hang up. A
-                // promoting standby that hears this knows the primary is
-                // alive and aborts the promotion.
-                writer.push(&Message::PromoteQuery {
-                    epoch: shared.epoch,
-                });
-                let _ = writer.flush_into(&mut stream);
-                return;
             }
             Ok(_) => {
                 shared.stats.frames_received.fetch_add(1, Ordering::Relaxed);
@@ -815,17 +693,12 @@ fn read_half(
                         trace,
                     } => handle_report(shared, open.session, seq, unit_seq, ts, unit, x, y, trace),
                     Message::Bye { .. } => return None,
-                    // Hello mid-stream, a server-only frame from a
-                    // client, or a replication frame on a feed session:
-                    // protocol violation.
+                    // Hello mid-stream or a server-only frame from a
+                    // client: protocol violation.
                     Message::Hello { .. }
                     | Message::Ack { .. }
                     | Message::Shed { .. }
-                    | Message::SnapshotPush { .. }
-                    | Message::CheckpointOffer { .. }
-                    | Message::CheckpointChunk { .. }
-                    | Message::WalAppend { .. }
-                    | Message::PromoteQuery { .. } => {
+                    | Message::SnapshotPush { .. } => {
                         shared
                             .stats
                             .sessions_evicted
@@ -932,112 +805,6 @@ fn write_half(
             }
         }
     }
-}
-
-/// Serves one replication subscriber: ships the newest durable checkpoint
-/// in chunks, then the journal tail, then streams live WAL appends from
-/// the pump until the peer leaves, falls too far behind, or we shut down.
-fn serve_replication(
-    mut stream: TcpStream,
-    mut decoder: FrameDecoder,
-    mut writer: FrameWriter,
-    shared: &Arc<Shared>,
-) {
-    let Some(dir) = shared.config.state_dir.clone() else {
-        // No durable state to ship; refuse the subscribe.
-        send_bye(&mut stream, &mut writer, ByeReason::ProtocolError);
-        return;
-    };
-    // Subscribe BEFORE reading the durable state: an append that lands in
-    // between is delivered twice (journal read + live tail) and the
-    // standby's gate deduplicates it; the reverse order would drop it.
-    let sub = shared.replication.subscribe();
-    let epoch = shared.epoch;
-    let Ok((checkpoint, journal)) = DurableState::load(&dir) else {
-        shared.replication.unsubscribe(&sub);
-        send_bye(&mut stream, &mut writer, ByeReason::Shutdown);
-        return;
-    };
-    let mut body = Vec::new();
-    if checkpoint.write(&mut body).is_err() {
-        shared.replication.unsubscribe(&sub);
-        send_bye(&mut stream, &mut writer, ByeReason::Shutdown);
-        return;
-    }
-    writer.push(&Message::CheckpointOffer {
-        epoch,
-        slot_seq: 0,
-        total_len: convert::count64(body.len()),
-    });
-    let mut offset = 0usize;
-    while offset < body.len() {
-        let end = (offset + MAX_CHUNK_DATA).min(body.len());
-        writer.push(&Message::CheckpointChunk {
-            epoch,
-            offset: convert::count64(offset),
-            data: body[offset..end].to_vec(),
-        });
-        offset = end;
-    }
-    for report in journal {
-        writer.push(&Message::WalAppend {
-            epoch,
-            unit_seq: report.seq,
-            ts: report.ts,
-            unit: report.update.unit.0,
-            x: report.update.new.x,
-            y: report.update.new.y,
-            // The durable journal does not persist trace ids; only the
-            // live tail shipped by the pump carries them.
-            trace: 0,
-        });
-    }
-    let mut write_stuck: Option<Instant> = None;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            send_bye(&mut stream, &mut writer, ByeReason::Shutdown);
-            break;
-        }
-        // Relaxed: one-way overflow latch; a stale false costs one extra drain pass
-        if sub.overflowed.load(Ordering::Relaxed) {
-            shared
-                .stats
-                .sessions_evicted
-                .fetch_add(1, Ordering::Relaxed);
-            send_bye(&mut stream, &mut writer, ByeReason::Evicted);
-            break;
-        }
-        // Drain the outbox into a local batch first: no socket write
-        // happens while the outbox lock is held.
-        let batch: Vec<Message> = {
-            let mut queue = match sub.queue.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            queue.drain(..).collect()
-        };
-        for msg in &batch {
-            writer.push(msg);
-        }
-        if !flush_backlog(&mut writer, &mut stream, &mut write_stuck, shared) {
-            break;
-        }
-        match decoder.read_from(&mut stream) {
-            Ok(Message::Bye { .. }) => break,
-            Ok(_) => {
-                // A subscriber has nothing else to say on this wire.
-                shared
-                    .stats
-                    .frames_malformed
-                    .fetch_add(1, Ordering::Relaxed);
-                send_bye(&mut stream, &mut writer, ByeReason::ProtocolError);
-                break;
-            }
-            Err(e) if e.is_timeout() => {}
-            Err(_) => break,
-        }
-    }
-    shared.replication.unsubscribe(&sub);
 }
 
 /// Classifies and admits (or sheds) one report. `wire_trace` is the
@@ -1330,8 +1097,7 @@ fn pump_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Ships to the standbys, then acks, every in-flight report the sink's
-/// durable mark now covers.
+/// Acks every in-flight report the sink's durable mark now covers.
 fn drain_acks(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>) {
     if inflight.is_empty() {
         return;
@@ -1339,18 +1105,6 @@ fn drain_acks(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>
     let mark = shared.sink.durable_mark();
     while inflight.front().is_some_and(|&(idx, _)| idx <= mark) {
         if let Some((_, item)) = inflight.pop_front() {
-            // Journal, ship, ack: the report ships once the mark covers
-            // it and before its ack, so a standby's stream is a prefix of
-            // the journal holding every acked report and no shed one.
-            shared.replication.ship(&Message::WalAppend {
-                epoch: shared.epoch,
-                unit_seq: item.report.seq,
-                ts: item.report.ts,
-                unit: item.report.update.unit.0,
-                x: item.report.update.new.x,
-                y: item.report.update.new.y,
-                trace: item.trace,
-            });
             shared
                 .stats
                 .reports_accepted
@@ -1366,7 +1120,7 @@ fn drain_acks(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>
 }
 
 /// Called with the engine dead: latches it, degrades the door for good,
-/// ships and acks what the final durable mark covers, and sheds the rest
+/// acks what the final durable mark covers, and sheds the rest
 /// of the tail with `EngineDegraded`. A dead engine's mark has stopped, so
 /// acked is then exactly what the journal holds.
 fn engine_died(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>) {

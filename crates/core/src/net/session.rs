@@ -54,12 +54,6 @@ pub struct SessionConfig {
     /// How long a disconnected session with nothing in flight stays
     /// resumable before the registry forgets it.
     pub idle_ttl: Duration,
-    /// First id handed to a fresh session (clamped to at least 1). A
-    /// promoted standby sets this to an epoch-fenced base so the ids it
-    /// mints can never collide with ids minted by the old primary —
-    /// otherwise a client resuming its old-primary session could take
-    /// over another client's fresh session on the new server.
-    pub first_session_id: u64,
 }
 
 impl Default for SessionConfig {
@@ -68,7 +62,6 @@ impl Default for SessionConfig {
             max_sessions: 1024,
             session_quota: 256,
             idle_ttl: Duration::from_secs(60),
-            first_session_id: 1,
         }
     }
 }
@@ -211,11 +204,10 @@ pub struct SessionRegistry {
 impl SessionRegistry {
     /// An empty registry.
     pub fn new(config: SessionConfig, stats: Arc<NetStats>) -> Self {
-        let first = config.first_session_id.max(1);
         SessionRegistry {
             config,
             inner: Mutex::new(Inner {
-                next_id: first,
+                next_id: 1,
                 sessions: HashMap::new(),
             }),
             stats,
@@ -546,7 +538,6 @@ mod tests {
                 max_sessions: 4,
                 session_quota: quota,
                 idle_ttl: Duration::from_millis(10),
-                first_session_id: 1,
             },
             Arc::new(NetStats::default()),
         )

@@ -10,13 +10,11 @@
 //! ```
 //!
 //! The counters are monotone (`fetch_add`) and the gauges (`queue_depth`,
-//! `sessions_active`, `degraded_since_ms`, `epoch`, `degraded`) are
+//! `sessions_active`, `degraded_since_ms`, `degraded`) are
 //! advisory snapshots, so `Relaxed` is sufficient — nothing reads a
 //! counter to decide control flow, and no other memory is published
 //! through them. (Recovery control flow keys off `Shared`'s dedicated
-//! flags, not these counters; `epoch` here mirrors the fencing epoch for
-//! exposition only — the authoritative copy rides in every replication
-//! frame.) The shed-accounting identity above holds at quiescence
+//! flags, not these counters.) The shed-accounting identity above holds at quiescence
 //! (after joins), which is when the differential suites check it.
 //!
 //! [`NetStats`] is the live, atomically updated form shared between the
@@ -197,9 +195,6 @@ pub struct NetStats {
     pub degraded_entries: AtomicU64,
     /// `SnapshotPush` frames sent to subscribed sessions.
     pub snapshots_pushed: AtomicU64,
-    /// Times this server took over as primary (a standby promotion
-    /// crowned it; the epoch gauge records the fencing epoch it serves).
-    pub failovers: AtomicU64,
     /// Gauge: reports currently waiting in the admission queue.
     pub queue_depth: AtomicU64,
     /// Gauge: sessions currently known to the registry.
@@ -207,9 +202,6 @@ pub struct NetStats {
     /// Gauge: milliseconds spent in the current degraded episode, 0 when
     /// healthy. Refreshed by the watchdog tick, so it lags by one tick.
     pub degraded_since_ms: AtomicU64,
-    /// Gauge: the fencing epoch this server serves at. Replication frames
-    /// carry it; a promoted standby serves at the old primary's epoch + 1.
-    pub epoch: AtomicU64,
     /// Gauge: whether the server is currently in degraded mode.
     pub degraded: AtomicBool,
     /// Spans overwritten in the causal span sink before a snapshot could
@@ -261,11 +253,9 @@ impl NetStats {
             shed_engine_degraded: load(&self.shed_engine_degraded),
             degraded_entries: load(&self.degraded_entries),
             snapshots_pushed: load(&self.snapshots_pushed),
-            failovers: load(&self.failovers),
             queue_depth: load(&self.queue_depth),
             sessions_active: load(&self.sessions_active),
             degraded_since_ms: load(&self.degraded_since_ms),
-            epoch: load(&self.epoch),
             degraded: self.degraded.load(Ordering::Relaxed),
             spans_dropped: load(&self.spans_dropped),
             traces_sampled: load(&self.traces_sampled),
@@ -323,16 +313,12 @@ pub struct NetStatsSnapshot {
     pub degraded_entries: u64,
     /// `SnapshotPush` frames sent.
     pub snapshots_pushed: u64,
-    /// Times this server took over as primary via standby promotion.
-    pub failovers: u64,
     /// Gauge: reports waiting in the admission queue at snapshot time.
     pub queue_depth: u64,
     /// Gauge: sessions known to the registry at snapshot time.
     pub sessions_active: u64,
     /// Gauge: milliseconds in the current degraded episode, 0 if healthy.
     pub degraded_since_ms: u64,
-    /// Gauge: the fencing epoch this server serves at.
-    pub epoch: u64,
     /// Gauge: whether degraded mode was active at snapshot time.
     pub degraded: bool,
     /// Spans overwritten in the causal span sink before being read.

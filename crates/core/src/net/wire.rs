@@ -24,29 +24,13 @@
 //! so short reads and short writes (timeouts, slow peers) never desync a
 //! stream: a connection can deliver a frame one byte at a time and the
 //! decoder picks up exactly where it stopped.
-//!
-//! Replication flow (primary ⇄ warm standby, PR 8):
-//!
-//! ```text
-//! standby                            primary
-//!   | -- CheckpointOffer{0,0,0} ----> |   zeroed offer = subscribe
-//!   | <-- CheckpointOffer{e,seq,len}- |   here is my durable checkpoint
-//!   | <-- CheckpointChunk{e,off,..} - |   checkpoint body, chunked
-//!   | <-- WalAppend{e, report...} --- |   live tail, admission order
-//!   | -- PromoteQuery{e'} ----------> |   fencing probe (any connection)
-//!   | <-- PromoteQuery{e} ----------- |   echo: "alive, serving epoch e"
-//! ```
-//!
-//! Every replication frame carries the sender's fencing **epoch**: a
-//! promoted standby serves at `epoch + 1` and rejects any `WalAppend`
-//! still arriving from the partitioned old primary at the stale epoch.
 
 use super::stats::ShedReason;
 use std::io::{Read, Write};
 
 /// Protocol version carried in every frame header; a frame at any other
 /// version is refused. Version 2 added a trailing 64-bit causal trace id
-/// to [`Message::Report`] and [`Message::WalAppend`].
+/// to [`Message::Report`].
 pub const PROTOCOL_VERSION: u8 = 2;
 /// Size of the fixed frame header: payload length, version, message type.
 pub const HEADER_LEN: usize = 6;
@@ -56,11 +40,6 @@ pub const MAX_FRAME_LEN: usize = 64 * 1024;
 /// Hard cap on entries in a [`Message::SnapshotPush`]; encoding truncates
 /// to this, decoding rejects counts beyond it.
 pub const MAX_TOPK_ENTRIES: usize = 4096;
-/// Hard cap on the data carried by one [`Message::CheckpointChunk`].
-/// Senders chunk checkpoint bodies at this size; decoding rejects larger
-/// claims before allocating them. Chosen so a chunk frame sits well under
-/// [`MAX_FRAME_LEN`] with room for its fixed fields.
-pub const MAX_CHUNK_DATA: usize = 32 * 1024;
 /// Read iterations [`FrameDecoder::read_from`] consumes per call before
 /// yielding with a `WouldBlock`, so callers can run their frame-deadline
 /// checks even against a peer that trickles bytes fast enough to never
@@ -75,10 +54,6 @@ mod tag {
     pub const SHED: u8 = 4;
     pub const SNAPSHOT_PUSH: u8 = 5;
     pub const BYE: u8 = 6;
-    pub const CHECKPOINT_OFFER: u8 = 7;
-    pub const CHECKPOINT_CHUNK: u8 = 8;
-    pub const WAL_APPEND: u8 = 9;
-    pub const PROMOTE_QUERY: u8 = 10;
 }
 
 /// Why a connection is being closed, carried by [`Message::Bye`].
@@ -187,55 +162,6 @@ pub enum Message {
         /// Why the connection is closing.
         reason: ByeReason,
     },
-    /// Replication: describes a durable checkpoint about to be chunked
-    /// over. A standby subscribes by sending an all-zero offer (it has
-    /// nothing to offer; it asks the primary to offer instead); the
-    /// primary replies with its epoch, checkpoint sequence, and body size.
-    CheckpointOffer {
-        /// Fencing epoch of the sender (0 in the subscribe request).
-        epoch: u64,
-        /// Sequence number of the offered checkpoint slot.
-        slot_seq: u64,
-        /// Total byte length of the checkpoint body that follows.
-        total_len: u64,
-    },
-    /// Replication: one contiguous piece of the offered checkpoint body,
-    /// at most [`MAX_CHUNK_DATA`] bytes, sent in ascending offset order.
-    CheckpointChunk {
-        /// Fencing epoch of the sender.
-        epoch: u64,
-        /// Byte offset of this chunk within the checkpoint body.
-        offset: u64,
-        /// Chunk bytes.
-        data: Vec<u8>,
-    },
-    /// Replication: one report the primary accepted into its engine,
-    /// shipped in admission order so the standby can stay hot. A standby
-    /// that promoted itself rejects appends at a stale (lower) epoch.
-    WalAppend {
-        /// Fencing epoch of the sending primary.
-        epoch: u64,
-        /// Per-unit ingest sequence number (the gate's dedup key).
-        unit_seq: u64,
-        /// Client timestamp (gate liveness clock).
-        ts: u64,
-        /// Reporting unit id.
-        unit: u32,
-        /// New x coordinate.
-        x: f64,
-        /// New y coordinate.
-        y: f64,
-        /// Causal trace id of the originating report (0 = untraced).
-        trace: u64,
-    },
-    /// Fencing probe: "which epoch is serving here?". Sent by a standby
-    /// before promoting; a live primary echoes back its own epoch, which
-    /// aborts the promotion. Silence means the primary is dark.
-    PromoteQuery {
-        /// Sender's epoch (the candidate epoch when sent by a standby,
-        /// the serving epoch when echoed by a primary).
-        epoch: u64,
-    },
 }
 
 /// A codec violation. Every variant closes the connection; none of them
@@ -260,8 +186,6 @@ pub enum WireError {
     UnknownReason(u8),
     /// A `SnapshotPush` claimed more than [`MAX_TOPK_ENTRIES`] entries.
     TooManyEntries(u64),
-    /// A `CheckpointChunk` claimed more than [`MAX_CHUNK_DATA`] bytes.
-    ChunkTooLong(u64),
 }
 
 impl std::fmt::Display for WireError {
@@ -285,9 +209,6 @@ impl std::fmt::Display for WireError {
             WireError::UnknownReason(c) => write!(f, "unknown reason code {c}"),
             WireError::TooManyEntries(n) => {
                 write!(f, "snapshot claims {n} entries, cap is {MAX_TOPK_ENTRIES}")
-            }
-            WireError::ChunkTooLong(n) => {
-                write!(f, "chunk claims {n} bytes, cap is {MAX_CHUNK_DATA}")
             }
         }
     }
@@ -370,10 +291,6 @@ impl Message {
             Message::Shed { .. } => tag::SHED,
             Message::SnapshotPush { .. } => tag::SNAPSHOT_PUSH,
             Message::Bye { .. } => tag::BYE,
-            Message::CheckpointOffer { .. } => tag::CHECKPOINT_OFFER,
-            Message::CheckpointChunk { .. } => tag::CHECKPOINT_CHUNK,
-            Message::WalAppend { .. } => tag::WAL_APPEND,
-            Message::PromoteQuery { .. } => tag::PROMOTE_QUERY,
         }
     }
 
@@ -422,44 +339,6 @@ impl Message {
                 }
             }
             Message::Bye { reason } => payload.push(reason.code()),
-            Message::CheckpointOffer {
-                epoch,
-                slot_seq,
-                total_len,
-            } => {
-                put_u64(&mut payload, *epoch);
-                put_u64(&mut payload, *slot_seq);
-                put_u64(&mut payload, *total_len);
-            }
-            Message::CheckpointChunk {
-                epoch,
-                offset,
-                data,
-            } => {
-                put_u64(&mut payload, *epoch);
-                put_u64(&mut payload, *offset);
-                let n = data.len().min(MAX_CHUNK_DATA);
-                put_u32(&mut payload, ctup_spatial::convert::id32(n));
-                payload.extend_from_slice(&data[..n]);
-            }
-            Message::WalAppend {
-                epoch,
-                unit_seq,
-                ts,
-                unit,
-                x,
-                y,
-                trace,
-            } => {
-                put_u64(&mut payload, *epoch);
-                put_u64(&mut payload, *unit_seq);
-                put_u64(&mut payload, *ts);
-                put_u32(&mut payload, *unit);
-                put_u64(&mut payload, x.to_bits());
-                put_u64(&mut payload, y.to_bits());
-                put_u64(&mut payload, *trace);
-            }
-            Message::PromoteQuery { epoch } => put_u64(&mut payload, *epoch),
         }
         // Payloads are bounded by construction: the largest is a capped
         // SnapshotPush at 5 + 12 * MAX_TOPK_ENTRIES < MAX_FRAME_LEN.
@@ -526,39 +405,6 @@ impl Message {
                     ByeReason::from_code(code).ok_or(WireError::UnknownReason(code))?
                 },
             },
-            tag::CHECKPOINT_OFFER => Message::CheckpointOffer {
-                epoch: cur.u64()?,
-                slot_seq: cur.u64()?,
-                total_len: cur.u64()?,
-            },
-            tag::CHECKPOINT_CHUNK => {
-                let epoch = cur.u64()?;
-                let offset = cur.u64()?;
-                let len = cur.u32()?;
-                let len_usize =
-                    usize::try_from(len).map_err(|_| WireError::ChunkTooLong(u64::from(len)))?;
-                if len_usize > MAX_CHUNK_DATA {
-                    return Err(WireError::ChunkTooLong(u64::from(len)));
-                }
-                // Allocation is capped by the MAX_CHUNK_DATA check above;
-                // a short payload fails in `take` before allocating.
-                let data = cur.take(len_usize)?.to_vec();
-                Message::CheckpointChunk {
-                    epoch,
-                    offset,
-                    data,
-                }
-            }
-            tag::WAL_APPEND => Message::WalAppend {
-                epoch: cur.u64()?,
-                unit_seq: cur.u64()?,
-                ts: cur.u64()?,
-                unit: cur.u32()?,
-                x: cur.f64()?,
-                y: cur.f64()?,
-                trace: cur.u64()?,
-            },
-            tag::PROMOTE_QUERY => Message::PromoteQuery { epoch: cur.u64()? },
             other => return Err(WireError::UnknownType(other)),
         };
         cur.finish()?;
@@ -827,37 +673,6 @@ mod tests {
             Message::Bye {
                 reason: ByeReason::ServerFull,
             },
-            Message::CheckpointOffer {
-                epoch: 0,
-                slot_seq: 0,
-                total_len: 0,
-            },
-            Message::CheckpointOffer {
-                epoch: 3,
-                slot_seq: 512,
-                total_len: u64::MAX,
-            },
-            Message::CheckpointChunk {
-                epoch: 3,
-                offset: 0,
-                data: Vec::new(),
-            },
-            Message::CheckpointChunk {
-                epoch: 3,
-                offset: 1 << 40,
-                data: vec![0xAB; MAX_CHUNK_DATA],
-            },
-            Message::WalAppend {
-                epoch: 4,
-                unit_seq: 99,
-                ts: 12,
-                unit: u32::MAX,
-                x: -0.125,
-                y: 1e300,
-                trace: 0xDEAD_BEEF_CAFE_F00D,
-            },
-            Message::PromoteQuery { epoch: 0 },
-            Message::PromoteQuery { epoch: u64::MAX },
         ]
     }
 
@@ -990,12 +805,19 @@ mod tests {
             Err(WireError::UnsupportedVersion(1))
         );
         bytes[4] = PROTOCOL_VERSION;
-        bytes[5] = 200; // tag
-        let mut decoder = FrameDecoder::new();
-        assert!(matches!(
-            decoder.read_from(&mut std::io::Cursor::new(bytes)),
-            Err(DecodeError::Wire(WireError::UnknownType(200)))
-        ));
+        // 7..=10 once carried replication frames; unassigned now, they
+        // decode as unknown like any other tag this build does not speak.
+        for unknown in [0u8, 7, 8, 9, 10, 200] {
+            bytes[5] = unknown;
+            let mut decoder = FrameDecoder::new();
+            assert!(
+                matches!(
+                    decoder.read_from(&mut std::io::Cursor::new(bytes.clone())),
+                    Err(DecodeError::Wire(WireError::UnknownType(t))) if t == unknown
+                ),
+                "tag {unknown} must be unknown"
+            );
+        }
     }
 
     #[test]
@@ -1075,179 +897,6 @@ mod tests {
             decoder.read_from(&mut std::io::Cursor::new(bytes)),
             Err(DecodeError::Wire(WireError::UnknownReason(42)))
         ));
-    }
-
-    #[test]
-    fn chunk_data_is_capped_both_ways() {
-        // Decoding a length claim over the cap fails before allocating it.
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 1); // epoch
-        put_u64(&mut payload, 0); // offset
-        put_u32(&mut payload, 1_000_000); // claimed data length
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, ctup_spatial::convert::id32(payload.len()));
-        bytes.push(PROTOCOL_VERSION);
-        bytes.push(tag::CHECKPOINT_CHUNK);
-        bytes.extend_from_slice(&payload);
-        let mut decoder = FrameDecoder::new();
-        assert!(matches!(
-            decoder.read_from(&mut std::io::Cursor::new(bytes)),
-            Err(DecodeError::Wire(WireError::ChunkTooLong(1_000_000)))
-        ));
-        // Encoding truncates to the cap, keeps the frame under the frame
-        // cap, and still round-trips.
-        let big = Message::CheckpointChunk {
-            epoch: 1,
-            offset: 0,
-            data: vec![7u8; 2 * MAX_CHUNK_DATA],
-        };
-        let mut bytes = Vec::new();
-        big.encode(&mut bytes);
-        assert!(bytes.len() <= HEADER_LEN + MAX_FRAME_LEN);
-        let mut decoder = FrameDecoder::new();
-        match decoder
-            .read_from(&mut std::io::Cursor::new(bytes))
-            .expect("decode")
-        {
-            Message::CheckpointChunk { data, .. } => assert_eq!(data.len(), MAX_CHUNK_DATA),
-            other => panic!("wrong message: {other:?}"),
-        }
-        // A claim that exceeds the remaining payload is a truncation, not
-        // an allocation.
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 1);
-        put_u64(&mut payload, 0);
-        put_u32(&mut payload, 64); // claims 64 bytes, delivers 3
-        payload.extend_from_slice(&[1, 2, 3]);
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, ctup_spatial::convert::id32(payload.len()));
-        bytes.push(PROTOCOL_VERSION);
-        bytes.push(tag::CHECKPOINT_CHUNK);
-        bytes.extend_from_slice(&payload);
-        let mut decoder = FrameDecoder::new();
-        assert!(matches!(
-            decoder.read_from(&mut std::io::Cursor::new(bytes)),
-            Err(DecodeError::Wire(WireError::Truncated))
-        ));
-    }
-
-    #[test]
-    fn replication_frames_reject_truncation_padding_and_cross_version() {
-        let samples = [
-            Message::CheckpointOffer {
-                epoch: 2,
-                slot_seq: 5,
-                total_len: 1024,
-            },
-            Message::CheckpointChunk {
-                epoch: 2,
-                offset: 64,
-                data: vec![9u8; 16],
-            },
-            Message::WalAppend {
-                epoch: 2,
-                unit_seq: 7,
-                ts: 3,
-                unit: 1,
-                x: 0.5,
-                y: -0.5,
-                trace: 9,
-            },
-            Message::PromoteQuery { epoch: 2 },
-        ];
-        for msg in samples {
-            let mut bytes = Vec::new();
-            msg.encode(&mut bytes);
-            // Every one-byte-shorter payload claim is a typed truncation.
-            let mut cut = bytes.clone();
-            let shorter = u32::try_from(cut.len() - HEADER_LEN - 1).expect("fits");
-            cut[..4].copy_from_slice(&shorter.to_le_bytes());
-            cut.pop();
-            let mut decoder = FrameDecoder::new();
-            assert!(
-                matches!(
-                    decoder.read_from(&mut std::io::Cursor::new(cut)),
-                    Err(DecodeError::Wire(WireError::Truncated))
-                ),
-                "truncated {msg:?} must be rejected"
-            );
-            // One trailing byte is typed padding.
-            let mut padded = bytes.clone();
-            let longer = u32::try_from(padded.len() - HEADER_LEN + 1).expect("fits");
-            padded[..4].copy_from_slice(&longer.to_le_bytes());
-            padded.push(0);
-            let mut decoder = FrameDecoder::new();
-            assert!(
-                matches!(
-                    decoder.read_from(&mut std::io::Cursor::new(padded)),
-                    Err(DecodeError::Wire(WireError::TrailingBytes))
-                ),
-                "padded {msg:?} must be rejected"
-            );
-            // A future protocol version is refused before the payload is
-            // interpreted, so replication peers never mix versions.
-            let mut versioned = bytes.clone();
-            versioned[4] = PROTOCOL_VERSION + 1;
-            let mut decoder = FrameDecoder::new();
-            assert!(
-                matches!(
-                    decoder.read_from(&mut std::io::Cursor::new(versioned)),
-                    Err(DecodeError::Wire(WireError::UnsupportedVersion(v)))
-                        if v == PROTOCOL_VERSION + 1
-                ),
-                "cross-version {msg:?} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn replication_epochs_roundtrip_across_random_values() {
-        // Deterministic pseudo-fuzz over the epoch-bearing fields: fencing
-        // only works if epochs survive the codec bit-exactly.
-        let mut state = 0xD1B54A32D192ED03u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..200 {
-            let epoch = next();
-            let msgs = [
-                Message::CheckpointOffer {
-                    epoch,
-                    slot_seq: next(),
-                    total_len: next(),
-                },
-                Message::WalAppend {
-                    epoch,
-                    unit_seq: next(),
-                    ts: next(),
-                    unit: 11,
-                    x: 0.25,
-                    y: 0.75,
-                    trace: next(),
-                },
-                Message::PromoteQuery { epoch },
-            ];
-            for msg in msgs {
-                let mut bytes = Vec::new();
-                msg.encode(&mut bytes);
-                let mut decoder = FrameDecoder::new();
-                let got = decoder
-                    .read_from(&mut std::io::Cursor::new(bytes))
-                    .expect("decode");
-                assert_eq!(got, msg);
-                let got_epoch = match got {
-                    Message::CheckpointOffer { epoch, .. }
-                    | Message::CheckpointChunk { epoch, .. }
-                    | Message::WalAppend { epoch, .. }
-                    | Message::PromoteQuery { epoch } => epoch,
-                    other => panic!("wrong message: {other:?}"),
-                };
-                assert_eq!(got_epoch, epoch);
-            }
-        }
     }
 
     #[test]

@@ -283,7 +283,7 @@ impl OptCtup {
         self.metrics.dechash_len = convert::count64(self.dechash.len());
     }
 
-    /// Captures what failover cannot re-derive: the configuration and the
+    /// Captures what a restart cannot re-derive: the configuration and the
     /// unit positions (see [`crate::checkpoint::Checkpoint`]).
     pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
         crate::checkpoint::Checkpoint {
@@ -300,8 +300,8 @@ impl OptCtup {
     /// monitor held: it answers the same query (up to ties at `SK`) but may
     /// maintain different places. A malformed checkpoint yields a
     /// [`CheckpointError::Invalid`](crate::checkpoint::CheckpointError)
-    /// instead of a panic, so a standby can refuse a bad file and keep
-    /// serving; a storage fault during the initialization comes back as
+    /// instead of a panic, so recovery can refuse a bad file; a storage
+    /// fault during the initialization comes back as
     /// [`CheckpointError::Io`](crate::checkpoint::CheckpointError).
     pub fn restore(
         checkpoint: crate::checkpoint::Checkpoint,

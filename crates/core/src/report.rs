@@ -148,7 +148,6 @@ impl Snapshot {
             ("net_shed_total", n.shed_total()),
             ("net_degraded_entries", n.degraded_entries),
             ("net_snapshots_pushed", n.snapshots_pushed),
-            ("net_failovers", n.failovers),
             ("net_spans_dropped", n.spans_dropped),
             ("net_traces_sampled", n.traces_sampled),
         ]
@@ -173,7 +172,6 @@ impl Snapshot {
             ("net_sessions_active", n.sessions_active),
             ("net_degraded", u64::from(n.degraded)),
             ("net_degraded_since_ms", n.degraded_since_ms),
-            ("net_epoch", n.epoch),
             ("net_exemplars", n.exemplars),
         ]
     }
@@ -442,9 +440,9 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), total, "duplicate series name");
-        // 10 Metrics counters + 12 resilience + 11 storage + 20 net
-        // + 3 algorithm gauges + 6 net gauges.
-        assert_eq!(total, 62);
+        // 10 Metrics counters + 12 resilience + 11 storage + 19 net
+        // + 3 algorithm gauges + 5 net gauges.
+        assert_eq!(total, 60);
     }
 
     #[test]
@@ -454,9 +452,7 @@ mod tests {
         snap.net.shed_queue_full = 2;
         snap.net.shed_engine_degraded = 1;
         snap.net.degraded = true;
-        snap.net.failovers = 1;
         snap.net.degraded_since_ms = 250;
-        snap.net.epoch = 3;
         snap.net.ingest_wait_nanos.record(12_345);
         snap.net.spans_dropped = 5;
         snap.net.traces_sampled = 9;
@@ -471,25 +467,24 @@ mod tests {
         assert!(text.contains("net_shed_queue_full: 2\n"));
         assert!(text.contains("net_shed_total: 3\n"));
         assert!(text.contains("net_degraded: 1\n"));
-        assert!(text.contains("net_failovers: 1\n"));
         assert!(text.contains("net_degraded_since_ms: 250\n"));
-        assert!(text.contains("net_epoch: 3\n"));
         assert!(text.contains("net_spans_dropped: 5\n"));
         assert!(text.contains("net_traces_sampled: 9\n"));
         assert!(text.contains("net_exemplars: 1\n"));
         assert!(text.contains("net_ingest_wait_nanos: n=1 "));
+        // No failover counter and no fencing-epoch gauge: recovery is a restart.
+        assert!(!text.contains("net_failovers") && !text.contains("net_epoch"));
         let json = snap.render_json();
         assert!(json.contains("\"net_reports_accepted\":11"));
         assert!(json.contains("\"net_shed_deadline_exceeded\":0"));
         assert!(json.contains("\"net_shed_session_quota\":0"));
         assert!(json.contains("\"net_degraded\":1"));
-        assert!(json.contains("\"net_failovers\":1"));
         assert!(json.contains("\"net_degraded_since_ms\":250"));
-        assert!(json.contains("\"net_epoch\":3"));
         assert!(json.contains("\"net_spans_dropped\":5"));
         assert!(json.contains("\"net_traces_sampled\":9"));
         assert!(json.contains("\"net_exemplars\":1"));
         assert!(json.contains("\"net_ingest_wait_nanos\":{"));
+        assert!(!json.contains("net_failovers") && !json.contains("net_epoch"));
         // The wait histogram carries its exemplar trace ids in JSON.
         assert!(
             json.contains("\"exemplars\":[{\"bucket\":123,\"wait_nanos\":12345,\"trace\":57005}]")
@@ -498,12 +493,11 @@ mod tests {
         assert!(prom.contains("# TYPE ctup_net_shed_queue_full counter\n"));
         assert!(prom.contains("ctup_net_shed_queue_full{algorithm=\"opt\"} 2\n"));
         assert!(prom.contains("# TYPE ctup_net_degraded gauge\n"));
-        assert!(prom.contains("# TYPE ctup_net_failovers counter\n"));
-        assert!(prom.contains("ctup_net_epoch{algorithm=\"opt\"} 3\n"));
         assert!(prom.contains("# TYPE ctup_net_spans_dropped counter\n"));
         assert!(prom.contains("ctup_net_traces_sampled{algorithm=\"opt\"} 9\n"));
         assert!(prom.contains("ctup_net_exemplars{algorithm=\"opt\"} 1\n"));
         assert!(prom.contains("ctup_net_ingest_wait_nanos_count{algorithm=\"opt\"} 1\n"));
+        assert!(!prom.contains("ctup_net_failovers") && !prom.contains("ctup_net_epoch"));
     }
 
     #[test]

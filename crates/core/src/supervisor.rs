@@ -61,9 +61,7 @@
 //! [`SupervisedPipeline::recover_from_dir`] loads the newest valid durable
 //! slot into a [`DurableImage`], folds the journaled tail into it — the
 //! gate's dedup state makes the fold idempotent — and initializes the
-//! monitor once from the result; a standby's promotion is the same
-//! restore over the image it folded from the replication stream. The
-//! tail may end in journaled groups that were never (or only partly)
+//! monitor once from the result. The tail may end in journaled groups that were never (or only partly)
 //! applied: up to the one being applied, the one queued and the one the
 //! commit stage waited to hand over.
 //!
@@ -332,37 +330,16 @@ impl SupervisedPipeline {
             state_dir: Some(dir.as_ref().to_path_buf()),
             ..config
         };
-        Self::restore_image::<A>(image, store, config, capacity, seed)
-    }
-
-    /// Initializes the monitor once from `image` and spawns the stages
-    /// around it and the image's gate: the one way back from a process
-    /// death, for an image folded from a state directory or from a
-    /// replication stream (a standby's promotion).
-    pub(crate) fn restore_image<A>(
-        image: DurableImage,
-        store: Arc<dyn PlaceStore>,
-        config: ResilienceConfig,
-        capacity: usize,
-        initial_stats: ResilienceStats,
-    ) -> Result<Self, crate::checkpoint::CheckpointError>
-    where
-        A: Checkpointable + Send + 'static,
-    {
         let (algorithm, gate) = image.restore::<A>(store)?;
         Ok(Self::spawn_with_gate(
-            algorithm,
-            gate,
-            config,
-            capacity,
-            initial_stats,
+            algorithm, gate, config, capacity, seed,
         ))
     }
 
     /// Spawns the supervised stages around a live monitor and the gate it
-    /// ran behind, so dedup and lease decisions carry over (standby
-    /// promotion, recovery); `initial_stats` seeds the resilience counters.
-    pub(crate) fn spawn_with_gate<A>(
+    /// ran behind, so dedup and lease decisions carry over (recovery);
+    /// `initial_stats` seeds the resilience counters.
+    fn spawn_with_gate<A>(
         algorithm: A,
         gate: IngestGate,
         config: ResilienceConfig,
@@ -2563,8 +2540,8 @@ mod tests {
 
         let last = stamped[stamped.len() - 1];
         let (config, seed) = (ResilienceConfig::default(), ResilienceStats::default());
-        let restored = SupervisedPipeline::restore_image::<OptCtup>(image, store, config, 64, seed)
-            .expect("restore");
+        let (engine, gate) = image.restore::<OptCtup>(store).expect("restore");
+        let restored = SupervisedPipeline::spawn_with_gate(engine, gate, config, 64, seed);
         restored.send(last).expect("worker alive"); // redelivery
         let fresh = StampedUpdate {
             seq: last.seq + 1,

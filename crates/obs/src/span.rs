@@ -98,20 +98,17 @@ pub enum Stage {
     Merge,
     /// Top-k snapshot publication to subscribers.
     SnapshotPublish,
-    /// Durable WAL append (and replication ship) for this report.
+    /// Durable WAL append for this report.
     WalAppend,
     /// Periodic durable checkpoint riding on this report's apply.
     Checkpoint,
     /// Report shed at the door or drain (always sampled).
     Shed,
-    /// Standby folding this report from a replicated WAL frame into its
-    /// durable image (gate and fold).
-    StandbyApply,
 }
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 11] = [
+    pub const ALL: [Stage; 10] = [
         Stage::ClientSend,
         Stage::SessionAdmit,
         Stage::QueueWait,
@@ -122,7 +119,6 @@ impl Stage {
         Stage::WalAppend,
         Stage::Checkpoint,
         Stage::Shed,
-        Stage::StandbyApply,
     ];
 
     /// The canonical causal chain a fully-traced report produces, in
@@ -151,7 +147,6 @@ impl Stage {
             Stage::WalAppend => "wal-append",
             Stage::Checkpoint => "checkpoint",
             Stage::Shed => "shed",
-            Stage::StandbyApply => "standby-apply",
         }
     }
 
@@ -173,7 +168,6 @@ impl Stage {
             Stage::WalAppend => 8,
             Stage::Checkpoint => 9,
             Stage::Shed => 10,
-            Stage::StandbyApply => 11,
         }
     }
 
@@ -193,7 +187,6 @@ impl Stage {
             }
             Stage::SnapshotPublish => Some(Stage::Merge),
             Stage::Shed => Some(Stage::SessionAdmit),
-            Stage::StandbyApply => Some(Stage::WalAppend),
         }
     }
 }

@@ -17,11 +17,9 @@
 //! | [`admission`] | `core::net::admission` hysteresis | bounded depth; clears only at low; no shed latch-up |
 //! | [`cache`] | `storage::cache` miss vs. invalidate | no stale entry after write-invalidation |
 //! | [`barrier`] | `core::parallel` batch barrier | merge only after every shard; merged == sequential |
-//! | [`failover`] | `core::net::standby` promotion handoff | no dual primary; no acked-report loss; stale frames fenced |
 
 pub mod admission;
 pub mod barrier;
 pub mod cache;
-pub mod failover;
 pub mod park;
 pub mod session;

@@ -114,9 +114,8 @@ fn main() -> ExitCode {
         "healthcheck" => validate(cmd, iter.next(), false, |text| {
             obscheck::check_health(text).map(|s| {
                 format!(
-                    "status {:?}, degraded {}, {} session(s), queue depth {}, \
-                     {} failover(s), epoch {}, build {}",
-                    s.status, s.degraded, s.sessions, s.queue_depth, s.failovers, s.epoch, s.build
+                    "status {:?}, degraded {}, {} session(s), queue depth {}, build {}",
+                    s.status, s.degraded, s.sessions, s.queue_depth, s.build
                 )
             })
         }),

@@ -243,31 +243,20 @@ pub struct HealthSummary {
     pub sessions: u64,
     /// Admission-queue depth at publish time.
     pub queue_depth: u64,
-    /// Level-2 promotions this process has performed.
-    pub failovers: u64,
     /// How long the front door has been degraded (0 when healthy).
     pub degraded_since_ms: u64,
-    /// The fencing epoch the server serves at (≥ 1).
-    pub epoch: u64,
     /// The `version+git_sha` build stamp of the serving binary.
     pub build: String,
 }
 
 /// The required non-negative integer gauges, in `HealthSummary` order.
-const HEALTH_GAUGES: [&str; 5] = [
-    "sessions",
-    "queue_depth",
-    "failovers",
-    "degraded_since_ms",
-    "epoch",
-];
+const HEALTH_GAUGES: [&str; 3] = ["sessions", "queue_depth", "degraded_since_ms"];
 
 /// Validates a `/healthz` body from `ctup serve`: one flat JSON object
 /// whose `status` string and `degraded` boolean must agree (`ok` ⇔
 /// `false`, `degraded` ⇔ `true`), with the non-negative integer gauges
 /// in [`HEALTH_GAUGES`]. A healthy body must carry `degraded_since_ms`
-/// of zero, `epoch` must be at least 1 (epochs start there; 0 marks
-/// an unfenced build), and `build` must be a non-empty string — the
+/// of zero, and `build` must be a non-empty string — the
 /// probe is how operators confirm which binary actually took a deploy.
 /// Unknown extra keys are allowed so the document can grow without
 /// breaking deployed probes.
@@ -365,34 +354,25 @@ pub fn check_health(text: &str) -> Result<HealthSummary, Vec<Problem>> {
         }
     }
     if degraded == Some(false) {
-        if let [_, _, _, Some(since_ms @ 1..), _] = gauges {
+        if let [_, _, Some(since_ms @ 1..)] = gauges {
             problems.push(Problem {
                 line: 1,
                 message: format!("`degraded_since_ms` is {since_ms} but `degraded` = false"),
             });
         }
     }
-    if let [_, _, _, _, Some(0)] = gauges {
-        problems.push(Problem {
-            line: 1,
-            message: "`epoch` must be at least 1".into(),
-        });
-    }
     if !problems.is_empty() {
         return Err(problems);
     }
     // The field loop above guarantees every slot is present here;
     // unwrap_or keeps the path panic-free anyway.
-    let [sessions, queue_depth, failovers, degraded_since_ms, epoch] =
-        gauges.map(Option::unwrap_or_default);
+    let [sessions, queue_depth, degraded_since_ms] = gauges.map(Option::unwrap_or_default);
     Ok(HealthSummary {
         status: status.unwrap_or_default(),
         degraded: degraded.unwrap_or_default(),
         sessions,
         queue_depth,
-        failovers,
         degraded_since_ms,
-        epoch,
         build: build.unwrap_or_default(),
     })
 }
@@ -590,12 +570,12 @@ h_count 5
     }
 
     /// A well-formed body with the given leading fields appended with
-    /// healthy defaults for the recovery gauges.
+    /// a healthy `degraded_since_ms` and a build stamp.
     fn health_body(status: &str, degraded: bool, sessions: i64, queue_depth: i64) -> String {
         format!(
             "{{\"status\":\"{status}\",\"degraded\":{degraded},\"sessions\":{sessions},\
-             \"queue_depth\":{queue_depth},\"failovers\":0,\
-             \"degraded_since_ms\":0,\"epoch\":1,\"build\":\"0.1.0+abcdef0\"}}"
+             \"queue_depth\":{queue_depth},\"degraded_since_ms\":0,\
+             \"build\":\"0.1.0+abcdef0\"}}"
         )
     }
 
@@ -606,21 +586,16 @@ h_count 5
         assert!(!summary.degraded);
         assert_eq!(summary.sessions, 3);
         assert_eq!(summary.queue_depth, 17);
-        assert_eq!(summary.failovers, 0);
         assert_eq!(summary.degraded_since_ms, 0);
-        assert_eq!(summary.epoch, 1);
     }
 
     #[test]
     fn degraded_body_parses() {
         let body = "{\"status\":\"degraded\",\"degraded\":true,\"sessions\":0,\"queue_depth\":0,\
-                    \"failovers\":1,\"degraded_since_ms\":450,\"epoch\":3,\
-                    \"build\":\"0.1.0+unknown\"}";
+                    \"degraded_since_ms\":450,\"build\":\"0.1.0+unknown\"}";
         let summary = check_health(body).expect("clean body");
         assert!(summary.degraded);
-        assert_eq!(summary.failovers, 1);
         assert_eq!(summary.degraded_since_ms, 450);
-        assert_eq!(summary.epoch, 3);
     }
 
     #[test]
@@ -633,7 +608,7 @@ h_count 5
     fn health_missing_gauge_is_flagged() {
         let body = "{\"status\":\"ok\",\"degraded\":false,\"sessions\":1}";
         let problems = check_health(body).expect_err("must fail");
-        for gauge in ["queue_depth", "failovers", "epoch"] {
+        for gauge in ["queue_depth", "degraded_since_ms"] {
             assert!(
                 problems
                     .iter()
@@ -674,7 +649,7 @@ h_count 5
     #[test]
     fn health_missing_build_is_flagged() {
         let body = "{\"status\":\"ok\",\"degraded\":false,\"sessions\":0,\"queue_depth\":0,\
-                    \"failovers\":0,\"degraded_since_ms\":0,\"epoch\":1}";
+                    \"degraded_since_ms\":0}";
         let problems = check_health(body).expect_err("must fail");
         assert!(problems
             .iter()
@@ -691,21 +666,11 @@ h_count 5
     #[test]
     fn health_degraded_since_on_healthy_body_is_flagged() {
         let body = "{\"status\":\"ok\",\"degraded\":false,\"sessions\":0,\"queue_depth\":0,\
-                    \"failovers\":0,\"degraded_since_ms\":900,\"epoch\":1}";
+                    \"degraded_since_ms\":900}";
         let problems = check_health(body).expect_err("must fail");
         assert!(problems
             .iter()
             .any(|p| p.message.contains("`degraded_since_ms` is 900")));
-    }
-
-    #[test]
-    fn health_zero_epoch_is_flagged() {
-        let body = "{\"status\":\"ok\",\"degraded\":false,\"sessions\":0,\"queue_depth\":0,\
-                    \"failovers\":0,\"degraded_since_ms\":0,\"epoch\":0}";
-        let problems = check_health(body).expect_err("must fail");
-        assert!(problems
-            .iter()
-            .any(|p| p.message.contains("`epoch` must be at least 1")));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub const CANONICAL_CHAIN: [&str; 7] = [
 ];
 
 /// Every stage label the span layer can emit.
-const ALL_STAGES: [&str; 11] = [
+const ALL_STAGES: [&str; 10] = [
     "client-send",
     "session-admit",
     "queue-wait",
@@ -51,7 +51,6 @@ const ALL_STAGES: [&str; 11] = [
     "wal-append",
     "checkpoint",
     "shed",
-    "standby-apply",
 ];
 
 /// The stage a non-root span's parent must carry (the causal
@@ -64,7 +63,6 @@ fn expected_parent_stage(stage: &str) -> Option<&'static str> {
         "shard-phase" | "merge" | "wal-append" | "checkpoint" => Some("engine-apply"),
         "snapshot-publish" => Some("merge"),
         "shed" => Some("session-admit"),
-        "standby-apply" => Some("wal-append"),
         _ => None, // client-send is the root; unknown stages are caught earlier
     }
 }
@@ -211,7 +209,8 @@ pub fn check_spans(text: &str) -> Result<SpanSummary, Vec<Problem>> {
             None => {
                 // A missing parent is only an orphan when the trace left
                 // other evidence in this dump: a lone half of a
-                // cross-process trace (e.g. a standby's spans) is fine.
+                // cross-process trace (the server's half of a trace whose
+                // client-send lives in the feeder's dump) is fine.
                 let siblings = trace_spans.get(&span.trace).map(|v| v.len()).unwrap_or(0);
                 if siblings > 1 {
                     problems.push(Problem {
@@ -334,11 +333,11 @@ mod tests {
 
     #[test]
     fn lone_cross_process_half_is_not_an_orphan() {
-        // A standby dump: one standby-apply span whose wal-append parent
-        // lives in the primary's dump. Pad with a full chain from
-        // another trace so coverage passes.
+        // A server dump: one session-admit span whose client-send parent
+        // lives in the feeder's dump. Pad with a full chain from another
+        // trace so coverage passes.
         let mut text = full_chain();
-        text.push_str(&line(9, 900, 899, "standby-apply", 5, 6));
+        text.push_str(&line(9, 900, 899, "session-admit", 5, 6));
         text.push('\n');
         let summary = check_spans(&text).expect("cross-process cut is legal");
         assert_eq!(summary.traces, 2);

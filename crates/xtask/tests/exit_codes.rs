@@ -69,7 +69,7 @@ fn promcheck_clean_and_findings() {
 #[test]
 fn healthcheck_clean_and_findings() {
     let clean = "{\"status\":\"ok\",\"degraded\":false,\"queue_depth\":0,\"sessions\":0,\
-                 \"failovers\":0,\"degraded_since_ms\":0,\"epoch\":1,\"build\":\"0.1.0+abcdef0\"}";
+                 \"degraded_since_ms\":0,\"build\":\"0.1.0+abcdef0\"}";
     assert_eq!(run(&["healthcheck"], clean), 0);
     assert_eq!(
         run(&["healthcheck"], "{\"status\":\"ok\",\"degraded\":true}"),

@@ -1,16 +1,11 @@
-//! Failover: a standby restored from a checkpoint is a fresh
+//! Failover: a monitor restored from a checkpoint is a fresh
 //! initialization from the checkpointed unit positions — it must answer
 //! exactly what the primary answers from that point on (up to ties at
-//! `SK`) — and the two ways back from an engine death must survive a
-//! kill matrix:
-//!
-//! * **Level 1** — the door notices the death even when idle and
-//!   degrades; a restart from the durable slot + journal tail behind a
-//!   fresh door serves the replayed top-k at once.
-//! * **Level 2** — a warm standby follows the replication stream,
-//!   promotes behind a fencing probe when the primary goes dark, fences
-//!   stale-epoch frames, and serves the oracle-exact top-k. A primary
-//!   that comes back during the dark window aborts the promotion.
+//! `SK`) — and the one way back from an engine death, a restart from the
+//! state directory, must survive a kill matrix: the door notices the
+//! death even when idle and degrades, and a restart from the durable
+//! slot + journal tail behind a fresh door serves the replayed top-k at
+//! once.
 //!
 //! Test code: the workspace-wide expect/unwrap denies target library
 //! code; panicking on an unexpected fault is exactly what a test should
@@ -21,20 +16,16 @@ use ctup::core::algorithm::CtupAlgorithm;
 use ctup::core::checkpoint::Checkpoint;
 use ctup::core::config::CtupConfig;
 use ctup::core::ingest::{stamp_stream, GateState, GateUnitState, StampedUpdate, TracedReport};
-use ctup::core::net::wire::{FrameDecoder, FrameWriter, Message, MAX_CHUNK_DATA};
 use ctup::core::net::{
     ClientConfig, ClientStats, Dialer, EngineSink, FeedClient, IngestServer, NetServerConfig,
-    NetStatsSnapshot, PipelineSink, ShedReason, SinkError, StandbyConfig, StandbyPhase,
-    StandbyServer, TcpDialer,
+    NetStatsSnapshot, PipelineSink, ShedReason, SinkError, TcpDialer,
 };
 use ctup::core::supervisor::{ResilienceConfig, SupervisedPipeline};
 use ctup::core::types::{LocationUpdate, Place, PlaceId, Safety, TopKEntry, UnitId};
 use ctup::core::{DurableState, OptCtup, Oracle};
 use ctup::mogen::{PlaceGenConfig, Workload, WorkloadParams};
-use ctup::obs::SpanSink;
 use ctup::spatial::{Grid, Point};
 use ctup::storage::{CellLocalStore, PlaceStore};
-use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,11 +55,12 @@ fn safeties(result: &[TopKEntry]) -> Vec<Safety> {
     result.iter().map(|e| e.safety).collect()
 }
 
-/// Restore is init: the standby is re-derived from the checkpointed unit
-/// positions, so it may hold other places tied at `SK` than the primary
-/// and maintain a different set. It must answer the same query — the same
-/// `SK` and result safeties, oracle-exact after every update — and it must
-/// be exactly what a fresh initialization from the same positions builds.
+/// Restore is init: the restored monitor is re-derived from the
+/// checkpointed unit positions, so it may hold other places tied at `SK`
+/// than the primary and maintain a different set. It must answer the same
+/// query — the same `SK` and result safeties, oracle-exact after every
+/// update — and it must be exactly what a fresh initialization from the
+/// same positions builds.
 #[test]
 fn restored_monitor_is_indistinguishable_from_the_primary() {
     let (mut workload, store) = setup(71);
@@ -87,7 +79,7 @@ fn restored_monitor_is_indistinguishable_from_the_primary() {
         units[update.object as usize] = update.to;
     }
 
-    // Checkpoint, serialize through the text codec, restore on a "standby".
+    // Checkpoint, serialize through the text codec, restore.
     let mut buf = Vec::new();
     primary
         .checkpoint()
@@ -95,11 +87,15 @@ fn restored_monitor_is_indistinguishable_from_the_primary() {
         .expect("write checkpoint");
     let restored_cp = Checkpoint::read(buf.as_slice()).expect("read checkpoint");
     assert_eq!(restored_cp.unit_positions, units);
-    let mut standby = OptCtup::restore(restored_cp, store.clone()).expect("restore checkpoint");
+    let mut restored = OptCtup::restore(restored_cp, store.clone()).expect("restore checkpoint");
 
-    assert_eq!(standby.sk(), primary.sk(), "SK differs right after restore");
     assert_eq!(
-        safeties(&standby.result()),
+        restored.sk(),
+        primary.sk(),
+        "SK differs right after restore"
+    );
+    assert_eq!(
+        safeties(&restored.result()),
         safeties(&primary.result()),
         "result safeties differ right after restore"
     );
@@ -110,14 +106,14 @@ fn restored_monitor_is_indistinguishable_from_the_primary() {
         workload.places_vec(),
     ));
     let mut fresh = OptCtup::new(config.clone(), own_store, &units).expect("clean store");
-    assert_eq!(standby.result(), fresh.result());
+    assert_eq!(restored.result(), fresh.result());
     let oracle = Oracle::new(workload.places_vec());
     let io_before = store.stats().snapshot();
 
-    // Both servers process the same tail of the stream: the standby stays
-    // oracle-exact with the primary's SK, and in lockstep with the fresh
-    // monitor, logical costs included.
-    let s_before = standby.metrics().clone();
+    // Both servers process the same tail of the stream: the restored one
+    // stays oracle-exact with the primary's SK, and in lockstep with the
+    // fresh monitor, logical costs included.
+    let s_before = restored.metrics().clone();
     let f_before = fresh.metrics().clone();
     for update in workload.next_updates(500) {
         let location_update = LocationUpdate {
@@ -126,18 +122,20 @@ fn restored_monitor_is_indistinguishable_from_the_primary() {
         };
         units[update.object as usize] = update.to;
         primary.handle_update(location_update).expect("clean store");
-        standby.handle_update(location_update).expect("clean store");
+        restored
+            .handle_update(location_update)
+            .expect("clean store");
         fresh.handle_update(location_update).expect("clean store");
         oracle.assert_result_matches(
-            &standby.result(),
+            &restored.result(),
             &units,
             config.protection_radius,
             config.k(),
         );
-        assert_eq!(standby.sk(), primary.sk());
-        assert_eq!(standby.result(), fresh.result());
+        assert_eq!(restored.sk(), primary.sk());
+        assert_eq!(restored.result(), fresh.result());
     }
-    let s_delta = standby.metrics().since(&s_before);
+    let s_delta = restored.metrics().since(&s_before);
     let f_delta = fresh.metrics().since(&f_before);
     assert_eq!(s_delta.cells_accessed, f_delta.cells_accessed);
     assert_eq!(s_delta.places_loaded, f_delta.places_loaded);
@@ -147,7 +145,7 @@ fn restored_monitor_is_indistinguishable_from_the_primary() {
         f_delta.lb_decrements_suppressed
     );
     assert_eq!(s_delta.result_changes, f_delta.result_changes);
-    standby.check_lb_invariant();
+    restored.check_lb_invariant();
 
     let io = store.stats().snapshot().since(&io_before);
     // The window opens after restore, so only the continued monitoring of
@@ -201,29 +199,29 @@ fn restore_rederives_over_any_store() {
     ] {
         let oracle = Oracle::new(places);
         let mut units = units.clone();
-        let mut standby = OptCtup::restore(checkpoint.clone(), store).expect("restore");
+        let mut restored = OptCtup::restore(checkpoint.clone(), store).expect("restore");
         oracle.assert_result_matches(
-            &standby.result(),
+            &restored.result(),
             &units,
             config.protection_radius,
             config.k(),
         );
         for &update in &tail {
-            standby.handle_update(update).expect("clean store");
+            restored.handle_update(update).expect("clean store");
             units[update.unit.0 as usize] = update.new;
             oracle.assert_result_matches(
-                &standby.result(),
+                &restored.result(),
                 &units,
                 config.protection_radius,
                 config.k(),
             );
         }
-        standby.check_lb_invariant();
+        restored.check_lb_invariant();
     }
 }
 
 // ---------------------------------------------------------------------
-// Two-level recovery kill matrix.
+// Restart-from-the-directory kill matrix.
 // ---------------------------------------------------------------------
 
 const RADIUS: f64 = 0.1;
@@ -243,35 +241,6 @@ fn clean_stream(workload: &mut Workload, n: usize) -> Vec<LocationUpdate> {
             new: u.to,
         })
         .collect()
-}
-
-/// Reserves a loopback address by binding and immediately dropping a
-/// listener; the port is then free for the promoted server to claim.
-fn reserve_addr() -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("reserve port");
-    listener.local_addr().expect("reserved addr")
-}
-
-/// Polls `read` until its value has held still for 300 ms, and returns
-/// it. Replication frames in flight drain within milliseconds once no
-/// feed is active; acks are durable-gated, so a report can be acked
-/// before the engine applied it and before the watchdog's periodic
-/// last-good refresh observed the result.
-fn settled<T: PartialEq + std::fmt::Debug>(read: impl Fn() -> T) -> T {
-    let mut last = read();
-    let mut stable_since = Instant::now();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        std::thread::sleep(Duration::from_millis(20));
-        let now = read();
-        if now != last {
-            last = now;
-            stable_since = Instant::now();
-        } else if stable_since.elapsed() >= Duration::from_millis(300) {
-            return last;
-        }
-        assert!(Instant::now() < deadline, "never settled (last {last:?})");
-    }
 }
 
 /// Feeds `reports` through a fresh client over `dialer` until each one is
@@ -574,508 +543,11 @@ fn silent_engine_death_after_queue_drain_is_probed_and_healed() {
     assert!(!net.degraded, "the restarted door stays healthy: {net:?}");
 }
 
-/// Probes every 50 ms, promotion after two silent ones.
-const FAST_PROBES: (Duration, u32) = (Duration::from_millis(50), 2);
-
-/// A durable primary (epoch 1, a slot every 32 reports, `kill_at` for its
-/// engine) with a warm standby following it, after a priming batch that
-/// makes the primary's durable state real so the checkpoint sync can
-/// complete. `spans`, when set, is the standby's sink, both while it
-/// follows and once it is promoted.
-struct Replicated {
-    primary: Option<IngestServer>,
-    primary_addr: SocketAddr,
-    standby: StandbyServer,
-    standby_addr: SocketAddr,
-    /// The standby's `wal_applied` once it settled after the priming: the
-    /// sync may land mid-priming, with part of the batch arriving as
-    /// journal or live frames.
-    base: u64,
-    dir_primary: PathBuf,
-    dir_standby: PathBuf,
-}
-
-impl Replicated {
-    fn start(
-        tag: &str,
-        store: &Arc<dyn PlaceStore>,
-        units: &[Point],
-        prime: &[StampedUpdate],
-        kill_at: Option<u64>,
-        spans: Option<Arc<SpanSink>>,
-        (probe_interval, probe_failures): (Duration, u32),
-    ) -> Replicated {
-        let dir_primary = temp_dir(&format!("{tag}-primary"));
-        let dir_standby = temp_dir(&format!("{tag}-standby"));
-        let resilience = ResilienceConfig {
-            checkpoint_every: 32,
-            state_dir: Some(dir_primary.clone()),
-            kill_at,
-            ..ResilienceConfig::default()
-        };
-        let cfg = NetServerConfig {
-            state_dir: Some(dir_primary.clone()),
-            epoch: 1,
-            ..NetServerConfig::default()
-        };
-        let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), units).expect("clean");
-        let pipeline = SupervisedPipeline::spawn(monitor, resilience, 4096);
-        let sink = Arc::new(PipelineSink::from_pipeline(pipeline));
-        let primary = IngestServer::spawn("127.0.0.1:0", cfg, sink).unwrap();
-        let primary_addr = primary.local_addr();
-        let standby_addr = reserve_addr();
-        let standby = StandbyServer::spawn(
-            StandbyConfig {
-                primary_ingest: primary_addr,
-                serve_addr: standby_addr.to_string(),
-                // `trace_sample_every` stays 0: promotion must force
-                // always-sample.
-                net: NetServerConfig {
-                    spans: spans.clone(),
-                    ..NetServerConfig::default()
-                },
-                resilience: ResilienceConfig {
-                    state_dir: Some(dir_standby.clone()),
-                    spans,
-                    ..ResilienceConfig::default()
-                },
-                probe_interval,
-                probe_failures,
-            },
-            store.clone(),
-        );
-        let primed = feed(TcpDialer::new(primary_addr), ClientConfig::default(), prime);
-        assert_eq!(primed.acked, prime.len() as u64);
-        wait_for("checkpoint sync", Duration::from_secs(10), || {
-            standby.status().phase == StandbyPhase::Following
-        });
-        assert_eq!(standby.status().epoch, 1);
-        let base = settled(|| standby.status().wal_applied);
-        Replicated {
-            primary: Some(primary),
-            primary_addr,
-            standby,
-            standby_addr,
-            base,
-            dir_primary,
-            dir_standby,
-        }
-    }
-
-    /// Feeds `reports` to the primary with a `config` client.
-    fn feed(&self, config: ClientConfig, reports: &[StampedUpdate]) -> ClientStats {
-        feed(TcpDialer::new(self.primary_addr), config, reports)
-    }
-
-    /// Feeds `reports` down the failover list: the primary, then the
-    /// standby's door.
-    fn walk_over(&self, reports: &[StampedUpdate]) -> ClientStats {
-        let doors = TcpDialer::failover(self.primary_addr, [self.standby_addr]);
-        feed(doors, ClientConfig::default(), reports)
-    }
-
-    /// Shuts the primary's door; the standby's probes go dark and it
-    /// promotes at epoch 2. Returns the primary's last counters.
-    fn kill_primary(&mut self) -> NetStatsSnapshot {
-        let net = self.primary.take().expect("a primary").shutdown();
-        wait_for("promotion", Duration::from_secs(10), || {
-            self.standby.status().phase == StandbyPhase::Promoted
-        });
-        assert_eq!(
-            self.standby.status().epoch,
-            2,
-            "promotion must bump the epoch"
-        );
-        net
-    }
-
-    fn finish(self) {
-        self.standby.shutdown();
-        drop(self.primary);
-        std::fs::remove_dir_all(&self.dir_primary).ok();
-        std::fs::remove_dir_all(&self.dir_standby).ok();
-    }
-}
-
-/// Level 2, mid-batch kill: the primary dies with the client's feed still
-/// in flight. The standby promotes at epoch + 1 behind the fencing probe,
-/// the client walks over via its failover address list, and the promoted
-/// server finishes the feed — zero acked-report loss, oracle-exact.
+/// Recovery refuses a slot it cannot restore honestly, with a typed
+/// error: here one whose gate state covers fewer units than its position
+/// table. It fails instead of resuming behind a gate of its own making.
 #[test]
-fn standby_promotes_after_primary_death_and_serves_the_oracle_topk() {
-    let (mut workload, store) = setup(82);
-    let units = workload.unit_positions();
-    let clean = clean_stream(&mut workload, 600);
-    let stamped = stamp_stream(clean.clone());
-    let mut replicated = Replicated::start(
-        "promote",
-        &store,
-        &units,
-        &stamped[..64],
-        None,
-        None,
-        FAST_PROBES,
-    );
-    let standby = &replicated.standby;
-
-    // The rest of the pre-kill feed arrives over the live WAL tail; each
-    // frame is fresh (not in the shipped checkpoint), so `wal_applied`
-    // counts it on top of the baseline.
-    let live = replicated.feed(ClientConfig::default(), &stamped[64..300]);
-    assert_eq!(live.acked, 236);
-    wait_for("live WAL tail", Duration::from_secs(10), || {
-        standby.status().wal_applied >= replicated.base + 236
-    });
-
-    let net = replicated.kill_primary();
-    assert_eq!(net.reports_accepted, 300);
-    let standby = &replicated.standby;
-    let promoted = standby.promoted_addr().expect("promoted front door");
-    assert_eq!(promoted, replicated.standby_addr);
-    let health = standby.promoted_health().expect("promoted health");
-    assert!(
-        health.contains("\"failovers\":1") && health.contains("\"epoch\":2"),
-        "promoted health must report the failover: {health}"
-    );
-
-    // The rest of the feed walks over to the promoted server.
-    let stats = replicated.walk_over(&stamped[300..]);
-    assert_eq!(
-        stats.acked, 300,
-        "the promoted server must accept the tail: {stats:?}"
-    );
-
-    let topk = settled(|| standby.promoted_topk().expect("promoted top-k"));
-    let mut positions = units.clone();
-    for update in &clean {
-        positions[update.unit.index()] = update.new;
-    }
-    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    oracle.assert_result_matches(&topk, &positions, RADIUS, 10);
-    replicated.finish();
-}
-
-/// A primary whose engine a `kill_at` stops at report 200, behind a
-/// following standby: 64 priming reports, then the rest of a 600-report
-/// feed, until the door has degraded. The primary's door is still up, so
-/// the standby keeps following; replication is asynchronous, so the
-/// helper waits for the standby's `wal_applied` to settle. The standby
-/// probes every 250 ms: a 50 ms probe can go unanswered on a loaded host,
-/// and the resync that follows would fold the batch from a slot instead
-/// of frame by frame. Returns the replicated pair, the feed and the
-/// client's tally of the live batch `feed[64..]`.
-fn kill_mid_feed(
-    workload: &mut Workload,
-    store: &Arc<dyn PlaceStore>,
-    tag: &str,
-) -> (Replicated, Vec<StampedUpdate>, ClientStats) {
-    let units = workload.unit_positions();
-    let stamped = stamp_stream(clean_stream(workload, 600));
-    let probes = (Duration::from_millis(250), 3);
-    let replicated = Replicated::start(tag, store, &units, &stamped[..64], Some(200), None, probes);
-    let live = replicated.feed(ClientConfig::default(), &stamped[64..]);
-    assert!(live.shed_total() > 0, "the kill fired mid-feed: {live:?}");
-    wait_for("the engine death", Duration::from_secs(15), || {
-        replicated
-            .primary
-            .as_ref()
-            .is_some_and(IngestServer::degraded)
-    });
-    settled(|| replicated.standby.status().wal_applied);
-    (replicated, stamped, live)
-}
-
-/// The primary ships a report once its journal covers it and before its
-/// ack, and a report the door sheds after the engine died never ships:
-/// the standby folds exactly the reports the client was told were
-/// accepted, none of those it was told were refused.
-#[test]
-fn a_standby_folds_exactly_the_reports_the_primary_acked() {
-    let (mut workload, store) = setup(91);
-    let (replicated, _, live) = kill_mid_feed(&mut workload, &store, "acked");
-    let folded = settled(|| replicated.standby.status().wal_applied) - replicated.base;
-    assert_eq!(
-        folded,
-        live.acked,
-        "the standby folded {folded} reports of a batch the client saw {} acked, {} shed",
-        live.acked,
-        live.shed_total()
-    );
-    replicated.finish();
-}
-
-/// Promotion and a restart from the primary's state directory are one
-/// restore over one image: after a kill mid-feed, the promoted standby
-/// and `recover_from_dir` over the dead primary's directory serve the
-/// same query — equal safeties, equal entries above `SK` — and both are
-/// oracle-exact over the reports the client saw acked.
-#[test]
-fn promotion_and_restart_from_the_directory_serve_the_same_topk() {
-    let (mut workload, store) = setup(92);
-    let units = workload.unit_positions();
-    let (mut replicated, stamped, live) = kill_mid_feed(&mut workload, &store, "one-restore");
-    replicated.kill_primary();
-    let promoted = replicated.standby.promoted_topk().expect("promoted top-k");
-    let recovered = SupervisedPipeline::recover_from_dir::<OptCtup>(
-        &replicated.dir_primary,
-        store.clone(),
-        ResilienceConfig::default(),
-        64,
-    )
-    .expect("recover from the primary's directory");
-    let restarted = recovered.initial_result().to_vec();
-    recovered.shutdown();
-
-    // The acked prefix: the priming batch and every live report not shed.
-    let shed: Vec<u64> = live.sheds.iter().map(|s| s.seq).collect();
-    let acked_live = (1u64..)
-        .zip(&stamped[64..])
-        .filter(|(seq, _)| !shed.contains(seq))
-        .map(|(_, report)| report);
-    let mut positions = units.clone();
-    for report in stamped[..64].iter().chain(acked_live) {
-        positions[report.update.unit.index()] = report.update.new;
-    }
-    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    for topk in [&promoted, &restarted] {
-        oracle.assert_result_matches(topk, &positions, RADIUS, 10);
-    }
-    assert_eq!(safeties(&promoted), safeties(&restarted));
-    let above_sk = |topk: &[TopKEntry]| -> Vec<TopKEntry> {
-        let sk = topk.last().map(|e| e.safety);
-        topk.iter()
-            .copied()
-            .filter(|e| Some(e.safety) != sk)
-            .collect()
-    };
-    assert_eq!(above_sk(&promoted), above_sk(&restarted));
-    replicated.finish();
-}
-
-/// Kill before/during checkpoint ship: a standby that never completed a
-/// sync has nothing correct to serve, so it must keep retrying — never
-/// promote, never fail into serving garbage.
-#[test]
-fn standby_never_promotes_without_a_synced_checkpoint() {
-    let (_workload, store) = setup(83);
-    let dead = reserve_addr();
-    let standby = StandbyServer::spawn(
-        StandbyConfig {
-            primary_ingest: dead,
-            serve_addr: "127.0.0.1:0".to_string(),
-            probe_interval: Duration::from_millis(25),
-            probe_failures: 1,
-            ..StandbyConfig::default()
-        },
-        store,
-    );
-    std::thread::sleep(Duration::from_millis(600));
-    let status = standby.status();
-    assert_eq!(
-        status.phase,
-        StandbyPhase::Syncing,
-        "an unsynced standby must keep retrying"
-    );
-    assert!(standby.promoted_addr().is_none());
-    standby.shutdown();
-}
-
-/// Kill mid-promotion window: the primary drops its connections but comes
-/// back before the standby's probe budget runs out. The fencing probe
-/// answers, so the standby aborts the promotion and resyncs — no dual
-/// primary.
-#[test]
-fn revived_primary_aborts_promotion_via_the_fencing_probe() {
-    let (mut workload, store) = setup(84);
-    let units = workload.unit_positions();
-    let stamped = stamp_stream(clean_stream(&mut workload, 200));
-    let probes = (Duration::from_millis(300), 3);
-    let mut replicated = Replicated::start("fence", &store, &units, &stamped, None, None, probes);
-    let (primary_addr, dir) = (replicated.primary_addr, replicated.dir_primary.clone());
-    let cfg = NetServerConfig {
-        state_dir: Some(dir.clone()),
-        ..NetServerConfig::default()
-    };
-
-    // Bounce the primary: down just long enough to lose the replication
-    // connection, back up before three 300 ms probes all go dark.
-    replicated.primary.take().expect("a primary").shutdown();
-    let replacement = {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let sink = SupervisedPipeline::recover_from_dir::<OptCtup>(
-                &dir,
-                store.clone(),
-                ResilienceConfig {
-                    state_dir: Some(dir.clone()),
-                    ..ResilienceConfig::default()
-                },
-                4096,
-            )
-            .map(|pipeline| {
-                Arc::new(PipelineSink::new(pipeline, Vec::new())) as Arc<dyn EngineSink>
-            })
-            .expect("recover replacement");
-            match IngestServer::spawn(&primary_addr.to_string(), cfg.clone(), sink) {
-                Ok(server) => break server,
-                Err(e) => {
-                    assert!(Instant::now() < deadline, "rebind failed for 5s: {e}");
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            }
-        }
-    };
-
-    // Give the standby a full probe cycle plus slack: it must observe the
-    // loss, probe, find the primary alive, and go back to following.
-    std::thread::sleep(Duration::from_millis(1_500));
-    let status = replicated.standby.status();
-    assert_ne!(
-        status.phase,
-        StandbyPhase::Promoted,
-        "a live primary must fence the promotion: {status:?}"
-    );
-    assert_eq!(status.epoch, 1, "no epoch bump without promotion");
-    assert!(replicated.standby.promoted_addr().is_none());
-    replicated.primary = Some(replacement);
-    replicated.finish();
-}
-
-/// A hand-rolled primary speaking the replication protocol on a loopback
-/// port: it accepts one standby, waits for its subscribe frame, ships
-/// `checkpoint` at `epoch` and then `frames`, and holds the connection open
-/// until the standby hangs up.
-fn fake_primary(
-    checkpoint: &Checkpoint,
-    epoch: u64,
-    frames: Vec<Message>,
-) -> (SocketAddr, std::thread::JoinHandle<()>) {
-    let mut body = Vec::new();
-    checkpoint.write(&mut body).expect("checkpoint");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("fake primary");
-    let addr = listener.local_addr().expect("addr");
-    let fake = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().expect("standby dials");
-        stream
-            .set_read_timeout(Some(Duration::from_millis(25)))
-            .expect("timeout");
-        let mut decoder = FrameDecoder::new();
-        // The subscribe frame.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match decoder.read_from(&mut stream) {
-                Ok(Message::CheckpointOffer { .. }) => break,
-                Ok(other) => panic!("expected subscribe, got {other:?}"),
-                Err(e) if e.is_timeout() => {
-                    assert!(Instant::now() < deadline, "no subscribe frame");
-                }
-                Err(e) => panic!("read error: {e:?}"),
-            }
-        }
-        let mut writer = FrameWriter::new();
-        writer.push(&Message::CheckpointOffer {
-            epoch,
-            slot_seq: 0,
-            total_len: u64::try_from(body.len()).expect("length fits"),
-        });
-        let mut offset = 0usize;
-        while offset < body.len() {
-            let end = (offset + MAX_CHUNK_DATA).min(body.len());
-            writer.push(&Message::CheckpointChunk {
-                epoch,
-                offset: u64::try_from(offset).expect("offset fits"),
-                data: body[offset..end].to_vec(),
-            });
-            offset = end;
-        }
-        for frame in &frames {
-            writer.push(frame);
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            assert!(Instant::now() < deadline, "standby never hung up");
-            match writer.flush_into(&mut stream) {
-                Ok(true) => {}
-                Ok(false) => continue,
-                Err(_) => return, // standby closed — done
-            }
-            // Hold the connection open until the standby says goodbye.
-            match decoder.read_from(&mut stream) {
-                Ok(Message::Bye { .. }) => return,
-                Ok(_) => {}
-                Err(e) if e.is_timeout() => {}
-                Err(_) => return,
-            }
-        }
-    });
-    (addr, fake)
-}
-
-/// A standby that follows `addr` with no probes during a scripted
-/// exchange.
-fn scripted_standby(addr: SocketAddr, store: Arc<dyn PlaceStore>) -> StandbyServer {
-    StandbyServer::spawn(
-        StandbyConfig {
-            primary_ingest: addr,
-            serve_addr: "127.0.0.1:0".to_string(),
-            probe_interval: Duration::from_secs(30),
-            probe_failures: 100,
-            ..StandbyConfig::default()
-        },
-        store,
-    )
-}
-
-/// Epoch fencing on the replication stream itself: frames stamped with a
-/// stale epoch are rejected and counted; only current-epoch frames are
-/// applied. Driven by a fake primary speaking the wire protocol.
-#[test]
-fn stale_epoch_wal_frames_are_rejected_by_the_standby() {
-    let (workload, store) = setup(85);
-    let units = workload.unit_positions();
-    let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), &units).expect("clean store");
-    const EPOCH: u64 = 5;
-    // Three stale frames from "the previous epoch", two current ones.
-    let frames = [
-        (EPOCH - 1, 0u32, 7u64),
-        (EPOCH - 1, 1, 7),
-        (EPOCH - 1, 2, 7),
-        (EPOCH, 0, 1),
-        (EPOCH, 1, 1),
-    ]
-    .into_iter()
-    .map(|(epoch, unit, unit_seq)| Message::WalAppend {
-        epoch,
-        unit_seq,
-        ts: unit_seq,
-        unit,
-        x: 0.5,
-        y: 0.5,
-        trace: 0,
-    })
-    .collect();
-    let (addr, fake) = fake_primary(&monitor.checkpoint(), EPOCH, frames);
-
-    let standby = scripted_standby(addr, store);
-    wait_for("the scripted frames", Duration::from_secs(10), || {
-        let status = standby.status();
-        status.wal_applied >= 2 && status.stale_rejected >= 3
-    });
-    let status = standby.status();
-    assert_eq!(status.phase, StandbyPhase::Following);
-    assert_eq!(status.epoch, EPOCH);
-    assert_eq!(status.wal_applied, 2, "both current-epoch frames apply");
-    assert_eq!(status.stale_rejected, 3, "all stale frames bounce");
-    standby.shutdown();
-    fake.join().expect("fake primary exits cleanly");
-}
-
-/// A standby refuses a shipped checkpoint that a restart from a directory
-/// refuses, with the same error: here one whose gate state covers fewer
-/// units than its position table. It fails instead of following behind a
-/// gate of its own making.
-#[test]
-fn a_standby_refuses_a_checkpoint_that_recovery_refuses() {
+fn recovery_refuses_a_slot_whose_gate_state_does_not_cover_its_units() {
     let (workload, store) = setup(87);
     let units = workload.unit_positions();
     let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), &units).expect("clean store");
@@ -1096,114 +568,12 @@ fn a_standby_refuses_a_checkpoint_that_recovery_refuses() {
         .expect("a slot on disk");
     let refused = SupervisedPipeline::recover_from_dir::<OptCtup>(
         &dir,
-        store.clone(),
+        store,
         ResilienceConfig::default(),
         64,
     )
     .expect_err("recovery refuses the slot")
     .to_string();
     assert!(refused.contains("gate state covers"), "{refused}");
-
-    let (addr, fake) = fake_primary(&checkpoint, 1, Vec::new());
-    let standby = scripted_standby(addr, store);
-    wait_for("the refusal", Duration::from_secs(10), || {
-        matches!(standby.status().phase, StandbyPhase::Failed(_))
-    });
-    match standby.status().phase {
-        StandbyPhase::Failed(why) => assert!(why.contains(&refused), "{why}"),
-        phase => panic!("{phase:?}"),
-    }
-    assert!(standby.promoted_addr().is_none());
-    standby.shutdown();
-    fake.join().expect("fake primary exits cleanly");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Trace ids survive standby replication and the promotion epoch bump:
-/// every live WAL frame carries its report's trace id, the standby's
-/// standby-apply spans adopt those ids unchanged, and a promoted server
-/// forces 1-in-1 head sampling so the failover window is fully traced
-/// even for clients that never stamped an id.
-#[test]
-fn trace_ids_survive_standby_promotion_across_the_epoch_bump() {
-    use ctup::obs::{sample_trace, Stage};
-    use std::collections::BTreeSet;
-
-    let (mut workload, store) = setup(86);
-    let units = workload.unit_positions();
-    let stamped = stamp_stream(clean_stream(&mut workload, 300));
-    // The standby's halves of the traces — standby-apply while following,
-    // the full pipeline once promoted — land in this one sink. The priming
-    // batch is deliberately untraced.
-    let standby_spans = Arc::new(SpanSink::new(65_536));
-    let spans = Some(standby_spans.clone());
-    let mut replicated = Replicated::start(
-        "trace",
-        &store,
-        &units,
-        &stamped[..64],
-        None,
-        spans,
-        FAST_PROBES,
-    );
-    let base = replicated.base;
-
-    // Traced live tail: these ship to the standby as WalAppend frames
-    // carrying the client-minted trace ids.
-    let trace_seed = 0xBB;
-    let client_spans = Arc::new(SpanSink::new(4_096));
-    let traced = ClientConfig {
-        spans: Some(client_spans.clone()),
-        trace_sample_every: 1,
-        trace_seed,
-        ..ClientConfig::default()
-    };
-    assert_eq!(replicated.feed(traced, &stamped[64..164]).acked, 100);
-    wait_for("live WAL tail", Duration::from_secs(10), || {
-        replicated.standby.status().wal_applied >= base + 100
-    });
-
-    // While still on epoch 1, the standby recorded one standby-apply span
-    // per traced frame — under the client's ids, not re-minted ones.
-    let applied: BTreeSet<u64> = standby_spans
-        .snapshot()
-        .spans
-        .iter()
-        .filter(|s| s.stage == Stage::StandbyApply)
-        .map(|s| s.trace)
-        .collect();
-    for seq in 1..=100u64 {
-        let trace = sample_trace(trace_seed, seq, 1);
-        assert!(
-            applied.contains(&trace),
-            "standby-apply span missing for live-tail seq {seq}"
-        );
-    }
-
-    // Kill the primary: the promotion bumps the fencing epoch but the
-    // sink — and every pre-promotion span in it — survives untouched.
-    let net = replicated.kill_primary();
-    assert_eq!(net.reports_accepted, 164);
-    let snap = standby_spans.snapshot();
-    assert!(
-        snap.spans
-            .iter()
-            .any(|s| s.stage == Stage::StandbyApply && applied.contains(&s.trace)),
-        "pre-promotion spans must survive the epoch bump"
-    );
-    assert!(
-        !snap.spans.iter().any(|s| s.stage == Stage::SessionAdmit),
-        "no front-door spans can exist before the door opens"
-    );
-
-    // An *untraced* client feeding the promoted server still gets traced
-    // end to end: promotion forces 1-in-1 head sampling, because a
-    // failover window is exactly when operators need exemplar traces.
-    assert_eq!(replicated.walk_over(&stamped[164..300]).acked, 136);
-    let snap = standby_spans.snapshot();
-    assert!(
-        snap.spans.iter().any(|s| s.stage == Stage::SessionAdmit),
-        "promotion must force head sampling of untraced reports"
-    );
-    replicated.finish();
 }

@@ -14,7 +14,7 @@
 //! break downstream model authors is also caught here.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
-use ctup_sched::models::{admission, barrier, cache, failover, park, session};
+use ctup_sched::models::{admission, barrier, cache, park, session};
 use ctup_sched::{explore_exhaustive, explore_random, Counterexample, ExplorationReport};
 
 const BUDGET: usize = 500_000;
@@ -170,36 +170,6 @@ fn barrier_mutant_is_caught() {
         &["merge-only-after-barrier", "merged-equals-sequential"],
         "barrier MergeEarly",
     );
-}
-
-#[test]
-fn failover_correct_is_schedule_clean_under_both_chaos_scripts() {
-    use failover::{FailoverMutation as M, FailoverScenario as S};
-    for scenario in [S::Kill, S::Partition] {
-        let report = explore_exhaustive(|| failover::model(M::Correct, scenario), BUDGET)
-            .expect("correct promotion handoff");
-        assert_clean(report, &format!("failover {scenario:?}"));
-    }
-}
-
-#[test]
-fn failover_mutants_are_caught() {
-    use failover::{FailoverMutation as M, FailoverScenario as S};
-    let matrix: [(M, S, &[&str]); 4] = [
-        (M::AckBeforeShip, S::Kill, &["no-acked-report-loss"]),
-        (M::PromoteBeforeDrain, S::Kill, &["no-acked-report-loss"]),
-        (M::PromoteWithoutFence, S::Partition, &["no-dual-primary"]),
-        (
-            M::IgnoreEpochFencing,
-            S::Partition,
-            &["stale-frames-fenced"],
-        ),
-    ];
-    for (mutation, scenario, expect) in matrix {
-        let cex = explore_exhaustive(|| failover::model(mutation, scenario), BUDGET)
-            .expect_err("mutant must be caught");
-        assert_caught(cex, expect, &format!("failover {mutation:?}/{scenario:?}"));
-    }
 }
 
 /// Random exploration is a fallback for models whose schedule space
