@@ -327,7 +327,6 @@ fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         ..NetServerConfig::default()
     };
     net_config.admission.queue_capacity = flags.get("queue-capacity", 4096)?;
-    net_config.admission = net_config.admission.normalized();
     net_config.admission.ingest_deadline =
         Duration::from_millis(flags.get("ingest-deadline-ms", 2_000)?);
     net_config.session.session_quota = flags.get("session-quota", 256)?;
@@ -506,14 +505,13 @@ fn feed(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     // a `serve --updates 0` + `feed` pair correlate by id.
     let span_dump = flags.get_str("span-dump").map(Path::new);
     let spans = span_dump.map(|_| Arc::new(SpanSink::new(65_536)));
-    let mut client_config = ClientConfig {
+    let client_config = ClientConfig {
+        max_attempts: flags.get("max-attempts", 8)?,
         max_in_flight: flags.get("max-in-flight", 128)?,
         spans: spans.clone(),
         trace_sample_every: flags.get("trace-every", 1)?,
         trace_seed: flags.get("seed", SEED)?,
-        ..ClientConfig::default()
     };
-    client_config.backoff.max_attempts = flags.get("max-attempts", 8)?;
     let stamped = stamp_stream(next_updates(
         &mut workload(flags)?,
         flags.get("updates", 1_000)?,

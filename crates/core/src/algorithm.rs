@@ -89,27 +89,6 @@ pub trait CtupAlgorithm {
     fn internal_latency(&self) -> Option<LatencySnapshot> {
         None
     }
-
-    /// Hands the algorithm a causal span sink to record its internal phase
-    /// spans into (the sharded engine's per-shard illumination and merge
-    /// phases — see [`ctup_obs::span`]). The default ignores it: most
-    /// engines have no internal structure worth separate spans, and the
-    /// supervisor records aggregate shard-phase/merge spans on their
-    /// behalf (see [`CtupAlgorithm::records_spans`]).
-    fn attach_span_recorder(&mut self, _spans: std::sync::Arc<ctup_obs::SpanSink>) {}
-
-    /// Arms the trace id the *next* update (or batch) is applied under;
-    /// consumed by that update, so stale ids never leak onto later
-    /// untraced updates. A no-op unless a recorder is attached.
-    fn set_trace_context(&mut self, _trace: u64) {}
-
-    /// Whether this algorithm records its own shard-phase/merge spans via
-    /// an attached recorder. When `true` the caller must not also record
-    /// aggregate spans for those stages — the deterministic span ids would
-    /// collide.
-    fn records_spans(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

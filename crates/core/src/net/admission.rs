@@ -6,9 +6,9 @@
 //! *small and honest*: when the engine cannot keep up, reports are shed
 //! with a typed reason instead of queueing without bound.
 //!
-//! Shedding is hysteretic. Crossing the **high watermark** trips the
-//! queue into shed state; it stays shedding until depth falls back to the
-//! **low watermark**. Without the hysteresis band an overloaded server
+//! Shedding is hysteretic. Crossing the **high watermark** (¾ of the
+//! queue's capacity) trips the queue into shed state; it stays shedding
+//! until depth falls back to the **low watermark** (¼ of capacity). Without the hysteresis band an overloaded server
 //! would oscillate at the boundary, alternately accepting and refusing
 //! neighbouring reports from the same batch — the band converts that
 //! flapping into one clean shed interval per overload episode.
@@ -39,41 +39,20 @@ use std::time::{Duration, Instant};
 /// Sizing and policy of the admission queue.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
-    /// Hard bound on queued reports; enqueue beyond it always sheds.
+    /// Bound on queued reports (0 counts as 1). The watermarks derive
+    /// from it: the queue trips into shed state at ¾ of it and resumes
+    /// accepting at ¼, so queued reports never pass the high watermark.
     pub queue_capacity: usize,
-    /// Depth at which the queue trips into shed state.
-    pub high_watermark: usize,
-    /// Depth at which a shedding queue resumes accepting.
-    pub low_watermark: usize,
     /// Maximum time a report may wait before the pump sheds it.
     pub ingest_deadline: Duration,
-    /// How long the watchdog tolerates a backlogged queue making no drain
-    /// progress before tripping degraded mode.
-    pub stall_grace: Duration,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             queue_capacity: 4096,
-            high_watermark: 3072,
-            low_watermark: 1024,
             ingest_deadline: Duration::from_secs(2),
-            stall_grace: Duration::from_secs(1),
         }
-    }
-}
-
-impl AdmissionConfig {
-    /// Clamps the watermarks into a consistent order:
-    /// `low <= high <= capacity`, capacity at least 1.
-    pub fn normalized(mut self) -> Self {
-        self.queue_capacity = self.queue_capacity.max(1);
-        self.high_watermark = self.high_watermark.clamp(1, self.queue_capacity);
-        self.low_watermark = self
-            .low_watermark
-            .min(self.high_watermark.saturating_sub(1));
-        self
     }
 }
 
@@ -119,7 +98,10 @@ impl QueueState {
 /// The bounded, watermarked admission queue.
 #[derive(Debug)]
 pub struct AdmissionQueue {
-    config: AdmissionConfig,
+    /// Depth at which the queue trips into shed state: ¾ of capacity.
+    high_watermark: usize,
+    /// Depth at which a shedding queue resumes accepting: ¼ of capacity.
+    low_watermark: usize,
     state: Mutex<QueueState>,
     available: Condvar,
     shedding: AtomicBool,
@@ -127,20 +109,17 @@ pub struct AdmissionQueue {
 }
 
 impl AdmissionQueue {
-    /// An empty queue with `config` (normalized).
+    /// An empty queue sized by `config`.
     pub fn new(config: AdmissionConfig, stats: Arc<NetStats>) -> Self {
+        let capacity = config.queue_capacity.max(1);
         AdmissionQueue {
-            config: config.normalized(),
+            high_watermark: (capacity - capacity.div_ceil(4)).max(1),
+            low_watermark: capacity / 4,
             state: Mutex::default(),
             available: Condvar::new(),
             shedding: AtomicBool::new(false),
             stats,
         }
-    }
-
-    /// The queue's (normalized) configuration.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
     }
 
     fn lock(&self) -> MutexGuard<'_, QueueState> {
@@ -161,19 +140,14 @@ impl AdmissionQueue {
     pub fn try_enqueue(&self, item: QueuedReport) -> Result<(), ShedReason> {
         let mut state = self.lock();
         let depth = state.items.len();
-        if depth >= self.config.queue_capacity {
-            // Relaxed: shedding is only written under the queue mutex; the unlock publishes it
-            self.shedding.store(true, Ordering::Relaxed);
-            return Err(ShedReason::QueueFull);
-        }
         // Relaxed: read under the queue mutex, so this sees every write made by prior admits
         if self.shedding.load(Ordering::Relaxed) {
-            if depth > self.config.low_watermark {
+            if depth > self.low_watermark {
                 return Err(ShedReason::QueueFull);
             }
             // Relaxed: shedding is only written under the queue mutex; the unlock publishes it
             self.shedding.store(false, Ordering::Relaxed);
-        } else if depth >= self.config.high_watermark {
+        } else if depth >= self.high_watermark {
             // Relaxed: shedding is only written under the queue mutex; the unlock publishes it
             self.shedding.store(true, Ordering::Relaxed);
             return Err(ShedReason::QueueFull);
@@ -258,12 +232,10 @@ mod tests {
         }
     }
 
-    fn queue(capacity: usize, high: usize, low: usize) -> AdmissionQueue {
+    fn queue(capacity: usize) -> AdmissionQueue {
         AdmissionQueue::new(
             AdmissionConfig {
                 queue_capacity: capacity,
-                high_watermark: high,
-                low_watermark: low,
                 ..AdmissionConfig::default()
             },
             Arc::new(NetStats::default()),
@@ -271,49 +243,67 @@ mod tests {
     }
 
     #[test]
-    fn normalization_orders_the_watermarks() {
-        let cfg = AdmissionConfig {
-            queue_capacity: 10,
-            high_watermark: 50,
-            low_watermark: 50,
-            ..AdmissionConfig::default()
+    fn watermarks_are_three_quarters_and_one_quarter_of_capacity() {
+        for (capacity, high, low) in [(4096, 3072, 1024), (64, 48, 16), (8, 6, 2), (5, 3, 1)] {
+            let q = queue(capacity);
+            assert_eq!(
+                (q.high_watermark, q.low_watermark),
+                (high, low),
+                "{capacity}"
+            );
         }
-        .normalized();
-        assert_eq!(cfg.high_watermark, 10);
-        assert_eq!(cfg.low_watermark, 9);
+        // The smallest queues still hold one report.
+        for capacity in [0, 1] {
+            let q = queue(capacity);
+            assert_eq!((q.high_watermark, q.low_watermark), (1, 0), "{capacity}");
+        }
     }
 
     #[test]
     fn sheds_at_high_watermark_until_drained_to_low() {
-        let q = queue(100, 4, 1);
-        for seq in 0..4 {
+        let q = queue(8);
+        for seq in 0..6 {
             q.try_enqueue(item(seq)).expect("below high watermark");
         }
-        // Depth 4 == high: trips shedding.
-        assert_eq!(q.try_enqueue(item(4)), Err(ShedReason::QueueFull));
+        // Depth 6 == high: trips shedding.
+        assert_eq!(q.try_enqueue(item(6)), Err(ShedReason::QueueFull));
         assert!(q.is_shedding());
-        // Draining to 2 (> low) still sheds; at low (1) it reopens.
+        // Draining to 3 (> low) still sheds; at low (2) it reopens.
+        for _ in 0..3 {
+            q.pop(Duration::from_millis(1)).expect("pop");
+        }
+        assert_eq!(q.try_enqueue(item(7)), Err(ShedReason::QueueFull));
         q.pop(Duration::from_millis(1)).expect("pop");
-        q.pop(Duration::from_millis(1)).expect("pop");
-        assert_eq!(q.try_enqueue(item(5)), Err(ShedReason::QueueFull));
-        q.pop(Duration::from_millis(1)).expect("pop");
-        assert_eq!(q.depth(), 1);
-        q.try_enqueue(item(6)).expect("reopened at low watermark");
+        assert_eq!(q.depth(), 2);
+        q.try_enqueue(item(8)).expect("reopened at low watermark");
         assert!(!q.is_shedding());
     }
 
+    /// A capacity below the default gets the same ¾/¼ band, not one
+    /// squeezed against the capacity: a queue that shed only when full
+    /// and reopened one slot later would flap report by report.
     #[test]
-    fn hard_capacity_always_sheds() {
-        let q = queue(2, 2, 0);
-        q.try_enqueue(item(0)).expect("first");
-        q.try_enqueue(item(1)).expect("second");
-        assert_eq!(q.try_enqueue(item(2)), Err(ShedReason::QueueFull));
-        assert_eq!(q.depth(), 2);
+    fn a_smaller_capacity_keeps_the_hysteresis_band() {
+        let q = queue(64);
+        let mut seq = 0;
+        while q.try_enqueue(item(seq)).is_ok() {
+            seq += 1;
+        }
+        assert_eq!(q.depth(), 48, "sheds from the high watermark");
+        loop {
+            q.pop(Duration::ZERO)
+                .expect("a shedding queue is not empty");
+            let depth = q.depth();
+            if q.try_enqueue(item(seq)).is_ok() {
+                assert_eq!(depth, 16, "reopens at the low watermark");
+                break;
+            }
+        }
     }
 
     #[test]
     fn pop_wakes_on_enqueue_and_preserves_fifo() {
-        let q = Arc::new(queue(16, 15, 2));
+        let q = Arc::new(queue(16));
         let q2 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || {
             let mut seqs = Vec::new();
@@ -333,7 +323,7 @@ mod tests {
 
     #[test]
     fn a_kick_that_lands_before_the_pop_is_not_lost() {
-        let q = queue(4, 3, 1);
+        let q = queue(4);
         q.kick();
         let start = Instant::now();
         assert!(q.pop(Duration::from_secs(10)).is_none());
@@ -349,7 +339,7 @@ mod tests {
 
     #[test]
     fn kick_and_enqueue_wake_a_parked_pop_and_nobody_else() {
-        let q = Arc::new(queue(4, 3, 1));
+        let q = Arc::new(queue(4));
         let parked = |q: &AdmissionQueue| q.lock().parked;
         // Nobody parked: neither call has anyone to wake, the kick stays.
         q.try_enqueue(item(1)).expect("enqueue");
@@ -382,7 +372,7 @@ mod tests {
 
     #[test]
     fn pop_times_out_empty() {
-        let q = queue(4, 3, 1);
+        let q = queue(4);
         let start = Instant::now();
         assert!(q.pop(Duration::from_millis(20)).is_none());
         assert!(start.elapsed() >= Duration::from_millis(15));

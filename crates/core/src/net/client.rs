@@ -19,7 +19,7 @@
 //! Reconnection uses exponential backoff with deterministic, seeded
 //! jitter (`delay/2 + uniform(0, delay/2)`) and a bounded number of
 //! *consecutive* failed attempts; any successful handshake resets the
-//! budget. With the seed fixed, a chaos test replays the exact same
+//! budget. The seed is fixed, so a chaos test replays the exact same
 //! reconnect schedule every run.
 
 use super::stats::ShedReason;
@@ -77,38 +77,25 @@ impl Dialer for TcpDialer {
     }
 }
 
-/// Exponential backoff with seeded jitter and a bounded attempt budget.
-#[derive(Debug, Clone)]
-pub struct BackoffConfig {
-    /// Delay before the first retry.
-    pub base: Duration,
-    /// Ceiling on the (pre-jitter) delay.
-    pub max: Duration,
-    /// Consecutive failed attempts tolerated before giving up; any
-    /// successful handshake resets the count.
-    pub max_attempts: u32,
-    /// Seed for the jitter generator; fixed seed, fixed schedule.
-    pub seed: u64,
-}
+/// Delay before the first reconnect retry; it doubles per consecutive
+/// failed attempt, up to [`BACKOFF_MAX`], before jitter.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
 
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        BackoffConfig {
-            base: Duration::from_millis(10),
-            max: Duration::from_millis(500),
-            max_attempts: 8,
-            seed: 0x5eed_f00d,
-        }
-    }
-}
+/// Ceiling on the (pre-jitter) reconnect delay.
+const BACKOFF_MAX: Duration = Duration::from_millis(500);
+
+/// Seed for the jitter generator; fixed seed, fixed schedule.
+const BACKOFF_SEED: u64 = 0x5eed_f00d;
+
+/// A handshake must complete (Hello out, Ack back) within this.
+const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Client-side knobs.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Reconnect policy.
-    pub backoff: BackoffConfig,
-    /// Handshake must complete (Hello out, Ack back) within this.
-    pub handshake_deadline: Duration,
+    /// Consecutive failed connection attempts tolerated before giving
+    /// up; any successful handshake resets the count.
+    pub max_attempts: u32,
     /// Cap on reports written ahead of the server's ack line; bounds the
     /// replay tail after a reconnect. Keep it below the server's
     /// per-session quota (`SessionConfig::session_quota`, 256 by default)
@@ -131,8 +118,7 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            backoff: BackoffConfig::default(),
-            handshake_deadline: Duration::from_secs(2),
+            max_attempts: 8,
             max_in_flight: 128,
             spans: None,
             trace_sample_every: 0,
@@ -232,7 +218,6 @@ impl std::fmt::Debug for FeedClient {
 impl FeedClient {
     /// A client that will (re)connect through `dialer`.
     pub fn new(dialer: Box<dyn Dialer>, config: ClientConfig) -> Self {
-        let seed = config.backoff.seed | 1;
         FeedClient {
             dialer,
             config,
@@ -245,7 +230,7 @@ impl FeedClient {
             stats: ClientStats::default(),
             conn: None,
             attempts: 0,
-            rng: seed,
+            rng: BACKOFF_SEED | 1,
             handshakes: 0,
             last_snapshot: None,
         }
@@ -306,13 +291,8 @@ impl FeedClient {
     }
 
     fn backoff_delay(&mut self) -> Duration {
-        let cfg = &self.config.backoff;
-        let base_ms = u64::try_from(cfg.base.as_millis())
-            .unwrap_or(u64::MAX)
-            .max(1);
-        let max_ms = u64::try_from(cfg.max.as_millis())
-            .unwrap_or(u64::MAX)
-            .max(1);
+        let base_ms = u64::try_from(BACKOFF_BASE.as_millis()).unwrap_or(u64::MAX);
+        let max_ms = u64::try_from(BACKOFF_MAX.as_millis()).unwrap_or(u64::MAX);
         let shift = self.attempts.min(16);
         let raw = base_ms.saturating_mul(1_u64 << shift).min(max_ms);
         let half = raw / 2;
@@ -331,7 +311,7 @@ impl FeedClient {
             if Instant::now() >= overall_deadline {
                 return Err(ClientError::DeadlineExpired);
             }
-            if self.attempts >= self.config.backoff.max_attempts {
+            if self.attempts >= self.config.max_attempts {
                 return Err(ClientError::RetriesExhausted);
             }
             if self.attempts > 0 || self.handshakes > 0 {
@@ -368,7 +348,7 @@ impl FeedClient {
     }
 
     fn complete_handshake(&mut self, connection: &mut Connection) -> Result<(), ()> {
-        let deadline = Instant::now() + self.config.handshake_deadline;
+        let deadline = Instant::now() + HANDSHAKE_DEADLINE;
         loop {
             if Instant::now() > deadline {
                 return Err(());

@@ -3,11 +3,13 @@
 //! Remote units feed location reports over a sessioned, length-prefixed
 //! binary protocol ([`wire`]); the server admits them through a bounded,
 //! watermarked queue ([`admission`]), suppresses reconnect replays
-//! per-session ([`session`]), drains them into the supervised pipeline
-//! exactly once ([`server`]), and degrades gracefully under overload —
-//! shedding with typed [`ShedReason`]s while the last-good top-k keeps
-//! being served. The matching client lives in [`client`]; the calibrated
-//! overload sweep (`reproduce --overload-out`) in [`overload`].
+//! per-session ([`session`]), and drains them into the supervised
+//! pipeline exactly once ([`server`]). Overload sheds with typed
+//! [`ShedReason`]s through the queue's watermarks and the ingest
+//! deadline; the door degrades only when its engine dies, and then for
+//! good, while the last-good top-k keeps being served. The matching
+//! client lives in [`client`]; the calibrated overload sweep
+//! (`reproduce --overload-out`) in [`overload`].
 //!
 //! The invariant every piece preserves, and the chaos suite checks:
 //! every accepted report is applied exactly once, and every report that
@@ -32,8 +34,7 @@ pub mod wire;
 pub use crate::supervisor::DurableHook;
 pub use admission::{AdmissionConfig, AdmissionQueue, QueuedReport};
 pub use client::{
-    BackoffConfig, ClientConfig, ClientError, ClientStats, Conn, Dialer, FeedClient, ShedRecord,
-    TcpDialer,
+    ClientConfig, ClientError, ClientStats, Conn, Dialer, FeedClient, ShedRecord, TcpDialer,
 };
 pub use mttr::{run_mttr_bench, MttrConfig, MttrReport, SelfHealTrial};
 pub use overload::{

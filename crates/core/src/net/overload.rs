@@ -2,7 +2,7 @@
 //! ingest wait latency, measured end to end through the real front door.
 //!
 //! The sweep runs the genuine server stack — wire codec, sessions,
-//! admission queue, pump, watchdog — against a [`CalibratedSink`], an
+//! admission queue, pump — against a [`CalibratedSink`], an
 //! engine stand-in whose per-report service time is fixed. That pins the
 //! engine's capacity at `1 / service_delay`, so "2× overload" is a
 //! property of the configuration, not of the host's scheduling luck. A
@@ -95,7 +95,8 @@ pub struct OverloadConfig {
     /// Reports offered per point.
     pub reports_per_point: u64,
     /// Server configuration template (admission queue is shrunk relative
-    /// to the offered burst so shedding actually engages).
+    /// to the offered burst so shedding actually engages: capacity 64,
+    /// so watermarks 48/16).
     pub server: NetServerConfig,
 }
 
@@ -103,8 +104,6 @@ impl Default for OverloadConfig {
     fn default() -> Self {
         let mut server = NetServerConfig::default();
         server.admission.queue_capacity = 64;
-        server.admission.high_watermark = 48;
-        server.admission.low_watermark = 16;
         server.admission.ingest_deadline = Duration::from_millis(250);
         server.snapshot_push_interval = Duration::ZERO;
         OverloadConfig {

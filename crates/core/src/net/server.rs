@@ -1,7 +1,8 @@
-//! The networked ingest front door: accept loop, connection handlers,
-//! drain pump and degraded-mode watchdog.
+//! The networked ingest front door: accept loop, connection handlers and
+//! drain pump.
 //!
-//! Thread shape (all owned by [`IngestServer`]):
+//! Thread shape (all owned by [`IngestServer`]): accept and pump are one
+//! thread each, plus two per connection.
 //!
 //! * **accept** — takes TCP connections, enforces the connection cap, and
 //!   hands each to its own handler thread so one slow peer can never wedge
@@ -18,8 +19,8 @@
 //!   one cumulative `Ack` per wake after the sheds it covers, and evicts a
 //!   peer whose write backlog stops draining. Nothing on the ack path
 //!   waits for a timer: `io_tick` is only how often a blocked read comes
-//!   up for the stop flag and the slowloris clock, and how often a stuck
-//!   write is retried.
+//!   up for the stop flag and the slowloris clock, how often a stuck
+//!   write is retried, and how often the pump does its housekeeping.
 //! * **pump** — the only thread that feeds the engine: pops queued
 //!   reports, sheds the ones that outlived the ingest deadline, and
 //!   forwards the rest to the [`EngineSink`] exactly once. A forwarded
@@ -33,21 +34,22 @@
 //!   once, which [kicks](AdmissionQueue::kick) the pump out of its park to
 //!   hand out the acks now covered.
 //!   Engine backpressure is absorbed here (bounded retry against the
-//!   deadline). Engine death, seen by a failing hand-off or by the idle
-//!   [`EngineSink::dead`] probe, sheds the unacked tail with
-//!   `EngineDegraded` and parks the server in sticky degraded mode: the
-//!   supervisor's restart budget is the only in-process restart, and a
-//!   dead engine comes back as a new process
-//!   ([`SupervisedPipeline::recover_from_dir`] behind a fresh door).
-//! * **watchdog** — refreshes the last-good top-k from the engine, trips
-//!   degraded mode when the queue is backlogged and the pump makes no
-//!   progress (or the engine died), clears it when the backlog drains,
-//!   garbage-collects idle sessions, schedules snapshot pushes, and
-//!   refreshes the `degraded_since_ms` gauge.
+//!   deadline). Once per `io_tick` — on an idle pop, between reports under
+//!   load, and inside the backpressure retry — the pump also does the
+//!   door's housekeeping: it refreshes the served top-k (which drains the
+//!   engine's event channel), collects idle sessions, pushes snapshots and
+//!   refreshes the gauges. Housekeeping never wakes the pump on its own.
 //!
-//! Degraded mode is the graceful half of the overload story: ingest sheds
-//! with [`ShedReason::EngineDegraded`] while the last-good snapshot keeps
-//! being served to subscribers and `/healthz` reports `degraded: true`.
+//! Degraded means the engine died, and nothing else: seen by a failing
+//! hand-off or by the idle [`EngineSink::dead`] probe, a death sheds the
+//! unacked tail with [`ShedReason::EngineDegraded`] and latches the door
+//! degraded for good. From then on ingest sheds with `EngineDegraded`
+//! while the last-good top-k keeps being served to subscribers and
+//! `/healthz` reports `degraded: true`. A slow engine is not a dead one:
+//! the admission queue's watermarks and the ingest deadline shed around
+//! it. The supervisor's restart budget is the only in-process restart,
+//! and a dead engine comes back as a new process
+//! ([`SupervisedPipeline::recover_from_dir`] behind a fresh door).
 
 use super::admission::{AdmissionConfig, AdmissionQueue, QueuedReport};
 use super::session::{
@@ -68,8 +70,8 @@ use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -225,28 +227,22 @@ pub const PIPELINE_CAPACITY: usize = 4096;
 pub struct NetServerConfig {
     /// Admission queue sizing and deadlines.
     pub admission: AdmissionConfig,
-    /// Session registry sizing and retention.
+    /// Session registry sizing.
     pub session: SessionConfig,
-    /// Cap on concurrent connections; beyond it new ones get
-    /// `Bye(ServerFull)` and are counted as rejected.
-    pub max_connections: usize,
     /// Socket read/write timeout: how often a blocked reader half comes
     /// up for the stop flag and the slowloris clock, how often a stuck
-    /// write is retried, and the pump's idle stop-check cadence. No reply
-    /// waits for it.
+    /// write is retried, and the pump's idle stop-check and housekeeping
+    /// cadence. No reply waits for it.
     pub io_tick: Duration,
-    /// A connection must complete its `Hello` within this.
-    pub handshake_deadline: Duration,
     /// A started frame must complete within this (slowloris eviction).
     pub frame_deadline: Duration,
     /// A write backlog must drain within this (slow-reader eviction).
     pub write_deadline: Duration,
     /// Hard cap in bytes on a connection's outbound backlog.
     pub max_write_backlog: usize,
-    /// Cadence of server-pushed snapshots; zero disables pushing.
+    /// Cadence of server-pushed snapshots (checked once per `io_tick`);
+    /// zero disables pushing.
     pub snapshot_push_interval: Duration,
-    /// Watchdog cadence (degraded-mode checks, session GC).
-    pub watchdog_tick: Duration,
     /// Unused: the server no longer reads it. Kept only because
     /// `ledger/src/sut.rs` sets it; ROADMAP item 1(b) removes it.
     pub state_dir: Option<PathBuf>,
@@ -270,14 +266,11 @@ impl Default for NetServerConfig {
         NetServerConfig {
             admission: AdmissionConfig::default(),
             session: SessionConfig::default(),
-            max_connections: 256,
             io_tick: Duration::from_millis(25),
-            handshake_deadline: Duration::from_secs(2),
             frame_deadline: Duration::from_secs(2),
             write_deadline: Duration::from_secs(2),
             max_write_backlog: 256 * 1024,
             snapshot_push_interval: Duration::from_millis(250),
-            watchdog_tick: Duration::from_millis(25),
             state_dir: None,
             spans: None,
             trace_sample_every: 0,
@@ -285,6 +278,13 @@ impl Default for NetServerConfig {
         }
     }
 }
+
+/// Cap on concurrent connections; beyond it new ones get
+/// `Bye(ServerFull)` and are counted as rejected.
+const MAX_CONNECTIONS: usize = 256;
+
+/// A connection must complete its `Hello` within this.
+const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(2);
 
 /// State shared by every server thread.
 struct Shared {
@@ -298,22 +298,16 @@ struct Shared {
     /// The engine, fixed for this server's lifetime.
     sink: Arc<dyn EngineSink>,
     stop: AtomicBool,
-    degraded: AtomicBool,
-    engine_dead: AtomicBool,
-    /// Monotone count of pump completions (acks + pump sheds); the
-    /// watchdog watches it to distinguish "busy" from "stalled".
-    progress: AtomicU64,
-    last_good: Mutex<Vec<TopKEntry>>,
-    /// When the current degraded episode began (`None` while healthy).
-    degraded_entered: Mutex<Option<Instant>>,
+    /// When the engine died: set once, never cleared. The door is
+    /// degraded exactly while it is set.
+    died_at: OnceLock<Instant>,
     conn_count: AtomicUsize,
 }
 
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
-            // Relaxed: diagnostic snapshot; a stale value only mislabels a debug dump
-            .field("degraded", &self.degraded.load(Ordering::Relaxed))
+            .field("degraded", &self.degraded())
             .finish_non_exhaustive()
     }
 }
@@ -329,36 +323,33 @@ impl Shared {
         })
     }
 
-    fn set_degraded(&self, on: bool) {
-        // Relaxed: degraded gates best-effort shedding only; no data is published through it
-        let was = self.degraded.swap(on, Ordering::Relaxed);
-        self.stats.degraded.store(on, Ordering::Relaxed);
-        if on && !was {
-            self.stats.degraded_entries.fetch_add(1, Ordering::Relaxed);
-            let mut entered = match self.degraded_entered.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *entered = Some(Instant::now());
-        } else if !on && was {
-            let mut entered = match self.degraded_entered.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *entered = None;
-            self.stats.degraded_since_ms.store(0, Ordering::Relaxed);
-        }
+    /// Whether the engine died.
+    fn degraded(&self) -> bool {
+        self.died_at.get().is_some()
     }
 
-    /// Milliseconds into the current degraded episode, 0 while healthy.
+    /// Milliseconds since the engine died, 0 while it lives.
     fn degraded_for_ms(&self) -> u64 {
-        let entered = match self.degraded_entered.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        entered.map_or(0, |t| {
+        self.died_at.get().map_or(0, |t| {
             u64::try_from(t.elapsed().as_millis()).unwrap_or(u64::MAX)
         })
+    }
+
+    /// Copies the span sink's counters and the degraded clock into the
+    /// scrapeable stats.
+    fn publish_gauges(&self) {
+        // Relaxed (all three): advisory gauges, see `stats`
+        self.stats
+            .degraded_since_ms
+            .store(self.degraded_for_ms(), Ordering::Relaxed);
+        if let Some(sink) = self.config.spans.as_deref() {
+            self.stats
+                .spans_dropped
+                .store(sink.dropped(), Ordering::Relaxed);
+            self.stats
+                .traces_sampled
+                .store(sink.sampled(), Ordering::Relaxed);
+        }
     }
 }
 
@@ -370,12 +361,11 @@ pub struct IngestServer {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     pump: Option<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
 }
 
 impl IngestServer {
     /// Binds `addr` (e.g. `127.0.0.1:0`) and starts serving `sink`. Engine
-    /// death is sticky degraded mode.
+    /// death degrades the door for good.
     pub fn spawn(
         addr: &str,
         config: NetServerConfig,
@@ -384,7 +374,6 @@ impl IngestServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stats = Arc::new(NetStats::default());
-        let initial_topk = sink.topk();
         let shared = Arc::new(Shared {
             registry: SessionRegistry::new(config.session.clone(), Arc::clone(&stats)),
             queue: Arc::new(AdmissionQueue::new(
@@ -395,11 +384,7 @@ impl IngestServer {
             stats,
             sink,
             stop: AtomicBool::new(false),
-            degraded: AtomicBool::new(false),
-            engine_dead: AtomicBool::new(false),
-            progress: AtomicU64::new(0),
-            last_good: Mutex::new(initial_topk),
-            degraded_entered: Mutex::new(None),
+            died_at: OnceLock::new(),
             conn_count: AtomicUsize::new(0),
         });
         shared.sink.set_durable_hook(shared.durable_hook());
@@ -411,16 +396,11 @@ impl IngestServer {
             let shared = Arc::clone(&shared);
             move || pump_loop(&shared)
         })?;
-        let watchdog = spawn_thread("ctup-net-watchdog", {
-            let shared = Arc::clone(&shared);
-            move || watchdog_loop(&shared)
-        })?;
         Ok(IngestServer {
             addr,
             shared,
             accept: Some(accept),
             pump: Some(pump),
-            watchdog: Some(watchdog),
         })
     }
 
@@ -434,22 +414,19 @@ impl IngestServer {
         Arc::clone(&self.shared.stats)
     }
 
-    /// Whether the watchdog currently has the server degraded.
+    /// Whether the engine died: false until then, true from then on.
     pub fn degraded(&self) -> bool {
-        // Relaxed: observer peek at a best-effort flag; callers tolerate one-tick staleness
-        self.shared.degraded.load(Ordering::Relaxed)
+        self.shared.degraded()
     }
 
-    /// The last-good top-k (served even while degraded).
+    /// The last-good top-k: the engine's current one while it lives, and
+    /// after its death the one it left (no event arrives any more).
     pub fn last_good_topk(&self) -> Vec<TopKEntry> {
-        match self.shared.last_good.lock() {
-            Ok(guard) => guard.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
+        self.shared.sink.topk()
     }
 
     /// The `/healthz` body: liveness plus the degraded flag, the load
-    /// gauges, the degraded episode's length and the build stamp, as one
+    /// gauges, the time since the engine died and the build stamp, as one
     /// flat JSON object.
     pub fn health_body(&self) -> String {
         let degraded = self.degraded();
@@ -467,19 +444,10 @@ impl IngestServer {
     /// every thread and returns the final counters.
     pub fn shutdown(mut self) -> super::stats::NetStatsSnapshot {
         self.stop_threads();
-        // Final mirror of the span-sink counters: the watchdog may not
-        // have ticked since the last traced report, and the shutdown
+        // Final copy of the gauges: the pump may not have done its
+        // housekeeping since the last traced report, and the shutdown
         // snapshot must account for every sampled trace.
-        if let Some(sink) = self.shared.config.spans.as_deref() {
-            self.shared
-                .stats
-                .spans_dropped
-                .store(sink.dropped(), Ordering::Relaxed);
-            self.shared
-                .stats
-                .traces_sampled
-                .store(sink.sampled(), Ordering::Relaxed);
-        }
+        self.shared.publish_gauges();
         self.shared.stats.snapshot()
     }
 
@@ -501,9 +469,6 @@ impl IngestServer {
         // see the stop flag.
         self.shared.queue.kick();
         if let Some(handle) = self.pump.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.watchdog.take() {
             let _ = handle.join();
         }
     }
@@ -529,7 +494,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         let Ok(stream) = stream else { continue };
         let active = shared.conn_count.load(Ordering::SeqCst);
-        if active >= shared.config.max_connections {
+        if active >= MAX_CONNECTIONS {
             shared
                 .stats
                 .connections_rejected
@@ -577,7 +542,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 
     // Handshake: the first frame must be a Hello, which opens a feed
     // session. Anything else within the deadline is a violation.
-    let handshake_deadline = Instant::now() + shared.config.handshake_deadline;
+    let handshake_deadline = Instant::now() + HANDSHAKE_DEADLINE;
     let open = loop {
         if shared.stop.load(Ordering::SeqCst) {
             send_bye(&mut stream, &mut writer, ByeReason::Shutdown);
@@ -849,8 +814,7 @@ fn handle_report(
             );
         }
         ReportClass::Fresh => {
-            // Relaxed: best-effort shed gate; a stale read admits or sheds one extra report
-            if shared.degraded.load(Ordering::Relaxed) {
+            if shared.degraded() {
                 shed_at_door(
                     shared,
                     session,
@@ -1012,14 +976,16 @@ fn pump_loop(shared: &Arc<Shared>) {
     // Reports handed to the sink, in order; index 1 is the first.
     let mut handed: u64 = 0;
     let mut inflight: VecDeque<(u64, QueuedReport)> = VecDeque::new();
+    let mut chores = Housekeeping::new(Instant::now());
     loop {
         drain_acks(shared, &mut inflight);
         // Parks until a report arrives, the engine kicks (it synced a
         // commit group and moved the durable mark: the pass above has acks
-        // to hand out), or a tick passes (stop flag, liveness probe).
+        // to hand out), or a tick passes (stop flag, liveness probe,
+        // housekeeping).
         let Some(item) = shared.queue.pop(tick) else {
             if shared.stop.load(Ordering::SeqCst) {
-                finish_inflight(shared, &mut inflight);
+                finish_inflight(shared, &mut inflight, &mut chores);
                 return;
             }
             // Idle liveness probe: with the queue drained, a dead engine
@@ -1028,19 +994,19 @@ fn pump_loop(shared: &Arc<Shared>) {
             // (a kill right after the last report's journal write), the
             // door would keep claiming health over a top-k that misses
             // those reports.
-            // Relaxed: one-way latch; a stale false costs one extra probe pass
-            if !shared.engine_dead.load(Ordering::Relaxed) && shared.sink.dead() {
+            if !shared.degraded() && shared.sink.dead() {
                 engine_died(shared, &mut inflight);
             }
+            chores.run_if_due(shared, Instant::now());
             continue;
         };
-        let wait = item.enqueued_at.elapsed();
-        if wait > deadline {
+        let now = Instant::now();
+        chores.run_if_due(shared, now);
+        if now.saturating_duration_since(item.enqueued_at) > deadline {
             pump_shed(shared, &item, ShedReason::DeadlineExceeded);
             continue;
         }
-        // Relaxed: one-way latch; a stale false costs one extra try_ingest which re-reports Dead
-        if shared.engine_dead.load(Ordering::Relaxed) {
+        if shared.degraded() {
             pump_shed(shared, &item, ShedReason::EngineDegraded);
             continue;
         }
@@ -1085,6 +1051,9 @@ fn pump_loop(shared: &Arc<Shared>) {
                         break;
                     }
                     drain_acks(shared, &mut inflight);
+                    // A full event channel is one way the engine stops
+                    // taking reports; housekeeping drains it.
+                    chores.run_if_due(shared, Instant::now());
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 Err(SinkError::Dead) => {
@@ -1094,6 +1063,45 @@ fn pump_loop(shared: &Arc<Shared>) {
                 }
             }
         }
+    }
+}
+
+/// The door's periodic work, done by the pump at most once per `io_tick`
+/// wherever it passes [`run_if_due`](Housekeeping::run_if_due); it adds
+/// no wake-up of its own.
+struct Housekeeping {
+    last_run: Instant,
+    last_push: Instant,
+}
+
+impl Housekeeping {
+    fn new(now: Instant) -> Self {
+        Housekeeping {
+            last_run: now,
+            last_push: now,
+        }
+    }
+
+    /// Refreshes the served top-k — which also drains the engine's event
+    /// channel, so its apply stage never blocks on a full one — collects
+    /// idle sessions, pushes a snapshot when one is due and refreshes the
+    /// gauges; a no-op until a tick has passed since the last run.
+    fn run_if_due(&mut self, shared: &Shared, now: Instant) {
+        if now.saturating_duration_since(self.last_run) < shared.config.io_tick {
+            return;
+        }
+        self.last_run = now;
+        let topk = shared.sink.topk();
+        shared.registry.gc(now);
+        let push_every = shared.config.snapshot_push_interval;
+        if !push_every.is_zero() && now.saturating_duration_since(self.last_push) >= push_every {
+            self.last_push = now;
+            let entries: Vec<(u32, i64)> = topk.iter().map(|e| (e.place.0, e.safety)).collect();
+            shared
+                .registry
+                .push_snapshot_all(shared.degraded(), &entries);
+        }
+        shared.publish_gauges();
     }
 }
 
@@ -1113,20 +1121,19 @@ fn drain_acks(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>
             shared.stats.ingest_wait_nanos.record(wait);
             shared.stats.record_exemplar(wait, item.trace);
             shared.registry.drained(item.session, item.seq);
-            // Relaxed: monotone liveness counter; the watchdog only compares snapshots
-            shared.progress.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// Called with the engine dead: latches it, degrades the door for good,
-/// acks what the final durable mark covers, and sheds the rest
-/// of the tail with `EngineDegraded`. A dead engine's mark has stopped, so
-/// acked is then exactly what the journal holds.
+/// Called with the engine dead: latches the door degraded for good, acks
+/// what the final durable mark covers, and sheds the rest of the tail
+/// with `EngineDegraded`. A dead engine's mark has stopped, so acked is
+/// then exactly what the journal holds.
 fn engine_died(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>) {
-    // Relaxed: one-way latch; readers act on it eventually, nothing is gated on order
-    shared.engine_dead.store(true, Ordering::Relaxed);
-    shared.set_degraded(true);
+    if shared.died_at.set(Instant::now()).is_ok() {
+        // Relaxed: advisory gauge; the latch above is what sheds
+        shared.stats.degraded.store(true, Ordering::Relaxed);
+    }
     drain_acks(shared, inflight);
     let dropped: Vec<QueuedReport> = inflight.drain(..).map(|(_, item)| item).collect();
     shed_items(shared, dropped);
@@ -1141,17 +1148,18 @@ fn shed_items(shared: &Arc<Shared>, items: Vec<QueuedReport>) {
 
 /// Waits (bounded) for the engine to take durable ownership of the
 /// in-flight tail at shutdown, then sheds whatever is left.
-fn finish_inflight(shared: &Arc<Shared>, inflight: &mut VecDeque<(u64, QueuedReport)>) {
+fn finish_inflight(
+    shared: &Arc<Shared>,
+    inflight: &mut VecDeque<(u64, QueuedReport)>,
+    chores: &mut Housekeeping,
+) {
     let deadline = Instant::now() + Duration::from_secs(5);
-    // Relaxed: one-way latch; a stale read costs one extra wait tick
-    while !shared.engine_dead.load(Ordering::Relaxed)
-        && !inflight.is_empty()
-        && Instant::now() < deadline
-    {
+    while !shared.degraded() && !inflight.is_empty() && Instant::now() < deadline {
         drain_acks(shared, inflight);
         if inflight.is_empty() {
             break;
         }
+        chores.run_if_due(shared, Instant::now());
         std::thread::sleep(Duration::from_millis(1));
     }
     let rest: Vec<QueuedReport> = inflight.drain(..).map(|(_, item)| item).collect();
@@ -1192,97 +1200,6 @@ fn pump_shed(shared: &Arc<Shared>, item: &QueuedReport, reason: ShedReason) {
                 now,
                 false,
             );
-        }
-    }
-    // Relaxed: monotone liveness counter; the watchdog only compares snapshots
-    shared.progress.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Degraded-mode control loop plus housekeeping.
-fn watchdog_loop(shared: &Arc<Shared>) {
-    let tick = shared.config.watchdog_tick.max(Duration::from_millis(1));
-    let push_every = shared.config.snapshot_push_interval;
-    // Relaxed: monotone liveness counter; the watchdog only compares snapshots
-    let mut last_progress = shared.progress.load(Ordering::Relaxed);
-    let mut progress_moved_at = Instant::now();
-    let mut last_push = Instant::now();
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        std::thread::sleep(tick);
-
-        // Track pump progress.
-        // Relaxed: monotone liveness counter; a missed tick just delays the stall verdict
-        let progress = shared.progress.load(Ordering::Relaxed);
-        if progress != last_progress {
-            last_progress = progress;
-            progress_moved_at = Instant::now();
-        }
-
-        // Relaxed: one-way latch; the watchdog re-reads it every tick
-        let engine_dead = shared.engine_dead.load(Ordering::Relaxed);
-        let depth = shared.queue.depth();
-        // Relaxed: degraded transitions are decided between the watchdog and the pump, both of which re-read every pass
-        let degraded = shared.degraded.load(Ordering::Relaxed);
-        if engine_dead {
-            shared.set_degraded(true);
-        } else if !degraded {
-            let backlogged = depth >= shared.config.admission.high_watermark.max(1);
-            let stalled =
-                progress_moved_at.elapsed() > shared.config.admission.stall_grace && depth > 0;
-            if backlogged && stalled {
-                shared.set_degraded(true);
-            }
-        } else if depth <= shared.config.admission.low_watermark
-            && progress_moved_at.elapsed() <= shared.config.admission.stall_grace
-        {
-            // Backlog drained and the pump is moving again: recover.
-            shared.set_degraded(false);
-        }
-
-        // Keep the degraded-duration gauge fresh for scrapes.
-        shared
-            .stats
-            .degraded_since_ms
-            .store(shared.degraded_for_ms(), Ordering::Relaxed);
-
-        // Mirror the span sink's counters into the scrapeable stats.
-        if let Some(sink) = shared.config.spans.as_deref() {
-            shared
-                .stats
-                .spans_dropped
-                .store(sink.dropped(), Ordering::Relaxed);
-            shared
-                .stats
-                .traces_sampled
-                .store(sink.sampled(), Ordering::Relaxed);
-        }
-
-        // Refresh the last-good top-k while the engine is alive.
-        if !engine_dead {
-            let fresh = shared.sink.topk();
-            let mut guard = match shared.last_good.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *guard = fresh;
-        }
-
-        // Session GC and snapshot pushes.
-        shared.registry.gc(Instant::now());
-        if !push_every.is_zero() && last_push.elapsed() >= push_every {
-            last_push = Instant::now();
-            let entries: Vec<(u32, i64)> = {
-                let guard = match shared.last_good.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                guard.iter().map(|e| (e.place.0, e.safety)).collect()
-            };
-            // Relaxed: the degraded label on a snapshot is advisory
-            let now_degraded = shared.degraded.load(Ordering::Relaxed);
-            shared.registry.push_snapshot_all(now_degraded, &entries);
         }
     }
 }

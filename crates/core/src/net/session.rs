@@ -51,17 +51,17 @@ pub struct SessionConfig {
     /// Per-session cap on reports waiting in the admission queue; beyond
     /// it the report is shed with [`ShedReason::SessionQuota`].
     pub session_quota: usize,
-    /// How long a disconnected session with nothing in flight stays
-    /// resumable before the registry forgets it.
-    pub idle_ttl: Duration,
 }
+
+/// How long a disconnected session with nothing in flight stays
+/// resumable before the registry forgets it.
+const IDLE_TTL: Duration = Duration::from_secs(60);
 
 impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
             max_sessions: 1024,
             session_quota: 256,
-            idle_ttl: Duration::from_secs(60),
         }
     }
 }
@@ -107,7 +107,7 @@ pub enum ReportClass {
     Fresh,
 }
 
-/// A frame the pump or watchdog wants a session's connection to send.
+/// A frame the pump wants a session's connection to send.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OutboundNote {
     /// A queued report was shed after admission (deadline, engine death).
@@ -495,10 +495,11 @@ impl SessionRegistry {
     }
 
     fn collect_idle(&self, inner: &mut Inner, now: Instant) -> usize {
-        let ttl = self.config.idle_ttl;
         let before = inner.sessions.len();
         inner.sessions.retain(|_, s| {
-            s.connected || !s.pending.is_empty() || now.saturating_duration_since(s.last_seen) < ttl
+            s.connected
+                || !s.pending.is_empty()
+                || now.saturating_duration_since(s.last_seen) < IDLE_TTL
         });
         before - inner.sessions.len()
     }
@@ -537,7 +538,6 @@ mod tests {
             SessionConfig {
                 max_sessions: 4,
                 session_quota: quota,
-                idle_ttl: Duration::from_millis(10),
             },
             Arc::new(NetStats::default()),
         )
@@ -783,8 +783,8 @@ mod tests {
         reg.note_enqueued(busy.session, 1);
         reg.hang_up(open.session, open.epoch, None);
         reg.hang_up(busy.session, busy.epoch, None);
-        std::thread::sleep(Duration::from_millis(15));
-        let collected = reg.gc(Instant::now());
+        assert_eq!(reg.gc(Instant::now()), 0, "nobody idle for the TTL yet");
+        let collected = reg.gc(Instant::now() + IDLE_TTL);
         assert_eq!(collected, 1, "only the empty idle session is collectable");
         assert!(reg.epoch_current(busy.session, busy.epoch));
         assert!(!reg.epoch_current(open.session, open.epoch));
@@ -799,9 +799,9 @@ mod tests {
         for o in &opens {
             reg.hang_up(o.session, o.epoch, None);
         }
-        std::thread::sleep(Duration::from_millis(15));
+        assert_eq!(reg.open(0, Instant::now()), Err(OpenError::ServerFull));
         // The cap path collects idle sessions before refusing.
-        assert!(reg.open(0, Instant::now()).is_ok());
+        assert!(reg.open(0, Instant::now() + IDLE_TTL).is_ok());
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! `sessions_active`, `degraded_since_ms`, `degraded`) are
 //! advisory snapshots, so `Relaxed` is sufficient — nothing reads a
 //! counter to decide control flow, and no other memory is published
-//! through them. (Recovery control flow keys off `Shared`'s dedicated
-//! flags, not these counters.) The shed-accounting identity above holds at quiescence
-//! (after joins), which is when the differential suites check it.
+//! through them. (Degraded-mode control flow keys off the server's death
+//! latch, not these gauges.) The shed-accounting identity above holds at
+//! quiescence (after joins), which is when the differential suites check
+//! it.
 //!
 //! [`NetStats`] is the live, atomically updated form shared between the
-//! accept loop, the connection handlers, the drain pump and the watchdog;
+//! accept loop, the connection handlers and the drain pump;
 //! [`NetStatsSnapshot`] is the plain-value copy embedded in the unified
 //! report [`Snapshot`](crate::report::Snapshot), where lint rule L004
 //! guarantees every field below reaches all three exposition formats.
@@ -104,8 +105,8 @@ pub enum ShedReason {
     /// The submitting session exceeded its per-session quota of queued
     /// reports; one chatty client cannot monopolize the global queue.
     SessionQuota,
-    /// The watchdog has tripped degraded mode (engine dead or drain
-    /// stalled); ingest sheds while the last-good top-k keeps serving.
+    /// The engine died and the door is degraded for good; ingest sheds
+    /// while the last-good top-k keeps serving.
     EngineDegraded,
 }
 
@@ -191,25 +192,24 @@ pub struct NetStats {
     pub shed_session_quota: AtomicU64,
     /// Reports shed with [`ShedReason::EngineDegraded`].
     pub shed_engine_degraded: AtomicU64,
-    /// Times the watchdog tripped the server into degraded mode.
-    pub degraded_entries: AtomicU64,
     /// `SnapshotPush` frames sent to subscribed sessions.
     pub snapshots_pushed: AtomicU64,
     /// Gauge: reports currently waiting in the admission queue.
     pub queue_depth: AtomicU64,
     /// Gauge: sessions currently known to the registry.
     pub sessions_active: AtomicU64,
-    /// Gauge: milliseconds spent in the current degraded episode, 0 when
-    /// healthy. Refreshed by the watchdog tick, so it lags by one tick.
+    /// Gauge: milliseconds since the engine died, 0 while it lives.
+    /// Refreshed by the pump's housekeeping, so it lags by one tick.
     pub degraded_since_ms: AtomicU64,
-    /// Gauge: whether the server is currently in degraded mode.
+    /// Gauge: whether the server is degraded (its engine died).
     pub degraded: AtomicBool,
     /// Spans overwritten in the causal span sink before a snapshot could
-    /// read them (synced from the sink by the watchdog; 0 with tracing
-    /// off).
+    /// read them (synced from the sink by the pump's housekeeping; 0
+    /// with tracing off).
     pub spans_dropped: AtomicU64,
     /// Trace ids minted in this process — head-sampled admits plus the
-    /// always-sampled sheds (synced from the sink by the watchdog).
+    /// always-sampled sheds (synced from the sink by the pump's
+    /// housekeeping).
     pub traces_sampled: AtomicU64,
     /// Gauge: exemplar trace ids currently attached to ingest-wait
     /// histogram buckets.
@@ -251,7 +251,6 @@ impl NetStats {
             shed_deadline_exceeded: load(&self.shed_deadline_exceeded),
             shed_session_quota: load(&self.shed_session_quota),
             shed_engine_degraded: load(&self.shed_engine_degraded),
-            degraded_entries: load(&self.degraded_entries),
             snapshots_pushed: load(&self.snapshots_pushed),
             queue_depth: load(&self.queue_depth),
             sessions_active: load(&self.sessions_active),
@@ -309,17 +308,16 @@ pub struct NetStatsSnapshot {
     pub shed_session_quota: u64,
     /// Reports shed with [`ShedReason::EngineDegraded`].
     pub shed_engine_degraded: u64,
-    /// Times the watchdog tripped degraded mode.
-    pub degraded_entries: u64,
     /// `SnapshotPush` frames sent.
     pub snapshots_pushed: u64,
     /// Gauge: reports waiting in the admission queue at snapshot time.
     pub queue_depth: u64,
     /// Gauge: sessions known to the registry at snapshot time.
     pub sessions_active: u64,
-    /// Gauge: milliseconds in the current degraded episode, 0 if healthy.
+    /// Gauge: milliseconds since the engine died, 0 while it lives.
     pub degraded_since_ms: u64,
-    /// Gauge: whether degraded mode was active at snapshot time.
+    /// Gauge: whether the server was degraded (engine dead) at snapshot
+    /// time.
     pub degraded: bool,
     /// Spans overwritten in the causal span sink before being read.
     pub spans_dropped: u64,

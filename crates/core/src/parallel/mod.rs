@@ -52,7 +52,7 @@ use crate::config::CtupConfig;
 use crate::metrics::Metrics;
 use crate::opt::OptCtup;
 use crate::types::{LocationUpdate, Safety, TopKEntry, UnitId};
-use ctup_obs::{now_nanos, AtomicHistogram, LatencySnapshot, SpanSink, Stage};
+use ctup_obs::{AtomicHistogram, LatencySnapshot};
 use ctup_spatial::{convert, CellLayout, Point};
 use ctup_storage::{PlaceStore, StorageError};
 use std::sync::mpsc::{Receiver, Sender};
@@ -211,12 +211,6 @@ pub struct ShardedCtup {
     last_sk: Option<Safety>,
     metrics: Metrics,
     init_stats: InitStats,
-    /// Causal span sink for per-shard illumination/merge spans; attached
-    /// via [`CtupAlgorithm::attach_span_recorder`].
-    spans: Option<Arc<SpanSink>>,
-    /// One-shot trace context armed by [`CtupAlgorithm::set_trace_context`]
-    /// and consumed by the next batch.
-    trace: u64,
 }
 
 impl std::fmt::Debug for ShardedCtup {
@@ -312,8 +306,6 @@ impl ShardedCtup {
             last_sk: None,
             metrics: Metrics::default(),
             init_stats: InitStats::default(),
-            spans: None,
-            trace: 0,
             config,
             store,
             shards,
@@ -326,7 +318,7 @@ impl ShardedCtup {
         // Init barrier: one reply per shard, carrying its initial local
         // result. A failed worker fails construction; dropping `this`
         // shuts the rest down.
-        let init = this.barrier(this.local.init_reply(), None);
+        let init = this.barrier(this.local.init_reply());
         if let Some(e) = init.error {
             return Err(e);
         }
@@ -397,11 +389,6 @@ impl ShardedCtup {
         if updates.is_empty() {
             return Ok(UpdateStats::default());
         }
-        // The trace context is one-shot: consumed by this batch so a stale
-        // id never leaks onto later untraced batches.
-        let trace = std::mem::take(&mut self.trace);
-        let sink = if trace != 0 { self.spans.clone() } else { None };
-        let span = sink.as_deref().map(|s| (s, trace, now_nanos()));
         let count = convert::count64(updates.len());
         for update in &updates {
             if let Some(pos) = self.unit_positions.get_mut(update.unit.index()) {
@@ -419,7 +406,7 @@ impl ShardedCtup {
             }
         }
         let own = self.local.apply(&batch);
-        let done = self.barrier(own, span);
+        let done = self.barrier(own);
         if let Some(e) = done.error {
             return Err(e);
         }
@@ -428,7 +415,6 @@ impl ShardedCtup {
         // local results, so when every shard reported "unchanged" (no local
         // safety change at or below its SK view) the previous merged top-k
         // and SK are still exact — no sort, no truncate, no comparison.
-        let merge_start = span.map(|_| now_nanos());
         let changed = if done.changed {
             self.merge()
         } else {
@@ -443,20 +429,12 @@ impl ShardedCtup {
         self.rebuild_merged_metrics();
         let mut batch_stats = done.stats;
         batch_stats.result_changed = changed;
-        if let (Some((s, _, _)), Some(m0)) = (span, merge_start) {
-            s.record_stage(trace, Stage::Merge, 0, m0, now_nanos(), true);
-        }
         Ok(batch_stats)
     }
 
     /// The barrier: takes shard 0's reply `own`, then one reply from every
-    /// worker, folding each into the per-shard views. With `span` set
-    /// (sink, trace, fan-out stamp) each reply also records its shard's
-    /// illumination span: the shard's measured maintain+access window,
-    /// reconstructed here from the reply (the shards stay span-free). The
-    /// shard index keys the span id, so the N spans of one trace stay
-    /// distinct.
-    fn barrier(&mut self, own: FromShard, span: Option<(&SpanSink, u64, u64)>) -> Barrier {
+    /// worker, folding each into the per-shard views.
+    fn barrier(&mut self, own: FromShard) -> Barrier {
         let mut done = Barrier::default();
         let mut next = Some(own);
         for _ in 0..self.num_shards() {
@@ -471,10 +449,6 @@ impl ShardedCtup {
             done.stats.cells_accessed += reply.stats.cells_accessed;
             done.stats.maintain_nanos = done.stats.maintain_nanos.max(reply.stats.maintain_nanos);
             done.stats.access_nanos = done.stats.access_nanos.max(reply.stats.access_nanos);
-            if let Some((sink, trace, t0)) = span {
-                let end = t0.saturating_add(reply.stats.total_nanos());
-                sink.record_stage(trace, Stage::ShardPhase, reply.shard, t0, end, true);
-            }
             self.shard_metrics[convert::index(reply.shard)] = reply.metrics;
             if let Some(result) = reply.result {
                 done.changed = true;
@@ -598,18 +572,6 @@ impl CtupAlgorithm for ShardedCtup {
 
     fn internal_latency(&self) -> Option<LatencySnapshot> {
         Some(self.shard_latency())
-    }
-
-    fn attach_span_recorder(&mut self, spans: Arc<SpanSink>) {
-        self.spans = Some(spans);
-    }
-
-    fn set_trace_context(&mut self, trace: u64) {
-        self.trace = trace;
-    }
-
-    fn records_spans(&self) -> bool {
-        self.spans.is_some()
     }
 }
 
@@ -857,45 +819,6 @@ mod tests {
         assert_eq!(sharded.metrics().updates_processed, STEPS as u64);
         let lat = sharded.latency_snapshot();
         assert_eq!(lat.update_total_nanos.count(), STEPS as u64 * 4);
-    }
-
-    /// With a recorder attached and a trace armed, one batch records one
-    /// illumination span per shard (keyed by shard index) plus one merge
-    /// span — and the trace context is one-shot, so the next batch records
-    /// nothing.
-    #[test]
-    fn traced_batch_records_per_shard_and_merge_spans() {
-        let sink = Arc::new(SpanSink::new(256));
-        let mut sharded =
-            ShardedCtup::new(CtupConfig::with_k(5), fresh_store(), &units(), 3).expect("init");
-        sharded.attach_span_recorder(Arc::clone(&sink));
-        assert!(sharded.records_spans());
-        let trace = 0xABCD;
-        sharded.set_trace_context(trace);
-        sharded.handle_batch(updates(4, 0x5EED)).expect("batch");
-        sharded
-            .handle_batch(updates(4, 0x0DD))
-            .expect("untraced batch");
-
-        let snap = sink.snapshot();
-        let shard_spans: Vec<_> = snap
-            .spans
-            .iter()
-            .filter(|s| s.stage == Stage::ShardPhase)
-            .collect();
-        assert_eq!(shard_spans.len(), 3, "one illumination span per shard");
-        let mut ks: Vec<u32> = shard_spans.iter().map(|s| s.aux).collect();
-        ks.sort_unstable();
-        assert_eq!(ks, vec![0, 1, 2]);
-        assert_eq!(
-            snap.spans
-                .iter()
-                .filter(|s| s.stage == Stage::Merge)
-                .count(),
-            1,
-            "exactly one merge span: the second batch ran untraced"
-        );
-        assert!(snap.spans.iter().all(|s| s.trace == trace));
     }
 
     #[test]

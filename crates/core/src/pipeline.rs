@@ -26,9 +26,10 @@ pub struct EventBatch {
 /// The consuming end of a pipeline's event channel.
 ///
 /// `std::sync::mpsc::Receiver` is not `Sync`, and the front door reads
-/// events through a shared reference from two threads (the pump and the
-/// watchdog), so the receiver sits behind a mutex taken once per batch.
-/// Each batch goes to exactly one caller. [`recv`](Self::recv) keeps the
+/// events through a shared reference from more than one thread (the
+/// pump's housekeeping and any `last_good_topk` caller), so the receiver
+/// sits behind a mutex taken once per batch. Each batch goes to exactly
+/// one caller. [`recv`](Self::recv) keeps the
 /// mutex while it waits, so a concurrent call waits with it.
 #[derive(Debug)]
 pub struct EventReceiver(Mutex<Receiver<EventBatch>>);

@@ -146,7 +146,6 @@ impl Snapshot {
             ("net_shed_session_quota", n.shed_session_quota),
             ("net_shed_engine_degraded", n.shed_engine_degraded),
             ("net_shed_total", n.shed_total()),
-            ("net_degraded_entries", n.degraded_entries),
             ("net_snapshots_pushed", n.snapshots_pushed),
             ("net_spans_dropped", n.spans_dropped),
             ("net_traces_sampled", n.traces_sampled),
@@ -440,9 +439,9 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), total, "duplicate series name");
-        // 10 Metrics counters + 12 resilience + 11 storage + 19 net
+        // 10 Metrics counters + 12 resilience + 11 storage + 18 net
         // + 3 algorithm gauges + 5 net gauges.
-        assert_eq!(total, 60);
+        assert_eq!(total, 59);
     }
 
     #[test]

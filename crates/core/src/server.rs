@@ -86,13 +86,6 @@ impl<A: CtupAlgorithm> Server<A> {
         &self.algorithm
     }
 
-    /// The wrapped algorithm, mutably — for out-of-band configuration like
-    /// [`CtupAlgorithm::set_trace_context`]; updates go through
-    /// [`Server::ingest`].
-    pub fn algorithm_mut(&mut self) -> &mut A {
-        &mut self.algorithm
-    }
-
     /// Unwraps the server, returning the algorithm.
     pub fn into_algorithm(self) -> A {
         self.algorithm

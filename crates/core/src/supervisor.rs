@@ -772,7 +772,7 @@ fn commit(
 /// `restart` holds the engine configuration and the unit positions at
 /// spawn.
 fn apply<A>(
-    mut algorithm: A,
+    algorithm: A,
     restart: Checkpoint,
     config: &ResilienceConfig,
     groups: Receiver<Group>,
@@ -782,12 +782,6 @@ fn apply<A>(
 where
     A: Checkpointable,
 {
-    if let Some(sink) = config.spans.as_ref() {
-        // Engines with internal phase structure (the sharded engine)
-        // record their own per-shard illumination/merge spans; the
-        // supervisor then skips its aggregate shard-phase/merge spans.
-        algorithm.attach_span_recorder(Arc::clone(sink));
-    }
     let store = algorithm.store();
     let mut server = Server::new(algorithm);
     // The restart point: a self-heal initializes from these positions,
@@ -846,9 +840,6 @@ where
                     // One-shot injected fault: consumed even if recovery later
                     // fails, so a retry of the same seq proceeds normally.
                     let inject = panic_at.remove(&eff_seq);
-                    if sink.is_some() {
-                        server.algorithm_mut().set_trace_context(trace);
-                    }
                     let t0 = sink.map(|_| now_nanos());
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         #[expect(
@@ -875,20 +866,17 @@ where
                                     // attempt; retries after a contained
                                     // crash fold into it.
                                     s.record_stage(trace, Stage::EngineApply, 0, a0, t0, true);
-                                    if !server.algorithm().records_spans() {
-                                        // Aggregate phase split for engines
-                                        // without internal span recording: the
-                                        // measured maintain+access window is
-                                        // the illumination phase, the rest of
-                                        // the ingest (result diff, event
-                                        // derivation) the merge.
-                                        let phase = update_stats
-                                            .maintain_nanos
-                                            .saturating_add(update_stats.access_nanos);
-                                        let mid = t0.saturating_add(phase).min(t1);
-                                        s.record_stage(trace, Stage::ShardPhase, 0, t0, mid, true);
-                                        s.record_stage(trace, Stage::Merge, 0, mid, t1, true);
-                                    }
+                                    // Aggregate phase split: the measured
+                                    // maintain+access window is the
+                                    // illumination phase, the rest of the
+                                    // ingest (result diff, event derivation)
+                                    // the merge.
+                                    let phase = update_stats
+                                        .maintain_nanos
+                                        .saturating_add(update_stats.access_nanos);
+                                    let mid = t0.saturating_add(phase).min(t1);
+                                    s.record_stage(trace, Stage::ShardPhase, 0, t0, mid, true);
+                                    s.record_stage(trace, Stage::Merge, 0, mid, t1, true);
                                     Some(t1)
                                 }
                                 _ => None,
@@ -958,13 +946,6 @@ where
                                 let crashed = std::mem::replace(&mut server, recovered);
                                 replaced = crashed.algorithm().metrics().after(&replaced);
                                 server.take_over_published(crashed);
-                                if let Some(sink) = config.spans.as_ref() {
-                                    // The restored engine starts without a
-                                    // recorder; re-arm it.
-                                    server
-                                        .algorithm_mut()
-                                        .attach_span_recorder(Arc::clone(sink));
-                                }
                                 break; // ...then retry the crashing update.
                             }
                         }
@@ -1237,9 +1218,9 @@ mod tests {
         assert_eq!(report.final_result, direct.result());
     }
 
-    /// The receiver is shared by reference, the way the pump and the
-    /// watchdog share it: two threads draining `events()` see every batch
-    /// exactly once between them, and `try_iter()` on the drained (still
+    /// The receiver is shared by reference, the way the door's pump and a
+    /// `last_good_topk` caller share it: two threads draining `events()`
+    /// see every batch exactly once between them, and `try_iter()` on the drained (still
     /// connected) channel ends instead of waiting for the worker. Before
     /// anyone drains, `try_send` meets backpressure as `SendError::Full`,
     /// and what it accepted is not lost.

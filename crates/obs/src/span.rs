@@ -535,7 +535,7 @@ impl SpanSink {
     }
 
     /// Spans overwritten before any snapshot could read them, without
-    /// copying the rings (cheap enough for a watchdog tick).
+    /// copying the rings (cheap enough for a housekeeping tick).
     pub fn dropped(&self) -> u64 {
         self.rings
             .iter()
