@@ -30,9 +30,8 @@ pub struct Checkpoint {
     pub config: CtupConfig,
     /// Last reported position of every unit, in unit-id order.
     pub unit_positions: Vec<Point>,
-    /// Ingest-gate state (dedup sequence numbers and liveness leases) when
-    /// the monitor ran behind a [`crate::ingest::IngestGate`]; `None` for a
-    /// bare monitor.
+    /// Ingest-gate state (dedup sequence numbers) when the monitor ran
+    /// behind a [`crate::ingest::IngestGate`]; `None` for a bare monitor.
     pub gate: Option<GateState>,
 }
 
@@ -95,10 +94,9 @@ pub trait Checkpointable: crate::algorithm::CtupAlgorithm + Sized {
 }
 
 /// The durable image of a gated feed: the engine configuration, and the
-/// unit positions folded from the effective updates (lease parks
-/// included) of every report its [`IngestGate`] admitted — a function of
-/// the reports, never of an engine. The commit stage lands its slots,
-/// recovery folds a journal into one and restarts through
+/// unit positions folded from every report its [`IngestGate`] admitted —
+/// a function of the reports, never of an engine. The commit stage lands
+/// its slots, recovery folds a journal into one and restarts through
 /// [`DurableImage::restore`].
 #[derive(Debug, Clone)]
 pub struct DurableImage {
@@ -109,11 +107,10 @@ pub struct DurableImage {
 
 impl DurableImage {
     /// The image a validated checkpoint holds, behind its gate state (or a
-    /// fresh gate) over `space` with `lease_ttl`.
+    /// fresh gate) over `space`.
     pub fn from_checkpoint(
         mut checkpoint: Checkpoint,
         space: Rect,
-        lease_ttl: Option<u64>,
     ) -> Result<Self, CheckpointError> {
         // A gate state that disagrees with the unit table is a typed error
         // here, a panic in `from_state`.
@@ -121,7 +118,7 @@ impl DurableImage {
         let config = IngestConfig {
             space,
             num_units: checkpoint.unit_positions.len(),
-            lease_ttl,
+            lease_ttl: None,
         };
         let gate = match checkpoint.gate.take() {
             Some(state) => IngestGate::from_state(config, state),
@@ -139,20 +136,19 @@ impl DurableImage {
         }
     }
 
-    /// Admits one report and folds its effective updates into the
-    /// positions; returns them, in order, for an engine to apply.
+    /// Admits one report and folds its update into the positions; returns
+    /// it for an engine to apply.
     pub fn admit(
         &mut self,
         report: StampedUpdate,
         stats: &mut ResilienceStats,
-    ) -> Result<Vec<LocationUpdate>, RejectReason> {
-        let effective = self.gate.admit(report, stats)?;
-        for update in &effective {
-            if let Some(p) = self.positions.get_mut(update.unit.index()) {
-                *p = update.new;
-            }
+    ) -> Result<LocationUpdate, RejectReason> {
+        self.gate.admit(report, stats)?;
+        let update = report.update;
+        if let Some(p) = self.positions.get_mut(update.unit.index()) {
+            *p = update.new;
         }
-        Ok(effective)
+        Ok(update)
     }
 
     /// The image as a durable slot, gate state included.
@@ -165,7 +161,7 @@ impl DurableImage {
     }
 
     /// Initializes an engine once from the positions over `store`, and
-    /// hands it back with the gate and its dedup and lease decisions.
+    /// hands it back with the gate and its dedup decisions.
     pub fn restore<A: Checkpointable>(
         self,
         store: Arc<dyn PlaceStore>,
@@ -192,22 +188,39 @@ impl DurableImage {
 /// bounds, maintained places, DecHash), which restore now re-derives; v7
 /// moved the durable state to four fixed files overwritten in place, with
 /// a binary, CRC-chained journal; v8 dropped threshold mode (a `mode
-/// threshold <t>` line) and the rectangle a place could carry. Files of
-/// earlier versions are refused at their version line.
-pub const FORMAT_VERSION: u32 = 8;
+/// threshold <t>` line) and the rectangle a place could carry; v9 dropped
+/// the gate's feed clock and each unit's last-seen tick and liveness flag,
+/// leaving one sequence number per unit. Files of earlier versions are
+/// refused at their version line.
+pub const FORMAT_VERSION: u32 = 9;
 
-const HEADER: &str = "#ctup-checkpoint v8";
+const HEADER: &str = "#ctup-checkpoint v9";
 const VERSION_PREFIX: &str = "#ctup-checkpoint ";
 
-/// Rewrites a current body the way a v4 to v7 writer would have framed the
-/// same state, for the tests that pin their refusal: v6 and v7 differ only
-/// in their version line, v4 and v5 also carried the derived sections v6
-/// dropped, and a v4 writer over a row-major store also put a layout tag
-/// before the `units` line (spelled in two pieces so no source outside the
-/// ledger names the retired layout).
+/// Rewrites a current body the way a v4 to v8 writer would have framed the
+/// same state, for the tests that pin their refusal: v6 to v8 differ only
+/// in their version line and a gate section that also held the feed clock
+/// and each unit's last tick and liveness flag, v4 and v5 also carried the
+/// derived sections v6 dropped, and a v4 writer over a row-major store
+/// also put a layout tag before the `units` line (spelled in two pieces so
+/// no source outside the ledger names the retired layout).
 #[cfg(test)]
 pub(crate) fn previous_version_body(body: &str, version: u32) -> String {
-    let old = body.replacen(HEADER, &format!("{VERSION_PREFIX}v{version}"), 1);
+    let mut old = String::new();
+    let mut in_gate = false;
+    for line in body.lines() {
+        if line == HEADER {
+            old.push_str(&format!("{VERSION_PREFIX}v{version}"));
+        } else if let Some(count) = line.strip_prefix("gate ").filter(|c| *c != "none") {
+            in_gate = true;
+            old.push_str(&format!("gate 0 {count}"));
+        } else if in_gate {
+            old.push_str(&format!("{line} 0 1"));
+        } else {
+            old.push_str(line);
+        }
+        old.push('\n');
+    }
     if version >= 6 {
         return old;
     }
@@ -244,6 +257,11 @@ impl<R: BufRead> Lines<R> {
         let n = self.inner.read_line(&mut self.buf)?;
         if n == 0 {
             return Err(err(self.line_no, "unexpected end of file"));
+        }
+        // Every line the writer emits ends in a newline: one without it
+        // was cut, and its number may still parse.
+        if !self.buf.ends_with('\n') {
+            return Err(err(self.line_no, "truncated line"));
         }
         Ok(self.buf.trim_end())
     }
@@ -295,11 +313,11 @@ impl Checkpoint {
         match &self.gate {
             None => writeln!(w, "gate none")?,
             Some(gate) => {
-                writeln!(w, "gate {} {}", gate.now, gate.units.len())?;
+                writeln!(w, "gate {}", gate.units.len())?;
                 for u in &gate.units {
                     match u.last_seq {
-                        None => writeln!(w, "- {} {}", u.last_seen, u8::from(u.alive))?,
-                        Some(seq) => writeln!(w, "{seq} {} {}", u.last_seen, u8::from(u.alive))?,
+                        None => writeln!(w, "-")?,
+                        Some(seq) => writeln!(w, "{seq}")?,
                     }
                 }
             }
@@ -393,54 +411,31 @@ impl Checkpoint {
             unit_positions.push(Point::new(x, y));
         }
 
-        // gate section: `gate none` or `gate <now> <count>` + per-unit lines.
+        // gate section: `gate none` or `gate <count>` + one `<seq|->` per unit.
         let line_no = lines.line_no + 1;
         let gate_line = lines.next()?.to_string();
         let gate_fields: Vec<&str> = gate_line.split_ascii_whitespace().collect();
         let gate = match gate_fields.as_slice() {
             ["gate", "none"] => None,
-            ["gate", now, n] => {
-                let now: u64 = now
-                    .parse()
-                    .map_err(|e| err(line_no, format!("bad gate clock: {e}")))?;
+            ["gate", n] => {
                 let n: usize = n
                     .parse()
                     .map_err(|e| err(line_no, format!("bad gate unit count: {e}")))?;
                 let mut units = Vec::with_capacity(n.min(CAP_HINT));
                 for _ in 0..n {
                     let line_no = lines.line_no + 1;
-                    let line = lines.next()?.to_string();
-                    let fields: Vec<&str> = line.split_ascii_whitespace().collect();
-                    let [seq, seen, alive] = fields.as_slice() else {
-                        return Err(err(line_no, "expected `<seq|-> <last_seen> <alive>`"));
-                    };
-                    let last_seq = if *seq == "-" {
-                        None
-                    } else {
-                        Some(
+                    let last_seq = match lines.next()? {
+                        "-" => None,
+                        seq => Some(
                             seq.parse()
                                 .map_err(|e| err(line_no, format!("bad gate seq: {e}")))?,
-                        )
+                        ),
                     };
-                    let last_seen = seen
-                        .parse()
-                        .map_err(|e| err(line_no, format!("bad gate last_seen: {e}")))?;
-                    let alive = match *alive {
-                        "0" => false,
-                        "1" => true,
-                        other => {
-                            return Err(err(line_no, format!("bad gate alive flag {other:?}")))
-                        }
-                    };
-                    units.push(GateUnitState {
-                        last_seq,
-                        last_seen,
-                        alive,
-                    });
+                    units.push(GateUnitState { last_seq });
                 }
-                Some(GateState { now, units })
+                Some(GateState { units })
             }
-            _ => return Err(err(line_no, "expected `gate none` or `gate <now> <count>`")),
+            _ => return Err(err(line_no, "expected `gate none` or `gate <count>`")),
         };
 
         Ok(Checkpoint {
@@ -465,18 +460,9 @@ mod tests {
             config: CtupConfig::with_k(7),
             unit_positions: vec![Point::new(0.25, 0.5), Point::new(0.75, 0.125)],
             gate: Some(GateState {
-                now: 42,
                 units: vec![
-                    GateUnitState {
-                        last_seq: Some(17),
-                        last_seen: 41,
-                        alive: true,
-                    },
-                    GateUnitState {
-                        last_seq: None,
-                        last_seen: 3,
-                        alive: false,
-                    },
+                    GateUnitState { last_seq: Some(17) },
+                    GateUnitState { last_seq: None },
                 ],
             }),
         }
@@ -527,7 +513,9 @@ mod tests {
         assert!(Checkpoint::read(corrupted.as_bytes()).is_err());
         let corrupted = text.replacen(HEADER, "#wrong", 1);
         assert!(Checkpoint::read(corrupted.as_bytes()).is_err());
-        let corrupted = text.replacen("gate 42 2", "gate 42 x", 1);
+        let corrupted = text.replacen("gate 2", "gate x", 1);
+        assert!(Checkpoint::read(corrupted.as_bytes()).is_err());
+        let corrupted = text.replacen("\n17\n", "\n17 41 1\n", 1);
         assert!(Checkpoint::read(corrupted.as_bytes()).is_err());
     }
 
@@ -537,9 +525,10 @@ mod tests {
         let mut buf = Vec::new();
         cp.write(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let v3 = text.replacen("v8", "v3", 1);
+        let v3 = text.replacen("v9", "v3", 1);
         // v4 and v5 bodies carry the derived sections v6 dropped (and v4 a
-        // layout tag), and a v7 body may be in the threshold mode v8
+        // layout tag), a v7 body may be in the threshold mode v8 dropped,
+        // and a v8 body carries the gate clock and liveness fields v9
         // dropped; they are refused at the version line, before any field
         // is read.
         let v4 = previous_version_body(&text, 4);
@@ -548,7 +537,9 @@ mod tests {
         let v7 = previous_version_body(&text, 7);
         let v7_threshold = v7.replacen("mode topk 7", "mode threshold -4", 1);
         assert!(v7_threshold.contains("\nmode threshold -4\n"));
-        for old in [v3, v4, v5, v7, v7_threshold] {
+        let v8 = previous_version_body(&text, 8);
+        assert!(v8.contains("\ngate 0 2\n17 0 1\n- 0 1\n"), "{v8}");
+        for old in [v3, v4, v5, v7, v7_threshold, v8] {
             let error = Checkpoint::read(old.as_bytes()).unwrap_err();
             assert!(
                 error.to_string().contains("unsupported checkpoint version"),

@@ -481,11 +481,8 @@ mod tests {
             config: CtupConfig::with_k(3),
             unit_positions: vec![Point::new(0.25, 0.5)],
             gate: Some(GateState {
-                now: tag,
                 units: vec![GateUnitState {
                     last_seq: Some(tag),
-                    last_seen: tag,
-                    alive: true,
                 }],
             }),
         }
@@ -793,11 +790,13 @@ mod tests {
     /// dropped (and, for v4, the `layout` line). A v6 directory is the
     /// layout before the four fixed files: slots replaced by rename beside
     /// `journal-<N>.wal` text segments. A v7 directory has the current
-    /// files, and its body may be in the threshold mode v8 dropped.
+    /// files, and its body may be in the threshold mode v8 dropped. A v8
+    /// directory has the current files too, and its gate section carries
+    /// the feed clock and liveness fields v9 dropped.
     #[test]
     #[cfg_attr(miri, ignore)] // touches the real filesystem
     fn previous_version_directories_are_refused() {
-        for version in [4, 5, 6, 7] {
+        for version in [4, 5, 6, 7, 8] {
             let dir = temp_state_dir();
             fs::create_dir_all(&dir).expect("create dir");
             let mut body = Vec::new();

@@ -1,39 +1,22 @@
-//! The ingest front-door: validation, dedup and unit liveness leases.
+//! The ingest front-door: validation and dedup.
 //!
 //! The CTUP feed is a wireless link from moving units to a dispatch server,
 //! so messages drop, duplicate, reorder and corrupt in flight. The
 //! [`IngestGate`] sits between the receiver and the query processor and
 //! turns the raw feed into an *effective* update sequence the algorithms
-//! can trust:
+//! can trust: every [`StampedUpdate`] is validated (finite coordinates
+//! inside the monitored space, known unit id) and deduplicated against the
+//! unit's per-feed sequence number. Rejects carry a typed [`RejectReason`]
+//! and are counted in [`ResilienceStats`]; an accepted report is exactly
+//! one effective update, the report's own position.
 //!
-//! * every [`StampedUpdate`] is validated (finite coordinates inside the
-//!   monitored space, known unit id) and deduplicated against the unit's
-//!   per-feed sequence number — rejects carry a typed [`RejectReason`] and
-//!   are counted in [`ResilienceStats`];
-//! * a unit whose reports go silent past a configurable lease TTL has its
-//!   protection retracted: the gate emits a synthetic update parking the
-//!   unit far outside the space, so the places it guarded lose one
-//!   protector and may (correctly) enter the top-k. The unit is reinstated
-//!   by its next valid report. This degrades gracefully instead of
-//!   silently overcounting protection from a dead radio.
-//!
-//! The gate's state is tiny (a few words per unit) and can be captured in a
-//! [`GateState`] for checkpointing alongside the monitor state.
+//! The gate's state is one sequence number per unit and can be captured in
+//! a [`GateState`] for checkpointing alongside the monitor state.
 
 use crate::metrics::ResilienceStats;
-use crate::types::{LocationUpdate, UnitId};
-use ctup_spatial::{Point, Rect};
+use crate::types::LocationUpdate;
+use ctup_spatial::Rect;
 use std::fmt;
-
-/// Coordinate units are parked at when their lease expires: far enough
-/// outside any realistic monitored space that they protect nothing, small
-/// enough that every distance computation stays exact in `f64`.
-pub const PARKED_COORD: f64 = 1.0e6;
-
-/// The position an expired unit is parked at.
-pub fn parked_position() -> Point {
-    Point::new(PARKED_COORD, PARKED_COORD)
-}
 
 /// A location update as received from the wire: the bare [`LocationUpdate`]
 /// plus the sender-side monotonic sequence number and report timestamp that
@@ -42,7 +25,9 @@ pub fn parked_position() -> Point {
 pub struct StampedUpdate {
     /// Per-unit monotonic sequence number assigned by the sender.
     pub seq: u64,
-    /// Report timestamp in feed ticks (drives the liveness leases).
+    /// Report timestamp in feed ticks. The gate does not read it; it is
+    /// on the wire and in the journal only because `ledger/src/sut.rs`
+    /// reads it, and ROADMAP item 1(b) removes it.
     pub ts: u64,
     /// The position report itself.
     pub update: LocationUpdate,
@@ -109,8 +94,9 @@ pub struct IngestConfig {
     pub space: Rect,
     /// Number of units `|U|`; ids at or above this are rejected.
     pub num_units: usize,
-    /// Liveness lease TTL in feed ticks; `None` disables leases. A unit
-    /// whose last accepted report is older than `now − ttl` is parked.
+    /// Unused: the gate no longer reads it. Kept only because
+    /// `ledger/src/sut.rs` sets it (to `None`); ROADMAP item 1(b) removes
+    /// it.
     pub lease_ttl: Option<u64>,
 }
 
@@ -119,47 +105,28 @@ pub struct IngestConfig {
 pub struct GateUnitState {
     /// Highest accepted sequence number, `None` before the first report.
     pub last_seq: Option<u64>,
-    /// Tick of the last accepted report (0 = the initial position).
-    pub last_seen: u64,
-    /// Whether the unit currently holds a live lease.
-    pub alive: bool,
 }
 
 /// Snapshot of the whole gate, stored inside a checkpoint so a restarted
-/// server resumes with the same dedup and lease decisions.
+/// server resumes with the same dedup decisions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateState {
-    /// The feed clock (max timestamp seen).
-    pub now: u64,
     /// Per-unit state in unit-id order.
     pub units: Vec<GateUnitState>,
 }
 
-/// The validation / dedup / lease front-door. See the module docs.
+/// The validation / dedup front-door. See the module docs.
 #[derive(Debug, Clone)]
 pub struct IngestGate {
     config: IngestConfig,
-    now: u64,
     units: Vec<GateUnitState>,
 }
 
 impl IngestGate {
-    /// Creates a gate with every unit alive and last seen at tick 0 (the
-    /// initial positions handed to the algorithm count as a report).
+    /// Creates a gate that has accepted no report yet.
     pub fn new(config: IngestConfig) -> Self {
-        let units = vec![
-            GateUnitState {
-                last_seq: None,
-                last_seen: 0,
-                alive: true
-            };
-            config.num_units
-        ];
-        IngestGate {
-            config,
-            now: 0,
-            units,
-        }
+        let units = vec![GateUnitState { last_seq: None }; config.num_units];
+        IngestGate { config, units }
     }
 
     /// Rebuilds a gate from a checkpointed [`GateState`].
@@ -174,7 +141,6 @@ impl IngestGate {
         );
         IngestGate {
             config,
-            now: state.now,
             units: state.units,
         }
     }
@@ -182,7 +148,6 @@ impl IngestGate {
     /// Captures the gate for checkpointing.
     pub fn state(&self) -> GateState {
         GateState {
-            now: self.now,
             units: self.units.clone(),
         }
     }
@@ -192,25 +157,11 @@ impl IngestGate {
         &self.config
     }
 
-    /// The current feed clock.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Whether `unit` currently holds a live lease.
-    pub fn is_alive(&self, unit: UnitId) -> bool {
-        self.units
-            .get(unit.index())
-            .map(|u| u.alive)
-            .unwrap_or(false)
-    }
-
-    /// Validates one report. On acceptance returns the *effective* updates
-    /// to feed the algorithm, in order: parks for any leases that expired
-    /// as the clock advanced (unit-id order), then the accepted update
-    /// itself (which also reinstates the reporting unit if it was parked).
-    /// Rejections and drops return the typed reason and are counted in
-    /// `stats`.
+    /// Validates one report. On acceptance returns its one effective
+    /// update, the report's own; rejections and drops return the typed
+    /// reason and are counted in `stats`. The one-element `Vec` is kept
+    /// only because `ledger/src/sut.rs` takes its `.last()`; ROADMAP item
+    /// 1(b) makes it the update itself.
     pub fn admit(
         &mut self,
         report: StampedUpdate,
@@ -241,49 +192,8 @@ impl IngestGate {
             _ => {}
         }
 
-        // Accept: bump the unit's bookkeeping, reinstate if parked.
         unit.last_seq = Some(report.seq);
-        unit.last_seen = unit.last_seen.max(report.ts);
-        if !unit.alive {
-            unit.alive = true;
-            stats.lease_reinstates += 1;
-        }
-
-        // Advance the clock and expire whoever else fell silent.
-        let mut effective = self.advance_clock(report.ts, stats);
-        effective.push(report.update);
-        Ok(effective)
-    }
-
-    /// Advances the feed clock without a report (e.g. a timer tick on an
-    /// idle link) and returns park updates for any leases that expired.
-    pub fn tick(&mut self, now: u64, stats: &mut ResilienceStats) -> Vec<LocationUpdate> {
-        self.advance_clock(now, stats)
-    }
-
-    fn advance_clock(&mut self, ts: u64, stats: &mut ResilienceStats) -> Vec<LocationUpdate> {
-        if ts > self.now {
-            self.now = ts;
-        }
-        let Some(ttl) = self.config.lease_ttl else {
-            return Vec::new();
-        };
-        let deadline = match self.now.checked_sub(ttl) {
-            Some(d) => d,
-            None => return Vec::new(),
-        };
-        let mut parks = Vec::new();
-        for (i, unit) in self.units.iter_mut().enumerate() {
-            if unit.alive && unit.last_seen < deadline {
-                unit.alive = false;
-                stats.lease_expiries += 1;
-                parks.push(LocationUpdate {
-                    unit: UnitId(ctup_spatial::convert::id32(i)),
-                    new: parked_position(),
-                });
-            }
-        }
-        parks
+        Ok(vec![report.update])
     }
 }
 
@@ -311,12 +221,14 @@ pub fn stamp_stream<I: IntoIterator<Item = LocationUpdate>>(updates: I) -> Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::UnitId;
+    use ctup_spatial::Point;
 
-    fn gate(ttl: Option<u64>) -> IngestGate {
+    fn gate() -> IngestGate {
         IngestGate::new(IngestConfig {
             space: Rect::from_coords(0.0, 0.0, 1.0, 1.0),
             num_units: 3,
-            lease_ttl: ttl,
+            lease_ttl: None,
         })
     }
 
@@ -333,7 +245,7 @@ mod tests {
 
     #[test]
     fn rejects_malformed_reports() {
-        let mut g = gate(None);
+        let mut g = gate();
         let mut stats = ResilienceStats::default();
         assert_eq!(
             g.admit(report(0, 1, 1, f64::NAN, 0.5), &mut stats),
@@ -359,7 +271,7 @@ mod tests {
 
     #[test]
     fn drops_duplicates_and_stale_reports() {
-        let mut g = gate(None);
+        let mut g = gate();
         let mut stats = ResilienceStats::default();
         assert!(g.admit(report(1, 5, 10, 0.2, 0.2), &mut stats).is_ok());
         assert_eq!(
@@ -377,7 +289,7 @@ mod tests {
 
     #[test]
     fn accepted_update_passes_through_unchanged() {
-        let mut g = gate(None);
+        let mut g = gate();
         let mut stats = ResilienceStats::default();
         let eff = g.admit(report(2, 1, 1, 0.25, 0.75), &mut stats).unwrap();
         assert_eq!(
@@ -390,68 +302,8 @@ mod tests {
     }
 
     #[test]
-    fn lease_expiry_parks_and_reinstates() {
-        let mut g = gate(Some(5));
-        let mut stats = ResilienceStats::default();
-        // Unit 0 reports at tick 1; units 1 and 2 stay silent.
-        assert_eq!(
-            g.admit(report(0, 1, 1, 0.5, 0.5), &mut stats)
-                .unwrap()
-                .len(),
-            1
-        );
-        // Unit 0 reports again at tick 7: 7 - 5 = 2 > 1 = last_seen of
-        // units 1 and 2 is 0 < 2 -> both expire, parks first.
-        let eff = g.admit(report(0, 2, 7, 0.6, 0.6), &mut stats).unwrap();
-        assert_eq!(eff.len(), 3);
-        assert_eq!(
-            eff[0],
-            LocationUpdate {
-                unit: UnitId(1),
-                new: parked_position()
-            }
-        );
-        assert_eq!(
-            eff[1],
-            LocationUpdate {
-                unit: UnitId(2),
-                new: parked_position()
-            }
-        );
-        assert_eq!(eff[2].unit, UnitId(0));
-        assert!(!g.is_alive(UnitId(1)));
-        assert!(g.is_alive(UnitId(0)));
-        assert_eq!(stats.lease_expiries, 2);
-
-        // Unit 1 comes back: reinstated by its own report.
-        let eff = g.admit(report(1, 1, 8, 0.1, 0.1), &mut stats).unwrap();
-        assert_eq!(
-            eff,
-            vec![LocationUpdate {
-                unit: UnitId(1),
-                new: Point::new(0.1, 0.1)
-            }]
-        );
-        assert!(g.is_alive(UnitId(1)));
-        assert_eq!(stats.lease_reinstates, 1);
-    }
-
-    #[test]
-    fn tick_expires_without_a_report() {
-        let mut g = gate(Some(3));
-        let mut stats = ResilienceStats::default();
-        assert!(g.tick(2, &mut stats).is_empty());
-        let parks = g.tick(10, &mut stats);
-        assert_eq!(parks.len(), 3);
-        assert_eq!(stats.lease_expiries, 3);
-        // Clock never goes backwards.
-        assert!(g.tick(4, &mut stats).is_empty());
-        assert_eq!(g.now(), 10);
-    }
-
-    #[test]
     fn state_roundtrip_preserves_decisions() {
-        let mut g = gate(Some(5));
+        let mut g = gate();
         let mut stats = ResilienceStats::default();
         g.admit(report(0, 3, 4, 0.5, 0.5), &mut stats).unwrap();
         g.admit(report(1, 9, 6, 0.5, 0.5), &mut stats).unwrap();
@@ -491,18 +343,11 @@ mod tests {
         assert_eq!(stamped[2].seq, 2);
         assert_eq!(stamped[2].ts, 3);
         // A gate accepts the whole clean stream.
-        let mut g = gate(None);
+        let mut g = gate();
         let mut stats = ResilienceStats::default();
         for r in stamped {
             assert!(g.admit(r, &mut stats).is_ok());
         }
         assert_eq!(stats, ResilienceStats::default());
-    }
-
-    #[test]
-    fn parked_position_protects_nothing() {
-        use crate::types::{protects, Place, PlaceId};
-        let place = Place::point(PlaceId(0), Point::new(0.5, 0.5), 1);
-        assert!(!protects(parked_position(), 0.1, &place));
     }
 }

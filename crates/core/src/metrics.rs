@@ -5,9 +5,8 @@
 //! accessed, how many lower bounds move, how much state is maintained.
 
 /// Counters of the resilience layer: how much of the inbound feed was
-/// rejected or dropped at the ingest front-door, how the liveness leases
-/// moved, and what the supervised pipeline had to do to survive worker
-/// panics. All cumulative.
+/// rejected or dropped at the ingest front-door, and what the supervised
+/// pipeline had to do to survive worker panics. All cumulative.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Reports rejected because a coordinate was NaN or infinite.
@@ -23,11 +22,6 @@ pub struct ResilienceStats {
     /// Reports dropped because the exact same sequence number of that unit
     /// was already accepted (duplicated delivery).
     pub duplicates_dropped: u64,
-    /// Liveness leases that expired (unit silent past the TTL; its
-    /// protection was retracted).
-    pub lease_expiries: u64,
-    /// Expired units reinstated by a later valid report.
-    pub lease_reinstates: u64,
     /// Worker panics caught by the supervisor.
     pub worker_panics: u64,
     /// Worker restarts, each a fresh initialization from the current unit
@@ -71,10 +65,6 @@ impl ResilienceStats {
             duplicates_dropped: self
                 .duplicates_dropped
                 .saturating_sub(earlier.duplicates_dropped),
-            lease_expiries: self.lease_expiries.saturating_sub(earlier.lease_expiries),
-            lease_reinstates: self
-                .lease_reinstates
-                .saturating_sub(earlier.lease_reinstates),
             worker_panics: self.worker_panics.saturating_sub(earlier.worker_panics),
             worker_restarts: self.worker_restarts.saturating_sub(earlier.worker_restarts),
             updates_replayed: self
@@ -251,10 +241,10 @@ mod tests {
         assert_eq!(d.resilience.worker_panics, 0);
 
         let r = ResilienceStats::default().since(&ResilienceStats {
-            lease_expiries: 7,
+            storage_errors: 7,
             ..ResilienceStats::default()
         });
-        assert_eq!(r.lease_expiries, 0);
+        assert_eq!(r.storage_errors, 0);
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub trait EngineSink: Send + Sync {
 }
 
 /// [`EngineSink`] over the supervised pipeline: reports ride the existing
-/// validated ingest gate and liveness leases inside the supervisor, and
+/// validated ingest gate inside the supervisor, and
 /// the top-k is maintained incrementally from the pipeline's
 /// [`MonitorEvent`] stream (seeded with the result at spawn time).
 pub struct PipelineSink {

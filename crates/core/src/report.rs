@@ -110,8 +110,6 @@ impl Snapshot {
             ("resilience_rejected_unknown_unit", r.rejected_unknown_unit),
             ("resilience_stale_dropped", r.stale_dropped),
             ("resilience_duplicates_dropped", r.duplicates_dropped),
-            ("resilience_lease_expiries", r.lease_expiries),
-            ("resilience_lease_reinstates", r.lease_reinstates),
             ("resilience_worker_panics", r.worker_panics),
             ("resilience_worker_restarts", r.worker_restarts),
             ("resilience_updates_replayed", r.updates_replayed),
@@ -441,7 +439,7 @@ mod tests {
         assert_eq!(names.len(), total, "duplicate series name");
         // 10 Metrics counters + 12 resilience + 11 storage + 18 net
         // + 3 algorithm gauges + 5 net gauges.
-        assert_eq!(total, 59);
+        assert_eq!(total, 57);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! runs one group the commit stage syncs the next:
 //!
 //! 1. every inbound [`StampedUpdate`] of the group passes the
-//!    [`IngestGate`] (validation, dedup, liveness leases — see
-//!    [`crate::ingest`]);
+//!    [`IngestGate`] (validation and dedup — see [`crate::ingest`]);
 //! 2. when [`ResilienceConfig::state_dir`] is set, the group's accepted
 //!    wire reports are journaled with one write and one `fdatasync`; then
 //!    the [durable mark](SupervisedPipeline::durable_mark) advances over
@@ -18,7 +17,8 @@
 //!    group. No report reaches the engine before its group's sync, and
 //!    every ack precedes its apply. Without a `state_dir` nothing is
 //!    persisted and the mark advances on receipt;
-//! 3. each *effective* update is applied, in order, inside
+//! 3. each accepted report's update — its *effective* update, one per
+//!    report — is applied, in order, inside
 //!    [`std::panic::catch_unwind`], so a panicking query processor does not
 //!    kill the apply stage; a [`StorageError`] surfaced by the processor (a
 //!    read that exhausted its retries, a page whose checksum failed) is
@@ -29,7 +29,7 @@
 //!    since the last slot to `checkpoint_every` effective updates, the
 //!    commit stage writes a [`Checkpoint`] inline, before it hands the
 //!    group over: the slot of its [`DurableImage`] — the unit positions
-//!    folded from the gate's effective updates (parks included), plus the
+//!    folded from the gate's accepted reports, plus the
 //!    [`GateState`] — in place over the older A/B slot of
 //!    [`crate::durable`]. A slot is a
 //!    function of the journal, never of the engine, and is never taken
@@ -44,7 +44,7 @@
 //!    crashed, so its server takes over the crashed server's published map
 //!    ([`Server::take_over_published`]) and the retry diffs against what
 //!    subscribers hold. Every recovery attempt spends one of
-//!    `max_restarts` inside a sliding [`RESTART_WINDOW`], and a restore
+//!    [`MAX_RESTARTS`] inside a sliding [`RESTART_WINDOW`], and a restore
 //!    that fails is retried like a crash in apply; once the window holds
 //!    the whole budget the pipeline gives up and reports so. This is the
 //!    only in-process restart: the front door does not revive an engine
@@ -102,17 +102,10 @@ use std::time::{Duration, Instant};
 /// Tuning of the resilience layer.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
-    /// Liveness lease TTL in feed ticks; `None` disables leases (units
-    /// never expire). See [`IngestConfig::lease_ttl`].
-    pub lease_ttl: Option<u64>,
     /// With a [`state_dir`](Self::state_dir), land a durable slot every
     /// this many effective updates; `0` keeps only the spawn-time slot.
     /// Inert without a `state_dir`: a self-heal needs no checkpoint.
     pub checkpoint_every: u64,
-    /// How many restarts the supervisor attempts inside any sliding
-    /// [`RESTART_WINDOW`] before giving up: sparse faults over a long run
-    /// are survived, a storm is not.
-    pub max_restarts: u32,
     /// Deterministic fault injection: the processor panics when it is
     /// handed the effective update with each of these sequence numbers,
     /// once per entry.
@@ -138,9 +131,7 @@ pub struct ResilienceConfig {
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
-            lease_ttl: None,
             checkpoint_every: 256,
-            max_restarts: 8,
             panic_at: Vec::new(),
             state_dir: None,
             kill_at: None,
@@ -168,7 +159,7 @@ pub struct SupervisedReport {
     /// Total events published. A restart re-publishes nothing, so each
     /// change to the top-k is counted once.
     pub events_emitted: u64,
-    /// Whether the worker exhausted `max_restarts` (or could not persist
+    /// Whether the worker exhausted [`MAX_RESTARTS`] (or could not persist
     /// a checkpoint) and stopped monitoring early. The counters above still describe
     /// everything processed up to that point.
     pub gave_up: bool,
@@ -257,8 +248,7 @@ impl DurableLine {
 }
 
 /// A monitoring server on two supervised threads, a commit stage and an
-/// apply stage: validated ingest, liveness leases, panic containment and
-/// checkpoint-restart.
+/// apply stage: validated ingest, panic containment and checkpoint-restart.
 pub struct SupervisedPipeline {
     reports_tx: Option<SyncSender<TracedReport>>,
     events_rx: EventReceiver,
@@ -287,7 +277,7 @@ impl SupervisedPipeline {
         let gate = IngestGate::new(IngestConfig {
             space: *algorithm.store().grid().space(),
             num_units: algorithm.num_units(),
-            lease_ttl: config.lease_ttl,
+            lease_ttl: None,
         });
         Self::spawn_with_gate(
             algorithm,
@@ -314,16 +304,15 @@ impl SupervisedPipeline {
         A: Checkpointable + Send + 'static,
     {
         let (checkpoint, journal) = DurableState::load(&dir)?;
-        let mut image =
-            DurableImage::from_checkpoint(checkpoint, *store.grid().space(), config.lease_ttl)?;
+        let mut image = DurableImage::from_checkpoint(checkpoint, *store.grid().space())?;
         // Fold rejections are recovery bookkeeping (the slot already
         // covered those reports), not feed defects: they go to a scratch
         // counter and only the recovered-update count is carried forward.
         let mut scratch = ResilienceStats::default();
         let mut seed = ResilienceStats::default();
         for report in journal {
-            if let Ok(effective) = image.admit(report, &mut scratch) {
-                seed.updates_replayed += convert::count64(effective.len());
+            if image.admit(report, &mut scratch).is_ok() {
+                seed.updates_replayed += 1;
             }
         }
         let config = ResilienceConfig {
@@ -337,7 +326,7 @@ impl SupervisedPipeline {
     }
 
     /// Spawns the supervised stages around a live monitor and the gate it
-    /// ran behind, so dedup and lease decisions carry over (recovery);
+    /// ran behind, so dedup decisions carry over (recovery);
     /// `initial_stats` seeds the resilience counters.
     fn spawn_with_gate<A>(
         algorithm: A,
@@ -566,8 +555,8 @@ struct Admitted {
     trace: u64,
     /// Where the report's engine-apply span starts, when it is traced.
     apply_start: Option<u64>,
-    /// The effective updates the gate expanded the report into.
-    effective: Vec<LocationUpdate>,
+    /// The report's update.
+    update: LocationUpdate,
 }
 
 /// A commit group on its way from the commit stage to the apply stage:
@@ -683,14 +672,14 @@ fn commit(
                 });
                 // The slot's image folds the report in: a slot is a
                 // function of the journal, never of the engine.
-                if let Ok(effective) = image.admit(report, &mut stats) {
+                if let Ok(update) = image.admit(report, &mut stats) {
                     records.push(report);
                     last_trace = trace;
-                    since_slot += convert::count64(effective.len());
+                    since_slot += 1;
                     group.push(Admitted {
                         trace,
                         apply_start,
-                        effective,
+                        update,
                     });
                 }
                 next = if taken < room {
@@ -726,8 +715,7 @@ fn commit(
             line.mark.fetch_add(taken, Ordering::Release);
             line.announce(&mut announced);
             // The durable slot, at the group's end only: the gate state it
-            // captures then covers exactly the updates the positions do, parks
-            // and their accepted report included.
+            // captures then covers exactly the updates the positions do.
             let mut checkpoint = None;
             if let Some(d) = durable.as_mut().filter(|_| since_slot >= every) {
                 let c0 = now_nanos();
@@ -798,7 +786,7 @@ where
     let mut panic_at: HashSet<u64> = config.panic_at.iter().copied().collect();
     let mut eff_seq = 0u64;
     let mut events_emitted = 0u64;
-    let mut restarts = RestartBudget::new(config.max_restarts);
+    let mut restarts = RestartBudget::new(MAX_RESTARTS);
     let mut gave_up = false;
     let mut killed = false;
     // The unit of the update the stage stopped at, when it stopped at one.
@@ -813,7 +801,7 @@ where
         for Admitted {
             trace,
             apply_start,
-            effective,
+            update,
         } in admitted
         {
             // Span recording is armed per report: a sink must be configured
@@ -821,133 +809,114 @@ where
             // never reach this stage — a deduplicated redelivery must not
             // re-record the engine-apply span its first delivery produced.
             let sink = apply_start.and(config.spans.as_deref());
-            // One accepted report can expand to several effective updates
-            // (lease parks precede the accepted position). Spans attach to
-            // the *last* — the accepted report itself — so one trace
-            // records one engine-apply chain and deterministic span ids
-            // never collide.
-            let last_idx = effective.len().saturating_sub(1);
-            for (idx, update) in effective.into_iter().enumerate() {
-                let sink = sink.filter(|_| idx == last_idx);
-                // Simulated process death: stop mid-stream with no final
-                // checkpoint.
-                if config.kill_at == Some(eff_seq) {
-                    killed = true;
-                    stopped_unit = Some(update.unit.0);
-                    break 'groups;
-                }
-                loop {
-                    // One-shot injected fault: consumed even if recovery later
-                    // fails, so a retry of the same seq proceeds normally.
-                    let inject = panic_at.remove(&eff_seq);
-                    let t0 = sink.map(|_| now_nanos());
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        #[expect(
-                            clippy::panic,
-                            reason = "deliberate fault injection — this panic exists to exercise the catch_unwind/recovery path around it"
-                        )]
-                        if inject {
-                            panic!("injected fault at effective update {eff_seq}");
+            // Simulated process death: stop mid-stream with no final
+            // checkpoint.
+            if config.kill_at == Some(eff_seq) {
+                killed = true;
+                stopped_unit = Some(update.unit.0);
+                break 'groups;
+            }
+            loop {
+                // One-shot injected fault: consumed even if recovery later
+                // fails, so a retry of the same seq proceeds normally.
+                let inject = panic_at.remove(&eff_seq);
+                let t0 = sink.map(|_| now_nanos());
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    #[expect(
+                        clippy::panic,
+                        reason = "deliberate fault injection — this panic exists to exercise the catch_unwind/recovery path around it"
+                    )]
+                    if inject {
+                        panic!("injected fault at effective update {eff_seq}");
+                    }
+                    server.ingest(update)
+                }));
+                match outcome {
+                    Ok(Ok((events, update_stats))) => {
+                        obs.record_update(update_stats.maintain_nanos, update_stats.access_nanos);
+                        let publish_start = match (sink, t0, apply_start) {
+                            (Some(s), Some(t0), Some(a0)) => {
+                                let t1 = now_nanos();
+                                // Engine-apply covers hand-off (channel
+                                // wait, gate, journal, the queue between
+                                // the stages) up to the successful apply
+                                // attempt; retries after a contained
+                                // crash fold into it.
+                                s.record_stage(trace, Stage::EngineApply, 0, a0, t0, true);
+                                // Aggregate phase split: the measured
+                                // maintain+access window is the
+                                // illumination phase, the rest of the
+                                // ingest (result diff, event derivation)
+                                // the merge.
+                                let phase = update_stats
+                                    .maintain_nanos
+                                    .saturating_add(update_stats.access_nanos);
+                                let mid = t0.saturating_add(phase).min(t1);
+                                s.record_stage(trace, Stage::ShardPhase, 0, t0, mid, true);
+                                s.record_stage(trace, Stage::Merge, 0, mid, t1, true);
+                                Some(t1)
+                            }
+                            _ => None,
+                        };
+                        if !events.is_empty() {
+                            events_emitted += convert::count64(events.len());
+                            // Consumers hanging up must not stop monitoring.
+                            let _ = events_tx.send(EventBatch {
+                                seq: eff_seq,
+                                events,
+                            });
                         }
-                        server.ingest(update)
-                    }));
-                    match outcome {
-                        Ok(Ok((events, update_stats))) => {
-                            obs.record_update(
-                                update_stats.maintain_nanos,
-                                update_stats.access_nanos,
-                            );
-                            let publish_start = match (sink, t0, apply_start) {
-                                (Some(s), Some(t0), Some(a0)) => {
-                                    let t1 = now_nanos();
-                                    // Engine-apply covers hand-off (channel
-                                    // wait, gate, journal, the queue between
-                                    // the stages) up to the successful apply
-                                    // attempt; retries after a contained
-                                    // crash fold into it.
-                                    s.record_stage(trace, Stage::EngineApply, 0, a0, t0, true);
-                                    // Aggregate phase split: the measured
-                                    // maintain+access window is the
-                                    // illumination phase, the rest of the
-                                    // ingest (result diff, event derivation)
-                                    // the merge.
-                                    let phase = update_stats
-                                        .maintain_nanos
-                                        .saturating_add(update_stats.access_nanos);
-                                    let mid = t0.saturating_add(phase).min(t1);
-                                    s.record_stage(trace, Stage::ShardPhase, 0, t0, mid, true);
-                                    s.record_stage(trace, Stage::Merge, 0, mid, t1, true);
-                                    Some(t1)
-                                }
-                                _ => None,
+                        if let (Some(s), Some(p0)) = (sink, publish_start) {
+                            // Recorded even for an empty batch: the publish
+                            // span closes the causal chain whether or not
+                            // this update changed the top-k.
+                            s.record_stage(trace, Stage::SnapshotPublish, 0, p0, now_nanos(), true);
+                        }
+                        eff_seq += 1;
+                        if let Some(p) = positions.get_mut(update.unit.index()) {
+                            *p = update.new;
+                        }
+                        break; // next effective update
+                    }
+                    crashed => {
+                        // A panic (`Err`) and a surfaced storage error
+                        // (`Ok(Err)`) are contained identically: either way
+                        // the processor may be mid-update, so re-initialize
+                        // it from the positions it was last correct at.
+                        if crashed.is_err() {
+                            stats.worker_panics += 1;
+                        } else {
+                            stats.storage_errors += 1;
+                        }
+                        // Restore is init from the current positions, so
+                        // nothing is replayed. The live gate is kept: it
+                        // is outside the contained region. Each attempt
+                        // spends one restart: restore reads every cell, so
+                        // a storage fault there is retried like one in
+                        // apply.
+                        loop {
+                            if !restarts.spend(Instant::now()) {
+                                gave_up = true;
+                                stopped_unit = Some(update.unit.0);
+                                break 'groups;
+                            }
+                            stats.worker_restarts += 1;
+                            let restart = Checkpoint {
+                                config: engine_config.clone(),
+                                unit_positions: positions.clone(),
+                                gate: None,
                             };
-                            if !events.is_empty() {
-                                events_emitted += convert::count64(events.len());
-                                // Consumers hanging up must not stop monitoring.
-                                let _ = events_tx.send(EventBatch {
-                                    seq: eff_seq,
-                                    events,
-                                });
-                            }
-                            if let (Some(s), Some(p0)) = (sink, publish_start) {
-                                // Recorded even for an empty batch: the publish
-                                // span closes the causal chain whether or not
-                                // this update changed the top-k.
-                                s.record_stage(
-                                    trace,
-                                    Stage::SnapshotPublish,
-                                    0,
-                                    p0,
-                                    now_nanos(),
-                                    true,
-                                );
-                            }
-                            eff_seq += 1;
-                            if let Some(p) = positions.get_mut(update.unit.index()) {
-                                *p = update.new;
-                            }
-                            break; // next effective update
-                        }
-                        crashed => {
-                            // A panic (`Err`) and a surfaced storage error
-                            // (`Ok(Err)`) are contained identically: either way
-                            // the processor may be mid-update, so re-initialize
-                            // it from the positions it was last correct at.
-                            if crashed.is_err() {
-                                stats.worker_panics += 1;
-                            } else {
-                                stats.storage_errors += 1;
-                            }
-                            // Restore is init from the current positions, so
-                            // nothing is replayed. The live gate is kept: it
-                            // is outside the contained region. Each attempt
-                            // spends one restart: restore reads every cell, so
-                            // a storage fault there is retried like one in
-                            // apply.
-                            loop {
-                                if !restarts.spend(Instant::now()) {
-                                    gave_up = true;
-                                    stopped_unit = Some(update.unit.0);
-                                    break 'groups;
-                                }
-                                stats.worker_restarts += 1;
-                                let restart = Checkpoint {
-                                    config: engine_config.clone(),
-                                    unit_positions: positions.clone(),
-                                    gate: None,
-                                };
-                                let Ok(recovered) = recover::<A>(restart, store.clone()) else {
-                                    continue;
-                                };
-                                // The new engine may hold a different place
-                                // tied at SK than the one that crashed: it
-                                // takes over what subscribers hold, and the
-                                // retry diffs against that.
-                                let crashed = std::mem::replace(&mut server, recovered);
-                                replaced = crashed.algorithm().metrics().after(&replaced);
-                                server.take_over_published(crashed);
-                                break; // ...then retry the crashing update.
-                            }
+                            let Ok(recovered) = recover::<A>(restart, store.clone()) else {
+                                continue;
+                            };
+                            // The new engine may hold a different place
+                            // tied at SK than the one that crashed: it
+                            // takes over what subscribers hold, and the
+                            // retry diffs against that.
+                            let crashed = std::mem::replace(&mut server, recovered);
+                            replaced = crashed.algorithm().metrics().after(&replaced);
+                            server.take_over_published(crashed);
+                            break; // ...then retry the crashing update.
                         }
                     }
                 }
@@ -1016,7 +985,12 @@ fn dump_crash(path: &Path, outcome: &str, seq: u64, unit: Option<u32>) -> std::i
     file.sync_all()
 }
 
-/// The sliding window [`ResilienceConfig::max_restarts`] counts restarts in.
+/// How many restarts the supervisor attempts inside any sliding
+/// [`RESTART_WINDOW`] before giving up: sparse faults over a long run are
+/// survived, a storm is not.
+pub const MAX_RESTARTS: u32 = 8;
+
+/// The sliding window [`MAX_RESTARTS`] counts restarts in.
 pub const RESTART_WINDOW: Duration = Duration::from_secs(60);
 
 /// The restarts spent inside the last [`RESTART_WINDOW`].
@@ -1034,7 +1008,7 @@ impl RestartBudget {
     }
 
     /// Spends one restart at `now`, after refunding those that left the
-    /// window; `false` when the window already holds `max_restarts`.
+    /// window; `false` when the window already holds `max`.
     fn spend(&mut self, now: Instant) -> bool {
         while self
             .spent
@@ -1285,9 +1259,10 @@ mod tests {
     #[test]
     fn gives_up_after_max_restarts() {
         let units = unit_points(2);
+        // One panic more than the budget, at consecutive updates: each
+        // retry succeeds and the next update panics again.
         let config = ResilienceConfig {
-            max_restarts: 2,
-            panic_at: vec![0, 1, 2, 3],
+            panic_at: (0..=u64::from(MAX_RESTARTS)).collect(),
             ..ResilienceConfig::default()
         };
         let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 64);
@@ -1306,8 +1281,14 @@ mod tests {
         assert_eq!(pipeline.try_send(stream[0]), Err(SendError::WorkerDied));
         let report = pipeline.shutdown();
         assert!(report.gave_up);
-        assert_eq!(report.metrics.resilience.worker_panics, 3);
-        assert_eq!(report.metrics.resilience.worker_restarts, 2);
+        assert_eq!(
+            report.metrics.resilience.worker_panics,
+            u64::from(MAX_RESTARTS) + 1
+        );
+        assert_eq!(
+            report.metrics.resilience.worker_restarts,
+            u64::from(MAX_RESTARTS)
+        );
         assert!(report.final_result.is_empty());
     }
 
@@ -1371,82 +1352,6 @@ mod tests {
         assert_eq!(r.duplicates_dropped, 1);
         assert_eq!(r.rejected_non_finite, 1);
         assert_eq!(r.rejected_unknown_unit, 1);
-    }
-
-    /// Leases flow through the pipeline: a silent unit is parked (its
-    /// protection retracted) and reinstated when it reports again, with the
-    /// park/reinstate visible in the monitor's final unit positions.
-    #[test]
-    fn leases_retract_and_reinstate_protection() {
-        use crate::algorithm::CtupAlgorithm;
-        use crate::ingest::parked_position;
-
-        let units = unit_points(2);
-        let config = ResilienceConfig {
-            lease_ttl: Some(5),
-            ..ResilienceConfig::default()
-        };
-
-        // Unit 1 never reports; unit 0 keeps reporting until the clock
-        // passes tick 5 and unit 1's lease expires.
-        let pipeline = SupervisedPipeline::spawn(monitor(&units), config.clone(), 64);
-        for ts in 1..=8u64 {
-            pipeline
-                .send(StampedUpdate {
-                    seq: ts,
-                    ts,
-                    update: LocationUpdate {
-                        unit: UnitId(0),
-                        new: Point::new(0.4, 0.4),
-                    },
-                })
-                .expect("worker alive");
-        }
-        let report = pipeline.shutdown();
-        assert!(!report.gave_up);
-        assert_eq!(report.metrics.resilience.lease_expiries, 1);
-        assert_eq!(report.metrics.resilience.lease_reinstates, 0);
-        // 8 accepted reports + 1 park.
-        assert_eq!(report.updates_processed, 9);
-
-        // Same feed, but unit 1 reports at the end: reinstated.
-        let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 64);
-        for ts in 1..=8u64 {
-            pipeline
-                .send(StampedUpdate {
-                    seq: ts,
-                    ts,
-                    update: LocationUpdate {
-                        unit: UnitId(0),
-                        new: Point::new(0.4, 0.4),
-                    },
-                })
-                .expect("worker alive");
-        }
-        pipeline
-            .send(StampedUpdate {
-                seq: 1,
-                ts: 9,
-                update: LocationUpdate {
-                    unit: UnitId(1),
-                    new: Point::new(0.6, 0.6),
-                },
-            })
-            .expect("worker alive");
-        let report = pipeline.shutdown();
-        assert_eq!(report.metrics.resilience.lease_expiries, 1);
-        assert_eq!(report.metrics.resilience.lease_reinstates, 1);
-
-        // Sanity: a directly-driven monitor agrees a parked unit protects
-        // nothing and a reinstated one protects again.
-        let mut direct = monitor(&units);
-        direct
-            .handle_update(LocationUpdate {
-                unit: UnitId(1),
-                new: parked_position(),
-            })
-            .expect("update");
-        assert_eq!(direct.unit_position(UnitId(1)), parked_position());
     }
 
     /// A store whose `read_cell` fails exactly once, on a chosen call
@@ -1528,6 +1433,13 @@ mod tests {
         assert_eq!(report.final_result, direct.result());
     }
 
+    /// How many reports of a `stamp_stream` feed a slot covers: the
+    /// per-unit sequence numbers count from 1, so they sum to it.
+    fn covered(checkpoint: &Checkpoint) -> u64 {
+        let gate = checkpoint.gate.as_ref().expect("gate");
+        gate.units.iter().filter_map(|u| u.last_seq).sum()
+    }
+
     fn temp_state_dir() -> std::path::PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
         static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -1589,15 +1501,15 @@ mod tests {
     fn give_up_dumps_flight_recorder_jsonl() {
         let dir = temp_state_dir();
         let units = unit_points(2);
+        let last = u64::from(MAX_RESTARTS);
         let config = ResilienceConfig {
-            max_restarts: 1,
-            panic_at: vec![0, 1],
+            panic_at: (0..=last).collect(),
             state_dir: Some(dir.clone()),
             ..ResilienceConfig::default()
         };
         let pipeline = SupervisedPipeline::spawn(monitor(&units), config, 64);
         let stamped = stamp_stream(updates(20, 2));
-        let unit = stamped[1].update.unit.0;
+        let unit = stamped[usize::try_from(last).expect("fits")].update.unit.0;
         for report in stamped {
             if pipeline.send(report).is_err() {
                 break;
@@ -1608,7 +1520,7 @@ mod tests {
         let dump = std::fs::read_to_string(dir.join(FLIGHT_RECORDER_FILE)).expect("read dump");
         assert_eq!(
             dump,
-            format!("{{\"outcome\":\"gave_up\",\"seq\":1,\"unit\":{unit}}}\n")
+            format!("{{\"outcome\":\"gave_up\",\"seq\":{last},\"unit\":{unit}}}\n")
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1910,7 +1822,7 @@ mod tests {
         // stamps report `n` with tick `n`. The journal holds reports
         // `base + 1` up to the last one journaled.
         let (checkpoint, journal) = DurableState::load(&dir).expect("load");
-        let base = checkpoint.gate.expect("gate").now;
+        let base = covered(&checkpoint);
         let ticks: Vec<u64> = journal.iter().map(|r| r.ts).collect();
         let journaled = usize::try_from(*ticks.last().expect("a journal tail")).expect("fits");
         assert_eq!(
@@ -2096,7 +2008,7 @@ mod tests {
         let taken = EVERY;
 
         let (checkpoint, journal) = DurableState::load(&dir).expect("load");
-        assert_eq!(checkpoint.gate.expect("gate").now, 0, "slot 1, the base");
+        assert_eq!(covered(&checkpoint), 0, "slot 1, the base");
         assert_eq!(journal, stamped[..taken].to_vec());
         let (replayed, _) = direct_run(&units, &stream[..taken]);
         let store = || -> Arc<dyn PlaceStore> {
@@ -2121,96 +2033,6 @@ mod tests {
         let out = recovered.shutdown();
         assert!(!out.gave_up);
         assert_eq!(out.final_result, direct.result());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A checkpoint never falls between a lease park and the accepted
-    /// update of the report whose tick expired the lease. Its gate state
-    /// would already cover that report while the monitor had not applied
-    /// it, so recovery would drop the journaled report as a duplicate and
-    /// lose its update. Here the checkpoint comes due on exactly such a
-    /// park, and the reporting unit does not report again before the kill.
-    #[test]
-    #[cfg_attr(miri, ignore)] // durable state lives on the real filesystem
-    fn a_checkpoint_never_separates_a_park_from_its_report() {
-        let dir = temp_state_dir();
-        let units = unit_points(2);
-        let lease_ttl = Some(3);
-        let stamped = |seq: u64, ts: u64, unit: u32, new: Point| StampedUpdate {
-            seq,
-            ts,
-            update: LocationUpdate {
-                unit: UnitId(unit),
-                new,
-            },
-        };
-        // Unit 0 covers place 2 (required protection 3) for three ticks
-        // while unit 1 stays silent. At tick 4 unit 0's report first parks
-        // unit 1 — effective update 3, the fourth, so a checkpoint is due —
-        // and then moves unit 0 away, uncovering place 2. Unit 1's report
-        // at tick 5 is the kill point.
-        let on_place_2 = Point::new(2.0 / 6.0 + 0.05, 0.05);
-        let mut feed: Vec<StampedUpdate> = (1..=3).map(|t| stamped(t, t, 0, on_place_2)).collect();
-        feed.push(stamped(4, 4, 0, Point::new(0.95, 0.95)));
-        feed.push(stamped(1, 5, 1, Point::new(0.9, 0.6)));
-
-        // What the monitor holds after a feed, leases applied as the gate
-        // applies them.
-        let gated_run = |reports: &[StampedUpdate]| {
-            let mut server = Server::new(monitor(&units));
-            let mut gate = IngestGate::new(IngestConfig {
-                space: *server.algorithm().store().grid().space(),
-                num_units: units.len(),
-                lease_ttl,
-            });
-            let mut scratch = ResilienceStats::default();
-            for &report in reports {
-                for update in gate.admit(report, &mut scratch).unwrap_or_default() {
-                    server.ingest(update).expect("ingest");
-                }
-            }
-            server.result()
-        };
-        // The feed is one whose loss would show: had unit 0 stayed on
-        // place 2, the top-k would differ.
-        let mut lossy = feed.clone();
-        lossy[3].update.new = on_place_2;
-        assert_ne!(gated_run(&feed), gated_run(&lossy));
-
-        let config = ResilienceConfig {
-            lease_ttl,
-            checkpoint_every: 4,
-            state_dir: Some(dir.clone()),
-            kill_at: Some(5),
-            ..ResilienceConfig::default()
-        };
-        let pipeline = SupervisedPipeline::spawn(monitor(&units), config.clone(), 64);
-        for &report in &feed {
-            pipeline.send(report).expect("queue has room");
-        }
-        let out = pipeline.shutdown();
-        assert!(out.killed);
-        assert_eq!(out.metrics.resilience.lease_expiries, 1);
-
-        // The slot at the park's group end covers reports 1 to 4, and the
-        // journal epoch after it holds the killed report 5.
-        let (checkpoint, journal) = DurableState::load(&dir).expect("load");
-        assert_eq!(checkpoint.gate.expect("gate").now, 4);
-        assert_eq!(journal, feed[4..], "every report was journaled");
-        let store: Arc<dyn PlaceStore> =
-            Arc::new(CellLocalStore::build(Grid::unit_square(6), places()));
-        let recovered = SupervisedPipeline::recover_from_dir::<OptCtup>(
-            &dir,
-            store,
-            ResilienceConfig {
-                kill_at: None,
-                ..config
-            },
-            64,
-        )
-        .expect("recover");
-        assert_eq!(recovered.initial_result(), gated_run(&feed));
-        drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2474,7 +2296,7 @@ mod tests {
 
     /// The durable image is the commit stage's fold: a stream folded into
     /// the spawn-time image lands the slot the commit stage lands for the
-    /// same reports, lease parks included, and folding the stream a second
+    /// same reports, and folding the stream a second
     /// time changes nothing, since the gate drops every report again. A
     /// restore hands the image's gate over with the engine: a redelivered
     /// report is dropped as a duplicate, and a fresh one is applied.
@@ -2486,13 +2308,10 @@ mod tests {
         let engine = monitor(&unit_points(4));
         let store = engine.store();
         let space = *store.grid().space();
-        let lease_ttl = Some(3);
-        let mut image =
-            DurableImage::from_checkpoint(engine.checkpoint(), space, lease_ttl).expect("valid");
+        let mut image = DurableImage::from_checkpoint(engine.checkpoint(), space).expect("valid");
         // Every group is one report and lands a slot, so the newest slot
         // covers the whole stream.
         let config = ResilienceConfig {
-            lease_ttl,
             checkpoint_every: 1,
             state_dir: Some(dir.clone()),
             ..ResilienceConfig::default()
@@ -2505,7 +2324,6 @@ mod tests {
             image.admit(report, &mut stats).expect("a fresh report");
         }
         assert!(!pipeline.shutdown().killed);
-        assert!(stats.lease_expiries > 0, "the stream parks units");
         let (landed, journal) = DurableState::load(&dir).expect("load");
         assert!(
             journal.is_empty(),
@@ -2560,9 +2378,9 @@ mod tests {
             kill_at: Some(40),
             ..ResilienceConfig::default()
         };
+        // The panic that exhausts the budget is the one at 40.
         let give_up = ResilienceConfig {
-            max_restarts: 0,
-            panic_at: vec![40],
+            panic_at: (40 - u64::from(MAX_RESTARTS)..=40).collect(),
             ..ResilienceConfig::default()
         };
         for config in [kill, give_up] {
@@ -2622,9 +2440,9 @@ mod tests {
                         continue;
                     };
                     // Report `n` carries tick `n`: the slot covers the
-                    // reports up to its gate clock, the journal the ones
-                    // after it, without a gap.
-                    let base = checkpoint.gate.expect("gate").now;
+                    // first `covered` reports, the journal the ones after
+                    // it, without a gap.
+                    let base = covered(&checkpoint);
                     let ticks: Vec<u64> = journal.iter().map(|r| r.ts).collect();
                     let end = base + convert::count64(ticks.len());
                     assert!(

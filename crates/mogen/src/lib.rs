@@ -13,7 +13,7 @@
 //!   updates past a displacement threshold;
 //! * [`places`] — place sets with skewed required-protection distributions;
 //! * [`rng`] — the one seeded generator every stream is drawn from;
-//! * [`uniform`] — random-waypoint and teleport models for stress tests;
+//! * [`uniform`] — a teleport model for stress tests;
 //! * [`workload`] — bundles of all of the above, including the paper's
 //!   Table III defaults.
 //!
@@ -43,5 +43,5 @@ pub use objects::{MovingObjectSim, PositionUpdate};
 pub use places::{PlaceGenConfig, PlaceGenerator, Spread};
 pub use rng::SeededRng;
 pub use route::Router;
-pub use uniform::{RandomWaypointSim, TeleportSim};
+pub use uniform::TeleportSim;
 pub use workload::{Workload, WorkloadParams};

@@ -86,12 +86,6 @@ impl MovingObjectSim {
         self.objects[object as usize].pos
     }
 
-    /// Last reported position of an object — the position the server
-    /// believes the object to be at.
-    pub fn reported_position(&self, object: u32) -> Point {
-        self.objects[object as usize].reported
-    }
-
     /// Initial/reported positions of all objects, in id order.
     pub fn reported_positions(&self) -> Vec<Point> {
         self.objects.iter().map(|o| o.reported).collect()

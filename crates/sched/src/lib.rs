@@ -1,8 +1,8 @@
 //! `ctup-sched` — a deterministic-schedule model checker ("loom-lite").
 //!
 //! The real concurrency in this workspace — the net front door's
-//! session/ack protocol, the admission hysteresis, the shard barrier, the
-//! cell-cache invalidation — is tested end to end with real threads, but
+//! session/ack protocol, its park/kick wake-up, the admission hysteresis,
+//! the shard barrier — is tested end to end with real threads, but
 //! real threads explore one arbitrary interleaving per run. This crate
 //! runs *models* of those protocols on cooperative virtual threads under
 //! a scheduler the test controls, so a property can be checked against

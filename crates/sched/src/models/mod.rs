@@ -15,11 +15,9 @@
 //! | [`session`] | `core::net::session` pending/ack, writer half | ack never precedes apply; no ghost pending; exactly-once; a shed precedes the ack covering it |
 //! | [`park`] | `core::net::admission` park/kick | no lost wake-up; no wake-up for nobody |
 //! | [`admission`] | `core::net::admission` hysteresis | bounded depth; clears only at low; no shed latch-up |
-//! | [`cache`] | `storage::cache` miss vs. invalidate | no stale entry after write-invalidation |
 //! | [`barrier`] | `core::parallel` batch barrier | merge only after every shard; merged == sequential |
 
 pub mod admission;
 pub mod barrier;
-pub mod cache;
 pub mod park;
 pub mod session;

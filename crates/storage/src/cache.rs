@@ -27,12 +27,8 @@
 //! than the budget, so recency alone keeps evicting the cells that come
 //! back (DESIGN.md §18).
 //!
-//! The cache is coherent by construction for the repo's read-only lower
-//! level; for stores whose records can change, [`CachedStore::invalidate_cell`]
-//! drops the stale copy (write-invalidation) and
-//! [`CachedStore::invalidate_all`] empties the cache (e.g. after restoring
-//! a checkpoint over rewritten pages). Both keep the counts: demand is
-//! not content.
+//! The cache has no write path: the place set is fixed and its lower level
+//! read-only, so a resident copy can never go stale.
 
 use crate::error::StorageError;
 use crate::place::PlaceRecord;
@@ -77,13 +73,6 @@ struct State {
     aging_period: u64,
     /// Demand reads since the last halving.
     reads_since_aging: u64,
-    /// Bumped by every invalidation. The miss path reads the lower level
-    /// *outside* the lock (so concurrent misses are not serialized behind
-    /// the simulated disk); it captures this generation first and refuses
-    /// to insert if an invalidation ran in between — otherwise a write
-    /// racing the miss would leave the pre-write records resident, and a
-    /// later read would see stale data after the write was acknowledged.
-    invalidation_gen: u64,
 }
 
 impl State {
@@ -102,15 +91,6 @@ impl State {
             }
         }
         records
-    }
-
-    /// Drops the records of `idx`, if resident.
-    fn drop_records(&mut self, idx: usize) {
-        if let Some(slot) = self.slots.get_mut(idx) {
-            if slot.records.take().is_some() {
-                self.used_pages -= slot.pages;
-            }
-        }
     }
 
     /// Admits `records` (weighing `pages`) as the cell `idx` if it fits
@@ -205,7 +185,6 @@ impl CachedStore {
             next_tick: 0,
             aging_period: AGING_PERIOD_PER_CELL * convert::count64(cells.max(1)),
             reads_since_aging: 0,
-            invalidation_gen: 0,
         };
         CachedStore {
             inner,
@@ -222,24 +201,6 @@ impl CachedStore {
     /// Pages currently resident.
     pub fn resident_pages(&self) -> u64 {
         self.lock_state().used_pages
-    }
-
-    /// Drops the cached copy of `cell`, if any — the write-invalidation
-    /// hook: call after the lower-level records of `cell` change.
-    pub fn invalidate_cell(&self, cell: CellId) {
-        let mut state = self.lock_state();
-        state.invalidation_gen += 1;
-        state.drop_records(cell.index());
-    }
-
-    /// Empties the cache (e.g. after a bulk rewrite of the lower level).
-    pub fn invalidate_all(&self) {
-        let mut state = self.lock_state();
-        state.invalidation_gen += 1;
-        for slot in &mut state.slots {
-            slot.records = None;
-        }
-        state.used_pages = 0;
     }
 
     fn lock_state(&self) -> MutexGuard<'_, State> {
@@ -267,10 +228,7 @@ impl PlaceStore for CachedStore {
             return self.inner.read_cell(cell);
         }
         let stats = self.inner.stats();
-        let (resident, gen_at_miss) = {
-            let mut state = self.lock_state();
-            (state.note_read(cell.index()), state.invalidation_gen)
-        };
+        let resident = self.lock_state().note_read(cell.index());
         if let Some(records) = resident {
             stats.record_cache_hit();
             return Ok(Cow::Owned(records.as_ref().clone()));
@@ -283,12 +241,6 @@ impl PlaceStore for CachedStore {
         if pages <= self.capacity_pages {
             let mut evicted = Vec::new();
             let mut state = self.lock_state();
-            if state.invalidation_gen != gen_at_miss {
-                // An invalidation raced this unlocked read: the records may
-                // predate the write that triggered it, so serve them to this
-                // caller (it started before the write) but do not cache them.
-                return Ok(Cow::Owned(Arc::unwrap_or_clone(records)));
-            }
             state.admit(
                 cell.index(),
                 &records,
@@ -613,33 +565,20 @@ mod tests {
         let cells: Vec<CellId> = cached.grid().cells().collect();
         let mut reference = Reference::new(8, pages);
         let mut next = xorshift(0xcafe_f00d);
-        let (mut invalidations, mut flushes) = (0, 0);
         for step in 0..6_000u64 {
-            let roll = next() % 1_000;
-            if roll < 25 {
-                let i = (next() % 16) as usize;
-                cached.invalidate_cell(cells[i]);
-                reference.resident[i] = false;
-                invalidations += 1;
-            } else if roll < 28 {
-                cached.invalidate_all();
-                reference.resident.iter_mut().for_each(|r| *r = false);
-                flushes += 1;
+            // A hot set of four cells that moves every 1 500 steps, over a
+            // uniform background.
+            let i = if next() % 10 < 7 {
+                ((step / 1_500) * 4 + next() % 4) % 16
             } else {
-                // A hot set of four cells that moves every 1 500 steps,
-                // over a uniform background.
-                let i = if next() % 10 < 7 {
-                    ((step / 1_500) * 4 + next() % 4) % 16
-                } else {
-                    next() % 16
-                } as usize;
-                let served = cached.read_cell(cells[i]).expect("read").into_owned();
-                assert_eq!(
-                    served,
-                    inner.read_cell(cells[i]).expect("read").into_owned()
-                );
-                reference.read(i);
-            }
+                next() % 16
+            } as usize;
+            let served = cached.read_cell(cells[i]).expect("read").into_owned();
+            assert_eq!(
+                served,
+                inner.read_cell(cells[i]).expect("read").into_owned()
+            );
+            reference.read(i);
             let state = cached.lock_state();
             for (j, slot) in state.slots.iter().enumerate() {
                 assert_eq!(
@@ -665,81 +604,7 @@ mod tests {
         );
         // The stream exercised every branch of the policy.
         assert!(reference.hits > 0 && reference.evictions > 0 && reference.refusals > 0);
-        assert!(reference.oversized > 0 && invalidations > 0 && flushes > 0);
-    }
-
-    #[test]
-    fn invalidation_forces_reread() {
-        let inner = store_with_grid(2);
-        let cached = CachedStore::new(inner, 4);
-        let a = cell(&cached, 0, 0);
-        let b = cell(&cached, 1, 0);
-        cached.read_cell(a).expect("read");
-        cached.read_cell(b).expect("read");
-        cached.invalidate_cell(a);
-        assert_eq!(cached.resident_pages(), 1);
-        cached.read_cell(a).expect("read"); // miss after invalidation
-        cached.read_cell(b).expect("read"); // untouched entry still hits
-        cached.invalidate_all();
-        assert_eq!(cached.resident_pages(), 0);
-        cached.read_cell(b).expect("read"); // miss after full flush
-        let snap = cached.stats().snapshot();
-        assert_eq!(snap.cache_misses, 4);
-        assert_eq!(snap.cache_hits, 1);
-    }
-
-    #[test]
-    fn invalidation_racing_a_miss_is_not_overwritten_by_the_stale_read() {
-        use std::sync::Weak;
-        // An inner store that fires a hook in the middle of `read_cell` —
-        // exactly the window where the cache has released its lock — and
-        // uses it to run write-invalidation against the wrapping cache.
-        struct HookStore {
-            inner: Arc<dyn PlaceStore>,
-            target: Mutex<Option<Weak<CachedStore>>>,
-        }
-        impl PlaceStore for HookStore {
-            fn grid(&self) -> &Grid {
-                self.inner.grid()
-            }
-            fn num_places(&self) -> usize {
-                self.inner.num_places()
-            }
-            fn read_cell(&self, cell: CellId) -> Result<Cow<'_, [PlaceRecord]>, StorageError> {
-                let target = self.target.lock().expect("hook lock");
-                if let Some(cached) = target.as_ref().and_then(Weak::upgrade) {
-                    // The lower level changed while this read was in flight.
-                    cached.invalidate_cell(cell);
-                }
-                self.inner.read_cell(cell)
-            }
-            fn cell_pages(&self, cell: CellId) -> u64 {
-                self.inner.cell_pages(cell)
-            }
-            fn stats(&self) -> &StorageStats {
-                self.inner.stats()
-            }
-            fn for_each_place(&self, f: &mut dyn FnMut(&PlaceRecord)) -> Result<(), StorageError> {
-                self.inner.for_each_place(f)
-            }
-        }
-
-        let hook = Arc::new(HookStore {
-            inner: store_with_grid(2),
-            target: Mutex::new(None),
-        });
-        let cached = Arc::new(CachedStore::new(hook.clone(), 4));
-        *hook.target.lock().expect("hook lock") = Some(Arc::downgrade(&cached));
-
-        let c = cell(cached.as_ref(), 0, 0);
-        cached.read_cell(c).expect("read");
-        // The records read before the invalidation must not be resident:
-        // caching them would serve pre-write data after the write.
-        assert_eq!(cached.resident_pages(), 0);
-        cached.read_cell(c).expect("read");
-        let snap = cached.stats().snapshot();
-        assert_eq!(snap.cache_misses, 2);
-        assert_eq!(snap.cache_hits, 0);
+        assert!(reference.oversized > 0);
     }
 
     #[test]

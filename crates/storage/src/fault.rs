@@ -2,12 +2,12 @@
 //!
 //! [`FaultDisk`] wraps a [`PagedDiskStore`] and makes it lie the way real
 //! disks do: reads fail transiently, pages are torn by partial writes,
-//! bits rot, and latency spikes. Every fault is driven by one seed so a
-//! chaos scenario replays exactly. Because the paged store's frames are
+//! and bits rot. Every fault is driven by one seed so a chaos scenario
+//! replays exactly. Because the paged store's frames are
 //! CRC32-checksummed, persistent damage is *detected* — a corrupt page
-//! yields a typed [`StorageError`], never silently wrong records — while
-//! transient faults are absorbed by a configurable
-//! retry-with-exponential-backoff [`RetryPolicy`].
+//! yields a typed [`StorageError`], never silently wrong records, and is
+//! not retried — while transient faults are absorbed by up to three
+//! retries with exponential backoff.
 //!
 //! Fault taxonomy:
 //!
@@ -16,7 +16,6 @@
 //! | transient error  | per attempt   | `Io` error; a retry may succeed     |
 //! | torn page write  | at build      | frame length mismatch, every read   |
 //! | bit flip         | at build      | checksum mismatch, every read       |
-//! | latency spike    | per read      | extra simulated I/O nanoseconds     |
 
 use crate::diskstore::{decode_frame, PagedDiskStore};
 use crate::error::StorageError;
@@ -79,10 +78,6 @@ pub struct DiskFaultPlan {
     pub torn_writes: u32,
     /// Number of single-bit flips applied to pages at build time.
     pub bit_flips: u32,
-    /// Probability a page read takes a latency spike.
-    pub latency_spike_prob: f64,
-    /// Extra simulated nanoseconds charged per latency spike.
-    pub latency_spike_nanos: u64,
 }
 
 impl Default for DiskFaultPlan {
@@ -92,56 +87,36 @@ impl Default for DiskFaultPlan {
             read_error_prob: 0.0,
             torn_writes: 0,
             bit_flips: 0,
-            latency_spike_prob: 0.0,
-            latency_spike_nanos: 50_000,
         }
     }
 }
 
-/// Retry-with-exponential-backoff policy for transient read failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Extra attempts after the first failed read (`0` = fail fast).
-    pub max_retries: u32,
-    /// Backoff charged before the first retry, in simulated nanoseconds.
-    pub base_backoff_nanos: u64,
-    /// Upper bound on a single backoff step.
-    pub max_backoff_nanos: u64,
-}
+/// Extra attempts after the first transiently failed read.
+const MAX_RETRIES: u32 = 3;
+/// Backoff charged before the first retry, in simulated nanoseconds.
+const BASE_BACKOFF_NANOS: u64 = 2_000;
+/// Upper bound on a single backoff step.
+const MAX_BACKOFF_NANOS: u64 = 1_000_000;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff_nanos: 2_000,
-            max_backoff_nanos: 1_000_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (0-based): `base * 2^retry`,
-    /// capped at `max_backoff_nanos`.
-    pub fn backoff_nanos(&self, retry: u32) -> u64 {
-        let factor = 2u64.saturating_pow(retry);
-        self.base_backoff_nanos
-            .saturating_mul(factor)
-            .min(self.max_backoff_nanos)
-    }
+/// Backoff before retry number `retry` (0-based): `base * 2^retry`, capped
+/// at [`MAX_BACKOFF_NANOS`].
+fn backoff_nanos(retry: u32) -> u64 {
+    let factor = 2u64.saturating_pow(retry);
+    BASE_BACKOFF_NANOS
+        .saturating_mul(factor)
+        .min(MAX_BACKOFF_NANOS)
 }
 
 /// A paged store behind a seeded fault injector.
 ///
 /// Build-time faults (torn writes, bit flips) damage the pages themselves;
-/// run-time faults (transient errors, latency spikes) are rolled per read
-/// attempt. Counters land in the shared [`StorageStats`]: successful reads
-/// in the usual access counters, failures in `read_retries`,
-/// `read_giveups` and `corrupt_pages`.
+/// transient errors are rolled per read attempt. Counters land in the
+/// shared [`StorageStats`]: successful reads in the usual access counters,
+/// failures in `read_retries`, `read_giveups` and `corrupt_pages`.
 #[derive(Debug)]
 pub struct FaultDisk {
     inner: PagedDiskStore,
     plan: DiskFaultPlan,
-    retry: RetryPolicy,
     rng: Mutex<SplitMix64>,
     corrupted_pages: Vec<u32>,
 }
@@ -156,7 +131,6 @@ impl FaultDisk {
         places: Vec<PlaceRecord>,
         page_latency_nanos: u64,
         plan: DiskFaultPlan,
-        retry: RetryPolicy,
     ) -> Self {
         let mut inner = PagedDiskStore::build(grid, places, page_latency_nanos);
         let mut rng = SplitMix64::new(plan.seed);
@@ -191,7 +165,6 @@ impl FaultDisk {
         FaultDisk {
             inner,
             plan,
-            retry,
             rng: Mutex::new(rng),
             corrupted_pages,
         }
@@ -217,9 +190,8 @@ impl FaultDisk {
 
     /// One read attempt over the cell's pages: rolls the transient faults,
     /// then validates and decodes every frame.
-    fn try_read_cell(&self, cell: CellId) -> Result<(Vec<PlaceRecord>, u64), StorageError> {
+    fn try_read_cell(&self, cell: CellId) -> Result<Vec<PlaceRecord>, StorageError> {
         let loc = self.inner.location(cell);
-        let mut spike_nanos = 0u64;
         {
             // The generator is one `u64`, valid after every step, so a
             // poisoned lock is still usable.
@@ -231,16 +203,13 @@ impl FaultDisk {
                 if rng.chance(self.plan.read_error_prob) {
                     return Err(StorageError::Io { page, attempts: 1 });
                 }
-                if rng.chance(self.plan.latency_spike_prob) {
-                    spike_nanos += self.plan.latency_spike_nanos;
-                }
             }
         }
         let mut records = Vec::with_capacity(loc.num_records as usize);
         for page in loc.first_page..loc.first_page + loc.num_pages {
             decode_frame(self.inner.page(page), page, &mut records)?;
         }
-        Ok((records, spike_nanos))
+        Ok(records)
     }
 }
 
@@ -256,14 +225,12 @@ impl PlaceStore for FaultDisk {
     fn read_cell(&self, cell: CellId) -> Result<Cow<'_, [PlaceRecord]>, StorageError> {
         let loc = self.inner.location(cell);
         let stats = self.inner.stats();
-        let mut backoff_nanos = 0u64;
+        let mut backoff = 0u64;
         let mut attempts = 0u32;
         loop {
             match self.try_read_cell(cell) {
-                Ok((records, spike_nanos)) => {
-                    let io_nanos = self.inner.simulate_latency(loc.num_pages as u64)
-                        + spike_nanos
-                        + backoff_nanos;
+                Ok(records) => {
+                    let io_nanos = self.inner.simulate_latency(loc.num_pages as u64) + backoff;
                     stats.record_cell_read(loc.num_records as u64, loc.num_pages as u64, io_nanos);
                     return Ok(Cow::Owned(records));
                 }
@@ -272,7 +239,8 @@ impl PlaceStore for FaultDisk {
                         stats.record_corrupt_page();
                     }
                     attempts += 1;
-                    if attempts > self.retry.max_retries {
+                    // Only a transient failure may succeed on a retry.
+                    if !e.is_transient() || attempts > MAX_RETRIES {
                         stats.record_giveup();
                         return Err(match e {
                             StorageError::Io { page, .. } => StorageError::Io { page, attempts },
@@ -281,7 +249,7 @@ impl PlaceStore for FaultDisk {
                     }
                     // Backoff is simulated, not slept: it is charged to the
                     // I/O time of the eventually successful read.
-                    backoff_nanos += self.retry.backoff_nanos(attempts - 1);
+                    backoff += backoff_nanos(attempts - 1);
                     stats.record_retry();
                 }
             }
@@ -321,13 +289,13 @@ mod tests {
             .collect()
     }
 
-    fn quiet_disk(plan: DiskFaultPlan, retry: RetryPolicy) -> FaultDisk {
-        FaultDisk::build(Grid::unit_square(4), sample_places(400), 0, plan, retry)
+    fn quiet_disk(plan: DiskFaultPlan) -> FaultDisk {
+        FaultDisk::build(Grid::unit_square(4), sample_places(400), 0, plan)
     }
 
     #[test]
     fn no_faults_behaves_like_the_paged_store() {
-        let disk = quiet_disk(DiskFaultPlan::default(), RetryPolicy::default());
+        let disk = quiet_disk(DiskFaultPlan::default());
         assert!(disk.corrupted_pages().is_empty());
         let mem = crate::memstore::CellLocalStore::build(Grid::unit_square(4), sample_places(400));
         for cell in disk.grid().cells().collect::<Vec<_>>() {
@@ -349,11 +317,11 @@ mod tests {
             bit_flips: 3,
             ..DiskFaultPlan::default()
         };
-        let a = quiet_disk(plan.clone(), RetryPolicy::default());
-        let b = quiet_disk(plan.clone(), RetryPolicy::default());
+        let a = quiet_disk(plan.clone());
+        let b = quiet_disk(plan.clone());
         assert_eq!(a.corrupted_pages(), b.corrupted_pages());
         assert!(!a.corrupted_pages().is_empty());
-        let c = quiet_disk(DiskFaultPlan { seed: 78, ..plan }, RetryPolicy::default());
+        let c = quiet_disk(DiskFaultPlan { seed: 78, ..plan });
         assert_ne!(a.corrupted_pages(), c.corrupted_pages());
     }
 
@@ -364,7 +332,7 @@ mod tests {
             read_error_prob: 0.3,
             ..DiskFaultPlan::default()
         };
-        let disk = quiet_disk(plan, RetryPolicy::default());
+        let disk = quiet_disk(plan);
         let mut failures = 0u64;
         for _ in 0..20 {
             for cell in disk.grid().cells().collect::<Vec<_>>() {
@@ -389,22 +357,18 @@ mod tests {
             read_error_prob: 1.0,
             ..DiskFaultPlan::default()
         };
-        let retry = RetryPolicy {
-            max_retries: 2,
-            ..RetryPolicy::default()
-        };
-        let disk = quiet_disk(plan, retry);
+        let disk = quiet_disk(plan);
         let cell = disk.grid().cells().next().expect("a cell");
         let err = disk.read_cell(cell).expect_err("must give up");
         assert_eq!(
             err,
             StorageError::Io {
                 page: disk.inner.location(cell).first_page,
-                attempts: 3,
+                attempts: MAX_RETRIES + 1,
             }
         );
         let snap = disk.stats().snapshot();
-        assert_eq!(snap.read_retries, 2);
+        assert_eq!(snap.read_retries, u64::from(MAX_RETRIES));
         assert_eq!(snap.read_giveups, 1);
         assert_eq!(snap.cell_reads, 0);
     }
@@ -417,7 +381,7 @@ mod tests {
             bit_flips: 4,
             ..DiskFaultPlan::default()
         };
-        let disk = quiet_disk(plan, RetryPolicy::default());
+        let disk = quiet_disk(plan);
         let damaged = disk.corrupted_cells();
         assert!(!damaged.is_empty());
         for cell in disk.grid().cells().collect::<Vec<_>>() {
@@ -442,50 +406,26 @@ mod tests {
         let snap = disk.stats().snapshot();
         assert!(snap.corrupt_pages > 0);
         assert!(snap.read_giveups > 0);
+        assert_eq!(snap.read_retries, 0, "corruption is not retried");
     }
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let retry = RetryPolicy {
-            max_retries: 10,
-            base_backoff_nanos: 1_000,
-            max_backoff_nanos: 16_000,
-        };
-        assert_eq!(retry.backoff_nanos(0), 1_000);
-        assert_eq!(retry.backoff_nanos(1), 2_000);
-        assert_eq!(retry.backoff_nanos(3), 8_000);
-        assert_eq!(retry.backoff_nanos(5), 16_000);
-        assert_eq!(retry.backoff_nanos(63), 16_000);
-    }
-
-    #[test]
-    fn latency_spikes_are_charged() {
-        let plan = DiskFaultPlan {
-            seed: 3,
-            latency_spike_prob: 1.0,
-            latency_spike_nanos: 1_000,
-            ..DiskFaultPlan::default()
-        };
-        let disk = quiet_disk(plan, RetryPolicy::default());
-        let cell = disk.grid().cells().next().expect("a cell");
-        disk.read_cell(cell).expect("read");
-        assert!(disk.stats().snapshot().io_nanos >= 1_000);
+        assert_eq!(backoff_nanos(0), 2_000);
+        assert_eq!(backoff_nanos(1), 4_000);
+        assert_eq!(backoff_nanos(3), 16_000);
+        assert_eq!(backoff_nanos(9), 1_000_000);
+        assert_eq!(backoff_nanos(63), 1_000_000);
     }
 
     #[test]
     fn corrupt_kind_is_precise() {
         // A torn page must be reported as torn, a flipped page as checksum.
-        let torn = quiet_disk(
-            DiskFaultPlan {
-                seed: 42,
-                torn_writes: 1,
-                ..DiskFaultPlan::default()
-            },
-            RetryPolicy {
-                max_retries: 0,
-                ..RetryPolicy::default()
-            },
-        );
+        let torn = quiet_disk(DiskFaultPlan {
+            seed: 42,
+            torn_writes: 1,
+            ..DiskFaultPlan::default()
+        });
         let cell = torn.corrupted_cells()[0];
         let err = torn.read_cell(cell).expect_err("torn");
         assert!(matches!(

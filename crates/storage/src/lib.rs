@@ -11,10 +11,10 @@
 //! * [`PagedDiskStore`] — page-oriented with a checksummed binary codec
 //!   and optional simulated per-page latency, for the on-disk regime;
 //! * [`FaultDisk`] — a seeded fault injector over the paged store
-//!   (transient read errors, torn writes, bit flips, latency spikes) with
-//!   a retry-with-backoff [`RetryPolicy`];
+//!   (transient read errors, torn writes, bit flips) that retries
+//!   transient errors with backoff;
 //! * [`CachedStore`] — a bounded, frequency-gated cell-read cache over any
-//!   store, with hit/miss/eviction accounting and write-invalidation hooks;
+//!   read-only store, with hit/miss/eviction accounting;
 //! * [`snapshot`] — a tiny text format to persist generated data sets.
 //!
 //! Reads are fallible: page frames carry a CRC32, so torn writes and bit
@@ -52,7 +52,7 @@ pub use cache::CachedStore;
 pub use checksum::crc32;
 pub use diskstore::{decode_page, encode_pages, PagedDiskStore, FRAME_HEADER, PAGE_SIZE};
 pub use error::{CorruptKind, RecordError, StorageError};
-pub use fault::{DiskFaultPlan, FaultDisk, RetryPolicy};
+pub use fault::{DiskFaultPlan, FaultDisk};
 pub use memstore::CellLocalStore;
 pub use place::{PlaceId, PlaceRecord, MAX_RP};
 pub use stats::{StorageStats, StorageStatsSnapshot};

@@ -58,7 +58,8 @@ impl StorageStats {
         self.read_retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one read abandoned after exhausting the retry budget.
+    /// Records one read abandoned: its failure was permanent, or every
+    /// retry the budget allowed failed too.
     pub fn record_giveup(&self) {
         self.read_giveups.fetch_add(1, Ordering::Relaxed);
     }
@@ -131,7 +132,8 @@ pub struct StorageStatsSnapshot {
     pub io_nanos: u64,
     /// Read attempts repeated after a transient failure.
     pub read_retries: u64,
-    /// Reads abandoned after the whole retry budget failed.
+    /// Reads abandoned: at once on a permanent failure (a corrupt page),
+    /// or after the whole retry budget failed.
     pub read_giveups: u64,
     /// Pages rejected by checksum/frame validation.
     pub corrupt_pages: u64,

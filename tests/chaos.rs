@@ -4,8 +4,8 @@
 //! stream, and the supervisor is crashed mid-run. The surviving monitor
 //! must be *exactly* right: its final top-k is checked against the
 //! brute-force oracle evaluated on the effective update sequence — the
-//! updates that survive the ingest gate (validation, dedup, liveness
-//! leases) — reproduced independently by a mirror gate in the test.
+//! updates that survive the ingest gate (validation, dedup) — reproduced
+//! independently by a mirror gate in the test.
 //!
 //! Test code: the workspace-wide expect/unwrap denies target library
 //! code; panicking on an unexpected fault is exactly what a test should
@@ -20,9 +20,7 @@ use ctup::core::types::{LocationUpdate, UnitId};
 use ctup::core::{DurableState, OptCtup, Oracle};
 use ctup::mogen::{FaultPlan, PlaceGenConfig, SeededRng, Workload, WorkloadParams};
 use ctup::spatial::{Grid, Point};
-use ctup::storage::{
-    CellLocalStore, DiskFaultPlan, FaultDisk, PlaceStore, RetryPolicy, StorageError,
-};
+use ctup::storage::{CellLocalStore, DiskFaultPlan, FaultDisk, PlaceStore, StorageError};
 use std::sync::Arc;
 
 const NUM_UNITS: u32 = 25;
@@ -84,11 +82,11 @@ fn run_chaos(seed: u64) {
     assert!(log.dropped > 0 && log.duplicated > 0 && log.reordered > 0 && log.corrupted > 0);
 
     // Mirror gate: reproduce the effective update sequence independently
-    // and track where every unit ends up (parked units included).
+    // and track where every unit ends up.
     let mut mirror = IngestGate::new(IngestConfig {
         space: *store.grid().space(),
         num_units: NUM_UNITS as usize,
-        lease_ttl: Some(150),
+        lease_ttl: None,
     });
     let mut mirror_stats = ResilienceStats::default();
     let mut positions = units.clone();
@@ -111,9 +109,7 @@ fn run_chaos(seed: u64) {
             std::env::temp_dir().join(format!("ctup-chaos-feed-{}-{seed}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let resilience = ResilienceConfig {
-            lease_ttl: Some(150),
             checkpoint_every: 64,
-            max_restarts: 8,
             panic_at: vec![50],
             state_dir: durable.then(|| dir.clone()),
             ..ResilienceConfig::default()
@@ -167,16 +163,6 @@ fn run_chaos(seed: u64) {
                 r.duplicates_dropped,
                 mirror_stats.duplicates_dropped,
             ),
-            (
-                "lease_expiries",
-                r.lease_expiries,
-                mirror_stats.lease_expiries,
-            ),
-            (
-                "lease_reinstates",
-                r.lease_reinstates,
-                mirror_stats.lease_reinstates,
-            ),
         ] {
             assert_eq!(got, want, "{run}: {name} mismatch");
         }
@@ -207,73 +193,6 @@ fn survives_degraded_feed_seed_3() {
     run_chaos(3);
 }
 
-/// Leases under silence: cutting one unit's reports out of the feed
-/// entirely must retract its protection — the monitor ends up agreeing
-/// with an oracle that has the unit parked, not where it last reported.
-#[test]
-fn silent_unit_is_parked_and_result_stays_truthful() {
-    let (mut workload, store) = setup(42);
-    let units = workload.unit_positions();
-    let clean: Vec<LocationUpdate> = workload
-        .next_updates(400)
-        .into_iter()
-        .map(|u| LocationUpdate {
-            unit: UnitId(u.object),
-            new: u.to,
-        })
-        .collect();
-    // Unit 0 goes silent after its first 2 reports.
-    let mut seen = 0;
-    let muted: Vec<StampedUpdate> = stamp_stream(clean)
-        .into_iter()
-        .filter(|r| {
-            if r.update.unit != UnitId(0) {
-                return true;
-            }
-            seen += 1;
-            seen <= 2
-        })
-        .collect();
-
-    let resilience = ResilienceConfig {
-        lease_ttl: Some(100),
-        ..ResilienceConfig::default()
-    };
-    let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), &units).expect("clean store");
-    let pipeline = SupervisedPipeline::spawn(monitor, resilience, 4096);
-    for &report in &muted {
-        pipeline.send(report).expect("worker alive");
-    }
-    let report = pipeline.shutdown();
-    assert!(!report.gave_up);
-    assert!(
-        report.metrics.resilience.lease_expiries > 0,
-        "the muted unit's lease never expired (TTL too long for this stream?)"
-    );
-
-    // Mirror to get final positions, then check the oracle agrees.
-    let mut mirror = IngestGate::new(IngestConfig {
-        space: *store.grid().space(),
-        num_units: NUM_UNITS as usize,
-        lease_ttl: Some(100),
-    });
-    let mut stats = ResilienceStats::default();
-    let mut positions = units.clone();
-    for &wire in &muted {
-        if let Ok(effective) = mirror.admit(wire, &mut stats) {
-            for update in effective {
-                positions[update.unit.index()] = update.new;
-            }
-        }
-    }
-    assert!(
-        !mirror.is_alive(UnitId(0)),
-        "unit 0 should have lost its lease"
-    );
-    let oracle = Oracle::from_store(store.as_ref()).expect("clean store");
-    oracle.assert_result_matches(&report.final_result, &positions, RADIUS, 10);
-}
-
 /// Storage-fault matrix, transient case: the disk fails 5% of page reads
 /// per attempt behind the default 3-retry backoff policy. Retries absorb
 /// (nearly) everything; any give-up is contained by the supervisor exactly
@@ -298,7 +217,6 @@ fn transient_read_errors_are_retried_and_contained() {
             read_error_prob: 0.05,
             ..DiskFaultPlan::default()
         },
-        RetryPolicy::default(),
     ));
     assert!(disk.corrupted_pages().is_empty(), "no build-time damage");
     let store: Arc<dyn PlaceStore> = disk.clone();
@@ -331,7 +249,7 @@ fn transient_read_errors_are_retried_and_contained() {
     assert_eq!(r.worker_panics, 0);
     assert!(r.storage_errors <= r.worker_restarts);
 
-    // Clean stream + no leases: every update is effective; ground truth is
+    // Clean stream: every update is effective; ground truth is
     // simply the last reported position of each unit.
     let mut positions = units.clone();
     for update in &clean {
@@ -367,7 +285,6 @@ fn build_time_corruption_is_always_detected_never_served() {
             bit_flips: 3,
             ..DiskFaultPlan::default()
         },
-        RetryPolicy::default(),
     );
     let damaged = disk.corrupted_cells();
     assert!(
@@ -376,6 +293,7 @@ fn build_time_corruption_is_always_detected_never_served() {
     );
 
     let mirror = CellLocalStore::build(Grid::unit_square(8), places);
+    let mut failed = 0u64;
     for cell in disk.grid().cells().collect::<Vec<_>>() {
         match disk.read_cell(cell) {
             Ok(got) => {
@@ -389,15 +307,19 @@ fn build_time_corruption_is_always_detected_never_served() {
             Err(e) => {
                 assert!(matches!(e, StorageError::CorruptPage { .. }), "{e}");
                 assert!(damaged.contains(&cell), "clean cell {cell:?} failed: {e}");
+                failed += 1;
             }
         }
     }
+    // Corruption is permanent, not retried: each failed read met one
+    // corrupt page, once.
     let snap = disk.stats().snapshot();
     assert!(snap.corrupt_pages > 0);
-    assert!(
-        snap.read_giveups > 0,
-        "corruption is permanent, not retried"
+    assert_eq!(
+        snap.corrupt_pages, failed,
+        "one corrupt page per failed read"
     );
+    assert_eq!(snap.read_retries, 0, "corruption is permanent, not retried");
 
     // A monitor cannot even be initialized over the damaged store: the
     // full-cell init scan hits the corruption and surfaces it as a value.
@@ -406,6 +328,41 @@ fn build_time_corruption_is_always_detected_never_served() {
         Ok(_) => panic!("init over a corrupt store must fail"),
         Err(e) => assert!(matches!(e, StorageError::CorruptPage { .. }), "{e}"),
     }
+}
+
+/// One read of a cell with a flipped bit fails once with a permanent
+/// `CorruptPage` and is not retried: it counts one corrupt page, no retry
+/// and one abandoned read.
+#[test]
+fn a_corrupt_read_is_not_retried() {
+    let workload = Workload::generate(WorkloadParams {
+        num_units: NUM_UNITS,
+        places: PlaceGenConfig {
+            count: 1_500,
+            ..PlaceGenConfig::default()
+        },
+        seed: 13,
+        ..WorkloadParams::default()
+    });
+    let disk = FaultDisk::build(
+        Grid::unit_square(8),
+        workload.places_vec(),
+        0,
+        DiskFaultPlan {
+            seed: 99,
+            bit_flips: 1,
+            ..DiskFaultPlan::default()
+        },
+    );
+    let cell = disk.corrupted_cells()[0];
+    let before = disk.stats().snapshot();
+    let error = disk.read_cell(cell).expect_err("a damaged cell");
+    assert!(matches!(error, StorageError::CorruptPage { .. }), "{error}");
+    assert!(!error.is_transient());
+    let after = disk.stats().snapshot();
+    assert_eq!(after.corrupt_pages - before.corrupt_pages, 1);
+    assert_eq!(after.read_retries - before.read_retries, 0);
+    assert_eq!(after.read_giveups - before.read_giveups, 1);
 }
 
 /// Durable kill-and-restart: the worker dies abruptly mid-stream, the
@@ -430,7 +387,6 @@ fn kill_mid_checkpoint_write_recovers_from_surviving_slot() {
             read_error_prob: 0.05,
             ..DiskFaultPlan::default()
         },
-        RetryPolicy::default(),
     ));
     let units = workload.unit_positions();
     let clean: Vec<LocationUpdate> = workload

@@ -552,13 +552,8 @@ fn recovery_refuses_a_slot_whose_gate_state_does_not_cover_its_units() {
     let units = workload.unit_positions();
     let monitor = OptCtup::new(CtupConfig::with_k(10), store.clone(), &units).expect("clean store");
     let mut checkpoint = monitor.checkpoint();
-    let unit = GateUnitState {
-        last_seq: None,
-        last_seen: 0,
-        alive: true,
-    };
+    let unit = GateUnitState { last_seq: None };
     checkpoint.gate = Some(GateState {
-        now: 0,
         units: vec![unit; units.len() - 1],
     });
 

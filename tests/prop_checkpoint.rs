@@ -1,5 +1,5 @@
 //! Property tests of the checkpoint text codec and of restore: random
-//! monitor states — lease/gate state included — must round-trip exactly,
+//! monitor states — gate state included — must round-trip exactly,
 //! and truncated or byte-corrupted files must come back as typed errors,
 //! never panics or absurd allocations. A corrupted checkpoint of a real
 //! monitor that still parses must also restore to an error or to a
@@ -41,11 +41,8 @@ fn config(g: &mut Gen) -> CtupConfig {
 
 fn gate(g: &mut Gen) -> Option<GateState> {
     g.gen_bool(0.5).then(|| GateState {
-        now: g.next_u64(),
         units: g.vec(0..=7, |g| GateUnitState {
             last_seq: g.gen_bool(0.5).then(|| g.next_u64()),
-            last_seen: g.next_u64(),
-            alive: g.gen_bool(0.5),
         }),
     })
 }

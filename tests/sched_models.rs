@@ -14,7 +14,7 @@
 //! break downstream model authors is also caught here.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
-use ctup_sched::models::{admission, barrier, cache, park, session};
+use ctup_sched::models::{admission, barrier, park, session};
 use ctup_sched::{explore_exhaustive, explore_random, Counterexample, ExplorationReport};
 
 const BUDGET: usize = 500_000;
@@ -138,20 +138,6 @@ fn admission_mutants_are_caught() {
 }
 
 #[test]
-fn cache_correct_is_schedule_clean() {
-    let report = explore_exhaustive(|| cache::model(cache::CacheMutation::Correct), BUDGET)
-        .expect("generation-checked miss path");
-    assert_clean(report, "cache");
-}
-
-#[test]
-fn cache_mutant_is_caught() {
-    let cex = explore_exhaustive(|| cache::model(cache::CacheMutation::SkipGenCheck), BUDGET)
-        .expect_err("stale-insert race must be caught");
-    assert_caught(cex, &["no-stale-cache-after-write"], "cache SkipGenCheck");
-}
-
-#[test]
 fn barrier_correct_is_schedule_clean() {
     let report = explore_exhaustive(|| barrier::model(barrier::BarrierMutation::Correct), BUDGET)
         .expect("shard barrier");
@@ -201,14 +187,15 @@ fn random_exploration_also_catches_the_ghost_pending_mutant() {
 /// what makes a CI counterexample debuggable rather than a flake report.
 #[test]
 fn counterexamples_replay_against_a_fresh_model() {
-    let cex = explore_exhaustive(|| cache::model(cache::CacheMutation::SkipGenCheck), BUDGET)
-        .expect_err("stale-insert race must be caught");
+    let mutant = admission::AdmissionMutation::ClearBelowHigh;
+    let cex = explore_exhaustive(|| admission::model(mutant), BUDGET)
+        .expect_err("flapping must be caught");
     // Replay by always choosing the recorded thread: run a single-schedule
     // exploration whose chooser follows the counterexample's name sequence.
     let mut cursor = 0usize;
     let schedule = cex.schedule.clone();
-    let names = ["reader", "writer"];
-    let replayed = cache::model(cache::CacheMutation::SkipGenCheck).run(|n| {
+    let names = ["producer", "consumer"];
+    let replayed = admission::model(mutant).run(|n| {
         let want = schedule.get(cursor).map(String::as_str);
         cursor += 1;
         // Map the recorded thread name back to an index among the enabled
