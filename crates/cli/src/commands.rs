@@ -347,17 +347,21 @@ fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     // `--recover` is the way back after the engine or the process died:
     // the engine resumes from what the dead one left in --state-dir, and
     // a feed re-delivers its unacked reports (the gate drops what the
-    // journal already holds).
+    // journal already holds). The restart's wall time (slot load, journal
+    // fold, one init) is printed: it is the outage the restart costs.
     let pipeline = match state_dir.filter(|_| recover) {
         Some(dir) => {
-            writeln!(out, "recovering from {}", dir.display())?;
-            SupervisedPipeline::recover_from_dir::<OptCtup>(
+            let started = Instant::now();
+            let pipeline = SupervisedPipeline::recover_from_dir::<OptCtup>(
                 &dir,
                 Arc::clone(&store),
                 resilience,
                 PIPELINE_CAPACITY,
             )
-            .map_err(|e| CliError(format!("recovering from {}: {e}", dir.display())))?
+            .map_err(|e| CliError(format!("recovering from {}: {e}", dir.display())))?;
+            let ms = started.elapsed().as_secs_f64() * 1e3;
+            writeln!(out, "recovered from {} in {ms:.3} ms", dir.display())?;
+            pipeline
         }
         None => {
             let units = workload.unit_positions();
@@ -548,11 +552,8 @@ fn drive_feed(
         .map_err(feed_err)?;
     let stats = client.finish();
     let (offered, acked, shed) = (stats.enqueued, stats.acked, stats.shed_total());
-    let (reconnects, frames, snapshots) = (
-        stats.reconnects,
-        stats.frames_sent,
-        stats.snapshots_received,
-    );
+    let (reconnects, frames) = (stats.reconnects, stats.frames_sent);
+    let snapshots = stats.snapshots_received;
     writeln!(out, "{label}: {offered} offered, {acked} acked, {shed} shed, {reconnects} reconnects, {frames} frames sent, {snapshots} snapshots received")?;
     if shed > 0 {
         let mut by = [0u64; 4];
@@ -912,7 +913,12 @@ mod tests {
             "{acked} acked\n{killed}"
         );
         let recovered = serve("--recover --updates 0").expect("recovered");
-        assert!(recovered.contains("recovering from"), "{recovered}");
+        let restart_ms: f64 = recovered
+            .split(&format!("recovered from {} in ", dir.display()))
+            .nth(1)
+            .and_then(|rest| rest.split(" ms\n").next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no restart time in\n{recovered}"));
+        assert!(restart_ms > 0.0, "{recovered}");
         let replayed = counter(&recovered, "resilience_updates_replayed");
         assert_eq!(replayed, tail.len() as u64, "{recovered}");
         let prefix = ctup(&format!("run {world} --updates {}", tail.len())).expect("prefix");

@@ -546,7 +546,7 @@ impl FeedClient {
 mod tests {
     use super::*;
     use crate::ingest::stamp_stream;
-    use crate::net::overload::CountingSink;
+    use crate::net::CountingSink;
     use crate::net::{IngestServer, NetServerConfig};
     use crate::types::{LocationUpdate, UnitId};
     use ctup_spatial::Point;

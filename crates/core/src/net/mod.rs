@@ -8,8 +8,7 @@
 //! [`ShedReason`]s through the queue's watermarks and the ingest
 //! deadline; the door degrades only when its engine dies, and then for
 //! good, while the last-good top-k keeps being served. The matching
-//! client lives in [`client`]; the calibrated overload sweep
-//! (`reproduce --overload-out`) in [`overload`].
+//! client lives in [`client`].
 //!
 //! The invariant every piece preserves, and the chaos suite checks:
 //! every accepted report is applied exactly once, and every report that
@@ -17,14 +16,11 @@
 //!
 //! A dead engine is not revived behind the door: the door degrades for
 //! good, and the monitor comes back as a new process that restarts from
-//! its state directory — recovery is crash-only. The MTTR bench
-//! (`reproduce --failover-out`) — the outage of that restart — lives in
-//! [`mttr`].
+//! its state directory — recovery is crash-only (`ctup serve --recover`
+//! prints how long the restart took).
 
 pub mod admission;
 pub mod client;
-pub mod mttr;
-pub mod overload;
 pub mod server;
 pub mod session;
 pub mod stats;
@@ -36,12 +32,9 @@ pub use admission::{AdmissionConfig, AdmissionQueue, QueuedReport};
 pub use client::{
     ClientConfig, ClientError, ClientStats, Conn, Dialer, FeedClient, ShedRecord, TcpDialer,
 };
-pub use mttr::{run_mttr_bench, MttrConfig, MttrReport, SelfHealTrial};
-pub use overload::{
-    run_sweep, CalibratedSink, CountingSink, LoadPoint, OverloadConfig, SweepReport,
-};
 pub use server::{
-    EngineSink, IngestServer, NetServerConfig, PipelineSink, SinkError, PIPELINE_CAPACITY,
+    CountingSink, EngineSink, IngestServer, NetServerConfig, PipelineSink, SinkError,
+    PIPELINE_CAPACITY,
 };
 pub use session::{SessionConfig, SessionRegistry};
 pub use stats::{NetStats, NetStatsSnapshot, ShedReason};

@@ -70,7 +70,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -218,8 +218,37 @@ impl EngineSink for PipelineSink {
     }
 }
 
+/// An engine stand-in that accepts everything and counts it.
+#[derive(Debug, Default)]
+pub struct CountingSink {
+    accepted: AtomicU64,
+}
+
+impl CountingSink {
+    /// Reports accepted so far.
+    pub fn accepted(&self) -> u64 {
+        // Relaxed: monotone test-support counter; readers only compare totals after joins
+        self.accepted.load(Ordering::Relaxed)
+    }
+}
+
+impl EngineSink for CountingSink {
+    fn try_ingest(&self, _report: TracedReport) -> Result<(), SinkError> {
+        // Relaxed: monotone test-support counter; no other state is published through it
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn topk(&self) -> Vec<TopKEntry> {
+        vec![TopKEntry {
+            place: PlaceId(0),
+            safety: 0,
+        }]
+    }
+}
+
 /// Channel capacity of the supervised pipeline behind a served front
-/// door: `ctup serve` and the MTTR bench run with it.
+/// door: `ctup serve` runs with it.
 pub const PIPELINE_CAPACITY: usize = 4096;
 
 /// Full configuration of the front door.

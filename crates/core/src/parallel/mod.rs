@@ -40,8 +40,9 @@
 //!
 //! Threading is `std::thread` + `std::sync::mpsc` only, in keeping with
 //! the workspace's zero-dependency discipline. Each shard owns an
-//! [`AtomicHistogram`] latency channel; [`ShardedCtup::latency_snapshot`]
-//! merges them into the unified [`ctup_obs::LatencySnapshot`].
+//! [`AtomicHistogram`] latency channel; the engine's
+//! [`CtupAlgorithm::internal_latency`] merges them into one
+//! [`ctup_obs::LatencySnapshot`].
 
 mod shardmap;
 
@@ -469,31 +470,6 @@ impl ShardedCtup {
         changed
     }
 
-    /// The per-shard latency histograms merged into one view, with the
-    /// store's disk-read histogram joined in. Checkpoint timing stays
-    /// empty — the engine does not checkpoint.
-    pub fn latency_snapshot(&self) -> LatencySnapshot {
-        let mut snap = self.shard_latency();
-        snap.disk_read_nanos = self.store.stats().read_latency();
-        snap
-    }
-
-    /// Just the merged per-shard update histograms (no disk-read series —
-    /// callers building a unified snapshot fold that in themselves, and
-    /// must not get it twice).
-    fn shard_latency(&self) -> LatencySnapshot {
-        let mut snap = LatencySnapshot::default();
-        for shard in &self.latencies {
-            snap.update_total_nanos
-                .merge(&shard.update_total.snapshot());
-            snap.update_maintain_nanos
-                .merge(&shard.update_maintain.snapshot());
-            snap.update_access_nanos
-                .merge(&shard.update_access.snapshot());
-        }
-        snap
-    }
-
     /// Receives one worker reply; a closed channel means every worker died
     /// without replying, which only a worker panic can cause.
     fn recv_reply(&self) -> FromShard {
@@ -570,8 +546,19 @@ impl CtupAlgorithm for ShardedCtup {
         self.unit_positions.len()
     }
 
+    /// The merged per-shard update histograms, without the disk-read
+    /// series: the caller folds that in itself and must not get it twice.
     fn internal_latency(&self) -> Option<LatencySnapshot> {
-        Some(self.shard_latency())
+        let mut snap = LatencySnapshot::default();
+        for shard in &self.latencies {
+            snap.update_total_nanos
+                .merge(&shard.update_total.snapshot());
+            snap.update_maintain_nanos
+                .merge(&shard.update_maintain.snapshot());
+            snap.update_access_nanos
+                .merge(&shard.update_access.snapshot());
+        }
+        Some(snap)
     }
 }
 
@@ -817,7 +804,9 @@ mod tests {
             assert_eq!(sharded.unit_position(update.unit), update.new);
         }
         assert_eq!(sharded.metrics().updates_processed, STEPS as u64);
-        let lat = sharded.latency_snapshot();
+        let lat = sharded
+            .internal_latency()
+            .expect("the sharded engine records latency");
         assert_eq!(lat.update_total_nanos.count(), STEPS as u64 * 4);
     }
 

@@ -18,8 +18,8 @@ use ctup::core::algorithm::CtupAlgorithm;
 use ctup::core::config::CtupConfig;
 use ctup::core::ingest::{stamp_stream, StampedUpdate, TracedReport};
 use ctup::core::net::client::{ClientConfig, Conn, Dialer};
-use ctup::core::net::overload::CountingSink;
 use ctup::core::net::wire::{ByeReason, FrameDecoder, Message};
+use ctup::core::net::CountingSink;
 use ctup::core::net::{
     DurableHook, EngineSink, FeedClient, IngestServer, NetServerConfig, PipelineSink, ShedReason,
     SinkError, TcpDialer,
